@@ -21,7 +21,7 @@
 //!      ┌───────────┼─────────────────────┐
 //!      ▼           ▼                     ▼
 //!  db.reader()  db.query()           db.writer()
-//!  Snapshot     QueryBuilder         Writer (&mut)
+//!  Snapshot     QueryBuilder         Writer (&self)
 //!  range/knn    .range(..).readahead(4)  insert/delete/compact
 //!  (&self)      .run_batch()         (promotes to DeltaIndex)
 //!      │           │                     │
@@ -80,7 +80,9 @@ use crate::aggregate::AggregateStats;
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
 use crate::delta::{DeltaIndex, DeltaReport};
-use crate::durable::{decode_logical, encode_logical, DbSnapshot, DbStore, LogicalOp};
+use crate::durable::{
+    decode_logical, encode_logical, DbSnapshot, DbStore, DefaultCache, LogicalOp,
+};
 pub use crate::durable::{Durability, RecoveryReport};
 use crate::engine::{BatchOutcome, EngineConfig, KnnBatchOutcome, QueryEngine};
 use crate::error::FlatError;
@@ -92,7 +94,7 @@ use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
     BufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId, PageStore, VersionStats,
-    VersionedPool,
+    VersionedCache, VersionedPool,
 };
 use std::collections::HashSet;
 use std::ops::Deref;
@@ -102,15 +104,15 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 /// Locks a mutex, tolerating poison: a panicking writer thread must not
 /// wedge every later session call (the MVCC state it guards is kept
 /// consistent by the publish protocol, not by unwind safety).
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn read_unpoisoned<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+pub(crate) fn read_unpoisoned<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|e| e.into_inner())
 }
 
-fn write_unpoisoned<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+pub(crate) fn write_unpoisoned<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -257,8 +259,8 @@ struct DbTruth {
 /// A FLAT database: one handle owning the versioned buffer pool and the
 /// index lifecycle. See the [module docs](self) for the session diagram
 /// and the crate docs for the underlying machinery.
-pub struct FlatDb<S: PageStore> {
-    pool: VersionedPool<DbStore<S>>,
+pub struct FlatDb<S: PageStore, C: VersionedCache = DefaultCache<S>> {
+    pool: VersionedPool<DbStore<S>, C>,
     /// Writer-side truth; the mutex serializes writer sessions.
     truth: Mutex<DbTruth>,
     /// The resident state snapshots read. Swapped under the write lock
@@ -277,7 +279,7 @@ pub struct FlatDb<S: PageStore> {
     options: DbOptions,
 }
 
-impl<S: PageStore> std::fmt::Debug for FlatDb<S> {
+impl<S: PageStore, C: VersionedCache> std::fmt::Debug for FlatDb<S, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = read_unpoisoned(&self.published).clone();
         f.debug_struct("FlatDb")
@@ -288,13 +290,13 @@ impl<S: PageStore> std::fmt::Debug for FlatDb<S> {
     }
 }
 
-impl<S: PageStore> std::fmt::Debug for Snapshot<'_, S> {
+impl<S: PageStore, C: VersionedCache> std::fmt::Debug for Snapshot<'_, S, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Snapshot({:?})", self.db)
     }
 }
 
-impl<S: PageStore> std::fmt::Debug for QueryBuilder<'_, S> {
+impl<S: PageStore, C: VersionedCache> std::fmt::Debug for QueryBuilder<'_, S, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryBuilder")
             .field("ranges", &self.ranges.len())
@@ -304,7 +306,7 @@ impl<S: PageStore> std::fmt::Debug for QueryBuilder<'_, S> {
     }
 }
 
-impl<S: PageStore> std::fmt::Debug for Writer<'_, S> {
+impl<S: PageStore, C: VersionedCache> std::fmt::Debug for Writer<'_, S, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Writer({:?})", self.db)
     }
@@ -372,47 +374,7 @@ impl<S: PageStore> FlatDb<S> {
             "durability needs the logged store layout: use FlatDb::create_durable"
         );
         let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
-        let state = DbIndex::Base(Arc::new(FlatIndex::empty(options.index.layout)));
-        Self::assemble(pool, state, options, false, false, 1)
-    }
-
-    /// Wires the locking skeleton around an initial truth state (the
-    /// published copy starts as a clone of it).
-    fn assemble(
-        pool: VersionedPool<DbStore<S>>,
-        state: DbIndex,
-        options: DbOptions,
-        built: bool,
-        dirty: bool,
-        next_seq: u64,
-    ) -> FlatDb<S> {
-        FlatDb {
-            pool,
-            published: RwLock::new(state.clone()),
-            subscriptions: Mutex::new(ContinuousQueries::new()),
-            truth: Mutex::new(DbTruth {
-                state,
-                built,
-                dirty,
-                next_seq,
-                batches_since_ckpt: 0,
-                poisoned: false,
-            }),
-            options,
-        }
-    }
-
-    /// The truth behind the mutex, through exclusive access (no locking).
-    fn truth_mut(&mut self) -> &mut DbTruth {
-        self.truth.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Replaces the published state with the current truth, without an
-    /// epoch bump — only for exclusive (`&mut`) contexts such as builds
-    /// and recovery, where no snapshot can be pinned.
-    fn publish_current(&mut self) {
-        let state = self.truth_mut().state.clone();
-        *self.published.get_mut().unwrap_or_else(|e| e.into_inner()) = state;
+        Self::with_pool(pool, options)
     }
 
     /// A crash-durable database over an **empty** `store`: lays down the
@@ -437,8 +399,7 @@ impl<S: PageStore> FlatDb<S> {
         };
         durable.checkpoint(&initial.encode())?;
         let pool = VersionedPool::new(DbStore::Durable(Box::new(durable)), options.pool_pages);
-        let state = DbIndex::Base(Arc::new(FlatIndex::empty(options.index.layout)));
-        Ok(Self::assemble(pool, state, options, false, false, 1))
+        Ok(Self::with_pool(pool, options))
     }
 
     /// Opens a durable database left by a previous session — or a crash:
@@ -526,6 +487,85 @@ impl<S: PageStore> FlatDb<S> {
         Ok((db, report))
     }
 
+    /// Adopts an already-built index whose descriptor page is
+    /// `descriptor` (written by [`FlatIndex::save`] or a previous
+    /// [`FlatDb::persist`]).
+    ///
+    /// The stored layout overrides `options.index.layout` — the pages on
+    /// disk are the source of truth. The descriptor does **not** record
+    /// the tiling domain, so for a database you intend to write into,
+    /// `options.index.domain` must be the same domain the index was
+    /// built with: the delta layer STR-tiles every insert batch (and the
+    /// compaction rebuild) over this domain, and a different one would
+    /// silently produce a differently-tiled index than the one
+    /// persisted. Read-only sessions may pass any options.
+    pub fn open(
+        store: S,
+        descriptor: PageId,
+        mut options: DbOptions,
+    ) -> Result<FlatDb<S>, FlatError> {
+        if options.durability != Durability::Off {
+            return Err(FlatError::Persist(
+                "a descriptor-page store is plain-format; durable databases are \
+                 opened with FlatDb::open_durable"
+                    .into(),
+            ));
+        }
+        let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
+        let index = FlatIndex::load(&pool, descriptor)?;
+        options.index.layout = index.layout();
+        let state = DbIndex::Base(Arc::new(index));
+        Ok(Self::assemble(pool, state, options, true, false, 1))
+    }
+}
+
+impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
+    /// An empty database over a ready `pool` — how [`crate::ShardedDb`]
+    /// puts each shard behind its own [`flat_storage::DiskScheduler`].
+    pub(crate) fn with_pool(pool: VersionedPool<DbStore<S>, C>, options: DbOptions) -> Self {
+        let state = DbIndex::Base(Arc::new(FlatIndex::empty(options.index.layout)));
+        Self::assemble(pool, state, options, false, false, 1)
+    }
+
+    /// Wires the locking skeleton around an initial truth state (the
+    /// published copy starts as a clone of it).
+    fn assemble(
+        pool: VersionedPool<DbStore<S>, C>,
+        state: DbIndex,
+        options: DbOptions,
+        built: bool,
+        dirty: bool,
+        next_seq: u64,
+    ) -> Self {
+        FlatDb {
+            pool,
+            published: RwLock::new(state.clone()),
+            subscriptions: Mutex::new(ContinuousQueries::new()),
+            truth: Mutex::new(DbTruth {
+                state,
+                built,
+                dirty,
+                next_seq,
+                batches_since_ckpt: 0,
+                poisoned: false,
+            }),
+            options,
+        }
+    }
+
+    /// The truth behind the mutex, through exclusive access (no locking).
+    fn truth_mut(&mut self) -> &mut DbTruth {
+        self.truth.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Replaces the published state with the current truth, without an
+    /// epoch bump — only for exclusive (`&mut`) contexts such as builds
+    /// and recovery, where no snapshot can be pinned.
+    fn publish_current(&mut self) {
+        let state = self.truth_mut().state.clone();
+        *self.published.get_mut().unwrap_or_else(|e| e.into_inner()) = state;
+    }
+
     /// Applies one recovered logical record, promoting to a delta index
     /// first if the checkpoint predates the first writer. Recovery runs
     /// exclusively (no snapshot exists yet), so it applies through the
@@ -564,37 +604,6 @@ impl<S: PageStore> FlatDb<S> {
             }
         }
         Ok(())
-    }
-
-    /// Adopts an already-built index whose descriptor page is
-    /// `descriptor` (written by [`FlatIndex::save`] or a previous
-    /// [`FlatDb::persist`]).
-    ///
-    /// The stored layout overrides `options.index.layout` — the pages on
-    /// disk are the source of truth. The descriptor does **not** record
-    /// the tiling domain, so for a database you intend to write into,
-    /// `options.index.domain` must be the same domain the index was
-    /// built with: the delta layer STR-tiles every insert batch (and the
-    /// compaction rebuild) over this domain, and a different one would
-    /// silently produce a differently-tiled index than the one
-    /// persisted. Read-only sessions may pass any options.
-    pub fn open(
-        store: S,
-        descriptor: PageId,
-        mut options: DbOptions,
-    ) -> Result<FlatDb<S>, FlatError> {
-        if options.durability != Durability::Off {
-            return Err(FlatError::Persist(
-                "a descriptor-page store is plain-format; durable databases are \
-                 opened with FlatDb::open_durable"
-                    .into(),
-            ));
-        }
-        let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
-        let index = FlatIndex::load(&pool, descriptor)?;
-        options.index.layout = index.layout();
-        let state = DbIndex::Base(Arc::new(index));
-        Ok(Self::assemble(pool, state, options, true, false, 1))
     }
 
     /// Bulk-loads the database from `entries`, auto-selecting the build
@@ -692,7 +701,7 @@ impl<S: PageStore> FlatDb<S> {
     /// Snapshots borrow the database shared, so any number can be out at
     /// once, on any number of threads, and none of them ever waits for a
     /// writer's apply phase.
-    pub fn reader(&self) -> Snapshot<'_, S> {
+    pub fn reader(&self) -> Snapshot<'_, S, C> {
         // Pinning under the published read lock pairs the epoch with the
         // resident tables: a writer swaps both under the write lock.
         let published = read_unpoisoned(&self.published);
@@ -758,7 +767,7 @@ impl<S: PageStore> FlatDb<S> {
 
     /// Starts a fluent batched query: accumulate range and kNN queries,
     /// tune readahead, then run the batch through the [`QueryEngine`].
-    pub fn query(&self) -> QueryBuilder<'_, S> {
+    pub fn query(&self) -> QueryBuilder<'_, S, C> {
         QueryBuilder {
             db: self,
             config: self.options.engine,
@@ -777,7 +786,7 @@ impl<S: PageStore> FlatDb<S> {
     /// (a one-time resident-table scan); this requires the database to
     /// have stable element ids ([`LeafLayout::WithIds`]) and a fixed
     /// domain — see [`DbOptions::updatable`].
-    pub fn writer(&self) -> Result<Writer<'_, S>, FlatError> {
+    pub fn writer(&self) -> Result<Writer<'_, S, C>, FlatError> {
         if self.options.index.layout != LeafLayout::WithIds {
             return Err(FlatError::Update(
                 "updates need stable element ids: build with LeafLayout::WithIds \
@@ -1049,7 +1058,7 @@ impl<S: PageStore> FlatDb<S> {
 
     /// Cumulative I/O statistics of the owned pool.
     pub fn io_stats(&self) -> IoStats {
-        self.pool.cache().stats()
+        self.pool.cache().io_stats()
     }
 
     /// Drops every cached page (the paper's cold-cache protocol).
@@ -1059,7 +1068,12 @@ impl<S: PageStore> FlatDb<S> {
 
     /// Zeroes the I/O statistics.
     pub fn reset_stats(&self) {
-        self.pool.cache().reset_stats()
+        self.pool.cache().reset_io_stats()
+    }
+
+    /// The pool's page cache, for counters beyond [`IoStats`].
+    pub(crate) fn cache(&self) -> &C {
+        self.pool.cache()
     }
 }
 
@@ -1094,13 +1108,13 @@ impl<S: PageStore + std::fmt::Debug> std::fmt::Debug for StoreRef<'_, S> {
 /// range queries route to [`FlatIndex::range_query`] (or the
 /// tombstone-aware [`DeltaIndex::range_query`] once a writer exists) and
 /// kNN to the matching `knn_query`.
-pub struct Snapshot<'db, S: PageStore> {
-    db: &'db FlatDb<S>,
+pub struct Snapshot<'db, S: PageStore, C: VersionedCache = DefaultCache<S>> {
+    db: &'db FlatDb<S, C>,
     resident: DbIndex,
-    pin: EpochPin<'db, DbStore<S>>,
+    pin: EpochPin<'db, DbStore<S>, C>,
 }
 
-impl<S: PageStore> Clone for Snapshot<'_, S> {
+impl<S: PageStore, C: VersionedCache> Clone for Snapshot<'_, S, C> {
     fn clone(&self) -> Self {
         Snapshot {
             db: self.db,
@@ -1110,7 +1124,7 @@ impl<S: PageStore> Clone for Snapshot<'_, S> {
     }
 }
 
-impl<S: PageStore> Snapshot<'_, S> {
+impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
     /// The epoch this snapshot pinned: it observes exactly the batches
     /// published before that epoch, none after.
     pub fn epoch(&self) -> u64 {
@@ -1210,9 +1224,9 @@ impl<S: PageStore> Snapshot<'_, S> {
     /// within Euclidean distance `eps`, via [`JoinEngine`]'s link-graph
     /// co-crawl. Both sides are pinned, so a concurrent writer on
     /// either database cannot shear the result.
-    pub fn join<S2: PageStore>(
+    pub fn join<S2: PageStore, C2: VersionedCache>(
         &self,
-        other: &Snapshot<'_, S2>,
+        other: &Snapshot<'_, S2, C2>,
         eps: f64,
     ) -> Result<JoinResult, FlatError> {
         let outer = match &self.resident {
@@ -1233,14 +1247,14 @@ impl<S: PageStore> Snapshot<'_, S> {
 /// batched [`QueryEngine`] — per-batch page cache, wave-scheduled crawl
 /// turns, crawl-ahead readahead — with per-query results identical to the
 /// serial [`Snapshot`] paths.
-pub struct QueryBuilder<'db, S: PageStore> {
-    db: &'db FlatDb<S>,
+pub struct QueryBuilder<'db, S: PageStore, C: VersionedCache = DefaultCache<S>> {
+    db: &'db FlatDb<S, C>,
     config: EngineConfig,
     ranges: Vec<Aabb>,
     knns: Vec<(Point3, usize)>,
 }
 
-impl<S: PageStore> QueryBuilder<'_, S> {
+impl<S: PageStore, C: VersionedCache> QueryBuilder<'_, S, C> {
     /// Queues one range query.
     pub fn range(mut self, query: Aabb) -> Self {
         self.ranges.push(query);
@@ -1299,7 +1313,7 @@ impl<S: PageStore> QueryBuilder<'_, S> {
     }
 }
 
-impl<S: PageStore + Send + Sync> QueryBuilder<'_, S> {
+impl<S: PageStore + Send + Sync, C: VersionedCache + Sync> QueryBuilder<'_, S, C> {
     /// Runs the queued **range** queries as one batch. Results are
     /// index-aligned with the queueing order and identical to serial
     /// evaluation. The batch runs over one pinned [`Snapshot`], so a
@@ -1364,12 +1378,12 @@ pub enum WriteOp {
 /// applies behind the published state (copy-on-write at both the page
 /// and the resident-table level) and flips into view atomically when it
 /// commits. No snapshot or query can observe a half-applied batch.
-pub struct Writer<'db, S: PageStore> {
-    db: &'db FlatDb<S>,
+pub struct Writer<'db, S: PageStore, C: VersionedCache = DefaultCache<S>> {
+    db: &'db FlatDb<S, C>,
     truth: MutexGuard<'db, DbTruth>,
 }
 
-impl<S: PageStore> Writer<'_, S> {
+impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
     /// Inserts a batch of new elements (see [`DeltaIndex::insert_batch`]).
     ///
     /// Unlike the low-level call, colliding application ids are reported
@@ -1415,7 +1429,7 @@ impl<S: PageStore> Writer<'_, S> {
     pub fn compact(&mut self) -> Result<BuildStats, FlatError> {
         let db = self.db;
         let truth = &mut *self.truth;
-        FlatDb::<S>::check_writable(truth)?;
+        FlatDb::<S, C>::check_writable(truth)?;
         db.log_ops(truth, &[&LogicalOp::Compact])?;
         let mut batch = db.pool.begin_batch();
         let result = {
@@ -1453,7 +1467,7 @@ impl<S: PageStore> Writer<'_, S> {
     fn commit(&mut self, ops: Vec<LogicalOp>) -> Result<Vec<usize>, FlatError> {
         let db = self.db;
         let truth = &mut *self.truth;
-        FlatDb::<S>::check_writable(truth)?;
+        FlatDb::<S, C>::check_writable(truth)?;
         {
             // Validate *before* the commit point: a rejected group must
             // reach neither the log nor the pages.

@@ -1,13 +1,16 @@
-//! Sharded serving layer: K spatial shards, each behind its own
-//! [`DiskScheduler`].
+//! Sharded serving layer: K spatial shards, each a [`FlatDb`] behind its
+//! own [`DiskScheduler`].
 //!
 //! [`ShardedDb`] partitions the domain into K coarse x-slabs with the same
 //! STR machinery as Algorithm 1 ([`crate::partition::shard_regions`]).
-//! Each shard owns a full vertical slice of the system — a page store, a
+//! Each shard *contains* a full [`FlatDb`] — a page store, a
 //! [`DiskScheduler`] (submission queues, read coalescing, priority lanes)
-//! behind a [`VersionedPool`], and a [`FlatIndex`] — so shards never
+//! behind a [`VersionedPool`], and the index with its whole session
+//! protocol (snapshots, writer batches, atomic publish) — so shards never
 //! contend on a buffer pool or a store mutex, and I/O for K shards
-//! proceeds on K independent worker pools.
+//! proceeds on K independent worker pools. This module is only the
+//! router: slab cuts, the id → owner table, coverage routing, the
+//! cross-shard merges and the database-level subscription registry.
 //!
 //! Every shard's index is built over the **global** domain: FLAT's crawl
 //! is exhaustive only when the partition tiling covers the whole space a
@@ -18,7 +21,10 @@
 //!
 //! Query routing tests the shard's *coverage* — its slab tile stretched to
 //! contain every owned element — so an element MBR straddling a slab
-//! boundary is still found through the one shard that owns it:
+//! boundary is still found through the one shard that owns it. Coverage
+//! is a superset bound: it grows *before* the insert that needs it
+//! commits and never shrinks, so a box read at any moment contains every
+//! element published by then.
 //!
 //! * **Range queries** fan out to the shards whose coverage intersects the
 //!   query and concatenate the disjoint per-shard results (sorted by
@@ -35,41 +41,49 @@
 //!   `(page, slot)` order, which is not comparable across independently
 //!   built shards.
 //! * **Updates** route by a global id → shard owner table (populated at
-//!   build, maintained by every insert and delete), and promote **only
-//!   the shards a batch actually touches** to the delta layer — read-only
-//!   shards keep serving the cheaper pristine base-index crawl path.
+//!   build, maintained by every insert and delete), and open a
+//!   [`FlatDb::writer`] on **only the shards a batch actually touches** —
+//!   read-only shards keep serving the cheaper pristine base-index crawl
+//!   path.
 //!
 //! # Snapshots
 //!
-//! Queries never block on updates: each shard is a miniature
-//! [`crate::FlatDb`] — a published resident view behind a read lock plus
-//! an [`EpochPin`] into the shard's [`VersionedPool`]. A query pins the
-//! shard's current epoch and reads that version of every page while a
-//! concurrent batch copy-on-writes new ones; the batch publishes its
-//! pages and the new resident view under the same write lock, so a
-//! snapshot is always element-consistent per shard.
+//! Queries never block on updates: a query takes a [`FlatDb::reader`]
+//! snapshot of each shard it visits, pinning that shard's epoch, and
+//! reads that version of every page while a concurrent batch
+//! copy-on-writes new ones. Each shard publishes its batches atomically,
+//! so a snapshot is always element-consistent per shard.
+
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
-use crate::delta::DeltaIndex;
+use crate::db::{
+    lock_unpoisoned as lock, read_unpoisoned as read, write_unpoisoned as write, DbOptions, FlatDb,
+    Snapshot,
+};
+use crate::delta::DeltaReport;
+use crate::durable::DbStore;
 use crate::error::FlatError;
-use crate::index::{FlatIndex, FlatOptions};
-use crate::join::{JoinEngine, JoinInput, JoinResult, JoinStats};
+use crate::index::FlatOptions;
+use crate::join::{JoinResult, JoinStats};
 use crate::knn::Neighbor;
 use crate::partition::shard_regions;
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
-    BatchWriter, BufferPool, DiskScheduler, EpochPin, IoStats, MemStore, PageStore,
-    SchedulerConfig, SchedulerStats, StorageError, StoreCell, VersionStats, VersionedPool,
+    DiskScheduler, IoStats, MemStore, PageStore, SchedulerConfig, SchedulerStats, StoreCell,
+    VersionStats, VersionedPool,
 };
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, RwLock};
 
-/// A shard's MVCC pool: a [`DiskScheduler`] cache over the shared store
-/// cell, versioned for snapshot reads.
-type ShardPool<S> = VersionedPool<S, DiskScheduler<StoreCell<S>>>;
-type ShardPin<'a, S> = EpochPin<'a, S, DiskScheduler<StoreCell<S>>>;
-type ShardBatch<'a, S> = BatchWriter<'a, S, DiskScheduler<StoreCell<S>>>;
+/// A shard's page cache: a [`DiskScheduler`] over the shard's store cell.
+type ShardCache<S> = DiskScheduler<StoreCell<DbStore<S>>>;
 
 /// Options for [`ShardedDb::build`].
 #[derive(Debug, Clone, Copy)]
@@ -98,102 +112,39 @@ impl Default for ShardOptions {
     }
 }
 
-/// A shard's index: pristine bulkload until the first update against
-/// *this shard* promotes it to the delta layer. Arcs make the published
-/// view cheap to clone into snapshots; the writer copy-on-writes the
-/// resident tables through [`Arc::make_mut`].
-#[derive(Clone)]
-enum ShardIndex {
-    Base(Arc<FlatIndex>),
-    Delta(Arc<DeltaIndex>),
-    /// A batch failed after its commit point. Queries keep serving the
-    /// last published snapshot; further updates panic.
-    Poisoned,
-}
-
-/// What a query snapshot captures: the resident index tables plus the
-/// routing bound, both as of one published epoch.
-#[derive(Clone)]
-struct ShardView {
-    index: ShardIndex,
-    /// Slab tile stretched to contain every owned element — what query
-    /// routing tests. Grows when inserts land outside it.
-    coverage: Aabb,
-}
-
 struct Shard<S: PageStore + Send + Sync + 'static> {
-    pool: ShardPool<S>,
-    /// Writer-side truth. The mutex serializes this shard's updates;
-    /// queries never take it.
-    truth: Mutex<ShardView>,
-    /// Reader-side view, swapped atomically with each batch publish.
-    published: RwLock<ShardView>,
+    db: FlatDb<S, ShardCache<S>>,
+    /// Slab tile stretched to contain every owned element — what query
+    /// routing tests. Grows, before the commit, when inserts land
+    /// outside it (see the module docs).
+    coverage: RwLock<Aabb>,
 }
+
+/// A shard pinned for a cross-shard merge, with its routing bound.
+type PinnedShard<'a, S> = (Snapshot<'a, S, ShardCache<S>>, Aabb);
 
 impl<S: PageStore + Send + Sync + 'static> Shard<S> {
-    /// Pins the shard's current epoch and clones the published view —
-    /// under the published read lock, so the pin and the view belong to
-    /// the same version (a concurrent publish lands entirely before or
-    /// entirely after).
-    fn snapshot(&self) -> (ShardView, ShardPin<'_, S>) {
-        let published = read(&self.published);
-        let pin = self.pool.pin();
-        let view = published.clone();
-        drop(published);
-        (view, pin)
+    fn coverage(&self) -> Aabb {
+        *read(&self.coverage)
+    }
+
+    /// Pins the shard, *then* reads its coverage: the box only grows, and
+    /// grows ahead of the commit it covers, so it bounds the snapshot.
+    fn pinned(&self) -> PinnedShard<'_, S> {
+        let snapshot = self.db.reader();
+        (snapshot, self.coverage())
     }
 }
 
-fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|e| e.into_inner())
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A global kNN candidate: ordered by `(dist_sq, id)`, the sharded layer's
-/// deterministic tie-break (see the module docs).
-struct MergeCand {
-    dist_sq: f64,
-    id: u64,
-    neighbor: Neighbor,
-}
-
-impl PartialEq for MergeCand {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist_sq == other.dist_sq && self.id == other.id
-    }
-}
-
-impl Eq for MergeCand {}
-
-impl PartialOrd for MergeCand {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MergeCand {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist_sq
-            .total_cmp(&other.dist_sq)
-            .then(self.id.cmp(&other.id))
-    }
-}
-
-/// K spatial shards, each owning a store + [`DiskScheduler`] + index, with
-/// cross-shard query routing and a global exact kNN merge.
+/// K spatial shards, each a [`FlatDb`] over its own store and
+/// [`DiskScheduler`], with cross-shard query routing and a global exact
+/// kNN merge.
 ///
 /// All query and update entry points take `&self`. Queries are
 /// **wait-free with respect to updates**: they pin the shard's epoch and
 /// read the published snapshot, so a shard mid-batch keeps answering from
 /// its pre-batch version. Updates serialize per shard on the shard's
-/// truth mutex; traffic for different shards never contends. A query
+/// writer session; reads of different shards never contend. A query
 /// overlapping an in-flight multi-shard update may see some shards before
 /// and some after it, exactly like independent databases would — except
 /// kNN, which pins every shard up front and merges one consistent
@@ -219,18 +170,16 @@ pub struct ShardedDb<S: PageStore + Send + Sync + 'static> {
     /// in `[cuts[i-1], cuts[i])` route to shard `i`.
     cuts: Vec<f64>,
     domain: Aabb,
-    /// Resolved per-shard index options (`domain` always `Some(global)`).
-    options: FlatOptions,
     /// Global id → owning shard, populated at build and maintained by
     /// every insert and delete. Routes deletes and liveness checks
     /// without promoting read-only shards.
     owners: RwLock<HashMap<u64, u32>>,
     /// Top-level continuous-query registry. The mutex is held across a
     /// whole multi-shard [`ShardedDb::insert`] / [`ShardedDb::delete`]
-    /// call and across subscription registration, so each subscriber
-    /// sees exactly one merged delta per update call — stamped with a
-    /// database-level commit sequence, since the per-shard page epochs
-    /// advance independently.
+    /// call and across subscription registration, so update calls are
+    /// serialized and each subscriber sees exactly one merged delta per
+    /// call — stamped with a database-level commit sequence, since the
+    /// per-shard page epochs advance independently.
     subs: Mutex<ShardSubs>,
 }
 
@@ -274,6 +223,13 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             None => Aabb::union_all(entries.iter().map(|e| e.mbr)),
         };
         options.index.domain = Some(domain);
+        let db_options = DbOptions {
+            index: options.index,
+            pool_pages: options.pool_pages,
+            // Shards always take the in-memory bulkload.
+            memory_budget: usize::MAX,
+            ..DbOptions::default()
+        };
 
         let regions = shard_regions(entries, num_shards, &domain);
         let cuts = regions
@@ -287,18 +243,18 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             .enumerate()
             .map(|(i, region)| {
                 owners.extend(region.elements.iter().map(|e| (e.id, i as u32)));
-                let cell = StoreCell::new(store_factory(i));
-                let mut pool = BufferPool::new(cell.clone(), options.pool_pages);
-                let (index, _) = FlatIndex::build(&mut pool, region.elements, options.index)?;
-                let scheduler = DiskScheduler::from_pool(pool, options.scheduler);
-                let view = ShardView {
-                    index: ShardIndex::Base(Arc::new(index)),
-                    coverage: region.coverage,
-                };
+                let cell = StoreCell::new(DbStore::Plain(store_factory(i)));
+                let scheduler =
+                    DiskScheduler::with_config(cell.clone(), options.pool_pages, options.scheduler);
+                let mut db =
+                    FlatDb::with_pool(VersionedPool::from_parts(cell, scheduler), db_options);
+                db.build_from(region.elements)?;
+                // The build wrote through the cache; serving starts cold,
+                // as the measurement protocol demands.
+                db.clear_cache();
                 Ok(Shard {
-                    pool: VersionedPool::from_parts(cell, scheduler),
-                    truth: Mutex::new(view.clone()),
-                    published: RwLock::new(view),
+                    db,
+                    coverage: RwLock::new(region.coverage),
                 })
             })
             .collect::<Result<Vec<_>, FlatError>>()?;
@@ -306,7 +262,6 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             shards,
             cuts,
             domain,
-            options: options.index,
             owners: RwLock::new(owners),
             subs: Mutex::new(ShardSubs::default()),
         })
@@ -327,7 +282,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn shard_coverage(&self, i: usize) -> Aabb {
-        read(&self.shards[i].published).coverage
+        self.shards[i].coverage()
     }
 
     /// True while shard `i` still serves the pristine bulkload — no
@@ -337,7 +292,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn shard_is_base(&self, i: usize) -> bool {
-        matches!(read(&self.shards[i].published).index, ShardIndex::Base(_))
+        self.shards[i].db.delta().is_none()
     }
 
     /// Shard `i`'s versioning counters (per-shard epochs).
@@ -345,26 +300,28 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn shard_version_stats(&self, i: usize) -> VersionStats {
-        self.shards[i].pool.version_stats()
+        self.shards[i].db.version_stats()
     }
 
     /// Live elements across all shards.
     pub fn num_live_elements(&self) -> u64 {
+        self.shards.iter().map(|s| s.db.num_live_elements()).sum()
+    }
+
+    /// Runs [`FlatDb::check_invariants`] on every shard, in shard order
+    /// (`None` for a shard still on its pristine bulkload).
+    pub fn check_invariants(&self) -> Result<Vec<Option<DeltaReport>>, String> {
         self.shards
             .iter()
-            .map(|s| match &read(&s.published).index {
-                ShardIndex::Base(index) => index.num_elements(),
-                ShardIndex::Delta(delta) => delta.num_live_elements(),
-                ShardIndex::Poisoned => 0,
-            })
-            .sum()
+            .map(|s| s.db.check_invariants())
+            .collect()
     }
 
     /// Aggregated I/O statistics across all shard pools.
     pub fn io_stats(&self) -> IoStats {
         let mut out = IoStats::default();
         for s in &self.shards {
-            out.accumulate(&s.pool.cache().stats());
+            out.accumulate(&s.db.io_stats());
         }
         out
     }
@@ -375,7 +332,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     pub fn scheduler_stats(&self) -> SchedulerStats {
         let mut out = SchedulerStats::default();
         for s in &self.shards {
-            out.accumulate(&s.pool.cache().scheduler_stats());
+            out.accumulate(&s.db.cache().scheduler_stats());
         }
         out
     }
@@ -384,16 +341,29 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// protocol).
     pub fn clear_cache(&self) {
         for s in &self.shards {
-            s.pool.cache().clear_cache();
+            s.db.clear_cache();
         }
     }
 
     /// Zeroes I/O and scheduler statistics in every shard.
     pub fn reset_stats(&self) {
         for s in &self.shards {
-            s.pool.cache().reset_stats();
-            s.pool.cache().reset_scheduler_stats();
+            s.db.reset_stats();
+            s.db.cache().reset_scheduler_stats();
         }
+    }
+
+    /// The shards whose coverage intersects `query` — the only ones a
+    /// range-shaped query pins.
+    fn covering<'a>(&'a self, query: &'a Aabb) -> impl Iterator<Item = &'a Shard<S>> {
+        self.shards
+            .iter()
+            .filter(move |s| s.coverage().intersects(query))
+    }
+
+    /// Pins every shard, in ascending shard order, before any is read.
+    fn pin_all(&self) -> Vec<PinnedShard<'_, S>> {
+        self.shards.iter().map(Shard::pinned).collect()
     }
 
     /// Evaluates a range query: seed + crawl on every shard whose coverage
@@ -403,17 +373,8 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// shard neither blocks the query nor leaks partial effects into it.
     pub fn range_query(&self, query: &Aabb) -> Result<Vec<Hit>, FlatError> {
         let mut hits = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (view, pin) = shard.snapshot();
-            if !view.coverage.intersects(query) {
-                continue;
-            }
-            let mut part = match &view.index {
-                ShardIndex::Base(index) => index.range_query(&pin, query)?,
-                ShardIndex::Delta(delta) => delta.range_query(&pin, query)?,
-                ShardIndex::Poisoned => poisoned(i),
-            };
-            hits.append(&mut part);
+        for shard in self.covering(query) {
+            hits.append(&mut shard.db.reader().range(query)?);
         }
         hits.sort_unstable_by_key(|h| h.id);
         Ok(hits)
@@ -426,16 +387,8 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// disjoint elements, so the fan-out sum is exact.
     pub fn aggregate_count(&self, query: &Aabb) -> Result<u64, FlatError> {
         let mut total = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (view, pin) = shard.snapshot();
-            if !view.coverage.intersects(query) {
-                continue;
-            }
-            total += match &view.index {
-                ShardIndex::Base(index) => index.aggregate_count(&pin, query)?,
-                ShardIndex::Delta(delta) => delta.aggregate_count(&pin, query)?,
-                ShardIndex::Poisoned => poisoned(i),
-            };
+        for shard in self.covering(query) {
+            total += shard.db.reader().aggregate_count(query)?;
         }
         Ok(total)
     }
@@ -452,7 +405,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
 
     /// Joins this database (outer side) against another sharded
     /// database: every `(outer id, inner id)` element pair within
-    /// Euclidean distance `eps`, via [`JoinEngine`]'s link-graph
+    /// Euclidean distance `eps`, via [`Snapshot::join`]'s link-graph
     /// co-crawl, fanned out over the shard pairs whose coverage boxes
     /// are within `eps` of each other. Shards hold disjoint elements,
     /// so each result pair is produced by exactly one shard pair and
@@ -462,28 +415,16 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         other: &ShardedDb<S2>,
         eps: f64,
     ) -> Result<JoinResult, FlatError> {
-        let engine = JoinEngine::new(eps);
         let eps2 = eps * eps;
         let mut pairs = Vec::new();
         let mut stats = JoinStats::default();
-        for (i, outer_shard) in self.shards.iter().enumerate() {
-            let (outer_view, outer_pin) = outer_shard.snapshot();
-            for (j, inner_shard) in other.shards.iter().enumerate() {
-                let (inner_view, inner_pin) = inner_shard.snapshot();
-                if outer_view.coverage.distance_sq(&inner_view.coverage) > eps2 {
+        let inner_shards = other.pin_all();
+        for (outer, outer_coverage) in self.pin_all() {
+            for (inner, inner_coverage) in &inner_shards {
+                if outer_coverage.distance_sq(inner_coverage) > eps2 {
                     continue;
                 }
-                let outer = match &outer_view.index {
-                    ShardIndex::Base(index) => JoinInput::Flat(index),
-                    ShardIndex::Delta(delta) => JoinInput::Delta(delta),
-                    ShardIndex::Poisoned => poisoned(i),
-                };
-                let inner = match &inner_view.index {
-                    ShardIndex::Base(index) => JoinInput::Flat(index),
-                    ShardIndex::Delta(delta) => JoinInput::Delta(delta),
-                    ShardIndex::Poisoned => poisoned(j),
-                };
-                let result = engine.join(&outer_pin, outer, &inner_pin, inner)?;
+                let result = outer.join(inner, eps)?;
                 stats.absorb(&result.stats);
                 pairs.extend(result.pairs);
             }
@@ -552,95 +493,83 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         }
         // Pin all shards before reading any: the frontier the merge
         // bounds against is one epoch vector, not a moving target.
-        let snaps: Vec<(ShardView, ShardPin<'_, S>)> =
-            self.shards.iter().map(Shard::snapshot).collect();
-        let mut order: Vec<(f64, usize)> = snaps
-            .iter()
+        let mut order: Vec<(f64, usize, Snapshot<'_, S, ShardCache<S>>)> = self
+            .pin_all()
+            .into_iter()
             .enumerate()
-            .map(|(i, (view, _))| (view.coverage.distance_sq_to_point(&point), i))
+            .map(|(i, (snapshot, coverage))| (coverage.distance_sq_to_point(&point), i, snapshot))
             .collect();
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-        // Running top-k: max-heap of the k best (dist_sq, id) candidates.
-        let mut best: std::collections::BinaryHeap<MergeCand> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
-        for (lower_bound, i) in order {
-            if best.len() == k && lower_bound > best.peek().expect("len == k >= 1").dist_sq {
+        // Running top-k, ascending by `(dist_sq, id)`: each visited shard
+        // adds at most k candidates, then the list is cut back to k.
+        let mut best: Vec<Neighbor> = Vec::new();
+        for (lower_bound, _, snapshot) in &order {
+            if best.len() == k && best.last().is_some_and(|kth| *lower_bound > kth.dist_sq) {
                 break;
             }
-            let (view, pin) = &snaps[i];
-            let stream = match &view.index {
-                ShardIndex::Base(index) => index.knn_query(pin, point, k)?,
-                ShardIndex::Delta(delta) => delta.knn_query(pin, point, k)?,
-                ShardIndex::Poisoned => poisoned(i),
-            };
-            for neighbor in stream {
-                let cand = MergeCand {
-                    dist_sq: neighbor.dist_sq,
-                    id: neighbor.hit.id,
-                    neighbor,
-                };
-                if best.len() < k {
-                    best.push(cand);
-                } else if cand < *best.peek().expect("len == k >= 1") {
-                    best.pop();
-                    best.push(cand);
-                } else {
-                    // The per-shard stream is ascending: everything after
-                    // this candidate is at least as far.
-                    break;
-                }
-            }
+            best.extend(snapshot.knn(point, k)?);
+            best.sort_by(|a, b| {
+                a.dist_sq
+                    .total_cmp(&b.dist_sq)
+                    .then(a.hit.id.cmp(&b.hit.id))
+            });
+            best.truncate(k);
         }
-        Ok(best
-            .into_sorted_vec()
-            .into_iter()
-            .map(|c| c.neighbor)
-            .collect())
+        Ok(best)
     }
 
     /// Inserts `entries`, routing each by its center's x coordinate along
     /// the slab cuts. Only the shards that receive elements are promoted
-    /// to the delta layer. Returns [`FlatError::Update`] if an id is
-    /// already live.
+    /// to the delta layer.
     ///
-    /// # Panics
-    /// Panics if two entries *of this batch* share an id, or if a
-    /// concurrent insert races the same id past the liveness check (the
-    /// same contract as [`DeltaIndex::insert_batch`]).
+    /// Returns [`FlatError::Update`] — before anything is written — if an
+    /// id is already live in any shard or repeated within `entries`, and
+    /// whatever error a shard's commit returns. Shards commit one after
+    /// another in ascending order, so a failing shard leaves the shards
+    /// before it committed (subscribers get no delta for a failed call);
+    /// a shard whose batch failed mid-apply refuses further writes with
+    /// [`FlatError::Update`] (see [`FlatDb::writer`]) while the other
+    /// shards, and all queries, carry on.
     pub fn insert(&self, entries: Vec<Entry>) -> Result<(), FlatError> {
         if entries.is_empty() {
             return Ok(());
         }
-        // Held across the whole multi-shard apply: subscribers see the
-        // call as one batch, and a registration cannot interleave with
-        // a half-applied insert (see the `subs` field docs).
+        // Held across the whole multi-shard apply: update calls are
+        // serialized, subscribers see the call as one batch, and a
+        // registration cannot interleave with a half-applied insert
+        // (see the `subs` field docs).
         let mut subs = lock(&self.subs);
         let staged = StagedOp::Insert(entries.iter().map(|e| (e.id, e.mbr)).collect());
         {
             let owners = read(&self.owners);
+            let mut batch_ids = HashSet::with_capacity(entries.len());
             for e in &entries {
-                if owners.contains_key(&e.id) {
+                if owners.contains_key(&e.id) || !batch_ids.insert(e.id) {
                     return Err(FlatError::Update(format!(
-                        "insert of id {} which is already live",
+                        "insert of id {} which is already live or repeated in the batch",
                         e.id
                     )));
                 }
             }
         }
-        let mut routed: Vec<Vec<Entry>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut routed: Vec<Vec<Entry>> = self.shards.iter().map(|_| Vec::new()).collect();
         for e in entries {
             routed[self.route(e.mbr.center().x)].push(e);
         }
-        for (i, batch) in routed.into_iter().enumerate() {
+        for (i, (shard, batch)) in self.shards.iter().zip(routed).enumerate() {
             if batch.is_empty() {
                 continue;
             }
             let ids: Vec<u64> = batch.iter().map(|e| e.id).collect();
-            let grown = Aabb::union_all(batch.iter().map(|e| e.mbr));
-            self.update_shard(i, Some(grown), |delta, pool| {
-                delta.insert_batch(pool, batch)
-            })?;
+            // Grow the routing bound first: a query that sees the new
+            // elements must already be routed to them, and a failed
+            // commit leaves the bound harmlessly wide.
+            {
+                let mut coverage = write(&shard.coverage);
+                *coverage = coverage.union(&Aabb::union_all(batch.iter().map(|e| e.mbr)));
+            }
+            shard.db.writer()?.insert(batch)?;
             write(&self.owners).extend(ids.into_iter().map(|id| (id, i as u32)));
         }
         subs.seq += 1;
@@ -652,14 +581,15 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// Deletes elements by application id, returning how many were live.
     /// Ids are routed by the global owner table, so only the shards that
     /// actually own one of `ids` are touched (and promoted, if still
-    /// pristine); unknown ids are ignored.
+    /// pristine); unknown ids are ignored. Shard failures surface as in
+    /// [`ShardedDb::insert`].
     pub fn delete(&self, ids: &[u64]) -> Result<usize, FlatError> {
         if ids.is_empty() {
             return Ok(0);
         }
         // Same batching discipline as `insert` (see the `subs` docs).
         let mut subs = lock(&self.subs);
-        let mut routed: Vec<Vec<u64>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut routed: Vec<Vec<u64>> = self.shards.iter().map(|_| Vec::new()).collect();
         {
             let owners = read(&self.owners);
             for &id in ids {
@@ -669,12 +599,11 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             }
         }
         let mut deleted = 0;
-        for (i, owned) in routed.into_iter().enumerate() {
+        for (shard, owned) in self.shards.iter().zip(routed) {
             if owned.is_empty() {
                 continue;
             }
-            deleted +=
-                self.update_shard(i, None, |delta, pool| delta.delete_batch(pool, &owned))?;
+            deleted += shard.db.writer()?.delete(&owned)?;
             let mut owners = write(&self.owners);
             for id in &owned {
                 owners.remove(id);
@@ -685,57 +614,6 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         subs.registry
             .apply_batch(&[StagedOp::Delete(ids.to_vec())], seq);
         Ok(deleted)
-    }
-
-    /// Runs one delta batch against shard `i`: serializes on the shard's
-    /// truth mutex, promotes a pristine shard to the delta layer (lazily —
-    /// only now, only this shard), copy-on-writes the resident tables and
-    /// the touched pages, and publishes the new view and epoch atomically
-    /// under the published write lock. Queries pinned before the publish
-    /// keep their version; an apply error aborts the batch (readers stay
-    /// on the pre-batch snapshot) and poisons the shard.
-    fn update_shard<R>(
-        &self,
-        i: usize,
-        grow: Option<Aabb>,
-        apply: impl FnOnce(&mut DeltaIndex, &mut ShardBatch<'_, S>) -> Result<R, StorageError>,
-    ) -> Result<R, FlatError> {
-        let shard = &self.shards[i];
-        let mut truth = lock(&shard.truth);
-        if let ShardIndex::Base(base) = &truth.index {
-            // Promotion writes no pages (the delta layer adopts the base
-            // read-only), so no epoch bump is needed: publish just swaps
-            // the resident view.
-            let delta = DeltaIndex::new(&shard.pool, (**base).clone(), self.options)?;
-            truth.index = ShardIndex::Delta(Arc::new(delta));
-            *write(&shard.published) = truth.clone();
-        }
-        let mut batch = shard.pool.begin_batch();
-        let result = {
-            let ShardIndex::Delta(arc) = &mut truth.index else {
-                poisoned(i)
-            };
-            apply(Arc::make_mut(arc), &mut batch)
-        };
-        match result {
-            Err(e) => {
-                // Dropping the unpublished batch aborts it: the pending
-                // overlay keeps every reader (current and future) on the
-                // pre-batch version, but truth may hold half-applied
-                // resident tables — poison the shard.
-                truth.index = ShardIndex::Poisoned;
-                Err(e.into())
-            }
-            Ok(r) => {
-                if let Some(grown) = grow {
-                    truth.coverage = truth.coverage.union(&grown);
-                }
-                let mut published = write(&shard.published);
-                batch.publish();
-                *published = truth.clone();
-                Ok(r)
-            }
-        }
     }
 
     /// Routes an element center to its owning shard.
@@ -764,12 +642,13 @@ impl<S: PageStore + Send + Sync + 'static> std::fmt::Debug for ShardedDb<S> {
     }
 }
 
-#[track_caller]
-fn poisoned(shard: usize) -> ! {
-    panic!("shard {shard} was poisoned by a failed update batch");
-}
-
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use flat_geom::Point3;
@@ -905,6 +784,33 @@ mod tests {
             .map(|n| (n.dist_sq, n.hit.id))
             .collect();
         assert_eq!(got, reference_knn(&live, p, 15));
+    }
+
+    #[test]
+    fn duplicate_ids_are_typed_errors_and_write_nothing() {
+        // 3 shards over x ∈ [0, 90): slabs of 30.
+        let entries: Vec<Entry> = (0..900)
+            .map(|i| {
+                let x = (i % 90) as f64 + 0.5;
+                Entry::new(i, Aabb::cube(Point3::new(x, 50.0, 50.0), 0.4))
+            })
+            .collect();
+        let db = ShardedDb::build_in_memory(3, entries, ShardOptions::default()).unwrap();
+        let at = |id: u64, x: f64| Entry::new(id, Aabb::cube(Point3::new(x, 50.0, 50.0), 0.4));
+        for batch in [
+            // Repeated within one shard's slice of the batch.
+            vec![at(5_000, 10.0), at(5_000, 11.0)],
+            // Repeated across two shards' slices.
+            vec![at(5_000, 10.0), at(5_001, 45.0), at(5_000, 80.0)],
+            // Live in shard 0 (id 3 sits at x = 3.5), routed to shard 2.
+            vec![at(5_000, 10.0), at(3, 80.0)],
+        ] {
+            let err = db.insert(batch).unwrap_err();
+            assert!(matches!(err, FlatError::Update(_)), "{err}");
+        }
+        // Rejected before any shard was touched.
+        assert!((0..3).all(|i| db.shard_is_base(i)));
+        assert_eq!(db.num_live_elements(), 900);
     }
 
     #[test]

@@ -227,25 +227,65 @@ pub fn fresh_entries(count: usize, base_id: u64, domain: &Aabb, seed: u64) -> Ve
 
 // ---------- crash-recovery oracles ----------
 
-/// Asserts that `db` answers every range and kNN probe exactly like a
-/// brute-force scan over `survivors` — the recovery oracle. Brute force
-/// (rather than a rebuilt index) keeps the check cheap enough to run at
-/// every kill point of a fault-injection matrix, and is an *independent*
-/// ground truth: it shares no index code with the system under test.
-pub fn assert_matches_ground_truth<S: PageStore>(
-    db: &FlatDb<S>,
+/// The query surface the brute-force oracle drives: whole-database
+/// answers of a [`FlatDb`] or a [`ShardedDb`], one fresh snapshot per
+/// call.
+pub trait Answers {
+    fn live(&self) -> u64;
+    fn range(&self, q: &Aabb) -> Vec<Hit>;
+    fn knn(&self, p: Point3, k: usize) -> Vec<Neighbor>;
+    fn count(&self, q: &Aabb) -> u64;
+}
+
+impl<S: PageStore> Answers for FlatDb<S> {
+    fn live(&self) -> u64 {
+        self.num_live_elements()
+    }
+    fn range(&self, q: &Aabb) -> Vec<Hit> {
+        self.reader().range(q).unwrap()
+    }
+    fn knn(&self, p: Point3, k: usize) -> Vec<Neighbor> {
+        self.reader().knn(p, k).unwrap()
+    }
+    fn count(&self, q: &Aabb) -> u64 {
+        self.reader().aggregate_count(q).unwrap()
+    }
+}
+
+impl<S: PageStore + Send + Sync + 'static> Answers for ShardedDb<S> {
+    fn live(&self) -> u64 {
+        self.num_live_elements()
+    }
+    fn range(&self, q: &Aabb) -> Vec<Hit> {
+        self.range_query(q).unwrap()
+    }
+    fn knn(&self, p: Point3, k: usize) -> Vec<Neighbor> {
+        self.knn_query(p, k).unwrap()
+    }
+    fn count(&self, q: &Aabb) -> u64 {
+        self.aggregate_count(q).unwrap()
+    }
+}
+
+/// Asserts that `db` answers every range, aggregate-count and kNN probe
+/// exactly like a brute-force scan over `survivors`. Brute force (rather
+/// than a rebuilt index) keeps the check cheap enough to run at every
+/// kill point of a fault-injection matrix, and is an *independent* ground
+/// truth: it shares no index code with the system under test.
+pub fn assert_answers_match(
+    db: &impl Answers,
     survivors: &HashMap<u64, Entry>,
     domain: &Aabb,
     seed: u64,
 ) {
     assert_eq!(
-        db.num_live_elements(),
+        db.live(),
         survivors.len() as u64,
         "live-element count diverged from the committed prefix"
     );
 
     for (i, q) in recovery_queries(domain, 6, seed).iter().enumerate() {
-        let got = keys(&db.reader().range(q).unwrap());
+        let got = keys(&db.range(q));
         let mut expected: Vec<(u64, [u64; 6])> = survivors
             .values()
             .filter(|e| q.intersects(&e.mbr))
@@ -253,10 +293,15 @@ pub fn assert_matches_ground_truth<S: PageStore>(
             .collect();
         expected.sort_unstable();
         assert_eq!(got, expected, "range query {i} diverged from brute force");
+        assert_eq!(
+            db.count(q),
+            expected.len() as u64,
+            "aggregate count {i} diverged from brute force"
+        );
     }
 
     for (i, (p, k)) in knn_probes(domain, seed).iter().enumerate() {
-        let got = db.reader().knn(*p, *k).unwrap();
+        let got = db.knn(*p, *k);
         let mut brute: Vec<(f64, u64)> = survivors
             .values()
             .map(|e| (e.mbr.distance_sq_to_point(p), e.id))
@@ -279,7 +324,17 @@ pub fn assert_matches_ground_truth<S: PageStore>(
             "kNN identities diverged (probe {i}, k {k})"
         );
     }
+}
 
+/// The recovery oracle: [`assert_answers_match`] plus the structural
+/// invariants of the recovered delta layer.
+pub fn assert_matches_ground_truth<S: PageStore>(
+    db: &FlatDb<S>,
+    survivors: &HashMap<u64, Entry>,
+    domain: &Aabb,
+    seed: u64,
+) {
+    assert_answers_match(db, survivors, domain, seed);
     db.check_invariants()
         .unwrap_or_else(|e| panic!("structural invariants violated after recovery: {e}"));
 }

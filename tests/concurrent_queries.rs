@@ -513,6 +513,7 @@ fn sharded_db_serves_mixed_clients_and_drops_cleanly() {
     }
 
     assert_eq!(db.num_live_elements(), 4_000);
+    db.check_invariants().expect("shard invariants at quiesce");
     let lanes = db.scheduler_stats();
     assert_eq!(lanes.demand_completed, lanes.demand_submitted);
     assert!(db.io_stats().total_physical_reads() > 0);

@@ -5,6 +5,13 @@
 //! compaction).
 
 use flat_repro::prelude::*;
+use flat_repro::storage::StorageError;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+mod common;
+use common::assert_answers_match;
 
 fn grid_entries(side: usize, spacing: f64) -> Vec<Entry> {
     // A regular grid of small cubes filling [0, side·spacing)³ — boundary
@@ -486,4 +493,103 @@ fn single_shard_equals_single_index() {
         expect.sort_unstable();
         assert_eq!(sharded_ids(&db, &q), expect, "query {q:?}");
     }
+}
+
+/// A store whose device dies once its fuse runs out: every page write
+/// decrements the shared fuse, and at zero this write and all later ones
+/// fail. `u64::MAX` (the initial value) never burns down.
+struct FusedStore {
+    inner: MemStore,
+    fuse: Arc<AtomicU64>,
+}
+
+impl PageStore for FusedStore {
+    fn alloc(&mut self) -> Result<PageId, StorageError> {
+        self.inner.alloc()
+    }
+
+    fn write_page(&mut self, id: PageId, page: &Page) -> Result<(), StorageError> {
+        self.fuse
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .map_err(|_| StorageError::Io(std::io::Error::other("device died")))?;
+        self.inner.write_page(id, page)
+    }
+
+    fn read_page(&self, id: PageId, out: &mut Page) -> Result<(), StorageError> {
+        self.inner.read_page(id, out)
+    }
+
+    fn free_page(&mut self, id: PageId) -> Result<(), StorageError> {
+        self.inner.free_page(id)
+    }
+
+    fn free_pages(&self) -> Vec<PageId> {
+        self.inner.free_pages()
+    }
+
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+}
+
+#[test]
+fn failed_shard_batch_is_a_typed_error_and_stays_isolated() {
+    // 9 grid columns of spacing 10 over three shards: columns 0-2, 3-5
+    // and 6-8, so x = 15 / 45 / 75 route to shards 0 / 1 / 2 and the ids
+    // of column c are c*81 .. (c+1)*81.
+    let entries = grid_entries(9, 10.0);
+    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(90.0));
+    let fuses: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::new(AtomicU64::new(u64::MAX))).collect();
+    let options = ShardOptions {
+        index: common::options(domain),
+        ..ShardOptions::default()
+    };
+    let db = ShardedDb::build(3, entries.clone(), options, |i| FusedStore {
+        inner: MemStore::new(),
+        fuse: fuses[i].clone(),
+    })
+    .expect("build");
+    let mut live: HashMap<u64, Entry> = entries.iter().map(|e| (e.id, *e)).collect();
+    let column = |x: f64, base: u64, n: u64| -> Vec<Entry> {
+        (0..n)
+            .map(|i| {
+                let c = Point3::new(x, 2.0 + 2.1 * i as f64, 33.0);
+                Entry::new(base + i, Aabb::cube(c, 0.3))
+            })
+            .collect()
+    };
+
+    // A healthy batch across all three shards first, so the failure
+    // below hits a shard that already runs on its delta layer.
+    let warm = [
+        column(15.0, 10_000, 8),
+        column(45.0, 11_000, 8),
+        column(75.0, 12_000, 8),
+    ]
+    .concat();
+    db.insert(warm.clone()).expect("healthy insert");
+    live.extend(warm.iter().map(|e| (e.id, *e)));
+
+    // Shard 1's device dies one page write into its next batch.
+    fuses[1].store(1, Ordering::SeqCst);
+    assert!(db.insert(column(45.0, 20_000, 40)).is_err());
+    // From then on the shard refuses writes with a typed error...
+    let err = db.insert(column(45.0, 21_000, 3)).unwrap_err();
+    assert!(matches!(err, FlatError::Update(_)), "{err}");
+    let err = db.delete(&[4 * 81]).unwrap_err();
+    assert!(matches!(err, FlatError::Update(_)), "{err}");
+
+    // ...while the other shards keep committing.
+    let more = [column(15.0, 30_000, 5), column(75.0, 31_000, 5)].concat();
+    db.insert(more.clone()).expect("insert into healthy shards");
+    live.extend(more.iter().map(|e| (e.id, *e)));
+    let gone = [0, 1, 8 * 81];
+    assert_eq!(db.delete(&gone).expect("delete from healthy shards"), 3);
+    for id in gone {
+        live.remove(&id);
+    }
+
+    // Whole-database answers — the failed shard serving its last
+    // published snapshot — equal exactly the committed state.
+    assert_answers_match(&db, &live, &domain, 77);
 }

@@ -421,6 +421,98 @@ fn delta_update_sequences_maintain_structural_invariants() {
 }
 
 #[test]
+fn sharded_churn_keeps_every_shard_invariant_and_exact() {
+    // Random insert/delete batches through the shard router. After every
+    // step each shard's FlatDb must pass the delta layer's structural
+    // checker, and the live count and range answers must equal a
+    // BTreeMap model of the committed state.
+    let offset = prop_seed();
+    for case in 0..4u64 {
+        let case_seed = 15_000 + offset + case;
+        let mut rng = StdRng::seed_from_u64(case_seed);
+        let domain = Aabb::new(Point3::splat(0.0), Point3::splat(100.0));
+        let fresh = |rng: &mut StdRng, id: u64| {
+            let c = Point3::new(
+                rng.gen_range(0.0..100.0),
+                rng.gen_range(0.0..100.0),
+                rng.gen_range(0.0..100.0),
+            );
+            Entry::new(id, Aabb::cube(c, rng.gen_range(0.1..1.5)))
+        };
+        let initial = rng.gen_range(500..2_000u64);
+        let entries: Vec<Entry> = (0..initial).map(|id| fresh(&mut rng, id)).collect();
+        let mut model: std::collections::BTreeMap<u64, Aabb> =
+            entries.iter().map(|e| (e.id, e.mbr)).collect();
+        let mut next_id = initial;
+        let options = ShardOptions {
+            index: common::options(domain),
+            ..ShardOptions::default()
+        };
+        let shards = if case % 2 == 0 { 1 } else { 3 };
+        let db = ShardedDb::build_in_memory(shards, entries, options)
+            .unwrap_or_else(|e| panic!("case {case_seed}: {e}"));
+
+        for step in 0..10 {
+            if rng.gen_bool(0.5) || model.is_empty() {
+                let n = rng.gen_range(1..300u64);
+                let batch: Vec<Entry> = (next_id..next_id + n)
+                    .map(|id| fresh(&mut rng, id))
+                    .collect();
+                next_id += n;
+                model.extend(batch.iter().map(|e| (e.id, e.mbr)));
+                db.insert(batch)
+                    .unwrap_or_else(|e| panic!("case {case_seed} step {step}: {e}"));
+            } else {
+                // Live ids plus a few that never existed.
+                let mut doomed: Vec<u64> = model
+                    .keys()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.2))
+                    .collect();
+                doomed.extend([next_id + 1_000_000, next_id + 1_000_001]);
+                let deleted = db
+                    .delete(&doomed)
+                    .unwrap_or_else(|e| panic!("case {case_seed} step {step}: {e}"));
+                assert_eq!(deleted, doomed.len() - 2, "case {case_seed} step {step}");
+                for id in &doomed {
+                    model.remove(id);
+                }
+            }
+
+            let reports = db
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("case {case_seed} step {step}: {e}"));
+            assert_eq!(reports.len(), shards, "case {case_seed} step {step}");
+            assert_eq!(
+                db.num_live_elements(),
+                model.len() as u64,
+                "case {case_seed} step {step}: live-set drift"
+            );
+            for _ in 0..4 {
+                let c = Point3::new(
+                    rng.gen_range(0.0..100.0),
+                    rng.gen_range(0.0..100.0),
+                    rng.gen_range(0.0..100.0),
+                );
+                let q = Aabb::cube(c, rng.gen_range(2.0..40.0));
+                let got: Vec<u64> = db
+                    .range_query(&q)
+                    .unwrap_or_else(|e| panic!("case {case_seed} step {step}: {e}"))
+                    .iter()
+                    .map(|h| h.id)
+                    .collect();
+                let expected: Vec<u64> = model
+                    .iter()
+                    .filter(|(_, mbr)| q.intersects(mbr))
+                    .map(|(&id, _)| id)
+                    .collect();
+                assert_eq!(got, expected, "case {case_seed} step {step} query {q:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn pinned_snapshots_stay_stable_and_versions_reclaim() {
     // The epoch-reclamation contract behind wait-free snapshot reads:
     // (1) a pinned snapshot's answers never change, no matter how many
