@@ -211,8 +211,9 @@ impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
     /// Executes a batch of range queries.
     ///
     /// Seeds run first for the whole batch; the crawls then advance
-    /// round-robin, one record per query per round, all through one batch
-    /// page cache with crawl-ahead hints feeding the readahead workers.
+    /// round-robin, one wave of records per query per round, all through
+    /// one batch page cache with crawl-ahead hints feeding the readahead
+    /// workers.
     /// Per-query results are identical to serial evaluation.
     pub fn run_range_batch(&self, queries: &[Aabb]) -> Result<BatchOutcome, StorageError> {
         let cache = BatchCache::new(self.pool);
@@ -381,6 +382,23 @@ impl<P: PageRead> PageRead for BatchCache<'_, P> {
         let page = self.pool.read_page(id, kind)?;
         self.pages.borrow_mut().insert(id, page.clone());
         Ok(page)
+    }
+
+    /// Forwards the announcement for the pages the memo does not hold —
+    /// a memoized page never reaches the pool again, so announcing it
+    /// could only buy a spare fetch of something the pool has evicted.
+    fn want_pages(&self, pages: &[(PageId, PageKind)]) {
+        let missing: Vec<(PageId, PageKind)> = {
+            let memo = self.pages.borrow();
+            pages
+                .iter()
+                .copied()
+                .filter(|(id, _)| !memo.contains_key(id))
+                .collect()
+        };
+        if !missing.is_empty() {
+            self.pool.want_pages(&missing);
+        }
     }
 }
 

@@ -217,10 +217,7 @@ impl JoinEngine {
             // still relevant (their partition MBR intersects the new
             // query box, so they belong to the connected subgraph the
             // crawl must cover), falling back to a seed-tree descent.
-            let mut state = CrawlState {
-                queue: std::collections::VecDeque::new(),
-                seen: std::collections::HashSet::new(),
-            };
+            let mut state = CrawlState::default();
             for (record, mbr) in &frontier {
                 if mbr.intersects(&query) && state.seen.insert(*record) {
                     state.queue.push_back(*record);

@@ -22,10 +22,18 @@
 //! therefore reaches every partition that could hold a top-k element
 //! before the bound closes below it; `knn_matches_brute_force` in the
 //! tests checks the result against a full scan.
+//!
+//! An expansion reads the record of *every* unseen neighbor (the key is
+//! in the record), so those reads are certain before the first is issued:
+//! the crawl announces them to the pool as a batch
+//! ([`PageRead::want_pages`]) and a device-backed pool fetches them side
+//! by side. The order in which neighbors are marked seen, keyed and
+//! pushed is unchanged, so results and [`KnnStats`] do not depend on
+//! whether the pool listens.
 
 use crate::index::FlatIndex;
 use crate::meta::{decode_meta_record, meta_leaf_len, MetaRecordId};
-use crate::query::{is_live, CrawlHinter, Tombstones};
+use crate::query::{is_live, want_meta_page, CrawlHinter, Tombstones};
 use flat_geom::Point3;
 use flat_rtree::node::{decode_inner, decode_leaf};
 use flat_rtree::{Hit, LeafLayout};
@@ -197,6 +205,9 @@ impl FlatIndex {
 
         let mut seen: HashSet<MetaRecordId> = HashSet::new();
         let mut frontier: BinaryHeap<Reverse<(MinKey, MetaRecordId)>> = BinaryHeap::new();
+        // Scratch of one expansion (see the loop's tail), reused across turns.
+        let mut fresh: Vec<MetaRecordId> = Vec::new();
+        let mut wants: Vec<(PageId, PageKind)> = Vec::new();
         seen.insert(seed);
         {
             let page = pool.read_page(seed.page, PageKind::SeedLeaf)?;
@@ -261,12 +272,26 @@ impl FlatIndex {
             // is safe: the bound only shrinks, and any partition within the
             // final bound stays reachable through partitions at least as
             // close (the tiling's connectivity argument, module docs).
+            //
+            // Every unseen neighbor's record is read unconditionally (its
+            // key decides whether it joins the frontier), so a chunk's
+            // unseen neighbors are collected first, their distinct
+            // metadata pages announced to the pool in one go, and the keys
+            // computed afterwards in the same order — the bound does not
+            // move during an expansion, so answers and `KnnStats` are
+            // those of reading each neighbor as it is met.
             let mut chunk = record;
             loop {
+                fresh.clear();
+                wants.clear();
                 for neighbor in &chunk.neighbors {
-                    if !seen.insert(*neighbor) {
-                        continue;
+                    if seen.insert(*neighbor) {
+                        fresh.push(*neighbor);
+                        want_meta_page(&mut wants, neighbor.page);
                     }
+                }
+                pool.want_pages(&wants);
+                for neighbor in &fresh {
                     let key = {
                         let page = pool.read_page(neighbor.page, PageKind::SeedLeaf)?;
                         decode_meta_record(&page, neighbor.slot)?

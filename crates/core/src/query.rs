@@ -177,12 +177,35 @@ impl FlatIndex {
         Ok(None)
     }
 
-    /// Runs one crawl turn: dequeues and fully processes a single metadata
-    /// record (object-page scan plus neighbor expansion). Returns `true`
-    /// when the crawl is finished.
+    /// Runs one crawl turn — a **wave**: up to [`WAVE`] records drained from
+    /// the front of the BFS queue and processed in queue order. Returns
+    /// `true` when the crawl is finished.
+    ///
+    /// A wave tells the pool about its reads before it blocks on any of
+    /// them ([`PageRead::want_pages`]): first the wave's distinct metadata
+    /// pages, then — once the records are decoded — the object pages of
+    /// the records whose page MBR intersects the query. Both sets are
+    /// certain reads, not guesses, so a pool that can overlap device
+    /// fetches ([`flat_storage::DiskScheduler`]) serves a wave in a few
+    /// overlapped round trips instead of one per page; pools that cannot
+    /// ignore the announcement.
+    ///
+    /// The wave changes *when* the pool hears about a page, nothing else.
+    /// Records leave the queue in FIFO order and are scanned and expanded
+    /// in that same order, and every expansion appends behind everything
+    /// still queued, so the sequence of `seen.insert` calls — hence the
+    /// queue contents, the hits and their order, and every counter in
+    /// [`QueryStats`] — is that of processing one record per turn. The
+    /// queue length a one-record turn would have observed when it popped
+    /// record `i` of the wave is the rest of the wave plus what is queued
+    /// behind it, which is what `max_queue_len` records. Each record still
+    /// costs one logical metadata read, each intersecting page MBR one
+    /// logical object read; only the order of reads inside a wave differs
+    /// (metadata first), which a small LRU cache may notice as a handful of
+    /// physical reads either way.
     ///
     /// The serial [`FlatIndex::range_query`] simply loops this to
-    /// completion; the batched [`crate::QueryEngine`] interleaves turns of
+    /// completion; the batched [`crate::QueryEngine`] interleaves waves of
     /// many queries so their I/O overlaps. Because each query's own turn
     /// order is untouched, the two produce identical results — same hits,
     /// same order.
@@ -206,85 +229,108 @@ impl FlatIndex {
         hinter: Option<&dyn CrawlHinter>,
         tombstones: Option<&Tombstones>,
     ) -> Result<bool, StorageError> {
-        let Some(addr) = state.queue.pop_front() else {
-            return Ok(true);
-        };
-        stats.max_queue_len = stats.max_queue_len.max(state.queue.len() + 1);
-        stats.records_processed += 1;
-        let record = {
+        let CrawlState {
+            queue,
+            seen,
+            wave,
+            records,
+            wants,
+        } = state;
+        wave.clear();
+        wave.extend(queue.drain(..queue.len().min(WAVE)));
+
+        // Metadata pages of the wave: announced together, then read one
+        // record at a time (one logical read per record).
+        wants.clear();
+        for addr in wave.iter() {
+            want_meta_page(wants, addr.page);
+        }
+        pool.want_pages(wants);
+        records.clear();
+        for addr in wave.iter() {
             let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-            decode_meta_record(&page, addr.slot)?
-        };
-        // Retirement prunes every link to a dead record, so the crawl can
-        // only land on one through a stale seed — never expand it (its
-        // object page is freed).
-        debug_assert!(!record.is_dead, "crawl reached a dead record");
-        if record.is_dead {
-            return Ok(state.queue.is_empty());
+            records.push(decode_meta_record(&page, addr.slot)?);
         }
 
         // "the object page is only read from disk if M's page MBR
-        // intersects with the query" (§VI).
-        stats.mbr_tests += 1;
-        if record.page_mbr.intersects(query) {
-            stats.object_pages_read += 1;
-            let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-            let (layout, entries) = decode_leaf(&page)?;
-            for (slot, entry) in entries.iter().enumerate() {
-                stats.mbr_tests += 1;
-                if is_live(tombstones, record.object_page, slot) && query.intersects(&entry.mbr) {
-                    let id = match layout {
-                        LeafLayout::MbrOnly => (record.object_page.0 << 16) | entry.id,
-                        LeafLayout::WithIds => entry.id,
-                    };
-                    hits.push(Hit {
-                        mbr: entry.mbr,
-                        id,
-                        page: record.object_page,
-                        slot: slot as u16,
-                    });
-                }
+        // intersects with the query" (§VI) — so exactly these will be.
+        wants.clear();
+        for record in records.iter() {
+            if !record.is_dead && record.page_mbr.intersects(query) {
+                wants.push((record.object_page, PageKind::ObjectPage));
             }
         }
+        pool.want_pages(wants);
 
-        // "the neighbor pointers stored in a metadata record M are only
-        // followed if M's partition MBR intersects with the query"
-        // (§VI).
-        stats.mbr_tests += 1;
-        if record.partition_mbr.intersects(query) {
-            let wants_object = |r: &MetaRecord| r.page_mbr.intersects(query);
-            for neighbor in record.neighbors {
-                if state.seen.insert(neighbor) {
-                    state.queue.push_back(neighbor);
-                    if let Some(h) = hinter {
-                        h.enqueued_record(neighbor, &wants_object);
+        for (done, record) in records.drain(..).enumerate() {
+            stats.max_queue_len = stats.max_queue_len.max(wave.len() - done + queue.len());
+            stats.records_processed += 1;
+            // Retirement prunes every link to a dead record, so the crawl
+            // can only land on one through a stale seed — never expand it
+            // (its object page is freed).
+            debug_assert!(!record.is_dead, "crawl reached a dead record");
+            if record.is_dead {
+                continue;
+            }
+
+            stats.mbr_tests += 1;
+            if record.page_mbr.intersects(query) {
+                stats.object_pages_read += 1;
+                let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
+                let (layout, entries) = decode_leaf(&page)?;
+                for (slot, entry) in entries.iter().enumerate() {
+                    stats.mbr_tests += 1;
+                    if is_live(tombstones, record.object_page, slot) && query.intersects(&entry.mbr)
+                    {
+                        let id = match layout {
+                            LeafLayout::MbrOnly => (record.object_page.0 << 16) | entry.id,
+                            LeafLayout::WithIds => entry.id,
+                        };
+                        hits.push(Hit {
+                            mbr: entry.mbr,
+                            id,
+                            page: record.object_page,
+                            slot: slot as u16,
+                        });
                     }
                 }
             }
-            // Over-full neighbor lists spill into continuation records
-            // (see `meta`); follow the chain, charging the reads like
-            // any other metadata access.
-            let mut next = record.continuation;
-            while let Some(addr) = next {
-                let chunk = {
-                    let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-                    decode_meta_record(&page, addr.slot)?
-                };
-                for neighbor in chunk.neighbors {
-                    if state.seen.insert(neighbor) {
-                        state.queue.push_back(neighbor);
-                        if let Some(h) = hinter {
-                            h.enqueued_record(neighbor, &wants_object);
+
+            // "the neighbor pointers stored in a metadata record M are only
+            // followed if M's partition MBR intersects with the query"
+            // (§VI).
+            stats.mbr_tests += 1;
+            if record.partition_mbr.intersects(query) {
+                let wants_object = |r: &MetaRecord| r.page_mbr.intersects(query);
+                let mut enqueue = |neighbors: Vec<MetaRecordId>| {
+                    for neighbor in neighbors {
+                        if seen.insert(neighbor) {
+                            queue.push_back(neighbor);
+                            if let Some(h) = hinter {
+                                h.enqueued_record(neighbor, &wants_object);
+                            }
                         }
                     }
+                };
+                enqueue(record.neighbors);
+                // Over-full neighbor lists spill into continuation records
+                // (see `meta`); follow the chain, charging the reads like
+                // any other metadata access.
+                let mut next = record.continuation;
+                while let Some(addr) = next {
+                    let chunk = {
+                        let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
+                        decode_meta_record(&page, addr.slot)?
+                    };
+                    enqueue(chunk.neighbors);
+                    next = chunk.continuation;
                 }
-                next = chunk.continuation;
             }
         }
         // Monotone running value; once the queue drains this equals the
         // size of the visited set, matching the serial accounting.
-        stats.records_seen = state.seen.len() as u64;
-        Ok(state.queue.is_empty())
+        stats.records_seen = seen.len() as u64;
+        Ok(queue.is_empty())
     }
 
     /// Runs only the seed phase, returning the address of the seed record
@@ -301,22 +347,40 @@ impl FlatIndex {
     }
 }
 
+/// Adds metadata page `page` to an announcement unless it is already
+/// listed. A linear scan: the lists are a wave long at most, and records
+/// queued together mostly share pages.
+pub(crate) fn want_meta_page(wants: &mut Vec<(PageId, PageKind)>, page: PageId) {
+    if !wants.iter().any(|&(listed, _)| listed == page) {
+        wants.push((page, PageKind::SeedLeaf));
+    }
+}
+
+/// Records one crawl turn takes off the queue. Large enough that a wave's
+/// fetches fill a device queue several times over (so the tail of one
+/// batch of round trips overlaps the head of the next), small enough that
+/// a wave's pages fit comfortably in the smallest caches in use.
+const WAVE: usize = 32;
+
 /// The resumable state of one query's crawl phase: the BFS queue and the
 /// visited ("seen") set. Produced by [`CrawlState::start`] from a seed
-/// record and advanced one record at a time by `FlatIndex::crawl_step`.
-#[derive(Debug)]
+/// record and advanced one wave at a time by `FlatIndex::crawl_step`.
+#[derive(Debug, Default)]
 pub(crate) struct CrawlState {
     pub(crate) queue: VecDeque<MetaRecordId>,
     pub(crate) seen: HashSet<MetaRecordId>,
+    // Scratch of the wave in progress, kept here so a crawl allocates it
+    // once: the drained addresses, their decoded records, and the page
+    // list being announced.
+    wave: Vec<MetaRecordId>,
+    records: Vec<MetaRecord>,
+    wants: Vec<(PageId, PageKind)>,
 }
 
 impl CrawlState {
     /// A crawl about to process `seed` as its first record.
     pub(crate) fn start(seed: MetaRecordId) -> CrawlState {
-        let mut state = CrawlState {
-            queue: VecDeque::new(),
-            seen: HashSet::new(),
-        };
+        let mut state = CrawlState::default();
         state.seen.insert(seed);
         state.queue.push_back(seed);
         state

@@ -14,6 +14,15 @@ pub struct KindStats {
     /// is the paper's "page reads" metric. Speculative fetches issued via
     /// [`crate::PageRead::prefetch_page`] are counted in `prefetch_reads`
     /// instead, so this figure never overcounts useful I/O.
+    ///
+    /// Counted when the fetch is **submitted**, not when it lands: on a
+    /// [`crate::DiskScheduler`] a page announced through
+    /// [`crate::PageRead::want_pages`] is a physical read from the moment
+    /// it is queued, one step before the `read_page` that makes it a
+    /// logical read. So `physical_reads <= logical_reads` holds once the
+    /// caller has read what it announced (at quiesce), but not at every
+    /// instant in between, nor after a query that failed mid-wave and
+    /// never came back for its announced pages.
     pub physical_reads: u64,
     /// Speculative store fetches issued via
     /// [`crate::PageRead::prefetch_page`] (hints that missed the cache).
@@ -66,7 +75,10 @@ impl KindStats {
 ///
 /// This is a plain value type — a snapshot. The live counters inside the
 /// pools are atomic, so snapshots can be taken from `&self` at any time,
-/// including while other threads are reading pages.
+/// including while other threads are reading pages. A snapshot taken
+/// mid-query may show a kind's physical reads running ahead of its logical
+/// reads (see [`KindStats::physical_reads`]): fetches are counted at
+/// submission, and an announced fetch is submitted before it is read.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoStats {
     kinds: [KindStats; 6],
@@ -140,13 +152,14 @@ impl IoStats {
         self.kind(kind).physical_reads * PAGE_SIZE as u64
     }
 
-    /// Cache hit rate over all kinds (`0.0` when no reads happened).
+    /// Cache hit rate over all kinds, in `[0, 1]` (`0.0` when no reads
+    /// happened, and while announced fetches outnumber the reads so far).
     pub fn hit_rate(&self) -> f64 {
         let logical = self.total_logical_reads();
         if logical == 0 {
             0.0
         } else {
-            1.0 - self.total_physical_reads() as f64 / logical as f64
+            (1.0 - self.total_physical_reads() as f64 / logical as f64).clamp(0.0, 1.0)
         }
     }
 
@@ -195,6 +208,14 @@ impl AtomicIoStats {
         if miss {
             k.physical_reads.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// A demand fetch submitted ahead of its logical read (an announced
+    /// page); the read itself is recorded as a non-miss when it arrives.
+    pub(crate) fn record_physical_read(&self, kind: PageKind) {
+        self.kinds[kind.index()]
+            .physical_reads
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_prefetch_read(&self, kind: PageKind) {

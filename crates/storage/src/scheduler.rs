@@ -14,14 +14,30 @@
 //!   block only on *their own* request's completion.
 //! * **Request coalescing** — duplicate in-flight reads of one page
 //!   resolve with a single device fetch whose result fans out to every
-//!   waiter (tracked in [`SchedulerStats::demand_coalesced`]).
+//!   waiter (tracked in [`SchedulerStats::demand_coalesced`]). Only pages
+//!   fan out: a reader that joined somebody else's fetch and sees it fail
+//!   makes one attempt of its own, so the error a caller gets always comes
+//!   from a device access made for that call — not from a hint's or an
+//!   announcement's fetch that ran before the call was even issued.
 //! * **Two priority lanes** — demand reads always run before speculative
 //!   prefetches, and prefetch hints are *dropped* (not queued) while the
 //!   demand lane is backed up, so speculation can never add queueing delay
 //!   to useful I/O ([`SchedulerStats::prefetch_dropped`]).
+//! * **Announced demand reads** — a demand read is two halves, *submit*
+//!   and *await*. [`PageRead::read_page`] does both; [`PageRead::want_pages`]
+//!   does only the first, for a batch of pages the caller is certain to
+//!   read next. An announced page that is neither cached nor in flight
+//!   becomes an ordinary demand-lane request with no waiter yet — same
+//!   lane, same counters ([`SchedulerStats::demand_submitted`], the
+//!   kind's `physical_reads`), never dropped — and the caller's later
+//!   `read_page` finds it cached or coalesces onto it. This is how one
+//!   query keeps the device queue full: a crawl announces a whole wave of
+//!   records, the workers fetch them side by side, and the crawl's own
+//!   reads then wait for one overlapped round trip instead of one each.
 //! * **Graceful shutdown** — dropping the scheduler discards queued
-//!   prefetches but *drains in-flight demand reads* before the workers
-//!   exit, so no reader ever observes a torn or abandoned request.
+//!   prefetches but *drains in-flight demand reads* (announced ones
+//!   included) before the workers exit, so no reader ever observes a torn
+//!   or abandoned request.
 //!
 //! The scheduler is itself a page cache (same lock-sharded LRU state as
 //! the concurrent pool) and implements both [`PageRead`] and
@@ -73,11 +89,13 @@ impl Default for SchedulerConfig {
 /// `prefetch_submitted == prefetch_completed + prefetch_dropped + queued`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Demand reads that entered the submission queue (cache misses that
-    /// were not already in flight).
+    /// Demand fetches that entered the submission queue: `read_page` misses
+    /// and announced pages ([`PageRead::want_pages`]) that were neither
+    /// cached nor already in flight.
     pub demand_submitted: u64,
     /// Demand reads that piggybacked on an in-flight fetch of the same
-    /// page instead of submitting their own.
+    /// page instead of submitting their own — another reader's, or one
+    /// this reader announced earlier.
     pub demand_coalesced: u64,
     /// Demand-lane fetches serviced by the workers.
     pub demand_completed: u64,
@@ -209,7 +227,9 @@ struct Request {
     /// bytes — under the MVCC protocol those readers are pinned to an
     /// epoch whose overlay corrects the page anyway.
     stale: AtomicBool,
-    /// Set once a demand read is waiting on this request.
+    /// Set once a demand read wants this request's page: from birth for
+    /// demand-lane requests (read or announced), on first coalesce for
+    /// prefetch-lane ones.
     demanded: AtomicBool,
     /// Set by the worker that claims the request (the arbiter that keeps a
     /// request serviced exactly once even if it sits in both lanes).
@@ -327,6 +347,32 @@ impl<S: PageStore> Core<S> {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
+    }
+
+    /// A synchronous store read on the calling thread, bypassing queue and
+    /// cache — the fallback of reads that cannot use an in-flight fetch.
+    fn read_direct(&self, id: PageId) -> Result<Page, StorageError> {
+        let mut page = Page::new();
+        self.read_store().read_page(id, &mut page)?;
+        Ok(page)
+    }
+
+    /// The *submit* half of a demand read: queues a demand-lane fetch of
+    /// `id` and counts it as a physical read. The caller holds the queue
+    /// lock and has checked that `id` is not in flight; whether anyone
+    /// awaits the returned request is the caller's business
+    /// (`read_page` does, `want_pages` does not).
+    fn submit_demand(&self, q: &mut SubmissionQueue, id: PageId, kind: PageKind) -> Arc<Request> {
+        let req = Arc::new(Request::new(kind, false));
+        q.inflight.insert(id, Arc::clone(&req));
+        q.demand.push_back(id);
+        self.sched.demand_submitted.fetch_add(1, Ordering::Relaxed);
+        self.sched
+            .demand_queue_max
+            .fetch_max(q.demand.len() as u64, Ordering::Relaxed);
+        self.io.record_physical_read(kind);
+        self.work.notify_one();
+        req
     }
 
     /// Discards every queued (untaken, undemanded) prefetch. Requests that
@@ -732,17 +778,16 @@ impl<S: PageStore + Send + Sync + 'static> PageRead for DiskScheduler<S> {
                 return Ok(cache.page(slot).clone());
             }
         }
-        let relaxed = Ordering::Relaxed;
-        let req = {
+        // `joined`: this read piggybacks on a fetch somebody else submitted
+        // (another reader, a hint, or an earlier announcement).
+        let (req, joined) = {
             let mut q = lock_unpoisoned(&core.queue);
             if q.shutdown {
                 // Defensive: workers are gone (mid-teardown). Fetch
                 // synchronously so the read still completes correctly.
                 drop(q);
                 core.io.record_read(kind, true);
-                let mut page = Page::new();
-                core.read_store().read_page(id, &mut page)?;
-                return Ok(page);
+                return core.read_direct(id);
             }
             if let Some(req) = q.inflight.get(&id) {
                 if req.stale.load(Ordering::Acquire) {
@@ -752,13 +797,11 @@ impl<S: PageStore + Send + Sync + 'static> PageRead for DiskScheduler<S> {
                     // cache alone — the writer's install owns it).
                     drop(q);
                     core.io.record_read(kind, true);
-                    let mut page = Page::new();
-                    core.read_store().read_page(id, &mut page)?;
-                    return Ok(page);
+                    return core.read_direct(id);
                 }
                 // Coalesce: piggyback on the in-flight fetch.
                 let req = Arc::clone(req);
-                core.sched.demand_coalesced.fetch_add(1, relaxed);
+                core.sched.demand_coalesced.fetch_add(1, Ordering::Relaxed);
                 core.io.record_read(kind, false);
                 if !req.demanded.swap(true, Ordering::AcqRel) && !req.taken.load(Ordering::Acquire)
                 {
@@ -766,21 +809,25 @@ impl<S: PageStore + Send + Sync + 'static> PageRead for DiskScheduler<S> {
                     q.demand.push_front(id);
                     core.work.notify_one();
                 }
-                req
+                (req, true)
             } else {
-                let req = Arc::new(Request::new(kind, false));
-                q.inflight.insert(id, Arc::clone(&req));
-                q.demand.push_back(id);
-                core.sched.demand_submitted.fetch_add(1, relaxed);
-                core.sched
-                    .demand_queue_max
-                    .fetch_max(q.demand.len() as u64, relaxed);
-                core.io.record_read(kind, true);
-                core.work.notify_one();
-                req
+                core.io.record_read(kind, false);
+                (core.submit_demand(&mut q, id, kind), false)
             }
         };
-        let page = req.await_result()?;
+        let page = match req.await_result() {
+            Ok(page) => page,
+            // The fetch this read joined failed — possibly an announced
+            // one that hit the device long before this read was issued.
+            // That failure is not this read's: it makes its own attempt,
+            // so an error reaches a caller only from a device access made
+            // on behalf of that very call.
+            Err(_) if joined => {
+                core.io.record_physical_read(kind);
+                return core.read_direct(id);
+            }
+            Err(err) => return Err(err),
+        };
         if req.origin_prefetch && !req.hit_credited.load(Ordering::Acquire) {
             // The fetch landed marked speculative (no demand had coalesced
             // when the worker published it). The cached copy's mark is the
@@ -797,6 +844,21 @@ impl<S: PageStore + Send + Sync + 'static> PageRead for DiskScheduler<S> {
             }
         }
         Ok(page)
+    }
+
+    fn want_pages(&self, pages: &[(PageId, PageKind)]) {
+        let core = &self.core;
+        for &(id, kind) in pages {
+            if core.shard_cache(id).contains(id) {
+                continue; // the read will be a hit
+            }
+            let mut q = lock_unpoisoned(&core.queue);
+            // In flight (stale or not): the read coalesces or goes direct,
+            // exactly as without the announcement.
+            if !q.shutdown && !q.inflight.contains_key(&id) {
+                core.submit_demand(&mut q, id, kind);
+            }
+        }
     }
 
     fn prefetch_page(&self, id: PageId, kind: PageKind) {
@@ -924,6 +986,199 @@ mod tests {
         assert_eq!(lanes.demand_submitted + lanes.demand_coalesced, 6);
         assert_eq!(lanes.demand_submitted, 1);
         assert_eq!(lanes.demand_coalesced, 5);
+    }
+
+    fn wants(ids: std::ops::Range<u64>) -> Vec<(PageId, PageKind)> {
+        ids.map(|i| (PageId(i), PageKind::Other)).collect()
+    }
+
+    /// Yields until `done` — progress made by the worker threads — holds.
+    fn spin_until(done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "scheduler made no progress");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn announced_reads_are_demand_reads_that_overlap() {
+        const N: u64 = 6;
+        let latency = Duration::from_millis(20);
+        let store = ThrottledStore::new(store_with_pages(N), latency);
+        let sched = DiskScheduler::new(store, 16);
+        sched.want_pages(&wants(0..N));
+        // Submission alone is a physical read; nothing is logical yet.
+        assert_eq!(sched.stats().total_physical_reads(), N);
+        assert_eq!(sched.stats().total_logical_reads(), 0);
+        assert_eq!(sched.stats().hit_rate(), 0.0);
+        for i in 0..N {
+            let page = sched.read_page(PageId(i), PageKind::Other).unwrap();
+            assert_eq!(page.get_u64(0), i);
+        }
+        let lanes = sched.scheduler_stats();
+        assert_eq!(lanes.demand_submitted, N);
+        assert_eq!(lanes.demand_completed, N);
+        assert_eq!(lanes.prefetch_submitted, 0);
+        let stats = sched.stats();
+        assert_eq!(stats.total_physical_reads(), N);
+        assert_eq!(stats.total_logical_reads(), N);
+        assert_eq!(stats.total_prefetch_reads(), 0, "no hint was issued");
+        assert!(
+            sched.store().max_queue_depth() >= 2,
+            "announced fetches never overlapped on the device"
+        );
+    }
+
+    #[test]
+    fn announcing_a_cached_or_inflight_page_changes_no_counter() {
+        let latency = Duration::from_millis(50);
+        let store = ThrottledStore::new(store_with_pages(4), latency);
+        let sched = DiskScheduler::new(store, 16);
+        sched.read_page(PageId(1), PageKind::Other).unwrap(); // cached
+        sched.want_pages(&wants(2..3)); // in flight (or, later, cached)
+        let io = sched.stats();
+        let lanes = sched.scheduler_stats();
+        assert_eq!(lanes.demand_submitted, 2);
+        sched.want_pages(&wants(1..3));
+        sched.want_pages(&[]);
+        assert_eq!(sched.stats(), io);
+        let after = sched.scheduler_stats();
+        assert_eq!(after.demand_submitted, lanes.demand_submitted);
+        assert_eq!(after.demand_coalesced, lanes.demand_coalesced);
+        assert_eq!(after.demand_queue_max, lanes.demand_queue_max);
+    }
+
+    #[test]
+    fn install_cached_beats_an_announced_fetch_of_the_same_page() {
+        // The stale / write-stamp protection must cover requests nobody
+        // waits on: the store still holds the old bytes here, so any leak
+        // of the announced fetch's result into the cache shows.
+        let latency = Duration::from_millis(10);
+        let store = ThrottledStore::new(store_with_pages(4), latency);
+        let config = SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        };
+        let sched = DiskScheduler::with_config(store, 16, config);
+        sched.want_pages(&wants(0..2));
+        let mut page = Page::new();
+        page.put_u64(0, 4242);
+        sched.install_cached(PageId(1), &page, PageKind::Other);
+        let read = sched.read_page(PageId(1), PageKind::Other).unwrap();
+        assert_eq!(read.get_u64(0), 4242);
+        // Once both announced fetches have landed the cache still holds
+        // the installed bytes.
+        spin_until(|| sched.scheduler_stats().demand_completed == 2);
+        let read = sched.read_page(PageId(1), PageKind::Other).unwrap();
+        assert_eq!(read.get_u64(0), 4242);
+    }
+
+    #[test]
+    fn announced_fetches_never_hang_drop_or_store_mut() {
+        let latency = Duration::from_millis(5);
+        let config = SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        };
+        let store = ThrottledStore::new(store_with_pages(16), latency);
+        let mut sched = DiskScheduler::with_config(store, 16, config);
+        sched.want_pages(&wants(0..8));
+        // The flush barrier drains waiter-less requests like any other.
+        assert_eq!(sched.with_store_mut(|store| store.num_pages()), 16);
+        let lanes = sched.scheduler_stats();
+        assert_eq!(lanes.demand_submitted, 8);
+        assert_eq!(lanes.demand_completed, 8);
+        sched.want_pages(&wants(8..16));
+        drop(sched); // drains the demand lane, then joins the workers
+    }
+
+    #[test]
+    fn a_failed_announced_fetch_is_neither_cached_nor_lost() {
+        let sched = DiskScheduler::new(store_with_pages(2), 16);
+        sched.want_pages(&[(PageId(99), PageKind::Other)]);
+        spin_until(|| sched.scheduler_stats().demand_completed == 1);
+        assert_eq!(sched.cached_pages(), 0);
+        let err = sched.read_page(PageId(99), PageKind::Other).unwrap_err();
+        assert!(
+            matches!(err, StorageError::PageOutOfRange { .. }),
+            "{err:?}"
+        );
+    }
+
+    /// A store whose reads decide their fate on entry (fail while `failing`
+    /// is set), then park until `gate` opens — so a test can hold a doomed
+    /// fetch in flight while the device "recovers".
+    struct GatedStore {
+        inner: MemStore,
+        failing: AtomicBool,
+        entered: AtomicU64,
+        gate: (Mutex<bool>, Condvar),
+    }
+
+    impl PageStore for GatedStore {
+        fn alloc(&mut self) -> Result<PageId, StorageError> {
+            self.inner.alloc()
+        }
+        fn write_page(&mut self, id: PageId, page: &Page) -> Result<(), StorageError> {
+            self.inner.write_page(id, page)
+        }
+        fn read_page(&self, id: PageId, out: &mut Page) -> Result<(), StorageError> {
+            let doomed = self.failing.load(Ordering::SeqCst);
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            let mut open = lock_unpoisoned(&self.gate.0);
+            while !*open {
+                open = wait_unpoisoned(&self.gate.1, open);
+            }
+            if doomed {
+                return Err(StorageError::Io(std::io::Error::other("device down")));
+            }
+            self.inner.read_page(id, out)
+        }
+        fn free_page(&mut self, id: PageId) -> Result<(), StorageError> {
+            self.inner.free_page(id)
+        }
+        fn free_pages(&self) -> Vec<PageId> {
+            self.inner.free_pages()
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+    }
+
+    #[test]
+    fn a_read_that_joins_a_failed_fetch_makes_its_own_attempt() {
+        let store = GatedStore {
+            inner: store_with_pages(2),
+            failing: AtomicBool::new(true),
+            entered: AtomicU64::new(0),
+            gate: (Mutex::new(false), Condvar::new()),
+        };
+        let sched = DiskScheduler::new(store, 16);
+        // An announced fetch reaches the device while it is down…
+        sched.want_pages(&wants(1..2));
+        spin_until(|| sched.store().entered.load(Ordering::SeqCst) == 1);
+        // …the device recovers, and only then does the read arrive. It
+        // joins the doomed fetch, whose error is not its own.
+        sched.store().failing.store(false, Ordering::SeqCst);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| sched.read_page(PageId(1), PageKind::Other));
+            spin_until(|| sched.scheduler_stats().demand_coalesced == 1);
+            *lock_unpoisoned(&sched.store().gate.0) = true;
+            sched.store().gate.1.notify_all();
+            let page = reader
+                .join()
+                .unwrap()
+                .expect("the retry reads a healthy device");
+            assert_eq!(page.get_u64(0), 1);
+        });
+        let stats = sched.stats();
+        assert_eq!(stats.total_logical_reads(), 1);
+        assert_eq!(
+            stats.total_physical_reads(),
+            2,
+            "the failed fetch and the retry"
+        );
     }
 
     #[test]

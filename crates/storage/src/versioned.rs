@@ -493,6 +493,10 @@ impl<S: PageStore, C: VersionedCache> PageRead for VersionedPool<S, C> {
         self.cache.read_page(id, kind)
     }
 
+    fn want_pages(&self, pages: &[(PageId, PageKind)]) {
+        self.cache.want_pages(pages)
+    }
+
     fn prefetch_page(&self, id: PageId, kind: PageKind) {
         self.cache.prefetch_page(id, kind)
     }
@@ -585,6 +589,14 @@ impl<S: PageStore, C: VersionedCache> PageRead for EpochPin<'_, S, C> {
             }
         }
         Ok(page)
+    }
+
+    /// Forwarded straight to the cache, with no per-page overlay lookup:
+    /// an announced page whose pre-image answers this pin costs at worst
+    /// one spare fetch, whereas filtering every announcement through the
+    /// overlays taxes every wave of every pinned query.
+    fn want_pages(&self, pages: &[(PageId, PageKind)]) {
+        self.pool.cache.want_pages(pages)
     }
 
     fn prefetch_page(&self, id: PageId, kind: PageKind) {

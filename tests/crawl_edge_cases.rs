@@ -593,3 +593,497 @@ fn failed_shard_batch_is_a_typed_error_and_stays_isolated() {
     // published snapshot — equal exactly the committed state.
     assert_answers_match(&db, &live, &domain, 77);
 }
+
+// ---------- the wave is invisible: a record-at-a-time reference ----------
+
+use flat_repro::core::meta::{decode_meta_record, meta_leaf_len, MetaRecordId};
+use flat_repro::rtree::node::{decode_inner, decode_leaf};
+use flat_repro::storage::StoreCell;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{HashSet, VecDeque};
+use std::time::Duration;
+
+/// Records one crawl turn drains (`query.rs` keeps the constant private;
+/// the sizes below bracket it).
+const WAVE: u64 = 32;
+
+/// The range query as it was before waves — seed descent, then a BFS that
+/// pops one record, reads it, scans it, expands it — written against the
+/// public page decoders only. `live` hides deleted application ids (the
+/// delta layer's tombstones, seen from outside). Returns the hits, the
+/// counters, and how many continuation chunks the crawl followed.
+fn reference_range(
+    pool: &impl PageRead,
+    index: &FlatIndex,
+    query: &Aabb,
+    live: &dyn Fn(u64) -> bool,
+) -> (Vec<Hit>, QueryStats, u64) {
+    let read = |id: PageId, kind: PageKind| pool.read_page(id, kind).expect("read");
+    let mut stats = QueryStats::default();
+
+    let mut seed = None;
+    let mut stack: Vec<(PageId, u32)> = index
+        .seed_root()
+        .map(|root| (root, index.seed_height()))
+        .into_iter()
+        .collect();
+    'seed: while let Some((page_id, level)) = stack.pop() {
+        if level > 1 {
+            for child in decode_inner(&read(page_id, PageKind::SeedInner)).expect("inner") {
+                stats.mbr_tests += 1;
+                if query.intersects(&child.mbr) {
+                    stack.push((child.page, level - 1));
+                }
+            }
+            continue;
+        }
+        let leaf = read(page_id, PageKind::SeedLeaf);
+        for slot in 0..meta_leaf_len(&leaf).expect("leaf") as u16 {
+            let record = decode_meta_record(&leaf, slot).expect("record");
+            if record.is_continuation || record.is_dead {
+                continue;
+            }
+            stats.mbr_tests += 1;
+            if !record.page_mbr.intersects(query) {
+                continue;
+            }
+            stats.object_pages_read += 1;
+            let (_, entries) =
+                decode_leaf(&read(record.object_page, PageKind::ObjectPage)).expect("leaf");
+            stats.mbr_tests += entries.len() as u64;
+            if entries
+                .iter()
+                .any(|e| live(e.id) && query.intersects(&e.mbr))
+            {
+                seed = Some(MetaRecordId {
+                    page: page_id,
+                    slot,
+                });
+                break 'seed;
+            }
+            stats.seed_probe_pages += 1;
+        }
+    }
+
+    let mut hits = Vec::new();
+    let mut chain_reads = 0;
+    let Some(seed) = seed else {
+        return (hits, stats, chain_reads);
+    };
+    let mut queue = VecDeque::from([seed]);
+    let mut seen = HashSet::from([seed]);
+    while let Some(addr) = queue.pop_front() {
+        stats.max_queue_len = stats.max_queue_len.max(queue.len() + 1);
+        stats.records_processed += 1;
+        let record =
+            decode_meta_record(&read(addr.page, PageKind::SeedLeaf), addr.slot).expect("record");
+        if record.is_dead {
+            continue;
+        }
+        stats.mbr_tests += 1;
+        if record.page_mbr.intersects(query) {
+            stats.object_pages_read += 1;
+            let (layout, entries) =
+                decode_leaf(&read(record.object_page, PageKind::ObjectPage)).expect("leaf");
+            for (slot, e) in entries.iter().enumerate() {
+                stats.mbr_tests += 1;
+                if live(e.id) && query.intersects(&e.mbr) {
+                    hits.push(Hit {
+                        mbr: e.mbr,
+                        id: match layout {
+                            LeafLayout::MbrOnly => (record.object_page.0 << 16) | e.id,
+                            LeafLayout::WithIds => e.id,
+                        },
+                        page: record.object_page,
+                        slot: slot as u16,
+                    });
+                }
+            }
+        }
+        stats.mbr_tests += 1;
+        if record.partition_mbr.intersects(query) {
+            let mut chunk = record;
+            loop {
+                for neighbor in &chunk.neighbors {
+                    if seen.insert(*neighbor) {
+                        queue.push_back(*neighbor);
+                    }
+                }
+                let Some(next) = chunk.continuation else {
+                    break;
+                };
+                chain_reads += 1;
+                chunk = decode_meta_record(&read(next.page, PageKind::SeedLeaf), next.slot)
+                    .expect("chunk");
+            }
+        }
+    }
+    stats.records_seen = seen.len() as u64;
+    stats.result_count = hits.len() as u64;
+    (hits, stats, chain_reads)
+}
+
+fn random_entries(n: usize, seed: u64) -> Vec<Entry> {
+    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(100.0));
+    common::fresh_entries(n, 0, &domain, seed)
+}
+
+/// A page-for-page copy of `src` (free list included).
+fn copy_store(src: &MemStore) -> MemStore {
+    let mut copy = MemStore::new();
+    let free = src.free_pages();
+    let mut page = Page::new();
+    for i in 0..src.num_pages() {
+        let id = copy.alloc().expect("alloc");
+        if !free.contains(&id) {
+            src.read_page(PageId(i), &mut page).expect("read");
+            copy.write_page(id, &page).expect("write");
+        }
+    }
+    for id in free.into_iter().rev() {
+        copy.free_page(id).expect("free");
+    }
+    copy
+}
+
+type DevicePool =
+    VersionedPool<ThrottledStore<MemStore>, DiskScheduler<StoreCell<ThrottledStore<MemStore>>>>;
+
+/// The serving stack's read path over a copy of `src`: an epoch-pinnable
+/// pool whose cache is a scheduler over a slow queue-depth-8 device, small
+/// enough (64 pages) that crawls evict their own pages.
+fn device_pool(src: &MemStore) -> DevicePool {
+    let device = ThrottledStore::with_parallelism(copy_store(src), Duration::from_micros(20), 8);
+    let cell = StoreCell::new(device);
+    let scheduler = DiskScheduler::new(cell.clone(), 64);
+    VersionedPool::from_parts(cell, scheduler)
+}
+
+/// The same pages behind the three kinds of pool a query can run over.
+struct Pools {
+    exclusive: BufferPool<MemStore>,
+    shared: ConcurrentBufferPool<MemStore>,
+    device: DevicePool,
+}
+
+impl Pools {
+    fn over(exclusive: BufferPool<MemStore>) -> Pools {
+        Pools {
+            shared: ConcurrentBufferPool::new(copy_store(exclusive.store()), 1 << 12),
+            device: device_pool(exclusive.store()),
+            exclusive,
+        }
+    }
+}
+
+/// Evaluates `$body` with `$pool` bound to each of the three pools in turn
+/// (the device pool through an epoch pin — the only one of the three that
+/// listens to announcements) and returns the three values.
+macro_rules! on_each_pool {
+    ($pools:expr, |$pool:ident| $body:expr) => {{
+        let pin = $pools.device.pin();
+        [
+            {
+                let $pool = &$pools.exclusive;
+                $body
+            },
+            {
+                let $pool = &$pools.shared;
+                $body
+            },
+            {
+                let $pool = &pin;
+                $body
+            },
+        ]
+    }};
+}
+
+/// The kernel must agree with the reference on everything observable:
+/// hits, their order, and every counter. Returns the reference's counters
+/// and chain reads.
+fn assert_range_matches_reference(
+    pool: &impl PageRead,
+    index: &FlatIndex,
+    delta: Option<&DeltaIndex>,
+    query: &Aabb,
+    live: &dyn Fn(u64) -> bool,
+) -> (QueryStats, u64) {
+    let (expect_hits, expect_stats, chain_reads) = reference_range(pool, index, query, live);
+    let mut stats = QueryStats::default();
+    let hits = match delta {
+        Some(delta) => delta.range_query_with_stats(pool, query, &mut stats),
+        None => index.range_query_with_stats(pool, query, &mut stats),
+    }
+    .expect("range query");
+    assert_eq!(
+        hits, expect_hits,
+        "hits or hit order diverged for {query:?}"
+    );
+    assert_eq!(stats, expect_stats, "counters diverged for {query:?}");
+    (expect_stats, chain_reads)
+}
+
+#[test]
+fn waves_are_invisible_at_every_crawl_size() {
+    let entries = random_entries(20_000, 901);
+    let (pool, index) = build(entries);
+    let everything = |_: u64| true;
+
+    // Sweep query sizes around a few centers on the in-memory pool,
+    // checking each against the reference and keeping the first query
+    // seen for each crawl size.
+    let mut by_size: HashMap<u64, Aabb> = HashMap::new();
+    let mut rng = StdRng::seed_from_u64(902);
+    for _ in 0..16 {
+        let center = Point3::new(
+            rng.gen_range(20.0..80.0),
+            rng.gen_range(20.0..80.0),
+            rng.gen_range(20.0..80.0),
+        );
+        for step in 1..=220 {
+            let query = Aabb::cube(center, 0.1 * step as f64);
+            let (stats, _) =
+                assert_range_matches_reference(&pool, &index, None, &query, &everything);
+            by_size.entry(stats.records_processed).or_insert(query);
+        }
+    }
+    let whole = Aabb::cube(Point3::splat(50.0), 250.0);
+    let (stats, _) = assert_range_matches_reference(&pool, &index, None, &whole, &everything);
+    assert!(stats.records_processed > 4 * WAVE, "dataset too small");
+
+    // One crawl of each size around the one- and two-wave boundaries,
+    // plus the many-waves crawl, over all three pools.
+    let mut queries = vec![whole];
+    for size in [
+        WAVE - 1,
+        WAVE,
+        WAVE + 1,
+        2 * WAVE - 1,
+        2 * WAVE,
+        2 * WAVE + 1,
+    ] {
+        match by_size.get(&size) {
+            Some(query) => queries.push(*query),
+            None if size > WAVE + 1 => {} // the second boundary is a bonus
+            None => {
+                let mut found: Vec<&u64> = by_size.keys().collect();
+                found.sort();
+                panic!("sweep produced no crawl of {size} records (sizes seen: {found:?})")
+            }
+        }
+    }
+    let pools = Pools::over(pool);
+    for query in &queries {
+        let stats = on_each_pool!(pools, |p| assert_range_matches_reference(
+            p,
+            &index,
+            None,
+            query,
+            &everything
+        ));
+        assert_eq!(stats[0], stats[1]);
+        assert_eq!(stats[0], stats[2]);
+    }
+    // The device pool heard the announcements: some reads found their
+    // fetch already in flight.
+    let lanes = pools.device.cache().scheduler_stats();
+    assert!(lanes.demand_coalesced > 0, "{lanes:?}");
+    assert_eq!(lanes.demand_submitted, lanes.demand_completed);
+    assert_eq!(pools.device.cache().stats().total_prefetch_reads(), 0);
+}
+
+#[test]
+fn a_one_record_crawl_is_a_one_record_wave() {
+    // A single partition: the seed is the whole crawl.
+    let (pool, index) = build(random_entries(30, 907));
+    let pools = Pools::over(pool);
+    let query = Aabb::cube(Point3::splat(50.0), 250.0);
+    let stats = on_each_pool!(pools, |p| {
+        assert_range_matches_reference(p, &index, None, &query, &|_| true).0
+    });
+    for stats in stats {
+        assert_eq!(stats.records_processed, 1);
+        assert_eq!(stats.max_queue_len, 1);
+        assert_eq!(stats.result_count, 30);
+    }
+}
+
+#[test]
+fn waves_are_invisible_across_continuation_chains() {
+    // A few enormous elements stretch their partitions across the domain:
+    // their neighbor lists overflow one record, so the crawl follows
+    // continuation chunks in the middle of a wave.
+    let mut entries = random_entries(40_000, 903);
+    for i in 0..5u64 {
+        let lo = Point3::splat(1.0 + i as f64);
+        let hi = Point3::splat(99.0 - i as f64);
+        entries.push(Entry::new(70_000 + i, Aabb::from_corners(lo, hi)));
+    }
+    let (pool, index) = build(entries);
+    let pools = Pools::over(pool);
+    let everything = |_: u64| true;
+    for (c, side) in [(50.0, 10.0), (20.0, 30.0), (50.0, 250.0)] {
+        let query = Aabb::cube(Point3::splat(c), side);
+        let [(stats, chain_reads), ..] = on_each_pool!(pools, |p| {
+            assert_range_matches_reference(p, &index, None, &query, &everything)
+        });
+        assert!(stats.records_processed > WAVE);
+        assert!(chain_reads > 0, "no continuation chunk was followed");
+    }
+}
+
+#[test]
+fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
+    let entries = random_entries(20_000, 904);
+    let (mut pool, mut delta) = build_delta(entries.clone());
+    // ≈ 8 % tombstones, spread over every partition.
+    let deleted: HashSet<u64> = entries
+        .iter()
+        .map(|e| e.id)
+        .filter(|id| id % 12 == 5)
+        .collect();
+    let doomed: Vec<u64> = deleted.iter().copied().collect();
+    assert_eq!(
+        delta.delete_batch(&mut pool, &doomed).unwrap(),
+        doomed.len()
+    );
+    assert_invariants(&pool, &delta);
+    let survivors: Vec<Entry> = entries
+        .iter()
+        .filter(|e| !deleted.contains(&e.id))
+        .copied()
+        .collect();
+    let live = |id: u64| !deleted.contains(&id);
+    let pools = Pools::over(pool);
+
+    let mut rng = StdRng::seed_from_u64(905);
+    for round in 0..10 {
+        let center = Point3::new(
+            rng.gen_range(0.0..100.0),
+            rng.gen_range(0.0..100.0),
+            rng.gen_range(0.0..100.0),
+        );
+        let side = if round == 0 {
+            250.0
+        } else {
+            rng.gen_range(2.0..30.0)
+        };
+        let query = Aabb::cube(center, side);
+        let stats = on_each_pool!(pools, |p| {
+            assert_range_matches_reference(p, delta.base(), Some(&delta), &query, &live).0
+        });
+        assert_eq!(stats[0], stats[1]);
+        assert_eq!(stats[0], stats[2]);
+        assert_eq!(
+            stats[0].result_count as usize,
+            brute_force(&survivors, &query)
+        );
+
+        // kNN: identical answers and counters whichever pool serves them,
+        // and the distances a full scan finds.
+        let k = rng.gen_range(1..60);
+        let answers = on_each_pool!(pools, |p| {
+            let mut stats = KnnStats::default();
+            let got = delta
+                .knn_query_with_stats(p, center, k, &mut stats)
+                .expect("kNN");
+            (got, stats)
+        });
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(answers[0], answers[2]);
+        let mut brute: Vec<f64> = survivors
+            .iter()
+            .map(|e| e.mbr.distance_sq_to_point(&center))
+            .collect();
+        brute.sort_by(f64::total_cmp);
+        brute.truncate(k);
+        let got: Vec<f64> = answers[0].0.iter().map(|n| n.dist_sq).collect();
+        assert_eq!(got, brute, "kNN k={k} at {center}");
+    }
+}
+
+// ---------- read failures under announced fetches ----------
+
+/// A store whose reads fail once a shared budget of reads is spent
+/// (`u64::MAX` never runs out): the device dying partway through a query.
+struct FlakyReads {
+    inner: MemStore,
+    budget: Arc<AtomicU64>,
+}
+
+impl PageStore for FlakyReads {
+    fn alloc(&mut self) -> Result<PageId, StorageError> {
+        self.inner.alloc()
+    }
+
+    fn write_page(&mut self, id: PageId, page: &Page) -> Result<(), StorageError> {
+        self.inner.write_page(id, page)
+    }
+
+    fn read_page(&self, id: PageId, out: &mut Page) -> Result<(), StorageError> {
+        self.budget
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                if n == u64::MAX {
+                    Some(n)
+                } else {
+                    n.checked_sub(1)
+                }
+            })
+            .map_err(|_| StorageError::Io(std::io::Error::other("device unreadable")))?;
+        self.inner.read_page(id, out)
+    }
+
+    fn free_page(&mut self, id: PageId) -> Result<(), StorageError> {
+        self.inner.free_page(id)
+    }
+
+    fn free_pages(&self) -> Vec<PageId> {
+        self.inner.free_pages()
+    }
+
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+}
+
+#[test]
+fn read_errors_under_announced_fetches_are_typed_and_leave_no_damage() {
+    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(100.0));
+    let entries = random_entries(20_000, 906);
+    let budget = Arc::new(AtomicU64::new(u64::MAX));
+    let options = ShardOptions {
+        index: common::options(domain),
+        ..ShardOptions::default()
+    };
+    let db = ShardedDb::build(2, entries.clone(), options, |_| FlakyReads {
+        inner: MemStore::new(),
+        budget: budget.clone(),
+    })
+    .expect("build");
+    let live: HashMap<u64, Entry> = entries.iter().map(|e| (e.id, *e)).collect();
+    let query = Aabb::cube(Point3::splat(50.0), 60.0);
+    let point = Point3::splat(50.0);
+
+    // The device dies after 0, 1, 2, … reads of a cold query: somewhere
+    // in the seed descent, then mid-wave with announced fetches in flight
+    // that nobody is waiting on yet. Every failure is a typed error, none
+    // hangs or panics, and none poisons the cache.
+    for reads in [0, 1, 2, 3, 5, 8, 13, 21, 34] {
+        let dying = |run: &dyn Fn() -> Result<usize, FlatError>| {
+            db.clear_cache();
+            budget.store(reads, Ordering::SeqCst);
+            match run() {
+                Err(FlatError::Storage(StorageError::Io(_))) => {}
+                Err(other) => panic!("unexpected error kind: {other}"),
+                Ok(_) => panic!("a cold query cannot finish on {reads} reads"),
+            }
+        };
+        dying(&|| db.range_query(&query).map(|hits| hits.len()));
+        dying(&|| db.knn_query(point, 4000).map(|near| near.len()));
+        // The device recovers: the same database answers exactly.
+        budget.store(u64::MAX, Ordering::SeqCst);
+        assert_answers_match(&db, &live, &domain, 78 + reads);
+    }
+}
