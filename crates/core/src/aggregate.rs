@@ -1,24 +1,25 @@
-//! Aggregate queries over the neighbor-link graph: [`FlatIndex::aggregate_count`]
-//! and [`FlatIndex::aggregate_density`] (extension).
+//! Aggregate queries over the neighbor-link graph: `aggregate_count` and
+//! `aggregate_density` (extension).
 //!
 //! An aggregate crawl visits exactly the records a range crawl would —
-//! same seed, same expansion rule — but materializes no hits. Its payoff
-//! is the **containment early-exit**: when a record's page MBR is fully
-//! contained in the query region, every element on the page matches (the
-//! build guarantees element MBR ⊆ page MBR), so the per-element
-//! intersection tests are skipped. The delta layer goes one step further:
-//! its resident summary table already knows each partition's live count,
-//! so a contained partition contributes without reading its object page
-//! at all — for large query regions most of the result is counted from
-//! memory and only the query's *boundary* pages are read.
+//! same seed, same kernel (`IndexRef::crawl_step`), same expansion rule —
+//! but its [`CrawlVisitor`] materializes no hits. Its payoff is the
+//! **containment early-exit**: when a record's page MBR is fully contained
+//! in the query region, every element on the page matches (the build
+//! guarantees element MBR ⊆ page MBR), so the per-element intersection
+//! tests are skipped. The delta layer goes one step further: its resident
+//! summary table already knows each partition's live count, so a contained
+//! partition contributes without its object page being wanted at all — it
+//! is neither announced nor read, and for large query regions most of the
+//! result is counted from memory while only the query's *boundary* pages
+//! are read.
 
 use crate::delta::DeltaIndex;
 use crate::index::FlatIndex;
-use crate::meta::{decode_meta_record, MetaRecordId};
-use crate::query::{is_live, CrawlState, QueryStats, Tombstones};
+use crate::meta::{MetaRecord, MetaRecordId};
+use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
 use flat_geom::Aabb;
-use flat_rtree::node::decode_leaf;
-use flat_storage::{PageKind, PageRead, StorageError};
+use flat_storage::{PageRead, StorageError};
 
 /// Per-aggregate counters: the crawl side plus the early-exit bookkeeping
 /// (how much work the containment rule saved).
@@ -38,101 +39,92 @@ pub struct AggregateStats {
     pub mbr_tests: u64,
 }
 
-/// The shared aggregate crawl: a range crawl with hit materialization
-/// replaced by counting and the containment early-exit. `live_count`
-/// resolves a primary record to its resident live-element count, when the
-/// index keeps one (the delta layer); `None` falls back to reading the
-/// page.
-fn aggregate_crawl(
-    pool: &impl PageRead,
-    query: &Aabb,
-    seed: MetaRecordId,
-    tombstones: Option<&Tombstones>,
-    live_count: Option<&dyn Fn(MetaRecordId) -> Option<u64>>,
-    stats: &mut AggregateStats,
-) -> Result<u64, StorageError> {
-    let mut state = CrawlState::start(seed);
-    let mut count = 0u64;
-    while let Some(addr) = state.queue.pop_front() {
-        stats.records_processed += 1;
-        let record = {
-            let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-            decode_meta_record(&page, addr.slot)?
-        };
-        if record.is_dead {
-            continue;
-        }
+/// The aggregate's visitor: a range crawl with hit materialization
+/// replaced by counting and the containment early-exit.
+struct CountVisit<'q> {
+    index: IndexRef<'q>,
+    query: &'q Aabb,
+    stats: &'q mut AggregateStats,
+    count: u64,
+}
 
-        stats.mbr_tests += 1;
-        if record.page_mbr.intersects(query) {
-            stats.mbr_tests += 1;
-            if query.contains(&record.page_mbr) {
-                // Containment early-exit: every live element on the page
-                // matches (element ⊆ page MBR ⊆ query).
-                stats.contained_partitions += 1;
-                if let Some(live) = live_count.and_then(|f| f(addr)) {
-                    // The resident summary already excludes tombstones:
-                    // no I/O at all for this partition.
-                    stats.pages_skipped += 1;
-                    count += live;
-                } else {
-                    stats.object_pages_read += 1;
-                    let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                    let (_, entries) = decode_leaf(&page)?;
-                    count += entries
-                        .iter()
-                        .enumerate()
-                        .filter(|&(slot, _)| is_live(tombstones, record.object_page, slot))
-                        .count() as u64;
-                }
-            } else {
-                stats.object_pages_read += 1;
-                let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                let (_, entries) = decode_leaf(&page)?;
-                stats.mbr_tests += entries.len() as u64;
-                count += entries
-                    .iter()
-                    .enumerate()
-                    .filter(|&(slot, e)| {
-                        is_live(tombstones, record.object_page, slot) && query.intersects(&e.mbr)
-                    })
-                    .count() as u64;
+impl CrawlVisitor for CountVisit<'_> {
+    fn dequeued(&mut self, _queue_len: usize) {
+        self.stats.records_processed += 1;
+    }
+
+    fn wants_object(&mut self, addr: MetaRecordId, record: &MetaRecord) -> bool {
+        self.stats.mbr_tests += 1;
+        if !record.page_mbr.intersects(self.query) {
+            return false;
+        }
+        self.stats.mbr_tests += 1;
+        if self.query.contains(&record.page_mbr) {
+            // Containment early-exit: every live element on the page
+            // matches (element ⊆ page MBR ⊆ query).
+            self.stats.contained_partitions += 1;
+            if let Some(live) = self.index.live_count_at(addr) {
+                // The resident summary already excludes tombstones: no
+                // I/O at all for this partition.
+                self.stats.pages_skipped += 1;
+                self.count += live;
+                return false;
             }
         }
+        true
+    }
 
-        stats.mbr_tests += 1;
-        if record.partition_mbr.intersects(query) {
-            for neighbor in record.neighbors {
-                if state.seen.insert(neighbor) {
-                    state.queue.push_back(neighbor);
-                }
-            }
-            let mut next = record.continuation;
-            while let Some(chunk_addr) = next {
-                let chunk = {
-                    let page = pool.read_page(chunk_addr.page, PageKind::SeedLeaf)?;
-                    decode_meta_record(&page, chunk_addr.slot)?
-                };
-                for neighbor in chunk.neighbors {
-                    if state.seen.insert(neighbor) {
-                        state.queue.push_back(neighbor);
-                    }
-                }
-                next = chunk.continuation;
-            }
+    fn scan(&mut self, record: &MetaRecord, page: &LivePage<'_>) {
+        self.stats.object_pages_read += 1;
+        if self.query.contains(&record.page_mbr) {
+            self.count += page.hits().count() as u64;
+        } else {
+            self.stats.mbr_tests += page.slots() as u64;
+            let query = self.query;
+            self.count += page.hits().filter(|h| query.intersects(&h.mbr)).count() as u64;
         }
     }
-    Ok(count)
+
+    fn expands(&mut self, _addr: MetaRecordId, record: &MetaRecord) -> bool {
+        self.stats.mbr_tests += 1;
+        record.partition_mbr.intersects(self.query)
+    }
 }
 
 /// Density = count / query volume; zero-volume queries (points, slabs)
 /// have no meaningful density and report zero.
-fn density(count: u64, query: &Aabb) -> f64 {
+pub(crate) fn density(count: u64, query: &Aabb) -> f64 {
     let volume = query.volume();
     if volume > 0.0 {
         count as f64 / volume
     } else {
         0.0
+    }
+}
+
+impl IndexRef<'_> {
+    /// Counts the live elements intersecting `query`, accumulating
+    /// counters into `stats`.
+    pub(crate) fn aggregate_count_with_stats(
+        self,
+        pool: &impl PageRead,
+        query: &Aabb,
+        stats: &mut AggregateStats,
+    ) -> Result<u64, StorageError> {
+        let mut seed_stats = QueryStats::default();
+        let Some(seed) = self.seed(pool, query, &mut seed_stats, None)? else {
+            return Ok(0);
+        };
+        stats.object_pages_read += seed_stats.object_pages_read;
+        stats.mbr_tests += seed_stats.mbr_tests;
+        let mut visit = CountVisit {
+            index: self,
+            query,
+            stats,
+            count: 0,
+        };
+        self.crawl(pool, &mut CrawlState::start(seed), &mut visit)?;
+        Ok(visit.count)
     }
 }
 
@@ -142,8 +134,7 @@ impl FlatIndex {
     /// per-element tests skipped for partitions fully contained in the
     /// query (the containment early-exit).
     pub fn aggregate_count(&self, pool: &impl PageRead, query: &Aabb) -> Result<u64, StorageError> {
-        let mut stats = AggregateStats::default();
-        self.aggregate_count_with_stats(pool, query, &mut stats)
+        self.aggregate_count_with_stats(pool, query, &mut AggregateStats::default())
     }
 
     /// Like [`FlatIndex::aggregate_count`], accumulating counters.
@@ -153,13 +144,7 @@ impl FlatIndex {
         query: &Aabb,
         stats: &mut AggregateStats,
     ) -> Result<u64, StorageError> {
-        let mut seed_stats = QueryStats::default();
-        let Some(seed) = self.seed(pool, query, &mut seed_stats, None, None)? else {
-            return Ok(0);
-        };
-        stats.object_pages_read += seed_stats.object_pages_read;
-        stats.mbr_tests += seed_stats.mbr_tests;
-        aggregate_crawl(pool, query, seed, None, None, stats)
+        IndexRef::Flat(self).aggregate_count_with_stats(pool, query, stats)
     }
 
     /// Elements per unit volume inside `query` (zero for degenerate
@@ -179,8 +164,7 @@ impl DeltaIndex {
     /// the query are counted from the resident summary table without any
     /// object-page I/O.
     pub fn aggregate_count(&self, pool: &impl PageRead, query: &Aabb) -> Result<u64, StorageError> {
-        let mut stats = AggregateStats::default();
-        self.aggregate_count_with_stats(pool, query, &mut stats)
+        self.aggregate_count_with_stats(pool, query, &mut AggregateStats::default())
     }
 
     /// Like [`DeltaIndex::aggregate_count`], accumulating counters.
@@ -190,21 +174,7 @@ impl DeltaIndex {
         query: &Aabb,
         stats: &mut AggregateStats,
     ) -> Result<u64, StorageError> {
-        let mut seed_stats = QueryStats::default();
-        let Some(seed) = self.seed(pool, query, &mut seed_stats, None)? else {
-            return Ok(0);
-        };
-        stats.object_pages_read += seed_stats.object_pages_read;
-        stats.mbr_tests += seed_stats.mbr_tests;
-        let live_count = |addr: MetaRecordId| self.live_count_at(addr);
-        aggregate_crawl(
-            pool,
-            query,
-            seed,
-            Some(self.tombstones()),
-            Some(&live_count),
-            stats,
-        )
+        IndexRef::Delta(self).aggregate_count_with_stats(pool, query, stats)
     }
 
     /// Live elements per unit volume inside `query` (zero for degenerate

@@ -76,7 +76,7 @@
 //! assert_eq!(outcome.results[0], hits);
 //! ```
 
-use crate::aggregate::AggregateStats;
+use crate::aggregate::{density, AggregateStats};
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
 use crate::delta::{DeltaIndex, DeltaReport};
@@ -87,14 +87,14 @@ pub use crate::durable::{Durability, RecoveryReport};
 use crate::engine::{BatchOutcome, EngineConfig, KnnBatchOutcome, QueryEngine};
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
-use crate::join::{JoinEngine, JoinInput, JoinResult};
+use crate::join::{JoinEngine, JoinResult};
 use crate::knn::{KnnStats, Neighbor};
-use crate::query::{QueryStats, Tombstones};
+use crate::query::{IndexRef, QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
-    BufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId, PageStore, VersionStats,
-    VersionedCache, VersionedPool,
+    BufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId, PageRead, PageStore,
+    PageWrite, StorageError, VersionStats, VersionedCache, VersionedPool,
 };
 use std::collections::HashSet;
 use std::ops::Deref;
@@ -218,18 +218,12 @@ enum DbIndex {
 }
 
 impl DbIndex {
-    /// The base index descriptor (the delta layer's base once promoted).
-    fn base(&self) -> &FlatIndex {
+    /// The read view of this state: every query verb of the façade runs
+    /// against it, so none of them asks which variant is resident.
+    fn view(&self) -> IndexRef<'_> {
         match self {
-            DbIndex::Base(index) => index,
-            DbIndex::Delta(delta) => delta.base(),
-        }
-    }
-
-    fn num_live_elements(&self) -> u64 {
-        match self {
-            DbIndex::Base(index) => index.num_elements(),
-            DbIndex::Delta(delta) => delta.num_live_elements(),
+            DbIndex::Base(index) => IndexRef::Flat(index),
+            DbIndex::Delta(delta) => IndexRef::Delta(delta),
         }
     }
 }
@@ -254,6 +248,62 @@ struct DbTruth {
     /// refused. Snapshots stay consistent — the failed batch was never
     /// published — and reopening a durable database recovers.
     poisoned: bool,
+}
+
+impl DbTruth {
+    /// The delta layer of a promoted truth (every write path runs behind
+    /// [`FlatDb::writer`] or replay, which promote first).
+    fn delta(&self) -> &DeltaIndex {
+        match &self.state {
+            DbIndex::Delta(delta) => delta,
+            DbIndex::Base(_) => unreachable!("the write paths promote the index first"),
+        }
+    }
+
+    /// Promotes a pristine bulkload to an (empty) delta layer — a one-time
+    /// resident-table scan that rewrites no page. `false` if the truth was
+    /// promoted already; on an error the truth is unchanged.
+    fn promote(&mut self, pool: &impl PageRead, options: FlatOptions) -> Result<bool, FlatError> {
+        let DbIndex::Base(base) = &self.state else {
+            return Ok(false);
+        };
+        let delta = DeltaIndex::new(pool, (**base).clone(), options)?;
+        self.state = DbIndex::Delta(Arc::new(delta));
+        self.built = true; // a delta-only database counts as built
+        Ok(true)
+    }
+
+    /// Applies one logical mutation to the (promoted) truth through
+    /// `pool`, keeping the dirty flag: how many elements it applied to,
+    /// and the rebuild's statistics if it was a compaction.
+    fn apply_op(
+        &mut self,
+        pool: &mut (impl PageRead + PageWrite),
+        op: LogicalOp,
+    ) -> Result<(usize, Option<BuildStats>), StorageError> {
+        let DbIndex::Delta(delta) = &mut self.state else {
+            unreachable!("the write paths promote the index first")
+        };
+        let delta = Arc::make_mut(delta);
+        Ok(match op {
+            LogicalOp::Insert(entries) => {
+                let inserted = entries.len();
+                delta.insert_batch(pool, entries)?;
+                self.dirty |= inserted > 0;
+                (inserted, None)
+            }
+            LogicalOp::Delete(ids) => {
+                let deleted = delta.delete_batch(pool, &ids)?;
+                self.dirty |= deleted > 0;
+                (deleted, None)
+            }
+            LogicalOp::Compact => {
+                let stats = delta.compact(pool)?;
+                self.dirty = false;
+                (0, Some(stats))
+            }
+        })
+    }
 }
 
 /// A FLAT database: one handle owning the versioned buffer pool and the
@@ -283,7 +333,7 @@ impl<S: PageStore, C: VersionedCache> std::fmt::Debug for FlatDb<S, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = read_unpoisoned(&self.published).clone();
         f.debug_struct("FlatDb")
-            .field("live_elements", &state.num_live_elements())
+            .field("live_elements", &state.view().num_live_elements())
             .field("delta", &matches!(state, DbIndex::Delta(_)))
             .field("versions", &self.pool.version_stats())
             .finish()
@@ -427,30 +477,27 @@ impl<S: PageStore> FlatDb<S> {
         let snapshot = DbSnapshot::decode(&log.snapshot)?;
         options.index.layout = snapshot.index.layout();
         let pool = VersionedPool::new(DbStore::Durable(Box::new(durable)), options.pool_pages);
-        let state = match snapshot.delta {
-            None => DbIndex::Base(Arc::new(snapshot.index)),
+        let (state, dirty) = match snapshot.delta {
+            None => (DbIndex::Base(Arc::new(snapshot.index)), false),
             Some((meta_pages, tombstones)) => {
                 let tombstones: Tombstones = tombstones
                     .into_iter()
                     .map(|(page, slot)| (PageId(page), slot))
                     .collect();
-                DbIndex::Delta(Arc::new(DeltaIndex::reopen(
+                let delta = DeltaIndex::reopen(
                     &pool,
                     snapshot.index,
                     options.index,
                     meta_pages,
                     tombstones,
-                )?))
-            }
-        };
-        // Uncompacted mutations survive a checkpoint on its pages; the
-        // dirty flag must survive with them so persist() still compacts.
-        let dirty = match &state {
-            DbIndex::Base(_) => false,
-            DbIndex::Delta(delta) => {
-                delta.num_delta_partitions() > 0
+                )?;
+                // Uncompacted mutations survive a checkpoint on its pages;
+                // the dirty flag must survive with them so persist() still
+                // compacts.
+                let dirty = delta.num_delta_partitions() > 0
                     || delta.num_tombstones() > 0
-                    || (delta.num_live_partitions() as u64) < delta.base().num_object_pages()
+                    || (delta.num_live_partitions() as u64) < delta.base().num_object_pages();
+                (DbIndex::Delta(Arc::new(delta)), dirty)
             }
         };
         let mut db = Self::assemble(
@@ -572,37 +619,15 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
     /// pool's plain, non-versioned write path.
     fn replay(&mut self, op: LogicalOp) -> Result<(), FlatError> {
         let truth = self.truth.get_mut().unwrap_or_else(|e| e.into_inner());
-        if let DbIndex::Base(base) = &truth.state {
-            if self.options.index.domain.is_none() {
-                return Err(FlatError::Update(
-                    "replaying logged updates needs the build-time tiling domain: \
-                     set FlatOptions::domain (see DbOptions::updatable)"
-                        .into(),
-                ));
-            }
-            let delta = DeltaIndex::new(&self.pool, (**base).clone(), self.options.index)?;
-            truth.state = DbIndex::Delta(Arc::new(delta));
-            truth.built = true;
+        if self.options.index.domain.is_none() && matches!(truth.state, DbIndex::Base(_)) {
+            return Err(FlatError::Update(
+                "replaying logged updates needs the build-time tiling domain: \
+                 set FlatOptions::domain (see DbOptions::updatable)"
+                    .into(),
+            ));
         }
-        let DbIndex::Delta(delta) = &mut truth.state else {
-            unreachable!("promoted above")
-        };
-        let delta = Arc::make_mut(delta);
-        match op {
-            LogicalOp::Insert(entries) => {
-                delta.insert_batch(&mut self.pool, entries)?;
-                truth.dirty = true;
-            }
-            LogicalOp::Delete(ids) => {
-                if delta.delete_batch(&mut self.pool, &ids)? > 0 {
-                    truth.dirty = true;
-                }
-            }
-            LogicalOp::Compact => {
-                delta.compact(&mut self.pool)?;
-                truth.dirty = false;
-            }
-        }
+        truth.promote(&self.pool, self.options.index)?;
+        truth.apply_op(&mut self.pool, op)?;
         Ok(())
     }
 
@@ -802,14 +827,11 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
             ));
         }
         let mut truth = lock_unpoisoned(&self.truth);
-        if let DbIndex::Base(base) = &truth.state {
-            // Holding the truth mutex means no batch is in flight, so
-            // the pool's latest view is stable for the promotion scan.
-            let delta = DeltaIndex::new(&self.pool, (**base).clone(), self.options.index)?;
-            truth.state = DbIndex::Delta(Arc::new(delta));
-            truth.built = true; // a delta-only database counts as built
-                                // Promotion rewrites no page, so publishing it needs no
-                                // epoch bump: pinned snapshots keep their Base resident.
+        // Holding the truth mutex means no batch is in flight, so the
+        // pool's latest view is stable for the promotion scan.
+        if truth.promote(&self.pool, self.options.index)? {
+            // Promotion rewrites no page, so publishing it needs no epoch
+            // bump: pinned snapshots keep their Base resident.
             *write_unpoisoned(&self.published) = truth.state.clone();
         }
         Ok(Writer { db: self, truth })
@@ -825,13 +847,10 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
     /// before the copy). Returns the descriptor's page id.
     pub fn persist<P: AsRef<Path>>(&mut self, path: P) -> Result<PageId, FlatError> {
         if self.truth_mut().dirty {
-            if matches!(self.truth_mut().state, DbIndex::Delta(_)) {
-                // The fold-away is a writer batch like any other (in
-                // durable mode a crash mid-persist replays it).
-                self.writer()?.compact()?;
-            } else {
-                self.truth_mut().dirty = false;
-            }
+            // Only writer batches dirty the truth, so it is promoted. The
+            // fold-away is a writer batch like any other (in durable mode
+            // a crash mid-persist replays it).
+            self.writer()?.compact()?;
         }
         // Exclusive access proves no snapshot is pinned: execute the
         // deferred page frees so the copy skips truly-free pages.
@@ -919,7 +938,7 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
         DbSnapshot {
             last_seq: truth.next_seq - 1,
             built: truth.built,
-            index: truth.state.base().clone(),
+            index: truth.state.view().base().clone(),
             delta,
         }
         .encode()
@@ -981,10 +1000,7 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
     /// The index descriptor (the delta layer's base when a writer has
     /// been opened), as currently published.
     pub fn index(&self) -> Arc<FlatIndex> {
-        match &*read_unpoisoned(&self.published) {
-            DbIndex::Base(index) => Arc::clone(index),
-            DbIndex::Delta(delta) => Arc::new(delta.base().clone()),
-        }
+        Arc::new(read_unpoisoned(&self.published).view().base().clone())
     }
 
     /// The published delta layer, once a writer has promoted the index.
@@ -997,7 +1013,7 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
 
     /// Live (non-deleted) elements, as currently published.
     pub fn num_live_elements(&self) -> u64 {
-        read_unpoisoned(&self.published).num_live_elements()
+        read_unpoisoned(&self.published).view().num_live_elements()
     }
 
     /// `true` once the database holds an index (built, opened, or written
@@ -1104,10 +1120,11 @@ impl<S: PageStore + std::fmt::Debug> std::fmt::Debug for StoreRef<'_, S> {
 /// (unblocking version reclamation); cloning one re-pins the same
 /// epoch.
 ///
-/// Results are identical to calling the underlying index directly:
-/// range queries route to [`FlatIndex::range_query`] (or the
-/// tombstone-aware [`DeltaIndex::range_query`] once a writer exists) and
-/// kNN to the matching `knn_query`.
+/// Results are identical to calling the underlying index directly —
+/// [`FlatIndex::range_query`], or [`DeltaIndex::range_query`] once a
+/// writer exists, and the matching `knn_query` / `aggregate_count`:
+/// those and every method here run the same code over the same
+/// [`IndexRef`] view.
 pub struct Snapshot<'db, S: PageStore, C: VersionedCache = DefaultCache<S>> {
     db: &'db FlatDb<S, C>,
     resident: DbIndex,
@@ -1143,10 +1160,8 @@ impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
         query: &Aabb,
         stats: &mut QueryStats,
     ) -> Result<Vec<Hit>, FlatError> {
-        Ok(match &self.resident {
-            DbIndex::Base(index) => index.range_query_with_stats(&self.pin, query, stats)?,
-            DbIndex::Delta(delta) => delta.range_query_with_stats(&self.pin, query, stats)?,
-        })
+        let view = self.resident.view();
+        Ok(view.range_query_with_stats(&self.pin, query, stats)?)
     }
 
     /// The `k` live elements nearest to `point`, ascending, exact.
@@ -1162,10 +1177,7 @@ impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
         k: usize,
         stats: &mut KnnStats,
     ) -> Result<Vec<Neighbor>, FlatError> {
-        Ok(match &self.resident {
-            DbIndex::Base(index) => index.knn_query_with_stats(&self.pin, point, k, stats)?,
-            DbIndex::Delta(delta) => delta.knn_query_with_stats(&self.pin, point, k, stats)?,
-        })
+        Ok(self.resident.view().knn(&self.pin, point, k, stats, None)?)
     }
 
     /// Cumulative I/O statistics of the database's pool, including the
@@ -1182,12 +1194,12 @@ impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
     /// The index descriptor this snapshot reads (the resident state
     /// pinned at snapshot creation, not the latest published one).
     pub fn index(&self) -> &FlatIndex {
-        self.resident.base()
+        self.resident.view().base()
     }
 
     /// Live elements visible to this snapshot.
     pub fn num_live_elements(&self) -> u64 {
-        self.resident.num_live_elements()
+        self.resident.view().num_live_elements()
     }
 
     /// Counts the live elements intersecting `query` without
@@ -1204,40 +1216,29 @@ impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
         query: &Aabb,
         stats: &mut AggregateStats,
     ) -> Result<u64, FlatError> {
-        Ok(match &self.resident {
-            DbIndex::Base(index) => index.aggregate_count_with_stats(&self.pin, query, stats)?,
-            DbIndex::Delta(delta) => delta.aggregate_count_with_stats(&self.pin, query, stats)?,
-        })
+        let view = self.resident.view();
+        Ok(view.aggregate_count_with_stats(&self.pin, query, stats)?)
     }
 
     /// Live elements intersecting `query` per unit volume (0.0 for a
     /// degenerate box).
     pub fn aggregate_density(&self, query: &Aabb) -> Result<f64, FlatError> {
-        Ok(match &self.resident {
-            DbIndex::Base(index) => index.aggregate_density(&self.pin, query)?,
-            DbIndex::Delta(delta) => delta.aggregate_density(&self.pin, query)?,
-        })
+        Ok(density(self.aggregate_count(query)?, query))
     }
 
     /// Joins this snapshot (outer side) with another database's
     /// snapshot (inner side): every `(outer id, inner id)` element pair
     /// within Euclidean distance `eps`, via [`JoinEngine`]'s link-graph
     /// co-crawl. Both sides are pinned, so a concurrent writer on
-    /// either database cannot shear the result.
+    /// either database cannot shear the result. A negative or non-finite
+    /// `eps` is a [`FlatError::Query`].
     pub fn join<S2: PageStore, C2: VersionedCache>(
         &self,
         other: &Snapshot<'_, S2, C2>,
         eps: f64,
     ) -> Result<JoinResult, FlatError> {
-        let outer = match &self.resident {
-            DbIndex::Base(index) => JoinInput::Flat(index),
-            DbIndex::Delta(delta) => JoinInput::Delta(delta),
-        };
-        let inner = match &other.resident {
-            DbIndex::Base(index) => JoinInput::Flat(index),
-            DbIndex::Delta(delta) => JoinInput::Delta(delta),
-        };
-        Ok(JoinEngine::new(eps).join(&self.pin, outer, &other.pin, inner)?)
+        let (outer, inner) = (self.resident.view(), other.resident.view());
+        Ok(JoinEngine::checked(eps)?.join(&self.pin, outer, &other.pin, inner)?)
     }
 }
 
@@ -1327,14 +1328,8 @@ impl<S: PageStore + Send + Sync, C: VersionedCache + Sync> QueryBuilder<'_, S, C
         }
         let snap = self.db.reader();
         let before = self.db.io_stats();
-        let mut outcome = match &snap.resident {
-            DbIndex::Base(index) => QueryEngine::with_config(index, &snap.pin, self.config)
-                .run_range_batch(&self.ranges)?,
-            DbIndex::Delta(delta) => {
-                QueryEngine::for_delta_with_config(delta, &snap.pin, self.config)
-                    .run_range_batch(&self.ranges)?
-            }
-        };
+        let engine = QueryEngine::with_config(snap.resident.view(), &snap.pin, self.config);
+        let mut outcome = engine.run_range_batch(&self.ranges)?;
         outcome.io = self.db.io_stats().since(&before);
         Ok(outcome)
     }
@@ -1348,15 +1343,8 @@ impl<S: PageStore + Send + Sync, C: VersionedCache + Sync> QueryBuilder<'_, S, C
         }
         let snap = self.db.reader();
         let before = self.db.io_stats();
-        let mut outcome = match &snap.resident {
-            DbIndex::Base(index) => {
-                QueryEngine::with_config(index, &snap.pin, self.config).run_knn_batch(&self.knns)?
-            }
-            DbIndex::Delta(delta) => {
-                QueryEngine::for_delta_with_config(delta, &snap.pin, self.config)
-                    .run_knn_batch(&self.knns)?
-            }
-        };
+        let engine = QueryEngine::with_config(snap.resident.view(), &snap.pin, self.config);
+        let mut outcome = engine.run_knn_batch(&self.knns)?;
         outcome.io = self.db.io_stats().since(&before);
         Ok(outcome)
     }
@@ -1398,7 +1386,7 @@ impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
         if ids.is_empty() {
             return Ok(0);
         }
-        let applied = self.commit(vec![LogicalOp::Delete(ids.to_vec())])?;
+        let (applied, _) = self.commit(vec![LogicalOp::Delete(ids.to_vec())])?;
         Ok(applied[0])
     }
 
@@ -1419,7 +1407,7 @@ impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
                 WriteOp::Delete(ids) => LogicalOp::Delete(ids),
             })
             .collect();
-        self.commit(ops)
+        Ok(self.commit(ops)?.0)
     }
 
     /// Merges all deltas back into a pristine bulkload — pages
@@ -1427,55 +1415,25 @@ impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
     /// [`DeltaIndex::compact`]). Like every writer batch, the rebuild is
     /// invisible to concurrent snapshots until its atomic publish.
     pub fn compact(&mut self) -> Result<BuildStats, FlatError> {
-        let db = self.db;
-        let truth = &mut *self.truth;
-        FlatDb::<S, C>::check_writable(truth)?;
-        db.log_ops(truth, &[&LogicalOp::Compact])?;
-        let mut batch = db.pool.begin_batch();
-        let result = {
-            let DbIndex::Delta(delta) = &mut truth.state else {
-                unreachable!("writer() promoted the index")
-            };
-            Arc::make_mut(delta).compact(&mut batch)
-        };
-        let stats = match result {
-            Ok(stats) => stats,
-            Err(e) => {
-                // The aborted batch's overlay keeps pinned and future
-                // snapshots on the pre-batch bytes; refusing further
-                // writes keeps it that way.
-                truth.poisoned = true;
-                return Err(e.into());
-            }
-        };
-        {
-            let mut published = write_unpoisoned(&db.published);
-            let epoch = batch.publish();
-            *published = truth.state.clone();
-            // Compaction preserves the live set: every subscriber gets
-            // one empty delta marking the epoch.
-            lock_unpoisoned(&db.subscriptions).apply_batch(&[StagedOp::Compact], epoch);
-        }
-        truth.dirty = false;
-        db.after_commit(truth, 1)?;
-        Ok(stats)
+        let (_, stats) = self.commit(vec![LogicalOp::Compact])?;
+        Ok(stats.expect("a committed compaction reports its rebuild"))
     }
 
     /// The commit path shared by every mutation: validate → log (group
     /// commit) → apply into one copy-on-write batch → publish
-    /// atomically → checkpoint cadence.
-    fn commit(&mut self, ops: Vec<LogicalOp>) -> Result<Vec<usize>, FlatError> {
+    /// atomically → checkpoint cadence. Returns, per op, how many
+    /// elements it applied to, plus the rebuild statistics of the
+    /// group's (last) compaction.
+    fn commit(
+        &mut self,
+        ops: Vec<LogicalOp>,
+    ) -> Result<(Vec<usize>, Option<BuildStats>), FlatError> {
         let db = self.db;
         let truth = &mut *self.truth;
         FlatDb::<S, C>::check_writable(truth)?;
-        {
-            // Validate *before* the commit point: a rejected group must
-            // reach neither the log nor the pages.
-            let DbIndex::Delta(delta) = &truth.state else {
-                unreachable!("writer() promoted the index")
-            };
-            validate_ops(delta, &ops)?;
-        }
+        // Validate *before* the commit point: a rejected group must
+        // reach neither the log nor the pages.
+        validate_ops(truth.delta(), &ops)?;
         // Empty ops commit nothing: they are not logged (replay would be
         // a no-op) and count as zero applied elements.
         let loggable: Vec<&LogicalOp> = ops
@@ -1487,7 +1445,7 @@ impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
             })
             .collect();
         if loggable.is_empty() {
-            return Ok(vec![0; ops.len()]);
+            return Ok((vec![0; ops.len()], None));
         }
         let logged = loggable.len();
         db.log_ops(truth, &loggable)?;
@@ -1498,66 +1456,40 @@ impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
         // Apply the whole group into ONE page batch: pinned snapshots
         // keep reading the pre-group images from its overlay.
         let mut batch = db.pool.begin_batch();
-        let mut made_dirty = false;
-        let result: Result<Vec<usize>, FlatError> = (|| {
-            let DbIndex::Delta(delta) = &mut truth.state else {
-                unreachable!("writer() promoted the index")
-            };
-            let delta = Arc::make_mut(delta);
-            let mut applied = Vec::with_capacity(ops.len());
-            for op in ops {
-                applied.push(match op {
-                    LogicalOp::Insert(entries) if entries.is_empty() => 0,
-                    LogicalOp::Insert(entries) => {
-                        let n = entries.len();
-                        delta.insert_batch(&mut batch, entries)?;
-                        made_dirty = true;
-                        n
-                    }
-                    LogicalOp::Delete(ids) if ids.is_empty() => 0,
-                    LogicalOp::Delete(ids) => {
-                        let deleted = delta.delete_batch(&mut batch, &ids)?;
-                        if deleted > 0 {
-                            made_dirty = true;
-                        }
-                        deleted
-                    }
-                    LogicalOp::Compact => {
-                        delta.compact(&mut batch)?;
-                        0
-                    }
-                });
+        let mut applied = Vec::with_capacity(ops.len());
+        let mut rebuilt = None;
+        for op in ops {
+            match truth.apply_op(&mut batch, op) {
+                Ok((count, stats)) => {
+                    applied.push(count);
+                    rebuilt = stats.or(rebuilt);
+                }
+                Err(e) => {
+                    // Dropping the unpublished batch keeps every snapshot
+                    // — pinned or future — on the pre-group bytes;
+                    // refusing further writes keeps the half-applied
+                    // latest view from ever being published.
+                    truth.poisoned = true;
+                    return Err(e.into());
+                }
             }
-            Ok(applied)
-        })();
-        let applied = match result {
-            Ok(applied) => applied,
-            Err(e) => {
-                // Dropping the unpublished batch keeps every snapshot —
-                // pinned or future — on the pre-group bytes; refusing
-                // further writes keeps the half-applied latest view from
-                // ever being published.
-                truth.poisoned = true;
-                return Err(e);
-            }
-        };
+        }
         // The atomic publish: epoch bump and resident swap under one
         // write lock, paired with the pin-under-read-lock in reader().
         // Subscriptions are folded in under the same lock, so a
         // registration (which runs under the read lock) either sees the
         // pre-batch baseline and receives this delta, or the post-batch
-        // baseline and does not — never both, never neither.
+        // baseline and does not — never both, never neither. (A
+        // compaction preserves the live set: every subscriber gets one
+        // empty delta marking the epoch.)
         {
             let mut published = write_unpoisoned(&db.published);
             let epoch = batch.publish();
             *published = truth.state.clone();
             lock_unpoisoned(&db.subscriptions).apply_batch(&staged, epoch);
         }
-        if made_dirty {
-            truth.dirty = true;
-        }
         db.after_commit(truth, logged)?;
-        Ok(applied)
+        Ok((applied, rebuilt))
     }
 
     /// Registers a continuous range query mid-session (see
@@ -1576,10 +1508,7 @@ impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
     /// The delta layer this writer mutates (its truth copy — published
     /// snapshots may still be behind it until the next commit).
     pub fn delta(&self) -> &DeltaIndex {
-        match &self.truth.state {
-            DbIndex::Delta(delta) => delta,
-            DbIndex::Base(_) => unreachable!("writer() promoted the index"),
-        }
+        self.truth.delta()
     }
 }
 

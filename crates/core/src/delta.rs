@@ -54,37 +54,37 @@
 //! space as the base build.
 
 use crate::builder::FlatIndexBuilder;
-use crate::index::{BuildStats, FlatIndex, FlatOptions};
+use crate::index::{BuildStats, FlatIndex, FlatOptions, SeedTreePages};
 use crate::knn::{KnnStats, Neighbor};
 use crate::meta::{
-    assign_slots, decode_meta_leaf, decode_meta_record, encode_meta_leaf, max_neighbors_per_record,
-    MetaRecord, MetaRecordId, PlannedRecord,
+    assign_slots, decode_meta_leaf, encode_meta_leaf, max_neighbors_per_record, MetaRecord,
+    MetaRecordId, PlannedRecord,
 };
 use crate::neighbors::NeighborSweep;
 use crate::partition::partition;
-use crate::query::{is_live, CrawlHinter, CrawlState, QueryStats, Tombstones};
+use crate::query::{read_record, walk_links, IndexRef, LivePage, QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
-use flat_rtree::node::{decode_inner, decode_leaf, encode_leaf};
+use flat_rtree::node::{decode_leaf, encode_leaf};
 use flat_rtree::{leaf_capacity, Entry, Hit, LeafLayout};
 use flat_storage::{Page, PageId, PageKind, PageRead, PageStore, PageWrite, StorageError};
 use std::collections::{HashMap, HashSet};
 
 /// Resident summary of one partition (base or delta).
 #[derive(Debug, Clone)]
-struct PartState {
+pub(crate) struct PartState {
     /// Address of the partition's primary metadata record.
-    record: MetaRecordId,
+    pub(crate) record: MetaRecordId,
     /// The partition's object page (freed once the partition retires).
-    object_page: PageId,
+    pub(crate) object_page: PageId,
     /// Tight MBR of the object page's elements (tombstoned included — MBRs
     /// never shrink, so they still contain every live element).
-    page_mbr: Aabb,
+    pub(crate) page_mbr: Aabb,
     /// The partition MBR the neighbor relation is computed on.
     partition_mbr: Aabb,
     /// Elements on the object page that are not tombstoned.
     live: u32,
     /// `true` once retired (object page freed, record flagged dead).
-    dead: bool,
+    pub(crate) dead: bool,
 }
 
 /// What [`DeltaIndex::check_invariants`] verified, for reporting.
@@ -171,7 +171,8 @@ impl DeltaIndex {
     /// Adopts a pristine (freshly built or freshly compacted) index.
     ///
     /// Scans the metadata and object pages once to build the resident
-    /// summary table and the id→partition locator.
+    /// summary table and the id→partition locator; an index that holds an
+    /// application id twice is rejected as [`StorageError::Corrupt`].
     ///
     /// # Panics
     /// Panics if the index layout is not [`LeafLayout::WithIds`] (deletes
@@ -183,35 +184,14 @@ impl DeltaIndex {
         base: FlatIndex,
         options: FlatOptions,
     ) -> Result<DeltaIndex, StorageError> {
-        assert_eq!(
-            base.layout(),
-            LeafLayout::WithIds,
-            "DeltaIndex requires the WithIds object-page layout"
+        // A pristine index's metadata pages are exactly its seed-tree
+        // leaves, created in page-id order, and nothing is deleted.
+        let SeedTreePages { inner, leaves } = base.seed_tree_pages(pool)?;
+        let delta = Self::scan(pool, base, options, inner, leaves, Tombstones::new())?;
+        debug_assert!(
+            delta.parts.iter().all(|part| !part.dead),
+            "adopting a non-pristine index"
         );
-        assert_eq!(
-            options.layout,
-            base.layout(),
-            "options disagree with the index"
-        );
-        let domain = options
-            .domain
-            .expect("DeltaIndex requires a fixed explicit domain");
-        validate_slot_capacity(leaf_capacity(options.layout))?;
-
-        let mut delta = DeltaIndex {
-            base,
-            options,
-            domain,
-            parts: Vec::new(),
-            base_partitions: 0,
-            by_record: HashMap::new(),
-            locator: HashMap::new(),
-            tombstones: Tombstones::new(),
-            meta_pages: Vec::new(),
-            inner_pages: Vec::new(),
-            live_elements: 0,
-        };
-        delta.adopt(pool)?;
         Ok(delta)
     }
 
@@ -223,15 +203,30 @@ impl DeltaIndex {
     /// `meta_pages` must be the metadata pages in their original creation
     /// order (the base's sorted leaves first, then every delta page in
     /// allocation order) — the checkpoint snapshot records exactly that
-    /// list. Scanning them in order, slot by slot and skipping
-    /// continuation chunks, reproduces the original partition numbering:
-    /// the bulkload adopts primaries in sorted-leaf order, and every
-    /// insert batch lays its primaries onto fresh pages in batch order
-    /// before any stitch chunk.
+    /// list.
     pub(crate) fn reopen(
         pool: &impl PageRead,
         base: FlatIndex,
         options: FlatOptions,
+        meta_pages: Vec<PageId>,
+        tombstones: Tombstones,
+    ) -> Result<DeltaIndex, StorageError> {
+        // Seed-tree directory pages come from the tree itself.
+        let inner_pages = base.seed_tree_pages(pool)?.inner;
+        Self::scan(pool, base, options, inner_pages, meta_pages, tombstones)
+    }
+
+    /// The one scan behind [`DeltaIndex::new`] and [`DeltaIndex::reopen`]:
+    /// builds the resident tables from `meta_pages`. Scanning them in
+    /// creation order, slot by slot and skipping continuation chunks,
+    /// reproduces the partition numbering: the bulkload adopts primaries
+    /// in sorted-leaf order, and every insert batch lays its primaries
+    /// onto fresh pages in batch order before any stitch chunk.
+    fn scan(
+        pool: &impl PageRead,
+        base: FlatIndex,
+        options: FlatOptions,
+        inner_pages: Vec<PageId>,
         meta_pages: Vec<PageId>,
         tombstones: Tombstones,
     ) -> Result<DeltaIndex, StorageError> {
@@ -260,27 +255,12 @@ impl DeltaIndex {
             locator: HashMap::new(),
             tombstones,
             meta_pages: Vec::new(),
-            inner_pages: Vec::new(),
+            inner_pages,
             live_elements: 0,
         };
 
-        // Seed-tree directory pages come from the tree itself.
-        if let Some(root) = delta.base.seed_root {
-            let mut stack = vec![(root, delta.base.seed_height)];
-            while let Some((pid, level)) = stack.pop() {
-                if level > 1 {
-                    delta.inner_pages.push(pid);
-                    let page = pool.read_page(pid, PageKind::SeedInner)?;
-                    for child in decode_inner(&page)? {
-                        stack.push((child.page, level - 1));
-                    }
-                }
-            }
-        }
-
-        // Scan the metadata pages in creation order; every primary (dead
-        // ones included — they keep their partition number) becomes a
-        // resident summary entry.
+        // Every primary (dead ones included — they keep their partition
+        // number) becomes a resident summary entry.
         let base_meta = delta.base.num_meta_pages as usize;
         if meta_pages.len() < base_meta {
             return Err(StorageError::Corrupt(format!(
@@ -316,24 +296,19 @@ impl DeltaIndex {
         delta.meta_pages = meta_pages;
 
         // Object-page scan over the live partitions: live counts and the
-        // id locator, with the recovered tombstones filtered out.
+        // id locator, with the tombstones filtered out.
         for idx in 0..delta.parts.len() {
             if delta.parts[idx].dead {
                 continue;
             }
-            let object_page = delta.parts[idx].object_page;
-            let page = pool.read_page(object_page, PageKind::ObjectPage)?;
-            let (_, entries) = decode_leaf(&page)?;
+            let page = LivePage::read(pool, delta.parts[idx].object_page, Some(&delta.tombstones))?;
             let mut live = 0u32;
-            for (slot, e) in entries.iter().enumerate() {
-                if !is_live(Some(&delta.tombstones), object_page, slot) {
-                    continue;
-                }
+            for hit in page.hits() {
                 live += 1;
-                if delta.locator.insert(e.id, idx as u32).is_some() {
+                if delta.locator.insert(hit.id, idx as u32).is_some() {
                     return Err(StorageError::Corrupt(format!(
-                        "recovered index holds id {} twice",
-                        e.id
+                        "index holds application id {} twice",
+                        hit.id
                     )));
                 }
             }
@@ -341,65 +316,6 @@ impl DeltaIndex {
             delta.live_elements += live as u64;
         }
         Ok(delta)
-    }
-
-    /// Scans the base index into the resident tables.
-    fn adopt(&mut self, pool: &impl PageRead) -> Result<(), StorageError> {
-        let Some(root) = self.base.seed_root else {
-            return Ok(()); // empty base: delta-only from here on
-        };
-        // Walk the seed tree, separating directory pages from leaves.
-        let mut stack = vec![(root, self.base.seed_height)];
-        let mut leaves = Vec::new();
-        while let Some((pid, level)) = stack.pop() {
-            if level == 1 {
-                leaves.push(pid);
-            } else {
-                self.inner_pages.push(pid);
-                let page = pool.read_page(pid, PageKind::SeedInner)?;
-                for child in decode_inner(&page)? {
-                    stack.push((child.page, level - 1));
-                }
-            }
-        }
-        leaves.sort_unstable();
-        for &pid in &leaves {
-            let page = pool.read_page(pid, PageKind::SeedLeaf)?;
-            for (slot, record) in decode_meta_leaf(&page)?.into_iter().enumerate() {
-                if record.is_continuation {
-                    continue;
-                }
-                debug_assert!(!record.is_dead, "adopting a non-pristine index");
-                let addr = MetaRecordId {
-                    page: pid,
-                    slot: slot as u16,
-                };
-                let idx = self.parts.len() as u32;
-                self.by_record.insert(addr, idx);
-                self.parts.push(PartState {
-                    record: addr,
-                    object_page: record.object_page,
-                    page_mbr: record.page_mbr,
-                    partition_mbr: record.partition_mbr,
-                    live: 0,
-                    dead: false,
-                });
-            }
-        }
-        self.meta_pages = leaves;
-        self.base_partitions = self.parts.len();
-        // Object-page scan: live counts and the id locator.
-        for idx in 0..self.parts.len() {
-            let page = pool.read_page(self.parts[idx].object_page, PageKind::ObjectPage)?;
-            let (_, entries) = decode_leaf(&page)?;
-            self.parts[idx].live = entries.len() as u32;
-            self.live_elements += entries.len() as u64;
-            for e in &entries {
-                let clash = self.locator.insert(e.id, idx as u32);
-                assert!(clash.is_none(), "duplicate application id {}", e.id);
-            }
-        }
-        Ok(())
     }
 
     /// The base index descriptor (the crawl machinery runs on it).
@@ -422,17 +338,16 @@ impl DeltaIndex {
             .map(|&idx| self.parts[idx as usize].live as u64)
     }
 
-    /// Resident summaries of every live partition (base and delta), for
-    /// the join engine's outer sweep.
-    pub(crate) fn partition_summaries(&self) -> Vec<crate::join::PartSummary> {
-        self.parts
-            .iter()
-            .filter(|p| !p.dead)
-            .map(|p| crate::join::PartSummary {
-                object_page: p.object_page,
-                page_mbr: p.page_mbr,
-            })
-            .collect()
+    /// Every partition ever adopted or inserted, retired ones included,
+    /// in creation order.
+    pub(crate) fn parts(&self) -> &[PartState] {
+        &self.parts
+    }
+
+    /// The partitions inserted since the bulkload (the seed tree does not
+    /// index them).
+    pub(crate) fn delta_parts(&self) -> &[PartState] {
+        &self.parts[self.base_partitions..]
     }
 
     /// The metadata pages in creation order — what a checkpoint snapshot
@@ -460,10 +375,7 @@ impl DeltaIndex {
 
     /// Live partitions inserted since the last bulkload/compaction.
     pub fn num_delta_partitions(&self) -> usize {
-        self.parts[self.base_partitions..]
-            .iter()
-            .filter(|p| !p.dead)
-            .count()
+        self.delta_parts().iter().filter(|p| !p.dead).count()
     }
 
     /// All live partitions (base + delta).
@@ -619,10 +531,7 @@ impl DeltaIndex {
         let mut splices: Vec<(MetaRecordId, usize)> = Vec::with_capacity(stitched.len());
         for (i, added) in &stitched {
             let part = &self.parts[*i as usize];
-            let old_cont = {
-                let page = pool.read_page(part.record.page, PageKind::SeedLeaf)?;
-                decode_meta_record(&page, part.record.slot)?.continuation
-            };
+            let old_cont = read_record(pool, part.record)?.continuation;
             splices.push((part.record, records.len()));
             push_chunks(
                 &mut records,
@@ -835,10 +744,7 @@ impl DeltaIndex {
                 continue;
             }
             let part = &self.parts[a as usize];
-            let old_cont = {
-                let page = pool.read_page(a_rec.page, PageKind::SeedLeaf)?;
-                decode_meta_record(&page, a_rec.slot)?.continuation
-            };
+            let old_cont = read_record(pool, a_rec)?.continuation;
             splices.push((a_rec, records.len()));
             let count = missing.len();
             push_chunks(
@@ -894,15 +800,8 @@ impl DeltaIndex {
         // 1. Surviving elements, partition by partition.
         let mut survivors: Vec<Entry> = Vec::with_capacity(self.live_elements as usize);
         for part in self.parts.iter().filter(|p| !p.dead) {
-            let page = pool.read_page(part.object_page, PageKind::ObjectPage)?;
-            let (_, entries) = decode_leaf(&page)?;
-            survivors.extend(
-                entries
-                    .iter()
-                    .enumerate()
-                    .filter(|&(slot, _)| is_live(Some(&self.tombstones), part.object_page, slot))
-                    .map(|(_, e)| *e),
-            );
+            let page = LivePage::read(pool, part.object_page, Some(&self.tombstones))?;
+            survivors.extend(page.hits().map(|hit| Entry::new(hit.id, hit.mbr)));
         }
         // 2. Free the old index wholesale.
         for part in self.parts.iter().filter(|p| !p.dead) {
@@ -930,8 +829,7 @@ impl DeltaIndex {
         pool: &impl PageRead,
         query: &Aabb,
     ) -> Result<Vec<Hit>, StorageError> {
-        let mut stats = QueryStats::default();
-        self.range_query_with_stats(pool, query, &mut stats)
+        self.range_query_with_stats(pool, query, &mut QueryStats::default())
     }
 
     /// Like [`DeltaIndex::range_query`], accumulating counters.
@@ -941,62 +839,7 @@ impl DeltaIndex {
         query: &Aabb,
         stats: &mut QueryStats,
     ) -> Result<Vec<Hit>, StorageError> {
-        let mut hits = Vec::new();
-        let Some(seed) = self.seed(pool, query, stats, None)? else {
-            return Ok(hits);
-        };
-        let mut state = CrawlState::start(seed);
-        while !self.base.crawl_step(
-            pool,
-            query,
-            &mut state,
-            stats,
-            &mut hits,
-            None,
-            Some(&self.tombstones),
-        )? {}
-        stats.result_count = hits.len() as u64;
-        Ok(hits)
-    }
-
-    /// Delta-aware seed: the base seed-tree walk (tombstone-filtered, dead
-    /// records skipped) with a fallback scan over the resident delta
-    /// summaries — delta partitions are not indexed by the base tree.
-    pub(crate) fn seed(
-        &self,
-        pool: &impl PageRead,
-        query: &Aabb,
-        stats: &mut QueryStats,
-        hinter: Option<&dyn CrawlHinter>,
-    ) -> Result<Option<MetaRecordId>, StorageError> {
-        let t = Some(&self.tombstones);
-        if let Some(seed) = self.base.seed(pool, query, stats, hinter, t)? {
-            return Ok(Some(seed));
-        }
-        for part in &self.parts[self.base_partitions..] {
-            if part.dead {
-                continue;
-            }
-            stats.mbr_tests += 1;
-            if !part.page_mbr.intersects(query) {
-                continue;
-            }
-            stats.object_pages_read += 1;
-            let found = {
-                let page = pool.read_page(part.object_page, PageKind::ObjectPage)?;
-                let (_, entries) = decode_leaf(&page)?;
-                stats.mbr_tests += entries.len() as u64;
-                entries
-                    .iter()
-                    .enumerate()
-                    .any(|(s, e)| is_live(t, part.object_page, s) && query.intersects(&e.mbr))
-            };
-            if found {
-                return Ok(Some(part.record));
-            }
-            stats.seed_probe_pages += 1;
-        }
-        Ok(None)
+        IndexRef::Delta(self).range_query_with_stats(pool, query, stats)
     }
 
     /// Returns the `k` live elements nearest to `point`, exactly as a
@@ -1007,8 +850,7 @@ impl DeltaIndex {
         point: Point3,
         k: usize,
     ) -> Result<Vec<Neighbor>, StorageError> {
-        let mut stats = KnnStats::default();
-        self.knn_query_with_stats(pool, point, k, &mut stats)
+        self.knn_query_with_stats(pool, point, k, &mut KnnStats::default())
     }
 
     /// Like [`DeltaIndex::knn_query`], accumulating counters.
@@ -1019,66 +861,7 @@ impl DeltaIndex {
         k: usize,
         stats: &mut KnnStats,
     ) -> Result<Vec<Neighbor>, StorageError> {
-        self.knn(pool, point, k, stats, None)
-    }
-
-    pub(crate) fn knn_with_hinter(
-        &self,
-        pool: &impl PageRead,
-        point: Point3,
-        k: usize,
-        hinter: Option<&dyn CrawlHinter>,
-    ) -> Result<Vec<Neighbor>, StorageError> {
-        let mut stats = KnnStats::default();
-        self.knn(pool, point, k, &mut stats, hinter)
-    }
-
-    fn knn(
-        &self,
-        pool: &impl PageRead,
-        point: Point3,
-        k: usize,
-        stats: &mut KnnStats,
-        hinter: Option<&dyn CrawlHinter>,
-    ) -> Result<Vec<Neighbor>, StorageError> {
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let Some(seed) = self.knn_seed(pool, point)? else {
-            return Ok(Vec::new());
-        };
-        self.base.knn(
-            pool,
-            point,
-            k,
-            stats,
-            hinter,
-            Some(seed),
-            Some(&self.tombstones),
-        )
-    }
-
-    /// Delta-aware kNN seed: the base best-first descent against a linear
-    /// scan of the delta summaries; the closer page MBR wins. Any live
-    /// record is a correct entry point (the best-first crawl's bound
-    /// starts unbounded), a near one just prunes sooner.
-    fn knn_seed(
-        &self,
-        pool: &impl PageRead,
-        point: Point3,
-    ) -> Result<Option<MetaRecordId>, StorageError> {
-        let base = self.base.knn_seed(pool, point)?;
-        let delta = self.parts[self.base_partitions..]
-            .iter()
-            .filter(|p| !p.dead)
-            .map(|p| (p.page_mbr.distance_sq_to_point(&point), p.record))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(match (base, delta) {
-            (Some(b), Some(d)) => Some(if d.0 < b.0 { d.1 } else { b.1 }),
-            (Some(b), None) => Some(b.1),
-            (None, Some(d)) => Some(d.1),
-            (None, None) => None,
-        })
+        IndexRef::Delta(self).knn(pool, point, k, stats, None)
     }
 
     // ------------------------------------------------------------------
@@ -1111,11 +894,8 @@ impl DeltaIndex {
             let i = i as u32;
             if part.dead {
                 report.retired_partitions += 1;
-                let page = pool
-                    .read_page(part.record.page, PageKind::SeedLeaf)
-                    .map_err(|e| format!("partition {i}: {e}"))?;
-                let record = decode_meta_record(&page, part.record.slot)
-                    .map_err(|e| format!("partition {i}: {e}"))?;
+                let record =
+                    read_record(pool, part.record).map_err(|e| format!("partition {i}: {e}"))?;
                 if !record.is_dead {
                     return Err(format!("retired partition {i} is not flagged dead"));
                 }
@@ -1140,11 +920,7 @@ impl DeltaIndex {
                     return Err(format!("partition {i}: continuation cycle at {:?}", addr));
                 }
                 reachable.insert(addr.page);
-                let page = pool
-                    .read_page(addr.page, PageKind::SeedLeaf)
-                    .map_err(|e| format!("partition {i}: {e}"))?;
-                let record = decode_meta_record(&page, addr.slot)
-                    .map_err(|e| format!("partition {i}: {e}"))?;
+                let record = read_record(pool, addr).map_err(|e| format!("partition {i}: {e}"))?;
                 if record.is_dead {
                     return Err(format!("live partition {i} chain is flagged dead"));
                 }
@@ -1177,15 +953,10 @@ impl DeltaIndex {
             report.neighbor_links += nbrs.len() as u64;
 
             // Live elements sit inside the MBRs and match the counts.
-            let page = pool
-                .read_page(part.object_page, PageKind::ObjectPage)
+            let page = LivePage::read(pool, part.object_page, Some(&self.tombstones))
                 .map_err(|e| format!("partition {i} object page: {e}"))?;
-            let (_, entries) = decode_leaf(&page).map_err(|e| format!("partition {i}: {e}"))?;
             let mut live = 0u32;
-            for (slot, e) in entries.iter().enumerate() {
-                if !is_live(Some(&self.tombstones), part.object_page, slot) {
-                    continue;
-                }
+            for e in page.hits() {
                 live += 1;
                 if !part.page_mbr.contains(&e.mbr) {
                     return Err(format!("partition {i}: live element outside the page MBR"));
@@ -1306,13 +1077,10 @@ fn read_chain_neighbors(
     record: MetaRecordId,
 ) -> Result<Vec<MetaRecordId>, StorageError> {
     let mut nbrs = Vec::new();
-    let mut at = Some(record);
-    while let Some(addr) = at {
-        let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-        let chunk = decode_meta_record(&page, addr.slot)?;
-        nbrs.extend(chunk.neighbors);
-        at = chunk.continuation;
-    }
+    walk_links(pool, read_record(pool, record)?, |chunk| {
+        nbrs.extend_from_slice(chunk);
+        Ok(())
+    })?;
     Ok(nbrs)
 }
 
@@ -1341,10 +1109,7 @@ fn remove_neighbor<P: PageRead + PageWrite>(
 ) -> Result<(), StorageError> {
     let mut at = Some(record);
     while let Some(addr) = at {
-        let chunk = {
-            let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-            decode_meta_record(&page, addr.slot)?
-        };
+        let chunk = read_record(pool, addr)?;
         if chunk.neighbors.contains(&target) {
             return edit_record(pool, addr, |r| r.neighbors.retain(|n| *n != target));
         }

@@ -1,6 +1,6 @@
 //! Batched query execution with crawl-ahead prefetching.
 //!
-//! The serial query path ([`FlatIndex::range_query`]) evaluates one query
+//! The serial query path ([`crate::FlatIndex::range_query`]) evaluates one query
 //! at a time: seed, then crawl, each page read paid for as it is needed.
 //! Under the paper's I/O-bound regime (97.8–98.8 % disk time, §VII-E.2)
 //! that leaves the device idle whenever the CPU is decoding and the CPU
@@ -23,15 +23,14 @@
 //!
 //! Results are **identical** to running each query serially — same hits in
 //! the same order — because the engine advances each query through the
-//! exact serial seed and crawl-step code; only the page-fetch timing
-//! changes. `exp_batch` in the benchmark crate measures the payoff over a
-//! throttled device store.
+//! exact serial seed and crawl-step code (the same [`IndexRef`] view, the
+//! same kernel, the same range visitor, plus a hinter); only the
+//! page-fetch timing changes. `exp_batch` in the benchmark crate measures
+//! the payoff over a throttled device store.
 
-use crate::delta::DeltaIndex;
-use crate::index::FlatIndex;
-use crate::knn::Neighbor;
+use crate::knn::{KnnStats, Neighbor};
 use crate::meta::{decode_meta_record, MetaRecord, MetaRecordId};
-use crate::query::{CrawlHinter, CrawlState, Tombstones};
+use crate::query::{CrawlHinter, CrawlState, IndexRef, RangeVisit};
 use crate::QueryStats;
 use flat_geom::{Aabb, Point3};
 use flat_storage::{IoStats, Page, PageId, PageKind, PageRead, StorageError};
@@ -85,7 +84,7 @@ impl EngineConfig {
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Per-query hit lists, index-aligned with the submitted queries and
-    /// identical (order included) to serial [`FlatIndex::range_query`].
+    /// identical (order included) to serial [`crate::FlatIndex::range_query`].
     pub results: Vec<Vec<flat_rtree::Hit>>,
     /// Per-query crawl counters, index-aligned with the queries.
     pub query_stats: Vec<QueryStats>,
@@ -122,7 +121,11 @@ pub struct KnnBatchOutcome {
     pub io: IoStats,
 }
 
-/// Batched executor over one [`FlatIndex`] and one shared pool.
+/// Batched executor over one index — a [`crate::FlatIndex`] or a mutable
+/// [`crate::DeltaIndex`], anything that converts to an [`IndexRef`] — and
+/// one shared pool. Over a delta layer the batch uses the delta-aware
+/// seeds and tombstone-filtered scans, with results identical to
+/// [`crate::DeltaIndex::range_query`] / [`crate::DeltaIndex::knn_query`].
 ///
 /// The pool must be [`Sync`] because the engine spawns readahead threads
 /// that prefetch through it while the engine thread issues demand reads —
@@ -148,64 +151,28 @@ pub struct KnnBatchOutcome {
 /// assert_eq!(outcome.results.len(), queries.len());
 /// ```
 pub struct QueryEngine<'a, P: PageRead + Sync> {
-    index: &'a FlatIndex,
-    /// When batching over a mutable index: the delta layer supplying the
-    /// delta-aware seed and the tombstone filter. The crawl machinery is
-    /// shared — delta links live in the same page graph.
-    delta: Option<&'a DeltaIndex>,
+    index: IndexRef<'a>,
     pool: &'a P,
     config: EngineConfig,
 }
 
 impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
     /// An engine with the default configuration.
-    pub fn new(index: &'a FlatIndex, pool: &'a P) -> QueryEngine<'a, P> {
+    pub fn new(index: impl Into<IndexRef<'a>>, pool: &'a P) -> QueryEngine<'a, P> {
         Self::with_config(index, pool, EngineConfig::default())
     }
 
     /// An engine with explicit tuning.
     pub fn with_config(
-        index: &'a FlatIndex,
+        index: impl Into<IndexRef<'a>>,
         pool: &'a P,
         config: EngineConfig,
     ) -> QueryEngine<'a, P> {
         QueryEngine {
-            index,
-            delta: None,
+            index: index.into(),
             pool,
             config,
         }
-    }
-
-    /// An engine batching over a mutable [`DeltaIndex`] (default
-    /// configuration): same wave scheduling, batch cache and readahead,
-    /// with the delta-aware seed and tombstone-filtered scans — results
-    /// identical to [`DeltaIndex::range_query`]/[`DeltaIndex::knn_query`].
-    ///
-    /// This is the implementation behind the [`crate::FlatDb`] façade's
-    /// batched queries on a written-to database; prefer
-    /// [`crate::FlatDb::query`] in new code — it picks the plain or the
-    /// delta engine automatically.
-    pub fn for_delta(delta: &'a DeltaIndex, pool: &'a P) -> QueryEngine<'a, P> {
-        Self::for_delta_with_config(delta, pool, EngineConfig::default())
-    }
-
-    /// A delta engine with explicit tuning.
-    pub fn for_delta_with_config(
-        delta: &'a DeltaIndex,
-        pool: &'a P,
-        config: EngineConfig,
-    ) -> QueryEngine<'a, P> {
-        QueryEngine {
-            index: delta.base(),
-            delta: Some(delta),
-            pool,
-            config,
-        }
-    }
-
-    fn tombstones(&self) -> Option<&'a Tombstones> {
-        self.delta.map(|d| d.tombstones())
     }
 
     /// Executes a batch of range queries.
@@ -229,10 +196,7 @@ impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
             let mut results: Vec<Vec<flat_rtree::Hit>> = vec![Vec::new(); queries.len()];
             let mut states: Vec<Option<CrawlState>> = Vec::with_capacity(queries.len());
             for (query, stats) in queries.iter().zip(stats.iter_mut()) {
-                let seed = match self.delta {
-                    Some(delta) => delta.seed(&cache, query, stats, hint)?,
-                    None => self.index.seed(&cache, query, stats, hint, None)?,
-                };
+                let seed = self.index.seed(&cache, query, stats, hint)?;
                 states.push(seed.map(CrawlState::start));
             }
 
@@ -260,24 +224,22 @@ impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
                 while w < wave.len() {
                     let i = wave[w];
                     let state = states[i].as_mut().expect("wave holds seeded queries");
-                    let done = self.index.crawl_step(
-                        &cache,
-                        &queries[i],
-                        state,
-                        &mut stats[i],
-                        &mut results[i],
-                        hint,
-                        self.tombstones(),
-                    )?;
-                    if done {
+                    let mut visit = RangeVisit {
+                        query: &queries[i],
+                        stats: &mut stats[i],
+                        hits: &mut results[i],
+                        hinter: hint,
+                    };
+                    if self.index.crawl_step(&cache, state, &mut visit)? {
                         wave.swap_remove(w); // slot freed for the backlog
                     } else {
                         w += 1;
                     }
                 }
             }
-            for (stats, hits) in stats.iter_mut().zip(results.iter()) {
+            for ((stats, hits), state) in stats.iter_mut().zip(&results).zip(&states) {
                 stats.result_count = hits.len() as u64;
+                stats.records_seen = state.as_ref().map_or(0, CrawlState::records_seen);
             }
 
             Ok(BatchOutcome {
@@ -296,7 +258,7 @@ impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
     /// Executes a batch of k-nearest-neighbor queries (`(point, k)` pairs).
     ///
     /// Each query runs the exact serial best-first algorithm of
-    /// [`FlatIndex::knn_query`]; the batch contributes the shared page
+    /// [`crate::FlatIndex::knn_query`]; the batch contributes the shared page
     /// cache and the readahead workers fed by frontier hints.
     pub fn run_knn_batch(
         &self,
@@ -310,10 +272,8 @@ impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
 
             let mut results = Vec::with_capacity(queries.len());
             for &(point, k) in queries {
-                results.push(match self.delta {
-                    Some(delta) => delta.knn_with_hinter(&cache, point, k, hint)?,
-                    None => self.index.knn_with_hinter(&cache, point, k, hint)?,
-                });
+                let mut stats = KnnStats::default();
+                results.push(self.index.knn(&cache, point, k, &mut stats, hint)?);
             }
             Ok(KnnBatchOutcome {
                 results,
@@ -510,7 +470,7 @@ impl<P: PageRead> CrawlHinter for EngineHinter<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::FlatOptions;
+    use crate::index::{FlatIndex, FlatOptions};
     use flat_rtree::Entry;
     use flat_storage::{BufferPool, ConcurrentBufferPool, MemStore, ThrottledStore};
     use rand::rngs::StdRng;

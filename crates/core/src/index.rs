@@ -4,9 +4,9 @@ use crate::meta::{assign_slots, encode_meta_leaf, plan_records, MetaRecord, Meta
 use crate::neighbors::compute_neighbors;
 use crate::partition::{partition, Partition};
 use flat_geom::Aabb;
-use flat_rtree::node::{encode_leaf, ChildRef};
+use flat_rtree::node::{decode_inner, encode_leaf, ChildRef};
 use flat_rtree::{build_inner_levels, leaf_capacity, Entry, LeafLayout};
-use flat_storage::{Page, PageId, PageKind, PageWrite, StorageError, PAGE_SIZE};
+use flat_storage::{Page, PageId, PageKind, PageRead, PageWrite, StorageError, PAGE_SIZE};
 use std::time::{Duration, Instant};
 
 /// How metadata records are ordered across seed-tree leaf pages.
@@ -281,6 +281,16 @@ pub struct FlatIndex {
     pub(crate) num_seed_inner_pages: u64,
 }
 
+/// The pages of a seed tree, as [`FlatIndex::seed_tree_pages`] finds them.
+#[derive(Debug, Default)]
+pub(crate) struct SeedTreePages {
+    /// Directory pages, in depth-first visit order.
+    pub(crate) inner: Vec<PageId>,
+    /// Leaves — the bulkload's metadata pages — in page-id order, which is
+    /// the order the bulkload created them in.
+    pub(crate) leaves: Vec<PageId>,
+}
+
 impl FlatIndex {
     /// Bulk-loads a FLAT index (the paper's Algorithm 1 plus the data
     /// structure construction of §V-B).
@@ -425,6 +435,31 @@ impl FlatIndex {
         }
     }
 
+    /// Walks the seed tree's directory, sorting its pages into the two
+    /// lists every whole-index scan (delta adoption and recovery, the
+    /// join's outer sweep) starts from. Reads directory pages only.
+    pub(crate) fn seed_tree_pages(
+        &self,
+        pool: &impl PageRead,
+    ) -> Result<SeedTreePages, StorageError> {
+        let mut pages = SeedTreePages::default();
+        let mut stack: Vec<(PageId, u32)> = Vec::new();
+        stack.extend(self.seed_root.map(|root| (root, self.seed_height)));
+        while let Some((page_id, level)) = stack.pop() {
+            if level == 1 {
+                pages.leaves.push(page_id);
+            } else {
+                pages.inner.push(page_id);
+                let page = pool.read_page(page_id, PageKind::SeedInner)?;
+                for child in decode_inner(&page)? {
+                    stack.push((child.page, level - 1));
+                }
+            }
+        }
+        pages.leaves.sort_unstable();
+        Ok(pages)
+    }
+
     /// Number of indexed elements.
     pub fn num_elements(&self) -> u64 {
         self.num_elements
@@ -542,8 +577,7 @@ pub(crate) mod tests {
         // neighbor pointer: it must decode to a record whose partition MBR
         // intersects the pointing record's partition MBR (that's the
         // definition of neighbor).
-        let mut meta_pages = Vec::new();
-        collect_meta_pages(&mut pool, &index, &mut meta_pages);
+        let meta_pages = index.seed_tree_pages(&pool).unwrap().leaves;
         assert_eq!(meta_pages.len() as u64, index.num_meta_pages());
         let mut checked = 0;
         for &mp in &meta_pages {
@@ -566,25 +600,6 @@ pub(crate) mod tests {
             }
         }
         assert!(checked > 0, "no pointers were checked");
-    }
-
-    pub(crate) fn collect_meta_pages(
-        pool: &mut BufferPool<MemStore>,
-        index: &FlatIndex,
-        out: &mut Vec<PageId>,
-    ) {
-        let Some(root) = index.seed_root else { return };
-        let mut stack = vec![(root, index.seed_height)];
-        while let Some((pid, level)) = stack.pop() {
-            if level == 1 {
-                out.push(pid);
-            } else {
-                let page = pool.read(pid, PageKind::SeedInner).unwrap();
-                for child in flat_rtree::node::decode_inner(page).unwrap() {
-                    stack.push((child.page, level - 1));
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,120 +4,30 @@
 //! The engine sweeps the outer dataset's partitions in storage order
 //! (STR creation order, which is spatially coherent), and for each outer
 //! partition crawls the inner dataset's link graph with the query box
-//! `page_mbr.inflate(ε)`. Correctness leans on the same exhaustiveness
-//! guarantee as range queries: if two elements are within Euclidean
-//! distance ε, then every per-axis gap between their MBRs is at most ε,
-//! so the inner element intersects the inflated box and the crawl is
-//! guaranteed to reach its partition. Euclidean (not per-axis) pruning
+//! `page_mbr.inflate(ε)` — the same kernel as a range query
+//! (`IndexRef::crawl_step`), under a [`CrawlVisitor`] that collects
+//! candidates instead of hits. Correctness leans on the same
+//! exhaustiveness guarantee as range queries: if two elements are within
+//! Euclidean distance ε, then every per-axis gap between their MBRs is at
+//! most ε, so the inner element intersects the inflated box and the crawl
+//! is guaranteed to reach its partition. Euclidean (not per-axis) pruning
 //! is then applied at the partition, page, and element level via
 //! [`Aabb::distance_sq`].
 //!
 //! The *co*-crawl saving: consecutive outer partitions are close in
 //! space, so the inner partitions matched by one sweep step are reused
-//! as crawl seeds for the next step — most steps never touch the inner
-//! seed tree at all ([`JoinStats::frontier_reuses`] vs
-//! [`JoinStats::seed_descents`]).
+//! as crawl seeds for the next step — a crawl may start from several
+//! records — and most steps never touch the inner seed tree at all
+//! ([`JoinStats::frontier_reuses`] vs [`JoinStats::seed_descents`]).
 
-use crate::delta::DeltaIndex;
-use crate::index::FlatIndex;
-use crate::meta::{decode_meta_leaf, decode_meta_record, MetaRecordId};
-use crate::query::{is_live, CrawlState, QueryStats, Tombstones};
+use crate::error::FlatError;
+use crate::meta::{MetaRecord, MetaRecordId};
+use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
 use flat_geom::Aabb;
-use flat_rtree::node::{decode_inner, decode_leaf};
-use flat_rtree::LeafLayout;
-use flat_storage::{PageId, PageKind, PageRead, StorageError};
+use flat_storage::{PageRead, StorageError};
 
-/// Resident summary of one live partition: everything the join sweep
-/// needs without touching the metadata pages again.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PartSummary {
-    /// The partition's object page.
-    pub(crate) object_page: PageId,
-    /// Tight MBR of the partition's own elements.
-    pub(crate) page_mbr: Aabb,
-}
-
-/// One side of a distance join: any index the crawl understands.
-///
-/// Both sides may be the same index (a self-join, which reports
-/// self-pairs `(x, x)` and both orientations of every other pair).
-#[derive(Clone, Copy)]
-pub enum JoinInput<'a> {
-    /// A bulkloaded, immutable index.
-    Flat(&'a FlatIndex),
-    /// An updatable index; tombstoned elements and retired partitions
-    /// are excluded from the join.
-    Delta(&'a DeltaIndex),
-}
-
-impl<'a> JoinInput<'a> {
-    fn tombstones(&self) -> Option<&'a Tombstones> {
-        match self {
-            JoinInput::Flat(_) => None,
-            JoinInput::Delta(d) => Some(d.tombstones()),
-        }
-    }
-
-    fn seed(
-        &self,
-        pool: &impl PageRead,
-        query: &Aabb,
-        stats: &mut QueryStats,
-    ) -> Result<Option<MetaRecordId>, StorageError> {
-        match self {
-            JoinInput::Flat(i) => i.seed(pool, query, stats, None, None),
-            JoinInput::Delta(d) => d.seed(pool, query, stats, None),
-        }
-    }
-
-    /// Live-partition summaries in storage order, for the outer sweep.
-    fn summaries(&self, pool: &impl PageRead) -> Result<Vec<PartSummary>, StorageError> {
-        match self {
-            JoinInput::Flat(i) => flat_summaries(i, pool),
-            JoinInput::Delta(d) => Ok(d.partition_summaries()),
-        }
-    }
-}
-
-/// Walks the seed tree of a pristine [`FlatIndex`] and summarizes every
-/// primary record. Leaves are visited in page-id order, which for an STR
-/// bulkload is the tiling's creation order — the spatial coherence the
-/// sweep's frontier reuse depends on.
-fn flat_summaries(
-    index: &FlatIndex,
-    pool: &impl PageRead,
-) -> Result<Vec<PartSummary>, StorageError> {
-    let Some(root) = index.seed_root else {
-        return Ok(Vec::new());
-    };
-    let mut stack = vec![(root, index.seed_height)];
-    let mut leaves = Vec::new();
-    while let Some((page_id, level)) = stack.pop() {
-        if level == 1 {
-            leaves.push(page_id);
-        } else {
-            let page = pool.read_page(page_id, PageKind::SeedInner)?;
-            for child in decode_inner(&page)? {
-                stack.push((child.page, level - 1));
-            }
-        }
-    }
-    leaves.sort_unstable_by_key(|p| p.0);
-    let mut out = Vec::new();
-    for page_id in leaves {
-        let page = pool.read_page(page_id, PageKind::SeedLeaf)?;
-        for record in decode_meta_leaf(&page)? {
-            if record.is_continuation || record.is_dead {
-                continue;
-            }
-            out.push(PartSummary {
-                object_page: record.object_page,
-                page_mbr: record.page_mbr,
-            });
-        }
-    }
-    Ok(out)
-}
+/// One side of a distance join: any index the read path understands.
+pub type JoinInput<'a> = IndexRef<'a>;
 
 /// Counters for one join run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,6 +74,50 @@ pub struct JoinResult {
     pub stats: JoinStats,
 }
 
+/// The inner crawl's visitor for one outer partition: collects the inner
+/// elements within ε of the outer page MBR and the partner partitions the
+/// next sweep step starts from.
+struct PartnerVisit<'s> {
+    /// The outer page MBR inflated by ε: the box the inner crawl covers.
+    query: Aabb,
+    outer_mbr: Aabb,
+    eps2: f64,
+    stats: &'s mut JoinStats,
+    /// `(id, MBR)` of every candidate inner element.
+    candidates: &'s mut Vec<(u64, Aabb)>,
+    /// `(record, partition MBR)` of every inner partition whose partition
+    /// MBR intersects `query`.
+    partners: &'s mut Vec<(MetaRecordId, Aabb)>,
+}
+
+impl CrawlVisitor for PartnerVisit<'_> {
+    fn dequeued(&mut self, _queue_len: usize) {
+        self.stats.crawl_records += 1;
+    }
+
+    fn wants_object(&mut self, _addr: MetaRecordId, record: &MetaRecord) -> bool {
+        record.page_mbr.intersects(&self.query)
+            && self.outer_mbr.distance_sq(&record.page_mbr) <= self.eps2
+    }
+
+    fn scan(&mut self, _record: &MetaRecord, page: &LivePage<'_>) {
+        self.stats.object_pages_read += 1;
+        let (outer_mbr, eps2) = (self.outer_mbr, self.eps2);
+        let near = page
+            .hits()
+            .filter(|hit| outer_mbr.distance_sq(&hit.mbr) <= eps2);
+        self.candidates.extend(near.map(|hit| (hit.id, hit.mbr)));
+    }
+
+    fn expands(&mut self, addr: MetaRecordId, record: &MetaRecord) -> bool {
+        let partner = record.partition_mbr.intersects(&self.query);
+        if partner {
+            self.partners.push((addr, record.partition_mbr));
+        }
+        partner
+    }
+}
+
 /// Exact ε-distance join over two indexed datasets (see the module docs
 /// for the algorithm).
 #[derive(Debug, Clone, Copy)]
@@ -178,11 +132,19 @@ impl JoinEngine {
     /// # Panics
     /// If `eps` is negative or not finite.
     pub fn new(eps: f64) -> JoinEngine {
-        assert!(
-            eps.is_finite() && eps >= 0.0,
-            "join distance must be finite and non-negative, got {eps}"
-        );
-        JoinEngine { eps }
+        Self::checked(eps).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`JoinEngine::new`] for a distance that comes from a caller of the
+    /// façade: a negative or non-finite `eps` is a [`FlatError::Query`].
+    pub(crate) fn checked(eps: f64) -> Result<JoinEngine, FlatError> {
+        if eps.is_finite() && eps >= 0.0 {
+            Ok(JoinEngine { eps })
+        } else {
+            Err(FlatError::Query(format!(
+                "join distance must be finite and non-negative, got {eps}"
+            )))
+        }
     }
 
     /// The join distance.
@@ -201,14 +163,15 @@ impl JoinEngine {
         inner: JoinInput<'_>,
     ) -> Result<JoinResult, StorageError> {
         let eps2 = self.eps * self.eps;
-        let outer_tombs = outer.tombstones();
-        let inner_tombs = inner.tombstones();
         let mut stats = JoinStats::default();
         let mut pairs: Vec<(u64, u64)> = Vec::new();
-        // Partner partitions of the previous sweep step: `(record,
-        // partition MBR)` of every inner partition whose partition MBR
-        // intersected the previous query box.
+        // Partner partitions of the previous sweep step, and the scratch
+        // every step reuses: the inner crawl's state, this step's partners
+        // and its candidate elements.
         let mut frontier: Vec<(MetaRecordId, Aabb)> = Vec::new();
+        let mut partners: Vec<(MetaRecordId, Aabb)> = Vec::new();
+        let mut candidates: Vec<(u64, Aabb)> = Vec::new();
+        let mut state = CrawlState::default();
         for op in outer.summaries(outer_pool)? {
             stats.outer_partitions += 1;
             let query = op.page_mbr.inflate(self.eps);
@@ -217,15 +180,15 @@ impl JoinEngine {
             // still relevant (their partition MBR intersects the new
             // query box, so they belong to the connected subgraph the
             // crawl must cover), falling back to a seed-tree descent.
-            let mut state = CrawlState::default();
+            state.clear();
             for (record, mbr) in &frontier {
-                if mbr.intersects(&query) && state.seen.insert(*record) {
-                    state.queue.push_back(*record);
+                if mbr.intersects(&query) {
+                    state.enqueue(*record);
                 }
             }
-            if state.queue.is_empty() {
+            if state.is_idle() {
                 let mut seed_stats = QueryStats::default();
-                let seed = inner.seed(inner_pool, &query, &mut seed_stats)?;
+                let seed = inner.seed(inner_pool, &query, &mut seed_stats, None)?;
                 stats.object_pages_read += seed_stats.object_pages_read;
                 stats.seed_descents += 1;
                 let Some(seed) = seed else {
@@ -234,8 +197,7 @@ impl JoinEngine {
                     frontier.clear();
                     continue;
                 };
-                state.seen.insert(seed);
-                state.queue.push_back(seed);
+                state.enqueue(seed);
             } else {
                 stats.frontier_reuses += 1;
             }
@@ -243,78 +205,30 @@ impl JoinEngine {
             // Crawl the inner graph under `query`, collecting candidate
             // elements (Euclidean-pruned against the outer page MBR) and
             // this step's partner partitions.
-            let mut candidates: Vec<(u64, Aabb)> = Vec::new();
-            let mut partners: Vec<(MetaRecordId, Aabb)> = Vec::new();
-            while let Some(addr) = state.queue.pop_front() {
-                stats.crawl_records += 1;
-                let record = {
-                    let page = inner_pool.read_page(addr.page, PageKind::SeedLeaf)?;
-                    decode_meta_record(&page, addr.slot)?
-                };
-                if record.is_dead {
-                    continue;
-                }
-                if record.page_mbr.intersects(&query)
-                    && op.page_mbr.distance_sq(&record.page_mbr) <= eps2
-                {
-                    stats.object_pages_read += 1;
-                    let page = inner_pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                    let (layout, entries) = decode_leaf(&page)?;
-                    for (slot, entry) in entries.iter().enumerate() {
-                        if is_live(inner_tombs, record.object_page, slot)
-                            && op.page_mbr.distance_sq(&entry.mbr) <= eps2
-                        {
-                            let id = match layout {
-                                LeafLayout::MbrOnly => (record.object_page.0 << 16) | entry.id,
-                                LeafLayout::WithIds => entry.id,
-                            };
-                            candidates.push((id, entry.mbr));
-                        }
-                    }
-                }
-                if record.partition_mbr.intersects(&query) {
-                    partners.push((addr, record.partition_mbr));
-                    for neighbor in record.neighbors {
-                        if state.seen.insert(neighbor) {
-                            state.queue.push_back(neighbor);
-                        }
-                    }
-                    let mut next = record.continuation;
-                    while let Some(chunk_addr) = next {
-                        let chunk = {
-                            let page = inner_pool.read_page(chunk_addr.page, PageKind::SeedLeaf)?;
-                            decode_meta_record(&page, chunk_addr.slot)?
-                        };
-                        for neighbor in chunk.neighbors {
-                            if state.seen.insert(neighbor) {
-                                state.queue.push_back(neighbor);
-                            }
-                        }
-                        next = chunk.continuation;
-                    }
-                }
-            }
-            frontier = partners;
+            partners.clear();
+            candidates.clear();
+            let mut visit = PartnerVisit {
+                query,
+                outer_mbr: op.page_mbr,
+                eps2,
+                stats: &mut stats,
+                candidates: &mut candidates,
+                partners: &mut partners,
+            };
+            inner.crawl(inner_pool, &mut state, &mut visit)?;
+            std::mem::swap(&mut frontier, &mut partners);
             if candidates.is_empty() {
                 continue;
             }
 
             // Verify against the outer partition's own elements.
             stats.object_pages_read += 1;
-            let page = outer_pool.read_page(op.object_page, PageKind::ObjectPage)?;
-            let (layout, entries) = decode_leaf(&page)?;
-            for (slot, entry) in entries.iter().enumerate() {
-                if !is_live(outer_tombs, op.object_page, slot) {
-                    continue;
-                }
-                let outer_id = match layout {
-                    LeafLayout::MbrOnly => (op.object_page.0 << 16) | entry.id,
-                    LeafLayout::WithIds => entry.id,
-                };
+            let page = LivePage::read(outer_pool, op.object_page, outer.tombstones())?;
+            for outer_hit in page.hits() {
                 for (inner_id, inner_mbr) in &candidates {
                     stats.element_tests += 1;
-                    if entry.mbr.distance_sq(inner_mbr) <= eps2 {
-                        pairs.push((outer_id, *inner_id));
+                    if outer_hit.mbr.distance_sq(inner_mbr) <= eps2 {
+                        pairs.push((outer_hit.id, *inner_id));
                     }
                 }
             }
@@ -329,8 +243,8 @@ impl JoinEngine {
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
-    use crate::index::FlatOptions;
-    use flat_rtree::Entry;
+    use crate::index::{FlatIndex, FlatOptions};
+    use flat_rtree::{Entry, LeafLayout};
     use flat_storage::BufferPool;
 
     fn options(layout: LeafLayout) -> FlatOptions {

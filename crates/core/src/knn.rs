@@ -33,12 +33,12 @@
 
 use crate::index::FlatIndex;
 use crate::meta::{decode_meta_record, meta_leaf_len, MetaRecordId};
-use crate::query::{is_live, want_meta_page, CrawlHinter, Tombstones};
+use crate::query::{read_record, walk_links, want_meta_page, CrawlHinter, IndexRef, LivePage};
 use flat_geom::Point3;
-use flat_rtree::node::{decode_inner, decode_leaf};
-use flat_rtree::{Hit, LeafLayout};
+use flat_rtree::node::decode_inner;
+use flat_rtree::Hit;
 use flat_storage::{PageId, PageKind, PageRead, StorageError};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 
 /// One kNN result: the element plus its squared distance to the query
@@ -75,18 +75,18 @@ pub struct KnnStats {
 
 /// `f64` with a total order, for use as a heap key.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct MinKey(f64);
+pub(crate) struct MinKey(pub(crate) f64);
 
 impl Eq for MinKey {}
 
 impl PartialOrd for MinKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for MinKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
     }
 }
@@ -99,28 +99,74 @@ enum SeedItem {
     Record(MetaRecordId),
 }
 
-/// A result candidate in the running top-k max-heap. Ordered by distance
-/// (then physical location, so ties break deterministically).
+/// A result candidate, ordered by distance then physical location, so ties
+/// at the k-th distance break deterministically.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Candidate {
-    dist_sq: f64,
-    hit: Hit,
-}
+struct Ranked(Neighbor);
 
-impl Eq for Candidate {}
+impl Eq for Ranked {}
 
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist_sq
-            .total_cmp(&other.dist_sq)
-            .then(self.hit.page.cmp(&other.hit.page))
-            .then(self.hit.slot.cmp(&other.hit.slot))
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (&self.0, &other.0);
+        a.dist_sq
+            .total_cmp(&b.dist_sq)
+            .then(a.hit.page.cmp(&b.hit.page))
+            .then(a.hit.slot.cmp(&b.hit.slot))
+    }
+}
+
+/// The running k best elements of a best-first search (FLAT's crawl and
+/// the R-tree baseline's descent alike): a max-heap whose top is the
+/// pruning bound.
+pub(crate) struct TopK {
+    k: usize,
+    best: BinaryHeap<Ranked>,
+}
+
+impl TopK {
+    /// An empty accumulator for `k >= 1` results.
+    pub(crate) fn new(k: usize) -> TopK {
+        TopK {
+            k,
+            best: BinaryHeap::with_capacity(k + 1),
+        }
+    }
+
+    /// The squared distance nothing farther than can still enter the
+    /// result: the k-th best so far, ∞ until `k` elements are held.
+    pub(crate) fn bound(&self) -> f64 {
+        match self.best.peek() {
+            Some(worst) if self.best.len() >= self.k => worst.0.dist_sq,
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// Offers an element at squared distance `dist_sq`. The comparison is
+    /// the full [`Ranked`] order, not just distance: ties at the k-th
+    /// distance resolve by physical location independent of the order
+    /// elements are met in, as documented.
+    pub(crate) fn offer(&mut self, hit: Hit, dist_sq: f64) {
+        let candidate = Ranked(Neighbor { hit, dist_sq });
+        if self.best.len() < self.k {
+            self.best.push(candidate);
+        } else if let Some(mut worst) = self.best.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+    }
+
+    /// The result, ascending.
+    pub(crate) fn into_neighbors(self) -> Vec<Neighbor> {
+        let ranked = self.best.into_sorted_vec();
+        ranked.into_iter().map(|r| r.0).collect()
     }
 }
 
@@ -138,8 +184,7 @@ impl FlatIndex {
         point: Point3,
         k: usize,
     ) -> Result<Vec<Neighbor>, StorageError> {
-        let mut stats = KnnStats::default();
-        self.knn_query_with_stats(pool, point, k, &mut stats)
+        self.knn_query_with_stats(pool, point, k, &mut KnnStats::default())
     }
 
     /// Like [`FlatIndex::knn_query`], accumulating counters into `stats`.
@@ -150,120 +195,59 @@ impl FlatIndex {
         k: usize,
         stats: &mut KnnStats,
     ) -> Result<Vec<Neighbor>, StorageError> {
-        self.knn(pool, point, k, stats, None, None, None)
+        IndexRef::Flat(self).knn(pool, point, k, stats, None)
     }
+}
 
-    /// Entry point for the batched engine: identical algorithm, with
-    /// frontier insertions forwarded as readahead hints.
-    pub(crate) fn knn_with_hinter(
-        &self,
-        pool: &impl PageRead,
-        point: Point3,
-        k: usize,
-        hinter: Option<&dyn CrawlHinter>,
-    ) -> Result<Vec<Neighbor>, StorageError> {
-        let mut stats = KnnStats::default();
-        self.knn(pool, point, k, &mut stats, hinter, None, None)
-    }
-
-    /// Full-control entry point shared with the delta layer:
-    /// `seed_override` replaces the best-first seed descent (the delta
-    /// seed also considers partitions outside the seed tree) and
-    /// `tombstones` hides deleted elements from the candidate heap.
-    #[allow(clippy::too_many_arguments)]
+impl IndexRef<'_> {
+    /// The kNN evaluation every entry point shares; the batched engine
+    /// passes a `hinter` to turn frontier insertions into readahead hints.
     pub(crate) fn knn(
-        &self,
+        self,
         pool: &impl PageRead,
         point: Point3,
         k: usize,
         stats: &mut KnnStats,
         hinter: Option<&dyn CrawlHinter>,
-        seed_override: Option<MetaRecordId>,
-        tombstones: Option<&Tombstones>,
     ) -> Result<Vec<Neighbor>, StorageError> {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let seed = match seed_override {
-            Some(s) => Some(s),
-            None => self.knn_seed(pool, point)?.map(|(_, addr)| addr),
-        };
-        let Some(seed) = seed else {
+        let Some(seed) = self.knn_seed(pool, point)? else {
             return Ok(Vec::new());
         };
+        let tombstones = self.tombstones();
 
-        // The best-first crawl. `best` is a max-heap of the k nearest
-        // elements so far; its top is the pruning bound (∞ until full).
-        let mut best: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
-        let bound = |best: &BinaryHeap<Candidate>| {
-            if best.len() < k {
-                f64::INFINITY
-            } else {
-                best.peek().expect("len >= k >= 1").dist_sq
-            }
-        };
-
+        // The best-first crawl; `best`'s bound prunes (∞ until full).
+        let mut best = TopK::new(k);
         let mut seen: HashSet<MetaRecordId> = HashSet::new();
         let mut frontier: BinaryHeap<Reverse<(MinKey, MetaRecordId)>> = BinaryHeap::new();
         // Scratch of one expansion (see the loop's tail), reused across turns.
         let mut fresh: Vec<MetaRecordId> = Vec::new();
         let mut wants: Vec<(PageId, PageKind)> = Vec::new();
         seen.insert(seed);
-        {
-            let page = pool.read_page(seed.page, PageKind::SeedLeaf)?;
-            let record = decode_meta_record(&page, seed.slot)?;
-            let key = record.partition_mbr.distance_sq_to_point(&point);
-            frontier.push(Reverse((MinKey(key), seed)));
-        }
+        let key = read_record(pool, seed)?
+            .partition_mbr
+            .distance_sq_to_point(&point);
+        frontier.push(Reverse((MinKey(key), seed)));
 
         while let Some(Reverse((MinKey(dist), addr))) = frontier.pop() {
             // Everything still on the frontier is at least this far away;
             // once the top-k is full and closer, nothing can improve.
-            if dist > bound(&best) {
+            if dist > best.bound() {
                 stats.records_pruned += frontier.len() as u64 + 1;
                 break;
             }
             stats.max_frontier_len = stats.max_frontier_len.max(frontier.len() + 1);
             stats.records_expanded += 1;
-            let record = {
-                let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-                decode_meta_record(&page, addr.slot)?
-            };
+            let record = read_record(pool, addr)?;
 
             // Scan the object page only while its page MBR can still hold
             // a top-k element (the kNN analogue of §VI's page-MBR test).
-            if record.page_mbr.distance_sq_to_point(&point) <= bound(&best) {
+            if record.page_mbr.distance_sq_to_point(&point) <= best.bound() {
                 stats.object_pages_read += 1;
-                let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                let (layout, entries) = decode_leaf(&page)?;
-                for (slot, entry) in entries.iter().enumerate() {
-                    if !is_live(tombstones, record.object_page, slot) {
-                        continue;
-                    }
-                    let dist_sq = entry.mbr.distance_sq_to_point(&point);
-                    let id = match layout {
-                        LeafLayout::MbrOnly => (record.object_page.0 << 16) | entry.id,
-                        LeafLayout::WithIds => entry.id,
-                    };
-                    let candidate = Candidate {
-                        dist_sq,
-                        hit: Hit {
-                            mbr: entry.mbr,
-                            id,
-                            page: record.object_page,
-                            slot: slot as u16,
-                        },
-                    };
-                    // Full `Candidate` comparison, not just distance: ties
-                    // at the k-th distance resolve by physical location
-                    // independent of the expansion order, as documented.
-                    if best.len() == k && candidate >= *best.peek().expect("len == k >= 1") {
-                        continue;
-                    }
-                    best.push(candidate);
-                    if best.len() > k {
-                        best.pop();
-                    }
+                for hit in LivePage::read(pool, record.object_page, tombstones)?.hits() {
+                    best.offer(hit, hit.mbr.distance_sq_to_point(&point));
                 }
             }
 
@@ -280,85 +264,73 @@ impl FlatIndex {
             // computed afterwards in the same order — the bound does not
             // move during an expansion, so answers and `KnnStats` are
             // those of reading each neighbor as it is met.
-            let mut chunk = record;
-            loop {
+            let bound = best.bound();
+            walk_links(pool, record, |chunk| {
                 fresh.clear();
                 wants.clear();
-                for neighbor in &chunk.neighbors {
-                    if seen.insert(*neighbor) {
-                        fresh.push(*neighbor);
+                for &neighbor in chunk {
+                    if seen.insert(neighbor) {
+                        fresh.push(neighbor);
                         want_meta_page(&mut wants, neighbor.page);
                     }
                 }
                 pool.want_pages(&wants);
-                for neighbor in &fresh {
-                    let key = {
-                        let page = pool.read_page(neighbor.page, PageKind::SeedLeaf)?;
-                        decode_meta_record(&page, neighbor.slot)?
-                            .partition_mbr
-                            .distance_sq_to_point(&point)
-                    };
-                    if key <= bound(&best) {
-                        frontier.push(Reverse((MinKey(key), *neighbor)));
-                        if let Some(h) = hinter {
-                            let b = bound(&best);
-                            h.enqueued_record(*neighbor, &|r| {
-                                r.page_mbr.distance_sq_to_point(&point) <= b
-                            });
-                        }
-                    } else {
+                for &neighbor in &fresh {
+                    let key = read_record(pool, neighbor)?
+                        .partition_mbr
+                        .distance_sq_to_point(&point);
+                    if key > bound {
                         stats.records_pruned += 1;
+                        continue;
+                    }
+                    frontier.push(Reverse((MinKey(key), neighbor)));
+                    if let Some(h) = hinter {
+                        h.enqueued_record(neighbor, &|r| {
+                            r.page_mbr.distance_sq_to_point(&point) <= bound
+                        });
                     }
                 }
-                let Some(next) = chunk.continuation else {
-                    break;
-                };
-                chunk = {
-                    let page = pool.read_page(next.page, PageKind::SeedLeaf)?;
-                    decode_meta_record(&page, next.slot)?
-                };
-            }
+                Ok(())
+            })?;
         }
-
-        Ok(best
-            .into_sorted_vec()
-            .into_iter()
-            .map(|c| Neighbor {
-                hit: c.hit,
-                dist_sq: c.dist_sq,
-            })
-            .collect())
+        Ok(best.into_neighbors())
     }
 
-    /// Best-first descent of the seed tree: returns the primary metadata
-    /// record whose page MBR is nearest to `point`, with that squared
-    /// distance (`None` for an empty index). Cost is near the tree
-    /// height, like the range seed. The distance is the winning heap key,
-    /// so callers comparing seed candidates (the delta layer) pay no
-    /// extra page read.
-    pub(crate) fn knn_seed(
-        &self,
+    /// The kNN seed: the live primary record whose page MBR is nearest to
+    /// `point` (`None` for an empty index) — a best-first descent of the
+    /// seed tree, cost near the tree height like the range seed, against a
+    /// scan of the resident summaries of the partitions outside the tree;
+    /// the closer page MBR wins. Any live record is a correct entry point
+    /// (the best-first crawl's bound starts unbounded), a near one just
+    /// prunes sooner.
+    fn knn_seed(
+        self,
         pool: &impl PageRead,
         point: Point3,
-    ) -> Result<Option<(f64, MetaRecordId)>, StorageError> {
-        let Some(root) = self.seed_root else {
-            return Ok(None);
-        };
+    ) -> Result<Option<MetaRecordId>, StorageError> {
+        let outside = self
+            .delta_parts()
+            .map(|p| (MinKey(p.page_mbr.distance_sq_to_point(&point)), p.record))
+            .min();
+        let base = self.base();
         let mut heap: BinaryHeap<Reverse<(MinKey, SeedItem)>> = BinaryHeap::new();
-        heap.push(Reverse((
-            MinKey(0.0),
-            SeedItem::Node {
-                page: root,
-                level: self.seed_height,
-            },
-        )));
+        heap.extend(base.seed_root.map(|page| {
+            let level = base.seed_height;
+            Reverse((MinKey(0.0), SeedItem::Node { page, level }))
+        }));
         while let Some(Reverse((key, item))) = heap.pop() {
             match item {
-                SeedItem::Record(addr) => return Ok(Some((key.0, addr))),
+                // The winning heap key is the record's distance: comparing
+                // it with the outside candidate costs no extra page read.
+                SeedItem::Record(addr) => {
+                    return Ok(Some(match outside {
+                        Some((outside_key, outside_addr)) if outside_key < key => outside_addr,
+                        _ => addr,
+                    }))
+                }
                 SeedItem::Node { page, level: 1 } => {
                     let leaf = pool.read_page(page, PageKind::SeedLeaf)?;
-                    let count = meta_leaf_len(&leaf)?;
-                    for slot in 0..count as u16 {
+                    for slot in 0..meta_leaf_len(&leaf)? as u16 {
                         let record = decode_meta_record(&leaf, slot)?;
                         if record.is_continuation || record.is_dead {
                             continue; // not a valid crawl entry point
@@ -385,7 +357,7 @@ impl FlatIndex {
                 }
             }
         }
-        Ok(None)
+        Ok(outside.map(|(_, addr)| addr))
     }
 }
 
@@ -394,7 +366,7 @@ mod tests {
     use super::*;
     use crate::index::{FlatIndex, FlatOptions};
     use flat_geom::Aabb;
-    use flat_rtree::Entry;
+    use flat_rtree::{Entry, LeafLayout};
     use flat_storage::{BufferPool, MemStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

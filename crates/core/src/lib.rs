@@ -32,15 +32,15 @@
 //! | [`meta`] | §V-B.2 | metadata records, seed-leaf page format |
 //! | `index` (re-exported) | §V | [`FlatIndex::build`] |
 //! | `builder` (re-exported) | §V, out-of-core | [`FlatIndexBuilder`]: streaming bulkload with bounded resident memory, bit-identical to the in-memory path |
-//! | `query` (re-exported) | §V-B.1, §VI, Alg. 2 | seed + crawl |
-//! | `knn` (re-exported) | extension | [`FlatIndex::knn_query`], best-first seed + crawl |
-//! | `engine` (re-exported) | extension | [`QueryEngine`]: batched execution + crawl-ahead prefetch |
+//! | `query` (re-exported) | §V-B.1, §VI, Alg. 2 | the read path: [`IndexRef`], the one view (bulkload, or bulkload + delta layer) every query verb is written against; the seed phase; the one BFS crawl kernel, specialised per workload by a visitor (range here) |
+//! | `knn` (re-exported) | extension | [`FlatIndex::knn_query`], best-first seed + crawl over the same view (its own traversal: a moving bound is not a FIFO) |
+//! | `engine` (re-exported) | extension | [`QueryEngine`]: batched execution + crawl-ahead prefetch over any [`IndexRef`] |
 //! | `delta` (re-exported) | extension | [`DeltaIndex`]: delta inserts/deletes with neighbor-link repair, tombstones, compaction back to a pristine (byte-identical) bulkload |
 //! | [`db`] | extension | [`FlatDb`]: the session façade — one handle over build / query / update / persist |
 //! | `durable` (via [`db`]) | extension | [`Durability`] modes, logical-record and checkpoint-snapshot formats; [`FlatDb::create_durable`] / [`FlatDb::open_durable`] commit every writer batch to a write-ahead log and recover exactly the committed prefix after a crash |
 //! | `shard` (re-exported) | extension | [`ShardedDb`]: K spatial shards, each behind its own disk scheduler, with cross-shard routing and a global exact kNN merge |
-//! | `join` (re-exported) | extension | [`JoinEngine`]: exact ε-distance joins by co-crawling two link graphs |
-//! | `aggregate` (re-exported) | extension | `aggregate_count` / `aggregate_density` with the containment early-exit |
+//! | `join` (re-exported) | extension | [`JoinEngine`]: exact ε-distance joins by co-crawling two link graphs — the crawl kernel under a candidate-collecting visitor, seeded from the previous step's partners |
+//! | `aggregate` (re-exported) | extension | `aggregate_count` / `aggregate_density`: the crawl kernel under a counting visitor with the containment early-exit |
 //! | `continuous` (re-exported) | extension | continuous range queries: per-commit [`QueryDelta`] streams |
 //! | `spatial` (re-exported) | extension | [`SpatialIndex`]: one trait over FLAT, the delta layer and the R-tree baselines |
 //! | `error` (re-exported) | extension | [`FlatError`]: the façade's unified error type |
@@ -102,6 +102,6 @@ pub use error::FlatError;
 pub use index::{BuildStats, FlatIndex, FlatOptions, MetaOrder};
 pub use join::{JoinEngine, JoinInput, JoinResult, JoinStats};
 pub use knn::{KnnStats, Neighbor};
-pub use query::QueryStats;
+pub use query::{IndexRef, QueryStats};
 pub use shard::{ShardOptions, ShardedDb};
 pub use spatial::{IndexStats, RTreeBuildOptions, SpatialIndex};

@@ -1,24 +1,69 @@
-//! FLAT query evaluation: the seed phase and the breadth-first crawl
-//! (§V-B.1 and §VI, Algorithm 2).
+//! The read path: one index view ([`IndexRef`]), the seed phase and the
+//! breadth-first crawl kernel (§V-B.1 and §VI, Algorithm 2).
+//!
+//! Every query verb is written once against [`IndexRef`] — a pristine
+//! bulkload, or a bulkload plus its delta layer — and every traversal that
+//! drains a BFS queue is `IndexRef::crawl_step`, specialised by a
+//! [`CrawlVisitor`]: range queries materialise hits (here), aggregates
+//! count (`aggregate.rs`), joins collect ε-pruned candidates and the
+//! partner frontier (`join.rs`). kNN (`knn.rs`) is a best-first traversal
+//! with a moving bound — a different algorithm, not another copy — and
+//! shares the view, the link walker ([`walk_links`]) and the live-entry
+//! page scan ([`LivePage`]).
 
+use crate::delta::{DeltaIndex, PartState};
 use crate::index::FlatIndex;
-use crate::meta::{decode_meta_record, meta_leaf_len, MetaRecord, MetaRecordId};
+use crate::meta::{decode_meta_leaf, decode_meta_record, meta_leaf_len, MetaRecord, MetaRecordId};
 use flat_geom::Aabb;
 use flat_rtree::node::{decode_inner, decode_leaf};
-use flat_rtree::{Hit, LeafLayout};
+use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{PageId, PageKind, PageRead, StorageError};
 use std::collections::{HashSet, VecDeque};
 
-/// Deleted-element set of a [`crate::DeltaIndex`], keyed by physical
-/// location `(object page, slot)` — the one identity that stays valid
-/// under both leaf layouts and across delete-then-reinsert of the same
-/// application id. `None` everywhere on the static query path.
+/// Deleted-element set of a [`DeltaIndex`], keyed by physical location
+/// `(object page, slot)` — the one identity that stays valid under both
+/// leaf layouts and across delete-then-reinsert of the same application id.
 pub(crate) type Tombstones = HashSet<(PageId, u16)>;
 
-/// `true` when the element at `slot` of `page` is still live.
-#[inline]
-pub(crate) fn is_live(tombstones: Option<&Tombstones>, page: PageId, slot: usize) -> bool {
-    tombstones.is_none_or(|t| !t.contains(&(page, slot as u16)))
+/// Any index the read path understands: the single view every query verb
+/// (range, kNN, aggregate, join, the batched [`crate::QueryEngine`]) is
+/// written against. A delta layer lives in the same page graph as its
+/// base, so the two differ only in what this type's accessors answer:
+/// which elements are tombstoned, which partitions sit outside the seed
+/// tree, and whether live counts are resident.
+///
+/// As a join side ([`crate::JoinInput`]) both sides may be the same index:
+/// a self-join reports self-pairs `(x, x)` and both orientations of every
+/// other pair.
+#[derive(Clone, Copy)]
+pub enum IndexRef<'a> {
+    /// A bulkloaded, immutable index.
+    Flat(&'a FlatIndex),
+    /// An updatable index; tombstoned elements and retired partitions
+    /// are invisible to every query.
+    Delta(&'a DeltaIndex),
+}
+
+impl<'a> From<&'a FlatIndex> for IndexRef<'a> {
+    fn from(index: &'a FlatIndex) -> Self {
+        IndexRef::Flat(index)
+    }
+}
+
+impl<'a> From<&'a DeltaIndex> for IndexRef<'a> {
+    fn from(delta: &'a DeltaIndex) -> Self {
+        IndexRef::Delta(delta)
+    }
+}
+
+/// Resident summary of one live partition: what the join's outer sweep
+/// needs without touching the metadata pages again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PartSummary {
+    /// The partition's object page.
+    pub(crate) object_page: PageId,
+    /// Tight MBR of the partition's own elements.
+    pub(crate) page_mbr: Aabb,
 }
 
 /// Crawl-progress hooks the batched [`crate::QueryEngine`] uses to turn
@@ -67,65 +112,281 @@ impl QueryStats {
     }
 }
 
-impl FlatIndex {
-    /// Evaluates a range query: seed phase then breadth-first crawl.
-    ///
-    /// Queries are shared reads (`&self` on both the index and the pool):
-    /// any [`PageRead`] implementation works, including a
-    /// [`flat_storage::ConcurrentBufferPool`] serving many query threads
-    /// over one index.
-    pub fn range_query(
-        &self,
+/// Reads the metadata record at `addr` (one logical metadata read).
+pub(crate) fn read_record(
+    pool: &impl PageRead,
+    addr: MetaRecordId,
+) -> Result<MetaRecord, StorageError> {
+    decode_meta_record(&pool.read_page(addr.page, PageKind::SeedLeaf)?, addr.slot)
+}
+
+/// Hands `visit` every chunk of `record`'s neighbor list in order: its own
+/// pointers, then each continuation chunk's. Over-full lists spill into
+/// continuation records (see [`crate::meta`]); following the chain is
+/// charged like any other metadata read.
+pub(crate) fn walk_links(
+    pool: &impl PageRead,
+    record: MetaRecord,
+    mut visit: impl FnMut(&[MetaRecordId]) -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    let mut chunk = record;
+    loop {
+        visit(&chunk.neighbors)?;
+        let Some(next) = chunk.continuation else {
+            return Ok(());
+        };
+        chunk = read_record(pool, next)?;
+    }
+}
+
+/// One object page seen through the tombstone filter — the only place
+/// live entries are enumerated and `MbrOnly` ids are synthesized.
+pub(crate) struct LivePage<'t> {
+    page: PageId,
+    layout: LeafLayout,
+    entries: Vec<Entry>,
+    tombstones: Option<&'t Tombstones>,
+}
+
+impl<'t> LivePage<'t> {
+    /// Reads object page `page` (one logical object read).
+    pub(crate) fn read(
         pool: &impl PageRead,
-        query: &Aabb,
-    ) -> Result<Vec<Hit>, StorageError> {
-        let mut stats = QueryStats::default();
-        self.range_query_with_stats(pool, query, &mut stats)
+        page: PageId,
+        tombstones: Option<&'t Tombstones>,
+    ) -> Result<LivePage<'t>, StorageError> {
+        let (layout, entries) = decode_leaf(&pool.read_page(page, PageKind::ObjectPage)?)?;
+        Ok(LivePage {
+            page,
+            layout,
+            entries,
+            tombstones,
+        })
     }
 
-    /// Like [`FlatIndex::range_query`], accumulating counters into `stats`.
-    pub fn range_query_with_stats(
-        &self,
+    /// Slots on the page, tombstoned ones included — what an
+    /// element-by-element scan tests.
+    pub(crate) fn slots(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The live elements in slot order, as queries report them.
+    pub(crate) fn hits(&self) -> impl Iterator<Item = Hit> + '_ {
+        let page = self.page;
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(move |&(slot, _)| {
+                self.tombstones
+                    .is_none_or(|t| !t.contains(&(page, slot as u16)))
+            })
+            .map(move |(slot, entry)| Hit {
+                mbr: entry.mbr,
+                id: match self.layout {
+                    LeafLayout::MbrOnly => (page.0 << 16) | entry.id,
+                    LeafLayout::WithIds => entry.id,
+                },
+                page,
+                slot: slot as u16,
+            })
+    }
+}
+
+/// What one workload does at each record of a crawl. The kernel
+/// (`IndexRef::crawl_step`) owns the traversal — queue, seen-set, waves,
+/// announcements, dead records, tombstones, continuation chains — and is
+/// monomorphised per visitor, so a visitor costs what writing its loop by
+/// hand would.
+pub(crate) trait CrawlVisitor {
+    /// A record left the queue, which held `queue_len` records counting it.
+    fn dequeued(&mut self, queue_len: usize);
+
+    /// Will this (live) record's object page be scanned? Asked once per
+    /// record, for a whole wave before any of its object pages is read, so
+    /// the answers can be announced to the pool together.
+    fn wants_object(&mut self, addr: MetaRecordId, record: &MetaRecord) -> bool;
+
+    /// Scans an object page that was wanted, in queue order.
+    fn scan(&mut self, record: &MetaRecord, page: &LivePage<'_>);
+
+    /// Will this record's neighbor links be followed?
+    fn expands(&mut self, addr: MetaRecordId, record: &MetaRecord) -> bool;
+
+    /// `addr` was enqueued for a later wave.
+    fn enqueued(&mut self, _addr: MetaRecordId) {}
+}
+
+/// The range query's visitor: materialises the intersecting live elements
+/// and keeps the paper's counters.
+pub(crate) struct RangeVisit<'q> {
+    pub(crate) query: &'q Aabb,
+    pub(crate) stats: &'q mut QueryStats,
+    pub(crate) hits: &'q mut Vec<Hit>,
+    pub(crate) hinter: Option<&'q dyn CrawlHinter>,
+}
+
+impl CrawlVisitor for RangeVisit<'_> {
+    fn dequeued(&mut self, queue_len: usize) {
+        self.stats.max_queue_len = self.stats.max_queue_len.max(queue_len);
+        self.stats.records_processed += 1;
+    }
+
+    /// "the object page is only read from disk if M's page MBR intersects
+    /// with the query" (§VI).
+    fn wants_object(&mut self, _addr: MetaRecordId, record: &MetaRecord) -> bool {
+        self.stats.mbr_tests += 1;
+        record.page_mbr.intersects(self.query)
+    }
+
+    fn scan(&mut self, _record: &MetaRecord, page: &LivePage<'_>) {
+        self.stats.object_pages_read += 1;
+        self.stats.mbr_tests += page.slots() as u64;
+        let query = self.query;
+        self.hits
+            .extend(page.hits().filter(|hit| query.intersects(&hit.mbr)));
+    }
+
+    /// "the neighbor pointers stored in a metadata record M are only
+    /// followed if M's partition MBR intersects with the query" (§VI).
+    fn expands(&mut self, _addr: MetaRecordId, record: &MetaRecord) -> bool {
+        self.stats.mbr_tests += 1;
+        record.partition_mbr.intersects(self.query)
+    }
+
+    fn enqueued(&mut self, addr: MetaRecordId) {
+        if let Some(hinter) = self.hinter {
+            let query = self.query;
+            hinter.enqueued_record(addr, &|r| r.page_mbr.intersects(query));
+        }
+    }
+}
+
+impl<'a> IndexRef<'a> {
+    /// The bulkload descriptor (the delta layer's base).
+    pub(crate) fn base(self) -> &'a FlatIndex {
+        match self {
+            IndexRef::Flat(index) => index,
+            IndexRef::Delta(delta) => delta.base(),
+        }
+    }
+
+    fn delta(self) -> Option<&'a DeltaIndex> {
+        match self {
+            IndexRef::Flat(_) => None,
+            IndexRef::Delta(delta) => Some(delta),
+        }
+    }
+
+    /// The deleted-element set every scan filters by (`None`: nothing is
+    /// deleted).
+    pub(crate) fn tombstones(self) -> Option<&'a Tombstones> {
+        self.delta().map(DeltaIndex::tombstones)
+    }
+
+    /// Live partitions inserted since the bulkload: in the link graph but
+    /// not in the seed tree, so both seed phases probe their resident
+    /// summaries.
+    pub(crate) fn delta_parts(self) -> impl Iterator<Item = &'a PartState> {
+        let parts = self.delta().map_or(&[][..], DeltaIndex::delta_parts);
+        parts.iter().filter(|part| !part.dead)
+    }
+
+    /// Resident live-element count of the partition whose primary record
+    /// is at `addr`, when the index keeps one (the delta layer): the
+    /// aggregate's containment early-exit reads it instead of the page.
+    pub(crate) fn live_count_at(self, addr: MetaRecordId) -> Option<u64> {
+        self.delta()?.live_count_at(addr)
+    }
+
+    /// Live (non-deleted) elements.
+    pub(crate) fn num_live_elements(self) -> u64 {
+        self.delta()
+            .map_or(self.base().num_elements(), DeltaIndex::num_live_elements)
+    }
+
+    /// Live-partition summaries in storage order, for the join's outer
+    /// sweep. A pristine index reads them off its metadata pages in
+    /// page-id order — for an STR bulkload the tiling's creation order,
+    /// the spatial coherence the sweep's frontier reuse depends on.
+    pub(crate) fn summaries(self, pool: &impl PageRead) -> Result<Vec<PartSummary>, StorageError> {
+        let summary = |object_page, page_mbr| PartSummary {
+            object_page,
+            page_mbr,
+        };
+        if let Some(delta) = self.delta() {
+            let live = delta.parts().iter().filter(|part| !part.dead);
+            return Ok(live.map(|p| summary(p.object_page, p.page_mbr)).collect());
+        }
+        let mut out = Vec::new();
+        for leaf in self.base().seed_tree_pages(pool)?.leaves {
+            for record in decode_meta_leaf(&pool.read_page(leaf, PageKind::SeedLeaf)?)? {
+                if !record.is_continuation && !record.is_dead {
+                    out.push(summary(record.object_page, record.page_mbr));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Evaluates a range query: seed phase, then the breadth-first crawl.
+    pub(crate) fn range_query_with_stats(
+        self,
         pool: &impl PageRead,
         query: &Aabb,
         stats: &mut QueryStats,
     ) -> Result<Vec<Hit>, StorageError> {
         let mut hits = Vec::new();
-        let Some(seed) = self.seed(pool, query, stats, None, None)? else {
-            return Ok(hits); // "If no object page can be found, then the
-                             // query has no result" (§V-B.1).
-        };
-        let mut state = CrawlState::start(seed);
-        while !self.crawl_step(pool, query, &mut state, stats, &mut hits, None, None)? {}
+        // "If no object page can be found, then the query has no result"
+        // (§V-B.1).
+        if let Some(seed) = self.seed(pool, query, stats, None)? {
+            let mut state = CrawlState::start(seed);
+            let mut visit = RangeVisit {
+                query,
+                stats,
+                hits: &mut hits,
+                hinter: None,
+            };
+            self.crawl(pool, &mut state, &mut visit)?;
+            stats.records_seen = state.records_seen();
+        }
         stats.result_count = hits.len() as u64;
         Ok(hits)
     }
 
     /// The seed phase (§V-B.1): walk a single path of the seed tree
     /// (early-exit DFS), reading candidate object pages until one actually
-    /// contains a (live) element intersecting the query.
-    ///
-    /// `tombstones` is the delta layer's deleted-element set: probes skip
-    /// tombstoned elements, and records whose partitions were retired
-    /// (dead flag) are never entry points — their object pages are freed.
+    /// contains a live element intersecting the query; partitions outside
+    /// the tree (the delta layer's) are probed from their resident
+    /// summaries after it. Tombstoned elements do not count, and retired
+    /// (dead) records are never entry points — their object pages are
+    /// freed.
     pub(crate) fn seed(
-        &self,
+        self,
         pool: &impl PageRead,
         query: &Aabb,
         stats: &mut QueryStats,
         hinter: Option<&dyn CrawlHinter>,
-        tombstones: Option<&Tombstones>,
     ) -> Result<Option<MetaRecordId>, StorageError> {
-        let Some(root) = self.seed_root else {
-            return Ok(None);
+        let tombstones = self.tombstones();
+        // Checks one candidate object page for a real element.
+        let probe = |object_page: PageId, stats: &mut QueryStats| {
+            stats.object_pages_read += 1;
+            let page = LivePage::read(pool, object_page, tombstones)?;
+            stats.mbr_tests += page.slots() as u64;
+            let found = page.hits().any(|hit| query.intersects(&hit.mbr));
+            if !found {
+                stats.seed_probe_pages += 1;
+            }
+            Ok::<bool, StorageError>(found)
         };
-        let mut stack = vec![(root, self.seed_height)];
+        let base = self.base();
+        let mut stack: Vec<(PageId, u32)> = Vec::new();
+        stack.extend(base.seed_root.map(|root| (root, base.seed_height)));
         while let Some((page_id, level)) = stack.pop() {
             if level == 1 {
                 // A metadata leaf: probe its records.
                 let leaf = pool.read_page(page_id, PageKind::SeedLeaf)?;
-                let count = meta_leaf_len(&leaf)?;
-                for slot in 0..count as u16 {
+                for slot in 0..meta_leaf_len(&leaf)? as u16 {
                     let record = decode_meta_record(&leaf, slot)?;
                     // Continuation chunks are not crawl entry points: a
                     // crawl seeded mid-chain would only reach the tail of
@@ -135,26 +396,12 @@ impl FlatIndex {
                         continue;
                     }
                     stats.mbr_tests += 1;
-                    if !record.page_mbr.intersects(query) {
-                        continue;
-                    }
-                    // Candidate: check the object page for a real element.
-                    stats.object_pages_read += 1;
-                    let found = {
-                        let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                        let (_, entries) = decode_leaf(&page)?;
-                        stats.mbr_tests += entries.len() as u64;
-                        entries.iter().enumerate().any(|(s, e)| {
-                            is_live(tombstones, record.object_page, s) && query.intersects(&e.mbr)
-                        })
-                    };
-                    if found {
+                    if record.page_mbr.intersects(query) && probe(record.object_page, stats)? {
                         return Ok(Some(MetaRecordId {
                             page: page_id,
                             slot,
                         }));
                     }
-                    stats.seed_probe_pages += 1;
                 }
             } else {
                 let page = pool.read_page(page_id, PageKind::SeedInner)?;
@@ -174,41 +421,59 @@ impl FlatIndex {
                 }
             }
         }
+        for part in self.delta_parts() {
+            stats.mbr_tests += 1;
+            if part.page_mbr.intersects(query) && probe(part.object_page, stats)? {
+                return Ok(Some(part.record));
+            }
+        }
         Ok(None)
+    }
+
+    /// Runs a seeded crawl to completion.
+    pub(crate) fn crawl(
+        self,
+        pool: &impl PageRead,
+        state: &mut CrawlState,
+        visitor: &mut impl CrawlVisitor,
+    ) -> Result<(), StorageError> {
+        while !self.crawl_step(pool, state, visitor)? {}
+        Ok(())
     }
 
     /// Runs one crawl turn — a **wave**: up to [`WAVE`] records drained from
     /// the front of the BFS queue and processed in queue order. Returns
-    /// `true` when the crawl is finished.
+    /// `true` when the crawl is finished. This is the only code that walks
+    /// the link graph breadth-first; range, aggregate and join differ in
+    /// their [`CrawlVisitor`] alone.
     ///
     /// A wave tells the pool about its reads before it blocks on any of
     /// them ([`PageRead::want_pages`]): first the wave's distinct metadata
-    /// pages, then — once the records are decoded — the object pages of
-    /// the records whose page MBR intersects the query. Both sets are
-    /// certain reads, not guesses, so a pool that can overlap device
-    /// fetches ([`flat_storage::DiskScheduler`]) serves a wave in a few
-    /// overlapped round trips instead of one per page; pools that cannot
-    /// ignore the announcement.
+    /// pages, then — once the records are decoded — the object pages the
+    /// visitor wants. Both sets are certain reads, not guesses, so a pool
+    /// that can overlap device fetches ([`flat_storage::DiskScheduler`])
+    /// serves a wave in a few overlapped round trips instead of one per
+    /// page; pools that cannot ignore the announcement.
     ///
     /// The wave changes *when* the pool hears about a page, nothing else.
     /// Records leave the queue in FIFO order and are scanned and expanded
     /// in that same order, and every expansion appends behind everything
     /// still queued, so the sequence of `seen.insert` calls — hence the
-    /// queue contents, the hits and their order, and every counter in
-    /// [`QueryStats`] — is that of processing one record per turn. The
-    /// queue length a one-record turn would have observed when it popped
-    /// record `i` of the wave is the rest of the wave plus what is queued
-    /// behind it, which is what `max_queue_len` records. Each record still
-    /// costs one logical metadata read, each intersecting page MBR one
+    /// queue contents, what the visitor is shown and in which order, and
+    /// every counter it keeps — is that of processing one record per turn.
+    /// The queue length a one-record turn would have observed when it
+    /// popped record `i` of the wave is the rest of the wave plus what is
+    /// queued behind it, which is what `dequeued` reports. Each record
+    /// still costs one logical metadata read, each wanted object page one
     /// logical object read; only the order of reads inside a wave differs
     /// (metadata first), which a small LRU cache may notice as a handful of
     /// physical reads either way.
     ///
-    /// The serial [`FlatIndex::range_query`] simply loops this to
-    /// completion; the batched [`crate::QueryEngine`] interleaves waves of
-    /// many queries so their I/O overlaps. Because each query's own turn
-    /// order is untouched, the two produce identical results — same hits,
-    /// same order.
+    /// The serial paths simply loop this to completion
+    /// ([`IndexRef::crawl`]); the batched [`crate::QueryEngine`]
+    /// interleaves waves of many queries so their I/O overlaps. Because
+    /// each query's own turn order is untouched, the two produce identical
+    /// results — same hits, same order.
     ///
     /// One deliberate fix to the paper's pseudocode: Algorithm 2 only
     /// inserts a page into `visited` when its page MBR intersects the
@@ -218,17 +483,13 @@ impl FlatIndex {
     /// ("seen"), which preserves the intended I/O behaviour — every record
     /// is processed at most once, every object page read at most once —
     /// and guarantees termination.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn crawl_step(
-        &self,
+    pub(crate) fn crawl_step<V: CrawlVisitor>(
+        self,
         pool: &impl PageRead,
-        query: &Aabb,
         state: &mut CrawlState,
-        stats: &mut QueryStats,
-        hits: &mut Vec<Hit>,
-        hinter: Option<&dyn CrawlHinter>,
-        tombstones: Option<&Tombstones>,
+        visitor: &mut V,
     ) -> Result<bool, StorageError> {
+        let tombstones = self.tombstones();
         let CrawlState {
             queue,
             seen,
@@ -247,24 +508,19 @@ impl FlatIndex {
         }
         pool.want_pages(wants);
         records.clear();
-        for addr in wave.iter() {
-            let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-            records.push(decode_meta_record(&page, addr.slot)?);
-        }
-
-        // "the object page is only read from disk if M's page MBR
-        // intersects with the query" (§VI) — so exactly these will be.
         wants.clear();
-        for record in records.iter() {
-            if !record.is_dead && record.page_mbr.intersects(query) {
+        for &addr in wave.iter() {
+            let record = read_record(pool, addr)?;
+            let wanted = !record.is_dead && visitor.wants_object(addr, &record);
+            if wanted {
                 wants.push((record.object_page, PageKind::ObjectPage));
             }
+            records.push((record, wanted));
         }
         pool.want_pages(wants);
 
-        for (done, record) in records.drain(..).enumerate() {
-            stats.max_queue_len = stats.max_queue_len.max(wave.len() - done + queue.len());
-            stats.records_processed += 1;
+        for (done, (&addr, (record, wanted))) in wave.iter().zip(records.drain(..)).enumerate() {
+            visitor.dequeued(wave.len() - done + queue.len());
             // Retirement prunes every link to a dead record, so the crawl
             // can only land on one through a stale seed — never expand it
             // (its object page is freed).
@@ -272,65 +528,51 @@ impl FlatIndex {
             if record.is_dead {
                 continue;
             }
-
-            stats.mbr_tests += 1;
-            if record.page_mbr.intersects(query) {
-                stats.object_pages_read += 1;
-                let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                let (layout, entries) = decode_leaf(&page)?;
-                for (slot, entry) in entries.iter().enumerate() {
-                    stats.mbr_tests += 1;
-                    if is_live(tombstones, record.object_page, slot) && query.intersects(&entry.mbr)
-                    {
-                        let id = match layout {
-                            LeafLayout::MbrOnly => (record.object_page.0 << 16) | entry.id,
-                            LeafLayout::WithIds => entry.id,
-                        };
-                        hits.push(Hit {
-                            mbr: entry.mbr,
-                            id,
-                            page: record.object_page,
-                            slot: slot as u16,
-                        });
-                    }
-                }
+            if wanted {
+                visitor.scan(
+                    &record,
+                    &LivePage::read(pool, record.object_page, tombstones)?,
+                );
             }
-
-            // "the neighbor pointers stored in a metadata record M are only
-            // followed if M's partition MBR intersects with the query"
-            // (§VI).
-            stats.mbr_tests += 1;
-            if record.partition_mbr.intersects(query) {
-                let wants_object = |r: &MetaRecord| r.page_mbr.intersects(query);
-                let mut enqueue = |neighbors: Vec<MetaRecordId>| {
-                    for neighbor in neighbors {
+            if visitor.expands(addr, &record) {
+                walk_links(pool, record, |chunk| {
+                    for &neighbor in chunk {
                         if seen.insert(neighbor) {
                             queue.push_back(neighbor);
-                            if let Some(h) = hinter {
-                                h.enqueued_record(neighbor, &wants_object);
-                            }
+                            visitor.enqueued(neighbor);
                         }
                     }
-                };
-                enqueue(record.neighbors);
-                // Over-full neighbor lists spill into continuation records
-                // (see `meta`); follow the chain, charging the reads like
-                // any other metadata access.
-                let mut next = record.continuation;
-                while let Some(addr) = next {
-                    let chunk = {
-                        let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-                        decode_meta_record(&page, addr.slot)?
-                    };
-                    enqueue(chunk.neighbors);
-                    next = chunk.continuation;
-                }
+                    Ok(())
+                })?;
             }
         }
-        // Monotone running value; once the queue drains this equals the
-        // size of the visited set, matching the serial accounting.
-        stats.records_seen = seen.len() as u64;
         Ok(queue.is_empty())
+    }
+}
+
+impl FlatIndex {
+    /// Evaluates a range query: seed phase then breadth-first crawl.
+    ///
+    /// Queries are shared reads (`&self` on both the index and the pool):
+    /// any [`PageRead`] implementation works, including a
+    /// [`flat_storage::ConcurrentBufferPool`] serving many query threads
+    /// over one index.
+    pub fn range_query(
+        &self,
+        pool: &impl PageRead,
+        query: &Aabb,
+    ) -> Result<Vec<Hit>, StorageError> {
+        self.range_query_with_stats(pool, query, &mut QueryStats::default())
+    }
+
+    /// Like [`FlatIndex::range_query`], accumulating counters into `stats`.
+    pub fn range_query_with_stats(
+        &self,
+        pool: &impl PageRead,
+        query: &Aabb,
+        stats: &mut QueryStats,
+    ) -> Result<Vec<Hit>, StorageError> {
+        IndexRef::Flat(self).range_query_with_stats(pool, query, stats)
     }
 
     /// Runs only the seed phase, returning the address of the seed record
@@ -340,10 +582,8 @@ impl FlatIndex {
         pool: &impl PageRead,
         query: &Aabb,
     ) -> Result<Option<(PageId, u16)>, StorageError> {
-        let mut stats = QueryStats::default();
-        Ok(self
-            .seed(pool, query, &mut stats, None, None)?
-            .map(|r| (r.page, r.slot)))
+        let seed = IndexRef::Flat(self).seed(pool, query, &mut QueryStats::default(), None)?;
+        Ok(seed.map(|r| (r.page, r.slot)))
     }
 }
 
@@ -362,18 +602,19 @@ pub(crate) fn want_meta_page(wants: &mut Vec<(PageId, PageKind)>, page: PageId) 
 /// a wave's pages fit comfortably in the smallest caches in use.
 const WAVE: usize = 32;
 
-/// The resumable state of one query's crawl phase: the BFS queue and the
-/// visited ("seen") set. Produced by [`CrawlState::start`] from a seed
-/// record and advanced one wave at a time by `FlatIndex::crawl_step`.
+/// The resumable state of one crawl: the BFS queue and the visited
+/// ("seen") set. Seeded through [`CrawlState::start`] or
+/// [`CrawlState::enqueue`] and advanced one wave at a time by
+/// `IndexRef::crawl_step`.
 #[derive(Debug, Default)]
 pub(crate) struct CrawlState {
-    pub(crate) queue: VecDeque<MetaRecordId>,
-    pub(crate) seen: HashSet<MetaRecordId>,
+    queue: VecDeque<MetaRecordId>,
+    seen: HashSet<MetaRecordId>,
     // Scratch of the wave in progress, kept here so a crawl allocates it
-    // once: the drained addresses, their decoded records, and the page
-    // list being announced.
+    // once: the drained addresses, their decoded records (with whether the
+    // object page is wanted), and the page list being announced.
     wave: Vec<MetaRecordId>,
-    records: Vec<MetaRecord>,
+    records: Vec<(MetaRecord, bool)>,
     wants: Vec<(PageId, PageKind)>,
 }
 
@@ -381,9 +622,31 @@ impl CrawlState {
     /// A crawl about to process `seed` as its first record.
     pub(crate) fn start(seed: MetaRecordId) -> CrawlState {
         let mut state = CrawlState::default();
-        state.seen.insert(seed);
-        state.queue.push_back(seed);
+        state.enqueue(seed);
         state
+    }
+
+    /// Forgets the previous crawl, keeping its allocations for the next.
+    pub(crate) fn clear(&mut self) {
+        self.queue.clear();
+        self.seen.clear();
+    }
+
+    /// Queues `addr` as an entry point unless the crawl has already seen it.
+    pub(crate) fn enqueue(&mut self, addr: MetaRecordId) {
+        if self.seen.insert(addr) {
+            self.queue.push_back(addr);
+        }
+    }
+
+    /// `true` when nothing is queued: the crawl is over, or not yet seeded.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// Records ever enqueued (the size of the visited set).
+    pub(crate) fn records_seen(&self) -> u64 {
+        self.seen.len() as u64
     }
 }
 

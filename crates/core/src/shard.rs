@@ -70,7 +70,7 @@ use crate::delta::DeltaReport;
 use crate::durable::DbStore;
 use crate::error::FlatError;
 use crate::index::FlatOptions;
-use crate::join::{JoinResult, JoinStats};
+use crate::join::{JoinEngine, JoinResult, JoinStats};
 use crate::knn::Neighbor;
 use crate::partition::shard_regions;
 use flat_geom::{Aabb, Point3};
@@ -409,12 +409,16 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// co-crawl, fanned out over the shard pairs whose coverage boxes
     /// are within `eps` of each other. Shards hold disjoint elements,
     /// so each result pair is produced by exactly one shard pair and
-    /// the merge is a plain sort.
+    /// the merge is a plain sort. A negative or non-finite `eps` is a
+    /// [`FlatError::Query`].
     pub fn join<S2: PageStore + Send + Sync + 'static>(
         &self,
         other: &ShardedDb<S2>,
         eps: f64,
     ) -> Result<JoinResult, FlatError> {
+        // Rejected up front: a NaN would slip past the coverage prune
+        // below, and a bad distance must not depend on shard geometry.
+        JoinEngine::checked(eps)?;
         let eps2 = eps * eps;
         let mut pairs = Vec::new();
         let mut stats = JoinStats::default();

@@ -19,7 +19,7 @@
 use crate::delta::DeltaIndex;
 use crate::error::FlatError;
 use crate::index::{FlatIndex, FlatOptions};
-use crate::knn::Neighbor;
+use crate::knn::{MinKey, Neighbor, TopK};
 use flat_geom::{Aabb, Point3};
 use flat_rtree::node::{decode_inner, decode_leaf};
 use flat_rtree::{BulkLoad, Entry, Hit, LeafLayout, RTree, RTreeConfig};
@@ -266,50 +266,6 @@ impl SpatialIndex for RTree {
     }
 }
 
-/// `f64` with a total order, for heap keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct MinKey(f64);
-
-impl Eq for MinKey {}
-
-impl PartialOrd for MinKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MinKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Candidate of the running top-k max-heap, ordered by distance then
-/// physical location so ties at the k-th distance break deterministically
-/// (the same rule as FLAT's kNN).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Candidate {
-    dist_sq: f64,
-    hit: Hit,
-}
-
-impl Eq for Candidate {}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist_sq
-            .total_cmp(&other.dist_sq)
-            .then(self.hit.page.cmp(&other.hit.page))
-            .then(self.hit.slot.cmp(&other.hit.slot))
-    }
-}
-
 /// Best-first kNN descent over an R-tree.
 fn rtree_knn(
     tree: &RTree,
@@ -325,21 +281,15 @@ fn rtree_knn(
     };
     let config = *tree.config();
 
-    let mut best: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
-    let bound = |best: &BinaryHeap<Candidate>| {
-        if best.len() < k {
-            f64::INFINITY
-        } else {
-            best.peek().expect("len >= k >= 1").dist_sq
-        }
-    };
-
+    // The same accumulator — hence the same tie rule at the k-th distance
+    // — as FLAT's kNN.
+    let mut best = TopK::new(k);
     // Frontier of (min distance, node, level); 1 = leaf level.
     let mut frontier: BinaryHeap<Reverse<(MinKey, u64, u32)>> = BinaryHeap::new();
     frontier.push(Reverse((MinKey(0.0), root.0, tree.height())));
     while let Some(Reverse((MinKey(dist), page_id, level))) = frontier.pop() {
         // Everything else on the frontier is at least this far away.
-        if dist > bound(&best) {
+        if dist > best.bound() {
             break;
         }
         let page_id = flat_storage::PageId(page_id);
@@ -347,49 +297,30 @@ fn rtree_knn(
             let page = pool.read_page(page_id, config.leaf_kind)?;
             let (layout, entries) = decode_leaf(&page)?;
             for (slot, entry) in entries.iter().enumerate() {
-                let dist_sq = entry.mbr.distance_sq_to_point(&point);
                 let id = match layout {
                     LeafLayout::MbrOnly => (page_id.0 << 16) | entry.id,
                     LeafLayout::WithIds => entry.id,
                 };
-                let candidate = Candidate {
-                    dist_sq,
-                    hit: Hit {
-                        mbr: entry.mbr,
-                        id,
-                        page: page_id,
-                        slot: slot as u16,
-                    },
+                let hit = Hit {
+                    mbr: entry.mbr,
+                    id,
+                    page: page_id,
+                    slot: slot as u16,
                 };
-                // Full comparison so k-th-distance ties resolve by
-                // physical location independent of the expansion order.
-                if best.len() == k && candidate >= *best.peek().expect("len == k >= 1") {
-                    continue;
-                }
-                best.push(candidate);
-                if best.len() > k {
-                    best.pop();
-                }
+                best.offer(hit, entry.mbr.distance_sq_to_point(&point));
             }
         } else {
             let page = pool.read_page(page_id, config.inner_kind)?;
             for child in decode_inner(&page)? {
                 let key = child.mbr.distance_sq_to_point(&point);
-                if key <= bound(&best) {
+                if key <= best.bound() {
                     frontier.push(Reverse((MinKey(key), child.page.0, level - 1)));
                 }
             }
         }
     }
 
-    Ok(best
-        .into_sorted_vec()
-        .into_iter()
-        .map(|c| Neighbor {
-            hit: c.hit,
-            dist_sq: c.dist_sq,
-        })
-        .collect())
+    Ok(best.into_neighbors())
 }
 
 #[cfg(test)]

@@ -72,10 +72,10 @@ pub mod prelude {
     pub use flat_core::{
         AggregateStats, BatchOutcome, BuildReport, BuildStats, ContinuousQueryId, DbOptions,
         DeltaIndex, DeltaReport, Durability, EngineConfig, FlatDb, FlatError, FlatIndex,
-        FlatIndexBuilder, FlatOptions, IndexStats, JoinEngine, JoinInput, JoinResult, JoinStats,
-        KnnStats, Neighbor, QueryBuilder, QueryDelta, QueryEngine, QueryStats, RTreeBuildOptions,
-        RecoveryReport, ShardOptions, ShardedDb, Snapshot, SpatialIndex, StreamingStats, WriteOp,
-        Writer,
+        FlatIndexBuilder, FlatOptions, IndexRef, IndexStats, JoinEngine, JoinInput, JoinResult,
+        JoinStats, KnnStats, Neighbor, QueryBuilder, QueryDelta, QueryEngine, QueryStats,
+        RTreeBuildOptions, RecoveryReport, ShardOptions, ShardedDb, Snapshot, SpatialIndex,
+        StreamingStats, WriteOp, Writer,
     };
     pub use flat_data::continuous::{ContinuousConfig, ContinuousWorkload};
     pub use flat_data::join::{mesh_vs_nbody, JoinWorkload, JoinWorkloadConfig};

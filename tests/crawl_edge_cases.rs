@@ -608,27 +608,25 @@ use std::time::Duration;
 /// the sizes below bracket it).
 const WAVE: u64 = 32;
 
-/// The range query as it was before waves — seed descent, then a BFS that
-/// pops one record, reads it, scans it, expands it — written against the
-/// public page decoders only. `live` hides deleted application ids (the
-/// delta layer's tombstones, seen from outside). Returns the hits, the
-/// counters, and how many continuation chunks the crawl followed.
-fn reference_range(
+/// The seed descent (§V-B.1) written against the public page decoders
+/// only: the first primary record of the seed tree whose object page holds
+/// a live element intersecting `query`, and what finding it cost. `live`
+/// hides deleted application ids (the delta layer's tombstones, seen from
+/// outside).
+fn reference_seed(
     pool: &impl PageRead,
     index: &FlatIndex,
     query: &Aabb,
     live: &dyn Fn(u64) -> bool,
-) -> (Vec<Hit>, QueryStats, u64) {
+) -> (Option<MetaRecordId>, QueryStats) {
     let read = |id: PageId, kind: PageKind| pool.read_page(id, kind).expect("read");
     let mut stats = QueryStats::default();
-
-    let mut seed = None;
     let mut stack: Vec<(PageId, u32)> = index
         .seed_root()
         .map(|root| (root, index.seed_height()))
         .into_iter()
         .collect();
-    'seed: while let Some((page_id, level)) = stack.pop() {
+    while let Some((page_id, level)) = stack.pop() {
         if level > 1 {
             for child in decode_inner(&read(page_id, PageKind::SeedInner)).expect("inner") {
                 stats.mbr_tests += 1;
@@ -656,15 +654,29 @@ fn reference_range(
                 .iter()
                 .any(|e| live(e.id) && query.intersects(&e.mbr))
             {
-                seed = Some(MetaRecordId {
+                let seed = MetaRecordId {
                     page: page_id,
                     slot,
-                });
-                break 'seed;
+                };
+                return (Some(seed), stats);
             }
             stats.seed_probe_pages += 1;
         }
     }
+    (None, stats)
+}
+
+/// The range query as it was before waves — seed descent, then a BFS that
+/// pops one record, reads it, scans it, expands it. Returns the hits, the
+/// counters, and how many continuation chunks the crawl followed.
+fn reference_range(
+    pool: &impl PageRead,
+    index: &FlatIndex,
+    query: &Aabb,
+    live: &dyn Fn(u64) -> bool,
+) -> (Vec<Hit>, QueryStats, u64) {
+    let read = |id: PageId, kind: PageKind| pool.read_page(id, kind).expect("read");
+    let (seed, mut stats) = reference_seed(pool, index, query, live);
 
     let mut hits = Vec::new();
     let mut chain_reads = 0;
@@ -722,6 +734,77 @@ fn reference_range(
     stats.records_seen = seen.len() as u64;
     stats.result_count = hits.len() as u64;
     (hits, stats, chain_reads)
+}
+
+/// The aggregate count as a record-at-a-time crawl: the range crawl with
+/// counting in place of hits and the containment early-exit. `resident`
+/// says the index keeps live counts in memory (a delta layer): a contained
+/// partition is then counted without its object page being read.
+fn reference_aggregate(
+    pool: &impl PageRead,
+    index: &FlatIndex,
+    query: &Aabb,
+    live: &dyn Fn(u64) -> bool,
+    resident: bool,
+) -> (u64, AggregateStats) {
+    let read = |id: PageId, kind: PageKind| pool.read_page(id, kind).expect("read");
+    let mut stats = AggregateStats::default();
+    let (Some(seed), seed_stats) = reference_seed(pool, index, query, live) else {
+        return (0, stats);
+    };
+    stats.object_pages_read = seed_stats.object_pages_read;
+    stats.mbr_tests = seed_stats.mbr_tests;
+
+    let mut count = 0;
+    let mut queue = VecDeque::from([seed]);
+    let mut seen = HashSet::from([seed]);
+    while let Some(addr) = queue.pop_front() {
+        stats.records_processed += 1;
+        let record =
+            decode_meta_record(&read(addr.page, PageKind::SeedLeaf), addr.slot).expect("record");
+        if record.is_dead {
+            continue;
+        }
+        stats.mbr_tests += 1;
+        if record.page_mbr.intersects(query) {
+            // The reference peeks at every page; only the reads the
+            // aggregate is entitled to are counted.
+            let (_, entries) =
+                decode_leaf(&read(record.object_page, PageKind::ObjectPage)).expect("leaf");
+            let alive = entries.iter().filter(|e| live(e.id));
+            stats.mbr_tests += 1;
+            if query.contains(&record.page_mbr) {
+                stats.contained_partitions += 1;
+                if resident {
+                    stats.pages_skipped += 1;
+                } else {
+                    stats.object_pages_read += 1;
+                }
+                count += alive.count() as u64;
+            } else {
+                stats.object_pages_read += 1;
+                stats.mbr_tests += entries.len() as u64;
+                count += alive.filter(|e| query.intersects(&e.mbr)).count() as u64;
+            }
+        }
+        stats.mbr_tests += 1;
+        if record.partition_mbr.intersects(query) {
+            let mut chunk = record;
+            loop {
+                for neighbor in &chunk.neighbors {
+                    if seen.insert(*neighbor) {
+                        queue.push_back(*neighbor);
+                    }
+                }
+                let Some(next) = chunk.continuation else {
+                    break;
+                };
+                chunk = decode_meta_record(&read(next.page, PageKind::SeedLeaf), next.slot)
+                    .expect("chunk");
+            }
+        }
+    }
+    (count, stats)
 }
 
 fn random_entries(n: usize, seed: u64) -> Vec<Entry> {
@@ -825,6 +908,28 @@ fn assert_range_matches_reference(
     (expect_stats, chain_reads)
 }
 
+/// Same for the aggregate: the count and every counter, the containment
+/// early-exit included. Returns the counters.
+fn assert_aggregate_matches_reference(
+    pool: &impl PageRead,
+    index: &FlatIndex,
+    delta: Option<&DeltaIndex>,
+    query: &Aabb,
+    live: &dyn Fn(u64) -> bool,
+) -> AggregateStats {
+    let (expect_count, expect_stats) =
+        reference_aggregate(pool, index, query, live, delta.is_some());
+    let mut stats = AggregateStats::default();
+    let count = match delta {
+        Some(delta) => delta.aggregate_count_with_stats(pool, query, &mut stats),
+        None => index.aggregate_count_with_stats(pool, query, &mut stats),
+    }
+    .expect("aggregate");
+    assert_eq!(count, expect_count, "count diverged for {query:?}");
+    assert_eq!(stats, expect_stats, "counters diverged for {query:?}");
+    stats
+}
+
 #[test]
 fn waves_are_invisible_at_every_crawl_size() {
     let entries = random_entries(20_000, 901);
@@ -885,7 +990,28 @@ fn waves_are_invisible_at_every_crawl_size() {
         ));
         assert_eq!(stats[0], stats[1]);
         assert_eq!(stats[0], stats[2]);
+        // The aggregate crosses the same kernel: same records, same waves.
+        let counted = on_each_pool!(pools, |p| assert_aggregate_matches_reference(
+            p,
+            &index,
+            None,
+            query,
+            &everything
+        ));
+        assert_eq!(counted[0], counted[1]);
+        assert_eq!(counted[0], counted[2]);
+        assert_eq!(counted[0].records_processed, stats[0].0.records_processed);
+        assert_eq!(
+            counted[0].pages_skipped, 0,
+            "a pristine index keeps no counts"
+        );
     }
+    // The whole-domain query contains partitions: their elements are
+    // counted without being tested.
+    let mut contained = AggregateStats::default();
+    let all = index.aggregate_count_with_stats(&pools.shared, &whole, &mut contained);
+    assert_eq!(all.unwrap(), 20_000);
+    assert!(contained.contained_partitions > 0, "{contained:?}");
     // The device pool heard the announcements: some reads found their
     // fetch already in flight.
     let lanes = pools.device.cache().scheduler_stats();
@@ -981,6 +1107,19 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
             brute_force(&survivors, &query)
         );
 
+        // The aggregate over the delta: contained partitions come from the
+        // resident live counts (tombstones excluded), so their object
+        // pages are neither announced nor read.
+        let counted = on_each_pool!(pools, |p| {
+            assert_aggregate_matches_reference(p, delta.base(), Some(&delta), &query, &live)
+        });
+        assert_eq!(counted[0], counted[1]);
+        assert_eq!(counted[0], counted[2]);
+        assert_eq!(counted[0].pages_skipped, counted[0].contained_partitions);
+        if round == 0 {
+            assert!(counted[0].pages_skipped > 0, "{:?}", counted[0]);
+        }
+
         // kNN: identical answers and counters whichever pool serves them,
         // and the distances a full scan finds.
         let k = rng.gen_range(1..60);
@@ -1002,6 +1141,242 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
         let got: Vec<f64> = answers[0].0.iter().map(|n| n.dist_sq).collect();
         assert_eq!(got, brute, "kNN k={k} at {center}");
     }
+}
+
+// ---------- joins cross the same kernel ----------
+
+/// Every `(outer id, inner id)` pair within `eps`, sorted — by definition.
+fn brute_join(outer: &[Entry], inner: &[Entry], eps: f64) -> Vec<(u64, u64)> {
+    let mut pairs = Vec::new();
+    for a in outer {
+        for b in inner {
+            if a.mbr.distance_sq(&b.mbr) <= eps * eps {
+                pairs.push((a.id, b.id));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
+}
+
+/// Runs the join over each of the three pools (both sides through the same
+/// pool), asserts pairs and counters do not depend on which, and that the
+/// pairs are the brute-force ones. Returns the counters.
+fn join_on_each_pool(
+    pools: &Pools,
+    (outer, outer_live): (JoinInput<'_>, &[Entry]),
+    (inner, inner_live): (JoinInput<'_>, &[Entry]),
+    eps: f64,
+) -> JoinStats {
+    let engine = JoinEngine::new(eps);
+    let [first, second, third] =
+        on_each_pool!(pools, |p| engine.join(p, outer, p, inner).expect("join"));
+    assert_eq!(first.stats, second.stats, "eps {eps}");
+    assert_eq!(first.stats, third.stats, "eps {eps}");
+    assert_eq!(first.pairs, second.pairs, "eps {eps}");
+    assert_eq!(first.pairs, third.pairs, "eps {eps}");
+    assert_eq!(
+        first.pairs,
+        brute_join(outer_live, inner_live, eps),
+        "eps {eps}"
+    );
+    first.stats
+}
+
+/// Bulkloads `entries` into `pool` beside whatever it already holds (ids
+/// are application ids, so brute force can name the pairs).
+fn build_into(pool: &mut BufferPool<MemStore>, entries: &[Entry]) -> FlatIndex {
+    let (index, _) = FlatIndex::build(pool, entries.to_vec(), delta_options()).expect("build");
+    index
+}
+
+/// `count` small elements huddled around `center`: one partition.
+fn cluster(center: Point3, count: u64, base_id: u64) -> Vec<Entry> {
+    (0..count)
+        .map(|i| {
+            let offset = Point3::splat(0.01 * i as f64);
+            Entry::new(base_id + i, Aabb::cube(center + offset, 0.05))
+        })
+        .collect()
+}
+
+#[test]
+fn joins_are_pool_independent_at_every_inner_crawl_size() {
+    // A one-partition outer side makes the join a single inner crawl, so
+    // `crawl_records` is that crawl's size.
+    let inner = random_entries(20_000, 911);
+    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let inner_index = build_into(&mut pool, &inner);
+    let mut rng = StdRng::seed_from_u64(912);
+    let outers: Vec<(Vec<Entry>, FlatIndex)> = (0..30)
+        .map(|i| {
+            let center = Point3::new(
+                rng.gen_range(30.0..70.0),
+                rng.gen_range(30.0..70.0),
+                rng.gen_range(30.0..70.0),
+            );
+            let entries = cluster(center, 30, 1_000_000 + 100 * i);
+            let index = build_into(&mut pool, &entries);
+            assert_eq!(index.num_object_pages(), 1);
+            (entries, index)
+        })
+        .collect();
+    let lonely = cluster(Point3::splat(50.0), 30, 2_000_000);
+    let lonely_index = build_into(&mut pool, &lonely);
+
+    // Sweep ε on the in-memory pool — finely over small boxes, where the
+    // crawl is a wave or two, then one box over everything — keeping the
+    // first (outer, ε) seen for each inner crawl size.
+    let mut by_size: HashMap<u64, (usize, f64)> = HashMap::new();
+    for (which, (_, outer_index)) in outers.iter().enumerate() {
+        for step in 0..=200 {
+            let eps = if step < 200 {
+                0.05 * step as f64
+            } else {
+                100.0
+            };
+            let result = JoinEngine::new(eps)
+                .join(
+                    &pool,
+                    JoinInput::Flat(outer_index),
+                    &pool,
+                    JoinInput::Flat(&inner_index),
+                )
+                .expect("join");
+            assert_eq!(result.stats.outer_partitions, 1);
+            by_size
+                .entry(result.stats.crawl_records)
+                .or_insert((which, eps));
+        }
+    }
+    let many = *by_size.keys().max().expect("sweep ran");
+    assert!(many > 4 * WAVE, "dataset too small: {many}");
+
+    let pools = Pools::over(pool);
+    for size in [WAVE - 1, WAVE, WAVE + 1, many] {
+        let Some(&(which, eps)) = by_size.get(&size) else {
+            let mut found: Vec<&u64> = by_size.keys().collect();
+            found.sort();
+            panic!("sweep produced no inner crawl of {size} records (sizes seen: {found:?})")
+        };
+        let (outer, outer_index) = &outers[which];
+        let stats = join_on_each_pool(
+            &pools,
+            (JoinInput::Flat(outer_index), outer),
+            (JoinInput::Flat(&inner_index), &inner),
+            eps,
+        );
+        assert_eq!(stats.crawl_records, size);
+        assert_eq!((stats.seed_descents, stats.frontier_reuses), (1, 0));
+    }
+    // A one-record inner crawl: the seed is the whole inner side.
+    let (outer, outer_index) = &outers[0];
+    let stats = join_on_each_pool(
+        &pools,
+        (JoinInput::Flat(outer_index), outer),
+        (JoinInput::Flat(&lonely_index), &lonely),
+        100.0,
+    );
+    assert_eq!(stats.crawl_records, 1);
+    assert_eq!(stats.pairs, 30 * 30);
+    // The device pool heard the inner crawls' announcements.
+    let lanes = pools.device.cache().scheduler_stats();
+    assert!(lanes.demand_coalesced > 0, "{lanes:?}");
+}
+
+#[test]
+fn joins_are_pool_independent_for_every_kind_of_side() {
+    let outer = common::fresh_entries(
+        3_000,
+        5_000_000,
+        &Aabb::new(Point3::splat(0.0), Point3::splat(100.0)),
+        913,
+    );
+    let inner = random_entries(6_000, 914);
+    // An inner side whose biggest partitions overflow one record: their
+    // neighbor lists continue in chunks the crawl must follow.
+    let mut chained = random_entries(40_000, 915);
+    for i in 0..5u64 {
+        let lo = Point3::splat(1.0 + i as f64);
+        let hi = Point3::splat(99.0 - i as f64);
+        chained.push(Entry::new(70_000 + i, Aabb::from_corners(lo, hi)));
+    }
+    let few: Vec<Entry> = outer.iter().take(400).copied().collect();
+
+    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let outer_index = build_into(&mut pool, &outer);
+    let inner_index = build_into(&mut pool, &inner);
+    let chained_index = build_into(&mut pool, &chained);
+    let few_index = build_into(&mut pool, &few);
+    // The outer side again, as a delta layer at ≈ 8 % tombstones.
+    let churned = build_into(&mut pool, &outer);
+    let mut outer_delta = DeltaIndex::new(&pool, churned, delta_options()).expect("adopt");
+    let deleted: HashSet<u64> = outer
+        .iter()
+        .map(|e| e.id)
+        .filter(|id| id % 12 == 5)
+        .collect();
+    let doomed: Vec<u64> = deleted.iter().copied().collect();
+    outer_delta
+        .delete_batch(&mut pool, &doomed)
+        .expect("delete");
+    let survivors: Vec<Entry> = outer
+        .iter()
+        .filter(|e| !deleted.contains(&e.id))
+        .copied()
+        .collect();
+    let pools = Pools::over(pool);
+
+    for eps in [0.0, 1.5, 4.0] {
+        // Flat × Flat: neighbouring outer partitions hand their partners
+        // on, so most inner crawls start from several seeds at once.
+        let stats = join_on_each_pool(
+            &pools,
+            (JoinInput::Flat(&outer_index), &outer),
+            (JoinInput::Flat(&inner_index), &inner),
+            eps,
+        );
+        assert!(stats.frontier_reuses > stats.seed_descents, "{stats:?}");
+        assert_eq!(
+            stats.frontier_reuses + stats.seed_descents,
+            stats.outer_partitions
+        );
+
+        // Delta × Flat: tombstoned outer elements pair with nothing.
+        let delta_stats = join_on_each_pool(
+            &pools,
+            (JoinInput::Delta(&outer_delta), &survivors),
+            (JoinInput::Flat(&inner_index), &inner),
+            eps,
+        );
+        assert!(delta_stats.pairs <= stats.pairs);
+
+        // A self-join: every element pairs with itself at least.
+        let self_stats = join_on_each_pool(
+            &pools,
+            (JoinInput::Flat(&inner_index), &inner),
+            (JoinInput::Flat(&inner_index), &inner),
+            eps,
+        );
+        assert!(self_stats.pairs >= inner.len() as u64);
+    }
+
+    // Continuation chains met mid-crawl: any inner crawl that reaches one
+    // of the stretched partitions walks its chain.
+    let eps = 1.0;
+    let probe = few[0].mbr.inflate(eps);
+    let (_, _, chain_reads) = reference_range(&pools.shared, &chained_index, &probe, &|_| true);
+    assert!(chain_reads > 0, "no continuation chunk in reach");
+    let stats = join_on_each_pool(
+        &pools,
+        (JoinInput::Flat(&few_index), &few),
+        (JoinInput::Flat(&chained_index), &chained),
+        eps,
+    );
+    assert!(
+        stats.crawl_records > stats.outer_partitions * WAVE,
+        "{stats:?}"
+    );
 }
 
 // ---------- read failures under announced fetches ----------

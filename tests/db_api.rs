@@ -327,3 +327,55 @@ fn flat_error_displays_and_chains_sources() {
     assert!(err.to_string().contains("storage error"), "{err}");
     assert!(err.to_string().contains("I/O error"), "{err}");
 }
+
+#[test]
+fn bad_caller_input_is_a_typed_error_not_a_panic() {
+    let (entries, domain) = dataset(3_000, 606);
+    let options = DbOptions::default().with_index(updatable(domain));
+
+    // A join distance that is negative or not finite is a query error on
+    // both façades — rejected up front, whatever the shard geometry.
+    let mut db = FlatDb::create_in_memory(options);
+    db.build_from(entries.clone()).unwrap();
+    let shard_options = ShardOptions {
+        index: updatable(domain),
+        ..ShardOptions::default()
+    };
+    let sharded = ShardedDb::build_in_memory(2, entries.clone(), shard_options).unwrap();
+    for eps in [-1.0, f64::NAN, f64::INFINITY] {
+        let err = db.reader().join(&db.reader(), eps).unwrap_err();
+        assert!(matches!(err, FlatError::Query(_)), "eps {eps}: {err}");
+        let err = sharded.join(&sharded, eps).unwrap_err();
+        assert!(
+            matches!(err, FlatError::Query(_)),
+            "sharded eps {eps}: {err}"
+        );
+    }
+    assert!(!db
+        .reader()
+        .join(&db.reader(), 0.0)
+        .unwrap()
+        .pairs
+        .is_empty());
+
+    // The bulkload accepts a repeated application id; the first writer's
+    // promotion scan finds it. That is an error about the data — the
+    // session stays usable, and asking again gives the same answer.
+    let mut repeated = entries.clone();
+    repeated[7].id = repeated[8].id;
+    let mut db = FlatDb::create_in_memory(options);
+    db.build_from(repeated.clone()).unwrap();
+    let everything = Aabb::cube(domain.center(), 1e6);
+    for _ in 0..2 {
+        let err = db.writer().map(drop).unwrap_err();
+        assert!(
+            matches!(err, FlatError::Storage(_)) && err.to_string().contains("twice"),
+            "{err}"
+        );
+        assert_eq!(
+            db.reader().range(&everything).unwrap().len(),
+            repeated.len()
+        );
+        assert!(db.delta().is_none(), "a failed promotion must not publish");
+    }
+}

@@ -120,7 +120,7 @@ fn batched_delta_engine_matches_serial_delta_queries() {
         .map(|q| delta.range_query(&pool, q).unwrap())
         .collect();
     for threads in [0, 3] {
-        let engine = QueryEngine::for_delta_with_config(
+        let engine = QueryEngine::with_config(
             &delta,
             &pool,
             EngineConfig {
@@ -139,7 +139,7 @@ fn batched_delta_engine_matches_serial_delta_queries() {
     let knn_queries: Vec<(Point3, usize)> = (0..8)
         .map(|i| (Point3::splat(10.0 + 15.0 * i as f64), 5 + i))
         .collect();
-    let engine = QueryEngine::for_delta(&delta, &pool);
+    let engine = QueryEngine::new(&delta, &pool);
     let outcome = engine.run_knn_batch(&knn_queries).unwrap();
     for (i, &(p, k)) in knn_queries.iter().enumerate() {
         let serial = delta.knn_query(&pool, p, k).unwrap();
