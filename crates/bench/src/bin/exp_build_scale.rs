@@ -1,5 +1,5 @@
-//! Streaming out-of-core build vs in-memory build: throughput, peak
-//! resident entries/partitions, and spill volume at increasing N.
+//! The bulkload unspilled vs spilling: build time, peak resident
+//! entries/partitions, and spill volume at increasing N.
 use flat_bench::figures::{build_scale, Context};
 use flat_bench::Scale;
 

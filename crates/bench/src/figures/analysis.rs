@@ -6,7 +6,9 @@ use super::Context;
 use crate::indexes::{BuiltIndex, IndexKind};
 use crate::report::{fmt_f64, Table};
 use crate::runner::run_workload;
-use flat_core::{neighbors::compute_neighbors, partition::partition, QueryStats};
+use flat_core::neighbors::NeighborSweep;
+use flat_core::partition::{partition, Partition};
+use flat_core::QueryStats;
 use flat_data::uniform::{uniform_entries, UniformConfig};
 use flat_rtree::{leaf_capacity, LeafLayout};
 
@@ -67,6 +69,21 @@ pub fn fig20_pointer_distribution(ctx: &Context) -> Table {
     table
 }
 
+/// Total neighbor pointers of a tiling, from the plane sweep the bulkload
+/// runs (only the total is kept, so the partitions are numbered in sweep
+/// order).
+fn neighbor_pointers(parts: &[Partition]) -> u64 {
+    let mut by_min_x: Vec<&Partition> = parts.iter().collect();
+    by_min_x.sort_by(|a, b| a.partition_mbr.min.x.total_cmp(&b.partition_mbr.min.x));
+    let mut sweep = NeighborSweep::new();
+    let mut retired = Vec::new();
+    for (i, p) in by_min_x.into_iter().enumerate() {
+        sweep.push(i as u32, p.page_mbr, p.partition_mbr, &mut retired);
+        retired.clear();
+    }
+    sweep.finish(&mut retired)
+}
+
 /// Figure 21: average partition volume vs average number of neighbor
 /// pointers, on uniform data with artificially inflated partitions.
 pub fn fig21_partition_volume(elements: usize, seed: u64) -> Table {
@@ -90,7 +107,7 @@ pub fn fig21_partition_volume(elements: usize, seed: u64) -> Table {
                 p.partition_mbr = p.partition_mbr.scale_volume(scale);
             }
         }
-        let total = compute_neighbors(&mut parts).expect("in-memory neighbors");
+        let total = neighbor_pointers(&parts);
         let avg_volume =
             parts.iter().map(|p| p.partition_mbr.volume()).sum::<f64>() / parts.len() as f64;
         table.push_row(vec![
@@ -123,8 +140,8 @@ pub fn exp_element_volume(elements: usize, seed: u64) -> Table {
             ..UniformConfig::scaled_baseline(elements, seed)
         };
         let entries = uniform_entries(&config);
-        let mut parts = partition(entries, capacity, Some(config.domain));
-        let total = compute_neighbors(&mut parts).expect("in-memory neighbors");
+        let parts = partition(entries, capacity, Some(config.domain));
+        let total = neighbor_pointers(&parts);
         let avg = total as f64 / parts.len() as f64;
         let base = *baseline.get_or_insert(avg);
         table.push_row(vec![
@@ -161,8 +178,8 @@ pub fn exp_aspect_ratio(elements: usize, seed: u64) -> Table {
             ..UniformConfig::scaled_baseline(elements, seed)
         };
         let entries = uniform_entries(&config);
-        let mut parts = partition(entries, capacity, Some(config.domain));
-        let total = compute_neighbors(&mut parts).expect("in-memory neighbors");
+        let parts = partition(entries, capacity, Some(config.domain));
+        let total = neighbor_pointers(&parts);
         table.push_row(vec![
             format!("{lo}-{hi}"),
             fmt_f64(hi / lo),

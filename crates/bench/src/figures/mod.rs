@@ -75,7 +75,7 @@ mod tests {
         let build_tables = build::build_suite(&ctx);
         assert_eq!(build_tables.len(), 2);
 
-        // Asserts the streamed build is bit-identical per density step.
+        // Asserts the spilled build is bit-identical per density step.
         let scale_table = build_scale::exp_build_scale(&ctx);
         assert_eq!(scale_table.rows.len(), ctx.scale.densities.len());
         assert!(scale_table.rows.iter().all(|r| r.last().unwrap() == "yes"));

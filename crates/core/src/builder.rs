@@ -1,39 +1,41 @@
-//! The streaming, out-of-core bulkload: [`FlatIndexBuilder`].
+//! The bulkload: [`FlatIndexBuilder`], Algorithm 1 (§V-A) as a streaming
+//! pipeline.
 //!
-//! [`FlatIndex::build`] materializes everything — the entry vector, the
-//! full partition set, and a temporary R-tree over all partition MBRs.
-//! FLAT's datasets are "considerably bigger than main memory", so this
-//! module rebuilds Algorithm 1 as a pipeline whose resident state is
-//! bounded by one *slab* of the STR tiling plus fixed-size per-partition
-//! planning tables, never by the dataset:
+//! FLAT's datasets are "considerably bigger than main memory", so the
+//! build is a pipeline whose resident state is bounded by the spill
+//! budget, one *slab* of the STR tiling and fixed-size per-partition
+//! planning tables, never by the dataset. It is the only bulkload:
+//! [`FlatIndex::build`] runs it with a budget no input reaches, in which
+//! case no sorter spills and every phase works on resident vectors.
 //!
 //! 1. **Ingest + external x-sort** — entries stream in (any
 //!    `Iterator<Item = Entry>`, e.g. a `flat_data` source) and are pushed
-//!    into an [`ExternalSorter`] keyed exactly like the in-memory STR
-//!    x-sort (center.x in `total_cmp` order, then id, then input
-//!    position). Memory: the sorter's run buffer.
+//!    into an [`ExternalSorter`] keyed by the STR x order (center.x in
+//!    `total_cmp` order, then id, then input position). Memory: the
+//!    sorter's run buffer.
 //! 2. **Slab tiling** — the merged stream is consumed `slab_size` entries
-//!    at a time; each slab runs the *same* per-slab STR code as the
-//!    in-memory path (`partition_slab`), its object pages are written
-//!    immediately, and the slab's elements are dropped. Only a fixed-size
-//!    summary (index + MBRs) survives, spilled into a second sorter keyed
-//!    by `partition_mbr.min.x`. Memory: one slab of entries/partitions.
+//!    at a time; each slab is cut into its y-runs and z-chunks
+//!    (`partition_slab`), its object pages are written immediately, and
+//!    the slab's elements are dropped. Only a fixed-size summary (index +
+//!    MBRs) survives, spilled into a second sorter keyed by
+//!    `partition_mbr.min.x`. Memory: one slab of entries/partitions.
 //! 3. **Neighbor sweep** — the summaries stream through the exact
-//!    plane-sweep [`NeighborSweep`] (replacing the global temporary
-//!    R-tree); each retired partition carries its finished neighbor list
-//!    into a third sorter keyed by the metadata order (Hilbert key of the
-//!    partition center). Memory: the sweep window — two adjacent slabs of
-//!    summaries plus stretch stragglers.
+//!    plane-sweep [`NeighborSweep`] (the paper's temporary R-tree over all
+//!    partition MBRs, without holding them all); each retired partition
+//!    carries its finished neighbor list into a third sorter keyed by the
+//!    metadata order (Hilbert key of the partition center). Memory: the
+//!    sweep window — two adjacent slabs of summaries plus stretch
+//!    stragglers.
 //! 4. **Metadata + seed tree** — the Hilbert-ordered stream feeds the
-//!    shared [`write_meta_and_seed`] serializer. Memory: the planning
-//!    tables (neighbor counts, record plan, primary addresses — tens of
-//!    bytes per partition, no elements).
+//!    [`write_meta_and_seed`] serializer. Memory: the planning tables
+//!    (neighbor counts, record plan, primary addresses — tens of bytes per
+//!    partition, no elements).
 //!
 //! Spill pages live in scratch [`MemStore`]s owned by the sorters — they
-//! never mix with index pages, so for identical input the streamed build
-//! allocates identical index pages with identical contents as
-//! [`FlatIndex::build`] (`tests/build_streaming.rs` compares byte by
-//! byte; `exp_build_scale` re-verifies per run and reports the peaks).
+//! never mix with index pages, so for identical input every spill budget
+//! allocates identical index pages with identical contents
+//! (`tests/build_streaming.rs` holds each budget to recorded page
+//! digests; `exp_build_scale` re-verifies per run and reports the peaks).
 
 use crate::index::{
     write_meta_and_seed, BuildStats, FlatIndex, FlatOptions, MetaOrder, MetaPartition,
@@ -53,8 +55,8 @@ use std::time::{Duration, Instant};
 /// run (~75 MB of entry records).
 pub const DEFAULT_SPILL_BUDGET: usize = 1 << 20;
 
-/// What the streaming build held resident and spilled — the evidence for
-/// its memory bounds, reported by the `exp_build_scale` benchmark.
+/// What the build held resident and spilled — the evidence for its
+/// memory bounds, reported by the `exp_build_scale` benchmark.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamingStats {
     /// Peak entries resident at once: the sort-run buffer, or one slab
@@ -78,7 +80,7 @@ pub struct StreamingStats {
 
 /// Monotone `u64` image of an `f64`: `key(a) < key(b)` iff
 /// `a.total_cmp(&b)` is `Less` — the trick that lets the external sort
-/// reproduce the in-memory `total_cmp` sort order on integer keys.
+/// order `f64` coordinates on integer keys.
 fn f64_key(v: f64) -> u64 {
     let bits = v.to_bits();
     if bits >> 63 == 1 {
@@ -88,10 +90,10 @@ fn f64_key(v: f64) -> u64 {
     }
 }
 
-/// Spilled entry: STR x-sort key plus the entry itself. Ordered exactly
-/// like the in-memory path's stable sort — center.x (`total_cmp`), then
-/// id, then input position (`seq`), which makes the key unique and the
-/// order total.
+/// Spilled entry: STR x-sort key plus the entry itself. Ordered like
+/// `partition_slab`'s y and z sorts — center.x (`total_cmp`), then id —
+/// and then by input position (`seq`), which makes the key unique and
+/// the order total.
 struct EntryRec {
     key: u64,
     seq: u64,
@@ -214,8 +216,7 @@ impl SpillRecord for SummaryRec {
 
 /// Spilled metadata input: a retired partition with its finished neighbor
 /// list, keyed by the metadata packing order (Hilbert key of the
-/// partition center; ties broken by index — the same order the in-memory
-/// path's stable sort produces).
+/// partition center; ties broken by index).
 struct MetaRec {
     key: u64,
     index: u32,
@@ -280,9 +281,9 @@ impl SpillRecord for MetaRec {
 
 /// Streaming bulkload of a [`FlatIndex`] with bounded resident memory.
 ///
-/// Produces a **bit-identical** index to [`FlatIndex::build`] for the
-/// same entry sequence and options; see the module docs for the pipeline
-/// and its memory bounds.
+/// The index pages depend on the entry sequence and the options only,
+/// never on the spill budget; see the module docs for the pipeline and
+/// its memory bounds.
 #[derive(Debug, Clone)]
 pub struct FlatIndexBuilder {
     options: FlatOptions,
@@ -315,10 +316,12 @@ impl FlatIndexBuilder {
         self
     }
 
-    /// Streams `entries` into a new index.
+    /// Streams `entries` into a new index, without ever holding the
+    /// collection.
     ///
-    /// Equivalent to `FlatIndex::build(pool, entries.collect(), options)`
-    /// — same pages, same bytes — without ever holding the collection.
+    /// # Panics
+    /// Panics if the options' `partition_volume_scale` is below `1.0`
+    /// (inflation must not shrink partitions).
     pub fn build(
         &self,
         pool: &mut impl PageWrite,
@@ -415,8 +418,8 @@ impl FlatIndexBuilder {
                 .peak_resident_entries
                 .max(slab.len() as u64 + entry_spill.runs + unconsumed_buffer);
             // The x cut between this slab and the next: the midpoint of
-            // the adjacent centers, exactly as the in-memory chop places
-            // it; the last slab's tile ends at the domain edge.
+            // the adjacent centers, as `partition_slab` cuts y and z; the
+            // last slab's tile ends at the domain edge.
             let hi_x = match merged.peek() {
                 Some(next) => {
                     let last = slab.last().expect("slab is non-empty").mbr.center().x;
@@ -457,6 +460,12 @@ impl FlatIndexBuilder {
         // Phase 3: plane-sweep neighbor computation over the summaries,
         // keyed for the metadata order on the way out.
         let t1 = Instant::now();
+        // Metadata records are packed in **Hilbert order** of the partition
+        // centers. The paper stores records in seed-tree leaves "so that
+        // spatially close records are stored on the same leaf page"
+        // (§V-B.2); raw STR order only groups records along the last sort
+        // dimension, while Hilbert order keeps full 3-D blobs of partitions
+        // on few metadata pages — which is what the crawl actually touches.
         let disc = flat_sfc::Discretizer::new(pmbr_union.min.into(), pmbr_union.max.into(), 16);
         let meta_key = |mbr: &Aabb| match options.meta_order {
             MetaOrder::Hilbert => disc.hilbert_key(mbr.center().into()),
@@ -498,7 +507,7 @@ impl FlatIndexBuilder {
         retire(&mut retired)?;
         let neighbor_time = t1.elapsed();
 
-        // Phase 4: stream the metadata records through the shared writer.
+        // Phase 4: stream the metadata records through the writer.
         let t2 = Instant::now();
         directory.sort_unstable();
         let order: Vec<u32> = directory.iter().map(|&(_, i, _)| i).collect();
@@ -512,7 +521,7 @@ impl FlatIndexBuilder {
                     page_mbr: m.page_mbr,
                     partition_mbr: m.partition_mbr,
                     object_page: object_ids[m.index as usize],
-                    neighbors: std::borrow::Cow::Owned(m.neighbors),
+                    neighbors: m.neighbors,
                 })
             })
         });
@@ -556,36 +565,28 @@ mod tests {
             .collect()
     }
 
+    /// Builds at `budget` and with nothing spilled ([`FlatIndex::build`]):
+    /// same descriptor, same statistics, same pages.
     fn assert_bit_identical(entries: Vec<Entry>, options: FlatOptions, budget: usize) {
-        let mut pool_mem = BufferPool::new(MemStore::new(), 1 << 16);
-        let (index_mem, stats_mem) =
-            FlatIndex::build(&mut pool_mem, entries.clone(), options).unwrap();
+        let mut pool_whole = BufferPool::new(MemStore::new(), 1 << 16);
+        let (index_whole, stats_whole) =
+            FlatIndex::build(&mut pool_whole, entries.clone(), options).unwrap();
 
-        let mut pool_str = BufferPool::new(MemStore::new(), 1 << 16);
-        let (index_str, stats_str, _) = FlatIndexBuilder::new(options)
+        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let (index, stats, _) = FlatIndexBuilder::new(options)
             .spill_budget(budget)
-            .build(&mut pool_str, entries)
+            .build(&mut pool, entries)
             .unwrap();
 
-        assert_eq!(index_str.num_elements(), index_mem.num_elements());
-        assert_eq!(index_str.num_object_pages(), index_mem.num_object_pages());
-        assert_eq!(index_str.num_meta_pages(), index_mem.num_meta_pages());
-        assert_eq!(
-            index_str.num_seed_inner_pages(),
-            index_mem.num_seed_inner_pages()
-        );
-        assert_eq!(index_str.seed_height(), index_mem.seed_height());
-        assert_eq!(stats_str.num_partitions, stats_mem.num_partitions);
-        assert_eq!(stats_str.neighbor_counts, stats_mem.neighbor_counts);
-        assert_eq!(
-            stats_str.avg_partition_volume,
-            stats_mem.avg_partition_volume
-        );
+        assert_eq!(index, index_whole);
+        assert_eq!(stats.num_partitions, stats_whole.num_partitions);
+        assert_eq!(stats.neighbor_counts, stats_whole.neighbor_counts);
+        assert_eq!(stats.avg_partition_volume, stats_whole.avg_partition_volume);
 
-        let pages_mem = pages_of(&pool_mem);
-        let pages_str = pages_of(&pool_str);
-        assert_eq!(pages_str.len(), pages_mem.len());
-        for (i, (a, b)) in pages_str.iter().zip(&pages_mem).enumerate() {
+        let pages_whole = pages_of(&pool_whole);
+        let pages = pages_of(&pool);
+        assert_eq!(pages.len(), pages_whole.len());
+        for (i, (a, b)) in pages.iter().zip(&pages_whole).enumerate() {
             assert_eq!(a, b, "page {i} differs");
         }
     }

@@ -1,8 +1,8 @@
 //! [`FlatDb`]: one session façade over build, query, update and persist.
 //!
 //! PRs 1–4 grew one capability each, and each got its own entry point:
-//! [`FlatIndex::build`] vs the streaming [`FlatIndexBuilder`], serial
-//! queries vs the batched [`QueryEngine`], the mutable [`DeltaIndex`],
+//! the [`FlatIndexBuilder`] bulkload and its spill budget, serial queries
+//! vs the batched [`QueryEngine`], the mutable [`DeltaIndex`],
 //! exclusive [`flat_storage::BufferPool`] vs shared
 //! [`flat_storage::ConcurrentBufferPool`], and descriptor persistence in
 //! `persist.rs`.
@@ -15,8 +15,8 @@
 //!   FlatDb::create(store, DbOptions)      FlatDb::open_file(path, ..)
 //!                  │                                   │
 //!                  ▼                                   │
-//!        db.build_from(entries)  ◄── auto-selects ─────┘
-//!        (in-memory │ streaming      by memory budget)
+//!        db.build_from(entries)  ◄── one pipeline, ────┘
+//!        db.build_streaming(iter)    spills past the memory budget
 //!                  │
 //!      ┌───────────┼─────────────────────┐
 //!      ▼           ▼                     ▼
@@ -126,11 +126,11 @@ pub struct DbOptions {
     /// Default tuning for batched queries (overridable per batch through
     /// the [`QueryBuilder`]).
     pub engine: EngineConfig,
-    /// Memory budget for [`FlatDb::build_from`], in *entries*: inputs
-    /// larger than this stream through the out-of-core
-    /// [`FlatIndexBuilder`] (with this budget as its spill budget) instead
-    /// of the in-memory bulkload. Both paths write bit-identical pages,
-    /// so the switch only affects peak memory.
+    /// Memory budget of a build, in *entries*: the spill budget of the
+    /// [`FlatIndexBuilder`] pipeline behind [`FlatDb::build_from`] and
+    /// [`FlatDb::build_streaming`]. Inputs within it stay resident; larger
+    /// ones spill sorted runs to scratch pages. The built pages do not
+    /// depend on it, only peak memory does. Must be positive.
     pub memory_budget: usize,
     /// Crash durability of committed writer batches. Anything other than
     /// [`Durability::Off`] requires the database to be created with
@@ -192,14 +192,15 @@ impl DbOptions {
 pub struct BuildReport {
     /// The bulkload's phase timings and pointer statistics.
     pub stats: BuildStats,
-    /// Present when the streaming (out-of-core) path was selected.
-    pub streaming: Option<StreamingStats>,
+    /// What the pipeline held resident and spilled.
+    pub streaming: StreamingStats,
 }
 
 impl BuildReport {
-    /// `true` when the build streamed through the out-of-core pipeline.
-    pub fn streamed(&self) -> bool {
-        self.streaming.is_some()
+    /// `true` when the input exceeded [`DbOptions::memory_budget`] and the
+    /// build spilled sorted runs to scratch pages.
+    pub fn spilled(&self) -> bool {
+        self.streaming.spill.runs > 0
     }
 }
 
@@ -631,36 +632,28 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
         Ok(())
     }
 
-    /// Bulk-loads the database from `entries`, auto-selecting the build
-    /// path: inputs within [`DbOptions::memory_budget`] use the in-memory
-    /// bulkload, larger ones stream through the out-of-core
-    /// [`FlatIndexBuilder`] with that budget. Both paths produce
-    /// bit-identical pages.
+    /// Bulk-loads the database from `entries` through the
+    /// [`FlatIndexBuilder`] pipeline, which spills only when the input
+    /// exceeds [`DbOptions::memory_budget`].
     ///
     /// A database can be built once; building into a non-empty database
     /// is an error (open a fresh one instead).
     pub fn build_from(&mut self, entries: Vec<Entry>) -> Result<BuildReport, FlatError> {
-        self.check_buildable()?;
-        if entries.len() > self.options.memory_budget {
-            return self.stream_build(entries);
-        }
-        let (index, stats) = FlatIndex::build(&mut self.pool, entries, self.options.index)?;
-        self.adopt_built(index)?;
-        Ok(BuildReport {
-            stats,
-            streaming: None,
-        })
+        self.build_streaming(entries)
     }
 
-    /// Bulk-loads the database from an entry *stream*, always through the
-    /// out-of-core pipeline (see [`FlatIndexBuilder`]) — for inputs that
+    /// Bulk-loads the database from an entry *stream* — for inputs that
     /// never exist as a `Vec`, e.g. a chunked dataset generator.
     pub fn build_streaming(
         &mut self,
         entries: impl IntoIterator<Item = Entry>,
     ) -> Result<BuildReport, FlatError> {
         self.check_buildable()?;
-        self.stream_build(entries)
+        let (index, stats, streaming) = FlatIndexBuilder::new(self.options.index)
+            .spill_budget(self.options.memory_budget)
+            .build(&mut self.pool, entries)?;
+        self.adopt_built(index)?;
+        Ok(BuildReport { stats, streaming })
     }
 
     fn check_buildable(&self) -> Result<(), FlatError> {
@@ -669,21 +662,19 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
                 "database already holds an index; create a fresh database to rebuild".into(),
             ));
         }
+        if self.options.memory_budget == 0 {
+            return Err(FlatError::Build(
+                "DbOptions::memory_budget must be positive".into(),
+            ));
+        }
+        let scale = self.options.index.partition_volume_scale;
+        if scale.is_nan() || scale < 1.0 {
+            return Err(FlatError::Build(format!(
+                "FlatOptions::partition_volume_scale must be at least 1.0 \
+                 (inflation must not shrink partitions), got {scale}"
+            )));
+        }
         Ok(())
-    }
-
-    fn stream_build(
-        &mut self,
-        entries: impl IntoIterator<Item = Entry>,
-    ) -> Result<BuildReport, FlatError> {
-        let (index, stats, streaming) = FlatIndexBuilder::new(self.options.index)
-            .spill_budget(self.options.memory_budget)
-            .build(&mut self.pool, entries)?;
-        self.adopt_built(index)?;
-        Ok(BuildReport {
-            stats,
-            streaming: Some(streaming),
-        })
     }
 
     /// Installs a freshly built index as truth, publishes it, and (in
@@ -1579,25 +1570,25 @@ mod tests {
     }
 
     #[test]
-    fn build_auto_selects_streaming_above_the_budget() {
+    fn build_spills_only_above_the_budget() {
         let options = DbOptions::default().with_memory_budget(2_000);
         let mut db = FlatDb::create_in_memory(options);
         let report = db.build_from(random_entries(5_000, 3)).unwrap();
-        assert!(report.streamed(), "5k entries over a 2k budget must stream");
+        assert!(report.spilled(), "5k entries over a 2k budget must spill");
 
         let mut db = FlatDb::create_in_memory(DbOptions::default());
         let report = db.build_from(random_entries(5_000, 3)).unwrap();
-        assert!(!report.streamed(), "5k entries fit the default budget");
+        assert!(!report.spilled(), "5k entries fit the default budget");
     }
 
     #[test]
-    fn streamed_and_resident_builds_are_byte_identical() {
+    fn spilled_and_resident_builds_are_byte_identical() {
         let entries = random_entries(4_000, 4);
         let mut resident = FlatDb::create_in_memory(DbOptions::default());
         resident.build_from(entries.clone()).unwrap();
-        let mut streamed = FlatDb::create_in_memory(DbOptions::default().with_memory_budget(500));
-        streamed.build_from(entries).unwrap();
-        let (a, b) = (resident.store(), streamed.store());
+        let mut spilled = FlatDb::create_in_memory(DbOptions::default().with_memory_budget(500));
+        spilled.build_from(entries).unwrap();
+        let (a, b) = (resident.store(), spilled.store());
         assert_eq!(a.num_pages(), b.num_pages());
         let (mut pa, mut pb) = (Page::new(), Page::new());
         for id in 0..a.num_pages() {

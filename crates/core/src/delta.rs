@@ -33,8 +33,8 @@
 //!   delta fraction (or neighbor-list growth) passes a threshold rather
 //!   than retire indefinitely.
 //! * **Compaction** ([`DeltaIndex::compact`]) scans the surviving
-//!   elements, frees every page of the old index and rebuilds through the
-//!   streamed [`FlatIndexBuilder`] — producing pages **byte-identical** to
+//!   elements, frees every page of the old index and rebuilds through
+//!   [`FlatIndexBuilder`] — producing pages **byte-identical** to
 //!   a from-scratch [`FlatIndex::build`] over the survivors (the
 //!   differential test `tests/update_equivalence.rs` asserts this), so a
 //!   compacted index is indistinguishable from a pristine bulkload.
@@ -789,7 +789,7 @@ impl DeltaIndex {
 
     /// Merges all deltas into a pristine base: scans the surviving
     /// elements, frees every page of the old index and rebuilds through
-    /// the streamed [`FlatIndexBuilder`]. The resulting pages are
+    /// [`FlatIndexBuilder`]. The resulting pages are
     /// byte-identical to a from-scratch [`FlatIndex::build`] over the
     /// survivors when the pool holds only this index's pages (the freed
     /// ids then form a dense prefix that the rebuild reuses in order).
@@ -810,8 +810,7 @@ impl DeltaIndex {
         for &pid in self.meta_pages.iter().chain(self.inner_pages.iter()) {
             pool.free(pid)?;
         }
-        // 3. Rebuild through the streamed pipeline (bit-identical to the
-        //    in-memory bulkload by construction).
+        // 3. Rebuild through the bulkload pipeline.
         let (index, stats, _) = FlatIndexBuilder::new(self.options).build(pool, survivors)?;
         // 4. Re-adopt: the delta layer is empty again.
         *self = DeltaIndex::new(&*pool, index, self.options)?;

@@ -1,13 +1,13 @@
-//! The [`FlatIndex`] structure and its bulkload (§V).
+//! The [`FlatIndex`] structure and the metadata + seed-tree writer of its
+//! bulkload (§V-B); the pipeline in front of the writer is `builder.rs`.
 
+use crate::builder::FlatIndexBuilder;
 use crate::meta::{assign_slots, encode_meta_leaf, plan_records, MetaRecord, MetaRecordId};
-use crate::neighbors::compute_neighbors;
-use crate::partition::{partition, Partition};
 use flat_geom::Aabb;
-use flat_rtree::node::{decode_inner, encode_leaf, ChildRef};
-use flat_rtree::{build_inner_levels, leaf_capacity, Entry, LeafLayout};
+use flat_rtree::node::{decode_inner, ChildRef};
+use flat_rtree::{build_inner_levels, Entry, LeafLayout};
 use flat_storage::{Page, PageId, PageKind, PageRead, PageWrite, StorageError, PAGE_SIZE};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How metadata records are ordered across seed-tree leaf pages.
 ///
@@ -60,13 +60,14 @@ impl Default for FlatOptions {
 /// pointer statistics of Figures 20/21.
 #[derive(Debug, Clone)]
 pub struct BuildStats {
-    /// Time spent in the STR partitioning pass (the "Partitioning" series
-    /// of Figure 10).
+    /// Time spent in the STR partitioning pass — ingest, x-sort, slab
+    /// tiling, and the object-page writes that happen as each partition
+    /// forms (the "Partitioning" series of Figure 10).
     pub partition_time: Duration,
-    /// Time spent computing neighbors via the temporary R-tree (the
-    /// "Finding Neighbors" series of Figure 10).
+    /// Time spent computing neighbors in the plane sweep (the "Finding
+    /// Neighbors" series of Figure 10).
     pub neighbor_time: Duration,
-    /// Time spent writing object pages, metadata and the seed tree.
+    /// Time spent writing the metadata pages and the seed tree.
     pub write_time: Duration,
     /// Number of partitions (= object pages).
     pub num_partitions: usize,
@@ -118,7 +119,7 @@ impl BuildStats {
 /// `neighbors` holds *original* partition indices; the writer translates
 /// them to physical [`MetaRecordId`]s via the record plan.
 #[derive(Debug, Clone)]
-pub(crate) struct MetaPartition<'a> {
+pub(crate) struct MetaPartition {
     /// Original partition index (STR output order) — must equal the
     /// `order` entry at the stream position.
     pub index: u32,
@@ -128,23 +129,17 @@ pub(crate) struct MetaPartition<'a> {
     pub partition_mbr: Aabb,
     /// The already-written object page.
     pub object_page: PageId,
-    /// Sorted original indices of the neighboring partitions (borrowed
-    /// from the in-memory partition vector, owned when streamed off a
-    /// spill merge).
-    pub neighbors: std::borrow::Cow<'a, [u32]>,
+    /// Sorted original indices of the neighboring partitions.
+    pub neighbors: Vec<u32>,
 }
 
 /// Writes the metadata leaves and the seed-tree directory from a
 /// *stream* of per-partition data.
 ///
-/// This is the single metadata serializer behind both build paths: the
-/// in-memory [`FlatIndex::build`] adapts its partition vector into the
-/// stream, the out-of-core `FlatIndexBuilder` feeds it from an external
-/// sort — which is what makes the two paths bit-identical by
-/// construction. The stream holds one partition at a time; only the
-/// fixed-size planning tables (`order`, `counts`, the record plan and the
-/// per-partition primary addresses — a few dozen bytes per partition, no
-/// elements) are resident.
+/// [`FlatIndexBuilder`] feeds it from its metadata-order sort. The stream
+/// holds one partition at a time; only the fixed-size planning tables
+/// (`order`, `counts`, the record plan and the per-partition primary
+/// addresses — a few dozen bytes per partition, no elements) are resident.
 ///
 /// * `order[pos]` — original partition index at stream position `pos`.
 /// * `counts[pos]` — that partition's neighbor count (drives the record
@@ -152,11 +147,11 @@ pub(crate) struct MetaPartition<'a> {
 ///   every pointer has a known physical address).
 /// * `stream` — yields exactly `order.len()` items, position-aligned with
 ///   `order`.
-pub(crate) fn write_meta_and_seed<'a>(
+pub(crate) fn write_meta_and_seed(
     pool: &mut impl PageWrite,
     order: &[u32],
     counts: &[usize],
-    mut stream: impl Iterator<Item = Result<MetaPartition<'a>, StorageError>>,
+    mut stream: impl Iterator<Item = Result<MetaPartition, StorageError>>,
     layout: LeafLayout,
     num_elements: u64,
     num_object_pages: u64,
@@ -192,7 +187,7 @@ pub(crate) fn write_meta_and_seed<'a>(
     // Serialize the records page by page, in stream order. `current`
     // holds the one partition whose chunks are being emitted.
     let mut page = Page::new();
-    let mut current: Option<MetaPartition<'_>> = None;
+    let mut current: Option<MetaPartition> = None;
     let mut current_pos = usize::MAX;
     let mut chunk_idx = 0usize;
     let mut leaf_refs: Vec<ChildRef> = Vec::with_capacity(num_meta_pages);
@@ -293,133 +288,20 @@ pub(crate) struct SeedTreePages {
 
 impl FlatIndex {
     /// Bulk-loads a FLAT index (the paper's Algorithm 1 plus the data
-    /// structure construction of §V-B).
+    /// structure construction of §V-B): [`FlatIndexBuilder`] with a spill
+    /// budget no input reaches, so everything stays resident.
+    ///
+    /// # Panics
+    /// Panics if `options.partition_volume_scale` is below `1.0`.
     pub fn build(
         pool: &mut impl PageWrite,
         entries: Vec<Entry>,
         options: FlatOptions,
     ) -> Result<(FlatIndex, BuildStats), StorageError> {
-        assert!(
-            options.partition_volume_scale >= 1.0,
-            "partition inflation must not shrink partitions (got {})",
-            options.partition_volume_scale
-        );
-        let num_elements = entries.len() as u64;
-        let capacity = leaf_capacity(options.layout);
-
-        // Phase 1: STR partitioning (tiling + stretching).
-        let t0 = Instant::now();
-        let mut partitions = partition(entries, capacity, options.domain);
-        if options.partition_volume_scale > 1.0 {
-            for p in &mut partitions {
-                p.partition_mbr = p.partition_mbr.scale_volume(options.partition_volume_scale);
-            }
-        }
-        let partition_time = t0.elapsed();
-
-        // Phase 2: neighborhood computation via a temporary R-tree.
-        let t1 = Instant::now();
-        compute_neighbors(&mut partitions)?;
-        let neighbor_time = t1.elapsed();
-
-        // Phase 3: write object pages, metadata pages, seed directory.
-        let t2 = Instant::now();
-        let index = Self::write_structures(
-            pool,
-            &partitions,
-            options.layout,
-            options.meta_order,
-            num_elements,
-        )?;
-        let write_time = t2.elapsed();
-
-        let stats = BuildStats {
-            partition_time,
-            neighbor_time,
-            write_time,
-            num_partitions: partitions.len(),
-            neighbor_counts: partitions
-                .iter()
-                .map(|p| p.neighbors.len() as u32)
-                .collect(),
-            avg_partition_volume: if partitions.is_empty() {
-                0.0
-            } else {
-                partitions
-                    .iter()
-                    .map(|p| p.partition_mbr.volume())
-                    .sum::<f64>()
-                    / partitions.len() as f64
-            },
-        };
+        let (index, stats, _) = FlatIndexBuilder::new(options)
+            .spill_budget(usize::MAX)
+            .build(pool, entries)?;
         Ok((index, stats))
-    }
-
-    fn write_structures(
-        pool: &mut impl PageWrite,
-        partitions: &[Partition],
-        layout: LeafLayout,
-        meta_order: MetaOrder,
-        num_elements: u64,
-    ) -> Result<FlatIndex, StorageError> {
-        if partitions.is_empty() {
-            return Ok(FlatIndex::empty(layout));
-        }
-
-        // Object pages, in partition (STR tile) order.
-        let mut page = Page::new();
-        let mut object_ids = Vec::with_capacity(partitions.len());
-        for p in partitions {
-            encode_leaf(&p.elements, layout, &mut page);
-            let id = pool.alloc()?;
-            pool.write(id, &page, PageKind::ObjectPage)?;
-            object_ids.push(id);
-        }
-
-        // Metadata records are packed in **Hilbert order** of the partition
-        // centers. The paper stores records in seed-tree leaves "so that
-        // spatially close records are stored on the same leaf page"
-        // (§V-B.2); raw STR order only groups records along the last sort
-        // dimension, while Hilbert order keeps full 3-D blobs of partitions
-        // on few metadata pages — which is what the crawl actually touches.
-        let order: Vec<u32> = match meta_order {
-            MetaOrder::Hilbert => {
-                let bounds = Aabb::union_all(partitions.iter().map(|p| p.partition_mbr));
-                let disc = flat_sfc::Discretizer::new(bounds.min.into(), bounds.max.into(), 16);
-                let mut order: Vec<u32> = (0..partitions.len() as u32).collect();
-                let keys: Vec<u64> = partitions
-                    .iter()
-                    .map(|p| disc.hilbert_key(p.partition_mbr.center().into()))
-                    .collect();
-                order.sort_by_key(|&i| keys[i as usize]);
-                order
-            }
-            MetaOrder::StrOutput => (0..partitions.len() as u32).collect(),
-        };
-
-        let counts: Vec<usize> = order
-            .iter()
-            .map(|&i| partitions[i as usize].neighbors.len())
-            .collect();
-        let stream = order.iter().map(|&i| {
-            let p = &partitions[i as usize];
-            Ok(MetaPartition {
-                index: i,
-                page_mbr: p.page_mbr,
-                partition_mbr: p.partition_mbr,
-                object_page: object_ids[i as usize],
-                neighbors: std::borrow::Cow::Borrowed(p.neighbors.as_slice()),
-            })
-        });
-        write_meta_and_seed(
-            pool,
-            &order,
-            &counts,
-            stream,
-            layout,
-            num_elements,
-            object_ids.len() as u64,
-        )
     }
 
     /// An index over zero elements.

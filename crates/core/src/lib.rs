@@ -19,19 +19,20 @@
 //! elements onto object pages and simultaneously *tiles* space into
 //! partitions (one per page) with two invariants — no empty space between
 //! partitions, and each partition MBR encloses its page MBR — that make
-//! the crawl exhaustive (Figures 8/9). A temporary R-tree computes which
-//! partitions intersect which; those are the neighbor pointers, stored in
-//! per-page *metadata records* packed into the seed tree's leaves.
+//! the crawl exhaustive (Figures 8/9). A plane sweep (the paper's
+//! temporary R-tree, streamed) computes which partitions intersect which;
+//! those are the neighbor pointers, stored in per-page *metadata records*
+//! packed into the seed tree's leaves.
 //!
 //! # Crate layout
 //!
 //! | module | paper section | contents |
 //! |---|---|---|
 //! | [`partition`] | §V-A, Alg. 1 | STR tiling, stretching, invariants |
-//! | [`neighbors`] | §V-A, Alg. 1 | neighbor computation: temp R-tree and the streaming plane-sweep |
+//! | [`neighbors`] | §V-A, Alg. 1 | neighbor computation: the streaming plane-sweep |
 //! | [`meta`] | §V-B.2 | metadata records, seed-leaf page format |
-//! | `index` (re-exported) | §V | [`FlatIndex::build`] |
-//! | `builder` (re-exported) | §V, out-of-core | [`FlatIndexBuilder`]: streaming bulkload with bounded resident memory, bit-identical to the in-memory path |
+//! | `index` (re-exported) | §V-B | [`FlatIndex`], the built index's descriptor, and the metadata + seed-tree writer; [`FlatIndex::build`] is the bulkload with nothing spilled |
+//! | `builder` (re-exported) | §V-A, Alg. 1 | [`FlatIndexBuilder`]: the one bulkload, a streaming pipeline whose resident memory is bounded by its spill budget and whose pages do not depend on it |
 //! | `query` (re-exported) | §V-B.1, §VI, Alg. 2 | the read path: [`IndexRef`], the one view (bulkload, or bulkload + delta layer) every query verb is written against; the seed phase; the one BFS crawl kernel, specialised per workload by a visitor (range here) |
 //! | `knn` (re-exported) | extension | [`FlatIndex::knn_query`], best-first seed + crawl over the same view (its own traversal: a moving bound is not a FIFO) |
 //! | `engine` (re-exported) | extension | [`QueryEngine`]: batched execution + crawl-ahead prefetch over any [`IndexRef`] |

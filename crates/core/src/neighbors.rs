@@ -5,61 +5,22 @@
 //! range query with the partition MBR is executed, and all intersecting
 //! partitions, the neighbors, are retrieved" (§V-A).
 //!
-//! The temporary tree lives in a throwaway in-memory pool and is dropped
-//! when the function returns; only the neighbor lists survive, exactly as
-//! in the paper.
+//! Partition `j` is a neighbor of `i` iff `i ≠ j` and their partition MBRs
+//! intersect (closed boxes — face-adjacent tiles are neighbors, matching
+//! the paper's "adjacent to or overlaps with"). Because partitions tile
+//! space with no gaps, this relation makes every spatially connected
+//! region's partitions *graph*-connected — the property the range crawl
+//! needs to cover a query box from any seed, and the property the kNN
+//! crawl (`FlatIndex::knn_query`) needs for its best-first expansion to
+//! stay exact: any partition within distance `d` of a query point is
+//! reachable through partitions at most `d` away.
+//!
+//! [`NeighborSweep`] computes exactly the relation the paper's temporary
+//! tree would, as a plane sweep over partitions in x order — so the
+//! bulkload never holds all partition MBRs, and the update layer can
+//! stitch a batch against a live index with the same code.
 
-use crate::partition::Partition;
 use flat_geom::Aabb;
-use flat_rtree::{BulkLoad, Entry, LeafLayout, RTree, RTreeConfig};
-use flat_storage::{BufferPool, MemStore, StorageError};
-
-/// Fills `partition.neighbors` for every partition: partition `j` is a
-/// neighbor of `i` iff `i ≠ j` and their partition MBRs intersect (closed
-/// boxes — face-adjacent tiles are neighbors, matching the paper's
-/// "adjacent to or overlaps with").
-///
-/// Because partitions tile space with no gaps, this relation makes every
-/// spatially connected region's partitions *graph*-connected — the
-/// property the range crawl needs to cover a query box from any seed, and
-/// the property the kNN crawl (`FlatIndex::knn_query`) needs for its
-/// best-first expansion to stay exact: any partition within distance `d`
-/// of a query point is reachable through partitions at most `d` away.
-///
-/// Returns the total number of neighbor pointers created (the quantity
-/// Figures 20/21 characterize).
-pub fn compute_neighbors(partitions: &mut [Partition]) -> Result<u64, StorageError> {
-    if partitions.is_empty() {
-        return Ok(0);
-    }
-    // Temporary R-tree over the partition MBRs, payload = partition index.
-    let entries: Vec<Entry> = partitions
-        .iter()
-        .enumerate()
-        .map(|(i, p)| Entry::new(i as u64, p.partition_mbr))
-        .collect();
-    let mut pool = BufferPool::new(MemStore::new(), usize::MAX >> 1);
-    let config = RTreeConfig {
-        layout: LeafLayout::WithIds,
-        ..RTreeConfig::default()
-    };
-    let tree = RTree::bulk_load(&mut pool, entries, BulkLoad::Str, config)?;
-
-    let mut total = 0u64;
-    for (i, partition) in partitions.iter_mut().enumerate() {
-        let query: Aabb = partition.partition_mbr;
-        let mut neighbors: Vec<u32> = tree
-            .range_query(&pool, &query)?
-            .into_iter()
-            .map(|h| h.id as u32)
-            .filter(|&j| j != i as u32)
-            .collect();
-        neighbors.sort_unstable();
-        total += neighbors.len() as u64;
-        partition.neighbors = neighbors;
-    }
-    Ok(total)
-}
 
 /// One partition whose neighbor list is complete, emitted by
 /// [`NeighborSweep`] when the sweep plane passes the partition's MBR.
@@ -72,20 +33,19 @@ pub struct SweptPartition {
     /// The (possibly inflated) partition MBR the neighbor relation is
     /// computed on.
     pub partition_mbr: Aabb,
-    /// Sorted indices of all neighboring partitions — exactly what the
-    /// temporary-R-tree path ([`compute_neighbors`]) produces.
+    /// Sorted indices of all neighboring partitions.
     pub neighbors: Vec<u32>,
 }
 
-/// Streaming, bounded-memory replacement for the temporary R-tree: an
-/// exact plane-sweep intersection join over the partition MBRs.
+/// Streaming, bounded-memory replacement for the paper's temporary
+/// R-tree: an exact plane-sweep intersection join over the partition MBRs.
 ///
 /// Partitions are pushed in nondecreasing order of `partition_mbr.min.x`
-/// (the streaming builder external-sorts its partition summaries by that
-/// key). The sweep keeps an *active window* of partitions whose x-range
-/// still covers the sweep plane; each arrival is intersection-tested
-/// against the window only, and a partition retires — with its neighbor
-/// list complete — as soon as an arrival's `min.x` passes its `max.x`.
+/// (the bulkload external-sorts its partition summaries by that key). The
+/// sweep keeps an *active window* of partitions whose x-range still covers
+/// the sweep plane; each arrival is intersection-tested against the window
+/// only, and a partition retires — with its neighbor list complete — as
+/// soon as an arrival's `min.x` passes its `max.x`.
 ///
 /// Exactness does not rely on the "neighbors live in adjacent slabs"
 /// intuition, which stretching breaks (a partition containing a long
@@ -226,8 +186,9 @@ impl NeighborSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::partition;
+    use crate::partition::{partition, Partition};
     use flat_geom::Point3;
+    use flat_rtree::Entry;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -245,99 +206,11 @@ mod tests {
                         elements: vec![Entry::new(0, inner)],
                         page_mbr: inner,
                         partition_mbr: tile,
-                        neighbors: Vec::new(),
                     });
                 }
             }
         }
         parts
-    }
-
-    #[test]
-    fn grid_interior_cell_has_26_neighbors() {
-        let mut parts = grid_partitions(3);
-        compute_neighbors(&mut parts).unwrap();
-        // Index of the center cell (1,1,1) in x-major order.
-        let center = 9 + 3 + 1; // cell (1,1,1) in x-major order
-        assert_eq!(
-            parts[center].neighbors.len(),
-            26,
-            "3³ grid center touches all others"
-        );
-        // A corner touches 7 others.
-        assert_eq!(parts[0].neighbors.len(), 7);
-    }
-
-    #[test]
-    fn neighbor_relation_is_symmetric() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let entries: Vec<Entry> = (0..5000)
-            .map(|i| {
-                let c = Point3::new(
-                    rng.gen_range(0.0..50.0),
-                    rng.gen_range(0.0..50.0),
-                    rng.gen_range(0.0..50.0),
-                );
-                Entry::new(i, Aabb::cube(c, 0.3))
-            })
-            .collect();
-        let mut parts = partition(entries, 85, None);
-        compute_neighbors(&mut parts).unwrap();
-        for (i, p) in parts.iter().enumerate() {
-            for &j in &p.neighbors {
-                assert!(
-                    parts[j as usize].neighbors.contains(&(i as u32)),
-                    "asymmetric neighbors: {i} -> {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn neighbors_match_brute_force_intersection() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let entries: Vec<Entry> = (0..2000)
-            .map(|i| {
-                let c = Point3::new(
-                    rng.gen_range(0.0..30.0),
-                    rng.gen_range(0.0..30.0),
-                    rng.gen_range(0.0..30.0),
-                );
-                Entry::new(i, Aabb::cube(c, 0.5))
-            })
-            .collect();
-        let mut parts = partition(entries, 50, None);
-        compute_neighbors(&mut parts).unwrap();
-        for i in 0..parts.len() {
-            let expected: Vec<u32> = (0..parts.len())
-                .filter(|&j| j != i && parts[i].partition_mbr.intersects(&parts[j].partition_mbr))
-                .map(|j| j as u32)
-                .collect();
-            assert_eq!(parts[i].neighbors, expected, "partition {i}");
-        }
-    }
-
-    #[test]
-    fn no_self_loops() {
-        let mut parts = grid_partitions(2);
-        compute_neighbors(&mut parts).unwrap();
-        for (i, p) in parts.iter().enumerate() {
-            assert!(!p.neighbors.contains(&(i as u32)));
-        }
-    }
-
-    #[test]
-    fn single_partition_has_no_neighbors() {
-        let mut parts = grid_partitions(1);
-        let total = compute_neighbors(&mut parts).unwrap();
-        assert_eq!(total, 0);
-        assert!(parts[0].neighbors.is_empty());
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let mut parts: Vec<Partition> = Vec::new();
-        assert_eq!(compute_neighbors(&mut parts).unwrap(), 0);
     }
 
     /// Runs the plane-sweep over `parts` (any order) and returns the
@@ -370,8 +243,100 @@ mod tests {
         (lists, total)
     }
 
+    /// The definition, as an O(n²) loop: `j` neighbors `i` iff `i ≠ j` and
+    /// the closed partition MBRs intersect.
+    fn brute_force_neighbors(parts: &[Partition]) -> Vec<Vec<u32>> {
+        (0..parts.len())
+            .map(|i| {
+                (0..parts.len())
+                    .filter(|&j| {
+                        j != i && parts[i].partition_mbr.intersects(&parts[j].partition_mbr)
+                    })
+                    .map(|j| j as u32)
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn sweep_matches_the_temporary_rtree() {
+    fn grid_interior_cell_has_26_neighbors() {
+        let (neighbors, _) = sweep_neighbors(&grid_partitions(3));
+        let center = 9 + 3 + 1; // cell (1,1,1) in x-major order
+        assert_eq!(
+            neighbors[center].len(),
+            26,
+            "3³ grid center touches all others"
+        );
+        // A corner touches 7 others.
+        assert_eq!(neighbors[0].len(), 7);
+    }
+
+    #[test]
+    fn neighbor_relation_is_symmetric() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let entries: Vec<Entry> = (0..5000)
+            .map(|i| {
+                let c = Point3::new(
+                    rng.gen_range(0.0..50.0),
+                    rng.gen_range(0.0..50.0),
+                    rng.gen_range(0.0..50.0),
+                );
+                Entry::new(i, Aabb::cube(c, 0.3))
+            })
+            .collect();
+        let (neighbors, _) = sweep_neighbors(&partition(entries, 85, None));
+        for (i, list) in neighbors.iter().enumerate() {
+            for &j in list {
+                assert!(
+                    neighbors[j as usize].contains(&(i as u32)),
+                    "asymmetric neighbors: {i} -> {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn neighbors_match_brute_force_intersection() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let entries: Vec<Entry> = (0..2000)
+            .map(|i| {
+                let c = Point3::new(
+                    rng.gen_range(0.0..30.0),
+                    rng.gen_range(0.0..30.0),
+                    rng.gen_range(0.0..30.0),
+                );
+                Entry::new(i, Aabb::cube(c, 0.5))
+            })
+            .collect();
+        let parts = partition(entries, 50, None);
+        let (neighbors, _) = sweep_neighbors(&parts);
+        assert_eq!(neighbors, brute_force_neighbors(&parts));
+    }
+
+    #[test]
+    fn no_self_loops() {
+        let (neighbors, _) = sweep_neighbors(&grid_partitions(2));
+        for (i, list) in neighbors.iter().enumerate() {
+            assert!(!list.contains(&(i as u32)));
+        }
+    }
+
+    #[test]
+    fn single_partition_has_no_neighbors() {
+        let (neighbors, total) = sweep_neighbors(&grid_partitions(1));
+        assert_eq!(total, 0);
+        assert!(neighbors[0].is_empty());
+    }
+
+    #[test]
+    fn empty_input_is_fine() {
+        let (neighbors, total) = sweep_neighbors(&[]);
+        assert_eq!(total, 0);
+        assert!(neighbors.is_empty());
+    }
+
+    #[test]
+    fn sweep_matches_brute_force_on_mixed_element_sizes() {
         let mut rng = StdRng::seed_from_u64(12);
         let entries: Vec<Entry> = (0..6000)
             .map(|i| {
@@ -383,13 +348,14 @@ mod tests {
                 Entry::new(i, Aabb::cube(c, rng.gen_range(0.1..0.6)))
             })
             .collect();
-        let mut parts = partition(entries, 85, None);
+        let parts = partition(entries, 85, None);
         let (swept, total_swept) = sweep_neighbors(&parts);
-        let total_rtree = compute_neighbors(&mut parts).unwrap();
-        assert_eq!(total_swept, total_rtree);
-        for (i, p) in parts.iter().enumerate() {
-            assert_eq!(swept[i], p.neighbors, "partition {i}");
-        }
+        let expected = brute_force_neighbors(&parts);
+        assert_eq!(
+            total_swept,
+            expected.iter().map(|list| list.len() as u64).sum::<u64>()
+        );
+        assert_eq!(swept, expected);
     }
 
     #[test]
@@ -409,12 +375,9 @@ mod tests {
                 Entry::new(i, Aabb::cube(c, side))
             })
             .collect();
-        let mut parts = partition(entries, 40, None);
+        let parts = partition(entries, 40, None);
         let (swept, _) = sweep_neighbors(&parts);
-        compute_neighbors(&mut parts).unwrap();
-        for (i, p) in parts.iter().enumerate() {
-            assert_eq!(swept[i], p.neighbors, "partition {i}");
-        }
+        assert_eq!(swept, brute_force_neighbors(&parts));
     }
 
     #[test]
@@ -531,16 +494,12 @@ mod tests {
                 Entry::new(i, Aabb::cube(c, 0.2))
             })
             .collect();
-        let base = partition(entries, 85, None);
-
-        let mut small = base.clone();
-        let total_small = compute_neighbors(&mut small).unwrap();
-
-        let mut big = base;
-        for p in &mut big {
+        let mut parts = partition(entries, 85, None);
+        let (_, total_small) = sweep_neighbors(&parts);
+        for p in &mut parts {
             p.partition_mbr = p.partition_mbr.scale_volume(3.0);
         }
-        let total_big = compute_neighbors(&mut big).unwrap();
+        let (_, total_big) = sweep_neighbors(&parts);
         assert!(
             total_big > total_small,
             "inflated partitions must intersect more: {total_big} vs {total_small}"

@@ -28,9 +28,6 @@ pub struct Partition {
     /// The space tile, stretched to contain `page_mbr` — the *partition
     /// MBR*.
     pub partition_mbr: Aabb,
-    /// Indexes (into the partition vector) of the neighboring partitions;
-    /// empty until neighbor computation runs.
-    pub neighbors: Vec<u32>,
 }
 
 impl Partition {
@@ -81,8 +78,8 @@ fn chop(mut items: Vec<Entry>, axis: Axis, chunk_size: usize) -> (Vec<Vec<Entry>
 
 /// One tile of a cut sequence: spans `bounds` except along `axis`, where
 /// it covers `[lo, hi]` (clamped so degenerate cut orders still yield a
-/// valid box). Shared by the in-memory tiling and the streaming builder so
-/// both produce bit-identical tiles.
+/// valid box). Shared by [`partition`] and the bulkload so both produce
+/// bit-identical tiles.
 pub(crate) fn axis_tile(bounds: &Aabb, axis: Axis, lo: f64, hi: f64) -> Aabb {
     let mut tile = *bounds;
     tile.min = tile.min.with_coord(axis, lo.min(hi));
@@ -123,9 +120,9 @@ pub(crate) fn partition_plan(n: usize, capacity: usize) -> (usize, usize) {
 /// partitions to `out` in final partition order.
 ///
 /// This is the per-slab core of Algorithm 1, shared verbatim by
-/// [`partition`] (all slabs resident) and the streaming builder (one slab
-/// resident at a time), which is what makes the two build paths
-/// bit-identical.
+/// [`partition`] (all slabs resident — how the update layer tiles an
+/// insert batch) and the bulkload (one slab resident at a time), so a
+/// batch is tiled exactly as a build over the same entries would be.
 pub(crate) fn partition_slab(
     slab: Vec<Entry>,
     x_tile: Aabb,
@@ -153,7 +150,6 @@ pub(crate) fn partition_slab(
                 elements: chunk,
                 page_mbr,
                 partition_mbr,
-                neighbors: Vec::new(),
             });
         }
     }
@@ -167,8 +163,8 @@ pub(crate) fn partition_slab(
 ///   all element MBRs. Queries outside the domain may crawl incompletely,
 ///   so pass the full dataset domain when elements do not span it.
 ///
-/// Neighbor lists are left empty; fill them with
-/// [`crate::neighbors::compute_neighbors`].
+/// The neighbor relation over the result is computed by
+/// [`crate::neighbors::NeighborSweep`].
 ///
 /// # Panics
 /// Panics if `capacity` is zero.
@@ -522,7 +518,6 @@ mod tests {
             elements: vec![Entry::new(0, Aabb::cube(Point3::splat(1.0), 0.5))],
             page_mbr: Aabb::cube(Point3::splat(1.0), 0.5),
             partition_mbr: Aabb::new(Point3::splat(0.0), Point3::splat(2.0)),
-            neighbors: Vec::new(),
         };
         assert!(verify_tiling(&[p], &domain, 5).is_err());
     }

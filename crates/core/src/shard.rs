@@ -226,8 +226,6 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         let db_options = DbOptions {
             index: options.index,
             pool_pages: options.pool_pages,
-            // Shards always take the in-memory bulkload.
-            memory_budget: usize::MAX,
             ..DbOptions::default()
         };
 

@@ -24,8 +24,8 @@ fn main() {
 
     // 2. One handle owns the pool and the index lifecycle. `updatable`
     //    selects stable element ids + the fixed domain that the write
-    //    path needs; `build_from` picks the in-memory or the streaming
-    //    build by the configured memory budget (identical bits either
+    //    path needs; `build_from` runs the one bulkload pipeline, which
+    //    spills past the configured memory budget (identical bits either
     //    way).
     let mut db = FlatDb::create(MemStore::new(), DbOptions::updatable(config.domain));
     let report = db.build_from(model.entries()).expect("build");
@@ -33,10 +33,10 @@ fn main() {
     println!(
         "built FLAT ({}): {} partitions, {} object + {} metadata + {} seed pages \
          ({:.1} MB) in {:.0} ms",
-        if report.streamed() {
-            "streamed"
+        if report.spilled() {
+            "spilled"
         } else {
-            "in-memory"
+            "nothing spilled"
         },
         report.stats.num_partitions,
         index.num_object_pages(),

@@ -12,8 +12,8 @@
 //!
 //! The recommended entry point is the [`prelude::FlatDb`] session façade:
 //! one handle that owns the buffer pool and the index lifecycle, builds
-//! from an entry set (auto-selecting the in-memory or the out-of-core
-//! path by a memory budget), serves serial reads through cheap
+//! from an entry set (one streaming bulkload that spills to scratch
+//! pages past a memory budget), serves serial reads through cheap
 //! [`prelude::Snapshot`]s and batched reads through a fluent query
 //! builder, mutates through an exclusive writer, and persists to a file
 //! that reopens with one call:

@@ -1,5 +1,5 @@
-//! Façade equivalence: every [`FlatDb`] path — build (both paths), range
-//! and kNN (serial and batched), insert/delete/compact, persist/open —
+//! Façade equivalence: every [`FlatDb`] path — build (spilling or not),
+//! range and kNN (serial and batched), insert/delete/compact, persist/open —
 //! must produce results (and, where observable, pages) **bit-identical**
 //! to the pre-façade low-level calls it routes to.
 
@@ -69,12 +69,12 @@ fn in_memory_build_is_bit_identical_to_low_level() {
 
     let mut db = FlatDb::create(MemStore::new(), DbOptions::default().with_index(options));
     let report = db.build_from(entries.clone()).unwrap();
-    assert!(!report.streamed(), "12k entries fit the default budget");
+    assert!(!report.spilled(), "12k entries fit the default budget");
 
     let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(&mut pool, entries, options).unwrap();
 
-    assert_stores_identical(&*db.store(), pool.store(), "in-memory build");
+    assert_stores_identical(&*db.store(), pool.store(), "unspilled build");
     assert_eq!(db.index().num_elements(), index.num_elements());
     assert_eq!(db.index().seed_height(), index.seed_height());
 }
@@ -95,11 +95,7 @@ fn streaming_build_is_bit_identical_to_low_level() {
             .with_memory_budget(budget),
     );
     let report = db.build_from(entries.clone()).unwrap();
-    assert!(report.streamed(), "10k entries over a 1.5k budget");
-    assert!(
-        report.streaming.as_ref().unwrap().spill.spilled_records > 0,
-        "the streamed build must actually have spilled"
-    );
+    assert!(report.spilled(), "10k entries over a 1.5k budget");
 
     let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
     let (_, _, _) = FlatIndexBuilder::new(options)
@@ -107,7 +103,7 @@ fn streaming_build_is_bit_identical_to_low_level() {
         .build(&mut pool, entries)
         .unwrap();
 
-    assert_stores_identical(&*db.store(), pool.store(), "streaming build");
+    assert_stores_identical(&*db.store(), pool.store(), "spilled build");
 }
 
 #[test]
@@ -378,4 +374,35 @@ fn bad_caller_input_is_a_typed_error_not_a_panic() {
         );
         assert!(db.delta().is_none(), "a failed promotion must not publish");
     }
+}
+
+#[test]
+fn bad_build_options_are_typed_errors_not_panics() {
+    let (entries, domain) = dataset(200, 707);
+    let no_budget = DbOptions::default().with_memory_budget(0);
+    let shrinking = |scale| {
+        DbOptions::default().with_index(FlatOptions {
+            partition_volume_scale: scale,
+            ..updatable(domain)
+        })
+    };
+    for options in [no_budget, shrinking(0.5), shrinking(f64::NAN)] {
+        // Checked before the first entry is pulled, whatever the input.
+        for input in [entries.clone(), Vec::new()] {
+            let mut db = FlatDb::create_in_memory(options);
+            let err = db.build_from(input.clone()).unwrap_err();
+            assert!(matches!(err, FlatError::Build(_)), "{err}");
+            let err = db.build_streaming(input).unwrap_err();
+            assert!(matches!(err, FlatError::Build(_)), "{err}");
+            assert_eq!(db.store().num_pages(), 0, "a refused build writes nothing");
+        }
+    }
+    let shard_options = ShardOptions {
+        index: shrinking(0.5).index,
+        ..ShardOptions::default()
+    };
+    let err = ShardedDb::build_in_memory(2, entries, shard_options)
+        .map(drop)
+        .unwrap_err();
+    assert!(matches!(err, FlatError::Build(_)), "{err}");
 }
