@@ -2,8 +2,8 @@
 //!
 //! Respects `FLAT_SCALE`, `FLAT_QUERIES` and `FLAT_RESULTS_DIR`.
 use flat_bench::figures::{
-    ablation, analysis, batch, build, build_scale, concurrency, join, knn, lss, motivation, mvcc,
-    other, shard, sn, update, wal, Context,
+    ablation, analysis, build, build_scale, concurrency, join, knn, lss, motivation, mvcc, other,
+    shard, sn, update, wal, Context,
 };
 use flat_bench::Scale;
 use std::time::Instant;
@@ -26,7 +26,7 @@ const SUITES: &[(&str, &str)] = &[
     ("concurrency", "exp_concurrency"),
     ("sharded-serving", "exp_shard"),
     ("join", "exp_join"),
-    ("batch", "exp_batch, exp_knn"),
+    ("knn", "exp_knn"),
     ("update", "exp_update"),
     ("mvcc", "exp_mvcc"),
     ("durability", "exp_wal"),
@@ -108,8 +108,7 @@ fn main() {
     println!("=== Spatial joins (extension) ===\n");
     join::emit_with_json(&join::exp_join(&ctx));
 
-    println!("=== Batched execution & kNN (extensions) ===\n");
-    batch::exp_batch(&ctx).emit();
+    println!("=== kNN (extension) ===\n");
     knn::exp_knn(&ctx).emit();
 
     println!("=== Dynamic updates & compaction (extension) ===\n");

@@ -5,22 +5,23 @@
 //! ingredients — seed-tree descent, then neighbor-link expansion — with a
 //! best-first frontier instead of a BFS queue. This experiment runs a kNN
 //! workload (random locations, k ∈ [8, 128]) over the neuron model on the
-//! 150 µs/read device, serial vs batched through the
-//! [`flat_core::QueryEngine`], and verifies exactness against a
-//! brute-force scan on the smallest sweep density.
+//! 150 µs/read device of `exp_concurrency` — one at a time, from several
+//! client threads, and through the façade's batch verb — and verifies
+//! exactness against a brute-force scan on the smallest sweep density.
 
-use super::batch::READ_LATENCY;
+use super::concurrency::{device_bound_db, speedup};
 use super::Context;
 use crate::report::{fmt_f64, Table};
-use flat_core::{EngineConfig, FlatIndex, FlatOptions, QueryEngine};
+use crate::runner::throughput;
+use flat_core::{FlatIndex, FlatOptions};
 use flat_data::workload::{knn_queries, KnnConfig};
 use flat_geom::Point3;
 use flat_rtree::Entry;
-use flat_storage::{BufferPool, ConcurrentBufferPool, MemStore, PageStore, ThrottledStore};
+use flat_storage::{BufferPool, MemStore};
 use std::time::Instant;
 
-/// Readahead worker counts measured for the batched mode.
-pub const READAHEAD_STEPS: [usize; 2] = [0, 4];
+/// Client-thread counts measured (the first is the one-at-a-time row).
+pub const CLIENT_STEPS: [usize; 3] = [1, 4, 8];
 
 /// Brute-force kNN distances (the verification oracle).
 fn brute_force_dists(entries: &[Entry], p: &Point3, k: usize) -> Vec<f64> {
@@ -33,23 +34,25 @@ fn brute_force_dists(entries: &[Entry], p: &Point3, k: usize) -> Vec<f64> {
     dists
 }
 
-/// kNN throughput on the neuron dataset, serial vs batched, plus a
-/// brute-force exactness check at the smallest density.
+/// kNN throughput on the neuron dataset, one at a time vs concurrent
+/// clients vs the batch verb, plus a brute-force exactness check at the
+/// smallest density.
 ///
 /// # Panics
 /// Panics if kNN results diverge from the brute-force oracle (small
-/// dataset) or between serial and batched execution (full dataset).
+/// dataset), concurrent clients return a different number of neighbors
+/// than the serial pass, or the batch is not bit-identical to serial
+/// evaluation (full dataset).
 pub fn exp_knn(ctx: &Context) -> Table {
     let mut table = Table::new(
         "exp_knn",
         "kNN workload over one FLAT index (150 µs/read device)",
         &[
-            "mode",
+            "clients",
             "wall ms",
             "queries/sec",
-            "speedup",
-            "demand reads",
-            "prefetch reads",
+            "speedup vs 1 client",
+            "physical reads",
             "neighbors",
         ],
     );
@@ -87,75 +90,48 @@ pub fn exp_knn(ctx: &Context) -> Table {
     }
 
     // Throughput at max density over the throttled device.
-    let density = ctx.scale.max_density();
-    let mut build_pool = BufferPool::new(MemStore::new(), ctx.scale.pool_pages);
-    let (index, _) = FlatIndex::build(&mut build_pool, ctx.sweep.at(density), options)
-        .expect("in-memory build cannot fail");
-    let store = ThrottledStore::new(build_pool.into_store(), READ_LATENCY);
-    let cache_pages = (store.num_pages() as usize / 10).max(64);
-    let pool = ConcurrentBufferPool::new(store, cache_pages);
-
-    pool.clear_cache();
-    pool.reset_stats();
-    let start = Instant::now();
-    let serial_results: Vec<Vec<flat_core::Neighbor>> = queries
-        .iter()
-        .map(|&(p, k)| {
-            index
-                .knn_query(&pool, p, k)
-                .expect("in-memory query cannot fail")
-        })
-        .collect();
-    let serial_wall = start.elapsed();
-    let serial_stats = pool.stats();
-    let serial_qps = queries.len() as f64 / serial_wall.as_secs_f64().max(1e-9);
-    let neighbors: u64 = serial_results.iter().map(|r| r.len() as u64).sum();
-    table.push_row(vec![
-        "one-at-a-time".to_string(),
-        fmt_f64(serial_wall.as_secs_f64() * 1e3),
-        fmt_f64(serial_qps),
-        "1.00x".to_string(),
-        serial_stats.total_physical_reads().to_string(),
-        serial_stats.total_prefetch_reads().to_string(),
-        neighbors.to_string(),
-    ]);
-
-    for readahead in READAHEAD_STEPS {
-        pool.clear_cache();
-        pool.reset_stats();
-        let engine = QueryEngine::with_config(
-            &index,
-            &pool,
-            EngineConfig {
-                readahead_threads: readahead,
-                ..EngineConfig::default()
-            },
-        );
-        let start = Instant::now();
-        let outcome = engine
-            .run_knn_batch(&queries)
-            .expect("in-memory batch cannot fail");
-        let wall = start.elapsed();
-        assert_eq!(
-            outcome.results, serial_results,
-            "batched kNN (readahead={readahead}) diverged from serial"
-        );
-        let stats = pool.stats();
-        let qps = queries.len() as f64 / wall.as_secs_f64().max(1e-9);
-        let speedup = if serial_qps > 0.0 {
-            format!("{:.2}x", qps / serial_qps)
-        } else {
-            "-".to_string() // degenerate run (e.g. FLAT_QUERIES=0)
-        };
+    let db = device_bound_db(ctx);
+    let mut baseline = None;
+    for clients in CLIENT_STEPS {
+        db.clear_cache();
+        db.reset_stats();
+        let outcome = throughput(&queries, clients, 1, |&(p, k)| {
+            let near = db.reader().knn(p, k);
+            near.expect("in-memory query cannot fail").len() as u64
+        });
+        let (base_qps, neighbors) = *baseline.get_or_insert((outcome.qps(), outcome.results));
+        assert_eq!(outcome.results, neighbors, "{clients} clients diverged");
         table.push_row(vec![
-            format!("batched, readahead={readahead}"),
-            fmt_f64(wall.as_secs_f64() * 1e3),
-            fmt_f64(qps),
-            speedup,
-            stats.total_physical_reads().to_string(),
-            stats.total_prefetch_reads().to_string(),
+            clients.to_string(),
+            fmt_f64(outcome.wall.as_secs_f64() * 1e3),
+            fmt_f64(outcome.qps()),
+            speedup(outcome.qps(), base_qps),
+            db.io_stats().total_physical_reads().to_string(),
             neighbors.to_string(),
         ]);
     }
+
+    let (base_qps, neighbors) = baseline.expect("CLIENT_STEPS is not empty");
+    db.clear_cache();
+    db.reset_stats();
+    let start = Instant::now();
+    let batch = db.query().knns(queries.iter().copied()).run_knn_batch();
+    let wall = start.elapsed().as_secs_f64().max(1e-9);
+    let physical_reads = db.io_stats().total_physical_reads();
+    let batch = batch.expect("in-memory batch cannot fail").results;
+    let snapshot = db.reader();
+    for (near, &(p, k)) in batch.iter().zip(&queries) {
+        let serial = snapshot.knn(p, k).expect("in-memory query cannot fail");
+        assert_eq!(near, &serial, "run_knn_batch diverged from serial");
+    }
+    let qps = queries.len() as f64 / wall;
+    table.push_row(vec![
+        "run_knn_batch".to_string(),
+        fmt_f64(wall * 1e3),
+        fmt_f64(qps),
+        speedup(qps, base_qps),
+        physical_reads.to_string(),
+        neighbors.to_string(),
+    ]);
     table
 }

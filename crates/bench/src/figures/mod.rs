@@ -7,7 +7,6 @@
 
 pub mod ablation;
 pub mod analysis;
-pub mod batch;
 pub mod build;
 pub mod build_scale;
 pub mod concurrency;
@@ -102,20 +101,17 @@ mod tests {
         let meta_order = ablation::exp_meta_order(&ctx);
         assert_eq!(meta_order.rows.len(), 2);
 
-        let batched = batch::exp_batch(&ctx);
-        // One serial baseline row plus one per readahead depth; the driver
-        // itself asserts batched results are bit-identical to serial.
-        assert_eq!(batched.rows.len(), 1 + batch::READAHEAD_STEPS.len());
-
         let knn = knn::exp_knn(&ctx);
-        assert_eq!(knn.rows.len(), 1 + knn::READAHEAD_STEPS.len());
+        // One row per client count plus the batch verb's; the driver itself
+        // asserts the batch is bit-identical to serial.
+        assert_eq!(knn.rows.len(), knn::CLIENT_STEPS.len() + 1);
         // Every mode answers the same workload: identical neighbor counts.
-        let counts: Vec<&String> = knn.rows.iter().map(|r| &r[6]).collect();
+        let counts: Vec<&String> = knn.rows.iter().map(|r| &r[5]).collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]));
 
         let concurrent = concurrency::exp_concurrency(&ctx);
-        assert_eq!(concurrent.rows.len(), concurrency::THREAD_STEPS.len());
-        // Every thread count answers the same workload identically.
+        assert_eq!(concurrent.rows.len(), concurrency::THREAD_STEPS.len() + 1);
+        // Every mode answers the same workload identically.
         let results: Vec<&String> = concurrent.rows.iter().map(|r| &r[3]).collect();
         assert!(
             results.windows(2).all(|w| w[0] == w[1]),
@@ -125,7 +121,7 @@ mod tests {
         let sharded = shard::exp_shard(&ctx);
         // Unsharded baseline plus one row per shard count.
         assert_eq!(sharded.rows.len(), 1 + shard::SHARD_STEPS.len());
-        // Scheduler lanes actually carried traffic on the sharded rows.
+        // The schedulers actually carried traffic on the sharded rows.
         for row in sharded.rows.iter().skip(1) {
             assert_ne!(row[6], "-", "missing scheduler stats: {row:?}");
         }

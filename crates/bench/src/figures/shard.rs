@@ -201,8 +201,6 @@ pub fn exp_shard(ctx: &Context) -> Table {
             "vs K=1",
             "physical reads",
             "coalesced",
-            "prefetch dropped",
-            "prefetch unused",
             "mean demand wait µs",
         ],
     );
@@ -244,7 +242,6 @@ pub fn exp_shard(ctx: &Context) -> Table {
             pool_pages: (cache_pages / k).max(64),
             scheduler: SchedulerConfig {
                 workers: DEVICE_PARALLELISM,
-                ..SchedulerConfig::default()
             },
         };
         let sharded = ShardedDb::build(k, entries.clone(), options, |_| throttled_store())
@@ -266,13 +263,12 @@ pub fn exp_shard(ctx: &Context) -> Table {
                 "-".to_string()
             }
         };
-        let (coalesced, dropped, wait) = match &m.sched {
+        let (coalesced, wait) = match &m.sched {
             Some(s) => (
                 s.demand_coalesced.to_string(),
-                s.prefetch_dropped.to_string(),
                 fmt_f64(s.mean_demand_wait_us()),
             ),
-            None => ("-".into(), "-".into(), "-".into()),
+            None => ("-".into(), "-".into()),
         };
         table.push_row(vec![
             config,
@@ -282,8 +278,6 @@ pub fn exp_shard(ctx: &Context) -> Table {
             speedup(k1_qps),
             m.io.total_physical_reads().to_string(),
             coalesced,
-            dropped,
-            m.io.total_prefetched_unused().to_string(),
             wait,
         ]);
     }

@@ -1,11 +1,10 @@
 //! Workload execution and aggregation: the paper's cold-cache protocol
 //! ([`run_workload`]) and the multi-threaded query-throughput runner
-//! ([`query_throughput`]) demonstrating concurrent streams over one index.
+//! ([`throughput`]) demonstrating concurrent streams over one index.
 
 use crate::indexes::BuiltIndex;
-use flat_core::FlatIndex;
 use flat_geom::Aabb;
-use flat_storage::{DiskModel, IoStats, PageKind, PageRead};
+use flat_storage::{DiskModel, IoStats, PageKind};
 use std::time::{Duration, Instant};
 
 /// Aggregated outcome of running a workload against one index.
@@ -116,25 +115,24 @@ impl ThroughputOutcome {
     }
 }
 
-/// Runs `queries` against one [`FlatIndex`] from `threads` worker threads
-/// sharing a single pool, `rounds` times each, and measures aggregate
-/// throughput.
+/// Runs `run` over `queries` from `threads` worker threads, `rounds` times
+/// each, and measures aggregate throughput; `run` evaluates one query and
+/// returns its result count.
 ///
 /// This is the workload the `PageRead` refactor exists for: every thread
-/// holds only `&index` and `&pool`. Queries are distributed round-robin;
+/// holds only shared references. Queries are distributed round-robin;
 /// with an I/O-bound store (e.g. [`flat_storage::ThrottledStore`] pricing
 /// each physical read like a device would) the threads overlap their I/O
 /// waits, so aggregate throughput grows with the thread count — the same
 /// effect concurrent query streams see on a real disk array.
 ///
 /// # Panics
-/// Panics if `threads` or `rounds` is zero, or if a query fails.
-pub fn query_throughput<P: PageRead + Sync>(
-    index: &FlatIndex,
-    pool: &P,
-    queries: &[Aabb],
+/// Panics if `threads` or `rounds` is zero.
+pub fn throughput<Q: Sync>(
+    queries: &[Q],
     threads: usize,
     rounds: usize,
+    run: impl Fn(&Q) -> u64 + Sync,
 ) -> ThroughputOutcome {
     assert!(threads > 0, "at least one thread required");
     assert!(rounds > 0, "at least one round required");
@@ -142,14 +140,12 @@ pub fn query_throughput<P: PageRead + Sync>(
     let results: u64 = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|t| {
+                let run = &run;
                 scope.spawn(move || {
                     let mut local = 0u64;
                     for _ in 0..rounds {
                         for query in queries.iter().skip(t).step_by(threads) {
-                            local += index
-                                .range_query(pool, query)
-                                .expect("in-memory query cannot fail")
-                                .len() as u64;
+                            local += run(query);
                         }
                     }
                     local
@@ -175,7 +171,7 @@ pub fn query_throughput<P: PageRead + Sync>(
 mod tests {
     use super::*;
     use crate::indexes::IndexKind;
-    use flat_core::FlatOptions;
+    use flat_core::{FlatIndex, FlatOptions};
     use flat_data::uniform::{uniform_entries, UniformConfig};
     use flat_storage::{BufferPool, MemStore, ThrottledStore};
 
@@ -223,8 +219,13 @@ mod tests {
             .map(|i| Aabb::cube(config.domain.center(), 80.0 + i as f64 * 40.0))
             .collect();
 
-        let serial = query_throughput(&index, &pool, &queries, 1, 2);
-        let parallel = query_throughput(&index, &pool, &queries, 4, 2);
+        let range_throughput = |threads, rounds| {
+            throughput(&queries, threads, rounds, |q| {
+                index.range_query(&pool, q).unwrap().len() as u64
+            })
+        };
+        let serial = range_throughput(1, 2);
+        let parallel = range_throughput(4, 2);
         assert_eq!(serial.queries, 16);
         assert_eq!(parallel.queries, 16);
         // Same queries → same total results regardless of thread count.
@@ -254,8 +255,13 @@ mod tests {
             .map(|i| Aabb::cube(config.domain.center(), 60.0 + i as f64 * 30.0))
             .collect();
 
-        let serial = query_throughput(&index, &pool, &queries, 1, 1);
-        let parallel = query_throughput(&index, &pool, &queries, 4, 1);
+        let range_throughput = |threads, rounds| {
+            throughput(&queries, threads, rounds, |q| {
+                index.range_query(&pool, q).unwrap().len() as u64
+            })
+        };
+        let serial = range_throughput(1, 1);
+        let parallel = range_throughput(4, 1);
         let speedup = parallel.qps() / serial.qps();
         assert_eq!(serial.results, parallel.results);
         // Overlapped sleeps give ~3x here even on one core; the bound is

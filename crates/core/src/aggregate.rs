@@ -112,7 +112,7 @@ impl IndexRef<'_> {
         stats: &mut AggregateStats,
     ) -> Result<u64, StorageError> {
         let mut seed_stats = QueryStats::default();
-        let Some(seed) = self.seed(pool, query, &mut seed_stats, None)? else {
+        let Some(seed) = self.seed(pool, query, &mut seed_stats)? else {
             return Ok(0);
         };
         stats.object_pages_read += seed_stats.object_pages_read;

@@ -1,8 +1,8 @@
 //! [`FlatDb`]: one session façade over build, query, update and persist.
 //!
 //! PRs 1–4 grew one capability each, and each got its own entry point:
-//! the [`FlatIndexBuilder`] bulkload and its spill budget, serial queries
-//! vs the batched [`QueryEngine`], the mutable [`DeltaIndex`],
+//! the [`FlatIndexBuilder`] bulkload and its spill budget, serial and
+//! batched queries, the mutable [`DeltaIndex`],
 //! exclusive [`flat_storage::BufferPool`] vs shared
 //! [`flat_storage::ConcurrentBufferPool`], and descriptor persistence in
 //! `persist.rs`.
@@ -22,7 +22,7 @@
 //!      ▼           ▼                     ▼
 //!  db.reader()  db.query()           db.writer()
 //!  Snapshot     QueryBuilder         Writer (&self)
-//!  range/knn    .range(..).readahead(4)  insert/delete/compact
+//!  range/knn    .range(..)           insert/delete/compact
 //!  (&self)      .run_batch()         (promotes to DeltaIndex)
 //!      │           │                     │
 //!      └───────────┴──────────┬──────────┘
@@ -31,17 +31,18 @@
 //! ```
 //!
 //! The façade adds **no new machinery** on the query side: every method
-//! routes to the pre-existing entry point (the serial query path, the
-//! batched engine, the delta layer, the descriptor save/load), so results
-//! are bit-for-bit identical to hand-written low-level code —
-//! `tests/db_api.rs` asserts this for every path.
+//! routes to the pre-existing entry point (the query path, the delta
+//! layer, the descriptor save/load), so results are bit-for-bit identical
+//! to hand-written low-level code — `tests/db_api.rs` asserts this for
+//! every path. A batch is that same query path called from a few client
+//! threads over one [`Snapshot`] (see [`QueryBuilder`]).
 //!
 //! # Snapshots & epochs
 //!
 //! Reads and writes are **both shared** (`&self`): the database owns a
 //! [`VersionedPool`] (epoch-based MVCC over the page cache), so a
 //! [`Snapshot`] pins an epoch at creation and stays wait-free — range,
-//! kNN and batched [`QueryEngine`] crawls all observe the store exactly
+//! kNN and batched crawls all observe the store exactly
 //! as of pin time — while a concurrent [`Writer`] copy-on-writes the
 //! pages its batch touches. A batch commits by publishing atomically:
 //! the epoch bump and the resident-index swap happen under one lock, so
@@ -71,8 +72,8 @@
 //! let hits = db.reader().range(&query).unwrap();
 //! assert!(!hits.is_empty());
 //!
-//! // The same queries, batched with crawl-ahead readahead.
-//! let outcome = db.query().range(query).readahead(2).run_batch().unwrap();
+//! // The same queries as one batch: one epoch, overlapped device reads.
+//! let outcome = db.query().range(query).run_batch().unwrap();
 //! assert_eq!(outcome.results[0], hits);
 //! ```
 
@@ -84,7 +85,6 @@ use crate::durable::{
     decode_logical, encode_logical, DbSnapshot, DbStore, DefaultCache, LogicalOp,
 };
 pub use crate::durable::{Durability, RecoveryReport};
-use crate::engine::{BatchOutcome, EngineConfig, KnnBatchOutcome, QueryEngine};
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
 use crate::join::{JoinEngine, JoinResult};
@@ -99,6 +99,7 @@ use flat_storage::{
 use std::collections::HashSet;
 use std::ops::Deref;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Locks a mutex, tolerating poison: a panicking writer thread must not
@@ -123,9 +124,6 @@ pub struct DbOptions {
     pub index: FlatOptions,
     /// Page capacity of the owned buffer pool.
     pub pool_pages: usize,
-    /// Default tuning for batched queries (overridable per batch through
-    /// the [`QueryBuilder`]).
-    pub engine: EngineConfig,
     /// Memory budget of a build, in *entries*: the spill budget of the
     /// [`FlatIndexBuilder`] pipeline behind [`FlatDb::build_from`] and
     /// [`FlatDb::build_streaming`]. Inputs within it stay resident; larger
@@ -146,7 +144,6 @@ impl Default for DbOptions {
         DbOptions {
             index: FlatOptions::default(),
             pool_pages: 1 << 16,
-            engine: EngineConfig::default(),
             memory_budget: DEFAULT_SPILL_BUDGET,
             durability: Durability::Off,
         }
@@ -352,7 +349,6 @@ impl<S: PageStore, C: VersionedCache> std::fmt::Debug for QueryBuilder<'_, S, C>
         f.debug_struct("QueryBuilder")
             .field("ranges", &self.ranges.len())
             .field("knns", &self.knns.len())
-            .field("config", &self.config)
             .finish()
     }
 }
@@ -781,12 +777,11 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
         lock_unpoisoned(&self.subscriptions).unregister(id)
     }
 
-    /// Starts a fluent batched query: accumulate range and kNN queries,
-    /// tune readahead, then run the batch through the [`QueryEngine`].
+    /// Starts a fluent batched query: accumulate range or kNN queries,
+    /// then run them as one batch.
     pub fn query(&self) -> QueryBuilder<'_, S, C> {
         QueryBuilder {
             db: self,
-            config: self.options.engine,
             ranges: Vec::new(),
             knns: Vec::new(),
         }
@@ -1168,16 +1163,10 @@ impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
         k: usize,
         stats: &mut KnnStats,
     ) -> Result<Vec<Neighbor>, FlatError> {
-        Ok(self.resident.view().knn(&self.pin, point, k, stats, None)?)
+        Ok(self.resident.view().knn(&self.pin, point, k, stats)?)
     }
 
-    /// Cumulative I/O statistics of the database's pool, including the
-    /// prefetch-effectiveness split: of all prefetched pages,
-    /// [`IoStats::total_prefetch_hits`] were used by a later demand read,
-    /// [`IoStats::total_prefetched_unused`] were not, and — within the
-    /// unused — [`IoStats::total_prefetch_evicted`] were already evicted
-    /// before anything touched them (pure waste: a physical read whose
-    /// page never served anyone).
+    /// Cumulative I/O statistics of the database's pool.
     pub fn stats(&self) -> IoStats {
         self.db.io_stats()
     }
@@ -1233,15 +1222,100 @@ impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
     }
 }
 
+/// What a range-query batch did, alongside its per-query results.
+#[derive(Debug, Clone)]
+pub struct BatchOutcome {
+    /// Per-query hit lists, index-aligned with the queued queries and
+    /// identical (order included) to serial [`Snapshot::range`].
+    pub results: Vec<Vec<Hit>>,
+    /// Per-query crawl counters, index-aligned with the queries — the
+    /// batch's own work, whatever else the database was serving.
+    pub query_stats: Vec<QueryStats>,
+    /// Change of the database's **pool-wide** I/O counters between the
+    /// batch's start and its end. The counters are shared by everything
+    /// that reads through the database, so traffic of concurrent readers
+    /// and writers over the same interval is included; it is the batch's
+    /// own I/O only when nothing else runs.
+    pub io: IoStats,
+}
+
+/// Outcome of a kNN batch.
+#[derive(Debug, Clone)]
+pub struct KnnBatchOutcome {
+    /// Per-query neighbor lists (ascending distance), index-aligned with
+    /// the queued `(point, k)` pairs and identical to serial
+    /// [`Snapshot::knn`].
+    pub results: Vec<Vec<Neighbor>>,
+    /// Per-query expansion counters, index-aligned with the queries.
+    pub query_stats: Vec<KnnStats>,
+    /// Pool-wide I/O delta over the batch's duration (see
+    /// [`BatchOutcome::io`]).
+    pub io: IoStats,
+}
+
+/// Client threads a batch runs its queries from. The paper's serving
+/// regime is device-bound (§VII-E.2), so what a batch buys is overlapped
+/// device reads, and plain queries on a few threads over one shared cache
+/// already overlap them: each query announces its own reads
+/// ([`PageRead::want_pages`]) and the cache fetches a page once however
+/// many of them miss on it. Eight is the width this was measured at on a
+/// 150 µs device (`BENCH_one_batch.json`).
+const BATCH_CLIENTS: usize = 8;
+
+/// Runs `run` over every query from up to [`BATCH_CLIENTS`] scoped threads
+/// (none for a batch of one) and returns the outputs index-aligned. After
+/// a failure no further query starts, every thread is joined, and the
+/// first client's error is returned.
+fn fan_out<Q: Sync, T: Send>(
+    queries: &[Q],
+    run: impl Fn(&Q) -> Result<T, FlatError> + Sync,
+) -> Result<Vec<T>, FlatError> {
+    let clients = BATCH_CLIENTS.min(queries.len());
+    if clients <= 1 {
+        return queries.iter().map(run).collect();
+    }
+    // Both atomics publish nothing: outputs travel through `join`.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let client = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(query) = queries.get(i) else { break };
+            match run(query) {
+                Ok(out) => done.push((i, out)),
+                Err(err) => {
+                    failed.store(true, Ordering::Relaxed);
+                    return Err(err);
+                }
+            }
+        }
+        Ok(done)
+    };
+    let per_client: Vec<Result<Vec<(usize, T)>, FlatError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients).map(|_| scope.spawn(client)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    let mut all = Vec::with_capacity(queries.len());
+    for done in per_client {
+        all.extend(done?);
+    }
+    all.sort_unstable_by_key(|&(i, _)| i);
+    Ok(all.into_iter().map(|(_, out)| out).collect())
+}
+
 /// A fluent batched query over a [`FlatDb`].
 ///
-/// Accumulates range and/or kNN queries, then executes them through the
-/// batched [`QueryEngine`] — per-batch page cache, wave-scheduled crawl
-/// turns, crawl-ahead readahead — with per-query results identical to the
-/// serial [`Snapshot`] paths.
+/// Accumulates range and/or kNN queries, then runs them as one batch: the
+/// ordinary [`Snapshot`] verbs, called from a few client threads over
+/// **one** snapshot so their device reads overlap. Every query of a batch
+/// therefore sees the same epoch, and per-query results are identical to
+/// the serial [`Snapshot`] paths because they *are* those paths.
 pub struct QueryBuilder<'db, S: PageStore, C: VersionedCache = DefaultCache<S>> {
     db: &'db FlatDb<S, C>,
-    config: EngineConfig,
     ranges: Vec<Aabb>,
     knns: Vec<(Point3, usize)>,
 }
@@ -1271,26 +1345,10 @@ impl<S: PageStore, C: VersionedCache> QueryBuilder<'_, S, C> {
         self
     }
 
-    /// Sets the readahead depth (worker threads serving crawl-ahead
-    /// prefetch hints; `0` disables prefetching but keeps the batch page
-    /// cache).
-    pub fn readahead(mut self, threads: usize) -> Self {
-        self.config.readahead_threads = threads;
-        self
-    }
-
-    /// Bounds how many queries crawl concurrently (see
-    /// [`EngineConfig::wave_size`]).
-    pub fn wave_size(mut self, wave: usize) -> Self {
-        self.config.wave_size = Some(wave);
-        self
-    }
-
     /// Runs the queued **range** queries as aggregate counts, one
     /// result per queued range in queueing order. Aggregates skip
     /// result materialization and take the containment early-exit, so
-    /// they run serially over one pinned [`Snapshot`] rather than
-    /// through the batched engine.
+    /// they run serially over one pinned [`Snapshot`].
     pub fn run_aggregates(self) -> Result<Vec<u64>, FlatError> {
         if !self.knns.is_empty() {
             return Err(FlatError::Query(
@@ -1319,13 +1377,22 @@ impl<S: PageStore + Send + Sync, C: VersionedCache + Sync> QueryBuilder<'_, S, C
         }
         let snap = self.db.reader();
         let before = self.db.io_stats();
-        let engine = QueryEngine::with_config(snap.resident.view(), &snap.pin, self.config);
-        let mut outcome = engine.run_range_batch(&self.ranges)?;
-        outcome.io = self.db.io_stats().since(&before);
-        Ok(outcome)
+        let answers = fan_out(&self.ranges, |query| {
+            let mut stats = QueryStats::default();
+            let hits = snap.range_with_stats(query, &mut stats)?;
+            Ok((hits, stats))
+        })?;
+        let (results, query_stats) = answers.into_iter().unzip();
+        Ok(BatchOutcome {
+            results,
+            query_stats,
+            io: self.db.io_stats().since(&before),
+        })
     }
 
-    /// Runs the queued **kNN** queries as one batch.
+    /// Runs the queued **kNN** queries as one batch, with the same
+    /// alignment, exactness and single-epoch guarantees as
+    /// [`QueryBuilder::run_batch`].
     pub fn run_knn_batch(self) -> Result<KnnBatchOutcome, FlatError> {
         if !self.ranges.is_empty() {
             return Err(FlatError::Query(
@@ -1334,10 +1401,17 @@ impl<S: PageStore + Send + Sync, C: VersionedCache + Sync> QueryBuilder<'_, S, C
         }
         let snap = self.db.reader();
         let before = self.db.io_stats();
-        let engine = QueryEngine::with_config(snap.resident.view(), &snap.pin, self.config);
-        let mut outcome = engine.run_knn_batch(&self.knns)?;
-        outcome.io = self.db.io_stats().since(&before);
-        Ok(outcome)
+        let answers = fan_out(&self.knns, |&(point, k)| {
+            let mut stats = KnnStats::default();
+            let neighbors = snap.knn_with_stats(point, k, &mut stats)?;
+            Ok((neighbors, stats))
+        })?;
+        let (results, query_stats) = answers.into_iter().unzip();
+        Ok(KnnBatchOutcome {
+            results,
+            query_stats,
+            io: self.db.io_stats().since(&before),
+        })
     }
 }
 
@@ -1810,7 +1884,6 @@ mod tests {
         let outcome = db
             .query()
             .ranges(queries.iter().copied())
-            .readahead(2)
             .run_batch()
             .unwrap();
         assert_eq!(outcome.results, serial);
@@ -1842,20 +1915,14 @@ mod tests {
         let outcome = db
             .query()
             .ranges(queries.iter().copied())
-            .readahead(2)
             .run_batch()
             .unwrap();
-        // The delta covers exactly this batch: cold cache, so physical
-        // reads happened, and the prefetch split is internally consistent.
+        // Nothing else reads this database, so the pool-wide delta covers
+        // exactly this batch: cold cache, so physical reads happened.
         assert!(outcome.io.total_physical_reads() > 0);
         assert_eq!(
             outcome.io.total_physical_reads(),
             db.io_stats().total_physical_reads()
-        );
-        assert!(outcome.io.total_prefetched_unused() >= outcome.io.total_prefetch_evicted());
-        assert_eq!(
-            outcome.io.total_prefetch_reads(),
-            outcome.io.total_prefetch_hits() + outcome.io.total_prefetched_unused()
         );
         // Snapshot::stats exposes the same cumulative counters.
         assert_eq!(

@@ -860,7 +860,7 @@ impl DeltaIndex {
         k: usize,
         stats: &mut KnnStats,
     ) -> Result<Vec<Neighbor>, StorageError> {
-        IndexRef::Delta(self).knn(pool, point, k, stats, None)
+        IndexRef::Delta(self).knn(pool, point, k, stats)
     }
 
     // ------------------------------------------------------------------

@@ -188,7 +188,7 @@ impl JoinEngine {
             }
             if state.is_idle() {
                 let mut seed_stats = QueryStats::default();
-                let seed = inner.seed(inner_pool, &query, &mut seed_stats, None)?;
+                let seed = inner.seed(inner_pool, &query, &mut seed_stats)?;
                 stats.object_pages_read += seed_stats.object_pages_read;
                 stats.seed_descents += 1;
                 let Some(seed) = seed else {

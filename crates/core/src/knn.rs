@@ -33,7 +33,7 @@
 
 use crate::index::FlatIndex;
 use crate::meta::{decode_meta_record, meta_leaf_len, MetaRecordId};
-use crate::query::{read_record, walk_links, want_meta_page, CrawlHinter, IndexRef, LivePage};
+use crate::query::{read_record, walk_links, want_meta_page, IndexRef, LivePage};
 use flat_geom::Point3;
 use flat_rtree::node::decode_inner;
 use flat_rtree::Hit;
@@ -176,8 +176,7 @@ impl FlatIndex {
     /// distance broken by physical location).
     ///
     /// Like range queries this is a shared read — any [`PageRead`] works,
-    /// including a pool serving other query threads concurrently. Batches
-    /// of kNN queries run faster through [`crate::QueryEngine::run_knn_batch`].
+    /// including a pool serving other query threads concurrently.
     pub fn knn_query(
         &self,
         pool: &impl PageRead,
@@ -195,20 +194,18 @@ impl FlatIndex {
         k: usize,
         stats: &mut KnnStats,
     ) -> Result<Vec<Neighbor>, StorageError> {
-        IndexRef::Flat(self).knn(pool, point, k, stats, None)
+        IndexRef::Flat(self).knn(pool, point, k, stats)
     }
 }
 
 impl IndexRef<'_> {
-    /// The kNN evaluation every entry point shares; the batched engine
-    /// passes a `hinter` to turn frontier insertions into readahead hints.
+    /// The kNN evaluation every entry point shares.
     pub(crate) fn knn(
         self,
         pool: &impl PageRead,
         point: Point3,
         k: usize,
         stats: &mut KnnStats,
-        hinter: Option<&dyn CrawlHinter>,
     ) -> Result<Vec<Neighbor>, StorageError> {
         if k == 0 {
             return Ok(Vec::new());
@@ -284,11 +281,6 @@ impl IndexRef<'_> {
                         continue;
                     }
                     frontier.push(Reverse((MinKey(key), neighbor)));
-                    if let Some(h) = hinter {
-                        h.enqueued_record(neighbor, &|r| {
-                            r.page_mbr.distance_sq_to_point(&point) <= bound
-                        });
-                    }
                 }
                 Ok(())
             })?;

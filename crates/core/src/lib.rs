@@ -35,9 +35,8 @@
 //! | `builder` (re-exported) | §V-A, Alg. 1 | [`FlatIndexBuilder`]: the one bulkload, a streaming pipeline whose resident memory is bounded by its spill budget and whose pages do not depend on it |
 //! | `query` (re-exported) | §V-B.1, §VI, Alg. 2 | the read path: [`IndexRef`], the one view (bulkload, or bulkload + delta layer) every query verb is written against; the seed phase; the one BFS crawl kernel, specialised per workload by a visitor (range here) |
 //! | `knn` (re-exported) | extension | [`FlatIndex::knn_query`], best-first seed + crawl over the same view (its own traversal: a moving bound is not a FIFO) |
-//! | `engine` (re-exported) | extension | [`QueryEngine`]: batched execution + crawl-ahead prefetch over any [`IndexRef`] |
 //! | `delta` (re-exported) | extension | [`DeltaIndex`]: delta inserts/deletes with neighbor-link repair, tombstones, compaction back to a pristine (byte-identical) bulkload |
-//! | [`db`] | extension | [`FlatDb`]: the session façade — one handle over build / query / update / persist |
+//! | [`db`] | extension | [`FlatDb`]: the session façade — one handle over build / query / update / persist; a batch ([`QueryBuilder`]) is the query verbs fanned out over one [`Snapshot`] |
 //! | `durable` (via [`db`]) | extension | [`Durability`] modes, logical-record and checkpoint-snapshot formats; [`FlatDb::create_durable`] / [`FlatDb::open_durable`] commit every writer batch to a write-ahead log and recover exactly the committed prefix after a crash |
 //! | `shard` (re-exported) | extension | [`ShardedDb`]: K spatial shards, each behind its own disk scheduler, with cross-shard routing and a global exact kNN merge |
 //! | `join` (re-exported) | extension | [`JoinEngine`]: exact ε-distance joins by co-crawling two link graphs — the crawl kernel under a candidate-collecting visitor, seeded from the previous step's partners |
@@ -77,7 +76,6 @@ mod continuous;
 pub mod db;
 mod delta;
 mod durable;
-mod engine;
 mod error;
 mod index;
 mod join;
@@ -94,11 +92,10 @@ pub use aggregate::AggregateStats;
 pub use builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 pub use continuous::{ContinuousQueryId, QueryDelta};
 pub use db::{
-    BuildReport, DbOptions, Durability, FlatDb, QueryBuilder, RecoveryReport, Snapshot, StoreRef,
-    WriteOp, Writer,
+    BatchOutcome, BuildReport, DbOptions, Durability, FlatDb, KnnBatchOutcome, QueryBuilder,
+    RecoveryReport, Snapshot, StoreRef, WriteOp, Writer,
 };
 pub use delta::{verify_compacted_store, DeltaIndex, DeltaReport};
-pub use engine::{BatchOutcome, EngineConfig, KnnBatchOutcome, QueryEngine};
 pub use error::FlatError;
 pub use index::{BuildStats, FlatIndex, FlatOptions, MetaOrder};
 pub use join::{JoinEngine, JoinInput, JoinResult, JoinStats};

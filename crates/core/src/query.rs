@@ -26,11 +26,11 @@ use std::collections::{HashSet, VecDeque};
 pub(crate) type Tombstones = HashSet<(PageId, u16)>;
 
 /// Any index the read path understands: the single view every query verb
-/// (range, kNN, aggregate, join, the batched [`crate::QueryEngine`]) is
-/// written against. A delta layer lives in the same page graph as its
-/// base, so the two differ only in what this type's accessors answer:
-/// which elements are tombstoned, which partitions sit outside the seed
-/// tree, and whether live counts are resident.
+/// (range, kNN, aggregate, join) is written against. A delta layer lives
+/// in the same page graph as its base, so the two differ only in what
+/// this type's accessors answer: which elements are tombstoned, which
+/// partitions sit outside the seed tree, and whether live counts are
+/// resident.
 ///
 /// As a join side ([`crate::JoinInput`]) both sides may be the same index:
 /// a self-join reports self-pairs `(x, x)` and both orientations of every
@@ -64,21 +64,6 @@ pub(crate) struct PartSummary {
     pub(crate) object_page: PageId,
     /// Tight MBR of the partition's own elements.
     pub(crate) page_mbr: Aabb,
-}
-
-/// Crawl-progress hooks the batched [`crate::QueryEngine`] uses to turn
-/// traversal events into readahead hints. The serial query path passes
-/// `None` and pays nothing; implementations must be pure hints — they can
-/// neither fail a query nor change its results.
-pub(crate) trait CrawlHinter {
-    /// `page` (of `kind`) was just scheduled for a future read.
-    fn upcoming_page(&self, page: PageId, kind: PageKind);
-
-    /// Record `addr` was just enqueued; `wants_object` says whether the
-    /// record's object page will be scanned if the record looks like
-    /// `MetaRecord` when decoded (the hinter may not know yet — it only
-    /// acts when it can decode `addr` from an already-cached page).
-    fn enqueued_record(&self, addr: MetaRecordId, wants_object: &dyn Fn(&MetaRecord) -> bool);
 }
 
 /// Per-query counters (the CPU/bookkeeping side of §VII-E.2; the I/O side
@@ -211,9 +196,6 @@ pub(crate) trait CrawlVisitor {
 
     /// Will this record's neighbor links be followed?
     fn expands(&mut self, addr: MetaRecordId, record: &MetaRecord) -> bool;
-
-    /// `addr` was enqueued for a later wave.
-    fn enqueued(&mut self, _addr: MetaRecordId) {}
 }
 
 /// The range query's visitor: materialises the intersecting live elements
@@ -222,7 +204,6 @@ pub(crate) struct RangeVisit<'q> {
     pub(crate) query: &'q Aabb,
     pub(crate) stats: &'q mut QueryStats,
     pub(crate) hits: &'q mut Vec<Hit>,
-    pub(crate) hinter: Option<&'q dyn CrawlHinter>,
 }
 
 impl CrawlVisitor for RangeVisit<'_> {
@@ -251,13 +232,6 @@ impl CrawlVisitor for RangeVisit<'_> {
     fn expands(&mut self, _addr: MetaRecordId, record: &MetaRecord) -> bool {
         self.stats.mbr_tests += 1;
         record.partition_mbr.intersects(self.query)
-    }
-
-    fn enqueued(&mut self, addr: MetaRecordId) {
-        if let Some(hinter) = self.hinter {
-            let query = self.query;
-            hinter.enqueued_record(addr, &|r| r.page_mbr.intersects(query));
-        }
     }
 }
 
@@ -338,13 +312,12 @@ impl<'a> IndexRef<'a> {
         let mut hits = Vec::new();
         // "If no object page can be found, then the query has no result"
         // (§V-B.1).
-        if let Some(seed) = self.seed(pool, query, stats, None)? {
+        if let Some(seed) = self.seed(pool, query, stats)? {
             let mut state = CrawlState::start(seed);
             let mut visit = RangeVisit {
                 query,
                 stats,
                 hits: &mut hits,
-                hinter: None,
             };
             self.crawl(pool, &mut state, &mut visit)?;
             stats.records_seen = state.records_seen();
@@ -365,7 +338,6 @@ impl<'a> IndexRef<'a> {
         pool: &impl PageRead,
         query: &Aabb,
         stats: &mut QueryStats,
-        hinter: Option<&dyn CrawlHinter>,
     ) -> Result<Option<MetaRecordId>, StorageError> {
         let tombstones = self.tombstones();
         // Checks one candidate object page for a real element.
@@ -409,14 +381,6 @@ impl<'a> IndexRef<'a> {
                     stats.mbr_tests += 1;
                     if query.intersects(&child.mbr) {
                         stack.push((child.page, level - 1));
-                        if let Some(h) = hinter {
-                            let kind = if level - 1 == 1 {
-                                PageKind::SeedLeaf
-                            } else {
-                                PageKind::SeedInner
-                            };
-                            h.upcoming_page(child.page, kind);
-                        }
                     }
                 }
             }
@@ -469,11 +433,7 @@ impl<'a> IndexRef<'a> {
     /// (metadata first), which a small LRU cache may notice as a handful of
     /// physical reads either way.
     ///
-    /// The serial paths simply loop this to completion
-    /// ([`IndexRef::crawl`]); the batched [`crate::QueryEngine`]
-    /// interleaves waves of many queries so their I/O overlaps. Because
-    /// each query's own turn order is untouched, the two produce identical
-    /// results — same hits, same order.
+    /// Every caller loops this to completion ([`IndexRef::crawl`]).
     ///
     /// One deliberate fix to the paper's pseudocode: Algorithm 2 only
     /// inserts a page into `visited` when its page MBR intersects the
@@ -539,7 +499,6 @@ impl<'a> IndexRef<'a> {
                     for &neighbor in chunk {
                         if seen.insert(neighbor) {
                             queue.push_back(neighbor);
-                            visitor.enqueued(neighbor);
                         }
                     }
                     Ok(())
@@ -582,7 +541,7 @@ impl FlatIndex {
         pool: &impl PageRead,
         query: &Aabb,
     ) -> Result<Option<(PageId, u16)>, StorageError> {
-        let seed = IndexRef::Flat(self).seed(pool, query, &mut QueryStats::default(), None)?;
+        let seed = IndexRef::Flat(self).seed(pool, query, &mut QueryStats::default())?;
         Ok(seed.map(|r| (r.page, r.slot)))
     }
 }

@@ -4,7 +4,7 @@
 //! [`ShardedDb`] partitions the domain into K coarse x-slabs with the same
 //! STR machinery as Algorithm 1 ([`crate::partition::shard_regions`]).
 //! Each shard *contains* a full [`FlatDb`] — a page store, a
-//! [`DiskScheduler`] (submission queues, read coalescing, priority lanes)
+//! [`DiskScheduler`] (submission queue, read coalescing, announced reads)
 //! behind a [`VersionedPool`], and the index with its whole session
 //! protocol (snapshots, writer batches, atomic publish) — so shards never
 //! contend on a buffer pool or a store mutex, and I/O for K shards
@@ -324,9 +324,9 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         out
     }
 
-    /// Aggregated scheduler-lane statistics across all shard pools
-    /// (latency means weight every lane equally; queue maxima are maxima
-    /// over shards).
+    /// Aggregated scheduler statistics across all shard pools (latency
+    /// means weight every shard equally; queue maxima are maxima over
+    /// shards).
     pub fn scheduler_stats(&self) -> SchedulerStats {
         let mut out = SchedulerStats::default();
         for s in &self.shards {

@@ -22,21 +22,23 @@
 //! Query entry points across the workspace take `&impl PageRead`; build
 //! entry points take `&mut impl PageWrite`.
 //!
-//! # The three read verbs
+//! # The two read verbs
 //!
 //! | verb | blocks? | when it applies | accounted as |
 //! |---|---|---|---|
 //! | [`PageRead::read_page`] | yes | the caller needs the bytes *now* | logical read (+ physical on a miss) |
-//! | [`PageRead::want_pages`] | no | the caller **will** `read_page` these pages shortly, whatever happens in between | physical (demand) read at submission; the later `read_page` is the logical read |
-//! | [`PageRead::prefetch_page`] | no | the caller *may* read the page — a guess | prefetch read / hit / evicted, outside the demand counters |
+//! | [`PageRead::want_pages`] | no | the caller **will** `read_page` these pages shortly, whatever happens in between | physical read at submission; the later `read_page` is the logical read |
 //!
 //! An announcement is not speculation: the crawl knows its next reads
 //! exactly, so the device may start on all of them at once instead of
-//! hearing about them one blocking read at a time. A hint is speculation:
-//! it may be dropped under load and its fetch is kept out of the paper's
-//! page-reads figure.
+//! hearing about them one blocking read at a time. That is also why there
+//! is no third, "may read" verb: a guess lane needs its own queue, drop
+//! policy and waste accounting, and nothing in this workspace has a read
+//! to guess at — every caller that can name a page ahead of time is
+//! certain of it. Overlap across *queries* comes from running the same
+//! verbs on several client threads over one shared cache.
 
-use crate::{Page, PageId, PageKind, StorageError};
+use crate::{IoStats, Page, PageId, PageKind, StorageError};
 use std::sync::Arc;
 
 /// Shared read access to pages, with per-[`PageKind`] I/O accounting.
@@ -71,27 +73,25 @@ pub trait PageRead {
         let _ = pages;
     }
 
-    /// Readahead hint: bring page `id` into the cache *speculatively*, ahead
-    /// of a demand read that may or may not follow.
-    ///
-    /// This is the hook batched query execution hangs its crawl-ahead
-    /// prefetching on: a reader that knows which pages it will (probably)
-    /// touch next issues hints — typically from dedicated readahead threads,
-    /// so the device wait overlaps useful work — and the later demand read
-    /// becomes a cache hit.
-    ///
-    /// Semantics:
-    /// * purely an optimization — implementations may ignore it (the default
-    ///   does nothing), and errors are swallowed: a failed hint must not
-    ///   fail the query, the demand read will surface any real error;
-    /// * accounted separately from demand I/O: a fetch triggered by a hint
-    ///   counts as a *prefetch read*, not a physical (demand) read, and a
-    ///   later demand hit on the prefetched page counts as a *prefetch hit*
-    ///   (see [`crate::IoStats`]), so benchmark figures can report
-    ///   speculative I/O — and the share of it that was wasted — separately
-    ///   from useful I/O.
+    // Shim, three items: `crates/benchmark` may not be edited by the change
+    // that removed the speculative lane, and it still overrides this method
+    // (trace.rs:448) and calls the two accessors below (ladder.rs:542). No
+    // cache implements or calls them; they leave with the benchmark's
+    // `scheduler.` "useful share" row (ROADMAP item 1).
+    #[doc(hidden)]
     fn prefetch_page(&self, id: PageId, kind: PageKind) {
         let _ = (id, kind);
+    }
+}
+
+#[doc(hidden)]
+impl IoStats {
+    pub fn total_prefetch_reads(&self) -> u64 {
+        0
+    }
+
+    pub fn total_prefetch_hits(&self) -> u64 {
+        0
     }
 }
 
@@ -120,10 +120,6 @@ impl<P: PageRead + ?Sized> PageRead for &P {
     fn want_pages(&self, pages: &[(PageId, PageKind)]) {
         (**self).want_pages(pages)
     }
-
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        (**self).prefetch_page(id, kind)
-    }
 }
 
 impl<P: PageRead + ?Sized> PageRead for Arc<P> {
@@ -134,10 +130,6 @@ impl<P: PageRead + ?Sized> PageRead for Arc<P> {
     fn want_pages(&self, pages: &[(PageId, PageKind)]) {
         (**self).want_pages(pages)
     }
-
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        (**self).prefetch_page(id, kind)
-    }
 }
 
 impl<P: PageRead + ?Sized> PageRead for Box<P> {
@@ -147,10 +139,6 @@ impl<P: PageRead + ?Sized> PageRead for Box<P> {
 
     fn want_pages(&self, pages: &[(PageId, PageKind)]) {
         (**self).want_pages(pages)
-    }
-
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        (**self).prefetch_page(id, kind)
     }
 }
 

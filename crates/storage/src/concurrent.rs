@@ -15,7 +15,6 @@ use crate::sync_util::lock_unpoisoned;
 use crate::{
     BufferPool, IoStats, Page, PageId, PageKind, PageRead, PageStore, PageWrite, StorageError,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default number of lock shards (must be a power of two).
@@ -38,12 +37,6 @@ pub struct ConcurrentBufferPool<S: PageStore> {
     shard_capacity: usize,
     capacity: usize,
     stats: AtomicIoStats,
-    /// Bumped by every shared-write install/drop ([`Self::install_cached`],
-    /// [`Self::drop_cached`]). Prefetches snapshot it before their unlocked
-    /// store fetch and discard the fetched bytes if it moved — the bytes
-    /// may predate a concurrent writer's install and must not be cached
-    /// over it.
-    write_stamp: AtomicU64,
 }
 
 impl<S: PageStore> ConcurrentBufferPool<S> {
@@ -71,7 +64,6 @@ impl<S: PageStore> ConcurrentBufferPool<S> {
             shard_capacity,
             capacity,
             stats: AtomicIoStats::default(),
-            write_stamp: AtomicU64::new(0),
         }
     }
 
@@ -155,29 +147,23 @@ impl<S: PageStore> ConcurrentBufferPool<S> {
 
     /// Installs (or refreshes) the cached copy of `id` from a *shared*
     /// borrow — the write path of the MVCC batch writer, which has already
-    /// put the same bytes on the store. Bumps the write stamp so racing
-    /// prefetch fetches of the possibly-stale pre-write bytes discard
-    /// themselves.
+    /// put the same bytes on the store. Every store fetch of this pool
+    /// runs under the page's shard lock, as does this install, so no
+    /// reader can cache pre-write bytes over it.
     pub fn install_cached(&self, id: PageId, page: &Page, kind: PageKind) {
-        self.write_stamp.fetch_add(1, Ordering::SeqCst);
         self.stats.record_write(kind);
         let mut cache = self.shard(id);
         if let Some(slot) = cache.slot_of(id) {
             *cache.page_mut(slot) = page.clone();
             cache.touch(slot);
         } else {
-            let (_, evicted) = cache.insert(id, page.clone(), kind, self.shard_capacity, false);
-            if let Some(victim_kind) = evicted {
-                self.stats.record_prefetch_evicted(victim_kind);
-            }
+            cache.insert(id, page.clone(), self.shard_capacity);
         }
     }
 
     /// Drops the cached copy of `id` (if any) from a shared borrow — the
-    /// free path of the MVCC batch writer. Bumps the write stamp for the
-    /// same reason as [`Self::install_cached`].
+    /// free path of the MVCC batch writer.
     pub fn drop_cached(&self, id: PageId) {
-        self.write_stamp.fetch_add(1, Ordering::SeqCst);
         self.shard(id).remove(id);
     }
 
@@ -191,61 +177,17 @@ impl<S: PageStore> PageRead for ConcurrentBufferPool<S> {
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
         let mut cache = self.shard(id);
         if let Some(slot) = cache.lookup(id) {
-            if cache.take_prefetched(slot) {
-                self.stats.record_prefetch_hit(kind);
-            }
             self.stats.record_read(kind, false);
             return Ok(cache.page(slot).clone());
         }
         // Miss: fetch from the store while holding the shard lock. This
         // serializes misses *within one shard* only, and guarantees a page
         // is fetched once even when several threads miss on it together.
-        // (Prefetch fetches run unlocked — see `prefetch_page` — so a
-        // demand read racing a prefetch of the same page may duplicate the
-        // fetch; the duplicate shows up as an unused prefetch read.)
         self.stats.record_read(kind, true);
         let mut page = Page::new();
         self.store.read_page(id, &mut page)?;
-        let (slot, evicted) = cache.insert(id, page, kind, self.shard_capacity, false);
-        if let Some(victim_kind) = evicted {
-            self.stats.record_prefetch_evicted(victim_kind);
-        }
+        let slot = cache.insert(id, page, self.shard_capacity);
         Ok(cache.page(slot).clone())
-    }
-
-    /// Speculative fetch into the owning shard. The fetch happens on the
-    /// *calling* thread (typically a dedicated readahead worker, so the
-    /// device wait overlaps the query threads' work) **without** holding
-    /// the shard lock — a speculative read must never head-of-line-block a
-    /// demand read (not even a cache hit) that hashes to the same shard.
-    ///
-    /// The price of unlocked fetching is a small race: a demand read of
-    /// the same page can fetch concurrently. The re-check before insert
-    /// keeps the cache consistent, and the prefetch read is then counted
-    /// as issued-but-unused — which it was.
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        if self.shard(id).contains(id) {
-            return;
-        }
-        let stamp = self.write_stamp.load(Ordering::SeqCst);
-        let mut page = Page::new();
-        if self.store.read_page(id, &mut page).is_err() {
-            return; // hints never fail; the demand read reports the error
-        }
-        self.stats.record_prefetch_read(kind);
-        let mut cache = self.shard(id);
-        if self.write_stamp.load(Ordering::SeqCst) != stamp {
-            // A shared writer installed or dropped pages while the fetch
-            // was in flight: the fetched bytes may be stale. Discard them
-            // (the prefetch shows up as issued-but-unused, which it was).
-            return;
-        }
-        if !cache.contains(id) {
-            let (_, evicted) = cache.insert(id, page, kind, self.shard_capacity, true);
-            if let Some(victim_kind) = evicted {
-                self.stats.record_prefetch_evicted(victim_kind);
-            }
-        }
     }
 }
 
@@ -326,10 +268,6 @@ impl<S: PageStore> std::ops::Deref for PoolHandle<S> {
 impl<S: PageStore> PageRead for PoolHandle<S> {
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
         self.0.read_page(id, kind)
-    }
-
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        self.0.prefetch_page(id, kind)
     }
 }
 
@@ -483,49 +421,6 @@ mod tests {
         };
         drop(second);
         assert!(handle.try_unwrap().is_ok());
-    }
-
-    #[test]
-    fn concurrent_prefetch_then_demand_read_hits() {
-        let pool = ConcurrentBufferPool::new(store_with_pages(4), 16);
-        pool.prefetch_page(PageId(2), PageKind::ObjectPage);
-        let page = pool.read_page(PageId(2), PageKind::ObjectPage).unwrap();
-        assert_eq!(page.get_u64(0), 2);
-        let stats = pool.stats();
-        assert_eq!(stats.kind(PageKind::ObjectPage).prefetch_reads, 1);
-        assert_eq!(stats.kind(PageKind::ObjectPage).prefetch_hits, 1);
-        assert_eq!(stats.total_physical_reads(), 0);
-        assert_eq!(stats.total_prefetched_unused(), 0);
-    }
-
-    #[test]
-    fn parallel_prefetchers_and_readers_agree_on_contents() {
-        let pool = ConcurrentBufferPool::new(store_with_pages(16), 32).into_handle();
-        std::thread::scope(|scope| {
-            let prefetcher = pool.clone();
-            scope.spawn(move || {
-                for i in 0..16u64 {
-                    prefetcher.prefetch_page(PageId(i), PageKind::Other);
-                }
-            });
-            for t in 0..2 {
-                let reader = pool.clone();
-                scope.spawn(move || {
-                    for i in 0..16u64 {
-                        let page = reader.read_page(PageId(i), PageKind::Other).unwrap();
-                        assert_eq!(page.get_u64(0), i, "thread {t}");
-                    }
-                });
-            }
-        });
-        let stats = pool.stats();
-        // Demand misses are deduped under the shard locks; a prefetch may
-        // race a demand read of the same page (prefetch fetches run
-        // unlocked), so the device served each page at least once and at
-        // most twice.
-        assert!(stats.total_physical_reads() <= 16);
-        assert!((16..=32).contains(&stats.total_device_reads()));
-        assert_eq!(stats.total_logical_reads(), 32);
     }
 
     #[test]

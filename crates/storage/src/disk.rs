@@ -57,18 +57,10 @@ impl DiskModel {
         reads as f64 * (self.positioning_us + self.transfer_us)
     }
 
-    /// Simulated I/O time for the *demand* physical reads recorded in
-    /// `stats` (the paper's useful-I/O metric; speculative prefetch reads
-    /// are excluded — price them with [`DiskModel::device_time`]).
+    /// Simulated I/O time for the physical reads recorded in `stats` (the
+    /// paper's page-reads metric).
     pub fn io_time(&self, stats: &IoStats) -> Duration {
         Duration::from_secs_f64(self.cost_us(stats.total_physical_reads()) / 1e6)
-    }
-
-    /// Simulated time for *everything* the device served: demand misses plus
-    /// prefetch reads. With prefetching active this is the honest device
-    /// occupancy, while [`DiskModel::io_time`] stays the useful-I/O figure.
-    pub fn device_time(&self, stats: &IoStats) -> Duration {
-        Duration::from_secs_f64(self.cost_us(stats.total_device_reads()) / 1e6)
     }
 
     /// Simulated I/O time for an explicit read count.

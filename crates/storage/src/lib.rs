@@ -23,9 +23,9 @@
 //!   reader threads at once (per-shard LRUs, atomic statistics), plus the
 //!   cloneable [`PoolHandle`] wrapper for spawning query threads.
 //! * [`DiskScheduler`] — a submission-queue worker pool behind the same
-//!   [`PageRead`] hooks: duplicate in-flight reads coalesce, demand reads
-//!   outrank prefetch hints (which are dropped under pressure), and
-//!   [`SchedulerStats`] reports lane depths, coalescing, and latencies.
+//!   [`PageRead`] hooks: duplicate in-flight reads coalesce, announced
+//!   reads ([`PageRead::want_pages`]) are fetched side by side, and
+//!   [`SchedulerStats`] reports queue depth, coalescing, and latencies.
 //! * [`DiskModel`] — converts physical-read counts into simulated I/O time
 //!   for a configurable device (default: the paper's 10 kRPM SAS array),
 //!   since the figures' execution-time series are proportional to page

@@ -10,10 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct KindStats {
     /// Reads requested by the index code (cache hits + misses).
     pub logical_reads: u64,
-    /// *Demand* reads that actually went to the store (cache misses). This
-    /// is the paper's "page reads" metric. Speculative fetches issued via
-    /// [`crate::PageRead::prefetch_page`] are counted in `prefetch_reads`
-    /// instead, so this figure never overcounts useful I/O.
+    /// Reads that actually went to the store (cache misses). This is the
+    /// paper's "page reads" metric.
     ///
     /// Counted when the fetch is **submitted**, not when it lands: on a
     /// [`crate::DiskScheduler`] a page announced through
@@ -24,44 +22,20 @@ pub struct KindStats {
     /// instant in between, nor after a query that failed mid-wave and
     /// never came back for its announced pages.
     pub physical_reads: u64,
-    /// Speculative store fetches issued via
-    /// [`crate::PageRead::prefetch_page`] (hints that missed the cache).
-    pub prefetch_reads: u64,
-    /// Demand reads served from a page that a prefetch brought in — the
-    /// *useful* share of `prefetch_reads`. `prefetch_reads - prefetch_hits`
-    /// is the speculation waste ([`KindStats::prefetched_unused`]).
-    pub prefetch_hits: u64,
-    /// Prefetched pages evicted from the cache before any demand read
-    /// touched them — the *irrecoverably* wasted share of `prefetch_reads`.
-    /// A still-resident unused prefetch might yet become a hit; an evicted
-    /// one paid a device fetch for nothing, so rollups must be able to tell
-    /// the two apart.
-    pub prefetch_evicted: u64,
     /// Pages written through to the store.
     pub writes: u64,
 }
 
 impl KindStats {
-    /// Pages fetched speculatively that no demand read has (yet) used.
-    pub fn prefetched_unused(&self) -> u64 {
-        self.prefetch_reads.saturating_sub(self.prefetch_hits)
-    }
-
     fn add(&mut self, other: &KindStats) {
         self.logical_reads += other.logical_reads;
         self.physical_reads += other.physical_reads;
-        self.prefetch_reads += other.prefetch_reads;
-        self.prefetch_hits += other.prefetch_hits;
-        self.prefetch_evicted += other.prefetch_evicted;
         self.writes += other.writes;
     }
 
     fn sub(&mut self, other: &KindStats) {
         self.logical_reads -= other.logical_reads;
         self.physical_reads -= other.physical_reads;
-        self.prefetch_reads -= other.prefetch_reads;
-        self.prefetch_hits -= other.prefetch_hits;
-        self.prefetch_evicted -= other.prefetch_evicted;
         self.writes -= other.writes;
     }
 }
@@ -109,37 +83,6 @@ impl IoStats {
     /// Writes summed over all kinds.
     pub fn total_writes(&self) -> u64 {
         self.kinds.iter().map(|k| k.writes).sum()
-    }
-
-    /// Speculative (prefetch) store fetches summed over all kinds.
-    pub fn total_prefetch_reads(&self) -> u64 {
-        self.kinds.iter().map(|k| k.prefetch_reads).sum()
-    }
-
-    /// Demand reads served from prefetched pages, summed over all kinds.
-    pub fn total_prefetch_hits(&self) -> u64 {
-        self.kinds.iter().map(|k| k.prefetch_hits).sum()
-    }
-
-    /// Prefetched pages never used by a demand read — the speculation waste
-    /// benchmark figures must report separately from useful I/O.
-    pub fn total_prefetched_unused(&self) -> u64 {
-        self.kinds.iter().map(|k| k.prefetched_unused()).sum()
-    }
-
-    /// Prefetched pages evicted before their first demand use, summed over
-    /// all kinds — the definitively wasted share of
-    /// [`IoStats::total_prefetched_unused`] (the rest is still resident and
-    /// might yet turn into hits).
-    pub fn total_prefetch_evicted(&self) -> u64 {
-        self.kinds.iter().map(|k| k.prefetch_evicted).sum()
-    }
-
-    /// Every fetch the device actually served: demand misses plus
-    /// speculative fetches. This is the count a device-time model should
-    /// price; [`IoStats::total_physical_reads`] remains the *useful* I/O.
-    pub fn total_device_reads(&self) -> u64 {
-        self.total_physical_reads() + self.total_prefetch_reads()
     }
 
     /// Bytes fetched from the store (`physical reads × 4096`).
@@ -195,9 +138,6 @@ pub(crate) struct AtomicIoStats {
 struct AtomicKindStats {
     logical_reads: AtomicU64,
     physical_reads: AtomicU64,
-    prefetch_reads: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_evicted: AtomicU64,
     writes: AtomicU64,
 }
 
@@ -218,24 +158,6 @@ impl AtomicIoStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_prefetch_read(&self, kind: PageKind) {
-        self.kinds[kind.index()]
-            .prefetch_reads
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_prefetch_hit(&self, kind: PageKind) {
-        self.kinds[kind.index()]
-            .prefetch_hits
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_prefetch_evicted(&self, kind: PageKind) {
-        self.kinds[kind.index()]
-            .prefetch_evicted
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_write(&self, kind: PageKind) {
         self.kinds[kind.index()]
             .writes
@@ -247,9 +169,6 @@ impl AtomicIoStats {
         for (atomic, plain) in self.kinds.iter().zip(out.kinds.iter_mut()) {
             plain.logical_reads = atomic.logical_reads.load(Ordering::Relaxed);
             plain.physical_reads = atomic.physical_reads.load(Ordering::Relaxed);
-            plain.prefetch_reads = atomic.prefetch_reads.load(Ordering::Relaxed);
-            plain.prefetch_hits = atomic.prefetch_hits.load(Ordering::Relaxed);
-            plain.prefetch_evicted = atomic.prefetch_evicted.load(Ordering::Relaxed);
             plain.writes = atomic.writes.load(Ordering::Relaxed);
         }
         out
@@ -259,9 +178,6 @@ impl AtomicIoStats {
         for k in &self.kinds {
             k.logical_reads.store(0, Ordering::Relaxed);
             k.physical_reads.store(0, Ordering::Relaxed);
-            k.prefetch_reads.store(0, Ordering::Relaxed);
-            k.prefetch_hits.store(0, Ordering::Relaxed);
-            k.prefetch_evicted.store(0, Ordering::Relaxed);
             k.writes.store(0, Ordering::Relaxed);
         }
     }
@@ -276,15 +192,6 @@ impl AtomicIoStats {
             atomic
                 .physical_reads
                 .store(plain.physical_reads, Ordering::Relaxed);
-            atomic
-                .prefetch_reads
-                .store(plain.prefetch_reads, Ordering::Relaxed);
-            atomic
-                .prefetch_hits
-                .store(plain.prefetch_hits, Ordering::Relaxed);
-            atomic
-                .prefetch_evicted
-                .store(plain.prefetch_evicted, Ordering::Relaxed);
             atomic.writes.store(plain.writes, Ordering::Relaxed);
         }
     }
@@ -296,12 +203,6 @@ const NIL: usize = usize::MAX;
 struct Slot {
     id: PageId,
     page: Page,
-    /// The kind the page was fetched under — needed to attribute eviction
-    /// events (e.g. an unused prefetch dying) to the right [`PageKind`].
-    kind: PageKind,
-    /// `true` while the page was brought in by a prefetch hint and no demand
-    /// read has touched it yet (drives the prefetch-hit accounting).
-    prefetched: bool,
     prev: usize,
     next: usize,
 }
@@ -350,14 +251,8 @@ impl CacheState {
         Some(slot)
     }
 
-    /// Clears the slot's prefetched mark, reporting whether it was set —
-    /// i.e. whether this demand read is the first use of a prefetched page.
-    pub(crate) fn take_prefetched(&mut self, slot: usize) -> bool {
-        std::mem::take(&mut self.slots[slot].prefetched)
-    }
-
-    /// `true` if `id` is cached (no recency update — used by prefetch to
-    /// skip pages already present without disturbing the LRU order).
+    /// `true` if `id` is cached (no recency update — an announcement or a
+    /// landing fetch must not disturb the LRU order of pages nobody read).
     pub(crate) fn contains(&self, id: PageId) -> bool {
         self.map.contains_key(&id)
     }
@@ -420,26 +315,11 @@ impl CacheState {
     }
 
     /// Inserts a page, evicting the LRU slot if the cache holds `capacity`
-    /// pages already. `prefetched` marks pages brought in speculatively.
-    ///
-    /// Returns the slot index plus the kind of the evicted victim *if* the
-    /// victim was a prefetched page no demand read ever touched — the
-    /// caller records it as definitively wasted speculation.
-    pub(crate) fn insert(
-        &mut self,
-        id: PageId,
-        page: Page,
-        kind: PageKind,
-        capacity: usize,
-        prefetched: bool,
-    ) -> (usize, Option<PageKind>) {
-        let mut evicted_unused = None;
+    /// pages already. Returns the slot index.
+    pub(crate) fn insert(&mut self, id: PageId, page: Page, capacity: usize) -> usize {
         if self.map.len() >= capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
-            if self.slots[victim].prefetched {
-                evicted_unused = Some(self.slots[victim].kind);
-            }
             self.unlink(victim);
             self.map.remove(&self.slots[victim].id);
             self.free.push(victim);
@@ -449,8 +329,6 @@ impl CacheState {
                 self.slots[s] = Slot {
                     id,
                     page,
-                    kind,
-                    prefetched,
                     prev: NIL,
                     next: NIL,
                 };
@@ -460,8 +338,6 @@ impl CacheState {
                 self.slots.push(Slot {
                     id,
                     page,
-                    kind,
-                    prefetched,
                     prev: NIL,
                     next: NIL,
                 });
@@ -470,7 +346,7 @@ impl CacheState {
         };
         self.map.insert(id, slot);
         self.link_front(slot);
-        (slot, evicted_unused)
+        slot
     }
 }
 
@@ -622,9 +498,6 @@ impl<S: PageStore> BufferPool<S> {
     pub fn read(&mut self, id: PageId, kind: PageKind) -> Result<&Page, StorageError> {
         let cache = self.cache.get_mut();
         if let Some(slot) = cache.lookup(id) {
-            if cache.take_prefetched(slot) {
-                self.stats.record_prefetch_hit(kind);
-            }
             self.stats.record_read(kind, false);
             return Ok(cache.page(slot));
         }
@@ -632,10 +505,7 @@ impl<S: PageStore> BufferPool<S> {
         self.stats.record_read(kind, true);
         let mut page = Page::new();
         self.store.read_page(id, &mut page)?;
-        let (slot, evicted) = cache.insert(id, page, kind, self.capacity, false);
-        if let Some(victim_kind) = evicted {
-            self.stats.record_prefetch_evicted(victim_kind);
-        }
+        let slot = cache.insert(id, page, self.capacity);
         Ok(cache.page(slot))
     }
 }
@@ -644,36 +514,14 @@ impl<S: PageStore> PageRead for BufferPool<S> {
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
         let mut cache = self.cache.borrow_mut();
         if let Some(slot) = cache.lookup(id) {
-            if cache.take_prefetched(slot) {
-                self.stats.record_prefetch_hit(kind);
-            }
             self.stats.record_read(kind, false);
             return Ok(cache.page(slot).clone());
         }
         self.stats.record_read(kind, true);
         let mut page = Page::new();
         self.store.read_page(id, &mut page)?;
-        let (slot, evicted) = cache.insert(id, page, kind, self.capacity, false);
-        if let Some(victim_kind) = evicted {
-            self.stats.record_prefetch_evicted(victim_kind);
-        }
+        let slot = cache.insert(id, page, self.capacity);
         Ok(cache.page(slot).clone())
-    }
-
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        let mut cache = self.cache.borrow_mut();
-        if cache.contains(id) {
-            return; // already resident — nothing speculative to do
-        }
-        let mut page = Page::new();
-        if self.store.read_page(id, &mut page).is_err() {
-            return; // hints never fail; the demand read reports the error
-        }
-        self.stats.record_prefetch_read(kind);
-        let (_, evicted) = cache.insert(id, page, kind, self.capacity, true);
-        if let Some(victim_kind) = evicted {
-            self.stats.record_prefetch_evicted(victim_kind);
-        }
     }
 }
 
@@ -881,90 +729,6 @@ mod tests {
         let id = pool.alloc().unwrap();
         assert_eq!(id, PageId(0));
         assert_eq!(pool.store().num_pages(), 1);
-    }
-
-    #[test]
-    fn prefetch_accounts_separately_from_demand_reads() {
-        let pool = pool_with_pages(4, 8);
-        // Speculative fetch: no logical read, no demand physical read.
-        pool.prefetch_page(PageId(0), PageKind::ObjectPage);
-        let s = pool.stats();
-        assert_eq!(s.kind(PageKind::ObjectPage).prefetch_reads, 1);
-        assert_eq!(s.total_logical_reads(), 0);
-        assert_eq!(s.total_physical_reads(), 0);
-        assert_eq!(s.total_device_reads(), 1);
-        assert_eq!(s.total_prefetched_unused(), 1);
-
-        // First demand read: cache hit, credited as a prefetch hit.
-        pool.read_page(PageId(0), PageKind::ObjectPage).unwrap();
-        let s = pool.stats();
-        assert_eq!(s.kind(PageKind::ObjectPage).prefetch_hits, 1);
-        assert_eq!(s.total_physical_reads(), 0);
-        assert_eq!(s.total_prefetched_unused(), 0);
-
-        // Second demand read: ordinary cache hit, not a second prefetch hit.
-        pool.read_page(PageId(0), PageKind::ObjectPage).unwrap();
-        assert_eq!(pool.stats().kind(PageKind::ObjectPage).prefetch_hits, 1);
-    }
-
-    #[test]
-    fn prefetch_of_cached_page_is_a_no_op() {
-        let pool = pool_with_pages(2, 8);
-        pool.read_page(PageId(1), PageKind::Other).unwrap();
-        pool.prefetch_page(PageId(1), PageKind::Other);
-        let s = pool.stats();
-        assert_eq!(s.total_prefetch_reads(), 0);
-        // A later read of the demand-fetched page is not a prefetch hit.
-        pool.read_page(PageId(1), PageKind::Other).unwrap();
-        assert_eq!(s.total_prefetch_hits(), 0);
-    }
-
-    #[test]
-    fn prefetch_of_invalid_page_is_swallowed() {
-        let pool = pool_with_pages(1, 4);
-        pool.prefetch_page(PageId(99), PageKind::Other); // must not panic
-        assert_eq!(pool.stats().total_prefetch_reads(), 0);
-        // The demand read still surfaces the real error.
-        assert!(pool.read_page(PageId(99), PageKind::Other).is_err());
-    }
-
-    #[test]
-    fn prefetch_stats_survive_snapshot_diff_and_accumulate() {
-        let pool = pool_with_pages(4, 8);
-        let before = pool.snapshot();
-        pool.prefetch_page(PageId(2), PageKind::SeedLeaf);
-        pool.read_page(PageId(2), PageKind::SeedLeaf).unwrap();
-        let delta = pool.stats().since(&before);
-        assert_eq!(delta.kind(PageKind::SeedLeaf).prefetch_reads, 1);
-        assert_eq!(delta.kind(PageKind::SeedLeaf).prefetch_hits, 1);
-        let mut acc = IoStats::new();
-        acc.accumulate(&delta);
-        acc.accumulate(&delta);
-        assert_eq!(acc.total_prefetch_reads(), 2);
-    }
-
-    #[test]
-    fn evicted_unused_prefetch_is_counted() {
-        // Capacity 2: prefetch two pages, then demand-read two others.
-        // Both prefetched pages get evicted before any demand touch.
-        let mut pool = pool_with_pages(4, 2);
-        pool.prefetch_page(PageId(0), PageKind::SeedLeaf);
-        pool.prefetch_page(PageId(1), PageKind::SeedLeaf);
-        pool.read(PageId(2), PageKind::Other).unwrap(); // evicts 0
-        pool.read(PageId(3), PageKind::Other).unwrap(); // evicts 1
-        let s = pool.stats();
-        assert_eq!(s.kind(PageKind::SeedLeaf).prefetch_evicted, 2);
-        assert_eq!(s.total_prefetch_evicted(), 2);
-        assert_eq!(s.total_prefetched_unused(), 2);
-
-        // A prefetched page that *was* used before eviction is not wasted.
-        pool.prefetch_page(PageId(0), PageKind::SeedLeaf);
-        pool.read(PageId(0), PageKind::SeedLeaf).unwrap(); // prefetch hit
-        pool.read(PageId(1), PageKind::Other).unwrap();
-        pool.read(PageId(2), PageKind::Other).unwrap(); // 0 evicted, but used
-        let s = pool.stats();
-        assert_eq!(s.total_prefetch_evicted(), 2, "used prefetch miscounted");
-        assert_eq!(s.kind(PageKind::SeedLeaf).prefetch_hits, 1);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! The paper's serving story (§VII-E) is many concurrent query streams
 //! against one device. The [`crate::ConcurrentBufferPool`] already lets
 //! threads *share a cache*, but every cache miss still blocks the reading
-//! thread for the full device latency, duplicate misses within a shard
-//! head-of-line-block each other, and prefetch hints compete with demand
-//! reads for the device on equal terms. [`DiskScheduler`] centralizes
+//! thread for the full device latency, and duplicate misses within a
+//! shard head-of-line-block each other. [`DiskScheduler`] centralizes
 //! device access instead:
 //!
 //! * **Submission queue + worker pool** — readers enqueue page requests;
@@ -17,27 +16,26 @@
 //!   waiter (tracked in [`SchedulerStats::demand_coalesced`]). Only pages
 //!   fan out: a reader that joined somebody else's fetch and sees it fail
 //!   makes one attempt of its own, so the error a caller gets always comes
-//!   from a device access made for that call — not from a hint's or an
-//!   announcement's fetch that ran before the call was even issued.
-//! * **Two priority lanes** — demand reads always run before speculative
-//!   prefetches, and prefetch hints are *dropped* (not queued) while the
-//!   demand lane is backed up, so speculation can never add queueing delay
-//!   to useful I/O ([`SchedulerStats::prefetch_dropped`]).
+//!   from a device access made for that call — not from an announcement's
+//!   fetch that ran before the call was even issued.
 //! * **Announced demand reads** — a demand read is two halves, *submit*
 //!   and *await*. [`PageRead::read_page`] does both; [`PageRead::want_pages`]
 //!   does only the first, for a batch of pages the caller is certain to
 //!   read next. An announced page that is neither cached nor in flight
-//!   becomes an ordinary demand-lane request with no waiter yet — same
-//!   lane, same counters ([`SchedulerStats::demand_submitted`], the
-//!   kind's `physical_reads`), never dropped — and the caller's later
+//!   becomes an ordinary request with no waiter yet — same queue, same
+//!   counters ([`SchedulerStats::demand_submitted`], the kind's
+//!   `physical_reads`), never dropped — and the caller's later
 //!   `read_page` finds it cached or coalesces onto it. This is how one
 //!   query keeps the device queue full: a crawl announces a whole wave of
 //!   records, the workers fetch them side by side, and the crawl's own
 //!   reads then wait for one overlapped round trip instead of one each.
-//! * **Graceful shutdown** — dropping the scheduler discards queued
-//!   prefetches but *drains in-flight demand reads* (announced ones
-//!   included) before the workers exit, so no reader ever observes a torn
-//!   or abandoned request.
+//! * **Graceful shutdown** — dropping the scheduler *drains every queued
+//!   and in-flight read* (announced ones included) before the workers
+//!   exit, so no reader ever observes a torn or abandoned request.
+//!
+//! There is one queue. Every request in it is a read some caller is going
+//! to wait for, so nothing is ever dropped, reprioritized or accounted as
+//! waste.
 //!
 //! The scheduler is itself a page cache (same lock-sharded LRU state as
 //! the concurrent pool) and implements both [`PageRead`] and
@@ -55,38 +53,26 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
-/// Tuning knobs for a [`DiskScheduler`].
+/// The one tuning knob of a [`DiskScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Number of I/O worker threads servicing the submission queue. This is
     /// the device concurrency the scheduler exposes; match it to the
     /// device's internal parallelism (e.g. spindle count).
     pub workers: usize,
-    /// Maximum queued (not yet serviced) prefetch hints; hints beyond this
-    /// are dropped.
-    pub prefetch_queue_cap: usize,
-    /// Demand-lane pressure threshold: while at least this many demand
-    /// reads are queued, new prefetch hints are dropped instead of queued.
-    pub demand_pressure: usize,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> SchedulerConfig {
-        SchedulerConfig {
-            workers: 4,
-            prefetch_queue_cap: 64,
-            demand_pressure: 4,
-        }
+        SchedulerConfig { workers: 4 }
     }
 }
 
-/// Counters describing what the scheduler's two lanes did — snapshot type,
+/// Counters describing what the scheduler's queue did — snapshot type,
 /// taken with [`DiskScheduler::scheduler_stats`].
 ///
-/// Conservation: every accepted request ends up completed, dropped
-/// (prefetch lane only), or still queued, so
-/// `demand_submitted == demand_completed` once the queue is idle, and
-/// `prefetch_submitted == prefetch_completed + prefetch_dropped + queued`.
+/// Conservation: every submitted request is completed or still queued, so
+/// `demand_submitted == demand_completed` once the queue is idle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Demand fetches that entered the submission queue: `read_page` misses
@@ -97,28 +83,15 @@ pub struct SchedulerStats {
     /// page instead of submitting their own — another reader's, or one
     /// this reader announced earlier.
     pub demand_coalesced: u64,
-    /// Demand-lane fetches serviced by the workers.
+    /// Fetches serviced by the workers.
     pub demand_completed: u64,
-    /// Prefetch hints accepted by the scheduler (page neither cached nor in
-    /// flight).
-    pub prefetch_submitted: u64,
-    /// Prefetch-lane fetches serviced by the workers.
-    pub prefetch_completed: u64,
-    /// Prefetch hints dropped — either rejected at submission (demand
-    /// pressure, full prefetch queue, shutdown) or discarded from the queue
-    /// at shutdown/quiesce.
-    pub prefetch_dropped: u64,
-    /// High-water mark of the demand lane's queue depth.
+    /// High-water mark of the queue depth.
     pub demand_queue_max: u64,
-    /// High-water mark of the prefetch lane's queue depth.
-    pub prefetch_queue_max: u64,
-    /// Total microseconds demand requests spent from submission to
-    /// completion (queueing + service).
+    /// Total microseconds requests spent from submission to completion
+    /// (queueing + service).
     pub demand_wait_us: u64,
-    /// Total microseconds of device service time in the demand lane.
+    /// Total microseconds of device service time.
     pub demand_service_us: u64,
-    /// Total microseconds of device service time in the prefetch lane.
-    pub prefetch_service_us: u64,
 }
 
 impl SchedulerStats {
@@ -127,14 +100,9 @@ impl SchedulerStats {
         mean(self.demand_wait_us, self.demand_completed)
     }
 
-    /// Mean demand-lane device service time, microseconds.
+    /// Mean device service time, microseconds.
     pub fn mean_demand_service_us(&self) -> f64 {
         mean(self.demand_service_us, self.demand_completed)
-    }
-
-    /// Mean prefetch-lane device service time, microseconds.
-    pub fn mean_prefetch_service_us(&self) -> f64 {
-        mean(self.prefetch_service_us, self.prefetch_completed)
     }
 
     /// Component-wise accumulation (queue-depth high-water marks take the
@@ -143,14 +111,9 @@ impl SchedulerStats {
         self.demand_submitted += other.demand_submitted;
         self.demand_coalesced += other.demand_coalesced;
         self.demand_completed += other.demand_completed;
-        self.prefetch_submitted += other.prefetch_submitted;
-        self.prefetch_completed += other.prefetch_completed;
-        self.prefetch_dropped += other.prefetch_dropped;
         self.demand_queue_max = self.demand_queue_max.max(other.demand_queue_max);
-        self.prefetch_queue_max = self.prefetch_queue_max.max(other.prefetch_queue_max);
         self.demand_wait_us += other.demand_wait_us;
         self.demand_service_us += other.demand_service_us;
-        self.prefetch_service_us += other.prefetch_service_us;
     }
 }
 
@@ -167,14 +130,9 @@ struct AtomicSchedulerStats {
     demand_submitted: AtomicU64,
     demand_coalesced: AtomicU64,
     demand_completed: AtomicU64,
-    prefetch_submitted: AtomicU64,
-    prefetch_completed: AtomicU64,
-    prefetch_dropped: AtomicU64,
     demand_queue_max: AtomicU64,
-    prefetch_queue_max: AtomicU64,
     demand_wait_us: AtomicU64,
     demand_service_us: AtomicU64,
-    prefetch_service_us: AtomicU64,
 }
 
 impl AtomicSchedulerStats {
@@ -184,14 +142,9 @@ impl AtomicSchedulerStats {
             demand_submitted: self.demand_submitted.load(o),
             demand_coalesced: self.demand_coalesced.load(o),
             demand_completed: self.demand_completed.load(o),
-            prefetch_submitted: self.prefetch_submitted.load(o),
-            prefetch_completed: self.prefetch_completed.load(o),
-            prefetch_dropped: self.prefetch_dropped.load(o),
             demand_queue_max: self.demand_queue_max.load(o),
-            prefetch_queue_max: self.prefetch_queue_max.load(o),
             demand_wait_us: self.demand_wait_us.load(o),
             demand_service_us: self.demand_service_us.load(o),
-            prefetch_service_us: self.prefetch_service_us.load(o),
         }
     }
 
@@ -200,14 +153,9 @@ impl AtomicSchedulerStats {
         self.demand_submitted.store(0, o);
         self.demand_coalesced.store(0, o);
         self.demand_completed.store(0, o);
-        self.prefetch_submitted.store(0, o);
-        self.prefetch_completed.store(0, o);
-        self.prefetch_dropped.store(0, o);
         self.demand_queue_max.store(0, o);
-        self.prefetch_queue_max.store(0, o);
         self.demand_wait_us.store(0, o);
         self.demand_service_us.store(0, o);
-        self.prefetch_service_us.store(0, o);
     }
 }
 
@@ -215,10 +163,6 @@ impl AtomicSchedulerStats {
 /// servicing worker publishes the result into `done` and wakes every
 /// waiter.
 struct Request {
-    kind: PageKind,
-    /// `true` if a prefetch hint created this request (lane of origin; a
-    /// demand read may later piggyback on it).
-    origin_prefetch: bool,
     /// Set by a shared-write install/drop of the same page while this
     /// request is in flight: the fetch may return pre-write bytes. New
     /// demand reads refuse to coalesce onto a stale request (they go to
@@ -227,29 +171,15 @@ struct Request {
     /// bytes — under the MVCC protocol those readers are pinned to an
     /// epoch whose overlay corrects the page anyway.
     stale: AtomicBool,
-    /// Set once a demand read wants this request's page: from birth for
-    /// demand-lane requests (read or announced), on first coalesce for
-    /// prefetch-lane ones.
-    demanded: AtomicBool,
-    /// Set by the worker that claims the request (the arbiter that keeps a
-    /// request serviced exactly once even if it sits in both lanes).
-    taken: AtomicBool,
-    /// Ensures at most one waiter records the prefetch hit for this fetch.
-    hit_credited: AtomicBool,
     submitted: Instant,
     done: Mutex<Option<Result<Page, StorageError>>>,
     cv: Condvar,
 }
 
 impl Request {
-    fn new(kind: PageKind, origin_prefetch: bool) -> Request {
+    fn new() -> Request {
         Request {
-            kind,
-            origin_prefetch,
             stale: AtomicBool::new(false),
-            demanded: AtomicBool::new(!origin_prefetch),
-            taken: AtomicBool::new(false),
-            hit_credited: AtomicBool::new(false),
             submitted: Instant::now(),
             done: Mutex::new(None),
             cv: Condvar::new(),
@@ -301,10 +231,10 @@ fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<
     }
 }
 
-/// The two submission lanes plus the in-flight table.
+/// The submission queue plus the in-flight table. Every in-flight request
+/// sits in `demand` exactly once until a worker pops it.
 struct SubmissionQueue {
     demand: VecDeque<PageId>,
-    prefetch: VecDeque<PageId>,
     inflight: HashMap<PageId, Arc<Request>>,
     shutdown: bool,
 }
@@ -357,13 +287,13 @@ impl<S: PageStore> Core<S> {
         Ok(page)
     }
 
-    /// The *submit* half of a demand read: queues a demand-lane fetch of
-    /// `id` and counts it as a physical read. The caller holds the queue
+    /// The *submit* half of a demand read: queues a fetch of `id` and
+    /// counts it as a physical read. The caller holds the queue
     /// lock and has checked that `id` is not in flight; whether anyone
     /// awaits the returned request is the caller's business
     /// (`read_page` does, `want_pages` does not).
     fn submit_demand(&self, q: &mut SubmissionQueue, id: PageId, kind: PageKind) -> Arc<Request> {
-        let req = Arc::new(Request::new(kind, false));
+        let req = Arc::new(Request::new());
         q.inflight.insert(id, Arc::clone(&req));
         q.demand.push_back(id);
         self.sched.demand_submitted.fetch_add(1, Ordering::Relaxed);
@@ -374,50 +304,14 @@ impl<S: PageStore> Core<S> {
         self.work.notify_one();
         req
     }
-
-    /// Discards every queued (untaken, undemanded) prefetch. Requests that
-    /// a demand read piggybacked on, or a worker already claimed, survive.
-    fn discard_queued_prefetches(&self, q: &mut SubmissionQueue) {
-        while let Some(id) = q.prefetch.pop_front() {
-            let Some(req) = q.inflight.get(&id) else {
-                continue;
-            };
-            if req.demanded.load(Ordering::Acquire) || req.taken.load(Ordering::Acquire) {
-                continue;
-            }
-            q.inflight.remove(&id);
-            self.sched.prefetch_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        if q.inflight.is_empty() {
-            self.idle.notify_all();
-        }
-    }
 }
 
-/// Pops the next claimable request: demand lane first, prefetch lane only
-/// while not shutting down. Returning `None` with `shutdown` set means the
-/// demand lane has fully drained.
-fn take_next<S: PageStore>(
-    core: &Core<S>,
-    q: &mut SubmissionQueue,
-) -> Option<(PageId, Arc<Request>)> {
+/// Pops the next queued request. Returning `None` with `shutdown` set means
+/// the queue has fully drained.
+fn take_next(q: &mut SubmissionQueue) -> Option<(PageId, Arc<Request>)> {
     while let Some(id) = q.demand.pop_front() {
         if let Some(req) = q.inflight.get(&id) {
-            if !req.taken.swap(true, Ordering::AcqRel) {
-                return Some((id, Arc::clone(req)));
-            }
-        }
-    }
-    if q.shutdown {
-        // Shutdown discards speculation; only demand reads get drained.
-        core.discard_queued_prefetches(q);
-        return None;
-    }
-    while let Some(id) = q.prefetch.pop_front() {
-        if let Some(req) = q.inflight.get(&id) {
-            if !req.taken.swap(true, Ordering::AcqRel) {
-                return Some((id, Arc::clone(req)));
-            }
+            return Some((id, Arc::clone(req)));
         }
     }
     None
@@ -428,11 +322,11 @@ fn worker_loop<S: PageStore>(core: &Core<S>) {
         let claimed = {
             let mut q = lock_unpoisoned(&core.queue);
             loop {
-                if let Some(claimed) = take_next(core, &mut q) {
+                if let Some(claimed) = take_next(&mut q) {
                     break Some(claimed);
                 }
                 if q.shutdown {
-                    break None; // demand lane drained — safe to exit
+                    break None; // queue drained — safe to exit
                 }
                 q = wait_unpoisoned(&core.work, q);
             }
@@ -459,50 +353,19 @@ fn service<S: PageStore>(core: &Core<S>, id: PageId, req: Arc<Request>) {
     let service_us = start.elapsed().as_micros() as u64;
 
     if let Ok(page) = &result {
-        let demanded_now = req.demanded.load(Ordering::Acquire);
-        if req.origin_prefetch {
-            core.io.record_prefetch_read(req.kind);
-            if demanded_now && !req.hit_credited.swap(true, Ordering::AcqRel) {
-                // A demand read already coalesced with this prefetch: the
-                // bytes are used the moment they land, so the hit is
-                // credited here and the page goes in unmarked. Crediting
-                // from the waiter instead would race the cache: the page
-                // could be evicted (counting `prefetch_evicted`) before
-                // the waiter ran, double-counting one prefetch read as
-                // both used and irrecoverably wasted.
-                core.io.record_prefetch_hit(req.kind);
-            }
-        }
-        let prefetched_mark = req.origin_prefetch && !demanded_now;
         let mut cache = core.shard_cache(id);
         let fresh =
             !req.stale.load(Ordering::Acquire) && core.write_stamp.load(Ordering::SeqCst) == stamp;
         if fresh && !cache.contains(id) {
-            let (_, evicted) = cache.insert(
-                id,
-                page.clone(),
-                req.kind,
-                core.shard_capacity,
-                prefetched_mark,
-            );
-            if let Some(victim_kind) = evicted {
-                core.io.record_prefetch_evicted(victim_kind);
-            }
+            cache.insert(id, page.clone(), core.shard_capacity);
         }
     }
 
     let relaxed = Ordering::Relaxed;
-    if req.origin_prefetch {
-        core.sched.prefetch_completed.fetch_add(1, relaxed);
-        core.sched
-            .prefetch_service_us
-            .fetch_add(service_us, relaxed);
-    } else {
-        core.sched.demand_completed.fetch_add(1, relaxed);
-        core.sched.demand_service_us.fetch_add(service_us, relaxed);
-        let wait_us = req.submitted.elapsed().as_micros() as u64;
-        core.sched.demand_wait_us.fetch_add(wait_us, relaxed);
-    }
+    core.sched.demand_completed.fetch_add(1, relaxed);
+    core.sched.demand_service_us.fetch_add(service_us, relaxed);
+    let wait_us = req.submitted.elapsed().as_micros() as u64;
+    core.sched.demand_wait_us.fetch_add(wait_us, relaxed);
 
     {
         let mut done = lock_unpoisoned(&req.done);
@@ -518,8 +381,8 @@ fn service<S: PageStore>(core: &Core<S>, id: PageId, req: Arc<Request>) {
     }
 }
 
-/// Owns the worker threads; dropping it signals shutdown, lets the demand
-/// lane drain, and joins every worker.
+/// Owns the worker threads; dropping it signals shutdown, lets the queue
+/// drain, and joins every worker.
 struct WorkerSet<S: PageStore + Send + Sync + 'static> {
     core: Arc<Core<S>>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -562,8 +425,8 @@ impl<S: PageStore + Send + Sync + 'static> DiskScheduler<S> {
         DiskScheduler::with_config(store, capacity, SchedulerConfig::default())
     }
 
-    /// Creates a scheduler with explicit tuning knobs (worker count is
-    /// clamped to at least one).
+    /// Creates a scheduler with an explicit worker count (clamped to at
+    /// least one).
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -584,7 +447,6 @@ impl<S: PageStore + Send + Sync + 'static> DiskScheduler<S> {
             write_stamp: AtomicU64::new(0),
             queue: Mutex::new(SubmissionQueue {
                 demand: VecDeque::new(),
-                prefetch: VecDeque::new(),
                 inflight: HashMap::new(),
                 shutdown: false,
             }),
@@ -621,7 +483,7 @@ impl<S: PageStore + Send + Sync + 'static> DiskScheduler<S> {
         scheduler
     }
 
-    /// The scheduler's tuning knobs.
+    /// The scheduler's configuration.
     pub fn config(&self) -> SchedulerConfig {
         self.core.config
     }
@@ -667,7 +529,7 @@ impl<S: PageStore + Send + Sync + 'static> DiskScheduler<S> {
         self.core.io.reset();
     }
 
-    /// Snapshot of the scheduling counters (lanes, coalescing, latencies).
+    /// Snapshot of the scheduling counters (queue, coalescing, latencies).
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.core.sched.snapshot()
     }
@@ -704,10 +566,7 @@ impl<S: PageStore + Send + Sync + 'static> DiskScheduler<S> {
             *cache.page_mut(slot) = page.clone();
             cache.touch(slot);
         } else {
-            let (_, evicted) = cache.insert(id, page.clone(), kind, core.shard_capacity, false);
-            if let Some(victim_kind) = evicted {
-                core.io.record_prefetch_evicted(victim_kind);
-            }
+            cache.insert(id, page.clone(), core.shard_capacity);
         }
     }
 
@@ -738,8 +597,8 @@ impl<S: PageStore + Send + Sync + 'static> DiskScheduler<S> {
         result
     }
 
-    /// Shuts the workers down (draining in-flight demand reads, discarding
-    /// queued prefetches) and returns the store.
+    /// Shuts the workers down (draining every queued and in-flight read)
+    /// and returns the store.
     pub fn into_store(self) -> S {
         let DiskScheduler { core, workers } = self;
         drop(workers); // signals shutdown and joins every worker
@@ -752,13 +611,12 @@ impl<S: PageStore + Send + Sync + 'static> DiskScheduler<S> {
         }
     }
 
-    /// Waits until nothing is in flight: discards queued prefetches, then
-    /// blocks until the workers have retired every claimed request. Called
-    /// with `&mut self`, so no new request can arrive concurrently.
+    /// Waits until nothing is in flight: blocks until the workers have
+    /// retired every submitted request. Called with `&mut self`, so no new
+    /// request can arrive concurrently.
     fn quiesce(&mut self) {
         let core = &self.core;
         let mut q = lock_unpoisoned(&core.queue);
-        core.discard_queued_prefetches(&mut q);
         while !q.inflight.is_empty() {
             q = wait_unpoisoned(&core.idle, q);
         }
@@ -771,15 +629,12 @@ impl<S: PageStore + Send + Sync + 'static> PageRead for DiskScheduler<S> {
         {
             let mut cache = core.shard_cache(id);
             if let Some(slot) = cache.lookup(id) {
-                if cache.take_prefetched(slot) {
-                    core.io.record_prefetch_hit(kind);
-                }
                 core.io.record_read(kind, false);
                 return Ok(cache.page(slot).clone());
             }
         }
         // `joined`: this read piggybacks on a fetch somebody else submitted
-        // (another reader, a hint, or an earlier announcement).
+        // (another reader, or an earlier announcement).
         let (req, joined) = {
             let mut q = lock_unpoisoned(&core.queue);
             if q.shutdown {
@@ -803,20 +658,14 @@ impl<S: PageStore + Send + Sync + 'static> PageRead for DiskScheduler<S> {
                 let req = Arc::clone(req);
                 core.sched.demand_coalesced.fetch_add(1, Ordering::Relaxed);
                 core.io.record_read(kind, false);
-                if !req.demanded.swap(true, Ordering::AcqRel) && !req.taken.load(Ordering::Acquire)
-                {
-                    // Still queued in the prefetch lane: promote it.
-                    q.demand.push_front(id);
-                    core.work.notify_one();
-                }
                 (req, true)
             } else {
                 core.io.record_read(kind, false);
                 (core.submit_demand(&mut q, id, kind), false)
             }
         };
-        let page = match req.await_result() {
-            Ok(page) => page,
+        match req.await_result() {
+            Ok(page) => Ok(page),
             // The fetch this read joined failed — possibly an announced
             // one that hit the device long before this read was issued.
             // That failure is not this read's: it makes its own attempt,
@@ -824,26 +673,10 @@ impl<S: PageStore + Send + Sync + 'static> PageRead for DiskScheduler<S> {
             // on behalf of that very call.
             Err(_) if joined => {
                 core.io.record_physical_read(kind);
-                return core.read_direct(id);
+                core.read_direct(id)
             }
-            Err(err) => return Err(err),
-        };
-        if req.origin_prefetch && !req.hit_credited.load(Ordering::Acquire) {
-            // The fetch landed marked speculative (no demand had coalesced
-            // when the worker published it). The cached copy's mark is the
-            // sole arbiter of the hit: claim it and credit, or — if an
-            // eviction already claimed the marked slot and counted
-            // `prefetch_evicted` — credit nothing, so each prefetch read
-            // is counted at most once (`hits + evicted ≤ reads`).
-            let mut cache = core.shard_cache(id);
-            if let Some(slot) = cache.slot_of(id) {
-                if cache.take_prefetched(slot) {
-                    req.hit_credited.store(true, Ordering::Release);
-                    core.io.record_prefetch_hit(kind);
-                }
-            }
+            Err(err) => Err(err),
         }
-        Ok(page)
     }
 
     fn want_pages(&self, pages: &[(PageId, PageKind)]) {
@@ -860,40 +693,11 @@ impl<S: PageStore + Send + Sync + 'static> PageRead for DiskScheduler<S> {
             }
         }
     }
-
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        let core = &self.core;
-        if core.shard_cache(id).contains(id) {
-            return; // already resident — nothing speculative to do
-        }
-        let relaxed = Ordering::Relaxed;
-        let mut q = lock_unpoisoned(&core.queue);
-        if q.inflight.contains_key(&id) {
-            return; // already being fetched
-        }
-        core.sched.prefetch_submitted.fetch_add(1, relaxed);
-        if q.shutdown
-            || q.demand.len() >= core.config.demand_pressure
-            || q.prefetch.len() >= core.config.prefetch_queue_cap
-        {
-            // Speculation must never queue behind (or ahead of) a backlog
-            // of useful work: drop the hint.
-            core.sched.prefetch_dropped.fetch_add(1, relaxed);
-            return;
-        }
-        let req = Arc::new(Request::new(kind, true));
-        q.inflight.insert(id, req);
-        q.prefetch.push_back(id);
-        core.sched
-            .prefetch_queue_max
-            .fetch_max(q.prefetch.len() as u64, relaxed);
-        core.work.notify_one();
-    }
 }
 
-/// Exclusive writes quiesce the submission queue first (dropping queued
-/// prefetches, draining claimed fetches), so a stale in-flight read can
-/// never re-insert pre-write bytes into the cache after the write lands.
+/// Exclusive writes quiesce the submission queue first (draining every
+/// submitted fetch), so a stale in-flight read can never re-insert
+/// pre-write bytes into the cache after the write lands.
 impl<S: PageStore + Send + Sync + 'static> PageWrite for DiskScheduler<S> {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
         self.core.write_store().alloc()
@@ -1019,11 +823,9 @@ mod tests {
         let lanes = sched.scheduler_stats();
         assert_eq!(lanes.demand_submitted, N);
         assert_eq!(lanes.demand_completed, N);
-        assert_eq!(lanes.prefetch_submitted, 0);
         let stats = sched.stats();
         assert_eq!(stats.total_physical_reads(), N);
         assert_eq!(stats.total_logical_reads(), N);
-        assert_eq!(stats.total_prefetch_reads(), 0, "no hint was issued");
         assert!(
             sched.store().max_queue_depth() >= 2,
             "announced fetches never overlapped on the device"
@@ -1056,10 +858,7 @@ mod tests {
         // of the announced fetch's result into the cache shows.
         let latency = Duration::from_millis(10);
         let store = ThrottledStore::new(store_with_pages(4), latency);
-        let config = SchedulerConfig {
-            workers: 1,
-            ..SchedulerConfig::default()
-        };
+        let config = SchedulerConfig { workers: 1 };
         let sched = DiskScheduler::with_config(store, 16, config);
         sched.want_pages(&wants(0..2));
         let mut page = Page::new();
@@ -1077,10 +876,7 @@ mod tests {
     #[test]
     fn announced_fetches_never_hang_drop_or_store_mut() {
         let latency = Duration::from_millis(5);
-        let config = SchedulerConfig {
-            workers: 1,
-            ..SchedulerConfig::default()
-        };
+        let config = SchedulerConfig { workers: 1 };
         let store = ThrottledStore::new(store_with_pages(16), latency);
         let mut sched = DiskScheduler::with_config(store, 16, config);
         sched.want_pages(&wants(0..8));
@@ -1090,7 +886,7 @@ mod tests {
         assert_eq!(lanes.demand_submitted, 8);
         assert_eq!(lanes.demand_completed, 8);
         sched.want_pages(&wants(8..16));
-        drop(sched); // drains the demand lane, then joins the workers
+        drop(sched); // drains the queue, then joins the workers
     }
 
     #[test]
@@ -1182,168 +978,13 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_then_demand_read_is_a_hit() {
-        let sched = DiskScheduler::new(store_with_pages(4), 16);
-        sched.prefetch_page(PageId(2), PageKind::ObjectPage);
-        // The hint is asynchronous: wait for the fetch to land.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while sched.scheduler_stats().prefetch_completed == 0 {
-            assert!(Instant::now() < deadline, "prefetch never completed");
-            std::thread::yield_now();
-        }
-        let page = sched.read_page(PageId(2), PageKind::ObjectPage).unwrap();
-        assert_eq!(page.get_u64(0), 2);
-        let stats = sched.stats();
-        assert_eq!(stats.kind(PageKind::ObjectPage).prefetch_reads, 1);
-        assert_eq!(stats.kind(PageKind::ObjectPage).prefetch_hits, 1);
-        assert_eq!(stats.total_physical_reads(), 0);
-        assert_eq!(stats.total_prefetched_unused(), 0);
-        // A second read is an ordinary cache hit, not another prefetch hit.
-        sched.read_page(PageId(2), PageKind::ObjectPage).unwrap();
-        assert_eq!(sched.stats().kind(PageKind::ObjectPage).prefetch_hits, 1);
-    }
-
-    #[test]
-    fn evicted_prefetch_counts_once_not_as_hit_and_eviction() {
-        // Pins the accounting semantics: every prefetch read resolves to
-        // exactly one of {hit, evicted, still-resident unused}, so
-        // `prefetch_hits + prefetch_evicted ≤ prefetch_reads` always.
-        // Capacity 16 over 16 lock shards = one page per shard; ids
-        // congruent mod DEFAULT_SHARDS land in the same shard and evict
-        // each other.
-        assert_eq!(DEFAULT_SHARDS, 16, "test assumes 16 cache shards");
-        let sched = DiskScheduler::new(store_with_pages(64), 16);
-        sched.prefetch_page(PageId(0), PageKind::ObjectPage);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while sched.scheduler_stats().prefetch_completed == 0 {
-            assert!(Instant::now() < deadline, "prefetch never completed");
-            std::thread::yield_now();
-        }
-        // Evict the still-marked page 0 with a same-shard demand read…
-        sched.read_page(PageId(16), PageKind::ObjectPage).unwrap();
-        // …then demand-miss it: the eviction was already charged, so the
-        // re-read must NOT also claim a prefetch hit.
-        let page = sched.read_page(PageId(0), PageKind::ObjectPage).unwrap();
-        assert_eq!(page.get_u64(0), 0);
-        let stats = sched.stats();
-        let k = stats.kind(PageKind::ObjectPage);
-        assert_eq!(k.prefetch_reads, 1);
-        assert_eq!(k.prefetch_evicted, 1, "marked page was evicted");
-        assert_eq!(k.prefetch_hits, 0, "an evicted prefetch is not a hit");
-        assert_eq!(k.prefetched_unused(), 1);
-        assert!(k.prefetch_hits + k.prefetch_evicted <= k.prefetch_reads);
-    }
-
-    #[test]
-    fn demand_read_promotes_an_inflight_prefetch() {
-        // Slow store, one worker: the prefetch is still queued (or just
-        // claimed) when the demand read arrives; the demand read must
-        // piggyback on it and still count the prefetch as useful.
-        let latency = Duration::from_millis(10);
-        let store = ThrottledStore::new(store_with_pages(4), latency);
-        let config = SchedulerConfig {
-            workers: 1,
-            ..SchedulerConfig::default()
-        };
-        let sched = DiskScheduler::with_config(store, 16, config);
-        // Occupy the worker so the next hint stays queued.
-        sched.prefetch_page(PageId(0), PageKind::Other);
-        sched.prefetch_page(PageId(1), PageKind::Other);
-        let page = sched.read_page(PageId(1), PageKind::Other).unwrap();
-        assert_eq!(page.get_u64(0), 1);
-        let stats = sched.stats();
-        // The demand read coalesced with the prefetch: no demand fetch.
-        assert_eq!(stats.total_physical_reads(), 0);
-        assert_eq!(stats.kind(PageKind::Other).prefetch_hits, 1);
-        assert!(sched.scheduler_stats().demand_coalesced >= 1);
-    }
-
-    #[test]
-    fn prefetches_drop_under_demand_pressure_and_queue_caps() {
-        let latency = Duration::from_millis(20);
-        let store = ThrottledStore::new(store_with_pages(64), latency);
-        let config = SchedulerConfig {
-            workers: 1,
-            prefetch_queue_cap: 2,
-            demand_pressure: 4,
-        };
-        let sched = DiskScheduler::with_config(store, 64, config);
-        // Flood the prefetch lane: 1 claimed + 2 queued, the rest dropped.
-        for i in 0..10u64 {
-            sched.prefetch_page(PageId(i), PageKind::Other);
-        }
-        let lanes = sched.scheduler_stats();
-        assert_eq!(lanes.prefetch_submitted, 10);
-        assert!(
-            lanes.prefetch_dropped >= 7,
-            "expected ≥7 drops, got {}",
-            lanes.prefetch_dropped
-        );
-        assert!(lanes.prefetch_queue_max <= 2);
-    }
-
-    #[test]
-    fn demand_lane_overtakes_queued_prefetches() {
-        let latency = Duration::from_millis(10);
-        let store = ThrottledStore::new(store_with_pages(64), latency);
-        let config = SchedulerConfig {
-            workers: 1,
-            prefetch_queue_cap: 64,
-            demand_pressure: 64,
-        };
-        let sched = DiskScheduler::with_config(store, 64, config);
-        for i in 0..20u64 {
-            sched.prefetch_page(PageId(i), PageKind::Other);
-        }
-        // The demand read targets a page *not* in the prefetch backlog; it
-        // must jump the queue: ≤ 1 in-service prefetch + its own fetch,
-        // nowhere near the 20-fetch backlog.
-        let start = Instant::now();
-        let page = sched.read_page(PageId(40), PageKind::Other).unwrap();
-        let elapsed = start.elapsed();
-        assert_eq!(page.get_u64(0), 40);
-        assert!(
-            elapsed < latency * 8,
-            "demand read waited {elapsed:?} behind the prefetch backlog"
-        );
-    }
-
-    #[test]
-    fn drop_discards_queued_prefetches_quickly() {
-        let latency = Duration::from_millis(50);
-        let store = ThrottledStore::new(store_with_pages(64), latency);
-        let config = SchedulerConfig {
-            workers: 1,
-            prefetch_queue_cap: 64,
-            demand_pressure: 64,
-        };
-        let sched = DiskScheduler::with_config(store, 64, config);
-        for i in 0..30u64 {
-            sched.prefetch_page(PageId(i), PageKind::Other);
-        }
-        let start = Instant::now();
-        drop(sched);
-        let elapsed = start.elapsed();
-        // Draining all 30 would take ≥ 1.5 s; discarding leaves only the
-        // one claimed fetch to finish.
-        assert!(
-            elapsed < latency * 10,
-            "drop drained the prefetch backlog instead of discarding it ({elapsed:?})"
-        );
-    }
-
-    #[test]
     fn write_quiesces_inflight_fetches() {
         let latency = Duration::from_millis(10);
         let store = ThrottledStore::new(store_with_pages(4), latency);
-        let config = SchedulerConfig {
-            workers: 1,
-            ..SchedulerConfig::default()
-        };
+        let config = SchedulerConfig { workers: 1 };
         let mut sched = DiskScheduler::with_config(store, 16, config);
-        // Kick off speculative fetches of the page we're about to change.
-        sched.prefetch_page(PageId(0), PageKind::Other);
-        sched.prefetch_page(PageId(1), PageKind::Other);
+        // Kick off waiter-less fetches of the page we're about to change.
+        sched.want_pages(&wants(0..2));
         let mut page = Page::new();
         page.put_u64(0, 4242);
         sched.write(PageId(1), &page, PageKind::Other).unwrap();

@@ -496,10 +496,6 @@ impl<S: PageStore, C: VersionedCache> PageRead for VersionedPool<S, C> {
     fn want_pages(&self, pages: &[(PageId, PageKind)]) {
         self.cache.want_pages(pages)
     }
-
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        self.cache.prefetch_page(id, kind)
-    }
 }
 
 /// The exclusive, **non-versioned** write path: bulk builds and recovery
@@ -597,10 +593,6 @@ impl<S: PageStore, C: VersionedCache> PageRead for EpochPin<'_, S, C> {
     /// overlays taxes every wave of every pinned query.
     fn want_pages(&self, pages: &[(PageId, PageKind)]) {
         self.pool.cache.want_pages(pages)
-    }
-
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        self.pool.cache.prefetch_page(id, kind)
     }
 }
 
@@ -744,12 +736,6 @@ impl<S: PageStore, C: VersionedCache> PageRead for BatchWriter<'_, S, C> {
         // current bytes. In-flight fetches the batch staled are refused by
         // the cache layer, so this cannot observe its own torn write.
         self.pool.cache.read_page(id, kind)
-    }
-
-    fn prefetch_page(&self, id: PageId, kind: PageKind) {
-        if !self.freed.contains(&id.0) && !self.local.borrow().contains_key(&id.0) {
-            self.pool.cache.prefetch_page(id, kind)
-        }
     }
 }
 

@@ -86,8 +86,9 @@ fn main() {
         stats.records_processed, stats.max_queue_len
     );
 
-    // 4. Batches run through the fluent query builder: per-batch page
-    //    cache plus crawl-ahead readahead, results identical to serial.
+    // 4. Batches run through the fluent query builder: the same query
+    //    verbs from a few client threads over one snapshot, so every
+    //    query sees one epoch and their device reads overlap.
     let probes: Vec<Aabb> = (0..16)
         .map(|i| {
             Aabb::cube(
@@ -99,17 +100,21 @@ fn main() {
     let outcome = db
         .query()
         .ranges(probes.iter().copied())
-        .readahead(4)
         .run_batch()
         .expect("batch");
+    for (hits, probe) in outcome.results.iter().zip(&probes) {
+        assert_eq!(hits, &db.reader().range(probe).expect("query"));
+    }
     println!(
-        "\nbatch of {}: {} pages fetched for {} page requests \
-         ({} absorbed by the batch cache), {} readahead hints",
+        "\nbatch of {}: {} hits, {} object pages scanned, {} physical reads",
         probes.len(),
-        outcome.pages_fetched,
-        outcome.page_requests,
-        outcome.page_requests - outcome.pages_fetched,
-        outcome.prefetch_hints,
+        outcome.results.iter().map(Vec::len).sum::<usize>(),
+        outcome
+            .query_stats
+            .iter()
+            .map(|s| s.object_pages_read)
+            .sum::<u64>(),
+        outcome.io.total_physical_reads(),
     );
 
     // 5. Mutations go through an exclusive write session: delete the

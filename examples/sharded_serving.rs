@@ -37,7 +37,6 @@ fn main() {
         pool_pages: 1 << 12,
         scheduler: SchedulerConfig {
             workers: DEVICE_PARALLELISM,
-            ..SchedulerConfig::default()
         },
     };
     let db = ShardedDb::build(4, entries, options, |_| {
@@ -108,7 +107,7 @@ fn main() {
         total_ops as f64 / elapsed.as_secs_f64(),
     );
     println!(
-        "  demand lane: {} fetches, {} coalesced, mean wait {:.0} µs",
+        "  scheduler: {} fetches, {} coalesced, mean wait {:.0} µs",
         lanes.demand_submitted,
         lanes.demand_coalesced,
         lanes.mean_demand_wait_us(),

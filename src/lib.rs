@@ -36,8 +36,8 @@
 //! let nearest = db.reader().knn(config.domain.center(), 5).unwrap();
 //! assert_eq!(nearest.len(), 5);
 //!
-//! // The same query batched with crawl-ahead readahead: identical bits.
-//! let outcome = db.query().range(query).readahead(2).run_batch().unwrap();
+//! // The same query as a batch (one epoch, overlapped reads): identical bits.
+//! let outcome = db.query().range(query).run_batch().unwrap();
 //! assert_eq!(outcome.results[0], hits);
 //!
 //! // Updates go through an exclusive write session.
@@ -71,9 +71,9 @@ pub use flat_storage as storage;
 pub mod prelude {
     pub use flat_core::{
         AggregateStats, BatchOutcome, BuildReport, BuildStats, ContinuousQueryId, DbOptions,
-        DeltaIndex, DeltaReport, Durability, EngineConfig, FlatDb, FlatError, FlatIndex,
-        FlatIndexBuilder, FlatOptions, IndexRef, IndexStats, JoinEngine, JoinInput, JoinResult,
-        JoinStats, KnnStats, Neighbor, QueryBuilder, QueryDelta, QueryEngine, QueryStats,
+        DeltaIndex, DeltaReport, Durability, FlatDb, FlatError, FlatIndex, FlatIndexBuilder,
+        FlatOptions, IndexRef, IndexStats, JoinEngine, JoinInput, JoinResult, JoinStats,
+        KnnBatchOutcome, KnnStats, Neighbor, QueryBuilder, QueryDelta, QueryStats,
         RTreeBuildOptions, RecoveryReport, ShardOptions, ShardedDb, Snapshot, SpatialIndex,
         StreamingStats, WriteOp, Writer,
     };

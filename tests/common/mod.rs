@@ -110,8 +110,7 @@ impl Harness {
         (pool, index)
     }
 
-    /// Every range and kNN probe agrees with the rebuild, and the batched
-    /// engine agrees with the serial delta path.
+    /// Every range and kNN probe agrees with the rebuild.
     pub fn assert_equivalent(&self, seed: u64) {
         let (fresh_pool, fresh) = self.rebuild();
         assert_eq!(self.delta.num_live_elements(), self.survivors.len() as u64);

@@ -280,6 +280,109 @@ fn readers_proceed_during_batches_and_never_see_partial_state() {
 }
 
 #[test]
+fn a_batch_in_flight_across_commits_answers_from_one_epoch() {
+    // `run_batch` pins one snapshot for all of its queries, however many
+    // client threads run them and however long they take: a batch that is
+    // in flight while a writer publishes equals one published version
+    // throughout. The writer keeps committing insert/delete groups until
+    // enough batches have demonstrably straddled a publish (the epoch moved
+    // between the batch's start and its end), so the interleaving under
+    // test has occurred by the time the oracle is consulted.
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicBool;
+    const STRADDLES: u64 = 5;
+    const MAX_COMMITS: usize = 300;
+
+    let (entries, domain) = neuron_dataset();
+    let options = FlatOptions {
+        layout: LeafLayout::WithIds,
+        domain: Some(domain),
+        ..FlatOptions::default()
+    };
+    let queries = queries(&domain);
+    let mut db = FlatDb::create(MemStore::new(), DbOptions::default().with_index(options));
+    db.build_from(entries.clone()).expect("build");
+
+    // The workload four times over: a batch long enough to be caught
+    // mid-flight, and every version is checked four times per batch.
+    let batch: Vec<Aabb> = (0..4).flat_map(|_| queries.iter().copied()).collect();
+    type Version = Vec<Vec<[u64; 7]>>;
+    let pass = |db: &FlatDb<MemStore>| -> (u64, Version) {
+        let snap = db.reader();
+        let version = queries
+            .iter()
+            .map(|q| keys(&snap.range(q).expect("query")))
+            .collect();
+        (snap.epoch(), version)
+    };
+    // Oracle: the workload's answers at every published epoch.
+    let versions: Mutex<HashMap<u64, Version>> = Mutex::new([pass(&db)].into_iter().collect());
+    let mut churn = ChurnWorkload::new(entries, domain, ChurnConfig::steady(300, 4243));
+    let straddles = AtomicU64::new(0);
+    let writer_done = AtomicBool::new(false);
+
+    let batches: Vec<(u64, u64, Version)> = std::thread::scope(|scope| {
+        let client = scope.spawn(|| {
+            let mut batches = Vec::new();
+            while straddles.load(Ordering::SeqCst) < STRADDLES
+                && !writer_done.load(Ordering::SeqCst)
+            {
+                let before = db.reader().epoch();
+                let outcome = db
+                    .query()
+                    .ranges(batch.iter().copied())
+                    .run_batch()
+                    .expect("batch");
+                let after = db.reader().epoch();
+                if after > before {
+                    straddles.fetch_add(1, Ordering::SeqCst);
+                }
+                let observed = outcome.results.iter().map(|hits| keys(hits)).collect();
+                batches.push((before, after, observed));
+            }
+            batches
+        });
+        for _ in 0..MAX_COMMITS {
+            if straddles.load(Ordering::SeqCst) >= STRADDLES {
+                break;
+            }
+            let step = churn.step();
+            db.writer()
+                .expect("writer")
+                .apply(vec![
+                    WriteOp::Delete(step.deletes),
+                    WriteOp::Insert(step.inserts),
+                ])
+                .expect("apply");
+            let (epoch, version) = pass(&db);
+            versions.lock().expect("oracle").insert(epoch, version);
+        }
+        writer_done.store(true, Ordering::SeqCst);
+        client.join().expect("batch client")
+    });
+
+    assert!(
+        straddles.load(Ordering::SeqCst) >= STRADDLES,
+        "no batch was in flight across a publish in {MAX_COMMITS} commits"
+    );
+    let versions = versions.into_inner().expect("oracle");
+    for (i, (before, after, observed)) in batches.iter().enumerate() {
+        // The batch pinned its epoch somewhere between the two probes.
+        let one_epoch = (*before..=*after).any(|epoch| {
+            versions.get(&epoch).is_some_and(|version| {
+                observed
+                    .chunks(queries.len())
+                    .all(|pass| pass == &version[..])
+            })
+        });
+        assert!(
+            one_epoch,
+            "batch {i} (epochs {before}..={after}) is not one published version"
+        );
+    }
+}
+
+#[test]
 fn file_backed_index_serves_concurrent_readers() {
     // The same guarantee end-to-end on a real file: FileStore is Sync, so
     // a file-backed pool crosses thread boundaries too.
@@ -323,9 +426,10 @@ fn scheduler_shutdown_drains_inflight_work_before_releasing_the_store() {
     // finish every in-flight demand read and join the worker pool before
     // the store is handed back — a worker still landing a fetch after
     // teardown would be a torn read waiting to happen. We drive real
-    // concurrent traffic over a slow device, flood the prefetch lane so
-    // workers are mid-service at shutdown, tear the scheduler down, and
-    // then prove the recovered store still answers bit-identically.
+    // concurrent traffic over a slow device, announce a flood of reads
+    // nobody waits for so workers are mid-service at shutdown, tear the
+    // scheduler down, and then prove the recovered store still answers
+    // bit-identically.
     use std::time::Duration;
 
     let (entries, domain) = neuron_dataset();
@@ -346,13 +450,10 @@ fn scheduler_shutdown_drains_inflight_work_before_releasing_the_store() {
         .collect();
 
     let num_pages = pool.store().num_pages();
-    let store = ThrottledStore::with_parallelism(pool.into_store(), Duration::from_micros(300), 2);
-    let config = SchedulerConfig {
-        workers: 2,
-        prefetch_queue_cap: 1 << 16,
-        demand_pressure: usize::MAX,
-    };
-    // A cache far smaller than the index keeps the demand lane busy.
+    const LATENCY: Duration = Duration::from_micros(300);
+    let store = ThrottledStore::with_parallelism(pool.into_store(), LATENCY, 2);
+    let config = SchedulerConfig { workers: 2 };
+    // A cache far smaller than the index keeps the queue busy.
     let sched = DiskScheduler::with_config(store, 128, config);
 
     std::thread::scope(|scope| {
@@ -369,21 +470,38 @@ fn scheduler_shutdown_drains_inflight_work_before_releasing_the_store() {
         }
     });
 
-    // Flood the prefetch lane, then shut down immediately: the workers
-    // are mid-fetch when teardown starts. `into_store` can only unwrap
-    // the store once every worker has exited, so merely returning proves
-    // the join; the queued backlog is discarded, not drained.
-    for i in 0..num_pages.min(512) {
-        sched.prefetch_page(PageId(i), PageKind::Other);
-    }
-    let lanes = sched.scheduler_stats();
+    let before = sched.scheduler_stats();
     assert_eq!(
-        lanes.demand_completed, lanes.demand_submitted,
-        "demand lane must be fully drained before shutdown"
+        before.demand_completed, before.demand_submitted,
+        "every read a query waited for has completed"
     );
-    assert!(lanes.prefetch_completed + lanes.prefetch_dropped <= lanes.prefetch_submitted);
+    // Announce a flood, then shut down immediately: the workers are
+    // mid-fetch when teardown starts and nobody awaits the backlog.
+    // `into_store` can only unwrap the store once every worker has
+    // exited, so merely returning proves the join — and the drain: an
+    // announced read is a demand read, and those are never abandoned.
+    let flood: Vec<(PageId, PageKind)> = (0..num_pages.min(512))
+        .map(|i| (PageId(i), PageKind::Other))
+        .collect();
+    let start = std::time::Instant::now();
+    sched.want_pages(&flood);
+    let announced = sched.scheduler_stats().demand_submitted - before.demand_submitted;
+    assert!(announced >= 100, "no backlog to drain: {announced} reads");
 
     let store = sched.into_store();
+    // The device serves two reads per 300 µs at best, so a drained backlog
+    // cannot take less than half its serial service time (a discarded one
+    // would return in one fetch), and prompt means not much more than it.
+    let elapsed = start.elapsed();
+    let serial = LATENCY * announced as u32;
+    assert!(
+        elapsed >= serial / 4,
+        "{announced} announced reads were not drained ({elapsed:?})"
+    );
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "draining {announced} announced reads took {elapsed:?}"
+    );
     let pool = BufferPool::new(store, 1 << 12);
     for (qi, q) in qs.iter().enumerate() {
         let hits = index.range_query(&pool, q).expect("post-shutdown query");

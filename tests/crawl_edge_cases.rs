@@ -1,6 +1,5 @@
-//! Crawl edge cases: degenerate queries and boundary seeds, exercised
-//! through both the serial path and the batched engine (which must agree
-//! bit-for-bit) — plus the degenerate states of the dynamic-update layer
+//! Crawl edge cases: degenerate queries and boundary seeds, checked
+//! against brute force — plus the degenerate states of the dynamic-update layer
 //! (fully-deleted index, delete-then-reinsert, delta-only index, empty
 //! compaction).
 
@@ -45,17 +44,6 @@ fn brute_force(entries: &[Entry], q: &Aabb) -> usize {
     entries.iter().filter(|e| q.intersects(&e.mbr)).count()
 }
 
-/// Serial and batched answers for one query, asserted identical.
-fn query_both_ways(pool: BufferPool<MemStore>, index: &FlatIndex, q: &Aabb) -> Vec<Hit> {
-    let shared = pool.into_concurrent();
-    let serial = index.range_query(&shared, q).unwrap();
-    let outcome = QueryEngine::new(index, &shared)
-        .run_range_batch(std::slice::from_ref(q))
-        .unwrap();
-    assert_eq!(outcome.results[0], serial, "engine diverged from serial");
-    serial
-}
-
 #[test]
 fn query_touching_zero_pages() {
     // The query box lies in the gap between element rows: it intersects
@@ -68,7 +56,7 @@ fn query_touching_zero_pages() {
     // nothing since cubes span [3,7], [13,17], etc.
     let q = Aabb::from_corners(Point3::new(8.0, 8.0, 8.0), Point3::new(12.0, 12.0, 12.0));
     assert_eq!(brute_force(&entries, &q), 0, "test geometry drifted");
-    assert!(query_both_ways(pool, &index, &q).is_empty());
+    assert!(index.range_query(&pool, &q).unwrap().is_empty());
 }
 
 #[test]
@@ -80,7 +68,7 @@ fn query_fully_inside_one_page() {
     let target = entries[555].mbr;
     let q = Aabb::cube(target.center(), 0.1);
     assert_eq!(brute_force(&entries, &q), 1);
-    let hits = query_both_ways(pool, &index, &q);
+    let hits = index.range_query(&pool, &q).unwrap();
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].mbr, target);
 }
@@ -107,10 +95,6 @@ fn seed_page_at_dataset_boundary() {
         let serial = index.range_query(&shared, &q).unwrap();
         assert_eq!(serial.len(), expected, "corner {corner}");
         assert!(expected > 0, "boundary query should not be empty");
-        let outcome = QueryEngine::new(&index, &shared)
-            .run_range_batch(&[q])
-            .unwrap();
-        assert_eq!(outcome.results[0], serial, "corner {corner}");
     }
 }
 
@@ -126,12 +110,6 @@ fn empty_index_queries() {
         assert!(index.range_query(&shared, &q).unwrap().is_empty());
         assert!(index.seed_only(&shared, &q).unwrap().is_none());
     }
-    // Batched and kNN paths agree.
-    let engine = QueryEngine::new(&index, &shared);
-    let outcome = engine
-        .run_range_batch(&[Aabb::cube(Point3::splat(0.0), 10.0)])
-        .unwrap();
-    assert!(outcome.results[0].is_empty());
     assert!(index
         .knn_query(&shared, Point3::splat(0.0), 3)
         .unwrap()
@@ -335,11 +313,11 @@ fn compaction_of_an_empty_delta_is_an_identity() {
 #[test]
 fn whole_domain_and_oversized_queries() {
     // The other extreme: queries covering everything (and more) return
-    // each element exactly once, serial and batched alike.
+    // each element exactly once.
     let entries = grid_entries(8, 10.0);
     let (pool, index) = build(entries.clone());
     let q = Aabb::cube(Point3::splat(40.0), 1000.0);
-    let hits = query_both_ways(pool, &index, &q);
+    let hits = index.range_query(&pool, &q).unwrap();
     assert_eq!(hits.len(), entries.len());
     let mut ids: Vec<u64> = hits.iter().map(|h| h.id).collect();
     ids.sort_unstable();
@@ -1017,7 +995,6 @@ fn waves_are_invisible_at_every_crawl_size() {
     let lanes = pools.device.cache().scheduler_stats();
     assert!(lanes.demand_coalesced > 0, "{lanes:?}");
     assert_eq!(lanes.demand_submitted, lanes.demand_completed);
-    assert_eq!(pools.device.cache().stats().total_prefetch_reads(), 0);
 }
 
 #[test]
@@ -1437,6 +1414,17 @@ fn read_errors_under_announced_fetches_are_typed_and_leave_no_damage() {
         budget: budget.clone(),
     })
     .expect("build");
+    // The same data behind the façade's batch verbs, on the same device.
+    let mut flat = FlatDb::create(
+        FlakyReads {
+            inner: MemStore::new(),
+            budget: budget.clone(),
+        },
+        DbOptions::default().with_index(common::options(domain)),
+    );
+    flat.build_from(entries.clone()).expect("build");
+    let batch = common::recovery_queries(&domain, 14, 77);
+    let probes = common::knn_probes(&domain, 77);
     let live: HashMap<u64, Entry> = entries.iter().map(|e| (e.id, *e)).collect();
     let query = Aabb::cube(Point3::splat(50.0), 60.0);
     let point = Point3::splat(50.0);
@@ -1448,6 +1436,7 @@ fn read_errors_under_announced_fetches_are_typed_and_leave_no_damage() {
     for reads in [0, 1, 2, 3, 5, 8, 13, 21, 34] {
         let dying = |run: &dyn Fn() -> Result<usize, FlatError>| {
             db.clear_cache();
+            flat.clear_cache();
             budget.store(reads, Ordering::SeqCst);
             match run() {
                 Err(FlatError::Storage(StorageError::Io(_))) => {}
@@ -1457,8 +1446,23 @@ fn read_errors_under_announced_fetches_are_typed_and_leave_no_damage() {
         };
         dying(&|| db.range_query(&query).map(|hits| hits.len()));
         dying(&|| db.knn_query(point, 4000).map(|near| near.len()));
-        // The device recovers: the same database answers exactly.
+        // A batch's client threads all run into the dead device: one typed
+        // error comes back once every thread has joined.
+        let range_batch = || flat.query().ranges(batch.iter().copied()).run_batch();
+        let knn_batch = || flat.query().knns(probes.iter().copied()).run_knn_batch();
+        dying(&|| range_batch().map(|outcome| outcome.results.len()));
+        dying(&|| knn_batch().map(|outcome| outcome.results.len()));
+        // The device recovers: the same databases answer exactly, and the
+        // next batch equals the serial answers just checked.
         budget.store(u64::MAX, Ordering::SeqCst);
         assert_answers_match(&db, &live, &domain, 78 + reads);
+        assert_answers_match(&flat, &live, &domain, 78 + reads);
+        let snap = flat.reader();
+        for (hits, q) in range_batch().expect("batch").results.iter().zip(&batch) {
+            assert_eq!(hits, &snap.range(q).expect("serial"));
+        }
+        for (near, &(p, k)) in knn_batch().expect("batch").results.iter().zip(&probes) {
+            assert_eq!(near, &snap.knn(p, k).expect("serial"));
+        }
     }
 }

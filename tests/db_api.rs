@@ -3,7 +3,6 @@
 //! must produce results (and, where observable, pages) **bit-identical**
 //! to the pre-façade low-level calls it routes to.
 
-use flat_repro::core::QueryEngine;
 use flat_repro::prelude::*;
 
 fn dataset(n: usize, seed: u64) -> (Vec<Entry>, Aabb) {
@@ -136,56 +135,100 @@ fn serial_queries_match_low_level_bit_for_bit() {
 }
 
 #[test]
-fn batched_queries_match_engine_and_serial() {
+fn batched_queries_match_serial() {
     let (entries, domain) = dataset(20_000, 26);
-    let options = FlatOptions {
-        domain: Some(domain),
-        ..FlatOptions::default()
-    };
+    let options = updatable(domain);
     let mut db = FlatDb::create(MemStore::new(), DbOptions::default().with_index(options));
     db.build_from(entries.clone()).unwrap();
 
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
-    let (index, _) = FlatIndex::build(&mut pool, entries, options).unwrap();
-    let pool = pool.into_concurrent();
+    let ranges = range_queries(
+        &domain,
+        &WorkloadConfig {
+            count: 50,
+            volume_fraction: 5e-3,
+            proportion_range: (1.0, 3.0),
+            seed: 27,
+        },
+    );
+    let points = knn_queries(
+        &domain,
+        &KnnConfig {
+            count: 50,
+            k_range: (1, 24),
+            seed: 28,
+        },
+    );
 
-    let batch = queries(&domain, 27);
-    for readahead in [0, 3] {
-        let db_outcome = db
-            .query()
-            .ranges(batch.iter().copied())
-            .readahead(readahead)
-            .run_batch()
-            .unwrap();
-        let engine = QueryEngine::with_config(
-            &index,
-            &pool,
-            EngineConfig {
-                readahead_threads: readahead,
-                ..EngineConfig::default()
-            },
-        );
-        let ll_outcome = engine.run_range_batch(&batch).unwrap();
-        assert_eq!(
-            db_outcome.results, ll_outcome.results,
-            "batched range (readahead={readahead})"
-        );
-        // Both must also equal the serial path, bit for bit.
-        for (i, q) in batch.iter().enumerate() {
-            assert_eq!(db_outcome.results[i], db.reader().range(q).unwrap());
+    // Batches of every shape — empty, one query (no thread spawned), fewer
+    // queries than client threads, exactly as many, many more — answer
+    // index-aligned and bit-identical to the serial verbs, counters
+    // included.
+    let assert_batches_match_serial = |db: &FlatDb<MemStore>, state: &str| {
+        let snap = db.reader();
+        for len in [0, 1, 3, 8, 50] {
+            let outcome = db
+                .query()
+                .ranges(ranges[..len].iter().copied())
+                .run_batch()
+                .unwrap();
+            assert_eq!(outcome.results.len(), len, "{state}: range batch of {len}");
+            assert_eq!(outcome.query_stats.len(), len);
+            for (i, q) in ranges[..len].iter().enumerate() {
+                let mut stats = QueryStats::default();
+                let serial = snap.range_with_stats(q, &mut stats).unwrap();
+                assert_eq!(outcome.results[i], serial, "{state}: range {i} of {len}");
+                assert_eq!(outcome.query_stats[i], stats, "{state}: range {i} of {len}");
+            }
+
+            let outcome = db
+                .query()
+                .knns(points[..len].iter().copied())
+                .run_knn_batch()
+                .unwrap();
+            assert_eq!(outcome.results.len(), len, "{state}: kNN batch of {len}");
+            assert_eq!(outcome.query_stats.len(), len);
+            for (i, &(p, k)) in points[..len].iter().enumerate() {
+                let mut stats = KnnStats::default();
+                let serial = snap.knn_with_stats(p, k, &mut stats).unwrap();
+                assert_eq!(outcome.results[i], serial, "{state}: kNN {i} of {len}");
+                assert_eq!(outcome.query_stats[i], stats, "{state}: kNN {i} of {len}");
+            }
         }
+    };
+    assert_batches_match_serial(&db, "base");
+
+    // On the base state the batch also equals the low-level calls.
+    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
+    let outcome = db
+        .query()
+        .ranges(ranges.iter().copied())
+        .run_batch()
+        .unwrap();
+    for (i, q) in ranges.iter().enumerate() {
+        assert_eq!(outcome.results[i], index.range_query(&pool, q).unwrap());
     }
 
-    let points = knn_points(&domain, 28);
-    let db_outcome = db
-        .query()
-        .knns(points.iter().copied())
-        .run_knn_batch()
-        .unwrap();
-    let ll_outcome = QueryEngine::new(&index, &pool)
-        .run_knn_batch(&points)
-        .unwrap();
-    assert_eq!(db_outcome.results, ll_outcome.results, "batched kNN");
+    // The same over a delta layer with tombstones and inserted partitions.
+    let doomed: Vec<u64> = entries
+        .iter()
+        .map(|e| e.id)
+        .filter(|i| i % 4 == 0)
+        .collect();
+    let fresh: Vec<Entry> = (0..700)
+        .map(|i| {
+            let t = i as f64 / 700.0;
+            Entry::new(
+                5_000_000 + i,
+                Aabb::cube(domain.min.lerp(&domain.max, 0.05 + 0.9 * t), 0.4),
+            )
+        })
+        .collect();
+    let mut writer = db.writer().unwrap();
+    assert_eq!(writer.delete(&doomed).unwrap(), doomed.len());
+    writer.insert(fresh).unwrap();
+    drop(writer);
+    assert_batches_match_serial(&db, "delta");
 }
 
 #[test]

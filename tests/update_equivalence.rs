@@ -6,12 +6,12 @@
 //! rebuild.
 //!
 //! This is the same bit-level discipline every prior layer was pinned by
-//! (serial == batched, streamed == in-memory), extended to mutation.
+//! (batched == serial, streamed == in-memory), extended to mutation.
 
 use flat_repro::prelude::*;
 
 mod common;
-use common::{fresh_entries, options, Harness, Op};
+use common::{fresh_entries, Harness, Op};
 
 fn run_script(initial: Vec<Entry>, domain: Aabb, seed: u64) {
     let mut harness = Harness::new(initial, domain);
@@ -76,75 +76,6 @@ fn uniform_workload_updates_match_rebuilds() {
         seed: 1302,
     });
     run_script(entries, domain, 9002);
-}
-
-#[test]
-fn batched_delta_engine_matches_serial_delta_queries() {
-    // The delta-aware QueryEngine (batch cache + crawl-ahead readahead +
-    // tombstone filter) must agree bit-for-bit with the serial delta
-    // path. The whole lifecycle runs on a ConcurrentBufferPool: updates
-    // go through its exclusive PageWrite impl, queries through shared
-    // reads.
-    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(150.0));
-    let entries = uniform_entries(&UniformConfig {
-        count: 6_000,
-        domain,
-        element_volume: 1.5,
-        length_range: (1.0, 2.0),
-        seed: 1304,
-    });
-    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
-    let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options(domain)).unwrap();
-    let mut delta = DeltaIndex::new(&pool, index, options(domain)).unwrap();
-    let doomed: Vec<u64> = entries
-        .iter()
-        .map(|e| e.id)
-        .filter(|i| i % 4 == 0)
-        .collect();
-    delta.delete_batch(&mut pool, &doomed).unwrap();
-    delta
-        .insert_batch(&mut pool, fresh_entries(700, 5_000_000, &domain, 1305))
-        .unwrap();
-
-    let queries = range_queries(
-        &domain,
-        &WorkloadConfig {
-            count: 16,
-            volume_fraction: 3e-3,
-            proportion_range: (1.0, 4.0),
-            seed: 1306,
-        },
-    );
-    let serial: Vec<Vec<Hit>> = queries
-        .iter()
-        .map(|q| delta.range_query(&pool, q).unwrap())
-        .collect();
-    for threads in [0, 3] {
-        let engine = QueryEngine::with_config(
-            &delta,
-            &pool,
-            EngineConfig {
-                readahead_threads: threads,
-                ..EngineConfig::default()
-            },
-        );
-        let outcome = engine.run_range_batch(&queries).unwrap();
-        assert_eq!(
-            outcome.results, serial,
-            "batched delta (readahead={threads}) diverged from serial"
-        );
-    }
-
-    // kNN batches too.
-    let knn_queries: Vec<(Point3, usize)> = (0..8)
-        .map(|i| (Point3::splat(10.0 + 15.0 * i as f64), 5 + i))
-        .collect();
-    let engine = QueryEngine::new(&delta, &pool);
-    let outcome = engine.run_knn_batch(&knn_queries).unwrap();
-    for (i, &(p, k)) in knn_queries.iter().enumerate() {
-        let serial = delta.knn_query(&pool, p, k).unwrap();
-        assert_eq!(outcome.results[i], serial, "batched delta kNN {i} diverged");
-    }
 }
 
 #[test]
