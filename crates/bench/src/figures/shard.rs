@@ -1,6 +1,7 @@
 //! Sharded serving throughput (extension): mixed range/kNN/update traffic
-//! from many clients over K spatial shards, each behind its own
-//! [`flat_storage::DiskScheduler`], vs the unsharded [`FlatDb`] façade.
+//! from many clients over K spatial shards, each behind its own cache
+//! with I/O workers ([`flat_storage::ConcurrentBufferPool::with_config`]),
+//! vs the unsharded [`FlatDb`] façade.
 //!
 //! Every configuration serves the same workload over [`ThrottledStore`]
 //! devices with a queue-depth model (reads admitted `parallelism` at a

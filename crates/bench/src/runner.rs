@@ -173,7 +173,7 @@ mod tests {
     use crate::indexes::IndexKind;
     use flat_core::{FlatIndex, FlatOptions};
     use flat_data::uniform::{uniform_entries, UniformConfig};
-    use flat_storage::{BufferPool, MemStore, ThrottledStore};
+    use flat_storage::{BufferPool, ConcurrentBufferPool, MemStore, ThrottledStore};
 
     #[test]
     fn outcome_aggregates_queries() {
@@ -208,13 +208,12 @@ mod tests {
     fn throughput_runner_counts_all_work_at_any_thread_count() {
         let config = UniformConfig::paper_baseline(5_000, 5);
         let entries = uniform_entries(&config);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let options = FlatOptions {
             domain: Some(config.domain),
             ..FlatOptions::default()
         };
         let (index, _) = FlatIndex::build(&mut pool, entries, options).unwrap();
-        let pool = pool.into_concurrent();
         let queries: Vec<Aabb> = (0..8)
             .map(|i| Aabb::cube(config.domain.center(), 80.0 + i as f64 * 40.0))
             .collect();
@@ -250,7 +249,7 @@ mod tests {
         // Re-house the pages behind a 200 µs/read device, with a tiny
         // cache so queries keep missing.
         let store = ThrottledStore::new(pool.into_store(), Duration::from_micros(200));
-        let pool = flat_storage::ConcurrentBufferPool::new(store, 64);
+        let pool = ConcurrentBufferPool::new(store, 64);
         let queries: Vec<Aabb> = (0..8)
             .map(|i| Aabb::cube(config.domain.center(), 60.0 + i as f64 * 30.0))
             .collect();

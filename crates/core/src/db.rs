@@ -2,9 +2,9 @@
 //!
 //! PRs 1–4 grew one capability each, and each got its own entry point:
 //! the [`FlatIndexBuilder`] bulkload and its spill budget, serial and
-//! batched queries, the mutable [`DeltaIndex`],
-//! exclusive [`flat_storage::BufferPool`] vs shared
-//! [`flat_storage::ConcurrentBufferPool`], and descriptor persistence in
+//! batched queries, the mutable [`DeltaIndex`], the exclusive
+//! [`flat_storage::BufferPool`] vs the one shared cache
+//! ([`flat_storage::ConcurrentBufferPool`]), and descriptor persistence in
 //! `persist.rs`.
 //! A caller had to know all of them and wire them together correctly
 //! (which pool flavor, when to promote to a delta index, where the
@@ -81,9 +81,7 @@ use crate::aggregate::{density, AggregateStats};
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
 use crate::delta::{DeltaIndex, DeltaReport};
-use crate::durable::{
-    decode_logical, encode_logical, DbSnapshot, DbStore, DefaultCache, LogicalOp,
-};
+use crate::durable::{decode_logical, encode_logical, DbSnapshot, DbStore, LogicalOp};
 pub use crate::durable::{Durability, RecoveryReport};
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
@@ -93,8 +91,8 @@ use crate::query::{IndexRef, QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
-    BufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId, PageRead, PageStore,
-    PageWrite, StorageError, VersionStats, VersionedCache, VersionedPool,
+    BufferPool, ConcurrentBufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId,
+    PageRead, PageStore, PageWrite, StorageError, VersionStats, VersionedPool,
 };
 use std::collections::HashSet;
 use std::ops::Deref;
@@ -307,8 +305,8 @@ impl DbTruth {
 /// A FLAT database: one handle owning the versioned buffer pool and the
 /// index lifecycle. See the [module docs](self) for the session diagram
 /// and the crate docs for the underlying machinery.
-pub struct FlatDb<S: PageStore, C: VersionedCache = DefaultCache<S>> {
-    pool: VersionedPool<DbStore<S>, C>,
+pub struct FlatDb<S: PageStore> {
+    pool: VersionedPool<DbStore<S>>,
     /// Writer-side truth; the mutex serializes writer sessions.
     truth: Mutex<DbTruth>,
     /// The resident state snapshots read. Swapped under the write lock
@@ -327,7 +325,7 @@ pub struct FlatDb<S: PageStore, C: VersionedCache = DefaultCache<S>> {
     options: DbOptions,
 }
 
-impl<S: PageStore, C: VersionedCache> std::fmt::Debug for FlatDb<S, C> {
+impl<S: PageStore> std::fmt::Debug for FlatDb<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = read_unpoisoned(&self.published).clone();
         f.debug_struct("FlatDb")
@@ -338,13 +336,13 @@ impl<S: PageStore, C: VersionedCache> std::fmt::Debug for FlatDb<S, C> {
     }
 }
 
-impl<S: PageStore, C: VersionedCache> std::fmt::Debug for Snapshot<'_, S, C> {
+impl<S: PageStore> std::fmt::Debug for Snapshot<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Snapshot({:?})", self.db)
     }
 }
 
-impl<S: PageStore, C: VersionedCache> std::fmt::Debug for QueryBuilder<'_, S, C> {
+impl<S: PageStore> std::fmt::Debug for QueryBuilder<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryBuilder")
             .field("ranges", &self.ranges.len())
@@ -353,7 +351,7 @@ impl<S: PageStore, C: VersionedCache> std::fmt::Debug for QueryBuilder<'_, S, C>
     }
 }
 
-impl<S: PageStore, C: VersionedCache> std::fmt::Debug for Writer<'_, S, C> {
+impl<S: PageStore> std::fmt::Debug for Writer<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Writer({:?})", self.db)
     }
@@ -561,12 +559,10 @@ impl<S: PageStore> FlatDb<S> {
         let state = DbIndex::Base(Arc::new(index));
         Ok(Self::assemble(pool, state, options, true, false, 1))
     }
-}
 
-impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
     /// An empty database over a ready `pool` — how [`crate::ShardedDb`]
-    /// puts each shard behind its own [`flat_storage::DiskScheduler`].
-    pub(crate) fn with_pool(pool: VersionedPool<DbStore<S>, C>, options: DbOptions) -> Self {
+    /// gives each shard a cache with its own I/O workers.
+    pub(crate) fn with_pool(pool: VersionedPool<DbStore<S>>, options: DbOptions) -> Self {
         let state = DbIndex::Base(Arc::new(FlatIndex::empty(options.index.layout)));
         Self::assemble(pool, state, options, false, false, 1)
     }
@@ -574,7 +570,7 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
     /// Wires the locking skeleton around an initial truth state (the
     /// published copy starts as a clone of it).
     fn assemble(
-        pool: VersionedPool<DbStore<S>, C>,
+        pool: VersionedPool<DbStore<S>>,
         state: DbIndex,
         options: DbOptions,
         built: bool,
@@ -713,7 +709,7 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
     /// Snapshots borrow the database shared, so any number can be out at
     /// once, on any number of threads, and none of them ever waits for a
     /// writer's apply phase.
-    pub fn reader(&self) -> Snapshot<'_, S, C> {
+    pub fn reader(&self) -> Snapshot<'_, S> {
         // Pinning under the published read lock pairs the epoch with the
         // resident tables: a writer swaps both under the write lock.
         let published = read_unpoisoned(&self.published);
@@ -779,7 +775,7 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
 
     /// Starts a fluent batched query: accumulate range or kNN queries,
     /// then run them as one batch.
-    pub fn query(&self) -> QueryBuilder<'_, S, C> {
+    pub fn query(&self) -> QueryBuilder<'_, S> {
         QueryBuilder {
             db: self,
             ranges: Vec::new(),
@@ -797,7 +793,7 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
     /// (a one-time resident-table scan); this requires the database to
     /// have stable element ids ([`LeafLayout::WithIds`]) and a fixed
     /// domain — see [`DbOptions::updatable`].
-    pub fn writer(&self) -> Result<Writer<'_, S, C>, FlatError> {
+    pub fn writer(&self) -> Result<Writer<'_, S>, FlatError> {
         if self.options.index.layout != LeafLayout::WithIds {
             return Err(FlatError::Update(
                 "updates need stable element ids: build with LeafLayout::WithIds \
@@ -1060,7 +1056,7 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
 
     /// Cumulative I/O statistics of the owned pool.
     pub fn io_stats(&self) -> IoStats {
-        self.pool.cache().io_stats()
+        self.pool.cache().stats()
     }
 
     /// Drops every cached page (the paper's cold-cache protocol).
@@ -1070,11 +1066,11 @@ impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
 
     /// Zeroes the I/O statistics.
     pub fn reset_stats(&self) {
-        self.pool.cache().reset_io_stats()
+        self.pool.cache().reset_stats()
     }
 
     /// The pool's page cache, for counters beyond [`IoStats`].
-    pub(crate) fn cache(&self) -> &C {
+    pub(crate) fn cache(&self) -> &ConcurrentBufferPool<DbStore<S>> {
         self.pool.cache()
     }
 }
@@ -1111,13 +1107,13 @@ impl<S: PageStore + std::fmt::Debug> std::fmt::Debug for StoreRef<'_, S> {
 /// writer exists, and the matching `knn_query` / `aggregate_count`:
 /// those and every method here run the same code over the same
 /// [`IndexRef`] view.
-pub struct Snapshot<'db, S: PageStore, C: VersionedCache = DefaultCache<S>> {
-    db: &'db FlatDb<S, C>,
+pub struct Snapshot<'db, S: PageStore> {
+    db: &'db FlatDb<S>,
     resident: DbIndex,
-    pin: EpochPin<'db, DbStore<S>, C>,
+    pin: EpochPin<'db, DbStore<S>>,
 }
 
-impl<S: PageStore, C: VersionedCache> Clone for Snapshot<'_, S, C> {
+impl<S: PageStore> Clone for Snapshot<'_, S> {
     fn clone(&self) -> Self {
         Snapshot {
             db: self.db,
@@ -1127,7 +1123,7 @@ impl<S: PageStore, C: VersionedCache> Clone for Snapshot<'_, S, C> {
     }
 }
 
-impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
+impl<S: PageStore> Snapshot<'_, S> {
     /// The epoch this snapshot pinned: it observes exactly the batches
     /// published before that epoch, none after.
     pub fn epoch(&self) -> u64 {
@@ -1212,9 +1208,9 @@ impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
     /// co-crawl. Both sides are pinned, so a concurrent writer on
     /// either database cannot shear the result. A negative or non-finite
     /// `eps` is a [`FlatError::Query`].
-    pub fn join<S2: PageStore, C2: VersionedCache>(
+    pub fn join<S2: PageStore>(
         &self,
-        other: &Snapshot<'_, S2, C2>,
+        other: &Snapshot<'_, S2>,
         eps: f64,
     ) -> Result<JoinResult, FlatError> {
         let (outer, inner) = (self.resident.view(), other.resident.view());
@@ -1314,13 +1310,13 @@ fn fan_out<Q: Sync, T: Send>(
 /// **one** snapshot so their device reads overlap. Every query of a batch
 /// therefore sees the same epoch, and per-query results are identical to
 /// the serial [`Snapshot`] paths because they *are* those paths.
-pub struct QueryBuilder<'db, S: PageStore, C: VersionedCache = DefaultCache<S>> {
-    db: &'db FlatDb<S, C>,
+pub struct QueryBuilder<'db, S: PageStore> {
+    db: &'db FlatDb<S>,
     ranges: Vec<Aabb>,
     knns: Vec<(Point3, usize)>,
 }
 
-impl<S: PageStore, C: VersionedCache> QueryBuilder<'_, S, C> {
+impl<S: PageStore> QueryBuilder<'_, S> {
     /// Queues one range query.
     pub fn range(mut self, query: Aabb) -> Self {
         self.ranges.push(query);
@@ -1363,7 +1359,7 @@ impl<S: PageStore, C: VersionedCache> QueryBuilder<'_, S, C> {
     }
 }
 
-impl<S: PageStore + Send + Sync, C: VersionedCache + Sync> QueryBuilder<'_, S, C> {
+impl<S: PageStore + Send + Sync> QueryBuilder<'_, S> {
     /// Runs the queued **range** queries as one batch. Results are
     /// index-aligned with the queueing order and identical to serial
     /// evaluation. The batch runs over one pinned [`Snapshot`], so a
@@ -1431,12 +1427,12 @@ pub enum WriteOp {
 /// applies behind the published state (copy-on-write at both the page
 /// and the resident-table level) and flips into view atomically when it
 /// commits. No snapshot or query can observe a half-applied batch.
-pub struct Writer<'db, S: PageStore, C: VersionedCache = DefaultCache<S>> {
-    db: &'db FlatDb<S, C>,
+pub struct Writer<'db, S: PageStore> {
+    db: &'db FlatDb<S>,
     truth: MutexGuard<'db, DbTruth>,
 }
 
-impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
+impl<S: PageStore> Writer<'_, S> {
     /// Inserts a batch of new elements (see [`DeltaIndex::insert_batch`]).
     ///
     /// Unlike the low-level call, colliding application ids are reported
@@ -1495,7 +1491,7 @@ impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
     ) -> Result<(Vec<usize>, Option<BuildStats>), FlatError> {
         let db = self.db;
         let truth = &mut *self.truth;
-        FlatDb::<S, C>::check_writable(truth)?;
+        FlatDb::<S>::check_writable(truth)?;
         // Validate *before* the commit point: a rejected group must
         // reach neither the log nor the pages.
         validate_ops(truth.delta(), &ops)?;

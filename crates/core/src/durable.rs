@@ -24,9 +24,7 @@
 use crate::index::FlatIndex;
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, LeafLayout};
-use flat_storage::{
-    ConcurrentBufferPool, DurableStore, Page, PageId, PageStore, StorageError, StoreCell,
-};
+use flat_storage::{DurableStore, Page, PageId, PageStore, StorageError};
 
 /// How a [`crate::FlatDb`] persists committed writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,20 +62,13 @@ pub struct RecoveryReport {
 /// The store a [`crate::FlatDb`] session pool runs over: the plain
 /// backing store, or the same store wrapped in a [`DurableStore`] when a
 /// [`Durability`] mode is on.
-///
-/// `pub` only so the default cache parameter of [`crate::FlatDb`] can
-/// name it; this module is private, so the type stays unnameable outside
-/// the crate.
 #[derive(Debug)]
-pub enum DbStore<S: PageStore> {
+pub(crate) enum DbStore<S: PageStore> {
     /// Durability off: pages go straight to the backing store.
     Plain(S),
     /// Durability on: writes defer into the WAL overlay until checkpoint.
     Durable(Box<DurableStore<S>>),
 }
-
-/// The page cache a [`crate::FlatDb`] runs over unless told otherwise.
-pub type DefaultCache<S> = ConcurrentBufferPool<StoreCell<DbStore<S>>>;
 
 impl<S: PageStore> DbStore<S> {
     /// The backing store, through either variant.

@@ -415,9 +415,10 @@ impl<'a> IndexRef<'a> {
     /// them ([`PageRead::want_pages`]): first the wave's distinct metadata
     /// pages, then — once the records are decoded — the object pages the
     /// visitor wants. Both sets are certain reads, not guesses, so a pool
-    /// that can overlap device fetches ([`flat_storage::DiskScheduler`])
-    /// serves a wave in a few overlapped round trips instead of one per
-    /// page; pools that cannot ignore the announcement.
+    /// that can overlap device fetches (a
+    /// [`flat_storage::ConcurrentBufferPool`] with I/O workers) serves a
+    /// wave in a few overlapped round trips instead of one per page; pools
+    /// that cannot ignore the announcement.
     ///
     /// The wave changes *when* the pool hears about a page, nothing else.
     /// Records leave the queue in FIFO order and are scanned and expanded

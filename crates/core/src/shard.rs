@@ -1,11 +1,12 @@
-//! Sharded serving layer: K spatial shards, each a [`FlatDb`] behind its
-//! own [`DiskScheduler`].
+//! Sharded serving layer: K spatial shards, each a [`FlatDb`] whose page
+//! cache has its own I/O workers.
 //!
 //! [`ShardedDb`] partitions the domain into K coarse x-slabs with the same
 //! STR machinery as Algorithm 1 ([`crate::partition::shard_regions`]).
-//! Each shard *contains* a full [`FlatDb`] — a page store, a
-//! [`DiskScheduler`] (submission queue, read coalescing, announced reads)
-//! behind a [`VersionedPool`], and the index with its whole session
+//! Each shard *contains* a full [`FlatDb`] — a page store, the shared
+//! cache with [`ShardOptions::scheduler`] I/O workers (submission queue,
+//! read coalescing, announced reads) behind a [`VersionedPool`], and the
+//! index with its whole session
 //! protocol (snapshots, writer batches, atomic publish) — so shards never
 //! contend on a buffer pool or a store mutex, and I/O for K shards
 //! proceeds on K independent worker pools. This module is only the
@@ -76,14 +77,11 @@ use crate::partition::shard_regions;
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
-    DiskScheduler, IoStats, MemStore, PageStore, SchedulerConfig, SchedulerStats, StoreCell,
+    ConcurrentBufferPool, IoStats, MemStore, PageStore, SchedulerConfig, SchedulerStats,
     VersionStats, VersionedPool,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, RwLock};
-
-/// A shard's page cache: a [`DiskScheduler`] over the shard's store cell.
-type ShardCache<S> = DiskScheduler<StoreCell<DbStore<S>>>;
 
 /// Options for [`ShardedDb::build`].
 #[derive(Debug, Clone, Copy)]
@@ -95,7 +93,8 @@ pub struct ShardOptions {
     pub index: FlatOptions,
     /// Buffer-pool capacity (pages) of **each** shard's cache.
     pub pool_pages: usize,
-    /// Disk-scheduler configuration of each shard's I/O worker pool.
+    /// I/O workers of each shard's cache (`workers: 0` fetches misses on
+    /// the querying thread).
     pub scheduler: SchedulerConfig,
 }
 
@@ -113,7 +112,7 @@ impl Default for ShardOptions {
 }
 
 struct Shard<S: PageStore + Send + Sync + 'static> {
-    db: FlatDb<S, ShardCache<S>>,
+    db: FlatDb<S>,
     /// Slab tile stretched to contain every owned element — what query
     /// routing tests. Grows, before the commit, when inserts land
     /// outside it (see the module docs).
@@ -121,7 +120,7 @@ struct Shard<S: PageStore + Send + Sync + 'static> {
 }
 
 /// A shard pinned for a cross-shard merge, with its routing bound.
-type PinnedShard<'a, S> = (Snapshot<'a, S, ShardCache<S>>, Aabb);
+type PinnedShard<'a, S> = (Snapshot<'a, S>, Aabb);
 
 impl<S: PageStore + Send + Sync + 'static> Shard<S> {
     fn coverage(&self) -> Aabb {
@@ -136,8 +135,8 @@ impl<S: PageStore + Send + Sync + 'static> Shard<S> {
     }
 }
 
-/// K spatial shards, each a [`FlatDb`] over its own store and
-/// [`DiskScheduler`], with cross-shard query routing and a global exact
+/// K spatial shards, each a [`FlatDb`] over its own store and cache with
+/// its own I/O workers, with cross-shard query routing and a global exact
 /// kNN merge.
 ///
 /// All query and update entry points take `&self`. Queries are
@@ -241,11 +240,10 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             .enumerate()
             .map(|(i, region)| {
                 owners.extend(region.elements.iter().map(|e| (e.id, i as u32)));
-                let cell = StoreCell::new(DbStore::Plain(store_factory(i)));
-                let scheduler =
-                    DiskScheduler::with_config(cell.clone(), options.pool_pages, options.scheduler);
-                let mut db =
-                    FlatDb::with_pool(VersionedPool::from_parts(cell, scheduler), db_options);
+                let store = DbStore::Plain(store_factory(i));
+                let cache =
+                    ConcurrentBufferPool::with_config(store, options.pool_pages, options.scheduler);
+                let mut db = FlatDb::with_pool(VersionedPool::from_cache(cache), db_options);
                 db.build_from(region.elements)?;
                 // The build wrote through the cache; serving starts cold,
                 // as the measurement protocol demands.
@@ -495,7 +493,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         }
         // Pin all shards before reading any: the frontier the merge
         // bounds against is one epoch vector, not a moving target.
-        let mut order: Vec<(f64, usize, Snapshot<'_, S, ShardCache<S>>)> = self
+        let mut order: Vec<(f64, usize, Snapshot<'_, S>)> = self
             .pin_all()
             .into_iter()
             .enumerate()

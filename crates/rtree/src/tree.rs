@@ -347,84 +347,6 @@ impl RTree {
         Ok(None)
     }
 
-    /// Batched seed lookup: answers [`RTree::seed_query`] for a whole
-    /// batch of queries in **one traversal**, reading every tree page at
-    /// most once per batch (the serial loop re-reads shared directory
-    /// pages once per query).
-    ///
-    /// This is the R-tree *baselines'* batching primitive — the analogue,
-    /// on a plain R-tree, of what FLAT's batched engine does over its
-    /// seed tree (there, via a per-batch page cache so the crawl shares
-    /// the same dedup). It lets batched-execution comparisons give the
-    /// baselines the same directory-sharing advantage.
-    ///
-    /// Each node is visited with the list of still-unanswered queries that
-    /// reach it; a query leaves the working set the moment any leaf yields
-    /// an intersecting element. The returned vector is index-aligned with
-    /// `queries`. Because the batch traversal visits nodes in a different
-    /// order than each query's private DFS, the element found for a query
-    /// is *a* valid seed, not necessarily the one [`RTree::seed_query`]
-    /// picks — both are arbitrary by contract.
-    pub fn seed_query_batch(
-        &self,
-        pool: &impl PageRead,
-        queries: &[Aabb],
-    ) -> Result<Vec<Option<Hit>>, StorageError> {
-        let mut found: Vec<Option<Hit>> = vec![None; queries.len()];
-        let Some(root) = self.root else {
-            return Ok(found);
-        };
-        let mut remaining = queries.len();
-        // Stack of (node, level, pending query indices); a page is pushed
-        // at most once per distinct pending set that reaches it, and since
-        // sets only shrink along a path, once per batch in practice.
-        let all: Vec<usize> = (0..queries.len()).collect();
-        let mut stack: Vec<(PageId, u32, Vec<usize>)> = vec![(root, self.height, all)];
-        while let Some((page_id, level, pending)) = stack.pop() {
-            if remaining == 0 {
-                break;
-            }
-            let pending: Vec<usize> = pending
-                .into_iter()
-                .filter(|&q| found[q].is_none())
-                .collect();
-            if pending.is_empty() {
-                continue;
-            }
-            if level == 1 {
-                let page = pool.read_page(page_id, self.config.leaf_kind)?;
-                let (layout, entries) = decode_leaf(&page)?;
-                for q in pending {
-                    for (slot, entry) in entries.iter().enumerate() {
-                        if queries[q].intersects(&entry.mbr) {
-                            found[q] = Some(Hit {
-                                mbr: entry.mbr,
-                                id: Self::synth_id(layout, page_id, entry.id),
-                                page: page_id,
-                                slot: slot as u16,
-                            });
-                            remaining -= 1;
-                            break;
-                        }
-                    }
-                }
-            } else {
-                let page = pool.read_page(page_id, self.config.inner_kind)?;
-                for child in decode_inner(&page)? {
-                    let down: Vec<usize> = pending
-                        .iter()
-                        .copied()
-                        .filter(|&q| found[q].is_none() && queries[q].intersects(&child.mbr))
-                        .collect();
-                    if !down.is_empty() {
-                        stack.push((child.page, level - 1, down));
-                    }
-                }
-            }
-        }
-        Ok(found)
-    }
-
     /// Visits every leaf page id (in an unspecified order). Used by
     /// validation and by FLAT's build.
     pub fn for_each_leaf<P, F>(&self, pool: &P, mut f: F) -> Result<(), StorageError>
@@ -631,73 +553,6 @@ mod tests {
             "seed query read {reads} pages for height {}",
             tree.height()
         );
-    }
-
-    #[test]
-    fn batch_seed_agrees_with_serial_seed_on_emptiness() {
-        let (pool, tree, entries) = build(20_000, BulkLoad::Str, LeafLayout::WithIds);
-        let queries: Vec<Aabb> = (0..40)
-            .map(|i| {
-                let c = 2.5 * i as f64; // some inside [0,100), some far out
-                Aabb::cube(Point3::splat(c), 4.0)
-            })
-            .collect();
-        let batch = tree.seed_query_batch(&pool, &queries).unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (i, q) in queries.iter().enumerate() {
-            let serial = tree.seed_query(&pool, q).unwrap();
-            assert_eq!(
-                batch[i].is_some(),
-                serial.is_some(),
-                "query {i}: batch and serial disagree on emptiness"
-            );
-            if let Some(hit) = &batch[i] {
-                // Any returned seed must be a genuine intersecting element.
-                assert!(q.intersects(&hit.mbr), "query {i}: non-intersecting seed");
-                assert!(brute_force(&entries, q).contains(&hit.id));
-            }
-        }
-    }
-
-    #[test]
-    fn batch_seed_reads_each_page_at_most_once() {
-        let (pool, tree, _) = build(50_000, BulkLoad::Str, LeafLayout::MbrOnly);
-        // Clustered queries share directory pages: the batch traversal must
-        // not pay for them per query.
-        let queries: Vec<Aabb> = (0..32)
-            .map(|i| Aabb::cube(Point3::splat(45.0 + 0.3 * i as f64), 3.0))
-            .collect();
-        pool.clear_cache();
-        pool.reset_stats();
-        let _ = tree.seed_query_batch(&pool, &queries).unwrap();
-        let batch_logical = pool.stats().total_logical_reads();
-        let total_pages = tree.num_leaf_pages() + tree.num_inner_pages();
-        assert!(
-            batch_logical <= total_pages,
-            "batch traversal read {batch_logical} pages of a {total_pages}-page tree"
-        );
-
-        pool.clear_cache();
-        pool.reset_stats();
-        for q in &queries {
-            let _ = tree.seed_query(&pool, q).unwrap();
-        }
-        let serial_logical = pool.stats().total_logical_reads();
-        assert!(
-            batch_logical < serial_logical,
-            "batching must beat {serial_logical} serial reads, got {batch_logical}"
-        );
-    }
-
-    #[test]
-    fn batch_seed_on_empty_tree_and_empty_batch() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
-        let tree =
-            RTree::bulk_load(&mut pool, Vec::new(), BulkLoad::Str, RTreeConfig::default()).unwrap();
-        let q = Aabb::cube(Point3::ORIGIN, 10.0);
-        assert_eq!(tree.seed_query_batch(&pool, &[q]).unwrap(), vec![None]);
-        let (pool, tree, _) = build(100, BulkLoad::Str, LeafLayout::MbrOnly);
-        assert!(tree.seed_query_batch(&pool, &[]).unwrap().is_empty());
     }
 
     #[test]

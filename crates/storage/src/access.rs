@@ -6,15 +6,16 @@
 //! and never races with queries. The two capabilities are therefore split
 //! into two traits:
 //!
-//! * [`PageRead`] — shared, `&self`. Implemented by every cache in this
-//!   crate — [`crate::BufferPool`] (single-threaded interior mutability),
-//!   [`crate::ConcurrentBufferPool`] (lock-sharded, `Sync`),
-//!   [`crate::DiskScheduler`] (submission queue + I/O workers) — and by the
-//!   MVCC views over them ([`crate::VersionedPool`], [`crate::EpochPin`],
-//!   [`crate::BatchWriter`]), so the same query code serves a private pool,
-//!   a pool shared across many threads, and a pinned snapshot.
-//! * [`PageWrite`] — exclusive, `&mut self`. Implemented by the same three
-//!   caches (bulk builds mostly run over a [`crate::BufferPool`]), by
+//! * [`PageRead`] — shared, `&self`. Implemented by both caches in this
+//!   crate — the exclusive [`crate::BufferPool`] (single-threaded interior
+//!   mutability) and the one shared cache, [`crate::ConcurrentBufferPool`]
+//!   (lock-sharded, `Sync`, with or without I/O workers) — and by the MVCC
+//!   views over the shared one ([`crate::VersionedPool`],
+//!   [`crate::EpochPin`], [`crate::BatchWriter`]), so the same query code
+//!   serves a private pool, a cache shared across many threads, and a
+//!   pinned snapshot.
+//! * [`PageWrite`] — exclusive, `&mut self`. Implemented by both caches
+//!   (bulk builds mostly run over a [`crate::BufferPool`]), by
 //!   [`crate::VersionedPool`] (the non-versioned path: the exclusive
 //!   borrow proves no reader is pinned) and by [`crate::BatchWriter`],
 //!   the copy-on-write path that runs beside pinned readers.
@@ -38,7 +39,7 @@
 //! certain of it. Overlap across *queries* comes from running the same
 //! verbs on several client threads over one shared cache.
 
-use crate::{IoStats, Page, PageId, PageKind, StorageError};
+use crate::{ConcurrentBufferPool, IoStats, Page, PageId, PageKind, StorageError};
 use std::sync::Arc;
 
 /// Shared read access to pages, with per-[`PageKind`] I/O accounting.
@@ -54,13 +55,14 @@ pub trait PageRead {
     /// Announces *certain* demand reads: the caller will [`read_page`]
     /// every listed page shortly, unconditionally. Never blocks.
     ///
-    /// A cache that can overlap device fetches ([`crate::DiskScheduler`])
-    /// starts fetching every listed page that is neither cached nor already
-    /// in flight, as ordinary demand reads — never dropped, never
-    /// deprioritized, counted in `physical_reads` when submitted — and the
-    /// later `read_page` finds the page cached or joins the fetch. Caches
-    /// that fetch on the calling thread ignore the announcement (the
-    /// default), so on them the verb costs nothing and changes no counter.
+    /// A cache that can overlap device fetches (a
+    /// [`crate::ConcurrentBufferPool`] with I/O workers) starts fetching
+    /// every listed page that is neither cached nor already in flight, as
+    /// ordinary demand reads — never dropped, never deprioritized, counted
+    /// in `physical_reads` when submitted — and the later `read_page` finds
+    /// the page cached or joins the fetch. Caches that fetch on the calling
+    /// thread ignore the announcement (the default), so on them the verb
+    /// costs nothing and changes no counter.
     ///
     /// Announcing is not a promise the cache can hold the caller to: a
     /// query that errors out before reading an announced page leaves at
@@ -73,11 +75,13 @@ pub trait PageRead {
         let _ = pages;
     }
 
-    // Shim, three items: `crates/benchmark` may not be edited by the change
-    // that removed the speculative lane, and it still overrides this method
-    // (trace.rs:448) and calls the two accessors below (ladder.rs:542). No
-    // cache implements or calls them; they leave with the benchmark's
-    // `scheduler.` "useful share" row (ROADMAP item 1).
+    // Shim, four items: `crates/benchmark` may not be edited by the changes
+    // that removed the speculative lane and the second shared cache. It
+    // still overrides this method (trace.rs:448), calls the two accessors
+    // below (ladder.rs:542) and builds its scheduler rung through the alias
+    // after them (ladder.rs:295). No cache implements or calls the first
+    // three; all four leave with the benchmark's `scheduler.` "useful share"
+    // row (ROADMAP item 1).
     #[doc(hidden)]
     fn prefetch_page(&self, id: PageId, kind: PageKind) {
         let _ = (id, kind);
@@ -94,6 +98,9 @@ impl IoStats {
         0
     }
 }
+
+#[doc(hidden)]
+pub type DiskScheduler<S> = ConcurrentBufferPool<S>;
 
 /// Exclusive build-time access: page allocation, write-through writes, and
 /// page reclamation.

@@ -19,13 +19,13 @@
 //! * [`PageRead`] / [`PageWrite`] — the access split: queries are shared
 //!   `&self` reads, builds are exclusive `&mut` writes. Query code across
 //!   the workspace takes `&impl PageRead`.
-//! * [`ConcurrentBufferPool`] — a lock-sharded, `Sync` pool serving many
-//!   reader threads at once (per-shard LRUs, atomic statistics), plus the
-//!   cloneable [`PoolHandle`] wrapper for spawning query threads.
-//! * [`DiskScheduler`] — a submission-queue worker pool behind the same
-//!   [`PageRead`] hooks: duplicate in-flight reads coalesce, announced
-//!   reads ([`PageRead::want_pages`]) are fetched side by side, and
-//!   [`SchedulerStats`] reports queue depth, coalescing, and latencies.
+//! * [`ConcurrentBufferPool`] — the one shared page cache: a lock-sharded,
+//!   `Sync` LRU serving many reader threads at once (per-shard LRUs,
+//!   atomic statistics) that owns its store. Without I/O workers a miss is
+//!   fetched on the calling thread; with them ([`SchedulerConfig`]) misses
+//!   go through a submission queue, duplicate in-flight reads coalesce,
+//!   announced reads ([`PageRead::want_pages`]) are fetched side by side,
+//!   and [`SchedulerStats`] reports queue depth, coalescing, and latencies.
 //! * [`DiskModel`] — converts physical-read counts into simulated I/O time
 //!   for a configurable device (default: the paper's 10 kRPM SAS array),
 //!   since the figures' execution-time series are proportional to page
@@ -42,7 +42,7 @@
 //! * [`FaultStore`] — fault injection for the crash-recovery test
 //!   harness: scripted kill-after-N-writes crashes, torn final writes,
 //!   and bit flips.
-//! * [`VersionedPool`] — epoch-based MVCC over a shared cache: batch
+//! * [`VersionedPool`] — epoch-based MVCC over the shared cache: batch
 //!   writers copy-on-write the pages they touch into per-epoch undo
 //!   overlays, readers pin an epoch ([`EpochPin`]) and stay wait-free
 //!   while a batch runs, and old versions (plus deferred page frees)
@@ -59,29 +59,26 @@ mod error;
 mod fault;
 mod page;
 mod pool;
-pub mod scheduler;
 pub mod spill;
 mod store;
 mod sync_util;
 pub mod versioned;
 pub mod wal;
 
-pub use access::{PageRead, PageWrite};
-pub use concurrent::{ConcurrentBufferPool, PoolHandle, DEFAULT_SHARDS};
+// `PageRead`, `PageWrite` and the benchmark shims (see access.rs).
+pub use access::*;
+pub use concurrent::{ConcurrentBufferPool, SchedulerConfig, SchedulerStats};
 pub use disk::DiskModel;
 pub use durable::{DurableStore, RecoveredLog};
 pub use error::StorageError;
 pub use fault::{CrashStyle, FaultStore};
 pub use page::{Page, PageCursor, PAGE_SIZE};
 pub use pool::{BufferPool, IoStats, KindStats};
-pub use scheduler::{DiskScheduler, SchedulerConfig, SchedulerStats};
 pub use spill::{
     ExternalSorter, RunHandle, RunReader, RunWriter, SortedStream, SpillRecord, SpillStats,
 };
 pub use store::{FileStore, MemStore, PageStore, ThrottledStore};
-pub use versioned::{
-    BatchWriter, EpochPin, StoreCell, VersionStats, VersionedCache, VersionedPool,
-};
+pub use versioned::{BatchWriter, EpochPin, VersionStats, VersionedPool};
 pub use wal::{Wal, WalRecord};
 
 /// Identifies a page within a [`PageStore`].

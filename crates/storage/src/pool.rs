@@ -14,10 +14,10 @@ pub struct KindStats {
     /// paper's "page reads" metric.
     ///
     /// Counted when the fetch is **submitted**, not when it lands: on a
-    /// [`crate::DiskScheduler`] a page announced through
-    /// [`crate::PageRead::want_pages`] is a physical read from the moment
-    /// it is queued, one step before the `read_page` that makes it a
-    /// logical read. So `physical_reads <= logical_reads` holds once the
+    /// [`crate::ConcurrentBufferPool`] with I/O workers a page announced
+    /// through [`crate::PageRead::want_pages`] is a physical read from the
+    /// moment it is queued, one step before the `read_page` that makes it
+    /// a logical read. So `physical_reads <= logical_reads` holds once the
     /// caller has read what it announced (at quiesce), but not at every
     /// instant in between, nor after a query that failed mid-wave and
     /// never came back for its announced pages.
@@ -181,20 +181,6 @@ impl AtomicIoStats {
             k.writes.store(0, Ordering::Relaxed);
         }
     }
-
-    /// Restores counters from a snapshot (used when a pool is converted and
-    /// its history should carry over).
-    pub(crate) fn load_snapshot(&self, stats: &IoStats) {
-        for (atomic, plain) in self.kinds.iter().zip(stats.kinds.iter()) {
-            atomic
-                .logical_reads
-                .store(plain.logical_reads, Ordering::Relaxed);
-            atomic
-                .physical_reads
-                .store(plain.physical_reads, Ordering::Relaxed);
-            atomic.writes.store(plain.writes, Ordering::Relaxed);
-        }
-    }
 }
 
 const NIL: usize = usize::MAX;
@@ -354,8 +340,8 @@ impl CacheState {
 ///
 /// This is the **exclusive** pool: one owner, used to build indexes
 /// ([`PageWrite`]) and to run single-threaded queries ([`PageRead`]). For
-/// queries shared across threads, convert it with
-/// [`BufferPool::into_concurrent`].
+/// queries shared across threads, build into the shared
+/// [`crate::ConcurrentBufferPool`] instead.
 ///
 /// * Reads are served from the cache when possible; misses fetch from the
 ///   store, evicting the least-recently-used page when the pool is full.
@@ -413,25 +399,6 @@ impl<S: PageStore> BufferPool<S> {
         self.store
     }
 
-    /// Converts this exclusive pool into a lock-sharded
-    /// [`crate::ConcurrentBufferPool`] with the same total capacity,
-    /// carrying the I/O statistics over. The cache contents are dropped
-    /// (queries under the paper's protocol start cold anyway).
-    pub fn into_concurrent(self) -> crate::ConcurrentBufferPool<S> {
-        let stats = self.stats.snapshot();
-        let pool = crate::ConcurrentBufferPool::new(self.store, self.capacity);
-        pool.load_stats(&stats);
-        pool
-    }
-
-    /// One-step shorthand for
-    /// `pool.into_concurrent().into_handle()`: converts the exclusive
-    /// pool into a lock-sharded concurrent pool and wraps it in a
-    /// cloneable [`crate::PoolHandle`] ready to hand to query threads.
-    pub fn into_handle(self) -> crate::PoolHandle<S> {
-        self.into_concurrent().into_handle()
-    }
-
     /// Maximum number of cached pages.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -461,10 +428,6 @@ impl<S: PageStore> BufferPool<S> {
     /// performs before each benchmark query. Statistics are unaffected.
     pub fn clear_cache(&self) {
         self.cache.borrow_mut().clear();
-    }
-
-    pub(crate) fn load_stats(&self, stats: &IoStats) {
-        self.stats.load_snapshot(stats);
     }
 
     /// Allocates a fresh page in the store.

@@ -30,13 +30,15 @@
 //!   reclamation), so [`PageStore::free_page`] reuse can never hand a
 //!   pinned reader's page back out mid-crawl.
 //!
-//! The pool layers over either shared cache in this crate —
-//! [`ConcurrentBufferPool`] (the default) or
-//! [`crate::DiskScheduler`] — through the [`VersionedCache`] trait, whose
-//! `install_cached`/`drop_cached` hooks let the batch writer keep the
-//! shared cache coherent from a shared borrow. Both caches guard their
-//! asynchronous fetch paths with a write stamp so a fetch racing a batch
-//! write can never re-cache (or hand a *new* reader) pre-write bytes.
+//! The pool layers over the one shared cache, [`ConcurrentBufferPool`],
+//! and reaches the store through the cache's own lock. The cache's
+//! `install_cached`/`drop_cached` hooks let the batch writer keep it
+//! coherent from a shared borrow, by one of two arguments depending on how
+//! the cache serves a miss: without I/O workers the fetch runs under the
+//! page's shard lock, which the install takes too; with workers it runs
+//! outside every shard lock and is checked against a write stamp and the
+//! request's stale flag. Either way a fetch racing a batch write can never
+//! re-cache (or hand a *new* reader) pre-write bytes.
 //!
 //! Durability composes transparently: wrap a [`crate::DurableStore`] in
 //! the pool and append the WAL record through
@@ -47,177 +49,12 @@
 
 use crate::sync_util::lock_unpoisoned;
 use crate::{
-    ConcurrentBufferPool, IoStats, Page, PageId, PageKind, PageRead, PageStore, PageWrite,
-    StorageError,
+    ConcurrentBufferPool, Page, PageId, PageKind, PageRead, PageStore, PageWrite, StorageError,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
-
-/// A cheaply cloneable, shared [`PageStore`] cell: the batch writer and
-/// the shared cache both hold a handle to the same store. Reads take the
-/// read lock (parallel store reads — e.g. through
-/// [`crate::ThrottledStore::with_parallelism`] — stay parallel); writes
-/// take the write lock, so a reader never observes a torn page write.
-pub struct StoreCell<S>(Arc<RwLock<S>>);
-
-impl<S> Clone for StoreCell<S> {
-    fn clone(&self) -> Self {
-        StoreCell(Arc::clone(&self.0))
-    }
-}
-
-impl<S> StoreCell<S> {
-    /// Wraps a store.
-    pub fn new(store: S) -> StoreCell<S> {
-        StoreCell(Arc::new(RwLock::new(store)))
-    }
-
-    /// Runs `f` under the store's read lock.
-    pub fn with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.read())
-    }
-
-    /// Runs `f` under the store's write lock.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.write())
-    }
-
-    /// Shared access guard to the store.
-    pub fn read(&self) -> RwLockReadGuard<'_, S> {
-        match self.0.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, S> {
-        match self.0.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Recovers the store if this is the last handle.
-    pub fn try_unwrap(self) -> Result<S, StoreCell<S>> {
-        Arc::try_unwrap(self.0)
-            .map(|lock| match lock.into_inner() {
-                Ok(store) => store,
-                Err(poisoned) => poisoned.into_inner(),
-            })
-            .map_err(StoreCell)
-    }
-}
-
-impl<S: PageStore> PageStore for StoreCell<S> {
-    fn alloc(&mut self) -> Result<PageId, StorageError> {
-        self.with_mut(|s| s.alloc())
-    }
-
-    fn write_page(&mut self, id: PageId, page: &Page) -> Result<(), StorageError> {
-        self.with_mut(|s| s.write_page(id, page))
-    }
-
-    fn read_page(&self, id: PageId, out: &mut Page) -> Result<(), StorageError> {
-        self.with(|s| s.read_page(id, out))
-    }
-
-    fn free_page(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.with_mut(|s| s.free_page(id))
-    }
-
-    fn free_pages(&self) -> Vec<PageId> {
-        self.with(|s| s.free_pages())
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.with(|s| s.num_pages())
-    }
-
-    fn sync(&self) -> Result<(), StorageError> {
-        self.with(|s| s.sync())
-    }
-}
-
-impl<S> std::fmt::Debug for StoreCell<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "StoreCell")
-    }
-}
-
-/// The shared-cache surface [`VersionedPool`] needs: page reads plus the
-/// ability to install and drop cached copies from a shared borrow (the
-/// batch writer runs concurrently with readers, so `&mut` is off the
-/// table). Implemented by [`ConcurrentBufferPool`] and
-/// [`crate::DiskScheduler`].
-pub trait VersionedCache: PageRead {
-    /// Installs (or refreshes) the cached copy of `id` after the same
-    /// bytes were written to the store.
-    fn install_cached(&self, id: PageId, page: &Page, kind: PageKind);
-    /// Drops the cached copy of `id`, if any.
-    fn drop_cached(&self, id: PageId);
-    /// Drops every cached page.
-    fn clear_cache(&self);
-    /// Snapshot of the cache's I/O statistics.
-    fn io_stats(&self) -> IoStats;
-    /// Zeroes the cache's I/O statistics.
-    fn reset_io_stats(&self);
-    /// Number of pages currently cached.
-    fn cached_pages(&self) -> usize;
-}
-
-impl<S: PageStore> VersionedCache for ConcurrentBufferPool<S> {
-    fn install_cached(&self, id: PageId, page: &Page, kind: PageKind) {
-        ConcurrentBufferPool::install_cached(self, id, page, kind)
-    }
-
-    fn drop_cached(&self, id: PageId) {
-        ConcurrentBufferPool::drop_cached(self, id)
-    }
-
-    fn clear_cache(&self) {
-        ConcurrentBufferPool::clear_cache(self)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.stats()
-    }
-
-    fn reset_io_stats(&self) {
-        self.reset_stats()
-    }
-
-    fn cached_pages(&self) -> usize {
-        ConcurrentBufferPool::cached_pages(self)
-    }
-}
-
-impl<S: PageStore + Send + Sync + 'static> VersionedCache for crate::DiskScheduler<S> {
-    fn install_cached(&self, id: PageId, page: &Page, kind: PageKind) {
-        crate::DiskScheduler::install_cached(self, id, page, kind)
-    }
-
-    fn drop_cached(&self, id: PageId) {
-        crate::DiskScheduler::drop_cached(self, id)
-    }
-
-    fn clear_cache(&self) {
-        crate::DiskScheduler::clear_cache(self)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.stats()
-    }
-
-    fn reset_io_stats(&self) {
-        self.reset_stats()
-    }
-
-    fn cached_pages(&self) -> usize {
-        crate::DiskScheduler::cached_pages(self)
-    }
-}
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 /// One batch's undo record: the pre-images of every page it touched, and
 /// the frees it deferred. While the batch is open this is the *pending*
@@ -257,14 +94,11 @@ pub struct VersionStats {
     pub deferred_frees: usize,
 }
 
-/// An MVCC layer over a shared page cache: snapshot-versioned pages with
+/// An MVCC layer over the shared page cache: snapshot-versioned pages with
 /// epoch-based reclamation. See the [module docs](self) for the protocol.
-///
-/// `S` is the backing store; `C` the shared cache serving reads
-/// (default: [`ConcurrentBufferPool`] over a [`StoreCell`]).
-pub struct VersionedPool<S: PageStore, C: VersionedCache = ConcurrentBufferPool<StoreCell<S>>> {
-    cache: C,
-    store: StoreCell<S>,
+pub struct VersionedPool<S: PageStore> {
+    /// Serves every read and owns the backing store.
+    cache: ConcurrentBufferPool<S>,
     /// Undo overlays by epoch tag, oldest first. The entry tagged with the
     /// current epoch (if any) is the pending batch.
     overlays: RwLock<BTreeMap<u64, Overlay>>,
@@ -280,24 +114,19 @@ pub struct VersionedPool<S: PageStore, C: VersionedCache = ConcurrentBufferPool<
 
 impl<S: PageStore> VersionedPool<S> {
     /// Creates a pool over `store` with a [`ConcurrentBufferPool`] cache
-    /// of at most `capacity` pages.
+    /// of at most `capacity` pages and no I/O workers.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(store: S, capacity: usize) -> VersionedPool<S> {
-        let cell = StoreCell::new(store);
-        let cache = ConcurrentBufferPool::new(cell.clone(), capacity);
-        VersionedPool::from_parts(cell, cache)
+        VersionedPool::from_cache(ConcurrentBufferPool::new(store, capacity))
     }
-}
 
-impl<S: PageStore, C: VersionedCache> VersionedPool<S, C> {
-    /// Assembles a pool from a store cell and a cache that was built over
-    /// a clone of the same cell (e.g. a [`crate::DiskScheduler`]).
-    pub fn from_parts(store: StoreCell<S>, cache: C) -> VersionedPool<S, C> {
+    /// Layers the pool over a ready cache and the store it owns (e.g. one
+    /// with I/O workers, [`ConcurrentBufferPool::with_config`]).
+    pub fn from_cache(cache: ConcurrentBufferPool<S>) -> VersionedPool<S> {
         VersionedPool {
             cache,
-            store,
             overlays: RwLock::new(BTreeMap::new()),
             overlay_count: AtomicUsize::new(0),
             registry: Mutex::new(Registry {
@@ -310,19 +139,19 @@ impl<S: PageStore, C: VersionedCache> VersionedPool<S, C> {
         }
     }
 
-    /// The shared cache (for cache-specific statistics accessors).
-    pub fn cache(&self) -> &C {
+    /// The shared cache (for its statistics and cache controls).
+    pub fn cache(&self) -> &ConcurrentBufferPool<S> {
         &self.cache
     }
 
     /// Runs `f` under the store's read lock.
     pub fn with_store<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        self.store.with(f)
+        f(&self.cache.store())
     }
 
     /// Shared access guard to the backing store.
     pub fn store_guard(&self) -> RwLockReadGuard<'_, S> {
-        self.store.read()
+        self.cache.store()
     }
 
     /// Runs `f` under the store's write lock, **bypassing versioning**.
@@ -332,7 +161,7 @@ impl<S: PageStore, C: VersionedCache> VersionedPool<S, C> {
     /// *are* on a query path must go through a [`BatchWriter`] instead;
     /// mutating them here would tear pinned readers.
     pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        self.store.with_mut(f)
+        f(&mut self.cache.write_store())
     }
 
     /// The current epoch (number of published batches).
@@ -361,7 +190,7 @@ impl<S: PageStore, C: VersionedCache> VersionedPool<S, C> {
     /// [`EpochPin`] observes the store as of pin time, no matter how many
     /// batches publish concurrently. Dropping the pin unpins and reclaims
     /// any versions only it was holding.
-    pub fn pin(&self) -> EpochPin<'_, S, C> {
+    pub fn pin(&self) -> EpochPin<'_, S> {
         let mut reg = lock_unpoisoned(&self.registry);
         let epoch = reg.epoch;
         *reg.pins.entry(epoch).or_insert(0) += 1;
@@ -371,7 +200,7 @@ impl<S: PageStore, C: VersionedCache> VersionedPool<S, C> {
     /// Opens a copy-on-write batch. Exactly one batch can be open at a
     /// time; this blocks until the previous batch publishes or aborts.
     /// Readers are *not* blocked — that is the point.
-    pub fn begin_batch(&self) -> BatchWriter<'_, S, C> {
+    pub fn begin_batch(&self) -> BatchWriter<'_, S> {
         let guard = lock_unpoisoned(&self.writer);
         let epoch = lock_unpoisoned(&self.registry).epoch;
         {
@@ -393,8 +222,7 @@ impl<S: PageStore, C: VersionedCache> VersionedPool<S, C> {
             freed: HashSet::new(),
             reusable: BTreeSet::new(),
             store_free: self
-                .store
-                .with(|s| s.free_pages())
+                .with_store(|s| s.free_pages())
                 .into_iter()
                 .map(|p| p.0)
                 .collect(),
@@ -412,18 +240,9 @@ impl<S: PageStore, C: VersionedCache> VersionedPool<S, C> {
 
     /// Tears the pool down, returning the backing store. Deferred frees
     /// are executed first.
-    ///
-    /// # Panics
-    /// Panics if the cache still holds a store handle after being dropped
-    /// (a cache implementation bug).
     pub fn into_store(mut self) -> S {
         self.reclaim_all();
-        let VersionedPool { cache, store, .. } = self;
-        drop(cache);
-        match store.try_unwrap() {
-            Ok(store) => store,
-            Err(_) => panic!("store cell still shared after dropping the cache"),
-        }
+        self.cache.into_store()
     }
 
     /// Pre-image lookup for a reader pinned at `epoch`: the smallest
@@ -463,7 +282,7 @@ impl<S: PageStore, C: VersionedCache> VersionedPool<S, C> {
             self.reclaimed.fetch_add(1, Ordering::Relaxed);
             for id in overlay.frees {
                 self.cache.drop_cached(id);
-                let freed = self.store.with_mut(|s| s.free_page(id));
+                let freed = self.with_store_mut(|s| s.free_page(id));
                 debug_assert!(freed.is_ok(), "deferred free of {id} failed: {freed:?}");
             }
         }
@@ -488,7 +307,7 @@ impl<S: PageStore, C: VersionedCache> VersionedPool<S, C> {
 /// The unpinned *latest* view: reads see the store's current bytes
 /// through the cache. Correct whenever no batch is open (build, replay,
 /// invariant checks) and for any page the open batch has not touched.
-impl<S: PageStore, C: VersionedCache> PageRead for VersionedPool<S, C> {
+impl<S: PageStore> PageRead for VersionedPool<S> {
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
         self.cache.read_page(id, kind)
     }
@@ -501,25 +320,25 @@ impl<S: PageStore, C: VersionedCache> PageRead for VersionedPool<S, C> {
 /// The exclusive, **non-versioned** write path: bulk builds and recovery
 /// replay write through here. The `&mut` borrow proves no reader is
 /// pinned, so no pre-images are saved.
-impl<S: PageStore, C: VersionedCache> PageWrite for VersionedPool<S, C> {
+impl<S: PageStore> PageWrite for VersionedPool<S> {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
-        self.store.with_mut(|s| s.alloc())
+        self.with_store_mut(|s| s.alloc())
     }
 
     fn write(&mut self, id: PageId, page: &Page, kind: PageKind) -> Result<(), StorageError> {
-        self.store.with_mut(|s| s.write_page(id, page))?;
+        self.with_store_mut(|s| s.write_page(id, page))?;
         self.cache.install_cached(id, page, kind);
         Ok(())
     }
 
     fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.store.with_mut(|s| s.free_page(id))?;
+        self.with_store_mut(|s| s.free_page(id))?;
         self.cache.drop_cached(id);
         Ok(())
     }
 }
 
-impl<S: PageStore, C: VersionedCache> std::fmt::Debug for VersionedPool<S, C> {
+impl<S: PageStore> std::fmt::Debug for VersionedPool<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VersionedPool")
             .field("stats", &self.version_stats())
@@ -530,19 +349,19 @@ impl<S: PageStore, C: VersionedCache> std::fmt::Debug for VersionedPool<S, C> {
 /// A wait-free snapshot view: every read observes the store as of the
 /// epoch pinned at creation. Cloning re-pins the same epoch; dropping
 /// unpins (and reclaims versions nobody else holds).
-pub struct EpochPin<'a, S: PageStore, C: VersionedCache = ConcurrentBufferPool<StoreCell<S>>> {
-    pool: &'a VersionedPool<S, C>,
+pub struct EpochPin<'a, S: PageStore> {
+    pool: &'a VersionedPool<S>,
     epoch: u64,
 }
 
-impl<S: PageStore, C: VersionedCache> EpochPin<'_, S, C> {
+impl<S: PageStore> EpochPin<'_, S> {
     /// The pinned epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 }
 
-impl<S: PageStore, C: VersionedCache> Clone for EpochPin<'_, S, C> {
+impl<S: PageStore> Clone for EpochPin<'_, S> {
     fn clone(&self) -> Self {
         let mut reg = lock_unpoisoned(&self.pool.registry);
         *reg.pins.entry(self.epoch).or_insert(0) += 1;
@@ -553,23 +372,22 @@ impl<S: PageStore, C: VersionedCache> Clone for EpochPin<'_, S, C> {
     }
 }
 
-impl<S: PageStore, C: VersionedCache> Drop for EpochPin<'_, S, C> {
+impl<S: PageStore> Drop for EpochPin<'_, S> {
     fn drop(&mut self) {
         self.pool.unpin(self.epoch);
     }
 }
 
-impl<S: PageStore, C: VersionedCache> PageRead for EpochPin<'_, S, C> {
+impl<S: PageStore> PageRead for EpochPin<'_, S> {
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
         let pool = self.pool;
         // A pre-image in an overlay tagged at/after our pin holds the
         // bytes as of pin time. A page present only in *older* overlays
         // changed before our pin, so the current bytes are the right
-        // answer — and the shared cache is ground truth for those: demand
-        // misses fetch under the cache's shard lock, and unlocked or
-        // asynchronous fetches are write-stamp-validated against the
-        // batch writer's installs, so the cache never retains pre-write
-        // bytes past an install.
+        // answer — and the shared cache is ground truth for those: inline
+        // misses fetch under the cache's shard lock, and queued fetches
+        // are write-stamp-validated against the batch writer's installs,
+        // so the cache never retains pre-write bytes past an install.
         if pool.overlay_count.load(Ordering::SeqCst) > 0 {
             if let Some(pre) = pool.overlay_override(self.epoch, id) {
                 return Ok(pre);
@@ -596,7 +414,7 @@ impl<S: PageStore, C: VersionedCache> PageRead for EpochPin<'_, S, C> {
     }
 }
 
-impl<S: PageStore, C: VersionedCache> std::fmt::Debug for EpochPin<'_, S, C> {
+impl<S: PageStore> std::fmt::Debug for EpochPin<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "EpochPin(epoch={})", self.epoch)
     }
@@ -628,8 +446,8 @@ impl<S: PageStore, C: VersionedCache> std::fmt::Debug for EpochPin<'_, S, C> {
 /// until the next successful batch — callers are expected to poison
 /// their session, as `FlatDb` does. An aborted batch's unexecuted frees
 /// are dropped (the pages leak, which is safe — never wrong bytes).
-pub struct BatchWriter<'a, S: PageStore, C: VersionedCache = ConcurrentBufferPool<StoreCell<S>>> {
-    pool: &'a VersionedPool<S, C>,
+pub struct BatchWriter<'a, S: PageStore> {
+    pool: &'a VersionedPool<S>,
     _guard: MutexGuard<'a, ()>,
     /// Tag of the pending overlay (the epoch this batch branches from).
     epoch: u64,
@@ -649,7 +467,7 @@ pub struct BatchWriter<'a, S: PageStore, C: VersionedCache = ConcurrentBufferPoo
     store_free: BTreeSet<u64>,
 }
 
-impl<S: PageStore, C: VersionedCache> BatchWriter<'_, S, C> {
+impl<S: PageStore> BatchWriter<'_, S> {
     /// The epoch this batch branches from (readers pinned at or before it
     /// see none of the batch's effects).
     pub fn epoch(&self) -> u64 {
@@ -673,7 +491,7 @@ impl<S: PageStore, C: VersionedCache> BatchWriter<'_, S, C> {
         for &raw in &self.reusable {
             let id = PageId(raw);
             if self.fresh.contains(&raw) {
-                let result = pool.store.with_mut(|s| s.free_page(id));
+                let result = pool.with_store_mut(|s| s.free_page(id));
                 debug_assert!(result.is_ok(), "freeing batch page {id} failed: {result:?}");
             } else {
                 deferred.push(id);
@@ -722,7 +540,7 @@ impl<S: PageStore, C: VersionedCache> BatchWriter<'_, S, C> {
     }
 }
 
-impl<S: PageStore, C: VersionedCache> PageRead for BatchWriter<'_, S, C> {
+impl<S: PageStore> PageRead for BatchWriter<'_, S> {
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
         if self.freed.contains(&id.0) {
             return Err(StorageError::Corrupt(format!(
@@ -739,7 +557,7 @@ impl<S: PageStore, C: VersionedCache> PageRead for BatchWriter<'_, S, C> {
     }
 }
 
-impl<S: PageStore, C: VersionedCache> PageWrite for BatchWriter<'_, S, C> {
+impl<S: PageStore> PageWrite for BatchWriter<'_, S> {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
         // Serve the smallest free id across the batch's own frees and
         // the store's free list — the same lowest-id-first order a plain
@@ -754,7 +572,7 @@ impl<S: PageStore, C: VersionedCache> PageWrite for BatchWriter<'_, S, C> {
                 return Ok(PageId(raw));
             }
         }
-        let id = self.pool.store.with_mut(|s| s.alloc())?;
+        let id = self.pool.with_store_mut(|s| s.alloc())?;
         self.store_free.remove(&id.0);
         self.fresh.insert(id.0);
         Ok(id)
@@ -769,7 +587,7 @@ impl<S: PageStore, C: VersionedCache> PageWrite for BatchWriter<'_, S, C> {
         if !self.fresh.contains(&id.0) {
             self.ensure_preimage(id, kind)?;
         }
-        self.pool.store.with_mut(|s| s.write_page(id, page))?;
+        self.pool.with_store_mut(|s| s.write_page(id, page))?;
         self.pool.cache.install_cached(id, page, kind);
         self.local.borrow_mut().insert(id.0, page.clone());
         Ok(())
@@ -791,7 +609,7 @@ impl<S: PageStore, C: VersionedCache> PageWrite for BatchWriter<'_, S, C> {
     }
 }
 
-impl<S: PageStore, C: VersionedCache> std::fmt::Debug for BatchWriter<'_, S, C> {
+impl<S: PageStore> std::fmt::Debug for BatchWriter<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchWriter")
             .field("epoch", &self.epoch)
@@ -819,7 +637,7 @@ fn write_unpoisoned<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiskScheduler, MemStore, SchedulerConfig, ThrottledStore};
+    use crate::{MemStore, SchedulerConfig, ThrottledStore};
     use std::time::Duration;
 
     fn pool_with_pages(n: u64) -> VersionedPool<MemStore> {
@@ -1094,93 +912,86 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_pinned_readers_race_a_churn_writer() {
-        // 4 reader threads pin/read/unpin in a loop while a writer
-        // publishes batches; every pinned read of a page must return
-        // either that page's value at some epoch ≤ the pin's — and within
-        // one pin, *the* value of the pinned epoch.
-        let mut store = MemStore::new();
-        let mut ids = Vec::new();
-        for _ in 0..16u64 {
-            let id = store.alloc().unwrap();
-            store.write_page(id, &stamped(1_000)).unwrap();
-            ids.push(id);
-        }
-        let store = ThrottledStore::with_parallelism(store, Duration::from_micros(20), 8);
-        let pool = VersionedPool::new(store, 8); // tiny cache: force fetch races
-        let rounds = 60u64;
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| loop {
-                    let pin = pool.pin();
-                    let epoch = pin.epoch();
-                    let mut seen = None;
-                    for &id in &ids {
-                        let v = pin.read_page(id, PageKind::Other).unwrap().get_u64(0);
-                        // All pages are written together per batch, so one
-                        // pinned view must be uniform.
-                        match seen {
-                            None => seen = Some(v),
-                            Some(prev) => {
-                                assert_eq!(prev, v, "torn snapshot at epoch {epoch}: {prev} vs {v}")
+    fn pinned_readers_race_a_churn_writer_at_every_worker_count() {
+        // Coherence rests on a different argument per miss path — an
+        // inline fetch runs under the shard lock, a queued one is checked
+        // against the write stamp and the stale flag — so the race runs
+        // over both. 4 reader threads pin/read/unpin in a loop while a
+        // writer publishes batches; every pinned read of a page must return
+        // that page's value at some epoch ≤ the pin's — and within one
+        // pin, *the* value of the pinned epoch.
+        for workers in [0, 4] {
+            let mut store = MemStore::new();
+            let mut ids = Vec::new();
+            for _ in 0..16u64 {
+                let id = store.alloc().unwrap();
+                store.write_page(id, &stamped(1_000)).unwrap();
+                ids.push(id);
+            }
+            let store = ThrottledStore::with_parallelism(store, Duration::from_micros(20), 8);
+            // A tiny cache forces fetch races.
+            let cache = ConcurrentBufferPool::with_config(store, 8, SchedulerConfig { workers });
+            let pool = VersionedPool::from_cache(cache);
+            let rounds = 60u64;
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| loop {
+                        let pin = pool.pin();
+                        let epoch = pin.epoch();
+                        let mut seen = None;
+                        for &id in &ids {
+                            let v = pin.read_page(id, PageKind::Other).unwrap().get_u64(0);
+                            // All pages are written together per batch, so
+                            // one pinned view must be uniform.
+                            match seen {
+                                None => seen = Some(v),
+                                Some(prev) => assert_eq!(
+                                    prev, v,
+                                    "torn snapshot at epoch {epoch} (workers {workers})"
+                                ),
                             }
+                            assert!(
+                                v >= 1_000 && v - 1_000 <= epoch,
+                                "future read at {epoch}: {v} (workers {workers})"
+                            );
                         }
-                        assert!(
-                            v >= 1_000 && v - 1_000 <= epoch,
-                            "future read at {epoch}: {v}"
-                        );
-                    }
-                    if seen == Some(1_000 + rounds) {
-                        break;
+                        if seen == Some(1_000 + rounds) {
+                            break;
+                        }
+                    });
+                }
+                scope.spawn(|| {
+                    for round in 1..=rounds {
+                        let mut batch = pool.begin_batch();
+                        for &id in &ids {
+                            batch
+                                .write(id, &stamped(1_000 + round), PageKind::Other)
+                                .unwrap();
+                        }
+                        batch.publish();
                     }
                 });
-            }
-            scope.spawn(|| {
-                for round in 1..=rounds {
-                    let mut batch = pool.begin_batch();
-                    for &id in &ids {
-                        batch
-                            .write(id, &stamped(1_000 + round), PageKind::Other)
-                            .unwrap();
-                    }
-                    batch.publish();
-                }
             });
-        });
-        assert_eq!(pool.version_stats().epoch, rounds);
-    }
+            assert_eq!(pool.version_stats().epoch, rounds);
 
-    #[test]
-    fn scheduler_cache_serves_pinned_readers() {
-        let mut store = MemStore::new();
-        let mut ids = Vec::new();
-        for i in 0..8u64 {
-            let id = store.alloc().unwrap();
-            store.write_page(id, &stamped(i)).unwrap();
-            ids.push(id);
+            // At rest: a pin keeps its epoch across one more batch, and a
+            // fresh pin sees that batch.
+            let pin = pool.pin();
+            let mut batch = pool.begin_batch();
+            for &id in &ids {
+                batch.write(id, &stamped(99), PageKind::Other).unwrap();
+            }
+            batch.publish();
+            let fresh = pool.pin();
+            for &id in &ids {
+                let old = pin.read_page(id, PageKind::Other).unwrap().get_u64(0);
+                assert_eq!(old, 1_000 + rounds, "workers {workers}");
+                let new = fresh.read_page(id, PageKind::Other).unwrap().get_u64(0);
+                assert_eq!(new, 99, "workers {workers}");
+            }
+            drop(pin);
+            drop(fresh);
+            let _ = pool.into_store();
         }
-        let store = ThrottledStore::new(store, Duration::from_micros(50));
-        let cell = StoreCell::new(store);
-        let cache = DiskScheduler::with_config(cell.clone(), 16, SchedulerConfig::default());
-        let pool: VersionedPool<_, DiskScheduler<_>> = VersionedPool::from_parts(cell, cache);
-        let pin = pool.pin();
-        let mut batch = pool.begin_batch();
-        for &id in &ids {
-            batch.write(id, &stamped(99), PageKind::Other).unwrap();
-        }
-        batch.publish();
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(
-                pin.read_page(id, PageKind::Other).unwrap().get_u64(0),
-                i as u64
-            );
-        }
-        let fresh = pool.pin();
-        for &id in &ids {
-            assert_eq!(fresh.read_page(id, PageKind::Other).unwrap().get_u64(0), 99);
-        }
-        drop(pin);
-        drop(fresh);
-        let _ = pool.into_store();
     }
 }

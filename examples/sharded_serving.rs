@@ -1,5 +1,5 @@
 //! Sharded serving: a [`ShardedDb`] spreads one FLAT dataset over K
-//! spatial shards, each with its own [`DiskScheduler`] worker pool, and
+//! spatial shards, each cache with its own pool of I/O workers, and
 //! serves mixed concurrent traffic — range scans, exact cross-shard kNN,
 //! and live updates — from plain `&self`.
 //!

@@ -53,8 +53,9 @@
 //! shared reads ([`prelude::PageRead`], `&self`) — so the low-level types
 //! ([`prelude::FlatIndex`], [`prelude::RTree`], [`prelude::DeltaIndex`],
 //! unified by the [`prelude::SpatialIndex`] trait) can serve one thread
-//! through a [`prelude::BufferPool`] or many through a lock-sharded
-//! [`prelude::ConcurrentBufferPool`]. The `index_comparison` example
+//! through a [`prelude::BufferPool`] or many through the one shared,
+//! lock-sharded cache, [`prelude::ConcurrentBufferPool`] (optionally with
+//! I/O workers that overlap device reads). The `index_comparison` example
 //! keeps a paper-literal walkthrough of those low-level APIs.
 
 #![deny(missing_docs)]
@@ -89,8 +90,8 @@ pub mod prelude {
     pub use flat_geom::{Aabb, Axis, Cylinder, Point3, Shape, Sphere, Triangle};
     pub use flat_rtree::{BulkLoad, Entry, Hit, LeafLayout, RTree, RTreeConfig};
     pub use flat_storage::{
-        BufferPool, ConcurrentBufferPool, DiskModel, DiskScheduler, FileStore, IoStats, MemStore,
-        Page, PageId, PageKind, PageRead, PageStore, PageWrite, PoolHandle, SchedulerConfig,
-        SchedulerStats, ThrottledStore, VersionStats, VersionedPool, PAGE_SIZE,
+        BufferPool, ConcurrentBufferPool, DiskModel, FileStore, IoStats, MemStore, Page, PageId,
+        PageKind, PageRead, PageStore, PageWrite, SchedulerConfig, SchedulerStats, ThrottledStore,
+        VersionStats, VersionedPool, PAGE_SIZE,
     };
 }

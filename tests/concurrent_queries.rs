@@ -1,5 +1,5 @@
 //! Concurrency integration tests: many threads querying one [`FlatIndex`]
-//! through a shared [`ConcurrentBufferPool`] must behave exactly like
+//! through the shared [`ConcurrentBufferPool`] must behave exactly like
 //! serial execution — bit-identical results, consistent I/O accounting —
 //! and readers interleaved with a dynamic updater must observe atomic
 //! batches: every observed result set equals some pre- or post-batch
@@ -8,7 +8,7 @@
 use flat_repro::prelude::*;
 use flat_repro::storage::StorageError;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// A [`PageRead`] adapter that counts the logical reads passing through it,
 /// so each worker thread can attribute its own share of the shared pool's
@@ -77,10 +77,10 @@ fn eight_threads_match_serial_results_bit_for_bit() {
     let (entries, domain) = neuron_dataset();
     let queries = queries(&domain);
 
-    // Serial reference answers through the exclusive pool.
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    // Build straight into the shared cache; serial reference answers first.
+    let mut shared = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(
-        &mut pool,
+        &mut shared,
         entries,
         FlatOptions {
             domain: Some(domain),
@@ -90,15 +90,16 @@ fn eight_threads_match_serial_results_bit_for_bit() {
     .expect("build");
     let serial: Vec<Vec<[u64; 7]>> = queries
         .iter()
-        .map(|q| keys(&index.range_query(&pool, q).expect("serial query")))
+        .map(|q| keys(&index.range_query(&shared, q).expect("serial query")))
         .collect();
     assert!(
         serial.iter().any(|k| !k.is_empty()),
         "workload must return something"
     );
 
-    // Eight threads, one shared pool, every thread runs the full workload.
-    let shared = pool.into_concurrent().into_handle();
+    // Eight threads, one shared cache, every thread runs the full workload
+    // through its own `Arc` handle.
+    let shared = Arc::new(shared);
     std::thread::scope(|scope| {
         for thread in 0..8 {
             let shared = shared.clone();
@@ -122,9 +123,9 @@ fn shared_pool_statistics_are_consistent_under_concurrency() {
     let (entries, domain) = neuron_dataset();
     let queries = queries(&domain);
 
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut shared = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(
-        &mut pool,
+        &mut shared,
         entries,
         FlatOptions {
             domain: Some(domain),
@@ -132,7 +133,6 @@ fn shared_pool_statistics_are_consistent_under_concurrency() {
         },
     )
     .expect("build");
-    let shared = pool.into_concurrent();
     shared.reset_stats();
     shared.clear_cache();
 
@@ -392,9 +392,9 @@ fn file_backed_index_serves_concurrent_readers() {
     let path = dir.join("concurrent.pages");
 
     let store = FileStore::create(&path).expect("create store");
-    let mut pool = BufferPool::new(store, 1 << 12);
+    let mut shared = ConcurrentBufferPool::new(store, 1 << 12);
     let (index, _) = FlatIndex::build(
-        &mut pool,
+        &mut shared,
         entries,
         FlatOptions {
             domain: Some(domain),
@@ -404,10 +404,9 @@ fn file_backed_index_serves_concurrent_readers() {
     .expect("build");
 
     let q = Aabb::cube(domain.center(), 40.0);
-    let expected = keys(&index.range_query(&pool, &q).expect("serial query"));
+    let expected = keys(&index.range_query(&shared, &q).expect("serial query"));
     assert!(!expected.is_empty());
 
-    let shared = pool.into_concurrent();
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let (shared, index, expected, q) = (&shared, &index, &expected, &q);
@@ -422,14 +421,14 @@ fn file_backed_index_serves_concurrent_readers() {
 
 #[test]
 fn scheduler_shutdown_drains_inflight_work_before_releasing_the_store() {
-    // Drop-order guarantee: `DiskScheduler::into_store` (and `Drop`) must
-    // finish every in-flight demand read and join the worker pool before
-    // the store is handed back — a worker still landing a fetch after
-    // teardown would be a torn read waiting to happen. We drive real
-    // concurrent traffic over a slow device, announce a flood of reads
-    // nobody waits for so workers are mid-service at shutdown, tear the
-    // scheduler down, and then prove the recovered store still answers
-    // bit-identically.
+    // Drop-order guarantee: `ConcurrentBufferPool::into_store` (and `Drop`)
+    // of a cache with I/O workers must finish every in-flight demand read
+    // and join the worker pool before the store is handed back — a worker
+    // still landing a fetch after teardown would be a torn read waiting to
+    // happen. We drive real concurrent traffic over a slow device, announce
+    // a flood of reads nobody waits for so workers are mid-service at
+    // shutdown, tear the cache down, and then prove the recovered store
+    // still answers bit-identically.
     use std::time::Duration;
 
     let (entries, domain) = neuron_dataset();
@@ -454,7 +453,7 @@ fn scheduler_shutdown_drains_inflight_work_before_releasing_the_store() {
     let store = ThrottledStore::with_parallelism(pool.into_store(), LATENCY, 2);
     let config = SchedulerConfig { workers: 2 };
     // A cache far smaller than the index keeps the queue busy.
-    let sched = DiskScheduler::with_config(store, 128, config);
+    let sched = ConcurrentBufferPool::with_config(store, 128, config);
 
     std::thread::scope(|scope| {
         for t in 0..4usize {
@@ -635,7 +634,7 @@ fn sharded_db_serves_mixed_clients_and_drops_cleanly() {
     let lanes = db.scheduler_stats();
     assert_eq!(lanes.demand_completed, lanes.demand_submitted);
     assert!(db.io_stats().total_physical_reads() > 0);
-    // The last Arc drop tears down three scheduler worker pools; the test
+    // The last Arc drop tears down three shard caches' worker pools; the test
     // returning at all is the join-without-hang assertion.
     drop(db);
 }
@@ -644,8 +643,8 @@ fn sharded_db_serves_mixed_clients_and_drops_cleanly() {
 fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
     // The write-back ordering contract behind crash recovery, proved at
     // the device boundary: a recording store sits under the durable
-    // wrapper, which sits under a DiskScheduler serving concurrent
-    // readers. Mutations go through the scheduler's quiesce barrier
+    // wrapper, which sits under a cache whose I/O workers serve concurrent
+    // readers. Mutations go through the cache's quiesce barrier
     // (`with_store_mut`); for every commit cycle the event trace must
     // show the WAL append (the commit record, and the page images it
     // covers) reaching the store strictly before any covered data page
@@ -697,7 +696,7 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
     .expect("create durable store");
     durable.checkpoint(b"genesis").expect("initial checkpoint");
 
-    let mut sched = DiskScheduler::new(durable, 64);
+    let mut sched = ConcurrentBufferPool::with_config(durable, 64, SchedulerConfig::default());
     let mut wal_pages: HashSet<u64> = HashSet::new();
     let mut written: Vec<(u64, u64)> = Vec::new(); // (page, round stamp)
 
@@ -757,7 +756,7 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
             }
         }
 
-        // Concurrent readers through the scheduler observe the
+        // Concurrent readers through the cache observe the
         // checkpointed values bit-for-bit.
         std::thread::scope(|scope| {
             for _ in 0..4 {

@@ -81,7 +81,7 @@ fn seed_page_at_dataset_boundary() {
     // an off-by-one in neighbor enumeration would lose results.
     let entries = grid_entries(10, 10.0);
     let (pool, index) = build(entries.clone());
-    let shared = pool.into_concurrent();
+    let shared = ConcurrentBufferPool::new(pool.into_store(), 1 << 12);
     let corners = [
         Point3::new(0.0, 0.0, 0.0),
         Point3::new(100.0, 0.0, 0.0),
@@ -101,7 +101,7 @@ fn seed_page_at_dataset_boundary() {
 #[test]
 fn empty_index_queries() {
     let (pool, index) = build(Vec::new());
-    let shared = pool.into_concurrent();
+    let shared = ConcurrentBufferPool::new(pool.into_store(), 1 << 12);
     for q in [
         Aabb::cube(Point3::splat(0.0), 10.0),
         Aabb::point(Point3::splat(5.0)),
@@ -576,7 +576,6 @@ fn failed_shard_batch_is_a_typed_error_and_stays_isolated() {
 
 use flat_repro::core::meta::{decode_meta_record, meta_leaf_len, MetaRecordId};
 use flat_repro::rtree::node::{decode_inner, decode_leaf};
-use flat_repro::storage::StoreCell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashSet, VecDeque};
@@ -808,17 +807,15 @@ fn copy_store(src: &MemStore) -> MemStore {
     copy
 }
 
-type DevicePool =
-    VersionedPool<ThrottledStore<MemStore>, DiskScheduler<StoreCell<ThrottledStore<MemStore>>>>;
+type DevicePool = VersionedPool<ThrottledStore<MemStore>>;
 
 /// The serving stack's read path over a copy of `src`: an epoch-pinnable
-/// pool whose cache is a scheduler over a slow queue-depth-8 device, small
-/// enough (64 pages) that crawls evict their own pages.
+/// pool whose cache has I/O workers in front of a slow queue-depth-8
+/// device, small enough (64 pages) that crawls evict their own pages.
 fn device_pool(src: &MemStore) -> DevicePool {
     let device = ThrottledStore::with_parallelism(copy_store(src), Duration::from_micros(20), 8);
-    let cell = StoreCell::new(device);
-    let scheduler = DiskScheduler::new(cell.clone(), 64);
-    VersionedPool::from_parts(cell, scheduler)
+    let cache = ConcurrentBufferPool::with_config(device, 64, SchedulerConfig::default());
+    VersionedPool::from_cache(cache)
 }
 
 /// The same pages behind the three kinds of pool a query can run over.
