@@ -70,8 +70,8 @@ fn rtree_nested(w: &JoinWorkload, pool: &BufferPool<MemStore>, tree: &RTree) -> 
 }
 
 /// Join comparison: co-crawl vs R-tree nested loop, plus the sharded
-/// fan-out. Writes `BENCH_join.json` when emitted through
-/// [`emit_with_json`].
+/// fan-out. Emitting the table also writes `BENCH_join.json`, the record
+/// the join benchmarks are tracked by.
 pub fn exp_join(ctx: &Context) -> Table {
     let w = workload(ctx);
     let mut table = Table::new(
@@ -91,6 +91,7 @@ pub fn exp_join(ctx: &Context) -> Table {
             "speedup vs R-tree",
         ],
     );
+    table.record = Some("BENCH_join");
     let options = FlatOptions {
         layout: LeafLayout::WithIds,
         domain: Some(w.domain),
@@ -207,15 +208,4 @@ pub fn exp_join(ctx: &Context) -> Table {
         speedup(sharded_ms),
     );
     table
-}
-
-/// Prints/saves the table as every figure does, plus the
-/// machine-readable `BENCH_join.json` the join benchmarks are tracked
-/// by.
-pub fn emit_with_json(table: &Table) {
-    table.emit();
-    match table.save_json("BENCH_join") {
-        Ok(path) => println!("[saved {}]\n", path.display()),
-        Err(e) => println!("[json not saved: {e}]\n"),
-    }
 }

@@ -5,7 +5,7 @@
 //! ingredients — seed-tree descent, then neighbor-link expansion — with a
 //! best-first frontier instead of a BFS queue. This experiment runs a kNN
 //! workload (random locations, k ∈ [8, 128]) over the neuron model on the
-//! 150 µs/read device of `exp_concurrency` — one at a time, from several
+//! 150 µs/read device of the `concurrency` suite — one at a time, from several
 //! client threads, and through the façade's batch verb — and verifies
 //! exactness against a brute-force scan on the smallest sweep density.
 

@@ -1,12 +1,12 @@
 //! Uniform handle over FLAT and the R-tree baselines.
 //!
 //! Measurement is **generic over [`SpatialIndex`]**: one
-//! [`measure_range`] / [`measure_knn`] pair runs the paper's cold-cache
-//! protocol for any index kind, and [`BuiltIndex`] only dispatches which
-//! concrete index to hand it.
+//! [`measure_range`] runs the paper's cold-cache protocol for any index
+//! kind, and [`BuiltIndex`] only dispatches which concrete index to hand
+//! it.
 
-use flat_core::{BuildStats, FlatIndex, FlatOptions, IndexStats, Neighbor, SpatialIndex};
-use flat_geom::{Aabb, Point3};
+use flat_core::{BuildStats, FlatIndex, FlatOptions, IndexStats, SpatialIndex};
+use flat_geom::Aabb;
 use flat_rtree::{BulkLoad, Entry, RTree, RTreeConfig};
 use flat_storage::{BufferPool, IoStats, MemStore, PageKind};
 use std::time::{Duration, Instant};
@@ -28,23 +28,6 @@ pub fn measure_range<I: SpatialIndex>(
         .len();
     let cpu = start.elapsed();
     (results, pool.stats().since(&snapshot), cpu)
-}
-
-/// Runs one kNN query over any index kind under the same protocol.
-pub fn measure_knn<I: SpatialIndex>(
-    index: &I,
-    pool: &BufferPool<MemStore>,
-    point: Point3,
-    k: usize,
-) -> (Vec<Neighbor>, IoStats, Duration) {
-    pool.clear_cache();
-    let snapshot = pool.snapshot();
-    let start = Instant::now();
-    let neighbors = index
-        .nearest(pool, point, k)
-        .expect("in-memory query cannot fail");
-    let cpu = start.elapsed();
-    (neighbors, pool.stats().since(&snapshot), cpu)
 }
 
 /// Which index to build.
@@ -161,15 +144,6 @@ impl BuiltIndex {
         match (&self.flat, &self.rtree) {
             (Some(flat), None) => measure_range(flat, &self.pool, query),
             (None, Some(tree)) => measure_range(tree, &self.pool, query),
-            _ => unreachable!("exactly one index is set"),
-        }
-    }
-
-    /// Runs one kNN query under the same protocol, via [`measure_knn`].
-    pub fn knn(&self, point: Point3, k: usize) -> (Vec<Neighbor>, IoStats, Duration) {
-        match (&self.flat, &self.rtree) {
-            (Some(flat), None) => measure_knn(flat, &self.pool, point, k),
-            (None, Some(tree)) => measure_knn(tree, &self.pool, point, k),
             _ => unreachable!("exactly one index is set"),
         }
     }

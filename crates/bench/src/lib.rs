@@ -1,10 +1,11 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§III, §VII, §VIII).
 //!
-//! Each figure/table has a function in [`figures`] and a matching binary in
-//! `src/bin/` (e.g. `cargo run --release -p flat-bench --bin
-//! fig12_sn_page_reads`); `--bin run_all` executes everything and writes
-//! CSVs next to the printed tables.
+//! Each figure/table has a function in [`figures`]; figures measured by the
+//! same pass form one suite of [`figures::SUITES`]. The one binary,
+//! `run_all`, runs one suite (`cargo run --release -p flat-bench --bin
+//! run_all -- sn`) or, with no argument, all of them, and writes CSVs next
+//! to the printed tables; `run_all --list` prints the suites.
 //!
 //! # Scaling
 //!
@@ -25,6 +26,9 @@
 //!   `experiments-results/`).
 //! * `FLAT_TAIL` — `compact` (default) or `extreme`; selects the
 //!   long-element tail profile of the neuron sweep (see [`TailProfile`]).
+//!
+//! A malformed knob is an error ([`Scale::from_env`]), never a silent
+//! default: `FLAT_SCALE=0,02` must not run the full sweep.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -126,25 +130,46 @@ impl Scale {
         }
     }
 
-    /// Reads `FLAT_SCALE` / `FLAT_QUERIES` from the environment.
-    pub fn from_env() -> Scale {
-        let factor = std::env::var("FLAT_SCALE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(1.0);
+    /// Reads `FLAT_SCALE` / `FLAT_QUERIES` / `FLAT_TAIL` from the
+    /// environment. A factor that is not a finite positive number, a
+    /// query count that is not a non-negative integer, or an unknown tail
+    /// profile is an error naming the knob; an unset knob keeps its
+    /// default.
+    pub fn from_env() -> Result<Scale, String> {
+        let var = |name| std::env::var(name).ok();
+        Scale::parse(
+            var("FLAT_SCALE").as_deref(),
+            var("FLAT_QUERIES").as_deref(),
+            var("FLAT_TAIL").as_deref(),
+        )
+    }
+
+    /// [`Scale::from_env`] over the knobs' values (`None` = unset).
+    fn parse(
+        factor: Option<&str>,
+        queries: Option<&str>,
+        tail: Option<&str>,
+    ) -> Result<Scale, String> {
+        let factor = match factor {
+            None => 1.0,
+            Some(v) => match v.trim().parse::<f64>() {
+                Ok(f) if f.is_finite() && f > 0.0 => f,
+                _ => return Err(format!("FLAT_SCALE={v:?} is not a positive number")),
+            },
+        };
         let mut scale = Scale::with_factor(factor);
-        if let Some(q) = std::env::var("FLAT_QUERIES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            scale.queries = q;
+        if let Some(v) = queries {
+            scale.queries = v
+                .trim()
+                .parse()
+                .map_err(|_| format!("FLAT_QUERIES={v:?} is not a query count"))?;
         }
-        match std::env::var("FLAT_TAIL").as_deref() {
-            Ok("extreme" | "heavy") => scale.tail = TailProfile::Extreme,
-            Ok("compact" | "light") | Err(_) => {}
-            Ok(other) => eprintln!("FLAT_TAIL={other} not recognized; using compact"),
-        }
-        scale
+        scale.tail = match tail {
+            None | Some("compact" | "light") => TailProfile::Compact,
+            Some("extreme" | "heavy") => TailProfile::Extreme,
+            Some(v) => return Err(format!("FLAT_TAIL={v:?} is not compact or extreme")),
+        };
+        Ok(scale)
     }
 
     /// A tiny configuration for the crate's own tests (3 densities,
@@ -226,6 +251,27 @@ mod tests {
         let domain = flat_data::bbp_domain();
         assert_eq!(s.sn_workload(&domain).len(), 20);
         assert_eq!(s.lss_workload(&domain).len(), 20);
+    }
+
+    #[test]
+    fn env_knobs_parse_or_fail_naming_the_knob() {
+        let s = Scale::parse(Some("0.02"), Some("20"), Some("extreme")).unwrap();
+        assert_eq!(s.densities, Scale::with_factor(0.02).densities);
+        assert_eq!(s.queries, 20);
+        assert_eq!(s.tail, TailProfile::Extreme);
+        let unset = Scale::parse(None, None, None).unwrap();
+        assert_eq!(unset.max_density(), 450_000);
+        assert_eq!(unset.tail, TailProfile::Compact);
+        for bad in ["0,02", "", "0", "-1", "NaN", "inf", "1e400"] {
+            let err = Scale::parse(Some(bad), None, None).unwrap_err();
+            assert!(err.starts_with("FLAT_SCALE="), "{bad:?}: {err}");
+        }
+        for bad in ["-3", "2.5", "many"] {
+            let err = Scale::parse(None, Some(bad), None).unwrap_err();
+            assert!(err.starts_with("FLAT_QUERIES="), "{bad:?}: {err}");
+        }
+        let err = Scale::parse(None, None, Some("heavyish")).unwrap_err();
+        assert!(err.starts_with("FLAT_TAIL="), "{err}");
     }
 
     #[test]

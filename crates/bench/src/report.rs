@@ -1,4 +1,4 @@
-//! Table formatting and CSV output for the figure binaries.
+//! Table formatting and CSV output for `run_all`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -15,6 +15,9 @@ pub struct Table {
     pub columns: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
+    /// File stem of the committed `BENCH_*.json` record this table
+    /// regenerates, if any: [`Table::emit`] then also writes it as JSON.
+    pub record: Option<&'static str>,
 }
 
 impl Table {
@@ -25,6 +28,7 @@ impl Table {
             title: title.to_string(),
             columns: columns.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            record: None,
         }
     }
 
@@ -43,7 +47,7 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Renders an aligned text table (what the binaries print).
+    /// Renders an aligned text table (what `run_all` prints).
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
         for row in &self.rows {
@@ -155,13 +159,18 @@ impl Table {
         Ok(path)
     }
 
-    /// Prints the table and saves the CSV (the figure binaries' tail call).
+    /// Prints the table and saves the CSV, plus the JSON [`Table::record`]
+    /// if the table has one.
     pub fn emit(&self) {
         print!("{}", self.render());
-        match self.save_csv() {
-            Ok(path) => println!("[saved {}]\n", path.display()),
-            Err(e) => println!("[csv not saved: {e}]\n"),
+        let json = self.record.map(|stem| self.save_json(stem));
+        for saved in std::iter::once(self.save_csv()).chain(json) {
+            match saved {
+                Ok(path) => println!("[saved {}]", path.display()),
+                Err(e) => println!("[not saved: {e}]"),
+            }
         }
+        println!();
     }
 }
 

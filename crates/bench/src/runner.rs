@@ -246,9 +246,11 @@ mod tests {
             ..FlatOptions::default()
         };
         let (index, _) = FlatIndex::build(&mut pool, entries, options).unwrap();
-        // Re-house the pages behind a 200 µs/read device, with a tiny
-        // cache so queries keep missing.
-        let store = ThrottledStore::new(pool.into_store(), Duration::from_micros(200));
+        // Re-house the pages behind a 2 ms/read device, with a tiny cache
+        // so queries keep missing. The latency is long enough that CPU
+        // contention from tests running beside this one (thread start-up,
+        // crawl work) stays small against the waits being overlapped.
+        let store = ThrottledStore::new(pool.into_store(), Duration::from_millis(2));
         let pool = ConcurrentBufferPool::new(store, 64);
         let queries: Vec<Aabb> = (0..8)
             .map(|i| Aabb::cube(config.domain.center(), 60.0 + i as f64 * 30.0))
@@ -265,7 +267,7 @@ mod tests {
         assert_eq!(serial.results, parallel.results);
         // Overlapped sleeps give ~3x here even on one core; the bound is
         // kept loose (just past the >1x acceptance line) so a contended CI
-        // runner can't flake it. `exp_concurrency` reports the real curve.
+        // runner can't flake it. `run_all concurrency` reports the real curve.
         assert!(
             speedup > 1.2,
             "4 threads over an I/O-bound store must overlap waits: {speedup:.2}x"

@@ -180,6 +180,17 @@ impl DbOptions {
         self.durability = durability;
         self
     }
+
+    /// Refuses options no session can run with. Every fallible
+    /// constructor calls this before it touches its store.
+    pub(crate) fn check(&self) -> Result<(), FlatError> {
+        if self.pool_pages == 0 {
+            return Err(FlatError::Build(
+                "pool_pages must be at least one page".into(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// What [`FlatDb::build_from`] did.
@@ -411,7 +422,9 @@ impl<S: PageStore> FlatDb<S> {
     /// # Panics
     /// Panics if `options.durability` is on — a durable database needs
     /// the write-ahead-logged store layout that only the fallible
-    /// [`FlatDb::create_durable`] can lay down.
+    /// [`FlatDb::create_durable`] can lay down — or if
+    /// `options.pool_pages` is 0 (the cache needs a frame; the fallible
+    /// constructors return [`FlatError::Build`] instead).
     pub fn create(store: S, options: DbOptions) -> FlatDb<S> {
         assert_eq!(
             options.durability,
@@ -435,6 +448,7 @@ impl<S: PageStore> FlatDb<S> {
             Durability::Off,
             "create_durable needs a durability mode (see DbOptions::durability)"
         );
+        options.check()?;
         let mut durable = DurableStore::create(store)?;
         let initial = DbSnapshot {
             last_seq: 0,
@@ -468,6 +482,7 @@ impl<S: PageStore> FlatDb<S> {
             Durability::Off,
             "open_durable needs a durability mode (see DbOptions::durability)"
         );
+        options.check()?;
         let (durable, log) = DurableStore::open(store)?;
         let snapshot = DbSnapshot::decode(&log.snapshot)?;
         options.index.layout = snapshot.index.layout();
@@ -553,6 +568,7 @@ impl<S: PageStore> FlatDb<S> {
                     .into(),
             ));
         }
+        options.check()?;
         let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
         let index = FlatIndex::load(&pool, descriptor)?;
         options.index.layout = index.layout();

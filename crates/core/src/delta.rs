@@ -1030,8 +1030,7 @@ fn push_chunks(
 /// `0..fresh.num_pages()` byte-identical and none of them on the free
 /// list — with every surplus tail page (left over from the larger
 /// pre-compaction index) sitting on the free list. The differential test
-/// layer and the `exp_update` benchmark both assert through this one
-/// checker.
+/// layer asserts through this one checker.
 pub fn verify_compacted_store(
     compacted: &impl PageStore,
     fresh: &impl PageStore,

@@ -19,8 +19,9 @@ pub enum FlatError {
     /// out-of-range accesses). The source chain continues into the
     /// wrapped [`StorageError`].
     Storage(StorageError),
-    /// The requested build is invalid or the database is not in a state
-    /// that can be built (e.g. it already holds an index).
+    /// The requested build or the session options are invalid (e.g. a
+    /// zero-page cache), or the database is not in a state that can be
+    /// built (e.g. it already holds an index).
     Build(String),
     /// The requested mutation is not possible (e.g. opening a writer on
     /// an index built without stable element ids or a fixed domain).

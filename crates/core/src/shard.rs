@@ -227,6 +227,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             pool_pages: options.pool_pages,
             ..DbOptions::default()
         };
+        db_options.check()?;
 
         let regions = shard_regions(entries, num_shards, &domain);
         let cuts = regions

@@ -77,7 +77,7 @@ struct Registry {
 }
 
 /// Snapshot of the versioning machinery, for invariant tests and the
-/// `exp_mvcc` benchmark.
+/// `versioned.*` rows of the benchmark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VersionStats {
     /// The current epoch (number of published batches).

@@ -329,7 +329,8 @@ impl Wal {
     /// final page write that [`Wal::append`] uses, so a crash exposes
     /// either all of the group's records or none. For small logical
     /// records this also collapses per-record head-page rewrites into one
-    /// (the `exp_wal` benchmark measures the saving).
+    /// (the benchmark's `churn_durable` commits this way; see its
+    /// `wal.bytes_per_commit` row).
     pub fn append_many<S: PageStore>(
         &mut self,
         store: &mut S,

@@ -440,12 +440,51 @@ fn bad_build_options_are_typed_errors_not_panics() {
             assert_eq!(db.store().num_pages(), 0, "a refused build writes nothing");
         }
     }
-    let shard_options = ShardOptions {
-        index: shrinking(0.5).index,
-        ..ShardOptions::default()
+    for shard_options in [
+        ShardOptions {
+            index: shrinking(0.5).index,
+            ..ShardOptions::default()
+        },
+        ShardOptions {
+            pool_pages: 0,
+            ..ShardOptions::default()
+        },
+    ] {
+        let err = ShardedDb::build_in_memory(2, entries.clone(), shard_options)
+            .map(drop)
+            .unwrap_err();
+        assert!(matches!(err, FlatError::Build(_)), "{err}");
+    }
+
+    // A zero-page cache is refused by every fallible FlatDb constructor
+    // before it touches the store: a plain file, a durable one and an
+    // empty one all keep their bytes.
+    let dir = std::env::temp_dir().join("flat-repro-db-api-options");
+    std::fs::create_dir_all(&dir).unwrap();
+    let [plain, durable, empty] = ["plain", "durable", "empty"].map(|n| dir.join(n));
+    let wal = DbOptions::updatable(domain).with_durability(Durability::Wal);
+    let mut db = FlatDb::create_in_memory(DbOptions::updatable(domain));
+    db.build_from(entries.clone()).unwrap();
+    db.persist(&plain).unwrap();
+    let mut db = FlatDb::create_durable(FileStore::create(&durable).unwrap(), wal).unwrap();
+    db.build_from(entries).unwrap();
+    drop(db);
+    drop(FileStore::create(&empty).unwrap());
+    let bytes = || [&plain, &durable, &empty].map(|p| std::fs::read(p).unwrap());
+    let before = bytes();
+    let no_cache = |options: DbOptions| DbOptions {
+        pool_pages: 0,
+        ..options
     };
-    let err = ShardedDb::build_in_memory(2, entries, shard_options)
-        .map(drop)
-        .unwrap_err();
-    assert!(matches!(err, FlatError::Build(_)), "{err}");
+    for err in [
+        FlatDb::open_file(&plain, no_cache(DbOptions::updatable(domain))).map(drop),
+        FlatDb::open_file(&durable, no_cache(wal)).map(drop),
+        FlatDb::create_durable(FileStore::open(&empty).unwrap(), no_cache(wal)).map(drop),
+    ] {
+        let err = err.unwrap_err();
+        assert!(matches!(err, FlatError::Build(_)), "{err}");
+    }
+    assert!(before == bytes(), "a refused open or create changed a file");
+    assert!(before[2].is_empty());
+    std::fs::remove_dir_all(&dir).ok();
 }
