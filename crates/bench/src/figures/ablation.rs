@@ -7,7 +7,7 @@ use crate::report::{fmt_f64, fmt_mb, fmt_secs, Table};
 use crate::runner::run_workload;
 use flat_core::{FlatIndex, FlatOptions, MetaOrder};
 use flat_rtree::{leaf_capacity, BulkLoad, LeafLayout, RTree, RTreeConfig};
-use flat_storage::{BufferPool, MemStore, PageKind};
+use flat_storage::{ConcurrentBufferPool, MemStore, PageKind};
 
 /// Metadata packing order ablation: the paper requires "spatially close
 /// records on the same leaf page" (§V-B.2) without fixing an order. This
@@ -32,7 +32,7 @@ pub fn exp_meta_order(ctx: &Context) -> Table {
         ("Hilbert (default)", MetaOrder::Hilbert),
         ("STR output", MetaOrder::StrOutput),
     ] {
-        let mut pool = BufferPool::new(MemStore::new(), ctx.scale.pool_pages);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), ctx.scale.pool_pages);
         let (index, _) = FlatIndex::build(
             &mut pool,
             entries.clone(),
@@ -48,9 +48,9 @@ pub fn exp_meta_order(ctx: &Context) -> Table {
         let mut object = 0u64;
         for q in &queries {
             pool.clear_cache();
-            let snapshot = pool.snapshot();
+            let before = pool.stats();
             let _ = index.range_query(&pool, q).expect("in-memory query");
-            let delta = pool.stats().since(&snapshot);
+            let delta = pool.stats().since(&before);
             total += delta.total_physical_reads();
             meta += delta.kind(PageKind::SeedLeaf).physical_reads;
             object += delta.kind(PageKind::ObjectPage).physical_reads;
@@ -109,7 +109,7 @@ pub fn exp_bulk_vs_insert(ctx: &Context, elements: usize) -> Table {
 
     // Insertion-built.
     {
-        let mut pool = BufferPool::new(MemStore::new(), ctx.scale.pool_pages);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), ctx.scale.pool_pages);
         let start = std::time::Instant::now();
         let mut tree = RTree::new_empty(RTreeConfig::default());
         for e in &entries {
@@ -120,9 +120,9 @@ pub fn exp_bulk_vs_insert(ctx: &Context, elements: usize) -> Table {
         let mut total = 0u64;
         for q in &queries {
             pool.clear_cache();
-            let snapshot = pool.snapshot();
+            let before = pool.stats();
             let _ = tree.range_query(&pool, q).expect("in-memory query");
-            total += pool.stats().since(&snapshot).total_physical_reads();
+            total += pool.stats().since(&before).total_physical_reads();
         }
         let fill = elements as f64 / (tree.num_leaf_pages() as f64 * cap) * 100.0;
         table.push_row(vec![

@@ -25,7 +25,7 @@
 use super::Context;
 use crate::report::{fmt_mb, fmt_secs, Table};
 use flat_core::{FlatIndex, FlatIndexBuilder, FlatOptions};
-use flat_storage::{BufferPool, MemStore, Page, PageId, PageStore};
+use flat_storage::{ConcurrentBufferPool, MemStore, Page, PageId, PageStore};
 use std::time::Instant;
 
 /// Default entries buffered per external-sort run.
@@ -40,7 +40,10 @@ pub fn spill_budget_from_env() -> usize {
 }
 
 /// `true` if every page of both stores holds identical bytes.
-fn stores_identical(a: &BufferPool<MemStore>, b: &BufferPool<MemStore>) -> bool {
+fn stores_identical(
+    a: &ConcurrentBufferPool<MemStore>,
+    b: &ConcurrentBufferPool<MemStore>,
+) -> bool {
     if a.store().num_pages() != b.store().num_pages() {
         return false;
     }
@@ -85,12 +88,12 @@ pub fn exp_build_scale(ctx: &Context) -> Table {
     for &density in ctx.sweep.densities() {
         let entries = ctx.sweep.at(density);
 
-        let mut pool_whole = BufferPool::new(MemStore::new(), 1 << 17);
+        let mut pool_whole = ConcurrentBufferPool::new(MemStore::new(), 1 << 17);
         let t0 = Instant::now();
         let (_, _) = FlatIndex::build(&mut pool_whole, entries.clone(), options).unwrap();
         let whole_time = t0.elapsed();
 
-        let mut pool_spilled = BufferPool::new(MemStore::new(), 1 << 17);
+        let mut pool_spilled = ConcurrentBufferPool::new(MemStore::new(), 1 << 17);
         let t1 = Instant::now();
         let (_, stats, streaming) = FlatIndexBuilder::new(options)
             .spill_budget(budget)

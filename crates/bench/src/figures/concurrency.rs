@@ -7,8 +7,8 @@
 //! [`FlatDb`] whose store charges a device latency per physical page read
 //! (queries are I/O-bound, §VII-E.2 — 97.8–98.8 % disk time). Aggregate
 //! throughput rising with the thread count is the direct payoff of the
-//! `&self` read path: overlapped I/O waits, no serialization through an
-//! exclusive pool. The last row hands the same queries to the façade's
+//! `&self` read path: overlapped I/O waits, no serialization through one
+//! lock. The last row hands the same queries to the façade's
 //! batch verb ([`flat_core::QueryBuilder::run_batch`]), which is those
 //! same calls fanned out over one snapshot.
 
@@ -16,7 +16,7 @@ use super::Context;
 use crate::report::{fmt_f64, Table};
 use crate::runner::throughput;
 use flat_core::{DbOptions, FlatDb, FlatIndex, FlatOptions};
-use flat_storage::{BufferPool, MemStore, PageStore, ThrottledStore};
+use flat_storage::{ConcurrentBufferPool, MemStore, PageStore, ThrottledStore};
 use std::time::{Duration, Instant};
 
 /// Per-physical-read device latency for the throttled store (SSD-class).
@@ -34,8 +34,8 @@ pub(super) fn device_bound_db(ctx: &Context) -> FlatDb<ThrottledStore<MemStore>>
         domain: Some(ctx.sweep.domain()),
         ..FlatOptions::default()
     };
-    // Build in an exclusive pool, then re-house the pages behind the device.
-    let mut build_pool = BufferPool::new(MemStore::new(), ctx.scale.pool_pages);
+    // Build in memory, then re-house the pages behind the device.
+    let mut build_pool = ConcurrentBufferPool::new(MemStore::new(), ctx.scale.pool_pages);
     let entries = ctx.sweep.at(ctx.scale.max_density());
     let (index, _) =
         FlatIndex::build(&mut build_pool, entries, options).expect("in-memory build cannot fail");

@@ -18,7 +18,7 @@ use crate::report::{fmt_f64, Table};
 use flat_core::{FlatIndex, FlatOptions, JoinEngine, JoinInput, ShardOptions, ShardedDb};
 use flat_data::join::{mesh_vs_nbody, JoinWorkload, JoinWorkloadConfig};
 use flat_rtree::{BulkLoad, LeafLayout, RTree, RTreeConfig, TraversalStats};
-use flat_storage::{BufferPool, MemStore};
+use flat_storage::{ConcurrentBufferPool, MemStore};
 use std::time::Instant;
 
 /// Shards of the fan-out row.
@@ -44,7 +44,7 @@ struct JoinRun {
 
 /// The R-tree index nested-loop join: one ε-inflated range query per
 /// outer element, Euclidean-verified. Pages = tree nodes visited.
-fn rtree_nested(w: &JoinWorkload, pool: &BufferPool<MemStore>, tree: &RTree) -> JoinRun {
+fn rtree_nested(w: &JoinWorkload, pool: &ConcurrentBufferPool<MemStore>, tree: &RTree) -> JoinRun {
     let eps2 = w.eps * w.eps;
     let mut stats = TraversalStats::default();
     let mut pairs = Vec::new();
@@ -99,7 +99,7 @@ pub fn exp_join(ctx: &Context) -> Table {
     };
 
     // The baseline: STR R-tree over the inner side, id-carrying leaves.
-    let mut rtree_pool = BufferPool::new(MemStore::new(), ctx.scale.pool_pages);
+    let mut rtree_pool = ConcurrentBufferPool::new(MemStore::new(), ctx.scale.pool_pages);
     let rtree = RTree::bulk_load(
         &mut rtree_pool,
         w.inner.clone(),
@@ -113,10 +113,10 @@ pub fn exp_join(ctx: &Context) -> Table {
     let baseline = rtree_nested(&w, &rtree_pool, &rtree);
 
     // The co-crawl over two FLAT indexes.
-    let mut pool_outer = BufferPool::new(MemStore::new(), ctx.scale.pool_pages);
+    let mut pool_outer = ConcurrentBufferPool::new(MemStore::new(), ctx.scale.pool_pages);
     let (index_outer, _) = FlatIndex::build(&mut pool_outer, w.outer.clone(), options)
         .expect("in-memory build cannot fail");
-    let mut pool_inner = BufferPool::new(MemStore::new(), ctx.scale.pool_pages);
+    let mut pool_inner = ConcurrentBufferPool::new(MemStore::new(), ctx.scale.pool_pages);
     let (index_inner, _) = FlatIndex::build(&mut pool_inner, w.inner.clone(), options)
         .expect("in-memory build cannot fail");
     let start = Instant::now();

@@ -17,7 +17,7 @@ use flat_core::{FlatIndex, FlatOptions};
 use flat_data::workload::{knn_queries, KnnConfig};
 use flat_geom::Point3;
 use flat_rtree::Entry;
-use flat_storage::{BufferPool, MemStore};
+use flat_storage::{ConcurrentBufferPool, MemStore};
 use std::time::Instant;
 
 /// Client-thread counts measured (the first is the one-at-a-time row).
@@ -70,7 +70,7 @@ pub fn exp_knn(ctx: &Context) -> Table {
     // so every query is checked against the brute-force oracle.
     let small_density = ctx.scale.densities[0];
     let small_entries = ctx.sweep.at(small_density);
-    let mut small_pool = BufferPool::new(MemStore::new(), ctx.scale.pool_pages);
+    let mut small_pool = ConcurrentBufferPool::new(MemStore::new(), ctx.scale.pool_pages);
     let options = FlatOptions {
         domain: Some(domain),
         ..FlatOptions::default()

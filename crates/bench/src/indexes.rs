@@ -8,7 +8,7 @@
 use flat_core::{BuildStats, FlatIndex, FlatOptions, IndexStats, SpatialIndex};
 use flat_geom::Aabb;
 use flat_rtree::{BulkLoad, Entry, RTree, RTreeConfig};
-use flat_storage::{BufferPool, IoStats, MemStore, PageKind};
+use flat_storage::{ConcurrentBufferPool, IoStats, MemStore, PageKind};
 use std::time::{Duration, Instant};
 
 /// Runs one range query over any index kind under the paper's protocol:
@@ -16,18 +16,18 @@ use std::time::{Duration, Instant};
 /// I/O delta, CPU time)`.
 pub fn measure_range<I: SpatialIndex>(
     index: &I,
-    pool: &BufferPool<MemStore>,
+    pool: &ConcurrentBufferPool<MemStore>,
     query: &Aabb,
 ) -> (usize, IoStats, Duration) {
     pool.clear_cache();
-    let snapshot = pool.snapshot();
+    let before = pool.stats();
     let start = Instant::now();
     let results = index
         .range(pool, query)
         .expect("in-memory query cannot fail")
         .len();
     let cpu = start.elapsed();
-    (results, pool.stats().since(&snapshot), cpu)
+    (results, pool.stats().since(&before), cpu)
 }
 
 /// Which index to build.
@@ -85,7 +85,7 @@ pub struct BuiltIndex {
     /// Which index this is.
     pub kind: IndexKind,
     /// The pool all of the index's pages live in.
-    pub pool: BufferPool<MemStore>,
+    pub pool: ConcurrentBufferPool<MemStore>,
     flat: Option<FlatIndex>,
     rtree: Option<RTree>,
     /// Wall-clock build time.
@@ -103,7 +103,7 @@ impl BuiltIndex {
         domain: Aabb,
         pool_pages: usize,
     ) -> BuiltIndex {
-        let mut pool = BufferPool::new(MemStore::new(), pool_pages);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), pool_pages);
         let start = Instant::now();
         let (flat, rtree, flat_stats) = match kind.bulk() {
             None => {

@@ -173,7 +173,7 @@ mod tests {
     use crate::indexes::IndexKind;
     use flat_core::{FlatIndex, FlatOptions};
     use flat_data::uniform::{uniform_entries, UniformConfig};
-    use flat_storage::{BufferPool, ConcurrentBufferPool, MemStore, ThrottledStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore, ThrottledStore};
 
     #[test]
     fn outcome_aggregates_queries() {
@@ -240,7 +240,7 @@ mod tests {
         // aggregate throughput rises well past 1×.
         let config = UniformConfig::paper_baseline(4_000, 9);
         let entries = uniform_entries(&config);
-        let mut pool = BufferPool::new(MemStore::new(), 4);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 4);
         let options = FlatOptions {
             domain: Some(config.domain),
             ..FlatOptions::default()

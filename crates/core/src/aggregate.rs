@@ -195,11 +195,11 @@ mod tests {
     use crate::index::FlatOptions;
     use flat_geom::Point3;
     use flat_rtree::{Entry, LeafLayout};
-    use flat_storage::{BufferPool, MemStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore};
 
-    fn build(n: usize, seed: u64) -> (BufferPool<MemStore>, FlatIndex, Vec<Entry>) {
+    fn build(n: usize, seed: u64) -> (ConcurrentBufferPool<MemStore>, FlatIndex, Vec<Entry>) {
         let entries = random_entries(n, seed);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) =
             FlatIndex::build(&mut pool, entries.clone(), FlatOptions::default()).unwrap();
         (pool, index, entries)
@@ -257,7 +257,7 @@ mod tests {
             domain: Some(Aabb::new(Point3::splat(0.0), Point3::splat(100.0))),
             ..FlatOptions::default()
         };
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
         let mut delta = DeltaIndex::new(&pool, index, options).unwrap();
         let doomed: Vec<u64> = entries

@@ -552,9 +552,9 @@ impl FlatIndexBuilder {
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
-    use flat_storage::{BufferPool, PageStore};
+    use flat_storage::{ConcurrentBufferPool, PageStore};
 
-    fn pages_of(pool: &BufferPool<MemStore>) -> Vec<Vec<u8>> {
+    fn pages_of(pool: &ConcurrentBufferPool<MemStore>) -> Vec<Vec<u8>> {
         let store = pool.store();
         let mut page = Page::new();
         (0..store.num_pages())
@@ -568,11 +568,11 @@ mod tests {
     /// Builds at `budget` and with nothing spilled ([`FlatIndex::build`]):
     /// same descriptor, same statistics, same pages.
     fn assert_bit_identical(entries: Vec<Entry>, options: FlatOptions, budget: usize) {
-        let mut pool_whole = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool_whole = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index_whole, stats_whole) =
             FlatIndex::build(&mut pool_whole, entries.clone(), options).unwrap();
 
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, stats, _) = FlatIndexBuilder::new(options)
             .spill_budget(budget)
             .build(&mut pool, entries)
@@ -631,7 +631,7 @@ mod tests {
 
     #[test]
     fn empty_stream_builds_an_empty_index() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let (index, stats, streaming) = FlatIndexBuilder::new(FlatOptions::default())
             .build(&mut pool, std::iter::empty())
             .unwrap();
@@ -658,7 +658,7 @@ mod tests {
     #[test]
     fn resident_state_is_bounded_by_the_slab() {
         let n = 40_000usize;
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let budget = 2_000;
         let (_, stats, streaming) = FlatIndexBuilder::new(FlatOptions::default())
             .spill_budget(budget)
@@ -688,7 +688,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must not shrink")]
     fn shrinking_inflation_is_rejected() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let _ = FlatIndexBuilder::new(FlatOptions {
             partition_volume_scale: 0.5,
             ..FlatOptions::default()

@@ -1,15 +1,13 @@
 //! [`FlatDb`]: one session façade over build, query, update and persist.
 //!
-//! PRs 1–4 grew one capability each, and each got its own entry point:
-//! the [`FlatIndexBuilder`] bulkload and its spill budget, serial and
-//! batched queries, the mutable [`DeltaIndex`], the exclusive
-//! [`flat_storage::BufferPool`] vs the one shared cache
-//! ([`flat_storage::ConcurrentBufferPool`]), and descriptor persistence in
-//! `persist.rs`.
-//! A caller had to know all of them and wire them together correctly
-//! (which pool flavor, when to promote to a delta index, where the
-//! descriptor page lives). `FlatDb` is the one handle that owns that
-//! wiring:
+//! Each capability of the library has its own entry point: the
+//! [`FlatIndexBuilder`] bulkload and its spill budget, serial and batched
+//! queries, the mutable [`DeltaIndex`], MVCC over the one page cache
+//! ([`VersionedPool`] over [`flat_storage::ConcurrentBufferPool`]), and
+//! descriptor persistence in `persist.rs`. A caller would have to know
+//! all of them and wire them together correctly (when to promote to a
+//! delta index, where the descriptor page lives). `FlatDb` is the one
+//! handle that owns that wiring:
 //!
 //! ```text
 //!   FlatDb::create(store, DbOptions)      FlatDb::open_file(path, ..)
@@ -91,8 +89,8 @@ use crate::query::{IndexRef, QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
-    BufferPool, ConcurrentBufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId,
-    PageRead, PageStore, PageWrite, StorageError, VersionStats, VersionedPool,
+    ConcurrentBufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId, PageRead,
+    PageStore, PageWrite, StorageError, VersionStats, VersionedPool,
 };
 use std::collections::HashSet;
 use std::ops::Deref;
@@ -383,15 +381,17 @@ impl FlatDb<FileStore> {
     /// puts it); everything else is validated by the descriptor's magic.
     /// As with [`FlatDb::open`], pass the build-time
     /// `options.index.domain` when the session will write — the domain
-    /// is not stored in the file.
+    /// is not stored in the file. With durable options the file is
+    /// recovered through [`FlatDb::open_durable`] instead; call that over
+    /// [`FileStore::open`] directly to keep the [`RecoveryReport`].
     pub fn open_file<P: AsRef<Path>>(
         path: P,
         options: DbOptions,
     ) -> Result<FlatDb<FileStore>, FlatError> {
-        if options.durability != Durability::Off {
-            return FlatDb::open_file_durable(path, options).map(|(db, _)| db);
-        }
         let store = FileStore::open(path)?;
+        if options.durability != Durability::Off {
+            return FlatDb::open_durable(store, options).map(|(db, _)| db);
+        }
         let num_pages = store.num_pages();
         if num_pages == 0 {
             return Err(FlatError::Persist(
@@ -399,20 +399,6 @@ impl FlatDb<FileStore> {
             ));
         }
         FlatDb::open(store, PageId(num_pages - 1), options)
-    }
-
-    /// Opens a durable database file (one created through
-    /// [`FlatDb::create_durable`] over a [`FileStore`]), recovering the
-    /// last committed checkpoint and replaying the write-ahead log past
-    /// it. Returns the [`RecoveryReport`] alongside the database; the
-    /// plain [`FlatDb::open_file`] routes here (and discards the report)
-    /// whenever `options.durability` is on.
-    pub fn open_file_durable<P: AsRef<Path>>(
-        path: P,
-        options: DbOptions,
-    ) -> Result<(FlatDb<FileStore>, RecoveryReport), FlatError> {
-        let store = FileStore::open(path)?;
-        FlatDb::open_durable(store, options)
     }
 }
 
@@ -439,15 +425,16 @@ impl<S: PageStore> FlatDb<S> {
     /// write-ahead-log layout and commits an initial (empty) checkpoint,
     /// so every subsequent committed batch is recoverable.
     ///
-    /// `options.durability` selects the logging mode and must not be
-    /// [`Durability::Off`]. Reopen with [`FlatDb::open_durable`] (or
-    /// [`FlatDb::open_file`] with the same durable options).
+    /// `options.durability` selects the logging mode; [`Durability::Off`]
+    /// is refused with [`FlatError::Build`] before the store is touched.
+    /// Reopen with [`FlatDb::open_durable`] (or [`FlatDb::open_file`] with
+    /// the same durable options).
     pub fn create_durable(store: S, options: DbOptions) -> Result<FlatDb<S>, FlatError> {
-        assert_ne!(
-            options.durability,
-            Durability::Off,
-            "create_durable needs a durability mode (see DbOptions::durability)"
-        );
+        if options.durability == Durability::Off {
+            return Err(FlatError::Build(
+                "create_durable needs a durability mode (see DbOptions::durability)".into(),
+            ));
+        }
         options.check()?;
         let mut durable = DurableStore::create(store)?;
         let initial = DbSnapshot {
@@ -472,16 +459,20 @@ impl<S: PageStore> FlatDb<S> {
     /// As with [`FlatDb::open`], the file does not record the tiling
     /// domain: pass the same `options.index.domain` the database was
     /// created with whenever the log may hold updates or the session
-    /// will write.
+    /// will write. [`Durability::Off`] is refused with
+    /// [`FlatError::Persist`] before the store is touched: plain-format
+    /// stores are opened with [`FlatDb::open`].
     pub fn open_durable(
         store: S,
         mut options: DbOptions,
     ) -> Result<(FlatDb<S>, RecoveryReport), FlatError> {
-        assert_ne!(
-            options.durability,
-            Durability::Off,
-            "open_durable needs a durability mode (see DbOptions::durability)"
-        );
+        if options.durability == Durability::Off {
+            return Err(FlatError::Persist(
+                "open_durable needs a durability mode (see DbOptions::durability); \
+                 plain-format stores are opened with FlatDb::open"
+                    .into(),
+            ));
+        }
         options.check()?;
         let (durable, log) = DurableStore::open(store)?;
         let snapshot = DbSnapshot::decode(&log.snapshot)?;
@@ -868,7 +859,7 @@ impl<S: PageStore> FlatDb<S> {
         }
         drop(src);
         // The descriptor goes last — that is where open_file looks.
-        let mut descriptor_pool = BufferPool::new(dst, 16);
+        let mut descriptor_pool = ConcurrentBufferPool::new(dst, 16);
         let descriptor = self.index().save(&mut descriptor_pool)?;
         Ok(descriptor)
     }
@@ -1569,19 +1560,6 @@ impl<S: PageStore> Writer<'_, S> {
         Ok((applied, rebuilt))
     }
 
-    /// Registers a continuous range query mid-session (see
-    /// [`FlatDb::subscribe`]); batches this writer commits from now on
-    /// stream to it.
-    pub fn subscribe(&self, range: Aabb) -> Result<(ContinuousQueryId, Vec<u64>), FlatError> {
-        self.db.subscribe(range)
-    }
-
-    /// Drains a subscription's undelivered deltas (see
-    /// [`FlatDb::poll_changes`]).
-    pub fn poll_changes(&self, id: ContinuousQueryId) -> Result<Vec<QueryDelta>, FlatError> {
-        self.db.poll_changes(id)
-    }
-
     /// The delta layer this writer mutates (its truth copy — published
     /// snapshots may still be behind it until the next commit).
     pub fn delta(&self) -> &DeltaIndex {
@@ -2082,7 +2060,7 @@ mod tests {
                 )]),
             ])
             .unwrap();
-        let deltas = writer.poll_changes(sub).unwrap();
+        let deltas = db.poll_changes(sub).unwrap();
         drop(writer);
         assert_eq!(deltas.len(), 3, "one delta per committed batch");
         assert_eq!(deltas[0].added, vec![60_000]);

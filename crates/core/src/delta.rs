@@ -1126,7 +1126,7 @@ fn remove_neighbor<P: PageRead + PageWrite>(
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
-    use flat_storage::{BufferPool, MemStore, PageStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore, PageStore};
 
     fn options() -> FlatOptions {
         FlatOptions {
@@ -1136,15 +1136,18 @@ mod tests {
         }
     }
 
-    fn build_delta(n: usize, seed: u64) -> (BufferPool<MemStore>, DeltaIndex, Vec<Entry>) {
+    fn build_delta(
+        n: usize,
+        seed: u64,
+    ) -> (ConcurrentBufferPool<MemStore>, DeltaIndex, Vec<Entry>) {
         let entries = random_entries(n, seed);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options()).unwrap();
         let delta = DeltaIndex::new(&pool, index, options()).unwrap();
         (pool, delta, entries)
     }
 
-    fn check(pool: &BufferPool<MemStore>, delta: &DeltaIndex) -> DeltaReport {
+    fn check(pool: &ConcurrentBufferPool<MemStore>, delta: &DeltaIndex) -> DeltaReport {
         delta
             .check_invariants(pool, &pool.store().free_pages())
             .unwrap_or_else(|e| panic!("invariants violated: {e}"))
@@ -1287,7 +1290,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "WithIds")]
     fn mbr_only_layout_is_rejected() {
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 12);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 12);
         let opts = FlatOptions {
             domain: Some(Aabb::new(Point3::splat(0.0), Point3::splat(100.0))),
             ..FlatOptions::default()

@@ -401,7 +401,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::meta::decode_meta_leaf;
     use flat_geom::Point3;
-    use flat_storage::{BufferPool, MemStore, PageStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore, PageStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -419,8 +419,8 @@ pub(crate) mod tests {
             .collect()
     }
 
-    fn build(n: usize) -> (BufferPool<MemStore>, FlatIndex, BuildStats) {
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    fn build(n: usize) -> (ConcurrentBufferPool<MemStore>, FlatIndex, BuildStats) {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, stats) =
             FlatIndex::build(&mut pool, random_entries(n, 21), FlatOptions::default()).unwrap();
         (pool, index, stats)
@@ -443,7 +443,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_build_produces_empty_index() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let (index, stats) =
             FlatIndex::build(&mut pool, Vec::new(), FlatOptions::default()).unwrap();
         assert_eq!(index.num_elements(), 0);
@@ -454,7 +454,7 @@ pub(crate) mod tests {
 
     #[test]
     fn metadata_pointers_resolve_to_real_records() {
-        let (mut pool, index, _) = build(10_000);
+        let (pool, index, _) = build(10_000);
         // Walk the seed tree, decode every record, and chase every
         // neighbor pointer: it must decode to a record whose partition MBR
         // intersects the pointing record's partition MBR (that's the
@@ -464,14 +464,14 @@ pub(crate) mod tests {
         let mut checked = 0;
         for &mp in &meta_pages {
             let records = {
-                let page = pool.read(mp, PageKind::SeedLeaf).unwrap();
-                decode_meta_leaf(page).unwrap()
+                let page = pool.read_page(mp, PageKind::SeedLeaf).unwrap();
+                decode_meta_leaf(&page).unwrap()
             };
             for record in records {
                 for n in &record.neighbors {
                     let target = {
-                        let page = pool.read(n.page, PageKind::SeedLeaf).unwrap();
-                        crate::meta::decode_meta_record(page, n.slot).unwrap()
+                        let page = pool.read_page(n.page, PageKind::SeedLeaf).unwrap();
+                        crate::meta::decode_meta_record(&page, n.slot).unwrap()
                     };
                     assert!(
                         record.partition_mbr.intersects(&target.partition_mbr),
@@ -498,10 +498,10 @@ pub(crate) mod tests {
     #[test]
     fn partition_inflation_increases_pointer_count() {
         let entries = random_entries(20_000, 33);
-        let mut pool_a = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool_a = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (_, base) =
             FlatIndex::build(&mut pool_a, entries.clone(), FlatOptions::default()).unwrap();
-        let mut pool_b = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool_b = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (_, inflated) = FlatIndex::build(
             &mut pool_b,
             entries,
@@ -523,7 +523,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "must not shrink")]
     fn shrinking_inflation_is_rejected() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let _ = FlatIndex::build(
             &mut pool,
             random_entries(10, 1),
@@ -539,10 +539,10 @@ pub(crate) mod tests {
         // Fig 11: FLAT stores the same object/leaf pages plus metadata —
         // bigger, but only by the metadata share.
         let entries = random_entries(30_000, 55);
-        let mut pool_flat = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool_flat = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (flat, _) =
             FlatIndex::build(&mut pool_flat, entries.clone(), FlatOptions::default()).unwrap();
-        let mut pool_rt = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool_rt = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let rtree = flat_rtree::RTree::bulk_load(
             &mut pool_rt,
             entries,

@@ -245,7 +245,7 @@ mod tests {
     use crate::index::tests::random_entries;
     use crate::index::{FlatIndex, FlatOptions};
     use flat_rtree::{Entry, LeafLayout};
-    use flat_storage::BufferPool;
+    use flat_storage::ConcurrentBufferPool;
 
     fn options(layout: LeafLayout) -> FlatOptions {
         FlatOptions {
@@ -257,8 +257,8 @@ mod tests {
     fn build(
         entries: Vec<Entry>,
         layout: LeafLayout,
-    ) -> (BufferPool<flat_storage::MemStore>, FlatIndex) {
-        let mut pool = BufferPool::new(flat_storage::MemStore::new(), 4096);
+    ) -> (ConcurrentBufferPool<flat_storage::MemStore>, FlatIndex) {
+        let mut pool = ConcurrentBufferPool::new(flat_storage::MemStore::new(), 4096);
         let (index, _) = FlatIndex::build(&mut pool, entries, options(layout)).unwrap();
         (pool, index)
     }

@@ -359,7 +359,7 @@ mod tests {
     use crate::index::{FlatIndex, FlatOptions};
     use flat_geom::Aabb;
     use flat_rtree::{Entry, LeafLayout};
-    use flat_storage::{BufferPool, MemStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -377,9 +377,9 @@ mod tests {
             .collect()
     }
 
-    fn build(n: usize, seed: u64) -> (BufferPool<MemStore>, FlatIndex, Vec<Entry>) {
+    fn build(n: usize, seed: u64) -> (ConcurrentBufferPool<MemStore>, FlatIndex, Vec<Entry>) {
         let entries = random_entries(n, seed);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) = FlatIndex::build(&mut pool, entries.clone(), FlatOptions::default())
             .expect("in-memory build cannot fail");
         (pool, index, entries)
@@ -448,7 +448,7 @@ mod tests {
             .knn_query(&pool, Point3::splat(1.0), 0)
             .unwrap()
             .is_empty());
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let (empty, _) = FlatIndex::build(&mut pool, Vec::new(), FlatOptions::default()).unwrap();
         assert!(empty
             .knn_query(&pool, Point3::splat(1.0), 5)
@@ -515,7 +515,7 @@ mod tests {
                 entries.push(Entry::new(100 + i, Aabb::cube(c, 0.4)));
             }
         }
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) = FlatIndex::build(&mut pool, entries, FlatOptions::default()).unwrap();
 
         let tied = index.knn_query(&pool, center, 6).unwrap();
@@ -538,7 +538,7 @@ mod tests {
     #[test]
     fn knn_works_with_ids_layout() {
         let entries = random_entries(3_000, 308);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) = FlatIndex::build(
             &mut pool,
             entries.clone(),

@@ -51,14 +51,14 @@
 //! use flat_core::{FlatIndex, FlatOptions};
 //! use flat_geom::{Aabb, Point3};
 //! use flat_rtree::Entry;
-//! use flat_storage::{BufferPool, MemStore};
+//! use flat_storage::{ConcurrentBufferPool, MemStore};
 //!
 //! // One thousand unit boxes along the diagonal.
 //! let entries: Vec<Entry> = (0..1000)
 //!     .map(|i| Entry::new(i, Aabb::cube(Point3::splat(i as f64), 1.0)))
 //!     .collect();
 //!
-//! let mut pool = BufferPool::new(MemStore::new(), 4096);
+//! let mut pool = ConcurrentBufferPool::new(MemStore::new(), 4096);
 //! let (index, stats) = FlatIndex::build(&mut pool, entries, FlatOptions::default()).unwrap();
 //! assert!(stats.num_partitions > 0);
 //!

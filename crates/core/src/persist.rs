@@ -83,7 +83,7 @@ mod tests {
     use crate::{FlatIndex, FlatOptions};
     use flat_geom::{Aabb, Point3};
     use flat_rtree::Entry;
-    use flat_storage::{BufferPool, MemStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn save_load_roundtrip_preserves_queries() {
         let entries = random_entries(8000, 71);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 14);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 14);
         let (index, _) =
             FlatIndex::build(&mut pool, entries.clone(), FlatOptions::default()).unwrap();
         let descriptor = index.save(&mut pool).unwrap();
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn empty_index_roundtrips() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let (index, _) = FlatIndex::build(&mut pool, Vec::new(), FlatOptions::default()).unwrap();
         let descriptor = index.save(&mut pool).unwrap();
         let loaded = FlatIndex::load(&pool, descriptor).unwrap();
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn rtree_descriptor_is_rejected() {
         // Cross-kind confusion must fail: save an R-tree, load as FLAT.
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 12);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 12);
         let tree = flat_rtree::RTree::bulk_load(
             &mut pool,
             random_entries(100, 3),

@@ -616,7 +616,7 @@ mod tests {
     use crate::index::{FlatIndex, FlatOptions};
     use flat_geom::Point3;
     use flat_rtree::Entry;
-    use flat_storage::{BufferPool, MemStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -659,9 +659,9 @@ mod tests {
         n: usize,
         seed: u64,
         options: FlatOptions,
-    ) -> (BufferPool<MemStore>, FlatIndex, Vec<Entry>) {
+    ) -> (ConcurrentBufferPool<MemStore>, FlatIndex, Vec<Entry>) {
         let entries = random_entries(n, seed);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
         (pool, index, entries)
     }
@@ -717,7 +717,7 @@ mod tests {
             let c = Point3::new(x, rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
             entries.push(Entry::new(i, Aabb::cube(c, 0.3)));
         }
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) =
             FlatIndex::build(&mut pool, entries.clone(), FlatOptions::default()).unwrap();
         let q = Aabb::cube(Point3::new(50.0, 50.0, 50.0), 6.0);
@@ -742,7 +742,7 @@ mod tests {
             let c = Point3::new(x, rng.gen_range(40.0..60.0), rng.gen_range(40.0..60.0));
             entries.push(Entry::new(i, Aabb::cube(c, 0.3)));
         }
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) =
             FlatIndex::build(&mut pool, entries.clone(), FlatOptions::default()).unwrap();
         // Query spanning both clusters and the void between them.
@@ -856,7 +856,7 @@ mod tests {
             let hi = Point3::splat(99.0 - i as f64);
             entries.push(Entry::new(70_000 + i, Aabb::from_corners(lo, hi)));
         }
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, stats) =
             FlatIndex::build(&mut pool, entries.clone(), FlatOptions::default()).unwrap();
         let max_single = crate::meta::max_neighbors_per_record() as u32;
@@ -875,7 +875,7 @@ mod tests {
 
     #[test]
     fn empty_index_answers_queries() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let (index, _) = FlatIndex::build(&mut pool, Vec::new(), FlatOptions::default()).unwrap();
         let q = Aabb::cube(Point3::ORIGIN, 10.0);
         assert!(index.range_query(&pool, &q).unwrap().is_empty());

@@ -177,8 +177,8 @@ pub struct ShardedDb<S: PageStore + Send + Sync + 'static> {
     /// whole multi-shard [`ShardedDb::insert`] / [`ShardedDb::delete`]
     /// call and across subscription registration, so update calls are
     /// serialized and each subscriber sees exactly one merged delta per
-    /// call — stamped with a database-level commit sequence, since the
-    /// per-shard page epochs advance independently.
+    /// call that commits — stamped with a database-level commit
+    /// sequence, since the per-shard page epochs advance independently.
     subs: Mutex<ShardSubs>,
 }
 
@@ -188,6 +188,15 @@ pub struct ShardedDb<S: PageStore + Send + Sync + 'static> {
 struct ShardSubs {
     registry: ContinuousQueries,
     seq: u64,
+}
+
+impl ShardSubs {
+    /// Delivers one delta for what an update call committed: all of it,
+    /// or the shards before the one that failed.
+    fn deliver(&mut self, committed: StagedOp) {
+        self.seq += 1;
+        self.registry.apply_batch(&[committed], self.seq);
+    }
 }
 
 impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
@@ -438,10 +447,11 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// Registers a continuous range query: returns its handle plus the
     /// baseline result (ids intersecting `range` right now, ascending).
     /// Every later [`ShardedDb::insert`] / [`ShardedDb::delete`] call
-    /// appends exactly one merged [`QueryDelta`] — its net effect
-    /// across all shards — stamped with a database-level commit
-    /// sequence (per-shard page epochs advance independently, so they
-    /// cannot order cross-shard batches).
+    /// that commits on any shard appends exactly one merged
+    /// [`QueryDelta`] — the net effect of what it committed across all
+    /// shards — stamped with a database-level commit sequence (per-shard
+    /// page epochs advance independently, so they cannot order
+    /// cross-shard batches).
     pub fn subscribe(&self, range: Aabb) -> Result<(ContinuousQueryId, Vec<u64>), FlatError> {
         // The registry mutex is held across every update call, so the
         // baseline query cannot observe half of one.
@@ -528,10 +538,12 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// id is already live in any shard or repeated within `entries`, and
     /// whatever error a shard's commit returns. Shards commit one after
     /// another in ascending order, so a failing shard leaves the shards
-    /// before it committed (subscribers get no delta for a failed call);
-    /// a shard whose batch failed mid-apply refuses further writes with
-    /// [`FlatError::Update`] (see [`FlatDb::writer`]) while the other
-    /// shards, and all queries, carry on.
+    /// before it committed; subscribers then get one delta for exactly
+    /// those shards' elements before the error is returned (none if no
+    /// shard committed), so a subscription keeps equalling the range
+    /// query. A shard whose batch failed mid-apply refuses further writes
+    /// with [`FlatError::Update`] (see [`FlatDb::writer`]) while the
+    /// other shards, and all queries, carry on.
     pub fn insert(&self, entries: Vec<Entry>) -> Result<(), FlatError> {
         if entries.is_empty() {
             return Ok(());
@@ -541,7 +553,6 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         // registration cannot interleave with a half-applied insert
         // (see the `subs` field docs).
         let mut subs = lock(&self.subs);
-        let staged = StagedOp::Insert(entries.iter().map(|e| (e.id, e.mbr)).collect());
         {
             let owners = read(&self.owners);
             let mut batch_ids = HashSet::with_capacity(entries.len());
@@ -558,11 +569,13 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         for e in entries {
             routed[self.route(e.mbr.center().x)].push(e);
         }
+        let mut committed: Vec<(u64, Aabb)> = Vec::new();
+        let mut result = Ok(());
         for (i, (shard, batch)) in self.shards.iter().zip(routed).enumerate() {
             if batch.is_empty() {
                 continue;
             }
-            let ids: Vec<u64> = batch.iter().map(|e| e.id).collect();
+            let staged: Vec<(u64, Aabb)> = batch.iter().map(|e| (e.id, e.mbr)).collect();
             // Grow the routing bound first: a query that sees the new
             // elements must already be routed to them, and a failed
             // commit leaves the bound harmlessly wide.
@@ -570,13 +583,17 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
                 let mut coverage = write(&shard.coverage);
                 *coverage = coverage.union(&Aabb::union_all(batch.iter().map(|e| e.mbr)));
             }
-            shard.db.writer()?.insert(batch)?;
-            write(&self.owners).extend(ids.into_iter().map(|id| (id, i as u32)));
+            if let Err(e) = shard.db.writer().and_then(|mut w| w.insert(batch)) {
+                result = Err(e);
+                break;
+            }
+            write(&self.owners).extend(staged.iter().map(|&(id, _)| (id, i as u32)));
+            committed.extend(staged);
         }
-        subs.seq += 1;
-        let seq = subs.seq;
-        subs.registry.apply_batch(&[staged], seq);
-        Ok(())
+        if result.is_ok() || !committed.is_empty() {
+            subs.deliver(StagedOp::Insert(committed));
+        }
+        result
     }
 
     /// Deletes elements by application id, returning how many were live.
@@ -600,21 +617,30 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             }
         }
         let mut deleted = 0;
+        let mut committed: Vec<u64> = Vec::new();
+        let mut result = Ok(());
         for (shard, owned) in self.shards.iter().zip(routed) {
             if owned.is_empty() {
                 continue;
             }
-            deleted += shard.db.writer()?.delete(&owned)?;
+            match shard.db.writer().and_then(|mut w| w.delete(&owned)) {
+                Ok(n) => deleted += n,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
             let mut owners = write(&self.owners);
             for id in &owned {
                 owners.remove(id);
             }
+            committed.extend(owned);
         }
-        subs.seq += 1;
-        let seq = subs.seq;
-        subs.registry
-            .apply_batch(&[StagedOp::Delete(ids.to_vec())], seq);
-        Ok(deleted)
+        // A call that matched no live id still commits (an empty delta).
+        if result.is_ok() || !committed.is_empty() {
+            subs.deliver(StagedOp::Delete(committed));
+        }
+        result.map(|()| deleted)
     }
 
     /// Routes an element center to its owning shard.

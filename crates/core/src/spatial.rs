@@ -77,8 +77,8 @@ pub trait SpatialIndex {
     ///
     /// The pool must be readable as well as writable: some implementors
     /// (the delta layer) scan their freshly written pages into resident
-    /// tables as part of construction. Both [`flat_storage::BufferPool`]
-    /// and [`flat_storage::ConcurrentBufferPool`] qualify.
+    /// tables as part of construction. [`flat_storage::ConcurrentBufferPool`]
+    /// and [`flat_storage::VersionedPool`] qualify.
     fn build_index(
         pool: &mut (impl PageRead + PageWrite),
         entries: Vec<Entry>,
@@ -327,7 +327,7 @@ fn rtree_knn(
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
-    use flat_storage::{BufferPool, MemStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore};
 
     /// Sorted MBR bit-keys — layout-independent result identity.
     fn keys(hits: &[Hit]) -> Vec<[u64; 6]> {
@@ -350,7 +350,7 @@ mod tests {
 
     fn generic_roundtrip<I: SpatialIndex>(options: I::BuildOptions) -> (usize, Vec<[u64; 6]>) {
         let entries = random_entries(8_000, 91);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let index = I::build_index(&mut pool, entries, options).expect("build");
         let stats = index.index_stats();
         assert_eq!(stats.num_elements, 8_000);
@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn rtree_knn_matches_brute_force() {
         let entries = random_entries(12_000, 92);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let tree = RTree::bulk_load(
             &mut pool,
             entries.clone(),
@@ -415,13 +415,13 @@ mod tests {
 
     #[test]
     fn rtree_knn_edge_cases() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let empty =
             RTree::bulk_load(&mut pool, Vec::new(), BulkLoad::Str, RTreeConfig::default()).unwrap();
         assert!(empty.nearest(&pool, Point3::ORIGIN, 5).unwrap().is_empty());
 
         let entries = random_entries(300, 93);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 12);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 12);
         let tree = RTree::bulk_load(
             &mut pool,
             entries.clone(),

@@ -14,7 +14,7 @@ use crate::node::{
 use crate::tree::RTree;
 use crate::Entry;
 use flat_geom::Aabb;
-use flat_storage::{BufferPool, Page, PageId, PageStore, StorageError};
+use flat_storage::{Page, PageId, PageRead, PageWrite, StorageError};
 
 /// Minimum fill after a split, as a fraction of capacity (Guttman's `m`).
 const MIN_FILL: f64 = 0.4;
@@ -99,9 +99,9 @@ fn quadratic_split<T: HasMbr>(items: Vec<T>, cap: usize) -> (Vec<T>, Vec<T>) {
 impl RTree {
     /// Inserts one element, splitting nodes as needed (Guttman \[9\],
     /// quadratic split).
-    pub fn insert<S: PageStore>(
+    pub fn insert(
         &mut self,
-        pool: &mut BufferPool<S>,
+        pool: &mut (impl PageRead + PageWrite),
         entry: Entry,
     ) -> Result<(), StorageError> {
         let config = *self.config();
@@ -122,8 +122,8 @@ impl RTree {
         let mut path: Vec<(PageId, Vec<ChildRef>, usize)> = Vec::new();
         let mut current = root;
         for _ in 1..self.height() {
-            let node = pool.read(current, config.inner_kind)?;
-            let children = decode_inner(node)?;
+            let node = pool.read_page(current, config.inner_kind)?;
+            let children = decode_inner(&node)?;
             // Guttman ChooseLeaf: least enlargement, ties by least volume.
             let (best, _) = children
                 .iter()
@@ -137,8 +137,8 @@ impl RTree {
         }
 
         // Insert into the leaf.
-        let leaf_page = pool.read(current, config.leaf_kind)?;
-        let (_, mut entries) = decode_leaf(leaf_page)?;
+        let leaf_page = pool.read_page(current, config.leaf_kind)?;
+        let (_, mut entries) = decode_leaf(&leaf_page)?;
         entries.push(entry);
         self.bump_counts(1, 0, 0);
 
@@ -161,8 +161,8 @@ impl RTree {
         };
         // The updated MBR of the node we just rewrote.
         let mut updated_mbr = {
-            let p = pool.read(current, config.leaf_kind)?;
-            let (_, es) = decode_leaf(p)?;
+            let p = pool.read_page(current, config.leaf_kind)?;
+            let (_, es) = decode_leaf(&p)?;
             Aabb::union_all(es.iter().map(|e| e.mbr))
         };
 
@@ -222,11 +222,11 @@ mod tests {
     use crate::validate::check_invariants;
     use crate::LeafLayout;
     use flat_geom::Point3;
-    use flat_storage::{BufferPool, MemStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore};
 
-    fn insert_all(n: usize) -> (BufferPool<MemStore>, RTree, Vec<Entry>) {
+    fn insert_all(n: usize) -> (ConcurrentBufferPool<MemStore>, RTree, Vec<Entry>) {
         let entries = random_entries(n, 99);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let mut tree = RTree::new_empty(RTreeConfig {
             layout: LeafLayout::WithIds,
             ..RTreeConfig::default()
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn first_insert_creates_leaf_root() {
-        let mut pool = BufferPool::new(MemStore::new(), 64);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 64);
         let mut tree = RTree::new_empty(RTreeConfig::default());
         tree.insert(&mut pool, Entry::new(1, Aabb::cube(Point3::ORIGIN, 1.0)))
             .unwrap();
@@ -309,7 +309,7 @@ mod tests {
         // Bulkload half, insert the other half: queries stay exact.
         let entries = random_entries(2000, 17);
         let (bulk, dynamic) = entries.split_at(1000);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let mut tree = RTree::bulk_load(
             &mut pool,
             bulk.to_vec(),

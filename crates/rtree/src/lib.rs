@@ -29,12 +29,12 @@
 //! ```
 //! use flat_geom::{Aabb, Point3};
 //! use flat_rtree::{BulkLoad, Entry, RTree, RTreeConfig};
-//! use flat_storage::{BufferPool, MemStore};
+//! use flat_storage::{ConcurrentBufferPool, MemStore};
 //!
 //! let entries: Vec<Entry> = (0..1000)
 //!     .map(|i| Entry::new(i, Aabb::cube(Point3::splat(i as f64), 1.0)))
 //!     .collect();
-//! let mut pool = BufferPool::new(MemStore::new(), 1024);
+//! let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1024);
 //! let tree = RTree::bulk_load(&mut pool, entries, BulkLoad::Str, RTreeConfig::default())
 //!     .unwrap();
 //!

@@ -88,12 +88,12 @@ mod tests {
     use crate::test_util::{brute_force, random_entries};
     use crate::BulkLoad;
     use flat_geom::{Aabb, Point3};
-    use flat_storage::{BufferPool, MemStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore};
 
     #[test]
     fn save_load_roundtrip_preserves_queries() {
         let entries = random_entries(5000, 61);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 14);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 14);
         let tree = RTree::bulk_load(
             &mut pool,
             entries.clone(),
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn empty_tree_roundtrips() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let tree =
             RTree::bulk_load(&mut pool, Vec::new(), BulkLoad::Str, RTreeConfig::default()).unwrap();
         let descriptor = tree.save(&mut pool).unwrap();
@@ -135,7 +135,7 @@ mod tests {
 
     #[test]
     fn loading_garbage_fails_cleanly() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let id = pool.alloc().unwrap();
         pool.write(id, &Page::new(), PageKind::Other).unwrap();
         assert!(matches!(

@@ -423,15 +423,15 @@ pub fn build_inner_levels(
 mod tests {
     use super::*;
     use crate::test_util::{brute_force, random_entries};
-    use flat_storage::{BufferPool, MemStore, PageStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore, PageStore};
 
     fn build(
         n: usize,
         method: BulkLoad,
         layout: LeafLayout,
-    ) -> (BufferPool<MemStore>, RTree, Vec<Entry>) {
+    ) -> (ConcurrentBufferPool<MemStore>, RTree, Vec<Entry>) {
         let entries = random_entries(n, 42);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let tree = RTree::bulk_load(
             &mut pool,
             entries.clone(),
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn empty_tree_handles_queries() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let tree =
             RTree::bulk_load(&mut pool, Vec::new(), BulkLoad::Str, RTreeConfig::default()).unwrap();
         assert_eq!(tree.height(), 0);
@@ -611,7 +611,7 @@ mod tests {
     #[test]
     fn build_inner_levels_produces_searchable_directory() {
         // Build leaves by hand, then a directory, then check reachability.
-        let mut pool = BufferPool::new(MemStore::new(), 4096);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 4096);
         let entries = random_entries(2000, 7);
         let mut leaves = Vec::new();
         let mut page = Page::new();
@@ -637,8 +637,8 @@ mod tests {
                 found += 1;
                 continue;
             }
-            let node = pool.read(pid, PageKind::SeedInner).unwrap();
-            for child in decode_inner(node).unwrap() {
+            let node = pool.read_page(pid, PageKind::SeedInner).unwrap();
+            for child in decode_inner(&node).unwrap() {
                 stack.push((child.page, level - 1));
             }
         }

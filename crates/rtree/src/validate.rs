@@ -168,7 +168,7 @@ mod tests {
     use crate::test_util::random_entries;
     use crate::tree::RTreeConfig;
     use crate::{BulkLoad, LeafLayout};
-    use flat_storage::{BufferPool, MemStore};
+    use flat_storage::{ConcurrentBufferPool, MemStore};
 
     #[test]
     fn bulkloaded_trees_pass_validation() {
@@ -179,7 +179,7 @@ mod tests {
             BulkLoad::Tgs,
         ] {
             let entries = random_entries(10_000, 23);
-            let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+            let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
             let tree =
                 RTree::bulk_load(&mut pool, entries, method, RTreeConfig::default()).unwrap();
             let report = check_invariants(&pool, &tree).unwrap();
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn empty_tree_validates() {
-        let mut pool = BufferPool::new(MemStore::new(), 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
         let tree =
             RTree::bulk_load(&mut pool, Vec::new(), BulkLoad::Str, RTreeConfig::default()).unwrap();
         let report = check_invariants(&pool, &tree).unwrap();
@@ -206,10 +206,10 @@ mod tests {
     #[test]
     fn corrupting_a_child_mbr_is_detected() {
         use crate::node::{decode_inner, encode_inner};
-        use flat_storage::{Page, PageKind};
+        use flat_storage::{Page, PageKind, PageWrite};
 
         let entries = random_entries(20_000, 29);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let tree = RTree::bulk_load(
             &mut pool,
             entries,
@@ -224,8 +224,8 @@ mod tests {
         // Shrink one child MBR of the root — validation must catch it.
         let root = tree.root().unwrap();
         let mut children = {
-            let page = pool.read(root, PageKind::RTreeInner).unwrap();
-            decode_inner(page).unwrap()
+            let page = pool.read_page(root, PageKind::RTreeInner).unwrap();
+            decode_inner(&page).unwrap()
         };
         children[0].mbr = children[0].mbr.scale_volume(0.01);
         let mut page = Page::new();
@@ -241,7 +241,7 @@ mod tests {
     fn overlap_metric_is_zero_for_disjoint_tiles_and_positive_for_dense_data() {
         // Dense random boxes overlap; the metric must see it at some level.
         let entries = random_entries(30_000, 31);
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let tree = RTree::bulk_load(
             &mut pool,
             entries,

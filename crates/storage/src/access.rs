@@ -6,19 +6,17 @@
 //! and never races with queries. The two capabilities are therefore split
 //! into two traits:
 //!
-//! * [`PageRead`] — shared, `&self`. Implemented by both caches in this
-//!   crate — the exclusive [`crate::BufferPool`] (single-threaded interior
-//!   mutability) and the one shared cache, [`crate::ConcurrentBufferPool`]
-//!   (lock-sharded, `Sync`, with or without I/O workers) — and by the MVCC
-//!   views over the shared one ([`crate::VersionedPool`],
+//! * [`PageRead`] — shared, `&self`. Implemented by the one page cache,
+//!   [`crate::ConcurrentBufferPool`] (lock-sharded, `Sync`, with or without
+//!   I/O workers), and by the MVCC views over it ([`crate::VersionedPool`],
 //!   [`crate::EpochPin`], [`crate::BatchWriter`]), so the same query code
-//!   serves a private pool, a cache shared across many threads, and a
-//!   pinned snapshot.
-//! * [`PageWrite`] — exclusive, `&mut self`. Implemented by both caches
-//!   (bulk builds mostly run over a [`crate::BufferPool`]), by
-//!   [`crate::VersionedPool`] (the non-versioned path: the exclusive
-//!   borrow proves no reader is pinned) and by [`crate::BatchWriter`],
-//!   the copy-on-write path that runs beside pinned readers.
+//!   serves a cache owned by one thread, a cache shared across many
+//!   threads, and a pinned snapshot.
+//! * [`PageWrite`] — exclusive, `&mut self`. Implemented by the cache
+//!   (every bulk build runs over one), by [`crate::VersionedPool`] (the
+//!   non-versioned path: the exclusive borrow proves no reader is pinned)
+//!   and by [`crate::BatchWriter`], the copy-on-write path that runs beside
+//!   pinned readers.
 //!
 //! Query entry points across the workspace take `&impl PageRead`; build
 //! entry points take `&mut impl PageWrite`.
@@ -75,13 +73,14 @@ pub trait PageRead {
         let _ = pages;
     }
 
-    // Shim, four items: `crates/benchmark` may not be edited by the changes
-    // that removed the speculative lane and the second shared cache. It
-    // still overrides this method (trace.rs:448), calls the two accessors
-    // below (ladder.rs:542) and builds its scheduler rung through the alias
-    // after them (ladder.rs:295). No cache implements or calls the first
-    // three; all four leave with the benchmark's `scheduler.` "useful share"
-    // row (ROADMAP item 1).
+    // Shim, five items: `crates/benchmark` may not be edited by the changes
+    // that removed the speculative lane and the other two caches. It still
+    // overrides this method (trace.rs:448), calls the two accessors below
+    // (ladder.rs:542), builds its scheduler rung through the first alias
+    // after them (ladder.rs:295) and its churn write ladder through the
+    // second (churn.rs:467). No cache implements or calls the first three;
+    // all five leave with the benchmark's `scheduler.` "useful share" row
+    // (ROADMAP item 1).
     #[doc(hidden)]
     fn prefetch_page(&self, id: PageId, kind: PageKind) {
         let _ = (id, kind);
@@ -101,6 +100,9 @@ impl IoStats {
 
 #[doc(hidden)]
 pub type DiskScheduler<S> = ConcurrentBufferPool<S>;
+
+#[doc(hidden)]
+pub type BufferPool<S> = ConcurrentBufferPool<S>;
 
 /// Exclusive build-time access: page allocation, write-through writes, and
 /// page reclamation.

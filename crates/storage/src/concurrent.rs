@@ -1,16 +1,16 @@
-//! The one shared page cache: a lock-sharded LRU over a [`PageStore`] with
-//! atomic [`IoStats`] and an optional pool of I/O workers.
+//! The one page cache: a lock-sharded LRU over a [`PageStore`] with atomic
+//! [`IoStats`] and an optional pool of I/O workers. Every build, query,
+//! baseline and test in the workspace runs over it.
 //!
 //! The paper's workloads (§III) are many independent range queries against
 //! one index, and its serving story (§VII-E) is many query streams against
-//! one device. The exclusive [`crate::BufferPool`] structurally forbids
-//! that (`&mut` per operation), and a single global mutex around it would
-//! serialize all readers. [`ConcurrentBufferPool`] shards the cache by
-//! [`PageId`] instead: page `p` lives in shard `p mod 16`, each shard is an
-//! independent LRU behind its own lock, statistics are atomic, and the
-//! cache owns its store behind one `RwLock` (page reads share it, writes
-//! take it exclusively). `N` reader threads only contend when they touch
-//! pages of the same shard at the same moment.
+//! one device. A single global mutex around one LRU would serialize all
+//! readers, so [`ConcurrentBufferPool`] shards the cache by [`PageId`]:
+//! page `p` lives in shard `p mod 16`, each shard is an independent LRU
+//! behind its own lock, statistics are atomic, and the cache owns its
+//! store behind one `RwLock` (page reads share it, writes take it
+//! exclusively). `N` reader threads only contend when they touch pages of
+//! the same shard at the same moment.
 //!
 //! A hit is the same whatever the configuration: lock the shard, look the
 //! page up, copy it out. Only a **miss** differs, and the number of I/O
@@ -775,7 +775,7 @@ impl<S: PageStore> std::fmt::Debug for ConcurrentBufferPool<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemStore, ThrottledStore};
+    use crate::{KindStats, MemStore, ThrottledStore};
     use std::time::Duration;
 
     /// The worker counts every test of the shared contract runs at: the
@@ -867,8 +867,10 @@ mod tests {
             let pool = with_workers(store_with_pages(2), 8, workers);
             pool.read_page(PageId(0), PageKind::Other).unwrap();
             pool.clear_cache();
+            assert_eq!(pool.cached_pages(), 0);
             pool.read_page(PageId(0), PageKind::Other).unwrap();
             assert_eq!(pool.stats().total_physical_reads(), 2, "workers {workers}");
+            assert_eq!(pool.cached_pages(), 1, "workers {workers}");
         }
     }
 
@@ -910,11 +912,102 @@ mod tests {
     }
 
     #[test]
+    fn hits_and_misses_are_counted_per_kind() {
+        for workers in WORKERS {
+            let pool = with_workers(store_with_pages(4), 8, workers);
+            for (id, kind) in [
+                (0, PageKind::ObjectPage),
+                (0, PageKind::ObjectPage),
+                (1, PageKind::RTreeLeaf),
+            ] {
+                let page = pool.read_page(PageId(id), kind).unwrap();
+                assert_eq!(page.get_u64(0), id);
+            }
+            let s = pool.stats();
+            assert_eq!(s.kind(PageKind::ObjectPage).logical_reads, 2);
+            assert_eq!(s.kind(PageKind::ObjectPage).physical_reads, 1);
+            assert_eq!(s.kind(PageKind::RTreeLeaf).physical_reads, 1);
+            assert_eq!(s.kind(PageKind::SeedLeaf), &KindStats::default());
+            assert_eq!(s.total_physical_reads(), 2, "workers {workers}");
+            assert_eq!(s.total_logical_reads(), 3, "workers {workers}");
+            assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn since_isolates_one_query_and_accumulate_sums_streams() {
+        for workers in WORKERS {
+            let pool = with_workers(store_with_pages(4), 8, workers);
+            pool.read_page(PageId(0), PageKind::SeedLeaf).unwrap();
+            let before = pool.stats();
+            pool.read_page(PageId(1), PageKind::ObjectPage).unwrap();
+            pool.read_page(PageId(2), PageKind::ObjectPage).unwrap();
+            let query = pool.stats().since(&before);
+            assert_eq!(query.kind(PageKind::ObjectPage).physical_reads, 2);
+            assert_eq!(query.kind(PageKind::SeedLeaf).physical_reads, 0);
+            assert_eq!(query.total_physical_reads(), 2, "workers {workers}");
+
+            let mut sum = IoStats::new();
+            sum.accumulate(&pool.stats());
+            sum.accumulate(&pool.stats());
+            assert_eq!(sum.kind(PageKind::SeedLeaf).physical_reads, 2);
+            assert_eq!(sum.kind(PageKind::ObjectPage).logical_reads, 4);
+        }
+    }
+
+    #[test]
+    fn bytes_read_derive_from_page_size() {
+        for workers in WORKERS {
+            let pool = with_workers(store_with_pages(2), 8, workers);
+            pool.read_page(PageId(0), PageKind::ObjectPage).unwrap();
+            pool.read_page(PageId(0), PageKind::ObjectPage).unwrap();
+            let s = pool.stats();
+            assert_eq!(s.physical_bytes_read(), crate::PAGE_SIZE as u64);
+            let object = s.physical_bytes_read_of(PageKind::ObjectPage);
+            assert_eq!(object, crate::PAGE_SIZE as u64, "workers {workers}");
+            assert_eq!(s.physical_bytes_read_of(PageKind::SeedLeaf), 0);
+        }
+    }
+
+    #[test]
+    fn reset_stats_works_from_a_shared_reference() {
+        for workers in WORKERS {
+            let pool = with_workers(store_with_pages(2), 8, workers);
+            let shared: &ConcurrentBufferPool<MemStore> = &pool;
+            shared.read_page(PageId(0), PageKind::Other).unwrap();
+            shared.reset_stats();
+            assert_eq!(shared.stats(), IoStats::default(), "workers {workers}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one page")]
+    fn zero_capacity_is_rejected() {
+        let _ = ConcurrentBufferPool::new(MemStore::new(), 0);
+    }
+
+    #[test]
+    fn each_shard_is_an_lru() {
+        // Capacity 32 over 16 shards: two pages per shard. Pages 0, 16 and
+        // 32 all live in shard 0.
+        let pool = ConcurrentBufferPool::new(store_with_pages(33), 32);
+        for i in [0u64, 16, 0, 32, 0, 16] {
+            let page = pool.read_page(PageId(i), PageKind::Other).unwrap();
+            assert_eq!(page.get_u64(0), i);
+        }
+        // 0 miss, 16 miss, 0 hit, 32 miss evicting 16 (least recently
+        // used), 0 hit, 16 miss again.
+        assert_eq!(pool.stats().total_physical_reads(), 4);
+        assert_eq!(pool.stats().total_logical_reads(), 6);
+    }
+
+    #[test]
     fn shard_capacity_bounds_cached_pages() {
         // 16 shards × 1 page each: pages 0..40 thrash their shards.
         let pool = ConcurrentBufferPool::new(store_with_pages(40), 4);
-        for i in 0..40 {
-            pool.read_page(PageId(i), PageKind::Other).unwrap();
+        for i in [3u64, 0, 19, 35, 3].into_iter().chain(0..40) {
+            let page = pool.read_page(PageId(i), PageKind::Other).unwrap();
+            assert_eq!(page.get_u64(0), i);
         }
         assert!(pool.cached_pages() <= pool.capacity());
     }

@@ -79,7 +79,7 @@ impl Default for DiskModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufferPool, MemStore, Page, PageKind, PageStore};
+    use crate::{ConcurrentBufferPool, MemStore, Page, PageKind, PageRead, PageStore};
 
     #[test]
     fn cost_is_linear_in_reads() {
@@ -100,9 +100,9 @@ mod tests {
         let mut store = MemStore::new();
         let id = store.alloc().unwrap();
         store.write_page(id, &Page::new()).unwrap();
-        let mut pool = BufferPool::new(store, 4);
-        pool.read(id, PageKind::Other).unwrap();
-        pool.read(id, PageKind::Other).unwrap(); // cache hit
+        let pool = ConcurrentBufferPool::new(store, 4);
+        pool.read_page(id, PageKind::Other).unwrap();
+        pool.read_page(id, PageKind::Other).unwrap(); // cache hit
         let m = DiskModel::sas_10k();
         assert_eq!(m.io_time(&pool.stats()), m.io_time_for_reads(1));
     }

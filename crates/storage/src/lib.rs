@@ -13,19 +13,20 @@
 //! * [`PageStore`] — the backing medium; [`MemStore`] keeps pages in memory
 //!   (fast, deterministic benchmarking), [`FileStore`] keeps them in a real
 //!   file.
-//! * [`BufferPool`] — an LRU page cache over a store. Reads are classified
-//!   by [`PageKind`] and tallied in [`IoStats`]; [`BufferPool::clear_cache`]
-//!   emulates the paper's cache clearing between queries.
+//! * [`ConcurrentBufferPool`] — the one page cache, used by every build,
+//!   query and test: a lock-sharded, `Sync` LRU serving many reader
+//!   threads at once (per-shard LRUs, atomic statistics) that owns its
+//!   store. Reads are classified by [`PageKind`] and tallied in
+//!   [`IoStats`]; [`ConcurrentBufferPool::clear_cache`] emulates the
+//!   paper's cache clearing between queries. Without I/O workers
+//!   ([`ConcurrentBufferPool::new`]) a miss is fetched on the calling
+//!   thread; with them ([`SchedulerConfig`]) misses go through a
+//!   submission queue, duplicate in-flight reads coalesce, announced reads
+//!   ([`PageRead::want_pages`]) are fetched side by side, and
+//!   [`SchedulerStats`] reports queue depth, coalescing, and latencies.
 //! * [`PageRead`] / [`PageWrite`] — the access split: queries are shared
 //!   `&self` reads, builds are exclusive `&mut` writes. Query code across
 //!   the workspace takes `&impl PageRead`.
-//! * [`ConcurrentBufferPool`] — the one shared page cache: a lock-sharded,
-//!   `Sync` LRU serving many reader threads at once (per-shard LRUs,
-//!   atomic statistics) that owns its store. Without I/O workers a miss is
-//!   fetched on the calling thread; with them ([`SchedulerConfig`]) misses
-//!   go through a submission queue, duplicate in-flight reads coalesce,
-//!   announced reads ([`PageRead::want_pages`]) are fetched side by side,
-//!   and [`SchedulerStats`] reports queue depth, coalescing, and latencies.
 //! * [`DiskModel`] — converts physical-read counts into simulated I/O time
 //!   for a configurable device (default: the paper's 10 kRPM SAS array),
 //!   since the figures' execution-time series are proportional to page
@@ -73,7 +74,7 @@ pub use durable::{DurableStore, RecoveredLog};
 pub use error::StorageError;
 pub use fault::{CrashStyle, FaultStore};
 pub use page::{Page, PageCursor, PAGE_SIZE};
-pub use pool::{BufferPool, IoStats, KindStats};
+pub use pool::{IoStats, KindStats};
 pub use spill::{
     ExternalSorter, RunHandle, RunReader, RunWriter, SortedStream, SpillRecord, SpillStats,
 };

@@ -9,7 +9,7 @@ use std::path::Path;
 ///
 /// A store is an append-allocated array of fixed-size pages with a free
 /// list. Stores know nothing about caching or statistics — that is the
-/// [`crate::BufferPool`]'s job — and nothing about what the pages contain.
+/// [`crate::ConcurrentBufferPool`]'s job — and nothing about what the pages contain.
 pub trait PageStore {
     /// Allocates a zeroed page and returns its id. While no page has ever
     /// been freed, ids are dense and allocated in increasing order (the

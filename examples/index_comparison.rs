@@ -3,7 +3,7 @@
 //! one terminal screen.
 //!
 //! This example deliberately stays on the **low-level crate APIs**
-//! (`FlatIndex::build`, `RTree::bulk_load`, explicit `BufferPool`
+//! (`FlatIndex::build`, `RTree::bulk_load`, explicit `ConcurrentBufferPool`
 //! management) as the paper-literal reproduction path; every other
 //! example goes through the `FlatDb` façade or the `SpatialIndex` trait.
 //!
@@ -20,7 +20,7 @@ fn run_rtree(
     query: &Aabb,
     disk: &DiskModel,
 ) -> usize {
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let start = std::time::Instant::now();
     let tree = RTree::bulk_load(&mut pool, entries.to_vec(), method, RTreeConfig::default())
         .expect("build");
@@ -50,7 +50,7 @@ fn main() {
     println!("dataset: {} cylinders; query: {query}\n", entries.len());
 
     // FLAT.
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let start = std::time::Instant::now();
     let (flat, _) = FlatIndex::build(
         &mut pool,

@@ -17,7 +17,7 @@ use flat_repro::prelude::*;
 /// returning (per-probe result counts, total physical page reads).
 fn walk_fiber<I: SpatialIndex>(
     index: &I,
-    pool: &BufferPool<MemStore>,
+    pool: &ConcurrentBufferPool<MemStore>,
     fiber: &[Point3],
 ) -> (Vec<usize>, u64) {
     let mut counts = Vec::with_capacity(fiber.len());
@@ -25,9 +25,9 @@ fn walk_fiber<I: SpatialIndex>(
     for center in fiber {
         let probe = Aabb::cube(*center, 10.0); // ±5 µm neighborhood
         pool.clear_cache();
-        let snap = pool.snapshot();
+        let before = pool.stats();
         counts.push(index.range(pool, &probe).expect("query").len());
-        reads += pool.stats().since(&snap).total_physical_reads();
+        reads += pool.stats().since(&before).total_physical_reads();
     }
     (counts, reads)
 }
@@ -39,7 +39,7 @@ fn main() {
     println!("model: {} segments from {} neurons", entries.len(), 60);
 
     // Build FLAT and the strongest R-tree baseline through the same trait.
-    let mut flat_pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut flat_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let flat = FlatIndex::build_index(
         &mut flat_pool,
         entries.clone(),
@@ -49,7 +49,7 @@ fn main() {
         },
     )
     .expect("build");
-    let mut pr_pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pr_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let pr = RTree::build_index(&mut pr_pool, entries, BulkLoad::PrTree.into()).expect("build");
 
     // Walk the first neuron's fiber: the neighborhood of every 10th

@@ -11,7 +11,7 @@
 //! depend on the individual crates if you want a narrower dependency.
 //!
 //! The recommended entry point is the [`prelude::FlatDb`] session façade:
-//! one handle that owns the buffer pool and the index lifecycle, builds
+//! one handle that owns the page cache and the index lifecycle, builds
 //! from an entry set (one streaming bulkload that spills to scratch
 //! pages past a memory budget), serves serial reads through cheap
 //! [`prelude::Snapshot`]s and batched reads through a fluent query
@@ -52,11 +52,11 @@
 //! builds are exclusive ([`prelude::PageWrite`], `&mut`), queries are
 //! shared reads ([`prelude::PageRead`], `&self`) — so the low-level types
 //! ([`prelude::FlatIndex`], [`prelude::RTree`], [`prelude::DeltaIndex`],
-//! unified by the [`prelude::SpatialIndex`] trait) can serve one thread
-//! through a [`prelude::BufferPool`] or many through the one shared,
-//! lock-sharded cache, [`prelude::ConcurrentBufferPool`] (optionally with
-//! I/O workers that overlap device reads). The `index_comparison` example
-//! keeps a paper-literal walkthrough of those low-level APIs.
+//! unified by the [`prelude::SpatialIndex`] trait) are built into and
+//! queried through the one lock-sharded page cache,
+//! [`prelude::ConcurrentBufferPool`] — from one thread or many, optionally
+//! with I/O workers that overlap device reads. The `index_comparison`
+//! example keeps a paper-literal walkthrough of those low-level APIs.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -90,8 +90,8 @@ pub mod prelude {
     pub use flat_geom::{Aabb, Axis, Cylinder, Point3, Shape, Sphere, Triangle};
     pub use flat_rtree::{BulkLoad, Entry, Hit, LeafLayout, RTree, RTreeConfig};
     pub use flat_storage::{
-        BufferPool, ConcurrentBufferPool, DiskModel, FileStore, IoStats, MemStore, Page, PageId,
-        PageKind, PageRead, PageStore, PageWrite, SchedulerConfig, SchedulerStats, ThrottledStore,
+        ConcurrentBufferPool, DiskModel, FileStore, IoStats, MemStore, Page, PageId, PageKind,
+        PageRead, PageStore, PageWrite, SchedulerConfig, SchedulerStats, ThrottledStore,
         VersionStats, VersionedPool, PAGE_SIZE,
     };
 }

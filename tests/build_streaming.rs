@@ -10,7 +10,7 @@ use flat_repro::core::MetaOrder;
 use flat_repro::prelude::*;
 
 /// Byte dump of every page in the pool's store, in allocation order.
-fn pages_of(pool: &BufferPool<MemStore>) -> Vec<Vec<u8>> {
+fn pages_of(pool: &ConcurrentBufferPool<MemStore>) -> Vec<Vec<u8>> {
     let store = pool.store();
     let mut page = Page::new();
     (0..store.num_pages())
@@ -21,8 +21,8 @@ fn pages_of(pool: &BufferPool<MemStore>) -> Vec<Vec<u8>> {
         .collect()
 }
 
-type UnspilledBuild = (BufferPool<MemStore>, FlatIndex);
-type SpilledBuild = (BufferPool<MemStore>, FlatIndex, StreamingStats);
+type UnspilledBuild = (ConcurrentBufferPool<MemStore>, FlatIndex);
+type SpilledBuild = (ConcurrentBufferPool<MemStore>, FlatIndex, StreamingStats);
 
 /// Builds `entries` through `FlatIndex::build` and through a builder
 /// with `spill_budget`, and asserts page-level identity; returns the two
@@ -32,10 +32,10 @@ fn build_both(
     options: FlatOptions,
     spill_budget: usize,
 ) -> (UnspilledBuild, SpilledBuild) {
-    let mut pool_whole = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool_whole = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index_whole, _) = FlatIndex::build(&mut pool_whole, entries.clone(), options).unwrap();
 
-    let mut pool_spilled = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool_spilled = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index_spilled, _, streaming) = FlatIndexBuilder::new(options)
         .spill_budget(spill_budget)
         .build(&mut pool_spilled, entries)
@@ -94,10 +94,10 @@ fn streamed_build_from_a_source_never_materializes_the_dataset() {
     };
 
     let model = NeuronModel::generate(&config);
-    let mut pool_whole = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool_whole = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (_, _) = FlatIndex::build(&mut pool_whole, model.entries(), options).unwrap();
 
-    let mut pool_spilled = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool_spilled = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let source = NeuronSource::new(config).into_entry_iter();
     let (index, stats, streaming) = FlatIndexBuilder::new(options)
         .spill_budget(800)
@@ -170,7 +170,7 @@ fn meta_order_and_inflation_options_stay_bit_identical() {
 
 /// FNV-1a-64 over the store's page count and every page's bytes, in page-id
 /// order.
-fn store_digest(pool: &BufferPool<MemStore>) -> u64 {
+fn store_digest(pool: &ConcurrentBufferPool<MemStore>) -> u64 {
     let pages = pages_of(pool);
     let count = (pages.len() as u64).to_le_bytes();
     count
@@ -319,7 +319,7 @@ fn golden_matrix() -> Vec<(&'static str, Vec<Entry>, FlatOptions, usize, u64)> {
 #[test]
 fn every_budget_writes_the_recorded_pages() {
     for (name, entries, options, tiny_budget, digest) in golden_matrix() {
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, stats) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
         assert_eq!(
             store_digest(&pool),
@@ -336,7 +336,7 @@ fn every_budget_writes_the_recorded_pages() {
         }
 
         for budget in [usize::MAX, tiny_budget] {
-            let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+            let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
             let (built, _, streaming) = FlatIndexBuilder::new(options)
                 .spill_budget(budget)
                 .build(&mut pool, entries.clone())
@@ -366,7 +366,7 @@ fn every_budget_writes_the_recorded_pages() {
 #[test]
 fn compaction_writes_the_pages_of_a_fresh_build() {
     let options = with_ids();
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(&mut pool, cloud(9_000, 31), options).unwrap();
     let mut delta = DeltaIndex::new(&pool, index, options).unwrap();
     let inserted: Vec<Entry> = cloud(1_500, 32)
@@ -386,9 +386,9 @@ fn compaction_writes_the_pages_of_a_fresh_build() {
         .chain(inserted)
         .filter(|e| !deleted.contains(&e.id))
         .collect();
-    let mut fresh = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut fresh = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     FlatIndex::build(&mut fresh, survivors, options).unwrap();
-    flat_repro::core::verify_compacted_store(pool.store(), fresh.store())
+    flat_repro::core::verify_compacted_store(&*pool.store(), &*fresh.store())
         .unwrap_or_else(|e| panic!("compaction broke byte identity: {e}"));
     assert_eq!(
         store_digest(&fresh),

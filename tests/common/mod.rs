@@ -56,7 +56,7 @@ pub enum Op {
 
 /// The machinery under test plus the tracked ground truth.
 pub struct Harness {
-    pub pool: BufferPool<MemStore>,
+    pub pool: ConcurrentBufferPool<MemStore>,
     pub delta: DeltaIndex,
     /// Ground truth: the surviving entries, tracked independently.
     pub survivors: HashMap<u64, Entry>,
@@ -65,7 +65,7 @@ pub struct Harness {
 
 impl Harness {
     pub fn new(entries: Vec<Entry>, domain: Aabb) -> Harness {
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options(domain)).unwrap();
         let delta = DeltaIndex::new(&pool, index, options(domain)).unwrap();
         Harness {
@@ -102,10 +102,10 @@ impl Harness {
     }
 
     /// Fresh `FlatIndex::build` over the tracked survivors, in its own pool.
-    pub fn rebuild(&self) -> (BufferPool<MemStore>, FlatIndex) {
+    pub fn rebuild(&self) -> (ConcurrentBufferPool<MemStore>, FlatIndex) {
         let mut entries: Vec<Entry> = self.survivors.values().copied().collect();
         entries.sort_by_key(|e| e.id); // any order works; keep it stable
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) = FlatIndex::build(&mut pool, entries, options(self.domain)).unwrap();
         (pool, index)
     }
@@ -152,7 +152,7 @@ impl Harness {
     /// checker for this contract.
     pub fn assert_compact_byte_identical(&self) {
         let (fresh_pool, _) = self.rebuild();
-        flat_repro::core::verify_compacted_store(self.pool.store(), fresh_pool.store())
+        flat_repro::core::verify_compacted_store(&*self.pool.store(), &*fresh_pool.store())
             .unwrap_or_else(|e| panic!("compaction broke byte identity: {e}"));
     }
 }

@@ -432,7 +432,7 @@ fn scheduler_shutdown_drains_inflight_work_before_releasing_the_store() {
     use std::time::Duration;
 
     let (entries, domain) = neuron_dataset();
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 12);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 12);
     let (index, _) = FlatIndex::build(
         &mut pool,
         entries,
@@ -501,7 +501,7 @@ fn scheduler_shutdown_drains_inflight_work_before_releasing_the_store() {
         elapsed < Duration::from_secs(5),
         "draining {announced} announced reads took {elapsed:?}"
     );
-    let pool = BufferPool::new(store, 1 << 12);
+    let pool = ConcurrentBufferPool::new(store, 1 << 12);
     for (qi, q) in qs.iter().enumerate() {
         let hits = index.range_query(&pool, q).expect("post-shutdown query");
         assert_eq!(keys(&hits), expected[qi], "post-shutdown query {qi}");
@@ -528,7 +528,7 @@ fn sharded_db_serves_mixed_clients_and_drops_cleanly() {
     };
 
     // Reference answers from a single unthrottled index.
-    let mut ref_pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut ref_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (single, _) =
         FlatIndex::build(&mut ref_pool, entries.clone(), index_options).expect("build");
     let qs = range_queries(

@@ -33,8 +33,8 @@ fn grid_entries(side: usize, spacing: f64) -> Vec<Entry> {
     entries
 }
 
-fn build(entries: Vec<Entry>) -> (BufferPool<MemStore>, FlatIndex) {
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+fn build(entries: Vec<Entry>) -> (ConcurrentBufferPool<MemStore>, FlatIndex) {
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(&mut pool, entries, FlatOptions::default())
         .expect("in-memory build cannot fail");
     (pool, index)
@@ -81,7 +81,6 @@ fn seed_page_at_dataset_boundary() {
     // an off-by-one in neighbor enumeration would lose results.
     let entries = grid_entries(10, 10.0);
     let (pool, index) = build(entries.clone());
-    let shared = ConcurrentBufferPool::new(pool.into_store(), 1 << 12);
     let corners = [
         Point3::new(0.0, 0.0, 0.0),
         Point3::new(100.0, 0.0, 0.0),
@@ -92,7 +91,7 @@ fn seed_page_at_dataset_boundary() {
     for corner in corners {
         let q = Aabb::cube(corner, 25.0); // sticks out past the domain
         let expected = brute_force(&entries, &q);
-        let serial = index.range_query(&shared, &q).unwrap();
+        let serial = index.range_query(&pool, &q).unwrap();
         assert_eq!(serial.len(), expected, "corner {corner}");
         assert!(expected > 0, "boundary query should not be empty");
     }
@@ -101,17 +100,16 @@ fn seed_page_at_dataset_boundary() {
 #[test]
 fn empty_index_queries() {
     let (pool, index) = build(Vec::new());
-    let shared = ConcurrentBufferPool::new(pool.into_store(), 1 << 12);
     for q in [
         Aabb::cube(Point3::splat(0.0), 10.0),
         Aabb::point(Point3::splat(5.0)),
         Aabb::cube(Point3::splat(1e9), 1.0),
     ] {
-        assert!(index.range_query(&shared, &q).unwrap().is_empty());
-        assert!(index.seed_only(&shared, &q).unwrap().is_none());
+        assert!(index.range_query(&pool, &q).unwrap().is_empty());
+        assert!(index.seed_only(&pool, &q).unwrap().is_none());
     }
     assert!(index
-        .knn_query(&shared, Point3::splat(0.0), 3)
+        .knn_query(&pool, Point3::splat(0.0), 3)
         .unwrap()
         .is_empty());
 }
@@ -126,14 +124,14 @@ fn delta_options() -> FlatOptions {
     }
 }
 
-fn build_delta(entries: Vec<Entry>) -> (BufferPool<MemStore>, DeltaIndex) {
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+fn build_delta(entries: Vec<Entry>) -> (ConcurrentBufferPool<MemStore>, DeltaIndex) {
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(&mut pool, entries, delta_options()).expect("build");
     let delta = DeltaIndex::new(&pool, index, delta_options()).expect("adopt");
     (pool, delta)
 }
 
-fn assert_invariants(pool: &BufferPool<MemStore>, delta: &DeltaIndex) {
+fn assert_invariants(pool: &ConcurrentBufferPool<MemStore>, delta: &DeltaIndex) {
     delta
         .check_invariants(pool, &pool.store().free_pages())
         .unwrap_or_else(|e| panic!("invariants violated: {e}"));
@@ -450,7 +448,7 @@ fn single_shard_equals_single_index() {
     // K = 1 must be byte-equivalent to one FLAT index (same ids, same
     // MBRs) for boundary geometry.
     let (entries, db) = sharded_grid(1, 6, 10.0);
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let options = FlatOptions {
         layout: LeafLayout::WithIds,
         domain: Some(Aabb::new(Point3::splat(0.0), Point3::splat(60.0))),
@@ -537,6 +535,20 @@ fn failed_shard_batch_is_a_typed_error_and_stays_isolated() {
             .collect()
     };
 
+    // A subscription over everything must keep equalling the range query
+    // after every call, failed ones included.
+    let (sub, _) = db.subscribe(domain).expect("subscribe");
+    let in_sync = |call: &str| {
+        let mut ids: Vec<u64> = db
+            .range_query(&domain)
+            .unwrap()
+            .iter()
+            .map(|h| h.id)
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(db.continuous_result(sub).unwrap(), ids, "after {call}");
+    };
+
     // A healthy batch across all three shards first, so the failure
     // below hits a shard that already runs on its delta layer.
     let warm = [
@@ -547,25 +559,36 @@ fn failed_shard_batch_is_a_typed_error_and_stays_isolated() {
     .concat();
     db.insert(warm.clone()).expect("healthy insert");
     live.extend(warm.iter().map(|e| (e.id, *e)));
+    in_sync("the healthy insert");
 
-    // Shard 1's device dies one page write into its next batch.
+    // Shard 1's device dies one page write into its next batch, which
+    // straddles shards 0 and 1: shard 0 commits its part, shard 1 fails.
     fuses[1].store(1, Ordering::SeqCst);
-    assert!(db.insert(column(45.0, 20_000, 40)).is_err());
+    let straddling = column(15.0, 20_000, 5);
+    let batch = [straddling.clone(), column(45.0, 20_100, 40)].concat();
+    assert!(db.insert(batch).is_err());
+    live.extend(straddling.iter().map(|e| (e.id, *e)));
+    in_sync("the partly failed insert");
     // From then on the shard refuses writes with a typed error...
     let err = db.insert(column(45.0, 21_000, 3)).unwrap_err();
     assert!(matches!(err, FlatError::Update(_)), "{err}");
-    let err = db.delete(&[4 * 81]).unwrap_err();
+    in_sync("the refused insert");
+    let err = db.delete(&[2, 4 * 81]).unwrap_err();
     assert!(matches!(err, FlatError::Update(_)), "{err}");
+    live.remove(&2); // shard 0's part of the delete committed
+    in_sync("the partly failed delete");
 
     // ...while the other shards keep committing.
     let more = [column(15.0, 30_000, 5), column(75.0, 31_000, 5)].concat();
     db.insert(more.clone()).expect("insert into healthy shards");
     live.extend(more.iter().map(|e| (e.id, *e)));
+    in_sync("the insert into healthy shards");
     let gone = [0, 1, 8 * 81];
     assert_eq!(db.delete(&gone).expect("delete from healthy shards"), 3);
     for id in gone {
         live.remove(&id);
     }
+    in_sync("the delete from healthy shards");
 
     // Whole-database answers — the failed shard serving its last
     // published snapshot — equal exactly the committed state.
@@ -818,36 +841,30 @@ fn device_pool(src: &MemStore) -> DevicePool {
     VersionedPool::from_cache(cache)
 }
 
-/// The same pages behind the three kinds of pool a query can run over.
+/// The same pages behind the two kinds of pool a query can run over: the
+/// cache the index was built in (misses fetched inline) and the serving
+/// stack's device pool.
 struct Pools {
-    exclusive: BufferPool<MemStore>,
-    shared: ConcurrentBufferPool<MemStore>,
+    inline: ConcurrentBufferPool<MemStore>,
     device: DevicePool,
 }
 
 impl Pools {
-    fn over(exclusive: BufferPool<MemStore>) -> Pools {
-        Pools {
-            shared: ConcurrentBufferPool::new(copy_store(exclusive.store()), 1 << 12),
-            device: device_pool(exclusive.store()),
-            exclusive,
-        }
+    fn over(inline: ConcurrentBufferPool<MemStore>) -> Pools {
+        let device = device_pool(&inline.store());
+        Pools { inline, device }
     }
 }
 
-/// Evaluates `$body` with `$pool` bound to each of the three pools in turn
-/// (the device pool through an epoch pin — the only one of the three that
-/// listens to announcements) and returns the three values.
+/// Evaluates `$body` with `$pool` bound to each of the two pools in turn
+/// (the device pool through an epoch pin — the one that listens to
+/// announcements) and returns both values.
 macro_rules! on_each_pool {
     ($pools:expr, |$pool:ident| $body:expr) => {{
         let pin = $pools.device.pin();
         [
             {
-                let $pool = &$pools.exclusive;
-                $body
-            },
-            {
-                let $pool = &$pools.shared;
+                let $pool = &$pools.inline;
                 $body
             },
             {
@@ -934,7 +951,7 @@ fn waves_are_invisible_at_every_crawl_size() {
     assert!(stats.records_processed > 4 * WAVE, "dataset too small");
 
     // One crawl of each size around the one- and two-wave boundaries,
-    // plus the many-waves crawl, over all three pools.
+    // plus the many-waves crawl, over both pools.
     let mut queries = vec![whole];
     for size in [
         WAVE - 1,
@@ -964,7 +981,6 @@ fn waves_are_invisible_at_every_crawl_size() {
             &everything
         ));
         assert_eq!(stats[0], stats[1]);
-        assert_eq!(stats[0], stats[2]);
         // The aggregate crosses the same kernel: same records, same waves.
         let counted = on_each_pool!(pools, |p| assert_aggregate_matches_reference(
             p,
@@ -974,7 +990,6 @@ fn waves_are_invisible_at_every_crawl_size() {
             &everything
         ));
         assert_eq!(counted[0], counted[1]);
-        assert_eq!(counted[0], counted[2]);
         assert_eq!(counted[0].records_processed, stats[0].0.records_processed);
         assert_eq!(
             counted[0].pages_skipped, 0,
@@ -984,7 +999,7 @@ fn waves_are_invisible_at_every_crawl_size() {
     // The whole-domain query contains partitions: their elements are
     // counted without being tested.
     let mut contained = AggregateStats::default();
-    let all = index.aggregate_count_with_stats(&pools.shared, &whole, &mut contained);
+    let all = index.aggregate_count_with_stats(&pools.inline, &whole, &mut contained);
     assert_eq!(all.unwrap(), 20_000);
     assert!(contained.contained_partitions > 0, "{contained:?}");
     // The device pool heard the announcements: some reads found their
@@ -1075,7 +1090,6 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
             assert_range_matches_reference(p, delta.base(), Some(&delta), &query, &live).0
         });
         assert_eq!(stats[0], stats[1]);
-        assert_eq!(stats[0], stats[2]);
         assert_eq!(
             stats[0].result_count as usize,
             brute_force(&survivors, &query)
@@ -1088,7 +1102,6 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
             assert_aggregate_matches_reference(p, delta.base(), Some(&delta), &query, &live)
         });
         assert_eq!(counted[0], counted[1]);
-        assert_eq!(counted[0], counted[2]);
         assert_eq!(counted[0].pages_skipped, counted[0].contained_partitions);
         if round == 0 {
             assert!(counted[0].pages_skipped > 0, "{:?}", counted[0]);
@@ -1105,7 +1118,6 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
             (got, stats)
         });
         assert_eq!(answers[0], answers[1]);
-        assert_eq!(answers[0], answers[2]);
         let mut brute: Vec<f64> = survivors
             .iter()
             .map(|e| e.mbr.distance_sq_to_point(&center))
@@ -1133,7 +1145,7 @@ fn brute_join(outer: &[Entry], inner: &[Entry], eps: f64) -> Vec<(u64, u64)> {
     pairs
 }
 
-/// Runs the join over each of the three pools (both sides through the same
+/// Runs the join over each of the two pools (both sides through the same
 /// pool), asserts pairs and counters do not depend on which, and that the
 /// pairs are the brute-force ones. Returns the counters.
 fn join_on_each_pool(
@@ -1143,12 +1155,9 @@ fn join_on_each_pool(
     eps: f64,
 ) -> JoinStats {
     let engine = JoinEngine::new(eps);
-    let [first, second, third] =
-        on_each_pool!(pools, |p| engine.join(p, outer, p, inner).expect("join"));
+    let [first, second] = on_each_pool!(pools, |p| engine.join(p, outer, p, inner).expect("join"));
     assert_eq!(first.stats, second.stats, "eps {eps}");
-    assert_eq!(first.stats, third.stats, "eps {eps}");
     assert_eq!(first.pairs, second.pairs, "eps {eps}");
-    assert_eq!(first.pairs, third.pairs, "eps {eps}");
     assert_eq!(
         first.pairs,
         brute_join(outer_live, inner_live, eps),
@@ -1159,7 +1168,7 @@ fn join_on_each_pool(
 
 /// Bulkloads `entries` into `pool` beside whatever it already holds (ids
 /// are application ids, so brute force can name the pairs).
-fn build_into(pool: &mut BufferPool<MemStore>, entries: &[Entry]) -> FlatIndex {
+fn build_into(pool: &mut ConcurrentBufferPool<MemStore>, entries: &[Entry]) -> FlatIndex {
     let (index, _) = FlatIndex::build(pool, entries.to_vec(), delta_options()).expect("build");
     index
 }
@@ -1179,7 +1188,7 @@ fn joins_are_pool_independent_at_every_inner_crawl_size() {
     // A one-partition outer side makes the join a single inner crawl, so
     // `crawl_records` is that crawl's size.
     let inner = random_entries(20_000, 911);
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let inner_index = build_into(&mut pool, &inner);
     let mut rng = StdRng::seed_from_u64(912);
     let outers: Vec<(Vec<Entry>, FlatIndex)> = (0..30)
@@ -1277,7 +1286,7 @@ fn joins_are_pool_independent_for_every_kind_of_side() {
     }
     let few: Vec<Entry> = outer.iter().take(400).copied().collect();
 
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let outer_index = build_into(&mut pool, &outer);
     let inner_index = build_into(&mut pool, &inner);
     let chained_index = build_into(&mut pool, &chained);
@@ -1339,7 +1348,7 @@ fn joins_are_pool_independent_for_every_kind_of_side() {
     // of the stretched partitions walks its chain.
     let eps = 1.0;
     let probe = few[0].mbr.inflate(eps);
-    let (_, _, chain_reads) = reference_range(&pools.shared, &chained_index, &probe, &|_| true);
+    let (_, _, chain_reads) = reference_range(&pools.inline, &chained_index, &probe, &|_| true);
     assert!(chain_reads > 0, "no continuation chunk in reach");
     let stats = join_on_each_pool(
         &pools,

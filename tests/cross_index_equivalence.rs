@@ -42,7 +42,7 @@ fn evaluate<I: SpatialIndex>(
     queries: &[Aabb],
     knn_probes: &[(Point3, usize)],
 ) -> (Vec<Vec<[u64; 6]>>, Vec<Vec<f64>>) {
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let index = I::build_index(&mut pool, entries, options).expect("build");
     let ranges = queries
         .iter()
@@ -105,7 +105,7 @@ fn check_equivalence(entries: Vec<Entry>, domain: Aabb, queries: &[Aabb]) {
 
     // Dynamically built R-tree (Guttman inserts) — not a bulkload, so it
     // stays outside the trait's build path on purpose.
-    let mut dyn_pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut dyn_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let mut dyn_tree = RTree::new_empty(RTreeConfig::default());
     for e in &entries {
         dyn_tree.insert(&mut dyn_pool, *e).expect("insert");
@@ -259,7 +259,7 @@ fn sharded_database_joins_the_equivalence_matrix() {
         domain: Some(domain),
         ..FlatOptions::default()
     };
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (single, _) = FlatIndex::build(&mut pool, entries.clone(), single_options).expect("build");
 
     for k in 1..=4 {
@@ -327,7 +327,7 @@ fn join_engines_agree_with_brute_force_across_index_kinds() {
     // Churn the outer side through the delta layer so the join sees
     // tombstones and delta-resident partitions, then compute the oracle
     // over the *surviving* population.
-    let mut outer_pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut outer_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (outer_base, _) = FlatIndex::build(&mut outer_pool, w.outer.clone(), options).unwrap();
     let mut outer_delta = DeltaIndex::new(&outer_pool, outer_base, options).unwrap();
     let dead: Vec<u64> = w.outer.iter().step_by(7).map(|e| e.id).collect();
@@ -355,7 +355,7 @@ fn join_engines_agree_with_brute_force_across_index_kinds() {
         .chain(moved)
         .collect();
 
-    let mut inner_pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut inner_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (inner_flat, _) = FlatIndex::build(&mut inner_pool, w.inner.clone(), options).unwrap();
 
     for eps in [0.0, w.eps, 4.0 * w.eps] {
@@ -415,9 +415,9 @@ fn aggregates_agree_with_range_counts_across_index_kinds() {
     queries.push(domain);
     queries.push(Aabb::point(domain.center()));
 
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (flat, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
-    let mut delta_pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut delta_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (delta_base, _) = FlatIndex::build(&mut delta_pool, entries.clone(), options).unwrap();
     let delta = DeltaIndex::new(&delta_pool, delta_base, options).unwrap();
     let sharded = ShardedDb::build_in_memory(

@@ -70,10 +70,10 @@ fn in_memory_build_is_bit_identical_to_low_level() {
     let report = db.build_from(entries.clone()).unwrap();
     assert!(!report.spilled(), "12k entries fit the default budget");
 
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(&mut pool, entries, options).unwrap();
 
-    assert_stores_identical(&*db.store(), pool.store(), "unspilled build");
+    assert_stores_identical(&*db.store(), &*pool.store(), "unspilled build");
     assert_eq!(db.index().num_elements(), index.num_elements());
     assert_eq!(db.index().seed_height(), index.seed_height());
 }
@@ -96,13 +96,13 @@ fn streaming_build_is_bit_identical_to_low_level() {
     let report = db.build_from(entries.clone()).unwrap();
     assert!(report.spilled(), "10k entries over a 1.5k budget");
 
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (_, _, _) = FlatIndexBuilder::new(options)
         .spill_budget(budget)
         .build(&mut pool, entries)
         .unwrap();
 
-    assert_stores_identical(&*db.store(), pool.store(), "spilled build");
+    assert_stores_identical(&*db.store(), &*pool.store(), "spilled build");
 }
 
 #[test]
@@ -114,7 +114,7 @@ fn serial_queries_match_low_level_bit_for_bit() {
     };
     let mut db = FlatDb::create(MemStore::new(), DbOptions::default().with_index(options));
     db.build_from(entries.clone()).unwrap();
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(&mut pool, entries, options).unwrap();
 
     for q in queries(&domain, 24) {
@@ -198,7 +198,7 @@ fn batched_queries_match_serial() {
     assert_batches_match_serial(&db, "base");
 
     // On the base state the batch also equals the low-level calls.
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
     let outcome = db
         .query()
@@ -241,7 +241,7 @@ fn updates_match_low_level_delta_ops_page_for_page() {
     db.build_from(entries.clone()).unwrap();
 
     // Low-level side: same build, same delta ops, by hand.
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
     let mut delta = DeltaIndex::new(&pool, index, options).unwrap();
 
@@ -269,7 +269,7 @@ fn updates_match_low_level_delta_ops_page_for_page() {
     delta.insert_batch(&mut pool, fresh).unwrap();
     let ll_deleted = delta.delete_batch(&mut pool, &victims).unwrap();
 
-    assert_stores_identical(&*db.store(), pool.store(), "after insert+delete");
+    assert_stores_identical(&*db.store(), &*pool.store(), "after insert+delete");
     assert_eq!(db.num_live_elements(), delta.num_live_elements());
     assert_eq!(db.delta().unwrap().num_tombstones(), delta.num_tombstones());
     assert!(ll_deleted > 0);
@@ -295,7 +295,7 @@ fn updates_match_low_level_delta_ops_page_for_page() {
         writer.compact().unwrap();
     }
     delta.compact(&mut pool).unwrap();
-    assert_stores_identical(&*db.store(), pool.store(), "after compact");
+    assert_stores_identical(&*db.store(), &*pool.store(), "after compact");
 }
 
 #[test]
@@ -317,7 +317,7 @@ fn persisted_file_is_byte_identical_to_low_level_save() {
 
     // Low level: build straight into a file store, save the descriptor.
     let store = FileStore::create(&manual_path).unwrap();
-    let mut pool = BufferPool::new(store, 1 << 14);
+    let mut pool = ConcurrentBufferPool::new(store, 1 << 14);
     let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
     let manual_descriptor = index.save(&mut pool).unwrap();
     drop(pool);
@@ -456,13 +456,15 @@ fn bad_build_options_are_typed_errors_not_panics() {
         assert!(matches!(err, FlatError::Build(_)), "{err}");
     }
 
-    // A zero-page cache is refused by every fallible FlatDb constructor
-    // before it touches the store: a plain file, a durable one and an
-    // empty one all keep their bytes.
+    // A zero-page cache is refused by every fallible FlatDb constructor,
+    // and a durable constructor refuses `Durability::Off`, before it
+    // touches the store: a plain file, a durable one and an empty one all
+    // keep their bytes.
     let dir = std::env::temp_dir().join("flat-repro-db-api-options");
     std::fs::create_dir_all(&dir).unwrap();
     let [plain, durable, empty] = ["plain", "durable", "empty"].map(|n| dir.join(n));
-    let wal = DbOptions::updatable(domain).with_durability(Durability::Wal);
+    let off = DbOptions::updatable(domain);
+    let wal = off.with_durability(Durability::Wal);
     let mut db = FlatDb::create_in_memory(DbOptions::updatable(domain));
     db.build_from(entries.clone()).unwrap();
     db.persist(&plain).unwrap();
@@ -480,10 +482,15 @@ fn bad_build_options_are_typed_errors_not_panics() {
         FlatDb::open_file(&plain, no_cache(DbOptions::updatable(domain))).map(drop),
         FlatDb::open_file(&durable, no_cache(wal)).map(drop),
         FlatDb::create_durable(FileStore::open(&empty).unwrap(), no_cache(wal)).map(drop),
+        FlatDb::create_durable(FileStore::open(&empty).unwrap(), off).map(drop),
     ] {
         let err = err.unwrap_err();
         assert!(matches!(err, FlatError::Build(_)), "{err}");
     }
+    let err = FlatDb::open_durable(FileStore::open(&durable).unwrap(), off)
+        .map(drop)
+        .unwrap_err();
+    assert!(matches!(err, FlatError::Persist(_)), "{err}");
     assert!(before == bytes(), "a refused open or create changed a file");
     assert!(before[2].is_empty());
     std::fs::remove_dir_all(&dir).ok();

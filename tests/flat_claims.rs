@@ -9,8 +9,8 @@ fn build_at(
     density: usize,
     sweep_entries: &[Entry],
     domain: Aabb,
-) -> (BufferPool<MemStore>, FlatIndex) {
-    let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+) -> (ConcurrentBufferPool<MemStore>, FlatIndex) {
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (index, _) = FlatIndex::build(
         &mut pool,
         sweep_entries[..density].to_vec(),
@@ -57,11 +57,11 @@ fn seed_cost_is_density_independent() {
         let mut total = 0u64;
         for q in &queries {
             pool.clear_cache();
-            let snapshot = pool.snapshot();
+            let before = pool.stats();
             let _ = index.range_query(&pool, q).expect("query");
             total += pool
                 .stats()
-                .since(&snapshot)
+                .since(&before)
                 .kind(PageKind::SeedInner)
                 .physical_reads;
         }
@@ -90,11 +90,11 @@ fn crawl_cost_tracks_result_size() {
     for scale in [0.04, 0.08, 0.16] {
         let q = Aabb::cube(domain.center(), domain.extents().x * scale);
         pool.clear_cache();
-        let snapshot = pool.snapshot();
+        let before = pool.stats();
         let hits = index.range_query(&pool, &q).expect("query");
         let object = pool
             .stats()
-            .since(&snapshot)
+            .since(&before)
             .kind(PageKind::ObjectPage)
             .physical_reads;
         assert!(!hits.is_empty());
@@ -137,7 +137,7 @@ fn meta_order_does_not_change_results() {
     let (entries, domain) = neuron_sweep(60_000);
     let mut results = Vec::new();
     for order in [MetaOrder::Hilbert, MetaOrder::StrOutput] {
-        let mut pool = BufferPool::new(MemStore::new(), 1 << 16);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, _) = FlatIndex::build(
             &mut pool,
             entries.clone(),

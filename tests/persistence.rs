@@ -27,7 +27,7 @@ fn flat_index_survives_reopen() {
     let descriptor;
     {
         let store = FileStore::create(&path).expect("create store");
-        let mut pool = BufferPool::new(store, 1 << 12);
+        let mut pool = ConcurrentBufferPool::new(store, 1 << 12);
         let (index, _) = FlatIndex::build(
             &mut pool,
             entries.clone(),
@@ -42,7 +42,7 @@ fn flat_index_survives_reopen() {
     }
     {
         let store = FileStore::open(&path).expect("reopen store");
-        let pool = BufferPool::new(store, 1 << 12);
+        let pool = ConcurrentBufferPool::new(store, 1 << 12);
         let index = FlatIndex::load(&pool, descriptor).expect("load");
         assert_eq!(index.num_elements(), entries.len() as u64);
         for side in [10.0, 40.0, 120.0] {
@@ -64,7 +64,7 @@ fn rtree_survives_reopen() {
     let descriptor;
     {
         let store = FileStore::create(&path).expect("create store");
-        let mut pool = BufferPool::new(store, 1 << 12);
+        let mut pool = ConcurrentBufferPool::new(store, 1 << 12);
         let tree = RTree::bulk_load(
             &mut pool,
             entries.clone(),
@@ -76,7 +76,7 @@ fn rtree_survives_reopen() {
     }
     {
         let store = FileStore::open(&path).expect("reopen store");
-        let pool = BufferPool::new(store, 1 << 12);
+        let pool = ConcurrentBufferPool::new(store, 1 << 12);
         let tree = RTree::load(&pool, descriptor).expect("load");
         let q = Aabb::cube(domain.center(), 60.0);
         assert_eq!(
@@ -98,7 +98,7 @@ fn both_indexes_share_one_file() {
     let (flat_desc, rtree_desc);
     {
         let store = FileStore::create(&path).expect("create store");
-        let mut pool = BufferPool::new(store, 1 << 12);
+        let mut pool = ConcurrentBufferPool::new(store, 1 << 12);
         let (index, _) = FlatIndex::build(
             &mut pool,
             entries.clone(),
@@ -120,7 +120,7 @@ fn both_indexes_share_one_file() {
     }
     {
         let store = FileStore::open(&path).expect("reopen");
-        let pool = BufferPool::new(store, 1 << 12);
+        let pool = ConcurrentBufferPool::new(store, 1 << 12);
         let index = FlatIndex::load(&pool, flat_desc).expect("load flat");
         let tree = RTree::load(&pool, rtree_desc).expect("load rtree");
         let q = Aabb::cube(domain.center(), 45.0);
