@@ -44,7 +44,7 @@
 //! any other metadata read).
 
 use flat_geom::{Aabb, Point3};
-use flat_storage::{Page, PageId, StorageError, PAGE_SIZE};
+use flat_storage::{Page, PageId, PageMut, StorageError, PAGE_SIZE};
 
 /// Tag distinguishing metadata leaves from R-tree nodes.
 const TAG_META_LEAF: u16 = 3;
@@ -192,7 +192,7 @@ pub fn assign_slots(plan: &[PlannedRecord]) -> Vec<(usize, u16)> {
     assignment
 }
 
-fn put_mbr(page: &mut Page, offset: usize, mbr: &Aabb) {
+fn put_mbr(page: &mut PageMut<'_>, offset: usize, mbr: &Aabb) {
     page.put_f64(offset, mbr.min.x);
     page.put_f64(offset + 8, mbr.min.y);
     page.put_f64(offset + 16, mbr.min.z);
@@ -202,17 +202,13 @@ fn put_mbr(page: &mut Page, offset: usize, mbr: &Aabb) {
 }
 
 fn get_mbr(page: &Page, offset: usize) -> Aabb {
+    // One bounds check for the whole MBR; the six reads inside it are
+    // fixed offsets into a 48-byte slice.
+    let mbr = &page.bytes()[offset..offset + 48];
+    let coord = |i: usize| f64::from_le_bytes(mbr[i * 8..i * 8 + 8].try_into().unwrap());
     Aabb {
-        min: Point3::new(
-            page.get_f64(offset),
-            page.get_f64(offset + 8),
-            page.get_f64(offset + 16),
-        ),
-        max: Point3::new(
-            page.get_f64(offset + 24),
-            page.get_f64(offset + 32),
-            page.get_f64(offset + 40),
-        ),
+        min: Point3::new(coord(0), coord(1), coord(2)),
+        max: Point3::new(coord(3), coord(4), coord(5)),
     }
 }
 
@@ -234,13 +230,14 @@ pub fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) {
     );
 
     page.clear();
+    let mut page = page.edit();
     page.put_u16(0, TAG_META_LEAF);
     page.put_u16(2, records.len() as u16);
     let mut offset = HEADER_SIZE + dir_size;
     for (slot, record) in records.iter().enumerate() {
         page.put_u16(HEADER_SIZE + slot * DIR_ENTRY, offset as u16);
-        put_mbr(page, offset, &record.page_mbr);
-        put_mbr(page, offset + 48, &record.partition_mbr);
+        put_mbr(&mut page, offset, &record.page_mbr);
+        put_mbr(&mut page, offset + 48, &record.partition_mbr);
         page.put_u64(offset + 96, record.object_page.0);
         assert!(
             record.neighbors.len() <= COUNT_MASK as usize,

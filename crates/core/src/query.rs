@@ -15,9 +15,9 @@ use crate::delta::{DeltaIndex, PartState};
 use crate::index::FlatIndex;
 use crate::meta::{decode_meta_leaf, decode_meta_record, meta_leaf_len, MetaRecord, MetaRecordId};
 use flat_geom::Aabb;
-use flat_rtree::node::{decode_inner, decode_leaf};
-use flat_rtree::{Entry, Hit, LeafLayout};
-use flat_storage::{PageId, PageKind, PageRead, StorageError};
+use flat_rtree::node::{decode_inner, leaf_entry, leaf_header};
+use flat_rtree::{Hit, LeafLayout};
+use flat_storage::{Page, PageId, PageKind, PageRead, StorageError};
 use std::collections::{HashSet, VecDeque};
 
 /// Deleted-element set of a [`DeltaIndex`], keyed by physical location
@@ -125,26 +125,32 @@ pub(crate) fn walk_links(
 }
 
 /// One object page seen through the tombstone filter — the only place
-/// live entries are enumerated and `MbrOnly` ids are synthesized.
+/// live entries are enumerated and `MbrOnly` ids are synthesized. A view:
+/// it holds the page the cache handed out and reads each live entry in
+/// place ([`leaf_entry`]) as it is asked for, so a scan copies and
+/// allocates nothing.
 pub(crate) struct LivePage<'t> {
-    page: PageId,
+    id: PageId,
+    page: Page,
     layout: LeafLayout,
-    entries: Vec<Entry>,
+    slots: usize,
     tombstones: Option<&'t Tombstones>,
 }
 
 impl<'t> LivePage<'t> {
-    /// Reads object page `page` (one logical object read).
+    /// Reads object page `id` (one logical object read).
     pub(crate) fn read(
         pool: &impl PageRead,
-        page: PageId,
+        id: PageId,
         tombstones: Option<&'t Tombstones>,
     ) -> Result<LivePage<'t>, StorageError> {
-        let (layout, entries) = decode_leaf(&pool.read_page(page, PageKind::ObjectPage)?)?;
+        let page = pool.read_page(id, PageKind::ObjectPage)?;
+        let (layout, slots) = leaf_header(&page)?;
         Ok(LivePage {
+            id,
             page,
             layout,
-            entries,
+            slots,
             tombstones,
         })
     }
@@ -152,27 +158,28 @@ impl<'t> LivePage<'t> {
     /// Slots on the page, tombstoned ones included — what an
     /// element-by-element scan tests.
     pub(crate) fn slots(&self) -> usize {
-        self.entries.len()
+        self.slots
     }
 
     /// The live elements in slot order, as queries report them.
     pub(crate) fn hits(&self) -> impl Iterator<Item = Hit> + '_ {
-        let page = self.page;
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(move |&(slot, _)| {
+        let id = self.id;
+        (0..self.slots)
+            .filter(move |&slot| {
                 self.tombstones
-                    .is_none_or(|t| !t.contains(&(page, slot as u16)))
+                    .is_none_or(|t| !t.contains(&(id, slot as u16)))
             })
-            .map(move |(slot, entry)| Hit {
-                mbr: entry.mbr,
-                id: match self.layout {
-                    LeafLayout::MbrOnly => (page.0 << 16) | entry.id,
-                    LeafLayout::WithIds => entry.id,
-                },
-                page,
-                slot: slot as u16,
+            .map(move |slot| {
+                let entry = leaf_entry(&self.page, self.layout, slot);
+                Hit {
+                    mbr: entry.mbr,
+                    id: match self.layout {
+                        LeafLayout::MbrOnly => (id.0 << 16) | entry.id,
+                        LeafLayout::WithIds => entry.id,
+                    },
+                    page: id,
+                    slot: slot as u16,
+                }
             })
     }
 }

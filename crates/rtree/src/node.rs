@@ -17,7 +17,7 @@
 
 use crate::Entry;
 use flat_geom::{Aabb, Point3};
-use flat_storage::{Page, PageId, StorageError, PAGE_SIZE};
+use flat_storage::{Page, PageId, PageMut, StorageError, PAGE_SIZE};
 
 /// Size of the fixed node header in bytes.
 pub const HEADER_SIZE: usize = 8;
@@ -87,7 +87,7 @@ pub struct ChildRef {
     pub page: PageId,
 }
 
-fn put_mbr(page: &mut Page, offset: usize, mbr: &Aabb) {
+fn put_mbr(page: &mut PageMut<'_>, offset: usize, mbr: &Aabb) {
     page.put_f64(offset, mbr.min.x);
     page.put_f64(offset + 8, mbr.min.y);
     page.put_f64(offset + 16, mbr.min.z);
@@ -96,18 +96,15 @@ fn put_mbr(page: &mut Page, offset: usize, mbr: &Aabb) {
     page.put_f64(offset + 40, mbr.max.z);
 }
 
+#[inline]
 fn get_mbr(page: &Page, offset: usize) -> Aabb {
+    // One bounds check for the whole MBR; the six reads inside it are
+    // fixed offsets into a 48-byte slice.
+    let mbr = &page.bytes()[offset..offset + MBR_SIZE];
+    let coord = |i: usize| f64::from_le_bytes(mbr[i * 8..i * 8 + 8].try_into().unwrap());
     Aabb {
-        min: Point3::new(
-            page.get_f64(offset),
-            page.get_f64(offset + 8),
-            page.get_f64(offset + 16),
-        ),
-        max: Point3::new(
-            page.get_f64(offset + 24),
-            page.get_f64(offset + 32),
-            page.get_f64(offset + 40),
-        ),
+        min: Point3::new(coord(0), coord(1), coord(2)),
+        max: Point3::new(coord(3), coord(4), coord(5)),
     }
 }
 
@@ -127,11 +124,12 @@ pub fn encode_inner(children: &[ChildRef], page: &mut Page) {
         inner_capacity()
     );
     page.clear();
+    let mut page = page.edit();
     page.put_u16(0, TAG_INNER);
     page.put_u16(2, children.len() as u16);
     let mut offset = HEADER_SIZE;
     for child in children {
-        put_mbr(page, offset, &child.mbr);
+        put_mbr(&mut page, offset, &child.mbr);
         page.put_u64(offset + MBR_SIZE, child.page.0);
         offset += INNER_ENTRY_SIZE;
     }
@@ -181,12 +179,13 @@ pub fn encode_leaf(entries: &[Entry], layout: LeafLayout, page: &mut Page) {
         leaf_capacity(layout)
     );
     page.clear();
+    let mut page = page.edit();
     page.put_u16(0, TAG_LEAF);
     page.put_u16(2, entries.len() as u16);
     page.put_u16(4, layout.tag());
     let mut offset = HEADER_SIZE;
     for entry in entries {
-        put_mbr(page, offset, &entry.mbr);
+        put_mbr(&mut page, offset, &entry.mbr);
         offset += MBR_SIZE;
         if layout == LeafLayout::WithIds {
             page.put_u64(offset, entry.id);
@@ -195,11 +194,10 @@ pub fn encode_leaf(entries: &[Entry], layout: LeafLayout, page: &mut Page) {
     }
 }
 
-/// Deserializes a leaf node, reporting which layout it was written with.
-///
-/// Under [`LeafLayout::MbrOnly`] the returned ids are the slot numbers;
-/// callers combine them with the page id for a globally unique reference.
-pub fn decode_leaf(page: &Page) -> Result<(LeafLayout, Vec<Entry>), StorageError> {
+/// Validates a leaf node's header, returning the layout it was written
+/// with and its entry count — the one check every leaf reader runs before
+/// [`leaf_entry`].
+pub fn leaf_header(page: &Page) -> Result<(LeafLayout, usize), StorageError> {
     if page.get_u16(0) != TAG_LEAF {
         return Err(StorageError::Corrupt(format!(
             "expected leaf node tag, found {}",
@@ -213,22 +211,34 @@ pub fn decode_leaf(page: &Page) -> Result<(LeafLayout, Vec<Entry>), StorageError
             "leaf count {count} exceeds capacity"
         )));
     }
-    let mut entries = Vec::with_capacity(count);
-    let mut offset = HEADER_SIZE;
-    for slot in 0..count {
-        let mbr = get_mbr(page, offset);
-        offset += MBR_SIZE;
-        let id = match layout {
-            LeafLayout::MbrOnly => slot as u64,
-            LeafLayout::WithIds => {
-                let id = page.get_u64(offset);
-                offset += 8;
-                id
-            }
-        };
-        entries.push(Entry::new(id, mbr));
-    }
-    Ok((layout, entries))
+    Ok((layout, count))
+}
+
+/// Reads entry `slot` of a leaf page in place, without decoding its
+/// page-mates: `slot` must be below the count [`leaf_header`] returned for
+/// `layout`.
+///
+/// Under [`LeafLayout::MbrOnly`] the returned id is the slot number;
+/// callers combine it with the page id for a globally unique reference.
+///
+/// # Panics
+/// Panics if `slot` is at or above [`leaf_capacity`]`(layout)`.
+#[inline]
+pub fn leaf_entry(page: &Page, layout: LeafLayout, slot: usize) -> Entry {
+    let offset = HEADER_SIZE + slot * layout.entry_size();
+    let id = match layout {
+        LeafLayout::MbrOnly => slot as u64,
+        LeafLayout::WithIds => page.get_u64(offset + MBR_SIZE),
+    };
+    Entry::new(id, get_mbr(page, offset))
+}
+
+/// Deserializes a leaf node, reporting which layout it was written with:
+/// [`leaf_header`], then [`leaf_entry`] for every slot.
+pub fn decode_leaf(page: &Page) -> Result<(LeafLayout, Vec<Entry>), StorageError> {
+    let (layout, count) = leaf_header(page)?;
+    let entries = (0..count).map(|slot| leaf_entry(page, layout, slot));
+    Ok((layout, entries.collect()))
 }
 
 /// `true` if the page holds a leaf node.
@@ -281,6 +291,48 @@ mod tests {
         let (layout, decoded) = decode_leaf(&page).unwrap();
         assert_eq!(layout, LeafLayout::WithIds);
         assert_eq!(decoded, entries);
+    }
+
+    #[test]
+    fn leaf_entry_reads_what_decode_leaf_decodes_in_both_layouts() {
+        for layout in [LeafLayout::MbrOnly, LeafLayout::WithIds] {
+            for n in [1, 2, leaf_capacity(layout)] {
+                let mut page = Page::new();
+                encode_leaf(&mk_entries(n), layout, &mut page);
+                assert_eq!(leaf_header(&page).unwrap(), (layout, n));
+                let (_, decoded) = decode_leaf(&page).unwrap();
+                assert_eq!(decoded.len(), n);
+                for (slot, entry) in decoded.iter().enumerate() {
+                    assert_eq!(
+                        leaf_entry(&page, layout, slot),
+                        *entry,
+                        "{layout:?} slot {slot}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_header_rejects_what_decode_leaf_rejects() {
+        let corrupt = |edit: fn(&mut Page)| {
+            let mut page = Page::new();
+            encode_leaf(&mk_entries(3), LeafLayout::WithIds, &mut page);
+            edit(&mut page);
+            let header = leaf_header(&page);
+            assert!(
+                matches!(header, Err(StorageError::Corrupt(_))),
+                "{header:?}"
+            );
+            assert!(matches!(decode_leaf(&page), Err(StorageError::Corrupt(_))));
+        };
+        corrupt(|page| page.put_u16(0, TAG_INNER)); // wrong node tag
+        corrupt(|page| page.put_u16(4, 2)); // unknown layout tag
+        corrupt(|page| page.put_u16(2, 74)); // one above WithIds capacity
+        corrupt(|page| {
+            page.put_u16(4, LeafLayout::MbrOnly.tag());
+            page.put_u16(2, 86); // one above MbrOnly capacity
+        });
     }
 
     #[test]

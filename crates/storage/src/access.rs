@@ -42,10 +42,13 @@ use std::sync::Arc;
 
 /// Shared read access to pages, with per-[`PageKind`] I/O accounting.
 ///
-/// Reads return an *owned* copy of the page: the 4 KB memcpy decouples the
-/// caller from the cache's locking/borrowing discipline (and is noise next
-/// to the I/O the pool is accounting for — index node formats are
-/// deserialized into typed structures immediately after the read anyway).
+/// A read returns a [`Page`] handle that shares its buffer with the cache:
+/// a hit costs a reference-count bump, not a copy, and the caller holds no
+/// lock and no borrow of the cache while it decodes. Cached bytes are
+/// never changed in place — a write installs a new buffer and `Page` is
+/// copy-on-write — so a handle keeps the bytes it was given whatever is
+/// written, freed or evicted afterwards, and readers scan records and
+/// entries straight off it.
 pub trait PageRead {
     /// Reads page `id`, counting the access against `kind`.
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError>;

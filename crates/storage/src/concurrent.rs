@@ -13,8 +13,12 @@
 //! the same shard at the same moment.
 //!
 //! A hit is the same whatever the configuration: lock the shard, look the
-//! page up, copy it out. Only a **miss** differs, and the number of I/O
-//! workers ([`SchedulerConfig::workers`]) decides how:
+//! page up, hand out a clone of its [`Page`] — a reference to the cached
+//! buffer, not a copy of it. Nothing ever writes a cached buffer in place:
+//! writes and installs replace the slot's page, and `Page` is
+//! copy-on-write, so a handle already out keeps its bytes. Only a **miss**
+//! differs, and the number of I/O workers ([`SchedulerConfig::workers`])
+//! decides how:
 //!
 //! * **No workers** ([`ConcurrentBufferPool::new`]): the caller fetches the
 //!   page itself, holding the page's shard lock. Misses serialize within
@@ -825,6 +829,60 @@ mod tests {
             assert_eq!(read.get_u64(0), 777, "workers {workers}");
             assert_eq!(pool.stats().total_physical_reads(), before);
             assert_eq!(pool.stats().total_writes(), 1);
+        }
+    }
+
+    fn stamped(value: u64) -> Page {
+        let mut page = Page::new();
+        page.put_u64(0, value);
+        page
+    }
+
+    #[test]
+    fn a_hit_shares_the_cached_page_and_no_handle_sees_another_write() {
+        let edits: [fn(&mut Page); 4] = [
+            |page| page.put_u64(0, 555),
+            |page| page.edit().put_u64(0, 555),
+            |page| page.bytes_mut()[0] ^= 0xFF,
+            |page| page.clear(),
+        ];
+        let read = |pool: &ConcurrentBufferPool<MemStore>| {
+            pool.read_page(PageId(2), PageKind::Other).unwrap()
+        };
+        for workers in WORKERS {
+            let mut pool = with_workers(store_with_pages(4), 16, workers);
+            let first = read(&pool);
+            let (a, b) = (read(&pool), read(&pool));
+            assert!(
+                std::ptr::eq(a.bytes(), b.bytes()) && std::ptr::eq(a.bytes(), first.bytes()),
+                "workers {workers}: a hit copied the page"
+            );
+            for edit in edits {
+                let mut mine = read(&pool);
+                edit(&mut mine);
+                assert_ne!(mine.get_u64(0), 2);
+                assert_eq!(a.get_u64(0), 2, "workers {workers}: another handle changed");
+                assert_eq!(
+                    read(&pool).get_u64(0),
+                    2,
+                    "workers {workers}: the cache changed"
+                );
+            }
+
+            // A handle keeps its bytes whatever later happens to its id.
+            pool.write(PageId(2), &stamped(777), PageKind::Other)
+                .unwrap();
+            let written = read(&pool);
+            assert_eq!(written.get_u64(0), 777);
+            pool.install_cached(PageId(2), &stamped(888), PageKind::Other);
+            let installed = read(&pool);
+            assert_eq!(installed.get_u64(0), 888);
+            pool.drop_cached(PageId(2));
+            PageWrite::free(&mut pool, PageId(2)).unwrap();
+            assert_eq!(PageWrite::alloc(&mut pool).unwrap(), PageId(2));
+            assert_eq!(read(&pool).get_u64(0), 0, "the reallocated page is zeroed");
+            let held = [&first, &a, &b, &written, &installed].map(|page| page.get_u64(0));
+            assert_eq!(held, [2, 2, 2, 777, 888], "workers {workers}");
         }
     }
 

@@ -8,8 +8,10 @@
 //! pages). This crate is the substrate that makes those measurements
 //! possible:
 //!
-//! * [`Page`] — a fixed 4 KB buffer with little-endian scalar accessors and
-//!   a sequential [`PageCursor`] for record serialization.
+//! * [`Page`] — a fixed 4 KB buffer, shared copy-on-write (a clone is a
+//!   reference, a cache hit copies nothing), with little-endian scalar
+//!   accessors, a mutable [`PageMut`] view for runs of writes and a
+//!   sequential [`PageCursor`] for record serialization.
 //! * [`PageStore`] — the backing medium; [`MemStore`] keeps pages in memory
 //!   (fast, deterministic benchmarking), [`FileStore`] keeps them in a real
 //!   file.
@@ -73,7 +75,7 @@ pub use disk::DiskModel;
 pub use durable::{DurableStore, RecoveredLog};
 pub use error::StorageError;
 pub use fault::{CrashStyle, FaultStore};
-pub use page::{Page, PageCursor, PAGE_SIZE};
+pub use page::{Page, PageCursor, PageMut, PAGE_SIZE};
 pub use pool::{IoStats, KindStats};
 pub use spill::{
     ExternalSorter, RunHandle, RunReader, RunWriter, SortedStream, SpillRecord, SpillStats,

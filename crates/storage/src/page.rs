@@ -1,19 +1,30 @@
-//! The fixed-size page buffer and its serialization helpers.
+//! The fixed-size, shared copy-on-write page buffer and its serialization
+//! helpers.
 
 use crate::StorageError;
+use std::sync::Arc;
 
 /// Size of every disk page in bytes, matching the paper: "All approaches
 /// store data on the disk in 4K pages" (§VII-A).
 pub const PAGE_SIZE: usize = 4096;
 
-/// A 4 KB page buffer.
+/// A 4 KB page buffer, shared copy-on-write.
 ///
-/// Pages are plain byte arrays; indexes serialize their node formats onto
-/// them with the positional accessors or a sequential [`PageCursor`]. All
-/// scalars are little-endian.
+/// A page is a handle on an immutable 4 KB buffer: cloning one bumps a
+/// reference count, so the page cache hands out the very buffer it holds
+/// (a hit copies nothing) and the MVCC overlays keep pre-images by
+/// reference. Mutation goes through [`Page::edit`], which makes the buffer
+/// this handle's own first — copying it only if another handle shares it —
+/// so no writer can change the bytes another handle sees.
+///
+/// Indexes serialize their node formats with the positional accessors or
+/// a sequential [`PageCursor`]. All scalars are little-endian. The
+/// `put_*` methods are one-call conveniences that each pay the sharing
+/// check; an encoder writing a run of scalars takes one [`PageMut`] from
+/// [`Page::edit`] and writes through it.
 #[derive(Clone)]
 pub struct Page {
-    data: Box<[u8; PAGE_SIZE]>,
+    data: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Default for Page {
@@ -32,7 +43,7 @@ impl Page {
     /// A zero-filled page.
     pub fn new() -> Page {
         Page {
-            data: Box::new([0u8; PAGE_SIZE]),
+            data: Arc::new([0u8; PAGE_SIZE]),
         }
     }
 
@@ -42,21 +53,35 @@ impl Page {
         &self.data
     }
 
-    /// Mutable view of the page bytes.
+    /// Mutable view of the page bytes (copied first if the buffer is
+    /// shared).
     #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
-        &mut self.data
+        Arc::make_mut(&mut self.data)
     }
 
-    /// Zero-fills the page.
+    /// A mutable view for a run of writes: the sharing check (and the copy,
+    /// if the buffer is shared) is paid here, once, not per scalar.
+    #[inline]
+    pub fn edit(&mut self) -> PageMut<'_> {
+        PageMut {
+            bytes: self.bytes_mut(),
+        }
+    }
+
+    /// Zero-fills the page. A shared buffer is not copied first: this
+    /// handle gets a fresh zeroed one.
     pub fn clear(&mut self) {
-        self.data.fill(0);
+        match Arc::get_mut(&mut self.data) {
+            Some(bytes) => bytes.fill(0),
+            None => *self = Page::new(),
+        }
     }
 
     /// Writes a `u16` at `offset`.
     #[inline]
     pub fn put_u16(&mut self, offset: usize, v: u16) {
-        self.data[offset..offset + 2].copy_from_slice(&v.to_le_bytes());
+        self.edit().put_u16(offset, v);
     }
 
     /// Reads a `u16` from `offset`.
@@ -68,7 +93,7 @@ impl Page {
     /// Writes a `u32` at `offset`.
     #[inline]
     pub fn put_u32(&mut self, offset: usize, v: u32) {
-        self.data[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
+        self.edit().put_u32(offset, v);
     }
 
     /// Reads a `u32` from `offset`.
@@ -80,7 +105,7 @@ impl Page {
     /// Writes a `u64` at `offset`.
     #[inline]
     pub fn put_u64(&mut self, offset: usize, v: u64) {
-        self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+        self.edit().put_u64(offset, v);
     }
 
     /// Reads a `u64` from `offset`.
@@ -92,7 +117,7 @@ impl Page {
     /// Writes an `f64` at `offset`.
     #[inline]
     pub fn put_f64(&mut self, offset: usize, v: f64) {
-        self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+        self.edit().put_f64(offset, v);
     }
 
     /// Reads an `f64` from `offset`.
@@ -104,9 +129,47 @@ impl Page {
     /// A sequential writer starting at `offset`.
     pub fn writer(&mut self, offset: usize) -> PageCursor<'_> {
         PageCursor {
-            page: self,
+            page: self.edit(),
             pos: offset,
         }
+    }
+}
+
+/// A mutable view of one [`Page`], from [`Page::edit`]: the buffer is
+/// already this page's own, so its writes are plain stores. Scalars are
+/// little-endian, as [`Page`]'s getters read them.
+pub struct PageMut<'a> {
+    bytes: &'a mut [u8; PAGE_SIZE],
+}
+
+impl PageMut<'_> {
+    #[inline]
+    fn put<const N: usize>(&mut self, offset: usize, v: [u8; N]) {
+        self.bytes[offset..offset + N].copy_from_slice(&v);
+    }
+
+    /// Writes a `u16` at `offset`.
+    #[inline]
+    pub fn put_u16(&mut self, offset: usize, v: u16) {
+        self.put(offset, v.to_le_bytes());
+    }
+
+    /// Writes a `u32` at `offset`.
+    #[inline]
+    pub fn put_u32(&mut self, offset: usize, v: u32) {
+        self.put(offset, v.to_le_bytes());
+    }
+
+    /// Writes a `u64` at `offset`.
+    #[inline]
+    pub fn put_u64(&mut self, offset: usize, v: u64) {
+        self.put(offset, v.to_le_bytes());
+    }
+
+    /// Writes an `f64` at `offset`.
+    #[inline]
+    pub fn put_f64(&mut self, offset: usize, v: f64) {
+        self.put(offset, v.to_le_bytes());
     }
 }
 
@@ -116,7 +179,7 @@ impl Page {
 /// [`StorageError::PageOverflow`] instead of silently truncating, so node
 /// serializers catch capacity arithmetic mistakes in tests.
 pub struct PageCursor<'a> {
-    page: &'a mut Page,
+    page: PageMut<'a>,
     pos: usize,
 }
 
@@ -244,6 +307,46 @@ mod tests {
         p.put_u64(0, u64::MAX);
         p.clear();
         assert_eq!(p.get_u64(0), 0);
+    }
+
+    #[test]
+    fn a_clone_shares_the_buffer_until_one_side_writes() {
+        let mut a = Page::new();
+        a.put_u64(0, 7);
+        let writes: [fn(&mut Page); 5] = [
+            |p| p.put_u64(0, 8),
+            |p| p.edit().put_u16(0, 8),
+            |p| p.bytes_mut()[0] = 8,
+            |p| p.writer(0).write_u32(8).unwrap(),
+            |p| p.clear(),
+        ];
+        for write in writes {
+            let mut b = a.clone();
+            assert!(std::ptr::eq(a.bytes(), b.bytes()), "a clone copies nothing");
+            write(&mut b);
+            assert!(!std::ptr::eq(a.bytes(), b.bytes()));
+            assert_eq!(a.get_u64(0), 7, "the other handle keeps its bytes");
+            assert_ne!(b.get_u64(0), 7);
+        }
+    }
+
+    #[test]
+    fn an_unshared_page_is_edited_in_place() {
+        let mut p = Page::new();
+        let buffer: *const [u8; PAGE_SIZE] = p.bytes();
+        p.put_u64(0, 1);
+        p.edit().put_f64(8, 2.0);
+        p.bytes_mut()[16] = 3;
+        p.writer(24).write_u16(4).unwrap();
+        p.clear();
+        // A dropped clone leaves the page unshared again.
+        drop(p.clone());
+        p.put_u32(0, 5);
+        assert!(
+            std::ptr::eq(p.bytes(), buffer),
+            "an unshared page reallocated"
+        );
+        assert_eq!(p.get_u32(0), 5);
     }
 
     #[test]

@@ -7,9 +7,17 @@
 //! a copy-on-write **undo overlay** per batch:
 //!
 //! * **Readers pin an epoch** ([`VersionedPool::pin`] → [`EpochPin`]) and
-//!   stay wait-free: a pinned read takes no lock a writer holds for more
-//!   than a page copy. The pin registry is the only coordination point,
-//!   touched once at pin creation and once at drop.
+//!   stay wait-free: a pinned read takes no lock a writer holds for longer
+//!   than it takes to insert or replace one page reference. The pin
+//!   registry is the only coordination point, touched once at pin creation
+//!   and once at drop.
+//! * **Pages are shared, never copied**: a [`Page`] is a copy-on-write
+//!   handle, so a pre-image saved in an overlay, the page an overlay lookup
+//!   returns, the batch's read-your-writes table and the cache slot all
+//!   hold references to buffers nobody mutates. That is what makes sharing
+//!   safe: a write installs a new buffer instead of changing the old one,
+//!   so a page a reader obtained under its pin keeps that epoch's bytes
+//!   after the batch writes, publishes and reclaims.
 //! * **Writers copy-on-write only the pages they touch**
 //!   ([`VersionedPool::begin_batch`] → [`BatchWriter`]): the first write
 //!   to a page this batch saves its pre-image into the pending overlay
@@ -909,6 +917,58 @@ mod tests {
         drop(pin);
         let store = pool.into_store();
         assert_eq!(store.free_pages(), vec![PageId(1)]);
+    }
+
+    #[test]
+    fn a_page_read_under_a_pin_keeps_its_bytes_through_write_publish_and_reclaim() {
+        // The cache, the overlay and the reader share one buffer per page
+        // version; a batch write must install a new one, never edit it.
+        for workers in [0, 4] {
+            let mut store = MemStore::new();
+            for i in 0..4u64 {
+                let id = store.alloc().unwrap();
+                store.write_page(id, &stamped(i)).unwrap();
+            }
+            let cache = ConcurrentBufferPool::with_config(store, 64, SchedulerConfig { workers });
+            let pool = VersionedPool::from_cache(cache);
+            let pin = pool.pin();
+            let held = pin.read_page(PageId(1), PageKind::Other).unwrap();
+            let cached = pool.read_page(PageId(1), PageKind::Other).unwrap();
+            assert!(
+                std::ptr::eq(held.bytes(), cached.bytes()),
+                "workers {workers}: a pinned hit copied the page"
+            );
+
+            let mut batch = pool.begin_batch();
+            batch
+                .write(PageId(1), &stamped(111), PageKind::Other)
+                .unwrap();
+            let pre = pin.read_page(PageId(1), PageKind::Other).unwrap();
+            assert!(
+                std::ptr::eq(pre.bytes(), held.bytes()),
+                "workers {workers}: the pre-image is the buffer the reader holds"
+            );
+            batch.publish();
+            drop(pin);
+            assert_eq!(pool.version_stats().retained_versions, 0);
+
+            // The next batch frees the page and reuses its id.
+            let mut batch = pool.begin_batch();
+            PageWrite::free(&mut batch, PageId(1)).unwrap();
+            assert_eq!(batch.alloc().unwrap(), PageId(1));
+            batch
+                .write(PageId(1), &stamped(222), PageKind::Other)
+                .unwrap();
+            batch.publish();
+            pool_reclaims_clean(&pool);
+
+            let now = pool.pin().read_page(PageId(1), PageKind::Other).unwrap();
+            assert_eq!(now.get_u64(0), 222, "workers {workers}");
+            for page in [&held, &cached, &pre] {
+                assert_eq!(page.get_u64(0), 1, "workers {workers}: a held page changed");
+            }
+            let _ = pool.into_store();
+        }
     }
 
     #[test]
