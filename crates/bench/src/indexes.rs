@@ -1,34 +1,11 @@
-//! Uniform handle over FLAT and the R-tree baselines.
-//!
-//! Measurement is **generic over [`SpatialIndex`]**: one
-//! [`measure_range`] runs the paper's cold-cache protocol for any index
-//! kind, and [`BuiltIndex`] only dispatches which concrete index to hand
-//! it.
+//! Uniform handle over FLAT and the R-tree baselines: [`BuiltIndex`]
+//! builds either kind and runs the paper's cold-cache protocol over it.
 
-use flat_core::{BuildStats, FlatIndex, FlatOptions, IndexStats, SpatialIndex};
+use flat_core::{BuildStats, FlatIndex, FlatOptions};
 use flat_geom::Aabb;
 use flat_rtree::{BulkLoad, Entry, RTree, RTreeConfig};
-use flat_storage::{ConcurrentBufferPool, IoStats, MemStore, PageKind};
+use flat_storage::{ConcurrentBufferPool, IoStats, MemStore, PageKind, PAGE_SIZE};
 use std::time::{Duration, Instant};
-
-/// Runs one range query over any index kind under the paper's protocol:
-/// caches cleared first, I/O counted from zero. Returns `(result size,
-/// I/O delta, CPU time)`.
-pub fn measure_range<I: SpatialIndex>(
-    index: &I,
-    pool: &ConcurrentBufferPool<MemStore>,
-    query: &Aabb,
-) -> (usize, IoStats, Duration) {
-    pool.clear_cache();
-    let before = pool.stats();
-    let start = Instant::now();
-    let results = index
-        .range(pool, query)
-        .expect("in-memory query cannot fail")
-        .len();
-    let cpu = start.elapsed();
-    (results, pool.stats().since(&before), cpu)
-}
 
 /// Which index to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,27 +111,26 @@ impl BuiltIndex {
         }
     }
 
-    /// Runs one range query under the paper's protocol, dispatching to
-    /// the generic [`measure_range`] driver. Returns `(result size, I/O
-    /// delta, CPU time)`.
+    /// Runs one range query under the paper's protocol: caches cleared
+    /// first, I/O counted from zero. Returns `(result size, I/O delta, CPU
+    /// time)`.
     ///
     /// Queries are shared reads — `&self` all the way down — so a harness
     /// can interleave measurements without exclusive access.
     pub fn query(&self, query: &Aabb) -> (usize, IoStats, Duration) {
-        match (&self.flat, &self.rtree) {
-            (Some(flat), None) => measure_range(flat, &self.pool, query),
-            (None, Some(tree)) => measure_range(tree, &self.pool, query),
+        let pool = &self.pool;
+        pool.clear_cache();
+        let before = pool.stats();
+        let start = Instant::now();
+        let results = match (&self.flat, &self.rtree) {
+            (Some(flat), None) => flat.range_query(pool, query),
+            (None, Some(tree)) => tree.range_query(pool, query),
             _ => unreachable!("exactly one index is set"),
         }
-    }
-
-    /// Uniform size/composition stats through the [`SpatialIndex`] trait.
-    pub fn index_stats(&self) -> IndexStats {
-        match (&self.flat, &self.rtree) {
-            (Some(flat), None) => flat.index_stats(),
-            (None, Some(tree)) => tree.index_stats(),
-            _ => unreachable!("exactly one index is set"),
-        }
+        .expect("in-memory query cannot fail")
+        .len();
+        let cpu = start.elapsed();
+        (results, pool.stats().since(&before), cpu)
     }
 
     /// The FLAT index, if this is one.
@@ -167,19 +143,34 @@ impl BuiltIndex {
         self.rtree.as_ref()
     }
 
+    /// Size of the element-bearing pages (object pages / R-tree leaves),
+    /// and of everything else (seed tree + metadata / R-tree directory):
+    /// the split of the paper's Figure 11.
+    fn split_bytes(&self) -> (u64, u64) {
+        match (&self.flat, &self.rtree) {
+            (Some(flat), None) => (flat.object_bytes(), flat.seed_and_meta_bytes()),
+            (None, Some(tree)) => {
+                let page = PAGE_SIZE as u64;
+                (tree.num_leaf_pages() * page, tree.num_inner_pages() * page)
+            }
+            _ => unreachable!("exactly one index is set"),
+        }
+    }
+
     /// Total index size in bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.index_stats().size_bytes()
+        let (data, overhead) = self.split_bytes();
+        data + overhead
     }
 
     /// Size of the element-bearing pages (object pages / R-tree leaves).
     pub fn data_bytes(&self) -> u64 {
-        self.index_stats().data_bytes()
+        self.split_bytes().0
     }
 
     /// Size of everything else (directory, seed tree, metadata).
     pub fn overhead_bytes(&self) -> u64 {
-        self.size_bytes() - self.data_bytes()
+        self.split_bytes().1
     }
 
     /// Page kinds whose reads count as "overhead" for this index

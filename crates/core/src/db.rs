@@ -78,7 +78,7 @@
 use crate::aggregate::{density, AggregateStats};
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
-use crate::delta::{DeltaIndex, DeltaReport};
+use crate::delta::{update_domain, DeltaIndex, DeltaReport};
 use crate::durable::{decode_logical, encode_logical, DbSnapshot, DbStore, LogicalOp};
 pub use crate::durable::{Durability, RecoveryReport};
 use crate::error::FlatError;
@@ -801,20 +801,7 @@ impl<S: PageStore> FlatDb<S> {
     /// have stable element ids ([`LeafLayout::WithIds`]) and a fixed
     /// domain — see [`DbOptions::updatable`].
     pub fn writer(&self) -> Result<Writer<'_, S>, FlatError> {
-        if self.options.index.layout != LeafLayout::WithIds {
-            return Err(FlatError::Update(
-                "updates need stable element ids: build with LeafLayout::WithIds \
-                 (see DbOptions::updatable)"
-                    .into(),
-            ));
-        }
-        if self.options.index.domain.is_none() {
-            return Err(FlatError::Update(
-                "updates need a fixed tiling domain: set FlatOptions::domain \
-                 (see DbOptions::updatable)"
-                    .into(),
-            ));
-        }
+        update_domain(&self.options.index)?;
         let mut truth = lock_unpoisoned(&self.truth);
         // Holding the truth mutex means no batch is in flight, so the
         // pool's latest view is stable for the promotion scan.
@@ -1346,23 +1333,6 @@ impl<S: PageStore> QueryBuilder<'_, S> {
     pub fn knns(mut self, queries: impl IntoIterator<Item = (Point3, usize)>) -> Self {
         self.knns.extend(queries);
         self
-    }
-
-    /// Runs the queued **range** queries as aggregate counts, one
-    /// result per queued range in queueing order. Aggregates skip
-    /// result materialization and take the containment early-exit, so
-    /// they run serially over one pinned [`Snapshot`].
-    pub fn run_aggregates(self) -> Result<Vec<u64>, FlatError> {
-        if !self.knns.is_empty() {
-            return Err(FlatError::Query(
-                "kNN queries are queued; aggregates take ranges only".into(),
-            ));
-        }
-        let snap = self.db.reader();
-        self.ranges
-            .iter()
-            .map(|range| snap.aggregate_count(range))
-            .collect()
     }
 }
 
@@ -2130,22 +2100,6 @@ mod tests {
                 (density - snap.aggregate_count(&q).unwrap() as f64 / q.volume()).abs() < 1e-12
             );
         }
-        // The fluent entry point, index-aligned with queueing order.
-        let queries = [
-            Aabb::cube(Point3::splat(30.0), 7.0),
-            Aabb::cube(Point3::splat(70.0), 12.0),
-        ];
-        let counts = db.query().ranges(queries).run_aggregates().unwrap();
-        let snap = db.reader();
-        for (q, count) in queries.iter().zip(&counts) {
-            assert_eq!(*count, snap.range(q).unwrap().len() as u64);
-        }
-        let err = db
-            .query()
-            .knn(Point3::splat(50.0), 3)
-            .run_aggregates()
-            .unwrap_err();
-        assert!(matches!(err, FlatError::Query(_)));
     }
 
     #[test]

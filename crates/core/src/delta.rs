@@ -54,6 +54,7 @@
 //! space as the base build.
 
 use crate::builder::FlatIndexBuilder;
+use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions, SeedTreePages};
 use crate::knn::{KnnStats, Neighbor};
 use crate::meta::{
@@ -167,27 +168,74 @@ fn validate_slot_capacity(capacity: usize) -> Result<(), StorageError> {
     Ok(())
 }
 
+/// The fixed tiling domain of an updatable index, or the
+/// [`FlatError::Update`] saying why `options` cannot update one: deletes
+/// address elements by application id ([`LeafLayout::WithIds`]), and
+/// every insert batch tiles the same fixed domain as the base. The one
+/// check behind [`DeltaIndex::new`] and [`crate::FlatDb::writer`].
+pub(crate) fn update_domain(options: &FlatOptions) -> Result<Aabb, FlatError> {
+    if options.layout != LeafLayout::WithIds {
+        return Err(FlatError::Update(
+            "updates need stable element ids: build with LeafLayout::WithIds \
+             (see DbOptions::updatable)"
+                .into(),
+        ));
+    }
+    options.domain.ok_or_else(|| {
+        FlatError::Update(
+            "updates need a fixed tiling domain: set FlatOptions::domain \
+             (see DbOptions::updatable)"
+                .into(),
+        )
+    })
+}
+
 impl DeltaIndex {
     /// Adopts a pristine (freshly built or freshly compacted) index.
     ///
     /// Scans the metadata and object pages once to build the resident
     /// summary table and the id→partition locator; an index that holds an
     /// application id twice is rejected as [`StorageError::Corrupt`].
+    /// Options that cannot update an index (see [`DbOptions::updatable`])
+    /// or that disagree with `base`'s layout are a [`FlatError::Update`].
     ///
-    /// # Panics
-    /// Panics if the index layout is not [`LeafLayout::WithIds`] (deletes
-    /// address elements by application id), if `options.domain` is `None`
-    /// (insert batches must tile the same fixed domain as the base), or if
-    /// `options` disagree with the index.
+    /// [`DbOptions::updatable`]: crate::DbOptions::updatable
     pub fn new(
         pool: &impl PageRead,
         base: FlatIndex,
         options: FlatOptions,
+    ) -> Result<DeltaIndex, FlatError> {
+        if base.layout() != options.layout {
+            return Err(FlatError::Update(format!(
+                "options disagree with the index: the index has the {:?} layout, \
+                 the options {:?}",
+                base.layout(),
+                options.layout
+            )));
+        }
+        let domain = update_domain(&options)?;
+        Ok(Self::adopt(pool, base, options, domain)?)
+    }
+
+    /// [`DeltaIndex::new`] over already validated options.
+    fn adopt(
+        pool: &impl PageRead,
+        base: FlatIndex,
+        options: FlatOptions,
+        domain: Aabb,
     ) -> Result<DeltaIndex, StorageError> {
         // A pristine index's metadata pages are exactly its seed-tree
         // leaves, created in page-id order, and nothing is deleted.
         let SeedTreePages { inner, leaves } = base.seed_tree_pages(pool)?;
-        let delta = Self::scan(pool, base, options, inner, leaves, Tombstones::new())?;
+        let delta = Self::scan(
+            pool,
+            base,
+            options,
+            domain,
+            inner,
+            leaves,
+            Tombstones::new(),
+        )?;
         debug_assert!(
             delta.parts.iter().all(|part| !part.dead),
             "adopting a non-pristine index"
@@ -210,10 +258,19 @@ impl DeltaIndex {
         options: FlatOptions,
         meta_pages: Vec<PageId>,
         tombstones: Tombstones,
-    ) -> Result<DeltaIndex, StorageError> {
+    ) -> Result<DeltaIndex, FlatError> {
+        let domain = update_domain(&options)?;
         // Seed-tree directory pages come from the tree itself.
         let inner_pages = base.seed_tree_pages(pool)?.inner;
-        Self::scan(pool, base, options, inner_pages, meta_pages, tombstones)
+        Ok(Self::scan(
+            pool,
+            base,
+            options,
+            domain,
+            inner_pages,
+            meta_pages,
+            tombstones,
+        )?)
     }
 
     /// The one scan behind [`DeltaIndex::new`] and [`DeltaIndex::reopen`]:
@@ -226,23 +283,11 @@ impl DeltaIndex {
         pool: &impl PageRead,
         base: FlatIndex,
         options: FlatOptions,
+        domain: Aabb,
         inner_pages: Vec<PageId>,
         meta_pages: Vec<PageId>,
         tombstones: Tombstones,
     ) -> Result<DeltaIndex, StorageError> {
-        assert_eq!(
-            base.layout(),
-            LeafLayout::WithIds,
-            "DeltaIndex requires the WithIds object-page layout"
-        );
-        assert_eq!(
-            options.layout,
-            base.layout(),
-            "options disagree with the index"
-        );
-        let domain = options
-            .domain
-            .expect("DeltaIndex requires a fixed explicit domain");
         validate_slot_capacity(leaf_capacity(options.layout))?;
 
         let mut delta = DeltaIndex {
@@ -813,7 +858,7 @@ impl DeltaIndex {
         // 3. Rebuild through the bulkload pipeline.
         let (index, stats, _) = FlatIndexBuilder::new(self.options).build(pool, survivors)?;
         // 4. Re-adopt: the delta layer is empty again.
-        *self = DeltaIndex::new(&*pool, index, self.options)?;
+        *self = DeltaIndex::adopt(&*pool, index, self.options, self.domain)?;
         Ok(stats)
     }
 
@@ -1288,7 +1333,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "WithIds")]
     fn mbr_only_layout_is_rejected() {
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 12);
         let opts = FlatOptions {
@@ -1296,6 +1340,8 @@ mod tests {
             ..FlatOptions::default()
         };
         let (index, _) = FlatIndex::build(&mut pool, random_entries(100, 1), opts).unwrap();
-        let _ = DeltaIndex::new(&pool, index, opts);
+        let err = DeltaIndex::new(&pool, index, opts).unwrap_err();
+        assert!(matches!(err, FlatError::Update(_)), "{err}");
+        assert!(err.to_string().contains("WithIds"), "{err}");
     }
 }

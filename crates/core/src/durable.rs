@@ -23,7 +23,7 @@
 
 use crate::index::FlatIndex;
 use flat_geom::{Aabb, Point3};
-use flat_rtree::{Entry, LeafLayout};
+use flat_rtree::Entry;
 use flat_storage::{DurableStore, Page, PageId, PageStore, StorageError};
 
 /// How a [`crate::FlatDb`] persists committed writes.
@@ -256,8 +256,6 @@ pub(crate) fn decode_logical(bytes: &[u8]) -> Result<(u64, LogicalOp), StorageEr
 /// "FLATSNP1" — identifies a checkpoint snapshot.
 const SNAPSHOT_MAGIC: u64 = 0x464C_4154_534E_5031;
 const SNAPSHOT_VERSION: u16 = 1;
-/// Encoding of `FlatIndex::seed_root == None`.
-const NO_ROOT: u64 = u64::MAX;
 
 /// Delta-layer residency captured in a snapshot: the metadata pages in
 /// creation order plus the tombstone set.
@@ -286,17 +284,7 @@ impl DbSnapshot {
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.last_seq.to_le_bytes());
         out.push(self.built as u8);
-        let layout: u16 = match self.index.layout {
-            LeafLayout::MbrOnly => 0,
-            LeafLayout::WithIds => 1,
-        };
-        out.extend_from_slice(&layout.to_le_bytes());
-        out.extend_from_slice(&self.index.seed_root.map_or(NO_ROOT, |r| r.0).to_le_bytes());
-        out.extend_from_slice(&self.index.seed_height.to_le_bytes());
-        out.extend_from_slice(&self.index.num_elements.to_le_bytes());
-        out.extend_from_slice(&self.index.num_object_pages.to_le_bytes());
-        out.extend_from_slice(&self.index.num_meta_pages.to_le_bytes());
-        out.extend_from_slice(&self.index.num_seed_inner_pages.to_le_bytes());
+        self.index.encode_descriptor(&mut out);
         match &self.delta {
             None => out.push(0),
             Some((meta_pages, tombstones)) => {
@@ -330,21 +318,7 @@ impl DbSnapshot {
         }
         let last_seq = r.u64()?;
         let built = r.u8()? != 0;
-        let layout = match r.u16()? {
-            0 => LeafLayout::MbrOnly,
-            1 => LeafLayout::WithIds,
-            t => return Err(StorageError::Corrupt(format!("unknown layout tag {t}"))),
-        };
-        let root = r.u64()?;
-        let index = FlatIndex {
-            seed_root: (root != NO_ROOT).then_some(PageId(root)),
-            seed_height: r.u32()?,
-            layout,
-            num_elements: r.u64()?,
-            num_object_pages: r.u64()?,
-            num_meta_pages: r.u64()?,
-            num_seed_inner_pages: r.u64()?,
-        };
+        let index = FlatIndex::decode_descriptor(&mut r)?;
         let delta = match r.u8()? {
             0 => None,
             1 => {
@@ -378,14 +352,15 @@ impl DbSnapshot {
     }
 }
 
-/// A bounds-checked little-endian byte reader over a record payload.
-struct Reader<'a> {
+/// A bounds-checked little-endian byte reader over a record payload (or
+/// a descriptor page, see `persist.rs`).
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
         Reader { bytes, at: 0 }
     }
 
@@ -403,15 +378,15 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, StorageError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, StorageError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, StorageError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, StorageError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, StorageError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, StorageError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -447,6 +422,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flat_rtree::LeafLayout;
 
     fn entry(id: u64) -> Entry {
         Entry::new(
@@ -527,6 +503,43 @@ mod tests {
             delta: None,
         };
         assert_eq!(DbSnapshot::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    #[test]
+    fn snapshot_bytes_follow_the_documented_layout() {
+        let snap = DbSnapshot {
+            last_seq: 41,
+            built: true,
+            index: FlatIndex {
+                seed_root: Some(PageId(12)),
+                seed_height: 3,
+                layout: LeafLayout::WithIds,
+                num_elements: 900,
+                num_object_pages: 30,
+                num_meta_pages: 4,
+                num_seed_inner_pages: 2,
+            },
+            delta: Some((vec![PageId(99)], vec![(7, 3)])),
+        };
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
+        expected.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        expected.extend_from_slice(&41u64.to_le_bytes());
+        expected.push(1);
+        // The descriptor: layout, seed root, seed height, four counters.
+        expected.extend_from_slice(&1u16.to_le_bytes());
+        expected.extend_from_slice(&12u64.to_le_bytes());
+        expected.extend_from_slice(&3u32.to_le_bytes());
+        for count in [900u64, 30, 4, 2] {
+            expected.extend_from_slice(&count.to_le_bytes());
+        }
+        // Delta residency: tag, metadata pages, tombstones.
+        expected.push(1);
+        for word in [1u64, 99, 1, 7] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        expected.extend_from_slice(&3u16.to_le_bytes());
+        assert_eq!(snap.encode(), expected);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! that lives at the page level, but a caller of the [`crate::FlatDb`]
 //! façade sees build, query, update and persistence operations, not
 //! pages. [`FlatError`] wraps the storage error and adds one variant per
-//! façade concern, so every `FlatDb` / [`crate::SpatialIndex`] entry
-//! point returns a single error type with a usable [`std::error::Error`]
-//! source chain.
+//! façade concern, so every [`crate::FlatDb`] / [`crate::ShardedDb`]
+//! entry point returns a single error type with a usable
+//! [`std::error::Error`] source chain.
 
 use flat_storage::StorageError;
 use std::fmt;

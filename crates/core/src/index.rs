@@ -83,18 +83,13 @@ impl BuildStats {
         self.partition_time + self.neighbor_time + self.write_time
     }
 
-    /// Total neighbor pointers stored.
-    pub fn total_neighbor_pointers(&self) -> u64 {
-        self.neighbor_counts.iter().map(|&c| c as u64).sum()
-    }
-
     /// Mean pointers per partition.
     pub fn avg_neighbor_pointers(&self) -> f64 {
         if self.neighbor_counts.is_empty() {
-            0.0
-        } else {
-            self.total_neighbor_pointers() as f64 / self.neighbor_counts.len() as f64
+            return 0.0;
         }
+        let total: u64 = self.neighbor_counts.iter().map(|&c| c as u64).sum();
+        total as f64 / self.neighbor_counts.len() as f64
     }
 
     /// Median pointers per partition (the statistic the paper tracks in

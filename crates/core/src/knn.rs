@@ -35,8 +35,8 @@ use crate::index::FlatIndex;
 use crate::meta::{decode_meta_record, meta_leaf_len, MetaRecordId};
 use crate::query::{read_record, walk_links, want_meta_page, IndexRef, LivePage};
 use flat_geom::Point3;
-use flat_rtree::node::decode_inner;
-use flat_rtree::Hit;
+use flat_rtree::node::{decode_inner, decode_leaf};
+use flat_rtree::{Hit, LeafLayout, RTree};
 use flat_storage::{PageId, PageKind, PageRead, StorageError};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
@@ -168,6 +168,59 @@ impl TopK {
         let ranked = self.best.into_sorted_vec();
         ranked.into_iter().map(|r| r.0).collect()
     }
+}
+
+/// The R-tree baseline's kNN: the classical best-first branch-and-bound
+/// descent (expand the node nearest to `point`, prune with the running
+/// k-th distance). It shares the top-k accumulator of FLAT's crawl, so
+/// results match [`FlatIndex::knn_query`] element for element, with the
+/// same tie-break by physical location at the k-th distance.
+pub fn rtree_knn(
+    tree: &RTree,
+    pool: &impl PageRead,
+    point: Point3,
+    k: usize,
+) -> Result<Vec<Neighbor>, StorageError> {
+    let Some(root) = tree.root().filter(|_| k > 0) else {
+        return Ok(Vec::new());
+    };
+    let config = *tree.config();
+    let mut best = TopK::new(k);
+    // Frontier of (min distance, node, level); 1 = leaf level.
+    let mut frontier: BinaryHeap<Reverse<(MinKey, PageId, u32)>> = BinaryHeap::new();
+    frontier.push(Reverse((MinKey(0.0), root, tree.height())));
+    while let Some(Reverse((MinKey(dist), page_id, level))) = frontier.pop() {
+        // Everything else on the frontier is at least this far away.
+        if dist > best.bound() {
+            break;
+        }
+        if level == 1 {
+            let page = pool.read_page(page_id, config.leaf_kind)?;
+            let (layout, entries) = decode_leaf(&page)?;
+            for (slot, entry) in entries.iter().enumerate() {
+                let id = match layout {
+                    LeafLayout::MbrOnly => (page_id.0 << 16) | entry.id,
+                    LeafLayout::WithIds => entry.id,
+                };
+                let hit = Hit {
+                    mbr: entry.mbr,
+                    id,
+                    page: page_id,
+                    slot: slot as u16,
+                };
+                best.offer(hit, entry.mbr.distance_sq_to_point(&point));
+            }
+        } else {
+            let page = pool.read_page(page_id, config.inner_kind)?;
+            for child in decode_inner(&page)? {
+                let key = child.mbr.distance_sq_to_point(&point);
+                if key <= best.bound() {
+                    frontier.push(Reverse((MinKey(key), child.page, level - 1)));
+                }
+            }
+        }
+    }
+    Ok(best.into_neighbors())
 }
 
 impl FlatIndex {
@@ -358,7 +411,7 @@ mod tests {
     use super::*;
     use crate::index::{FlatIndex, FlatOptions};
     use flat_geom::Aabb;
-    use flat_rtree::{Entry, LeafLayout};
+    use flat_rtree::{BulkLoad, Entry, RTreeConfig};
     use flat_storage::{ConcurrentBufferPool, MemStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -555,5 +608,48 @@ mod tests {
             let original = &entries[n.hit.id as usize];
             assert_eq!(original.mbr, n.hit.mbr);
         }
+    }
+
+    fn rtree(entries: &[Entry], method: BulkLoad) -> (ConcurrentBufferPool<MemStore>, RTree) {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
+        let tree =
+            RTree::bulk_load(&mut pool, entries.to_vec(), method, RTreeConfig::default()).unwrap();
+        (pool, tree)
+    }
+
+    #[test]
+    fn rtree_knn_matches_brute_force() {
+        let entries = random_entries(12_000, 92);
+        let (pool, tree) = rtree(&entries, BulkLoad::Hilbert);
+        for (p, k) in [
+            (Point3::splat(50.0), 1),
+            (Point3::new(10.0, 90.0, 40.0), 17),
+            (Point3::new(-200.0, 50.0, 500.0), 64), // far outside
+        ] {
+            let got = rtree_knn(&tree, &pool, p, k).unwrap();
+            let got_dists: Vec<f64> = got.iter().map(|n| n.dist_sq).collect();
+            assert_eq!(
+                got_dists,
+                brute_force_dists(&entries, &p, k),
+                "k={k} at {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn rtree_knn_edge_cases() {
+        let (pool, empty) = rtree(&[], BulkLoad::Str);
+        assert!(rtree_knn(&empty, &pool, Point3::ORIGIN, 5)
+            .unwrap()
+            .is_empty());
+
+        let entries = random_entries(300, 93);
+        let (pool, tree) = rtree(&entries, BulkLoad::Str);
+        assert!(rtree_knn(&tree, &pool, Point3::ORIGIN, 0)
+            .unwrap()
+            .is_empty());
+        // k beyond the dataset returns everything.
+        let all = rtree_knn(&tree, &pool, Point3::splat(50.0), 10_000).unwrap();
+        assert_eq!(all.len(), entries.len());
     }
 }

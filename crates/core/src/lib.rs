@@ -34,7 +34,7 @@
 //! | `index` (re-exported) | §V-B | [`FlatIndex`], the built index's descriptor, and the metadata + seed-tree writer; [`FlatIndex::build`] is the bulkload with nothing spilled |
 //! | `builder` (re-exported) | §V-A, Alg. 1 | [`FlatIndexBuilder`]: the one bulkload, a streaming pipeline whose resident memory is bounded by its spill budget and whose pages do not depend on it |
 //! | `query` (re-exported) | §V-B.1, §VI, Alg. 2 | the read path: [`IndexRef`], the one view (bulkload, or bulkload + delta layer) every query verb is written against; the seed phase; the one BFS crawl kernel, specialised per workload by a visitor (range here) |
-//! | `knn` (re-exported) | extension | [`FlatIndex::knn_query`], best-first seed + crawl over the same view (its own traversal: a moving bound is not a FIFO) |
+//! | `knn` (re-exported) | extension | [`FlatIndex::knn_query`], best-first seed + crawl over the same view (its own traversal: a moving bound is not a FIFO); [`rtree_knn`], the R-tree baseline's best-first descent over the same top-k accumulator |
 //! | `delta` (re-exported) | extension | [`DeltaIndex`]: delta inserts/deletes with neighbor-link repair, tombstones, compaction back to a pristine (byte-identical) bulkload |
 //! | [`db`] | extension | [`FlatDb`]: the session façade — one handle over build / query / update / persist, over the one shared page cache (no I/O workers) behind epoch-versioned pages; a batch ([`QueryBuilder`]) is the query verbs fanned out over one [`Snapshot`] |
 //! | `durable` (via [`db`]) | extension | [`Durability`] modes, logical-record and checkpoint-snapshot formats; [`FlatDb::create_durable`] / [`FlatDb::open_durable`] commit every writer batch to a write-ahead log and recover exactly the committed prefix after a crash |
@@ -42,7 +42,6 @@
 //! | `join` (re-exported) | extension | [`JoinEngine`]: exact ε-distance joins by co-crawling two link graphs — the crawl kernel under a candidate-collecting visitor, seeded from the previous step's partners |
 //! | `aggregate` (re-exported) | extension | `aggregate_count` / `aggregate_density`: the crawl kernel under a counting visitor with the containment early-exit |
 //! | `continuous` (re-exported) | extension | continuous range queries: per-commit [`QueryDelta`] streams |
-//! | `spatial` (re-exported) | extension | [`SpatialIndex`]: one trait over FLAT, the delta layer and the R-tree baselines |
 //! | `error` (re-exported) | extension | [`FlatError`]: the façade's unified error type |
 //!
 //! # Example
@@ -86,7 +85,6 @@ pub mod partition;
 mod persist;
 mod query;
 mod shard;
-mod spatial;
 
 pub use aggregate::AggregateStats;
 pub use builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
@@ -99,7 +97,6 @@ pub use delta::{verify_compacted_store, DeltaIndex, DeltaReport};
 pub use error::FlatError;
 pub use index::{BuildStats, FlatIndex, FlatOptions, MetaOrder};
 pub use join::{JoinEngine, JoinInput, JoinResult, JoinStats};
-pub use knn::{KnnStats, Neighbor};
+pub use knn::{rtree_knn, KnnStats, Neighbor};
 pub use query::{IndexRef, QueryStats};
 pub use shard::{ShardOptions, ShardedDb};
-pub use spatial::{IndexStats, RTreeBuildOptions, SpatialIndex};

@@ -102,20 +102,13 @@ pub struct MetaRecord {
     pub is_dead: bool,
 }
 
-impl MetaRecord {
-    /// Serialized size in bytes (excluding the slot-directory entry).
-    pub fn serialized_size(&self) -> usize {
-        record_size(self.neighbors.len())
-    }
-}
-
 /// Serialized size of a record with `neighbor_count` pointers.
-pub fn record_size(neighbor_count: usize) -> usize {
+fn record_size(neighbor_count: usize) -> usize {
     RECORD_FIXED + neighbor_count * NEIGHBOR_SIZE
 }
 
 /// Usable bytes for records + directory on one metadata page.
-pub fn meta_page_budget() -> usize {
+fn meta_page_budget() -> usize {
     PAGE_SIZE - HEADER_SIZE
 }
 
@@ -129,7 +122,7 @@ pub fn max_neighbors_per_record() -> usize {
 /// partition's neighbor list it carries, and whether it is the partition's
 /// primary (addressable) record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedRecord {
+pub(crate) struct PlannedRecord {
     /// Index of the partition this record belongs to.
     pub partition: usize,
     /// Start offset into the partition's neighbor list.
@@ -142,7 +135,7 @@ pub struct PlannedRecord {
 
 /// Splits each partition's neighbor list into record-sized chunks, in
 /// stream order (all chunks of partition 0, then partition 1, …).
-pub fn plan_records(neighbor_counts: &[usize]) -> Vec<PlannedRecord> {
+pub(crate) fn plan_records(neighbor_counts: &[usize]) -> Vec<PlannedRecord> {
     let max = max_neighbors_per_record();
     let mut plan = Vec::with_capacity(neighbor_counts.len());
     for (partition, &count) in neighbor_counts.iter().enumerate() {
@@ -171,7 +164,7 @@ pub fn plan_records(neighbor_counts: &[usize]) -> Vec<PlannedRecord> {
 /// spatially close — packing them contiguously is what "preserve the
 /// spatial locality of the metadata records" (§V-B.2) means. Returns, per
 /// planned record, the `(page sequence number, slot)` it will occupy.
-pub fn assign_slots(plan: &[PlannedRecord]) -> Vec<(usize, u16)> {
+pub(crate) fn assign_slots(plan: &[PlannedRecord]) -> Vec<(usize, u16)> {
     let budget = meta_page_budget();
     let mut assignment = Vec::with_capacity(plan.len());
     let mut page = 0usize;
@@ -217,13 +210,17 @@ fn get_mbr(page: &Page, offset: usize) -> Aabb {
 /// # Panics
 /// Panics if the records don't fit (callers size pages with
 /// [`assign_slots`]) or if `records` is empty.
-pub fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) {
+pub(crate) fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) {
     assert!(
         !records.is_empty(),
         "metadata leaf must hold at least one record"
     );
     let dir_size = records.len() * DIR_ENTRY;
-    let total: usize = records.iter().map(|r| r.serialized_size()).sum::<usize>() + dir_size;
+    let total: usize = records
+        .iter()
+        .map(|r| record_size(r.neighbors.len()))
+        .sum::<usize>()
+        + dir_size;
     assert!(
         total <= meta_page_budget(),
         "metadata records overflow the page: {total} bytes"
@@ -337,7 +334,7 @@ pub fn decode_meta_record(page: &Page, slot: u16) -> Result<MetaRecord, StorageE
 }
 
 /// Decodes all records of a metadata page (validation / inspection).
-pub fn decode_meta_leaf(page: &Page) -> Result<Vec<MetaRecord>, StorageError> {
+pub(crate) fn decode_meta_leaf(page: &Page) -> Result<Vec<MetaRecord>, StorageError> {
     let count = meta_leaf_len(page)?;
     (0..count as u16)
         .map(|slot| decode_meta_record(page, slot))

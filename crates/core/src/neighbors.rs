@@ -178,7 +178,7 @@ impl NeighborSweep {
     }
 
     /// Current number of partitions in the window.
-    pub fn window_len(&self) -> usize {
+    fn window_len(&self) -> usize {
         self.existing.len() + self.fresh.len()
     }
 }

@@ -30,16 +30,6 @@ pub struct Partition {
     pub partition_mbr: Aabb,
 }
 
-impl Partition {
-    /// `true` if both crawl-phase invariants hold for this partition in
-    /// isolation (the global no-empty-space property is checked by
-    /// [`verify_tiling`]).
-    pub fn invariants_hold(&self) -> bool {
-        self.partition_mbr.contains(&self.page_mbr)
-            && self.elements.iter().all(|e| self.page_mbr.contains(&e.mbr))
-    }
-}
-
 /// Splits sorted `items` into `parts` consecutive chunks of near-equal
 /// size, returning the chunk boundaries as center-coordinate cut planes.
 ///
@@ -192,7 +182,7 @@ pub fn partition(entries: Vec<Entry>, capacity: usize, domain: Option<Aabb>) -> 
 /// One coarse x-slab of the domain, assigned to one serving shard (see
 /// [`crate::ShardedDb`]).
 #[derive(Debug, Clone)]
-pub struct ShardRegion {
+pub(crate) struct ShardRegion {
     /// Elements owned by this shard.
     pub elements: Vec<Entry>,
     /// The shard's x-slab tile. Tiles are gap-free across shards: their
@@ -218,7 +208,7 @@ pub struct ShardRegion {
 ///
 /// # Panics
 /// Panics if `k` is zero.
-pub fn shard_regions(entries: Vec<Entry>, k: usize, domain: &Aabb) -> Vec<ShardRegion> {
+pub(crate) fn shard_regions(entries: Vec<Entry>, k: usize, domain: &Aabb) -> Vec<ShardRegion> {
     assert!(k > 0, "shard count must be positive");
     if entries.is_empty() {
         // k equal x-slabs; coverage equals the bare tile.
@@ -356,8 +346,14 @@ mod tests {
     fn both_invariants_hold_per_partition() {
         let entries = random_entries(5000, 3);
         let parts = partition(entries, 85, None);
+        // Each partition in isolation; the global no-empty-space property
+        // is checked by `verify_tiling`.
         for (i, p) in parts.iter().enumerate() {
-            assert!(p.invariants_hold(), "partition {i} violates invariants");
+            assert!(
+                p.partition_mbr.contains(&p.page_mbr)
+                    && p.elements.iter().all(|e| p.page_mbr.contains(&e.mbr)),
+                "partition {i} violates invariants"
+            );
         }
     }
 

@@ -62,6 +62,7 @@
     clippy::unreachable
 )]
 
+use crate::aggregate::density;
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
 use crate::db::{
     lock_unpoisoned as lock, read_unpoisoned as read, write_unpoisoned as write, DbOptions, FlatDb,
@@ -78,7 +79,7 @@ use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
     ConcurrentBufferPool, IoStats, MemStore, PageStore, SchedulerConfig, SchedulerStats,
-    VersionStats, VersionedPool,
+    VersionedPool,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, RwLock};
@@ -291,24 +292,6 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         self.shards[i].coverage()
     }
 
-    /// True while shard `i` still serves the pristine bulkload — no
-    /// update has touched it, so queries take the cheaper base-index
-    /// crawl path (promotion is lazy and per shard).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn shard_is_base(&self, i: usize) -> bool {
-        self.shards[i].db.delta().is_none()
-    }
-
-    /// Shard `i`'s versioning counters (per-shard epochs).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn shard_version_stats(&self, i: usize) -> VersionStats {
-        self.shards[i].db.version_stats()
-    }
-
     /// Live elements across all shards.
     pub fn num_live_elements(&self) -> u64 {
         self.shards.iter().map(|s| s.db.num_live_elements()).sum()
@@ -399,14 +382,11 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         Ok(total)
     }
 
-    /// Live elements intersecting `query` per unit volume (0.0 for a
-    /// degenerate box).
+    /// Live elements intersecting `query` per unit volume, exactly as
+    /// [`crate::Snapshot::aggregate_density`] defines it (0.0 for a box
+    /// without a positive volume).
     pub fn aggregate_density(&self, query: &Aabb) -> Result<f64, FlatError> {
-        let volume = query.volume();
-        if volume <= 0.0 {
-            return Ok(0.0);
-        }
-        Ok(self.aggregate_count(query)? as f64 / volume)
+        Ok(density(self.aggregate_count(query)?, query))
     }
 
     /// Joins this database (outer side) against another sharded
@@ -696,6 +676,12 @@ mod tests {
             .collect()
     }
 
+    /// True while shard `i` still serves its pristine bulkload (promotion
+    /// is lazy and per shard).
+    fn is_base(db: &ShardedDb<MemStore>, i: usize) -> bool {
+        db.check_invariants().unwrap()[i].is_none()
+    }
+
     fn reference_range(entries: &[Entry], query: &Aabb) -> Vec<u64> {
         let mut ids: Vec<u64> = entries
             .iter()
@@ -836,7 +822,7 @@ mod tests {
             assert!(matches!(err, FlatError::Update(_)), "{err}");
         }
         // Rejected before any shard was touched.
-        assert!((0..3).all(|i| db.shard_is_base(i)));
+        assert!((0..3).all(|i| is_base(&db, i)));
         assert_eq!(db.num_live_elements(), 900);
     }
 
@@ -851,7 +837,7 @@ mod tests {
             })
             .collect();
         let db = ShardedDb::build_in_memory(3, entries.clone(), ShardOptions::default()).unwrap();
-        assert!((0..3).all(|i| db.shard_is_base(i)));
+        assert!((0..3).all(|i| is_base(&db, i)));
 
         // An insert routed entirely into the leftmost slab.
         db.insert(vec![Entry::new(
@@ -859,11 +845,8 @@ mod tests {
             Aabb::cube(Point3::new(2.0, 50.0, 50.0), 0.4),
         )])
         .unwrap();
-        assert!(!db.shard_is_base(0), "touched shard promotes");
-        assert!(
-            db.shard_is_base(1) && db.shard_is_base(2),
-            "others stay base"
-        );
+        assert!(!is_base(&db, 0), "touched shard promotes");
+        assert!(is_base(&db, 1) && is_base(&db, 2), "others stay base");
 
         // Deleting ids owned by the rightmost shard promotes only it.
         let victim = entries
@@ -875,12 +858,12 @@ mod tests {
             })
             .unwrap();
         assert_eq!(db.delete(&[victim]).unwrap(), 1);
-        assert!(!db.shard_is_base(2));
-        assert!(db.shard_is_base(1), "untouched shard still base");
+        assert!(!is_base(&db, 2));
+        assert!(is_base(&db, 1), "untouched shard still base");
 
         // Unknown ids touch (and promote) nothing.
         assert_eq!(db.delete(&[999_999_999]).unwrap(), 0);
-        assert!(db.shard_is_base(1));
+        assert!(is_base(&db, 1));
 
         // Queries stay exact across the mixed base/delta fleet, and the
         // touched shards carry their own epochs.
@@ -893,9 +876,9 @@ mod tests {
         let q = Aabb::new(Point3::new(0.0, 45.0, 45.0), Point3::new(90.0, 55.0, 55.0));
         let got: Vec<u64> = db.range_query(&q).unwrap().iter().map(|h| h.id).collect();
         assert_eq!(got, reference_range(&live, &q));
-        assert_eq!(db.shard_version_stats(0).epoch, 1);
-        assert_eq!(db.shard_version_stats(1).epoch, 0);
-        assert_eq!(db.shard_version_stats(2).epoch, 1);
+        assert_eq!(db.shards[0].db.version_stats().epoch, 1);
+        assert_eq!(db.shards[1].db.version_stats().epoch, 0);
+        assert_eq!(db.shards[2].db.version_stats().epoch, 1);
     }
 
     #[test]
@@ -1040,9 +1023,21 @@ mod tests {
             let expected = db.aggregate_count(&q).unwrap() as f64 / q.volume();
             assert!((density - expected).abs() < 1e-12);
         }
-        // Degenerate box: zero density by definition.
+        // A flat box and a box of NaN volume: the sharded density is the
+        // snapshot's (zero by definition for both).
         let flat_box = Aabb::new(Point3::splat(10.0), Point3::new(20.0, 10.0, 10.0));
-        assert_eq!(db.aggregate_density(&flat_box).unwrap(), 0.0);
+        let nan_box = Aabb {
+            min: Point3::splat(10.0),
+            max: Point3::new(f64::NAN, 20.0, 20.0),
+        };
+        assert!(nan_box.volume().is_nan());
+        let mut one = FlatDb::create_in_memory(DbOptions::default());
+        one.build_from(entries).unwrap();
+        for degenerate in [flat_box, nan_box] {
+            let snapshot = one.reader().aggregate_density(&degenerate).unwrap();
+            assert_eq!(snapshot, 0.0);
+            assert_eq!(db.aggregate_density(&degenerate).unwrap(), snapshot);
+        }
     }
 
     #[test]

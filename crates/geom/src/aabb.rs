@@ -285,18 +285,6 @@ impl Aabb {
         d
     }
 
-    /// The axis along which the box is longest.
-    pub fn longest_axis(&self) -> Axis {
-        let e = self.extents();
-        if e.x >= e.y && e.x >= e.z {
-            Axis::X
-        } else if e.y >= e.z {
-            Axis::Y
-        } else {
-            Axis::Z
-        }
-    }
-
     /// Aspect ratio: longest extent divided by shortest extent.
     ///
     /// Returns `f64::INFINITY` for boxes degenerate in some dimension, and
@@ -494,9 +482,8 @@ mod tests {
     }
 
     #[test]
-    fn longest_axis_and_aspect_ratio() {
+    fn aspect_ratio_is_longest_over_shortest_extent() {
         let b = Aabb::new(Point3::ORIGIN, Point3::new(4.0, 2.0, 1.0));
-        assert_eq!(b.longest_axis(), Axis::X);
         assert_eq!(b.aspect_ratio(), 4.0);
         assert_eq!(unit().aspect_ratio(), 1.0);
         assert_eq!(Aabb::point(Point3::ORIGIN).aspect_ratio(), 1.0);

@@ -41,20 +41,6 @@ impl Axis {
             Axis::Z => 2,
         }
     }
-
-    /// The axis with the given numeric index.
-    ///
-    /// # Panics
-    /// Panics if `i > 2`.
-    #[inline]
-    pub fn from_index(i: usize) -> Axis {
-        match i {
-            0 => Axis::X,
-            1 => Axis::Y,
-            2 => Axis::Z,
-            _ => panic!("axis index out of range: {i}"),
-        }
-    }
 }
 
 /// A point in 3-D space with `f64` coordinates.
@@ -265,19 +251,6 @@ mod tests {
         assert_eq!(Axis::X.next(), Axis::Y);
         assert_eq!(Axis::Y.next(), Axis::Z);
         assert_eq!(Axis::Z.next(), Axis::X);
-    }
-
-    #[test]
-    fn axis_index_roundtrip() {
-        for axis in Axis::ALL {
-            assert_eq!(Axis::from_index(axis.index()), axis);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "axis index out of range")]
-    fn axis_from_bad_index_panics() {
-        let _ = Axis::from_index(3);
     }
 
     #[test]

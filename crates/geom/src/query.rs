@@ -64,7 +64,6 @@ pub struct RangeQueryBuilder {
     center: Point3,
     volume: f64,
     proportions: [f64; 3],
-    clamp: bool,
 }
 
 impl RangeQueryBuilder {
@@ -76,7 +75,6 @@ impl RangeQueryBuilder {
             center: domain.center(),
             volume: domain.volume() * 1e-6,
             proportions: [1.0, 1.0, 1.0],
-            clamp: true,
             domain,
         }
     }
@@ -108,22 +106,13 @@ impl RangeQueryBuilder {
         self
     }
 
-    /// Whether to clamp the resulting box to the domain (default: true).
-    /// Clamping keeps random queries comparable — a query hanging off the
-    /// edge of the domain would cover less data than its nominal volume.
-    pub fn clamp_to_domain(mut self, clamp: bool) -> Self {
-        self.clamp = clamp;
-        self
-    }
-
     /// Builds the query box.
     pub fn build(&self) -> Aabb {
         let q = range_query_with_volume(self.center, self.volume, self.proportions);
-        if !self.clamp {
-            return q;
-        }
         // Translate (not shrink) the box so it fits inside the domain where
-        // possible: volume is the controlled variable in the benchmarks.
+        // possible: volume is the controlled variable in the benchmarks, and
+        // a query hanging off the edge of the domain would cover less data
+        // than its nominal volume.
         let mut min = q.min;
         let mut max = q.max;
         for axis in crate::Axis::ALL {
@@ -199,17 +188,6 @@ mod tests {
             .build();
         assert!(domain.contains(&q));
         assert!((q.volume() - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn builder_unclamped_may_exceed_domain() {
-        let domain = Aabb::cube(Point3::splat(50.0), 100.0);
-        let q = RangeQueryBuilder::new(domain)
-            .volume(1000.0)
-            .center(Point3::splat(0.0))
-            .clamp_to_domain(false)
-            .build();
-        assert!(!domain.contains(&q));
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl Triangle {
         let ac = self.c - self.a;
         ab.cross(&ac).length() / 2.0
     }
-
-    /// Centroid (average of the vertices).
-    pub fn centroid(&self) -> Point3 {
-        (self.a + self.b + self.c) / 3.0
-    }
 }
 
 impl Shape for Triangle {
@@ -143,12 +138,6 @@ impl Sphere {
     /// Volume of the sphere.
     pub fn volume(&self) -> f64 {
         4.0 / 3.0 * std::f64::consts::PI * self.radius.powi(3)
-    }
-
-    /// `true` if the sphere intersects the closed box (exact test, not an
-    /// MBR approximation).
-    pub fn intersects_aabb(&self, aabb: &Aabb) -> bool {
-        aabb.distance_sq_to_point(&self.center) <= self.radius * self.radius
     }
 }
 
@@ -227,26 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn triangle_area_and_centroid() {
+    fn triangle_area() {
         let t = Triangle::new(
             Point3::new(0.0, 0.0, 0.0),
             Point3::new(4.0, 0.0, 0.0),
             Point3::new(0.0, 3.0, 0.0),
         );
         assert_eq!(t.area(), 6.0);
-        assert_eq!(t.centroid(), Point3::new(4.0 / 3.0, 1.0, 0.0));
-    }
-
-    #[test]
-    fn sphere_aabb_intersection_is_exact() {
-        let s = Sphere::new(Point3::ORIGIN, 1.0);
-        // Box whose nearest corner is just beyond the radius along a diagonal:
-        // the MBRs intersect but the sphere does not reach the corner.
-        let corner_box = Aabb::new(Point3::splat(0.9), Point3::splat(2.0));
-        assert!(s.mbr().intersects(&corner_box));
-        assert!(!s.intersects_aabb(&corner_box)); // dist² = 3·0.81 = 2.43 > 1
-        let face_box = Aabb::new(Point3::new(0.9, -0.1, -0.1), Point3::new(2.0, 0.1, 0.1));
-        assert!(s.intersects_aabb(&face_box));
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub enum BulkLoad {
 }
 
 impl BulkLoad {
-    /// The three strategies the paper benchmarks, in its plotting order.
-    pub const PAPER_BASELINES: [BulkLoad; 3] = [BulkLoad::Hilbert, BulkLoad::Str, BulkLoad::PrTree];
-
     /// Short display name matching the paper's figure legends.
     pub fn label(&self) -> &'static str {
         match self {

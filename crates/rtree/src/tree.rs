@@ -6,7 +6,7 @@ use crate::node::{
     ChildRef, LeafLayout,
 };
 use crate::Entry;
-use flat_geom::{Aabb, Point3};
+use flat_geom::Aabb;
 use flat_storage::{Page, PageId, PageKind, PageRead, PageWrite, StorageError};
 
 /// Configuration shared by all R-tree variants.
@@ -117,35 +117,10 @@ impl RTree {
 
         // Build the directory bottom-up, packing each level with the same
         // strategy.
-        let mut height = 1;
-        let mut num_inner_pages = 0;
-        while level.len() > 1 {
-            let items: Vec<Entry> = level.iter().map(|c| Entry::new(c.page.0, c.mbr)).collect();
-            let runs = method.pack(items, inner_capacity());
-            let mut next: Vec<ChildRef> = Vec::with_capacity(runs.len());
-            for run in &runs {
-                let children: Vec<ChildRef> = run
-                    .iter()
-                    .map(|e| ChildRef {
-                        mbr: e.mbr,
-                        page: PageId(e.id),
-                    })
-                    .collect();
-                encode_inner(&children, &mut page);
-                let id = pool.alloc()?;
-                pool.write(id, &page, config.inner_kind)?;
-                next.push(ChildRef {
-                    mbr: Aabb::union_all(run.iter().map(|e| e.mbr)),
-                    page: id,
-                });
-            }
-            num_inner_pages += next.len() as u64;
-            level = next;
-            height += 1;
-        }
-
+        let (root, height, num_inner_pages) =
+            pack_directory(pool, level, method, config.inner_kind)?;
         Ok(RTree {
-            root: Some(level[0].page),
+            root: Some(root),
             height,
             config,
             num_elements,
@@ -294,82 +269,6 @@ impl RTree {
         }
         Ok(())
     }
-
-    /// Evaluates a point query (a degenerate range query).
-    pub fn point_query(
-        &self,
-        pool: &impl PageRead,
-        point: Point3,
-    ) -> Result<Vec<Hit>, StorageError> {
-        self.range_query(pool, &Aabb::point(point))
-    }
-
-    /// The *seed* operation (§V-B.1 of the paper): finds one arbitrary
-    /// element intersecting `query`, following a single root-to-leaf path
-    /// wherever possible. Returns `None` if the query is empty.
-    ///
-    /// This is the overlap-free primitive FLAT builds its seed phase on:
-    /// the cost is O(height) plus any dead-end probes caused by leaf MBRs
-    /// that intersect the query while none of their elements do.
-    pub fn seed_query(
-        &self,
-        pool: &impl PageRead,
-        query: &Aabb,
-    ) -> Result<Option<Hit>, StorageError> {
-        let Some(root) = self.root else {
-            return Ok(None);
-        };
-        let mut stack = vec![(root, self.height)];
-        while let Some((page_id, level)) = stack.pop() {
-            if level == 1 {
-                let page = pool.read_page(page_id, self.config.leaf_kind)?;
-                let (layout, entries) = decode_leaf(&page)?;
-                for (slot, entry) in entries.iter().enumerate() {
-                    if query.intersects(&entry.mbr) {
-                        return Ok(Some(Hit {
-                            mbr: entry.mbr,
-                            id: Self::synth_id(layout, page_id, entry.id),
-                            page: page_id,
-                            slot: slot as u16,
-                        }));
-                    }
-                }
-            } else {
-                let page = pool.read_page(page_id, self.config.inner_kind)?;
-                let children = decode_inner(&page)?;
-                for child in children {
-                    if query.intersects(&child.mbr) {
-                        stack.push((child.page, level - 1));
-                    }
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// Visits every leaf page id (in an unspecified order). Used by
-    /// validation and by FLAT's build.
-    pub fn for_each_leaf<P, F>(&self, pool: &P, mut f: F) -> Result<(), StorageError>
-    where
-        P: PageRead,
-        F: FnMut(PageId, &[Entry]),
-    {
-        let Some(root) = self.root else { return Ok(()) };
-        let mut stack = vec![(root, self.height)];
-        while let Some((page_id, level)) = stack.pop() {
-            if level == 1 {
-                let page = pool.read_page(page_id, self.config.leaf_kind)?;
-                let (_, entries) = decode_leaf(&page)?;
-                f(page_id, &entries);
-            } else {
-                let page = pool.read_page(page_id, self.config.inner_kind)?;
-                for child in decode_inner(&page)? {
-                    stack.push((child.page, level - 1));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Builds the directory levels of an R-tree over pre-written leaf pages,
@@ -388,13 +287,24 @@ pub fn build_inner_levels(
         !leaves.is_empty(),
         "cannot build a directory over zero leaves"
     );
-    let mut level = leaves;
+    pack_directory(pool, leaves, BulkLoad::Str, inner_kind)
+}
+
+/// Packs directory levels over a non-empty level of child references with
+/// `method` until one node remains: `(root page, height, inner pages
+/// written)`, the leaf level counting as height 1.
+fn pack_directory(
+    pool: &mut impl PageWrite,
+    mut level: Vec<ChildRef>,
+    method: BulkLoad,
+    inner_kind: PageKind,
+) -> Result<(PageId, u32, u64), StorageError> {
     let mut height = 1;
     let mut inner_pages = 0;
     let mut page = Page::new();
     while level.len() > 1 {
         let items: Vec<Entry> = level.iter().map(|c| Entry::new(c.page.0, c.mbr)).collect();
-        let runs = BulkLoad::Str.pack(items, inner_capacity());
+        let runs = method.pack(items, inner_capacity());
         let mut next = Vec::with_capacity(runs.len());
         for run in &runs {
             let children: Vec<ChildRef> = run
@@ -423,6 +333,7 @@ pub fn build_inner_levels(
 mod tests {
     use super::*;
     use crate::test_util::{brute_force, random_entries};
+    use flat_geom::Point3;
     use flat_storage::{ConcurrentBufferPool, MemStore, PageStore};
 
     fn build(
@@ -453,7 +364,6 @@ mod tests {
         assert_eq!(tree.height(), 0);
         let q = Aabb::cube(Point3::ORIGIN, 10.0);
         assert!(tree.range_query(&pool, &q).unwrap().is_empty());
-        assert!(tree.seed_query(&pool, &q).unwrap().is_none());
     }
 
     #[test]
@@ -508,7 +418,6 @@ mod tests {
         let (pool, tree, _) = build(3000, BulkLoad::Hilbert, LeafLayout::MbrOnly);
         let q = Aabb::cube(Point3::splat(500.0), 10.0);
         assert!(tree.range_query(&pool, &q).unwrap().is_empty());
-        assert!(tree.seed_query(&pool, &q).unwrap().is_none());
     }
 
     #[test]
@@ -524,49 +433,6 @@ mod tests {
         for h in hits.iter().take(20) {
             assert_eq!(h.id, (h.page.0 << 16) | h.slot as u64);
         }
-    }
-
-    #[test]
-    fn seed_query_finds_an_intersecting_element() {
-        let (pool, tree, entries) = build(5000, BulkLoad::PrTree, LeafLayout::WithIds);
-        let q = Aabb::cube(Point3::splat(30.0), 10.0);
-        let expected = brute_force(&entries, &q);
-        let hit = tree.seed_query(&pool, &q).unwrap().unwrap();
-        assert!(q.intersects(&hit.mbr));
-        assert!(expected.contains(&hit.id));
-    }
-
-    #[test]
-    fn seed_query_cost_is_near_height() {
-        let (pool, tree, _) = build(50_000, BulkLoad::Str, LeafLayout::MbrOnly);
-        assert!(tree.height() >= 2);
-        pool.clear_cache();
-        pool.reset_stats();
-        let q = Aabb::cube(Point3::splat(50.0), 5.0);
-        tree.seed_query(&pool, &q).unwrap().unwrap();
-        let reads = pool.stats().total_physical_reads();
-        // One path of `height` pages, plus possibly a few dead-end leaf
-        // probes. The paper: "the complexity of this operation is typically
-        // in the order of the height of the R-Tree".
-        assert!(
-            reads <= tree.height() as u64 + 4,
-            "seed query read {reads} pages for height {}",
-            tree.height()
-        );
-    }
-
-    #[test]
-    fn point_query_equals_degenerate_range() {
-        let (pool, tree, entries) = build(4000, BulkLoad::Str, LeafLayout::WithIds);
-        let p = Point3::splat(42.0);
-        let mut a: Vec<u64> = tree
-            .point_query(&pool, p)
-            .unwrap()
-            .iter()
-            .map(|h| h.id)
-            .collect();
-        a.sort_unstable();
-        assert_eq!(a, brute_force(&entries, &Aabb::point(p)));
     }
 
     #[test]
@@ -594,18 +460,6 @@ mod tests {
             tree.size_bytes(),
             pool.store().num_pages() * flat_storage::PAGE_SIZE as u64
         );
-    }
-
-    #[test]
-    fn for_each_leaf_visits_every_element_once() {
-        let (pool, tree, entries) = build(7000, BulkLoad::Hilbert, LeafLayout::WithIds);
-        let mut seen = Vec::new();
-        tree.for_each_leaf(&pool, |_, es| seen.extend(es.iter().map(|e| e.id)))
-            .unwrap();
-        seen.sort_unstable();
-        let mut expected: Vec<u64> = entries.iter().map(|e| e.id).collect();
-        expected.sort_unstable();
-        assert_eq!(seen, expected);
     }
 
     #[test]

@@ -97,12 +97,6 @@ impl Discretizer {
     pub fn hilbert_key(&self, p: [f64; 3]) -> u64 {
         hilbert::hilbert_index(self.cell(p), self.order)
     }
-
-    /// Morton key of a point (convenience composition with
-    /// [`morton::morton_index`]).
-    pub fn morton_key(&self, p: [f64; 3]) -> u64 {
-        morton::morton_index(self.cell(p), self.order)
-    }
 }
 
 #[cfg(test)]
@@ -151,8 +145,6 @@ mod tests {
         let d = Discretizer::new([0.0; 3], [1.0; 3], 21);
         // The largest cell yields the largest key; 3 × 21 = 63 bits.
         let k = d.hilbert_key([1.0; 3]);
-        let m = d.morton_key([1.0; 3]);
         assert!(k < 1u64 << 63);
-        assert_eq!(m, (1u64 << 63) - 1);
     }
 }

@@ -237,13 +237,6 @@ fn clone_error(err: &StorageError) -> StorageError {
             page: *page,
             allocated: *allocated,
         },
-        StorageError::PageOverflow {
-            requested,
-            remaining,
-        } => StorageError::PageOverflow {
-            requested: *requested,
-            remaining: *remaining,
-        },
         StorageError::Corrupt(msg) => StorageError::Corrupt(msg.clone()),
         StorageError::Io(io) => StorageError::Io(std::io::Error::new(io.kind(), io.to_string())),
     }

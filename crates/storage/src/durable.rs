@@ -336,13 +336,6 @@ impl<S: PageStore> DurableStore<S> {
         Ok(())
     }
 
-    /// Ids of the dirty (overlaid, not yet written back) pages, ascending.
-    pub fn dirty_pages(&self) -> Vec<PageId> {
-        let mut ids: Vec<PageId> = self.overlay.keys().map(|&i| PageId(i)).collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Pages owned by the durability machinery itself: the header plus
     /// the log's slots and chain.
     pub fn meta_pages(&self) -> Vec<PageId> {
@@ -356,13 +349,6 @@ impl<S: PageStore> DurableStore<S> {
     /// The wrapped store.
     pub fn inner(&self) -> &S {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped store — a fault-injection
-    /// affordance for tests; bypassing the overlay on a live store
-    /// voids the durability contract.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
     }
 
     /// Unwraps the backing store, **dropping** the overlay and pending
@@ -724,17 +710,11 @@ mod tests {
     }
 
     #[test]
-    fn meta_and_dirty_page_accessors() {
+    fn meta_page_accessor() {
         let mut ds = DurableStore::create(MemStore::new()).unwrap();
         ds.checkpoint(b"").unwrap();
-        assert!(ds.dirty_pages().is_empty());
-        let a = ds.alloc().unwrap();
-        write_marked(&mut ds, a, 1);
-        assert_eq!(ds.dirty_pages(), vec![a]);
         let meta = ds.meta_pages();
         assert!(meta.contains(&PageId(0)), "header is a meta page");
         assert!(meta.len() >= 3, "header + two slots at minimum");
-        ds.checkpoint(b"x").unwrap();
-        assert!(ds.dirty_pages().is_empty());
     }
 }

@@ -13,13 +13,6 @@ pub enum StorageError {
         /// Number of pages currently allocated.
         allocated: u64,
     },
-    /// A record did not fit in the remaining space of a page.
-    PageOverflow {
-        /// Bytes requested.
-        requested: usize,
-        /// Bytes remaining in the page.
-        remaining: usize,
-    },
     /// Malformed on-page data encountered while decoding.
     Corrupt(String),
     /// An underlying file I/O error.
@@ -31,15 +24,6 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::PageOutOfRange { page, allocated } => {
                 write!(f, "{page} out of range ({allocated} pages allocated)")
-            }
-            StorageError::PageOverflow {
-                requested,
-                remaining,
-            } => {
-                write!(
-                    f,
-                    "page overflow: need {requested} bytes, {remaining} remaining"
-                )
             }
             StorageError::Corrupt(msg) => write!(f, "corrupt page data: {msg}"),
             StorageError::Io(e) => write!(f, "I/O error: {e}"),
@@ -74,11 +58,6 @@ mod tests {
         };
         assert!(e.to_string().contains("page#7"));
         assert!(e.to_string().contains('3'));
-        let e = StorageError::PageOverflow {
-            requested: 100,
-            remaining: 10,
-        };
-        assert!(e.to_string().contains("100"));
         let e = StorageError::Corrupt("bad magic".into());
         assert!(e.to_string().contains("bad magic"));
     }

@@ -1,6 +1,6 @@
 //! Fault injection for crash-recovery testing: a [`PageStore`] wrapper
-//! that kills the store after a scripted number of page writes, tears
-//! the final write in half, or flips individual bits.
+//! that kills the store after a scripted number of page writes, and can
+//! tear the final write in half.
 //!
 //! A "crash" freezes the wrapped store exactly as a power loss would:
 //! every subsequent mutation (and allocation) fails, while reads keep
@@ -86,16 +86,6 @@ impl<S: PageStore> FaultStore<S> {
     /// Whether the scripted crash has fired.
     pub fn crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// Flips one bit of a stored page, bypassing the crash state and the
-    /// freed-page fence — simulated media corruption.
-    pub fn flip_bit(&mut self, page: PageId, byte: usize, bit: u8) -> Result<(), StorageError> {
-        assert!(byte < PAGE_SIZE, "byte offset out of page");
-        let mut buf = Page::new();
-        self.inner.read_page(page, &mut buf)?;
-        buf.bytes_mut()[byte] ^= 1 << (bit & 7);
-        self.inner.write_page(page, &buf)
     }
 
     /// The wrapped store.
@@ -261,20 +251,6 @@ mod tests {
         inner.read_page(a, &mut out).unwrap();
         assert_eq!(out.get_u64(0), 0x9999, "prefix carries the new bytes");
         assert_eq!(out.get_u64(2048), 0x2222, "suffix keeps the old bytes");
-    }
-
-    #[test]
-    fn flip_bit_corrupts_exactly_one_bit() {
-        let mut inner = MemStore::new();
-        let a = inner.alloc().unwrap();
-        let mut page = Page::new();
-        page.put_u64(100, 0xF0);
-        inner.write_page(a, &page).unwrap();
-        let mut store = FaultStore::new(inner);
-        store.flip_bit(a, 100, 3).unwrap();
-        let mut out = Page::new();
-        store.read_page(a, &mut out).unwrap();
-        assert_eq!(out.get_u64(100), 0xF0 ^ 0x08);
     }
 
     #[test]

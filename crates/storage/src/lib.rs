@@ -10,8 +10,7 @@
 //!
 //! * [`Page`] — a fixed 4 KB buffer, shared copy-on-write (a clone is a
 //!   reference, a cache hit copies nothing), with little-endian scalar
-//!   accessors, a mutable [`PageMut`] view for runs of writes and a
-//!   sequential [`PageCursor`] for record serialization.
+//!   accessors and a mutable [`PageMut`] view for runs of writes.
 //! * [`PageStore`] — the backing medium; [`MemStore`] keeps pages in memory
 //!   (fast, deterministic benchmarking), [`FileStore`] keeps them in a real
 //!   file.
@@ -43,8 +42,8 @@
 //!   truncated on open) and a store wrapper that defers page writes into
 //!   an overlay, logs them ahead, and checkpoints them back atomically.
 //! * [`FaultStore`] — fault injection for the crash-recovery test
-//!   harness: scripted kill-after-N-writes crashes, torn final writes,
-//!   and bit flips.
+//!   harness: scripted kill-after-N-writes crashes and torn final
+//!   writes.
 //! * [`VersionedPool`] — epoch-based MVCC over the shared cache: batch
 //!   writers copy-on-write the pages they touch into per-epoch undo
 //!   overlays, readers pin an epoch ([`EpochPin`]) and stay wait-free
@@ -75,11 +74,9 @@ pub use disk::DiskModel;
 pub use durable::{DurableStore, RecoveredLog};
 pub use error::StorageError;
 pub use fault::{CrashStyle, FaultStore};
-pub use page::{Page, PageCursor, PageMut, PAGE_SIZE};
+pub use page::{Page, PageMut, PAGE_SIZE};
 pub use pool::{IoStats, KindStats};
-pub use spill::{
-    ExternalSorter, RunHandle, RunReader, RunWriter, SortedStream, SpillRecord, SpillStats,
-};
+pub use spill::{ExternalSorter, SortedStream, SpillRecord, SpillStats};
 pub use store::{FileStore, MemStore, PageStore, ThrottledStore};
 pub use versioned::{BatchWriter, EpochPin, VersionStats, VersionedPool};
 pub use wal::{Wal, WalRecord};

@@ -1,7 +1,6 @@
 //! The fixed-size, shared copy-on-write page buffer and its serialization
 //! helpers.
 
-use crate::StorageError;
 use std::sync::Arc;
 
 /// Size of every disk page in bytes, matching the paper: "All approaches
@@ -17,9 +16,8 @@ pub const PAGE_SIZE: usize = 4096;
 /// this handle's own first — copying it only if another handle shares it —
 /// so no writer can change the bytes another handle sees.
 ///
-/// Indexes serialize their node formats with the positional accessors or
-/// a sequential [`PageCursor`]. All scalars are little-endian. The
-/// `put_*` methods are one-call conveniences that each pay the sharing
+/// Indexes serialize their node formats with the positional accessors.
+/// All scalars are little-endian. The `put_*` methods are one-call conveniences that each pay the sharing
 /// check; an encoder writing a run of scalars takes one [`PageMut`] from
 /// [`Page::edit`] and writes through it.
 #[derive(Clone)]
@@ -125,14 +123,6 @@ impl Page {
     pub fn get_f64(&self, offset: usize) -> f64 {
         f64::from_le_bytes(self.data[offset..offset + 8].try_into().unwrap())
     }
-
-    /// A sequential writer starting at `offset`.
-    pub fn writer(&mut self, offset: usize) -> PageCursor<'_> {
-        PageCursor {
-            page: self.edit(),
-            pos: offset,
-        }
-    }
 }
 
 /// A mutable view of one [`Page`], from [`Page::edit`]: the buffer is
@@ -170,71 +160,6 @@ impl PageMut<'_> {
     #[inline]
     pub fn put_f64(&mut self, offset: usize, v: f64) {
         self.put(offset, v.to_le_bytes());
-    }
-}
-
-/// Sequential encoder over a [`Page`].
-///
-/// Bounds-checked: exceeding the page raises
-/// [`StorageError::PageOverflow`] instead of silently truncating, so node
-/// serializers catch capacity arithmetic mistakes in tests.
-pub struct PageCursor<'a> {
-    page: PageMut<'a>,
-    pos: usize,
-}
-
-impl<'a> PageCursor<'a> {
-    /// Current write position.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes remaining in the page.
-    pub fn remaining(&self) -> usize {
-        PAGE_SIZE - self.pos
-    }
-
-    fn ensure(&self, n: usize) -> Result<(), StorageError> {
-        if self.remaining() < n {
-            Err(StorageError::PageOverflow {
-                requested: n,
-                remaining: self.remaining(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Appends a `u16`.
-    pub fn write_u16(&mut self, v: u16) -> Result<(), StorageError> {
-        self.ensure(2)?;
-        self.page.put_u16(self.pos, v);
-        self.pos += 2;
-        Ok(())
-    }
-
-    /// Appends a `u32`.
-    pub fn write_u32(&mut self, v: u32) -> Result<(), StorageError> {
-        self.ensure(4)?;
-        self.page.put_u32(self.pos, v);
-        self.pos += 4;
-        Ok(())
-    }
-
-    /// Appends a `u64`.
-    pub fn write_u64(&mut self, v: u64) -> Result<(), StorageError> {
-        self.ensure(8)?;
-        self.page.put_u64(self.pos, v);
-        self.pos += 8;
-        Ok(())
-    }
-
-    /// Appends an `f64`.
-    pub fn write_f64(&mut self, v: f64) -> Result<(), StorageError> {
-        self.ensure(8)?;
-        self.page.put_f64(self.pos, v);
-        self.pos += 8;
-        Ok(())
     }
 }
 
@@ -276,32 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_writes_sequentially() {
-        let mut p = Page::new();
-        let mut w = p.writer(16);
-        w.write_u32(7).unwrap();
-        w.write_f64(1.5).unwrap();
-        assert_eq!(w.position(), 28);
-        assert_eq!(p.get_u32(16), 7);
-        assert_eq!(p.get_f64(20), 1.5);
-    }
-
-    #[test]
-    fn cursor_overflow_is_reported_not_panicked() {
-        let mut p = Page::new();
-        let mut w = p.writer(PAGE_SIZE - 4);
-        assert!(w.write_u32(1).is_ok());
-        let err = w.write_u16(2).unwrap_err();
-        assert!(matches!(
-            err,
-            StorageError::PageOverflow {
-                requested: 2,
-                remaining: 0
-            }
-        ));
-    }
-
-    #[test]
     fn clear_resets_contents() {
         let mut p = Page::new();
         p.put_u64(0, u64::MAX);
@@ -313,11 +212,10 @@ mod tests {
     fn a_clone_shares_the_buffer_until_one_side_writes() {
         let mut a = Page::new();
         a.put_u64(0, 7);
-        let writes: [fn(&mut Page); 5] = [
+        let writes: [fn(&mut Page); 4] = [
             |p| p.put_u64(0, 8),
             |p| p.edit().put_u16(0, 8),
             |p| p.bytes_mut()[0] = 8,
-            |p| p.writer(0).write_u32(8).unwrap(),
             |p| p.clear(),
         ];
         for write in writes {
@@ -337,7 +235,6 @@ mod tests {
         p.put_u64(0, 1);
         p.edit().put_f64(8, 2.0);
         p.bytes_mut()[16] = 3;
-        p.writer(24).write_u16(4).unwrap();
         p.clear();
         // A dropped clone leaves the page unshared again.
         drop(p.clone());

@@ -4,9 +4,8 @@
 //! datasets far bigger than main memory by their STR sort keys. This module
 //! provides the classic external-sort machinery it runs on:
 //!
-//! * [`RunWriter`] / [`RunReader`] — a *run* is a sorted sequence of
-//!   length-prefixed records serialized as a byte stream across scratch
-//!   pages of a [`PageStore`]. Records may span page boundaries, so runs
+//! * Runs — a *run* is a sorted sequence of length-prefixed records
+//!   serialized as a byte stream across scratch pages of a [`PageStore`]. Records may span page boundaries, so runs
 //!   waste no page space and records may be variable-size (neighbor lists
 //!   are).
 //! * [`ExternalSorter`] — buffers up to a configurable number of records in
@@ -74,31 +73,14 @@ impl SpillStats {
 /// logical size. The handle itself is tiny (one `PageId` per ~4 KB of
 /// spilled data).
 #[derive(Debug, Clone)]
-pub struct RunHandle {
+struct RunHandle {
     pages: Vec<PageId>,
     bytes: u64,
     records: u64,
 }
 
-impl RunHandle {
-    /// Number of records in the run.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Serialized size of the run in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Number of scratch pages the run occupies.
-    pub fn num_pages(&self) -> u64 {
-        self.pages.len() as u64
-    }
-}
-
 /// Appends length-prefixed records to scratch pages as a byte stream.
-pub struct RunWriter<'s, S: PageStore> {
+struct RunWriter<'s, S: PageStore> {
     store: &'s mut S,
     page: Page,
     pos: usize,
@@ -110,7 +92,7 @@ pub struct RunWriter<'s, S: PageStore> {
 
 impl<'s, S: PageStore> RunWriter<'s, S> {
     /// Starts a new run on `store`.
-    pub fn new(store: &'s mut S) -> RunWriter<'s, S> {
+    fn new(store: &'s mut S) -> RunWriter<'s, S> {
         RunWriter {
             store,
             page: Page::new(),
@@ -123,7 +105,7 @@ impl<'s, S: PageStore> RunWriter<'s, S> {
     }
 
     /// Appends one record.
-    pub fn push<R: SpillRecord>(&mut self, record: &R) -> Result<(), StorageError> {
+    fn push<R: SpillRecord>(&mut self, record: &R) -> Result<(), StorageError> {
         self.scratch.clear();
         record.encode(&mut self.scratch);
         let len = u32::try_from(self.scratch.len()).map_err(|_| {
@@ -164,7 +146,7 @@ impl<'s, S: PageStore> RunWriter<'s, S> {
     }
 
     /// Flushes the final partial page and returns the run handle.
-    pub fn finish(mut self) -> Result<RunHandle, StorageError> {
+    fn finish(mut self) -> Result<RunHandle, StorageError> {
         if self.pos > 0 {
             self.flush_page()?;
         }
@@ -237,27 +219,6 @@ impl RunCursor {
         let record = R::decode(&payload)?;
         self.scratch = payload;
         Ok(Some(record))
-    }
-}
-
-/// Streams the records of one run back from the scratch store.
-pub struct RunReader<'s, S: PageStore> {
-    store: &'s S,
-    cursor: RunCursor,
-}
-
-impl<'s, S: PageStore> RunReader<'s, S> {
-    /// Opens `run` for sequential reading.
-    pub fn new(store: &'s S, run: RunHandle) -> RunReader<'s, S> {
-        RunReader {
-            store,
-            cursor: RunCursor::new(run),
-        }
-    }
-
-    /// Reads the next record, or `None` at the end of the run.
-    pub fn next_record<R: SpillRecord>(&mut self) -> Option<Result<R, StorageError>> {
-        self.cursor.next_record(self.store).transpose()
     }
 }
 
@@ -334,7 +295,7 @@ impl<R: SpillRecord, S: PageStore> ExternalSorter<R, S> {
         self.stats.runs += 1;
         self.stats.spilled_records += run.records;
         self.stats.spilled_bytes += run.bytes;
-        self.stats.spill_pages += run.num_pages();
+        self.stats.spill_pages += run.pages.len() as u64;
         self.runs.push(run);
         self.buffer.clear();
         Ok(())
@@ -533,14 +494,14 @@ mod tests {
             writer.push(r).unwrap();
         }
         let run = writer.finish().unwrap();
-        assert_eq!(run.records(), 1000);
-        assert_eq!(run.bytes(), 1000 * (16 + 4));
-        assert_eq!(run.num_pages(), run.bytes().div_ceil(PAGE_SIZE as u64));
+        assert_eq!(run.records, 1000);
+        assert_eq!(run.bytes, 1000 * (16 + 4));
+        assert_eq!(run.pages.len() as u64, run.bytes.div_ceil(PAGE_SIZE as u64));
 
-        let mut reader = RunReader::new(&store, run);
+        let mut reader = RunCursor::new(run);
         let mut back = Vec::new();
-        while let Some(r) = reader.next_record::<Rec>() {
-            back.push(r.unwrap());
+        while let Some(r) = reader.next_record::<Rec, _>(&store).unwrap() {
+            back.push(r);
         }
         assert_eq!(back, records);
     }
@@ -560,12 +521,12 @@ mod tests {
             writer.push(r).unwrap();
         }
         let run = writer.finish().unwrap();
-        let mut reader = RunReader::new(&store, run);
+        let mut reader = RunCursor::new(run);
         for expected in &records {
-            let got: VarRec = reader.next_record().unwrap().unwrap();
+            let got: VarRec = reader.next_record(&store).unwrap().unwrap();
             assert_eq!(&got, expected);
         }
-        assert!(reader.next_record::<VarRec>().is_none());
+        assert!(reader.next_record::<VarRec, _>(&store).unwrap().is_none());
     }
 
     #[test]

@@ -350,12 +350,6 @@ impl<S: PageStore> ThrottledStore<S> {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Resets the [`ThrottledStore::max_queue_depth`] high-water mark.
-    pub fn reset_queue_stats(&self) {
-        self.max_queue_depth
-            .store(0, std::sync::atomic::Ordering::Relaxed);
-    }
-
     /// The wrapped store.
     pub fn inner(&self) -> &S {
         &self.inner
@@ -634,8 +628,6 @@ mod tests {
             "8 reads at parallelism 2 finished in {elapsed:?}; queueing was not modelled"
         );
         assert!(store.max_queue_depth() >= 2, "depth high-water not tracked");
-        store.reset_queue_stats();
-        assert_eq!(store.max_queue_depth(), 0);
         assert_eq!(store.parallelism(), 2);
     }
 

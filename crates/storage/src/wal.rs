@@ -50,7 +50,7 @@ const HEAD_PAYLOAD: usize = PAGE_SIZE - 24;
 const CONT_PAYLOAD: usize = PAGE_SIZE - 8;
 
 /// CRC-32 (IEEE) over `data`, implemented with a 16-entry nibble table.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     const TABLE: [u32; 16] = [
         0x0000_0000,
         0x1DB7_1064,

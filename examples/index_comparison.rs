@@ -2,10 +2,10 @@
 //! same dataset and the same query — the essence of the paper's §VII in
 //! one terminal screen.
 //!
-//! This example deliberately stays on the **low-level crate APIs**
-//! (`FlatIndex::build`, `RTree::bulk_load`, explicit `ConcurrentBufferPool`
-//! management) as the paper-literal reproduction path; every other
-//! example goes through the `FlatDb` façade or the `SpatialIndex` trait.
+//! This example stays on the **low-level crate APIs** (`FlatIndex::build`,
+//! `RTree::bulk_load`, explicit `ConcurrentBufferPool` management) as the
+//! paper-literal reproduction path, as does `structural_neighborhood`;
+//! the other examples go through the `FlatDb` / `ShardedDb` façades.
 //!
 //! ```sh
 //! cargo run --release --example index_comparison

@@ -3,9 +3,10 @@
 //! small range queries along a fiber, one per segment.
 //!
 //! The example walks one neuron's fiber and queries the 5 µm neighborhood
-//! of every 10th segment through **one generic driver** over the
-//! [`SpatialIndex`] trait — the same code path measures FLAT and the
-//! PR-tree baseline, which is exactly what the trait exists for.
+//! of every 10th segment on FLAT and on the PR-tree baseline. One driver
+//! runs the paper's cold-cache protocol for both: it takes the index's own
+//! `range_query` as a closure, so the two indexes are measured the same
+//! way.
 //!
 //! ```sh
 //! cargo run --release --example structural_neighborhood
@@ -13,12 +14,12 @@
 
 use flat_repro::prelude::*;
 
-/// Walks the fiber over any index kind: per-probe cold-cache queries,
-/// returning (per-probe result counts, total physical page reads).
-fn walk_fiber<I: SpatialIndex>(
-    index: &I,
+/// Walks the fiber with per-probe cold-cache range queries, returning
+/// (per-probe result counts, total physical page reads).
+fn walk_fiber(
     pool: &ConcurrentBufferPool<MemStore>,
     fiber: &[Point3],
+    range: impl Fn(&Aabb) -> Vec<Hit>,
 ) -> (Vec<usize>, u64) {
     let mut counts = Vec::with_capacity(fiber.len());
     let mut reads = 0u64;
@@ -26,7 +27,7 @@ fn walk_fiber<I: SpatialIndex>(
         let probe = Aabb::cube(*center, 10.0); // ±5 µm neighborhood
         pool.clear_cache();
         let before = pool.stats();
-        counts.push(index.range(pool, &probe).expect("query").len());
+        counts.push(range(&probe).len());
         reads += pool.stats().since(&before).total_physical_reads();
     }
     (counts, reads)
@@ -38,9 +39,9 @@ fn main() {
     let entries = model.entries();
     println!("model: {} segments from {} neurons", entries.len(), 60);
 
-    // Build FLAT and the strongest R-tree baseline through the same trait.
+    // Build FLAT and the strongest R-tree baseline, each in its own pool.
     let mut flat_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
-    let flat = FlatIndex::build_index(
+    let (flat, _) = FlatIndex::build(
         &mut flat_pool,
         entries.clone(),
         FlatOptions {
@@ -50,7 +51,13 @@ fn main() {
     )
     .expect("build");
     let mut pr_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
-    let pr = RTree::build_index(&mut pr_pool, entries, BulkLoad::PrTree.into()).expect("build");
+    let pr = RTree::bulk_load(
+        &mut pr_pool,
+        entries,
+        BulkLoad::PrTree,
+        RTreeConfig::default(),
+    )
+    .expect("build");
 
     // Walk the first neuron's fiber: the neighborhood of every 10th
     // segment, i.e. all elements within 5 µm of the segment center.
@@ -64,8 +71,12 @@ fn main() {
         .collect();
     println!("walking {} probe points along neuron 0\n", fiber.len());
 
-    let (flat_counts, flat_reads) = walk_fiber(&flat, &flat_pool, &fiber);
-    let (pr_counts, pr_reads) = walk_fiber(&pr, &pr_pool, &fiber);
+    let (flat_counts, flat_reads) = walk_fiber(&flat_pool, &fiber, |q| {
+        flat.range_query(&flat_pool, q).expect("query")
+    });
+    let (pr_counts, pr_reads) = walk_fiber(&pr_pool, &fiber, |q| {
+        pr.range_query(&pr_pool, q).expect("query")
+    });
     assert_eq!(flat_counts, pr_counts, "indexes disagree on some probe");
     let touching: usize = flat_counts.iter().sum();
 

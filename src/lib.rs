@@ -51,9 +51,8 @@
 //! Underneath the façade, page access is split into two capabilities:
 //! builds are exclusive ([`prelude::PageWrite`], `&mut`), queries are
 //! shared reads ([`prelude::PageRead`], `&self`) — so the low-level types
-//! ([`prelude::FlatIndex`], [`prelude::RTree`], [`prelude::DeltaIndex`],
-//! unified by the [`prelude::SpatialIndex`] trait) are built into and
-//! queried through the one lock-sharded page cache,
+//! ([`prelude::FlatIndex`], [`prelude::RTree`], [`prelude::DeltaIndex`])
+//! are built into and queried through the one lock-sharded page cache,
 //! [`prelude::ConcurrentBufferPool`] — from one thread or many, optionally
 //! with I/O workers that overlap device reads. The `index_comparison`
 //! example keeps a paper-literal walkthrough of those low-level APIs.
@@ -73,10 +72,9 @@ pub mod prelude {
     pub use flat_core::{
         AggregateStats, BatchOutcome, BuildReport, BuildStats, ContinuousQueryId, DbOptions,
         DeltaIndex, DeltaReport, Durability, FlatDb, FlatError, FlatIndex, FlatIndexBuilder,
-        FlatOptions, IndexRef, IndexStats, JoinEngine, JoinInput, JoinResult, JoinStats,
-        KnnBatchOutcome, KnnStats, Neighbor, QueryBuilder, QueryDelta, QueryStats,
-        RTreeBuildOptions, RecoveryReport, ShardOptions, ShardedDb, Snapshot, SpatialIndex,
-        StreamingStats, WriteOp, Writer,
+        FlatOptions, IndexRef, JoinEngine, JoinInput, JoinResult, JoinStats, KnnBatchOutcome,
+        KnnStats, Neighbor, QueryBuilder, QueryDelta, QueryStats, RecoveryReport, ShardOptions,
+        ShardedDb, Snapshot, StreamingStats, WriteOp, Writer,
     };
     pub use flat_data::continuous::{ContinuousConfig, ContinuousWorkload};
     pub use flat_data::join::{mesh_vs_nbody, JoinWorkload, JoinWorkloadConfig};

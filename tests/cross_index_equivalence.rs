@@ -3,11 +3,15 @@
 //! must return exactly the same result set for the same query on the same
 //! data, across all dataset families.
 //!
-//! The bulkloaded contenders are driven **generically** through the
-//! [`SpatialIndex`] trait: one `check` function builds and queries any
-//! implementor, so adding an index kind to the matrix is one line.
+//! Every contender is built through its own constructor and queried
+//! through its own `range_query` / kNN entry point; one `evaluate`
+//! function turns those answers into comparable keys, so adding an index
+//! kind to the matrix is one build plus one call.
 
+use flat_repro::core::rtree_knn;
 use flat_repro::prelude::*;
+
+type Pool = ConcurrentBufferPool<MemStore>;
 
 /// Sorted result MBR keys (the MbrOnly layout has no stable application
 /// ids, so results are compared geometrically; exact f64 keys are fine
@@ -34,32 +38,38 @@ fn brute_force(entries: &[Entry], q: &Aabb) -> usize {
     entries.iter().filter(|e| q.intersects(&e.mbr)).count()
 }
 
-/// Per-query range keys plus per-point kNN distances for any index kind,
-/// through the trait alone.
-fn evaluate<I: SpatialIndex>(
-    entries: Vec<Entry>,
-    options: I::BuildOptions,
+fn new_pool() -> Pool {
+    ConcurrentBufferPool::new(MemStore::new(), 1 << 16)
+}
+
+/// Per-query range keys plus per-point kNN distances of one built index,
+/// given its two query entry points.
+fn evaluate<E: std::fmt::Debug>(
     queries: &[Aabb],
     knn_probes: &[(Point3, usize)],
+    range: impl Fn(&Aabb) -> Result<Vec<Hit>, E>,
+    nearest: impl Fn(Point3, usize) -> Result<Vec<Neighbor>, E>,
 ) -> (Vec<Vec<[u64; 6]>>, Vec<Vec<f64>>) {
-    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
-    let index = I::build_index(&mut pool, entries, options).expect("build");
     let ranges = queries
         .iter()
-        .map(|q| keys(&index.range(&pool, q).expect("range")))
+        .map(|q| keys(&range(q).expect("range")))
         .collect();
     let knns = knn_probes
         .iter()
         .map(|&(p, k)| {
-            index
-                .nearest(&pool, p, k)
-                .expect("knn")
-                .iter()
-                .map(|n| n.dist_sq)
-                .collect()
+            let found = nearest(p, k).expect("knn");
+            found.iter().map(|n| n.dist_sq).collect()
         })
         .collect();
     (ranges, knns)
+}
+
+/// A bulkloaded R-tree over `entries` in its own pool.
+fn rtree(entries: &[Entry], method: BulkLoad) -> (Pool, RTree) {
+    let mut pool = new_pool();
+    let tree = RTree::bulk_load(&mut pool, entries.to_vec(), method, RTreeConfig::default())
+        .expect("build");
+    (pool, tree)
 }
 
 fn check_equivalence(entries: Vec<Entry>, domain: Aabb, queries: &[Aabb]) {
@@ -77,8 +87,14 @@ fn check_equivalence(entries: Vec<Entry>, domain: Aabb, queries: &[Aabb]) {
     );
 
     // FLAT is the reference; brute force pins its result sizes.
-    let (reference, reference_knn) =
-        evaluate::<FlatIndex>(entries.clone(), flat_options, queries, &knn_probes);
+    let mut pool = new_pool();
+    let (flat, _) = FlatIndex::build(&mut pool, entries.clone(), flat_options).expect("build");
+    let (reference, reference_knn) = evaluate(
+        queries,
+        &knn_probes,
+        |q| flat.range_query(&pool, q),
+        |p, k| flat.knn_query(&pool, p, k),
+    );
     for (qi, q) in queries.iter().enumerate() {
         assert_eq!(
             reference[qi].len(),
@@ -87,31 +103,48 @@ fn check_equivalence(entries: Vec<Entry>, domain: Aabb, queries: &[Aabb]) {
         );
     }
 
-    // Every other bulkloaded contender through the same generic driver.
-    let (delta, delta_knn) =
-        evaluate::<DeltaIndex>(entries.clone(), flat_options, queries, &knn_probes);
-    assert_eq!(delta, reference, "delta range diverged");
-    assert_eq!(delta_knn, reference_knn, "delta kNN diverged");
+    // The delta layer needs stable ids; the tiling domain is the same.
+    let delta_options = FlatOptions {
+        layout: LeafLayout::WithIds,
+        ..flat_options
+    };
+    let mut pool = new_pool();
+    let (base, _) = FlatIndex::build(&mut pool, entries.clone(), delta_options).expect("build");
+    let delta = DeltaIndex::new(&pool, base, delta_options).expect("adopt");
+    let (ranges, knns) = evaluate(
+        queries,
+        &knn_probes,
+        |q| delta.range_query(&pool, q),
+        |p, k| delta.knn_query(&pool, p, k),
+    );
+    assert_eq!(ranges, reference, "delta range diverged");
+    assert_eq!(knns, reference_knn, "delta kNN diverged");
+
     for method in [
         BulkLoad::Str,
         BulkLoad::Hilbert,
         BulkLoad::PrTree,
         BulkLoad::Tgs,
     ] {
-        let (rt, rt_knn) = evaluate::<RTree>(entries.clone(), method.into(), queries, &knn_probes);
-        assert_eq!(rt, reference, "{method:?} range diverged");
-        assert_eq!(rt_knn, reference_knn, "{method:?} kNN diverged");
+        let (pool, tree) = rtree(&entries, method);
+        let (ranges, knns) = evaluate(
+            queries,
+            &knn_probes,
+            |q| tree.range_query(&pool, q),
+            |p, k| rtree_knn(&tree, &pool, p, k),
+        );
+        assert_eq!(ranges, reference, "{method:?} range diverged");
+        assert_eq!(knns, reference_knn, "{method:?} kNN diverged");
     }
 
-    // Dynamically built R-tree (Guttman inserts) — not a bulkload, so it
-    // stays outside the trait's build path on purpose.
-    let mut dyn_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
+    // Dynamically built R-tree (Guttman inserts).
+    let mut dyn_pool = new_pool();
     let mut dyn_tree = RTree::new_empty(RTreeConfig::default());
     for e in &entries {
         dyn_tree.insert(&mut dyn_pool, *e).expect("insert");
     }
     for (qi, q) in queries.iter().enumerate() {
-        let dyn_hits = dyn_tree.range(&dyn_pool, q).expect("dyn query");
+        let dyn_hits = dyn_tree.range_query(&dyn_pool, q).expect("dyn query");
         assert_eq!(
             keys(&dyn_hits),
             reference[qi],
@@ -551,11 +584,11 @@ fn facade_database_joins_the_equivalence_matrix() {
     }));
     db.build_from(entries.clone()).unwrap();
 
-    let (reference, _) = evaluate::<RTree>(entries, RTreeBuildOptions::default(), &queries, &[]);
+    let (pool, tree) = rtree(&entries, BulkLoad::Str);
     for (qi, q) in queries.iter().enumerate() {
         assert_eq!(
             keys(&db.reader().range(q).unwrap()),
-            reference[qi],
+            keys(&tree.range_query(&pool, q).unwrap()),
             "FlatDb vs STR R-tree, query {qi}"
         );
     }

@@ -417,6 +417,35 @@ fn bad_caller_input_is_a_typed_error_not_a_panic() {
         );
         assert!(db.delta().is_none(), "a failed promotion must not publish");
     }
+
+    // Adopting a bulkload as a delta layer checks what the first writer
+    // checks, and says so in the same words; options that disagree with
+    // the index's layout are refused too.
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 12);
+    let mbr_only = FlatOptions {
+        layout: LeafLayout::MbrOnly,
+        ..updatable(domain)
+    };
+    let no_domain = FlatOptions {
+        domain: None,
+        ..updatable(domain)
+    };
+    for (options, needle) in [
+        (mbr_only, "stable element ids"),
+        (no_domain, "fixed tiling domain"),
+    ] {
+        let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
+        let err = DeltaIndex::new(&pool, index, options).unwrap_err();
+        assert!(matches!(err, FlatError::Update(_)), "{err}");
+        assert!(err.to_string().contains(needle), "{err}");
+        let db = FlatDb::create_in_memory(DbOptions::default().with_index(options));
+        let writer_err = db.writer().map(drop).unwrap_err();
+        assert_eq!(err.to_string(), writer_err.to_string());
+    }
+    let (index, _) = FlatIndex::build(&mut pool, entries.clone(), mbr_only).unwrap();
+    let err = DeltaIndex::new(&pool, index, updatable(domain)).unwrap_err();
+    assert!(matches!(err, FlatError::Update(_)), "{err}");
+    assert!(err.to_string().contains("disagree"), "{err}");
 }
 
 #[test]

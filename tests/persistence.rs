@@ -136,3 +136,63 @@ fn both_indexes_share_one_file() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A tiny persisted database from a fixed-seed generator: its path and
+/// the dataset's domain.
+fn persist_tiny(name: &str) -> std::path::PathBuf {
+    let config = UniformConfig::scaled_baseline(2_000, 42);
+    let path = temp_path(name);
+    let mut db = FlatDb::create_in_memory(DbOptions::updatable(config.domain));
+    db.build_from(uniform_entries(&config)).expect("build");
+    db.persist(&path).expect("persist");
+    path
+}
+
+/// Digest of the file `persist_tiny` writes. Any change to a page format
+/// or to the descriptor changes it: bump `DESCRIPTOR_VERSION` in
+/// `crates/core/src/persist.rs` and pin the new value here.
+const GOLDEN_FILE_DIGEST: u64 = 0x8c6a_1723_89e8_615d;
+
+#[test]
+fn persisted_file_matches_its_golden_digest() {
+    let path = persist_tiny("golden.flatdb");
+    let bytes = std::fs::read(&path).expect("read");
+    std::fs::remove_file(&path).ok();
+    let got = fnv1a(&bytes);
+    assert!(
+        got == GOLDEN_FILE_DIGEST,
+        "persisted file format changed: {} pages, digest {got:#018x}, pinned \
+         {GOLDEN_FILE_DIGEST:#018x}",
+        bytes.len() / PAGE_SIZE
+    );
+}
+
+#[test]
+fn unknown_descriptor_version_is_refused() {
+    use flat_repro::storage::StorageError;
+
+    let path = persist_tiny("future.flatdb");
+    let mut bytes = std::fs::read(&path).expect("read");
+    // The descriptor is the last page: magic u32, kind u16, version u16.
+    let version_at = bytes.len() - PAGE_SIZE + 6;
+    assert_eq!(bytes[version_at..version_at + 2], 1u16.to_le_bytes());
+    bytes[version_at..version_at + 2].copy_from_slice(&9u16.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write");
+
+    let err = FlatDb::open_file(&path, DbOptions::default()).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    let FlatError::Storage(StorageError::Corrupt(msg)) = &err else {
+        panic!("expected a corrupt-descriptor error, got {err}");
+    };
+    assert!(
+        msg.contains("version 9") && msg.contains("reads version 1"),
+        "{msg}"
+    );
+}
