@@ -16,7 +16,7 @@
 
 use crate::delta::DeltaIndex;
 use crate::index::FlatIndex;
-use crate::meta::{MetaRecord, MetaRecordId};
+use crate::meta::{MetaRecordId, MetaView};
 use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
 use flat_geom::Aabb;
 use flat_storage::{PageRead, StorageError};
@@ -53,7 +53,7 @@ impl CrawlVisitor for CountVisit<'_> {
         self.stats.records_processed += 1;
     }
 
-    fn wants_object(&mut self, addr: MetaRecordId, record: &MetaRecord) -> bool {
+    fn wants_object(&mut self, addr: MetaRecordId, record: &MetaView) -> bool {
         self.stats.mbr_tests += 1;
         if !record.page_mbr.intersects(self.query) {
             return false;
@@ -74,7 +74,7 @@ impl CrawlVisitor for CountVisit<'_> {
         true
     }
 
-    fn scan(&mut self, record: &MetaRecord, page: &LivePage<'_>) {
+    fn scan(&mut self, record: &MetaView, page: &LivePage<'_>) {
         self.stats.object_pages_read += 1;
         if self.query.contains(&record.page_mbr) {
             self.count += page.hits().count() as u64;
@@ -85,7 +85,7 @@ impl CrawlVisitor for CountVisit<'_> {
         }
     }
 
-    fn expands(&mut self, _addr: MetaRecordId, record: &MetaRecord) -> bool {
+    fn expands(&mut self, _addr: MetaRecordId, record: &MetaView) -> bool {
         self.stats.mbr_tests += 1;
         record.partition_mbr.intersects(self.query)
     }

@@ -58,12 +58,12 @@ use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions, SeedTreePages};
 use crate::knn::{KnnStats, Neighbor};
 use crate::meta::{
-    assign_slots, decode_meta_leaf, encode_meta_leaf, max_neighbors_per_record, MetaRecord,
-    MetaRecordId, PlannedRecord,
+    assign_slots, decode_meta_leaf, encode_meta_leaf, max_neighbors_per_record, meta_leaf_len,
+    MetaRecord, MetaRecordId, MetaView, PlannedRecord,
 };
 use crate::neighbors::NeighborSweep;
 use crate::partition::partition;
-use crate::query::{read_record, walk_links, IndexRef, LivePage, QueryStats, Tombstones};
+use crate::query::{read_record, walk_links, AddrMap, IndexRef, LivePage, QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
 use flat_rtree::node::{decode_leaf, encode_leaf};
 use flat_rtree::{leaf_capacity, Entry, Hit, LeafLayout};
@@ -114,7 +114,7 @@ pub struct DeltaIndex {
     parts: Vec<PartState>,
     base_partitions: usize,
     /// Primary record address → index into `parts`.
-    by_record: HashMap<MetaRecordId, u32>,
+    by_record: AddrMap<MetaRecordId, u32>,
     /// Live application id → index into `parts`.
     locator: HashMap<u64, u32>,
     /// Deleted elements by physical location.
@@ -234,7 +234,7 @@ impl DeltaIndex {
             domain,
             inner,
             leaves,
-            Tombstones::new(),
+            Tombstones::default(),
         )?;
         debug_assert!(
             delta.parts.iter().all(|part| !part.dead),
@@ -296,7 +296,7 @@ impl DeltaIndex {
             domain,
             parts: Vec::new(),
             base_partitions: 0,
-            by_record: HashMap::new(),
+            by_record: AddrMap::default(),
             locator: HashMap::new(),
             tombstones,
             meta_pages: Vec::new(),
@@ -315,14 +315,12 @@ impl DeltaIndex {
         }
         for (page_seq, &pid) in meta_pages.iter().enumerate() {
             let page = pool.read_page(pid, PageKind::SeedLeaf)?;
-            for (slot, record) in decode_meta_leaf(&page)?.into_iter().enumerate() {
+            for slot in 0..meta_leaf_len(&page)? as u16 {
+                let record = MetaView::new(page.clone(), slot)?;
                 if record.is_continuation {
                     continue;
                 }
-                let addr = MetaRecordId {
-                    page: pid,
-                    slot: slot as u16,
-                };
+                let addr = MetaRecordId { page: pid, slot };
                 let idx = delta.parts.len() as u32;
                 delta.by_record.insert(addr, idx);
                 delta.parts.push(PartState {
@@ -943,7 +941,7 @@ impl DeltaIndex {
                 if !record.is_dead {
                     return Err(format!("retired partition {i} is not flagged dead"));
                 }
-                if !record.neighbors.is_empty() || record.continuation.is_some() {
+                if record.neighbors().len() > 0 || record.continuation.is_some() {
                     return Err(format!("retired partition {i} still has links"));
                 }
                 continue;
@@ -972,7 +970,7 @@ impl DeltaIndex {
                     return Err(format!("partition {i}: primary flagged as continuation"));
                 }
                 first = false;
-                nbrs.extend(record.neighbors);
+                nbrs.extend(record.neighbors());
                 at = record.continuation;
             }
 
@@ -1120,8 +1118,8 @@ fn read_chain_neighbors(
     record: MetaRecordId,
 ) -> Result<Vec<MetaRecordId>, StorageError> {
     let mut nbrs = Vec::new();
-    walk_links(pool, read_record(pool, record)?, |chunk| {
-        nbrs.extend_from_slice(chunk);
+    walk_links(pool, &read_record(pool, record)?, |chunk| {
+        nbrs.extend(chunk.neighbors());
         Ok(())
     })?;
     Ok(nbrs)
@@ -1153,7 +1151,7 @@ fn remove_neighbor<P: PageRead + PageWrite>(
     let mut at = Some(record);
     while let Some(addr) = at {
         let chunk = read_record(pool, addr)?;
-        if chunk.neighbors.contains(&target) {
+        if chunk.neighbors().any(|n| n == target) {
             return edit_record(pool, addr, |r| r.neighbors.retain(|n| *n != target));
         }
         at = chunk.continuation;

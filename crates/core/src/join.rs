@@ -21,7 +21,7 @@
 //! ([`JoinStats::frontier_reuses`] vs [`JoinStats::seed_descents`]).
 
 use crate::error::FlatError;
-use crate::meta::{MetaRecord, MetaRecordId};
+use crate::meta::{MetaRecordId, MetaView};
 use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
 use flat_geom::Aabb;
 use flat_storage::{PageRead, StorageError};
@@ -95,12 +95,12 @@ impl CrawlVisitor for PartnerVisit<'_> {
         self.stats.crawl_records += 1;
     }
 
-    fn wants_object(&mut self, _addr: MetaRecordId, record: &MetaRecord) -> bool {
+    fn wants_object(&mut self, _addr: MetaRecordId, record: &MetaView) -> bool {
         record.page_mbr.intersects(&self.query)
             && self.outer_mbr.distance_sq(&record.page_mbr) <= self.eps2
     }
 
-    fn scan(&mut self, _record: &MetaRecord, page: &LivePage<'_>) {
+    fn scan(&mut self, _record: &MetaView, page: &LivePage<'_>) {
         self.stats.object_pages_read += 1;
         let (outer_mbr, eps2) = (self.outer_mbr, self.eps2);
         let near = page
@@ -109,7 +109,7 @@ impl CrawlVisitor for PartnerVisit<'_> {
         self.candidates.extend(near.map(|hit| (hit.id, hit.mbr)));
     }
 
-    fn expands(&mut self, addr: MetaRecordId, record: &MetaRecord) -> bool {
+    fn expands(&mut self, addr: MetaRecordId, record: &MetaView) -> bool {
         let partner = record.partition_mbr.intersects(&self.query);
         if partner {
             self.partners.push((addr, record.partition_mbr));

@@ -32,14 +32,14 @@
 //! whether the pool listens.
 
 use crate::index::FlatIndex;
-use crate::meta::{decode_meta_record, meta_leaf_len, MetaRecordId};
-use crate::query::{read_record, walk_links, want_meta_page, IndexRef, LivePage};
+use crate::meta::{meta_leaf_len, MetaRecordId, MetaView};
+use crate::query::{read_record, walk_links, want_meta_page, AddrSet, IndexRef, LivePage};
 use flat_geom::Point3;
 use flat_rtree::node::{decode_inner, decode_leaf};
 use flat_rtree::{Hit, LeafLayout, RTree};
 use flat_storage::{PageId, PageKind, PageRead, StorageError};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// One kNN result: the element plus its squared distance to the query
 /// point (distance from point to the element's MBR; 0 when inside).
@@ -270,7 +270,7 @@ impl IndexRef<'_> {
 
         // The best-first crawl; `best`'s bound prunes (∞ until full).
         let mut best = TopK::new(k);
-        let mut seen: HashSet<MetaRecordId> = HashSet::new();
+        let mut seen: AddrSet<MetaRecordId> = AddrSet::default();
         let mut frontier: BinaryHeap<Reverse<(MinKey, MetaRecordId)>> = BinaryHeap::new();
         // Scratch of one expansion (see the loop's tail), reused across turns.
         let mut fresh: Vec<MetaRecordId> = Vec::new();
@@ -315,10 +315,10 @@ impl IndexRef<'_> {
             // move during an expansion, so answers and `KnnStats` are
             // those of reading each neighbor as it is met.
             let bound = best.bound();
-            walk_links(pool, record, |chunk| {
+            walk_links(pool, &record, |chunk| {
                 fresh.clear();
                 wants.clear();
-                for &neighbor in chunk {
+                for neighbor in chunk.neighbors() {
                     if seen.insert(neighbor) {
                         fresh.push(neighbor);
                         want_meta_page(&mut wants, neighbor.page);
@@ -376,7 +376,7 @@ impl IndexRef<'_> {
                 SeedItem::Node { page, level: 1 } => {
                     let leaf = pool.read_page(page, PageKind::SeedLeaf)?;
                     for slot in 0..meta_leaf_len(&leaf)? as u16 {
-                        let record = decode_meta_record(&leaf, slot)?;
+                        let record = MetaView::new(leaf.clone(), slot)?;
                         if record.is_continuation || record.is_dead {
                             continue; // not a valid crawl entry point
                         }

@@ -42,6 +42,19 @@
 //! pointers and by the crawl's visited set; continuations are reached
 //! exclusively through the chain (and their page reads are charged like
 //! any other metadata read).
+//!
+//! # Reading records in place
+//!
+//! The read path never decodes a record into an owned value. A
+//! `MetaView` holds the shared page the cache handed out (a reference-count
+//! bump, not a copy) plus the record's position: creating it checks every
+//! offset the page claims and decodes the fixed fields, and its neighbor
+//! pointers are read straight off the page bytes as they are iterated —
+//! the slot directory plays the part of an offset table, so one record is
+//! read without touching its page-mates. A crawl therefore allocates
+//! nothing per record. [`MetaRecord`] is the write side's form (the
+//! bulkload and the delta layer's page edits), and [`decode_meta_record`]
+//! is a collect over the view, so there is one parser.
 
 use flat_geom::{Aabb, Point3};
 use flat_storage::{Page, PageId, PageMut, StorageError, PAGE_SIZE};
@@ -194,11 +207,10 @@ fn put_mbr(page: &mut PageMut<'_>, offset: usize, mbr: &Aabb) {
     page.put_f64(offset + 40, mbr.max.z);
 }
 
-fn get_mbr(page: &Page, offset: usize) -> Aabb {
-    // One bounds check for the whole MBR; the six reads inside it are
-    // fixed offsets into a 48-byte slice.
-    let mbr = &page.bytes()[offset..offset + 48];
-    let coord = |i: usize| f64::from_le_bytes(mbr[i * 8..i * 8 + 8].try_into().unwrap());
+/// Reads an MBR from its 48 serialized bytes.
+fn mbr_at(mbr: &[u8]) -> Aabb {
+    let coord =
+        |i: usize| f64::from_le_bytes(mbr[i * 8..i * 8 + 8].try_into().expect("48-byte MBR"));
     Aabb {
         min: Point3::new(coord(0), coord(1), coord(2)),
         max: Point3::new(coord(3), coord(4), coord(5)),
@@ -280,57 +292,115 @@ pub fn meta_leaf_len(page: &Page) -> Result<usize, StorageError> {
     Ok(page.get_u16(2) as usize)
 }
 
+/// One metadata record read in place: the page the cache handed out
+/// (shared, not copied) and where the record's neighbor pointers sit on
+/// it. The fixed fields are decoded once, when the view is made; the
+/// neighbor pointers are read off the page bytes as
+/// [`MetaView::neighbors`] is iterated, so reading a record allocates
+/// nothing. This is the one metadata parser: [`decode_meta_record`] is a
+/// collect over it.
+#[derive(Debug, Clone)]
+pub(crate) struct MetaView {
+    /// Tight MBR of the elements on the object page.
+    pub(crate) page_mbr: Aabb,
+    /// The partition MBR (tile ⊇ page MBR).
+    pub(crate) partition_mbr: Aabb,
+    /// The object page the record describes.
+    pub(crate) object_page: PageId,
+    /// Next chunk of the neighbor list, if it didn't fit in one record.
+    pub(crate) continuation: Option<MetaRecordId>,
+    /// `true` for continuation chunks (see [`MetaRecord::is_continuation`]).
+    pub(crate) is_continuation: bool,
+    /// `true` once the record's partition is retired (see
+    /// [`MetaRecord::is_dead`]).
+    pub(crate) is_dead: bool,
+    page: Page,
+    /// Byte range of the neighbor pointers, checked on creation to lie
+    /// on the page.
+    neighbors_start: usize,
+    neighbors_end: usize,
+}
+
+impl MetaView {
+    /// Views the record in `slot` of metadata page `page`. Every offset
+    /// the page claims — slot directory entry, record, neighbor list — is
+    /// checked here, so a corrupt page is a [`StorageError::Corrupt`] and
+    /// nothing read later can run off the page.
+    pub(crate) fn new(page: Page, slot: u16) -> Result<MetaView, StorageError> {
+        let count = meta_leaf_len(&page)?;
+        let dir = HEADER_SIZE + slot as usize * DIR_ENTRY;
+        if slot as usize >= count || dir + DIR_ENTRY > PAGE_SIZE {
+            return Err(StorageError::Corrupt(format!(
+                "metadata slot {slot} out of range (page holds {count})"
+            )));
+        }
+        let offset = page.get_u16(dir) as usize;
+        let Some(fixed) = page.bytes().get(offset..offset + RECORD_FIXED) else {
+            return Err(StorageError::Corrupt(format!(
+                "record offset {offset} out of page"
+            )));
+        };
+        let u16_at = |at: usize| u16::from_le_bytes([fixed[at], fixed[at + 1]]);
+        let u64_at =
+            |at: usize| u64::from_le_bytes(fixed[at..at + 8].try_into().expect("8-byte range"));
+        let count_word = u16_at(104);
+        let n = (count_word & COUNT_MASK) as usize;
+        let neighbors_start = offset + RECORD_FIXED;
+        let neighbors_end = neighbors_start + n * NEIGHBOR_SIZE;
+        if neighbors_end > PAGE_SIZE {
+            return Err(StorageError::Corrupt(format!(
+                "record with {n} neighbors out of page"
+            )));
+        }
+        Ok(MetaView {
+            page_mbr: mbr_at(&fixed[..48]),
+            partition_mbr: mbr_at(&fixed[48..96]),
+            object_page: PageId(u64_at(96)),
+            continuation: match u64_at(106) {
+                NO_CONTINUATION => None,
+                p => Some(MetaRecordId {
+                    page: PageId(p),
+                    slot: u16_at(114),
+                }),
+            },
+            is_continuation: count_word & FLAG_CONTINUATION != 0,
+            is_dead: count_word & FLAG_DEAD != 0,
+            page,
+            neighbors_start,
+            neighbors_end,
+        })
+    }
+
+    /// This chunk's neighbor pointers, in stored order, read straight off
+    /// the page.
+    pub(crate) fn neighbors(&self) -> impl ExactSizeIterator<Item = MetaRecordId> + '_ {
+        self.page.bytes()[self.neighbors_start..self.neighbors_end]
+            .chunks_exact(NEIGHBOR_SIZE)
+            .map(|pointer| MetaRecordId {
+                page: PageId(u64::from_le_bytes(
+                    pointer[..8].try_into().expect("10-byte pointer"),
+                )),
+                slot: u16::from_le_bytes([pointer[8], pointer[9]]),
+            })
+    }
+
+    /// The record as an owned value (the write side edits these).
+    pub(crate) fn to_record(&self) -> MetaRecord {
+        MetaRecord {
+            page_mbr: self.page_mbr,
+            partition_mbr: self.partition_mbr,
+            object_page: self.object_page,
+            neighbors: self.neighbors().collect(),
+            continuation: self.continuation,
+            is_continuation: self.is_continuation,
+            is_dead: self.is_dead,
+        }
+    }
+}
+
 /// Decodes one record by slot.
 pub fn decode_meta_record(page: &Page, slot: u16) -> Result<MetaRecord, StorageError> {
-    let count = meta_leaf_len(page)?;
-    if slot as usize >= count {
-        return Err(StorageError::Corrupt(format!(
-            "metadata slot {slot} out of range (page holds {count})"
-        )));
-    }
-    let offset = page.get_u16(HEADER_SIZE + slot as usize * DIR_ENTRY) as usize;
-    if offset + RECORD_FIXED > PAGE_SIZE {
-        return Err(StorageError::Corrupt(format!(
-            "record offset {offset} out of page"
-        )));
-    }
-    let page_mbr = get_mbr(page, offset);
-    let partition_mbr = get_mbr(page, offset + 48);
-    let object_page = PageId(page.get_u64(offset + 96));
-    let count_word = page.get_u16(offset + 104);
-    let is_continuation = count_word & FLAG_CONTINUATION != 0;
-    let is_dead = count_word & FLAG_DEAD != 0;
-    let n = (count_word & COUNT_MASK) as usize;
-    let continuation = match page.get_u64(offset + 106) {
-        NO_CONTINUATION => None,
-        p => Some(MetaRecordId {
-            page: PageId(p),
-            slot: page.get_u16(offset + 114),
-        }),
-    };
-    if offset + RECORD_FIXED + n * NEIGHBOR_SIZE > PAGE_SIZE {
-        return Err(StorageError::Corrupt(format!(
-            "record with {n} neighbors out of page"
-        )));
-    }
-    let mut neighbors = Vec::with_capacity(n);
-    let mut n_off = offset + RECORD_FIXED;
-    for _ in 0..n {
-        neighbors.push(MetaRecordId {
-            page: PageId(page.get_u64(n_off)),
-            slot: page.get_u16(n_off + 8),
-        });
-        n_off += NEIGHBOR_SIZE;
-    }
-    Ok(MetaRecord {
-        page_mbr,
-        partition_mbr,
-        object_page,
-        neighbors,
-        continuation,
-        is_continuation,
-        is_dead,
-    })
+    Ok(MetaView::new(page.clone(), slot)?.to_record())
 }
 
 /// Decodes all records of a metadata page (validation / inspection).
@@ -580,5 +650,121 @@ mod tests {
         let got = decode_meta_record(&page, 0).unwrap();
         assert_eq!(got.neighbors.len(), 70);
         assert_eq!(got, record);
+    }
+
+    /// Asserts that the view of `slot` shows exactly `expected`, field by
+    /// field and pointer by pointer, and that the collect over it does.
+    fn assert_view_matches(page: &Page, slot: u16, expected: &MetaRecord) {
+        let view = MetaView::new(page.clone(), slot).unwrap();
+        assert_eq!(view.page_mbr, expected.page_mbr);
+        assert_eq!(view.partition_mbr, expected.partition_mbr);
+        assert_eq!(view.object_page, expected.object_page);
+        assert_eq!(view.continuation, expected.continuation);
+        assert_eq!(view.is_continuation, expected.is_continuation);
+        assert_eq!(view.is_dead, expected.is_dead);
+        assert_eq!(view.neighbors().len(), expected.neighbors.len());
+        assert!(view.neighbors().eq(expected.neighbors.iter().copied()));
+        assert_eq!(&view.to_record(), expected);
+        assert_eq!(&decode_meta_record(page, slot).unwrap(), expected);
+    }
+
+    #[test]
+    fn view_agrees_with_decode_for_every_flag_combination() {
+        for n in [0, max_neighbors_per_record()] {
+            let mut records = Vec::new();
+            for (i, (is_continuation, is_dead)) in
+                [(false, false), (true, false), (false, true), (true, true)]
+                    .into_iter()
+                    .enumerate()
+            {
+                for continuation in [
+                    None,
+                    Some(MetaRecordId {
+                        page: PageId(90 + i as u64),
+                        slot: i as u16,
+                    }),
+                ] {
+                    let mut record = sample_record(11 + records.len() as u64, n);
+                    record.is_continuation = is_continuation;
+                    record.is_dead = is_dead;
+                    record.continuation = continuation;
+                    records.push(record);
+                }
+            }
+            let pages: Vec<&[MetaRecord]> = if n == 0 {
+                // All eight on one page: every slot of a shared page.
+                vec![&records[..]]
+            } else {
+                // A full record fills a page on its own.
+                records.chunks(1).collect()
+            };
+            for on_page in pages {
+                let mut page = Page::new();
+                encode_meta_leaf(on_page, &mut page);
+                for (slot, expected) in on_page.iter().enumerate() {
+                    assert_view_matches(&page, slot as u16, expected);
+                }
+            }
+        }
+    }
+
+    /// A one-record page whose record starts at the returned offset.
+    fn one_record_page(neighbors: usize) -> (Page, usize) {
+        let mut page = Page::new();
+        encode_meta_leaf(&[sample_record(2, neighbors)], &mut page);
+        let offset = page.get_u16(HEADER_SIZE) as usize;
+        (page, offset)
+    }
+
+    fn is_corrupt<T>(result: Result<T, StorageError>) -> bool {
+        matches!(result, Err(StorageError::Corrupt(_)))
+    }
+
+    #[test]
+    fn record_offset_past_the_page_is_corrupt() {
+        let (mut page, _) = one_record_page(3);
+        for offset in [PAGE_SIZE - RECORD_FIXED + 1, PAGE_SIZE, u16::MAX as usize] {
+            page.put_u16(HEADER_SIZE, offset as u16);
+            assert!(
+                is_corrupt(MetaView::new(page.clone(), 0)),
+                "offset {offset}"
+            );
+            assert!(is_corrupt(decode_meta_record(&page, 0)), "offset {offset}");
+        }
+    }
+
+    #[test]
+    fn neighbor_count_running_off_the_page_is_corrupt() {
+        let (mut page, offset) = one_record_page(3);
+        // The most pointers that still end inside the page are accepted
+        // and iterate without running off it…
+        let fits = (PAGE_SIZE - offset - RECORD_FIXED) / NEIGHBOR_SIZE;
+        page.put_u16(offset + 104, fits as u16);
+        let view = MetaView::new(page.clone(), 0).unwrap();
+        assert_eq!(view.neighbors().count(), fits);
+        // …one more, or the largest count the word can hold, is corrupt —
+        // whatever flag bits ride along.
+        for count_word in [
+            fits as u16 + 1,
+            COUNT_MASK,
+            COUNT_MASK | FLAG_CONTINUATION | FLAG_DEAD,
+        ] {
+            page.put_u16(offset + 104, count_word);
+            assert!(
+                is_corrupt(MetaView::new(page.clone(), 0)),
+                "{count_word:#x}"
+            );
+            assert!(is_corrupt(decode_meta_record(&page, 0)), "{count_word:#x}");
+        }
+    }
+
+    #[test]
+    fn slot_directory_past_the_page_is_corrupt() {
+        // A record count the directory cannot hold on one page.
+        let (mut page, _) = one_record_page(1);
+        page.put_u16(2, u16::MAX);
+        let beyond = ((PAGE_SIZE - HEADER_SIZE) / DIR_ENTRY) as u16;
+        assert!(is_corrupt(MetaView::new(page.clone(), beyond)));
+        assert!(is_corrupt(decode_meta_record(&page, u16::MAX - 1)));
     }
 }

@@ -10,20 +10,65 @@
 //! with a moving bound — a different algorithm, not another copy — and
 //! shares the view, the link walker ([`walk_links`]) and the live-entry
 //! page scan ([`LivePage`]).
+//!
+//! Metadata records and object pages are read in place, never decoded
+//! into owned values: [`read_record`] hands out a view over the shared
+//! cached page (see [`crate::meta`]) whose neighbor pointers are read off
+//! the bytes as they are followed, and [`LivePage`] scans entries where
+//! they lie. The crawl's seen-set hashes with [`AddrHasher`]. A warm
+//! query therefore allocates only for its result, queue, seen-set and
+//! wave scratch, which grow geometrically with the crawl rather than once
+//! per record (`tests/alloc_free_crawl.rs` holds that to a budget).
 
 use crate::delta::{DeltaIndex, PartState};
 use crate::index::FlatIndex;
-use crate::meta::{decode_meta_leaf, decode_meta_record, meta_leaf_len, MetaRecord, MetaRecordId};
+use crate::meta::{meta_leaf_len, MetaRecordId, MetaView};
 use flat_geom::Aabb;
 use flat_rtree::node::{decode_inner, leaf_entry, leaf_header};
 use flat_rtree::{Hit, LeafLayout};
 use flat_storage::{Page, PageId, PageKind, PageRead, StorageError};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The multiplicative hash (the Fx constant) behind every set and map
+/// keyed by a page address: record addresses and `(page, slot)`
+/// locations. Those keys are written by the index itself, never chosen by
+/// a caller, so SipHash's protection against crafted collisions buys
+/// nothing, and the tables are only probed, never iterated in an order
+/// anything depends on.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(byte.into());
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash set keyed by page addresses ([`AddrHasher`]).
+pub(crate) type AddrSet<T> = HashSet<T, BuildHasherDefault<AddrHasher>>;
+
+/// A hash map keyed by page addresses ([`AddrHasher`]).
+pub(crate) type AddrMap<K, V> = HashMap<K, V, BuildHasherDefault<AddrHasher>>;
 
 /// Deleted-element set of a [`DeltaIndex`], keyed by physical location
 /// `(object page, slot)` — the one identity that stays valid under both
 /// leaf layouts and across delete-then-reinsert of the same application id.
-pub(crate) type Tombstones = HashSet<(PageId, u16)>;
+pub(crate) type Tombstones = AddrSet<(PageId, u16)>;
 
 /// Any index the read path understands: the single view every query verb
 /// (range, kNN, aggregate, join) is written against. A delta layer lives
@@ -97,31 +142,32 @@ impl QueryStats {
     }
 }
 
-/// Reads the metadata record at `addr` (one logical metadata read).
+/// Reads the metadata record at `addr` in place (one logical metadata
+/// read; the view shares the cached page).
 pub(crate) fn read_record(
     pool: &impl PageRead,
     addr: MetaRecordId,
-) -> Result<MetaRecord, StorageError> {
-    decode_meta_record(&pool.read_page(addr.page, PageKind::SeedLeaf)?, addr.slot)
+) -> Result<MetaView, StorageError> {
+    MetaView::new(pool.read_page(addr.page, PageKind::SeedLeaf)?, addr.slot)
 }
 
-/// Hands `visit` every chunk of `record`'s neighbor list in order: its own
-/// pointers, then each continuation chunk's. Over-full lists spill into
+/// Hands `visit` every chunk of `record`'s neighbor list in order: the
+/// record itself, then each continuation chunk. Over-full lists spill into
 /// continuation records (see [`crate::meta`]); following the chain is
 /// charged like any other metadata read.
 pub(crate) fn walk_links(
     pool: &impl PageRead,
-    record: MetaRecord,
-    mut visit: impl FnMut(&[MetaRecordId]) -> Result<(), StorageError>,
+    record: &MetaView,
+    mut visit: impl FnMut(&MetaView) -> Result<(), StorageError>,
 ) -> Result<(), StorageError> {
-    let mut chunk = record;
-    loop {
-        visit(&chunk.neighbors)?;
-        let Some(next) = chunk.continuation else {
-            return Ok(());
-        };
-        chunk = read_record(pool, next)?;
+    visit(record)?;
+    let mut next = record.continuation;
+    while let Some(addr) = next {
+        let chunk = read_record(pool, addr)?;
+        visit(&chunk)?;
+        next = chunk.continuation;
     }
+    Ok(())
 }
 
 /// One object page seen through the tombstone filter — the only place
@@ -196,13 +242,13 @@ pub(crate) trait CrawlVisitor {
     /// Will this (live) record's object page be scanned? Asked once per
     /// record, for a whole wave before any of its object pages is read, so
     /// the answers can be announced to the pool together.
-    fn wants_object(&mut self, addr: MetaRecordId, record: &MetaRecord) -> bool;
+    fn wants_object(&mut self, addr: MetaRecordId, record: &MetaView) -> bool;
 
     /// Scans an object page that was wanted, in queue order.
-    fn scan(&mut self, record: &MetaRecord, page: &LivePage<'_>);
+    fn scan(&mut self, record: &MetaView, page: &LivePage<'_>);
 
     /// Will this record's neighbor links be followed?
-    fn expands(&mut self, addr: MetaRecordId, record: &MetaRecord) -> bool;
+    fn expands(&mut self, addr: MetaRecordId, record: &MetaView) -> bool;
 }
 
 /// The range query's visitor: materialises the intersecting live elements
@@ -221,12 +267,12 @@ impl CrawlVisitor for RangeVisit<'_> {
 
     /// "the object page is only read from disk if M's page MBR intersects
     /// with the query" (§VI).
-    fn wants_object(&mut self, _addr: MetaRecordId, record: &MetaRecord) -> bool {
+    fn wants_object(&mut self, _addr: MetaRecordId, record: &MetaView) -> bool {
         self.stats.mbr_tests += 1;
         record.page_mbr.intersects(self.query)
     }
 
-    fn scan(&mut self, _record: &MetaRecord, page: &LivePage<'_>) {
+    fn scan(&mut self, _record: &MetaView, page: &LivePage<'_>) {
         self.stats.object_pages_read += 1;
         self.stats.mbr_tests += page.slots() as u64;
         let query = self.query;
@@ -236,7 +282,7 @@ impl CrawlVisitor for RangeVisit<'_> {
 
     /// "the neighbor pointers stored in a metadata record M are only
     /// followed if M's partition MBR intersects with the query" (§VI).
-    fn expands(&mut self, _addr: MetaRecordId, record: &MetaRecord) -> bool {
+    fn expands(&mut self, _addr: MetaRecordId, record: &MetaView) -> bool {
         self.stats.mbr_tests += 1;
         record.partition_mbr.intersects(self.query)
     }
@@ -300,7 +346,9 @@ impl<'a> IndexRef<'a> {
         }
         let mut out = Vec::new();
         for leaf in self.base().seed_tree_pages(pool)?.leaves {
-            for record in decode_meta_leaf(&pool.read_page(leaf, PageKind::SeedLeaf)?)? {
+            let page = pool.read_page(leaf, PageKind::SeedLeaf)?;
+            for slot in 0..meta_leaf_len(&page)? as u16 {
+                let record = MetaView::new(page.clone(), slot)?;
                 if !record.is_continuation && !record.is_dead {
                     out.push(summary(record.object_page, record.page_mbr));
                 }
@@ -366,7 +414,7 @@ impl<'a> IndexRef<'a> {
                 // A metadata leaf: probe its records.
                 let leaf = pool.read_page(page_id, PageKind::SeedLeaf)?;
                 for slot in 0..meta_leaf_len(&leaf)? as u16 {
-                    let record = decode_meta_record(&leaf, slot)?;
+                    let record = MetaView::new(leaf.clone(), slot)?;
                     // Continuation chunks are not crawl entry points: a
                     // crawl seeded mid-chain would only reach the tail of
                     // the over-full neighbor list. Dead records have no
@@ -420,7 +468,7 @@ impl<'a> IndexRef<'a> {
     ///
     /// A wave tells the pool about its reads before it blocks on any of
     /// them ([`PageRead::want_pages`]): first the wave's distinct metadata
-    /// pages, then — once the records are decoded — the object pages the
+    /// pages, then — once the records are read — the object pages the
     /// visitor wants. Both sets are certain reads, not guesses, so a pool
     /// that can overlap device fetches (a
     /// [`flat_storage::ConcurrentBufferPool`] with I/O workers) serves a
@@ -503,8 +551,8 @@ impl<'a> IndexRef<'a> {
                 );
             }
             if visitor.expands(addr, &record) {
-                walk_links(pool, record, |chunk| {
-                    for &neighbor in chunk {
+                walk_links(pool, &record, |chunk| {
+                    for neighbor in chunk.neighbors() {
                         if seen.insert(neighbor) {
                             queue.push_back(neighbor);
                         }
@@ -576,12 +624,12 @@ const WAVE: usize = 32;
 #[derive(Debug, Default)]
 pub(crate) struct CrawlState {
     queue: VecDeque<MetaRecordId>,
-    seen: HashSet<MetaRecordId>,
+    seen: AddrSet<MetaRecordId>,
     // Scratch of the wave in progress, kept here so a crawl allocates it
-    // once: the drained addresses, their decoded records (with whether the
-    // object page is wanted), and the page list being announced.
+    // once: the drained addresses, their records (with whether the object
+    // page is wanted), and the page list being announced.
     wave: Vec<MetaRecordId>,
-    records: Vec<(MetaRecord, bool)>,
+    records: Vec<(MetaView, bool)>,
     wants: Vec<(PageId, PageKind)>,
 }
 
