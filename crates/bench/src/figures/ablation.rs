@@ -1,6 +1,7 @@
 //! Design-choice ablations (extensions beyond the paper's figures,
 //! called out in DESIGN.md).
 
+use super::analysis::SAS_10K_US;
 use super::Context;
 use crate::indexes::{BuiltIndex, IndexKind};
 use crate::report::{fmt_f64, fmt_mb, fmt_secs, Table};
@@ -94,7 +95,7 @@ pub fn exp_bulk_vs_insert(ctx: &Context, elements: usize) -> Table {
             domain,
             ctx.scale.pool_pages,
         );
-        let outcome = run_workload(&built, &queries, ctx.model);
+        let outcome = run_workload(&built, &queries, SAS_10K_US);
         let tree = built.as_rtree().expect("STR is an R-tree");
         let fill = elements as f64 / (tree.num_leaf_pages() as f64 * cap) * 100.0;
         table.push_row(vec![
@@ -170,8 +171,8 @@ pub fn exp_bulkload_strategies(ctx: &Context) -> Table {
             BulkLoad::Tgs => IndexKind::Tgs,
         };
         let built = BuiltIndex::build(kind, entries.clone(), domain, ctx.scale.pool_pages);
-        let sn_outcome = run_workload(&built, &sn, ctx.model);
-        let lss_outcome = run_workload(&built, &lss, ctx.model);
+        let sn_outcome = run_workload(&built, &sn, SAS_10K_US);
+        let lss_outcome = run_workload(&built, &lss, SAS_10K_US);
         let tree = built.as_rtree().expect("R-tree ablation");
         table.push_row(vec![
             method.label().to_string(),

@@ -226,14 +226,14 @@ pub fn exp_overheads(ctx: &Context) -> Table {
                 .expect("in-memory query");
         }
         // Disk share from the same workload re-run through the runner (to
-        // price the I/O with the disk model).
+        // price the I/O at the paper's device cost).
         let fresh = BuiltIndex::build(
             IndexKind::Flat,
             ctx.sweep.at(density),
             domain,
             ctx.scale.pool_pages,
         );
-        let outcome = run_workload(&fresh, &queries, ctx.model);
+        let outcome = run_workload(&fresh, &queries, SAS_10K_US);
 
         let result_bytes = (stats.result_count * 48).max(1);
         table.push_row(vec![
@@ -246,11 +246,25 @@ pub fn exp_overheads(ctx: &Context) -> Table {
     table
 }
 
+/// Cost of one random 4 KB read on the paper's device, a 10 000 RPM SAS
+/// disk (§VII-A), in µs: ≈4 ms average seek, 3 ms rotational latency (half
+/// a revolution at 10 kRPM) and 40 µs of transfer at ≈100 MB/s.
+pub(crate) const SAS_10K_US: f64 = 7_040.0;
+
+/// Cost of one random 4 KB read on a commodity 7 200 RPM SATA disk, in µs:
+/// ≈8.5 ms seek, 4.2 ms rotational latency and 50 µs of transfer at
+/// ≈80 MB/s.
+pub(crate) const SATA_7200_US: f64 = 12_750.0;
+
+/// Cost of one random 4 KB read on a SATA SSD, in µs: no positioning cost
+/// to speak of. FLAT's time advantage shrinks as positioning cost shrinks,
+/// but the page-read counts are unchanged.
+pub(crate) const SSD_US: f64 = 70.0;
+
 /// Extension ablation: the same SN workload priced on different storage
 /// devices — FLAT's *time* advantage shrinks on an SSD while the page-read
 /// advantage is device-independent.
 pub fn exp_disk_models(ctx: &Context) -> Table {
-    use flat_storage::DiskModel;
     let mut table = Table::new(
         "exp_disk_models",
         "SN benchmark, densest data set: FLAT vs PR-Tree across storage devices",
@@ -273,13 +287,13 @@ pub fn exp_disk_models(ctx: &Context) -> Table {
         ctx.scale.pool_pages,
     );
 
-    for (name, model) in [
-        ("SAS 10k (paper)", DiskModel::sas_10k()),
-        ("SATA 7.2k", DiskModel::sata_7200()),
-        ("SSD", DiskModel::ssd()),
+    for (name, read_cost_us) in [
+        ("SAS 10k (paper)", SAS_10K_US),
+        ("SATA 7.2k", SATA_7200_US),
+        ("SSD", SSD_US),
     ] {
-        let flat_outcome = run_workload(&flat, &queries, model);
-        let pr_outcome = run_workload(&pr, &queries, model);
+        let flat_outcome = run_workload(&flat, &queries, read_cost_us);
+        let pr_outcome = run_workload(&pr, &queries, read_cost_us);
         let speedup = pr_outcome.total_time().as_secs_f64()
             / flat_outcome.total_time().as_secs_f64().max(1e-12);
         table.push_row(vec![

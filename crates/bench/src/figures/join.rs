@@ -106,7 +106,6 @@ pub fn exp_join(ctx: &Context) -> Table {
         BulkLoad::Str,
         RTreeConfig {
             layout: LeafLayout::WithIds,
-            ..RTreeConfig::default()
         },
     )
     .expect("in-memory build cannot fail");

@@ -9,9 +9,7 @@ pub mod ablation;
 pub mod analysis;
 pub mod build;
 pub mod build_scale;
-pub mod concurrency;
 pub mod join;
-pub mod knn;
 pub mod lss;
 pub mod motivation;
 pub mod other;
@@ -20,28 +18,21 @@ pub mod sn;
 use crate::datasets::DensitySweep;
 use crate::report::Table;
 use crate::Scale;
-use flat_storage::DiskModel;
 
-/// Shared state for a benchmarking session: the scale, the generated
-/// density sweep, and the disk model pricing the I/O.
+/// Shared state for a benchmarking session: the scale and the generated
+/// density sweep.
 pub struct Context {
     /// Experiment scale.
     pub scale: Scale,
     /// The neuron-model density sweep (generated once).
     pub sweep: DensitySweep,
-    /// Disk cost model (the paper's 10 kRPM SAS array by default).
-    pub model: DiskModel,
 }
 
 impl Context {
     /// Generates the sweep for `scale`.
     pub fn new(scale: Scale) -> Context {
         let sweep = DensitySweep::generate(&scale);
-        Context {
-            scale,
-            sweep,
-            model: DiskModel::sas_10k(),
-        }
+        Context { scale, sweep }
     }
 }
 
@@ -111,19 +102,9 @@ pub const SUITES: &[Suite] = &[
         },
     },
     Suite {
-        name: "concurrency",
-        section: "SN throughput from 1-8 clients and run_batch (extension)",
-        run: |ctx| vec![concurrency::exp_concurrency(ctx)],
-    },
-    Suite {
         name: "join",
         section: "ε-join co-crawl vs R-tree nested loop; writes BENCH_join.json (extension)",
         run: |ctx| vec![join::exp_join(ctx)],
-    },
-    Suite {
-        name: "knn",
-        section: "kNN exactness and throughput, clients and run_knn_batch (extension)",
-        run: |ctx| vec![knn::exp_knn(ctx)],
     },
     Suite {
         name: "other-datasets",
@@ -189,16 +170,6 @@ mod tests {
                     assert_eq!(table("exp_bulk_vs_insert").rows.len(), 2);
                     assert_eq!(table("exp_bulkload_strategies").rows.len(), 4);
                 }
-                "concurrency" => {
-                    let rows = &table("exp_concurrency").rows;
-                    assert_eq!(rows.len(), concurrency::THREAD_STEPS.len() + 1);
-                    // Every mode answers the same workload identically.
-                    let results: Vec<&String> = rows.iter().map(|r| &r[3]).collect();
-                    assert!(
-                        results.windows(2).all(|w| w[0] == w[1]),
-                        "thread counts disagree: {results:?}"
-                    );
-                }
                 "join" => {
                     // R-tree nested loop, FLAT co-crawl, sharded co-crawl; the
                     // driver itself asserts all three produce identical pair sets.
@@ -216,15 +187,6 @@ mod tests {
                     );
                     assert_eq!(joined.record, Some("BENCH_join"));
                     assert!(joined.to_json().contains("\"rows\""));
-                }
-                "knn" => {
-                    // One row per client count plus the batch verb's; the
-                    // driver itself asserts the batch is bit-identical to serial.
-                    let rows = &table("exp_knn").rows;
-                    assert_eq!(rows.len(), knn::CLIENT_STEPS.len() + 1);
-                    // Every mode answers the same workload: identical neighbor counts.
-                    let counts: Vec<&String> = rows.iter().map(|r| &r[5]).collect();
-                    assert!(counts.windows(2).all(|w| w[0] == w[1]));
                 }
                 "other-datasets" => {
                     assert_eq!(table("fig22_other_datasets").rows.len(), 5);

@@ -1,6 +1,7 @@
 //! §VIII / Figures 22–23: FLAT vs the PR-tree on the other scientific data
 //! sets (Nuage n-body snapshots, the brain surface mesh, the Lucy statue).
 
+use super::analysis::SAS_10K_US;
 use crate::indexes::{BuiltIndex, IndexKind};
 use crate::report::{fmt_mb, fmt_secs, Table};
 use crate::runner::run_workload;
@@ -9,7 +10,6 @@ use flat_data::nbody::{nbody_entries, NBodyConfig};
 use flat_data::workload::{range_queries, WorkloadConfig};
 use flat_geom::Aabb;
 use flat_rtree::Entry;
-use flat_storage::DiskModel;
 
 /// The five §VIII datasets with their paper sizes in millions of elements.
 /// `per_million` elements are generated per paper-million (1000 =
@@ -75,7 +75,6 @@ pub fn other_datasets_suite(per_million: usize, queries: usize, seed: u64) -> (T
     let volume_scale = 1000.0 / per_million as f64 * 1000.0;
     let small_fraction = (flat_data::workload::SN_VOLUME_FRACTION * volume_scale).min(0.05);
     let large_fraction = (flat_data::workload::LSS_VOLUME_FRACTION * volume_scale).min(0.05);
-    let model = DiskModel::sas_10k();
 
     for (name, entries, domain) in datasets(per_million, seed) {
         let count = entries.len();
@@ -100,8 +99,8 @@ pub fn other_datasets_suite(per_million: usize, queries: usize, seed: u64) -> (T
                 seed: seed ^ fraction.to_bits(),
             };
             let qs = range_queries(&domain, &config);
-            let flat_outcome = run_workload(&flat, &qs, model);
-            let pr_outcome = run_workload(&pr, &qs, model);
+            let flat_outcome = run_workload(&flat, &qs, SAS_10K_US);
+            let pr_outcome = run_workload(&pr, &qs, SAS_10K_US);
             let speedup = (pr_outcome.total_time().as_secs_f64()
                 - flat_outcome.total_time().as_secs_f64())
                 / pr_outcome.total_time().as_secs_f64().max(1e-12)

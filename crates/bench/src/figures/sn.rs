@@ -1,6 +1,7 @@
 //! The SN (structural neighborhood) benchmark suite: Figures 3, 12, 13, 14
 //! and 15 from one measurement sweep.
 
+use super::analysis::SAS_10K_US;
 use super::Context;
 use crate::indexes::{BuiltIndex, IndexKind};
 use crate::report::{fmt_f64, fmt_mb, fmt_secs, Table};
@@ -52,7 +53,7 @@ pub(super) fn run_paper_set(
                     let entries = entries.clone();
                     scope.spawn(move || {
                         let built = BuiltIndex::build(kind, entries, domain, ctx.scale.pool_pages);
-                        (kind, run_workload(&built, queries, ctx.model))
+                        (kind, run_workload(&built, queries, SAS_10K_US))
                     })
                 })
                 .collect();

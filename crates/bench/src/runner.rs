@@ -1,11 +1,10 @@
 //! Workload execution and aggregation: the paper's cold-cache protocol
-//! ([`run_workload`]) and the multi-threaded query-throughput runner
-//! ([`throughput`]) demonstrating concurrent streams over one index.
+//! ([`run_workload`]).
 
 use crate::indexes::BuiltIndex;
 use flat_geom::Aabb;
-use flat_storage::{DiskModel, IoStats, PageKind};
-use std::time::{Duration, Instant};
+use flat_storage::{IoStats, PageKind};
+use std::time::Duration;
 
 /// Aggregated outcome of running a workload against one index.
 #[derive(Debug, Clone)]
@@ -18,7 +17,8 @@ pub struct WorkloadOutcome {
     pub io: IoStats,
     /// Total CPU time spent evaluating queries.
     pub cpu_time: Duration,
-    /// Simulated disk time for the physical reads ([`DiskModel`]).
+    /// Simulated disk time: the physical reads priced at a fixed cost per
+    /// read.
     pub io_time: Duration,
 }
 
@@ -70,8 +70,9 @@ impl WorkloadOutcome {
 }
 
 /// Runs `queries` against `index` under the paper's protocol (cold cache
-/// per query) and aggregates the outcome with `model` pricing the I/O.
-pub fn run_workload(index: &BuiltIndex, queries: &[Aabb], model: DiskModel) -> WorkloadOutcome {
+/// per query) and aggregates the outcome, pricing each physical page read
+/// at `read_cost_us` microseconds.
+pub fn run_workload(index: &BuiltIndex, queries: &[Aabb], read_cost_us: f64) -> WorkloadOutcome {
     let mut io = IoStats::new();
     let mut results = 0u64;
     let mut cpu_time = Duration::ZERO;
@@ -81,7 +82,7 @@ pub fn run_workload(index: &BuiltIndex, queries: &[Aabb], model: DiskModel) -> W
         cpu_time += cpu;
         io.accumulate(&delta);
     }
-    let io_time = model.io_time(&io);
+    let io_time = Duration::from_secs_f64(io.total_physical_reads() as f64 * read_cost_us / 1e6);
     WorkloadOutcome {
         queries: queries.len(),
         results,
@@ -91,89 +92,12 @@ pub fn run_workload(index: &BuiltIndex, queries: &[Aabb], model: DiskModel) -> W
     }
 }
 
-/// Outcome of one multi-threaded throughput run.
-#[derive(Debug, Clone)]
-pub struct ThroughputOutcome {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Total queries executed across all threads.
-    pub queries: usize,
-    /// Total result elements across all queries.
-    pub results: u64,
-    /// Wall-clock time for the whole run.
-    pub wall: Duration,
-}
-
-impl ThroughputOutcome {
-    /// Aggregate queries per second.
-    pub fn qps(&self) -> f64 {
-        if self.wall.is_zero() {
-            0.0
-        } else {
-            self.queries as f64 / self.wall.as_secs_f64()
-        }
-    }
-}
-
-/// Runs `run` over `queries` from `threads` worker threads, `rounds` times
-/// each, and measures aggregate throughput; `run` evaluates one query and
-/// returns its result count.
-///
-/// This is the workload the `PageRead` refactor exists for: every thread
-/// holds only shared references. Queries are distributed round-robin;
-/// with an I/O-bound store (e.g. [`flat_storage::ThrottledStore`] pricing
-/// each physical read like a device would) the threads overlap their I/O
-/// waits, so aggregate throughput grows with the thread count — the same
-/// effect concurrent query streams see on a real disk array.
-///
-/// # Panics
-/// Panics if `threads` or `rounds` is zero.
-pub fn throughput<Q: Sync>(
-    queries: &[Q],
-    threads: usize,
-    rounds: usize,
-    run: impl Fn(&Q) -> u64 + Sync,
-) -> ThroughputOutcome {
-    assert!(threads > 0, "at least one thread required");
-    assert!(rounds > 0, "at least one round required");
-    let start = Instant::now();
-    let results: u64 = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|t| {
-                let run = &run;
-                scope.spawn(move || {
-                    let mut local = 0u64;
-                    for _ in 0..rounds {
-                        for query in queries.iter().skip(t).step_by(threads) {
-                            local += run(query);
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("worker panicked"))
-            .sum()
-    });
-    let wall = start.elapsed();
-    // Round-robin splitting covers every query exactly once per round.
-    ThroughputOutcome {
-        threads,
-        queries: queries.len() * rounds,
-        results,
-        wall,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::analysis::{SAS_10K_US, SATA_7200_US, SSD_US};
     use crate::indexes::IndexKind;
-    use flat_core::{FlatIndex, FlatOptions};
     use flat_data::uniform::{uniform_entries, UniformConfig};
-    use flat_storage::{ConcurrentBufferPool, MemStore, ThrottledStore};
 
     #[test]
     fn outcome_aggregates_queries() {
@@ -183,7 +107,7 @@ mod tests {
         let queries: Vec<Aabb> = (0..5)
             .map(|i| Aabb::cube(config.domain.center(), 100.0 + i as f64 * 50.0))
             .collect();
-        let outcome = run_workload(&index, &queries, DiskModel::sas_10k());
+        let outcome = run_workload(&index, &queries, SAS_10K_US);
         assert_eq!(outcome.queries, 5);
         assert!(outcome.results > 0);
         assert!(outcome.page_reads() > 0);
@@ -198,79 +122,32 @@ mod tests {
         let config = UniformConfig::paper_baseline(1_000, 5);
         let entries = uniform_entries(&config);
         let index = BuiltIndex::build(IndexKind::Str, entries, config.domain, 1 << 16);
-        let outcome = run_workload(&index, &[], DiskModel::sas_10k());
+        let outcome = run_workload(&index, &[], SAS_10K_US);
         assert_eq!(outcome.queries, 0);
         assert_eq!(outcome.page_reads(), 0);
         assert_eq!(outcome.reads_per_result(), 0.0);
     }
 
     #[test]
-    fn throughput_runner_counts_all_work_at_any_thread_count() {
-        let config = UniformConfig::paper_baseline(5_000, 5);
+    fn io_time_prices_physical_reads_exactly() {
+        let config = UniformConfig::paper_baseline(10_000, 7);
         let entries = uniform_entries(&config);
-        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
-        let options = FlatOptions {
-            domain: Some(config.domain),
-            ..FlatOptions::default()
-        };
-        let (index, _) = FlatIndex::build(&mut pool, entries, options).unwrap();
-        let queries: Vec<Aabb> = (0..8)
-            .map(|i| Aabb::cube(config.domain.center(), 80.0 + i as f64 * 40.0))
+        let index = BuiltIndex::build(IndexKind::Flat, entries, config.domain, 1 << 16);
+        let queries: Vec<Aabb> = (0..4)
+            .map(|i| Aabb::cube(config.domain.center(), 120.0 + i as f64 * 60.0))
             .collect();
-
-        let range_throughput = |threads, rounds| {
-            throughput(&queries, threads, rounds, |q| {
-                index.range_query(&pool, q).unwrap().len() as u64
-            })
-        };
-        let serial = range_throughput(1, 2);
-        let parallel = range_throughput(4, 2);
-        assert_eq!(serial.queries, 16);
-        assert_eq!(parallel.queries, 16);
-        // Same queries → same total results regardless of thread count.
-        assert_eq!(serial.results, parallel.results);
-        assert!(serial.results > 0);
-        assert!(serial.qps() > 0.0);
-    }
-
-    #[test]
-    fn io_bound_throughput_scales_with_threads() {
-        // The refactor's payoff: with a store that charges a device
-        // latency per physical read, threads overlap their waits and
-        // aggregate throughput rises well past 1×.
-        let config = UniformConfig::paper_baseline(4_000, 9);
-        let entries = uniform_entries(&config);
-        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 4);
-        let options = FlatOptions {
-            domain: Some(config.domain),
-            ..FlatOptions::default()
-        };
-        let (index, _) = FlatIndex::build(&mut pool, entries, options).unwrap();
-        // Re-house the pages behind a 2 ms/read device, with a tiny cache
-        // so queries keep missing. The latency is long enough that CPU
-        // contention from tests running beside this one (thread start-up,
-        // crawl work) stays small against the waits being overlapped.
-        let store = ThrottledStore::new(pool.into_store(), Duration::from_millis(2));
-        let pool = ConcurrentBufferPool::new(store, 64);
-        let queries: Vec<Aabb> = (0..8)
-            .map(|i| Aabb::cube(config.domain.center(), 60.0 + i as f64 * 30.0))
-            .collect();
-
-        let range_throughput = |threads, rounds| {
-            throughput(&queries, threads, rounds, |q| {
-                index.range_query(&pool, q).unwrap().len() as u64
-            })
-        };
-        let serial = range_throughput(1, 1);
-        let parallel = range_throughput(4, 1);
-        let speedup = parallel.qps() / serial.qps();
-        assert_eq!(serial.results, parallel.results);
-        // Overlapped sleeps give ~3x here even on one core; the bound is
-        // kept loose (just past the >1x acceptance line) so a contended CI
-        // runner can't flake it. `run_all concurrency` reports the real curve.
-        assert!(
-            speedup > 1.2,
-            "4 threads over an I/O-bound store must overlap waits: {speedup:.2}x"
-        );
+        // Each device's positioning + transfer time per read, priced as
+        // reads × cost / 10⁶ seconds: the figures' I/O-time cells.
+        for (cost_us, positioning_us, transfer_us) in [
+            (SAS_10K_US, 7000.0, 40.0),
+            (SATA_7200_US, 12700.0, 50.0),
+            (SSD_US, 60.0, 10.0),
+        ] {
+            let outcome = run_workload(&index, &queries, cost_us);
+            let reads = outcome.io.total_physical_reads();
+            assert!(reads > 0);
+            let expected = reads as f64 * (positioning_us + transfer_us) / 1e6;
+            assert_eq!(outcome.io_time, Duration::from_secs_f64(expected));
+        }
     }
 }

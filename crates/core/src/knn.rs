@@ -184,7 +184,6 @@ pub fn rtree_knn(
     let Some(root) = tree.root().filter(|_| k > 0) else {
         return Ok(Vec::new());
     };
-    let config = *tree.config();
     let mut best = TopK::new(k);
     // Frontier of (min distance, node, level); 1 = leaf level.
     let mut frontier: BinaryHeap<Reverse<(MinKey, PageId, u32)>> = BinaryHeap::new();
@@ -195,7 +194,7 @@ pub fn rtree_knn(
             break;
         }
         if level == 1 {
-            let page = pool.read_page(page_id, config.leaf_kind)?;
+            let page = pool.read_page(page_id, PageKind::RTreeLeaf)?;
             let (layout, entries) = decode_leaf(&page)?;
             for (slot, entry) in entries.iter().enumerate() {
                 let id = match layout {
@@ -211,7 +210,7 @@ pub fn rtree_knn(
                 best.offer(hit, entry.mbr.distance_sq_to_point(&point));
             }
         } else {
-            let page = pool.read_page(page_id, config.inner_kind)?;
+            let page = pool.read_page(page_id, PageKind::RTreeInner)?;
             for child in decode_inner(&page)? {
                 let key = child.mbr.distance_sq_to_point(&point);
                 if key <= best.bound() {

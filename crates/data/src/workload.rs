@@ -147,21 +147,6 @@ pub fn knn_queries(domain: &Aabb, config: &KnnConfig) -> Vec<(Point3, usize)> {
         .collect()
 }
 
-/// Queries centered on the given element positions — the incremental
-/// structural-neighborhood access pattern of §III-A ("numerous requests for
-/// the immediate neighborhood … along a neuron fiber").
-pub fn queries_along(centers: &[Point3], domain: &Aabb, volume_fraction: f64) -> Vec<Aabb> {
-    centers
-        .iter()
-        .map(|c| {
-            RangeQueryBuilder::new(*domain)
-                .center(*c)
-                .volume_fraction(volume_fraction)
-                .build()
-        })
-        .collect()
-}
-
 fn random_point(rng: &mut StdRng, domain: &Aabb) -> Point3 {
     Point3::new(
         rng.gen_range(domain.min.x..domain.max.x),
@@ -259,16 +244,5 @@ mod tests {
             seed: 3,
         };
         assert!(knn_queries(&domain(), &config).iter().all(|&(_, k)| k == 5));
-    }
-
-    #[test]
-    fn queries_along_fiber_centers() {
-        let centers = vec![Point3::splat(10.0), Point3::splat(20.0)];
-        let queries = queries_along(&centers, &domain(), SN_VOLUME_FRACTION);
-        assert_eq!(queries.len(), 2);
-        assert_eq!(queries[0].center(), centers[0]);
-        for q in &queries {
-            assert!(domain().contains(q));
-        }
     }
 }

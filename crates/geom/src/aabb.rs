@@ -134,16 +134,6 @@ impl Aabb {
         2.0 * (e.x * e.y + e.y * e.z + e.z * e.x)
     }
 
-    /// Sum of the three edge lengths (the *margin* used by R*-style splits).
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let e = self.extents();
-        e.x + e.y + e.z
-    }
-
     /// `true` if the closed boxes share at least one point.
     #[inline]
     pub fn intersects(&self, other: &Aabb) -> bool {
@@ -331,11 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn volume_surface_margin_of_unit_cube() {
+    fn volume_and_surface_of_unit_cube() {
         let b = unit();
         assert_eq!(b.volume(), 1.0);
         assert_eq!(b.surface_area(), 6.0);
-        assert_eq!(b.margin(), 3.0);
     }
 
     #[test]

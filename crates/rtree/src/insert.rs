@@ -14,7 +14,7 @@ use crate::node::{
 use crate::tree::RTree;
 use crate::Entry;
 use flat_geom::Aabb;
-use flat_storage::{Page, PageId, PageRead, PageWrite, StorageError};
+use flat_storage::{Page, PageId, PageKind, PageRead, PageWrite, StorageError};
 
 /// Minimum fill after a split, as a fraction of capacity (Guttman's `m`).
 const MIN_FILL: f64 = 0.4;
@@ -111,7 +111,7 @@ impl RTree {
             // First element: the root is a single leaf.
             encode_leaf(&[entry], config.layout, &mut page);
             let id = pool.alloc()?;
-            pool.write(id, &page, config.leaf_kind)?;
+            pool.write(id, &page, PageKind::RTreeLeaf)?;
             self.set_root(id, 1);
             self.bump_counts(1, 1, 0);
             return Ok(());
@@ -122,7 +122,7 @@ impl RTree {
         let mut path: Vec<(PageId, Vec<ChildRef>, usize)> = Vec::new();
         let mut current = root;
         for _ in 1..self.height() {
-            let node = pool.read_page(current, config.inner_kind)?;
+            let node = pool.read_page(current, PageKind::RTreeInner)?;
             let children = decode_inner(&node)?;
             // Guttman ChooseLeaf: least enlargement, ties by least volume.
             let (best, _) = children
@@ -137,22 +137,22 @@ impl RTree {
         }
 
         // Insert into the leaf.
-        let leaf_page = pool.read_page(current, config.leaf_kind)?;
+        let leaf_page = pool.read_page(current, PageKind::RTreeLeaf)?;
         let (_, mut entries) = decode_leaf(&leaf_page)?;
         entries.push(entry);
         self.bump_counts(1, 0, 0);
 
         let mut split: Option<ChildRef> = if entries.len() <= leaf_capacity(config.layout) {
             encode_leaf(&entries, config.layout, &mut page);
-            pool.write(current, &page, config.leaf_kind)?;
+            pool.write(current, &page, PageKind::RTreeLeaf)?;
             None
         } else {
             let (a, b) = quadratic_split(entries, leaf_capacity(config.layout));
             encode_leaf(&a, config.layout, &mut page);
-            pool.write(current, &page, config.leaf_kind)?;
+            pool.write(current, &page, PageKind::RTreeLeaf)?;
             encode_leaf(&b, config.layout, &mut page);
             let new_id = pool.alloc()?;
-            pool.write(new_id, &page, config.leaf_kind)?;
+            pool.write(new_id, &page, PageKind::RTreeLeaf)?;
             self.bump_counts(0, 1, 0);
             Some(ChildRef {
                 mbr: Aabb::union_all(b.iter().map(|e| e.mbr)),
@@ -161,7 +161,7 @@ impl RTree {
         };
         // The updated MBR of the node we just rewrote.
         let mut updated_mbr = {
-            let p = pool.read_page(current, config.leaf_kind)?;
+            let p = pool.read_page(current, PageKind::RTreeLeaf)?;
             let (_, es) = decode_leaf(&p)?;
             Aabb::union_all(es.iter().map(|e| e.mbr))
         };
@@ -174,15 +174,15 @@ impl RTree {
             }
             if children.len() <= inner_capacity() {
                 encode_inner(&children, &mut page);
-                pool.write(node_id, &page, config.inner_kind)?;
+                pool.write(node_id, &page, PageKind::RTreeInner)?;
                 updated_mbr = Aabb::union_all(children.iter().map(|c| c.mbr));
             } else {
                 let (a, b) = quadratic_split(children, inner_capacity());
                 encode_inner(&a, &mut page);
-                pool.write(node_id, &page, config.inner_kind)?;
+                pool.write(node_id, &page, PageKind::RTreeInner)?;
                 encode_inner(&b, &mut page);
                 let new_id = pool.alloc()?;
-                pool.write(new_id, &page, config.inner_kind)?;
+                pool.write(new_id, &page, PageKind::RTreeInner)?;
                 self.bump_counts(0, 0, 1);
                 updated_mbr = Aabb::union_all(a.iter().map(|c| c.mbr));
                 split = Some(ChildRef {
@@ -201,7 +201,7 @@ impl RTree {
             let children = vec![old_root_ref, new_sibling];
             encode_inner(&children, &mut page);
             let new_root = pool.alloc()?;
-            pool.write(new_root, &page, config.inner_kind)?;
+            pool.write(new_root, &page, PageKind::RTreeInner)?;
             let h = self.height();
             self.set_root(new_root, h + 1);
             self.bump_counts(0, 0, 1);
@@ -229,7 +229,6 @@ mod tests {
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let mut tree = RTree::new_empty(RTreeConfig {
             layout: LeafLayout::WithIds,
-            ..RTreeConfig::default()
         });
         for e in &entries {
             tree.insert(&mut pool, *e).unwrap();
@@ -316,7 +315,6 @@ mod tests {
             crate::BulkLoad::Str,
             RTreeConfig {
                 layout: LeafLayout::WithIds,
-                ..RTreeConfig::default()
             },
         )
         .unwrap();

@@ -62,10 +62,7 @@ impl RTree {
         let num_leaf_pages = page.get_u64(32);
         let num_inner_pages = page.get_u64(40);
 
-        let mut tree = RTree::new_empty(RTreeConfig {
-            layout,
-            ..RTreeConfig::default()
-        });
+        let mut tree = RTree::new_empty(RTreeConfig { layout });
         if root != NO_ROOT {
             tree.set_root(PageId(root), height);
             tree.bump_counts(
@@ -100,7 +97,6 @@ mod tests {
             BulkLoad::Str,
             RTreeConfig {
                 layout: LeafLayout::WithIds,
-                ..RTreeConfig::default()
             },
         )
         .unwrap();

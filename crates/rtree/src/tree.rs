@@ -10,25 +10,10 @@ use flat_geom::Aabb;
 use flat_storage::{Page, PageId, PageKind, PageRead, PageWrite, StorageError};
 
 /// Configuration shared by all R-tree variants.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RTreeConfig {
     /// Leaf page layout (85 bare MBRs per page by default, like the paper).
     pub layout: LeafLayout,
-    /// Page kind charged for non-leaf reads (default
-    /// [`PageKind::RTreeInner`]).
-    pub inner_kind: PageKind,
-    /// Page kind charged for leaf reads (default [`PageKind::RTreeLeaf`]).
-    pub leaf_kind: PageKind,
-}
-
-impl Default for RTreeConfig {
-    fn default() -> Self {
-        RTreeConfig {
-            layout: LeafLayout::default(),
-            inner_kind: PageKind::RTreeInner,
-            leaf_kind: PageKind::RTreeLeaf,
-        }
-    }
 }
 
 /// A query result: one element whose MBR intersects the query.
@@ -107,7 +92,7 @@ impl RTree {
         for run in &runs {
             encode_leaf(run, config.layout, &mut page);
             let id = pool.alloc()?;
-            pool.write(id, &page, config.leaf_kind)?;
+            pool.write(id, &page, PageKind::RTreeLeaf)?;
             level.push(ChildRef {
                 mbr: Aabb::union_all(run.iter().map(|e| e.mbr)),
                 page: id,
@@ -118,7 +103,7 @@ impl RTree {
         // Build the directory bottom-up, packing each level with the same
         // strategy.
         let (root, height, num_inner_pages) =
-            pack_directory(pool, level, method, config.inner_kind)?;
+            pack_directory(pool, level, method, PageKind::RTreeInner)?;
         Ok(RTree {
             root: Some(root),
             height,
@@ -231,7 +216,7 @@ impl RTree {
                 self.scan_leaf(pool, page_id, query, stats, &mut hits)?;
                 continue;
             }
-            let page = pool.read_page(page_id, self.config.inner_kind)?;
+            let page = pool.read_page(page_id, PageKind::RTreeInner)?;
             stats.inner_visits += 1;
             debug_assert!(!is_leaf(&page), "tree height bookkeeping out of sync");
             let children = decode_inner(&page)?;
@@ -253,7 +238,7 @@ impl RTree {
         stats: &mut TraversalStats,
         hits: &mut Vec<Hit>,
     ) -> Result<(), StorageError> {
-        let page = pool.read_page(page_id, self.config.leaf_kind)?;
+        let page = pool.read_page(page_id, PageKind::RTreeLeaf)?;
         let (layout, entries) = decode_leaf(&page)?;
         stats.leaf_visits += 1;
         for (slot, entry) in entries.iter().enumerate() {
@@ -343,16 +328,8 @@ mod tests {
     ) -> (ConcurrentBufferPool<MemStore>, RTree, Vec<Entry>) {
         let entries = random_entries(n, 42);
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
-        let tree = RTree::bulk_load(
-            &mut pool,
-            entries.clone(),
-            method,
-            RTreeConfig {
-                layout,
-                ..RTreeConfig::default()
-            },
-        )
-        .unwrap();
+        let tree =
+            RTree::bulk_load(&mut pool, entries.clone(), method, RTreeConfig { layout }).unwrap();
         (pool, tree, entries)
     }
 

@@ -12,7 +12,7 @@
 use crate::node::{decode_inner, decode_leaf, is_leaf};
 use crate::tree::RTree;
 use flat_geom::Aabb;
-use flat_storage::{PageRead, StorageError};
+use flat_storage::{PageKind, PageRead, StorageError};
 
 /// Summary returned by [`check_invariants`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +47,7 @@ pub fn check_invariants(pool: &impl PageRead, tree: &RTree) -> Result<TreeReport
         leaf_pages: 0,
         inner_pages: 0,
     };
-    let mbr = visit(pool, tree, root, tree.height(), &mut report)?;
+    let mbr = visit(pool, root, tree.height(), &mut report)?;
     // The root MBR must be finite for non-empty trees.
     if !mbr.is_finite() {
         return Err("root MBR is not finite".to_string());
@@ -82,14 +82,14 @@ fn io_err(e: StorageError) -> String {
 
 fn visit(
     pool: &impl PageRead,
-    tree: &RTree,
     page_id: flat_storage::PageId,
     level: u32,
     report: &mut TreeReport,
 ) -> Result<Aabb, String> {
-    let config = tree.config();
     if level == 1 {
-        let page = pool.read_page(page_id, config.leaf_kind).map_err(io_err)?;
+        let page = pool
+            .read_page(page_id, PageKind::RTreeLeaf)
+            .map_err(io_err)?;
         if !is_leaf(&page) {
             return Err(format!("{page_id}: expected a leaf at level 1"));
         }
@@ -101,7 +101,9 @@ fn visit(
         report.leaf_pages += 1;
         Ok(Aabb::union_all(entries.iter().map(|e| e.mbr)))
     } else {
-        let page = pool.read_page(page_id, config.inner_kind).map_err(io_err)?;
+        let page = pool
+            .read_page(page_id, PageKind::RTreeInner)
+            .map_err(io_err)?;
         if is_leaf(&page) {
             return Err(format!(
                 "{page_id}: leaf found above level 1 — tree is unbalanced"
@@ -114,7 +116,7 @@ fn visit(
         report.inner_pages += 1;
         let mut node_mbr = Aabb::empty();
         for child in children {
-            let actual = visit(pool, tree, child.page, level - 1, report)?;
+            let actual = visit(pool, child.page, level - 1, report)?;
             if actual != child.mbr {
                 return Err(format!(
                     "{page_id}: stale child MBR for {}: stored {}, actual {actual}",
@@ -125,41 +127,6 @@ fn visit(
         }
         Ok(node_mbr)
     }
-}
-
-/// Measures directory overlap: the summed pairwise intersected volume of
-/// sibling MBRs, per level (root level first). This is the quantity whose
-/// growth with density drives Figure 2 of the paper.
-pub fn sibling_overlap_by_level(
-    pool: &impl PageRead,
-    tree: &RTree,
-) -> Result<Vec<f64>, StorageError> {
-    let Some(root) = tree.root() else {
-        return Ok(Vec::new());
-    };
-    let mut overlaps = Vec::new();
-    let mut frontier = vec![root];
-    let mut level = tree.height();
-    while level > 1 {
-        let mut next = Vec::new();
-        let mut level_overlap = 0.0;
-        for page_id in &frontier {
-            let page = pool.read_page(*page_id, tree.config().inner_kind)?;
-            let children = decode_inner(&page)?;
-            for i in 0..children.len() {
-                for j in i + 1..children.len() {
-                    if let Some(common) = children[i].mbr.intersection(&children[j].mbr) {
-                        level_overlap += common.volume();
-                    }
-                }
-            }
-            next.extend(children.iter().map(|c| c.page));
-        }
-        overlaps.push(level_overlap);
-        frontier = next;
-        level -= 1;
-    }
-    Ok(overlaps)
 }
 
 #[cfg(test)]
@@ -206,7 +173,7 @@ mod tests {
     #[test]
     fn corrupting_a_child_mbr_is_detected() {
         use crate::node::{decode_inner, encode_inner};
-        use flat_storage::{Page, PageKind, PageWrite};
+        use flat_storage::{Page, PageWrite};
 
         let entries = random_entries(20_000, 29);
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
@@ -216,7 +183,6 @@ mod tests {
             BulkLoad::Str,
             RTreeConfig {
                 layout: LeafLayout::MbrOnly,
-                ..RTreeConfig::default()
             },
         )
         .unwrap();
@@ -235,25 +201,5 @@ mod tests {
 
         let err = check_invariants(&pool, &tree).unwrap_err();
         assert!(err.contains("stale child MBR"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn overlap_metric_is_zero_for_disjoint_tiles_and_positive_for_dense_data() {
-        // Dense random boxes overlap; the metric must see it at some level.
-        let entries = random_entries(30_000, 31);
-        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
-        let tree = RTree::bulk_load(
-            &mut pool,
-            entries,
-            BulkLoad::Hilbert,
-            RTreeConfig::default(),
-        )
-        .unwrap();
-        let overlaps = sibling_overlap_by_level(&pool, &tree).unwrap();
-        assert_eq!(overlaps.len() as u32, tree.height() - 1);
-        assert!(
-            overlaps.iter().any(|v| *v > 0.0),
-            "Hilbert packing of dense data overlaps"
-        );
     }
 }

@@ -790,6 +790,12 @@ mod tests {
         store
     }
 
+    /// `store` behind a device that serves 16 reads at once, at least the
+    /// burst of concurrent reads in any test below.
+    fn throttled(store: MemStore, latency: Duration) -> ThrottledStore<MemStore> {
+        ThrottledStore::with_parallelism(store, latency, 16)
+    }
+
     fn with_workers<S: PageStore + Send + Sync + 'static>(
         store: S,
         capacity: usize,
@@ -1122,7 +1128,7 @@ mod tests {
     #[test]
     fn concurrent_duplicate_reads_coalesce_to_one_fetch() {
         let latency = Duration::from_millis(20);
-        let store = ThrottledStore::new(store_with_pages(2), latency);
+        let store = throttled(store_with_pages(2), latency);
         let sched = queued(store, 16);
         std::thread::scope(|scope| {
             for _ in 0..6 {
@@ -1158,7 +1164,7 @@ mod tests {
     fn announced_reads_are_demand_reads_that_overlap() {
         const N: u64 = 6;
         let latency = Duration::from_millis(20);
-        let store = ThrottledStore::new(store_with_pages(N), latency);
+        let store = throttled(store_with_pages(N), latency);
         let sched = queued(store, 16);
         sched.want_pages(&wants(0..N));
         // Submission alone is a physical read; nothing is logical yet.
@@ -1184,7 +1190,7 @@ mod tests {
     #[test]
     fn announcing_a_cached_or_inflight_page_changes_no_counter() {
         let latency = Duration::from_millis(50);
-        let store = ThrottledStore::new(store_with_pages(4), latency);
+        let store = throttled(store_with_pages(4), latency);
         let sched = queued(store, 16);
         sched.read_page(PageId(1), PageKind::Other).unwrap(); // cached
         sched.want_pages(&wants(2..3)); // in flight (or, later, cached)
@@ -1206,7 +1212,7 @@ mod tests {
         // waits on: the store still holds the old bytes here, so any leak
         // of the announced fetch's result into the cache shows.
         let latency = Duration::from_millis(10);
-        let store = ThrottledStore::new(store_with_pages(4), latency);
+        let store = throttled(store_with_pages(4), latency);
         let sched = with_workers(store, 16, 1);
         sched.want_pages(&wants(0..2));
         let mut page = Page::new();
@@ -1224,7 +1230,7 @@ mod tests {
     #[test]
     fn announced_fetches_never_hang_drop_or_store_mut() {
         let latency = Duration::from_millis(5);
-        let store = ThrottledStore::new(store_with_pages(16), latency);
+        let store = throttled(store_with_pages(16), latency);
         let mut sched = with_workers(store, 16, 1);
         sched.want_pages(&wants(0..8));
         // The flush barrier drains waiter-less requests like any other.
@@ -1327,7 +1333,7 @@ mod tests {
     #[test]
     fn write_quiesces_inflight_fetches() {
         let latency = Duration::from_millis(10);
-        let store = ThrottledStore::new(store_with_pages(4), latency);
+        let store = throttled(store_with_pages(4), latency);
         let mut sched = with_workers(store, 16, 1);
         // Kick off waiter-less fetches of the page we're about to change.
         sched.want_pages(&wants(0..2));
@@ -1342,7 +1348,7 @@ mod tests {
     #[test]
     fn errors_fan_out_to_every_coalesced_waiter() {
         let latency = Duration::from_millis(20);
-        let store = ThrottledStore::new(store_with_pages(1), latency);
+        let store = throttled(store_with_pages(1), latency);
         let sched = queued(store, 16);
         std::thread::scope(|scope| {
             let mut joins = Vec::new();

@@ -28,12 +28,11 @@
 //! * [`PageRead`] / [`PageWrite`] — the access split: queries are shared
 //!   `&self` reads, builds are exclusive `&mut` writes. Query code across
 //!   the workspace takes `&impl PageRead`.
-//! * [`DiskModel`] — converts physical-read counts into simulated I/O time
-//!   for a configurable device (default: the paper's 10 kRPM SAS array),
-//!   since the figures' execution-time series are proportional to page
-//!   reads (the paper measures a 97.8–98.8 % disk-time share, §VII-E.2).
-//!   [`ThrottledStore`] makes the same latency *real* for concurrency
-//!   experiments by blocking each physical read.
+//! * [`ThrottledStore`] — the one device model: a per-read latency behind
+//!   a bounded-parallelism admission clock, blocking each physical read.
+//!   The paper's queries spend 97.8–98.8 % of their time on disk
+//!   (§VII-E.2), so a store that makes that latency real is what lets
+//!   overlapped reads, caching and sharding show up as time saved.
 //! * [`spill`] — spill runs and external sorting over store pages: the
 //!   substrate of the streaming (out-of-core) index build, which must
 //!   order datasets bigger than main memory by their STR sort keys.
@@ -55,7 +54,6 @@
 
 mod access;
 mod concurrent;
-mod disk;
 mod durable;
 mod error;
 mod fault;
@@ -70,7 +68,6 @@ pub mod wal;
 // `PageRead`, `PageWrite` and the benchmark shims (see access.rs).
 pub use access::*;
 pub use concurrent::{ConcurrentBufferPool, SchedulerConfig, SchedulerStats};
-pub use disk::DiskModel;
 pub use durable::{DurableStore, RecoveredLog};
 pub use error::StorageError;
 pub use fault::{CrashStyle, FaultStore};

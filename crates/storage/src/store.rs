@@ -265,34 +265,30 @@ impl PageStore for FileStore {
 }
 
 /// A store wrapper that charges a fixed latency per physical page read,
-/// emulating a storage device.
+/// emulating a storage device with bounded internal parallelism.
 ///
 /// The paper's queries are I/O-bound (97.8–98.8 % disk time, §VII-E.2);
-/// wrapping a [`MemStore`] in a `ThrottledStore` makes that real for the
-/// concurrency benchmarks: a cache miss *blocks* the reading thread for the
-/// device latency, so overlapping query streams — which the shared
-/// [`crate::ConcurrentBufferPool`] read path enables — recover the wait
-/// time, exactly as concurrent streams against a disk array would.
+/// wrapping a [`MemStore`] in a `ThrottledStore` makes that real: a cache
+/// miss *blocks* the reading thread for the device latency, so overlapping
+/// query streams — which the shared [`crate::ConcurrentBufferPool`] read
+/// path enables — recover the wait time, exactly as concurrent streams
+/// against a disk array would.
 ///
 /// # Queue-depth-aware device model
 ///
-/// [`ThrottledStore::new`] models a device with unlimited internal
-/// parallelism: every read pays the latency, but a thousand concurrent
-/// reads all finish after one latency. Real devices serve a bounded number
-/// of requests at once; beyond that, requests *queue* and their completion
-/// times stack up. [`ThrottledStore::with_parallelism`] models exactly
-/// that with a virtual device clock: requests are admitted at a sustained
-/// rate of `parallelism / read_latency`, and each completes one full
-/// latency after its admission slot. A single stream still sees the raw
-/// latency per read, while saturating traffic sees throughput capped at
-/// the device's service rate — which is what makes scheduling and sharding
-/// wins *measurable* rather than assumed (an unlimited-parallelism device
-/// hides any queueing a scheduler would have removed).
+/// Real devices serve a bounded number of requests at once; beyond that,
+/// requests *queue* and their completion times stack up. A virtual device
+/// clock models exactly that: requests are admitted at a sustained rate of
+/// `parallelism / read_latency`, and each completes one full latency after
+/// its admission slot. A single stream still sees the raw latency per
+/// read, while saturating traffic sees throughput capped at the device's
+/// service rate — which is what makes scheduling and sharding wins
+/// *measurable* rather than assumed.
 #[derive(Debug)]
 pub struct ThrottledStore<S: PageStore> {
     inner: S,
     read_latency: std::time::Duration,
-    /// Concurrent reads the device serves at full speed; 0 = unlimited.
+    /// Concurrent reads the device serves at full speed (at least 1).
     parallelism: usize,
     clock: std::sync::Mutex<DeviceClock>,
     queue_depth: std::sync::atomic::AtomicU64,
@@ -306,18 +302,10 @@ struct DeviceClock {
 }
 
 impl<S: PageStore> ThrottledStore<S> {
-    /// Wraps `inner`, delaying every page read by `read_latency`. The
-    /// modelled device has unlimited internal parallelism — see
-    /// [`ThrottledStore::with_parallelism`] for a bounded one.
-    pub fn new(inner: S, read_latency: std::time::Duration) -> ThrottledStore<S> {
-        ThrottledStore::with_parallelism(inner, read_latency, 0)
-    }
-
-    /// Wraps `inner` with a queue-depth-aware device model: at most
-    /// `parallelism` reads are serviced concurrently at full speed, and
-    /// sustained throughput is capped at `parallelism / read_latency`.
-    /// `parallelism == 0` means unlimited (the [`ThrottledStore::new`]
-    /// behavior).
+    /// Wraps `inner` with a queue-depth-aware device model: every page read
+    /// takes `read_latency`, at most `parallelism` reads are serviced
+    /// concurrently at full speed, and sustained throughput is capped at
+    /// `parallelism / read_latency`. A `parallelism` of 0 is read as 1.
     pub fn with_parallelism(
         inner: S,
         read_latency: std::time::Duration,
@@ -326,19 +314,14 @@ impl<S: PageStore> ThrottledStore<S> {
         ThrottledStore {
             inner,
             read_latency,
-            parallelism,
+            parallelism: parallelism.max(1),
             clock: std::sync::Mutex::new(DeviceClock::default()),
             queue_depth: std::sync::atomic::AtomicU64::new(0),
             max_queue_depth: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
-    /// The configured per-read latency.
-    pub fn read_latency(&self) -> std::time::Duration {
-        self.read_latency
-    }
-
-    /// The device's internal parallelism (0 = unlimited).
+    /// The device's internal parallelism.
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
@@ -361,27 +344,23 @@ impl<S: PageStore> ThrottledStore<S> {
     }
 
     /// Computes this read's completion instant under the device model and
-    /// blocks until then.
+    /// blocks until then: one service slot frees up every
+    /// latency / parallelism, and a read admitted at slot `t` completes at
+    /// `t + latency`.
     fn charge_read(&self) {
         use std::sync::atomic::Ordering::Relaxed;
         let depth = self.queue_depth.fetch_add(1, Relaxed) + 1;
         self.max_queue_depth.fetch_max(depth, Relaxed);
-        let completion = if self.parallelism == 0 {
-            std::time::Instant::now() + self.read_latency
-        } else {
-            // One service slot frees up every latency/parallelism; a read
-            // admitted at slot `t` completes at `t + latency`.
-            let gap = self.read_latency / self.parallelism as u32;
-            let mut clock = crate::sync_util::lock_unpoisoned(&self.clock);
-            let now = std::time::Instant::now();
-            let admitted = match clock.next_slot {
-                Some(slot) if slot > now => slot,
-                _ => now,
-            };
-            clock.next_slot = Some(admitted + gap);
-            drop(clock);
-            admitted + self.read_latency
+        let gap = self.read_latency / self.parallelism as u32;
+        let mut clock = crate::sync_util::lock_unpoisoned(&self.clock);
+        let now = std::time::Instant::now();
+        let admitted = match clock.next_slot {
+            Some(slot) if slot > now => slot,
+            _ => now,
         };
+        clock.next_slot = Some(admitted + gap);
+        drop(clock);
+        let completion = admitted + self.read_latency;
         let now = std::time::Instant::now();
         if completion > now {
             std::thread::sleep(completion - now);
@@ -543,10 +522,10 @@ mod tests {
 
     #[test]
     fn throttled_store_free_list_delegates() {
-        free_list_reuse(&mut ThrottledStore::new(
-            MemStore::new(),
-            std::time::Duration::ZERO,
-        ));
+        let mut store =
+            ThrottledStore::with_parallelism(MemStore::new(), std::time::Duration::ZERO, 0);
+        assert_eq!(store.parallelism(), 1, "a parallelism of 0 is read as 1");
+        free_list_reuse(&mut store);
     }
 
     #[test]
@@ -588,7 +567,7 @@ mod tests {
         inner.write_page(id, &page).unwrap();
 
         let latency = std::time::Duration::from_millis(5);
-        let store = ThrottledStore::new(inner, latency);
+        let store = ThrottledStore::with_parallelism(inner, latency, 1);
         let mut out = Page::new();
         let start = std::time::Instant::now();
         store.read_page(id, &mut out).unwrap();
@@ -598,7 +577,6 @@ mod tests {
         );
         assert_eq!(out.get_u64(0), 17);
         assert_eq!(store.num_pages(), 1);
-        assert_eq!(store.read_latency(), latency);
     }
 
     #[test]
@@ -609,8 +587,8 @@ mod tests {
 
         // 8 concurrent reads against a device that serves 2 at a time:
         // admission slots are latency/2 apart, so the last read is admitted
-        // at 3.5 latencies and completes at 4.5 — well past the single
-        // shared latency an unlimited device would charge.
+        // at 3.5 latencies and completes at 4.5 — well past the one
+        // latency each read would pay on an idle device.
         let latency = std::time::Duration::from_millis(4);
         let store = ThrottledStore::with_parallelism(inner, latency, 2);
         let start = std::time::Instant::now();

@@ -13,13 +13,7 @@
 
 use flat_repro::prelude::*;
 
-fn run_rtree(
-    name: &str,
-    method: BulkLoad,
-    entries: &[Entry],
-    query: &Aabb,
-    disk: &DiskModel,
-) -> usize {
+fn run_rtree(name: &str, method: BulkLoad, entries: &[Entry], query: &Aabb) -> usize {
     let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let start = std::time::Instant::now();
     let tree = RTree::bulk_load(&mut pool, entries.to_vec(), method, RTreeConfig::default())
@@ -30,9 +24,8 @@ fn run_rtree(
     let hits = tree.range_query(&pool, query).expect("query");
     let io = pool.stats();
     println!(
-        "{name:>16}: {:>6} page reads  {:>8.1} ms disk  {:>7.0} ms build  height {}",
+        "{name:>16}: {:>6} page reads  {:>7.0} ms build  height {}",
         io.total_physical_reads(),
-        disk.io_time(&io).as_secs_f64() * 1000.0,
         build.as_secs_f64() * 1000.0,
         tree.height(),
     );
@@ -43,7 +36,6 @@ fn main() {
     let config = NeuronConfig::bbp(100, 1000, 99);
     let model = NeuronModel::generate(&config);
     let entries = model.entries();
-    let disk = DiskModel::sas_10k();
 
     // A mid-sized query: a 20 µm neighborhood.
     let query = Aabb::cube(config.domain.center(), 20.0);
@@ -66,44 +58,24 @@ fn main() {
     pool.reset_stats();
     let flat_hits = flat.range_query(&pool, &query).expect("query");
     println!(
-        "{:>16}: {:>6} page reads  {:>8.1} ms disk  {:>7.0} ms build  seed height {}",
+        "{:>16}: {:>6} page reads  {:>7.0} ms build  seed height {}",
         "FLAT",
         pool.stats().total_physical_reads(),
-        disk.io_time(&pool.stats()).as_secs_f64() * 1000.0,
         build.as_secs_f64() * 1000.0,
         flat.seed_height(),
     );
 
     // The R-tree baselines (and the TGS extension).
     let mut counts = vec![flat_hits.len()];
-    counts.push(run_rtree(
-        "PR-Tree",
-        BulkLoad::PrTree,
-        &entries,
-        &query,
-        &disk,
-    ));
-    counts.push(run_rtree(
-        "STR R-Tree",
-        BulkLoad::Str,
-        &entries,
-        &query,
-        &disk,
-    ));
+    counts.push(run_rtree("PR-Tree", BulkLoad::PrTree, &entries, &query));
+    counts.push(run_rtree("STR R-Tree", BulkLoad::Str, &entries, &query));
     counts.push(run_rtree(
         "Hilbert R-Tree",
         BulkLoad::Hilbert,
         &entries,
         &query,
-        &disk,
     ));
-    counts.push(run_rtree(
-        "TGS R-Tree",
-        BulkLoad::Tgs,
-        &entries,
-        &query,
-        &disk,
-    ));
+    counts.push(run_rtree("TGS R-Tree", BulkLoad::Tgs, &entries, &query));
 
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),

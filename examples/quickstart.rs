@@ -76,11 +76,7 @@ fn main() {
             io.kind(kind).physical_reads
         );
     }
-    println!(
-        "  {} total page reads → {:.1} ms on the paper's 10 kRPM SAS array",
-        io.total_physical_reads(),
-        DiskModel::sas_10k().io_time(&io).as_secs_f64() * 1000.0,
-    );
+    println!("  {} total page reads", io.total_physical_reads());
     println!(
         "  crawl processed {} metadata records, queue peaked at {}",
         stats.records_processed, stats.max_queue_len

@@ -80,13 +80,9 @@ fn main() {
     assert_eq!(flat_counts, pr_counts, "indexes disagree on some probe");
     let touching: usize = flat_counts.iter().sum();
 
-    let model_time = DiskModel::sas_10k();
     println!("results: {touching} neighborhood elements found along the fiber");
     for (label, reads) in [("FLAT", flat_reads), ("PR-Tree", pr_reads)] {
-        println!(
-            "{label:>12}: {reads:>6} page reads  ({:>7.1} ms simulated disk time)",
-            model_time.io_time_for_reads(reads).as_secs_f64() * 1000.0
-        );
+        println!("{label:>12}: {reads:>6} page reads");
     }
     println!(
         "FLAT reads {:.1}x less data for the structural-neighborhood walk",

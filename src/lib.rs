@@ -88,8 +88,8 @@ pub mod prelude {
     pub use flat_geom::{Aabb, Axis, Cylinder, Point3, Shape, Sphere, Triangle};
     pub use flat_rtree::{BulkLoad, Entry, Hit, LeafLayout, RTree, RTreeConfig};
     pub use flat_storage::{
-        ConcurrentBufferPool, DiskModel, FileStore, IoStats, MemStore, Page, PageId, PageKind,
-        PageRead, PageStore, PageWrite, SchedulerConfig, SchedulerStats, ThrottledStore,
-        VersionStats, VersionedPool, PAGE_SIZE,
+        ConcurrentBufferPool, FileStore, IoStats, MemStore, Page, PageId, PageKind, PageRead,
+        PageStore, PageWrite, SchedulerConfig, SchedulerStats, ThrottledStore, VersionStats,
+        VersionedPool, PAGE_SIZE,
     };
 }

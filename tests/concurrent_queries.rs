@@ -173,6 +173,76 @@ fn shared_pool_statistics_are_consistent_under_concurrency() {
 }
 
 #[test]
+fn io_bound_queries_overlap_their_device_waits() {
+    // The payoff of the shared `&self` read path: with a store that charges
+    // a device latency per physical read, client threads overlap their
+    // waits and aggregate throughput rises well past 1×, even on one core.
+    use std::time::{Duration, Instant};
+    let config = UniformConfig::paper_baseline(20_000, 9);
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 4);
+    let options = FlatOptions {
+        domain: Some(config.domain),
+        ..FlatOptions::default()
+    };
+    let (index, _) = FlatIndex::build(&mut pool, uniform_entries(&config), options).expect("build");
+    // Re-house the pages behind a 2 ms/read device that serves 4 reads at
+    // once (one per client), with a cache far smaller than the index so
+    // queries keep missing.
+    // The latency is long enough that CPU contention from tests running
+    // beside this one stays small against the waits being overlapped.
+    let store = ThrottledStore::with_parallelism(pool.into_store(), Duration::from_millis(2), 4);
+    let pool = ConcurrentBufferPool::new(store, 64);
+    // Queries spread over the domain, so each reads pages of its own.
+    let queries = range_queries(
+        &config.domain,
+        &WorkloadConfig {
+            count: 16,
+            volume_fraction: 1e-3,
+            proportion_range: (1.0, 4.0),
+            seed: 9,
+        },
+    );
+
+    // Runs the queries round-robin over `clients` threads: (queries per
+    // second, total results).
+    let run = |clients: usize| -> (f64, usize) {
+        pool.clear_cache();
+        let start = Instant::now();
+        let results: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..clients)
+                .map(|t| {
+                    let (pool, index, queries) = (&pool, &index, &queries);
+                    scope.spawn(move || {
+                        queries
+                            .iter()
+                            .skip(t)
+                            .step_by(clients)
+                            .map(|q| index.range_query(pool, q).expect("query").len())
+                            .sum::<usize>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        (
+            queries.len() as f64 / start.elapsed().as_secs_f64(),
+            results,
+        )
+    };
+    let (serial_qps, serial_results) = run(1);
+    let (parallel_qps, parallel_results) = run(4);
+    assert_eq!(serial_results, parallel_results);
+    assert!(serial_results > 0);
+    // Overlapped sleeps give ~2× here; the bound is kept loose (just past
+    // 1×) so a contended machine cannot flake it.
+    let speedup = parallel_qps / serial_qps;
+    assert!(
+        speedup > 1.2,
+        "4 threads over an I/O-bound store must overlap waits: {speedup:.2}x"
+    );
+}
+
+#[test]
 fn readers_proceed_during_batches_and_never_see_partial_state() {
     // The MVCC discipline: a reader pins a snapshot epoch and keeps
     // answering from that version while a writer batch copy-on-writes

@@ -292,7 +292,6 @@ fn rtree_structural_invariants_after_random_inserts() {
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 14);
         let mut tree = RTree::new_empty(RTreeConfig {
             layout: LeafLayout::WithIds,
-            ..RTreeConfig::default()
         });
         for i in 0..n {
             tree.insert(&mut pool, Entry::new(i as u64, element(&mut rng, 50.0)))
