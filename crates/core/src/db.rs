@@ -5,8 +5,8 @@
 //! queries, the mutable [`DeltaIndex`], MVCC over the one page cache
 //! ([`VersionedPool`] over [`flat_storage::ConcurrentBufferPool`]), and
 //! descriptor persistence in `persist.rs`. A caller would have to know
-//! all of them and wire them together correctly (when to promote to a
-//! delta index, where the descriptor page lives). `FlatDb` is the one
+//! all of them and wire them together correctly (when to fill the delta
+//! layer's tables, where the descriptor page lives). `FlatDb` is the one
 //! handle that owns that wiring:
 //!
 //! ```text
@@ -21,7 +21,7 @@
 //!  db.reader()  db.query()           db.writer()
 //!  Snapshot     QueryBuilder         Writer (&self)
 //!  range/knn    .range(..)           insert/delete/compact
-//!  (&self)      .run_batch()         (promotes to DeltaIndex)
+//!  (&self)      .run_batch()         (adopts into DeltaIndex)
 //!      │           │                     │
 //!      └───────────┴──────────┬──────────┘
 //!                             ▼
@@ -78,14 +78,14 @@
 use crate::aggregate::{density, AggregateStats};
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
-use crate::delta::{update_domain, DeltaIndex, DeltaReport};
+use crate::delta::{DeltaIndex, DeltaReport};
 use crate::durable::{decode_logical, encode_logical, DbSnapshot, DbStore, LogicalOp};
 pub use crate::durable::{Durability, RecoveryReport};
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
 use crate::join::{JoinEngine, JoinResult};
 use crate::knn::{KnnStats, Neighbor};
-use crate::query::{IndexRef, QueryStats, Tombstones};
+use crate::query::{QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
@@ -208,40 +208,18 @@ impl BuildReport {
     }
 }
 
-/// The index behind the façade: a pristine bulkload until the first
-/// writer promotes it to a delta index.
-///
-/// Both variants are behind an [`Arc`] so the resident tables can be
-/// *published*: the writer's truth copy and the snapshot-visible copy
-/// share pages until a batch mutates ([`Arc::make_mut`] deep-clones
-/// exactly then, the resident-table analogue of the page-level
-/// copy-on-write in [`VersionedPool`]).
-#[derive(Clone)]
-enum DbIndex {
-    Base(Arc<FlatIndex>),
-    Delta(Arc<DeltaIndex>),
-}
-
-impl DbIndex {
-    /// The read view of this state: every query verb of the façade runs
-    /// against it, so none of them asks which variant is resident.
-    fn view(&self) -> IndexRef<'_> {
-        match self {
-            DbIndex::Base(index) => IndexRef::Flat(index),
-            DbIndex::Delta(delta) => IndexRef::Delta(delta),
-        }
-    }
-}
-
 /// The writer-side source of truth, serialized by the truth mutex: one
 /// writer session at a time mutates it, then publishes a clone of
-/// `state` for snapshots.
+/// `index` for snapshots.
+///
+/// The index is behind an [`Arc`] so its resident tables can be
+/// *published*: the writer's truth copy and the snapshot-visible copy
+/// share them until a batch mutates ([`Arc::make_mut`] deep-clones
+/// exactly then, the resident-table analogue of the page-level
+/// copy-on-write in [`VersionedPool`]).
 struct DbTruth {
-    state: DbIndex,
+    index: Arc<DeltaIndex>,
     built: bool,
-    /// Uncompacted writer mutations (delta partitions, tombstones, dead
-    /// records) — state [`FlatDb::persist`] must fold away first.
-    dirty: bool,
     /// Sequence number the next committed writer batch will log under.
     next_seq: u64,
     /// Committed batches since the last checkpoint (drives the automatic
@@ -256,57 +234,35 @@ struct DbTruth {
 }
 
 impl DbTruth {
-    /// The delta layer of a promoted truth (every write path runs behind
-    /// [`FlatDb::writer`] or replay, which promote first).
-    fn delta(&self) -> &DeltaIndex {
-        match &self.state {
-            DbIndex::Delta(delta) => delta,
-            DbIndex::Base(_) => unreachable!("the write paths promote the index first"),
-        }
-    }
-
-    /// Promotes a pristine bulkload to an (empty) delta layer — a one-time
-    /// resident-table scan that rewrites no page. `false` if the truth was
-    /// promoted already; on an error the truth is unchanged.
-    fn promote(&mut self, pool: &impl PageRead, options: FlatOptions) -> Result<bool, FlatError> {
-        let DbIndex::Base(base) = &self.state else {
+    /// Adopts the index before its first write — a one-time
+    /// resident-table scan that rewrites no page. `false` if it was
+    /// adopted already; on an error the truth is unchanged.
+    fn adopt(&mut self, pool: &impl PageRead) -> Result<bool, FlatError> {
+        if self.index.is_adopted() {
             return Ok(false);
-        };
-        let delta = DeltaIndex::new(pool, (**base).clone(), options)?;
-        self.state = DbIndex::Delta(Arc::new(delta));
+        }
+        Arc::make_mut(&mut self.index).adopt(pool)?;
         self.built = true; // a delta-only database counts as built
         Ok(true)
     }
 
-    /// Applies one logical mutation to the (promoted) truth through
-    /// `pool`, keeping the dirty flag: how many elements it applied to,
-    /// and the rebuild's statistics if it was a compaction.
+    /// Applies one logical mutation to the truth through `pool`: how many
+    /// elements it applied to, and the rebuild's statistics if it was a
+    /// compaction.
     fn apply_op(
         &mut self,
         pool: &mut (impl PageRead + PageWrite),
         op: LogicalOp,
     ) -> Result<(usize, Option<BuildStats>), StorageError> {
-        let DbIndex::Delta(delta) = &mut self.state else {
-            unreachable!("the write paths promote the index first")
-        };
-        let delta = Arc::make_mut(delta);
+        let delta = Arc::make_mut(&mut self.index);
         Ok(match op {
             LogicalOp::Insert(entries) => {
                 let inserted = entries.len();
                 delta.insert_batch(pool, entries)?;
-                self.dirty |= inserted > 0;
                 (inserted, None)
             }
-            LogicalOp::Delete(ids) => {
-                let deleted = delta.delete_batch(pool, &ids)?;
-                self.dirty |= deleted > 0;
-                (deleted, None)
-            }
-            LogicalOp::Compact => {
-                let stats = delta.compact(pool)?;
-                self.dirty = false;
-                (0, Some(stats))
-            }
+            LogicalOp::Delete(ids) => (delta.delete_batch(pool, &ids)?, None),
+            LogicalOp::Compact => (0, Some(delta.compact(pool)?)),
         })
     }
 }
@@ -325,7 +281,7 @@ pub struct FlatDb<S: PageStore> {
     /// cut.
     ///
     /// [pb]: flat_storage::BatchWriter::publish
-    published: RwLock<DbIndex>,
+    published: RwLock<Arc<DeltaIndex>>,
     /// Continuous-query registry. Mutated only inside the publish
     /// critical section (under the `published` write lock) and during
     /// registration (under the read lock), so the delta stream tiles
@@ -336,10 +292,10 @@ pub struct FlatDb<S: PageStore> {
 
 impl<S: PageStore> std::fmt::Debug for FlatDb<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = read_unpoisoned(&self.published).clone();
+        let index = read_unpoisoned(&self.published).clone();
         f.debug_struct("FlatDb")
-            .field("live_elements", &state.view().num_live_elements())
-            .field("delta", &matches!(state, DbIndex::Delta(_)))
+            .field("live_elements", &index.view().num_live_elements())
+            .field("delta", &index.is_adopted())
             .field("versions", &self.pool.version_stats())
             .finish()
     }
@@ -379,14 +335,21 @@ impl FlatDb<FileStore> {
     ///
     /// The descriptor is the file's last page (that is where `persist`
     /// puts it); everything else is validated by the descriptor's magic.
-    /// As with [`FlatDb::open`], pass the build-time
-    /// `options.index.domain` when the session will write — the domain
-    /// is not stored in the file. With durable options the file is
-    /// recovered through [`FlatDb::open_durable`] instead; call that over
+    /// The stored layout overrides `options.index.layout` — the pages on
+    /// disk are the source of truth. The descriptor does **not** record
+    /// the tiling domain, so for a database you intend to write into,
+    /// `options.index.domain` must be the same domain the index was
+    /// built with: the delta layer STR-tiles every insert batch (and the
+    /// compaction rebuild) over this domain, and a different one would
+    /// silently produce a differently-tiled index than the one
+    /// persisted. Read-only sessions may pass any options.
+    ///
+    /// With durable options the file is recovered through
+    /// [`FlatDb::open_durable`] instead; call that over
     /// [`FileStore::open`] directly to keep the [`RecoveryReport`].
     pub fn open_file<P: AsRef<Path>>(
         path: P,
-        options: DbOptions,
+        mut options: DbOptions,
     ) -> Result<FlatDb<FileStore>, FlatError> {
         let store = FileStore::open(path)?;
         if options.durability != Durability::Off {
@@ -398,7 +361,12 @@ impl FlatDb<FileStore> {
                 "file holds no pages, so no descriptor".into(),
             ));
         }
-        FlatDb::open(store, PageId(num_pages - 1), options)
+        options.check()?;
+        let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
+        let index = FlatIndex::load(&pool, PageId(num_pages - 1))?;
+        options.index.layout = index.layout();
+        let index = DeltaIndex::pristine(index, options.index);
+        Ok(FlatDb::assemble(pool, index, options, true, 1))
     }
 }
 
@@ -456,12 +424,12 @@ impl<S: PageStore> FlatDb<S> {
     /// last batch whose commit reached the log; a torn or corrupt log
     /// tail (a crash mid-append) is truncated, never replayed.
     ///
-    /// As with [`FlatDb::open`], the file does not record the tiling
-    /// domain: pass the same `options.index.domain` the database was
-    /// created with whenever the log may hold updates or the session
+    /// As with [`FlatDb::open_file`], the store does not record the
+    /// tiling domain: pass the same `options.index.domain` the database
+    /// was created with whenever the log may hold updates or the session
     /// will write. [`Durability::Off`] is refused with
     /// [`FlatError::Persist`] before the store is touched: plain-format
-    /// stores are opened with [`FlatDb::open`].
+    /// files are opened with [`FlatDb::open_file`].
     pub fn open_durable(
         store: S,
         mut options: DbOptions,
@@ -469,7 +437,7 @@ impl<S: PageStore> FlatDb<S> {
         if options.durability == Durability::Off {
             return Err(FlatError::Persist(
                 "open_durable needs a durability mode (see DbOptions::durability); \
-                 plain-format stores are opened with FlatDb::open"
+                 plain-format files are opened with FlatDb::open_file"
                     .into(),
             ));
         }
@@ -478,37 +446,17 @@ impl<S: PageStore> FlatDb<S> {
         let snapshot = DbSnapshot::decode(&log.snapshot)?;
         options.index.layout = snapshot.index.layout();
         let pool = VersionedPool::new(DbStore::Durable(Box::new(durable)), options.pool_pages);
-        let (state, dirty) = match snapshot.delta {
-            None => (DbIndex::Base(Arc::new(snapshot.index)), false),
+        let index = match snapshot.delta {
+            None => DeltaIndex::pristine(snapshot.index, options.index),
             Some((meta_pages, tombstones)) => {
                 let tombstones: Tombstones = tombstones
                     .into_iter()
                     .map(|(page, slot)| (PageId(page), slot))
                     .collect();
-                let delta = DeltaIndex::reopen(
-                    &pool,
-                    snapshot.index,
-                    options.index,
-                    meta_pages,
-                    tombstones,
-                )?;
-                // Uncompacted mutations survive a checkpoint on its pages;
-                // the dirty flag must survive with them so persist() still
-                // compacts.
-                let dirty = delta.num_delta_partitions() > 0
-                    || delta.num_tombstones() > 0
-                    || (delta.num_live_partitions() as u64) < delta.base().num_object_pages();
-                (DbIndex::Delta(Arc::new(delta)), dirty)
+                DeltaIndex::reopen(&pool, snapshot.index, options.index, meta_pages, tombstones)?
             }
         };
-        let mut db = Self::assemble(
-            pool,
-            state,
-            options,
-            snapshot.built,
-            dirty,
-            snapshot.last_seq + 1,
-        );
+        let mut db = Self::assemble(pool, index, options, snapshot.built, snapshot.last_seq + 1);
         // Replay the committed batches past the checkpoint — applying
         // them directly, *without* re-logging: the records are already
         // in the log, so a crash during recovery just recovers again.
@@ -535,63 +483,30 @@ impl<S: PageStore> FlatDb<S> {
         Ok((db, report))
     }
 
-    /// Adopts an already-built index whose descriptor page is
-    /// `descriptor` (written by [`FlatIndex::save`] or a previous
-    /// [`FlatDb::persist`]).
-    ///
-    /// The stored layout overrides `options.index.layout` — the pages on
-    /// disk are the source of truth. The descriptor does **not** record
-    /// the tiling domain, so for a database you intend to write into,
-    /// `options.index.domain` must be the same domain the index was
-    /// built with: the delta layer STR-tiles every insert batch (and the
-    /// compaction rebuild) over this domain, and a different one would
-    /// silently produce a differently-tiled index than the one
-    /// persisted. Read-only sessions may pass any options.
-    pub fn open(
-        store: S,
-        descriptor: PageId,
-        mut options: DbOptions,
-    ) -> Result<FlatDb<S>, FlatError> {
-        if options.durability != Durability::Off {
-            return Err(FlatError::Persist(
-                "a descriptor-page store is plain-format; durable databases are \
-                 opened with FlatDb::open_durable"
-                    .into(),
-            ));
-        }
-        options.check()?;
-        let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
-        let index = FlatIndex::load(&pool, descriptor)?;
-        options.index.layout = index.layout();
-        let state = DbIndex::Base(Arc::new(index));
-        Ok(Self::assemble(pool, state, options, true, false, 1))
-    }
-
     /// An empty database over a ready `pool` — how [`crate::ShardedDb`]
     /// gives each shard a cache with its own I/O workers.
     pub(crate) fn with_pool(pool: VersionedPool<DbStore<S>>, options: DbOptions) -> Self {
-        let state = DbIndex::Base(Arc::new(FlatIndex::empty(options.index.layout)));
-        Self::assemble(pool, state, options, false, false, 1)
+        let index = DeltaIndex::pristine(FlatIndex::empty(options.index.layout), options.index);
+        Self::assemble(pool, index, options, false, 1)
     }
 
-    /// Wires the locking skeleton around an initial truth state (the
+    /// Wires the locking skeleton around an initial truth index (the
     /// published copy starts as a clone of it).
     fn assemble(
         pool: VersionedPool<DbStore<S>>,
-        state: DbIndex,
+        index: DeltaIndex,
         options: DbOptions,
         built: bool,
-        dirty: bool,
         next_seq: u64,
     ) -> Self {
+        let index = Arc::new(index);
         FlatDb {
             pool,
-            published: RwLock::new(state.clone()),
+            published: RwLock::new(Arc::clone(&index)),
             subscriptions: Mutex::new(ContinuousQueries::new()),
             truth: Mutex::new(DbTruth {
-                state,
+                index,
                 built,
-                dirty,
                 next_seq,
                 batches_since_ckpt: 0,
                 poisoned: false,
@@ -609,24 +524,17 @@ impl<S: PageStore> FlatDb<S> {
     /// epoch bump — only for exclusive (`&mut`) contexts such as builds
     /// and recovery, where no snapshot can be pinned.
     fn publish_current(&mut self) {
-        let state = self.truth_mut().state.clone();
-        *self.published.get_mut().unwrap_or_else(|e| e.into_inner()) = state;
+        let index = Arc::clone(&self.truth_mut().index);
+        *self.published.get_mut().unwrap_or_else(|e| e.into_inner()) = index;
     }
 
-    /// Applies one recovered logical record, promoting to a delta index
-    /// first if the checkpoint predates the first writer. Recovery runs
+    /// Applies one recovered logical record, adopting the index first if
+    /// the checkpoint predates the first writer. Recovery runs
     /// exclusively (no snapshot exists yet), so it applies through the
     /// pool's plain, non-versioned write path.
     fn replay(&mut self, op: LogicalOp) -> Result<(), FlatError> {
         let truth = self.truth.get_mut().unwrap_or_else(|e| e.into_inner());
-        if self.options.index.domain.is_none() && matches!(truth.state, DbIndex::Base(_)) {
-            return Err(FlatError::Update(
-                "replaying logged updates needs the build-time tiling domain: \
-                 set FlatOptions::domain (see DbOptions::updatable)"
-                    .into(),
-            ));
-        }
-        truth.promote(&self.pool, self.options.index)?;
+        truth.adopt(&self.pool)?;
         truth.apply_op(&mut self.pool, op)?;
         Ok(())
     }
@@ -680,8 +588,9 @@ impl<S: PageStore> FlatDb<S> {
     /// durable mode) rebases the log onto the built pages.
     fn adopt_built(&mut self, index: FlatIndex) -> Result<(), FlatError> {
         {
+            let index = DeltaIndex::pristine(index, self.options.index);
             let truth = self.truth_mut();
-            truth.state = DbIndex::Base(Arc::new(index));
+            truth.index = Arc::new(index);
             truth.built = true;
         }
         self.publish_current();
@@ -796,19 +705,18 @@ impl<S: PageStore> FlatDb<S> {
     /// writer's batches apply, and flip to the new state only at each
     /// batch's atomic publish.
     ///
-    /// The first writer promotes the pristine index to a [`DeltaIndex`]
-    /// (a one-time resident-table scan); this requires the database to
-    /// have stable element ids ([`LeafLayout::WithIds`]) and a fixed
-    /// domain — see [`DbOptions::updatable`].
+    /// The first writer adopts the bulkload into the [`DeltaIndex`]
+    /// tables (a one-time resident-table scan); this requires the
+    /// database to have stable element ids ([`LeafLayout::WithIds`]) and
+    /// a fixed domain — see [`DbOptions::updatable`].
     pub fn writer(&self) -> Result<Writer<'_, S>, FlatError> {
-        update_domain(&self.options.index)?;
         let mut truth = lock_unpoisoned(&self.truth);
         // Holding the truth mutex means no batch is in flight, so the
-        // pool's latest view is stable for the promotion scan.
-        if truth.promote(&self.pool, self.options.index)? {
-            // Promotion rewrites no page, so publishing it needs no epoch
-            // bump: pinned snapshots keep their Base resident.
-            *write_unpoisoned(&self.published) = truth.state.clone();
+        // pool's latest view is stable for the adoption scan.
+        if truth.adopt(&self.pool)? {
+            // Adoption rewrites no page, so publishing it needs no epoch
+            // bump: pinned snapshots keep reading the bulkload alone.
+            *write_unpoisoned(&self.published) = Arc::clone(&truth.index);
         }
         Ok(Writer { db: self, truth })
     }
@@ -818,14 +726,14 @@ impl<S: PageStore> FlatDb<S> {
     /// appended as the last page.
     ///
     /// Uncompacted writer mutations are folded away first (tombstones and
-    /// delta summaries live in memory, so a dirty index is compacted —
-    /// producing the same pages as a fresh bulkload over the survivors —
-    /// before the copy). Returns the descriptor's page id.
+    /// delta summaries live in memory, so an index that is not a pristine
+    /// bulkload is compacted — producing the same pages as a fresh
+    /// bulkload over the survivors — before the copy). Returns the
+    /// descriptor's page id.
     pub fn persist<P: AsRef<Path>>(&mut self, path: P) -> Result<PageId, FlatError> {
-        if self.truth_mut().dirty {
-            // Only writer batches dirty the truth, so it is promoted. The
-            // fold-away is a writer batch like any other (in durable mode
-            // a crash mid-persist replays it).
+        if !self.truth_mut().index.is_pristine() {
+            // The fold-away is a writer batch like any other (in durable
+            // mode a crash mid-persist replays it).
             self.writer()?.compact()?;
         }
         // Exclusive access proves no snapshot is pinned: execute the
@@ -899,22 +807,20 @@ impl<S: PageStore> FlatDb<S> {
 
     /// Encodes the checkpoint snapshot of the truth state.
     fn snapshot_bytes(truth: &DbTruth) -> Vec<u8> {
-        let delta = match &truth.state {
-            DbIndex::Base(_) => None,
-            DbIndex::Delta(delta) => {
-                let mut tombstones: Vec<(u64, u16)> = delta
-                    .tombstones()
-                    .iter()
-                    .map(|&(page, slot)| (page.0, slot))
-                    .collect();
-                tombstones.sort_unstable();
-                Some((delta.meta_page_list().to_vec(), tombstones))
-            }
-        };
+        let index = &truth.index;
+        let delta = index.is_adopted().then(|| {
+            let mut tombstones: Vec<(u64, u16)> = index
+                .tombstones()
+                .iter()
+                .map(|&(page, slot)| (page.0, slot))
+                .collect();
+            tombstones.sort_unstable();
+            (index.meta_page_list().to_vec(), tombstones)
+        });
         DbSnapshot {
             last_seq: truth.next_seq - 1,
             built: truth.built,
-            index: truth.state.view().base().clone(),
+            index: index.base().clone(),
             delta,
         }
         .encode()
@@ -973,18 +879,16 @@ impl<S: PageStore> FlatDb<S> {
         Ok(())
     }
 
-    /// The index descriptor (the delta layer's base when a writer has
-    /// been opened), as currently published.
+    /// The index descriptor (the delta layer's base), as currently
+    /// published.
     pub fn index(&self) -> Arc<FlatIndex> {
-        Arc::new(read_unpoisoned(&self.published).view().base().clone())
+        Arc::new(read_unpoisoned(&self.published).base().clone())
     }
 
-    /// The published delta layer, once a writer has promoted the index.
+    /// The published delta layer, once a writer has adopted the index.
     pub fn delta(&self) -> Option<Arc<DeltaIndex>> {
-        match &*read_unpoisoned(&self.published) {
-            DbIndex::Base(_) => None,
-            DbIndex::Delta(delta) => Some(Arc::clone(delta)),
-        }
+        let index = read_unpoisoned(&self.published);
+        index.is_adopted().then(|| Arc::clone(&index))
     }
 
     /// Live (non-deleted) elements, as currently published.
@@ -1014,16 +918,15 @@ impl<S: PageStore> FlatDb<S> {
     /// Runs the delta layer's structural invariant checker against the
     /// session pool: symmetric neighbor links, MBR containment, no freed
     /// page reachable from a crawl. Returns `Ok(None)` while no writer
-    /// has promoted the index (a pristine bulkload has nothing to check).
+    /// has adopted the index (a bulkload alone has nothing to check).
     /// Takes the writer lock, so the latest view it checks is stable.
     pub fn check_invariants(&self) -> Result<Option<DeltaReport>, String> {
         let truth = lock_unpoisoned(&self.truth);
-        match &truth.state {
-            DbIndex::Base(_) => Ok(None),
-            DbIndex::Delta(delta) => delta
-                .check_invariants(&self.pool, &self.pool.with_store(|s| s.free_pages()))
-                .map(Some),
+        if !truth.index.is_adopted() {
+            return Ok(None);
         }
+        let free = self.pool.with_store(|s| s.free_pages());
+        truth.index.check_invariants(&self.pool, &free).map(Some)
     }
 
     /// The session's configuration.
@@ -1100,10 +1003,10 @@ impl<S: PageStore + std::fmt::Debug> std::fmt::Debug for StoreRef<'_, S> {
 /// [`FlatIndex::range_query`], or [`DeltaIndex::range_query`] once a
 /// writer exists, and the matching `knn_query` / `aggregate_count`:
 /// those and every method here run the same code over the same
-/// [`IndexRef`] view.
+/// [`IndexRef`](crate::IndexRef) view.
 pub struct Snapshot<'db, S: PageStore> {
     db: &'db FlatDb<S>,
-    resident: DbIndex,
+    resident: Arc<DeltaIndex>,
     pin: EpochPin<'db, DbStore<S>>,
 }
 
@@ -1164,7 +1067,7 @@ impl<S: PageStore> Snapshot<'_, S> {
     /// The index descriptor this snapshot reads (the resident state
     /// pinned at snapshot creation, not the latest published one).
     pub fn index(&self) -> &FlatIndex {
-        self.resident.view().base()
+        self.resident.base()
     }
 
     /// Live elements visible to this snapshot.
@@ -1471,7 +1374,7 @@ impl<S: PageStore> Writer<'_, S> {
         FlatDb::<S>::check_writable(truth)?;
         // Validate *before* the commit point: a rejected group must
         // reach neither the log nor the pages.
-        validate_ops(truth.delta(), &ops)?;
+        validate_ops(&truth.index, &ops)?;
         // Empty ops commit nothing: they are not logged (replay would be
         // a no-op) and count as zero applied elements.
         let loggable: Vec<&LogicalOp> = ops
@@ -1523,7 +1426,7 @@ impl<S: PageStore> Writer<'_, S> {
         {
             let mut published = write_unpoisoned(&db.published);
             let epoch = batch.publish();
-            *published = truth.state.clone();
+            *published = Arc::clone(&truth.index);
             lock_unpoisoned(&db.subscriptions).apply_batch(&staged, epoch);
         }
         db.after_commit(truth, logged)?;
@@ -1533,7 +1436,7 @@ impl<S: PageStore> Writer<'_, S> {
     /// The delta layer this writer mutates (its truth copy — published
     /// snapshots may still be behind it until the next commit).
     pub fn delta(&self) -> &DeltaIndex {
-        self.truth.delta()
+        &self.truth.index
     }
 }
 
@@ -1649,7 +1552,7 @@ mod tests {
     }
 
     #[test]
-    fn writer_promotes_once_and_rejects_duplicate_ids() {
+    fn writer_adopts_once_and_rejects_duplicate_ids() {
         let mut db = FlatDb::create_in_memory(updatable_options());
         db.build_from(random_entries(2_000, 6)).unwrap();
         assert!(db.delta().is_none());
@@ -1743,7 +1646,7 @@ mod tests {
                 "query side {side}"
             );
         }
-        let delta = recovered.delta().expect("replay promotes");
+        let delta = recovered.delta().expect("replay adopts");
         delta
             .check_invariants(
                 // The pool reads through the durable overlay.
@@ -2079,9 +1982,9 @@ mod tests {
     fn snapshot_aggregates_match_range_counts() {
         let mut db = FlatDb::create_in_memory(updatable_options());
         db.build_from(random_entries(3_000, 22)).unwrap();
-        // Exercise both the pristine (Base) and the delta path.
-        for promote in [false, true] {
-            if promote {
+        // Exercise both the bulkload-only and the delta path.
+        for adopted in [false, true] {
+            if adopted {
                 let mut writer = db.writer().unwrap();
                 writer.delete(&[0, 1, 2]).unwrap();
             }
@@ -2091,7 +1994,7 @@ mod tests {
                 assert_eq!(
                     snap.aggregate_count(&q).unwrap(),
                     snap.range(&q).unwrap().len() as u64,
-                    "promote={promote} half={half}"
+                    "adopted={adopted} half={half}"
                 );
             }
             let q = Aabb::cube(Point3::splat(50.0), 10.0);
@@ -2113,7 +2016,7 @@ mod tests {
             e.id += 100_000;
         }
         db_b.build_from(b_entries).unwrap();
-        // Promote A so the join exercises the Delta input too.
+        // Adopt A so the join exercises the Delta input too.
         db_a.writer().unwrap().delete(&[5, 6]).unwrap();
 
         let eps = 1.5;
@@ -2135,5 +2038,53 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(result.pairs, expected);
         assert!(result.stats.pairs > 0, "eps 1.5 over [0,100)^3 must match");
+    }
+
+    #[test]
+    fn a_recovered_database_folds_away_writes_that_netted_out() {
+        // Every inserted partition is deleted again before the checkpoint:
+        // no live delta partition and no tombstone is left, but retired
+        // records and stitch chunks are. The session that made the writes
+        // compacts them away at persist; a session recovered from the
+        // checkpoint must persist exactly the same file.
+        let options = updatable_options().with_durability(Durability::Wal);
+        let fresh: Vec<Entry> = random_entries(400, 41)
+            .into_iter()
+            .map(|e| Entry::new(e.id + 1_000_000, e.mbr))
+            .collect();
+        let ids: Vec<u64> = fresh.iter().map(|e| e.id).collect();
+        let session = || {
+            let mut db = FlatDb::create_durable(flat_storage::MemStore::new(), options).unwrap();
+            db.build_from(random_entries(2_000, 40)).unwrap();
+            {
+                let mut writer = db.writer().unwrap();
+                writer.insert(fresh.clone()).unwrap();
+                assert_eq!(writer.delete(&ids).unwrap(), ids.len());
+                assert_eq!(writer.delta().num_delta_partitions(), 0);
+                assert_eq!(writer.delta().num_tombstones(), 0);
+            }
+            db.checkpoint().unwrap();
+            db
+        };
+        let dir = std::env::temp_dir().join("flat-core-db-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let original = dir.join("netted-out-original.flatdb");
+        let recovered = dir.join("netted-out-recovered.flatdb");
+        session().persist(&original).unwrap();
+        let (mut reopened, report) = FlatDb::open_durable(session().into_store(), options).unwrap();
+        assert_eq!(report.replayed, 0, "the checkpoint truncated the log");
+        reopened.persist(&recovered).unwrap();
+        let (a, b) = (
+            std::fs::read(&original).unwrap(),
+            std::fs::read(&recovered).unwrap(),
+        );
+        std::fs::remove_file(&original).ok();
+        std::fs::remove_file(&recovered).ok();
+        assert_eq!(a.len(), b.len(), "persisted files differ in length");
+        let page_size = flat_storage::PAGE_SIZE;
+        let differ: Vec<usize> = (0..a.len() / page_size)
+            .filter(|&i| a[i * page_size..][..page_size] != b[i * page_size..][..page_size])
+            .collect();
+        assert!(differ.is_empty(), "persisted pages {differ:?} differ");
     }
 }

@@ -42,7 +42,11 @@
 //! The delta layer keeps a resident *summary table* (two MBRs, a record
 //! address and a live-count per partition, ~120 bytes each) plus an
 //! id→partition locator for the live elements. That is the memtable-style
-//! price of mutability; `compact` drops all of it. Updates require
+//! price of mutability; `compact` drops all of it. The tables fill once,
+//! at *adoption*: [`DeltaIndex::new`] adopts at once, while a
+//! [`crate::FlatDb`] wraps its bulkload unfilled and adopts it at the
+//! first writer — until then every query reads the bulkload alone, and a
+//! session that never writes never holds a table. Updates require
 //! exclusive access (`&mut` pool — [`flat_storage::PageWrite`] is also
 //! implemented by [`flat_storage::ConcurrentBufferPool`], so an updater
 //! can alternate with shared readers under an `RwLock` discipline:
@@ -108,7 +112,9 @@ pub struct DeltaReport {
 pub struct DeltaIndex {
     base: FlatIndex,
     options: FlatOptions,
-    domain: Aabb,
+    /// The tiling domain of every insert batch; `None` until adoption
+    /// fills the tables below.
+    domain: Option<Aabb>,
     /// Every partition ever adopted or inserted, in creation order. The
     /// first [`DeltaIndex::base_partitions`] entries are the bulkload's.
     parts: Vec<PartState>,
@@ -168,12 +174,19 @@ fn validate_slot_capacity(capacity: usize) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// The fixed tiling domain of an updatable index, or the
-/// [`FlatError::Update`] saying why `options` cannot update one: deletes
-/// address elements by application id ([`LeafLayout::WithIds`]), and
-/// every insert batch tiles the same fixed domain as the base. The one
-/// check behind [`DeltaIndex::new`] and [`crate::FlatDb::writer`].
-pub(crate) fn update_domain(options: &FlatOptions) -> Result<Aabb, FlatError> {
+/// The fixed tiling domain of an updatable index of `layout`, or the
+/// [`FlatError::Update`] saying why `options` cannot update it: they must
+/// name the index's layout, deletes address elements by application id
+/// ([`LeafLayout::WithIds`]), and every insert batch tiles the same fixed
+/// domain as the base. The one check behind every adoption.
+fn update_domain(layout: LeafLayout, options: &FlatOptions) -> Result<Aabb, FlatError> {
+    if layout != options.layout {
+        return Err(FlatError::Update(format!(
+            "options disagree with the index: the index has the {layout:?} layout, \
+             the options {:?}",
+            options.layout
+        )));
+    }
     if options.layout != LeafLayout::WithIds {
         return Err(FlatError::Update(
             "updates need stable element ids: build with LeafLayout::WithIds \
@@ -205,42 +218,37 @@ impl DeltaIndex {
         base: FlatIndex,
         options: FlatOptions,
     ) -> Result<DeltaIndex, FlatError> {
-        if base.layout() != options.layout {
-            return Err(FlatError::Update(format!(
-                "options disagree with the index: the index has the {:?} layout, \
-                 the options {:?}",
-                base.layout(),
-                options.layout
-            )));
-        }
-        let domain = update_domain(&options)?;
-        Ok(Self::adopt(pool, base, options, domain)?)
+        let mut delta = Self::pristine(base, options);
+        delta.adopt(pool)?;
+        Ok(delta)
     }
 
-    /// [`DeltaIndex::new`] over already validated options.
-    fn adopt(
-        pool: &impl PageRead,
-        base: FlatIndex,
-        options: FlatOptions,
-        domain: Aabb,
-    ) -> Result<DeltaIndex, StorageError> {
-        // A pristine index's metadata pages are exactly its seed-tree
-        // leaves, created in page-id order, and nothing is deleted.
-        let SeedTreePages { inner, leaves } = base.seed_tree_pages(pool)?;
-        let delta = Self::scan(
-            pool,
+    /// Wraps a bulkload without reading a page: the tables stay empty
+    /// and every query runs on `base` ([`DeltaIndex::view`]) until
+    /// [`DeltaIndex::adopt`] fills them. `options` are checked only then,
+    /// so a read-only session may pass any.
+    pub(crate) fn pristine(base: FlatIndex, options: FlatOptions) -> DeltaIndex {
+        DeltaIndex {
             base,
             options,
-            domain,
-            inner,
-            leaves,
-            Tombstones::default(),
-        )?;
-        debug_assert!(
-            delta.parts.iter().all(|part| !part.dead),
-            "adopting a non-pristine index"
-        );
-        Ok(delta)
+            domain: None,
+            parts: Vec::new(),
+            base_partitions: 0,
+            by_record: AddrMap::default(),
+            locator: HashMap::new(),
+            tombstones: Tombstones::default(),
+            meta_pages: Vec::new(),
+            inner_pages: Vec::new(),
+            live_elements: 0,
+        }
+    }
+
+    /// Fills the resident tables of a [`DeltaIndex::pristine`] index:
+    /// checks the options as [`DeltaIndex::new`] documents, then scans
+    /// the pages once. Later calls do nothing; on an error the index is
+    /// unchanged. Returns the tiling domain.
+    pub(crate) fn adopt(&mut self, pool: &impl PageRead) -> Result<Aabb, FlatError> {
+        self.adopt_pages(pool, None)
     }
 
     /// Rebuilds a delta index from recovered pages: the crash-recovery
@@ -259,49 +267,52 @@ impl DeltaIndex {
         meta_pages: Vec<PageId>,
         tombstones: Tombstones,
     ) -> Result<DeltaIndex, FlatError> {
-        let domain = update_domain(&options)?;
-        // Seed-tree directory pages come from the tree itself.
-        let inner_pages = base.seed_tree_pages(pool)?.inner;
-        Ok(Self::scan(
-            pool,
-            base,
-            options,
-            domain,
-            inner_pages,
-            meta_pages,
-            tombstones,
-        )?)
+        let mut delta = Self::pristine(base, options);
+        delta.adopt_pages(pool, Some((meta_pages, tombstones)))?;
+        Ok(delta)
     }
 
-    /// The one scan behind [`DeltaIndex::new`] and [`DeltaIndex::reopen`]:
-    /// builds the resident tables from `meta_pages`. Scanning them in
-    /// creation order, slot by slot and skipping continuation chunks,
-    /// reproduces the partition numbering: the bulkload adopts primaries
-    /// in sorted-leaf order, and every insert batch lays its primaries
-    /// onto fresh pages in batch order before any stitch chunk.
-    fn scan(
-        pool: &impl PageRead,
-        base: FlatIndex,
-        options: FlatOptions,
-        domain: Aabb,
-        inner_pages: Vec<PageId>,
-        meta_pages: Vec<PageId>,
-        tombstones: Tombstones,
-    ) -> Result<DeltaIndex, StorageError> {
-        validate_slot_capacity(leaf_capacity(options.layout))?;
+    /// [`DeltaIndex::adopt`] for the write methods, which run it first
+    /// so that none of them sees an unfilled table. Their error type is
+    /// [`StorageError`], so options that cannot update an index (only a
+    /// never-adopted index can carry them) come back as invalid input.
+    fn adopt_to_write(&mut self, pool: &impl PageRead) -> Result<Aabb, StorageError> {
+        self.adopt(pool).map_err(|e| match e {
+            FlatError::Storage(e) => e,
+            e => StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                e.to_string(),
+            )),
+        })
+    }
 
+    /// The one scan behind [`DeltaIndex::adopt`] and
+    /// [`DeltaIndex::reopen`]: builds the resident tables from the
+    /// recovered metadata pages and tombstones, or — for a pristine
+    /// index — from the seed tree's leaves, which are exactly its
+    /// metadata pages, created in page-id order, with nothing deleted.
+    /// Scanning the pages in creation order, slot by slot and skipping
+    /// continuation chunks, reproduces the partition numbering: the
+    /// bulkload adopts primaries in sorted-leaf order, and every insert
+    /// batch lays its primaries onto fresh pages in batch order before
+    /// any stitch chunk.
+    fn adopt_pages(
+        &mut self,
+        pool: &impl PageRead,
+        recovered: Option<(Vec<PageId>, Tombstones)>,
+    ) -> Result<Aabb, FlatError> {
+        if let Some(domain) = self.domain {
+            return Ok(domain);
+        }
+        let domain = update_domain(self.base.layout(), &self.options)?;
+        validate_slot_capacity(leaf_capacity(self.options.layout))?;
+        let SeedTreePages { inner, leaves } = self.base.seed_tree_pages(pool)?;
+        let (meta_pages, tombstones) = recovered.unwrap_or((leaves, Tombstones::default()));
         let mut delta = DeltaIndex {
-            base,
-            options,
-            domain,
-            parts: Vec::new(),
-            base_partitions: 0,
-            by_record: AddrMap::default(),
-            locator: HashMap::new(),
+            domain: Some(domain),
             tombstones,
-            meta_pages: Vec::new(),
-            inner_pages,
-            live_elements: 0,
+            inner_pages: inner,
+            ..Self::pristine(self.base.clone(), self.options)
         };
 
         // Every primary (dead ones included — they keep their partition
@@ -311,7 +322,8 @@ impl DeltaIndex {
             return Err(StorageError::Corrupt(format!(
                 "snapshot lists {} metadata pages, the base descriptor needs {base_meta}",
                 meta_pages.len()
-            )));
+            ))
+            .into());
         }
         for (page_seq, &pid) in meta_pages.iter().enumerate() {
             let page = pool.read_page(pid, PageKind::SeedLeaf)?;
@@ -352,18 +364,46 @@ impl DeltaIndex {
                     return Err(StorageError::Corrupt(format!(
                         "index holds application id {} twice",
                         hit.id
-                    )));
+                    ))
+                    .into());
                 }
             }
             delta.parts[idx].live = live;
             delta.live_elements += live as u64;
         }
-        Ok(delta)
+        *self = delta;
+        Ok(domain)
     }
 
     /// The base index descriptor (the crawl machinery runs on it).
     pub fn base(&self) -> &FlatIndex {
         &self.base
+    }
+
+    /// `true` once the resident tables are filled.
+    pub(crate) fn is_adopted(&self) -> bool {
+        self.domain.is_some()
+    }
+
+    /// The read view: the bulkload alone until adoption — no tombstone
+    /// probe, and join summaries and aggregate counts read from pages —
+    /// and the delta layer after it.
+    pub(crate) fn view(&self) -> IndexRef<'_> {
+        if self.is_adopted() {
+            IndexRef::Delta(self)
+        } else {
+            IndexRef::Flat(&self.base)
+        }
+    }
+
+    /// `true` while the pages hold nothing but a bulkload: no partition
+    /// was ever inserted (retired ones count), none was retired, and no
+    /// element is tombstoned. Anything else is what a persist must
+    /// compact away first.
+    pub(crate) fn is_pristine(&self) -> bool {
+        self.parts.len() == self.base_partitions
+            && self.tombstones.is_empty()
+            && self.parts.iter().all(|part| !part.dead)
     }
 
     /// The deleted-element set, for the crawl's scan filter.
@@ -471,6 +511,7 @@ impl DeltaIndex {
         if entries.is_empty() {
             return Ok(());
         }
+        let domain = self.adopt_to_write(pool)?;
         let capacity = leaf_capacity(self.options.layout);
         {
             let mut batch_ids = HashSet::with_capacity(entries.len());
@@ -485,7 +526,7 @@ impl DeltaIndex {
 
         // 1. Tile the batch over the full domain (same STR code as the
         //    bulkload) and write its object pages.
-        let mut new_parts = partition(entries, capacity, Some(self.domain));
+        let mut new_parts = partition(entries, capacity, Some(domain));
         if self.options.partition_volume_scale > 1.0 {
             for p in &mut new_parts {
                 p.partition_mbr = p
@@ -696,6 +737,7 @@ impl DeltaIndex {
         pool: &mut P,
         ids: &[u64],
     ) -> Result<usize, StorageError> {
+        self.adopt_to_write(pool)?;
         let mut by_part: HashMap<u32, Vec<u64>> = HashMap::new();
         for &id in ids {
             if let Some(idx) = self.locator.remove(&id) {
@@ -745,10 +787,11 @@ impl DeltaIndex {
         let mut nbr_idx: Vec<u32> = Vec::with_capacity(d_nbrs.len());
         let mut link_sets: HashMap<u32, HashSet<MetaRecordId>> = HashMap::new();
         for addr in &d_nbrs {
-            let &idx = self
-                .by_record
-                .get(addr)
-                .expect("neighbor pointer to an unknown record");
+            let Some(&idx) = self.by_record.get(addr) else {
+                return Err(StorageError::Corrupt(format!(
+                    "neighbor chain of {d_rec:?} points at {addr:?}, which is no partition"
+                )));
+            };
             if self.parts[idx as usize].dead {
                 // Retirement prunes every inbound link before flagging a
                 // record dead, so a link into a dead partition means the
@@ -840,6 +883,7 @@ impl DeltaIndex {
         &mut self,
         pool: &mut P,
     ) -> Result<BuildStats, StorageError> {
+        self.adopt_to_write(pool)?;
         // 1. Surviving elements, partition by partition.
         let mut survivors: Vec<Entry> = Vec::with_capacity(self.live_elements as usize);
         for part in self.parts.iter().filter(|p| !p.dead) {
@@ -856,7 +900,8 @@ impl DeltaIndex {
         // 3. Rebuild through the bulkload pipeline.
         let (index, stats, _) = FlatIndexBuilder::new(self.options).build(pool, survivors)?;
         // 4. Re-adopt: the delta layer is empty again.
-        *self = DeltaIndex::adopt(&*pool, index, self.options, self.domain)?;
+        *self = DeltaIndex::pristine(index, self.options);
+        self.adopt_to_write(&*pool)?;
         Ok(stats)
     }
 
@@ -1225,6 +1270,31 @@ mod tests {
         let err = remove_neighbor(&mut pool, record, bogus).unwrap_err();
         assert!(
             err.to_string().contains("not present in the chain"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn a_pointer_to_no_partition_is_a_corrupt_error_at_retirement() {
+        let (mut pool, mut delta, _) = build_delta(2_000, 69);
+        let part = delta.parts[0].clone();
+        // Rewrite one neighbor pointer of partition 0 to an address that
+        // resolves to no partition.
+        let bogus = MetaRecordId {
+            page: part.record.page,
+            slot: u16::MAX,
+        };
+        edit_record(&mut pool, part.record, |r| r.neighbors[0] = bogus).unwrap();
+        // Deleting the partition's last element retires it, which walks
+        // the rewritten chain.
+        let ids: Vec<u64> = LivePage::read(&pool, part.object_page, None)
+            .unwrap()
+            .hits()
+            .map(|hit| hit.id)
+            .collect();
+        let err = delta.delete_batch(&mut pool, &ids).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(msg) if msg.contains("no partition")),
             "unexpected error: {err}"
         );
     }

@@ -272,7 +272,7 @@ pub(crate) struct DbSnapshot {
     pub built: bool,
     /// The index descriptor at checkpoint time.
     pub index: FlatIndex,
-    /// Delta-layer residency, if the database had been promoted: the
+    /// Delta-layer residency, if a writer had adopted the index: the
     /// metadata pages in creation order and the tombstone set.
     pub delta: Option<DeltaResidency>,
 }

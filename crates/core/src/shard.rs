@@ -10,8 +10,9 @@
 //! protocol (snapshots, writer batches, atomic publish) — so shards never
 //! contend on a buffer pool or a store mutex, and I/O for K shards
 //! proceeds on K independent worker pools. This module is only the
-//! router: slab cuts, the id → owner table, coverage routing, the
-//! cross-shard merges and the database-level subscription registry.
+//! router: slab cuts, coverage routing, the cross-shard merges and the
+//! database-level subscription registry. It keeps no id table of its
+//! own: which shard holds an id is asked of the shards' own locators.
 //!
 //! Every shard's index is built over the **global** domain: FLAT's crawl
 //! is exhaustive only when the partition tiling covers the whole space a
@@ -41,11 +42,13 @@
 //!   `(dist_sq, id)` — element ids rather than the single-index physical
 //!   `(page, slot)` order, which is not comparable across independently
 //!   built shards.
-//! * **Updates** route by a global id → shard owner table (populated at
-//!   build, maintained by every insert and delete), and open a
-//!   [`FlatDb::writer`] on **only the shards a batch actually touches** —
-//!   read-only shards keep serving the cheaper pristine base-index crawl
-//!   path.
+//! * **Updates** open the [`FlatDb::writer`] of every shard (the first
+//!   update call adopts each shard's bulkload into its delta tables) and
+//!   check and route ids against the shards' own locators: inserts go by
+//!   center x, deletes to the shard whose locator holds the id. Only the
+//!   shards with work commit, so the others' epochs do not move. A
+//!   database that is never written never adopts, and every shard keeps
+//!   serving its bulkload alone.
 //!
 //! # Snapshots
 //!
@@ -66,7 +69,7 @@ use crate::aggregate::density;
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
 use crate::db::{
     lock_unpoisoned as lock, read_unpoisoned as read, write_unpoisoned as write, DbOptions, FlatDb,
-    Snapshot,
+    Snapshot, Writer,
 };
 use crate::delta::DeltaReport;
 use crate::durable::DbStore;
@@ -81,7 +84,7 @@ use flat_storage::{
     ConcurrentBufferPool, IoStats, MemStore, PageStore, SchedulerConfig, SchedulerStats,
     VersionedPool,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Mutex, RwLock};
 
 /// Options for [`ShardedDb::build`].
@@ -170,10 +173,6 @@ pub struct ShardedDb<S: PageStore + Send + Sync + 'static> {
     /// in `[cuts[i-1], cuts[i])` route to shard `i`.
     cuts: Vec<f64>,
     domain: Aabb,
-    /// Global id → owning shard, populated at build and maintained by
-    /// every insert and delete. Routes deletes and liveness checks
-    /// without promoting read-only shards.
-    owners: RwLock<HashMap<u64, u32>>,
     /// Top-level continuous-query registry. The mutex is held across a
     /// whole multi-shard [`ShardedDb::insert`] / [`ShardedDb::delete`]
     /// call and across subscription registration, so update calls are
@@ -245,12 +244,10 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             .take(num_shards - 1)
             .map(|r| r.tile.max.x)
             .collect();
-        let mut owners = HashMap::new();
         let shards = regions
             .into_iter()
             .enumerate()
             .map(|(i, region)| {
-                owners.extend(region.elements.iter().map(|e| (e.id, i as u32)));
                 let store = DbStore::Plain(store_factory(i));
                 let cache =
                     ConcurrentBufferPool::with_config(store, options.pool_pages, options.scheduler);
@@ -269,7 +266,6 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             shards,
             cuts,
             domain,
-            owners: RwLock::new(owners),
             subs: Mutex::new(ShardSubs::default()),
         })
     }
@@ -298,7 +294,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     }
 
     /// Runs [`FlatDb::check_invariants`] on every shard, in shard order
-    /// (`None` for a shard still on its pristine bulkload).
+    /// (`None` for every shard until the first update call adopts them).
     pub fn check_invariants(&self) -> Result<Vec<Option<DeltaReport>>, String> {
         self.shards
             .iter()
@@ -511,8 +507,8 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     }
 
     /// Inserts `entries`, routing each by its center's x coordinate along
-    /// the slab cuts. Only the shards that receive elements are promoted
-    /// to the delta layer.
+    /// the slab cuts. Opens every shard's writer (see the module docs);
+    /// only the shards that receive elements commit.
     ///
     /// Returns [`FlatError::Update`] — before anything is written — if an
     /// id is already live in any shard or repeated within `entries`, and
@@ -533,16 +529,15 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         // registration cannot interleave with a half-applied insert
         // (see the `subs` field docs).
         let mut subs = lock(&self.subs);
-        {
-            let owners = read(&self.owners);
-            let mut batch_ids = HashSet::with_capacity(entries.len());
-            for e in &entries {
-                if owners.contains_key(&e.id) || !batch_ids.insert(e.id) {
-                    return Err(FlatError::Update(format!(
-                        "insert of id {} which is already live or repeated in the batch",
-                        e.id
-                    )));
-                }
+        let mut writers = self.writers()?;
+        let mut batch_ids = HashSet::with_capacity(entries.len());
+        for e in &entries {
+            let live = writers.iter().any(|w| w.delta().contains_id(e.id));
+            if live || !batch_ids.insert(e.id) {
+                return Err(FlatError::Update(format!(
+                    "insert of id {} which is already live or repeated in the batch",
+                    e.id
+                )));
             }
         }
         let mut routed: Vec<Vec<Entry>> = self.shards.iter().map(|_| Vec::new()).collect();
@@ -551,7 +546,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         }
         let mut committed: Vec<(u64, Aabb)> = Vec::new();
         let mut result = Ok(());
-        for (i, (shard, batch)) in self.shards.iter().zip(routed).enumerate() {
+        for ((shard, writer), batch) in self.shards.iter().zip(&mut writers).zip(routed) {
             if batch.is_empty() {
                 continue;
             }
@@ -563,11 +558,10 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
                 let mut coverage = write(&shard.coverage);
                 *coverage = coverage.union(&Aabb::union_all(batch.iter().map(|e| e.mbr)));
             }
-            if let Err(e) = shard.db.writer().and_then(|mut w| w.insert(batch)) {
+            if let Err(e) = writer.insert(batch) {
                 result = Err(e);
                 break;
             }
-            write(&self.owners).extend(staged.iter().map(|&(id, _)| (id, i as u32)));
             committed.extend(staged);
         }
         if result.is_ok() || !committed.is_empty() {
@@ -577,42 +571,33 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     }
 
     /// Deletes elements by application id, returning how many were live.
-    /// Ids are routed by the global owner table, so only the shards that
-    /// actually own one of `ids` are touched (and promoted, if still
-    /// pristine); unknown ids are ignored. Shard failures surface as in
-    /// [`ShardedDb::insert`].
+    /// Each id goes to the shard whose locator holds it; unknown ids are
+    /// ignored. Opens every shard's writer, and shard failures surface,
+    /// as in [`ShardedDb::insert`].
     pub fn delete(&self, ids: &[u64]) -> Result<usize, FlatError> {
         if ids.is_empty() {
             return Ok(0);
         }
         // Same batching discipline as `insert` (see the `subs` docs).
         let mut subs = lock(&self.subs);
-        let mut routed: Vec<Vec<u64>> = self.shards.iter().map(|_| Vec::new()).collect();
-        {
-            let owners = read(&self.owners);
-            for &id in ids {
-                if let Some(&s) = owners.get(&id) {
-                    routed[s as usize].push(id);
-                }
-            }
-        }
         let mut deleted = 0;
         let mut committed: Vec<u64> = Vec::new();
         let mut result = Ok(());
-        for (shard, owned) in self.shards.iter().zip(routed) {
+        for mut writer in self.writers()? {
+            let owned: Vec<u64> = ids
+                .iter()
+                .copied()
+                .filter(|&id| writer.delta().contains_id(id))
+                .collect();
             if owned.is_empty() {
                 continue;
             }
-            match shard.db.writer().and_then(|mut w| w.delete(&owned)) {
+            match writer.delete(&owned) {
                 Ok(n) => deleted += n,
                 Err(e) => {
                     result = Err(e);
                     break;
                 }
-            }
-            let mut owners = write(&self.owners);
-            for id in &owned {
-                owners.remove(id);
             }
             committed.extend(owned);
         }
@@ -621,6 +606,12 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             subs.deliver(StagedOp::Delete(committed));
         }
         result.map(|()| deleted)
+    }
+
+    /// Opens every shard's writer, in shard order: an update call asks
+    /// their locators which shard holds an id.
+    fn writers(&self) -> Result<Vec<Writer<'_, S>>, FlatError> {
+        self.shards.iter().map(|s| s.db.writer()).collect()
     }
 
     /// Routes an element center to its owning shard.
@@ -676,10 +667,9 @@ mod tests {
             .collect()
     }
 
-    /// True while shard `i` still serves its pristine bulkload (promotion
-    /// is lazy and per shard).
-    fn is_base(db: &ShardedDb<MemStore>, i: usize) -> bool {
-        db.check_invariants().unwrap()[i].is_none()
+    /// Every shard's publish epoch, in shard order.
+    fn epochs(db: &ShardedDb<MemStore>) -> Vec<u64> {
+        db.shards.iter().map(|s| s.db.epoch()).collect()
     }
 
     fn reference_range(entries: &[Entry], query: &Aabb) -> Vec<u64> {
@@ -821,15 +811,19 @@ mod tests {
             let err = db.insert(batch).unwrap_err();
             assert!(matches!(err, FlatError::Update(_)), "{err}");
         }
-        // Rejected before any shard was touched.
-        assert!((0..3).all(|i| is_base(&db, i)));
+        // Rejected before any shard committed: no epoch moved, and every
+        // shard still holds exactly its bulkload.
+        assert_eq!(epochs(&db), vec![0, 0, 0]);
+        for shard in &db.shards {
+            assert_eq!(shard.db.num_live_elements(), 300);
+        }
         assert_eq!(db.num_live_elements(), 900);
     }
 
     #[test]
-    fn promotion_is_lazy_and_per_shard() {
+    fn only_shards_with_work_commit() {
         // 3 shards over x ∈ [0, 90): updates that touch only one slab
-        // must leave the other shards on the pristine base-index path.
+        // commit on that shard alone; the others' epochs do not move.
         let entries: Vec<Entry> = (0..900)
             .map(|i| {
                 let x = (i % 90) as f64 + 0.5;
@@ -837,7 +831,6 @@ mod tests {
             })
             .collect();
         let db = ShardedDb::build_in_memory(3, entries.clone(), ShardOptions::default()).unwrap();
-        assert!((0..3).all(|i| is_base(&db, i)));
 
         // An insert routed entirely into the leftmost slab.
         db.insert(vec![Entry::new(
@@ -845,10 +838,9 @@ mod tests {
             Aabb::cube(Point3::new(2.0, 50.0, 50.0), 0.4),
         )])
         .unwrap();
-        assert!(!is_base(&db, 0), "touched shard promotes");
-        assert!(is_base(&db, 1) && is_base(&db, 2), "others stay base");
+        assert_eq!(epochs(&db), vec![1, 0, 0]);
 
-        // Deleting ids owned by the rightmost shard promotes only it.
+        // Deleting an id held by the rightmost shard commits only there.
         let victim = entries
             .iter()
             .map(|e| e.id)
@@ -858,15 +850,13 @@ mod tests {
             })
             .unwrap();
         assert_eq!(db.delete(&[victim]).unwrap(), 1);
-        assert!(!is_base(&db, 2));
-        assert!(is_base(&db, 1), "untouched shard still base");
+        assert_eq!(epochs(&db), vec![1, 0, 1]);
 
-        // Unknown ids touch (and promote) nothing.
+        // Unknown ids commit nothing.
         assert_eq!(db.delete(&[999_999_999]).unwrap(), 0);
-        assert!(is_base(&db, 1));
+        assert_eq!(epochs(&db), vec![1, 0, 1]);
 
-        // Queries stay exact across the mixed base/delta fleet, and the
-        // touched shards carry their own epochs.
+        // Queries stay exact across the fleet.
         let mut live = entries;
         live.push(Entry::new(
             10_000,
@@ -876,9 +866,9 @@ mod tests {
         let q = Aabb::new(Point3::new(0.0, 45.0, 45.0), Point3::new(90.0, 55.0, 55.0));
         let got: Vec<u64> = db.range_query(&q).unwrap().iter().map(|h| h.id).collect();
         assert_eq!(got, reference_range(&live, &q));
-        assert_eq!(db.shards[0].db.version_stats().epoch, 1);
-        assert_eq!(db.shards[1].db.version_stats().epoch, 0);
-        assert_eq!(db.shards[2].db.version_stats().epoch, 1);
+        for report in db.check_invariants().unwrap() {
+            assert!(report.is_some(), "the first update call adopts every shard");
+        }
     }
 
     #[test]

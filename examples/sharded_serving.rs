@@ -118,9 +118,10 @@ fn main() {
         io.total_physical_reads(),
     );
 
-    // 4. Updates route by shard too: the first batch promotes every
-    //    shard to its delta layer, then inserts land on the shard whose
-    //    x-slab owns them and deletes find their owner by id.
+    // 4. Updates route by shard too: the first batch adopts every
+    //    shard's bulkload into its delta tables, then inserts land on the
+    //    shard whose x-slab owns them and deletes go to the shard whose
+    //    locator holds the id.
     let fresh: Vec<Entry> = (0..500)
         .map(|i| {
             let t = i as f64 / 500.0;

@@ -398,7 +398,7 @@ fn bad_caller_input_is_a_typed_error_not_a_panic() {
         .is_empty());
 
     // The bulkload accepts a repeated application id; the first writer's
-    // promotion scan finds it. That is an error about the data — the
+    // adoption scan finds it. That is an error about the data — the
     // session stays usable, and asking again gives the same answer.
     let mut repeated = entries.clone();
     repeated[7].id = repeated[8].id;
@@ -415,7 +415,7 @@ fn bad_caller_input_is_a_typed_error_not_a_panic() {
             db.reader().range(&everything).unwrap().len(),
             repeated.len()
         );
-        assert!(db.delta().is_none(), "a failed promotion must not publish");
+        assert!(db.delta().is_none(), "a failed adoption must not publish");
     }
 
     // Adopting a bulkload as a delta layer checks what the first writer
