@@ -8,15 +8,17 @@
 //! stream in epoch order reconstructs the range query's answer after
 //! any prefix of commits.
 //!
-//! The registry itself is storage-agnostic: the database's commit path
-//! stages an owned copy of each batch's logical ops
-//! ([`StagedOp`]) before applying them to pages, and feeds the staged
-//! ops to [`ContinuousQueries::apply_batch`] *inside* the publish
-//! critical section (under the published-state write lock). Since
-//! registration runs under the matching read lock around its baseline
-//! snapshot query, a subscriber can never observe a gap or an overlap:
-//! the baseline and the delta stream tile the commit history exactly.
+//! The registry is storage-agnostic: it folds the committed group
+//! — the [`WriteOp`]s the writer logged and applied — into every
+//! subscription. The database's commit path clones the group before the
+//! page apply consumes it and feeds the clone to
+//! [`ContinuousQueries::apply_batch`] *inside* the publish critical
+//! section (under the published-state write lock). Since registration
+//! runs under the matching read lock around its baseline snapshot query,
+//! a subscriber can never observe a gap or an overlap: the baseline and
+//! the delta stream tile the commit history exactly.
 
+use crate::db::WriteOp;
 use flat_geom::Aabb;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -46,19 +48,6 @@ impl QueryDelta {
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
     }
-}
-
-/// An owned, resident copy of one logical op of a commit group — just
-/// the fields subscription matching needs, cloned off the write path
-/// before the ops are consumed by the page apply.
-#[derive(Debug, Clone)]
-pub(crate) enum StagedOp {
-    /// Inserted elements as `(application id, MBR)`.
-    Insert(Vec<(u64, Aabb)>),
-    /// Deleted application ids (whether or not they were live).
-    Delete(Vec<u64>),
-    /// A compaction: rewrites pages, preserves the live set.
-    Compact,
 }
 
 struct Subscription {
@@ -130,30 +119,30 @@ impl ContinuousQueries {
     /// exactly one delta (possibly empty) per subscription. Ops are
     /// walked in group order so delete-then-reinsert (and the reverse)
     /// net out exactly as they do in the index.
-    pub(crate) fn apply_batch(&mut self, ops: &[StagedOp], epoch: u64) {
+    pub(crate) fn apply_batch(&mut self, ops: &[WriteOp], epoch: u64) {
         for sub in self.subs.values_mut() {
             let mut added: HashSet<u64> = HashSet::new();
             let mut removed: HashSet<u64> = HashSet::new();
             for op in ops {
                 match op {
-                    StagedOp::Insert(entries) => {
-                        for (id, mbr) in entries {
-                            if !mbr.intersects(&sub.range) {
+                    WriteOp::Insert(entries) => {
+                        for e in entries {
+                            if !e.mbr.intersects(&sub.range) {
                                 continue;
                             }
-                            if !removed.remove(id) {
-                                added.insert(*id);
+                            if !removed.remove(&e.id) {
+                                added.insert(e.id);
                             }
                         }
                     }
-                    StagedOp::Delete(ids) => {
+                    WriteOp::Delete(ids) => {
                         for id in ids {
                             if !added.remove(id) && sub.live.contains(id) {
                                 removed.insert(*id);
                             }
                         }
                     }
-                    StagedOp::Compact => {}
+                    WriteOp::Compact => {}
                 }
             }
             for id in &removed {
@@ -177,6 +166,7 @@ impl ContinuousQueries {
 mod tests {
     use super::*;
     use flat_geom::Point3;
+    use flat_rtree::Entry;
 
     fn boxed(min: f64, max: f64) -> Aabb {
         Aabb::new(Point3::new(min, min, min), Point3::new(max, max, max))
@@ -191,10 +181,13 @@ mod tests {
         let mut reg = ContinuousQueries::new();
         let sub = reg.register(boxed(0.0, 10.0), [1, 2]);
         reg.apply_batch(
-            &[StagedOp::Insert(vec![(3, point(5.0)), (4, point(50.0))])],
+            &[WriteOp::Insert(vec![
+                Entry::new(3, point(5.0)),
+                Entry::new(4, point(50.0)),
+            ])],
             7,
         );
-        reg.apply_batch(&[StagedOp::Delete(vec![2, 4])], 8);
+        reg.apply_batch(&[WriteOp::Delete(vec![2, 4])], 8);
         let deltas = reg.poll(sub).unwrap();
         assert_eq!(
             deltas,
@@ -224,9 +217,9 @@ mod tests {
         // change. Insert-then-delete of a fresh id: no net change either.
         reg.apply_batch(
             &[
-                StagedOp::Delete(vec![1]),
-                StagedOp::Insert(vec![(1, point(2.0)), (9, point(3.0))]),
-                StagedOp::Delete(vec![9]),
+                WriteOp::Delete(vec![1]),
+                WriteOp::Insert(vec![Entry::new(1, point(2.0)), Entry::new(9, point(3.0))]),
+                WriteOp::Delete(vec![9]),
             ],
             3,
         );
@@ -243,8 +236,8 @@ mod tests {
         let sub = reg.register(boxed(0.0, 10.0), [5]);
         reg.apply_batch(
             &[
-                StagedOp::Delete(vec![5]),
-                StagedOp::Insert(vec![(5, point(99.0))]),
+                WriteOp::Delete(vec![5]),
+                WriteOp::Insert(vec![Entry::new(5, point(99.0))]),
             ],
             2,
         );
@@ -258,8 +251,8 @@ mod tests {
     fn compaction_and_unrelated_batches_produce_empty_deltas() {
         let mut reg = ContinuousQueries::new();
         let sub = reg.register(boxed(0.0, 1.0), [7]);
-        reg.apply_batch(&[StagedOp::Compact], 4);
-        reg.apply_batch(&[StagedOp::Insert(vec![(8, point(70.0))])], 5);
+        reg.apply_batch(&[WriteOp::Compact], 4);
+        reg.apply_batch(&[WriteOp::Insert(vec![Entry::new(8, point(70.0))])], 5);
         let deltas = reg.poll(sub).unwrap();
         assert_eq!(deltas.len(), 2);
         assert!(deltas.iter().all(QueryDelta::is_empty));

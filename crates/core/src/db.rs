@@ -77,9 +77,9 @@
 
 use crate::aggregate::{density, AggregateStats};
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
-use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
+use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta};
 use crate::delta::{DeltaIndex, DeltaReport};
-use crate::durable::{decode_logical, encode_logical, DbSnapshot, DbStore, LogicalOp};
+use crate::durable::{decode_logical, encode_logical, DbSnapshot, DbStore};
 pub use crate::durable::{Durability, RecoveryReport};
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
@@ -246,23 +246,23 @@ impl DbTruth {
         Ok(true)
     }
 
-    /// Applies one logical mutation to the truth through `pool`: how many
+    /// Applies one mutation to the truth through `pool`: how many
     /// elements it applied to, and the rebuild's statistics if it was a
     /// compaction.
     fn apply_op(
         &mut self,
         pool: &mut (impl PageRead + PageWrite),
-        op: LogicalOp,
+        op: WriteOp,
     ) -> Result<(usize, Option<BuildStats>), StorageError> {
         let delta = Arc::make_mut(&mut self.index);
         Ok(match op {
-            LogicalOp::Insert(entries) => {
+            WriteOp::Insert(entries) => {
                 let inserted = entries.len();
                 delta.insert_batch(pool, entries)?;
                 (inserted, None)
             }
-            LogicalOp::Delete(ids) => (delta.delete_batch(pool, &ids)?, None),
-            LogicalOp::Compact => (0, Some(delta.compact(pool)?)),
+            WriteOp::Delete(ids) => (delta.delete_batch(pool, &ids)?, None),
+            WriteOp::Compact => (0, Some(delta.compact(pool)?)),
         })
     }
 }
@@ -404,14 +404,13 @@ impl<S: PageStore> FlatDb<S> {
             ));
         }
         options.check()?;
-        let mut durable = DurableStore::create(store)?;
         let initial = DbSnapshot {
             last_seq: 0,
             built: false,
             index: FlatIndex::empty(options.index.layout),
             delta: None,
         };
-        durable.checkpoint(&initial.encode())?;
+        let durable = DurableStore::create(store, &initial.encode())?;
         let pool = VersionedPool::new(DbStore::Durable(Box::new(durable)), options.pool_pages);
         Ok(Self::with_pool(pool, options))
     }
@@ -532,7 +531,7 @@ impl<S: PageStore> FlatDb<S> {
     /// the checkpoint predates the first writer. Recovery runs
     /// exclusively (no snapshot exists yet), so it applies through the
     /// pool's plain, non-versioned write path.
-    fn replay(&mut self, op: LogicalOp) -> Result<(), FlatError> {
+    fn replay(&mut self, op: WriteOp) -> Result<(), FlatError> {
         let truth = self.truth.get_mut().unwrap_or_else(|e| e.into_inner());
         truth.adopt(&self.pool)?;
         truth.apply_op(&mut self.pool, op)?;
@@ -759,11 +758,12 @@ impl<S: PageStore> FlatDb<S> {
         Ok(descriptor)
     }
 
-    /// Checkpoints the write-ahead log: every dirty page is logged as a
-    /// page image, a checkpoint record commits the batch, the pages are
-    /// written back to the backing store and the log is truncated to a
-    /// fresh generation. Recovery cost drops to zero replayed batches;
-    /// [`Durability::WalCheckpoint`] runs this automatically.
+    /// Checkpoints the write-ahead log: an image of every dirty page and
+    /// the checkpoint record go to the log as one group (its last page
+    /// write is the commit), the pages are written back to the backing
+    /// store and the log is truncated to a fresh generation. Recovery
+    /// cost drops to zero replayed batches; [`Durability::WalCheckpoint`]
+    /// runs this automatically.
     ///
     /// Errors with [`FlatError::Update`] when the database is not
     /// durable.
@@ -840,21 +840,21 @@ impl<S: PageStore> FlatDb<S> {
     }
 
     /// Commits `ops` to the write-ahead log ahead of applying them — the
-    /// atomic commit point of a durable writer batch. Consecutive records
-    /// coalesce into **one** log append and one sync (group commit): the
-    /// frames share WAL pages, and the descending write-back order makes
-    /// the whole group durable — or none of it. A no-op with durability
-    /// off.
-    fn log_ops(&self, truth: &mut DbTruth, ops: &[&LogicalOp]) -> Result<(), FlatError> {
+    /// atomic commit point of a durable writer batch. The group's records
+    /// go out as **one** log append and one sync (group commit): the
+    /// frames share WAL pages, and the old-end page is written last, so
+    /// the whole group is durable — or none of it. A no-op with
+    /// durability off.
+    fn log_ops(&self, truth: &mut DbTruth, ops: &[&WriteOp]) -> Result<(), FlatError> {
         if self.options.durability == Durability::Off {
             return Ok(());
         }
-        let payloads: Vec<Vec<u8>> = ops
+        let seq = truth.next_seq;
+        let payloads = ops
             .iter()
-            .enumerate()
-            .map(|(i, op)| encode_logical(truth.next_seq + i as u64, op))
-            .collect();
-        let result = self.with_durable(|d| d.append_records(&payloads));
+            .zip(seq..)
+            .map(|(op, seq)| encode_logical(seq, op));
+        let result = self.with_durable(|d| d.append_records(payloads));
         if let Err(e) = result {
             // The in-memory log tail may now disagree with the store.
             truth.poisoned = true;
@@ -1291,13 +1291,20 @@ impl<S: PageStore + Send + Sync> QueryBuilder<'_, S> {
     }
 }
 
-/// One logical mutation for [`Writer::apply`].
-#[derive(Debug, Clone)]
+/// One mutation of a committed writer group — the only spelling of a
+/// write. [`Writer::apply`] takes a group of them; [`Writer::insert`],
+/// [`Writer::delete`] and [`Writer::compact`] are groups of one. The
+/// same values are logged (one logical record each, in durable mode),
+/// applied to the pages, and folded into the continuous queries.
+#[derive(Debug, Clone, PartialEq)]
 pub enum WriteOp {
     /// Insert a batch of new elements (ids must not be live).
     Insert(Vec<Entry>),
     /// Delete elements by application id.
     Delete(Vec<u64>),
+    /// Merge all deltas back into a pristine bulkload (see
+    /// [`Writer::compact`]). It preserves the live set.
+    Compact,
 }
 
 /// A write session over a [`FlatDb`].
@@ -1318,7 +1325,7 @@ impl<S: PageStore> Writer<'_, S> {
     /// Unlike the low-level call, colliding application ids are reported
     /// as a [`FlatError::Update`] instead of a panic.
     pub fn insert(&mut self, entries: Vec<Entry>) -> Result<(), FlatError> {
-        self.commit(vec![LogicalOp::Insert(entries)]).map(|_| ())
+        self.commit(vec![WriteOp::Insert(entries)]).map(|_| ())
     }
 
     /// Deletes elements by application id, returning how many were live
@@ -1327,27 +1334,21 @@ impl<S: PageStore> Writer<'_, S> {
         if ids.is_empty() {
             return Ok(0);
         }
-        let (applied, _) = self.commit(vec![LogicalOp::Delete(ids.to_vec())])?;
+        let (applied, _) = self.commit(vec![WriteOp::Delete(ids.to_vec())])?;
         Ok(applied[0])
     }
 
     /// Applies a *group* of mutations as one commit: one coalesced
     /// write-ahead-log append (one sync), one copy-on-write page batch,
-    /// and one atomic publish — snapshots see all of the group's ops or
-    /// none of them. Returns, per op, how many elements it applied to
-    /// (inserted entries, or deleted live elements).
+    /// one epoch bump and one atomic publish — snapshots see all of the
+    /// group's ops or none of them, and every subscription receives one
+    /// delta. Returns, per op, how many elements it applied to (inserted
+    /// entries, deleted live elements, or 0 for a compaction).
     ///
     /// Validation is group-aware and runs before the commit point: an
     /// insert may re-use an id deleted *earlier in the same group*, and
     /// a rejected group reaches neither the log nor the pages.
     pub fn apply(&mut self, ops: Vec<WriteOp>) -> Result<Vec<usize>, FlatError> {
-        let ops: Vec<LogicalOp> = ops
-            .into_iter()
-            .map(|op| match op {
-                WriteOp::Insert(entries) => LogicalOp::Insert(entries),
-                WriteOp::Delete(ids) => LogicalOp::Delete(ids),
-            })
-            .collect();
         Ok(self.commit(ops)?.0)
     }
 
@@ -1356,7 +1357,7 @@ impl<S: PageStore> Writer<'_, S> {
     /// [`DeltaIndex::compact`]). Like every writer batch, the rebuild is
     /// invisible to concurrent snapshots until its atomic publish.
     pub fn compact(&mut self) -> Result<BuildStats, FlatError> {
-        let (_, stats) = self.commit(vec![LogicalOp::Compact])?;
+        let (_, stats) = self.commit(vec![WriteOp::Compact])?;
         Ok(stats.expect("a committed compaction reports its rebuild"))
     }
 
@@ -1365,10 +1366,7 @@ impl<S: PageStore> Writer<'_, S> {
     /// atomically → checkpoint cadence. Returns, per op, how many
     /// elements it applied to, plus the rebuild statistics of the
     /// group's (last) compaction.
-    fn commit(
-        &mut self,
-        ops: Vec<LogicalOp>,
-    ) -> Result<(Vec<usize>, Option<BuildStats>), FlatError> {
+    fn commit(&mut self, ops: Vec<WriteOp>) -> Result<(Vec<usize>, Option<BuildStats>), FlatError> {
         let db = self.db;
         let truth = &mut *self.truth;
         FlatDb::<S>::check_writable(truth)?;
@@ -1377,12 +1375,12 @@ impl<S: PageStore> Writer<'_, S> {
         validate_ops(&truth.index, &ops)?;
         // Empty ops commit nothing: they are not logged (replay would be
         // a no-op) and count as zero applied elements.
-        let loggable: Vec<&LogicalOp> = ops
+        let loggable: Vec<&WriteOp> = ops
             .iter()
             .filter(|op| match op {
-                LogicalOp::Insert(entries) => !entries.is_empty(),
-                LogicalOp::Delete(ids) => !ids.is_empty(),
-                LogicalOp::Compact => true,
+                WriteOp::Insert(entries) => !entries.is_empty(),
+                WriteOp::Delete(ids) => !ids.is_empty(),
+                WriteOp::Compact => true,
             })
             .collect();
         if loggable.is_empty() {
@@ -1390,10 +1388,9 @@ impl<S: PageStore> Writer<'_, S> {
         }
         let logged = loggable.len();
         db.log_ops(truth, &loggable)?;
-        // Owned copy of the group for subscription matching: the apply
-        // loop below consumes `ops`, but continuous queries are folded
-        // in later, inside the publish critical section.
-        let staged = stage_ops(&ops);
+        // The apply loop below consumes `ops`, but continuous queries
+        // fold the group in later, inside the publish critical section.
+        let committed = ops.clone();
         // Apply the whole group into ONE page batch: pinned snapshots
         // keep reading the pre-group images from its overlay.
         let mut batch = db.pool.begin_batch();
@@ -1427,7 +1424,7 @@ impl<S: PageStore> Writer<'_, S> {
             let mut published = write_unpoisoned(&db.published);
             let epoch = batch.publish();
             *published = Arc::clone(&truth.index);
-            lock_unpoisoned(&db.subscriptions).apply_batch(&staged, epoch);
+            lock_unpoisoned(&db.subscriptions).apply_batch(&committed, epoch);
         }
         db.after_commit(truth, logged)?;
         Ok((applied, rebuilt))
@@ -1440,29 +1437,15 @@ impl<S: PageStore> Writer<'_, S> {
     }
 }
 
-/// Resident copy of a commit group for subscription matching: ids and
-/// MBRs only, owned, in group order.
-fn stage_ops(ops: &[LogicalOp]) -> Vec<StagedOp> {
-    ops.iter()
-        .map(|op| match op {
-            LogicalOp::Insert(entries) => {
-                StagedOp::Insert(entries.iter().map(|e| (e.id, e.mbr)).collect())
-            }
-            LogicalOp::Delete(ids) => StagedOp::Delete(ids.clone()),
-            LogicalOp::Compact => StagedOp::Compact,
-        })
-        .collect()
-}
-
 /// Group-aware pre-commit validation: walks the ops in order, tracking
 /// ids the group has inserted or deleted so far, and rejects an insert
 /// of an id that would be live at that point in the sequence.
-fn validate_ops(delta: &DeltaIndex, ops: &[LogicalOp]) -> Result<(), FlatError> {
+fn validate_ops(delta: &DeltaIndex, ops: &[WriteOp]) -> Result<(), FlatError> {
     let mut added: HashSet<u64> = HashSet::new();
     let mut removed: HashSet<u64> = HashSet::new();
     for op in ops {
         match op {
-            LogicalOp::Insert(entries) => {
+            WriteOp::Insert(entries) => {
                 for e in entries {
                     let live = added.contains(&e.id)
                         || (!removed.contains(&e.id) && delta.contains_id(e.id));
@@ -1476,14 +1459,14 @@ fn validate_ops(delta: &DeltaIndex, ops: &[LogicalOp]) -> Result<(), FlatError> 
                     removed.remove(&e.id);
                 }
             }
-            LogicalOp::Delete(ids) => {
+            WriteOp::Delete(ids) => {
                 for id in ids {
                     if !added.remove(id) {
                         removed.insert(*id);
                     }
                 }
             }
-            LogicalOp::Compact => {}
+            WriteOp::Compact => {}
         }
     }
     Ok(())
@@ -2038,6 +2021,127 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(result.pairs, expected);
         assert!(result.stats.pairs > 0, "eps 1.5 over [0,100)^3 must match");
+    }
+
+    #[test]
+    fn a_compacting_group_commits_once_and_replays_after_a_crash() {
+        let options = updatable_options().with_durability(Durability::Wal);
+        let initial = random_entries(2_000, 50);
+        let victims: Vec<u64> = (0..2_000).step_by(40).collect();
+        let fresh: Vec<Entry> = random_entries(12, 51)
+            .into_iter()
+            .map(|e| Entry::new(e.id + 1_000_000, e.mbr))
+            .collect();
+        let survivors: Vec<Entry> = initial
+            .iter()
+            .filter(|e| !victims.contains(&e.id))
+            .chain(&fresh)
+            .copied()
+            .collect();
+        let ids_in = |db: &FlatDb<flat_storage::MemStore>, range: &Aabb| {
+            let mut ids: Vec<u64> = db
+                .reader()
+                .range(range)
+                .unwrap()
+                .iter()
+                .map(|h| h.id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+
+        let mut db = FlatDb::create_durable(flat_storage::MemStore::new(), options).unwrap();
+        db.build_from(initial).unwrap();
+        let ranges = [
+            Aabb::cube(Point3::splat(30.0), 15.0),
+            Aabb::cube(Point3::splat(70.0), 25.0),
+        ];
+        let subs: Vec<_> = ranges.iter().map(|r| db.subscribe(*r).unwrap()).collect();
+        let epoch = db.epoch();
+        let applied = db
+            .writer()
+            .unwrap()
+            .apply(vec![
+                WriteOp::Delete(victims.clone()),
+                WriteOp::Insert(fresh.clone()),
+                WriteOp::Compact,
+            ])
+            .unwrap();
+        assert_eq!(applied, vec![victims.len(), fresh.len(), 0]);
+        assert_eq!(db.epoch(), epoch + 1, "one group, one epoch");
+        for ((sub, baseline), range) in subs.iter().zip(&ranges) {
+            let deltas = db.poll_changes(*sub).unwrap();
+            assert_eq!(deltas.len(), 1, "one delta per subscription");
+            let mut ids: HashSet<u64> = baseline.iter().copied().collect();
+            for id in &deltas[0].removed {
+                assert!(ids.remove(id));
+            }
+            for id in &deltas[0].added {
+                assert!(ids.insert(*id));
+            }
+            let mut ids: Vec<u64> = ids.into_iter().collect();
+            ids.sort_unstable();
+            assert_eq!(ids, ids_in(&db, range));
+        }
+        assert!(db.truth_mut().index.is_pristine(), "the group compacted");
+
+        let dir = std::env::temp_dir().join("flat-core-db-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths =
+            ["committed", "replayed", "fresh"].map(|name| dir.join(format!("group-{name}.flatdb")));
+        db.persist(&paths[0]).unwrap();
+        // A crash before the next checkpoint: the overlay is lost and the
+        // log replays the group.
+        let (mut replayed, report) = FlatDb::open_durable(db.into_store(), options).unwrap();
+        assert_eq!(report.replayed, 3, "one logical record per op");
+        for range in &ranges {
+            assert_eq!(
+                ids_in(&replayed, range),
+                survivors
+                    .iter()
+                    .filter(|e| e.mbr.intersects(range))
+                    .map(|e| e.id)
+                    .collect::<std::collections::BTreeSet<u64>>()
+                    .into_iter()
+                    .collect::<Vec<u64>>()
+            );
+        }
+        replayed.persist(&paths[1]).unwrap();
+        // The reference: a fresh durable bulkload of the survivors.
+        let mut reference = FlatDb::create_durable(flat_storage::MemStore::new(), options).unwrap();
+        reference.build_from(survivors).unwrap();
+        reference.persist(&paths[2]).unwrap();
+
+        let [committed, replayed, fresh] = paths.map(|p| {
+            let bytes = std::fs::read(&p).unwrap();
+            std::fs::remove_file(&p).ok();
+            bytes
+        });
+        // Both sessions hold the fresh bulkload's index pages and write its
+        // descriptor. Pages 0-2 are the durable header and the two log
+        // slots (their records differ), and the pages the compaction
+        // freed are zero. (Replay frees outside a batch, so its inserts
+        // may grow the store before the compaction folds them away.)
+        use flat_storage::PAGE_SIZE;
+        let page = |file: &[u8], i: usize| file[i * PAGE_SIZE..][..PAGE_SIZE].to_vec();
+        let fresh_pages = fresh.len() / PAGE_SIZE;
+        for (name, file) in [("committed", &committed), ("replayed", &replayed)] {
+            let pages = file.len() / PAGE_SIZE;
+            assert!(pages >= fresh_pages, "{name}: {pages} pages");
+            for i in 3..fresh_pages - 1 {
+                assert!(page(file, i) == page(&fresh, i), "{name}: page {i} differs");
+            }
+            for i in fresh_pages - 1..pages - 1 {
+                assert!(
+                    page(file, i).iter().all(|&b| b == 0),
+                    "{name}: page {i} is live"
+                );
+            }
+            assert!(
+                page(file, pages - 1) == page(&fresh, fresh_pages - 1),
+                "{name}: descriptors differ"
+            );
+        }
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //!
 //! * [`flat_storage::Wal`] / [`DurableStore`] know nothing about indexes.
 //!   They persist opaque *logical records* and an opaque *checkpoint
-//!   snapshot*, guarantee record-granular atomicity, and redo dirty-page
-//!   write-back on open.
+//!   snapshot*, commit each group of records atomically through the one
+//!   log append, and redo dirty-page write-back on open.
 //! * This module owns what those opaque bytes mean: a logical record is
-//!   one committed [`crate::Writer`] batch (`[seq][op][body]`), and the
-//!   snapshot is the resident state a recovery cannot rebuild from the
-//!   pages alone — the index descriptor plus the delta layer's
-//!   metadata-page list and tombstone set.
+//!   one [`WriteOp`] of a committed [`crate::Writer`] group
+//!   (`[seq][op][body]`) — the same type the caller passed in, the page
+//!   apply consumes and the subscriptions fold, so nothing converts
+//!   between spellings of a write — and the snapshot is the resident
+//!   state a recovery cannot rebuild from the pages alone: the index
+//!   descriptor plus the delta layer's metadata-page list and tombstone
+//!   set.
 //!
 //! Recovery is exactly "snapshot + replay": [`crate::FlatDb::open_durable`]
 //! decodes the snapshot, re-adopts the resident tables from the recovered
@@ -21,6 +24,7 @@
 //! logical records past the snapshot's sequence number — without
 //! re-logging them, so a crash during recovery just recovers again.
 
+use crate::db::WriteOp;
 use crate::index::FlatIndex;
 use flat_geom::{Aabb, Point3};
 use flat_rtree::Entry;
@@ -156,30 +160,19 @@ impl<S: PageStore> PageStore for DbStore<S> {
 }
 
 // ----------------------------------------------------------------------
-// Logical records: one committed Writer batch each.
+// Logical records: one op of a committed Writer group each.
 // ----------------------------------------------------------------------
-
-/// One committed [`crate::Writer`] batch, as logged and replayed.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum LogicalOp {
-    /// `Writer::insert` of these entries.
-    Insert(Vec<Entry>),
-    /// `Writer::delete` of these application ids.
-    Delete(Vec<u64>),
-    /// `Writer::compact`.
-    Compact,
-}
 
 const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
 const OP_COMPACT: u8 = 3;
 
-/// Encodes `[seq u64][op u8][body]`.
-pub(crate) fn encode_logical(seq: u64, op: &LogicalOp) -> Vec<u8> {
+/// Encodes one [`WriteOp`] of a committed group as `[seq u64][op u8][body]`.
+pub(crate) fn encode_logical(seq: u64, op: &WriteOp) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&seq.to_le_bytes());
     match op {
-        LogicalOp::Insert(entries) => {
+        WriteOp::Insert(entries) => {
             out.push(OP_INSERT);
             out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
             for e in entries {
@@ -196,20 +189,20 @@ pub(crate) fn encode_logical(seq: u64, op: &LogicalOp) -> Vec<u8> {
                 }
             }
         }
-        LogicalOp::Delete(ids) => {
+        WriteOp::Delete(ids) => {
             out.push(OP_DELETE);
             out.extend_from_slice(&(ids.len() as u64).to_le_bytes());
             for id in ids {
                 out.extend_from_slice(&id.to_le_bytes());
             }
         }
-        LogicalOp::Compact => out.push(OP_COMPACT),
+        WriteOp::Compact => out.push(OP_COMPACT),
     }
     out
 }
 
 /// Decodes a record produced by [`encode_logical`].
-pub(crate) fn decode_logical(bytes: &[u8]) -> Result<(u64, LogicalOp), StorageError> {
+pub(crate) fn decode_logical(bytes: &[u8]) -> Result<(u64, WriteOp), StorageError> {
     let mut r = Reader::new(bytes);
     let seq = r.u64()?;
     let op = match r.u8()? {
@@ -227,7 +220,7 @@ pub(crate) fn decode_logical(bytes: &[u8]) -> Result<(u64, LogicalOp), StorageEr
                     Aabb::new(Point3::new(v[0], v[1], v[2]), Point3::new(v[3], v[4], v[5])),
                 ));
             }
-            LogicalOp::Insert(entries)
+            WriteOp::Insert(entries)
         }
         OP_DELETE => {
             let count = r.len("id count")?;
@@ -235,9 +228,9 @@ pub(crate) fn decode_logical(bytes: &[u8]) -> Result<(u64, LogicalOp), StorageEr
             for _ in 0..count {
                 ids.push(r.u64()?);
             }
-            LogicalOp::Delete(ids)
+            WriteOp::Delete(ids)
         }
-        OP_COMPACT => LogicalOp::Compact,
+        OP_COMPACT => WriteOp::Compact,
         t => {
             return Err(StorageError::Corrupt(format!(
                 "unknown logical record op {t}"
@@ -437,11 +430,11 @@ mod tests {
     #[test]
     fn logical_records_roundtrip() {
         for (seq, op) in [
-            (1, LogicalOp::Insert(vec![entry(7), entry(8)])),
-            (2, LogicalOp::Delete(vec![3, 9, 27])),
-            (3, LogicalOp::Compact),
-            (4, LogicalOp::Insert(Vec::new())),
-            (5, LogicalOp::Delete(Vec::new())),
+            (1, WriteOp::Insert(vec![entry(7), entry(8)])),
+            (2, WriteOp::Delete(vec![3, 9, 27])),
+            (3, WriteOp::Compact),
+            (4, WriteOp::Insert(Vec::new())),
+            (5, WriteOp::Delete(Vec::new())),
         ] {
             let bytes = encode_logical(seq, &op);
             assert_eq!(decode_logical(&bytes).unwrap(), (seq, op));
@@ -450,7 +443,7 @@ mod tests {
 
     #[test]
     fn corrupt_logical_records_are_rejected() {
-        let good = encode_logical(9, &LogicalOp::Insert(vec![entry(1)]));
+        let good = encode_logical(9, &WriteOp::Insert(vec![entry(1)]));
         // Truncation anywhere inside the record fails loudly.
         for cut in 0..good.len() {
             assert!(decode_logical(&good[..cut]).is_err(), "cut at {cut}");

@@ -66,10 +66,10 @@
 )]
 
 use crate::aggregate::density;
-use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
+use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta};
 use crate::db::{
     lock_unpoisoned as lock, read_unpoisoned as read, write_unpoisoned as write, DbOptions, FlatDb,
-    Snapshot, Writer,
+    Snapshot, WriteOp, Writer,
 };
 use crate::delta::DeltaReport;
 use crate::durable::DbStore;
@@ -193,7 +193,7 @@ struct ShardSubs {
 impl ShardSubs {
     /// Delivers one delta for what an update call committed: all of it,
     /// or the shards before the one that failed.
-    fn deliver(&mut self, committed: StagedOp) {
+    fn deliver(&mut self, committed: WriteOp) {
         self.seq += 1;
         self.registry.apply_batch(&[committed], self.seq);
     }
@@ -544,13 +544,12 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         for e in entries {
             routed[self.route(e.mbr.center().x)].push(e);
         }
-        let mut committed: Vec<(u64, Aabb)> = Vec::new();
+        let mut committed: Vec<Entry> = Vec::new();
         let mut result = Ok(());
         for ((shard, writer), batch) in self.shards.iter().zip(&mut writers).zip(routed) {
             if batch.is_empty() {
                 continue;
             }
-            let staged: Vec<(u64, Aabb)> = batch.iter().map(|e| (e.id, e.mbr)).collect();
             // Grow the routing bound first: a query that sees the new
             // elements must already be routed to them, and a failed
             // commit leaves the bound harmlessly wide.
@@ -558,14 +557,15 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
                 let mut coverage = write(&shard.coverage);
                 *coverage = coverage.union(&Aabb::union_all(batch.iter().map(|e| e.mbr)));
             }
+            let sent = batch.clone();
             if let Err(e) = writer.insert(batch) {
                 result = Err(e);
                 break;
             }
-            committed.extend(staged);
+            committed.extend(sent);
         }
         if result.is_ok() || !committed.is_empty() {
-            subs.deliver(StagedOp::Insert(committed));
+            subs.deliver(WriteOp::Insert(committed));
         }
         result
     }
@@ -603,7 +603,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         }
         // A call that matched no live id still commits (an empty delta).
         if result.is_ok() || !committed.is_empty() {
-            subs.deliver(StagedOp::Delete(committed));
+            subs.deliver(WriteOp::Delete(committed));
         }
         result.map(|()| deleted)
     }

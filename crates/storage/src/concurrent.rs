@@ -366,9 +366,11 @@ fn worker_loop<S: PageStore>(core: &Core<S>) {
 }
 
 /// Fetches one claimed request from the store, publishes the page into the
-/// cache, completes the request, and retires it from the in-flight table —
-/// in that order, so a waiter woken by the completion finds the page
-/// already cached.
+/// cache, retires the request from the in-flight table, and completes it —
+/// in that order. A waiter woken by the completion finds the page already
+/// cached, and a read issued after the retirement either hits that page or
+/// submits a fetch of its own: it can never join a request that has
+/// already finished.
 fn service<S: PageStore>(core: &Core<S>, id: PageId, req: Arc<Request>) {
     let start = Instant::now();
     let stamp = core.write_stamp.load(Ordering::SeqCst);
@@ -395,16 +397,16 @@ fn service<S: PageStore>(core: &Core<S>, id: PageId, req: Arc<Request>) {
     core.sched.demand_wait_us.fetch_add(wait_us, relaxed);
 
     {
-        let mut done = lock_unpoisoned(&req.done);
-        *done = Some(result);
-        req.cv.notify_all();
-    }
-    {
         let mut q = lock_unpoisoned(&core.queue);
         q.inflight.remove(&id);
         if q.inflight.is_empty() {
             core.idle.notify_all();
         }
+    }
+    {
+        let mut done = lock_unpoisoned(&req.done);
+        *done = Some(result);
+        req.cv.notify_all();
     }
 }
 
@@ -928,6 +930,23 @@ mod tests {
             pool.read_page(PageId(0), PageKind::Other).unwrap();
             assert_eq!(pool.stats().total_physical_reads(), 2, "workers {workers}");
             assert_eq!(pool.cached_pages(), 1, "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn a_read_after_clear_cache_never_joins_a_finished_fetch() {
+        let pool = with_workers(store_with_pages(2), 8, 1);
+        for round in 1..=1_000u64 {
+            pool.read_page(PageId(0), PageKind::Other).unwrap();
+            pool.clear_cache();
+            pool.read_page(PageId(0), PageKind::Other).unwrap();
+            assert_eq!(
+                pool.stats().total_physical_reads(),
+                2 * round,
+                "round {round}: a read joined a completed fetch"
+            );
+            assert_eq!(pool.cached_pages(), 1, "round {round}");
+            pool.clear_cache();
         }
     }
 

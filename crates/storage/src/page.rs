@@ -31,6 +31,15 @@ impl Default for Page {
     }
 }
 
+/// Pages compare by content.
+impl PartialEq for Page {
+    fn eq(&self, other: &Page) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Page {}
+
 impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Page({} bytes)", PAGE_SIZE)

@@ -25,18 +25,21 @@
 //!
 //! ## Atomic append
 //!
-//! An append materialises every page it touches in memory, then writes
-//! them back in **descending chain order**: freshly allocated
-//! continuation pages first, the page containing the old log end last.
-//! Until that final write lands, the new record is unreachable (the old
-//! tail still ends with a zero length or lacks the link), so a crash at
-//! any page boundary leaves a log that parses to exactly the previously
-//! committed records. A *torn* final write garbles the tail page and is
-//! caught by the checksum: [`Wal::open`] truncates the log at the last
-//! intact record instead of replaying garbage.
+//! There is one page writer ([`Wal::append`], and [`Wal::begin_generation`]
+//! through the same code). It frames each record of a group as it is
+//! produced and lays the frame into pages. The page holding the old log
+//! end stays in memory. Each freshly allocated continuation page is
+//! written as soon as it fills, and the old-end page is written **last**.
+//! Until that final write lands, the group is unreachable (the old tail
+//! still ends with a zero length or lacks the link), so a crash at any
+//! page boundary leaves a log that parses to exactly the previously
+//! committed records, and a group commits all of its records or none.
+//! Every page the group touches is written once. A *torn* final write
+//! garbles the tail page and is caught by the checksum: [`Wal::open`]
+//! truncates the log at the last intact record instead of replaying
+//! garbage.
 
 use crate::{Page, PageId, PageStore, StorageError, PAGE_SIZE};
-use std::collections::BTreeMap;
 
 /// Magic tag identifying a head slot page.
 const WAL_MAGIC: u64 = 0x464C_4154_5741_4C31; // "FLATWAL1"
@@ -86,8 +89,8 @@ pub enum WalRecord {
     PageImage {
         /// The page the image belongs to.
         page: u64,
-        /// The page's 4 KB contents.
-        bytes: Box<[u8; PAGE_SIZE]>,
+        /// The page's 4 KB contents (a shared handle, not a copy).
+        bytes: Page,
     },
     /// A checkpoint: the durable baseline recovery starts from.
     Checkpoint {
@@ -103,24 +106,19 @@ const TAG_IMAGE: u8 = 2;
 const TAG_CHECKPOINT: u8 = 3;
 
 impl WalRecord {
-    /// Serializes the payload (tag + body, no framing).
-    fn encode(&self) -> Vec<u8> {
+    /// Appends the payload (tag + body, no framing) to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Logical(bytes) => {
-                let mut out = Vec::with_capacity(1 + bytes.len());
                 out.push(TAG_LOGICAL);
                 out.extend_from_slice(bytes);
-                out
             }
             WalRecord::PageImage { page, bytes } => {
-                let mut out = Vec::with_capacity(9 + PAGE_SIZE);
                 out.push(TAG_IMAGE);
                 out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&bytes[..]);
-                out
+                out.extend_from_slice(bytes.bytes());
             }
             WalRecord::Checkpoint { free, snapshot } => {
-                let mut out = Vec::with_capacity(17 + 8 * free.len() + snapshot.len());
                 out.push(TAG_CHECKPOINT);
                 out.extend_from_slice(&(free.len() as u64).to_le_bytes());
                 for id in free {
@@ -128,12 +126,11 @@ impl WalRecord {
                 }
                 out.extend_from_slice(&(snapshot.len() as u64).to_le_bytes());
                 out.extend_from_slice(snapshot);
-                out
             }
         }
     }
 
-    /// Parses a payload produced by [`WalRecord::encode`].
+    /// Parses a payload produced by [`WalRecord::encode_into`].
     fn decode(payload: &[u8]) -> Result<WalRecord, StorageError> {
         fn u64_at(b: &[u8], at: usize) -> Result<u64, StorageError> {
             let s = b
@@ -151,8 +148,8 @@ impl WalRecord {
                 let image = body
                     .get(8..8 + PAGE_SIZE)
                     .ok_or_else(|| StorageError::Corrupt("truncated WAL page image".into()))?;
-                let mut bytes = Box::new([0u8; PAGE_SIZE]);
-                bytes.copy_from_slice(image);
+                let mut bytes = Page::new();
+                bytes.bytes_mut().copy_from_slice(image);
                 Ok(WalRecord::PageImage { page, bytes })
             }
             TAG_CHECKPOINT => {
@@ -177,14 +174,16 @@ impl WalRecord {
         }
     }
 
-    /// Frames the record for the log stream: `[len][crc][payload]`.
-    fn frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut out = Vec::with_capacity(8 + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+    /// Frames the record for the log stream into `out`, replacing its
+    /// contents: `[len][crc][payload]`.
+    fn frame_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(&[0; 8]);
+        self.encode_into(out);
+        let len = (out.len() - 8) as u32;
+        let crc = crc32(&out[8..]);
+        out[..4].copy_from_slice(&len.to_le_bytes());
+        out[4..8].copy_from_slice(&crc.to_le_bytes());
     }
 }
 
@@ -206,6 +205,15 @@ fn next_offset(idx: usize) -> usize {
     }
 }
 
+/// Stream offset of the first payload byte of chain page `idx`.
+fn page_start(idx: usize) -> usize {
+    if idx == 0 {
+        0
+    } else {
+        HEAD_PAYLOAD + (idx - 1) * CONT_PAYLOAD
+    }
+}
+
 /// The append-only log. See the module docs for format and atomicity.
 #[derive(Debug)]
 pub struct Wal {
@@ -215,7 +223,8 @@ pub struct Wal {
     active: usize,
     /// The active generation number (strictly increasing).
     generation: u64,
-    /// Pages of the active generation, head slot first.
+    /// Pages of the active generation, head slot first. The last one
+    /// holds the log end.
     chain: Vec<PageId>,
     /// Logical end of the record stream, in payload-stream bytes.
     end: u64,
@@ -298,7 +307,7 @@ impl Wal {
         // Drop chain pages past the record stream's (possibly truncated)
         // end: appends must never scribble on pages a stale or torn link
         // happened to point at.
-        c.chain.truncate(pages_for(c.end).max(1));
+        c.chain.truncate(pages_for(c.end));
         Ok((
             Wal {
                 slots,
@@ -312,129 +321,63 @@ impl Wal {
         ))
     }
 
-    /// Appends one record. All freshly allocated continuation pages are
-    /// written before the page holding the old log end, so the record
-    /// commits atomically with that final page write; a crash before it
-    /// leaves the log exactly as it was (modulo leaked pages).
+    /// Appends `records` as **one atomic group**, framing each record as
+    /// the iterator produces it: a crash exposes either all of the group
+    /// or none of it. Fresh continuation pages are written as they fill
+    /// and the page holding the old log end last, so that final write is
+    /// the commit (see the module docs). An empty group writes nothing.
     pub fn append<S: PageStore>(
         &mut self,
         store: &mut S,
-        record: &WalRecord,
+        records: impl IntoIterator<Item = WalRecord>,
     ) -> Result<(), StorageError> {
-        self.append_bytes(store, record.frame())
-    }
-
-    /// Appends several records as **one atomic group commit**: all frames
-    /// are laid into the stream together and committed by the same single
-    /// final page write that [`Wal::append`] uses, so a crash exposes
-    /// either all of the group's records or none. For small logical
-    /// records this also collapses per-record head-page rewrites into one
-    /// (the benchmark's `churn_durable` commits this way; see its
-    /// `wal.bytes_per_commit` row).
-    pub fn append_many<S: PageStore>(
-        &mut self,
-        store: &mut S,
-        records: &[WalRecord],
-    ) -> Result<(), StorageError> {
-        if records.is_empty() {
+        let mut records = records.into_iter().peekable();
+        if records.peek().is_none() {
             return Ok(());
         }
-        let mut buf = Vec::new();
-        for record in records {
-            buf.extend_from_slice(&record.frame());
-        }
-        self.append_bytes(store, buf)
-    }
-
-    /// Lays `buf` (one or more concatenated frames) into the stream and
-    /// writes the touched pages back in descending chain order.
-    fn append_bytes<S: PageStore>(
-        &mut self,
-        store: &mut S,
-        buf: Vec<u8>,
-    ) -> Result<(), StorageError> {
-        let mut touched: BTreeMap<usize, Page> = BTreeMap::new();
-        let (mut idx, mut off) = locate(self.end);
-        self.ensure_page(store, &mut touched, idx)?;
-        let mut written = 0usize;
-        while written < buf.len() {
-            let (start, cap) = geom(idx);
-            if off == cap {
-                idx += 1;
-                off = 0;
-                self.ensure_page(store, &mut touched, idx)?;
-                continue;
+        let tail = self.chain.len() - 1;
+        let mut page = Page::new();
+        store.read_page(self.chain[tail], &mut page)?;
+        // The tail's on-store link may be stale after a torn-tail
+        // truncation; the tail of a live log never has a next.
+        page.put_u64(next_offset(tail), NONE);
+        match lay(store, &mut self.chain, self.end, page, records) {
+            Ok(end) => {
+                self.end = end;
+                Ok(())
             }
-            let n = (cap - off).min(buf.len() - written);
-            let page = touched.get_mut(&idx).expect("page ensured above");
-            page.bytes_mut()[start + off..start + off + n]
-                .copy_from_slice(&buf[written..written + n]);
-            written += n;
-            off += n;
+            Err(err) => {
+                // The pages the failed group grew the chain by hold no
+                // committed record; the next append starts at the old end.
+                self.chain.truncate(tail + 1);
+                Err(err)
+            }
         }
-        // Descending order: the lowest touched page gates visibility of
-        // everything after it and goes last.
-        for (&i, page) in touched.iter().rev() {
-            store.write_page(self.chain[i], page)?;
-        }
-        self.end += buf.len() as u64;
-        Ok(())
     }
 
-    /// Starts a fresh generation whose log begins with `first` (the
-    /// committing checkpoint), written into the *inactive* slot: its
-    /// continuation pages land first, the slot's head page last, so the
-    /// head write is the atomic generation switch. Returns the old
-    /// generation's continuation pages for the caller to free (the old
-    /// slot page itself is permanent). A crash before the head write
-    /// leaves the old generation authoritative.
+    /// Starts a fresh generation whose log begins with `checkpoint`,
+    /// written into the *inactive* slot through the same page writer as
+    /// [`Wal::append`]: its continuation pages land first, the slot's
+    /// head page last, so the head write is the atomic generation switch.
+    /// Returns the old generation's continuation pages for the caller to
+    /// free (the old slot page itself is permanent). A crash before the
+    /// head write leaves the old generation authoritative.
     pub fn begin_generation<S: PageStore>(
         &mut self,
         store: &mut S,
-        first: &WalRecord,
+        checkpoint: WalRecord,
     ) -> Result<Vec<PageId>, StorageError> {
         let new_slot = 1 - self.active;
-        let head_id = self.slots[new_slot];
         let mut head = Page::new();
         head.put_u64(0, WAL_MAGIC);
         head.put_u64(8, self.generation + 1);
         head.put_u64(16, NONE);
-
-        let buf = first.frame();
-        let mut pages: Vec<(PageId, Page)> = vec![(head_id, head)];
-        let mut idx = 0usize;
-        let mut off = 0usize;
-        let mut written = 0usize;
-        while written < buf.len() {
-            let (start, cap) = geom(idx);
-            if off == cap {
-                let id = store.alloc()?;
-                pages[idx].1.put_u64(next_offset(idx), id.0);
-                let mut fresh = Page::new();
-                fresh.put_u64(0, NONE);
-                pages.push((id, fresh));
-                idx += 1;
-                off = 0;
-                continue;
-            }
-            let n = (cap - off).min(buf.len() - written);
-            pages[idx].1.bytes_mut()[start + off..start + off + n]
-                .copy_from_slice(&buf[written..written + n]);
-            written += n;
-            off += n;
-        }
-        // Continuations first, the head slot page last (the switch).
-        for (id, page) in pages[1..].iter() {
-            store.write_page(*id, page)?;
-        }
-        store.write_page(head_id, &pages[0].1)?;
-
-        let old_continuations = self.chain[1..].to_vec();
+        let mut chain = vec![self.slots[new_slot]];
+        self.end = lay(store, &mut chain, 0, head, std::iter::once(checkpoint))?;
+        let old = std::mem::replace(&mut self.chain, chain);
         self.generation += 1;
         self.active = new_slot;
-        self.chain = pages.iter().map(|(id, _)| *id).collect();
-        self.end = buf.len() as u64;
-        Ok(old_continuations)
+        Ok(old[1..].to_vec())
     }
 
     /// Every page currently owned by the log: both head slots plus the
@@ -464,56 +407,67 @@ impl Wal {
     pub fn len_bytes(&self) -> u64 {
         self.end
     }
+}
 
-    /// Loads chain page `idx` into `touched`, allocating and linking a
-    /// fresh continuation if the chain must grow to reach it.
-    fn ensure_page<S: PageStore>(
-        &mut self,
-        store: &mut S,
-        touched: &mut BTreeMap<usize, Page>,
-        idx: usize,
-    ) -> Result<(), StorageError> {
-        if touched.contains_key(&idx) {
-            return Ok(());
-        }
-        if idx < self.chain.len() {
-            let mut page = Page::new();
-            store.read_page(self.chain[idx], &mut page)?;
-            if idx == self.chain.len() - 1 {
-                // The tail's on-store link may be stale after a torn-tail
-                // truncation; the tail of a live log never has a next.
-                page.put_u64(next_offset(idx), NONE);
+/// The one page writer of the log. Lays the frames of `records` into the
+/// stream from offset `end`, which lies in `first` — the last page of
+/// `chain`, held in memory. When a page fills, a continuation is
+/// allocated and linked, and the full page is written at once unless it
+/// is `first`; the last page follows, and `first` goes last, so nothing
+/// of the group is reachable until that write lands. Returns the new
+/// stream end.
+fn lay<S: PageStore>(
+    store: &mut S,
+    chain: &mut Vec<PageId>,
+    end: u64,
+    first: Page,
+    records: impl Iterator<Item = WalRecord>,
+) -> Result<u64, StorageError> {
+    let first_idx = chain.len() - 1;
+    let mut idx = first_idx;
+    let mut off = end as usize - page_start(idx);
+    let mut cur = first;
+    // `first`, once the stream has moved past it.
+    let mut held: Option<Page> = None;
+    let mut frame = Vec::new();
+    let mut end = end;
+    for record in records {
+        record.frame_into(&mut frame);
+        end += frame.len() as u64;
+        let mut rest = &frame[..];
+        while !rest.is_empty() {
+            let (start, cap) = geom(idx);
+            if off == cap {
+                let id = store.alloc()?;
+                cur.put_u64(next_offset(idx), id.0);
+                let mut fresh = Page::new();
+                fresh.put_u64(0, NONE);
+                let full = std::mem::replace(&mut cur, fresh);
+                if idx == first_idx {
+                    held = Some(full);
+                } else {
+                    store.write_page(chain[idx], &full)?;
+                }
+                chain.push(id);
+                idx += 1;
+                off = 0;
+                continue;
             }
-            touched.insert(idx, page);
-        } else {
-            debug_assert_eq!(idx, self.chain.len());
-            let id = store.alloc()?;
-            self.ensure_page(store, touched, idx - 1)?;
-            let prev = touched.get_mut(&(idx - 1)).expect("just ensured");
-            prev.put_u64(next_offset(idx - 1), id.0);
-            let mut fresh = Page::new();
-            fresh.put_u64(0, NONE);
-            self.chain.push(id);
-            touched.insert(idx, fresh);
+            let n = (cap - off).min(rest.len());
+            cur.bytes_mut()[start + off..start + off + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            off += n;
         }
-        Ok(())
     }
+    store.write_page(chain[idx], &cur)?;
+    if let Some(first) = held {
+        store.write_page(chain[first_idx], &first)?;
+    }
+    Ok(end)
 }
 
-/// Maps a stream offset to (chain page index, offset within payload).
-fn locate(pos: u64) -> (usize, usize) {
-    let pos = pos as usize;
-    if pos < HEAD_PAYLOAD {
-        (0, pos)
-    } else {
-        (
-            1 + (pos - HEAD_PAYLOAD) / CONT_PAYLOAD,
-            (pos - HEAD_PAYLOAD) % CONT_PAYLOAD,
-        )
-    }
-}
-
-/// Number of chain pages needed to hold `len` stream bytes.
+/// Number of chain pages needed to hold `len` stream bytes (at least the
+/// head slot).
 fn pages_for(len: u64) -> usize {
     let len = len as usize;
     if len <= HEAD_PAYLOAD {
@@ -586,7 +540,7 @@ fn parse_stream(stream: &[u8]) -> (Vec<WalRecord>, u64, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemStore;
+    use crate::{FaultStore, MemStore};
 
     fn ckpt(snapshot: &[u8]) -> WalRecord {
         WalRecord::Checkpoint {
@@ -595,8 +549,22 @@ mod tests {
         }
     }
 
-    fn reopen(store: &MemStore, wal: &Wal) -> (Wal, Vec<WalRecord>, bool) {
+    fn logical(bytes: &[u8]) -> WalRecord {
+        WalRecord::Logical(bytes.to_vec())
+    }
+
+    fn reopen<S: PageStore>(store: &S, wal: &Wal) -> (Wal, Vec<WalRecord>, bool) {
         Wal::open(store, wal.slots()).expect("log must be recoverable")
+    }
+
+    /// Flips one bit of the byte at stream offset `pos` on the store.
+    fn flip_stream_byte(store: &mut MemStore, wal: &Wal, pos: u64, mask: u8) {
+        let pos = pos as usize;
+        let idx = (0..).find(|&i| page_start(i + 1) > pos).unwrap();
+        let mut page = Page::new();
+        store.read_page(wal.chain()[idx], &mut page).unwrap();
+        page.bytes_mut()[geom(idx).0 + pos - page_start(idx)] ^= mask;
+        store.write_page(wal.chain()[idx], &page).unwrap();
     }
 
     #[test]
@@ -619,33 +587,20 @@ mod tests {
     fn records_roundtrip_through_a_generation() {
         let mut store = MemStore::new();
         let mut wal = Wal::create(&mut store).unwrap();
-        wal.begin_generation(&mut store, &ckpt(b"base")).unwrap();
-        wal.append(&mut store, &WalRecord::Logical(b"alpha".to_vec()))
-            .unwrap();
-        let mut image = Box::new([0u8; PAGE_SIZE]);
-        image[17] = 0xAB;
-        wal.append(
-            &mut store,
-            &WalRecord::PageImage {
-                page: 9,
-                bytes: image.clone(),
-            },
-        )
-        .unwrap();
+        wal.begin_generation(&mut store, ckpt(b"base")).unwrap();
+        let mut image = Page::new();
+        image.bytes_mut()[17] = 0xAB;
+        let image = WalRecord::PageImage {
+            page: 9,
+            bytes: image,
+        };
+        wal.append(&mut store, [logical(b"alpha")]).unwrap();
+        wal.append(&mut store, [image.clone()]).unwrap();
 
         let (wal2, records, torn) = reopen(&store, &wal);
         assert!(!torn);
         assert_eq!(wal2.generation(), 2);
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[0], ckpt(b"base"));
-        assert_eq!(records[1], WalRecord::Logical(b"alpha".to_vec()));
-        assert_eq!(
-            records[2],
-            WalRecord::PageImage {
-                page: 9,
-                bytes: image
-            }
-        );
+        assert_eq!(records, vec![ckpt(b"base"), logical(b"alpha"), image]);
         assert_eq!(wal2.len_bytes(), wal.len_bytes());
     }
 
@@ -653,10 +608,10 @@ mod tests {
     fn records_straddle_page_boundaries() {
         let mut store = MemStore::new();
         let mut wal = Wal::create(&mut store).unwrap();
-        wal.begin_generation(&mut store, &ckpt(b"")).unwrap();
+        wal.begin_generation(&mut store, ckpt(b"")).unwrap();
         let payloads: Vec<Vec<u8>> = (0u8..6).map(|i| vec![i; 1500 + 997 * i as usize]).collect();
         for p in &payloads {
-            wal.append(&mut store, &WalRecord::Logical(p.clone()))
+            wal.append(&mut store, [WalRecord::Logical(p.clone())])
                 .unwrap();
         }
         assert!(
@@ -671,15 +626,47 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_inside_a_group_exposes_all_of_it_or_none() {
+        let group: Vec<WalRecord> = (0u8..7)
+            .map(|i| WalRecord::Logical(vec![i; 1900]))
+            .collect();
+        let setup = |store: &mut FaultStore<MemStore>| {
+            let mut wal = Wal::create(store).unwrap();
+            wal.begin_generation(store, ckpt(b"")).unwrap();
+            wal.append(store, [logical(b"committed")]).unwrap();
+            wal
+        };
+        let mut clean = FaultStore::new(MemStore::new());
+        let mut wal = setup(&mut clean);
+        let before = clean.writes_done();
+        wal.append(&mut clean, group.iter().cloned()).unwrap();
+        let group_writes = clean.writes_done() - before;
+        assert!(group_writes > 2, "the group spans several pages");
+        for kill in before..=before + group_writes {
+            let mut store = FaultStore::crash_after(MemStore::new(), kill);
+            let mut wal = setup(&mut store);
+            let appended = wal.append(&mut store, group.iter().cloned()).is_ok();
+            let store = store.into_inner();
+            let (_, records, _) = Wal::open(&store, wal.slots()).unwrap();
+            assert_eq!(records[1], logical(b"committed"), "kill {kill}");
+            if appended {
+                assert_eq!(&records[2..], &group[..], "kill {kill}");
+            } else {
+                assert_eq!(records.len(), 2, "kill {kill}: a partial group surfaced");
+            }
+        }
+    }
+
+    #[test]
     fn generation_switch_frees_old_continuations_and_survives() {
         let mut store = MemStore::new();
         let mut wal = Wal::create(&mut store).unwrap();
-        wal.begin_generation(&mut store, &ckpt(b"g2")).unwrap();
+        wal.begin_generation(&mut store, ckpt(b"g2")).unwrap();
         for _ in 0..4 {
-            wal.append(&mut store, &WalRecord::Logical(vec![7u8; 3000]))
+            wal.append(&mut store, [WalRecord::Logical(vec![7u8; 3000])])
                 .unwrap();
         }
-        let old = wal.begin_generation(&mut store, &ckpt(b"g3")).unwrap();
+        let old = wal.begin_generation(&mut store, ckpt(b"g3")).unwrap();
         assert!(!old.is_empty(), "old generation had continuation pages");
         for id in old {
             store.free_page(id).unwrap();
@@ -688,8 +675,7 @@ mod tests {
         assert!(!torn);
         assert_eq!(wal2.generation(), 3);
         assert_eq!(records, vec![ckpt(b"g3")]);
-        wal.append(&mut store, &WalRecord::Logical(b"post".to_vec()))
-            .unwrap();
+        wal.append(&mut store, [logical(b"post")]).unwrap();
         let (_, records, _) = reopen(&store, &wal);
         assert_eq!(records.len(), 2);
     }
@@ -698,25 +684,17 @@ mod tests {
     fn torn_tail_is_truncated_not_replayed() {
         let mut store = MemStore::new();
         let mut wal = Wal::create(&mut store).unwrap();
-        wal.begin_generation(&mut store, &ckpt(b"")).unwrap();
-        wal.append(&mut store, &WalRecord::Logical(b"good".to_vec()))
-            .unwrap();
+        wal.begin_generation(&mut store, ckpt(b"")).unwrap();
+        wal.append(&mut store, [logical(b"good")]).unwrap();
         let before = wal.len_bytes();
-        wal.append(&mut store, &WalRecord::Logical(b"doomed".to_vec()))
-            .unwrap();
-        // Corrupt one byte inside the last record's payload on the tail
-        // page (stream offset -> page offset via the head geometry).
-        let tail = wal.chain()[0];
-        let mut page = Page::new();
-        store.read_page(tail, &mut page).unwrap();
-        let victim = 24 + before as usize + 9; // inside "doomed"'s payload
-        page.bytes_mut()[victim] ^= 0x40;
-        store.write_page(tail, &page).unwrap();
+        wal.append(&mut store, [logical(b"doomed")]).unwrap();
+        // Corrupt one byte inside the last record's payload.
+        flip_stream_byte(&mut store, &wal, before + 9, 0x40);
 
         let (wal2, records, torn) = reopen(&store, &wal);
         assert!(torn, "corrupt tail must be reported");
         assert_eq!(records.len(), 2, "log truncates to the intact prefix");
-        assert_eq!(records[1], WalRecord::Logical(b"good".to_vec()));
+        assert_eq!(records[1], logical(b"good"));
         assert_eq!(wal2.len_bytes(), before);
     }
 
@@ -724,41 +702,30 @@ mod tests {
     fn appending_after_torn_truncation_overwrites_the_garbage() {
         let mut store = MemStore::new();
         let mut wal = Wal::create(&mut store).unwrap();
-        wal.begin_generation(&mut store, &ckpt(b"")).unwrap();
-        wal.append(&mut store, &WalRecord::Logical(b"keep".to_vec()))
-            .unwrap();
-        wal.append(&mut store, &WalRecord::Logical(b"torn".to_vec()))
-            .unwrap();
+        wal.begin_generation(&mut store, ckpt(b"")).unwrap();
+        wal.append(&mut store, [logical(b"keep")]).unwrap();
+        wal.append(&mut store, [logical(b"torn")]).unwrap();
         // Stream: ckpt (25 B framed) + "keep" (13 B) + "torn" (13 B);
         // flip a payload byte of the last record (stream offset 47).
-        let tail = wal.chain()[0];
-        let mut page = Page::new();
-        store.read_page(tail, &mut page).unwrap();
-        page.bytes_mut()[24 + 47] ^= 1;
-        store.write_page(tail, &page).unwrap();
+        flip_stream_byte(&mut store, &wal, 47, 1);
 
         let (mut wal2, records, torn) = Wal::open(&store, wal.slots()).unwrap();
         assert!(torn);
-        wal2.append(&mut store, &WalRecord::Logical(b"fresh".to_vec()))
-            .unwrap();
+        wal2.append(&mut store, [logical(b"fresh")]).unwrap();
         let (_, records2, torn2) = Wal::open(&store, wal2.slots()).unwrap();
         assert!(!torn2, "append must have cleaned the tail");
         assert_eq!(records2.len(), records.len() + 1);
-        assert_eq!(
-            records2.last(),
-            Some(&WalRecord::Logical(b"fresh".to_vec()))
-        );
+        assert_eq!(records2.last(), Some(&logical(b"fresh")));
     }
 
     #[test]
     fn torn_generation_switch_falls_back_to_the_old_slot() {
         let mut store = MemStore::new();
         let mut wal = Wal::create(&mut store).unwrap();
-        wal.begin_generation(&mut store, &ckpt(b"old")).unwrap();
-        wal.append(&mut store, &WalRecord::Logical(b"op".to_vec()))
-            .unwrap();
+        wal.begin_generation(&mut store, ckpt(b"old")).unwrap();
+        wal.append(&mut store, [logical(b"op")]).unwrap();
         let old_slot = wal.chain()[0];
-        wal.begin_generation(&mut store, &ckpt(b"new")).unwrap();
+        wal.begin_generation(&mut store, ckpt(b"new")).unwrap();
         let new_slot = wal.chain()[0];
         assert_ne!(old_slot, new_slot);
         // Simulate the switch write tearing: garble the new head page.
@@ -773,30 +740,29 @@ mod tests {
             2,
             "recovery fell back to the old generation"
         );
-        assert_eq!(records[0], ckpt(b"old"));
-        assert_eq!(records[1], WalRecord::Logical(b"op".to_vec()));
+        assert_eq!(records, vec![ckpt(b"old"), logical(b"op")]);
     }
 
     #[test]
     fn higher_generation_wins_when_both_slots_are_valid() {
         let mut store = MemStore::new();
         let mut wal = Wal::create(&mut store).unwrap();
-        wal.begin_generation(&mut store, &ckpt(b"g2")).unwrap();
-        wal.begin_generation(&mut store, &ckpt(b"g3")).unwrap();
+        wal.begin_generation(&mut store, ckpt(b"g2")).unwrap();
+        wal.begin_generation(&mut store, ckpt(b"g3")).unwrap();
         let (wal2, records, _) = Wal::open(&store, wal.slots()).unwrap();
         assert_eq!(wal2.generation(), 3);
         assert_eq!(records, vec![ckpt(b"g3")]);
     }
 
     #[test]
-    fn append_many_commits_the_whole_group_or_nothing() {
+    fn a_group_commits_whole_or_truncates_whole() {
         let mut store = MemStore::new();
         let mut wal = Wal::create(&mut store).unwrap();
-        wal.begin_generation(&mut store, &ckpt(b"")).unwrap();
+        wal.begin_generation(&mut store, ckpt(b"")).unwrap();
         let group: Vec<WalRecord> = (0u8..5)
             .map(|i| WalRecord::Logical(vec![i; 700 + 400 * i as usize]))
             .collect();
-        wal.append_many(&mut store, &group).unwrap();
+        wal.append(&mut store, group.iter().cloned()).unwrap();
         let (_, records, torn) = reopen(&store, &wal);
         assert!(!torn);
         assert_eq!(&records[1..], &group[..]);
@@ -804,20 +770,9 @@ mod tests {
         // Garble a byte inside the *first* record of a second group: the
         // entire group must be truncated away, not a partial suffix kept.
         let before = wal.len_bytes();
-        wal.append_many(
-            &mut store,
-            &[
-                WalRecord::Logical(b"doomed-a".to_vec()),
-                WalRecord::Logical(b"doomed-b".to_vec()),
-            ],
-        )
-        .unwrap();
-        let (idx, off) = locate(before + 9); // inside "doomed-a"'s payload
-        let victim = wal.chain()[idx];
-        let mut page = Page::new();
-        store.read_page(victim, &mut page).unwrap();
-        page.bytes_mut()[geom(idx).0 + off] ^= 0x20;
-        store.write_page(victim, &page).unwrap();
+        wal.append(&mut store, [logical(b"doomed-a"), logical(b"doomed-b")])
+            .unwrap();
+        flip_stream_byte(&mut store, &wal, before + 9, 0x20);
         let (wal2, records, torn) = reopen(&store, &wal);
         assert!(torn);
         assert_eq!(records.len(), 1 + group.len());
@@ -826,7 +781,7 @@ mod tests {
         // Empty group is a no-op.
         let mut wal3 = wal2;
         let end = wal3.len_bytes();
-        wal3.append_many(&mut store, &[]).unwrap();
+        wal3.append(&mut store, []).unwrap();
         assert_eq!(wal3.len_bytes(), end);
     }
 
@@ -838,7 +793,7 @@ mod tests {
             free: (0..700).map(|i| i * 3).collect(),
             snapshot: vec![],
         };
-        wal.begin_generation(&mut store, &record).unwrap();
+        wal.begin_generation(&mut store, record.clone()).unwrap();
         let (_, records, torn) = reopen(&store, &wal);
         assert!(!torn);
         assert_eq!(records, vec![record]);

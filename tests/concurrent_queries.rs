@@ -759,12 +759,14 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
     }
 
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut durable = DurableStore::create(RecorderStore {
-        inner: MemStore::new(),
-        log: log.clone(),
-    })
+    let durable = DurableStore::create(
+        RecorderStore {
+            inner: MemStore::new(),
+            log: log.clone(),
+        },
+        b"genesis",
+    )
     .expect("create durable store");
-    durable.checkpoint(b"genesis").expect("initial checkpoint");
 
     let mut sched = ConcurrentBufferPool::with_config(durable, 64, SchedulerConfig::default());
     let mut wal_pages: HashSet<u64> = HashSet::new();
@@ -776,7 +778,7 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
             // The log's own pages, before and after this cycle (the
             // chain can grow on append and switch slots on checkpoint).
             wal_pages.extend(s.meta_pages().iter().map(|p| p.0));
-            s.append_record(&vec![round as u8; 600])
+            s.append_records([vec![round as u8; 600]])
                 .expect("append commit record");
             wal_pages.extend(s.meta_pages().iter().map(|p| p.0));
             let mut fresh = Vec::new();
