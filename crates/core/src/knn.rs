@@ -23,17 +23,20 @@
 //! before the bound closes below it; `knn_matches_brute_force` in the
 //! tests checks the result against a full scan.
 //!
-//! An expansion reads the record of *every* unseen neighbor (the key is
-//! in the record), so those reads are certain before the first is issued:
-//! the crawl announces them to the pool as a batch
-//! ([`PageRead::want_pages`]) and a device-backed pool fetches them side
-//! by side. The order in which neighbors are marked seen, keyed and
-//! pushed is unchanged, so results and [`KnnStats`] do not depend on
-//! whether the pool listens.
+//! An expansion's reads are certain before the first is issued: the
+//! record of *every* unseen neighbor (the key is in the record), across
+//! the whole continuation chain, and the object page whenever its page MBR
+//! is within the bound. The crawl collects the neighbors first, announces
+//! them together with the object page in one batch
+//! ([`PageRead::want_pages`]), then scans the page and keys the neighbors
+//! with the bound taken after the scan — so a device-backed pool serves an
+//! expansion in one overlapped round trip. The order in which neighbors
+//! are marked seen, keyed and pushed is that of reading each as it is met,
+//! so results and [`KnnStats`] do not depend on whether the pool listens.
 
 use crate::index::FlatIndex;
 use crate::meta::{meta_leaf_len, MetaRecordId, MetaView};
-use crate::query::{read_record, walk_links, want_meta_page, AddrSet, IndexRef, LivePage};
+use crate::query::{announce_meta_pages, read_record, walk_links, AddrSet, IndexRef, LivePage};
 use flat_geom::Point3;
 use flat_rtree::node::{decode_inner, decode_leaf};
 use flat_rtree::{Hit, LeafLayout, RTree};
@@ -291,51 +294,50 @@ impl IndexRef<'_> {
             stats.records_expanded += 1;
             let record = read_record(pool, addr)?;
 
-            // Scan the object page only while its page MBR can still hold
-            // a top-k element (the kNN analogue of §VI's page-MBR test).
-            if record.page_mbr.distance_sq_to_point(&point) <= best.bound() {
+            // Collect the unseen neighbors across the continuation chain
+            // (over-full neighbor lists spill into continuation records).
+            fresh.clear();
+            walk_links(pool, &record, |chunk| {
+                fresh.extend(chunk.neighbors().filter(|&n| seen.insert(n)));
+                Ok(())
+            })?;
+
+            // The expansion's reads are certain now: the object page, when
+            // its page MBR can still hold a top-k element (the kNN analogue
+            // of §VI's page-MBR test), and the record of every unseen
+            // neighbor, whose key decides whether it joins the frontier.
+            // One announcement lists them all.
+            wants.clear();
+            let scan = record.page_mbr.distance_sq_to_point(&point) <= best.bound();
+            if scan {
+                wants.push((record.object_page, PageKind::ObjectPage));
+            }
+            announce_meta_pages(&mut wants, fresh.iter().map(|n| n.page));
+            pool.want_pages(&wants);
+
+            if scan {
                 stats.object_pages_read += 1;
                 for hit in LivePage::read(pool, record.object_page, tombstones)?.hits() {
                     best.offer(hit, hit.mbr.distance_sq_to_point(&point));
                 }
             }
 
-            // Expand the neighbor links (following continuation chains for
-            // over-full neighbor lists). Pruning with the *current* bound
-            // is safe: the bound only shrinks, and any partition within the
+            // Key the neighbors in the order they were met, with the bound
+            // taken after the scan. Pruning with the *current* bound is
+            // safe: the bound only shrinks, and any partition within the
             // final bound stays reachable through partitions at least as
             // close (the tiling's connectivity argument, module docs).
-            //
-            // Every unseen neighbor's record is read unconditionally (its
-            // key decides whether it joins the frontier), so a chunk's
-            // unseen neighbors are collected first, their distinct
-            // metadata pages announced to the pool in one go, and the keys
-            // computed afterwards in the same order — the bound does not
-            // move during an expansion, so answers and `KnnStats` are
-            // those of reading each neighbor as it is met.
             let bound = best.bound();
-            walk_links(pool, &record, |chunk| {
-                fresh.clear();
-                wants.clear();
-                for neighbor in chunk.neighbors() {
-                    if seen.insert(neighbor) {
-                        fresh.push(neighbor);
-                        want_meta_page(&mut wants, neighbor.page);
-                    }
+            for &neighbor in &fresh {
+                let key = read_record(pool, neighbor)?
+                    .partition_mbr
+                    .distance_sq_to_point(&point);
+                if key > bound {
+                    stats.records_pruned += 1;
+                    continue;
                 }
-                pool.want_pages(&wants);
-                for &neighbor in &fresh {
-                    let key = read_record(pool, neighbor)?
-                        .partition_mbr
-                        .distance_sq_to_point(&point);
-                    if key > bound {
-                        stats.records_pruned += 1;
-                        continue;
-                    }
-                    frontier.push(Reverse((MinKey(key), neighbor)));
-                }
-                Ok(())
-            })?;
+                frontier.push(Reverse((MinKey(key), neighbor)));
+            }
         }
         Ok(best.into_neighbors())
     }

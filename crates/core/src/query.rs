@@ -234,7 +234,9 @@ impl<'t> LivePage<'t> {
 /// (`IndexRef::crawl_step`) owns the traversal — queue, seen-set, waves,
 /// announcements, dead records, tombstones, continuation chains — and is
 /// monomorphised per visitor, so a visitor costs what writing its loop by
-/// hand would.
+/// hand would. Each record of a wave is shown to `dequeued`, then (if
+/// live) `wants_object` and `expands`, in queue order; then the wave's
+/// wanted object pages are handed to `scan`, in the same order.
 pub(crate) trait CrawlVisitor {
     /// A record left the queue, which held `queue_len` records counting it.
     fn dequeued(&mut self, queue_len: usize);
@@ -247,7 +249,8 @@ pub(crate) trait CrawlVisitor {
     /// Scans an object page that was wanted, in queue order.
     fn scan(&mut self, record: &MetaView, page: &LivePage<'_>);
 
-    /// Will this record's neighbor links be followed?
+    /// Will this record's neighbor links be followed? Asked right after
+    /// `wants_object`, before any object page of the wave is read.
     fn expands(&mut self, addr: MetaRecordId, record: &MetaView) -> bool;
 }
 
@@ -460,34 +463,39 @@ impl<'a> IndexRef<'a> {
         Ok(())
     }
 
-    /// Runs one crawl turn — a **wave**: up to [`WAVE`] records drained from
+    /// Runs one crawl turn — a **wave**: up to [`WAVE`] records taken off
     /// the front of the BFS queue and processed in queue order. Returns
     /// `true` when the crawl is finished. This is the only code that walks
     /// the link graph breadth-first; range, aggregate and join differ in
     /// their [`CrawlVisitor`] alone.
     ///
-    /// A wave tells the pool about its reads before it blocks on any of
-    /// them ([`PageRead::want_pages`]): first the wave's distinct metadata
-    /// pages, then — once the records are read — the object pages the
-    /// visitor wants. Both sets are certain reads, not guesses, so a pool
-    /// that can overlap device fetches (a
-    /// [`flat_storage::ConcurrentBufferPool`] with I/O workers) serves a
-    /// wave in a few overlapped round trips instead of one per page; pools
-    /// that cannot ignore the announcement.
+    /// A wave costs one device round trip. Its first pass reads each
+    /// record and decides, in queue order, whether its object page is
+    /// wanted and whether its links are followed — so the expansion
+    /// enqueues the neighbors and the next wave is known before any object
+    /// page is read. One [`PageRead::want_pages`] call then lists the
+    /// wave's wanted object pages and the distinct metadata pages of the
+    /// next wave. Both sets are certain reads, not guesses: every queued
+    /// record is read before the crawl ends. The second pass scans the
+    /// wanted pages. A pool that can overlap device fetches (a
+    /// [`flat_storage::ConcurrentBufferPool`] with I/O workers) fetches
+    /// the object pages and the next wave's metadata side by side, so the
+    /// next wave's record reads find their pages cached or in flight;
+    /// pools that cannot ignore the announcement. A crawl's first wave is
+    /// not announced: its entry points are records the caller has just
+    /// read (the seed) or a previous crawl read (a join's frontier).
     ///
     /// The wave changes *when* the pool hears about a page, nothing else.
-    /// Records leave the queue in FIFO order and are scanned and expanded
-    /// in that same order, and every expansion appends behind everything
-    /// still queued, so the sequence of `seen.insert` calls — hence the
-    /// queue contents, what the visitor is shown and in which order, and
-    /// every counter it keeps — is that of processing one record per turn.
-    /// The queue length a one-record turn would have observed when it
-    /// popped record `i` of the wave is the rest of the wave plus what is
-    /// queued behind it, which is what `dequeued` reports. Each record
-    /// still costs one logical metadata read, each wanted object page one
-    /// logical object read; only the order of reads inside a wave differs
-    /// (metadata first), which a small LRU cache may notice as a handful of
-    /// physical reads either way.
+    /// Records leave the queue in FIFO order, each is expanded as it leaves,
+    /// and every expansion appends behind everything still queued, so the
+    /// sequence of `seen.insert` calls — hence the queue contents, what the
+    /// visitor is shown and in which order, and every counter it keeps — is
+    /// that of processing one record per turn; `dequeued` reports the queue
+    /// length such a turn would have observed. Each record still costs one
+    /// logical metadata read, each wanted object page one logical object
+    /// read; only the order of reads inside a wave differs (records and
+    /// continuation chunks first, then object pages), which a small LRU
+    /// cache may notice as a handful of physical reads either way.
     ///
     /// Every caller loops this to completion ([`IndexRef::crawl`]).
     ///
@@ -505,38 +513,18 @@ impl<'a> IndexRef<'a> {
         state: &mut CrawlState,
         visitor: &mut V,
     ) -> Result<bool, StorageError> {
-        let tombstones = self.tombstones();
         let CrawlState {
             queue,
             seen,
-            wave,
-            records,
+            scans,
             wants,
         } = state;
-        wave.clear();
-        wave.extend(queue.drain(..queue.len().min(WAVE)));
-
-        // Metadata pages of the wave: announced together, then read one
-        // record at a time (one logical read per record).
+        scans.clear();
         wants.clear();
-        for addr in wave.iter() {
-            want_meta_page(wants, addr.page);
-        }
-        pool.want_pages(wants);
-        records.clear();
-        wants.clear();
-        for &addr in wave.iter() {
+        for _ in 0..queue.len().min(WAVE) {
+            let Some(addr) = queue.pop_front() else { break };
+            visitor.dequeued(queue.len() + 1);
             let record = read_record(pool, addr)?;
-            let wanted = !record.is_dead && visitor.wants_object(addr, &record);
-            if wanted {
-                wants.push((record.object_page, PageKind::ObjectPage));
-            }
-            records.push((record, wanted));
-        }
-        pool.want_pages(wants);
-
-        for (done, (&addr, (record, wanted))) in wave.iter().zip(records.drain(..)).enumerate() {
-            visitor.dequeued(wave.len() - done + queue.len());
             // Retirement prunes every link to a dead record, so the crawl
             // can only land on one through a stale seed — never expand it
             // (its object page is freed).
@@ -544,12 +532,7 @@ impl<'a> IndexRef<'a> {
             if record.is_dead {
                 continue;
             }
-            if wanted {
-                visitor.scan(
-                    &record,
-                    &LivePage::read(pool, record.object_page, tombstones)?,
-                );
-            }
+            let wanted = visitor.wants_object(addr, &record);
             if visitor.expands(addr, &record) {
                 walk_links(pool, &record, |chunk| {
                     for neighbor in chunk.neighbors() {
@@ -560,6 +543,21 @@ impl<'a> IndexRef<'a> {
                     Ok(())
                 })?;
             }
+            if wanted {
+                wants.push((record.object_page, PageKind::ObjectPage));
+                scans.push(record);
+            }
+        }
+        let next_wave = queue.iter().take(WAVE).map(|addr| addr.page);
+        announce_meta_pages(wants, next_wave);
+        pool.want_pages(wants);
+
+        let tombstones = self.tombstones();
+        for record in scans.drain(..) {
+            visitor.scan(
+                &record,
+                &LivePage::read(pool, record.object_page, tombstones)?,
+            );
         }
         Ok(queue.is_empty())
     }
@@ -602,13 +600,18 @@ impl FlatIndex {
     }
 }
 
-/// Adds metadata page `page` to an announcement unless it is already
-/// listed. A linear scan: the lists are a wave long at most, and records
-/// queued together mostly share pages.
-pub(crate) fn want_meta_page(wants: &mut Vec<(PageId, PageKind)>, page: PageId) {
-    if !wants.iter().any(|&(listed, _)| listed == page) {
-        wants.push((page, PageKind::SeedLeaf));
-    }
+/// Appends the distinct metadata `pages` to an announcement, sorted by
+/// page id: O(w log w) for the w records of one wave or expansion. What is
+/// listed before them is object pages, each of its own partition, so no
+/// two equal entries can meet across the boundary.
+pub(crate) fn announce_meta_pages(
+    wants: &mut Vec<(PageId, PageKind)>,
+    pages: impl Iterator<Item = PageId>,
+) {
+    let start = wants.len();
+    wants.extend(pages.map(|page| (page, PageKind::SeedLeaf)));
+    wants[start..].sort_unstable_by_key(|&(page, _)| page);
+    wants.dedup();
 }
 
 /// Records one crawl turn takes off the queue. Large enough that a wave's
@@ -626,10 +629,9 @@ pub(crate) struct CrawlState {
     queue: VecDeque<MetaRecordId>,
     seen: AddrSet<MetaRecordId>,
     // Scratch of the wave in progress, kept here so a crawl allocates it
-    // once: the drained addresses, their records (with whether the object
-    // page is wanted), and the page list being announced.
-    wave: Vec<MetaRecordId>,
-    records: Vec<(MetaView, bool)>,
+    // once: the records whose object pages are wanted, and the page list
+    // being announced.
+    scans: Vec<MetaView>,
     wants: Vec<(PageId, PageKind)>,
 }
 

@@ -29,7 +29,15 @@
 //!   to quiesce.
 //! * **One or more workers** ([`ConcurrentBufferPool::with_config`]): a
 //!   miss goes through a central submission queue that the workers service
-//!   against the store; a reader blocks only on *its own* request.
+//!   against the store.
+//!   * **No reader sleeps beside a queued fetch** — until its own request
+//!     completes, a reader takes the oldest queued request (its own or
+//!     anybody's) and services it on its own thread, exactly as a worker
+//!     would. It sleeps only once the queue is empty, when whatever it
+//!     waits for is already on the device. So a miss costs no thread
+//!     hand-off while work is queued, and the workers plus every waiting
+//!     reader fetch side by side. Requests are claimed oldest first, never
+//!     by page id, so each is serviced exactly once.
 //!   * **Request coalescing** — duplicate in-flight reads of one page
 //!     resolve with a single device fetch whose result fans out to every
 //!     waiter (tracked in [`SchedulerStats::demand_coalesced`]). Only pages
@@ -46,14 +54,15 @@
 //!     ([`SchedulerStats::demand_submitted`], the kind's `physical_reads`),
 //!     never dropped — and the caller's later `read_page` finds it cached
 //!     or coalesces onto it. This is how one query keeps the device queue
-//!     full: a crawl announces a whole wave of records, the workers fetch
-//!     them side by side, and the crawl's own reads then wait for one
-//!     overlapped round trip instead of one each.
+//!     full: a crawl announces a wave's object pages together with the
+//!     next wave's metadata pages, the workers (and the crawl's own thread)
+//!     fetch them side by side, and the wave waits for one overlapped
+//!     round trip instead of one per page.
 //!   * **Coherence without the shard lock** — a fetch runs outside every
 //!     shard lock, so a shared-borrow write of the same page
 //!     ([`ConcurrentBufferPool::install_cached`] /
 //!     [`ConcurrentBufferPool::drop_cached`]) marks the in-flight request
-//!     stale and bumps a write stamp: the worker does not cache bytes that
+//!     stale and bumps a write stamp: the fetch does not cache bytes that
 //!     may predate the write, and later reads do not coalesce onto them.
 //!     Exclusive writes ([`PageWrite`]) quiesce the queue first.
 //!   * **Graceful shutdown** — dropping the cache *drains every queued and
@@ -79,10 +88,12 @@ const DEFAULT_SHARDS: usize = 16;
 /// The one tuning knob of a [`ConcurrentBufferPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Number of I/O worker threads servicing the submission queue. This is
-    /// the device concurrency the cache exposes; match it to the device's
-    /// internal parallelism (e.g. spindle count). `0` fetches every miss on
-    /// the calling thread instead.
+    /// Number of I/O worker threads servicing the submission queue. They
+    /// fetch beside every reader that is waiting on a miss, since such a
+    /// reader services queued requests itself until its own completes, so
+    /// the device sees up to `workers` plus the waiting readers at once.
+    /// `0` fetches every miss on the calling thread instead, under the
+    /// page's shard lock, and queues nothing.
     pub workers: usize,
 }
 
@@ -108,7 +119,7 @@ pub struct SchedulerStats {
     /// page instead of submitting their own — another reader's, or one
     /// this reader announced earlier.
     pub demand_coalesced: u64,
-    /// Fetches serviced by the workers.
+    /// Fetches serviced from the queue, by a worker or a waiting reader.
     pub demand_completed: u64,
     /// High-water mark of the queue depth.
     pub demand_queue_max: u64,
@@ -185,13 +196,13 @@ impl AtomicSchedulerStats {
 }
 
 /// One in-flight page fetch. Duplicate readers share the same request: the
-/// servicing worker publishes the result into `done` and wakes every
-/// waiter.
+/// servicing thread (a worker, or a waiting reader) publishes the result
+/// into `done` and wakes every waiter.
 struct Request {
     /// Set by a shared-write install/drop of the same page while this
     /// request is in flight: the fetch may return pre-write bytes. New
     /// demand reads refuse to coalesce onto a stale request (they go to
-    /// the store directly), and the servicing worker does not cache its
+    /// the store directly), and the servicing thread does not cache its
     /// result. Waiters that joined *before* the write still receive the
     /// bytes — under the MVCC protocol those readers are pinned to an
     /// epoch whose overlay corrects the page anyway.
@@ -211,18 +222,28 @@ impl Request {
         }
     }
 
-    /// Blocks until the servicing worker publishes a result.
+    /// The published result, if the fetch has completed.
+    fn result(&self) -> Option<Result<Page, StorageError>> {
+        lock_unpoisoned(&self.done).as_ref().map(fan_out)
+    }
+
+    /// Blocks until the servicing thread publishes a result.
     fn await_result(&self) -> Result<Page, StorageError> {
         let mut done = lock_unpoisoned(&self.done);
         loop {
             if let Some(result) = done.as_ref() {
-                return match result {
-                    Ok(page) => Ok(page.clone()),
-                    Err(err) => Err(clone_error(err)),
-                };
+                return fan_out(result);
             }
             done = wait_unpoisoned(&self.cv, done);
         }
+    }
+}
+
+/// One waiter's copy of a published result.
+fn fan_out(result: &Result<Page, StorageError>) -> Result<Page, StorageError> {
+    match result {
+        Ok(page) => Ok(page.clone()),
+        Err(err) => Err(clone_error(err)),
     }
 }
 
@@ -250,7 +271,8 @@ fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<
 }
 
 /// The submission queue plus the in-flight table. Every in-flight request
-/// sits in `demand` exactly once until a worker pops it.
+/// sits in `demand` exactly once until a worker or a waiting reader pops
+/// it.
 struct SubmissionQueue {
     demand: VecDeque<PageId>,
     inflight: HashMap<PageId, Arc<Request>>,
@@ -362,6 +384,32 @@ fn worker_loop<S: PageStore>(core: &Core<S>) {
             return;
         };
         service(core, id, req);
+    }
+}
+
+/// Awaits `req` on a reader's thread without sleeping beside queued work:
+/// until `req` completes, the reader claims the oldest queued request — its
+/// own or anybody's — and services it exactly as a worker would. It sleeps
+/// only once the queue is empty, when every request it could be waiting
+/// for is already being serviced by some thread.
+///
+/// A reader claims work through [`take_next`] alone, never by page id.
+/// Every submission pushes exactly one queue entry and a request is claimed
+/// only by popping that entry, so each request is serviced exactly once —
+/// even when its page is retired and resubmitted while readers help. A
+/// claim by id would leave the entry behind, and a later pop of it could
+/// service (and retire) a newer request for the same page a second time,
+/// stranding that request's waiters.
+fn await_serving<S: PageStore>(core: &Core<S>, req: &Request) -> Result<Page, StorageError> {
+    loop {
+        if let Some(result) = req.result() {
+            return result;
+        }
+        let claimed = take_next(&mut lock_unpoisoned(&core.queue));
+        match claimed {
+            Some((id, next)) => service(core, id, next),
+            None => return req.await_result(),
+        }
     }
 }
 
@@ -540,7 +588,7 @@ impl<S: PageStore> ConcurrentBufferPool<S> {
     /// put the same bytes on the store. An inline fetch of the page runs
     /// under its shard lock, as does this install, so it cannot cache
     /// pre-write bytes over it; a queued fetch in flight is marked stale,
-    /// so the worker won't cache its result and later reads won't
+    /// so the servicing thread won't cache its result and later reads won't
     /// coalesce onto it.
     pub fn install_cached(&self, id: PageId, page: &Page, kind: PageKind) {
         let core = &self.core;
@@ -589,8 +637,8 @@ impl<S: PageStore> ConcurrentBufferPool<S> {
         }
     }
 
-    /// Waits until nothing is in flight: blocks until the workers have
-    /// retired every submitted request (at once without workers). Called
+    /// Waits until nothing is in flight: blocks until every submitted
+    /// request has retired (at once without workers). Called
     /// with `&mut self`, so no new request can arrive concurrently.
     fn quiesce(&mut self) {
         let core = &self.core;
@@ -635,7 +683,7 @@ impl<S: PageStore> ConcurrentBufferPool<S> {
                 (core.submit_demand(&mut q, id, kind), false)
             }
         };
-        match req.await_result() {
+        match await_serving(core, &req) {
             Ok(page) => Ok(page),
             // The fetch this read joined failed — possibly an announced
             // one that hit the device long before this read was issued.
@@ -1276,12 +1324,31 @@ mod tests {
 
     /// A store whose reads decide their fate on entry (fail while `failing`
     /// is set), then park until `gate` opens — so a test can hold a doomed
-    /// fetch in flight while the device "recovers".
+    /// fetch in flight while the device "recovers". Only reads of `gated`
+    /// park when it names a page; every read does when it is `None`.
     struct GatedStore {
         inner: MemStore,
         failing: AtomicBool,
         entered: AtomicU64,
+        gated: Option<PageId>,
         gate: (Mutex<bool>, Condvar),
+    }
+
+    impl GatedStore {
+        fn closed(inner: MemStore, failing: bool, gated: Option<PageId>) -> GatedStore {
+            GatedStore {
+                inner,
+                failing: AtomicBool::new(failing),
+                entered: AtomicU64::new(0),
+                gated,
+                gate: (Mutex::new(false), Condvar::new()),
+            }
+        }
+
+        fn open(&self) {
+            *lock_unpoisoned(&self.gate.0) = true;
+            self.gate.1.notify_all();
+        }
     }
 
     impl PageStore for GatedStore {
@@ -1294,9 +1361,11 @@ mod tests {
         fn read_page(&self, id: PageId, out: &mut Page) -> Result<(), StorageError> {
             let doomed = self.failing.load(Ordering::SeqCst);
             self.entered.fetch_add(1, Ordering::SeqCst);
-            let mut open = lock_unpoisoned(&self.gate.0);
-            while !*open {
-                open = wait_unpoisoned(&self.gate.1, open);
+            if self.gated.is_none_or(|gated| gated == id) {
+                let mut open = lock_unpoisoned(&self.gate.0);
+                while !*open {
+                    open = wait_unpoisoned(&self.gate.1, open);
+                }
             }
             if doomed {
                 return Err(StorageError::Io(std::io::Error::other("device down")));
@@ -1316,13 +1385,7 @@ mod tests {
 
     #[test]
     fn a_read_that_joins_a_failed_fetch_makes_its_own_attempt() {
-        let store = GatedStore {
-            inner: store_with_pages(2),
-            failing: AtomicBool::new(true),
-            entered: AtomicU64::new(0),
-            gate: (Mutex::new(false), Condvar::new()),
-        };
-        let sched = queued(store, 16);
+        let sched = queued(GatedStore::closed(store_with_pages(2), true, None), 16);
         // An announced fetch reaches the device while it is down…
         sched.want_pages(&wants(1..2));
         spin_until(|| sched.store().entered.load(Ordering::SeqCst) == 1);
@@ -1332,8 +1395,7 @@ mod tests {
         std::thread::scope(|scope| {
             let reader = scope.spawn(|| sched.read_page(PageId(1), PageKind::Other));
             spin_until(|| sched.scheduler_stats().demand_coalesced == 1);
-            *lock_unpoisoned(&sched.store().gate.0) = true;
-            sched.store().gate.1.notify_all();
+            sched.store().open();
             let page = reader
                 .join()
                 .unwrap()
@@ -1347,6 +1409,89 @@ mod tests {
             2,
             "the failed fetch and the retry"
         );
+    }
+
+    /// Waits for every submitted fetch to retire (the flush barrier) and
+    /// checks that each one completed.
+    fn assert_conserved<S: PageStore>(sched: &mut ConcurrentBufferPool<S>) {
+        sched.with_store_mut(|_| ());
+        let lanes = sched.scheduler_stats();
+        assert_eq!(lanes.demand_submitted, lanes.demand_completed, "{lanes:?}");
+    }
+
+    #[test]
+    fn a_reader_fetches_its_own_page_while_every_worker_is_busy() {
+        // The only worker is parked on the gate with page 1. A read of
+        // page 0 must not sleep beside its queued fetch: the reader
+        // services it itself.
+        let store = GatedStore::closed(store_with_pages(2), false, Some(PageId(1)));
+        let sched = Arc::new(with_workers(store, 16, 1));
+        sched.want_pages(&wants(1..2));
+        spin_until(|| sched.store().entered.load(Ordering::SeqCst) == 1);
+        // The read runs on its own thread, so a reader that sleeps fails
+        // the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = Arc::clone(&sched);
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(reader.read_page(PageId(0), PageKind::Other));
+        });
+        let page = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the read slept while its fetch sat in the queue")
+            .unwrap();
+        assert_eq!(page.get_u64(0), 0);
+        handle.join().unwrap();
+        sched.store().open();
+        let mut sched = Arc::into_inner(sched).expect("the reader has exited");
+        assert_conserved(&mut sched);
+        assert_eq!(sched.scheduler_stats().demand_submitted, 2);
+        assert_eq!(sched.stats().total_physical_reads(), 2);
+    }
+
+    #[test]
+    fn readers_that_help_never_strand_a_resubmitted_page() {
+        // Readers re-read a handful of pages while the cache is cleared
+        // under them, so a page's fetch retires and the same page is
+        // submitted again while other readers are servicing the queue.
+        // Every request must be serviced exactly once: a second service of
+        // a retired request would retire its successor unserviced and
+        // strand that request's waiters.
+        const PAGES: u64 = 6;
+        let store = throttled(store_with_pages(PAGES), Duration::from_micros(50));
+        let sched = Arc::new(with_workers(store, 16, 1));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let sched = Arc::clone(&sched);
+                std::thread::spawn(move || {
+                    for round in 0..300u64 {
+                        for i in 0..PAGES {
+                            let id = (i + t + round) % PAGES;
+                            let page = sched.read_page(PageId(id), PageKind::Other).unwrap();
+                            assert_eq!(page.get_u64(0), id);
+                        }
+                        if round % 3 == t % 3 {
+                            sched.clear_cache();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !handles.iter().all(|handle| handle.is_finished()) {
+            assert!(
+                Instant::now() < deadline,
+                "a reader is stranded on a request nobody services"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        let mut sched = Arc::into_inner(sched).expect("the readers have exited");
+        assert_conserved(&mut sched);
+        let lanes = sched.scheduler_stats();
+        assert_eq!(lanes.demand_submitted, sched.stats().total_physical_reads());
+        assert!(lanes.demand_submitted > PAGES, "{lanes:?}");
     }
 
     #[test]

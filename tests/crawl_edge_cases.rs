@@ -1472,3 +1472,148 @@ fn read_errors_under_announced_fetches_are_typed_and_leave_no_damage() {
         }
     }
 }
+
+// ---------- device round trips on a query's critical path ----------
+
+/// An ideal device in front of `pool`: unlimited queue depth, one tick per
+/// fetch, and a page once fetched stays cached. An announced page is
+/// fetched in the tick after its announcement, so a read of it waits until
+/// that tick; a read of a page nobody announced costs a tick of its own.
+/// The clock then reads a query's critical path in device round trips —
+/// what overlap can no longer hide however deep the device's queue.
+struct IdealDevice<'p> {
+    pool: &'p ConcurrentBufferPool<MemStore>,
+    clock: std::cell::RefCell<Clock>,
+}
+
+#[derive(Default)]
+struct Clock {
+    now: u64,
+    /// The tick each fetched or announced page is (or was) ready at.
+    ready: HashMap<PageId, u64>,
+    /// The tick of the first announcement: where a query's seed phase
+    /// ends and its crawl begins.
+    crawl_start: Option<u64>,
+}
+
+impl<'p> IdealDevice<'p> {
+    fn cold(pool: &'p ConcurrentBufferPool<MemStore>) -> IdealDevice<'p> {
+        IdealDevice {
+            pool,
+            clock: Default::default(),
+        }
+    }
+
+    fn ticks(&self) -> u64 {
+        self.clock.borrow().now
+    }
+
+    /// Ticks since the first announcement (all of them if none was made).
+    fn crawl_ticks(&self) -> u64 {
+        let clock = self.clock.borrow();
+        clock.now - clock.crawl_start.unwrap_or(0)
+    }
+}
+
+impl PageRead for IdealDevice<'_> {
+    fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
+        let mut clock = self.clock.borrow_mut();
+        let now = clock.now;
+        let ready = *clock.ready.entry(id).or_insert(now + 1);
+        clock.now = now.max(ready);
+        self.pool.read_page(id, kind)
+    }
+
+    fn want_pages(&self, pages: &[(PageId, PageKind)]) {
+        let mut clock = self.clock.borrow_mut();
+        let now = clock.now;
+        clock.crawl_start.get_or_insert(now);
+        for &(id, _) in pages {
+            clock.ready.entry(id).or_insert(now + 1);
+        }
+    }
+}
+
+/// The waves of a breadth-first crawl of `query` from `seed` whose turns
+/// each drain up to [`WAVE`] records off the front of the queue, written
+/// against the public page decoders only.
+fn crawl_waves(pool: &impl PageRead, seed: MetaRecordId, query: &Aabb) -> u64 {
+    let read = |addr: MetaRecordId| {
+        let page = pool.read_page(addr.page, PageKind::SeedLeaf).expect("read");
+        decode_meta_record(&page, addr.slot).expect("record")
+    };
+    let mut queue = VecDeque::from([seed]);
+    let mut seen = HashSet::from([seed]);
+    let mut waves = 0;
+    while !queue.is_empty() {
+        waves += 1;
+        for _ in 0..queue.len().min(WAVE as usize) {
+            let mut chunk = read(queue.pop_front().expect("queued"));
+            if !chunk.partition_mbr.intersects(query) {
+                continue;
+            }
+            loop {
+                for neighbor in &chunk.neighbors {
+                    if seen.insert(*neighbor) {
+                        queue.push_back(*neighbor);
+                    }
+                }
+                let Some(next) = chunk.continuation else {
+                    break;
+                };
+                chunk = read(next);
+            }
+        }
+    }
+    waves
+}
+
+#[test]
+fn a_cold_query_waits_one_round_trip_per_wave_and_per_expansion() {
+    let (pool, index) = build(random_entries(20_000, 901));
+    let query = Aabb::cube(Point3::splat(50.0), 60.0);
+    let (page, slot) = index.seed_only(&pool, &query).unwrap().expect("seed");
+    let waves = crawl_waves(&pool, MetaRecordId { page, slot }, &query);
+
+    // Range and aggregate: the seed descent reads one page at a time, a
+    // round trip each. Then a wave's object pages and the next wave's
+    // metadata pages travel in one announcement, so a wave waits for at
+    // most one round trip (none when everything it reads is already in
+    // flight or fetched).
+    let device = IdealDevice::cold(&pool);
+    let mut stats = QueryStats::default();
+    let hits = index
+        .range_query_with_stats(&device, &query, &mut stats)
+        .unwrap();
+    assert_eq!(hits.len() as u64, stats.result_count);
+    let range = (device.ticks(), device.crawl_ticks(), waves);
+    assert!(range.1 <= waves, "range (ticks, crawl, waves): {range:?}");
+
+    let device = IdealDevice::cold(&pool);
+    let count = index.aggregate_count(&device, &query).unwrap();
+    assert_eq!(count, stats.result_count);
+    let aggregate = (device.ticks(), device.crawl_ticks(), waves);
+    assert!(aggregate.1 <= waves, "aggregate: {aggregate:?}");
+
+    // kNN: an expansion's object page and its unseen neighbors' records
+    // travel in one announcement, so an expansion waits for at most one
+    // round trip after the best-first seed descent.
+    let device = IdealDevice::cold(&pool);
+    let mut knn_stats = KnnStats::default();
+    let near = index
+        .knn_query_with_stats(&device, Point3::splat(50.0), 2000, &mut knn_stats)
+        .unwrap();
+    assert_eq!(near.len(), 2000);
+    let knn = (
+        device.ticks(),
+        device.crawl_ticks(),
+        knn_stats.records_expanded,
+    );
+    assert!(knn.1 <= knn.2, "kNN (ticks, crawl, expansions): {knn:?}");
+
+    // The pinned critical paths: (ticks, crawl ticks, waves or
+    // expansions).
+    assert_eq!(range, (11, 8, 9), "range");
+    assert_eq!(aggregate, (11, 8, 9), "aggregate");
+    assert_eq!(knn, (76, 65, 65), "kNN");
+}
