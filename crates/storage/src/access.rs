@@ -34,8 +34,9 @@
 //! is no third, "may read" verb: a guess lane needs its own queue, drop
 //! policy and waste accounting, and nothing in this workspace has a read
 //! to guess at — every caller that can name a page ahead of time is
-//! certain of it. Overlap across *queries* comes from running the same
-//! verbs on several client threads over one shared cache.
+//! certain of it, up to a bounded few pages per kNN wave (below). Overlap
+//! across *queries* comes from running the same verbs on several client
+//! threads over one shared cache.
 
 use crate::{ConcurrentBufferPool, IoStats, Page, PageId, PageKind, StorageError};
 use std::sync::Arc;
@@ -67,7 +68,10 @@ pub trait PageRead {
     ///
     /// Announcing is not a promise the cache can hold the caller to: a
     /// query that errors out before reading an announced page leaves at
-    /// worst one spare fetch behind. A failed announced fetch is neither
+    /// worst one spare fetch behind, and a kNN wave, which announces its
+    /// object pages on the bound it started with, skips the few whose page
+    /// its own earlier scans have since ruled out (at most one fewer than
+    /// the wave's width). Such a page is fetched and cached like any other. A failed announced fetch is neither
     /// cached nor reported here; the caller's own `read_page` retries and
     /// surfaces the error.
     ///

@@ -70,8 +70,9 @@
 //!     so no reader ever observes a torn or abandoned request.
 //!
 //! There is one queue. Every request in it is a read some caller is going
-//! to wait for, so nothing is ever dropped, reprioritized or accounted as
-//! waste.
+//! to wait for (bar the few object pages a kNN wave announces and its own
+//! scans then rule out, [`PageRead::want_pages`]), so nothing is ever
+//! dropped, reprioritized or accounted as waste.
 
 use crate::pool::{AtomicIoStats, CacheState};
 use crate::sync_util::lock_unpoisoned;
@@ -94,12 +95,19 @@ pub struct SchedulerConfig {
     /// the device sees up to `workers` plus the waiting readers at once.
     /// `0` fetches every miss on the calling thread instead, under the
     /// page's shard lock, and queues nothing.
+    ///
+    /// The default is 8, the queue depth of the device model the serving
+    /// stack is measured on (`ThrottledStore::with_parallelism(.., 8)`).
+    /// With fewer, announced fetches wait for a worker while device slots
+    /// sit idle; more buy nothing once every slot is busy. A sweep of the
+    /// `device_reads` benchmark over 4, 6, 8, 12 and 16 workers gave
+    /// ≈ 227, 254, 273, 275 and 275 queries/s (`BENCH_knn_wave.json`).
     pub workers: usize,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> SchedulerConfig {
-        SchedulerConfig { workers: 4 }
+        SchedulerConfig { workers: 8 }
     }
 }
 
@@ -826,8 +834,8 @@ mod tests {
     use std::time::Duration;
 
     /// The worker counts every test of the shared contract runs at: the
-    /// inline miss path, one worker, and the default pool.
-    const WORKERS: [usize; 3] = [0, 1, 4];
+    /// inline miss path, one worker, a small pool, and the default pool.
+    const WORKERS: [usize; 4] = [0, 1, 4, 8];
 
     fn store_with_pages(n: u64) -> MemStore {
         let mut store = MemStore::new();

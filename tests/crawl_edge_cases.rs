@@ -601,12 +601,17 @@ use flat_repro::core::meta::{decode_meta_record, meta_leaf_len, MetaRecordId};
 use flat_repro::rtree::node::{decode_inner, decode_leaf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::time::Duration;
 
 /// Records one crawl turn drains (`query.rs` keeps the constant private;
 /// the sizes below bracket it).
-const WAVE: u64 = 32;
+const WAVE: u64 = 64;
+
+/// Frontier records one kNN turn pops at most (`knn.rs` keeps the
+/// constant private).
+const KNN_WAVE: u64 = 4;
 
 /// The seed descent (§V-B.1) written against the public page decoders
 /// only: the first primary record of the seed tree whose object page holds
@@ -924,7 +929,7 @@ fn assert_aggregate_matches_reference(
 
 #[test]
 fn waves_are_invisible_at_every_crawl_size() {
-    let entries = random_entries(20_000, 901);
+    let entries = random_entries(40_000, 901);
     let (pool, index) = build(entries);
     let everything = |_: u64| true;
 
@@ -1000,7 +1005,7 @@ fn waves_are_invisible_at_every_crawl_size() {
     // counted without being tested.
     let mut contained = AggregateStats::default();
     let all = index.aggregate_count_with_stats(&pools.inline, &whole, &mut contained);
-    assert_eq!(all.unwrap(), 20_000);
+    assert_eq!(all.unwrap(), 40_000);
     assert!(contained.contained_partitions > 0, "{contained:?}");
     // The device pool heard the announcements: some reads found their
     // fetch already in flight.
@@ -1127,6 +1132,282 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
         let got: Vec<f64> = answers[0].0.iter().map(|n| n.dist_sq).collect();
         assert_eq!(got, brute, "kNN k={k} at {center}");
     }
+}
+
+// ---------- kNN waves against a record-at-a-time reference ----------
+
+/// kNN as it was before waves, written against the public page decoders
+/// only: a best-first descent of the seed tree that opens one node at a
+/// time (nodes before records on equal keys), then a best-first crawl that
+/// pops one record, scans its object page when the page MBR is within the
+/// bound, and keys its unseen neighbors with the bound taken after the
+/// scan. Ties at the k-th distance break by physical location, as
+/// [`FlatIndex::knn_query`] documents. Returns the answer, the seed record
+/// and the records expanded.
+fn reference_knn(
+    pool: &impl PageRead,
+    index: &FlatIndex,
+    point: Point3,
+    k: usize,
+    live: &dyn Fn(u64) -> bool,
+) -> (Vec<Neighbor>, Option<MetaRecordId>, u64) {
+    let read = |id: PageId, kind: PageKind| pool.read_page(id, kind).expect("read");
+    let record = |addr: MetaRecordId| {
+        decode_meta_record(&read(addr.page, PageKind::SeedLeaf), addr.slot).expect("record")
+    };
+    // Squared distances are never negative, so their bit patterns sort
+    // like the values.
+    let key = |mbr: &Aabb| mbr.distance_sq_to_point(&point).to_bits();
+
+    // (key, is a record, page, level of a node or slot of a record).
+    let mut heap: BinaryHeap<Reverse<(u64, bool, PageId, u32)>> = BinaryHeap::new();
+    heap.extend(
+        index
+            .seed_root()
+            .map(|root| Reverse((0, false, root, index.seed_height()))),
+    );
+    let seed = loop {
+        let Some(Reverse((_, is_record, page, n))) = heap.pop() else {
+            break None;
+        };
+        if is_record {
+            break Some(MetaRecordId {
+                page,
+                slot: n as u16,
+            });
+        }
+        if n > 1 {
+            for child in decode_inner(&read(page, PageKind::SeedInner)).expect("inner") {
+                heap.push(Reverse((key(&child.mbr), false, child.page, n - 1)));
+            }
+            continue;
+        }
+        let leaf = read(page, PageKind::SeedLeaf);
+        for slot in 0..meta_leaf_len(&leaf).expect("leaf") as u16 {
+            let r = decode_meta_record(&leaf, slot).expect("record");
+            if !r.is_continuation && !r.is_dead {
+                heap.push(Reverse((key(&r.page_mbr), true, page, slot.into())));
+            }
+        }
+    };
+    let Some(seed) = seed else {
+        return (Vec::new(), None, 0);
+    };
+
+    let mut best: Vec<Neighbor> = Vec::new();
+    let bound = |best: &[Neighbor]| match best.get(k - 1) {
+        Some(kth) => kth.dist_sq,
+        None => f64::INFINITY,
+    };
+    let mut seen = HashSet::from([seed]);
+    let mut frontier = BinaryHeap::from([Reverse((key(&record(seed).partition_mbr), seed))]);
+    let mut expanded = 0;
+    while let Some(Reverse((dist, addr))) = frontier.pop() {
+        if f64::from_bits(dist) > bound(&best) {
+            break;
+        }
+        expanded += 1;
+        let mut chunk = record(addr);
+        let (page_mbr, object_page) = (chunk.page_mbr, chunk.object_page);
+        let mut fresh = Vec::new();
+        loop {
+            fresh.extend(chunk.neighbors.iter().filter(|&&n| seen.insert(n)));
+            let Some(next) = chunk.continuation else {
+                break;
+            };
+            chunk = record(next);
+        }
+        if page_mbr.distance_sq_to_point(&point) <= bound(&best) {
+            let (layout, entries) =
+                decode_leaf(&read(object_page, PageKind::ObjectPage)).expect("leaf");
+            for (slot, e) in entries.iter().enumerate() {
+                if !live(e.id) {
+                    continue;
+                }
+                let hit = Hit {
+                    mbr: e.mbr,
+                    id: match layout {
+                        LeafLayout::MbrOnly => (object_page.0 << 16) | e.id,
+                        LeafLayout::WithIds => e.id,
+                    },
+                    page: object_page,
+                    slot: slot as u16,
+                };
+                let dist_sq = e.mbr.distance_sq_to_point(&point);
+                best.push(Neighbor { hit, dist_sq });
+            }
+            best.sort_by(|a, b| {
+                let location = |n: &Neighbor| (n.hit.page, n.hit.slot);
+                a.dist_sq
+                    .total_cmp(&b.dist_sq)
+                    .then(location(a).cmp(&location(b)))
+            });
+            best.truncate(k);
+        }
+        let bound = bound(&best);
+        for neighbor in fresh {
+            let dist = key(&record(neighbor).partition_mbr);
+            if f64::from_bits(dist) <= bound {
+                frontier.push(Reverse((dist, neighbor)));
+            }
+        }
+    }
+    (best, Some(seed), expanded)
+}
+
+/// Runs one kNN query through `pool` and checks it against the reference:
+/// the same answer (ties included), the same seed record, and
+/// `reference ≤ expanded ≤ reference + (KNN_WAVE − 1) × waves`. The band
+/// is what one expects — a wave's first pop meets the reference's pop
+/// condition, the rest ride on the wave's starting bound — but it is not
+/// a theorem: the two searches meet records in different orders, so their
+/// bounds shrink differently. It held on each of 1 600 random probes (400
+/// per index and pool) as well as on the fixed ones below. Returns the
+/// object pages each crawl wave announced.
+fn assert_knn_matches_reference(
+    pool: &impl PageRead,
+    index: &FlatIndex,
+    delta: Option<&DeltaIndex>,
+    point: Point3,
+    k: usize,
+    live: &dyn Fn(u64) -> bool,
+) -> Vec<Vec<PageId>> {
+    let (expect, seed, reference) = reference_knn(pool, index, point, k, live);
+    let device = IdealDevice::cold(pool);
+    let mut stats = KnnStats::default();
+    let got = match delta {
+        Some(delta) => delta.knn_query_with_stats(&device, point, k, &mut stats),
+        None => index.knn_query_with_stats(&device, point, k, &mut stats),
+    }
+    .expect("kNN");
+    let at = format!("k={k} at {point}");
+    assert_eq!(got, expect, "answers diverged, {at}");
+    let waves = device.waves();
+    let seed_page = seed.map(|addr| {
+        let page = pool.read_page(addr.page, PageKind::SeedLeaf).expect("read");
+        decode_meta_record(&page, addr.slot)
+            .expect("record")
+            .object_page
+    });
+    assert_eq!(
+        waves.first().and_then(|wave| wave.first()).copied(),
+        seed_page,
+        "seed diverged, {at}"
+    );
+    let expanded = stats.records_expanded;
+    let slack = (KNN_WAVE - 1) * waves.len() as u64;
+    assert!(
+        reference <= expanded && expanded <= reference + slack,
+        "expanded {expanded} against {reference} in {} waves, {at}",
+        waves.len()
+    );
+    waves
+}
+
+#[test]
+fn knn_waves_match_a_one_record_reference() {
+    let entries = random_entries(20_000, 911);
+    let center = Point3::splat(50.0);
+    let (pool, index) = build(entries.clone());
+    let pools = Pools::over(pool);
+    let everything = |_: u64| true;
+
+    // k = one page's element count: the page of the nearest partition.
+    let (_, seed, _) = reference_knn(&pools.inline, &index, center, 1, &everything);
+    let seed = seed.expect("seed");
+    let record = pools.inline.read_page(seed.page, PageKind::SeedLeaf);
+    let seed_page = decode_meta_record(&record.expect("read"), seed.slot)
+        .expect("record")
+        .object_page;
+    let page = pools.inline.read_page(seed_page, PageKind::ObjectPage);
+    let per_page = decode_leaf(&page.expect("read")).expect("leaf").1.len();
+    let mut probes = vec![
+        (center, 1),
+        (center, per_page),
+        (center, entries.len() + 1), // more than there are
+    ];
+    let mut rng = StdRng::seed_from_u64(912);
+    for _ in 0..12 {
+        let point = Point3::new(
+            rng.gen_range(-10.0..110.0),
+            rng.gen_range(-10.0..110.0),
+            rng.gen_range(-10.0..110.0),
+        );
+        probes.push((point, rng.gen_range(1..300)));
+    }
+    for &(point, k) in &probes {
+        on_each_pool!(pools, |p| assert_knn_matches_reference(
+            p,
+            &index,
+            None,
+            point,
+            k,
+            &everything
+        ));
+    }
+
+    // A delta with ≈ 8 % tombstones: the tombstoned elements are neither
+    // answers nor counted toward the page.
+    let (mut pool, mut delta) = build_delta(entries.clone());
+    let doomed: Vec<u64> = entries
+        .iter()
+        .map(|e| e.id)
+        .filter(|id| id % 12 == 5)
+        .collect();
+    assert_eq!(
+        delta.delete_batch(&mut pool, &doomed).unwrap(),
+        doomed.len()
+    );
+    let deleted: HashSet<u64> = doomed.into_iter().collect();
+    let live = |id: u64| !deleted.contains(&id);
+    let pools = Pools::over(pool);
+    probes[2].1 = entries.len() - deleted.len() + 1;
+    for &(point, k) in &probes {
+        on_each_pool!(pools, |p| assert_knn_matches_reference(
+            p,
+            delta.base(),
+            Some(&delta),
+            point,
+            k,
+            &live
+        ));
+    }
+
+    // Ties at the k-th distance across two pages of one wave: a lattice
+    // vertex of a regular grid is equidistant from the eight cells around
+    // it (dyadic coordinates, so the distances tie exactly), and k = 4
+    // cuts through them. Some vertex must put two tied elements on object
+    // pages announced in the same wave.
+    let mut grid = Vec::new();
+    for i in 0..8000u64 {
+        let cell = |axis: u64| (axis % 20) as f64 + 0.5;
+        let center = Point3::new(cell(i), cell(i / 20), cell(i / 400));
+        grid.push(Entry::new(i, Aabb::cube(center, 0.5)));
+    }
+    let (pool, index) = build(grid);
+    let pools = Pools::over(pool);
+    let mut split_ties = 0;
+    for i in 0..256 {
+        let (x, y) = (i % 16 + 2, i / 16 + 2);
+        let vertex = Point3::new(x as f64, y as f64, ((x + 3 * y) % 16 + 2) as f64);
+        let (wider, _, _) = reference_knn(&pools.inline, &index, vertex, 8, &everything);
+        let tied: HashSet<PageId> = wider.iter().map(|n| n.hit.page).collect();
+        assert_eq!(wider.len(), 8);
+        assert!(wider.iter().all(|n| n.dist_sq == wider[0].dist_sq));
+        let [waves, _] = on_each_pool!(pools, |p| assert_knn_matches_reference(
+            p,
+            &index,
+            None,
+            vertex,
+            4,
+            &everything
+        ));
+        let in_one_wave = |wave: &Vec<PageId>| wave.iter().filter(|p| tied.contains(p)).count();
+        if waves.iter().any(|wave| in_one_wave(wave) >= 2) {
+            split_ties += 1;
+        }
+    }
+    assert!(split_ties > 0, "no tie spanned two pages of one wave");
 }
 
 // ---------- joins cross the same kernel ----------
@@ -1473,6 +1754,24 @@ fn read_errors_under_announced_fetches_are_typed_and_leave_no_damage() {
     }
 }
 
+// ---------- the device queue ----------
+
+#[test]
+fn a_cold_range_query_fills_the_device_queue() {
+    // A queue-depth-8 device behind the default cache: a wave announces
+    // more object and metadata pages than the device serves at once, and
+    // the I/O workers (with the waiting reader) must keep all 8 of its
+    // slots busy.
+    let (pool, index) = build(random_entries(20_000, 913));
+    let device =
+        ThrottledStore::with_parallelism(copy_store(&pool.store()), Duration::from_micros(150), 8);
+    let cache = ConcurrentBufferPool::with_config(device, 1 << 12, SchedulerConfig::default());
+    let query = Aabb::cube(Point3::splat(50.0), 250.0);
+    assert_eq!(index.range_query(&cache, &query).unwrap().len(), 20_000);
+    let depth = cache.store().max_queue_depth();
+    assert!(depth >= 8, "the device saw at most {depth} reads at once");
+}
+
 // ---------- device round trips on a query's critical path ----------
 
 /// An ideal device in front of `pool`: unlimited queue depth, one tick per
@@ -1481,8 +1780,10 @@ fn read_errors_under_announced_fetches_are_typed_and_leave_no_damage() {
 /// that tick; a read of a page nobody announced costs a tick of its own.
 /// The clock then reads a query's critical path in device round trips —
 /// what overlap can no longer hide however deep the device's queue.
-struct IdealDevice<'p> {
-    pool: &'p ConcurrentBufferPool<MemStore>,
+/// Announcements are passed on to `pool` as well, and the object pages
+/// each crawl wave announces are logged.
+struct IdealDevice<'p, P> {
+    pool: &'p P,
     clock: std::cell::RefCell<Clock>,
 }
 
@@ -1491,13 +1792,19 @@ struct Clock {
     now: u64,
     /// The tick each fetched or announced page is (or was) ready at.
     ready: HashMap<PageId, u64>,
-    /// The tick of the first announcement: where a query's seed phase
-    /// ends and its crawl begins.
+    /// Announcements before the crawl began: a seed descent's rounds.
+    seed_rounds: u64,
+    /// The tick of the first announcement that lists an object page:
+    /// where a query's seed phase ends and its crawl begins (a seed reads
+    /// no object page ahead).
     crawl_start: Option<u64>,
+    /// The object pages each announcement from there on lists: one entry
+    /// per crawl wave, the first led by the seed's object page.
+    waves: Vec<Vec<PageId>>,
 }
 
-impl<'p> IdealDevice<'p> {
-    fn cold(pool: &'p ConcurrentBufferPool<MemStore>) -> IdealDevice<'p> {
+impl<'p, P: PageRead> IdealDevice<'p, P> {
+    fn cold(pool: &'p P) -> IdealDevice<'p, P> {
         IdealDevice {
             pool,
             clock: Default::default(),
@@ -1508,14 +1815,22 @@ impl<'p> IdealDevice<'p> {
         self.clock.borrow().now
     }
 
-    /// Ticks since the first announcement (all of them if none was made).
+    /// Ticks since the crawl began (all of them if it never announced).
     fn crawl_ticks(&self) -> u64 {
         let clock = self.clock.borrow();
         clock.now - clock.crawl_start.unwrap_or(0)
     }
+
+    fn seed_rounds(&self) -> u64 {
+        self.clock.borrow().seed_rounds
+    }
+
+    fn waves(self) -> Vec<Vec<PageId>> {
+        self.clock.into_inner().waves
+    }
 }
 
-impl PageRead for IdealDevice<'_> {
+impl<P: PageRead> PageRead for IdealDevice<'_, P> {
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
         let mut clock = self.clock.borrow_mut();
         let now = clock.now;
@@ -1527,10 +1842,21 @@ impl PageRead for IdealDevice<'_> {
     fn want_pages(&self, pages: &[(PageId, PageKind)]) {
         let mut clock = self.clock.borrow_mut();
         let now = clock.now;
-        clock.crawl_start.get_or_insert(now);
+        let objects: Vec<PageId> = pages
+            .iter()
+            .filter(|&&(_, kind)| kind == PageKind::ObjectPage)
+            .map(|&(id, _)| id)
+            .collect();
+        if clock.crawl_start.is_none() && objects.is_empty() {
+            clock.seed_rounds += 1;
+        } else {
+            clock.crawl_start.get_or_insert(now);
+            clock.waves.push(objects);
+        }
         for &(id, _) in pages {
             clock.ready.entry(id).or_insert(now + 1);
         }
+        self.pool.want_pages(pages);
     }
 }
 
@@ -1595,25 +1921,32 @@ fn a_cold_query_waits_one_round_trip_per_wave_and_per_expansion() {
     let aggregate = (device.ticks(), device.crawl_ticks(), waves);
     assert!(aggregate.1 <= waves, "aggregate: {aggregate:?}");
 
-    // kNN: an expansion's object page and its unseen neighbors' records
-    // travel in one announcement, so an expansion waits for at most one
-    // round trip after the best-first seed descent.
+    // kNN: a seed round's nodes travel in one announcement, as do a
+    // crawl wave's object pages and its unseen neighbors' records, so the
+    // seed descent waits at most one round trip per round and the crawl at
+    // most one per wave.
     let device = IdealDevice::cold(&pool);
     let mut knn_stats = KnnStats::default();
     let near = index
         .knn_query_with_stats(&device, Point3::splat(50.0), 2000, &mut knn_stats)
         .unwrap();
     assert_eq!(near.len(), 2000);
-    let knn = (
-        device.ticks(),
-        device.crawl_ticks(),
-        knn_stats.records_expanded,
-    );
-    assert!(knn.1 <= knn.2, "kNN (ticks, crawl, expansions): {knn:?}");
+    let seed = (device.ticks() - device.crawl_ticks(), device.seed_rounds());
+    let (ticks, crawl_ticks) = (device.ticks(), device.crawl_ticks());
+    let knn_waves = device.waves().len() as u64;
+    let knn = (ticks, crawl_ticks, knn_waves);
+    assert!(knn.1 <= knn.2, "kNN (ticks, crawl, waves): {knn:?}");
+    assert!(seed.0 <= seed.1, "kNN seed (ticks, rounds): {seed:?}");
+    // A wave expands up to `KNN_WAVE` records, so waves are far fewer
+    // than expansions.
+    let expanded = knn_stats.records_expanded;
+    assert!(knn_waves * KNN_WAVE >= expanded, "{knn:?}, {knn_stats:?}");
+    assert!(knn_waves < expanded, "{knn:?}, {knn_stats:?}");
 
-    // The pinned critical paths: (ticks, crawl ticks, waves or
-    // expansions).
-    assert_eq!(range, (11, 8, 9), "range");
-    assert_eq!(aggregate, (11, 8, 9), "aggregate");
-    assert_eq!(knn, (76, 65, 65), "kNN");
+    // The pinned critical paths: (ticks, crawl ticks, waves).
+    assert_eq!(range, (9, 6, 7), "range");
+    assert_eq!(aggregate, (9, 6, 7), "aggregate");
+    assert_eq!(knn, (21, 17, 17), "kNN");
+    assert_eq!(seed, (4, 4), "kNN seed (ticks, rounds)");
+    assert_eq!(expanded, 65, "kNN expansions");
 }
