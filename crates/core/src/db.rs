@@ -41,8 +41,8 @@
 //! [`VersionedPool`] (epoch-based MVCC over the page cache), so a
 //! [`Snapshot`] pins an epoch at creation and stays wait-free — range,
 //! kNN and batched crawls all observe the store exactly
-//! as of pin time — while a concurrent [`Writer`] copy-on-writes the
-//! pages its batch touches. A batch commits by publishing atomically:
+//! as of pin time — while a concurrent [`Writer`] adds new versions of
+//! the pages its batch touches. A batch commits by publishing atomically:
 //! the epoch bump and the resident-index swap happen under one lock, so
 //! a snapshot taken at any instant sees either the whole batch or none
 //! of it, never a partial one. Old page versions reclaim once the last
@@ -79,7 +79,7 @@ use crate::aggregate::{density, AggregateStats};
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta};
 use crate::delta::{DeltaIndex, DeltaReport};
-use crate::durable::{decode_logical, encode_logical, DbSnapshot, DbStore};
+use crate::durable::{decode_logical, encode_logical, DbSnapshot};
 pub use crate::durable::{Durability, RecoveryReport};
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
@@ -89,11 +89,10 @@ use crate::query::{QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
-    ConcurrentBufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId, PageRead,
-    PageStore, PageWrite, StorageError, VersionStats, VersionedPool,
+    ConcurrentBufferPool, EpochPin, FileStore, IoStats, PageId, PageKind, PageRead, PageStore,
+    PageWrite, StorageError, VersionStats, VersionedPool,
 };
 use std::collections::HashSet;
-use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -215,8 +214,8 @@ impl BuildReport {
 /// The index is behind an [`Arc`] so its resident tables can be
 /// *published*: the writer's truth copy and the snapshot-visible copy
 /// share them until a batch mutates ([`Arc::make_mut`] deep-clones
-/// exactly then, the resident-table analogue of the page-level
-/// copy-on-write in [`VersionedPool`]).
+/// exactly then, the resident-table analogue of the page versions in
+/// [`VersionedPool`]).
 struct DbTruth {
     index: Arc<DeltaIndex>,
     built: bool,
@@ -271,7 +270,7 @@ impl DbTruth {
 /// index lifecycle. See the [module docs](self) for the session diagram
 /// and the crate docs for the underlying machinery.
 pub struct FlatDb<S: PageStore> {
-    pool: VersionedPool<DbStore<S>>,
+    pool: VersionedPool<S>,
     /// Writer-side truth; the mutex serializes writer sessions.
     truth: Mutex<DbTruth>,
     /// The resident state snapshots read. Swapped under the write lock
@@ -362,7 +361,7 @@ impl FlatDb<FileStore> {
             ));
         }
         options.check()?;
-        let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
+        let pool = VersionedPool::new(store, options.pool_pages);
         let index = FlatIndex::load(&pool, PageId(num_pages - 1))?;
         options.index.layout = index.layout();
         let index = DeltaIndex::pristine(index, options.index);
@@ -385,7 +384,7 @@ impl<S: PageStore> FlatDb<S> {
             Durability::Off,
             "durability needs the logged store layout: use FlatDb::create_durable"
         );
-        let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
+        let pool = VersionedPool::new(store, options.pool_pages);
         Self::with_pool(pool, options)
     }
 
@@ -410,8 +409,8 @@ impl<S: PageStore> FlatDb<S> {
             index: FlatIndex::empty(options.index.layout),
             delta: None,
         };
-        let durable = DurableStore::create(store, &initial.encode())?;
-        let pool = VersionedPool::new(DbStore::Durable(Box::new(durable)), options.pool_pages);
+        let cache = ConcurrentBufferPool::new(store, options.pool_pages);
+        let pool = VersionedPool::create_durable(cache, &initial.encode())?;
         Ok(Self::with_pool(pool, options))
     }
 
@@ -441,10 +440,10 @@ impl<S: PageStore> FlatDb<S> {
             ));
         }
         options.check()?;
-        let (durable, log) = DurableStore::open(store)?;
+        let cache = ConcurrentBufferPool::new(store, options.pool_pages);
+        let (pool, log) = VersionedPool::open_durable(cache)?;
         let snapshot = DbSnapshot::decode(&log.snapshot)?;
         options.index.layout = snapshot.index.layout();
-        let pool = VersionedPool::new(DbStore::Durable(Box::new(durable)), options.pool_pages);
         let index = match snapshot.delta {
             None => DeltaIndex::pristine(snapshot.index, options.index),
             Some((meta_pages, tombstones)) => {
@@ -484,7 +483,7 @@ impl<S: PageStore> FlatDb<S> {
 
     /// An empty database over a ready `pool` — how [`crate::ShardedDb`]
     /// gives each shard a cache with its own I/O workers.
-    pub(crate) fn with_pool(pool: VersionedPool<DbStore<S>>, options: DbOptions) -> Self {
+    pub(crate) fn with_pool(pool: VersionedPool<S>, options: DbOptions) -> Self {
         let index = DeltaIndex::pristine(FlatIndex::empty(options.index.layout), options.index);
         Self::assemble(pool, index, options, false, 1)
     }
@@ -492,7 +491,7 @@ impl<S: PageStore> FlatDb<S> {
     /// Wires the locking skeleton around an initial truth index (the
     /// published copy starts as a clone of it).
     fn assemble(
-        pool: VersionedPool<DbStore<S>>,
+        pool: VersionedPool<S>,
         index: DeltaIndex,
         options: DbOptions,
         built: bool,
@@ -530,7 +529,7 @@ impl<S: PageStore> FlatDb<S> {
     /// Applies one recovered logical record, adopting the index first if
     /// the checkpoint predates the first writer. Recovery runs
     /// exclusively (no snapshot exists yet), so it applies through the
-    /// pool's plain, non-versioned write path.
+    /// pool's exclusive write path, into its version map.
     fn replay(&mut self, op: WriteOp) -> Result<(), FlatError> {
         let truth = self.truth.get_mut().unwrap_or_else(|e| e.into_inner());
         truth.adopt(&self.pool)?;
@@ -607,7 +606,7 @@ impl<S: PageStore> FlatDb<S> {
             return Ok(());
         }
         let snapshot = Self::snapshot_bytes(self.truth_mut());
-        let result = self.with_durable(|d| d.checkpoint_rebase(&snapshot));
+        let result = self.pool.checkpoint_rebase(&snapshot);
         if let Err(e) = result {
             self.truth_mut().poisoned = true;
             return Err(e.into());
@@ -619,8 +618,8 @@ impl<S: PageStore> FlatDb<S> {
     /// A read handle for serial queries, pinned to the current epoch:
     /// the snapshot observes the database exactly as of this call — a
     /// concurrent [`FlatDb::writer`] batch committing later is invisible
-    /// to it, and a batch in flight right now is invisible too (its
-    /// copy-on-write overlay serves this pin the pre-batch page bytes).
+    /// to it, and a batch in flight right now is invisible too (its page
+    /// versions are newer than this pin).
     /// Snapshots borrow the database shared, so any number can be out at
     /// once, on any number of threads, and none of them ever waits for a
     /// writer's apply phase.
@@ -735,23 +734,20 @@ impl<S: PageStore> FlatDb<S> {
             // mode a crash mid-persist replays it).
             self.writer()?.compact()?;
         }
-        // Exclusive access proves no snapshot is pinned: execute the
-        // deferred page frees so the copy skips truly-free pages.
+        // Exclusive access proves no snapshot is pinned: settle every page
+        // version, then copy the latest view, skipping truly-free pages
+        // (a durable database's writes since its checkpoint included).
         self.pool.reclaim_all();
-        let src = self.pool.store_guard();
         let mut dst = FileStore::create(path)?;
-        let free: HashSet<u64> = src.free_pages().iter().map(|p| p.0).collect();
-        let mut page = Page::new();
-        for id in 0..src.num_pages() {
+        let free: HashSet<PageId> = self.pool.free_pages().into_iter().collect();
+        for id in (0..self.pool.store_guard().num_pages()).map(PageId) {
             let copied = dst.alloc()?;
-            debug_assert_eq!(copied.0, id, "fresh FileStore allocates densely");
+            debug_assert_eq!(copied, id, "fresh FileStore allocates densely");
             if free.contains(&id) {
                 continue; // freed pages stay zeroed in the copy
             }
-            src.read_page(PageId(id), &mut page)?;
-            dst.write_page(copied, &page)?;
+            dst.write_page(copied, &self.pool.read_page(id, PageKind::Other)?)?;
         }
-        drop(src);
         // The descriptor goes last — that is where open_file looks.
         let mut descriptor_pool = ConcurrentBufferPool::new(dst, 16);
         let descriptor = self.index().save(&mut descriptor_pool)?;
@@ -778,31 +774,18 @@ impl<S: PageStore> FlatDb<S> {
     }
 
     /// Checkpoint body, under the truth mutex (callers guarantee
-    /// durability is on). Safe with snapshots pinned: the write-back
-    /// rewrites pages with byte-identical content (the overlay images
-    /// were logged from those very pages), so every pinned epoch reads
-    /// the same bytes before and after.
+    /// durability is on). Safe with snapshots pinned: the pool keeps
+    /// every version a pinned epoch reads through the write-back.
     fn checkpoint_locked(&self, truth: &mut DbTruth) -> Result<(), FlatError> {
         Self::check_writable(truth)?;
         let snapshot = Self::snapshot_bytes(truth);
-        let result = self.with_durable(|d| d.checkpoint(&snapshot));
+        let result = self.pool.checkpoint(&snapshot);
         if let Err(e) = result {
             truth.poisoned = true;
             return Err(e.into());
         }
         truth.batches_since_ckpt = 0;
         Ok(())
-    }
-
-    /// Runs `f` on the durable wrapper (callers guarantee durability is
-    /// on), under the store's write lock. Only log appends, headers and
-    /// checkpoints go through here — never query-path pages, which
-    /// belong to the pool's versioned read/write protocol.
-    fn with_durable<R>(&self, f: impl FnOnce(&mut DurableStore<S>) -> R) -> R {
-        self.pool.with_store_mut(|s| {
-            f(s.durable_mut()
-                .expect("durability on implies a durable store"))
-        })
     }
 
     /// Encodes the checkpoint snapshot of the truth state.
@@ -854,7 +837,7 @@ impl<S: PageStore> FlatDb<S> {
             .iter()
             .zip(seq..)
             .map(|(op, seq)| encode_logical(seq, op));
-        let result = self.with_durable(|d| d.append_records(payloads));
+        let result = self.pool.append_records(payloads);
         if let Err(e) = result {
             // The in-memory log tail may now disagree with the store.
             truth.poisoned = true;
@@ -908,9 +891,10 @@ impl<S: PageStore> FlatDb<S> {
         self.pool.epoch()
     }
 
-    /// Page-versioning counters of the owned pool: pinned readers,
-    /// retained (not yet reclaimed) batch overlays, cumulative
-    /// copy-on-write page captures, and deferred frees.
+    /// Page-versioning counters of the owned pool: pinned readers, the
+    /// batches whose page versions the pool still holds (for pinned
+    /// readers, or — durable — until the next checkpoint), cumulative
+    /// versions batches created, and frees the store has not applied yet.
     pub fn version_stats(&self) -> VersionStats {
         self.pool.version_stats()
     }
@@ -925,7 +909,7 @@ impl<S: PageStore> FlatDb<S> {
         if !truth.index.is_adopted() {
             return Ok(None);
         }
-        let free = self.pool.with_store(|s| s.free_pages());
+        let free = self.pool.free_pages();
         truth.index.check_invariants(&self.pool, &free).map(Some)
     }
 
@@ -934,21 +918,24 @@ impl<S: PageStore> FlatDb<S> {
         &self.options
     }
 
-    /// The backing page store (behind the durable wrapper, if any — so a
-    /// durable session's store view does **not** include uncheckpointed
-    /// overlay pages). Returns a read-guard that dereferences to the
-    /// store; a concurrent writer's page flushes briefly block on it.
+    /// The backing page store. Without durability it holds every
+    /// published page (older bytes that pinned snapshots still read stay
+    /// in the pool). A durable database's store holds the last checkpoint
+    /// plus the log, **not** the writes committed since. Returns a read
+    /// guard that dereferences to the store; the pool's write-backs
+    /// briefly block on it.
     pub fn store(&self) -> StoreRef<'_, S> {
-        StoreRef(self.pool.store_guard())
+        self.pool.store_guard()
     }
 
-    /// Unwraps the database into its backing store, executing any
-    /// deferred page frees first. For a durable database this drops any
-    /// uncheckpointed overlay — deliberately the same state a crash
-    /// would leave, which the fault-injection tests lean on; call
-    /// [`FlatDb::checkpoint`] first to keep everything.
+    /// Unwraps the database into its backing store. Without durability
+    /// every page version is written back first. A durable database drops
+    /// the versions committed since the last checkpoint — deliberately
+    /// the state a crash would leave, which the fault-injection tests
+    /// lean on (the log replays them on open); call
+    /// [`FlatDb::checkpoint`] first to fold them into the store.
     pub fn into_store(self) -> S {
-        self.pool.into_store().into_backing()
+        self.pool.into_store()
     }
 
     /// Cumulative I/O statistics of the owned pool.
@@ -967,35 +954,21 @@ impl<S: PageStore> FlatDb<S> {
     }
 
     /// The pool's page cache, for counters beyond [`IoStats`].
-    pub(crate) fn cache(&self) -> &ConcurrentBufferPool<DbStore<S>> {
+    pub(crate) fn cache(&self) -> &ConcurrentBufferPool<S> {
         self.pool.cache()
     }
 }
 
 /// A borrowed view of the backing store (see [`FlatDb::store`]): a read
 /// guard on the store lock that dereferences to the store itself.
-pub struct StoreRef<'a, S: PageStore>(RwLockReadGuard<'a, DbStore<S>>);
-
-impl<S: PageStore> Deref for StoreRef<'_, S> {
-    type Target = S;
-
-    fn deref(&self) -> &S {
-        self.0.backing()
-    }
-}
-
-impl<S: PageStore + std::fmt::Debug> std::fmt::Debug for StoreRef<'_, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "StoreRef({:?})", &**self)
-    }
-}
+pub type StoreRef<'a, S> = RwLockReadGuard<'a, S>;
 
 /// A serial read handle over a [`FlatDb`], pinned to one epoch.
 ///
 /// The snapshot owns a clone of the resident state published at pin
 /// time and an [`EpochPin`] on the versioned pool, so every page it
 /// reads is the byte image that epoch saw — a concurrent writer batch
-/// copy-on-writes around it. Dropping the snapshot releases the pin
+/// writes newer versions beside it. Dropping the snapshot releases the pin
 /// (unblocking version reclamation); cloning one re-pins the same
 /// epoch.
 ///
@@ -1007,7 +980,7 @@ impl<S: PageStore + std::fmt::Debug> std::fmt::Debug for StoreRef<'_, S> {
 pub struct Snapshot<'db, S: PageStore> {
     db: &'db FlatDb<S>,
     resident: Arc<DeltaIndex>,
-    pin: EpochPin<'db, DbStore<S>>,
+    pin: EpochPin<'db, S>,
 }
 
 impl<S: PageStore> Clone for Snapshot<'_, S> {
@@ -1311,8 +1284,8 @@ pub enum WriteOp {
 ///
 /// Holding a writer holds the truth mutex, so writer sessions serialize
 /// against each other — but **snapshots never block**: each batch
-/// applies behind the published state (copy-on-write at both the page
-/// and the resident-table level) and flips into view atomically when it
+/// applies behind the published state (new page versions, and
+/// copy-on-write resident tables) and flips into view atomically when it
 /// commits. No snapshot or query can observe a half-applied batch.
 pub struct Writer<'db, S: PageStore> {
     db: &'db FlatDb<S>,
@@ -1339,7 +1312,7 @@ impl<S: PageStore> Writer<'_, S> {
     }
 
     /// Applies a *group* of mutations as one commit: one coalesced
-    /// write-ahead-log append (one sync), one copy-on-write page batch,
+    /// write-ahead-log append (one sync), one versioned page batch,
     /// one epoch bump and one atomic publish — snapshots see all of the
     /// group's ops or none of them, and every subscription receives one
     /// delta. Returns, per op, how many elements it applied to (inserted
@@ -1362,7 +1335,7 @@ impl<S: PageStore> Writer<'_, S> {
     }
 
     /// The commit path shared by every mutation: validate → log (group
-    /// commit) → apply into one copy-on-write batch → publish
+    /// commit) → apply into one versioned page batch → publish
     /// atomically → checkpoint cadence. Returns, per op, how many
     /// elements it applied to, plus the rebuild statistics of the
     /// group's (last) compaction.
@@ -1391,8 +1364,8 @@ impl<S: PageStore> Writer<'_, S> {
         // The apply loop below consumes `ops`, but continuous queries
         // fold the group in later, inside the publish critical section.
         let committed = ops.clone();
-        // Apply the whole group into ONE page batch: pinned snapshots
-        // keep reading the pre-group images from its overlay.
+        // Apply the whole group into ONE page batch: its page versions
+        // are newer than every pinned snapshot.
         let mut batch = db.pool.begin_batch();
         let mut applied = Vec::with_capacity(ops.len());
         let mut rebuilt = None;
@@ -1411,6 +1384,12 @@ impl<S: PageStore> Writer<'_, S> {
                     return Err(e.into());
                 }
             }
+        }
+        // Without durability the pages reach the store now, so a device
+        // error fails the group before it is visible.
+        if let Err(e) = batch.write_back() {
+            truth.poisoned = true;
+            return Err(e.into());
         }
         // The atomic publish: epoch bump and resident swap under one
         // write lock, paired with the pin-under-read-lock in reader().
@@ -1476,6 +1455,7 @@ fn validate_ops(delta: &DeltaIndex, ops: &[WriteOp]) -> Result<(), FlatError> {
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
+    use flat_storage::Page;
 
     fn updatable_options() -> DbOptions {
         DbOptions::updatable(Aabb::cube(Point3::splat(50.0), 110.0))
@@ -1607,7 +1587,7 @@ mod tests {
         }
 
         // "Crash": drop the session without a checkpoint. The WAL pages
-        // live on the backing store; the overlay is lost with the RAM.
+        // live on the backing store; the page versions die with the RAM.
         let store = db.into_store();
         let (recovered, report) = FlatDb::open_durable(store, options).unwrap();
         assert_eq!(report.replayed, 2, "insert + delete past the rebase");
@@ -1632,9 +1612,9 @@ mod tests {
         let delta = recovered.delta().expect("replay adopts");
         delta
             .check_invariants(
-                // The pool reads through the durable overlay.
+                // The pool reads through its version map.
                 &recovered.pool,
-                &recovered.store().free_pages(),
+                &recovered.pool.free_pages(),
             )
             .unwrap_or_else(|e| panic!("invariants violated after recovery: {e}"));
     }
@@ -2090,8 +2070,8 @@ mod tests {
         let paths =
             ["committed", "replayed", "fresh"].map(|name| dir.join(format!("group-{name}.flatdb")));
         db.persist(&paths[0]).unwrap();
-        // A crash before the next checkpoint: the overlay is lost and the
-        // log replays the group.
+        // A crash before the next checkpoint: the page versions are lost
+        // and the log replays the group.
         let (mut replayed, report) = FlatDb::open_durable(db.into_store(), options).unwrap();
         assert_eq!(report.replayed, 3, "one logical record per op");
         for range in &ranges {

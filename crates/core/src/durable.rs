@@ -1,34 +1,23 @@
 //! Durability plumbing for [`crate::FlatDb`]: the [`Durability`] mode
-//! knob, the logical-record and checkpoint-snapshot wire formats, and the
-//! [`DbStore`] wrapper that routes the session pool over either a plain
-//! [`PageStore`] or a [`DurableStore`].
+//! knob, and what the opaque bytes a durable
+//! [`flat_storage::VersionedPool`] logs mean. A logical record is one
+//! [`WriteOp`] of a committed [`crate::Writer`] group (`[seq][op][body]`),
+//! the same value the page apply consumes and the subscriptions fold. The
+//! checkpoint snapshot is the resident state recovery cannot rebuild from
+//! the pages alone: the index descriptor plus the delta layer's
+//! metadata-page list and tombstone set.
 //!
-//! The division of labour with `flat_storage`:
-//!
-//! * [`flat_storage::Wal`] / [`DurableStore`] know nothing about indexes.
-//!   They persist opaque *logical records* and an opaque *checkpoint
-//!   snapshot*, commit each group of records atomically through the one
-//!   log append, and redo dirty-page write-back on open.
-//! * This module owns what those opaque bytes mean: a logical record is
-//!   one [`WriteOp`] of a committed [`crate::Writer`] group
-//!   (`[seq][op][body]`) — the same type the caller passed in, the page
-//!   apply consumes and the subscriptions fold, so nothing converts
-//!   between spellings of a write — and the snapshot is the resident
-//!   state a recovery cannot rebuild from the pages alone: the index
-//!   descriptor plus the delta layer's metadata-page list and tombstone
-//!   set.
-//!
-//! Recovery is exactly "snapshot + replay": [`crate::FlatDb::open_durable`]
+//! Recovery is "snapshot + replay": [`crate::FlatDb::open_durable`]
 //! decodes the snapshot, re-adopts the resident tables from the recovered
 //! pages ([`crate::DeltaIndex`]'s `reopen`), and re-applies the committed
-//! logical records past the snapshot's sequence number — without
-//! re-logging them, so a crash during recovery just recovers again.
+//! logical records past its sequence number without re-logging them, so a
+//! crash during recovery just recovers again.
 
 use crate::db::WriteOp;
 use crate::index::FlatIndex;
 use flat_geom::{Aabb, Point3};
 use flat_rtree::Entry;
-use flat_storage::{DurableStore, Page, PageId, PageStore, StorageError};
+use flat_storage::{PageId, StorageError};
 
 /// How a [`crate::FlatDb`] persists committed writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,102 +52,6 @@ pub struct RecoveryReport {
     pub torn_tail_truncated: bool,
 }
 
-/// The store a [`crate::FlatDb`] session pool runs over: the plain
-/// backing store, or the same store wrapped in a [`DurableStore`] when a
-/// [`Durability`] mode is on.
-#[derive(Debug)]
-pub(crate) enum DbStore<S: PageStore> {
-    /// Durability off: pages go straight to the backing store.
-    Plain(S),
-    /// Durability on: writes defer into the WAL overlay until checkpoint.
-    Durable(Box<DurableStore<S>>),
-}
-
-impl<S: PageStore> DbStore<S> {
-    /// The backing store, through either variant.
-    pub(crate) fn backing(&self) -> &S {
-        match self {
-            DbStore::Plain(s) => s,
-            DbStore::Durable(d) => d.inner(),
-        }
-    }
-
-    /// Unwraps to the backing store, dropping any uncheckpointed overlay
-    /// (the RAM-loss semantics a caller opts into by unwrapping).
-    pub(crate) fn into_backing(self) -> S {
-        match self {
-            DbStore::Plain(s) => s,
-            DbStore::Durable(d) => d.into_inner(),
-        }
-    }
-
-    /// The durable wrapper, if durability is on.
-    pub(crate) fn durable_mut(&mut self) -> Option<&mut DurableStore<S>> {
-        match self {
-            DbStore::Plain(_) => None,
-            DbStore::Durable(d) => Some(d),
-        }
-    }
-}
-
-impl<S: PageStore> PageStore for DbStore<S> {
-    fn alloc(&mut self) -> Result<PageId, StorageError> {
-        match self {
-            DbStore::Plain(s) => s.alloc(),
-            DbStore::Durable(d) => d.alloc(),
-        }
-    }
-
-    fn write_page(&mut self, id: PageId, page: &Page) -> Result<(), StorageError> {
-        match self {
-            DbStore::Plain(s) => s.write_page(id, page),
-            DbStore::Durable(d) => d.write_page(id, page),
-        }
-    }
-
-    fn read_page(&self, id: PageId, out: &mut Page) -> Result<(), StorageError> {
-        match self {
-            DbStore::Plain(s) => s.read_page(id, out),
-            DbStore::Durable(d) => d.read_page(id, out),
-        }
-    }
-
-    fn free_page(&mut self, id: PageId) -> Result<(), StorageError> {
-        match self {
-            DbStore::Plain(s) => s.free_page(id),
-            DbStore::Durable(d) => d.free_page(id),
-        }
-    }
-
-    fn free_pages(&self) -> Vec<PageId> {
-        match self {
-            DbStore::Plain(s) => s.free_pages(),
-            DbStore::Durable(d) => d.free_pages(),
-        }
-    }
-
-    fn num_free(&self) -> u64 {
-        match self {
-            DbStore::Plain(s) => s.num_free(),
-            DbStore::Durable(d) => d.num_free(),
-        }
-    }
-
-    fn num_pages(&self) -> u64 {
-        match self {
-            DbStore::Plain(s) => s.num_pages(),
-            DbStore::Durable(d) => d.num_pages(),
-        }
-    }
-
-    fn sync(&self) -> Result<(), StorageError> {
-        match self {
-            DbStore::Plain(s) => s.sync(),
-            DbStore::Durable(d) => d.sync(),
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // Logical records: one op of a committed Writer group each.
 // ----------------------------------------------------------------------
@@ -177,14 +70,8 @@ pub(crate) fn encode_logical(seq: u64, op: &WriteOp) -> Vec<u8> {
             out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
             for e in entries {
                 out.extend_from_slice(&e.id.to_le_bytes());
-                for v in [
-                    e.mbr.min.x,
-                    e.mbr.min.y,
-                    e.mbr.min.z,
-                    e.mbr.max.x,
-                    e.mbr.max.y,
-                    e.mbr.max.z,
-                ] {
+                let (lo, hi) = (e.mbr.min, e.mbr.max);
+                for v in [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z] {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
             }
@@ -206,30 +93,16 @@ pub(crate) fn decode_logical(bytes: &[u8]) -> Result<(u64, WriteOp), StorageErro
     let mut r = Reader::new(bytes);
     let seq = r.u64()?;
     let op = match r.u8()? {
-        OP_INSERT => {
-            let count = r.len("entry count")?;
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = r.u64()?;
-                let mut v = [0f64; 6];
-                for slot in &mut v {
-                    *slot = r.f64()?;
-                }
-                entries.push(Entry::new(
-                    id,
-                    Aabb::new(Point3::new(v[0], v[1], v[2]), Point3::new(v[3], v[4], v[5])),
-                ));
+        OP_INSERT => WriteOp::Insert(r.list("entry count", |r| {
+            let id = r.u64()?;
+            let mut v = [0f64; 6];
+            for slot in &mut v {
+                *slot = r.f64()?;
             }
-            WriteOp::Insert(entries)
-        }
-        OP_DELETE => {
-            let count = r.len("id count")?;
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(r.u64()?);
-            }
-            WriteOp::Delete(ids)
-        }
+            let (lo, hi) = (Point3::new(v[0], v[1], v[2]), Point3::new(v[3], v[4], v[5]));
+            Ok(Entry::new(id, Aabb::new(lo, hi)))
+        })?),
+        OP_DELETE => WriteOp::Delete(r.list("id count", Reader::u64)?),
         OP_COMPACT => WriteOp::Compact,
         t => {
             return Err(StorageError::Corrupt(format!(
@@ -315,18 +188,8 @@ impl DbSnapshot {
         let delta = match r.u8()? {
             0 => None,
             1 => {
-                let n = r.len("metadata page count")?;
-                let mut meta_pages = Vec::with_capacity(n);
-                for _ in 0..n {
-                    meta_pages.push(PageId(r.u64()?));
-                }
-                let t = r.len("tombstone count")?;
-                let mut tombstones = Vec::with_capacity(t);
-                for _ in 0..t {
-                    let page = r.u64()?;
-                    let slot = r.u16()?;
-                    tombstones.push((page, slot));
-                }
+                let meta_pages = r.list("metadata page count", |r| r.u64().map(PageId))?;
+                let tombstones = r.list("tombstone count", |r| Ok((r.u64()?, r.u16()?)))?;
                 Some((meta_pages, tombstones))
             }
             t => {
@@ -399,6 +262,16 @@ impl<'a> Reader<'a> {
             )));
         }
         Ok(n as usize)
+    }
+
+    /// A [`Reader::len`] count, then that many items.
+    fn list<T>(
+        &mut self,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T, StorageError>,
+    ) -> Result<Vec<T>, StorageError> {
+        let n = self.len(what)?;
+        (0..n).map(|_| item(self)).collect()
     }
 
     fn finish(self) -> Result<(), StorageError> {

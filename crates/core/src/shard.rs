@@ -55,7 +55,7 @@
 //! Queries never block on updates: a query takes a [`FlatDb::reader`]
 //! snapshot of each shard it visits, pinning that shard's epoch, and
 //! reads that version of every page while a concurrent batch
-//! copy-on-writes new ones. Each shard publishes its batches atomically,
+//! writes new ones. Each shard publishes its batches atomically,
 //! so a snapshot is always element-consistent per shard.
 
 #![deny(
@@ -72,7 +72,6 @@ use crate::db::{
     Snapshot, WriteOp, Writer,
 };
 use crate::delta::DeltaReport;
-use crate::durable::DbStore;
 use crate::error::FlatError;
 use crate::index::FlatOptions;
 use crate::join::{JoinEngine, JoinResult, JoinStats};
@@ -248,9 +247,11 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             .into_iter()
             .enumerate()
             .map(|(i, region)| {
-                let store = DbStore::Plain(store_factory(i));
-                let cache =
-                    ConcurrentBufferPool::with_config(store, options.pool_pages, options.scheduler);
+                let cache = ConcurrentBufferPool::with_config(
+                    store_factory(i),
+                    options.pool_pages,
+                    options.scheduler,
+                );
                 let mut db = FlatDb::with_pool(VersionedPool::from_cache(cache), db_options);
                 db.build_from(region.elements)?;
                 // The build wrote through the cache; serving starts cold,

@@ -15,7 +15,7 @@
 //! * [`PageWrite`] — exclusive, `&mut self`. Implemented by the cache
 //!   (every bulk build runs over one), by [`crate::VersionedPool`] (the
 //!   non-versioned path: the exclusive borrow proves no reader is pinned)
-//!   and by [`crate::BatchWriter`], the copy-on-write path that runs beside
+//!   and by [`crate::BatchWriter`], the versioned path that runs beside
 //!   pinned readers.
 //!
 //! Query entry points across the workspace take `&impl PageRead`; build

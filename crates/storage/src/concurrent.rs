@@ -75,7 +75,7 @@
 //! dropped, reprioritized or accounted as waste.
 
 use crate::pool::{AtomicIoStats, CacheState};
-use crate::sync_util::lock_unpoisoned;
+use crate::sync_util::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 use crate::{IoStats, Page, PageId, PageKind, PageRead, PageStore, PageWrite, StorageError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -213,7 +213,7 @@ struct Request {
     /// the store directly), and the servicing thread does not cache its
     /// result. Waiters that joined *before* the write still receive the
     /// bytes — under the MVCC protocol those readers are pinned to an
-    /// epoch whose overlay corrects the page anyway.
+    /// epoch whose page version the map still holds.
     stale: AtomicBool,
     submitted: Instant,
     done: Mutex<Option<Result<Page, StorageError>>>,
@@ -313,17 +313,11 @@ impl<S: PageStore> Core<S> {
     }
 
     fn read_store(&self) -> RwLockReadGuard<'_, S> {
-        match self.store.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        read_unpoisoned(&self.store)
     }
 
     fn write_store(&self) -> RwLockWriteGuard<'_, S> {
-        match self.store.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        write_unpoisoned(&self.store)
     }
 
     /// A synchronous store read on the calling thread, bypassing queue and

@@ -6,7 +6,8 @@
 //! every subsequent mutation (and allocation) fails, while reads keep
 //! working so a test can inspect the frozen state. Unwrapping with
 //! [`FaultStore::into_inner`] hands the frozen store to a fresh
-//! [`crate::DurableStore::open`], which is the recovery path under test.
+//! [`crate::VersionedPool::open_durable`], which is the recovery path
+//! under test.
 //!
 //! Because write-ahead logging turns every commit into a page write, a
 //! kill-point matrix over *write indices* (crash after write 0, 1, 2, …)

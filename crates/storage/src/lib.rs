@@ -36,18 +36,18 @@
 //! * [`spill`] — spill runs and external sorting over store pages: the
 //!   substrate of the streaming (out-of-core) index build, which must
 //!   order datasets bigger than main memory by their STR sort keys.
-//! * [`Wal`] / [`DurableStore`] — the durability layer: an append-only
-//!   checksummed record log in store pages (torn tails detected and
-//!   truncated on open) and a store wrapper that defers page writes into
-//!   an overlay, logs them ahead, and checkpoints them back atomically.
+//! * [`Wal`] — the durability layer: an append-only checksummed record
+//!   log in store pages (torn tails detected and truncated on open). A
+//!   durable [`VersionedPool`] owns one, logs page versions ahead of
+//!   writing them back, and recovers through it ([`RecoveredLog`]).
 //! * [`FaultStore`] — fault injection for the crash-recovery test
 //!   harness: scripted kill-after-N-writes crashes and torn final
 //!   writes.
-//! * [`VersionedPool`] — epoch-based MVCC over the shared cache: batch
-//!   writers copy-on-write the pages they touch into per-epoch undo
-//!   overlays, readers pin an epoch ([`EpochPin`]) and stay wait-free
-//!   while a batch runs, and old versions (plus deferred page frees)
-//!   reclaim once the last reader pinned to them departs.
+//! * [`VersionedPool`] — epoch-based MVCC over the shared cache through
+//!   one page-version map: batch writers add versions of the pages they
+//!   touch, readers pin an epoch ([`EpochPin`]) and stay wait-free while
+//!   a batch runs, and versions no reader needs go back to the store —
+//!   at once, or at the next checkpoint of a durable pool.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -68,7 +68,7 @@ pub mod wal;
 // `PageRead`, `PageWrite` and the benchmark shims (see access.rs).
 pub use access::*;
 pub use concurrent::{ConcurrentBufferPool, SchedulerConfig, SchedulerStats};
-pub use durable::{DurableStore, RecoveredLog};
+pub use durable::RecoveredLog;
 pub use error::StorageError;
 pub use fault::{CrashStyle, FaultStore};
 pub use page::{Page, PageMut, PAGE_SIZE};

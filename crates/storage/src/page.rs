@@ -11,7 +11,7 @@ pub const PAGE_SIZE: usize = 4096;
 ///
 /// A page is a handle on an immutable 4 KB buffer: cloning one bumps a
 /// reference count, so the page cache hands out the very buffer it holds
-/// (a hit copies nothing) and the MVCC overlays keep pre-images by
+/// (a hit copies nothing) and the MVCC version map keeps page versions by
 /// reference. Mutation goes through [`Page::edit`], which makes the buffer
 /// this handle's own first — copying it only if another handle shares it —
 /// so no writer can change the bytes another handle sees.

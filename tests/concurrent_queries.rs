@@ -245,8 +245,8 @@ fn io_bound_queries_overlap_their_device_waits() {
 #[test]
 fn readers_proceed_during_batches_and_never_see_partial_state() {
     // The MVCC discipline: a reader pins a snapshot epoch and keeps
-    // answering from that version while a writer batch copy-on-writes
-    // pages under it — no lock handoff, no waiting. Every full workload
+    // answering from that version while a writer batch writes newer
+    // versions of pages beside it — no lock handoff, no waiting. Every full workload
     // pass a reader computes must equal the published version its pinned
     // epoch names — the state after some whole number of batches, never a
     // torn mix of half-applied pages — and reads must demonstrably
@@ -712,14 +712,12 @@ fn sharded_db_serves_mixed_clients_and_drops_cleanly() {
 #[test]
 fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
     // The write-back ordering contract behind crash recovery, proved at
-    // the device boundary: a recording store sits under the durable
-    // wrapper, which sits under a cache whose I/O workers serve concurrent
-    // readers. Mutations go through the cache's quiesce barrier
-    // (`with_store_mut`); for every commit cycle the event trace must
+    // the device boundary: a recording store sits under a durable pool
+    // whose cache has I/O workers serving concurrent readers. For every
+    // commit cycle (log append, batch, checkpoint) the event trace must
     // show the WAL append (the commit record, and the page images it
     // covers) reaching the store strictly before any covered data page
     // or free does — the write-ahead invariant itself.
-    use flat_repro::storage::DurableStore;
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -759,62 +757,53 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
     }
 
     let log = Arc::new(Mutex::new(Vec::new()));
-    let durable = DurableStore::create(
-        RecorderStore {
-            inner: MemStore::new(),
-            log: log.clone(),
-        },
-        b"genesis",
-    )
-    .expect("create durable store");
-
-    let mut sched = ConcurrentBufferPool::with_config(durable, 64, SchedulerConfig::default());
-    let mut wal_pages: HashSet<u64> = HashSet::new();
+    let store = RecorderStore {
+        inner: MemStore::new(),
+        log: log.clone(),
+    };
+    let cache = ConcurrentBufferPool::with_config(store, 64, SchedulerConfig::default());
+    let pool = VersionedPool::create_durable(cache, b"genesis").expect("create durable pool");
     let mut written: Vec<(u64, u64)> = Vec::new(); // (page, round stamp)
 
     for round in 0..4u64 {
         let epoch = log.lock().unwrap().len();
-        let round_pages = sched.with_store_mut(|s| {
-            // The log's own pages, before and after this cycle (the
-            // chain can grow on append and switch slots on checkpoint).
-            wal_pages.extend(s.meta_pages().iter().map(|p| p.0));
-            s.append_records([vec![round as u8; 600]])
-                .expect("append commit record");
-            wal_pages.extend(s.meta_pages().iter().map(|p| p.0));
-            let mut fresh = Vec::new();
-            for i in 0..3u64 {
-                let id = s.alloc().expect("alloc data page");
-                let mut page = Page::new();
-                page.put_u64(0, round * 10 + i);
-                s.write_page(id, &page).expect("overlay write");
-                fresh.push((id.0, round * 10 + i));
-            }
-            if let Some(&(reuse, _)) = written.first() {
-                // Rewrite an old page too: its pre-image is covered by
-                // the checkpoint's page-image records.
-                let mut page = Page::new();
-                page.put_u64(0, round * 10 + 9);
-                s.write_page(PageId(reuse), &page).expect("rewrite");
-            }
-            s.checkpoint(&[round as u8]).expect("checkpoint");
-            wal_pages.extend(s.meta_pages().iter().map(|p| p.0));
-            fresh
-        });
-        if let Some(first) = written.first_mut() {
-            first.1 = round * 10 + 9;
+        pool.append_records([vec![round as u8; 600]])
+            .expect("append commit record");
+        let mut batch = pool.begin_batch();
+        for i in 0..3u64 {
+            let id = batch.alloc().expect("alloc data page");
+            let mut page = Page::new();
+            page.put_u64(0, round * 10 + i);
+            batch
+                .write(id, &page, PageKind::Other)
+                .expect("batch write");
+            written.push((id.0, round * 10 + i));
         }
-        written.extend(round_pages);
+        if round > 0 {
+            // Rewrite an old page too: the checkpoint's page-image
+            // records cover its new bytes.
+            let mut page = Page::new();
+            page.put_u64(0, round * 10 + 9);
+            batch
+                .write(PageId(written[0].0), &page, PageKind::Other)
+                .expect("rewrite");
+            written[0].1 = round * 10 + 9;
+        }
+        batch.publish();
+        pool.checkpoint(&[round as u8]).expect("checkpoint");
 
         // The write-ahead assertion for this cycle: no data-page write
-        // or free may precede the first WAL write of the cycle.
+        // or free may precede the first WAL write of the cycle. Data pages
+        // are never freed here, so every other page written is the log's.
+        let data: HashSet<u64> = written.iter().map(|&(id, _)| id).collect();
         let events = log.lock().unwrap()[epoch..].to_vec();
         let first_wal = events
             .iter()
-            .position(|e| matches!(e, Ev::Write(id) if wal_pages.contains(id)))
+            .position(|e| matches!(e, Ev::Write(id) if !data.contains(id)))
             .expect("a commit cycle must write the log");
         for (at, ev) in events.iter().enumerate() {
             match ev {
-                Ev::Write(id) if !wal_pages.contains(id) => assert!(
+                Ev::Write(id) if data.contains(id) => assert!(
                     at > first_wal,
                     "round {round}: data page {id} hit the store at event {at}, \
                      before the WAL commit at {first_wal}"
@@ -832,10 +821,11 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
         // checkpointed values bit-for-bit.
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let (sched, written) = (&sched, &written);
+                let (pool, written) = (&pool, &written);
                 scope.spawn(move || {
+                    let pin = pool.pin();
                     for &(id, stamp) in written {
-                        let page = sched
+                        let page = pin
                             .read_page(PageId(id), PageKind::Other)
                             .expect("scheduled read");
                         assert_eq!(page.get_u64(0), stamp, "page {id} after round {round}");
@@ -845,15 +835,15 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
         });
     }
 
-    // The quiesce barrier drained every demand read it admitted.
-    let lanes = sched.scheduler_stats();
+    // Every demand read the readers submitted completed.
+    let lanes = pool.cache().scheduler_stats();
     assert_eq!(lanes.demand_completed, lanes.demand_submitted);
 
     // And the ordering pays off: drop the session (losing nothing here —
     // the last cycle checkpointed) and reopen the raw device. The
     // recovered baseline is exactly the last committed snapshot.
-    let inner = sched.into_store().into_inner();
-    let (recovered, recovered_log) = DurableStore::open(inner).expect("reopen");
+    let cache = ConcurrentBufferPool::new(pool.into_store(), 64);
+    let (recovered, recovered_log) = VersionedPool::open_durable(cache).expect("reopen");
     assert_eq!(recovered_log.snapshot, vec![3u8]);
     assert!(
         recovered_log.logical.is_empty(),
@@ -861,8 +851,144 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
     );
     assert!(!recovered_log.torn_truncated);
     for &(id, stamp) in &written {
-        let mut page = Page::new();
-        recovered.read_page(PageId(id), &mut page).expect("read");
+        let page = recovered
+            .read_page(PageId(id), PageKind::Other)
+            .expect("read");
         assert_eq!(page.get_u64(0), stamp, "recovered page {id}");
     }
+}
+
+#[test]
+fn a_pinned_snapshot_survives_a_checkpoint_write_back() {
+    // A checkpoint writes every dirty page back while older snapshots are
+    // still pinned. A page such a snapshot reads *below* its oldest
+    // version keeps its pre-write-back bytes as an epoch-0 version, so the
+    // snapshot's answers and raw page bytes stay those of its epoch.
+
+    // The pool, over a cache with 8 I/O workers and room for 8 pages, so
+    // reads race the write-back through queued fetches.
+    let cache =
+        ConcurrentBufferPool::with_config(MemStore::new(), 8, SchedulerConfig { workers: 8 });
+    let pool = VersionedPool::create_durable(cache, b"").expect("create durable pool");
+    let stamp = |v: u64| {
+        let mut page = Page::new();
+        page.put_u64(0, v);
+        page.put_u64(PAGE_SIZE - 8, !v);
+        page
+    };
+    let mut batch = pool.begin_batch();
+    let ids: Vec<PageId> = (0..32u64)
+        .map(|i| {
+            let id = batch.alloc().expect("alloc");
+            batch.write(id, &stamp(i), PageKind::Other).expect("write");
+            id
+        })
+        .collect();
+    batch.publish();
+    pool.checkpoint(b"base").expect("checkpoint");
+    let pin = pool.pin();
+    let captured: Vec<Page> = ids
+        .iter()
+        .map(|&id| pin.read_page(id, PageKind::Other).expect("pinned read"))
+        .collect();
+    for round in 1..=2u64 {
+        let mut batch = pool.begin_batch();
+        for (i, &id) in ids.iter().enumerate() {
+            batch
+                .write(id, &stamp(round * 100 + i as u64), PageKind::Other)
+                .expect("rewrite");
+        }
+        batch.publish();
+    }
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    for _ in 0..20 {
+                        for (&id, want) in ids.iter().zip(&captured) {
+                            let got = pin.read_page(id, PageKind::Other).expect("pinned read");
+                            assert_eq!(got.bytes(), want.bytes(), "{id} under the pin");
+                        }
+                    }
+                })
+            })
+            .collect();
+        pool.checkpoint(b"rewritten")
+            .expect("checkpoint under readers");
+        for reader in readers {
+            reader.join().expect("pinned reader");
+        }
+    });
+    pool.cache().clear_cache();
+    for (&id, want) in ids.iter().zip(&captured) {
+        let got = pin.read_page(id, PageKind::Other).expect("pinned read");
+        assert_eq!(got.bytes(), want.bytes(), "{id} after the checkpoint");
+        let latest = pool.read_page(id, PageKind::Other).expect("latest read");
+        assert_eq!(latest.get_u64(0), 200 + (id.0 - ids[0].0), "{id} latest");
+    }
+    drop(pin);
+    assert_eq!(pool.version_stats().retained_versions, 0, "the map drains");
+
+    // The same through a durable FlatDb whose second commit checkpoints.
+    let (entries, domain) = neuron_dataset();
+    let mut options = DbOptions::updatable(domain)
+        .with_durability(Durability::WalCheckpoint { every_batches: 2 });
+    options.pool_pages = 64;
+    let mut db = FlatDb::create_durable(MemStore::new(), options).expect("create durable db");
+    db.build_from(entries.clone()).expect("build");
+    let snapshot = db.reader();
+    let probes = queries(&domain);
+    let ranges: Vec<_> = probes
+        .iter()
+        .map(|q| keys(&snapshot.range(q).unwrap()))
+        .collect();
+    let knn_at = |s: &Snapshot<'_, MemStore>| -> Vec<Vec<(u64, u64)>> {
+        probes
+            .iter()
+            .map(|q| {
+                s.knn(q.center(), 40)
+                    .unwrap()
+                    .iter()
+                    .map(|n| (n.hit.id, n.dist_sq.to_bits()))
+                    .collect()
+            })
+            .collect()
+    };
+    let knns = knn_at(&snapshot);
+    // Two groups rewriting the same pages: the elements near every probe
+    // are deleted, then every other one is re-inserted.
+    let near: Vec<Entry> = entries
+        .iter()
+        .filter(|e| probes.iter().any(|q| q.intersects(&e.mbr)))
+        .copied()
+        .collect();
+    assert!(!near.is_empty());
+    {
+        let mut writer = db.writer().expect("writer");
+        let ids: Vec<u64> = near.iter().map(|e| e.id).collect();
+        assert_eq!(writer.delete(&ids).expect("delete"), ids.len());
+        let back = near.iter().step_by(2).copied().collect();
+        writer.insert(back).expect("insert, then the checkpoint");
+    }
+    assert!(
+        db.version_stats().retained_versions > 0,
+        "the snapshot holds versions"
+    );
+    db.clear_cache();
+    for (q, want) in probes.iter().zip(&ranges) {
+        assert_eq!(
+            &keys(&snapshot.range(q).unwrap()),
+            want,
+            "range under the snapshot"
+        );
+    }
+    assert_eq!(knn_at(&snapshot), knns, "kNN under the snapshot");
+    let fresh = db.reader();
+    assert_ne!(knn_at(&fresh), knns, "the commits changed the answers");
+    drop((snapshot, fresh));
+    assert_eq!(
+        db.version_stats().retained_versions,
+        0,
+        "the checkpoint wrote everything back"
+    );
 }

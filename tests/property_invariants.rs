@@ -517,8 +517,8 @@ fn pinned_snapshots_stay_stable_and_versions_reclaim() {
     // (1) a pinned snapshot's answers never change, no matter how many
     //     batches publish after it (no version is freed or overwritten
     //     while a reader holds it);
-    // (2) version retention is bounded by the oldest live pin — overlays
-    //     never pile up past the pin horizon, and once every pin drops
+    // (2) version retention is bounded by the oldest live pin — batch
+    //     versions never pile up past the pin horizon, and once every pin drops
     //     the pool reclaims down to zero retained versions and zero
     //     deferred page frees;
     // (3) the latest snapshot stays query-equivalent to brute force over
@@ -652,7 +652,7 @@ fn pinned_snapshots_stay_stable_and_versions_reclaim() {
             }
 
             // (2) Retention is bounded by the oldest pin: at most one
-            // overlay per epoch between the pin horizon and now.
+            // batch of versions per epoch between the pin horizon and now.
             let stats = db.version_stats();
             let oldest = held.first().map_or(db.epoch(), |(s, _)| s.epoch());
             assert!(
