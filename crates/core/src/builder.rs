@@ -26,10 +26,12 @@
 //!    metadata order (Hilbert key of the partition center). Memory: the
 //!    sweep window — two adjacent slabs of summaries plus stretch
 //!    stragglers.
-//! 4. **Metadata + seed tree** — the Hilbert-ordered stream feeds the
-//!    [`write_meta_and_seed`] serializer. Memory: the planning tables
-//!    (neighbor counts, record plan, primary addresses — tens of bytes per
-//!    partition, no elements).
+//! 4. **Metadata + seed tree** — the Hilbert-ordered stream feeds the one
+//!    metadata writer (`meta.rs`) as one run per partition, and the seed
+//!    tree's directory is built over the pages it wrote (`index.rs`).
+//!    Memory: the planning tables (object page, neighbor count, record
+//!    slots, primary address and stream position per partition — tens of
+//!    bytes, no elements).
 //!
 //! Spill pages live in scratch [`MemStore`]s owned by the sorters — they
 //! never mix with index pages, so for identical input every spill budget
@@ -37,9 +39,8 @@
 //! (`tests/build_streaming.rs` holds each budget to recorded page
 //! digests; `exp_build_scale` re-verifies per run and reports the peaks).
 
-use crate::index::{
-    write_meta_and_seed, BuildStats, FlatIndex, FlatOptions, MetaOrder, MetaPartition,
-};
+use crate::index::{seal, BuildStats, FlatIndex, FlatOptions, MetaOrder};
+use crate::meta::{write_runs, Link, Run};
 use crate::neighbors::NeighborSweep;
 use crate::partition::{axis_tile, partition_plan, partition_slab, Partition};
 use flat_geom::{Aabb, Axis, Point3};
@@ -507,29 +508,41 @@ impl FlatIndexBuilder {
         retire(&mut retired)?;
         let neighbor_time = t1.elapsed();
 
-        // Phase 4: stream the metadata records through the writer.
+        // Phase 4: stream the metadata records through the one writer, in
+        // metadata order; a neighbor is the run at its partition's
+        // position in that order.
         let t2 = Instant::now();
         directory.sort_unstable();
-        let order: Vec<u32> = directory.iter().map(|&(_, i, _)| i).collect();
-        let counts: Vec<usize> = directory.iter().map(|&(_, _, c)| c as usize).collect();
+        let mut position = vec![0u32; num_partitions as usize];
+        let shapes: Vec<(PageId, usize)> = (0u32..)
+            .zip(&directory)
+            .map(|(pos, &(_, index, count))| {
+                position[index as usize] = pos;
+                (object_ids[index as usize], count as usize)
+            })
+            .collect();
         let mut meta_stream = meta_sorter.finish()?;
         streaming.spill.accumulate(&meta_stream.stats());
-        let stream = std::iter::from_fn(|| {
+        let runs = std::iter::from_fn(|| {
             meta_stream.next().transpose().map(|r| {
-                r.map(|m| MetaPartition {
-                    index: m.index,
+                r.map(|m| Run {
                     page_mbr: m.page_mbr,
                     partition_mbr: m.partition_mbr,
                     object_page: object_ids[m.index as usize],
-                    neighbors: m.neighbors,
+                    neighbors: m
+                        .neighbors
+                        .iter()
+                        .map(|&n| Link::Run(position[n as usize] as usize))
+                        .collect(),
+                    splice: false,
+                    tail: None,
                 })
             })
         });
-        let index = write_meta_and_seed(
+        let leaves = write_runs(pool, &shapes, runs)?.leaves;
+        let index = seal(
             pool,
-            &order,
-            &counts,
-            stream,
+            leaves,
             options.layout,
             n as u64,
             num_partitions as u64,

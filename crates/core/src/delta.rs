@@ -15,7 +15,10 @@
 //!   seed-leaf pages. Links are *stitched* both ways: new records point at
 //!   every intersecting live partition, and each existing record gains a
 //!   continuation chunk (spliced at the head of its chain — a same-size
-//!   in-place edit) listing its new delta neighbors. Because every batch
+//!   in-place edit) listing its new delta neighbors. The new primaries and
+//!   the stitch chains are one layout of the one metadata writer, and the
+//!   splices, like every other page edit here, go through the one editor
+//!   (both in [`crate::meta`]). Because every batch
 //!   tiles the whole domain and cross-links against everything live, the
 //!   crawl's connectivity argument survives: within any query box, each
 //!   generation is connected through its own tiling and anchored to the
@@ -24,9 +27,10 @@
 //!   slot)`; queries filter tombstones at scan time. When a partition's
 //!   last live element dies the partition is *retired*: every inbound
 //!   link is pruned, its former neighbors are patched into a clique (so
-//!   crawl paths that crossed the dead partition reroute around it), its
-//!   record is flagged dead and its object page returns to the store's
-//!   free list. The clique trades link growth for crawl exactness:
+//!   crawl paths that crossed the dead partition reroute around it — the
+//!   missing links are stitch chains, written and spliced like an insert
+//!   batch's), its record is flagged dead and its object page returns to
+//!   the store's free list. The clique trades link growth for crawl exactness:
 //!   contiguous mass retirement lets surviving frontier partitions
 //!   accumulate links quadratically in the frontier size, a cost that
 //!   only `compact()` resets — churn deployments should compact once the
@@ -61,10 +65,7 @@ use crate::builder::FlatIndexBuilder;
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions, SeedTreePages};
 use crate::knn::{KnnStats, Neighbor};
-use crate::meta::{
-    assign_slots, decode_meta_leaf, encode_meta_leaf, max_neighbors_per_record, meta_leaf_len,
-    MetaRecord, MetaRecordId, MetaView, PlannedRecord,
-};
+use crate::meta::{edit, meta_leaf_len, write_runs, Edit, Link, MetaRecordId, MetaView, Run};
 use crate::neighbors::NeighborSweep;
 use crate::partition::partition;
 use crate::query::{read_record, walk_links, AddrMap, IndexRef, LivePage, QueryStats, Tombstones};
@@ -130,31 +131,6 @@ pub struct DeltaIndex {
     /// Seed-tree directory pages (base only; deltas are not in the tree).
     inner_pages: Vec<PageId>,
     live_elements: u64,
-}
-
-/// A freshly created metadata record awaiting placement on a new
-/// seed-leaf page (a delta primary, one of its continuation chunks, or a
-/// stitch chunk spliced into an existing chain).
-struct NewRecord {
-    page_mbr: Aabb,
-    partition_mbr: Aabb,
-    object_page: PageId,
-    neighbors: Vec<NbrRef>,
-    is_continuation: bool,
-    /// Continuation: the record at this index in the same batch…
-    next: Option<usize>,
-    /// …or, for the tail of a stitch chain, the spliced record's previous
-    /// continuation (the splice inserts the chain at the head).
-    tail: Option<MetaRecordId>,
-}
-
-/// A neighbor pointer that may target a record not yet placed.
-#[derive(Clone, Copy)]
-enum NbrRef {
-    /// An already-addressable record.
-    Known(MetaRecordId),
-    /// The primary record of new partition `j` of the current batch.
-    NewPrimary(u32),
 }
 
 /// Slots are addressed as `u16` throughout the delta layer (tombstones,
@@ -500,9 +476,10 @@ impl DeltaIndex {
     /// plane-sweep [`NeighborSweep`] and stitched both ways (existing
     /// records gain spliced continuation chunks).
     ///
-    /// # Panics
-    /// Panics if an entry's id collides with a live element's id (ids of
-    /// deleted elements may be reused).
+    /// An entry whose id is live (ids of deleted elements may be reused)
+    /// or repeated within `entries` is invalid input
+    /// ([`StorageError::Io`] of kind [`std::io::ErrorKind::InvalidInput`]),
+    /// rejected before any page is written.
     pub fn insert_batch<P: PageRead + PageWrite>(
         &mut self,
         pool: &mut P,
@@ -513,15 +490,18 @@ impl DeltaIndex {
         }
         let domain = self.adopt_to_write(pool)?;
         let capacity = leaf_capacity(self.options.layout);
+        let mut batch_ids = HashSet::with_capacity(entries.len());
+        if let Some(e) = entries
+            .iter()
+            .find(|e| self.locator.contains_key(&e.id) || !batch_ids.insert(e.id))
         {
-            let mut batch_ids = HashSet::with_capacity(entries.len());
-            for e in &entries {
-                assert!(
-                    !self.locator.contains_key(&e.id) && batch_ids.insert(e.id),
-                    "insert of id {} which is already live",
+            return Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "insert of id {} which is already live or repeated in the batch",
                     e.id
-                );
-            }
+                ),
+            )));
         }
 
         // 1. Tile the batch over the full domain (same STR code as the
@@ -571,75 +551,43 @@ impl DeltaIndex {
             sweep.push(idx, page_mbr, partition_mbr, &mut retired);
         }
         sweep.finish(&mut retired);
-        let mut new_nbrs: Vec<Vec<u32>> = vec![Vec::new(); new_parts.len()];
-        let mut stitched: Vec<(u32, Vec<u32>)> = Vec::new();
-        for r in retired {
-            if r.index >= e_count {
-                new_nbrs[(r.index - e_count) as usize] = r.neighbors;
-            } else if !r.neighbors.is_empty() {
-                // Under the boundary, an existing partition's list holds
-                // exactly its new cross links.
-                stitched.push((r.index, r.neighbors));
-            }
-        }
-        stitched.sort_by_key(|&(i, _)| i); // deterministic page layout
 
-        // 3. Lay out the new metadata records: delta primaries (chunked if
-        //    over-full) first, then the stitch chunks for existing records.
-        let max = max_neighbors_per_record();
-        let mut records: Vec<NewRecord> = Vec::new();
-        let mut primary_of: Vec<usize> = Vec::with_capacity(new_parts.len());
-        let addr_of_global = |i: u32| -> NbrRef {
-            if i >= e_count {
-                NbrRef::NewPrimary(i - e_count)
-            } else {
-                NbrRef::Known(self.parts[i as usize].record)
-            }
+        // 3. Lay out the batch's primaries, then one stitch chain per
+        //    existing partition that gained links (under the boundary, an
+        //    existing partition's list holds exactly its new cross links),
+        //    and splice the chains in.
+        let link = |i: u32| match i.checked_sub(e_count) {
+            Some(j) => Link::Run(j as usize),
+            None => Link::At(self.parts[i as usize].record),
         };
-        for (j, p) in new_parts.iter().enumerate() {
-            primary_of.push(records.len());
-            push_chunks(
-                &mut records,
-                new_nbrs[j].iter().map(|&i| addr_of_global(i)),
-                new_nbrs[j].len(),
-                max,
-                p.page_mbr,
-                p.partition_mbr,
-                object_ids[j],
-                false,
-                None,
-            );
+        let mut fresh: Vec<Run> = new_parts
+            .iter()
+            .zip(&object_ids)
+            .map(|(p, &object_page)| Run {
+                page_mbr: p.page_mbr,
+                partition_mbr: p.partition_mbr,
+                object_page,
+                neighbors: Vec::new(),
+                splice: false,
+                tail: None,
+            })
+            .collect();
+        let mut stitches = Vec::new();
+        for r in retired {
+            let links: Vec<Link> = r.neighbors.into_iter().map(link).collect();
+            match r.index.checked_sub(e_count) {
+                Some(j) => fresh[j as usize].neighbors = links,
+                None if !links.is_empty() => stitches.push((r.index, links)),
+                None => {}
+            }
         }
-        // Stitch chunks: read the spliced records' current continuations
-        // first — the new chain head must point at the old chain.
-        let mut splices: Vec<(MetaRecordId, usize)> = Vec::with_capacity(stitched.len());
-        for (i, added) in &stitched {
-            let part = &self.parts[*i as usize];
-            let old_cont = read_record(pool, part.record)?.continuation;
-            splices.push((part.record, records.len()));
-            push_chunks(
-                &mut records,
-                added.iter().map(|&g| addr_of_global(g)),
-                added.len(),
-                max,
-                part.page_mbr,
-                part.partition_mbr,
-                part.object_page,
-                true,
-                old_cont,
-            );
-        }
+        stitches.sort_by_key(|&(i, _)| i); // deterministic page layout
+        let primaries = self.write_layout(pool, fresh, stitches)?;
 
-        // 4. Write the new pages and splice the stitch chains in.
-        let addrs = self.write_new_records(pool, &records, &primary_of)?;
-        for (record, head) in splices {
-            edit_record(pool, record, |r| r.continuation = Some(addrs[head]))?;
-        }
-
-        // 5. Adopt the batch into the resident tables.
+        // 4. Adopt the batch into the resident tables.
         for (j, p) in new_parts.into_iter().enumerate() {
             let idx = self.parts.len() as u32;
-            let addr = addrs[primary_of[j]];
+            let addr = primaries[j];
             self.by_record.insert(addr, idx);
             for e in &p.elements {
                 self.locator.insert(e.id, idx);
@@ -657,69 +605,39 @@ impl DeltaIndex {
         Ok(())
     }
 
-    /// Assigns slots for `records`, allocates the needed seed-leaf pages,
-    /// resolves cross references and writes the pages. Returns the address
-    /// of each record.
-    fn write_new_records<P: PageRead + PageWrite>(
+    /// Writes one layout through the one metadata writer — the `fresh`
+    /// partitions, then, for each `(a, links)` of `stitches`, a stitch
+    /// chain of `links` for existing partition `a` — appends its pages to
+    /// the metadata page list and splices each chain in at the head of its
+    /// partition's chain. Returns the fresh partitions' primary records.
+    fn write_layout<P: PageRead + PageWrite>(
         &mut self,
         pool: &mut P,
-        records: &[NewRecord],
-        primary_of: &[usize],
+        mut runs: Vec<Run>,
+        stitches: Vec<(u32, Vec<Link>)>,
     ) -> Result<Vec<MetaRecordId>, StorageError> {
-        if records.is_empty() {
-            return Ok(Vec::new());
+        let fresh = runs.len();
+        let mut spliced = Vec::with_capacity(stitches.len());
+        for (a, neighbors) in stitches {
+            let part = &self.parts[a as usize];
+            spliced.push(part.record);
+            runs.push(Run {
+                page_mbr: part.page_mbr,
+                partition_mbr: part.partition_mbr,
+                object_page: part.object_page,
+                neighbors,
+                splice: true,
+                tail: read_record(pool, part.record)?.continuation,
+            });
         }
-        let plan: Vec<PlannedRecord> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| PlannedRecord {
-                partition: i,
-                start: 0,
-                len: r.neighbors.len(),
-                primary: !r.is_continuation,
-            })
-            .collect();
-        let slots = assign_slots(&plan);
-        let num_pages = slots.last().expect("records is non-empty").0 + 1;
-        let mut page_ids = Vec::with_capacity(num_pages);
-        for _ in 0..num_pages {
-            let id = pool.alloc()?;
-            self.meta_pages.push(id);
-            page_ids.push(id);
+        let shapes: Vec<_> = runs.iter().map(Run::shape).collect();
+        let mut layout = write_runs(pool, &shapes, runs.into_iter().map(Ok))?;
+        self.meta_pages
+            .extend(layout.leaves.iter().map(|leaf| leaf.page));
+        for (record, head) in spliced.into_iter().zip(layout.heads.split_off(fresh)) {
+            edit(pool, record, Edit::Splice(head))?;
         }
-        let addrs: Vec<MetaRecordId> = slots
-            .iter()
-            .map(|&(seq, slot)| MetaRecordId {
-                page: page_ids[seq],
-                slot,
-            })
-            .collect();
-        let resolve = |n: &NbrRef| match *n {
-            NbrRef::Known(a) => a,
-            NbrRef::NewPrimary(j) => addrs[primary_of[j as usize]],
-        };
-        let mut page = Page::new();
-        let mut at = 0usize;
-        for (seq, &page_id) in page_ids.iter().enumerate() {
-            let mut out = Vec::new();
-            while at < records.len() && slots[at].0 == seq {
-                let r = &records[at];
-                out.push(MetaRecord {
-                    page_mbr: r.page_mbr,
-                    partition_mbr: r.partition_mbr,
-                    object_page: r.object_page,
-                    neighbors: r.neighbors.iter().map(resolve).collect(),
-                    continuation: r.next.map(|n| addrs[n]).or(r.tail),
-                    is_continuation: r.is_continuation,
-                    is_dead: false,
-                });
-                at += 1;
-            }
-            encode_meta_leaf(&out, &mut page);
-            pool.write(page_id, &page, PageKind::SeedLeaf)?;
-        }
-        debug_assert_eq!(at, records.len());
-        Ok(addrs)
+        Ok(layout.heads)
     }
 
     // ------------------------------------------------------------------
@@ -810,52 +728,28 @@ impl DeltaIndex {
 
         // Prune the dead partition out of each neighbor's chain.
         for &a in &nbr_idx {
-            remove_neighbor(pool, self.parts[a as usize].record, d_rec)?;
+            edit(pool, self.parts[a as usize].record, Edit::Prune(d_rec))?;
         }
 
         // Clique repair: every pair of former neighbors that is not
         // already linked gets a (symmetric) link, so crawl paths that
         // crossed `d` reroute through a direct edge.
-        let max = max_neighbors_per_record();
-        let mut records: Vec<NewRecord> = Vec::new();
-        let mut splices: Vec<(MetaRecordId, usize)> = Vec::new();
-        for &a in &nbr_idx {
-            let a_rec = self.parts[a as usize].record;
-            let missing: Vec<NbrRef> = nbr_idx
-                .iter()
-                .filter(|&&b| b != a && !link_sets[&a].contains(&self.parts[b as usize].record))
-                .map(|&b| NbrRef::Known(self.parts[b as usize].record))
-                .collect();
-            if missing.is_empty() {
-                continue;
-            }
-            let part = &self.parts[a as usize];
-            let old_cont = read_record(pool, a_rec)?.continuation;
-            splices.push((a_rec, records.len()));
-            let count = missing.len();
-            push_chunks(
-                &mut records,
-                missing.into_iter(),
-                count,
-                max,
-                part.page_mbr,
-                part.partition_mbr,
-                part.object_page,
-                true,
-                old_cont,
-            );
-        }
-        let addrs = self.write_new_records(pool, &records, &[])?;
-        for (record, head) in splices {
-            edit_record(pool, record, |r| r.continuation = Some(addrs[head]))?;
-        }
+        let cliques = nbr_idx
+            .iter()
+            .map(|&a| {
+                let missing: Vec<Link> = nbr_idx
+                    .iter()
+                    .filter(|&&b| b != a && !link_sets[&a].contains(&self.parts[b as usize].record))
+                    .map(|&b| Link::At(self.parts[b as usize].record))
+                    .collect();
+                (a, missing)
+            })
+            .filter(|(_, missing)| !missing.is_empty())
+            .collect();
+        self.write_layout(pool, Vec::new(), cliques)?;
 
         // Flag the record dead and drop its chain; free the object page.
-        edit_record(pool, d_rec, |r| {
-            r.neighbors.clear();
-            r.continuation = None;
-            r.is_dead = true;
-        })?;
+        edit(pool, d_rec, Edit::Retire)?;
         let obj = self.parts[d as usize].object_page;
         pool.free(obj)?;
         // The page id may be reused by a later insert: stale tombstones
@@ -1081,38 +975,6 @@ impl DeltaIndex {
     }
 }
 
-/// Splits a neighbor list into record-sized chunks appended to `records`,
-/// chained head-to-tail; the final chunk continues into `tail`.
-#[allow(clippy::too_many_arguments)]
-fn push_chunks(
-    records: &mut Vec<NewRecord>,
-    neighbors: impl Iterator<Item = NbrRef>,
-    count: usize,
-    max: usize,
-    page_mbr: Aabb,
-    partition_mbr: Aabb,
-    object_page: PageId,
-    continuation_chain: bool,
-    tail: Option<MetaRecordId>,
-) {
-    let mut neighbors = neighbors.peekable();
-    let num_chunks = count.div_ceil(max).max(1);
-    for c in 0..num_chunks {
-        let take: Vec<NbrRef> = neighbors.by_ref().take(max).collect();
-        let last = c + 1 == num_chunks;
-        records.push(NewRecord {
-            page_mbr,
-            partition_mbr,
-            object_page,
-            neighbors: take,
-            is_continuation: continuation_chain || c > 0,
-            next: if last { None } else { Some(records.len() + 1) },
-            tail: if last { tail } else { None },
-        });
-    }
-    debug_assert!(neighbors.peek().is_none());
-}
-
 /// Verifies the compaction contract against a reference store: a
 /// compacted store must hold exactly the fresh rebuild's pages — pages
 /// `0..fresh.num_pages()` byte-identical and none of them on the free
@@ -1168,46 +1030,6 @@ fn read_chain_neighbors(
         Ok(())
     })?;
     Ok(nbrs)
-}
-
-/// Rewrites one record of a seed-leaf page in place. Record slots are
-/// stable (the page is re-encoded with the same record count), so this is
-/// only safe for edits that do not grow the page: link pruning, dead
-/// flagging, continuation splicing.
-fn edit_record<P: PageRead + PageWrite>(
-    pool: &mut P,
-    addr: MetaRecordId,
-    edit: impl FnOnce(&mut MetaRecord),
-) -> Result<(), StorageError> {
-    let mut page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-    let mut records = decode_meta_leaf(&page)?;
-    edit(&mut records[addr.slot as usize]);
-    encode_meta_leaf(&records, &mut page);
-    pool.write(addr.page, &page, PageKind::SeedLeaf)
-}
-
-/// Removes `target` from `record`'s neighbor list, wherever in the chain
-/// it appears.
-fn remove_neighbor<P: PageRead + PageWrite>(
-    pool: &mut P,
-    record: MetaRecordId,
-    target: MetaRecordId,
-) -> Result<(), StorageError> {
-    let mut at = Some(record);
-    while let Some(addr) = at {
-        let chunk = read_record(pool, addr)?;
-        if chunk.neighbors().any(|n| n == target) {
-            return edit_record(pool, addr, |r| r.neighbors.retain(|n| *n != target));
-        }
-        at = chunk.continuation;
-    }
-    // Links are symmetric: the caller found `record` in `target`'s chain,
-    // so `target` must appear in `record`'s. Falling through means the
-    // link graph lost symmetry — corruption a release build must surface
-    // rather than leave half-pruned.
-    Err(StorageError::Corrupt(format!(
-        "pruning link {target:?} from {record:?}: not present in the chain"
-    )))
 }
 
 #[cfg(test)]
@@ -1267,7 +1089,7 @@ mod tests {
             page: record.page,
             slot: u16::MAX,
         };
-        let err = remove_neighbor(&mut pool, record, bogus).unwrap_err();
+        let err = edit(&mut pool, record, Edit::Prune(bogus)).unwrap_err();
         assert!(
             err.to_string().contains("not present in the chain"),
             "unexpected error: {err}"
@@ -1278,13 +1100,15 @@ mod tests {
     fn a_pointer_to_no_partition_is_a_corrupt_error_at_retirement() {
         let (mut pool, mut delta, _) = build_delta(2_000, 69);
         let part = delta.parts[0].clone();
-        // Rewrite one neighbor pointer of partition 0 to an address that
-        // resolves to no partition.
+        // Stitch a link to an address that resolves to no partition into
+        // partition 0's chain.
         let bogus = MetaRecordId {
             page: part.record.page,
             slot: u16::MAX,
         };
-        edit_record(&mut pool, part.record, |r| r.neighbors[0] = bogus).unwrap();
+        delta
+            .write_layout(&mut pool, Vec::new(), vec![(0, vec![Link::At(bogus)])])
+            .unwrap();
         // Deleting the partition's last element retires it, which walks
         // the rewritten chain.
         let ids: Vec<u64> = LivePage::read(&pool, part.object_page, None)
@@ -1393,11 +1217,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already live")]
     fn reinserting_a_live_id_is_rejected() {
         let (mut pool, mut delta, entries) = build_delta(500, 68);
-        let dup = Entry::new(entries[0].id, Aabb::cube(Point3::splat(1.0), 1.0));
-        let _ = delta.insert_batch(&mut pool, vec![dup]);
+        let pages = pool.store().num_pages();
+        let fresh = Entry::new(1_000_000, Aabb::cube(Point3::splat(2.0), 1.0));
+        let live = Entry::new(entries[0].id, Aabb::cube(Point3::splat(1.0), 1.0));
+        for batch in [vec![fresh, live], vec![fresh, fresh]] {
+            let err = delta.insert_batch(&mut pool, batch).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+                "unexpected error: {err}"
+            );
+            assert_eq!(pool.store().num_pages(), pages, "no page is allocated");
+        }
+        assert!(!delta.contains_id(fresh.id));
+        check(&pool, &delta);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! The [`FlatIndex`] structure and the metadata + seed-tree writer of its
-//! bulkload (§V-B); the pipeline in front of the writer is `builder.rs`.
+//! The [`FlatIndex`] descriptor and the seed-tree directory its bulkload
+//! ends with (§V-B.2). The pipeline is `builder.rs`; the metadata pages
+//! the directory indexes are laid out by the one writer in `meta.rs`.
 
 use crate::builder::FlatIndexBuilder;
-use crate::meta::{assign_slots, encode_meta_leaf, plan_records, MetaRecord, MetaRecordId};
 use flat_geom::Aabb;
 use flat_rtree::node::{decode_inner, ChildRef};
 use flat_rtree::{build_inner_levels, Entry, LeafLayout};
-use flat_storage::{Page, PageId, PageKind, PageRead, PageWrite, StorageError, PAGE_SIZE};
+use flat_storage::{PageId, PageKind, PageRead, PageWrite, StorageError, PAGE_SIZE};
 use std::time::Duration;
 
 /// How metadata records are ordered across seed-tree leaf pages.
@@ -108,146 +108,27 @@ impl BuildStats {
     }
 }
 
-/// Per-partition input to the metadata writer, delivered in metadata
-/// stream order (Hilbert order of the partition centers by default).
-///
-/// `neighbors` holds *original* partition indices; the writer translates
-/// them to physical [`MetaRecordId`]s via the record plan.
-#[derive(Debug, Clone)]
-pub(crate) struct MetaPartition {
-    /// Original partition index (STR output order) — must equal the
-    /// `order` entry at the stream position.
-    pub index: u32,
-    /// Tight MBR of the partition's elements.
-    pub page_mbr: Aabb,
-    /// The partition MBR.
-    pub partition_mbr: Aabb,
-    /// The already-written object page.
-    pub object_page: PageId,
-    /// Sorted original indices of the neighboring partitions.
-    pub neighbors: Vec<u32>,
-}
-
-/// Writes the metadata leaves and the seed-tree directory from a
-/// *stream* of per-partition data.
-///
-/// [`FlatIndexBuilder`] feeds it from its metadata-order sort. The stream
-/// holds one partition at a time; only the fixed-size planning tables
-/// (`order`, `counts`, the record plan and the per-partition primary
-/// addresses — a few dozen bytes per partition, no elements) are resident.
-///
-/// * `order[pos]` — original partition index at stream position `pos`.
-/// * `counts[pos]` — that partition's neighbor count (drives the record
-///   plan, which must be complete before the first page is written so
-///   every pointer has a known physical address).
-/// * `stream` — yields exactly `order.len()` items, position-aligned with
-///   `order`.
-pub(crate) fn write_meta_and_seed(
+/// Seals a bulkload: builds the seed-tree directory over the metadata
+/// leaves the one writer ([`crate::meta`]) laid out — an ordinary R-tree
+/// directory keyed by each leaf's page MBR (§V-B.2) — and returns the
+/// descriptor.
+pub(crate) fn seal(
     pool: &mut impl PageWrite,
-    order: &[u32],
-    counts: &[usize],
-    mut stream: impl Iterator<Item = Result<MetaPartition, StorageError>>,
+    leaves: Vec<ChildRef>,
     layout: LeafLayout,
     num_elements: u64,
     num_object_pages: u64,
 ) -> Result<FlatIndex, StorageError> {
-    assert!(!order.is_empty(), "caller handles the empty index");
-    assert_eq!(order.len(), counts.len());
-
-    // Plan the record stream (over-full neighbor lists are split into
-    // continuation chunks), assign slots, allocate pages — then every
-    // neighbor pointer and continuation pointer has a known physical
-    // address before serialization starts. `plan[*].partition` indexes
-    // into `order`, not original partition indices.
-    let plan = plan_records(counts);
-    let slots = assign_slots(&plan);
-    let num_meta_pages = slots.last().expect("order is non-empty").0 + 1;
-    let mut meta_ids = Vec::with_capacity(num_meta_pages);
-    for _ in 0..num_meta_pages {
-        meta_ids.push(pool.alloc()?);
-    }
-    let address_of_chunk = |c: usize| MetaRecordId {
-        page: meta_ids[slots[c].0],
-        slot: slots[c].1,
-    };
-    // Primary (addressable) record of each *original* partition index.
-    let mut primary_chunk = vec![usize::MAX; order.len()];
-    for (c, planned) in plan.iter().enumerate() {
-        if planned.primary {
-            primary_chunk[order[planned.partition] as usize] = c;
-        }
-    }
-    let address_of_partition = |i: usize| address_of_chunk(primary_chunk[i]);
-
-    // Serialize the records page by page, in stream order. `current`
-    // holds the one partition whose chunks are being emitted.
-    let mut page = Page::new();
-    let mut current: Option<MetaPartition> = None;
-    let mut current_pos = usize::MAX;
-    let mut chunk_idx = 0usize;
-    let mut leaf_refs: Vec<ChildRef> = Vec::with_capacity(num_meta_pages);
-    for (seq, &meta_id) in meta_ids.iter().enumerate() {
-        let mut records = Vec::new();
-        let mut leaf_mbr = Aabb::empty();
-        while chunk_idx < plan.len() && slots[chunk_idx].0 == seq {
-            let planned = &plan[chunk_idx];
-            if planned.partition != current_pos {
-                let next = stream
-                    .next()
-                    .expect("stream yields one item per order entry")?;
-                debug_assert_eq!(
-                    next.index, order[planned.partition],
-                    "metadata stream out of order"
-                );
-                current = Some(next);
-                current_pos = planned.partition;
-            }
-            let p = current.as_ref().expect("set above");
-            // The next chunk of the same partition, if any, continues
-            // this record's neighbor list.
-            let continuation = plan
-                .get(chunk_idx + 1)
-                .filter(|next| next.partition == planned.partition)
-                .map(|_| address_of_chunk(chunk_idx + 1));
-            records.push(MetaRecord {
-                page_mbr: p.page_mbr,
-                partition_mbr: p.partition_mbr,
-                object_page: p.object_page,
-                neighbors: p.neighbors[planned.start..planned.start + planned.len]
-                    .iter()
-                    .map(|&j| address_of_partition(j as usize))
-                    .collect(),
-                continuation,
-                is_continuation: !planned.primary,
-                is_dead: false,
-            });
-            // The seed tree indexes records by their *page MBR*
-            // (§V-B.2: "we index each record R with R's page MBR as
-            // key").
-            leaf_mbr.stretch_to_contain(&p.page_mbr);
-            chunk_idx += 1;
-        }
-        encode_meta_leaf(&records, &mut page);
-        pool.write(meta_id, &page, PageKind::SeedLeaf)?;
-        leaf_refs.push(ChildRef {
-            mbr: leaf_mbr,
-            page: meta_id,
-        });
-    }
-    debug_assert_eq!(chunk_idx, plan.len());
-    debug_assert!(stream.next().is_none(), "stream longer than the order");
-
-    // Seed-tree directory over the metadata leaves.
+    let num_meta_pages = leaves.len() as u64;
     let (seed_root, seed_height, num_seed_inner_pages) =
-        build_inner_levels(pool, leaf_refs, PageKind::SeedInner)?;
-
+        build_inner_levels(pool, leaves, PageKind::SeedInner)?;
     Ok(FlatIndex {
         seed_root: Some(seed_root),
         seed_height,
         layout,
         num_elements,
         num_object_pages,
-        num_meta_pages: num_meta_pages as u64,
+        num_meta_pages,
         num_seed_inner_pages,
     })
 }

@@ -43,6 +43,15 @@
 //! exclusively through the chain (and their page reads are charged like
 //! any other metadata read).
 //!
+//! # Writing records
+//!
+//! This module alone lays metadata pages out, writes and edits them. One
+//! layout writer places an ordered list of *runs* — record chains: a
+//! bulkload's partitions, an insert batch's new partitions and stitch
+//! chains, a retirement's clique stitch chains — planning every record's
+//! address before it writes a byte. One editor splices a stitch chain in
+//! front of a record's chain, prunes a link and sets the dead flag.
+//!
 //! # Reading records in place
 //!
 //! The read path never decodes a record into an owned value. A
@@ -53,11 +62,20 @@
 //! the slot directory plays the part of an offset table, so one record is
 //! read without touching its page-mates. A crawl therefore allocates
 //! nothing per record. [`MetaRecord`] is the write side's form (the
-//! bulkload and the delta layer's page edits), and [`decode_meta_record`]
-//! is a collect over the view, so there is one parser.
+//! writer's and the editor's), and [`decode_meta_record`] is a collect
+//! over the view, so there is one parser.
+
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 
 use flat_geom::{Aabb, Point3};
-use flat_storage::{Page, PageId, PageMut, StorageError, PAGE_SIZE};
+use flat_rtree::node::ChildRef;
+use flat_storage::{Page, PageId, PageKind, PageMut, PageRead, PageWrite, StorageError, PAGE_SIZE};
+use std::ops::Range;
 
 /// Tag distinguishing metadata leaves from R-tree nodes.
 const TAG_META_LEAF: u16 = 3;
@@ -77,7 +95,8 @@ const FLAG_CONTINUATION: u16 = 0x8000;
 /// Count-word flag: this record's partition has been retired (see the
 /// module docs on dead records).
 const FLAG_DEAD: u16 = 0x4000;
-/// Count-word bits holding the neighbor count.
+/// Count-word bits holding the neighbor count. A record that fits a page
+/// holds at most [`max_neighbors_per_record`] pointers, far below it.
 const COUNT_MASK: u16 = 0x3FFF;
 
 /// Address of a metadata record: the seed-tree leaf page holding it plus
@@ -131,61 +150,31 @@ pub fn max_neighbors_per_record() -> usize {
     (meta_page_budget() - DIR_ENTRY - RECORD_FIXED) / NEIGHBOR_SIZE
 }
 
-/// One planned record: which partition it belongs to, which slice of that
-/// partition's neighbor list it carries, and whether it is the partition's
-/// primary (addressable) record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PlannedRecord {
-    /// Index of the partition this record belongs to.
-    pub partition: usize,
-    /// Start offset into the partition's neighbor list.
-    pub start: usize,
-    /// Number of neighbor pointers in this record.
-    pub len: usize,
-    /// `true` for the first (addressable) record of the partition.
-    pub primary: bool,
-}
-
-/// Splits each partition's neighbor list into record-sized chunks, in
-/// stream order (all chunks of partition 0, then partition 1, …).
-pub(crate) fn plan_records(neighbor_counts: &[usize]) -> Vec<PlannedRecord> {
+/// The one chunk rule: a run with `n` neighbors becomes `max(1, ⌈n / M⌉)`
+/// records, `M` = [`max_neighbors_per_record`]. Yields, per record, the
+/// slice of the run's neighbor list it carries.
+fn chunks(n: usize) -> impl Iterator<Item = Range<usize>> {
     let max = max_neighbors_per_record();
-    let mut plan = Vec::with_capacity(neighbor_counts.len());
-    for (partition, &count) in neighbor_counts.iter().enumerate() {
-        let mut start = 0;
-        loop {
-            let len = (count - start).min(max);
-            plan.push(PlannedRecord {
-                partition,
-                start,
-                len,
-                primary: start == 0,
-            });
-            start += len;
-            if start >= count {
-                break;
-            }
-        }
-    }
-    plan
+    (0..n.max(1))
+        .step_by(max)
+        .map(move |start| start..(start + max).min(n))
 }
 
-/// Greedy first-fit assignment of planned records to pages, preserving
-/// order.
+/// Greedy first-fit assignment of records to pages, preserving order.
 ///
-/// Records arrive in partition (STR tile) order, so consecutive records are
-/// spatially close — packing them contiguously is what "preserve the
-/// spatial locality of the metadata records" (§V-B.2) means. Returns, per
-/// planned record, the `(page sequence number, slot)` it will occupy.
-pub(crate) fn assign_slots(plan: &[PlannedRecord]) -> Vec<(usize, u16)> {
+/// A bulkload's records arrive in metadata order, so consecutive records
+/// are spatially close — packing them contiguously is what "preserve the
+/// spatial locality of the metadata records" (§V-B.2) means. Takes each
+/// record's neighbor count and returns, per record, the `(page sequence
+/// number, slot)` it will occupy.
+fn assign_slots(neighbor_counts: &[usize]) -> Vec<(usize, u16)> {
     let budget = meta_page_budget();
-    let mut assignment = Vec::with_capacity(plan.len());
+    let mut assignment = Vec::with_capacity(neighbor_counts.len());
     let mut page = 0usize;
     let mut slot = 0u16;
     let mut used = 0usize;
-    for record in plan {
-        let cost = record_size(record.len) + DIR_ENTRY;
-        debug_assert!(cost <= budget, "plan_records never exceeds a page");
+    for &count in neighbor_counts {
+        let cost = record_size(count) + DIR_ENTRY;
         if used + cost > budget {
             page += 1;
             slot = 0;
@@ -198,6 +187,219 @@ pub(crate) fn assign_slots(plan: &[PlannedRecord]) -> Vec<(usize, u16)> {
     assignment
 }
 
+/// A neighbor pointer of a [`Run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Link {
+    /// The primary record of run `j` of the same layout: its address is
+    /// known once the layout is planned.
+    Run(usize),
+    /// A record already on a page.
+    At(MetaRecordId),
+}
+
+/// One record chain for [`write_runs`]: a partition's two MBRs, object
+/// page and neighbor list.
+#[derive(Debug, Clone)]
+pub(crate) struct Run {
+    pub(crate) page_mbr: Aabb,
+    pub(crate) partition_mbr: Aabb,
+    pub(crate) object_page: PageId,
+    pub(crate) neighbors: Vec<Link>,
+    /// `false` for a new partition, whose head record is its primary;
+    /// `true` for a stitch chain, all continuations, whose head is spliced
+    /// in front of an existing record's chain ([`Edit::Splice`]).
+    pub(crate) splice: bool,
+    /// What the last record continues into: `None` for a new partition,
+    /// the old continuation of the spliced chain for a stitch chain.
+    pub(crate) tail: Option<MetaRecordId>,
+}
+
+impl Run {
+    /// What [`write_runs`] plans the run from: the object page that names
+    /// it and its neighbor count.
+    pub(crate) fn shape(&self) -> (PageId, usize) {
+        (self.object_page, self.neighbors.len())
+    }
+}
+
+/// What [`write_runs`] wrote.
+#[derive(Debug)]
+pub(crate) struct RunLayout {
+    /// The new metadata pages in allocation order, each keyed by the union
+    /// of its records' page MBRs — the seed tree's key (§V-B.2: "we index
+    /// each record R with R's page MBR as key").
+    pub(crate) leaves: Vec<ChildRef>,
+    /// Each run's head record: a new partition's primary, a stitch
+    /// chain's first record.
+    pub(crate) heads: Vec<MetaRecordId>,
+}
+
+/// The one metadata layout writer: lays out the runs `shapes` names, in
+/// order, on new pages and writes their records.
+///
+/// Planning needs each run's [`Run::shape`] alone — the chunk rule, then
+/// [`assign_slots`], then every page allocated in order — so every
+/// pointer has a known address before the first byte is written. The
+/// runs are then pulled from `runs` in the same order (a bulkload streams
+/// them out of its metadata sort, so only the planning tables are
+/// resident) and encoded page by page. A stream that ends early, runs
+/// long or yields a run other than the one its shape names is
+/// [`StorageError::Corrupt`].
+pub(crate) fn write_runs(
+    pool: &mut impl PageWrite,
+    shapes: &[(PageId, usize)],
+    mut runs: impl Iterator<Item = Result<Run, StorageError>>,
+) -> Result<RunLayout, StorageError> {
+    let mut first = Vec::with_capacity(shapes.len());
+    let mut counts = Vec::with_capacity(shapes.len());
+    for &(_, n) in shapes {
+        first.push(counts.len());
+        counts.extend(chunks(n).map(|chunk| chunk.len()));
+    }
+    let slots = assign_slots(&counts);
+    let pages = (0..slots.last().map_or(0, |&(seq, _)| seq + 1))
+        .map(|_| pool.alloc())
+        .collect::<Result<Vec<_>, _>>()?;
+    let address = |r: usize| MetaRecordId {
+        page: pages[slots[r].0],
+        slot: slots[r].1,
+    };
+    let heads: Vec<MetaRecordId> = first.iter().map(|&r| address(r)).collect();
+    let corrupt = |what: String| StorageError::Corrupt(format!("metadata run stream {what}"));
+
+    // Pull each run and encode its records page by page.
+    let mut page = Page::new();
+    let mut records: Vec<MetaRecord> = Vec::new();
+    let mut leaves = Vec::with_capacity(pages.len());
+    let mut mbr = Aabb::empty();
+    let mut r = 0;
+    for (j, &shape) in shapes.iter().enumerate() {
+        let run = runs
+            .next()
+            .ok_or_else(|| corrupt(format!("ended at run {j} of {}", shapes.len())))??;
+        if run.shape() != shape {
+            return Err(corrupt(format!(
+                "out of order at run {j}: {shape:?} planned, {:?} read",
+                run.shape()
+            )));
+        }
+        for chunk in chunks(shape.1) {
+            let neighbors = run.neighbors[chunk.clone()]
+                .iter()
+                .map(|link| match *link {
+                    Link::At(addr) => Ok(addr),
+                    Link::Run(k) => heads
+                        .get(k)
+                        .copied()
+                        .ok_or_else(|| corrupt(format!("links run {j} to run {k}"))),
+                })
+                .collect::<Result<_, _>>()?;
+            records.push(MetaRecord {
+                page_mbr: run.page_mbr,
+                partition_mbr: run.partition_mbr,
+                object_page: run.object_page,
+                neighbors,
+                continuation: if chunk.end == shape.1 {
+                    run.tail
+                } else {
+                    Some(address(r + 1))
+                },
+                is_continuation: run.splice || chunk.start > 0,
+                is_dead: false,
+            });
+            mbr.stretch_to_contain(&run.page_mbr);
+            r += 1;
+            // The page is complete once the next record lies beyond it.
+            if slots.get(r).is_none_or(|&(seq, _)| seq > leaves.len()) {
+                write_leaf(pool, pages[leaves.len()], &records, &mut page)?;
+                records.clear();
+                let mbr = std::mem::replace(&mut mbr, Aabb::empty());
+                leaves.push(ChildRef {
+                    mbr,
+                    page: pages[leaves.len()],
+                });
+            }
+        }
+    }
+    if runs.next().is_some() {
+        return Err(corrupt(format!("longer than its {} runs", shapes.len())));
+    }
+    Ok(RunLayout { leaves, heads })
+}
+
+/// An in-place edit of a written record (see [`edit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Edit {
+    /// Continues the record into this stitch chain head, whose chain
+    /// already ends in the record's old continuation ([`Run::tail`]).
+    Splice(MetaRecordId),
+    /// Removes this link from whichever record of the chain holds it.
+    Prune(MetaRecordId),
+    /// Flags the record dead and drops its links and its chain.
+    Retire,
+}
+
+/// The one metadata page editor: applies `edit` to the chain headed by
+/// `record`, re-encoding the edited page with the same record count (so
+/// every record keeps its address; no edit grows a record, so the page
+/// still fits). A slot the page does not hold, or a pruned link the chain
+/// does not hold, is [`StorageError::Corrupt`].
+pub(crate) fn edit<P: PageRead + PageWrite>(
+    pool: &mut P,
+    record: MetaRecordId,
+    edit: Edit,
+) -> Result<(), StorageError> {
+    let mut addr = record;
+    if let Edit::Prune(target) = edit {
+        // A prune edits whichever record of the chain holds the link.
+        loop {
+            let chunk = MetaView::new(pool.read_page(addr.page, PageKind::SeedLeaf)?, addr.slot)?;
+            if chunk.neighbors().any(|n| n == target) {
+                break;
+            }
+            // Links are symmetric: the caller found `record` in `target`'s
+            // chain, so `target` must appear in `record`'s. Running off the
+            // chain means the link graph lost symmetry — corruption a
+            // release build must surface rather than leave half-pruned.
+            addr = chunk.continuation.ok_or_else(|| {
+                StorageError::Corrupt(format!(
+                    "pruning link {target:?} from {record:?}: not present in the chain"
+                ))
+            })?;
+        }
+    }
+    let mut page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
+    let mut records = decode_meta_leaf(&page)?;
+    let held = records.len();
+    let Some(edited) = records.get_mut(addr.slot as usize) else {
+        return Err(StorageError::Corrupt(format!(
+            "editing slot {} of a metadata page that holds {held}",
+            addr.slot
+        )));
+    };
+    match edit {
+        Edit::Splice(head) => edited.continuation = Some(head),
+        Edit::Prune(target) => edited.neighbors.retain(|n| *n != target),
+        Edit::Retire => {
+            edited.neighbors.clear();
+            edited.continuation = None;
+            edited.is_dead = true;
+        }
+    }
+    write_leaf(pool, addr.page, &records, &mut page)
+}
+
+/// Encodes `records` onto metadata page `id` and writes it.
+fn write_leaf(
+    pool: &mut impl PageWrite,
+    id: PageId,
+    records: &[MetaRecord],
+    page: &mut Page,
+) -> Result<(), StorageError> {
+    encode_meta_leaf(records, page)?;
+    pool.write(id, page, PageKind::SeedLeaf)
+}
+
 fn put_mbr(page: &mut PageMut<'_>, offset: usize, mbr: &Aabb) {
     page.put_f64(offset, mbr.min.x);
     page.put_f64(offset + 8, mbr.min.y);
@@ -207,36 +409,40 @@ fn put_mbr(page: &mut PageMut<'_>, offset: usize, mbr: &Aabb) {
     page.put_f64(offset + 40, mbr.max.z);
 }
 
+/// The 8 bytes at `at`.
+#[allow(clippy::expect_used)]
+fn eight_bytes(bytes: &[u8], at: usize) -> [u8; 8] {
+    // Proof: the slice is 8 long whenever the indexing succeeds, and every
+    // caller reads inside a range it checked against the page.
+    bytes[at..at + 8].try_into().expect("an 8-byte slice")
+}
+
 /// Reads an MBR from its 48 serialized bytes.
 fn mbr_at(mbr: &[u8]) -> Aabb {
-    let coord =
-        |i: usize| f64::from_le_bytes(mbr[i * 8..i * 8 + 8].try_into().expect("48-byte MBR"));
+    let coord = |i: usize| f64::from_le_bytes(eight_bytes(mbr, i * 8));
     Aabb {
         min: Point3::new(coord(0), coord(1), coord(2)),
         max: Point3::new(coord(3), coord(4), coord(5)),
     }
 }
 
-/// Serializes the records of one metadata page.
-///
-/// # Panics
-/// Panics if the records don't fit (callers size pages with
-/// [`assign_slots`]) or if `records` is empty.
-pub(crate) fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) {
-    assert!(
-        !records.is_empty(),
-        "metadata leaf must hold at least one record"
-    );
+/// Serializes the records of one metadata page. An empty list, or records
+/// that do not fit one page ([`write_runs`] sizes pages with
+/// [`assign_slots`]), are [`StorageError::Corrupt`].
+fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) -> Result<(), StorageError> {
     let dir_size = records.len() * DIR_ENTRY;
     let total: usize = records
         .iter()
         .map(|r| record_size(r.neighbors.len()))
         .sum::<usize>()
         + dir_size;
-    assert!(
-        total <= meta_page_budget(),
-        "metadata records overflow the page: {total} bytes"
-    );
+    if records.is_empty() || total > meta_page_budget() {
+        return Err(StorageError::Corrupt(format!(
+            "{} metadata records of {total} bytes do not fill one page of {}",
+            records.len(),
+            meta_page_budget()
+        )));
+    }
 
     page.clear();
     let mut page = page.edit();
@@ -248,11 +454,6 @@ pub(crate) fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) {
         put_mbr(&mut page, offset, &record.page_mbr);
         put_mbr(&mut page, offset + 48, &record.partition_mbr);
         page.put_u64(offset + 96, record.object_page.0);
-        assert!(
-            record.neighbors.len() <= COUNT_MASK as usize,
-            "neighbor count {} exceeds the count-word mask",
-            record.neighbors.len()
-        );
         let mut flags = 0u16;
         if record.is_continuation {
             flags |= FLAG_CONTINUATION;
@@ -279,6 +480,7 @@ pub(crate) fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) {
         }
         offset = n_off;
     }
+    Ok(())
 }
 
 /// Number of records on a metadata page.
@@ -341,8 +543,7 @@ impl MetaView {
             )));
         };
         let u16_at = |at: usize| u16::from_le_bytes([fixed[at], fixed[at + 1]]);
-        let u64_at =
-            |at: usize| u64::from_le_bytes(fixed[at..at + 8].try_into().expect("8-byte range"));
+        let u64_at = |at: usize| u64::from_le_bytes(eight_bytes(fixed, at));
         let count_word = u16_at(104);
         let n = (count_word & COUNT_MASK) as usize;
         let neighbors_start = offset + RECORD_FIXED;
@@ -377,9 +578,7 @@ impl MetaView {
         self.page.bytes()[self.neighbors_start..self.neighbors_end]
             .chunks_exact(NEIGHBOR_SIZE)
             .map(|pointer| MetaRecordId {
-                page: PageId(u64::from_le_bytes(
-                    pointer[..8].try_into().expect("10-byte pointer"),
-                )),
+                page: PageId(u64::from_le_bytes(eight_bytes(pointer, 0))),
                 slot: u16::from_le_bytes([pointer[8], pointer[9]]),
             })
     }
@@ -412,8 +611,15 @@ pub(crate) fn decode_meta_leaf(page: &Page) -> Result<Vec<MetaRecord>, StorageEr
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
+    use flat_storage::{ConcurrentBufferPool, MemStore, PageStore};
 
     fn sample_record(seed: u64, neighbors: usize) -> MetaRecord {
         let base = seed as f64;
@@ -439,7 +645,7 @@ mod tests {
             .map(|i| sample_record(i, 3 + i as usize * 2))
             .collect();
         let mut page = Page::new();
-        encode_meta_leaf(&records, &mut page);
+        encode_meta_leaf(&records, &mut page).unwrap();
         assert_eq!(meta_leaf_len(&page).unwrap(), 5);
         for (slot, expected) in records.iter().enumerate() {
             let got = decode_meta_record(&page, slot as u16).unwrap();
@@ -456,7 +662,7 @@ mod tests {
             slot: 9,
         });
         let mut page = Page::new();
-        encode_meta_leaf(std::slice::from_ref(&record), &mut page);
+        encode_meta_leaf(std::slice::from_ref(&record), &mut page).unwrap();
         assert_eq!(decode_meta_record(&page, 0).unwrap(), record);
     }
 
@@ -465,7 +671,7 @@ mod tests {
         let mut record = sample_record(4, 17);
         record.is_continuation = true;
         let mut page = Page::new();
-        encode_meta_leaf(std::slice::from_ref(&record), &mut page);
+        encode_meta_leaf(std::slice::from_ref(&record), &mut page).unwrap();
         let got = decode_meta_record(&page, 0).unwrap();
         assert!(got.is_continuation);
         assert_eq!(
@@ -481,7 +687,7 @@ mod tests {
         let mut record = sample_record(5, 9);
         record.is_dead = true;
         let mut page = Page::new();
-        encode_meta_leaf(std::slice::from_ref(&record), &mut page);
+        encode_meta_leaf(std::slice::from_ref(&record), &mut page).unwrap();
         let got = decode_meta_record(&page, 0).unwrap();
         assert!(got.is_dead);
         assert!(!got.is_continuation);
@@ -489,7 +695,7 @@ mod tests {
         assert_eq!(got, record);
 
         record.is_continuation = true;
-        encode_meta_leaf(std::slice::from_ref(&record), &mut page);
+        encode_meta_leaf(std::slice::from_ref(&record), &mut page).unwrap();
         let got = decode_meta_record(&page, 0).unwrap();
         assert!(got.is_dead && got.is_continuation);
         assert_eq!(got, record);
@@ -499,7 +705,7 @@ mod tests {
     fn record_with_no_neighbors_roundtrips() {
         let record = sample_record(7, 0);
         let mut page = Page::new();
-        encode_meta_leaf(std::slice::from_ref(&record), &mut page);
+        encode_meta_leaf(std::slice::from_ref(&record), &mut page).unwrap();
         assert_eq!(decode_meta_record(&page, 0).unwrap(), record);
     }
 
@@ -514,79 +720,44 @@ mod tests {
             .map(|i| sample_record(i, n_neighbors))
             .collect();
         let mut page = Page::new();
-        encode_meta_leaf(&records, &mut page); // must not panic
+        encode_meta_leaf(&records, &mut page).unwrap();
         assert_eq!(decode_meta_leaf(&page).unwrap().len(), fit);
     }
 
     #[test]
-    #[should_panic(expected = "overflow the page")]
-    fn overflow_is_rejected() {
+    fn overflow_is_corrupt() {
         let records: Vec<MetaRecord> = (0..40).map(|i| sample_record(i, 30)).collect();
-        encode_meta_leaf(&records, &mut Page::new());
+        let err = encode_meta_leaf(&records, &mut Page::new()).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        assert!(is_corrupt(encode_meta_leaf(&[], &mut Page::new())));
     }
 
     #[test]
-    fn plan_records_without_overflow_is_one_to_one() {
-        let counts = vec![3usize, 0, 30, 7];
-        let plan = plan_records(&counts);
-        assert_eq!(plan.len(), 4);
-        for (i, p) in plan.iter().enumerate() {
-            assert_eq!(p.partition, i);
-            assert_eq!(p.start, 0);
-            assert_eq!(p.len, counts[i]);
-            assert!(p.primary);
+    fn short_lists_are_one_record() {
+        for n in [0, 3, 30, max_neighbors_per_record()] {
+            assert_eq!(chunks(n).collect::<Vec<_>>(), vec![0..n]);
         }
     }
 
     #[test]
-    fn plan_records_chunks_huge_neighbor_lists() {
+    fn huge_lists_are_chunked() {
         let max = max_neighbors_per_record();
-        let counts = vec![max * 2 + 5, 3];
-        let plan = plan_records(&counts);
-        assert_eq!(plan.len(), 4, "3 chunks for the giant + 1 normal");
+        let n = max * 2 + 5;
         assert_eq!(
-            plan[0],
-            PlannedRecord {
-                partition: 0,
-                start: 0,
-                len: max,
-                primary: true
-            }
+            chunks(n).collect::<Vec<_>>(),
+            vec![0..max, max..2 * max, 2 * max..n]
         );
-        assert_eq!(
-            plan[1],
-            PlannedRecord {
-                partition: 0,
-                start: max,
-                len: max,
-                primary: false
-            }
-        );
-        assert_eq!(
-            plan[2],
-            PlannedRecord {
-                partition: 0,
-                start: 2 * max,
-                len: 5,
-                primary: false
-            }
-        );
-        assert!(plan[3].primary);
-        // Chunks cover the whole list exactly once.
-        let covered: usize = plan
-            .iter()
-            .filter(|p| p.partition == 0)
-            .map(|p| p.len)
-            .sum();
-        assert_eq!(covered, counts[0]);
+        assert_eq!(chunks(2 * max).count(), 2);
     }
 
     #[test]
     fn assign_slots_respects_budget_and_order() {
-        let counts: Vec<usize> = (0..100).map(|i| (i * 7) % 40).collect();
-        let plan = plan_records(&counts);
-        let assignment = assign_slots(&plan);
-        assert_eq!(assignment.len(), plan.len());
+        let counts: Vec<usize> = (0..100)
+            .flat_map(|i| chunks((i * 97) % 900))
+            .map(|chunk| chunk.len())
+            .collect();
+        let assignment = assign_slots(&counts);
+        assert_eq!(assignment.len(), counts.len());
         // Slots increase within a page; pages increase monotonically.
         for w in assignment.windows(2) {
             let (p0, s0) = w[0];
@@ -596,7 +767,7 @@ mod tests {
         // Per-page sizes stay within budget.
         let mut per_page: std::collections::HashMap<usize, usize> = Default::default();
         for (i, (p, _)) in assignment.iter().enumerate() {
-            *per_page.entry(*p).or_default() += record_size(plan[i].len) + DIR_ENTRY;
+            *per_page.entry(*p).or_default() += record_size(counts[i]) + DIR_ENTRY;
         }
         for (page, used) in per_page {
             assert!(
@@ -609,10 +780,9 @@ mod tests {
     #[test]
     fn assign_slots_packs_densely() {
         // Uniform records: every page except the last must be full.
-        let counts = vec![30usize; 100];
         let per = record_size(30) + DIR_ENTRY;
         let per_page = meta_page_budget() / per;
-        let assignment = assign_slots(&plan_records(&counts));
+        let assignment = assign_slots(&[30; 100]);
         let last_page = assignment.last().unwrap().0;
         assert_eq!(last_page, (100 - 1) / per_page);
     }
@@ -620,11 +790,207 @@ mod tests {
     #[test]
     fn giant_records_get_their_own_pages() {
         let max = max_neighbors_per_record();
-        let counts = vec![max, max, 3];
-        let plan = plan_records(&counts);
-        let assignment = assign_slots(&plan);
+        let assignment = assign_slots(&[max, max, 3]);
         // Two max-size records cannot share a page.
         assert_ne!(assignment[0].0, assignment[1].0);
+    }
+
+    /// A new partition's run.
+    fn run(object_page: u64, neighbors: Vec<Link>) -> Run {
+        let base = object_page as f64;
+        Run {
+            page_mbr: Aabb::cube(Point3::splat(base), 1.0),
+            partition_mbr: Aabb::cube(Point3::splat(base), 2.0),
+            object_page: PageId(object_page),
+            neighbors,
+            splice: false,
+            tail: None,
+        }
+    }
+
+    /// A stitch chain ending in `tail`.
+    fn stitch(object_page: u64, neighbors: Vec<Link>, tail: Option<MetaRecordId>) -> Run {
+        Run {
+            splice: true,
+            tail,
+            ..run(object_page, neighbors)
+        }
+    }
+
+    fn write(
+        pool: &mut ConcurrentBufferPool<MemStore>,
+        runs: Vec<Run>,
+    ) -> Result<RunLayout, StorageError> {
+        let shapes: Vec<_> = runs.iter().map(Run::shape).collect();
+        write_runs(pool, &shapes, runs.into_iter().map(Ok))
+    }
+
+    fn read(pool: &ConcurrentBufferPool<MemStore>, addr: MetaRecordId) -> MetaRecord {
+        let page = pool.read_page(addr.page, PageKind::SeedLeaf).unwrap();
+        decode_meta_record(&page, addr.slot).unwrap()
+    }
+
+    /// Every link of the chain headed by `head`, and whether each record
+    /// after the head is a continuation.
+    fn chain_links(pool: &ConcurrentBufferPool<MemStore>, head: MetaRecordId) -> Vec<MetaRecordId> {
+        let mut links = Vec::new();
+        let mut at = Some(head);
+        while let Some(addr) = at {
+            let record = read(pool, addr);
+            assert!(addr == head || record.is_continuation);
+            links.extend(record.neighbors);
+            at = record.continuation;
+        }
+        links
+    }
+
+    #[test]
+    fn the_writer_chains_chunks_and_resolves_links() {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 64);
+        let max = max_neighbors_per_record();
+        let outside = MetaRecordId {
+            page: PageId(900),
+            slot: 4,
+        };
+        let tail = MetaRecordId {
+            page: PageId(901),
+            slot: 2,
+        };
+        let wide: Vec<Link> = (0..max + 7)
+            .map(|i| {
+                Link::At(MetaRecordId {
+                    page: PageId(1000 + i as u64),
+                    slot: 1,
+                })
+            })
+            .collect();
+        let layout = write(
+            &mut pool,
+            vec![
+                run(1, vec![Link::Run(1), Link::At(outside)]),
+                run(2, vec![Link::Run(0)]),
+                stitch(3, wide.clone(), Some(tail)),
+                run(4, Vec::new()),
+            ],
+        )
+        .unwrap();
+        assert_eq!(layout.heads.len(), 4);
+        assert_eq!(pool.store().num_pages(), layout.leaves.len() as u64);
+        let (a, b) = (read(&pool, layout.heads[0]), read(&pool, layout.heads[1]));
+        assert_eq!(a.neighbors, vec![layout.heads[1], outside]);
+        assert_eq!(b.neighbors, vec![layout.heads[0]]);
+        assert!(!a.is_continuation && a.continuation.is_none());
+        // The stitch chain: two continuation chunks ending in the tail.
+        let head = read(&pool, layout.heads[2]);
+        assert!(head.is_continuation);
+        assert_eq!(head.neighbors.len(), max);
+        let second = read(&pool, head.continuation.unwrap());
+        assert_eq!(
+            (second.neighbors.len(), second.continuation),
+            (7, Some(tail))
+        );
+        let resolved: Vec<MetaRecordId> =
+            head.neighbors.into_iter().chain(second.neighbors).collect();
+        let expected: Vec<MetaRecordId> = wide
+            .iter()
+            .map(|link| match *link {
+                Link::At(addr) => addr,
+                Link::Run(_) => unreachable!(),
+            })
+            .collect();
+        assert_eq!(resolved, expected);
+        let empty = read(&pool, layout.heads[3]);
+        assert!(empty.neighbors.is_empty() && !empty.is_continuation);
+        // Each page's MBR covers its records' page MBRs.
+        for (i, head) in layout.heads.iter().enumerate() {
+            let leaf = layout
+                .leaves
+                .iter()
+                .find(|leaf| leaf.page == head.page)
+                .unwrap();
+            assert!(leaf.mbr.contains(&read(&pool, *head).page_mbr), "run {i}");
+        }
+    }
+
+    #[test]
+    fn an_empty_layout_writes_nothing() {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
+        let layout = write(&mut pool, Vec::new()).unwrap();
+        assert!(layout.leaves.is_empty() && layout.heads.is_empty());
+        assert_eq!(pool.store().num_pages(), 0);
+    }
+
+    #[test]
+    fn a_short_stream_is_corrupt() {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
+        let runs = [run(1, Vec::new()), run(2, Vec::new())];
+        let shapes: Vec<_> = runs.iter().map(Run::shape).collect();
+        let short = runs[..1].iter().cloned().map(Ok);
+        assert!(is_corrupt(write_runs(&mut pool, &shapes, short)));
+    }
+
+    #[test]
+    fn an_out_of_order_stream_is_corrupt() {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
+        let runs = [run(1, Vec::new()), run(2, Vec::new())];
+        let shapes: Vec<_> = runs.iter().map(Run::shape).collect();
+        let swapped = runs.iter().rev().cloned().map(Ok);
+        assert!(is_corrupt(write_runs(&mut pool, &shapes, swapped)));
+    }
+
+    #[test]
+    fn a_long_stream_or_a_link_past_the_layout_is_corrupt() {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
+        let one = run(1, Vec::new());
+        let long = [one.clone(), run(2, Vec::new())].into_iter().map(Ok);
+        assert!(is_corrupt(write_runs(&mut pool, &[one.shape()], long)));
+        let dangling = run(1, vec![Link::Run(1)]);
+        assert!(is_corrupt(write(&mut pool, vec![dangling])));
+    }
+
+    #[test]
+    fn the_editor_splices_prunes_and_retires() {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 64);
+        let layout = write(
+            &mut pool,
+            vec![
+                run(1, vec![Link::Run(1), Link::Run(2)]),
+                run(2, vec![Link::Run(0)]),
+                run(3, vec![Link::Run(0)]),
+            ],
+        )
+        .unwrap();
+        let [a, b, c] = [layout.heads[0], layout.heads[1], layout.heads[2]];
+        // Stitch a chain in front of `a`'s (empty) continuation.
+        let old = read(&pool, a).continuation;
+        let stitch = write(&mut pool, vec![stitch(1, vec![Link::At(c)], old)]).unwrap();
+        edit(&mut pool, a, Edit::Splice(stitch.heads[0])).unwrap();
+        assert_eq!(chain_links(&pool, a), vec![b, c, c]);
+        // Pruning finds the link wherever the chain holds it.
+        edit(&mut pool, a, Edit::Prune(b)).unwrap();
+        assert_eq!(chain_links(&pool, a), vec![c, c]);
+        assert!(is_corrupt(edit(&mut pool, a, Edit::Prune(b))));
+        // Retiring keeps the slot and every page-mate.
+        edit(&mut pool, b, Edit::Retire).unwrap();
+        let dead = read(&pool, b);
+        assert!(dead.is_dead && dead.neighbors.is_empty() && dead.continuation.is_none());
+        assert_eq!(read(&pool, c).neighbors, vec![a]);
+    }
+
+    #[test]
+    fn editing_a_slot_past_the_page_is_corrupt() {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
+        let layout = write(&mut pool, vec![run(1, Vec::new())]).unwrap();
+        let past = MetaRecordId {
+            page: layout.heads[0].page,
+            slot: 1,
+        };
+        assert!(is_corrupt(edit(&mut pool, past, Edit::Retire)));
+        assert!(is_corrupt(edit(
+            &mut pool,
+            past,
+            Edit::Splice(layout.heads[0])
+        )));
     }
 
     #[test]
@@ -637,7 +1003,7 @@ mod tests {
     #[test]
     fn decode_rejects_out_of_range_slot() {
         let mut page = Page::new();
-        encode_meta_leaf(&[sample_record(1, 2)], &mut page);
+        encode_meta_leaf(&[sample_record(1, 2)], &mut page).unwrap();
         assert!(decode_meta_record(&page, 1).is_err());
     }
 
@@ -646,7 +1012,7 @@ mod tests {
         // ~70 pointers (the Fig 20 tail) still fits comfortably.
         let record = sample_record(1, 70);
         let mut page = Page::new();
-        encode_meta_leaf(std::slice::from_ref(&record), &mut page);
+        encode_meta_leaf(std::slice::from_ref(&record), &mut page).unwrap();
         let got = decode_meta_record(&page, 0).unwrap();
         assert_eq!(got.neighbors.len(), 70);
         assert_eq!(got, record);
@@ -700,7 +1066,7 @@ mod tests {
             };
             for on_page in pages {
                 let mut page = Page::new();
-                encode_meta_leaf(on_page, &mut page);
+                encode_meta_leaf(on_page, &mut page).unwrap();
                 for (slot, expected) in on_page.iter().enumerate() {
                     assert_view_matches(&page, slot as u16, expected);
                 }
@@ -711,7 +1077,7 @@ mod tests {
     /// A one-record page whose record starts at the returned offset.
     fn one_record_page(neighbors: usize) -> (Page, usize) {
         let mut page = Page::new();
-        encode_meta_leaf(&[sample_record(2, neighbors)], &mut page);
+        encode_meta_leaf(&[sample_record(2, neighbors)], &mut page).unwrap();
         let offset = page.get_u16(HEADER_SIZE) as usize;
         (page, offset)
     }

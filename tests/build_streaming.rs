@@ -3,9 +3,12 @@
 //! index — same page ids, same page bytes — on the paper's dataset
 //! families, and both must hit the page digests recorded below. The built
 //! indexes must also answer queries identically, which pins the
-//! equivalence end to end.
+//! equivalence end to end. A fixed script of inserts and deletes over a
+//! bulkload is pinned to a recorded digest too.
 
-use flat_repro::core::meta::max_neighbors_per_record;
+use flat_repro::core::meta::{
+    decode_meta_record, max_neighbors_per_record, meta_leaf_len, MetaRecord,
+};
 use flat_repro::core::MetaOrder;
 use flat_repro::prelude::*;
 
@@ -170,15 +173,38 @@ fn meta_order_and_inflation_options_stay_bit_identical() {
 
 /// FNV-1a-64 over the store's page count and every page's bytes, in page-id
 /// order.
+/// Freed pages cannot be read: their ids are hashed after the allocated
+/// pages instead (nothing, for a store that never freed a page).
 fn store_digest(pool: &ConcurrentBufferPool<MemStore>) -> u64 {
-    let pages = pages_of(pool);
-    let count = (pages.len() as u64).to_le_bytes();
-    count
-        .iter()
-        .chain(pages.iter().flatten())
-        .fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
-            (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    let mut bytes = pool.store().num_pages().to_le_bytes().to_vec();
+    for page in allocated_pages(pool) {
+        bytes.extend_from_slice(page.bytes());
+    }
+    bytes.extend(
+        pool.store()
+            .free_pages()
+            .iter()
+            .flat_map(|id| id.0.to_le_bytes()),
+    );
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every page of the pool's store that is not on the free list, in
+/// page-id order.
+fn allocated_pages(pool: &ConcurrentBufferPool<MemStore>) -> Vec<Page> {
+    let store = pool.store();
+    let free = store.free_pages();
+    (0..store.num_pages())
+        .map(PageId)
+        .filter(|id| !free.contains(id))
+        .map(|id| {
+            let mut page = Page::new();
+            store.read_page(id, &mut page).unwrap();
+            page
         })
+        .collect()
 }
 
 /// `n` cubes with centers uniform in `[0, 100)³` and sides in
@@ -395,5 +421,100 @@ fn compaction_writes_the_pages_of_a_fresh_build() {
         0x1ff1_83e7_b61f_a3df,
         "fresh build over the survivors: {:#018x}",
         store_digest(&fresh)
+    );
+}
+
+// ---------------------------------------------------------------------
+// Golden delta layout
+// ---------------------------------------------------------------------
+
+/// Every metadata record on an allocated page of the store.
+fn stored_records(pool: &ConcurrentBufferPool<MemStore>) -> Vec<MetaRecord> {
+    let mut records = Vec::new();
+    for page in allocated_pages(pool) {
+        if let Ok(count) = meta_leaf_len(&page) {
+            records.extend((0..count as u16).map(|slot| decode_meta_record(&page, slot).unwrap()));
+        }
+    }
+    records
+}
+
+/// The byte reference of the update path: two insert batches over a
+/// bulkload, the first wide enough that stitch lists overflow one record,
+/// then deletes that retire partitions, so clique chunks are written and
+/// freed pages are reused. Recorded at commit ddda537.
+#[test]
+fn updates_write_the_recorded_pages() {
+    let options = FlatOptions {
+        partition_volume_scale: 1.5,
+        ..with_ids()
+    };
+    // Two elements spanning the data stretch their partitions over every
+    // partition of a batch.
+    let mut base = cloud(6_000, 41);
+    base.push(Entry::new(
+        90_000,
+        Aabb::new(Point3::splat(1.0), Point3::splat(99.0)),
+    ));
+    base.push(Entry::new(
+        90_001,
+        Aabb::new(Point3::splat(2.0), Point3::splat(98.0)),
+    ));
+    let batch = |n: usize, seed: u64, first_id: u64| -> Vec<Entry> {
+        cloud(n, seed)
+            .into_iter()
+            .map(|e| Entry::new(e.id + first_id, e.mbr))
+            .collect()
+    };
+
+    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
+    let (index, _) = FlatIndex::build(&mut pool, base, options).unwrap();
+    let base_objects = index.num_object_pages();
+    let mut delta = DeltaIndex::new(&pool, index, options).unwrap();
+    delta
+        .insert_batch(&mut pool, batch(32_000, 42, 100_000))
+        .unwrap();
+    // A stitch chain of a bulkloaded partition holds a full chunk.
+    assert!(
+        stored_records(&pool).iter().any(|r| r.is_continuation
+            && r.object_page.0 < base_objects
+            && r.neighbors.len() == max_neighbors_per_record()),
+        "no stitch list overflowed one record"
+    );
+    delta
+        .insert_batch(&mut pool, batch(3_000, 43, 200_000))
+        .unwrap();
+
+    let (pages, metas, live) = (
+        pool.store().num_pages(),
+        delta.num_meta_pages(),
+        delta.num_live_partitions(),
+    );
+    let doomed: Vec<u64> = cloud(6_000, 41)
+        .into_iter()
+        .chain(batch(32_000, 42, 100_000))
+        .chain(batch(3_000, 43, 200_000))
+        .filter(|e| e.mbr.center().x < 15.0)
+        .map(|e| e.id)
+        .collect();
+    delta.delete_batch(&mut pool, &doomed).unwrap();
+    let retired = live - delta.num_live_partitions();
+    let clique_pages = delta.num_meta_pages() - metas;
+    assert!(
+        retired > 1 && clique_pages > 0,
+        "{retired} retired, {clique_pages} clique pages"
+    );
+    assert!(
+        pool.store().num_pages() - pages < clique_pages,
+        "clique chunks must reuse freed object pages"
+    );
+    delta
+        .check_invariants(&pool, &pool.store().free_pages())
+        .unwrap();
+    assert_eq!(
+        store_digest(&pool),
+        0x903d_0384_04d2_3807,
+        "updates wrote {:#018x}",
+        store_digest(&pool)
     );
 }
