@@ -476,26 +476,13 @@ impl IndexRef<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::tests::random_entries;
     use crate::index::{FlatIndex, FlatOptions};
     use flat_geom::Aabb;
     use flat_rtree::{BulkLoad, Entry, RTreeConfig};
     use flat_storage::{ConcurrentBufferPool, MemStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn random_entries(n: usize, seed: u64) -> Vec<Entry> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|i| {
-                let c = Point3::new(
-                    rng.gen_range(0.0..100.0),
-                    rng.gen_range(0.0..100.0),
-                    rng.gen_range(0.0..100.0),
-                );
-                Entry::new(i as u64, Aabb::cube(c, rng.gen_range(0.05..0.5)))
-            })
-            .collect()
-    }
 
     fn build(n: usize, seed: u64) -> (ConcurrentBufferPool<MemStore>, FlatIndex, Vec<Entry>) {
         let entries = random_entries(n, seed);

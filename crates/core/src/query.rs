@@ -672,26 +672,13 @@ impl CrawlState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::tests::random_entries;
     use crate::index::{FlatIndex, FlatOptions};
     use flat_geom::Point3;
     use flat_rtree::Entry;
     use flat_storage::{ConcurrentBufferPool, MemStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn random_entries(n: usize, seed: u64) -> Vec<Entry> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|i| {
-                let c = Point3::new(
-                    rng.gen_range(0.0..100.0),
-                    rng.gen_range(0.0..100.0),
-                    rng.gen_range(0.0..100.0),
-                );
-                Entry::new(i as u64, Aabb::cube(c, rng.gen_range(0.05..0.5)))
-            })
-            .collect()
-    }
 
     fn brute_force(entries: &[Entry], q: &Aabb) -> Vec<Aabb> {
         let mut v: Vec<Aabb> = entries

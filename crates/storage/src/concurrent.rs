@@ -1,6 +1,7 @@
 //! The one page cache: a lock-sharded LRU over a [`PageStore`] with atomic
-//! [`IoStats`] and an optional pool of I/O workers. Every build, query,
-//! baseline and test in the workspace runs over it.
+//! [`IoStats`], one submission queue for misses and an optional pool of I/O
+//! workers. Every build, query, baseline and test in the workspace runs
+//! over it.
 //!
 //! The paper's workloads (§III) are many independent range queries against
 //! one index, and its serving story (§VII-E) is many query streams against
@@ -12,67 +13,71 @@
 //! exclusively). `N` reader threads only contend when they touch pages of
 //! the same shard at the same moment.
 //!
-//! A hit is the same whatever the configuration: lock the shard, look the
-//! page up, hand out a clone of its [`Page`] — a reference to the cached
-//! buffer, not a copy of it. Nothing ever writes a cached buffer in place:
-//! writes and installs replace the slot's page, and `Page` is
-//! copy-on-write, so a handle already out keeps its bytes. Only a **miss**
-//! differs, and the number of I/O workers ([`SchedulerConfig::workers`])
-//! decides how:
+//! A hit locks the shard, looks the page up and hands out a clone of its
+//! [`Page`] — a reference to the cached buffer, not a copy of it. Nothing
+//! ever writes a cached buffer in place: writes and installs replace the
+//! slot's page, and `Page` is copy-on-write, so a handle already out keeps
+//! its bytes. A **miss** has one path, whatever the number of I/O workers
+//! ([`SchedulerConfig::workers`]): it becomes a request in a central
+//! submission queue, serviced against the store by the workers and by the
+//! readers waiting on it. A cache without workers
+//! ([`ConcurrentBufferPool::new`]) runs the same code with no thread
+//! spawned: each miss is fetched by a waiting reader.
 //!
-//! * **No workers** ([`ConcurrentBufferPool::new`]): the caller fetches the
-//!   page itself, holding the page's shard lock. Misses serialize within
-//!   one shard only, a page is fetched once even when several threads miss
-//!   on it together, and no shared-borrow install of the same page can slip
-//!   in between the fetch and the cache insert. Nothing is ever queued, so
-//!   [`PageRead::want_pages`] is a no-op and exclusive writes have nothing
-//!   to quiesce.
-//! * **One or more workers** ([`ConcurrentBufferPool::with_config`]): a
-//!   miss goes through a central submission queue that the workers service
-//!   against the store.
-//!   * **No reader sleeps beside a queued fetch** — until its own request
-//!     completes, a reader takes the oldest queued request (its own or
-//!     anybody's) and services it on its own thread, exactly as a worker
-//!     would. It sleeps only once the queue is empty, when whatever it
-//!     waits for is already on the device. So a miss costs no thread
-//!     hand-off while work is queued, and the workers plus every waiting
-//!     reader fetch side by side. Requests are claimed oldest first, never
-//!     by page id, so each is serviced exactly once.
-//!   * **Request coalescing** — duplicate in-flight reads of one page
-//!     resolve with a single device fetch whose result fans out to every
-//!     waiter (tracked in [`SchedulerStats::demand_coalesced`]). Only pages
-//!     fan out: a reader that joined somebody else's fetch and sees it fail
-//!     makes one attempt of its own, so the error a caller gets always
-//!     comes from a device access made for that call — not from an
-//!     announcement's fetch that ran before the call was even issued.
-//!   * **Announced demand reads** — a demand read is two halves, *submit*
-//!     and *await*. [`PageRead::read_page`] does both;
-//!     [`PageRead::want_pages`] does only the first, for a batch of pages
-//!     the caller is certain to read next. An announced page that is
-//!     neither cached nor in flight becomes an ordinary request with no
-//!     waiter yet — same queue, same counters
-//!     ([`SchedulerStats::demand_submitted`], the kind's `physical_reads`),
-//!     never dropped — and the caller's later `read_page` finds it cached
-//!     or coalesces onto it. This is how one query keeps the device queue
-//!     full: a crawl announces a wave's object pages together with the
-//!     next wave's metadata pages, the workers (and the crawl's own thread)
-//!     fetch them side by side, and the wave waits for one overlapped
-//!     round trip instead of one per page.
-//!   * **Coherence without the shard lock** — a fetch runs outside every
-//!     shard lock, so a shared-borrow write of the same page
-//!     ([`ConcurrentBufferPool::install_cached`] /
-//!     [`ConcurrentBufferPool::drop_cached`]) marks the in-flight request
-//!     stale and bumps a write stamp: the fetch does not cache bytes that
-//!     may predate the write, and later reads do not coalesce onto them.
-//!     Exclusive writes ([`PageWrite`]) quiesce the queue first.
-//!   * **Graceful shutdown** — dropping the cache *drains every queued and
-//!     in-flight read* (announced ones included) before the workers exit,
-//!     so no reader ever observes a torn or abandoned request.
+//! * **No reader sleeps beside a queued fetch** — until its own request
+//!   completes, a reader takes the oldest queued request (its own or
+//!   anybody's) and services it on its own thread, exactly as a worker
+//!   would. It sleeps only once the queue is empty, when whatever it waits
+//!   for is already on the device. So a miss costs no thread hand-off
+//!   while work is queued, and the workers plus every waiting reader fetch
+//!   side by side. Requests are claimed oldest first, never by page id, so
+//!   each is serviced exactly once.
+//! * **One fetch per page** — duplicate in-flight reads of one page
+//!   resolve with a single device fetch whose result fans out to every
+//!   waiter (tracked in [`SchedulerStats::demand_coalesced`]). A read that
+//!   finds no fetch in flight looks in the cache again under the queue lock
+//!   before it submits one; a fetch caches its page before it leaves the
+//!   in-flight table, so the second look catches a fetch that landed since
+//!   the first. Only pages fan out: a reader that joined somebody else's
+//!   fetch and sees it fail makes one attempt of its own, so the error a
+//!   caller gets always comes from a device access made for that call —
+//!   not from an announcement's fetch that ran before the call was even
+//!   issued.
+//! * **Announced demand reads** — a demand read is two halves, *submit*
+//!   and *await*. [`PageRead::read_page`] does both;
+//!   [`PageRead::want_pages`] does only the first, for a batch of pages the
+//!   caller is certain to read next. An announced page that is neither
+//!   cached nor in flight becomes an ordinary request with no waiter yet —
+//!   same queue, same counters ([`SchedulerStats::demand_submitted`], the
+//!   kind's `physical_reads`), never dropped — and the caller's later
+//!   `read_page` finds it cached or coalesces onto it. This is how one
+//!   query keeps the device queue full: a crawl announces a wave's object
+//!   pages together with the next wave's metadata pages, the workers (and
+//!   the crawl's own thread) fetch them side by side, and the wave waits
+//!   for one overlapped round trip instead of one per page. Without
+//!   workers an announcement is a no-op: nobody would fetch the pages
+//!   before the reads that wait for them.
+//! * **One coherence rule** — a fetch runs outside every shard lock, so
+//!   every write of a page ([`PageWrite::write`] / [`PageWrite::free`], and
+//!   the shared-borrow [`ConcurrentBufferPool::install_cached`] /
+//!   [`ConcurrentBufferPool::drop_cached`]) first marks the page's
+//!   in-flight request stale: a stale fetch is never cached, and later
+//!   reads do not coalesce onto it.
+//! * **Graceful shutdown** — dropping the cache *drains every queued and
+//!   in-flight read* (announced ones included) before the workers exit, so
+//!   no reader ever observes a torn or abandoned request.
 //!
 //! There is one queue. Every request in it is a read some caller is going
 //! to wait for (bar the few object pages a kNN wave announces and its own
 //! scans then rule out, [`PageRead::want_pages`]), so nothing is ever
 //! dropped, reprioritized or accounted as waste.
+
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 
 use crate::pool::{AtomicIoStats, CacheState};
 use crate::sync_util::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
@@ -93,8 +98,8 @@ pub struct SchedulerConfig {
     /// fetch beside every reader that is waiting on a miss, since such a
     /// reader services queued requests itself until its own completes, so
     /// the device sees up to `workers` plus the waiting readers at once.
-    /// `0` fetches every miss on the calling thread instead, under the
-    /// page's shard lock, and queues nothing.
+    /// `0` spawns no thread: each miss is fetched, through the same queue,
+    /// by a reader waiting on it, and announcements are ignored.
     ///
     /// The default is 8, the queue depth of the device model the serving
     /// stack is measured on (`ThrottledStore::with_parallelism(.., 8)`).
@@ -112,8 +117,9 @@ impl Default for SchedulerConfig {
 }
 
 /// Counters describing what the submission queue did — snapshot type,
-/// taken with [`ConcurrentBufferPool::scheduler_stats`]. All zero on a
-/// cache without I/O workers.
+/// taken with [`ConcurrentBufferPool::scheduler_stats`]. Every miss goes
+/// through the queue, so they count every cache's misses, with or without
+/// I/O workers.
 ///
 /// Conservation: every submitted request is completed or still queued, so
 /// `demand_submitted == demand_completed` once the queue is idle.
@@ -207,13 +213,13 @@ impl AtomicSchedulerStats {
 /// servicing thread (a worker, or a waiting reader) publishes the result
 /// into `done` and wakes every waiter.
 struct Request {
-    /// Set by a shared-write install/drop of the same page while this
-    /// request is in flight: the fetch may return pre-write bytes. New
-    /// demand reads refuse to coalesce onto a stale request (they go to
-    /// the store directly), and the servicing thread does not cache its
-    /// result. Waiters that joined *before* the write still receive the
-    /// bytes — under the MVCC protocol those readers are pinned to an
-    /// epoch whose page version the map still holds.
+    /// Set by a write of the same page while this request is in flight:
+    /// the fetch may return pre-write bytes. The servicing thread does not
+    /// cache them, and new demand reads refuse to coalesce onto the request
+    /// (they read the store directly). Waiters that joined *before* the
+    /// write still receive the bytes — under the MVCC protocol those
+    /// readers are pinned to an epoch whose page version the map still
+    /// holds.
     stale: AtomicBool,
     submitted: Instant,
     done: Mutex<Option<Result<Page, StorageError>>>,
@@ -287,6 +293,16 @@ struct SubmissionQueue {
     shutdown: bool,
 }
 
+/// What a miss finds under the queue lock ([`Core::miss`]).
+enum Miss {
+    /// A fetch of the page is in flight.
+    InFlight(Arc<Request>),
+    /// A fetch landed and retired since the caller's miss.
+    Cached(Page),
+    /// Neither: a fetch was submitted.
+    Submitted(Arc<Request>),
+}
+
 /// State shared between the cache and its workers.
 struct Core<S> {
     store: RwLock<S>,
@@ -295,21 +311,21 @@ struct Core<S> {
     config: SchedulerConfig,
     io: AtomicIoStats,
     sched: AtomicSchedulerStats,
-    /// Bumped by every shared-write install/drop. Workers snapshot it
-    /// before their store fetch and skip the cache insert if it moved —
-    /// the fetched bytes may predate a concurrent writer's install.
-    write_stamp: AtomicU64,
     queue: Mutex<SubmissionQueue>,
     /// Wakes workers when work arrives (or shutdown is signalled).
     work: Condvar,
-    /// Wakes quiesce waiters when the in-flight table empties.
-    idle: Condvar,
 }
 
 impl<S: PageStore> Core<S> {
     fn shard_cache(&self, id: PageId) -> MutexGuard<'_, CacheState> {
         let index = (id.0 as usize) & (self.shards.len() - 1);
         lock_unpoisoned(&self.shards[index])
+    }
+
+    /// The cached copy of `id`, marked most recently used.
+    fn cached(&self, id: PageId) -> Option<Page> {
+        let mut cache = self.shard_cache(id);
+        cache.lookup(id).map(|slot| cache.page(slot).clone())
     }
 
     fn read_store(&self) -> RwLockReadGuard<'_, S> {
@@ -320,20 +336,28 @@ impl<S: PageStore> Core<S> {
         write_unpoisoned(&self.store)
     }
 
-    /// A synchronous store read on the calling thread, bypassing queue and
-    /// cache — the fallback of reads that cannot use an in-flight fetch.
-    fn read_direct(&self, id: PageId) -> Result<Page, StorageError> {
+    /// A physical read on the calling thread, bypassing queue and cache —
+    /// the fallback of reads that cannot use an in-flight fetch.
+    fn read_direct(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
+        self.io.record_physical_read(kind);
         let mut page = Page::new();
         self.read_store().read_page(id, &mut page)?;
         Ok(page)
     }
 
-    /// The *submit* half of a demand read: queues a fetch of `id` and
-    /// counts it as a physical read. The caller holds the queue
-    /// lock and has checked that `id` is not in flight; whether anyone
-    /// awaits the returned request is the caller's business
-    /// (`read_page` does, `want_pages` does not).
-    fn submit_demand(&self, q: &mut SubmissionQueue, id: PageId, kind: PageKind) -> Arc<Request> {
+    /// The *submit* half of a miss, under the queue lock: the page's
+    /// in-flight request if there is one; otherwise a second look in the
+    /// cache (queue → shard is the only lock nesting) and, only if the page
+    /// is still missing, a new request, queued and counted as a physical
+    /// read. Whether anyone awaits it is the caller's business (`read_page`
+    /// does, `want_pages` does not).
+    fn miss(&self, q: &mut SubmissionQueue, id: PageId, kind: PageKind) -> Miss {
+        if let Some(req) = q.inflight.get(&id) {
+            return Miss::InFlight(Arc::clone(req));
+        }
+        if let Some(page) = self.cached(id) {
+            return Miss::Cached(page);
+        }
         let req = Arc::new(Request::new());
         q.inflight.insert(id, Arc::clone(&req));
         q.demand.push_back(id);
@@ -343,15 +367,13 @@ impl<S: PageStore> Core<S> {
             .fetch_max(q.demand.len() as u64, Ordering::Relaxed);
         self.io.record_physical_read(kind);
         self.work.notify_one();
-        req
+        Miss::Submitted(req)
     }
 
-    /// The coherence half of a shared-borrow write of `id`: bumps the
-    /// write stamp and marks any in-flight fetch of the page stale.
+    /// The coherence rule, run by every write of `id` before it touches the
+    /// cache: marks the page's in-flight fetch, if any, stale.
     fn mark_written(&self, id: PageId) {
-        self.write_stamp.fetch_add(1, Ordering::SeqCst);
-        let q = lock_unpoisoned(&self.queue);
-        if let Some(req) = q.inflight.get(&id) {
+        if let Some(req) = lock_unpoisoned(&self.queue).inflight.get(&id) {
             req.stale.store(true, Ordering::Release);
         }
     }
@@ -416,26 +438,23 @@ fn await_serving<S: PageStore>(core: &Core<S>, req: &Request) -> Result<Page, St
 }
 
 /// Fetches one claimed request from the store, publishes the page into the
-/// cache, retires the request from the in-flight table, and completes it —
-/// in that order. A waiter woken by the completion finds the page already
-/// cached, and a read issued after the retirement either hits that page or
-/// submits a fetch of its own: it can never join a request that has
-/// already finished.
+/// cache unless a write marked the request stale, retires the request from
+/// the in-flight table, and completes it — in that order. A waiter woken by
+/// the completion finds the page already cached, and a read issued after
+/// the retirement either hits that page or submits a fetch of its own: it
+/// can never join a request that has already finished.
 fn service<S: PageStore>(core: &Core<S>, id: PageId, req: Arc<Request>) {
     let start = Instant::now();
-    let stamp = core.write_stamp.load(Ordering::SeqCst);
     let mut page = Page::new();
-    let result = {
-        let store = core.read_store();
-        store.read_page(id, &mut page).map(|()| page)
-    };
+    let result = core.read_store().read_page(id, &mut page).map(|()| page);
     let service_us = start.elapsed().as_micros() as u64;
 
     if let Ok(page) = &result {
+        // A write marks the request stale before it touches the cache, so
+        // bytes fetched before the write are either dropped here or
+        // overwritten by the write itself.
         let mut cache = core.shard_cache(id);
-        let fresh =
-            !req.stale.load(Ordering::Acquire) && core.write_stamp.load(Ordering::SeqCst) == stamp;
-        if fresh && !cache.contains(id) {
+        if !req.stale.load(Ordering::Acquire) && !cache.contains(id) {
             cache.insert(id, page.clone(), core.shard_capacity);
         }
     }
@@ -446,18 +465,10 @@ fn service<S: PageStore>(core: &Core<S>, id: PageId, req: Arc<Request>) {
     let wait_us = req.submitted.elapsed().as_micros() as u64;
     core.sched.demand_wait_us.fetch_add(wait_us, relaxed);
 
-    {
-        let mut q = lock_unpoisoned(&core.queue);
-        q.inflight.remove(&id);
-        if q.inflight.is_empty() {
-            core.idle.notify_all();
-        }
-    }
-    {
-        let mut done = lock_unpoisoned(&req.done);
-        *done = Some(result);
-        req.cv.notify_all();
-    }
+    lock_unpoisoned(&core.queue).inflight.remove(&id);
+    let mut done = lock_unpoisoned(&req.done);
+    *done = Some(result);
+    req.cv.notify_all();
 }
 
 /// The one shared, `Sync` page cache over a [`PageStore`]: 16 independent
@@ -466,17 +477,17 @@ fn service<S: PageStore>(core: &Core<S>, id: PageId, req: Arc<Request>) {
 /// statistics, owning its store and implementing [`PageRead`] and
 /// [`PageWrite`].
 ///
-/// [`ConcurrentBufferPool::new`] fetches a miss on the calling thread
-/// under the page's shard lock. [`ConcurrentBufferPool::with_config`]
-/// serves misses through a submission queue and I/O workers instead:
-/// duplicate in-flight reads coalesce, announced pages
-/// ([`PageRead::want_pages`]) are fetched side by side, [`SchedulerStats`]
-/// reports queue depth, coalescing and latencies, and dropping the cache
-/// drains the queue and joins the workers. One worker pool per device is
-/// the intended deployment; `flat_core`'s `ShardedDb` runs one per shard.
+/// Misses go through one submission queue: duplicate in-flight reads
+/// coalesce, and [`SchedulerStats`] reports queue depth, coalescing and
+/// latencies. [`ConcurrentBufferPool::new`] has no I/O workers, so the
+/// readers waiting on misses fetch them; [`ConcurrentBufferPool::with_config`]
+/// adds workers, which also fetch announced pages
+/// ([`PageRead::want_pages`]) side by side. Dropping the cache drains the
+/// queue and joins the workers. One worker pool per device is the intended
+/// deployment; `flat_core`'s `ShardedDb` runs one per shard.
 pub struct ConcurrentBufferPool<S: PageStore> {
     core: Arc<Core<S>>,
-    /// The I/O workers — empty when misses are fetched inline. Held
+    /// The I/O workers that started — none for [`Self::new`]. Held
     /// type-erased so only the constructor that spawns them needs
     /// `S: Send + Sync + 'static`.
     workers: Vec<JoinHandle<()>>,
@@ -484,7 +495,7 @@ pub struct ConcurrentBufferPool<S: PageStore> {
 
 impl<S: PageStore> ConcurrentBufferPool<S> {
     /// Creates a cache over `store` holding at most `capacity` pages, with
-    /// no I/O workers: every miss is fetched on the calling thread.
+    /// no I/O workers: every miss is fetched by a reader waiting on it.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -506,22 +517,15 @@ impl<S: PageStore> ConcurrentBufferPool<S> {
                 config,
                 io: AtomicIoStats::default(),
                 sched: AtomicSchedulerStats::default(),
-                write_stamp: AtomicU64::new(0),
                 queue: Mutex::new(SubmissionQueue {
                     demand: VecDeque::new(),
                     inflight: HashMap::new(),
                     shutdown: false,
                 }),
                 work: Condvar::new(),
-                idle: Condvar::new(),
             }),
             workers: Vec::new(),
         }
-    }
-
-    /// `true` when misses are fetched on the calling thread.
-    fn inline(&self) -> bool {
-        self.workers.is_empty()
     }
 
     /// The cache's configuration.
@@ -587,11 +591,9 @@ impl<S: PageStore> ConcurrentBufferPool<S> {
 
     /// Installs (or refreshes) the cached copy of `id` from a *shared*
     /// borrow — the write path of the MVCC batch writer, which has already
-    /// put the same bytes on the store. An inline fetch of the page runs
-    /// under its shard lock, as does this install, so it cannot cache
-    /// pre-write bytes over it; a queued fetch in flight is marked stale,
-    /// so the servicing thread won't cache its result and later reads won't
-    /// coalesce onto it.
+    /// put the same bytes on the store. A fetch of the page in flight is
+    /// marked stale first, so it cannot cache pre-write bytes over these
+    /// and later reads won't coalesce onto it.
     pub fn install_cached(&self, id: PageId, page: &Page, kind: PageKind) {
         let core = &self.core;
         core.mark_written(id);
@@ -606,27 +608,16 @@ impl<S: PageStore> ConcurrentBufferPool<S> {
     }
 
     /// Drops the cached copy of `id` (if any) from a shared borrow — the
-    /// free path of the MVCC batch writer. In-flight fetches of the page
-    /// are marked stale, exactly as in [`Self::install_cached`].
+    /// free path of the MVCC batch writer. A fetch of the page in flight is
+    /// marked stale first, exactly as in [`Self::install_cached`].
     pub fn drop_cached(&self, id: PageId) {
         self.core.mark_written(id);
         self.core.shard_cache(id).remove(id);
     }
 
-    /// Exclusive access to the underlying store: quiesces every in-flight
-    /// read, then runs `f` under the store's write lock. This is the
-    /// flush barrier the durability layer needs — a checkpoint through
-    /// the cache cannot interleave with reads it is writing under. The
-    /// cache is cleared afterwards in case `f` mutated pages.
-    pub fn with_store_mut<R>(&mut self, f: impl FnOnce(&mut S) -> R) -> R {
-        self.quiesce();
-        let result = f(&mut self.core.write_store());
-        self.clear_cache();
-        result
-    }
-
     /// Shuts the workers down (draining every queued and in-flight read)
     /// and returns the store.
+    #[allow(clippy::panic)]
     pub fn into_store(self) -> S {
         let core = Arc::clone(&self.core);
         drop(self); // signals shutdown and joins every worker
@@ -635,88 +626,32 @@ impl<S: PageStore> ConcurrentBufferPool<S> {
                 Ok(store) => store,
                 Err(poisoned) => poisoned.into_inner(),
             },
+            // Proof: `self` held the only handle besides this one and the
+            // workers' — and every worker has exited and dropped its handle
+            // before the drop above returned from joining it.
             Err(_) => panic!("cache core still shared after its workers joined"),
-        }
-    }
-
-    /// Waits until nothing is in flight: blocks until every submitted
-    /// request has retired (at once without workers). Called
-    /// with `&mut self`, so no new request can arrive concurrently.
-    fn quiesce(&mut self) {
-        let core = &self.core;
-        let mut q = lock_unpoisoned(&core.queue);
-        while !q.inflight.is_empty() {
-            q = wait_unpoisoned(&core.idle, q);
-        }
-    }
-
-    /// A miss through the submission queue: coalesce onto the page's
-    /// in-flight fetch or submit one, then await it.
-    fn read_queued(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
-        let core = &self.core;
-        // `joined`: this read piggybacks on a fetch somebody else submitted
-        // (another reader, or an earlier announcement).
-        let (req, joined) = {
-            let mut q = lock_unpoisoned(&core.queue);
-            if q.shutdown {
-                // Defensive: workers are gone (mid-teardown). Fetch
-                // synchronously so the read still completes correctly.
-                drop(q);
-                core.io.record_read(kind, true);
-                return core.read_direct(id);
-            }
-            if let Some(req) = q.inflight.get(&id) {
-                if req.stale.load(Ordering::Acquire) {
-                    // The in-flight fetch predates a shared write of this
-                    // page: its bytes may be stale. Read the store
-                    // directly instead of piggybacking (and leave the
-                    // cache alone — the writer's install owns it).
-                    drop(q);
-                    core.io.record_read(kind, true);
-                    return core.read_direct(id);
-                }
-                // Coalesce: piggyback on the in-flight fetch.
-                let req = Arc::clone(req);
-                core.sched.demand_coalesced.fetch_add(1, Ordering::Relaxed);
-                core.io.record_read(kind, false);
-                (req, true)
-            } else {
-                core.io.record_read(kind, false);
-                (core.submit_demand(&mut q, id, kind), false)
-            }
-        };
-        match await_serving(core, &req) {
-            Ok(page) => Ok(page),
-            // The fetch this read joined failed — possibly an announced
-            // one that hit the device long before this read was issued.
-            // That failure is not this read's: it makes its own attempt,
-            // so an error reaches a caller only from a device access made
-            // on behalf of that very call.
-            Err(_) if joined => {
-                core.io.record_physical_read(kind);
-                core.read_direct(id)
-            }
-            Err(err) => Err(err),
         }
     }
 }
 
 impl<S: PageStore + Send + Sync + 'static> ConcurrentBufferPool<S> {
     /// Creates a cache over `store` holding at most `capacity` pages, whose
-    /// misses are served by `config.workers` I/O worker threads (none:
-    /// fetched inline, as by [`ConcurrentBufferPool::new`]).
+    /// misses `config.workers` I/O worker threads service beside the
+    /// waiting readers (none: as [`ConcurrentBufferPool::new`]). A worker
+    /// that fails to start is left out: a cache with fewer is slower, not
+    /// wrong.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn with_config(store: S, capacity: usize, config: SchedulerConfig) -> Self {
         let mut pool = Self::without_workers(store, capacity, config);
         pool.workers = (0..config.workers)
-            .map(|i| {
+            .filter_map(|i| {
                 let core = Arc::clone(&pool.core);
                 std::thread::Builder::new()
                     .name(format!("flat-disk-io-{i}"))
                     .spawn(move || worker_loop(&core))
-                    .expect("spawn disk scheduler worker")
+                    .ok()
             })
             .collect();
         pool
@@ -726,9 +661,6 @@ impl<S: PageStore + Send + Sync + 'static> ConcurrentBufferPool<S> {
 /// Signals shutdown, lets the queue drain, and joins every worker.
 impl<S: PageStore> Drop for ConcurrentBufferPool<S> {
     fn drop(&mut self) {
-        if self.inline() {
-            return;
-        }
         lock_unpoisoned(&self.core.queue).shutdown = true;
         self.core.work.notify_all();
         for handle in self.workers.drain(..) {
@@ -740,57 +672,56 @@ impl<S: PageStore> Drop for ConcurrentBufferPool<S> {
 impl<S: PageStore> PageRead for ConcurrentBufferPool<S> {
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
         let core = &self.core;
-        {
-            let mut cache = core.shard_cache(id);
-            if let Some(slot) = cache.lookup(id) {
-                core.io.record_read(kind, false);
-                return Ok(cache.page(slot).clone());
-            }
-            if self.inline() {
-                // Fetch while holding the shard lock: misses serialize
-                // within one shard only, and a page is fetched once even
-                // when several threads miss on it together.
-                core.io.record_read(kind, true);
-                let mut page = Page::new();
-                core.read_store().read_page(id, &mut page)?;
-                let slot = cache.insert(id, page, core.shard_capacity);
-                return Ok(cache.page(slot).clone());
+        core.io.record_read(kind, false);
+        if let Some(page) = core.cached(id) {
+            return Ok(page);
+        }
+        let miss = core.miss(&mut lock_unpoisoned(&core.queue), id, kind);
+        match miss {
+            Miss::Cached(page) => Ok(page),
+            Miss::Submitted(req) => await_serving(core, &req),
+            // The fetch in flight may predate a write of this page: read
+            // the store directly, and leave the cache to the writer.
+            Miss::InFlight(req) if req.stale.load(Ordering::Acquire) => core.read_direct(id, kind),
+            Miss::InFlight(req) => {
+                core.sched.demand_coalesced.fetch_add(1, Ordering::Relaxed);
+                // The fetch this read joined may fail — possibly an
+                // announced one that hit the device long before this read
+                // was issued. That failure is not this read's: it makes its
+                // own attempt, so an error reaches a caller only from a
+                // device access made on behalf of that very call.
+                await_serving(core, &req).or_else(|_| core.read_direct(id, kind))
             }
         }
-        self.read_queued(id, kind)
     }
 
     fn want_pages(&self, pages: &[(PageId, PageKind)]) {
-        if self.inline() {
-            return; // nobody would serve the queue
+        if self.workers.is_empty() {
+            return; // nobody would fetch ahead of the reads
         }
         let core = &self.core;
         for &(id, kind) in pages {
-            if core.shard_cache(id).contains(id) {
-                continue; // the read will be a hit
-            }
-            let mut q = lock_unpoisoned(&core.queue);
-            // In flight (stale or not): the read coalesces or goes direct,
-            // exactly as without the announcement.
-            if !q.shutdown && !q.inflight.contains_key(&id) {
-                core.submit_demand(&mut q, id, kind);
+            // Cached: the read will be a hit. In flight: it coalesces or
+            // reads directly, exactly as without the announcement.
+            if !core.shard_cache(id).contains(id) {
+                let _ = core.miss(&mut lock_unpoisoned(&core.queue), id, kind);
             }
         }
     }
 }
 
-/// Exclusive writes: the `&mut` borrow excludes every reader, and the
-/// submission queue is quiesced first (draining every submitted fetch), so
-/// a stale in-flight read can never re-insert pre-write bytes into the
-/// cache after the write lands. Writes refresh (and frees drop) any cached
-/// copy so later reads observe the new bytes.
+/// Exclusive writes: the `&mut` borrow excludes every reader, but a worker
+/// may be fetching an announced page, so each write follows the one
+/// coherence rule — mark the page's in-flight fetch stale, then change the
+/// store and the cache. Writes refresh (and frees drop) any cached copy so
+/// later reads observe the new bytes.
 impl<S: PageStore> PageWrite for ConcurrentBufferPool<S> {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
         self.core.write_store().alloc()
     }
 
     fn write(&mut self, id: PageId, page: &Page, kind: PageKind) -> Result<(), StorageError> {
-        self.quiesce();
+        self.core.mark_written(id);
         self.core.write_store().write_page(id, page)?;
         self.core.io.record_write(kind);
         let mut cache = self.core.shard_cache(id);
@@ -802,7 +733,7 @@ impl<S: PageStore> PageWrite for ConcurrentBufferPool<S> {
     }
 
     fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.quiesce();
+        self.core.mark_written(id);
         self.core.write_store().free_page(id)?;
         self.core.shard_cache(id).remove(id);
         Ok(())
@@ -822,13 +753,20 @@ impl<S: PageStore> std::fmt::Debug for ConcurrentBufferPool<S> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::{KindStats, MemStore, ThrottledStore};
     use std::time::Duration;
 
-    /// The worker counts every test of the shared contract runs at: the
-    /// inline miss path, one worker, a small pool, and the default pool.
+    /// The worker counts every test of the shared contract runs at: none
+    /// (readers fetch their own misses), one worker, a small pool, and the
+    /// default pool.
     const WORKERS: [usize; 4] = [0, 1, 4, 8];
 
     fn store_with_pages(n: u64) -> MemStore {
@@ -963,10 +901,9 @@ mod tests {
             let stats = pool.stats();
             assert_eq!(stats.total_logical_reads(), 5, "workers {workers}");
             assert_eq!(stats.total_physical_reads(), 3, "workers {workers}");
-            let queued = if workers == 0 { 0 } else { 3 };
             let lanes = pool.scheduler_stats();
-            assert_eq!(lanes.demand_submitted, queued, "workers {workers}");
-            assert_eq!(lanes.demand_completed, queued, "workers {workers}");
+            assert_eq!(lanes.demand_submitted, 3, "workers {workers}");
+            assert_eq!(lanes.demand_completed, 3, "workers {workers}");
         }
     }
 
@@ -1018,22 +955,15 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
+            // The cache holds all 8 pages, and a read that missed just
+            // before a fetch of its page landed and retired finds the page
+            // on its second look: each page is fetched exactly once.
             let stats = shared.stats();
             assert_eq!(stats.total_logical_reads(), 32);
-            let physical = stats.total_physical_reads();
-            if workers == 0 {
-                // The cache holds ≥ 8 pages and a miss is fetched under its
-                // shard lock, so each page misses exactly once.
-                assert_eq!(physical, 8);
-            } else {
-                // A read that missed the cache just before a fetch of the
-                // same page landed and retired submits a second one; every
-                // physical read is still a queued, completed fetch.
-                let lanes = shared.scheduler_stats();
-                assert!(physical >= 8, "workers {workers}");
-                assert_eq!(lanes.demand_submitted, physical, "workers {workers}");
-                assert_eq!(lanes.demand_completed, physical, "workers {workers}");
-            }
+            assert_eq!(stats.total_physical_reads(), 8, "workers {workers}");
+            let lanes = shared.scheduler_stats();
+            assert_eq!(lanes.demand_submitted, 8, "workers {workers}");
+            assert_eq!(lanes.demand_completed, 8, "workers {workers}");
         }
     }
 
@@ -1161,9 +1091,10 @@ mod tests {
 
     #[test]
     fn a_zero_worker_cache_never_queues_an_announcement() {
-        // Nobody serves a zero-worker cache's queue: an announcement that
-        // entered it would hang the read that follows. It must be a no-op
-        // — the read costs exactly what it costs unannounced.
+        // No worker fetches ahead in a zero-worker cache: an announcement
+        // would only queue a request in front of the read that follows. It
+        // must be a no-op — the read costs exactly what it costs
+        // unannounced.
         for pool in [
             ConcurrentBufferPool::new(store_with_pages(4), 16),
             with_workers(store_with_pages(4), 16, 0),
@@ -1190,7 +1121,11 @@ mod tests {
             let unannounced = ConcurrentBufferPool::new(store_with_pages(4), 16);
             unannounced.read_page(PageId(2), PageKind::Other).unwrap();
             assert_eq!(pool.stats(), unannounced.stats());
-            assert_eq!(pool.scheduler_stats(), SchedulerStats::default());
+            let (lanes, plain) = (pool.scheduler_stats(), unannounced.scheduler_stats());
+            assert_eq!(lanes.demand_submitted, 1);
+            assert_eq!(lanes.demand_submitted, plain.demand_submitted);
+            assert_eq!(lanes.demand_completed, plain.demand_completed);
+            assert_eq!(lanes.demand_queue_max, plain.demand_queue_max);
         }
     }
 
@@ -1277,8 +1212,7 @@ mod tests {
 
     #[test]
     fn install_cached_beats_an_announced_fetch_of_the_same_page() {
-        // The stale / write-stamp protection must cover requests nobody
-        // waits on: the store still holds the old bytes here, so any leak
+        // The stale flag must cover requests nobody waits on: the store still holds the old bytes here, so any leak
         // of the announced fetch's result into the cache shows.
         let latency = Duration::from_millis(10);
         let store = throttled(store_with_pages(4), latency);
@@ -1297,16 +1231,17 @@ mod tests {
     }
 
     #[test]
-    fn announced_fetches_never_hang_drop_or_store_mut() {
+    fn announced_fetches_complete_and_never_hang_drop() {
         let latency = Duration::from_millis(5);
         let store = throttled(store_with_pages(16), latency);
-        let mut sched = with_workers(store, 16, 1);
+        let sched = with_workers(store, 16, 1);
         sched.want_pages(&wants(0..8));
-        // The flush barrier drains waiter-less requests like any other.
-        assert_eq!(sched.with_store_mut(|store| store.num_pages()), 16);
+        // The workers complete waiter-less requests like any other.
+        assert_conserved(&sched);
         let lanes = sched.scheduler_stats();
         assert_eq!(lanes.demand_submitted, 8);
         assert_eq!(lanes.demand_completed, 8);
+        assert_eq!(sched.cached_pages(), 8);
         sched.want_pages(&wants(8..16));
         drop(sched); // drains the queue, then joins the workers
     }
@@ -1413,10 +1348,10 @@ mod tests {
         );
     }
 
-    /// Waits for every submitted fetch to retire (the flush barrier) and
-    /// checks that each one completed.
-    fn assert_conserved<S: PageStore>(sched: &mut ConcurrentBufferPool<S>) {
-        sched.with_store_mut(|_| ());
+    /// Waits for every submitted fetch to retire from the in-flight table
+    /// and checks that each one completed.
+    fn assert_conserved<S: PageStore>(sched: &ConcurrentBufferPool<S>) {
+        spin_until(|| lock_unpoisoned(&sched.core.queue).inflight.is_empty());
         let lanes = sched.scheduler_stats();
         assert_eq!(lanes.demand_submitted, lanes.demand_completed, "{lanes:?}");
     }
@@ -1444,8 +1379,8 @@ mod tests {
         assert_eq!(page.get_u64(0), 0);
         handle.join().unwrap();
         sched.store().open();
-        let mut sched = Arc::into_inner(sched).expect("the reader has exited");
-        assert_conserved(&mut sched);
+        let sched = Arc::into_inner(sched).expect("the reader has exited");
+        assert_conserved(&sched);
         assert_eq!(sched.scheduler_stats().demand_submitted, 2);
         assert_eq!(sched.stats().total_physical_reads(), 2);
     }
@@ -1489,15 +1424,15 @@ mod tests {
         for handle in handles {
             handle.join().unwrap();
         }
-        let mut sched = Arc::into_inner(sched).expect("the readers have exited");
-        assert_conserved(&mut sched);
+        let sched = Arc::into_inner(sched).expect("the readers have exited");
+        assert_conserved(&sched);
         let lanes = sched.scheduler_stats();
         assert_eq!(lanes.demand_submitted, sched.stats().total_physical_reads());
         assert!(lanes.demand_submitted > PAGES, "{lanes:?}");
     }
 
     #[test]
-    fn write_quiesces_inflight_fetches() {
+    fn a_write_marks_inflight_fetches_stale() {
         let latency = Duration::from_millis(10);
         let store = throttled(store_with_pages(4), latency);
         let mut sched = with_workers(store, 16, 1);
@@ -1506,9 +1441,40 @@ mod tests {
         let mut page = Page::new();
         page.put_u64(0, 4242);
         sched.write(PageId(1), &page, PageKind::Other).unwrap();
-        // However the race resolved, the post-write read sees the new bytes.
+        // However the race resolved, the post-write read sees the new
+        // bytes, and so does a read once both fetches have landed.
         let read = sched.read_page(PageId(1), PageKind::Other).unwrap();
         assert_eq!(read.get_u64(0), 4242);
+        assert_conserved(&sched);
+        let read = sched.read_page(PageId(1), PageKind::Other).unwrap();
+        assert_eq!(read.get_u64(0), 4242);
+    }
+
+    #[test]
+    fn a_fetch_in_flight_across_a_write_is_never_cached() {
+        // The one coherence rule: a write marks the page's in-flight fetch
+        // stale, and a stale fetch, which may hold pre-write bytes, stays
+        // out of the cache. The gate holds the fetch on the device across
+        // the write: an announced one with a worker, a reader's own
+        // without.
+        for workers in [0, 1] {
+            let store = GatedStore::closed(store_with_pages(2), false, Some(PageId(1)));
+            let sched = with_workers(store, 16, workers);
+            std::thread::scope(|scope| {
+                let reader = (workers == 0)
+                    .then(|| scope.spawn(|| sched.read_page(PageId(1), PageKind::Other)));
+                sched.want_pages(&wants(1..2));
+                spin_until(|| sched.store().entered.load(Ordering::SeqCst) == 1);
+                sched.drop_cached(PageId(1));
+                sched.store().open();
+                if let Some(reader) = reader {
+                    // It joined before the write, so it keeps the bytes.
+                    assert_eq!(reader.join().unwrap().unwrap().get_u64(0), 1);
+                }
+                spin_until(|| sched.scheduler_stats().demand_completed == 1);
+            });
+            assert_eq!(sched.cached_pages(), 0, "workers {workers}");
+        }
     }
 
     #[test]

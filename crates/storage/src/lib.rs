@@ -19,12 +19,12 @@
 //!   threads at once (per-shard LRUs, atomic statistics) that owns its
 //!   store. Reads are classified by [`PageKind`] and tallied in
 //!   [`IoStats`]; [`ConcurrentBufferPool::clear_cache`] emulates the
-//!   paper's cache clearing between queries. Without I/O workers
-//!   ([`ConcurrentBufferPool::new`]) a miss is fetched on the calling
-//!   thread; with them ([`SchedulerConfig`]) misses go through a
-//!   submission queue, duplicate in-flight reads coalesce, announced reads
-//!   ([`PageRead::want_pages`]) are fetched side by side, and
+//!   paper's cache clearing between queries. Misses go through one
+//!   submission queue, duplicate in-flight reads coalesce, and
 //!   [`SchedulerStats`] reports queue depth, coalescing, and latencies.
+//!   Without I/O workers ([`ConcurrentBufferPool::new`]) the waiting
+//!   readers fetch the misses; with them ([`SchedulerConfig`]) announced
+//!   reads ([`PageRead::want_pages`]) are fetched side by side too.
 //! * [`PageRead`] / [`PageWrite`] — the access split: queries are shared
 //!   `&self` reads, builds are exclusive `&mut` writes. Query code across
 //!   the workspace takes `&impl PageRead`.

@@ -3,6 +3,13 @@
 //! them) and the LRU bookkeeping of one lock shard (`CacheState`). The
 //! cache itself is [`crate::ConcurrentBufferPool`].
 
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use crate::{Page, PageId, PageKind, PAGE_SIZE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1170,13 +1170,13 @@ mod tests {
 
     #[test]
     fn pinned_readers_race_a_churn_writer_at_every_worker_count() {
-        // Coherence rests on a different argument per miss path — an
-        // inline fetch runs under the shard lock, a queued one is checked
-        // against the write stamp and the stale flag — so the race runs
-        // over both. 4 reader threads pin/read/unpin in a loop while a
-        // writer publishes batches; every pinned read of a page must return
-        // that page's value at some epoch ≤ the pin's — and within one
-        // pin, *the* value of the pinned epoch.
+        // Coherence rests on one rule at every worker count — a write
+        // marks the page's in-flight fetch stale, and a stale fetch is
+        // never cached — and the race runs without workers (readers fetch
+        // their own misses) and with them. 4 reader threads pin/read/unpin
+        // in a loop while a writer publishes batches; every pinned read of
+        // a page must return that page's value at some epoch ≤ the pin's —
+        // and within one pin, *the* value of the pinned epoch.
         for workers in [0, 4, 8] {
             let mut store = MemStore::new();
             let mut ids = Vec::new();

@@ -1,9 +1,9 @@
 //! Shared machinery for the integration suites: scripted update ops, the
 //! differential harness that pins the delta layer to from-scratch
-//! rebuilds, brute-force query oracles for crash-recovery checks, and a
-//! clonable in-memory "disk" whose contents survive the session that
-//! wrote them (so fault-injection tests can reopen the store a crashed
-//! session consumed).
+//! rebuilds, brute-force oracles (range counts, ε-joins, crash-recovery
+//! answers), and a clonable in-memory "disk" whose contents survive the
+//! session that wrote them (so fault-injection tests can reopen the store
+//! a crashed session consumed).
 //!
 //! Each integration test binary compiles its own copy of this module and
 //! uses a different subset of it, so unused items are expected.
@@ -14,6 +14,28 @@ use flat_repro::storage::StorageError;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+
+/// How many of `entries` intersect `q` — the range-query oracle.
+pub fn brute_force(entries: &[Entry], q: &Aabb) -> usize {
+    entries.iter().filter(|e| q.intersects(&e.mbr)).count()
+}
+
+/// Every `(outer id, inner id)` pair whose MBR distance is within `eps`,
+/// sorted as the join engines sort — the ε-join oracle, by definition.
+pub fn brute_join(outer: &[Entry], inner: &[Entry], eps: f64) -> Vec<(u64, u64)> {
+    let eps2 = eps * eps;
+    let mut pairs: Vec<(u64, u64)> = outer
+        .iter()
+        .flat_map(|a| {
+            inner
+                .iter()
+                .filter(move |b| a.mbr.distance_sq(&b.mbr) <= eps2)
+                .map(move |b| (a.id, b.id))
+        })
+        .collect();
+    pairs.sort_unstable();
+    pairs
+}
 
 pub fn options(domain: Aabb) -> FlatOptions {
     FlatOptions {

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod common;
-use common::assert_answers_match;
+use common::{assert_answers_match, brute_force, brute_join};
 
 fn grid_entries(side: usize, spacing: f64) -> Vec<Entry> {
     // A regular grid of small cubes filling [0, side·spacing)³ — boundary
@@ -38,10 +38,6 @@ fn build(entries: Vec<Entry>) -> (ConcurrentBufferPool<MemStore>, FlatIndex) {
     let (index, _) = FlatIndex::build(&mut pool, entries, FlatOptions::default())
         .expect("in-memory build cannot fail");
     (pool, index)
-}
-
-fn brute_force(entries: &[Entry], q: &Aabb) -> usize {
-    entries.iter().filter(|e| q.intersects(&e.mbr)).count()
 }
 
 #[test]
@@ -847,7 +843,7 @@ fn device_pool(src: &MemStore) -> DevicePool {
 }
 
 /// The same pages behind the two kinds of pool a query can run over: the
-/// cache the index was built in (misses fetched inline) and the serving
+/// cache the index was built in (no I/O workers) and the serving
 /// stack's device pool.
 struct Pools {
     inline: ConcurrentBufferPool<MemStore>,
@@ -1411,20 +1407,6 @@ fn knn_waves_match_a_one_record_reference() {
 }
 
 // ---------- joins cross the same kernel ----------
-
-/// Every `(outer id, inner id)` pair within `eps`, sorted — by definition.
-fn brute_join(outer: &[Entry], inner: &[Entry], eps: f64) -> Vec<(u64, u64)> {
-    let mut pairs = Vec::new();
-    for a in outer {
-        for b in inner {
-            if a.mbr.distance_sq(&b.mbr) <= eps * eps {
-                pairs.push((a.id, b.id));
-            }
-        }
-    }
-    pairs.sort_unstable();
-    pairs
-}
 
 /// Runs the join over each of the two pools (both sides through the same
 /// pool), asserts pairs and counters do not depend on which, and that the

@@ -11,6 +11,9 @@
 use flat_repro::core::rtree_knn;
 use flat_repro::prelude::*;
 
+mod common;
+use common::{brute_force, brute_join};
+
 type Pool = ConcurrentBufferPool<MemStore>;
 
 /// Sorted result MBR keys (the MbrOnly layout has no stable application
@@ -32,10 +35,6 @@ fn keys(hits: &[Hit]) -> Vec<[u64; 6]> {
         .collect();
     keys.sort_unstable();
     keys
-}
-
-fn brute_force(entries: &[Entry], q: &Aabb) -> usize {
-    entries.iter().filter(|e| q.intersects(&e.mbr)).count()
 }
 
 fn new_pool() -> Pool {
@@ -326,23 +325,6 @@ fn sharded_database_joins_the_equivalence_matrix() {
             assert_knn_equivalent(&got, &expect, &format!("K={k} probe {pi}"));
         }
     }
-}
-
-/// Brute-force ε-join oracle: every `(outer id, inner id)` pair whose
-/// MBR distance is within ε, sorted as the engines sort.
-fn brute_join(outer: &[Entry], inner: &[Entry], eps: f64) -> Vec<(u64, u64)> {
-    let eps2 = eps * eps;
-    let mut pairs: Vec<(u64, u64)> = outer
-        .iter()
-        .flat_map(|a| {
-            inner
-                .iter()
-                .filter(move |b| a.mbr.distance_sq(&b.mbr) <= eps2)
-                .map(move |b| (a.id, b.id))
-        })
-        .collect();
-    pairs.sort_unstable();
-    pairs
 }
 
 #[test]

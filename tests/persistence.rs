@@ -4,14 +4,13 @@
 
 use flat_repro::prelude::*;
 
+mod common;
+use common::brute_force;
+
 fn dataset() -> (Vec<Entry>, Aabb) {
     let config = NeuronConfig::bbp(8, 500, 77);
     let model = NeuronModel::generate(&config);
     (model.entries(), config.domain)
-}
-
-fn brute_force(entries: &[Entry], q: &Aabb) -> usize {
-    entries.iter().filter(|e| q.intersects(&e.mbr)).count()
 }
 
 fn temp_path(name: &str) -> std::path::PathBuf {
