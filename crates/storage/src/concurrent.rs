@@ -63,6 +63,17 @@
 //!   [`ConcurrentBufferPool::drop_cached`]) first marks the page's
 //!   in-flight request stale: a stale fetch is never cached, and later
 //!   reads do not coalesce onto it.
+//! * **One recency rule** — each shard is one LRU list. A fetch lands its
+//!   page at the hot end; a read moves a page that holds elements
+//!   ([`PageKind::ObjectPage`], [`PageKind::RTreeLeaf`]) to the cold end
+//!   and any other page to the hot end. A query rereads the seed tree and
+//!   the metadata pages it shares with its neighbours but reads each
+//!   object page once, so under a cache smaller than the index the page a
+//!   read has just finished with is the next victim, and directory pages
+//!   stay. An announced page lands hot and so survives until its read,
+//!   which then sends it cold — whether the read hit it, joined its fetch
+//!   in flight or fetched it itself. A shard that never fills evicts
+//!   nothing, so there the rule changes nothing.
 //! * **Graceful shutdown** — dropping the cache *drains every queued and
 //!   in-flight read* (announced ones included) before the workers exit, so
 //!   no reader ever observes a torn or abandoned request.
@@ -322,10 +333,19 @@ impl<S: PageStore> Core<S> {
         lock_unpoisoned(&self.shards[index])
     }
 
-    /// The cached copy of `id`, marked most recently used.
-    fn cached(&self, id: PageId) -> Option<Page> {
+    /// The cached copy of `id`, if any, leaving the LRU order alone.
+    fn peek(&self, id: PageId) -> Option<Page> {
+        let cache = self.shard_cache(id);
+        cache.slot_of(id).map(|slot| cache.page(slot).clone())
+    }
+
+    /// A read of `id` as `kind`: the cached copy, if any, after the read's
+    /// recency rule has moved it ([`CacheState::read`]).
+    fn cached(&self, id: PageId, kind: PageKind) -> Option<Page> {
         let mut cache = self.shard_cache(id);
-        cache.lookup(id).map(|slot| cache.page(slot).clone())
+        let slot = cache.slot_of(id)?;
+        cache.read(slot, kind);
+        Some(cache.page(slot).clone())
     }
 
     fn read_store(&self) -> RwLockReadGuard<'_, S> {
@@ -355,7 +375,7 @@ impl<S: PageStore> Core<S> {
         if let Some(req) = q.inflight.get(&id) {
             return Miss::InFlight(Arc::clone(req));
         }
-        if let Some(page) = self.cached(id) {
+        if let Some(page) = self.peek(id) {
             return Miss::Cached(page);
         }
         let req = Arc::new(Request::new());
@@ -475,7 +495,9 @@ fn service<S: PageStore>(core: &Core<S>, id: PageId, req: Arc<Request>) {
 /// LRUs (page `p` lives in shard `p mod 16`, so the densely allocated,
 /// interleaved pages of one structure spread evenly) with atomic
 /// statistics, owning its store and implementing [`PageRead`] and
-/// [`PageWrite`].
+/// [`PageWrite`]. Each LRU keeps one rule: a read sends an element page
+/// (object page, R-tree leaf) to its cold end and any other page to its hot
+/// end, and a fetch lands hot (see the module docs).
 ///
 /// Misses go through one submission queue: duplicate in-flight reads
 /// coalesce, and [`SchedulerStats`] reports queue depth, coalescing and
@@ -673,16 +695,18 @@ impl<S: PageStore> PageRead for ConcurrentBufferPool<S> {
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
         let core = &self.core;
         core.io.record_read(kind, false);
-        if let Some(page) = core.cached(id) {
+        if let Some(page) = core.cached(id, kind) {
             return Ok(page);
         }
         let miss = core.miss(&mut lock_unpoisoned(&core.queue), id, kind);
-        match miss {
-            Miss::Cached(page) => Ok(page),
-            Miss::Submitted(req) => await_serving(core, &req),
+        let page = match miss {
+            Miss::Cached(page) => page,
+            Miss::Submitted(req) => await_serving(core, &req)?,
             // The fetch in flight may predate a write of this page: read
             // the store directly, and leave the cache to the writer.
-            Miss::InFlight(req) if req.stale.load(Ordering::Acquire) => core.read_direct(id, kind),
+            Miss::InFlight(req) if req.stale.load(Ordering::Acquire) => {
+                core.read_direct(id, kind)?
+            }
             Miss::InFlight(req) => {
                 core.sched.demand_coalesced.fetch_add(1, Ordering::Relaxed);
                 // The fetch this read joined may fail — possibly an
@@ -690,9 +714,15 @@ impl<S: PageStore> PageRead for ConcurrentBufferPool<S> {
                 // was issued. That failure is not this read's: it makes its
                 // own attempt, so an error reaches a caller only from a
                 // device access made on behalf of that very call.
-                await_serving(core, &req).or_else(|_| core.read_direct(id, kind))
+                await_serving(core, &req).or_else(|_| core.read_direct(id, kind))?
             }
-        }
+        };
+        // Whichever fetch brought the page in — this read's, an earlier
+        // announcement's or another reader's — cached it hot. The read's
+        // own rule applies now, so an element page a read joined in flight
+        // goes cold like one it hit.
+        let _ = core.cached(id, kind);
+        Ok(page)
     }
 
     fn want_pages(&self, pages: &[(PageId, PageKind)]) {
@@ -1055,6 +1085,116 @@ mod tests {
         // used), 0 hit, 16 miss again.
         assert_eq!(pool.stats().total_physical_reads(), 4);
         assert_eq!(pool.stats().total_logical_reads(), 6);
+    }
+
+    /// Whether `id` is cached, looked at without moving it.
+    fn resident<S: PageStore>(pool: &ConcurrentBufferPool<S>, id: u64) -> bool {
+        pool.core.shard_cache(PageId(id)).contains(PageId(id))
+    }
+
+    /// Reads `id` as `kind` and checks the bytes.
+    fn read_as<S: PageStore>(pool: &ConcurrentBufferPool<S>, id: u64, kind: PageKind) {
+        assert_eq!(pool.read_page(PageId(id), kind).unwrap().get_u64(0), id);
+    }
+
+    // The recency tests below use pages 0, 16, 32, … — all in lock shard 0
+    // — so each checks one LRU list, whatever the other shards hold.
+
+    #[test]
+    fn a_read_sends_an_element_page_to_the_cold_end() {
+        for workers in WORKERS {
+            for element in [PageKind::ObjectPage, PageKind::RTreeLeaf] {
+                // Two pages per shard. The element page is read last, by a
+                // miss: it is still the victim, not the older directory
+                // page.
+                let pool = with_workers(store_with_pages(49), 32, workers);
+                read_as(&pool, 0, PageKind::SeedLeaf);
+                read_as(&pool, 16, element);
+                read_as(&pool, 32, PageKind::SeedInner);
+                assert!(resident(&pool, 0), "workers {workers}, {element:?}");
+                assert!(!resident(&pool, 16), "workers {workers}, {element:?}");
+
+                // The same after a hit: a directory page read between two
+                // reads of the element page stays, and the element goes.
+                read_as(&pool, 48, element);
+                read_as(&pool, 32, PageKind::SeedLeaf);
+                read_as(&pool, 48, element);
+                read_as(&pool, 0, PageKind::SeedLeaf);
+                assert!(resident(&pool, 32), "workers {workers}, {element:?}");
+                assert!(!resident(&pool, 48), "workers {workers}, {element:?}");
+                let misses = pool.stats().total_physical_reads();
+                assert_eq!(misses, 5, "workers {workers}, {element:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_announced_element_page_survives_until_its_read() {
+        for workers in [1, 4, 8] {
+            // Three pages per shard. The announced page lands hot, ahead of
+            // two directory pages read before it…
+            let pool = with_workers(store_with_pages(81), 48, workers);
+            read_as(&pool, 0, PageKind::SeedLeaf);
+            read_as(&pool, 16, PageKind::SeedLeaf);
+            pool.want_pages(&[(PageId(32), PageKind::ObjectPage)]);
+            spin_until(|| pool.scheduler_stats().demand_completed == 3);
+            // …so two unrelated misses evict those, not it…
+            read_as(&pool, 48, PageKind::SeedLeaf);
+            read_as(&pool, 64, PageKind::SeedLeaf);
+            assert!(resident(&pool, 32), "workers {workers}");
+            assert!(!resident(&pool, 0) && !resident(&pool, 16));
+            // …and its read, a hit, makes it the next victim.
+            read_as(&pool, 32, PageKind::ObjectPage);
+            assert_eq!(pool.stats().total_physical_reads(), 5);
+            read_as(&pool, 80, PageKind::SeedLeaf);
+            assert!(!resident(&pool, 32), "workers {workers}");
+            assert!(resident(&pool, 48) && resident(&pool, 64));
+        }
+    }
+
+    #[test]
+    fn an_element_read_that_joins_a_fetch_sends_it_cold() {
+        // The worker holds the announced fetch of page 32 on the gate while
+        // the read joins it; the fetch then lands hot, and the read must
+        // still send the page cold.
+        let store = GatedStore::closed(store_with_pages(49), false, Some(PageId(32)));
+        let pool = with_workers(store, 48, 1);
+        read_as(&pool, 0, PageKind::SeedLeaf);
+        read_as(&pool, 16, PageKind::SeedLeaf);
+        pool.want_pages(&[(PageId(32), PageKind::ObjectPage)]);
+        spin_until(|| pool.store().entered.load(Ordering::SeqCst) == 3);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| read_as(&pool, 32, PageKind::ObjectPage));
+            spin_until(|| pool.scheduler_stats().demand_coalesced == 1);
+            pool.store().open();
+            reader.join().unwrap();
+        });
+        assert!(resident(&pool, 32));
+        read_as(&pool, 48, PageKind::SeedLeaf);
+        assert!(!resident(&pool, 32), "the joined element read stayed hot");
+        assert!(resident(&pool, 0) && resident(&pool, 16));
+    }
+
+    #[test]
+    fn a_cache_that_holds_the_working_set_evicts_nothing() {
+        let kinds = [
+            PageKind::ObjectPage,
+            PageKind::SeedLeaf,
+            PageKind::RTreeLeaf,
+            PageKind::SeedInner,
+        ];
+        for workers in WORKERS {
+            // Four pages per shard, four distinct pages per shard read
+            // three times each under every kind.
+            let pool = with_workers(store_with_pages(64), 64, workers);
+            for round in 0..3 {
+                for i in 0..64u64 {
+                    read_as(&pool, i, kinds[(i as usize + round) % kinds.len()]);
+                }
+            }
+            assert_eq!(pool.stats().total_physical_reads(), 64, "workers {workers}");
+            assert_eq!(pool.cached_pages(), 64, "workers {workers}");
+        }
     }
 
     #[test]

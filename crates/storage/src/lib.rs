@@ -18,8 +18,10 @@
 //!   query and test: a lock-sharded, `Sync` LRU serving many reader
 //!   threads at once (per-shard LRUs, atomic statistics) that owns its
 //!   store. Reads are classified by [`PageKind`] and tallied in
-//!   [`IoStats`]; [`ConcurrentBufferPool::clear_cache`] emulates the
-//!   paper's cache clearing between queries. Misses go through one
+//!   [`IoStats`], and the kind sets the recency rule: a read sends an
+//!   element page (object page, R-tree leaf) to the cold end of its LRU.
+//!   [`ConcurrentBufferPool::clear_cache`] emulates the paper's cache
+//!   clearing between queries. Misses go through one
 //!   submission queue, duplicate in-flight reads coalesce, and
 //!   [`SchedulerStats`] reports queue depth, coalescing, and latencies.
 //!   Without I/O workers ([`ConcurrentBufferPool::new`]) the waiting
@@ -142,6 +144,14 @@ impl PageKind {
             PageKind::ObjectPage => 4,
             PageKind::Other => 5,
         }
+    }
+
+    /// `true` for the pages that hold the elements themselves — FLAT's
+    /// object pages and R-tree leaves. A query reads each of them once, so
+    /// the cache sends them to the cold end of its LRU on read.
+    #[inline]
+    pub(crate) fn holds_elements(self) -> bool {
+        matches!(self, PageKind::ObjectPage | PageKind::RTreeLeaf)
     }
 
     /// Human-readable label used in benchmark tables.

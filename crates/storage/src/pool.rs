@@ -1,7 +1,16 @@
 //! The parts of the page cache that are not about sharing: per-kind I/O
 //! accounting ([`IoStats`], [`KindStats`] and the atomic counters behind
-//! them) and the LRU bookkeeping of one lock shard (`CacheState`). The
+//! them) and the recency bookkeeping of one lock shard (`CacheState`). The
 //! cache itself is [`crate::ConcurrentBufferPool`].
+//!
+//! Each shard is one LRU list under one rule: a fetched or written page
+//! lands at the hot end, a read of a page that holds elements (an object
+//! page or an R-tree leaf) moves it to the cold end, and every other read
+//! moves its page to the hot end. A query reads each element page once but
+//! rereads the seed tree and the metadata pages it shares with the next
+//! query, so the element page it has just used is the next victim, not the
+//! directory page it will read again. A shard that never fills evicts
+//! nothing, and the rule changes nothing there.
 
 #![deny(
     clippy::panic,
@@ -203,8 +212,9 @@ struct Slot {
     next: usize,
 }
 
-/// The LRU bookkeeping of one cache: id → slot map plus an intrusive
-/// doubly-linked recency list over a slot slab. A
+/// The recency bookkeeping of one cache: id → slot map plus an intrusive
+/// doubly-linked recency list over a slot slab, evicted from the tail (see
+/// the module docs for where a read puts its page). A
 /// [`crate::ConcurrentBufferPool`] keeps one per lock shard, each behind a
 /// `Mutex`.
 pub(crate) struct CacheState {
@@ -236,13 +246,6 @@ impl CacheState {
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
-    }
-
-    /// Looks up `id`; on a hit, marks it most recently used.
-    pub(crate) fn lookup(&mut self, id: PageId) -> Option<usize> {
-        let slot = *self.map.get(&id)?;
-        self.touch(slot);
-        Some(slot)
     }
 
     /// `true` if `id` is cached (no recency update — an announcement or a
@@ -291,6 +294,19 @@ impl CacheState {
         }
     }
 
+    /// Links `slot` at the tail (the next victim).
+    fn link_back(&mut self, slot: usize) {
+        self.slots[slot].prev = self.tail;
+        self.slots[slot].next = NIL;
+        if self.tail != NIL {
+            self.slots[self.tail].next = slot;
+        }
+        self.tail = slot;
+        if self.head == NIL {
+            self.head = slot;
+        }
+    }
+
     /// Drops `id` from the cache if present (page freed or invalidated).
     pub(crate) fn remove(&mut self, id: PageId) {
         if let Some(slot) = self.map.remove(&id) {
@@ -306,6 +322,26 @@ impl CacheState {
         }
         self.unlink(slot);
         self.link_front(slot);
+    }
+
+    /// Moves `slot` to the tail of the LRU list: it is the next victim.
+    pub(crate) fn demote(&mut self, slot: usize) {
+        if self.tail == slot {
+            return;
+        }
+        self.unlink(slot);
+        self.link_back(slot);
+    }
+
+    /// The recency rule of a read of the page in `slot`: a page that holds
+    /// elements ([`PageKind::holds_elements`]) goes to the cold end, every
+    /// other page to the hot end.
+    pub(crate) fn read(&mut self, slot: usize, kind: PageKind) {
+        if kind.holds_elements() {
+            self.demote(slot);
+        } else {
+            self.touch(slot);
+        }
     }
 
     /// Inserts a page, evicting the LRU slot if the cache holds `capacity`
