@@ -372,16 +372,6 @@ impl DeltaIndex {
         }
     }
 
-    /// `true` while the pages hold nothing but a bulkload: no partition
-    /// was ever inserted (retired ones count), none was retired, and no
-    /// element is tombstoned. Anything else is what a persist must
-    /// compact away first.
-    pub(crate) fn is_pristine(&self) -> bool {
-        self.parts.len() == self.base_partitions
-            && self.tombstones.is_empty()
-            && self.parts.iter().all(|part| !part.dead)
-    }
-
     /// The deleted-element set, for the crawl's scan filter.
     pub(crate) fn tombstones(&self) -> &Tombstones {
         &self.tombstones

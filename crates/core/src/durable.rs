@@ -4,8 +4,11 @@
 //! [`WriteOp`] of a committed [`crate::Writer`] group (`[seq][op][body]`),
 //! the same value the page apply consumes and the subscriptions fold. The
 //! checkpoint snapshot is the resident state recovery cannot rebuild from
-//! the pages alone: the index descriptor plus the delta layer's
-//! metadata-page list and tombstone set.
+//! the pages alone: the index descriptor (layout, seed root and height,
+//! four counters — what turns the pages back into a [`FlatIndex`]) plus
+//! the delta layer's metadata-page list and tombstone set. The snapshot is
+//! the only place the descriptor is written, so a database file is the
+//! logged layout and nothing else.
 //!
 //! Recovery is "snapshot + replay": [`crate::FlatDb::open_durable`]
 //! decodes the snapshot, re-adopts the resident tables from the recovered
@@ -13,18 +16,26 @@
 //! logical records past its sequence number without re-logging them, so a
 //! crash during recovery just recovers again.
 
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use crate::db::WriteOp;
 use crate::index::FlatIndex;
 use flat_geom::{Aabb, Point3};
-use flat_rtree::Entry;
+use flat_rtree::{Entry, LeafLayout};
 use flat_storage::{PageId, StorageError};
 
 /// How a [`crate::FlatDb`] persists committed writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// No durability: pages go straight to the backing store with no log.
-    /// A crash mid-batch can leave the store torn. This is the bulkload
-    /// configuration of the paper — build once, persist explicitly.
+    /// No durability: the database is *ephemeral*. Pages go straight to
+    /// the backing store with no log, a crash mid-batch can leave the
+    /// store torn, and the store is never reopened as a database. This is
+    /// the bulkload configuration of the paper's experiments.
     #[default]
     Off,
     /// Every writer batch is committed to the write-ahead log before any
@@ -121,7 +132,12 @@ pub(crate) fn decode_logical(bytes: &[u8]) -> Result<(u64, WriteOp), StorageErro
 
 /// "FLATSNP1" — identifies a checkpoint snapshot.
 const SNAPSHOT_MAGIC: u64 = 0x464C_4154_534E_5031;
+/// Format version of a checkpoint snapshot. A change to the snapshot or
+/// index descriptor encoding, or to any page format the descriptor points
+/// at, bumps it.
 const SNAPSHOT_VERSION: u16 = 1;
+/// Encoding of `FlatIndex::seed_root == None`.
+const NO_ROOT: u64 = u64::MAX;
 
 /// Delta-layer residency captured in a snapshot: the metadata pages in
 /// creation order plus the tombstone set.
@@ -150,7 +166,7 @@ impl DbSnapshot {
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.last_seq.to_le_bytes());
         out.push(self.built as u8);
-        self.index.encode_descriptor(&mut out);
+        encode_descriptor(&self.index, &mut out);
         match &self.delta {
             None => out.push(0),
             Some((meta_pages, tombstones)) => {
@@ -179,12 +195,13 @@ impl DbSnapshot {
         let version = r.u16()?;
         if version != SNAPSHOT_VERSION {
             return Err(StorageError::Corrupt(format!(
-                "unknown snapshot version {version}"
+                "checkpoint snapshot format version {version}; \
+                 this build reads version {SNAPSHOT_VERSION}"
             )));
         }
         let last_seq = r.u64()?;
         let built = r.u8()? != 0;
-        let index = FlatIndex::decode_descriptor(&mut r)?;
+        let index = decode_descriptor(&mut r)?;
         let delta = match r.u8()? {
             0 => None,
             1 => {
@@ -208,46 +225,84 @@ impl DbSnapshot {
     }
 }
 
-/// A bounds-checked little-endian byte reader over a record payload (or
-/// a descriptor page, see `persist.rs`).
-pub(crate) struct Reader<'a> {
+/// Appends the index descriptor: layout `u16`, seed root `u64`, seed
+/// height `u32`, then elements, object pages, metadata pages and seed-tree
+/// directory pages as `u64`s, all little-endian.
+fn encode_descriptor(index: &FlatIndex, out: &mut Vec<u8>) {
+    let layout: u16 = match index.layout {
+        LeafLayout::MbrOnly => 0,
+        LeafLayout::WithIds => 1,
+    };
+    out.extend_from_slice(&layout.to_le_bytes());
+    out.extend_from_slice(&index.seed_root.map_or(NO_ROOT, |r| r.0).to_le_bytes());
+    out.extend_from_slice(&index.seed_height.to_le_bytes());
+    for count in [
+        index.num_elements,
+        index.num_object_pages,
+        index.num_meta_pages,
+        index.num_seed_inner_pages,
+    ] {
+        out.extend_from_slice(&count.to_le_bytes());
+    }
+}
+
+/// Reads a descriptor written by [`encode_descriptor`].
+fn decode_descriptor(r: &mut Reader<'_>) -> Result<FlatIndex, StorageError> {
+    let layout = match r.u16()? {
+        0 => LeafLayout::MbrOnly,
+        1 => LeafLayout::WithIds,
+        t => return Err(StorageError::Corrupt(format!("unknown layout tag {t}"))),
+    };
+    let root = r.u64()?;
+    Ok(FlatIndex {
+        seed_root: (root != NO_ROOT).then_some(PageId(root)),
+        seed_height: r.u32()?,
+        layout,
+        num_elements: r.u64()?,
+        num_object_pages: r.u64()?,
+        num_meta_pages: r.u64()?,
+        num_seed_inner_pages: r.u64()?,
+    })
+}
+
+/// A bounds-checked little-endian byte reader over a record payload.
+struct Reader<'a> {
+    /// The bytes not read yet.
     bytes: &'a [u8],
-    at: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, at: 0 }
+    fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
+    /// The next `N` bytes.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], StorageError> {
+        let Some((head, rest)) = self.bytes.split_first_chunk::<N>() else {
             return Err(StorageError::Corrupt("truncated durable record".into()));
         };
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
+        self.bytes = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
+        self.take().map(u8::from_le_bytes)
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16, StorageError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    fn u16(&mut self) -> Result<u16, StorageError> {
+        self.take().map(u16::from_le_bytes)
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, StorageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn u32(&mut self) -> Result<u32, StorageError> {
+        self.take().map(u32::from_le_bytes)
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, StorageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    fn u64(&mut self) -> Result<u64, StorageError> {
+        self.take().map(u64::from_le_bytes)
     }
 
     fn f64(&mut self) -> Result<f64, StorageError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.take().map(f64::from_le_bytes)
     }
 
     /// A `u64` count that must also fit the remaining bytes (each counted
@@ -255,9 +310,9 @@ impl<'a> Reader<'a> {
     /// giant allocation.
     fn len(&mut self, what: &str) -> Result<usize, StorageError> {
         let n = self.u64()?;
-        if n > (self.bytes.len() - self.at) as u64 {
+        if n > self.bytes.len() as u64 {
             return Err(StorageError::Corrupt(format!(
-                "implausible {what} {n} in a {}-byte record",
+                "implausible {what} {n} with {} bytes left in the record",
                 self.bytes.len()
             )));
         }
@@ -275,10 +330,10 @@ impl<'a> Reader<'a> {
     }
 
     fn finish(self) -> Result<(), StorageError> {
-        if self.at != self.bytes.len() {
+        if !self.bytes.is_empty() {
             return Err(StorageError::Corrupt(format!(
                 "durable record has {} trailing bytes",
-                self.bytes.len() - self.at
+                self.bytes.len()
             )));
         }
         Ok(())
@@ -286,9 +341,14 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
-    use flat_rtree::LeafLayout;
 
     fn entry(id: u64) -> Entry {
         Entry::new(
@@ -428,6 +488,10 @@ mod tests {
             .contains("magic"));
         let mut bad_version = good;
         bad_version[8] = 99;
-        assert!(DbSnapshot::decode(&bad_version).is_err());
+        let err = DbSnapshot::decode(&bad_version).unwrap_err().to_string();
+        assert!(
+            err.contains("version 99") && err.contains("reads version 1"),
+            "{err}"
+        );
     }
 }

@@ -29,8 +29,8 @@ pub enum FlatError {
     /// A query was malformed (e.g. a batch terminal invoked on the wrong
     /// kind of query set).
     Query(String),
-    /// Saving or opening a database file failed structurally (the file
-    /// is not a FLAT database, or holds no descriptor).
+    /// Opening a database file failed structurally (the options are not
+    /// durable, or the log does not replay in sequence).
     Persist(String),
 }
 

@@ -36,8 +36,8 @@
 //! | `query` (re-exported) | §V-B.1, §VI, Alg. 2 | the read path: [`IndexRef`], the one view (bulkload, or bulkload + delta layer) every query verb is written against; the seed phase; the one BFS crawl kernel, specialised per workload by a visitor (range here) |
 //! | `knn` (re-exported) | extension | [`FlatIndex::knn_query`], best-first seed + crawl over the same view (its own traversal: a moving bound is not a FIFO); [`rtree_knn`], the R-tree baseline's best-first descent over the same top-k accumulator |
 //! | `delta` (re-exported) | extension | [`DeltaIndex`]: delta inserts/deletes with neighbor-link repair, tombstones, compaction back to a pristine (byte-identical) bulkload |
-//! | [`db`] | extension | [`FlatDb`]: the session façade — one handle over build / query / update / persist, over the one shared page cache (no I/O workers) behind epoch-versioned pages; a batch ([`QueryBuilder`]) is the query verbs fanned out over one [`Snapshot`] |
-//! | `durable` (via [`db`]) | extension | [`Durability`] modes, logical-record and checkpoint-snapshot formats; [`FlatDb::create_durable`] / [`FlatDb::open_durable`] commit every writer batch to a write-ahead log and recover exactly the committed prefix after a crash |
+//! | [`db`] | extension | [`FlatDb`]: the session façade — one handle over build / query / update / durability, over the one shared page cache (no I/O workers) behind epoch-versioned pages; a batch ([`QueryBuilder`]) is the query verbs fanned out over one [`Snapshot`] |
+//! | `durable` (via [`db`]) | extension | [`Durability`] modes, logical-record and checkpoint-snapshot formats (the snapshot holds the index descriptor); [`FlatDb::create_durable`] / [`FlatDb::open_durable`] commit every writer batch to a write-ahead log and recover exactly the committed prefix after a crash — a database file is this layout and nothing else |
 //! | `shard` (re-exported) | extension | [`ShardedDb`]: K spatial shards, each a [`FlatDb`] whose cache runs its own I/O workers ([`ShardOptions::scheduler`]), with cross-shard routing and a global exact kNN merge |
 //! | `join` (re-exported) | extension | [`JoinEngine`]: exact ε-distance joins by co-crawling two link graphs — the crawl kernel under a candidate-collecting visitor, seeded from the previous step's partners |
 //! | `aggregate` (re-exported) | extension | `aggregate_count` / `aggregate_density`: the crawl kernel under a counting visitor with the containment early-exit |
@@ -82,7 +82,6 @@ mod knn;
 pub mod meta;
 pub mod neighbors;
 pub mod partition;
-mod persist;
 mod query;
 mod shard;
 

@@ -50,7 +50,6 @@
 pub mod bulk;
 mod insert;
 pub mod node;
-mod persist;
 mod tree;
 pub mod validate;
 

@@ -5,8 +5,16 @@
 //! how checkpoints use it.
 //!
 //! Crashes can leak pages (allocated but unreferenced — e.g. log
-//! continuations linked by a head write that never landed); leaks are
-//! harmless and reclaimed when the layer above compacts or persists.
+//! continuations linked by a head write that never landed, or pages a
+//! lost batch allocated). Leaks are harmless: no crawl reaches them and
+//! no checkpoint names them, but nothing reclaims them either.
+
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 
 use crate::wal::{Wal, WalRecord};
 use crate::{Page, PageId, PageStore, StorageError};
@@ -77,13 +85,15 @@ pub(crate) fn recover<S: PageStore>(store: &mut S) -> Result<(Wal, RecoveredLog)
     let slots = [PageId(header.get_u64(16)), PageId(header.get_u64(24))];
     let (wal, records, torn_truncated) = Wal::open(store, slots)?;
 
-    let last_ckpt = records
-        .iter()
-        .rposition(|r| matches!(r, WalRecord::Checkpoint { .. }))
-        .expect("Wal::open only returns generations holding a checkpoint");
-    let (free, snapshot) = match &records[last_ckpt] {
-        WalRecord::Checkpoint { free, snapshot } => (free.clone(), snapshot.clone()),
-        _ => unreachable!(),
+    // `Wal::open` only returns generations holding a checkpoint.
+    let last = records.iter().enumerate().rev().find_map(|(i, r)| match r {
+        WalRecord::Checkpoint { free, snapshot } => Some((i, free.clone(), snapshot.clone())),
+        _ => None,
+    });
+    let Some((last_ckpt, free, snapshot)) = last else {
+        return Err(StorageError::Corrupt(
+            "the durable log holds no checkpoint".into(),
+        ));
     };
 
     // Pages the redo must never touch: the log's own pages (the

@@ -280,7 +280,7 @@ impl<S: PageStore> VersionedPool<S> {
     /// exclusive borrow proves. Without a log the store then holds every
     /// page's newest bytes and the map is empty; a durable pool keeps its
     /// dirty versions for the next checkpoint.
-    pub fn reclaim_all(&mut self) {
+    fn reclaim_all(&mut self) {
         if self.log.is_none() {
             // A failed write-back leaves its versions in the map, served.
             let _ = self.dirty_heads(false).and_then(|h| self.write_heads(&h));

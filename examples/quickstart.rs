@@ -1,6 +1,6 @@
-//! Quickstart: one [`FlatDb`] session from build to persistence —
-//! generate a brain model, index it, query it serially and batched,
-//! mutate it, and round-trip it through a database file.
+//! Quickstart: one [`FlatDb`] session from build to reopen — generate a
+//! brain model, index it into a database file, query it serially and
+//! batched, mutate it, and recover it from the file.
 //!
 //! This is the façade walkthrough; see `index_comparison.rs` for the
 //! low-level crate APIs (paper-literal reproduction).
@@ -24,10 +24,14 @@ fn main() {
 
     // 2. One handle owns the pool and the index lifecycle. `updatable`
     //    selects stable element ids + the fixed domain that the write
-    //    path needs; `build_from` runs the one bulkload pipeline, which
-    //    spills past the configured memory budget (identical bits either
-    //    way).
-    let mut db = FlatDb::create(MemStore::new(), DbOptions::updatable(config.domain));
+    //    path needs; a durability mode makes it a database file (header,
+    //    write-ahead log and pages) that survives the process;
+    //    `build_from` runs the one bulkload pipeline, which spills past
+    //    the configured memory budget (identical bits either way).
+    let path = std::env::temp_dir().join("flat-quickstart.flatdb");
+    let options = DbOptions::updatable(config.domain).with_durability(Durability::Wal);
+    let store = FileStore::create(&path).expect("create file");
+    let mut db = FlatDb::create_durable(store, options).expect("create");
     let report = db.build_from(model.entries()).expect("build");
     let index = db.index();
     println!(
@@ -114,7 +118,8 @@ fn main() {
     );
 
     // 5. Mutations go through an exclusive write session: delete the
-    //    segments we just found, then put them back.
+    //    segments we just found, then put them back. Each batch commits
+    //    to the log before any page changes.
     let victim_ids: Vec<u64> = hits.iter().take(100).map(|h| h.id).collect();
     let restore: Vec<Entry> = hits
         .iter()
@@ -136,19 +141,23 @@ fn main() {
     );
     assert_eq!(after, hits.len());
 
-    // 6. Persist to a file and reopen — one call each way.
-    let path = std::env::temp_dir().join("flat-quickstart.flatdb");
-    db.persist(&path).expect("persist");
-    let reopened = FlatDb::open_file(&path, DbOptions::updatable(config.domain)).expect("open");
+    // 6. Close the session and reopen the file: recovery loads the last
+    //    checkpoint (the bulkload) and replays the two logged batches.
+    drop(db);
+    let store = FileStore::open(&path).expect("reopen file");
+    let (reopened, recovery) = FlatDb::open_durable(store, options).expect("recover");
+    assert_eq!(recovery.replayed, 2, "the delete and the insert batch");
     assert_eq!(
         reopened.reader().range(&query).expect("query").len(),
         hits.len()
     );
     println!(
-        "\npersisted {:.1} MB to {} and reopened: same {} hits",
-        std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0) as f64 / 1e6,
+        "\nreopened {} ({:.1} MB), replaying {} logged batches: same {} hits",
         path.display(),
+        std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0) as f64 / 1e6,
+        recovery.replayed,
         hits.len()
     );
+    drop(reopened);
     std::fs::remove_file(&path).ok();
 }

@@ -15,8 +15,7 @@
 //! from an entry set (one streaming bulkload that spills to scratch
 //! pages past a memory budget), serves serial reads through cheap
 //! [`prelude::Snapshot`]s and batched reads through a fluent query
-//! builder, mutates through an exclusive writer, and persists to a file
-//! that reopens with one call:
+//! builder, and mutates through an exclusive writer:
 //!
 //! ```
 //! use flat_repro::prelude::*;
@@ -47,6 +46,12 @@
 //! drop(writer);
 //! assert_eq!(db.reader().range(&query).unwrap().len(), hits.len() - 1);
 //! ```
+//!
+//! That database is ephemeral. A durable one
+//! ([`prelude::FlatDb::create_durable`] over a [`prelude::FileStore`])
+//! is a database file: every write batch is logged before it applies,
+//! and [`prelude::FlatDb::open_durable`] reopens the file (see the
+//! `quickstart` example).
 //!
 //! Underneath the façade, page access is split into two capabilities:
 //! builds are exclusive ([`prelude::PageWrite`], `&mut`), queries are

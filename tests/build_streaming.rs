@@ -12,6 +12,9 @@ use flat_repro::core::meta::{
 use flat_repro::core::MetaOrder;
 use flat_repro::prelude::*;
 
+mod common;
+use common::{allocated_pages, store_digest};
+
 /// Byte dump of every page in the pool's store, in allocation order.
 fn pages_of(pool: &ConcurrentBufferPool<MemStore>) -> Vec<Vec<u8>> {
     let store = pool.store();
@@ -171,42 +174,6 @@ fn meta_order_and_inflation_options_stay_bit_identical() {
 // R-tree) that every build test compared the pipeline against; they pin
 // the one pipeline to the bytes that implementation wrote.
 
-/// FNV-1a-64 over the store's page count and every page's bytes, in page-id
-/// order.
-/// Freed pages cannot be read: their ids are hashed after the allocated
-/// pages instead (nothing, for a store that never freed a page).
-fn store_digest(pool: &ConcurrentBufferPool<MemStore>) -> u64 {
-    let mut bytes = pool.store().num_pages().to_le_bytes().to_vec();
-    for page in allocated_pages(pool) {
-        bytes.extend_from_slice(page.bytes());
-    }
-    bytes.extend(
-        pool.store()
-            .free_pages()
-            .iter()
-            .flat_map(|id| id.0.to_le_bytes()),
-    );
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
-        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Every page of the pool's store that is not on the free list, in
-/// page-id order.
-fn allocated_pages(pool: &ConcurrentBufferPool<MemStore>) -> Vec<Page> {
-    let store = pool.store();
-    let free = store.free_pages();
-    (0..store.num_pages())
-        .map(PageId)
-        .filter(|id| !free.contains(id))
-        .map(|id| {
-            let mut page = Page::new();
-            store.read_page(id, &mut page).unwrap();
-            page
-        })
-        .collect()
-}
-
 /// `n` cubes with centers uniform in `[0, 100)³` and sides in
 /// `[0.05, 0.5)`, from a splitmix64 stream — self-contained, so a digest
 /// can only move when the bulkload's bytes do.
@@ -348,10 +315,10 @@ fn every_budget_writes_the_recorded_pages() {
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
         let (index, stats) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
         assert_eq!(
-            store_digest(&pool),
+            store_digest(&*pool.store()),
             digest,
             "{name}: FlatIndex::build wrote {:#018x}",
-            store_digest(&pool)
+            store_digest(&*pool.store())
         );
         match name {
             "single partition" => assert_eq!(stats.num_partitions, 1),
@@ -369,7 +336,7 @@ fn every_budget_writes_the_recorded_pages() {
                 .unwrap();
             assert_eq!(built, index, "{name}: descriptor at budget {budget}");
             assert_eq!(
-                store_digest(&pool),
+                store_digest(&*pool.store()),
                 digest,
                 "{name}: pages at budget {budget}"
             );
@@ -417,10 +384,10 @@ fn compaction_writes_the_pages_of_a_fresh_build() {
     flat_repro::core::verify_compacted_store(&*pool.store(), &*fresh.store())
         .unwrap_or_else(|e| panic!("compaction broke byte identity: {e}"));
     assert_eq!(
-        store_digest(&fresh),
+        store_digest(&*fresh.store()),
         0x1ff1_83e7_b61f_a3df,
         "fresh build over the survivors: {:#018x}",
-        store_digest(&fresh)
+        store_digest(&*fresh.store())
     );
 }
 
@@ -431,7 +398,7 @@ fn compaction_writes_the_pages_of_a_fresh_build() {
 /// Every metadata record on an allocated page of the store.
 fn stored_records(pool: &ConcurrentBufferPool<MemStore>) -> Vec<MetaRecord> {
     let mut records = Vec::new();
-    for page in allocated_pages(pool) {
+    for page in allocated_pages(&*pool.store()) {
         if let Ok(count) = meta_leaf_len(&page) {
             records.extend((0..count as u16).map(|slot| decode_meta_record(&page, slot).unwrap()));
         }
@@ -512,9 +479,9 @@ fn updates_write_the_recorded_pages() {
         .check_invariants(&pool, &pool.store().free_pages())
         .unwrap();
     assert_eq!(
-        store_digest(&pool),
+        store_digest(&*pool.store()),
         0x903d_0384_04d2_3807,
         "updates wrote {:#018x}",
-        store_digest(&pool)
+        store_digest(&*pool.store())
     );
 }

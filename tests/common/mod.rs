@@ -15,6 +15,39 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+/// FNV-1a (64-bit) over `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a over the store's page count and every page's bytes, in page-id
+/// order. Freed pages cannot be read: their ids are hashed after the
+/// allocated pages instead (nothing, for a store that never freed a page).
+pub fn store_digest(store: &impl PageStore) -> u64 {
+    let mut bytes = store.num_pages().to_le_bytes().to_vec();
+    for page in allocated_pages(store) {
+        bytes.extend_from_slice(page.bytes());
+    }
+    bytes.extend(store.free_pages().iter().flat_map(|id| id.0.to_le_bytes()));
+    fnv1a(&bytes)
+}
+
+/// Every page of `store` that is not on its free list, in page-id order.
+pub fn allocated_pages(store: &impl PageStore) -> Vec<Page> {
+    let free = store.free_pages();
+    (0..store.num_pages())
+        .map(PageId)
+        .filter(|id| !free.contains(id))
+        .map(|id| {
+            let mut page = Page::new();
+            store.read_page(id, &mut page).unwrap();
+            page
+        })
+        .collect()
+}
+
 /// How many of `entries` intersect `q` — the range-query oracle.
 pub fn brute_force(entries: &[Entry], q: &Aabb) -> usize {
     entries.iter().filter(|e| q.intersects(&e.mbr)).count()

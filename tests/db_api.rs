@@ -1,5 +1,5 @@
 //! Façade equivalence: every [`FlatDb`] path — build (spilling or not),
-//! range and kNN (serial and batched), insert/delete/compact, persist/open —
+//! range and kNN (serial and batched), insert/delete/compact —
 //! must produce results (and, where observable, pages) **bit-identical**
 //! to the pre-façade low-level calls it routes to.
 
@@ -299,49 +299,6 @@ fn updates_match_low_level_delta_ops_page_for_page() {
 }
 
 #[test]
-fn persisted_file_is_byte_identical_to_low_level_save() {
-    let dir = std::env::temp_dir().join("flat-repro-db-api");
-    std::fs::create_dir_all(&dir).unwrap();
-    let facade_path = dir.join("facade.flatdb");
-    let manual_path = dir.join("manual.flatdb");
-    let (entries, domain) = dataset(8_000, 32);
-    let options = FlatOptions {
-        domain: Some(domain),
-        ..FlatOptions::default()
-    };
-
-    // Façade: build in memory, persist to a file.
-    let mut db = FlatDb::create(MemStore::new(), DbOptions::default().with_index(options));
-    db.build_from(entries.clone()).unwrap();
-    let descriptor = db.persist(&facade_path).unwrap();
-
-    // Low level: build straight into a file store, save the descriptor.
-    let store = FileStore::create(&manual_path).unwrap();
-    let mut pool = ConcurrentBufferPool::new(store, 1 << 14);
-    let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
-    let manual_descriptor = index.save(&mut pool).unwrap();
-    drop(pool);
-
-    assert_eq!(descriptor, manual_descriptor, "descriptor page ids");
-    let facade_bytes = std::fs::read(&facade_path).unwrap();
-    let manual_bytes = std::fs::read(&manual_path).unwrap();
-    assert_eq!(facade_bytes, manual_bytes, "persisted files differ");
-
-    // And the round trip serves the same bits as the in-memory original.
-    let reopened = FlatDb::open_file(&facade_path, DbOptions::default()).unwrap();
-    assert_eq!(reopened.num_live_elements(), entries.len() as u64);
-    for q in queries(&domain, 33) {
-        assert_eq!(
-            reopened.reader().range(&q).unwrap(),
-            db.reader().range(&q).unwrap(),
-            "reopened range for {q}"
-        );
-    }
-    std::fs::remove_file(&facade_path).ok();
-    std::fs::remove_file(&manual_path).ok();
-}
-
-#[test]
 fn flat_error_displays_and_chains_sources() {
     use std::error::Error;
 
@@ -355,7 +312,7 @@ fn flat_error_displays_and_chains_sources() {
 
     // A storage-backed error keeps the full source chain.
     let missing = std::env::temp_dir().join("flat-repro-db-api-definitely-missing.flatdb");
-    let err = FlatDb::open_file(&missing, DbOptions::default()).unwrap_err();
+    let err = FlatError::from(FileStore::open(&missing).unwrap_err());
     assert!(matches!(err, FlatError::Storage(_)), "{err}");
     let storage = err.source().expect("storage source");
     assert!(
@@ -487,29 +444,24 @@ fn bad_build_options_are_typed_errors_not_panics() {
 
     // A zero-page cache is refused by every fallible FlatDb constructor,
     // and a durable constructor refuses `Durability::Off`, before it
-    // touches the store: a plain file, a durable one and an empty one all
-    // keep their bytes.
+    // touches the store: a durable file and an empty one keep their bytes.
     let dir = std::env::temp_dir().join("flat-repro-db-api-options");
     std::fs::create_dir_all(&dir).unwrap();
-    let [plain, durable, empty] = ["plain", "durable", "empty"].map(|n| dir.join(n));
+    let [durable, empty] = ["durable", "empty"].map(|n| dir.join(n));
     let off = DbOptions::updatable(domain);
     let wal = off.with_durability(Durability::Wal);
-    let mut db = FlatDb::create_in_memory(DbOptions::updatable(domain));
-    db.build_from(entries.clone()).unwrap();
-    db.persist(&plain).unwrap();
     let mut db = FlatDb::create_durable(FileStore::create(&durable).unwrap(), wal).unwrap();
     db.build_from(entries).unwrap();
     drop(db);
     drop(FileStore::create(&empty).unwrap());
-    let bytes = || [&plain, &durable, &empty].map(|p| std::fs::read(p).unwrap());
+    let bytes = || [&durable, &empty].map(|p| std::fs::read(p).unwrap());
     let before = bytes();
     let no_cache = |options: DbOptions| DbOptions {
         pool_pages: 0,
         ..options
     };
     for err in [
-        FlatDb::open_file(&plain, no_cache(DbOptions::updatable(domain))).map(drop),
-        FlatDb::open_file(&durable, no_cache(wal)).map(drop),
+        FlatDb::open_durable(FileStore::open(&durable).unwrap(), no_cache(wal)).map(drop),
         FlatDb::create_durable(FileStore::open(&empty).unwrap(), no_cache(wal)).map(drop),
         FlatDb::create_durable(FileStore::open(&empty).unwrap(), off).map(drop),
     ] {
@@ -521,6 +473,6 @@ fn bad_build_options_are_typed_errors_not_panics() {
         .unwrap_err();
     assert!(matches!(err, FlatError::Persist(_)), "{err}");
     assert!(before == bytes(), "a refused open or create changed a file");
-    assert!(before[2].is_empty());
+    assert!(before[1].is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
