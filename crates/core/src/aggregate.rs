@@ -1,9 +1,10 @@
 //! Aggregate queries over the neighbor-link graph: `aggregate_count` and
 //! `aggregate_density` (extension).
 //!
-//! An aggregate crawl visits exactly the records a range crawl would —
-//! same seed, same kernel (`IndexRef::crawl_step`), same expansion rule —
-//! but its [`CrawlVisitor`] materializes no hits. Its payoff is the
+//! An aggregate crawl visits exactly the records and delta partitions a
+//! range crawl would — same seed, same kernel (`IndexRef::crawl_step`),
+//! same expansion rule, same resident list of delta partitions — but its
+//! [`CrawlVisitor`] materializes no hits. Its payoff is the
 //! **containment early-exit**: when a record's page MBR is fully contained
 //! in the query region, every element on the page matches (the build
 //! guarantees element MBR ⊆ page MBR), so the per-element intersection
@@ -53,13 +54,13 @@ impl CrawlVisitor for CountVisit<'_> {
         self.stats.records_processed += 1;
     }
 
-    fn wants_object(&mut self, addr: MetaRecordId, record: &MetaView) -> bool {
+    fn wants_object(&mut self, addr: MetaRecordId, page_mbr: &Aabb) -> bool {
         self.stats.mbr_tests += 1;
-        if !record.page_mbr.intersects(self.query) {
+        if !page_mbr.intersects(self.query) {
             return false;
         }
         self.stats.mbr_tests += 1;
-        if self.query.contains(&record.page_mbr) {
+        if self.query.contains(page_mbr) {
             // Containment early-exit: every live element on the page
             // matches (element ⊆ page MBR ⊆ query).
             self.stats.contained_partitions += 1;
@@ -74,9 +75,9 @@ impl CrawlVisitor for CountVisit<'_> {
         true
     }
 
-    fn scan(&mut self, record: &MetaView, page: &LivePage<'_>) {
+    fn scan(&mut self, page_mbr: &Aabb, page: &LivePage<'_>) {
         self.stats.object_pages_read += 1;
-        if self.query.contains(&record.page_mbr) {
+        if self.query.contains(page_mbr) {
             self.count += page.hits().count() as u64;
         } else {
             self.stats.mbr_tests += page.slots() as u64;
@@ -112,18 +113,20 @@ impl IndexRef<'_> {
         stats: &mut AggregateStats,
     ) -> Result<u64, StorageError> {
         let mut seed_stats = QueryStats::default();
-        let Some(seed) = self.seed(pool, query, &mut seed_stats)? else {
-            return Ok(0);
-        };
-        stats.object_pages_read += seed_stats.object_pages_read;
-        stats.mbr_tests += seed_stats.mbr_tests;
+        let mut state = CrawlState::default();
+        if let Some(seed) = self.seed(pool, query, &mut seed_stats)? {
+            stats.object_pages_read += seed_stats.object_pages_read;
+            stats.mbr_tests += seed_stats.mbr_tests;
+            state.enqueue(seed);
+        }
         let mut visit = CountVisit {
             index: self,
             query,
             stats,
             count: 0,
         };
-        self.crawl(pool, &mut CrawlState::start(seed), &mut visit)?;
+        self.offer_delta(query, &mut state, &mut visit);
+        self.crawl(pool, &mut state, &mut visit)?;
         Ok(visit.count)
     }
 }

@@ -1963,10 +1963,10 @@ mod tests {
         reference.build_from(survivors).unwrap();
 
         // Both sessions hold the fresh bulkload's index pages under its
-        // descriptor. (Replay frees outside a batch, so its inserts may
-        // grow the store before the compaction folds them away: those
-        // pages are free. The pages the crashed session allocated for the
-        // lost versions were never written: they stay zero.)
+        // descriptor, and every other page is free. (Replay frees outside
+        // a batch, so its inserts may grow the store before the compaction
+        // folds them away: those pages are free. The pages the crashed
+        // session allocated for the lost versions are freed by recovery.)
         let fresh_index = reference.index();
         let fresh = settled_index_pages(reference);
         for (name, db) in [("committed", db), ("replayed", replayed)] {
@@ -1978,10 +1978,7 @@ mod tests {
             for (id, page) in &pages {
                 match fresh.get(id) {
                     Some(fresh) => assert!(page == fresh, "{name}: page {id} differs"),
-                    None => assert!(
-                        page.bytes().iter().all(|&b| b == 0),
-                        "{name}: page {id} is live"
-                    ),
+                    None => panic!("{name}: page {id} is allocated but not free"),
                 }
             }
         }
@@ -1991,7 +1988,7 @@ mod tests {
     fn a_recovered_database_folds_away_writes_that_netted_out() {
         // Every inserted partition is deleted again before the checkpoint:
         // no live delta partition and no tombstone is left, but retired
-        // records and stitch chunks are. The session that made the writes
+        // records are. The session that made the writes
         // compacts them away; a session recovered from the checkpoint must
         // compact to exactly the same index pages.
         let options = updatable_options().with_durability(Durability::Wal);

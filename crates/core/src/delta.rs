@@ -11,31 +11,39 @@
 //! * **Inserts** land in *delta partitions*: the batch is tiled over the
 //!   full domain by the same STR code as the bulkload
 //!   ([`crate::partition::partition`]), its object pages are appended
-//!   (reusing freed pages), and its metadata records are written to fresh
-//!   seed-leaf pages. Links are *stitched* both ways: new records point at
-//!   every intersecting live partition, and each existing record gains a
-//!   continuation chunk (spliced at the head of its chain — a same-size
-//!   in-place edit) listing its new delta neighbors. The new primaries and
-//!   the stitch chains are one layout of the one metadata writer, and the
-//!   splices, like every other page edit here, go through the one editor
-//!   (both in [`crate::meta`]). Because every batch
-//!   tiles the whole domain and cross-links against everything live, the
-//!   crawl's connectivity argument survives: within any query box, each
-//!   generation is connected through its own tiling and anchored to the
-//!   others through the cross links.
+//!   (reusing freed pages), and its primary records — with empty neighbor
+//!   lists — are written to fresh seed-leaf pages through the one metadata
+//!   writer ([`crate::meta`]). A batch runs no neighbor sweep and edits no
+//!   existing record: delta partitions are in neither the seed tree nor
+//!   the link graph. Every read verb takes them from the resident summary
+//!   table instead ([`crate::IndexRef`]): range, aggregate and join scan
+//!   the live ones whose page MBR meets the query box beside the crawl,
+//!   and kNN merges them, keyed by page-MBR distance, into its best-first
+//!   frontier. The crawl's connectivity argument is then the bulkload's
+//!   own: the base partitions tile the domain with no gap and every
+//!   touching pair is linked, so the base partitions that meet a query box
+//!   are connected and the crawl reaches all of them from one seed —
+//!   however many batches were inserted, a crawl reads the pages it read
+//!   on the pristine index plus one object page per delta partition that
+//!   meets the box. The price is a resident scan of the delta list per
+//!   query, linear in the number of live delta partitions; `compact()`
+//!   empties it.
 //! * **Deletes** tombstone elements by physical location `(object page,
 //!   slot)`; queries filter tombstones at scan time. When a partition's
-//!   last live element dies the partition is *retired*: every inbound
-//!   link is pruned, its former neighbors are patched into a clique (so
-//!   crawl paths that crossed the dead partition reroute around it — the
-//!   missing links are stitch chains, written and spliced like an insert
-//!   batch's), its record is flagged dead and its object page returns to
-//!   the store's free list. The clique trades link growth for crawl exactness:
-//!   contiguous mass retirement lets surviving frontier partitions
-//!   accumulate links quadratically in the frontier size, a cost that
-//!   only `compact()` resets — churn deployments should compact once the
-//!   delta fraction (or neighbor-list growth) passes a threshold rather
-//!   than retire indefinitely.
+//!   last live element dies the partition is *retired*: its record is
+//!   flagged dead and its object page returns to the store's free list. A
+//!   base partition is first cut out of the graph: every inbound link is
+//!   pruned and its former neighbors are patched into a clique (so crawl
+//!   paths that crossed the dead partition reroute around it — the missing
+//!   links are stitch chains, written by the one metadata writer and
+//!   spliced in by its editor). Only base partitions are ever linked, so
+//!   the clique stays among them. It trades link growth for crawl
+//!   exactness: contiguous mass retirement lets surviving frontier
+//!   partitions accumulate links quadratically in the frontier size, a
+//!   cost that only `compact()` resets — churn deployments should compact
+//!   once the delta fraction (or neighbor-list growth) passes a threshold
+//!   rather than retire indefinitely. A delta partition has no links, so
+//!   its retirement is the flag and the free alone.
 //! * **Compaction** ([`DeltaIndex::compact`]) scans the surviving
 //!   elements, frees every page of the old index and rebuilds through
 //!   [`FlatIndexBuilder`] — producing pages **byte-identical** to
@@ -43,10 +51,11 @@
 //!   differential test `tests/update_equivalence.rs` asserts this), so a
 //!   compacted index is indistinguishable from a pristine bulkload.
 //!
-//! The delta layer keeps a resident *summary table* (two MBRs, a record
-//! address and a live-count per partition, ~120 bytes each) plus an
-//! id→partition locator for the live elements. That is the memtable-style
-//! price of mutability; `compact` drops all of it. The tables fill once,
+//! The delta layer keeps a resident *summary table* (a record address, an
+//! object page, a page MBR and a live-count per partition, ~80 bytes
+//! each) plus an id→partition locator for the live elements. That is the
+//! memtable-style price of mutability, and the table is how readers find
+//! the delta partitions; `compact` drops all of it. The tables fill once,
 //! at *adoption*: [`DeltaIndex::new`] adopts at once, while a
 //! [`crate::FlatDb`] wraps its bulkload unfilled and adopts it at the
 //! first writer — until then every query reads the bulkload alone, and a
@@ -66,7 +75,6 @@ use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions, SeedTreePages};
 use crate::knn::{KnnStats, Neighbor};
 use crate::meta::{edit, meta_leaf_len, write_runs, Edit, Link, MetaRecordId, MetaView, Run};
-use crate::neighbors::NeighborSweep;
 use crate::partition::partition;
 use crate::query::{read_record, walk_links, AddrMap, IndexRef, LivePage, QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
@@ -85,8 +93,6 @@ pub(crate) struct PartState {
     /// Tight MBR of the object page's elements (tombstoned included — MBRs
     /// never shrink, so they still contain every live element).
     pub(crate) page_mbr: Aabb,
-    /// The partition MBR the neighbor relation is computed on.
-    partition_mbr: Aabb,
     /// Elements on the object page that are not tombstoned.
     live: u32,
     /// `true` once retired (object page freed, record flagged dead).
@@ -269,9 +275,9 @@ impl DeltaIndex {
     /// metadata pages, created in page-id order, with nothing deleted.
     /// Scanning the pages in creation order, slot by slot and skipping
     /// continuation chunks, reproduces the partition numbering: the
-    /// bulkload adopts primaries in sorted-leaf order, and every insert
-    /// batch lays its primaries onto fresh pages in batch order before
-    /// any stitch chunk.
+    /// bulkload adopts primaries in sorted-leaf order, every insert batch
+    /// lays its primaries onto fresh pages in batch order, and a
+    /// retirement's clique chunks are continuations.
     fn adopt_pages(
         &mut self,
         pool: &impl PageRead,
@@ -315,7 +321,6 @@ impl DeltaIndex {
                     record: addr,
                     object_page: record.object_page,
                     page_mbr: record.page_mbr,
-                    partition_mbr: record.partition_mbr,
                     live: 0,
                     dead: record.is_dead,
                 });
@@ -393,8 +398,8 @@ impl DeltaIndex {
         &self.parts
     }
 
-    /// The partitions inserted since the bulkload (the seed tree does not
-    /// index them).
+    /// The partitions inserted since the bulkload: in neither the seed
+    /// tree nor the link graph, so every read verb lists them from here.
     pub(crate) fn delta_parts(&self) -> &[PartState] {
         &self.parts[self.base_partitions..]
     }
@@ -437,8 +442,8 @@ impl DeltaIndex {
         self.meta_pages.len() as u64
     }
 
-    /// Seed-tree directory pages (base only — delta records are reached
-    /// through stitched links, not the tree).
+    /// Seed-tree directory pages (base only — delta partitions are found
+    /// in the resident table, not the tree).
     pub fn num_seed_inner_pages(&self) -> u64 {
         self.inner_pages.len() as u64
     }
@@ -461,10 +466,9 @@ impl DeltaIndex {
     /// Inserts a batch of new elements.
     ///
     /// The batch is STR-tiled over the domain into delta partitions whose
-    /// object pages and metadata records are appended (reusing freed
-    /// pages); neighbor links against everything live are computed by the
-    /// plane-sweep [`NeighborSweep`] and stitched both ways (existing
-    /// records gain spliced continuation chunks).
+    /// object pages and primary metadata records are appended (reusing
+    /// freed pages). The records link nowhere and no existing record
+    /// changes: queries find delta partitions in the resident table.
     ///
     /// An entry whose id is live (ids of deleted elements may be reused)
     /// or repeated within `entries` is invalid input
@@ -496,98 +500,38 @@ impl DeltaIndex {
 
         // 1. Tile the batch over the full domain (same STR code as the
         //    bulkload) and write its object pages.
-        let mut new_parts = partition(entries, capacity, Some(domain));
-        if self.options.partition_volume_scale > 1.0 {
-            for p in &mut new_parts {
-                p.partition_mbr = p
-                    .partition_mbr
-                    .scale_volume(self.options.partition_volume_scale);
-            }
-        }
+        let new_parts = partition(entries, capacity, Some(domain));
         let mut page = Page::new();
-        let mut object_ids = Vec::with_capacity(new_parts.len());
+        let mut runs = Vec::with_capacity(new_parts.len());
         for p in &new_parts {
             encode_leaf(&p.elements, self.options.layout, &mut page);
-            let id = pool.alloc()?;
-            pool.write(id, &page, PageKind::ObjectPage)?;
-            object_ids.push(id);
-        }
-
-        // 2. Plane-sweep the batch against every live partition. Existing
-        //    partitions keep their global index (< E); the batch occupies
-        //    E..E+new. Only pairs involving a new partition matter — links
-        //    among existing partitions are already on disk.
-        let e_count = self.parts.len() as u32;
-        let mut items: Vec<(u32, Aabb, Aabb)> = self
-            .parts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.dead)
-            .map(|(i, p)| (i as u32, p.page_mbr, p.partition_mbr))
-            .collect();
-        items.extend(
-            new_parts
-                .iter()
-                .enumerate()
-                .map(|(j, p)| (e_count + j as u32, p.page_mbr, p.partition_mbr)),
-        );
-        items.sort_by(|a, b| a.2.min.x.total_cmp(&b.2.min.x).then(a.0.cmp(&b.0)));
-        // The boundary makes the sweep skip existing×existing pairs —
-        // those links are already on disk — so a small batch over a big
-        // index pays for the new partitions' overlaps, not a full re-join.
-        let mut sweep = NeighborSweep::with_existing_boundary(e_count);
-        let mut retired = Vec::new();
-        for (idx, page_mbr, partition_mbr) in items {
-            sweep.push(idx, page_mbr, partition_mbr, &mut retired);
-        }
-        sweep.finish(&mut retired);
-
-        // 3. Lay out the batch's primaries, then one stitch chain per
-        //    existing partition that gained links (under the boundary, an
-        //    existing partition's list holds exactly its new cross links),
-        //    and splice the chains in.
-        let link = |i: u32| match i.checked_sub(e_count) {
-            Some(j) => Link::Run(j as usize),
-            None => Link::At(self.parts[i as usize].record),
-        };
-        let mut fresh: Vec<Run> = new_parts
-            .iter()
-            .zip(&object_ids)
-            .map(|(p, &object_page)| Run {
+            let object_page = pool.alloc()?;
+            pool.write(object_page, &page, PageKind::ObjectPage)?;
+            runs.push(Run {
                 page_mbr: p.page_mbr,
                 partition_mbr: p.partition_mbr,
                 object_page,
                 neighbors: Vec::new(),
                 splice: false,
                 tail: None,
-            })
-            .collect();
-        let mut stitches = Vec::new();
-        for r in retired {
-            let links: Vec<Link> = r.neighbors.into_iter().map(link).collect();
-            match r.index.checked_sub(e_count) {
-                Some(j) => fresh[j as usize].neighbors = links,
-                None if !links.is_empty() => stitches.push((r.index, links)),
-                None => {}
-            }
+            });
         }
-        stitches.sort_by_key(|&(i, _)| i); // deterministic page layout
-        let primaries = self.write_layout(pool, fresh, stitches)?;
 
-        // 4. Adopt the batch into the resident tables.
-        for (j, p) in new_parts.into_iter().enumerate() {
+        // 2. Lay out the batch's primaries, then adopt the batch into the
+        //    resident tables.
+        let object_pages: Vec<PageId> = runs.iter().map(|r| r.object_page).collect();
+        let primaries = self.write_layout(pool, runs, Vec::new())?;
+        for ((p, record), object_page) in new_parts.into_iter().zip(primaries).zip(object_pages) {
             let idx = self.parts.len() as u32;
-            let addr = primaries[j];
-            self.by_record.insert(addr, idx);
+            self.by_record.insert(record, idx);
             for e in &p.elements {
                 self.locator.insert(e.id, idx);
             }
             self.live_elements += p.elements.len() as u64;
             self.parts.push(PartState {
-                record: addr,
-                object_page: object_ids[j],
+                record,
+                object_page,
                 page_mbr: p.page_mbr,
-                partition_mbr: p.partition_mbr,
                 live: p.elements.len() as u32,
                 dead: false,
             });
@@ -610,14 +554,15 @@ impl DeltaIndex {
         let mut spliced = Vec::with_capacity(stitches.len());
         for (a, neighbors) in stitches {
             let part = &self.parts[a as usize];
+            let head = read_record(pool, part.record)?;
             spliced.push(part.record);
             runs.push(Run {
                 page_mbr: part.page_mbr,
-                partition_mbr: part.partition_mbr,
+                partition_mbr: head.partition_mbr,
                 object_page: part.object_page,
                 neighbors,
                 splice: true,
-                tail: read_record(pool, part.record)?.continuation,
+                tail: head.continuation,
             });
         }
         let shapes: Vec<_> = runs.iter().map(Run::shape).collect();
@@ -637,9 +582,10 @@ impl DeltaIndex {
     /// Deletes elements by application id, returning how many were live.
     ///
     /// Deleted elements are tombstoned (queries filter them at scan time);
-    /// a partition whose last live element dies is retired — inbound links
-    /// pruned, its neighbors patched into a clique so crawls reroute
-    /// around it, its record flagged dead and its object page freed.
+    /// a partition whose last live element dies is retired — its record
+    /// flagged dead and its object page freed, and, for a base partition,
+    /// its inbound links pruned and its neighbors patched into a clique
+    /// so crawls reroute around it.
     pub fn delete_batch<P: PageRead + PageWrite>(
         &mut self,
         pool: &mut P,
@@ -679,11 +625,37 @@ impl DeltaIndex {
         Ok(deleted)
     }
 
-    /// Retires partition `d`: prunes every link to it, patches its former
-    /// neighbors into a clique, flags its record dead and frees its object
-    /// page. See the module docs for why the clique keeps the crawl
-    /// exhaustive.
+    /// Retires partition `d`: cuts a base partition out of the link graph
+    /// ([`DeltaIndex::cut_out`]), then flags its record dead and frees its
+    /// object page. A delta partition is linked to nothing, so it takes
+    /// the flag and the free alone.
     fn retire<P: PageRead + PageWrite>(
+        &mut self,
+        pool: &mut P,
+        d: u32,
+    ) -> Result<(), StorageError> {
+        if (d as usize) < self.base_partitions {
+            self.cut_out(pool, d)?;
+        }
+        // Flag the record dead and drop its chain; free the object page.
+        edit(pool, self.parts[d as usize].record, Edit::Retire)?;
+        let obj = self.parts[d as usize].object_page;
+        pool.free(obj)?;
+        // The page id may be reused by a later insert: stale tombstones
+        // keyed to it would silently delete the new tenants. Slots are
+        // bounded by the page capacity, so the purge is O(capacity), not
+        // O(total tombstones).
+        for slot in 0..leaf_capacity(self.options.layout) as u16 {
+            self.tombstones.remove(&(obj, slot));
+        }
+        self.parts[d as usize].dead = true;
+        Ok(())
+    }
+
+    /// Prunes every link to base partition `d` and patches its former
+    /// neighbors into a clique. See the module docs for why the clique
+    /// keeps the crawl exhaustive.
+    fn cut_out<P: PageRead + PageWrite>(
         &mut self,
         pool: &mut P,
         d: u32,
@@ -737,19 +709,6 @@ impl DeltaIndex {
             .filter(|(_, missing)| !missing.is_empty())
             .collect();
         self.write_layout(pool, Vec::new(), cliques)?;
-
-        // Flag the record dead and drop its chain; free the object page.
-        edit(pool, d_rec, Edit::Retire)?;
-        let obj = self.parts[d as usize].object_page;
-        pool.free(obj)?;
-        // The page id may be reused by a later insert: stale tombstones
-        // keyed to it would silently delete the new tenants. Slots are
-        // bounded by the page capacity, so the purge is O(capacity), not
-        // O(total tombstones).
-        for slot in 0..leaf_capacity(self.options.layout) as u16 {
-            self.tombstones.remove(&(obj, slot));
-        }
-        self.parts[d as usize].dead = true;
         Ok(())
     }
 
@@ -845,7 +804,8 @@ impl DeltaIndex {
     ///
     /// 1. neighbor links are symmetric and never duplicated;
     /// 2. no link targets a tombstoned (dead) or unknown record, and every
-    ///    target is a live primary;
+    ///    target is a live primary of the bulkload — a delta partition
+    ///    links to nothing and nothing links to it;
     /// 3. every partition's MBRs contain its live elements (and the
     ///    partition MBR contains the page MBR);
     /// 4. no page on `free_pages` is reachable from any crawl (object
@@ -877,9 +837,6 @@ impl DeltaIndex {
             }
             report.live_partitions += 1;
             reachable.insert(part.object_page);
-            if !part.partition_mbr.contains(&part.page_mbr) {
-                return Err(format!("partition {i}: partition MBR lost the page MBR"));
-            }
 
             // Walk the chain, collecting neighbors and reachable pages.
             let mut seen_chunks = HashSet::new();
@@ -897,6 +854,9 @@ impl DeltaIndex {
                 }
                 if first && record.is_continuation {
                     return Err(format!("partition {i}: primary flagged as continuation"));
+                }
+                if first && !record.partition_mbr.contains(&part.page_mbr) {
+                    return Err(format!("partition {i}: partition MBR lost the page MBR"));
                 }
                 first = false;
                 nbrs.extend(record.neighbors());
@@ -918,6 +878,9 @@ impl DeltaIndex {
                 }
                 if self.parts[j as usize].dead {
                     return Err(format!("partition {i}: link to retired partition {j}"));
+                }
+                if i as usize >= self.base_partitions || j as usize >= self.base_partitions {
+                    return Err(format!("link {i} -> {j} touches a delta partition"));
                 }
                 edges.insert((i, j));
             }
@@ -1141,6 +1104,51 @@ mod tests {
             let expected = entries.iter().filter(|e| q.intersects(&e.mbr)).count();
             assert_eq!(delta.range_query(&pool, &q).unwrap().len(), expected);
         }
+    }
+
+    #[test]
+    fn insert_batches_leave_the_link_graph_untouched() {
+        let (mut pool, mut delta, _) = build_delta(6_000, 70);
+        // Every base partition's chain, record by record, with the raw
+        // bytes of the pages it lies on.
+        let chains = |pool: &ConcurrentBufferPool<MemStore>, delta: &DeltaIndex| {
+            let base = &delta.parts[..delta.base_partitions];
+            let mut out = Vec::new();
+            for part in base {
+                let mut at = Some(part.record);
+                while let Some(addr) = at {
+                    let record = read_record(pool, addr).unwrap();
+                    let page = pool.read_page(addr.page, PageKind::SeedLeaf).unwrap();
+                    out.push((addr, record.to_record(), page.bytes().to_vec()));
+                    at = record.continuation;
+                }
+            }
+            out
+        };
+        let before = chains(&pool, &delta);
+        for batch in 0..3u64 {
+            let fresh: Vec<Entry> = random_entries(400 + 150 * batch as usize, 71 + batch)
+                .into_iter()
+                .map(|e| Entry::new(e.id + 1_000_000 * (batch + 1), e.mbr))
+                .collect();
+            delta.insert_batch(&mut pool, fresh).unwrap();
+        }
+        assert!(delta.num_delta_partitions() >= 3);
+        for part in delta.delta_parts() {
+            let record = read_record(&pool, part.record).unwrap();
+            assert_eq!(
+                record.neighbors().len(),
+                0,
+                "delta record {:?}",
+                part.record
+            );
+            assert!(record.continuation.is_none());
+        }
+        assert!(
+            chains(&pool, &delta) == before,
+            "a base record's chain changed"
+        );
+        check(&pool, &delta);
     }
 
     #[test]

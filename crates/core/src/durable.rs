@@ -133,9 +133,11 @@ pub(crate) fn decode_logical(bytes: &[u8]) -> Result<(u64, WriteOp), StorageErro
 /// "FLATSNP1" — identifies a checkpoint snapshot.
 const SNAPSHOT_MAGIC: u64 = 0x464C_4154_534E_5031;
 /// Format version of a checkpoint snapshot. A change to the snapshot or
-/// index descriptor encoding, or to any page format the descriptor points
-/// at, bumps it.
-const SNAPSHOT_VERSION: u16 = 1;
+/// index descriptor encoding, to any page format the descriptor points at,
+/// or to what the pages mean bumps it. Version 2: no record links to a
+/// delta partition (a version-1 file may hold base→delta links, which
+/// would make every query report a delta element twice).
+const SNAPSHOT_VERSION: u16 = 2;
 /// Encoding of `FlatIndex::seed_root == None`.
 const NO_ROOT: u64 = u64::MAX;
 
@@ -490,8 +492,31 @@ mod tests {
         bad_version[8] = 99;
         let err = DbSnapshot::decode(&bad_version).unwrap_err().to_string();
         assert!(
-            err.contains("version 99") && err.contains("reads version 1"),
+            err.contains("version 99") && err.contains("reads version 2"),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn a_version_1_snapshot_is_refused_naming_both_versions() {
+        // Version 1 delta layers linked base records to delta records; the
+        // read path now also scans delta partitions from the resident
+        // table, so reading such a file would report their elements twice.
+        let snap = DbSnapshot {
+            last_seq: 3,
+            built: true,
+            index: FlatIndex::empty(LeafLayout::WithIds),
+            delta: Some((vec![PageId(5)], Vec::new())),
+        };
+        let mut old = snap.encode();
+        old[8..10].copy_from_slice(&1u16.to_le_bytes());
+        let err = DbSnapshot::decode(&old).unwrap_err();
+        let StorageError::Corrupt(msg) = &err else {
+            panic!("expected a corrupt-snapshot error, got {err}");
+        };
+        assert!(
+            msg.contains("version 1;") && msg.contains("reads version 2"),
+            "{msg}"
         );
     }
 }

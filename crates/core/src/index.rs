@@ -35,8 +35,8 @@ pub struct FlatOptions {
     /// The domain the partition tiling must cover. Defaults to the union
     /// of the element MBRs.
     pub domain: Option<Aabb>,
-    /// Multiplies every partition MBR's volume after stretching (about its
-    /// center) before neighbors are computed. `1.0` (the default) is the
+    /// Multiplies every bulkloaded partition MBR's volume after stretching
+    /// (about its center) before neighbors are computed. `1.0` (the default) is the
     /// paper's algorithm; larger values reproduce the partition-size study
     /// of Figure 21. Inflation preserves both crawl invariants (boxes only
     /// grow).

@@ -2,11 +2,13 @@
 //! co-crawling both neighbor-link graphs.
 //!
 //! The engine sweeps the outer dataset's partitions in storage order
-//! (STR creation order, which is spatially coherent), and for each outer
-//! partition crawls the inner dataset's link graph with the query box
-//! `page_mbr.inflate(ε)` — the same kernel as a range query
+//! (STR creation order, which is spatially coherent; an outer delta layer
+//! lists its bulkload's partitions first, then its inserted ones), and for
+//! each outer partition crawls the inner dataset's link graph with the
+//! query box `page_mbr.inflate(ε)` — the same kernel as a range query
 //! (`IndexRef::crawl_step`), under a [`CrawlVisitor`] that collects
-//! candidates instead of hits. Correctness leans on the same
+//! candidates instead of hits — and scans the inner delta partitions that
+//! meet the box, which the graph does not hold. Correctness leans on the same
 //! exhaustiveness guarantee as range queries: if two elements are within
 //! Euclidean distance ε, then every per-axis gap between their MBRs is at
 //! most ε, so the inner element intersects the inflated box and the crawl
@@ -95,12 +97,11 @@ impl CrawlVisitor for PartnerVisit<'_> {
         self.stats.crawl_records += 1;
     }
 
-    fn wants_object(&mut self, _addr: MetaRecordId, record: &MetaView) -> bool {
-        record.page_mbr.intersects(&self.query)
-            && self.outer_mbr.distance_sq(&record.page_mbr) <= self.eps2
+    fn wants_object(&mut self, _addr: MetaRecordId, page_mbr: &Aabb) -> bool {
+        page_mbr.intersects(&self.query) && self.outer_mbr.distance_sq(page_mbr) <= self.eps2
     }
 
-    fn scan(&mut self, _record: &MetaView, page: &LivePage<'_>) {
+    fn scan(&mut self, _page_mbr: &Aabb, page: &LivePage<'_>) {
         self.stats.object_pages_read += 1;
         let (outer_mbr, eps2) = (self.outer_mbr, self.eps2);
         let near = page
@@ -179,7 +180,8 @@ impl JoinEngine {
             // Seed the inner crawl: reuse the previous partners that are
             // still relevant (their partition MBR intersects the new
             // query box, so they belong to the connected subgraph the
-            // crawl must cover), falling back to a seed-tree descent.
+            // crawl must cover), falling back to a seed-tree descent. A
+            // descent that finds nothing leaves only the delta partitions.
             state.clear();
             for (record, mbr) in &frontier {
                 if mbr.intersects(&query) {
@@ -191,18 +193,15 @@ impl JoinEngine {
                 let seed = inner.seed(inner_pool, &query, &mut seed_stats)?;
                 stats.object_pages_read += seed_stats.object_pages_read;
                 stats.seed_descents += 1;
-                let Some(seed) = seed else {
-                    // No live inner element intersects the inflated box,
-                    // so this outer partition has no partners at all.
-                    frontier.clear();
-                    continue;
-                };
-                state.enqueue(seed);
+                if let Some(seed) = seed {
+                    state.enqueue(seed);
+                }
             } else {
                 stats.frontier_reuses += 1;
             }
 
-            // Crawl the inner graph under `query`, collecting candidate
+            // Crawl the inner graph under `query`, and scan the inner
+            // delta partitions that meet it, collecting candidate
             // elements (Euclidean-pruned against the outer page MBR) and
             // this step's partner partitions.
             partners.clear();
@@ -215,6 +214,7 @@ impl JoinEngine {
                 candidates: &mut candidates,
                 partners: &mut partners,
             };
+            inner.offer_delta(&query, &mut state, &mut visit);
             inner.crawl(inner_pool, &mut state, &mut visit)?;
             std::mem::swap(&mut frontier, &mut partners);
             if candidates.is_empty() {

@@ -287,61 +287,90 @@ impl IndexRef<'_> {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let Some(seed) = self.knn_seed(pool, point)? else {
-            return Ok(Vec::new());
-        };
         let tombstones = self.tombstones();
 
         // The best-first crawl; `best`'s bound prunes (∞ until full).
         let mut best = TopK::new(k);
         let mut seen: AddrSet<MetaRecordId> = AddrSet::default();
         let mut frontier: BinaryHeap<Reverse<(MinKey, MetaRecordId)>> = BinaryHeap::new();
+        // The delta partitions, which no link reaches, nearest first: a
+        // second frontier, merged into the first by key. Empty (and
+        // unallocated) over a pristine index.
+        let mut outside: Vec<(MinKey, PageId)> = self
+            .delta_parts()
+            .map(|p| {
+                (
+                    MinKey(p.page_mbr.distance_sq_to_point(&point)),
+                    p.object_page,
+                )
+            })
+            .collect();
+        outside.sort_unstable();
+        let mut next_outside = 0;
         // Scratch of one wave (see the loop), reused across waves: the
-        // popped records with their page-MBR distances, their unseen
-        // neighbors, and the announcement.
-        let mut wave: Vec<(MetaView, f64)> = Vec::with_capacity(KNN_WAVE);
+        // object pages popped with their page-MBR distances, the popped
+        // records' unseen neighbors, and the announcement.
+        let mut wave: Vec<(PageId, f64)> = Vec::with_capacity(KNN_WAVE);
         let mut fresh: Vec<MetaRecordId> = Vec::new();
         let mut wants: Vec<(PageId, PageKind)> = Vec::new();
-        seen.insert(seed);
-        let key = read_record(pool, seed)?
-            .partition_mbr
-            .distance_sq_to_point(&point);
-        frontier.push(Reverse((MinKey(key), seed)));
+        if let Some(seed) = self.knn_seed(pool, point)? {
+            seen.insert(seed);
+            let key = read_record(pool, seed)?
+                .partition_mbr
+                .distance_sq_to_point(&point);
+            frontier.push(Reverse((MinKey(key), seed)));
+        }
 
         loop {
-            // Pop up to `KNN_WAVE` records within the bound the wave starts
-            // with, reading each and collecting its unseen neighbors across
-            // the continuation chain (over-full neighbor lists spill into
-            // continuation records), in pop order.
+            // Pop up to `KNN_WAVE` entries within the bound the wave starts
+            // with, the nearer of the two frontiers first (a delta
+            // partition on ties). A record is read and its unseen
+            // neighbors collected across the continuation chain
+            // (over-full neighbor lists spill into continuation records),
+            // in pop order; a delta partition is its object page alone.
             let bound = best.bound();
             wave.clear();
             fresh.clear();
             wants.clear();
             while wave.len() < KNN_WAVE {
-                let Some(&Reverse((MinKey(dist), addr))) = frontier.peek() else {
-                    break;
+                let top = frontier.peek().map(|&Reverse((MinKey(dist), _))| dist);
+                let (page, page_dist) = match outside.get(next_outside) {
+                    Some(&(MinKey(dist), page))
+                        if dist <= bound && top.is_none_or(|top| dist <= top) =>
+                    {
+                        next_outside += 1;
+                        (page, dist)
+                    }
+                    _ => {
+                        let Some(Reverse((MinKey(dist), addr))) = frontier.peek().copied() else {
+                            break;
+                        };
+                        if dist > bound {
+                            break;
+                        }
+                        stats.max_frontier_len = stats.max_frontier_len.max(frontier.len());
+                        stats.records_expanded += 1;
+                        frontier.pop();
+                        let record = read_record(pool, addr)?;
+                        walk_links(pool, &record, |chunk| {
+                            fresh.extend(chunk.neighbors().filter(|&n| seen.insert(n)));
+                            Ok(())
+                        })?;
+                        (
+                            record.object_page,
+                            record.page_mbr.distance_sq_to_point(&point),
+                        )
+                    }
                 };
-                if dist > bound {
-                    break;
-                }
-                stats.max_frontier_len = stats.max_frontier_len.max(frontier.len());
-                stats.records_expanded += 1;
-                frontier.pop();
-                let record = read_record(pool, addr)?;
-                walk_links(pool, &record, |chunk| {
-                    fresh.extend(chunk.neighbors().filter(|&n| seen.insert(n)));
-                    Ok(())
-                })?;
                 // The kNN analogue of §VI's page-MBR test: the object page
                 // is wanted when it can still hold a top-k element.
-                let page_dist = record.page_mbr.distance_sq_to_point(&point);
                 if page_dist <= bound {
-                    wants.push((record.object_page, PageKind::ObjectPage));
+                    wants.push((page, PageKind::ObjectPage));
                 }
-                wave.push((record, page_dist));
+                wave.push((page, page_dist));
             }
-            // Everything still on the frontier is at least this far away;
-            // once the top-k is full and closer, nothing can improve.
+            // Everything still on either frontier is at least this far
+            // away; once the top-k is full and closer, nothing can improve.
             if wave.is_empty() {
                 stats.records_pruned += frontier.len() as u64;
                 break;
@@ -356,12 +385,12 @@ impl IndexRef<'_> {
             // Scan in pop order, each page against the bound the earlier
             // scans left: a page announced on the wave's bound that has
             // since fallen outside it is skipped.
-            for (record, page_dist) in &wave {
-                if *page_dist > best.bound() {
+            for &(page, page_dist) in &wave {
+                if page_dist > best.bound() {
                     continue;
                 }
                 stats.object_pages_read += 1;
-                for hit in LivePage::read(pool, record.object_page, tombstones)?.hits() {
+                for hit in LivePage::read(pool, page, tombstones)?.hits() {
                     best.offer(hit, hit.mbr.distance_sq_to_point(&point));
                 }
             }
@@ -386,13 +415,13 @@ impl IndexRef<'_> {
         Ok(best.into_neighbors())
     }
 
-    /// The kNN seed: the live primary record whose page MBR is nearest to
-    /// `point` (`None` for an empty index) — a best-first descent of the
-    /// seed tree, cost near the tree height like the range seed, against a
-    /// scan of the resident summaries of the partitions outside the tree;
-    /// the closer page MBR wins. Any live record is a correct entry point
-    /// (the best-first crawl's bound starts unbounded), a near one just
-    /// prunes sooner.
+    /// The kNN seed: the live primary record of the bulkload whose page
+    /// MBR is nearest to `point` (`None` when the seed tree holds none) —
+    /// a best-first descent of the seed tree, cost near the tree height
+    /// like the range seed. The delta partitions are no crawl entry
+    /// points: the crawl merges them in from the resident table. Any live
+    /// record is a correct entry point (the best-first crawl's bound
+    /// starts unbounded), a near one just prunes sooner.
     ///
     /// A round opens up to [`KNN_WAVE`] nodes off the heap, announced
     /// together, and stops popping once a record is on top. A node's key
@@ -405,10 +434,6 @@ impl IndexRef<'_> {
         pool: &impl PageRead,
         point: Point3,
     ) -> Result<Option<MetaRecordId>, StorageError> {
-        let outside = self
-            .delta_parts()
-            .map(|p| (MinKey(p.page_mbr.distance_sq_to_point(&point)), p.record))
-            .min();
         let base = self.base();
         let mut heap: BinaryHeap<Reverse<(MinKey, SeedItem)>> = BinaryHeap::new();
         heap.extend(base.seed_root.map(|page| {
@@ -417,14 +442,9 @@ impl IndexRef<'_> {
         }));
         let mut opened: Vec<(PageId, u32)> = Vec::with_capacity(KNN_WAVE);
         let mut wants: Vec<(PageId, PageKind)> = Vec::with_capacity(KNN_WAVE);
-        while let Some(&Reverse((key, item))) = heap.peek() {
-            // The winning heap key is the record's distance: comparing it
-            // with the outside candidate costs no extra page read.
+        while let Some(&Reverse((_, item))) = heap.peek() {
             if let SeedItem::Record(addr) = item {
-                return Ok(Some(match outside {
-                    Some((outside_key, outside_addr)) if outside_key < key => outside_addr,
-                    _ => addr,
-                }));
+                return Ok(Some(addr));
             }
             opened.clear();
             while opened.len() < KNN_WAVE {
@@ -469,7 +489,7 @@ impl IndexRef<'_> {
                 }
             }
         }
-        Ok(outside.map(|(_, addr)| addr))
+        Ok(None)
     }
 }
 

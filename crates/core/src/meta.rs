@@ -47,8 +47,8 @@
 //!
 //! This module alone lays metadata pages out, writes and edits them. One
 //! layout writer places an ordered list of *runs* — record chains: a
-//! bulkload's partitions, an insert batch's new partitions and stitch
-//! chains, a retirement's clique stitch chains — planning every record's
+//! bulkload's partitions, an insert batch's new (unlinked) partitions, a
+//! retirement's clique stitch chains — planning every record's
 //! address before it writes a byte. One editor splices a stitch chain in
 //! front of a record's chain, prunes a link and sets the dead flag.
 //!

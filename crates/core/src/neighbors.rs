@@ -17,8 +17,8 @@
 //!
 //! [`NeighborSweep`] computes exactly the relation the paper's temporary
 //! tree would, as a plane sweep over partitions in x order — so the
-//! bulkload never holds all partition MBRs, and the update layer can
-//! stitch a batch against a live index with the same code.
+//! bulkload never holds all partition MBRs. Only the bulkload links
+//! partitions: an insert batch's partitions stay out of the graph.
 
 use flat_geom::Aabb;
 
@@ -57,42 +57,17 @@ pub struct SweptPartition {
 /// O(slab)-partitions memory bound, reported by `exp_build_scale`.
 #[derive(Debug, Default)]
 pub struct NeighborSweep {
-    /// Window members with index `< existing_boundary` (always empty for
-    /// a plain build sweep): they are only ever tested against `fresh`
-    /// arrivals, never against each other.
-    existing: Vec<SweptPartition>,
-    /// Window members with index `≥ existing_boundary` — with the default
-    /// boundary of 0, the entire window.
-    fresh: Vec<SweptPartition>,
+    /// Partitions whose x-range still covers the sweep plane.
+    window: Vec<SweptPartition>,
     peak_window: usize,
     last_min_x: Option<f64>,
     total_pointers: u64,
-    existing_boundary: u32,
 }
 
 impl NeighborSweep {
     /// An empty sweep.
     pub fn new() -> NeighborSweep {
         NeighborSweep::default()
-    }
-
-    /// A sweep that skips pair tests between two partitions whose indices
-    /// are both below `boundary`.
-    ///
-    /// The dynamic-update layer stitches an insert batch against the
-    /// whole live index by sweeping everything together; links among the
-    /// *existing* partitions (indices `< boundary`) are already on disk,
-    /// so those pairs are neither tested nor even iterated: the window is
-    /// split in two, and an existing arrival scans only the window's new
-    /// members. Per-batch pair work is therefore proportional to the new
-    /// partitions' window overlaps — not the bulkload's full join —
-    /// while retired existing partitions carry only their new cross
-    /// links.
-    pub fn with_existing_boundary(boundary: u32) -> NeighborSweep {
-        NeighborSweep {
-            existing_boundary: boundary,
-            ..NeighborSweep::default()
-        }
     }
 
     /// Feeds the next partition (in `partition_mbr.min.x` order, ties in
@@ -117,55 +92,39 @@ impl NeighborSweep {
 
         // Retire window members the sweep plane has passed: nothing that
         // arrives from here on (min.x ≥ this arrival's) can touch them.
-        for list in [&mut self.existing, &mut self.fresh] {
-            let mut i = 0;
-            while i < list.len() {
-                if list[i].partition_mbr.max.x < min_x {
-                    let mut done = list.swap_remove(i);
-                    done.neighbors.sort_unstable();
-                    retired.push(done);
-                } else {
-                    i += 1;
-                }
+        let mut i = 0;
+        while i < self.window.len() {
+            if self.window[i].partition_mbr.max.x < min_x {
+                let mut done = self.window.swap_remove(i);
+                done.neighbors.sort_unstable();
+                retired.push(done);
+            } else {
+                i += 1;
             }
         }
 
-        // Test the arrival against the remaining window: fresh arrivals
-        // against everything, existing arrivals against the fresh side
-        // only (existing×existing links are already known).
+        // Test the arrival against the remaining window.
         let mut arrival = SweptPartition {
             index,
             page_mbr,
             partition_mbr,
             neighbors: Vec::new(),
         };
-        let is_fresh = index >= self.existing_boundary;
-        let sides: &mut [&mut Vec<SweptPartition>] = if is_fresh {
-            &mut [&mut self.existing, &mut self.fresh]
-        } else {
-            &mut [&mut self.fresh]
-        };
-        for side in sides.iter_mut() {
-            for other in side.iter_mut() {
-                if other.partition_mbr.intersects(&arrival.partition_mbr) {
-                    other.neighbors.push(arrival.index);
-                    arrival.neighbors.push(other.index);
-                    self.total_pointers += 2;
-                }
+        for other in &mut self.window {
+            if other.partition_mbr.intersects(&arrival.partition_mbr) {
+                other.neighbors.push(arrival.index);
+                arrival.neighbors.push(other.index);
+                self.total_pointers += 2;
             }
         }
-        if is_fresh {
-            self.fresh.push(arrival);
-        } else {
-            self.existing.push(arrival);
-        }
-        self.peak_window = self.peak_window.max(self.window_len());
+        self.window.push(arrival);
+        self.peak_window = self.peak_window.max(self.window.len());
     }
 
     /// Ends the input, retiring every partition still in the window.
     /// Returns the total number of neighbor pointers created.
     pub fn finish(mut self, retired: &mut Vec<SweptPartition>) -> u64 {
-        for mut done in self.existing.drain(..).chain(self.fresh.drain(..)) {
+        for mut done in self.window.drain(..) {
             done.neighbors.sort_unstable();
             retired.push(done);
         }
@@ -175,11 +134,6 @@ impl NeighborSweep {
     /// Peak number of partitions simultaneously held in the sweep window.
     pub fn peak_window(&self) -> usize {
         self.peak_window
-    }
-
-    /// Current number of partitions in the window.
-    fn window_len(&self) -> usize {
-        self.existing.len() + self.fresh.len()
     }
 }
 
@@ -423,60 +377,6 @@ mod tests {
             "window {peak} should be far below {} partitions",
             parts.len()
         );
-    }
-
-    #[test]
-    fn existing_boundary_skips_only_existing_pairs() {
-        // Sweep a tiling once fully, once with a boundary: partitions at
-        // or above the boundary must get exactly their full lists minus
-        // nothing, partitions below it exactly their links to >= boundary.
-        let mut rng = StdRng::seed_from_u64(15);
-        let entries: Vec<Entry> = (0..4000)
-            .map(|i| {
-                let c = Point3::new(
-                    rng.gen_range(0.0..40.0),
-                    rng.gen_range(0.0..40.0),
-                    rng.gen_range(0.0..40.0),
-                );
-                Entry::new(i, Aabb::cube(c, 0.4))
-            })
-            .collect();
-        let parts = partition(entries, 85, None);
-        let (full, _) = sweep_neighbors(&parts);
-        let boundary = (parts.len() / 2) as u32;
-
-        let mut order: Vec<usize> = (0..parts.len()).collect();
-        order.sort_by(|&a, &b| {
-            parts[a]
-                .partition_mbr
-                .min
-                .x
-                .total_cmp(&parts[b].partition_mbr.min.x)
-                .then(a.cmp(&b))
-        });
-        let mut sweep = NeighborSweep::with_existing_boundary(boundary);
-        let mut retired = Vec::new();
-        for &i in &order {
-            sweep.push(
-                i as u32,
-                parts[i].page_mbr,
-                parts[i].partition_mbr,
-                &mut retired,
-            );
-        }
-        sweep.finish(&mut retired);
-        for r in retired {
-            let expected: Vec<u32> = if r.index >= boundary {
-                full[r.index as usize].clone()
-            } else {
-                full[r.index as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&j| j >= boundary)
-                    .collect()
-            };
-            assert_eq!(r.neighbors, expected, "partition {}", r.index);
-        }
     }
 
     #[test]

@@ -71,11 +71,12 @@ pub(crate) type AddrMap<K, V> = HashMap<K, V, BuildHasherDefault<AddrHasher>>;
 pub(crate) type Tombstones = AddrSet<(PageId, u16)>;
 
 /// Any index the read path understands: the single view every query verb
-/// (range, kNN, aggregate, join) is written against. A delta layer lives
-/// in the same page graph as its base, so the two differ only in what
-/// this type's accessors answer: which elements are tombstoned, which
-/// partitions sit outside the seed tree, and whether live counts are
-/// resident.
+/// (range, kNN, aggregate, join) is written against. The link graph is
+/// the bulkload's alone; a delta layer adds partitions that sit outside
+/// both the seed tree and the graph, listed in its resident table. The
+/// two kinds differ only in what this type's accessors answer: which
+/// elements are tombstoned, which partitions every verb takes from the
+/// resident table beside its crawl, and whether live counts are resident.
 ///
 /// As a join side ([`crate::JoinInput`]) both sides may be the same index:
 /// a self-join reports self-pairs `(x, x)` and both orientations of every
@@ -236,18 +237,22 @@ impl<'t> LivePage<'t> {
 /// monomorphised per visitor, so a visitor costs what writing its loop by
 /// hand would. Each record of a wave is shown to `dequeued`, then (if
 /// live) `wants_object` and `expands`, in queue order; then the wave's
-/// wanted object pages are handed to `scan`, in the same order.
+/// wanted object pages are handed to `scan`, in the same order. The delta
+/// partitions a crawl starts with ([`IndexRef::offer_delta`]) are shown
+/// to `wants_object` alone, and scanned with the first wave.
 pub(crate) trait CrawlVisitor {
     /// A record left the queue, which held `queue_len` records counting it.
     fn dequeued(&mut self, queue_len: usize);
 
-    /// Will this (live) record's object page be scanned? Asked once per
-    /// record, for a whole wave before any of its object pages is read, so
-    /// the answers can be announced to the pool together.
-    fn wants_object(&mut self, addr: MetaRecordId, record: &MetaView) -> bool;
+    /// Will the object page of the live partition whose primary record is
+    /// `addr` and whose page MBR is `page_mbr` be scanned? Asked once per
+    /// partition, for a whole wave before any of its object pages is read,
+    /// so the answers can be announced to the pool together.
+    fn wants_object(&mut self, addr: MetaRecordId, page_mbr: &Aabb) -> bool;
 
-    /// Scans an object page that was wanted, in queue order.
-    fn scan(&mut self, record: &MetaView, page: &LivePage<'_>);
+    /// Scans an object page that was wanted (its partition's page MBR is
+    /// `page_mbr`), in the order the pages were wanted.
+    fn scan(&mut self, page_mbr: &Aabb, page: &LivePage<'_>);
 
     /// Will this record's neighbor links be followed? Asked right after
     /// `wants_object`, before any object page of the wave is read.
@@ -270,12 +275,12 @@ impl CrawlVisitor for RangeVisit<'_> {
 
     /// "the object page is only read from disk if M's page MBR intersects
     /// with the query" (§VI).
-    fn wants_object(&mut self, _addr: MetaRecordId, record: &MetaView) -> bool {
+    fn wants_object(&mut self, _addr: MetaRecordId, page_mbr: &Aabb) -> bool {
         self.stats.mbr_tests += 1;
-        record.page_mbr.intersects(self.query)
+        page_mbr.intersects(self.query)
     }
 
-    fn scan(&mut self, _record: &MetaView, page: &LivePage<'_>) {
+    fn scan(&mut self, _page_mbr: &Aabb, page: &LivePage<'_>) {
         self.stats.object_pages_read += 1;
         self.stats.mbr_tests += page.slots() as u64;
         let query = self.query;
@@ -313,12 +318,33 @@ impl<'a> IndexRef<'a> {
         self.delta().map(DeltaIndex::tombstones)
     }
 
-    /// Live partitions inserted since the bulkload: in the link graph but
-    /// not in the seed tree, so both seed phases probe their resident
-    /// summaries.
+    /// Live partitions inserted since the bulkload: in neither the seed
+    /// tree nor the link graph, so no crawl reaches them. Every verb takes
+    /// them from this resident list instead — kNN keys all of them by
+    /// page-MBR distance, the crawling verbs through
+    /// [`IndexRef::offer_delta`].
     pub(crate) fn delta_parts(self) -> impl Iterator<Item = &'a PartState> {
         let parts = self.delta().map_or(&[][..], DeltaIndex::delta_parts);
         parts.iter().filter(|part| !part.dead)
+    }
+
+    /// Shows `visitor` every live delta partition whose page MBR meets
+    /// `query` ([`CrawlVisitor::wants_object`]); the object pages it wants
+    /// are announced and scanned with the next wave of `state`'s crawl —
+    /// the only wave of a crawl that has no seed. A resident scan, so a
+    /// partition costs one object read when wanted and none otherwise.
+    pub(crate) fn offer_delta(
+        self,
+        query: &Aabb,
+        state: &mut CrawlState,
+        visitor: &mut impl CrawlVisitor,
+    ) {
+        for part in self.delta_parts() {
+            if part.page_mbr.intersects(query) && visitor.wants_object(part.record, &part.page_mbr)
+            {
+                state.scans.push((part.object_page, part.page_mbr));
+            }
+        }
     }
 
     /// Resident live-element count of the partition whose primary record
@@ -360,7 +386,9 @@ impl<'a> IndexRef<'a> {
         Ok(out)
     }
 
-    /// Evaluates a range query: seed phase, then the breadth-first crawl.
+    /// Evaluates a range query: seed phase, then the breadth-first crawl
+    /// of the bulkload's graph, with the delta partitions that meet the
+    /// box scanned beside its first wave.
     pub(crate) fn range_query_with_stats(
         self,
         pool: &impl PageRead,
@@ -369,28 +397,31 @@ impl<'a> IndexRef<'a> {
     ) -> Result<Vec<Hit>, StorageError> {
         let mut hits = Vec::new();
         // "If no object page can be found, then the query has no result"
-        // (§V-B.1).
+        // (§V-B.1) — in the bulkload; the delta partitions are scanned
+        // either way.
+        let mut state = CrawlState::default();
         if let Some(seed) = self.seed(pool, query, stats)? {
-            let mut state = CrawlState::start(seed);
-            let mut visit = RangeVisit {
-                query,
-                stats,
-                hits: &mut hits,
-            };
-            self.crawl(pool, &mut state, &mut visit)?;
-            stats.records_seen = state.records_seen();
+            state.enqueue(seed);
         }
+        let mut visit = RangeVisit {
+            query,
+            stats,
+            hits: &mut hits,
+        };
+        self.offer_delta(query, &mut state, &mut visit);
+        self.crawl(pool, &mut state, &mut visit)?;
+        stats.records_seen = state.records_seen();
         stats.result_count = hits.len() as u64;
         Ok(hits)
     }
 
     /// The seed phase (§V-B.1): walk a single path of the seed tree
     /// (early-exit DFS), reading candidate object pages until one actually
-    /// contains a live element intersecting the query; partitions outside
-    /// the tree (the delta layer's) are probed from their resident
-    /// summaries after it. Tombstoned elements do not count, and retired
-    /// (dead) records are never entry points — their object pages are
-    /// freed.
+    /// contains a live element intersecting the query. Only the bulkload's
+    /// partitions are candidates: the crawl walks their graph, and the
+    /// delta partitions are no part of it. Tombstoned elements do not
+    /// count, and retired (dead) records are never entry points — their
+    /// object pages are freed.
     pub(crate) fn seed(
         self,
         pool: &impl PageRead,
@@ -443,31 +474,28 @@ impl<'a> IndexRef<'a> {
                 }
             }
         }
-        for part in self.delta_parts() {
-            stats.mbr_tests += 1;
-            if part.page_mbr.intersects(query) && probe(part.object_page, stats)? {
-                return Ok(Some(part.record));
-            }
-        }
         Ok(None)
     }
 
-    /// Runs a seeded crawl to completion.
+    /// Runs a crawl to completion: every queued record and every offered
+    /// delta partition. A crawl with neither reads nothing.
     pub(crate) fn crawl(
         self,
         pool: &impl PageRead,
         state: &mut CrawlState,
         visitor: &mut impl CrawlVisitor,
     ) -> Result<(), StorageError> {
-        while !self.crawl_step(pool, state, visitor)? {}
+        while !(state.queue.is_empty() && state.scans.is_empty()) {
+            self.crawl_step(pool, state, visitor)?;
+        }
         Ok(())
     }
 
     /// Runs one crawl turn — a **wave**: up to [`WAVE`] records taken off
-    /// the front of the BFS queue and processed in queue order. Returns
-    /// `true` when the crawl is finished. This is the only code that walks
-    /// the link graph breadth-first; range, aggregate and join differ in
-    /// their [`CrawlVisitor`] alone.
+    /// the front of the BFS queue and processed in queue order, plus the
+    /// delta partitions offered since the last turn. This is the only code
+    /// that walks the link graph breadth-first; range, aggregate and join
+    /// differ in their [`CrawlVisitor`] alone.
     ///
     /// A wave costs one device round trip. Its first pass reads each
     /// record and decides, in queue order, whether its object page is
@@ -497,7 +525,9 @@ impl<'a> IndexRef<'a> {
     /// continuation chunks first, then object pages), which a small LRU
     /// cache may notice as a handful of physical reads either way.
     ///
-    /// Every caller loops this to completion ([`IndexRef::crawl`]).
+    /// Every caller loops this to completion ([`IndexRef::crawl`]). The
+    /// wanted object pages of offered delta partitions head the wave's
+    /// announcement and its scans.
     ///
     /// One deliberate fix to the paper's pseudocode: Algorithm 2 only
     /// inserts a page into `visited` when its page MBR intersects the
@@ -507,20 +537,20 @@ impl<'a> IndexRef<'a> {
     /// ("seen"), which preserves the intended I/O behaviour — every record
     /// is processed at most once, every object page read at most once —
     /// and guarantees termination.
-    pub(crate) fn crawl_step<V: CrawlVisitor>(
+    fn crawl_step<V: CrawlVisitor>(
         self,
         pool: &impl PageRead,
         state: &mut CrawlState,
         visitor: &mut V,
-    ) -> Result<bool, StorageError> {
+    ) -> Result<(), StorageError> {
         let CrawlState {
             queue,
             seen,
             scans,
             wants,
         } = state;
-        scans.clear();
         wants.clear();
+        wants.extend(scans.iter().map(|&(page, _)| (page, PageKind::ObjectPage)));
         for _ in 0..queue.len().min(WAVE) {
             let Some(addr) = queue.pop_front() else { break };
             visitor.dequeued(queue.len() + 1);
@@ -532,7 +562,7 @@ impl<'a> IndexRef<'a> {
             if record.is_dead {
                 continue;
             }
-            let wanted = visitor.wants_object(addr, &record);
+            let wanted = visitor.wants_object(addr, &record.page_mbr);
             if visitor.expands(addr, &record) {
                 walk_links(pool, &record, |chunk| {
                     for neighbor in chunk.neighbors() {
@@ -545,7 +575,7 @@ impl<'a> IndexRef<'a> {
             }
             if wanted {
                 wants.push((record.object_page, PageKind::ObjectPage));
-                scans.push(record);
+                scans.push((record.object_page, record.page_mbr));
             }
         }
         let next_wave = queue.iter().take(WAVE).map(|addr| addr.page);
@@ -553,13 +583,10 @@ impl<'a> IndexRef<'a> {
         pool.want_pages(wants);
 
         let tombstones = self.tombstones();
-        for record in scans.drain(..) {
-            visitor.scan(
-                &record,
-                &LivePage::read(pool, record.object_page, tombstones)?,
-            );
+        for (page, page_mbr) in scans.drain(..) {
+            visitor.scan(&page_mbr, &LivePage::read(pool, page, tombstones)?);
         }
-        Ok(queue.is_empty())
+        Ok(())
     }
 }
 
@@ -622,33 +649,28 @@ pub(crate) fn announce_meta_pages(
 /// in the smallest caches in use.
 const WAVE: usize = 64;
 
-/// The resumable state of one crawl: the BFS queue and the visited
-/// ("seen") set. Seeded through [`CrawlState::start`] or
-/// [`CrawlState::enqueue`] and advanced one wave at a time by
-/// `IndexRef::crawl_step`.
+/// The resumable state of one crawl: the BFS queue, the visited
+/// ("seen") set and the delta partitions waiting for their scan. Seeded
+/// through [`CrawlState::enqueue`] and [`IndexRef::offer_delta`] and
+/// advanced one wave at a time by `IndexRef::crawl_step`.
 #[derive(Debug, Default)]
 pub(crate) struct CrawlState {
     queue: VecDeque<MetaRecordId>,
     seen: AddrSet<MetaRecordId>,
     // Scratch of the wave in progress, kept here so a crawl allocates it
-    // once: the records whose object pages are wanted, and the page list
+    // once: the object pages (with their page MBRs) to scan — between
+    // waves, those of the offered delta partitions — and the page list
     // being announced.
-    scans: Vec<MetaView>,
+    scans: Vec<(PageId, Aabb)>,
     wants: Vec<(PageId, PageKind)>,
 }
 
 impl CrawlState {
-    /// A crawl about to process `seed` as its first record.
-    pub(crate) fn start(seed: MetaRecordId) -> CrawlState {
-        let mut state = CrawlState::default();
-        state.enqueue(seed);
-        state
-    }
-
     /// Forgets the previous crawl, keeping its allocations for the next.
     pub(crate) fn clear(&mut self) {
         self.queue.clear();
         self.seen.clear();
+        self.scans.clear();
     }
 
     /// Queues `addr` as an entry point unless the crawl has already seen it.
@@ -658,7 +680,8 @@ impl CrawlState {
         }
     }
 
-    /// `true` when nothing is queued: the crawl is over, or not yet seeded.
+    /// `true` when no record is queued: the crawl is over, or not yet
+    /// seeded.
     pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty()
     }

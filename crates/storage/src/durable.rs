@@ -4,10 +4,12 @@
 //! pool owns the [`Wal`]; see the [`crate::versioned`] module docs for
 //! how checkpoints use it.
 //!
-//! Crashes can leak pages (allocated but unreferenced — e.g. log
-//! continuations linked by a head write that never landed, or pages a
-//! lost batch allocated). Leaks are harmless: no crawl reaches them and
-//! no checkpoint names them, but nothing reclaims them either.
+//! A crash loses what the batches since the last checkpoint wrote, but
+//! the store still counts the pages they, and the log, allocated. Every
+//! checkpoint records the store's page count and every page that is free
+//! once it completes (the retiring log generation's pages included), and
+//! [`recover`] frees each of those pages, and each page at or past the
+//! count, that the surviving log does not own: a crash leaks no page.
 
 #![deny(
     clippy::panic,
@@ -23,8 +25,9 @@ use std::collections::HashSet;
 /// Magic tag identifying the durable-store header page.
 const HEADER_MAGIC: u64 = 0x464C_4154_4455_5231; // "FLATDUR1"
 
-/// Durable-store format version.
-const HEADER_VERSION: u64 = 1;
+/// Durable-store format version. Version 2 added the page count to the
+/// checkpoint record.
+const HEADER_VERSION: u64 = 2;
 
 /// What opening a durable pool recovered from the log
 /// ([`crate::VersionedPool::open_durable`]).
@@ -63,7 +66,8 @@ pub(crate) fn create_log<S: PageStore>(store: &mut S) -> Result<Wal, StorageErro
 
 /// Recovers a store left by a previous session (or crash): checks the
 /// header, opens the newest log generation holding a committed checkpoint
-/// (truncating any torn tail), redoes that checkpoint's write-back —
+/// (truncating any torn tail), frees the pages allocated after that
+/// checkpoint that the log does not own, redoes its write-back —
 /// idempotent, as the crash may have cut it short — and returns the log
 /// with the logical records appended after it.
 pub(crate) fn recover<S: PageStore>(store: &mut S) -> Result<(Wal, RecoveredLog), StorageError> {
@@ -78,7 +82,7 @@ pub(crate) fn recover<S: PageStore>(store: &mut S) -> Result<(Wal, RecoveredLog)
     }
     if header.get_u64(8) != HEADER_VERSION {
         return Err(StorageError::Corrupt(format!(
-            "unsupported durable store version {}",
+            "unsupported durable store version {}; this build reads version {HEADER_VERSION}",
             header.get_u64(8)
         )));
     }
@@ -87,10 +91,14 @@ pub(crate) fn recover<S: PageStore>(store: &mut S) -> Result<(Wal, RecoveredLog)
 
     // `Wal::open` only returns generations holding a checkpoint.
     let last = records.iter().enumerate().rev().find_map(|(i, r)| match r {
-        WalRecord::Checkpoint { free, snapshot } => Some((i, free.clone(), snapshot.clone())),
+        WalRecord::Checkpoint {
+            pages,
+            free,
+            snapshot,
+        } => Some((i, *pages, free.clone(), snapshot.clone())),
         _ => None,
     });
-    let Some((last_ckpt, free, snapshot)) = last else {
+    let Some((last_ckpt, pages, free, snapshot)) = last else {
         return Err(StorageError::Corrupt(
             "the durable log holds no checkpoint".into(),
         ));
@@ -103,6 +111,15 @@ pub(crate) fn recover<S: PageStore>(store: &mut S) -> Result<(Wal, RecoveredLog)
     let keep: HashSet<u64> = wal.pages().iter().map(|p| p.0).chain([0u64]).collect();
     let free_set: HashSet<u64> = free.iter().copied().collect();
     let mut store_free: HashSet<u64> = store.free_pages().iter().map(|p| p.0).collect();
+
+    // The pages allocated after the checkpoint hold nothing it names: the
+    // batches that wrote them are lost (their logical records replay and
+    // allocate afresh), and the log's own are kept.
+    for page in pages..store.num_pages() {
+        if !keep.contains(&page) && store_free.insert(page) {
+            store.free_page(PageId(page))?;
+        }
+    }
 
     // Redo the write-back: page images in log order (later images of the
     // same page win by overwriting), skipping pages whose content is moot

@@ -358,11 +358,19 @@ impl<S: PageStore> VersionedPool<S> {
         let _writer = lock_unpoisoned(&self.writer);
         let mut wal = self.wal()?;
         let heads = self.dirty_heads(false)?;
-        let store_free = self.cache.store().free_pages();
+        let (pages, store_free) = {
+            let store = self.cache.store();
+            (store.num_pages(), store.free_pages())
+        };
         let mut free: Vec<u64> = store_free.iter().map(|p| p.0).collect();
         free.extend(heads.iter().filter(|h| h.1.is_none()).map(|h| h.0));
+        // The log's continuation pages die with its generation: once the
+        // switch below frees them, a batch may take them, and a crash
+        // before the next checkpoint must hand them back.
+        free.extend(wal.chain().iter().skip(1).map(|p| p.0));
         free.sort_unstable();
         let ckpt = WalRecord::Checkpoint {
+            pages,
             free,
             snapshot: snapshot.to_vec(),
         };

@@ -94,7 +94,13 @@ pub enum WalRecord {
     },
     /// A checkpoint: the durable baseline recovery starts from.
     Checkpoint {
-        /// Every page id free at the checkpoint (cumulative, ascending).
+        /// The store's page count at the checkpoint. A page at or past it
+        /// was allocated after the checkpoint, by a batch a crash loses or
+        /// by the log itself.
+        pages: u64,
+        /// Every page id free once the checkpoint's generation switch is
+        /// done — the store's and the versions' free pages and the
+        /// retiring log's continuation pages (cumulative, ascending).
         free: Vec<u64>,
         /// Opaque snapshot of the layer above's metadata.
         snapshot: Vec<u8>,
@@ -118,8 +124,13 @@ impl WalRecord {
                 out.extend_from_slice(&page.to_le_bytes());
                 out.extend_from_slice(bytes.bytes());
             }
-            WalRecord::Checkpoint { free, snapshot } => {
+            WalRecord::Checkpoint {
+                pages,
+                free,
+                snapshot,
+            } => {
                 out.push(TAG_CHECKPOINT);
+                out.extend_from_slice(&pages.to_le_bytes());
                 out.extend_from_slice(&(free.len() as u64).to_le_bytes());
                 for id in free {
                     out.extend_from_slice(&id.to_le_bytes());
@@ -153,9 +164,10 @@ impl WalRecord {
                 Ok(WalRecord::PageImage { page, bytes })
             }
             TAG_CHECKPOINT => {
-                let count = u64_at(body, 0)? as usize;
+                let pages = u64_at(body, 0)?;
+                let count = u64_at(body, 8)? as usize;
                 let mut free = Vec::with_capacity(count.min(1 << 20));
-                let mut at = 8;
+                let mut at = 16;
                 for _ in 0..count {
                     free.push(u64_at(body, at)?);
                     at += 8;
@@ -166,6 +178,7 @@ impl WalRecord {
                     .get(at..at + snap_len)
                     .ok_or_else(|| StorageError::Corrupt("truncated WAL snapshot".into()))?;
                 Ok(WalRecord::Checkpoint {
+                    pages,
                     free,
                     snapshot: snapshot.to_vec(),
                 })
@@ -544,6 +557,7 @@ mod tests {
 
     fn ckpt(snapshot: &[u8]) -> WalRecord {
         WalRecord::Checkpoint {
+            pages: 0,
             free: vec![],
             snapshot: snapshot.to_vec(),
         }
@@ -790,6 +804,7 @@ mod tests {
         let mut store = MemStore::new();
         let mut wal = Wal::create(&mut store).unwrap();
         let record = WalRecord::Checkpoint {
+            pages: 2_100,
             free: (0..700).map(|i| i * 3).collect(),
             snapshot: vec![],
         };

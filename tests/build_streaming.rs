@@ -7,13 +7,13 @@
 //! bulkload is pinned to a recorded digest too.
 
 use flat_repro::core::meta::{
-    decode_meta_record, max_neighbors_per_record, meta_leaf_len, MetaRecord,
+    decode_meta_record, max_neighbors_per_record, meta_leaf_len, MetaRecordId,
 };
 use flat_repro::core::MetaOrder;
 use flat_repro::prelude::*;
 
 mod common;
-use common::{allocated_pages, store_digest};
+use common::store_digest;
 
 /// Byte dump of every page in the pool's store, in allocation order.
 fn pages_of(pool: &ConcurrentBufferPool<MemStore>) -> Vec<Vec<u8>> {
@@ -396,20 +396,54 @@ fn compaction_writes_the_pages_of_a_fresh_build() {
 // ---------------------------------------------------------------------
 
 /// Every metadata record on an allocated page of the store.
-fn stored_records(pool: &ConcurrentBufferPool<MemStore>) -> Vec<MetaRecord> {
+/// Asserts that the bulkload's link graph is closed: no metadata record of
+/// a base partition (object page below `base_objects`; no object page is
+/// freed before the check) links to a record of a delta partition.
+fn assert_no_base_record_links_to_a_delta_record(
+    pool: &ConcurrentBufferPool<MemStore>,
+    base_objects: u64,
+) {
+    let store = pool.store();
+    let free = store.free_pages();
     let mut records = Vec::new();
-    for page in allocated_pages(&*pool.store()) {
+    let mut page = Page::new();
+    for id in (0..store.num_pages()).map(PageId) {
+        if free.contains(&id) {
+            continue;
+        }
+        store.read_page(id, &mut page).unwrap();
         if let Ok(count) = meta_leaf_len(&page) {
-            records.extend((0..count as u16).map(|slot| decode_meta_record(&page, slot).unwrap()));
+            for slot in 0..count as u16 {
+                let addr = MetaRecordId { page: id, slot };
+                records.push((addr, decode_meta_record(&page, slot).unwrap()));
+            }
         }
     }
-    records
+    let delta: std::collections::HashSet<MetaRecordId> = records
+        .iter()
+        .filter(|(_, r)| r.object_page.0 >= base_objects)
+        .map(|&(addr, _)| addr)
+        .collect();
+    assert!(!delta.is_empty(), "the script inserts delta partitions");
+    for (addr, record) in &records {
+        if record.object_page.0 < base_objects {
+            if let Some(n) = record.neighbors.iter().find(|n| delta.contains(n)) {
+                panic!("base record {addr:?} links to delta record {n:?}");
+            }
+        } else {
+            assert!(
+                record.neighbors.is_empty(),
+                "delta record {addr:?} has links"
+            );
+        }
+    }
 }
 
 /// The byte reference of the update path: two insert batches over a
-/// bulkload, the first wide enough that stitch lists overflow one record,
-/// then deletes that retire partitions, so clique chunks are written and
-/// freed pages are reused. Recorded at commit ddda537.
+/// bulkload, which link nothing, then deletes that retire partitions, so
+/// clique chunks are written among the base partitions and freed pages are
+/// reused. Recorded at the change that took delta partitions out of the
+/// link graph.
 #[test]
 fn updates_write_the_recorded_pages() {
     let options = FlatOptions {
@@ -417,7 +451,7 @@ fn updates_write_the_recorded_pages() {
         ..with_ids()
     };
     // Two elements spanning the data stretch their partitions over every
-    // partition of a batch.
+    // partition of the bulkload.
     let mut base = cloud(6_000, 41);
     base.push(Entry::new(
         90_000,
@@ -441,13 +475,7 @@ fn updates_write_the_recorded_pages() {
     delta
         .insert_batch(&mut pool, batch(32_000, 42, 100_000))
         .unwrap();
-    // A stitch chain of a bulkloaded partition holds a full chunk.
-    assert!(
-        stored_records(&pool).iter().any(|r| r.is_continuation
-            && r.object_page.0 < base_objects
-            && r.neighbors.len() == max_neighbors_per_record()),
-        "no stitch list overflowed one record"
-    );
+    assert_no_base_record_links_to_a_delta_record(&pool, base_objects);
     delta
         .insert_batch(&mut pool, batch(3_000, 43, 200_000))
         .unwrap();
@@ -461,7 +489,7 @@ fn updates_write_the_recorded_pages() {
         .into_iter()
         .chain(batch(32_000, 42, 100_000))
         .chain(batch(3_000, 43, 200_000))
-        .filter(|e| e.mbr.center().x < 15.0)
+        .filter(|e| e.mbr.center().x < 25.0)
         .map(|e| e.id)
         .collect();
     delta.delete_batch(&mut pool, &doomed).unwrap();
@@ -478,9 +506,10 @@ fn updates_write_the_recorded_pages() {
     delta
         .check_invariants(&pool, &pool.store().free_pages())
         .unwrap();
+    assert_no_base_record_links_to_a_delta_record(&pool, base_objects);
     assert_eq!(
         store_digest(&*pool.store()),
-        0x903d_0384_04d2_3807,
+        0xf257_cd45_8bea_ee87,
         "updates wrote {:#018x}",
         store_digest(&*pool.store())
     );

@@ -309,6 +309,60 @@ fn recovered_database_stays_writable_and_durable() {
     assert_matches_ground_truth(&db, &survivors, &domain(), 78);
 }
 
+/// A crash leaks no page. Each cycle commits a few batches, crashes
+/// before the next checkpoint (the page versions are lost, the log keeps
+/// the batches), recovers — replaying them — and checkpoints. After every
+/// cycle the store holds exactly as many allocated, non-free pages as a
+/// session that never crashed and committed the same batches: the pages
+/// the lost versions had taken are free again.
+#[test]
+fn crash_recover_checkpoint_cycles_leak_no_page() {
+    let initial = fresh_entries(700, 0, &domain(), 41);
+    let ops = build_script(&initial);
+    let options = DbOptions::updatable(domain()).with_durability(Durability::Wal);
+    let in_use = |db: &FlatDb<MemStore>| {
+        let store = db.store();
+        store.num_pages() - store.free_pages().len() as u64
+    };
+    let session = || {
+        let mut db = FlatDb::create_durable(MemStore::new(), options).unwrap();
+        db.build_from(initial.clone()).unwrap();
+        db
+    };
+    let (mut crashed, mut clean) = (session(), session());
+    let mut cycles = 0;
+    for group in ops.chunks(3) {
+        for db in [&mut crashed, &mut clean] {
+            for op in group {
+                let mut writer = db.writer().unwrap();
+                match op {
+                    Op::Insert(entries) => writer.insert(entries.clone()).unwrap(),
+                    Op::Delete(ids) => {
+                        writer.delete(ids).unwrap();
+                    }
+                    Op::Compact => {
+                        writer.compact().unwrap();
+                    }
+                }
+            }
+        }
+        let (recovered, report) = FlatDb::open_durable(crashed.into_store(), options).unwrap();
+        assert_eq!(report.replayed, group.len(), "the crash lost no batch");
+        crashed = recovered;
+        crashed.checkpoint().unwrap();
+        clean.checkpoint().unwrap();
+        assert_eq!(
+            in_use(&crashed),
+            in_use(&clean),
+            "pages in use after crash cycle {cycles}"
+        );
+        cycles += 1;
+    }
+    assert!(cycles >= 7, "{cycles} crash cycles");
+    let survivors = survivors_after(&initial, &ops, ops.len());
+    assert_matches_ground_truth(&crashed, &survivors, &domain(), 80);
+}
+
 // ---------- media corruption ----------
 
 /// Offsets of WAL head-page geometry (see `flat_storage::wal`): magic at

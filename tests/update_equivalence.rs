@@ -7,11 +7,20 @@
 //!
 //! This is the same bit-level discipline every prior layer was pinned by
 //! (batched == serial, streamed == in-memory), extended to mutation.
+//!
+//! Inserted (delta) partitions are reached from the delta layer's resident
+//! table, not through the link graph: a query reads exactly what it read
+//! on the pristine index plus the delta partitions in reach, and every
+//! verb stays exact when no base partition is left at all.
 
+use flat_repro::core::meta::meta_leaf_len;
 use flat_repro::prelude::*;
+use flat_repro::rtree::node::decode_leaf;
 
 mod common;
-use common::{fresh_entries, Harness, Op};
+use common::{
+    brute_force, brute_join, fresh_entries, keys, knn_probes, recovery_queries, Harness, Op,
+};
 
 fn run_script(initial: Vec<Entry>, domain: Aabb, seed: u64) {
     let mut harness = Harness::new(initial, domain);
@@ -106,4 +115,160 @@ fn churn_workload_stays_equivalent_across_timesteps() {
     }
     harness.apply(&Op::Compact);
     harness.assert_equivalent(4999);
+}
+
+/// The page MBR of every object page in `ids` — the pages an insert batch
+/// wrote hold its partitions' elements, and with nothing deleted a page
+/// MBR is the union of its elements' MBRs.
+fn object_page_mbrs(pool: &ConcurrentBufferPool<MemStore>, ids: std::ops::Range<u64>) -> Vec<Aabb> {
+    let store = pool.store();
+    let mut page = Page::new();
+    ids.filter_map(|id| {
+        store.read_page(PageId(id), &mut page).unwrap();
+        if meta_leaf_len(&page).is_ok() {
+            return None; // a metadata page
+        }
+        let (_, entries) = decode_leaf(&page).unwrap();
+        Some(Aabb::union_all(entries.iter().map(|e| e.mbr)))
+    })
+    .collect()
+}
+
+/// On a cache without I/O workers, a cold range query over a delta index
+/// reads exactly the pages it read on the pristine index, plus one object
+/// page per live delta partition whose page MBR meets the box: the base
+/// crawl is unchanged by inserts, and delta partitions cost no metadata
+/// read at all.
+#[test]
+fn a_cold_range_query_reads_the_pristine_pages_plus_the_delta_partitions_it_meets() {
+    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(100.0));
+    let mut harness = Harness::new(fresh_entries(8_000, 0, &domain, 1401), domain);
+    let queries = recovery_queries(&domain, 16, 1402);
+    let cold_reads = |harness: &Harness, query: &Aabb| {
+        harness.pool.clear_cache();
+        harness.pool.reset_stats();
+        harness.delta.range_query(&harness.pool, query).unwrap();
+        harness.pool.stats().total_physical_reads()
+    };
+    let pristine: Vec<u64> = queries.iter().map(|q| cold_reads(&harness, q)).collect();
+
+    let first_new = harness.pool.store().num_pages();
+    for (batch, seed) in [1403, 1404, 1405].into_iter().enumerate() {
+        let first_id = 1_000_000 * (batch as u64 + 1);
+        harness.apply(&Op::Insert(fresh_entries(700, first_id, &domain, seed)));
+    }
+    let last = harness.pool.store().num_pages();
+    let delta_pages = object_page_mbrs(&harness.pool, first_new..last);
+    assert_eq!(delta_pages.len(), harness.delta.num_delta_partitions());
+
+    let mut met = 0;
+    for (i, (query, before)) in queries.iter().zip(pristine).enumerate() {
+        let meets = delta_pages
+            .iter()
+            .filter(|mbr| mbr.intersects(query))
+            .count() as u64;
+        met += meets;
+        assert_eq!(
+            cold_reads(&harness, query),
+            before + meets,
+            "query {i}: {before} pristine reads, {meets} delta partitions in reach"
+        );
+    }
+    assert!(met > 0, "no query reached a delta partition");
+    harness.assert_equivalent(1406);
+}
+
+/// Range, aggregate, kNN and the join in both orientations stay exact on
+/// an index whose bulkload has retired completely: the seed tree offers no
+/// live entry point, so every answer comes from the delta partitions the
+/// resident table lists.
+#[test]
+fn every_verb_is_exact_once_every_base_partition_has_retired() {
+    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(100.0));
+    let base = fresh_entries(3_000, 0, &domain, 1411);
+    let mut harness = Harness::new(base.clone(), domain);
+    harness.apply(&Op::Insert(fresh_entries(900, 1_000_000, &domain, 1412)));
+    harness.apply(&Op::Insert(fresh_entries(500, 2_000_000, &domain, 1413)));
+    harness.apply(&Op::Delete(base.iter().map(|e| e.id).collect()));
+    let delta = &harness.delta;
+    assert!(delta.num_delta_partitions() > 0);
+    assert_eq!(
+        delta.num_live_partitions(),
+        delta.num_delta_partitions(),
+        "a base partition is still live"
+    );
+    let survivors: Vec<Entry> = harness.survivors.values().copied().collect();
+    let pool = &harness.pool;
+
+    for (i, query) in recovery_queries(&domain, 12, 1414).iter().enumerate() {
+        let expected: Vec<Hit> = survivors
+            .iter()
+            .filter(|e| query.intersects(&e.mbr))
+            .map(|e| Hit {
+                mbr: e.mbr,
+                id: e.id,
+                page: PageId(0),
+                slot: 0,
+            })
+            .collect();
+        let hits = delta.range_query(pool, query).unwrap();
+        assert_eq!(keys(&hits), keys(&expected), "range query {i}");
+        assert_eq!(
+            delta.aggregate_count(pool, query).unwrap(),
+            brute_force(&survivors, query) as u64,
+            "aggregate {i}"
+        );
+    }
+
+    for (i, (point, k)) in knn_probes(&domain, 1415).into_iter().enumerate() {
+        let got: Vec<f64> = delta
+            .knn_query(pool, point, k)
+            .unwrap()
+            .iter()
+            .map(|n| n.dist_sq)
+            .collect();
+        let mut expected: Vec<f64> = survivors
+            .iter()
+            .map(|e| e.mbr.distance_sq_to_point(&point))
+            .collect();
+        expected.sort_by(f64::total_cmp);
+        expected.truncate(k);
+        assert_eq!(got, expected, "kNN probe {i}, k {k}");
+    }
+
+    let other = fresh_entries(1_500, 5_000_000, &domain, 1416);
+    let mut other_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
+    let (other_index, _) =
+        FlatIndex::build(&mut other_pool, other.clone(), common::options(domain)).unwrap();
+    for eps in [0.0, 1.0, 3.0] {
+        let engine = JoinEngine::new(eps);
+        let outer = engine
+            .join(
+                pool,
+                JoinInput::Delta(delta),
+                &other_pool,
+                JoinInput::Flat(&other_index),
+            )
+            .unwrap();
+        assert_eq!(
+            outer.pairs,
+            brute_join(&survivors, &other, eps),
+            "delta outer, eps {eps}"
+        );
+        let inner = engine
+            .join(
+                &other_pool,
+                JoinInput::Flat(&other_index),
+                pool,
+                JoinInput::Delta(delta),
+            )
+            .unwrap();
+        assert_eq!(
+            inner.pairs,
+            brute_join(&other, &survivors, eps),
+            "delta inner, eps {eps}"
+        );
+        assert!(!outer.pairs.is_empty() || eps == 0.0);
+    }
+    harness.assert_equivalent(1417);
 }
