@@ -15,12 +15,19 @@
 //! result is counted from memory while only the query's *boundary* pages
 //! are read.
 
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use crate::delta::DeltaIndex;
 use crate::index::FlatIndex;
 use crate::meta::{MetaRecordId, MetaView};
 use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
 use flat_geom::Aabb;
-use flat_storage::{PageRead, StorageError};
+use flat_storage::{PageId, PageRead, StorageError};
 
 /// Per-aggregate counters: the crawl side plus the early-exit bookkeeping
 /// (how much work the containment rule saved).
@@ -54,7 +61,7 @@ impl CrawlVisitor for CountVisit<'_> {
         self.stats.records_processed += 1;
     }
 
-    fn wants_object(&mut self, addr: MetaRecordId, page_mbr: &Aabb) -> bool {
+    fn wants_object(&mut self, object_page: PageId, page_mbr: &Aabb) -> bool {
         self.stats.mbr_tests += 1;
         if !page_mbr.intersects(self.query) {
             return false;
@@ -64,7 +71,7 @@ impl CrawlVisitor for CountVisit<'_> {
             // Containment early-exit: every live element on the page
             // matches (element ⊆ page MBR ⊆ query).
             self.stats.contained_partitions += 1;
-            if let Some(live) = self.index.live_count_at(addr) {
+            if let Some(live) = self.index.live_count(object_page) {
                 // The resident summary already excludes tombstones: no
                 // I/O at all for this partition.
                 self.stats.pages_skipped += 1;
@@ -192,6 +199,12 @@ impl DeltaIndex {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;

@@ -40,7 +40,7 @@
 //! digests; `exp_build_scale` re-verifies per run and reports the peaks).
 
 use crate::index::{seal, BuildStats, FlatIndex, FlatOptions, MetaOrder};
-use crate::meta::{write_runs, Link, Run};
+use crate::meta::{write_runs, Run};
 use crate::neighbors::NeighborSweep;
 use crate::partition::{axis_tile, partition_plan, partition_slab, Partition};
 use flat_geom::{Aabb, Axis, Point3};
@@ -532,14 +532,12 @@ impl FlatIndexBuilder {
                     neighbors: m
                         .neighbors
                         .iter()
-                        .map(|&n| Link::Run(position[n as usize] as usize))
+                        .map(|&n| position[n as usize] as usize)
                         .collect(),
-                    splice: false,
-                    tail: None,
                 })
             })
         });
-        let leaves = write_runs(pool, &shapes, runs)?.leaves;
+        let leaves = write_runs(pool, &shapes, runs)?;
         let index = seal(
             pool,
             leaves,

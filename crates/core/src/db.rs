@@ -415,12 +415,12 @@ impl<S: PageStore> FlatDb<S> {
         options.index.layout = snapshot.index.layout();
         let index = match snapshot.delta {
             None => DeltaIndex::pristine(snapshot.index, options.index),
-            Some((meta_pages, tombstones)) => {
+            Some((pages, tombstones)) => {
                 let tombstones: Tombstones = tombstones
                     .into_iter()
                     .map(|(page, slot)| (PageId(page), slot))
                     .collect();
-                DeltaIndex::reopen(&pool, snapshot.index, options.index, meta_pages, tombstones)?
+                DeltaIndex::reopen(&pool, snapshot.index, options.index, pages, tombstones)?
             }
         };
         let mut db = Self::assemble(pool, index, options, snapshot.built, snapshot.last_seq + 1);
@@ -732,7 +732,7 @@ impl<S: PageStore> FlatDb<S> {
                 .map(|&(page, slot)| (page.0, slot))
                 .collect();
             tombstones.sort_unstable();
-            (index.meta_page_list().to_vec(), tombstones)
+            (index.delta_object_pages().collect(), tombstones)
         });
         DbSnapshot {
             last_seq: truth.next_seq - 1,
@@ -834,8 +834,8 @@ impl<S: PageStore> FlatDb<S> {
     }
 
     /// Runs the delta layer's structural invariant checker against the
-    /// session pool: symmetric neighbor links, MBR containment, no freed
-    /// page reachable from a crawl. Returns `Ok(None)` while no writer
+    /// session pool: the bulkload's neighbor links, MBR containment, no
+    /// freed page reachable from a crawl. Returns `Ok(None)` while no writer
     /// has adopted the index (a bulkload alone has nothing to check).
     /// Takes the writer lock, so the latest view it checks is stable.
     pub fn check_invariants(&self) -> Result<Option<DeltaReport>, String> {

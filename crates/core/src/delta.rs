@@ -1,49 +1,43 @@
 //! Dynamic updates: [`DeltaIndex`], delta inserts/deletes over a built
-//! [`FlatIndex`] with neighbor-link repair and compaction.
+//! [`FlatIndex`] with hollow retirement and compaction.
 //!
 //! The paper's FLAT is a pure bulkload: the index is built once and never
 //! changes. An evolving simulation re-runs against a *churning* model —
 //! each timestep moves, adds and removes elements — and rebuilding from
 //! scratch per timestep is exactly the cost the bulkload was supposed to
 //! amortize away. This module adds bounded, incremental mutation while
-//! keeping the crawl's two invariants intact:
+//! keeping the bulkload's link graph, and so its connectivity argument,
+//! exactly as the bulkload left it: after a bulkload, and until
+//! compaction, no metadata record is laid out again, and the only
+//! metadata write is an in-place dead flag.
 //!
 //! * **Inserts** land in *delta partitions*: the batch is tiled over the
 //!   full domain by the same STR code as the bulkload
-//!   ([`crate::partition::partition`]), its object pages are appended
-//!   (reusing freed pages), and its primary records — with empty neighbor
-//!   lists — are written to fresh seed-leaf pages through the one metadata
-//!   writer ([`crate::meta`]). A batch runs no neighbor sweep and edits no
-//!   existing record: delta partitions are in neither the seed tree nor
-//!   the link graph. Every read verb takes them from the resident summary
-//!   table instead ([`crate::IndexRef`]): range, aggregate and join scan
-//!   the live ones whose page MBR meets the query box beside the crawl,
-//!   and kNN merges them, keyed by page-MBR distance, into its best-first
-//!   frontier. The crawl's connectivity argument is then the bulkload's
-//!   own: the base partitions tile the domain with no gap and every
-//!   touching pair is linked, so the base partitions that meet a query box
-//!   are connected and the crawl reaches all of them from one seed —
-//!   however many batches were inserted, a crawl reads the pages it read
-//!   on the pristine index plus one object page per delta partition that
-//!   meets the box. The price is a resident scan of the delta list per
-//!   query, linear in the number of live delta partitions; `compact()`
-//!   empties it.
+//!   ([`crate::partition::partition`]) and its object pages are appended
+//!   (reusing freed pages). A delta partition is its object page plus one
+//!   row of the resident summary table: it has no metadata record and is
+//!   in neither the seed tree nor the link graph. Every read verb takes
+//!   the delta partitions from the table ([`crate::IndexRef`]): range,
+//!   aggregate and join scan the live ones whose page MBR meets the query
+//!   box beside the crawl, and kNN merges them, keyed by page-MBR
+//!   distance, into its best-first frontier. However many batches were
+//!   inserted, a crawl reads the pages it read on the pristine index plus
+//!   one object page per delta partition that meets the box. The price is
+//!   a resident scan of the delta list per query, linear in the number of
+//!   live delta partitions; `compact()` empties it.
 //! * **Deletes** tombstone elements by physical location `(object page,
 //!   slot)`; queries filter tombstones at scan time. When a partition's
-//!   last live element dies the partition is *retired*: its record is
-//!   flagged dead and its object page returns to the store's free list. A
-//!   base partition is first cut out of the graph: every inbound link is
-//!   pruned and its former neighbors are patched into a clique (so crawl
-//!   paths that crossed the dead partition reroute around it — the missing
-//!   links are stitch chains, written by the one metadata writer and
-//!   spliced in by its editor). Only base partitions are ever linked, so
-//!   the clique stays among them. It trades link growth for crawl
-//!   exactness: contiguous mass retirement lets surviving frontier
-//!   partitions accumulate links quadratically in the frontier size, a
-//!   cost that only `compact()` resets — churn deployments should compact
-//!   once the delta fraction (or neighbor-list growth) passes a threshold
-//!   rather than retire indefinitely. A delta partition has no links, so
-//!   its retirement is the flag and the free alone.
+//!   last live element dies the partition is *retired*: its object page
+//!   returns to the store's free list and, for a base partition, the dead
+//!   flag of its record is set in place ([`crate::meta`]) — one metadata
+//!   page write. The dead record keeps its links and its continuation
+//!   chain and stays a link target, so the crawl's connectivity argument
+//!   is the bulkload's own: the base partitions tile the domain with no
+//!   gap and every touching pair is linked, so the base partitions that
+//!   meet a query box are connected, dead ones included. A crawl follows
+//!   a dead record's links and never wants its object page; the seed
+//!   phases never start from it. A delta partition has no record, so its
+//!   retirement is the free alone.
 //! * **Compaction** ([`DeltaIndex::compact`]) scans the surviving
 //!   elements, frees every page of the old index and rebuilds through
 //!   [`FlatIndexBuilder`] — producing pages **byte-identical** to
@@ -51,32 +45,41 @@
 //!   differential test `tests/update_equivalence.rs` asserts this), so a
 //!   compacted index is indistinguishable from a pristine bulkload.
 //!
-//! The delta layer keeps a resident *summary table* (a record address, an
-//! object page, a page MBR and a live-count per partition, ~80 bytes
-//! each) plus an id→partition locator for the live elements. That is the
-//! memtable-style price of mutability, and the table is how readers find
-//! the delta partitions; `compact` drops all of it. The tables fill once,
-//! at *adoption*: [`DeltaIndex::new`] adopts at once, while a
-//! [`crate::FlatDb`] wraps its bulkload unfilled and adopts it at the
-//! first writer — until then every query reads the bulkload alone, and a
-//! session that never writes never holds a table. Updates require
-//! exclusive access (`&mut` pool — [`flat_storage::PageWrite`] is also
-//! implemented by [`flat_storage::ConcurrentBufferPool`], so an updater
-//! can alternate with shared readers under an `RwLock` discipline:
-//! readers see pre- or post-batch pages, never a torn mix).
+//! The delta layer keeps a resident *summary table* (an object page, a
+//! page MBR and a live count per partition, ~64 bytes each, plus the
+//! record address of each bulkload partition), an id→partition locator
+//! for the live elements and an object page→partition map for the live
+//! partitions. That is the memtable-style price of mutability, and the
+//! table is how readers find the delta partitions; `compact` drops all of
+//! it. The tables fill once, at *adoption*: [`DeltaIndex::new`] adopts at
+//! once, while a [`crate::FlatDb`] wraps its bulkload unfilled and adopts
+//! it at the first writer — until then every query reads the bulkload
+//! alone, and a session that never writes never holds a table. Updates
+//! require exclusive access (`&mut` pool — [`flat_storage::PageWrite`] is
+//! also implemented by [`flat_storage::ConcurrentBufferPool`], so an
+//! updater can alternate with shared readers under an `RwLock`
+//! discipline: readers see pre- or post-batch pages, never a torn mix).
 //!
 //! Requirements: the base index must use [`LeafLayout::WithIds`] (deletes
 //! address elements by application id) and a fixed explicit domain
 //! ([`FlatOptions::domain`]), so that every insert batch tiles the same
 //! space as the base build.
 
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use crate::builder::FlatIndexBuilder;
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions, SeedTreePages};
 use crate::knn::{KnnStats, Neighbor};
-use crate::meta::{edit, meta_leaf_len, write_runs, Edit, Link, MetaRecordId, MetaView, Run};
+use crate::meta::{meta_leaf_len, set_dead, MetaRecordId, MetaView};
+use crate::neighbors::NeighborSweep;
 use crate::partition::partition;
-use crate::query::{read_record, walk_links, AddrMap, IndexRef, LivePage, QueryStats, Tombstones};
+use crate::query::{read_record, AddrMap, IndexRef, LivePage, QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
 use flat_rtree::node::{decode_leaf, encode_leaf};
 use flat_rtree::{leaf_capacity, Entry, Hit, LeafLayout};
@@ -86,8 +89,6 @@ use std::collections::{HashMap, HashSet};
 /// Resident summary of one partition (base or delta).
 #[derive(Debug, Clone)]
 pub(crate) struct PartState {
-    /// Address of the partition's primary metadata record.
-    pub(crate) record: MetaRecordId,
     /// The partition's object page (freed once the partition retires).
     pub(crate) object_page: PageId,
     /// Tight MBR of the object page's elements (tombstoned included — MBRs
@@ -95,7 +96,7 @@ pub(crate) struct PartState {
     pub(crate) page_mbr: Aabb,
     /// Elements on the object page that are not tombstoned.
     live: u32,
-    /// `true` once retired (object page freed, record flagged dead).
+    /// `true` once retired (object page freed, a base record flagged dead).
     pub(crate) dead: bool,
 }
 
@@ -122,20 +123,19 @@ pub struct DeltaIndex {
     /// The tiling domain of every insert batch; `None` until adoption
     /// fills the tables below.
     domain: Option<Aabb>,
-    /// Every partition ever adopted or inserted, in creation order. The
-    /// first [`DeltaIndex::base_partitions`] entries are the bulkload's.
+    /// Every partition ever adopted or inserted, in creation order: the
+    /// bulkload's first, one per entry of `records`, then the delta
+    /// partitions.
     parts: Vec<PartState>,
-    base_partitions: usize,
-    /// Primary record address → index into `parts`.
-    by_record: AddrMap<MetaRecordId, u32>,
+    /// The primary metadata record of each bulkload partition, in the
+    /// order of `parts`. Delta partitions have none.
+    records: Vec<MetaRecordId>,
+    /// Object page of a live partition → index into `parts`.
+    by_page: AddrMap<PageId, u32>,
     /// Live application id → index into `parts`.
     locator: HashMap<u64, u32>,
     /// Deleted elements by physical location.
     tombstones: Tombstones,
-    /// Seed-leaf pages: the base's metadata pages plus every delta page.
-    meta_pages: Vec<PageId>,
-    /// Seed-tree directory pages (base only; deltas are not in the tree).
-    inner_pages: Vec<PageId>,
     live_elements: u64,
 }
 
@@ -215,12 +215,10 @@ impl DeltaIndex {
             options,
             domain: None,
             parts: Vec::new(),
-            base_partitions: 0,
-            by_record: AddrMap::default(),
+            records: Vec::new(),
+            by_page: AddrMap::default(),
             locator: HashMap::new(),
             tombstones: Tombstones::default(),
-            meta_pages: Vec::new(),
-            inner_pages: Vec::new(),
             live_elements: 0,
         }
     }
@@ -238,19 +236,18 @@ impl DeltaIndex {
     /// pristine (it may hold delta partitions, tombstones and retired
     /// records).
     ///
-    /// `meta_pages` must be the metadata pages in their original creation
-    /// order (the base's sorted leaves first, then every delta page in
-    /// allocation order) — the checkpoint snapshot records exactly that
-    /// list.
+    /// `delta_pages` must be the object pages of the live delta
+    /// partitions in table order ([`DeltaIndex::delta_object_pages`]) —
+    /// the checkpoint snapshot records exactly that list.
     pub(crate) fn reopen(
         pool: &impl PageRead,
         base: FlatIndex,
         options: FlatOptions,
-        meta_pages: Vec<PageId>,
+        delta_pages: Vec<PageId>,
         tombstones: Tombstones,
     ) -> Result<DeltaIndex, FlatError> {
         let mut delta = Self::pristine(base, options);
-        delta.adopt_pages(pool, Some((meta_pages, tombstones)))?;
+        delta.adopt_pages(pool, Some((delta_pages, tombstones)))?;
         Ok(delta)
     }
 
@@ -269,15 +266,15 @@ impl DeltaIndex {
     }
 
     /// The one scan behind [`DeltaIndex::adopt`] and
-    /// [`DeltaIndex::reopen`]: builds the resident tables from the
-    /// recovered metadata pages and tombstones, or — for a pristine
-    /// index — from the seed tree's leaves, which are exactly its
-    /// metadata pages, created in page-id order, with nothing deleted.
-    /// Scanning the pages in creation order, slot by slot and skipping
-    /// continuation chunks, reproduces the partition numbering: the
-    /// bulkload adopts primaries in sorted-leaf order, every insert batch
-    /// lays its primaries onto fresh pages in batch order, and a
-    /// retirement's clique chunks are continuations.
+    /// [`DeltaIndex::reopen`]. The bulkload's partitions come from the
+    /// seed tree's leaves, which are exactly its metadata pages, in
+    /// creation order: every primary record, dead ones included, becomes a
+    /// row. The live delta partitions come from the recovered list (none
+    /// for a pristine index): reading each object page gives its page MBR
+    /// — the union of all its slots, tombstoned ones included, which is
+    /// what the insert computed, exactly, as a union of boxes is exact in
+    /// f64 — and the object-page scan below gives its live count and
+    /// locator entries.
     fn adopt_pages(
         &mut self,
         pool: &impl PageRead,
@@ -288,56 +285,55 @@ impl DeltaIndex {
         }
         let domain = update_domain(self.base.layout(), &self.options)?;
         validate_slot_capacity(leaf_capacity(self.options.layout))?;
-        let SeedTreePages { inner, leaves } = self.base.seed_tree_pages(pool)?;
-        let (meta_pages, tombstones) = recovered.unwrap_or((leaves, Tombstones::default()));
+        let (delta_pages, tombstones) = recovered.unwrap_or_default();
         let mut delta = DeltaIndex {
             domain: Some(domain),
             tombstones,
-            inner_pages: inner,
             ..Self::pristine(self.base.clone(), self.options)
         };
 
-        // Every primary (dead ones included — they keep their partition
-        // number) becomes a resident summary entry.
-        let base_meta = delta.base.num_meta_pages as usize;
-        if meta_pages.len() < base_meta {
-            return Err(StorageError::Corrupt(format!(
-                "snapshot lists {} metadata pages, the base descriptor needs {base_meta}",
-                meta_pages.len()
-            ))
-            .into());
-        }
-        for (page_seq, &pid) in meta_pages.iter().enumerate() {
+        for pid in delta.base.seed_tree_pages(pool)?.leaves {
             let page = pool.read_page(pid, PageKind::SeedLeaf)?;
             for slot in 0..meta_leaf_len(&page)? as u16 {
                 let record = MetaView::new(page.clone(), slot)?;
                 if record.is_continuation {
                     continue;
                 }
-                let addr = MetaRecordId { page: pid, slot };
-                let idx = delta.parts.len() as u32;
-                delta.by_record.insert(addr, idx);
+                delta.records.push(MetaRecordId { page: pid, slot });
                 delta.parts.push(PartState {
-                    record: addr,
                     object_page: record.object_page,
                     page_mbr: record.page_mbr,
                     live: 0,
                     dead: record.is_dead,
                 });
-                if page_seq < base_meta {
-                    delta.base_partitions += 1;
-                }
             }
         }
-        delta.meta_pages = meta_pages;
+        for object_page in delta_pages {
+            let page = LivePage::read(pool, object_page, None)?;
+            delta.parts.push(PartState {
+                object_page,
+                page_mbr: Aabb::union_all(page.hits().map(|hit| hit.mbr)),
+                live: 0,
+                dead: false,
+            });
+        }
 
-        // Object-page scan over the live partitions: live counts and the
-        // id locator, with the tombstones filtered out.
+        // Object-page scan over the live partitions: live counts, the id
+        // locator and the object-page map, with the tombstones filtered
+        // out.
         for idx in 0..delta.parts.len() {
-            if delta.parts[idx].dead {
+            let part = &delta.parts[idx];
+            if part.dead {
                 continue;
             }
-            let page = LivePage::read(pool, delta.parts[idx].object_page, Some(&delta.tombstones))?;
+            if delta.by_page.insert(part.object_page, idx as u32).is_some() {
+                return Err(StorageError::Corrupt(format!(
+                    "{} holds two partitions",
+                    part.object_page
+                ))
+                .into());
+            }
+            let page = LivePage::read(pool, part.object_page, Some(&delta.tombstones))?;
             let mut live = 0u32;
             for hit in page.hits() {
                 live += 1;
@@ -382,13 +378,13 @@ impl DeltaIndex {
         &self.tombstones
     }
 
-    /// Resident live-element count of the partition whose primary record
-    /// is at `addr` (`None` for continuation chunks or unknown records).
-    /// The aggregate crawl's containment early-exit reads this instead of
-    /// the object page.
-    pub(crate) fn live_count_at(&self, addr: MetaRecordId) -> Option<u64> {
-        self.by_record
-            .get(&addr)
+    /// Resident live-element count of the live partition whose object
+    /// page is `page` (`None` when no live partition holds it). The
+    /// aggregate crawl's containment early-exit reads this instead of the
+    /// object page.
+    pub(crate) fn live_count(&self, page: PageId) -> Option<u64> {
+        self.by_page
+            .get(&page)
             .map(|&idx| self.parts[idx as usize].live as u64)
     }
 
@@ -401,14 +397,14 @@ impl DeltaIndex {
     /// The partitions inserted since the bulkload: in neither the seed
     /// tree nor the link graph, so every read verb lists them from here.
     pub(crate) fn delta_parts(&self) -> &[PartState] {
-        &self.parts[self.base_partitions..]
+        &self.parts[self.records.len()..]
     }
 
-    /// The metadata pages in creation order — what a checkpoint snapshot
-    /// must record for [`DeltaIndex::reopen`] to reproduce the partition
-    /// numbering.
-    pub(crate) fn meta_page_list(&self) -> &[PageId] {
-        &self.meta_pages
+    /// The object pages of the live delta partitions in table order —
+    /// what a checkpoint snapshot records for [`DeltaIndex::reopen`].
+    pub(crate) fn delta_object_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        let live = self.delta_parts().iter().filter(|part| !part.dead);
+        live.map(|part| part.object_page)
     }
 
     /// Live (non-tombstoned) elements.
@@ -437,17 +433,6 @@ impl DeltaIndex {
         self.parts.iter().filter(|p| !p.dead).count()
     }
 
-    /// Seed-leaf (metadata) pages, the base's plus every delta page.
-    pub fn num_meta_pages(&self) -> u64 {
-        self.meta_pages.len() as u64
-    }
-
-    /// Seed-tree directory pages (base only — delta partitions are found
-    /// in the resident table, not the tree).
-    pub fn num_seed_inner_pages(&self) -> u64 {
-        self.inner_pages.len() as u64
-    }
-
     /// Share of live partitions that live outside the bulkloaded base —
     /// the "delta fraction" the update benchmark sweeps.
     pub fn delta_fraction(&self) -> f64 {
@@ -466,9 +451,9 @@ impl DeltaIndex {
     /// Inserts a batch of new elements.
     ///
     /// The batch is STR-tiled over the domain into delta partitions whose
-    /// object pages and primary metadata records are appended (reusing
-    /// freed pages). The records link nowhere and no existing record
-    /// changes: queries find delta partitions in the resident table.
+    /// object pages are appended (reusing freed pages), and each gets a
+    /// row of the resident table. No metadata record is written or
+    /// changed: queries find delta partitions in the resident table.
     ///
     /// An entry whose id is live (ids of deleted elements may be reused)
     /// or repeated within `entries` is invalid input
@@ -498,38 +483,25 @@ impl DeltaIndex {
             )));
         }
 
-        // 1. Tile the batch over the full domain (same STR code as the
-        //    bulkload) and write its object pages.
+        // Tile the batch over the full domain (same STR code as the
+        // bulkload) and write its object pages, then add the rows.
         let new_parts = partition(entries, capacity, Some(domain));
         let mut page = Page::new();
-        let mut runs = Vec::with_capacity(new_parts.len());
+        let mut object_pages = Vec::with_capacity(new_parts.len());
         for p in &new_parts {
             encode_leaf(&p.elements, self.options.layout, &mut page);
             let object_page = pool.alloc()?;
             pool.write(object_page, &page, PageKind::ObjectPage)?;
-            runs.push(Run {
-                page_mbr: p.page_mbr,
-                partition_mbr: p.partition_mbr,
-                object_page,
-                neighbors: Vec::new(),
-                splice: false,
-                tail: None,
-            });
+            object_pages.push(object_page);
         }
-
-        // 2. Lay out the batch's primaries, then adopt the batch into the
-        //    resident tables.
-        let object_pages: Vec<PageId> = runs.iter().map(|r| r.object_page).collect();
-        let primaries = self.write_layout(pool, runs, Vec::new())?;
-        for ((p, record), object_page) in new_parts.into_iter().zip(primaries).zip(object_pages) {
+        for (p, object_page) in new_parts.into_iter().zip(object_pages) {
             let idx = self.parts.len() as u32;
-            self.by_record.insert(record, idx);
+            self.by_page.insert(object_page, idx);
             for e in &p.elements {
                 self.locator.insert(e.id, idx);
             }
             self.live_elements += p.elements.len() as u64;
             self.parts.push(PartState {
-                record,
                 object_page,
                 page_mbr: p.page_mbr,
                 live: p.elements.len() as u32,
@@ -539,42 +511,6 @@ impl DeltaIndex {
         Ok(())
     }
 
-    /// Writes one layout through the one metadata writer — the `fresh`
-    /// partitions, then, for each `(a, links)` of `stitches`, a stitch
-    /// chain of `links` for existing partition `a` — appends its pages to
-    /// the metadata page list and splices each chain in at the head of its
-    /// partition's chain. Returns the fresh partitions' primary records.
-    fn write_layout<P: PageRead + PageWrite>(
-        &mut self,
-        pool: &mut P,
-        mut runs: Vec<Run>,
-        stitches: Vec<(u32, Vec<Link>)>,
-    ) -> Result<Vec<MetaRecordId>, StorageError> {
-        let fresh = runs.len();
-        let mut spliced = Vec::with_capacity(stitches.len());
-        for (a, neighbors) in stitches {
-            let part = &self.parts[a as usize];
-            let head = read_record(pool, part.record)?;
-            spliced.push(part.record);
-            runs.push(Run {
-                page_mbr: part.page_mbr,
-                partition_mbr: head.partition_mbr,
-                object_page: part.object_page,
-                neighbors,
-                splice: true,
-                tail: head.continuation,
-            });
-        }
-        let shapes: Vec<_> = runs.iter().map(Run::shape).collect();
-        let mut layout = write_runs(pool, &shapes, runs.into_iter().map(Ok))?;
-        self.meta_pages
-            .extend(layout.leaves.iter().map(|leaf| leaf.page));
-        for (record, head) in spliced.into_iter().zip(layout.heads.split_off(fresh)) {
-            edit(pool, record, Edit::Splice(head))?;
-        }
-        Ok(layout.heads)
-    }
-
     // ------------------------------------------------------------------
     // Deletes
     // ------------------------------------------------------------------
@@ -582,10 +518,8 @@ impl DeltaIndex {
     /// Deletes elements by application id, returning how many were live.
     ///
     /// Deleted elements are tombstoned (queries filter them at scan time);
-    /// a partition whose last live element dies is retired — its record
-    /// flagged dead and its object page freed, and, for a base partition,
-    /// its inbound links pruned and its neighbors patched into a clique
-    /// so crawls reroute around it.
+    /// a partition whose last live element dies is retired — its object
+    /// page freed and, for a base partition, its record flagged dead.
     pub fn delete_batch<P: PageRead + PageWrite>(
         &mut self,
         pool: &mut P,
@@ -625,22 +559,22 @@ impl DeltaIndex {
         Ok(deleted)
     }
 
-    /// Retires partition `d`: cuts a base partition out of the link graph
-    /// ([`DeltaIndex::cut_out`]), then flags its record dead and frees its
-    /// object page. A delta partition is linked to nothing, so it takes
-    /// the flag and the free alone.
+    /// Retires partition `d`: sets the dead flag of a base partition's
+    /// record in place — its links and chain stay, so crawls cross it as
+    /// they crossed the live partition — and frees the object page. A
+    /// retirement writes at most one metadata page and edits no other
+    /// record.
     fn retire<P: PageRead + PageWrite>(
         &mut self,
         pool: &mut P,
         d: u32,
     ) -> Result<(), StorageError> {
-        if (d as usize) < self.base_partitions {
-            self.cut_out(pool, d)?;
+        if let Some(&record) = self.records.get(d as usize) {
+            set_dead(pool, record)?;
         }
-        // Flag the record dead and drop its chain; free the object page.
-        edit(pool, self.parts[d as usize].record, Edit::Retire)?;
         let obj = self.parts[d as usize].object_page;
         pool.free(obj)?;
+        self.by_page.remove(&obj);
         // The page id may be reused by a later insert: stale tombstones
         // keyed to it would silently delete the new tenants. Slots are
         // bounded by the page capacity, so the purge is O(capacity), not
@@ -649,66 +583,6 @@ impl DeltaIndex {
             self.tombstones.remove(&(obj, slot));
         }
         self.parts[d as usize].dead = true;
-        Ok(())
-    }
-
-    /// Prunes every link to base partition `d` and patches its former
-    /// neighbors into a clique. See the module docs for why the clique
-    /// keeps the crawl exhaustive.
-    fn cut_out<P: PageRead + PageWrite>(
-        &mut self,
-        pool: &mut P,
-        d: u32,
-    ) -> Result<(), StorageError> {
-        let d_rec = self.parts[d as usize].record;
-        let d_nbrs = read_chain_neighbors(pool, d_rec)?;
-        // Resolve neighbors to partition indices and collect each one's
-        // full link set (for the clique check).
-        let mut nbr_idx: Vec<u32> = Vec::with_capacity(d_nbrs.len());
-        let mut link_sets: HashMap<u32, HashSet<MetaRecordId>> = HashMap::new();
-        for addr in &d_nbrs {
-            let Some(&idx) = self.by_record.get(addr) else {
-                return Err(StorageError::Corrupt(format!(
-                    "neighbor chain of {d_rec:?} points at {addr:?}, which is no partition"
-                )));
-            };
-            if self.parts[idx as usize].dead {
-                // Retirement prunes every inbound link before flagging a
-                // record dead, so a link into a dead partition means the
-                // graph and the summary table disagree. A debug_assert here
-                // would let release builds crawl into freed pages.
-                return Err(StorageError::Corrupt(format!(
-                    "neighbor chain of {:?} links to dead partition {idx}",
-                    d_rec
-                )));
-            }
-            nbr_idx.push(idx);
-            let links = read_chain_neighbors(pool, *addr)?;
-            link_sets.insert(idx, links.into_iter().collect());
-        }
-        nbr_idx.sort_unstable();
-
-        // Prune the dead partition out of each neighbor's chain.
-        for &a in &nbr_idx {
-            edit(pool, self.parts[a as usize].record, Edit::Prune(d_rec))?;
-        }
-
-        // Clique repair: every pair of former neighbors that is not
-        // already linked gets a (symmetric) link, so crawl paths that
-        // crossed `d` reroute through a direct edge.
-        let cliques = nbr_idx
-            .iter()
-            .map(|&a| {
-                let missing: Vec<Link> = nbr_idx
-                    .iter()
-                    .filter(|&&b| b != a && !link_sets[&a].contains(&self.parts[b as usize].record))
-                    .map(|&b| Link::At(self.parts[b as usize].record))
-                    .collect();
-                (a, missing)
-            })
-            .filter(|(_, missing)| !missing.is_empty())
-            .collect();
-        self.write_layout(pool, Vec::new(), cliques)?;
         Ok(())
     }
 
@@ -727,17 +601,19 @@ impl DeltaIndex {
         pool: &mut P,
     ) -> Result<BuildStats, StorageError> {
         self.adopt_to_write(pool)?;
-        // 1. Surviving elements, partition by partition.
+        // 1. Surviving elements, partition by partition, and the seed
+        //    tree's pages.
         let mut survivors: Vec<Entry> = Vec::with_capacity(self.live_elements as usize);
         for part in self.parts.iter().filter(|p| !p.dead) {
             let page = LivePage::read(pool, part.object_page, Some(&self.tombstones))?;
             survivors.extend(page.hits().map(|hit| Entry::new(hit.id, hit.mbr)));
         }
+        let SeedTreePages { inner, leaves } = self.base.seed_tree_pages(pool)?;
         // 2. Free the old index wholesale.
         for part in self.parts.iter().filter(|p| !p.dead) {
             pool.free(part.object_page)?;
         }
-        for &pid in self.meta_pages.iter().chain(self.inner_pages.iter()) {
+        for pid in leaves.into_iter().chain(inner) {
             pool.free(pid)?;
         }
         // 3. Rebuild through the bulkload pipeline.
@@ -802,91 +678,126 @@ impl DeltaIndex {
     /// preserve (the property-test layer drives this under randomized
     /// update sequences):
     ///
-    /// 1. neighbor links are symmetric and never duplicated;
-    /// 2. no link targets a tombstoned (dead) or unknown record, and every
-    ///    target is a live primary of the bulkload — a delta partition
-    ///    links to nothing and nothing links to it;
-    /// 3. every partition's MBRs contain its live elements (and the
-    ///    partition MBR contains the page MBR);
-    /// 4. no page on `free_pages` is reachable from any crawl (object
-    ///    pages, chain pages, seed-tree pages);
-    /// 5. the resident live counts and locator agree with the pages.
+    /// 1. the link graph is exactly the bulkload's: each bulkload
+    ///    partition's chain, dead or live, links to exactly the bulkload
+    ///    partitions whose partition MBRs meet its own (the relation
+    ///    [`NeighborSweep`] computes), so links are symmetric, never
+    ///    duplicated and never point at a delta partition, which has no
+    ///    record at all;
+    /// 2. a retired bulkload partition's record is flagged dead and a live
+    ///    one's is not, and the resident row agrees with the record;
+    /// 3. every live partition's page MBR contains its live elements, and
+    ///    a record's partition MBR contains its page MBR;
+    /// 4. no page on `free_pages` is reachable from any crawl (live object
+    ///    pages, and the seed tree's pages, which hold every record and
+    ///    continuation chunk), and the freed object page of a dead record
+    ///    is unreachable through it: only a partition inserted after the
+    ///    retirement may hold that page again;
+    /// 5. the resident live counts, the locator and the object-page map
+    ///    agree with the pages.
     pub fn check_invariants(
         &self,
         pool: &impl PageRead,
         free_pages: &[PageId],
     ) -> Result<DeltaReport, String> {
         let mut report = DeltaReport::default();
-        let mut edges: HashSet<(u32, u32)> = HashSet::new();
-        let mut reachable: HashSet<PageId> = HashSet::new();
-        reachable.extend(self.inner_pages.iter().copied());
+        let SeedTreePages { inner, leaves } = self
+            .base
+            .seed_tree_pages(pool)
+            .map_err(|e| format!("seed tree: {e}"))?;
+        let mut reachable: HashSet<PageId> = inner.into_iter().chain(leaves).collect();
 
+        // The bulkload's chains, and its relation recomputed from the
+        // partition MBRs they carry.
+        let index_of: HashMap<MetaRecordId, u32> = (0u32..)
+            .zip(self.records.iter().copied())
+            .map(|(i, r)| (r, i))
+            .collect();
+        let mut links: Vec<Vec<u32>> = Vec::with_capacity(self.records.len());
+        let mut tiles: Vec<(Aabb, u32)> = Vec::with_capacity(self.records.len());
+        for (i, (&head, part)) in self.records.iter().zip(&self.parts).enumerate() {
+            let mut seen_chunks = HashSet::new();
+            let mut nbrs: Vec<u32> = Vec::new();
+            let mut at = Some(head);
+            while let Some(addr) = at {
+                if !seen_chunks.insert(addr) {
+                    return Err(format!("partition {i}: continuation cycle at {addr:?}"));
+                }
+                if !reachable.contains(&addr.page) {
+                    return Err(format!("partition {i}: {addr:?} is on no seed-tree leaf"));
+                }
+                let record = read_record(pool, addr).map_err(|e| format!("partition {i}: {e}"))?;
+                if addr == head {
+                    if record.is_continuation {
+                        return Err(format!("partition {i}: primary flagged as continuation"));
+                    }
+                    if record.is_dead != part.dead {
+                        return Err(format!(
+                            "partition {i}: record dead flag {}, resident row {}",
+                            record.is_dead, part.dead
+                        ));
+                    }
+                    if record.object_page != part.object_page || record.page_mbr != part.page_mbr {
+                        return Err(format!(
+                            "partition {i}: resident row disagrees with its record"
+                        ));
+                    }
+                    if !record.partition_mbr.contains(&record.page_mbr) {
+                        return Err(format!("partition {i}: partition MBR lost the page MBR"));
+                    }
+                    tiles.push((record.partition_mbr, i as u32));
+                } else if !record.is_continuation {
+                    return Err(format!("partition {i}: chain runs into primary {addr:?}"));
+                }
+                for n in record.neighbors() {
+                    let Some(&j) = index_of.get(&n) else {
+                        return Err(format!("partition {i}: link to {n:?}, no bulkload record"));
+                    };
+                    nbrs.push(j);
+                }
+                at = record.continuation;
+            }
+            nbrs.sort_unstable();
+            report.neighbor_links += nbrs.len() as u64;
+            links.push(nbrs);
+        }
+        tiles.sort_by(|a, b| a.0.min.x.total_cmp(&b.0.min.x));
+        let mut sweep = NeighborSweep::new();
+        let mut swept = Vec::with_capacity(tiles.len());
+        for (tile, i) in tiles {
+            sweep.push(i, tile, tile, &mut swept);
+        }
+        sweep.finish(&mut swept);
+        for s in swept {
+            if links[s.index as usize] != s.neighbors {
+                return Err(format!(
+                    "partition {}: links to {:?}, the bulkload's relation is {:?}",
+                    s.index, links[s.index as usize], s.neighbors
+                ));
+            }
+        }
+
+        // Every partition's row against its object page.
         for (i, part) in self.parts.iter().enumerate() {
-            let i = i as u32;
             if part.dead {
                 report.retired_partitions += 1;
-                let record =
-                    read_record(pool, part.record).map_err(|e| format!("partition {i}: {e}"))?;
-                if !record.is_dead {
-                    return Err(format!("retired partition {i} is not flagged dead"));
-                }
-                if record.neighbors().len() > 0 || record.continuation.is_some() {
-                    return Err(format!("retired partition {i} still has links"));
+                if self
+                    .by_page
+                    .get(&part.object_page)
+                    .is_some_and(|&j| j as usize <= i)
+                {
+                    return Err(format!(
+                        "retired partition {i}: its freed {} is reachable",
+                        part.object_page
+                    ));
                 }
                 continue;
             }
             report.live_partitions += 1;
             reachable.insert(part.object_page);
-
-            // Walk the chain, collecting neighbors and reachable pages.
-            let mut seen_chunks = HashSet::new();
-            let mut nbrs: Vec<MetaRecordId> = Vec::new();
-            let mut at = Some(part.record);
-            let mut first = true;
-            while let Some(addr) = at {
-                if !seen_chunks.insert(addr) {
-                    return Err(format!("partition {i}: continuation cycle at {:?}", addr));
-                }
-                reachable.insert(addr.page);
-                let record = read_record(pool, addr).map_err(|e| format!("partition {i}: {e}"))?;
-                if record.is_dead {
-                    return Err(format!("live partition {i} chain is flagged dead"));
-                }
-                if first && record.is_continuation {
-                    return Err(format!("partition {i}: primary flagged as continuation"));
-                }
-                if first && !record.partition_mbr.contains(&part.page_mbr) {
-                    return Err(format!("partition {i}: partition MBR lost the page MBR"));
-                }
-                first = false;
-                nbrs.extend(record.neighbors());
-                at = record.continuation;
+            if self.by_page.get(&part.object_page) != Some(&(i as u32)) {
+                return Err(format!("partition {i}: object-page map disagrees"));
             }
-
-            // Each link must resolve to a distinct live primary; record
-            // the directed edge for the symmetry pass.
-            let mut distinct = HashSet::new();
-            for n in &nbrs {
-                if !distinct.insert(*n) {
-                    return Err(format!("partition {i}: duplicate link to {n:?}"));
-                }
-                let Some(&j) = self.by_record.get(n) else {
-                    return Err(format!("partition {i}: link to unknown record {n:?}"));
-                };
-                if j == i {
-                    return Err(format!("partition {i}: self link"));
-                }
-                if self.parts[j as usize].dead {
-                    return Err(format!("partition {i}: link to retired partition {j}"));
-                }
-                if i as usize >= self.base_partitions || j as usize >= self.base_partitions {
-                    return Err(format!("link {i} -> {j} touches a delta partition"));
-                }
-                edges.insert((i, j));
-            }
-            report.neighbor_links += nbrs.len() as u64;
-
-            // Live elements sit inside the MBRs and match the counts.
             let page = LivePage::read(pool, part.object_page, Some(&self.tombstones))
                 .map_err(|e| format!("partition {i} object page: {e}"))?;
             let mut live = 0u32;
@@ -895,7 +806,7 @@ impl DeltaIndex {
                 if !part.page_mbr.contains(&e.mbr) {
                     return Err(format!("partition {i}: live element outside the page MBR"));
                 }
-                if self.locator.get(&e.id) != Some(&i) {
+                if self.locator.get(&e.id) != Some(&(i as u32)) {
                     return Err(format!("partition {i}: locator disagrees for id {}", e.id));
                 }
             }
@@ -907,11 +818,12 @@ impl DeltaIndex {
             }
             report.live_elements += live as u64;
         }
-
-        for &(a, b) in &edges {
-            if !edges.contains(&(b, a)) {
-                return Err(format!("asymmetric link {a} -> {b}"));
-            }
+        if self.by_page.len() != report.live_partitions {
+            return Err(format!(
+                "object-page map holds {} pages for {} live partitions",
+                self.by_page.len(),
+                report.live_partitions
+            ));
         }
         if report.live_elements != self.live_elements {
             return Err(format!(
@@ -971,21 +883,13 @@ pub fn verify_compacted_store(
     Ok(())
 }
 
-/// Reads the full neighbor list of a record by walking its continuation
-/// chain.
-fn read_chain_neighbors(
-    pool: &impl PageRead,
-    record: MetaRecordId,
-) -> Result<Vec<MetaRecordId>, StorageError> {
-    let mut nbrs = Vec::new();
-    walk_links(pool, &read_record(pool, record)?, |chunk| {
-        nbrs.extend(chunk.neighbors());
-        Ok(())
-    })?;
-    Ok(nbrs)
-}
-
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
@@ -1033,50 +937,6 @@ mod tests {
     }
 
     #[test]
-    fn pruning_a_missing_link_is_a_release_mode_error() {
-        let (mut pool, delta, _) = build_delta(2_000, 60);
-        let record = delta.parts[0].record;
-        // A record address that no chain links to: pruning it must surface
-        // the lost-symmetry corruption instead of silently succeeding.
-        let bogus = MetaRecordId {
-            page: record.page,
-            slot: u16::MAX,
-        };
-        let err = edit(&mut pool, record, Edit::Prune(bogus)).unwrap_err();
-        assert!(
-            err.to_string().contains("not present in the chain"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn a_pointer_to_no_partition_is_a_corrupt_error_at_retirement() {
-        let (mut pool, mut delta, _) = build_delta(2_000, 69);
-        let part = delta.parts[0].clone();
-        // Stitch a link to an address that resolves to no partition into
-        // partition 0's chain.
-        let bogus = MetaRecordId {
-            page: part.record.page,
-            slot: u16::MAX,
-        };
-        delta
-            .write_layout(&mut pool, Vec::new(), vec![(0, vec![Link::At(bogus)])])
-            .unwrap();
-        // Deleting the partition's last element retires it, which walks
-        // the rewritten chain.
-        let ids: Vec<u64> = LivePage::read(&pool, part.object_page, None)
-            .unwrap()
-            .hits()
-            .map(|hit| hit.id)
-            .collect();
-        let err = delta.delete_batch(&mut pool, &ids).unwrap_err();
-        assert!(
-            matches!(&err, StorageError::Corrupt(msg) if msg.contains("no partition")),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
     fn adoption_matches_the_build() {
         let (pool, delta, entries) = build_delta(8_000, 61);
         assert_eq!(delta.num_live_elements(), entries.len() as u64);
@@ -1109,23 +969,18 @@ mod tests {
     #[test]
     fn insert_batches_leave_the_link_graph_untouched() {
         let (mut pool, mut delta, _) = build_delta(6_000, 70);
-        // Every base partition's chain, record by record, with the raw
-        // bytes of the pages it lies on.
-        let chains = |pool: &ConcurrentBufferPool<MemStore>, delta: &DeltaIndex| {
-            let base = &delta.parts[..delta.base_partitions];
-            let mut out = Vec::new();
-            for part in base {
-                let mut at = Some(part.record);
-                while let Some(addr) = at {
-                    let record = read_record(pool, addr).unwrap();
-                    let page = pool.read_page(addr.page, PageKind::SeedLeaf).unwrap();
-                    out.push((addr, record.to_record(), page.bytes().to_vec()));
-                    at = record.continuation;
-                }
-            }
-            out
+        // Every metadata page of the bulkload, byte for byte.
+        let leaves = |pool: &ConcurrentBufferPool<MemStore>, delta: &DeltaIndex| {
+            let pages = delta.base.seed_tree_pages(pool).unwrap().leaves;
+            pages
+                .into_iter()
+                .map(|id| {
+                    let page = pool.read_page(id, PageKind::SeedLeaf).unwrap();
+                    (id, page.bytes().to_vec())
+                })
+                .collect::<Vec<_>>()
         };
-        let before = chains(&pool, &delta);
+        let before = leaves(&pool, &delta);
         for batch in 0..3u64 {
             let fresh: Vec<Entry> = random_entries(400 + 150 * batch as usize, 71 + batch)
                 .into_iter()
@@ -1134,21 +989,66 @@ mod tests {
             delta.insert_batch(&mut pool, fresh).unwrap();
         }
         assert!(delta.num_delta_partitions() >= 3);
-        for part in delta.delta_parts() {
-            let record = read_record(&pool, part.record).unwrap();
-            assert_eq!(
-                record.neighbors().len(),
-                0,
-                "delta record {:?}",
-                part.record
-            );
-            assert!(record.continuation.is_none());
-        }
-        assert!(
-            chains(&pool, &delta) == before,
-            "a base record's chain changed"
-        );
+        assert!(leaves(&pool, &delta) == before, "a metadata page changed");
         check(&pool, &delta);
+    }
+
+    #[test]
+    fn an_insert_batch_allocates_only_its_object_pages() {
+        let (mut pool, mut delta, _) = build_delta(6_000, 72);
+        for batch in 0..3u64 {
+            let pages = pool.store().num_pages();
+            let partitions = delta.parts.len();
+            let fresh: Vec<Entry> = random_entries(500 + 300 * batch as usize, 73 + batch)
+                .into_iter()
+                .map(|e| Entry::new(e.id + 1_000_000 * (batch + 1), e.mbr))
+                .collect();
+            delta.insert_batch(&mut pool, fresh).unwrap();
+            let new_partitions = delta.parts.len() - partitions;
+            assert!(new_partitions > 1, "batch {batch}");
+            assert_eq!(
+                pool.store().num_pages() - pages,
+                new_partitions as u64,
+                "batch {batch}: one page per new partition"
+            );
+        }
+        check(&pool, &delta);
+    }
+
+    #[test]
+    fn a_retirement_writes_one_metadata_page() {
+        let (mut pool, mut delta, _) = build_delta(6_000, 74);
+        // A bulkload partition with neighbors, and the ids on its page.
+        let victim = (0..delta.records.len())
+            .find(|&i| {
+                read_record(&pool, delta.records[i])
+                    .unwrap()
+                    .neighbors()
+                    .len()
+                    > 0
+            })
+            .unwrap();
+        let ids: Vec<u64> = LivePage::read(&pool, delta.parts[victim].object_page, None)
+            .unwrap()
+            .hits()
+            .map(|hit| hit.id)
+            .collect();
+        let links_before = check(&pool, &delta).neighbor_links;
+        pool.reset_stats();
+        assert_eq!(delta.delete_batch(&mut pool, &ids).unwrap(), ids.len());
+        assert!(delta.parts[victim].dead);
+        let stats = pool.stats();
+        assert_eq!(stats.kind(PageKind::SeedLeaf).writes, 1);
+        assert_eq!(stats.kind(PageKind::SeedInner).writes, 0);
+        assert_eq!(stats.kind(PageKind::ObjectPage).writes, 0);
+        let dead = read_record(&pool, delta.records[victim]).unwrap();
+        assert!(dead.is_dead && dead.neighbors().len() > 0);
+        let report = check(&pool, &delta);
+        assert_eq!(report.retired_partitions, 1);
+        assert_eq!(
+            report.neighbor_links, links_before,
+            "the graph kept every link"
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! checkpoint snapshot is the resident state recovery cannot rebuild from
 //! the pages alone: the index descriptor (layout, seed root and height,
 //! four counters — what turns the pages back into a [`FlatIndex`]) plus
-//! the delta layer's metadata-page list and tombstone set. The snapshot is
+//! the delta layer's list of live delta object pages and its tombstone
+//! set. The snapshot is
 //! the only place the descriptor is written, so a database file is the
 //! logged layout and nothing else.
 //!
@@ -136,13 +137,17 @@ const SNAPSHOT_MAGIC: u64 = 0x464C_4154_534E_5031;
 /// index descriptor encoding, to any page format the descriptor points at,
 /// or to what the pages mean bumps it. Version 2: no record links to a
 /// delta partition (a version-1 file may hold base→delta links, which
-/// would make every query report a delta element twice).
-const SNAPSHOT_VERSION: u16 = 2;
+/// would make every query report a delta element twice). Version 3: a
+/// dead record keeps its links, and the delta list names the live delta
+/// object pages, not metadata pages (a version-2 file's dead records have
+/// no links, and its retirement cliques are links the bulkload never
+/// made).
+const SNAPSHOT_VERSION: u16 = 3;
 /// Encoding of `FlatIndex::seed_root == None`.
 const NO_ROOT: u64 = u64::MAX;
 
-/// Delta-layer residency captured in a snapshot: the metadata pages in
-/// creation order plus the tombstone set.
+/// Delta-layer residency captured in a snapshot: the object pages of the
+/// live delta partitions in table order plus the tombstone set.
 pub(crate) type DeltaResidency = (Vec<PageId>, Vec<(u64, u16)>);
 
 /// The checkpoint snapshot: everything [`crate::FlatDb::open_durable`]
@@ -156,8 +161,8 @@ pub(crate) struct DbSnapshot {
     pub built: bool,
     /// The index descriptor at checkpoint time.
     pub index: FlatIndex,
-    /// Delta-layer residency, if a writer had adopted the index: the
-    /// metadata pages in creation order and the tombstone set.
+    /// Delta-layer residency, if a writer had adopted the index: the live
+    /// delta object pages in table order and the tombstone set.
     pub delta: Option<DeltaResidency>,
 }
 
@@ -171,10 +176,10 @@ impl DbSnapshot {
         encode_descriptor(&self.index, &mut out);
         match &self.delta {
             None => out.push(0),
-            Some((meta_pages, tombstones)) => {
+            Some((delta_pages, tombstones)) => {
                 out.push(1);
-                out.extend_from_slice(&(meta_pages.len() as u64).to_le_bytes());
-                for p in meta_pages {
+                out.extend_from_slice(&(delta_pages.len() as u64).to_le_bytes());
+                for p in delta_pages {
                     out.extend_from_slice(&p.0.to_le_bytes());
                 }
                 out.extend_from_slice(&(tombstones.len() as u64).to_le_bytes());
@@ -207,9 +212,9 @@ impl DbSnapshot {
         let delta = match r.u8()? {
             0 => None,
             1 => {
-                let meta_pages = r.list("metadata page count", |r| r.u64().map(PageId))?;
+                let delta_pages = r.list("delta page count", |r| r.u64().map(PageId))?;
                 let tombstones = r.list("tombstone count", |r| Ok((r.u64()?, r.u16()?)))?;
-                Some((meta_pages, tombstones))
+                Some((delta_pages, tombstones))
             }
             t => {
                 return Err(StorageError::Corrupt(format!(
@@ -461,7 +466,7 @@ mod tests {
         for count in [900u64, 30, 4, 2] {
             expected.extend_from_slice(&count.to_le_bytes());
         }
-        // Delta residency: tag, metadata pages, tombstones.
+        // Delta residency: tag, delta object pages, tombstones.
         expected.push(1);
         for word in [1u64, 99, 1, 7] {
             expected.extend_from_slice(&word.to_le_bytes());
@@ -492,16 +497,17 @@ mod tests {
         bad_version[8] = 99;
         let err = DbSnapshot::decode(&bad_version).unwrap_err().to_string();
         assert!(
-            err.contains("version 99") && err.contains("reads version 2"),
+            err.contains("version 99") && err.contains("reads version 3"),
             "{err}"
         );
     }
 
     #[test]
-    fn a_version_1_snapshot_is_refused_naming_both_versions() {
-        // Version 1 delta layers linked base records to delta records; the
-        // read path now also scans delta partitions from the resident
-        // table, so reading such a file would report their elements twice.
+    fn a_version_2_snapshot_is_refused_naming_both_versions() {
+        // Version 2 retired a partition by pruning its links and writing
+        // clique links among its neighbors, and listed metadata pages; the
+        // read path now crosses dead records through the links they keep,
+        // and reopen reads the list as delta object pages.
         let snap = DbSnapshot {
             last_seq: 3,
             built: true,
@@ -509,13 +515,13 @@ mod tests {
             delta: Some((vec![PageId(5)], Vec::new())),
         };
         let mut old = snap.encode();
-        old[8..10].copy_from_slice(&1u16.to_le_bytes());
+        old[8..10].copy_from_slice(&2u16.to_le_bytes());
         let err = DbSnapshot::decode(&old).unwrap_err();
         let StorageError::Corrupt(msg) = &err else {
             panic!("expected a corrupt-snapshot error, got {err}");
         };
         assert!(
-            msg.contains("version 1;") && msg.contains("reads version 2"),
+            msg.contains("version 2;") && msg.contains("reads version 3"),
             "{msg}"
         );
     }

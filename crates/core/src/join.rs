@@ -26,7 +26,7 @@ use crate::error::FlatError;
 use crate::meta::{MetaRecordId, MetaView};
 use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
 use flat_geom::Aabb;
-use flat_storage::{PageRead, StorageError};
+use flat_storage::{PageId, PageRead, StorageError};
 
 /// One side of a distance join: any index the read path understands.
 pub type JoinInput<'a> = IndexRef<'a>;
@@ -97,7 +97,7 @@ impl CrawlVisitor for PartnerVisit<'_> {
         self.stats.crawl_records += 1;
     }
 
-    fn wants_object(&mut self, _addr: MetaRecordId, page_mbr: &Aabb) -> bool {
+    fn wants_object(&mut self, _object_page: PageId, page_mbr: &Aabb) -> bool {
         page_mbr.intersects(&self.query) && self.outer_mbr.distance_sq(page_mbr) <= self.eps2
     }
 
@@ -180,8 +180,10 @@ impl JoinEngine {
             // Seed the inner crawl: reuse the previous partners that are
             // still relevant (their partition MBR intersects the new
             // query box, so they belong to the connected subgraph the
-            // crawl must cover), falling back to a seed-tree descent. A
-            // descent that finds nothing leaves only the delta partitions.
+            // crawl must cover — a retired partner too: the crawl follows
+            // its links and skips its freed page), falling back to a
+            // seed-tree descent. A descent that finds nothing leaves only
+            // the delta partitions.
             state.clear();
             for (record, mbr) in &frontier {
                 if mbr.intersects(&query) {

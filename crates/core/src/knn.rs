@@ -18,7 +18,9 @@
 //! Exactness rests on the tiling invariants (§V-A): partitions cover space
 //! with no gaps and touching partitions are linked, so for any distance
 //! bound `d` the set of partitions within `d` of the query point is
-//! connected through neighbor links and contains the seed. The expansion
+//! connected through neighbor links and contains the seed — retired
+//! partitions included, whose records keep their links: the crawl passes
+//! through them and never scans their freed object pages. The expansion
 //! therefore reaches every partition that could hold a top-k element
 //! before the bound closes below it; `knn_matches_brute_force` in the
 //! tests checks the result against a full scan.
@@ -46,6 +48,13 @@
 //! crawl's. The order in which records are popped and neighbors are
 //! marked seen, keyed and pushed depends only on what is read, so results
 //! and [`KnnStats`] do not depend on whether the pool listens.
+
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 
 use crate::index::FlatIndex;
 use crate::meta::{meta_leaf_len, MetaRecordId, MetaView};
@@ -327,18 +336,22 @@ impl IndexRef<'_> {
             // partition on ties). A record is read and its unseen
             // neighbors collected across the continuation chain
             // (over-full neighbor lists spill into continuation records),
-            // in pop order; a delta partition is its object page alone.
+            // in pop order; a delta partition is its object page alone. A
+            // dead record's links are followed like any other's, but its
+            // object page, freed, joins no wave.
             let bound = best.bound();
             wave.clear();
             fresh.clear();
             wants.clear();
-            while wave.len() < KNN_WAVE {
+            let mut popped = 0;
+            while popped < KNN_WAVE {
                 let top = frontier.peek().map(|&Reverse((MinKey(dist), _))| dist);
                 let (page, page_dist) = match outside.get(next_outside) {
                     Some(&(MinKey(dist), page))
                         if dist <= bound && top.is_none_or(|top| dist <= top) =>
                     {
                         next_outside += 1;
+                        popped += 1;
                         (page, dist)
                     }
                     _ => {
@@ -351,11 +364,15 @@ impl IndexRef<'_> {
                         stats.max_frontier_len = stats.max_frontier_len.max(frontier.len());
                         stats.records_expanded += 1;
                         frontier.pop();
+                        popped += 1;
                         let record = read_record(pool, addr)?;
                         walk_links(pool, &record, |chunk| {
                             fresh.extend(chunk.neighbors().filter(|&n| seen.insert(n)));
                             Ok(())
                         })?;
+                        if record.is_dead {
+                            continue;
+                        }
                         (
                             record.object_page,
                             record.page_mbr.distance_sq_to_point(&point),
@@ -371,7 +388,7 @@ impl IndexRef<'_> {
             }
             // Everything still on either frontier is at least this far
             // away; once the top-k is full and closer, nothing can improve.
-            if wave.is_empty() {
+            if popped == 0 {
                 stats.records_pruned += frontier.len() as u64;
                 break;
             }
@@ -494,6 +511,12 @@ impl IndexRef<'_> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;

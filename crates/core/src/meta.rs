@@ -25,13 +25,15 @@
 //!
 //! # Dead records
 //!
-//! The dynamic-update layer (`crate::DeltaIndex`) retires a partition when
-//! its last live element is deleted: the partition's object page is
-//! returned to the store's free list and its metadata record is marked
-//! **dead** (bit 14 of the count word). A dead record keeps its slot — so
-//! the addresses of its page-mates stay valid — but carries no neighbors,
-//! is skipped by the seed phase, and by invariant is never the target of a
-//! neighbor pointer (retirement prunes every inbound link).
+//! The dynamic-update layer (`crate::DeltaIndex`) retires a bulkload
+//! partition when its last live element is deleted: the partition's object
+//! page is returned to the store's free list and its metadata record is
+//! marked **dead** (bit 14 of the count word). Nothing else of the record
+//! changes. A dead record keeps its slot, its neighbor links and its
+//! continuation chain, and it stays a link target: the link graph is the
+//! bulkload's until compaction, and so is its connectivity argument. The
+//! seed phases skip a dead record as an entry point; a crawl follows its
+//! links and never reads its object page.
 //!
 //! # Continuation chaining
 //!
@@ -45,12 +47,13 @@
 //!
 //! # Writing records
 //!
-//! This module alone lays metadata pages out, writes and edits them. One
-//! layout writer places an ordered list of *runs* — record chains: a
-//! bulkload's partitions, an insert batch's new (unlinked) partitions, a
-//! retirement's clique stitch chains — planning every record's
-//! address before it writes a byte. One editor splices a stitch chain in
-//! front of a record's chain, prunes a link and sets the dead flag.
+//! This module alone lays metadata pages out and writes them. The one
+//! layout writer, `write_runs`, places the bulkload's partitions as an
+//! ordered list of *runs* (record chains), planning every record's address
+//! before it writes a byte. After the bulkload no record is laid out again
+//! until compaction rebuilds the index: an insert batch writes object
+//! pages only, and the one edit of a written record is the in-place dead
+//! flag (`set_dead`).
 //!
 //! # Reading records in place
 //!
@@ -61,9 +64,9 @@
 //! pointers are read straight off the page bytes as they are iterated —
 //! the slot directory plays the part of an offset table, so one record is
 //! read without touching its page-mates. A crawl therefore allocates
-//! nothing per record. [`MetaRecord`] is the write side's form (the
-//! writer's and the editor's), and [`decode_meta_record`] is a collect
-//! over the view, so there is one parser.
+//! nothing per record. [`MetaRecord`] is the writer's form, and
+//! [`decode_meta_record`] is a collect over the view, so there is one
+//! parser.
 
 #![deny(
     clippy::panic,
@@ -129,8 +132,8 @@ pub struct MetaRecord {
     /// seeded mid-chain would only see the tail of the neighbor list).
     pub is_continuation: bool,
     /// `true` once the record's partition has been retired by the
-    /// dynamic-update layer: its object page is freed, no links point at
-    /// it, and the seed phase skips it.
+    /// dynamic-update layer: its object page is freed and the seed phase
+    /// skips it, but it keeps its links and stays a link target.
     pub is_dead: bool,
 }
 
@@ -187,16 +190,6 @@ fn assign_slots(neighbor_counts: &[usize]) -> Vec<(usize, u16)> {
     assignment
 }
 
-/// A neighbor pointer of a [`Run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Link {
-    /// The primary record of run `j` of the same layout: its address is
-    /// known once the layout is planned.
-    Run(usize),
-    /// A record already on a page.
-    At(MetaRecordId),
-}
-
 /// One record chain for [`write_runs`]: a partition's two MBRs, object
 /// page and neighbor list.
 #[derive(Debug, Clone)]
@@ -204,14 +197,10 @@ pub(crate) struct Run {
     pub(crate) page_mbr: Aabb,
     pub(crate) partition_mbr: Aabb,
     pub(crate) object_page: PageId,
-    pub(crate) neighbors: Vec<Link>,
-    /// `false` for a new partition, whose head record is its primary;
-    /// `true` for a stitch chain, all continuations, whose head is spliced
-    /// in front of an existing record's chain ([`Edit::Splice`]).
-    pub(crate) splice: bool,
-    /// What the last record continues into: `None` for a new partition,
-    /// the old continuation of the spliced chain for a stitch chain.
-    pub(crate) tail: Option<MetaRecordId>,
+    /// The neighboring partitions, each named by its run's position in
+    /// the layout: its primary record's address is known once the layout
+    /// is planned.
+    pub(crate) neighbors: Vec<usize>,
 }
 
 impl Run {
@@ -222,20 +211,11 @@ impl Run {
     }
 }
 
-/// What [`write_runs`] wrote.
-#[derive(Debug)]
-pub(crate) struct RunLayout {
-    /// The new metadata pages in allocation order, each keyed by the union
-    /// of its records' page MBRs — the seed tree's key (§V-B.2: "we index
-    /// each record R with R's page MBR as key").
-    pub(crate) leaves: Vec<ChildRef>,
-    /// Each run's head record: a new partition's primary, a stitch
-    /// chain's first record.
-    pub(crate) heads: Vec<MetaRecordId>,
-}
-
 /// The one metadata layout writer: lays out the runs `shapes` names, in
-/// order, on new pages and writes their records.
+/// order, on new pages and writes their records. Returns the new metadata
+/// pages in allocation order, each keyed by the union of its records' page
+/// MBRs — the seed tree's key (§V-B.2: "we index each record R with R's
+/// page MBR as key").
 ///
 /// Planning needs each run's [`Run::shape`] alone — the chunk rule, then
 /// [`assign_slots`], then every page allocated in order — so every
@@ -249,7 +229,7 @@ pub(crate) fn write_runs(
     pool: &mut impl PageWrite,
     shapes: &[(PageId, usize)],
     mut runs: impl Iterator<Item = Result<Run, StorageError>>,
-) -> Result<RunLayout, StorageError> {
+) -> Result<Vec<ChildRef>, StorageError> {
     let mut first = Vec::with_capacity(shapes.len());
     let mut counts = Vec::with_capacity(shapes.len());
     for &(_, n) in shapes {
@@ -286,12 +266,11 @@ pub(crate) fn write_runs(
         for chunk in chunks(shape.1) {
             let neighbors = run.neighbors[chunk.clone()]
                 .iter()
-                .map(|link| match *link {
-                    Link::At(addr) => Ok(addr),
-                    Link::Run(k) => heads
+                .map(|&k| {
+                    heads
                         .get(k)
                         .copied()
-                        .ok_or_else(|| corrupt(format!("links run {j} to run {k}"))),
+                        .ok_or_else(|| corrupt(format!("links run {j} to run {k}")))
                 })
                 .collect::<Result<_, _>>()?;
             records.push(MetaRecord {
@@ -299,19 +278,16 @@ pub(crate) fn write_runs(
                 partition_mbr: run.partition_mbr,
                 object_page: run.object_page,
                 neighbors,
-                continuation: if chunk.end == shape.1 {
-                    run.tail
-                } else {
-                    Some(address(r + 1))
-                },
-                is_continuation: run.splice || chunk.start > 0,
+                continuation: (chunk.end < shape.1).then(|| address(r + 1)),
+                is_continuation: chunk.start > 0,
                 is_dead: false,
             });
             mbr.stretch_to_contain(&run.page_mbr);
             r += 1;
             // The page is complete once the next record lies beyond it.
             if slots.get(r).is_none_or(|&(seq, _)| seq > leaves.len()) {
-                write_leaf(pool, pages[leaves.len()], &records, &mut page)?;
+                encode_meta_leaf(&records, &mut page)?;
+                pool.write(pages[leaves.len()], &page, PageKind::SeedLeaf)?;
                 records.clear();
                 let mbr = std::mem::replace(&mut mbr, Aabb::empty());
                 leaves.push(ChildRef {
@@ -324,80 +300,24 @@ pub(crate) fn write_runs(
     if runs.next().is_some() {
         return Err(corrupt(format!("longer than its {} runs", shapes.len())));
     }
-    Ok(RunLayout { leaves, heads })
+    Ok(leaves)
 }
 
-/// An in-place edit of a written record (see [`edit`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Edit {
-    /// Continues the record into this stitch chain head, whose chain
-    /// already ends in the record's old continuation ([`Run::tail`]).
-    Splice(MetaRecordId),
-    /// Removes this link from whichever record of the chain holds it.
-    Prune(MetaRecordId),
-    /// Flags the record dead and drops its links and its chain.
-    Retire,
-}
-
-/// The one metadata page editor: applies `edit` to the chain headed by
-/// `record`, re-encoding the edited page with the same record count (so
-/// every record keeps its address; no edit grows a record, so the page
-/// still fits). A slot the page does not hold, or a pruned link the chain
-/// does not hold, is [`StorageError::Corrupt`].
-pub(crate) fn edit<P: PageRead + PageWrite>(
+/// The one edit of a written record: sets the dead flag of the record at
+/// `record` in place and writes its page back. Every other byte of the
+/// page — the record's links and chain, every page-mate — stays as the
+/// bulkload wrote it. A slot the page does not hold is
+/// [`StorageError::Corrupt`].
+pub(crate) fn set_dead<P: PageRead + PageWrite>(
     pool: &mut P,
     record: MetaRecordId,
-    edit: Edit,
 ) -> Result<(), StorageError> {
-    let mut addr = record;
-    if let Edit::Prune(target) = edit {
-        // A prune edits whichever record of the chain holds the link.
-        loop {
-            let chunk = MetaView::new(pool.read_page(addr.page, PageKind::SeedLeaf)?, addr.slot)?;
-            if chunk.neighbors().any(|n| n == target) {
-                break;
-            }
-            // Links are symmetric: the caller found `record` in `target`'s
-            // chain, so `target` must appear in `record`'s. Running off the
-            // chain means the link graph lost symmetry — corruption a
-            // release build must surface rather than leave half-pruned.
-            addr = chunk.continuation.ok_or_else(|| {
-                StorageError::Corrupt(format!(
-                    "pruning link {target:?} from {record:?}: not present in the chain"
-                ))
-            })?;
-        }
-    }
-    let mut page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-    let mut records = decode_meta_leaf(&page)?;
-    let held = records.len();
-    let Some(edited) = records.get_mut(addr.slot as usize) else {
-        return Err(StorageError::Corrupt(format!(
-            "editing slot {} of a metadata page that holds {held}",
-            addr.slot
-        )));
-    };
-    match edit {
-        Edit::Splice(head) => edited.continuation = Some(head),
-        Edit::Prune(target) => edited.neighbors.retain(|n| *n != target),
-        Edit::Retire => {
-            edited.neighbors.clear();
-            edited.continuation = None;
-            edited.is_dead = true;
-        }
-    }
-    write_leaf(pool, addr.page, &records, &mut page)
-}
-
-/// Encodes `records` onto metadata page `id` and writes it.
-fn write_leaf(
-    pool: &mut impl PageWrite,
-    id: PageId,
-    records: &[MetaRecord],
-    page: &mut Page,
-) -> Result<(), StorageError> {
-    encode_meta_leaf(records, page)?;
-    pool.write(id, page, PageKind::SeedLeaf)
+    let mut page = pool.read_page(record.page, PageKind::SeedLeaf)?;
+    // Checks the slot and the record's offsets against the page.
+    MetaView::new(page.clone(), record.slot)?;
+    let count_word = page.get_u16(HEADER_SIZE + record.slot as usize * DIR_ENTRY) as usize + 104;
+    page.put_u16(count_word, page.get_u16(count_word) | FLAG_DEAD);
+    pool.write(record.page, &page, PageKind::SeedLeaf)
 }
 
 fn put_mbr(page: &mut PageMut<'_>, offset: usize, mbr: &Aabb) {
@@ -603,6 +523,7 @@ pub fn decode_meta_record(page: &Page, slot: u16) -> Result<MetaRecord, StorageE
 }
 
 /// Decodes all records of a metadata page (validation / inspection).
+#[cfg(test)]
 pub(crate) fn decode_meta_leaf(page: &Page) -> Result<Vec<MetaRecord>, StorageError> {
     let count = meta_leaf_len(page)?;
     (0..count as u16)
@@ -795,32 +716,21 @@ mod tests {
         assert_ne!(assignment[0].0, assignment[1].0);
     }
 
-    /// A new partition's run.
-    fn run(object_page: u64, neighbors: Vec<Link>) -> Run {
+    /// A partition's run.
+    fn run(object_page: u64, neighbors: Vec<usize>) -> Run {
         let base = object_page as f64;
         Run {
             page_mbr: Aabb::cube(Point3::splat(base), 1.0),
             partition_mbr: Aabb::cube(Point3::splat(base), 2.0),
             object_page: PageId(object_page),
             neighbors,
-            splice: false,
-            tail: None,
-        }
-    }
-
-    /// A stitch chain ending in `tail`.
-    fn stitch(object_page: u64, neighbors: Vec<Link>, tail: Option<MetaRecordId>) -> Run {
-        Run {
-            splice: true,
-            tail,
-            ..run(object_page, neighbors)
         }
     }
 
     fn write(
         pool: &mut ConcurrentBufferPool<MemStore>,
         runs: Vec<Run>,
-    ) -> Result<RunLayout, StorageError> {
+    ) -> Result<Vec<ChildRef>, StorageError> {
         let shapes: Vec<_> = runs.iter().map(Run::shape).collect();
         write_runs(pool, &shapes, runs.into_iter().map(Ok))
     }
@@ -830,84 +740,55 @@ mod tests {
         decode_meta_record(&page, addr.slot).unwrap()
     }
 
-    /// Every link of the chain headed by `head`, and whether each record
-    /// after the head is a continuation.
-    fn chain_links(pool: &ConcurrentBufferPool<MemStore>, head: MetaRecordId) -> Vec<MetaRecordId> {
-        let mut links = Vec::new();
-        let mut at = Some(head);
-        while let Some(addr) = at {
-            let record = read(pool, addr);
-            assert!(addr == head || record.is_continuation);
-            links.extend(record.neighbors);
-            at = record.continuation;
+    /// The primary record of every run, in run order: the records of the
+    /// layout's pages, in page then slot order, that are no continuation.
+    fn heads(pool: &ConcurrentBufferPool<MemStore>, leaves: &[ChildRef]) -> Vec<MetaRecordId> {
+        let mut heads = Vec::new();
+        for leaf in leaves {
+            let page = pool.read_page(leaf.page, PageKind::SeedLeaf).unwrap();
+            for (slot, record) in decode_meta_leaf(&page).unwrap().into_iter().enumerate() {
+                if !record.is_continuation {
+                    heads.push(MetaRecordId {
+                        page: leaf.page,
+                        slot: slot as u16,
+                    });
+                }
+            }
         }
-        links
+        heads
     }
 
     #[test]
     fn the_writer_chains_chunks_and_resolves_links() {
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 64);
         let max = max_neighbors_per_record();
-        let outside = MetaRecordId {
-            page: PageId(900),
-            slot: 4,
-        };
-        let tail = MetaRecordId {
-            page: PageId(901),
-            slot: 2,
-        };
-        let wide: Vec<Link> = (0..max + 7)
-            .map(|i| {
-                Link::At(MetaRecordId {
-                    page: PageId(1000 + i as u64),
-                    slot: 1,
-                })
-            })
-            .collect();
-        let layout = write(
-            &mut pool,
-            vec![
-                run(1, vec![Link::Run(1), Link::At(outside)]),
-                run(2, vec![Link::Run(0)]),
-                stitch(3, wide.clone(), Some(tail)),
-                run(4, Vec::new()),
-            ],
-        )
-        .unwrap();
-        assert_eq!(layout.heads.len(), 4);
-        assert_eq!(pool.store().num_pages(), layout.leaves.len() as u64);
-        let (a, b) = (read(&pool, layout.heads[0]), read(&pool, layout.heads[1]));
-        assert_eq!(a.neighbors, vec![layout.heads[1], outside]);
-        assert_eq!(b.neighbors, vec![layout.heads[0]]);
-        assert!(!a.is_continuation && a.continuation.is_none());
-        // The stitch chain: two continuation chunks ending in the tail.
-        let head = read(&pool, layout.heads[2]);
-        assert!(head.is_continuation);
+        // Run 0 links to every other run: one record's worth and 7 more.
+        let others = max + 7;
+        let mut runs = vec![run(0, (1..=others).collect())];
+        runs.extend((1..=others).map(|j| run(j as u64, vec![0])));
+        let leaves = write(&mut pool, runs).unwrap();
+        assert_eq!(pool.store().num_pages(), leaves.len() as u64);
+        let heads = heads(&pool, &leaves);
+        assert_eq!(heads.len(), others + 1);
+        // The wide run: a primary and one continuation chunk.
+        let head = read(&pool, heads[0]);
+        assert!(!head.is_continuation);
         assert_eq!(head.neighbors.len(), max);
         let second = read(&pool, head.continuation.unwrap());
-        assert_eq!(
-            (second.neighbors.len(), second.continuation),
-            (7, Some(tail))
-        );
+        assert!(second.is_continuation);
+        assert_eq!((second.neighbors.len(), second.continuation), (7, None));
         let resolved: Vec<MetaRecordId> =
             head.neighbors.into_iter().chain(second.neighbors).collect();
-        let expected: Vec<MetaRecordId> = wide
-            .iter()
-            .map(|link| match *link {
-                Link::At(addr) => addr,
-                Link::Run(_) => unreachable!(),
-            })
-            .collect();
-        assert_eq!(resolved, expected);
-        let empty = read(&pool, layout.heads[3]);
-        assert!(empty.neighbors.is_empty() && !empty.is_continuation);
+        assert_eq!(resolved, heads[1..].to_vec());
+        for (j, &addr) in heads.iter().enumerate().skip(1) {
+            let record = read(&pool, addr);
+            assert_eq!(record.object_page, PageId(j as u64));
+            assert_eq!(record.neighbors, vec![heads[0]]);
+            assert!(!record.is_continuation && record.continuation.is_none());
+        }
         // Each page's MBR covers its records' page MBRs.
-        for (i, head) in layout.heads.iter().enumerate() {
-            let leaf = layout
-                .leaves
-                .iter()
-                .find(|leaf| leaf.page == head.page)
-                .unwrap();
+        for (i, head) in heads.iter().enumerate() {
+            let leaf = leaves.iter().find(|leaf| leaf.page == head.page).unwrap();
             assert!(leaf.mbr.contains(&read(&pool, *head).page_mbr), "run {i}");
         }
     }
@@ -915,8 +796,7 @@ mod tests {
     #[test]
     fn an_empty_layout_writes_nothing() {
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
-        let layout = write(&mut pool, Vec::new()).unwrap();
-        assert!(layout.leaves.is_empty() && layout.heads.is_empty());
+        assert!(write(&mut pool, Vec::new()).unwrap().is_empty());
         assert_eq!(pool.store().num_pages(), 0);
     }
 
@@ -944,53 +824,50 @@ mod tests {
         let one = run(1, Vec::new());
         let long = [one.clone(), run(2, Vec::new())].into_iter().map(Ok);
         assert!(is_corrupt(write_runs(&mut pool, &[one.shape()], long)));
-        let dangling = run(1, vec![Link::Run(1)]);
+        let dangling = run(1, vec![1]);
         assert!(is_corrupt(write(&mut pool, vec![dangling])));
     }
 
     #[test]
-    fn the_editor_splices_prunes_and_retires() {
+    fn the_dead_flag_changes_no_other_byte() {
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 64);
-        let layout = write(
+        let leaves = write(
             &mut pool,
-            vec![
-                run(1, vec![Link::Run(1), Link::Run(2)]),
-                run(2, vec![Link::Run(0)]),
-                run(3, vec![Link::Run(0)]),
-            ],
+            vec![run(1, vec![1, 2]), run(2, vec![0]), run(3, vec![0])],
         )
         .unwrap();
-        let [a, b, c] = [layout.heads[0], layout.heads[1], layout.heads[2]];
-        // Stitch a chain in front of `a`'s (empty) continuation.
-        let old = read(&pool, a).continuation;
-        let stitch = write(&mut pool, vec![stitch(1, vec![Link::At(c)], old)]).unwrap();
-        edit(&mut pool, a, Edit::Splice(stitch.heads[0])).unwrap();
-        assert_eq!(chain_links(&pool, a), vec![b, c, c]);
-        // Pruning finds the link wherever the chain holds it.
-        edit(&mut pool, a, Edit::Prune(b)).unwrap();
-        assert_eq!(chain_links(&pool, a), vec![c, c]);
-        assert!(is_corrupt(edit(&mut pool, a, Edit::Prune(b))));
-        // Retiring keeps the slot and every page-mate.
-        edit(&mut pool, b, Edit::Retire).unwrap();
+        let [a, b, c] = heads(&pool, &leaves)[..] else {
+            panic!("three runs, three primaries");
+        };
+        let before = pool.read_page(b.page, PageKind::SeedLeaf).unwrap();
+        set_dead(&mut pool, b).unwrap();
+        let after = pool.read_page(b.page, PageKind::SeedLeaf).unwrap();
+        // The dead record keeps its links and its chain; its page-mates
+        // and the links to it are untouched.
         let dead = read(&pool, b);
-        assert!(dead.is_dead && dead.neighbors.is_empty() && dead.continuation.is_none());
-        assert_eq!(read(&pool, c).neighbors, vec![a]);
+        let mut expected = decode_meta_record(&before, b.slot).unwrap();
+        expected.is_dead = true;
+        assert_eq!(dead, expected);
+        assert_eq!(dead.neighbors, vec![a]);
+        assert_eq!(read(&pool, a).neighbors, vec![b, c]);
+        let differing = (before.bytes().iter().zip(after.bytes()))
+            .filter(|(x, y)| x != y)
+            .count();
+        assert_eq!(differing, 1, "only the flag byte of the count word moves");
+        // Setting it again changes nothing.
+        set_dead(&mut pool, b).unwrap();
+        assert_eq!(read(&pool, b), dead);
     }
 
     #[test]
-    fn editing_a_slot_past_the_page_is_corrupt() {
+    fn flagging_a_slot_past_the_page_is_corrupt() {
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
-        let layout = write(&mut pool, vec![run(1, Vec::new())]).unwrap();
+        let leaves = write(&mut pool, vec![run(1, Vec::new())]).unwrap();
         let past = MetaRecordId {
-            page: layout.heads[0].page,
+            page: leaves[0].page,
             slot: 1,
         };
-        assert!(is_corrupt(edit(&mut pool, past, Edit::Retire)));
-        assert!(is_corrupt(edit(
-            &mut pool,
-            past,
-            Edit::Splice(layout.heads[0])
-        )));
+        assert!(is_corrupt(set_dead(&mut pool, past)));
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //!    tight bounding box of its elements (elements can straddle tile
 //!    boundaries because tiles cut by *centers*).
 
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use flat_geom::{Aabb, Axis};
 use flat_rtree::Entry;
 
@@ -48,16 +55,11 @@ fn chop(mut items: Vec<Entry>, axis: Axis, chunk_size: usize) -> (Vec<Vec<Entry>
     let mut iter = items.into_iter().peekable();
     loop {
         let chunk: Vec<Entry> = iter.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
+        let Some(last) = chunk.last() else {
             break;
-        }
+        };
         if let Some(next) = iter.peek() {
-            let last = chunk
-                .last()
-                .expect("chunk is non-empty")
-                .mbr
-                .center()
-                .coord(axis);
+            let last = last.mbr.center().coord(axis);
             let first = next.mbr.center().coord(axis);
             cuts.push((last + first) / 2.0);
         }
@@ -243,6 +245,10 @@ pub(crate) fn shard_regions(entries: Vec<Entry>, k: usize, domain: &Aabb) -> Vec
             let mut parts = Vec::new();
             let len = slab.len();
             partition_slab(slab, tile, 1, len, &mut parts);
+            // Proof: `chop` yields no empty chunk, and with `pn = 1` and a
+            // capacity of the whole slab `partition_slab` cuts one run of
+            // one chunk — exactly one partition.
+            #[allow(clippy::expect_used)]
             let part = parts.pop().expect("non-empty slab yields one partition");
             debug_assert!(parts.is_empty());
             ShardRegion {
@@ -291,6 +297,12 @@ pub fn verify_tiling(partitions: &[Partition], domain: &Aabb, steps: usize) -> R
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use flat_geom::Point3;

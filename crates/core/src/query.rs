@@ -20,6 +20,13 @@
 //! wave scratch, which grow geometrically with the crawl rather than once
 //! per record (`tests/alloc_free_crawl.rs` holds that to a budget).
 
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use crate::delta::{DeltaIndex, PartState};
 use crate::index::FlatIndex;
 use crate::meta::{meta_leaf_len, MetaRecordId, MetaView};
@@ -72,11 +79,12 @@ pub(crate) type Tombstones = AddrSet<(PageId, u16)>;
 
 /// Any index the read path understands: the single view every query verb
 /// (range, kNN, aggregate, join) is written against. The link graph is
-/// the bulkload's alone; a delta layer adds partitions that sit outside
-/// both the seed tree and the graph, listed in its resident table. The
-/// two kinds differ only in what this type's accessors answer: which
-/// elements are tombstoned, which partitions every verb takes from the
-/// resident table beside its crawl, and whether live counts are resident.
+/// the bulkload's alone, retired partitions included; a delta layer adds
+/// partitions that sit outside both the seed tree and the graph, listed in
+/// its resident table. The two kinds differ only in what this type's
+/// accessors answer: which elements are tombstoned, which partitions every
+/// verb takes from the resident table beside its crawl, and whether live
+/// counts are resident.
 ///
 /// As a join side ([`crate::JoinInput`]) both sides may be the same index:
 /// a self-join reports self-pairs `(x, x)` and both orientations of every
@@ -236,19 +244,21 @@ impl<'t> LivePage<'t> {
 /// announcements, dead records, tombstones, continuation chains — and is
 /// monomorphised per visitor, so a visitor costs what writing its loop by
 /// hand would. Each record of a wave is shown to `dequeued`, then (if
-/// live) `wants_object` and `expands`, in queue order; then the wave's
-/// wanted object pages are handed to `scan`, in the same order. The delta
-/// partitions a crawl starts with ([`IndexRef::offer_delta`]) are shown
-/// to `wants_object` alone, and scanned with the first wave.
+/// live) `wants_object`, then `expands`, in queue order; then the wave's
+/// wanted object pages are handed to `scan`, in the same order. A dead
+/// record is never shown to `wants_object` — its object page is freed —
+/// but its links are followed like any other's. The delta partitions a
+/// crawl starts with ([`IndexRef::offer_delta`]) are shown to
+/// `wants_object` alone, and scanned with the first wave.
 pub(crate) trait CrawlVisitor {
     /// A record left the queue, which held `queue_len` records counting it.
     fn dequeued(&mut self, queue_len: usize);
 
-    /// Will the object page of the live partition whose primary record is
-    /// `addr` and whose page MBR is `page_mbr` be scanned? Asked once per
-    /// partition, for a whole wave before any of its object pages is read,
-    /// so the answers can be announced to the pool together.
-    fn wants_object(&mut self, addr: MetaRecordId, page_mbr: &Aabb) -> bool;
+    /// Will `object_page`, the object page of a live partition whose page
+    /// MBR is `page_mbr`, be scanned? Asked once per partition, for a
+    /// whole wave before any of its object pages is read, so the answers
+    /// can be announced to the pool together.
+    fn wants_object(&mut self, object_page: PageId, page_mbr: &Aabb) -> bool;
 
     /// Scans an object page that was wanted (its partition's page MBR is
     /// `page_mbr`), in the order the pages were wanted.
@@ -275,7 +285,7 @@ impl CrawlVisitor for RangeVisit<'_> {
 
     /// "the object page is only read from disk if M's page MBR intersects
     /// with the query" (§VI).
-    fn wants_object(&mut self, _addr: MetaRecordId, page_mbr: &Aabb) -> bool {
+    fn wants_object(&mut self, _object_page: PageId, page_mbr: &Aabb) -> bool {
         self.stats.mbr_tests += 1;
         page_mbr.intersects(self.query)
     }
@@ -340,18 +350,19 @@ impl<'a> IndexRef<'a> {
         visitor: &mut impl CrawlVisitor,
     ) {
         for part in self.delta_parts() {
-            if part.page_mbr.intersects(query) && visitor.wants_object(part.record, &part.page_mbr)
+            if part.page_mbr.intersects(query)
+                && visitor.wants_object(part.object_page, &part.page_mbr)
             {
                 state.scans.push((part.object_page, part.page_mbr));
             }
         }
     }
 
-    /// Resident live-element count of the partition whose primary record
-    /// is at `addr`, when the index keeps one (the delta layer): the
-    /// aggregate's containment early-exit reads it instead of the page.
-    pub(crate) fn live_count_at(self, addr: MetaRecordId) -> Option<u64> {
-        self.delta()?.live_count_at(addr)
+    /// Resident live-element count of the live partition whose object
+    /// page is `object_page`, when the index keeps one (the delta layer):
+    /// the aggregate's containment early-exit reads it instead of the page.
+    pub(crate) fn live_count(self, object_page: PageId) -> Option<u64> {
+        self.delta()?.live_count(object_page)
     }
 
     /// Live (non-deleted) elements.
@@ -421,7 +432,7 @@ impl<'a> IndexRef<'a> {
     /// partitions are candidates: the crawl walks their graph, and the
     /// delta partitions are no part of it. Tombstoned elements do not
     /// count, and retired (dead) records are never entry points — their
-    /// object pages are freed.
+    /// object pages are freed — though the crawl passes through them.
     pub(crate) fn seed(
         self,
         pool: &impl PageRead,
@@ -555,14 +566,11 @@ impl<'a> IndexRef<'a> {
             let Some(addr) = queue.pop_front() else { break };
             visitor.dequeued(queue.len() + 1);
             let record = read_record(pool, addr)?;
-            // Retirement prunes every link to a dead record, so the crawl
-            // can only land on one through a stale seed — never expand it
-            // (its object page is freed).
-            debug_assert!(!record.is_dead, "crawl reached a dead record");
-            if record.is_dead {
-                continue;
-            }
-            let wanted = visitor.wants_object(addr, &record.page_mbr);
+            // A retired partition's record keeps its links and its
+            // partition MBR, so the crawl crosses it as it crossed the live
+            // partition; only its object page, freed, is never wanted.
+            let wanted =
+                !record.is_dead && visitor.wants_object(record.object_page, &record.page_mbr);
             if visitor.expands(addr, &record) {
                 walk_links(pool, &record, |chunk| {
                     for neighbor in chunk.neighbors() {
@@ -693,6 +701,12 @@ impl CrawlState {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;

@@ -559,9 +559,15 @@ fn failed_shard_batch_is_a_typed_error_and_stays_isolated() {
 
     // Shard 1's device dies one page write into its next batch, which
     // straddles shards 0 and 1: shard 0 commits its part, shard 1 fails.
+    // Shard 1's part fills two object pages, so its batch writes two.
     fuses[1].store(1, Ordering::SeqCst);
     let straddling = column(15.0, 20_000, 5);
-    let batch = [straddling.clone(), column(45.0, 20_100, 40)].concat();
+    let batch = [
+        straddling.clone(),
+        column(45.0, 20_100, 40),
+        column(47.0, 20_200, 40),
+    ]
+    .concat();
     assert!(db.insert(batch).is_err());
     live.extend(straddling.iter().map(|e| (e.id, *e)));
     in_sync("the partly failed insert");

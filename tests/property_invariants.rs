@@ -306,10 +306,11 @@ fn rtree_structural_invariants_after_random_inserts() {
 #[test]
 fn delta_update_sequences_maintain_structural_invariants() {
     // Randomized update sequences over a DeltaIndex. After every batch the
-    // structural invariants must hold: symmetric neighbor links, no link
-    // to a retired partition, MBRs containing their live elements, and no
-    // freed page reachable from any crawl (`DeltaIndex::check_invariants`
-    // verifies all of it against the pages).
+    // structural invariants must hold: the bulkload's neighbor links,
+    // retired partitions included, MBRs containing their live elements,
+    // and no freed page reachable from any crawl
+    // (`DeltaIndex::check_invariants` verifies all of it against the
+    // pages).
     let offset = prop_seed();
     for case in 0..6u64 {
         let case_seed = 14_000 + offset + case;
@@ -380,8 +381,8 @@ fn delta_update_sequences_maintain_structural_invariants() {
                         .unwrap_or_else(|e| panic!("case {case_seed} op {op}: {e}"));
                 }
                 // Delete a spatial stripe: empties whole partitions, so
-                // retirement (link pruning + clique repair + page frees)
-                // actually runs.
+                // retirement (dead flags set in place + page frees, the
+                // links kept) actually runs.
                 2 => {
                     let cut = rng.gen_range(domain.min.x..domain.max.x);
                     let q = Aabb::from_corners(

@@ -272,3 +272,152 @@ fn every_verb_is_exact_once_every_base_partition_has_retired() {
     }
     harness.assert_equivalent(1417);
 }
+
+/// Retiring every bulkload partition of a middle x-slab leaves a wall of
+/// dead records between the two halves of the data: a crawl seeded on one
+/// side reaches the other only through the links the dead records keep.
+/// Range, aggregate, kNN and the join in both orientations stay exact,
+/// with answers on both sides of the wall.
+#[test]
+fn crawls_cross_retired_partitions() {
+    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(100.0));
+    let base = fresh_entries(6_000, 0, &domain, 1421);
+    let mut harness = Harness::new(base, domain);
+
+    // The bulkload's object pages come first; delete every element of
+    // each page that lies within the slab.
+    let objects = harness.delta.base().num_object_pages();
+    let slab = |mbr: &Aabb| mbr.min.x >= 30.0 && mbr.max.x <= 70.0;
+    let mut doomed = Vec::new();
+    let mut page = Page::new();
+    for id in 0..objects {
+        harness
+            .pool
+            .store()
+            .read_page(PageId(id), &mut page)
+            .unwrap();
+        let (_, entries) = decode_leaf(&page).unwrap();
+        if slab(&Aabb::union_all(entries.iter().map(|e| e.mbr))) {
+            doomed.extend(entries.iter().map(|e| e.id));
+        }
+    }
+    let live = harness.delta.num_live_partitions();
+    harness.apply(&Op::Delete(doomed));
+    let retired = live - harness.delta.num_live_partitions();
+    assert!(retired > 3, "{retired} partitions retired");
+    let survivors: Vec<Entry> = harness.survivors.values().copied().collect();
+    let band = Aabb::from_corners(
+        Point3::new(42.0, -10.0, -10.0),
+        Point3::new(58.0, 110.0, 110.0),
+    );
+    assert!(
+        survivors.iter().all(|e| !e.mbr.intersects(&band)),
+        "the retired partitions do not wall the band off"
+    );
+    let report = harness
+        .delta
+        .check_invariants(&harness.pool, &harness.pool.store().free_pages())
+        .unwrap();
+    assert_eq!(report.retired_partitions, retired);
+    let (delta, pool) = (&harness.delta, &harness.pool);
+    let both_sides = |xs: &mut dyn Iterator<Item = f64>| {
+        let (mut left, mut right) = (false, false);
+        for x in xs {
+            left |= x < 40.0;
+            right |= x > 60.0;
+        }
+        left && right
+    };
+
+    // Boxes across the wall.
+    for (i, (y, z)) in [(5.0, 5.0), (30.0, 60.0), (70.0, 20.0), (88.0, 88.0)]
+        .into_iter()
+        .enumerate()
+    {
+        let query =
+            Aabb::from_corners(Point3::new(15.0, y, z), Point3::new(85.0, y + 9.0, z + 9.0));
+        let expected: Vec<Hit> = survivors
+            .iter()
+            .filter(|e| query.intersects(&e.mbr))
+            .map(|e| Hit {
+                mbr: e.mbr,
+                id: e.id,
+                page: PageId(0),
+                slot: 0,
+            })
+            .collect();
+        let hits = delta.range_query(pool, &query).unwrap();
+        assert_eq!(keys(&hits), keys(&expected), "range query {i}");
+        assert!(
+            both_sides(&mut hits.iter().map(|h| h.mbr.center().x)),
+            "range query {i} has answers on one side only"
+        );
+        assert_eq!(
+            delta.aggregate_count(pool, &query).unwrap(),
+            brute_force(&survivors, &query) as u64,
+            "aggregate {i}"
+        );
+    }
+
+    // Probes inside the wall: the nearest survivors lie on both sides.
+    for (i, (y, z)) in [(10.0, 50.0), (50.0, 50.0), (85.0, 30.0)]
+        .into_iter()
+        .enumerate()
+    {
+        let point = Point3::new(50.0, y, z);
+        let k = 60;
+        let got = delta.knn_query(pool, point, k).unwrap();
+        let mut expected: Vec<f64> = survivors
+            .iter()
+            .map(|e| e.mbr.distance_sq_to_point(&point))
+            .collect();
+        expected.sort_by(f64::total_cmp);
+        expected.truncate(k);
+        let dists: Vec<f64> = got.iter().map(|n| n.dist_sq).collect();
+        assert_eq!(dists, expected, "kNN probe {i}");
+        assert!(
+            both_sides(&mut got.iter().map(|n| n.hit.mbr.center().x)),
+            "kNN probe {i} has answers on one side only"
+        );
+    }
+
+    // The join in both orientations, against an index over the whole
+    // domain.
+    let other = fresh_entries(1_500, 5_000_000, &domain, 1422);
+    let mut other_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
+    let (other_index, _) =
+        FlatIndex::build(&mut other_pool, other.clone(), common::options(domain)).unwrap();
+    for eps in [1.0, 4.0] {
+        let engine = JoinEngine::new(eps);
+        let outer = engine
+            .join(
+                pool,
+                JoinInput::Delta(delta),
+                &other_pool,
+                JoinInput::Flat(&other_index),
+            )
+            .unwrap();
+        assert_eq!(
+            outer.pairs,
+            brute_join(&survivors, &other, eps),
+            "delta outer, eps {eps}"
+        );
+        let inner = engine
+            .join(
+                &other_pool,
+                JoinInput::Flat(&other_index),
+                pool,
+                JoinInput::Delta(delta),
+            )
+            .unwrap();
+        let expected = brute_join(&other, &survivors, eps);
+        assert_eq!(inner.pairs, expected, "delta inner, eps {eps}");
+        let by_id: std::collections::HashMap<u64, &Entry> =
+            survivors.iter().map(|e| (e.id, e)).collect();
+        assert!(
+            both_sides(&mut expected.iter().map(|&(_, id)| by_id[&id].mbr.center().x)),
+            "the join has answers on one side only"
+        );
+    }
+    harness.assert_equivalent(1423);
+}
