@@ -89,11 +89,11 @@ use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
 use crate::join::{JoinEngine, JoinResult};
 use crate::knn::{KnnStats, Neighbor};
-use crate::query::{QueryStats, Tombstones};
+use crate::query::QueryStats;
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
-    ConcurrentBufferPool, EpochPin, IoStats, PageId, PageRead, PageStore, PageWrite, StorageError,
+    ConcurrentBufferPool, EpochPin, IoStats, PageRead, PageStore, PageWrite, StorageError,
     VersionStats, VersionedPool,
 };
 use std::collections::HashSet;
@@ -415,13 +415,7 @@ impl<S: PageStore> FlatDb<S> {
         options.index.layout = snapshot.index.layout();
         let index = match snapshot.delta {
             None => DeltaIndex::pristine(snapshot.index, options.index),
-            Some((pages, tombstones)) => {
-                let tombstones: Tombstones = tombstones
-                    .into_iter()
-                    .map(|(page, slot)| (PageId(page), slot))
-                    .collect();
-                DeltaIndex::reopen(&pool, snapshot.index, options.index, pages, tombstones)?
-            }
+            Some(residency) => DeltaIndex::reopen(&pool, snapshot.index, options.index, residency)?,
         };
         let mut db = Self::assemble(pool, index, options, snapshot.built, snapshot.last_seq + 1);
         // Replay the committed batches past the checkpoint — applying
@@ -725,20 +719,11 @@ impl<S: PageStore> FlatDb<S> {
     /// Encodes the checkpoint snapshot of the truth state.
     fn snapshot_bytes(truth: &DbTruth) -> Vec<u8> {
         let index = &truth.index;
-        let delta = index.is_adopted().then(|| {
-            let mut tombstones: Vec<(u64, u16)> = index
-                .tombstones()
-                .iter()
-                .map(|&(page, slot)| (page.0, slot))
-                .collect();
-            tombstones.sort_unstable();
-            (index.delta_object_pages().collect(), tombstones)
-        });
         DbSnapshot {
             last_seq: truth.next_seq - 1,
             built: truth.built,
             index: index.base().clone(),
-            delta,
+            delta: index.is_adopted().then(|| index.residency()),
         }
         .encode()
     }
@@ -1389,7 +1374,7 @@ fn validate_ops(delta: &DeltaIndex, ops: &[WriteOp]) -> Result<(), FlatError> {
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
-    use flat_storage::Page;
+    use flat_storage::{Page, PageId};
 
     fn updatable_options() -> DbOptions {
         DbOptions::updatable(Aabb::cube(Point3::splat(50.0), 110.0))

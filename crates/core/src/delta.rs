@@ -11,20 +11,28 @@
 //! compaction, no metadata record is laid out again, and the only
 //! metadata write is an in-place dead flag.
 //!
-//! * **Inserts** land in *delta partitions*: the batch is tiled over the
-//!   full domain by the same STR code as the bulkload
-//!   ([`crate::partition::partition`]) and its object pages are appended
-//!   (reusing freed pages). A delta partition is its object page plus one
-//!   row of the resident summary table: it has no metadata record and is
-//!   in neither the seed tree nor the link graph. Every read verb takes
-//!   the delta partitions from the table ([`crate::IndexRef`]): range,
-//!   aggregate and join scan the live ones whose page MBR meets the query
-//!   box beside the crawl, and kNN merges them, keyed by page-MBR
-//!   distance, into its best-first frontier. However many batches were
-//!   inserted, a crawl reads the pages it read on the pristine index plus
-//!   one object page per delta partition that meets the box. The price is
-//!   a resident scan of the delta list per query, linear in the number of
-//!   live delta partitions; `compact()` empties it.
+//! * **Inserts** land in *delta partitions*, grouped into *tiers* that
+//!   merge like a binary counter (the logarithmic method of Bentley and
+//!   Saxe, and the tiering rule of an LSM tree). A batch starts at level
+//!   0; while the top tier of the stack has its level, the batch absorbs
+//!   that tier's live elements, frees its object pages and goes up one
+//!   level. The union is then tiled once over the full domain by the same
+//!   STR code as the bulkload ([`crate::partition::partition`]) and its
+//!   object pages are written (reusing freed pages) as one tier. After n
+//!   batches the stack holds one tier per binary digit of n, and a tier
+//!   of level L holds about 2^L batches in partitions as full as the
+//!   bulkload's. A delta partition is its object page plus one row of the
+//!   resident summary table: it has no metadata record and is in neither
+//!   the seed tree nor the link graph. Every read verb takes the delta
+//!   partitions from the table ([`crate::IndexRef`]): range, aggregate
+//!   and join scan the live ones whose page MBR meets the query box beside
+//!   the crawl, and kNN merges them, keyed by page-MBR distance, into its
+//!   best-first frontier. A crawl reads the pages it read on the pristine
+//!   index plus one object page per delta partition that meets the box —
+//!   about one per live tier, not one per batch. The price is a resident
+//!   scan of the delta list per query, linear in the number of live delta
+//!   partitions, and the rewrite of the merged tiers at a merging insert;
+//!   `compact()` empties the stack.
 //! * **Deletes** tombstone elements by physical location `(object page,
 //!   slot)`; queries filter tombstones at scan time. When a partition's
 //!   last live element dies the partition is *retired*: its object page
@@ -47,7 +55,8 @@
 //!
 //! The delta layer keeps a resident *summary table* (an object page, a
 //! page MBR and a live count per partition, ~64 bytes each, plus the
-//! record address of each bulkload partition), an id→partition locator
+//! record address of each bulkload partition and the level and first row
+//! of each delta tier), an id→partition locator
 //! for the live elements and an object page→partition map for the live
 //! partitions. That is the memtable-style price of mutability, and the
 //! table is how readers find the delta partitions; `compact` drops all of
@@ -73,6 +82,7 @@
 )]
 
 use crate::builder::FlatIndexBuilder;
+use crate::durable::DeltaResidency;
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions, SeedTreePages};
 use crate::knn::{KnnStats, Neighbor};
@@ -100,6 +110,16 @@ pub(crate) struct PartState {
     pub(crate) dead: bool,
 }
 
+/// One tier of the delta stack: the rows of the resident table that one
+/// tiling wrote, from `first` up to the next tier's first row (the top
+/// tier's run to the table's end). A tier of level L holds the elements
+/// of about 2^L insert batches.
+#[derive(Debug, Clone, Copy)]
+struct Tier {
+    level: u32,
+    first: usize,
+}
+
 /// What [`DeltaIndex::check_invariants`] verified, for reporting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DeltaReport {
@@ -123,13 +143,16 @@ pub struct DeltaIndex {
     /// The tiling domain of every insert batch; `None` until adoption
     /// fills the tables below.
     domain: Option<Aabb>,
-    /// Every partition ever adopted or inserted, in creation order: the
+    /// Every partition adopted or inserted, in creation order: the
     /// bulkload's first, one per entry of `records`, then the delta
-    /// partitions.
+    /// partitions of the live tiers. A tier merge drops the merged rows.
     parts: Vec<PartState>,
     /// The primary metadata record of each bulkload partition, in the
     /// order of `parts`. Delta partitions have none.
     records: Vec<MetaRecordId>,
+    /// The delta tier stack, bottom first: its rows tile the delta rows
+    /// of `parts` in order, and levels strictly decrease toward the top.
+    tiers: Vec<Tier>,
     /// Object page of a live partition → index into `parts`.
     by_page: AddrMap<PageId, u32>,
     /// Live application id → index into `parts`.
@@ -216,6 +239,7 @@ impl DeltaIndex {
             domain: None,
             parts: Vec::new(),
             records: Vec::new(),
+            tiers: Vec::new(),
             by_page: AddrMap::default(),
             locator: HashMap::new(),
             tombstones: Tombstones::default(),
@@ -236,18 +260,17 @@ impl DeltaIndex {
     /// pristine (it may hold delta partitions, tombstones and retired
     /// records).
     ///
-    /// `delta_pages` must be the object pages of the live delta
-    /// partitions in table order ([`DeltaIndex::delta_object_pages`]) —
-    /// the checkpoint snapshot records exactly that list.
+    /// `residency` is what [`DeltaIndex::residency`] recorded in the
+    /// checkpoint snapshot; the rebuilt tier stack is the recorded one, so
+    /// the recovered index merges exactly as the recorded one would have.
     pub(crate) fn reopen(
         pool: &impl PageRead,
         base: FlatIndex,
         options: FlatOptions,
-        delta_pages: Vec<PageId>,
-        tombstones: Tombstones,
+        residency: DeltaResidency,
     ) -> Result<DeltaIndex, FlatError> {
         let mut delta = Self::pristine(base, options);
-        delta.adopt_pages(pool, Some((delta_pages, tombstones)))?;
+        delta.adopt_pages(pool, Some(residency))?;
         Ok(delta)
     }
 
@@ -270,25 +293,45 @@ impl DeltaIndex {
     /// seed tree's leaves, which are exactly its metadata pages, in
     /// creation order: every primary record, dead ones included, becomes a
     /// row. The live delta partitions come from the recovered list (none
-    /// for a pristine index): reading each object page gives its page MBR
-    /// — the union of all its slots, tombstoned ones included, which is
-    /// what the insert computed, exactly, as a union of boxes is exact in
-    /// f64 — and the object-page scan below gives its live count and
-    /// locator entries.
+    /// for a pristine index), grouped into the recorded tiers: reading
+    /// each object page gives its page MBR — the union of all its slots,
+    /// tombstoned ones included, which is what the insert computed,
+    /// exactly, as a union of boxes is exact in f64 — and the object-page
+    /// scan below gives its live count and locator entries. A recorded
+    /// stack whose levels do not decrease, or that does not cover the
+    /// list exactly, is [`StorageError::Corrupt`].
     fn adopt_pages(
         &mut self,
         pool: &impl PageRead,
-        recovered: Option<(Vec<PageId>, Tombstones)>,
+        recovered: Option<DeltaResidency>,
     ) -> Result<Aabb, FlatError> {
         if let Some(domain) = self.domain {
             return Ok(domain);
         }
         let domain = update_domain(self.base.layout(), &self.options)?;
         validate_slot_capacity(leaf_capacity(self.options.layout))?;
-        let (delta_pages, tombstones) = recovered.unwrap_or_default();
+        let DeltaResidency {
+            pages: delta_pages,
+            tiers,
+            tombstones,
+        } = recovered.unwrap_or_default();
+        let covered = tiers
+            .iter()
+            .try_fold(0u64, |sum, &(_, pages)| sum.checked_add(pages));
+        if covered != Some(delta_pages.len() as u64) || tiers.windows(2).any(|w| w[0].0 <= w[1].0) {
+            return Err(StorageError::Corrupt(format!(
+                "the delta tier stack {tiers:?} does not tile the {} delta pages \
+                 with strictly decreasing levels",
+                delta_pages.len()
+            ))
+            .into());
+        }
         let mut delta = DeltaIndex {
             domain: Some(domain),
-            tombstones,
+            tombstones: tombstones
+                .into_iter()
+                .map(|(page, slot)| (PageId(page), slot))
+                .collect(),
             ..Self::pristine(self.base.clone(), self.options)
         };
 
@@ -307,6 +350,11 @@ impl DeltaIndex {
                     dead: record.is_dead,
                 });
             }
+        }
+        let mut first = delta.parts.len();
+        for (level, pages) in tiers {
+            delta.tiers.push(Tier { level, first });
+            first += pages as usize;
         }
         for object_page in delta_pages {
             let page = LivePage::read(pool, object_page, None)?;
@@ -400,11 +448,41 @@ impl DeltaIndex {
         &self.parts[self.records.len()..]
     }
 
-    /// The object pages of the live delta partitions in table order —
-    /// what a checkpoint snapshot records for [`DeltaIndex::reopen`].
-    pub(crate) fn delta_object_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+    /// What a checkpoint snapshot records for [`DeltaIndex::reopen`]: the
+    /// object pages of the live delta partitions in table order, the tier
+    /// stack over them and the sorted tombstones.
+    pub(crate) fn residency(&self) -> DeltaResidency {
         let live = self.delta_parts().iter().filter(|part| !part.dead);
-        live.map(|part| part.object_page)
+        let mut tombstones: Vec<(u64, u16)> = self
+            .tombstones
+            .iter()
+            .map(|&(page, slot)| (page.0, slot))
+            .collect();
+        tombstones.sort_unstable();
+        DeltaResidency {
+            pages: live.map(|part| part.object_page).collect(),
+            tiers: self
+                .tiers()
+                .into_iter()
+                .map(|(level, pages)| (level, pages as u64))
+                .collect(),
+            tombstones,
+        }
+    }
+
+    /// The delta tier stack, bottom first: each tier's level and its live
+    /// delta partitions (one object page each). After n insert batches
+    /// since the last bulkload or compaction, the levels are the binary
+    /// digits of n.
+    pub fn tiers(&self) -> Vec<(u32, usize)> {
+        let ends = self.tiers.iter().skip(1).map(|next| next.first);
+        let ends = ends.chain([self.parts.len()]);
+        (self.tiers.iter().zip(ends))
+            .map(|(tier, end)| {
+                let rows = &self.parts[tier.first..end];
+                (tier.level, rows.iter().filter(|p| !p.dead).count())
+            })
+            .collect()
     }
 
     /// Live (non-tombstoned) elements.
@@ -450,10 +528,15 @@ impl DeltaIndex {
 
     /// Inserts a batch of new elements.
     ///
-    /// The batch is STR-tiled over the domain into delta partitions whose
-    /// object pages are appended (reusing freed pages), and each gets a
-    /// row of the resident table. No metadata record is written or
-    /// changed: queries find delta partitions in the resident table.
+    /// The batch starts as a tier of level 0. While the top tier of the
+    /// stack has the same level, the batch absorbs that tier: it reads the
+    /// tier's live elements, frees its object pages (purging their
+    /// tombstones, as a retirement does) and goes up one level; the merged
+    /// rows leave the resident table, which they end. The union is then
+    /// STR-tiled once over the domain into delta partitions whose object
+    /// pages are written (reusing freed pages), one row each, as the new
+    /// top tier. No metadata record is written or changed: queries find
+    /// delta partitions in the resident table.
     ///
     /// An entry whose id is live (ids of deleted elements may be reused)
     /// or repeated within `entries` is invalid input
@@ -483,9 +566,38 @@ impl DeltaIndex {
             )));
         }
 
-        // Tile the batch over the full domain (same STR code as the
-        // bulkload) and write its object pages, then add the rows.
-        let new_parts = partition(entries, capacity, Some(domain));
+        // The tiers the batch merges: the top run of the stack whose
+        // levels count up from 0. Their rows are the table's tail.
+        let merged = (self.tiers.iter().rev().zip(0u32..))
+            .take_while(|(tier, level)| tier.level == *level)
+            .count();
+        let keep = self.tiers.len() - merged;
+        let cut = self
+            .tiers
+            .get(keep)
+            .map_or(self.parts.len(), |tier| tier.first);
+        let mut elements = entries;
+        for part in self.parts[cut..].iter().filter(|p| !p.dead) {
+            let page = LivePage::read(pool, part.object_page, Some(&self.tombstones))?;
+            elements.extend(page.hits().map(|hit| Entry::new(hit.id, hit.mbr)));
+        }
+        for idx in cut..self.parts.len() {
+            if !self.parts[idx].dead {
+                self.live_elements -= self.parts[idx].live as u64;
+                self.free_object_page(pool, idx)?;
+            }
+        }
+        self.parts.truncate(cut);
+        self.tiers.truncate(keep);
+        self.tiers.push(Tier {
+            level: merged as u32,
+            first: cut,
+        });
+
+        // Tile the union over the full domain (same STR code as the
+        // bulkload) and write its object pages, then add the rows; the
+        // merged ids' locator entries are overwritten.
+        let new_parts = partition(elements, capacity, Some(domain));
         let mut page = Page::new();
         let mut object_pages = Vec::with_capacity(new_parts.len());
         for p in &new_parts {
@@ -572,7 +684,20 @@ impl DeltaIndex {
         if let Some(&record) = self.records.get(d as usize) {
             set_dead(pool, record)?;
         }
-        let obj = self.parts[d as usize].object_page;
+        self.free_object_page(pool, d as usize)?;
+        self.parts[d as usize].dead = true;
+        Ok(())
+    }
+
+    /// Frees row `idx`'s object page, drops it from the object-page map
+    /// and purges its tombstones: what a retirement and a tier merge do
+    /// to each page they give up.
+    fn free_object_page<P: PageRead + PageWrite>(
+        &mut self,
+        pool: &mut P,
+        idx: usize,
+    ) -> Result<(), StorageError> {
+        let obj = self.parts[idx].object_page;
         pool.free(obj)?;
         self.by_page.remove(&obj);
         // The page id may be reused by a later insert: stale tombstones
@@ -582,7 +707,6 @@ impl DeltaIndex {
         for slot in 0..leaf_capacity(self.options.layout) as u16 {
             self.tombstones.remove(&(obj, slot));
         }
-        self.parts[d as usize].dead = true;
         Ok(())
     }
 
@@ -694,13 +818,38 @@ impl DeltaIndex {
     ///    is unreachable through it: only a partition inserted after the
     ///    retirement may hold that page again;
     /// 5. the resident live counts, the locator and the object-page map
-    ///    agree with the pages.
+    ///    agree with the pages;
+    /// 6. the tier stack tiles the delta rows of the table: each tier's
+    ///    rows are contiguous, the tiers follow one another in order from
+    ///    the first delta row to the table's end, and levels strictly
+    ///    decrease toward the top.
     pub fn check_invariants(
         &self,
         pool: &impl PageRead,
         free_pages: &[PageId],
     ) -> Result<DeltaReport, String> {
         let mut report = DeltaReport::default();
+        let bottom = self.tiers.first().map_or(self.parts.len(), |t| t.first);
+        if bottom != self.records.len()
+            || self.tiers.windows(2).any(|w| w[0].first > w[1].first)
+            || self
+                .tiers
+                .last()
+                .is_some_and(|t| t.first > self.parts.len())
+        {
+            return Err(format!(
+                "the delta tiers {:?} do not tile rows {}..{}",
+                self.tiers,
+                self.records.len(),
+                self.parts.len()
+            ));
+        }
+        if self.tiers.windows(2).any(|w| w[0].level <= w[1].level) {
+            return Err(format!(
+                "delta tier levels do not decrease toward the top: {:?}",
+                self.tiers
+            ));
+        }
         let SeedTreePages { inner, leaves } = self
             .base
             .seed_tree_pages(pool)
@@ -993,25 +1142,140 @@ mod tests {
         check(&pool, &delta);
     }
 
+    /// A pool that records the pages a batch allocates and frees.
+    struct Recorder<'p> {
+        pool: &'p mut ConcurrentBufferPool<MemStore>,
+        allocs: Vec<PageId>,
+        frees: Vec<PageId>,
+    }
+
+    impl PageRead for Recorder<'_> {
+        fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError> {
+            self.pool.read_page(id, kind)
+        }
+    }
+
+    impl PageWrite for Recorder<'_> {
+        fn alloc(&mut self) -> Result<PageId, StorageError> {
+            let id = self.pool.alloc()?;
+            self.allocs.push(id);
+            Ok(id)
+        }
+
+        fn write(&mut self, id: PageId, page: &Page, kind: PageKind) -> Result<(), StorageError> {
+            self.pool.write(id, page, kind)
+        }
+
+        fn free(&mut self, id: PageId) -> Result<(), StorageError> {
+            self.frees.push(id);
+            self.pool.free(id)
+        }
+    }
+
+    /// Inserts `entries`, returning the pages the batch allocated and
+    /// freed, in order.
+    fn insert_recorded(
+        pool: &mut ConcurrentBufferPool<MemStore>,
+        delta: &mut DeltaIndex,
+        entries: Vec<Entry>,
+    ) -> (Vec<PageId>, Vec<PageId>) {
+        let mut recorder = Recorder {
+            pool,
+            allocs: Vec::new(),
+            frees: Vec::new(),
+        };
+        delta.insert_batch(&mut recorder, entries).unwrap();
+        (recorder.allocs, recorder.frees)
+    }
+
+    /// `n` random elements with ids from `first_id` on.
+    fn fresh(n: usize, seed: u64, first_id: u64) -> Vec<Entry> {
+        random_entries(n, seed)
+            .into_iter()
+            .map(|e| Entry::new(e.id + first_id, e.mbr))
+            .collect()
+    }
+
+    /// The object pages of the live delta partitions, in table order.
+    fn delta_pages(delta: &DeltaIndex) -> Vec<PageId> {
+        let live = delta.delta_parts().iter().filter(|p| !p.dead);
+        live.map(|p| p.object_page).collect()
+    }
+
     #[test]
     fn an_insert_batch_allocates_only_its_object_pages() {
         let (mut pool, mut delta, _) = build_delta(6_000, 72);
-        for batch in 0..3u64 {
-            let pages = pool.store().num_pages();
-            let partitions = delta.parts.len();
-            let fresh: Vec<Entry> = random_entries(500 + 300 * batch as usize, 73 + batch)
-                .into_iter()
-                .map(|e| Entry::new(e.id + 1_000_000 * (batch + 1), e.mbr))
-                .collect();
-            delta.insert_batch(&mut pool, fresh).unwrap();
-            let new_partitions = delta.parts.len() - partitions;
-            assert!(new_partitions > 1, "batch {batch}");
-            assert_eq!(
-                pool.store().num_pages() - pages,
-                new_partitions as u64,
-                "batch {batch}: one page per new partition"
-            );
+
+        // A batch onto an empty stack merges nothing: one page per new
+        // partition, and nothing freed.
+        let (allocs, frees) = insert_recorded(&mut pool, &mut delta, fresh(500, 73, 1_000_000));
+        assert!(frees.is_empty(), "a level-0 batch freed {frees:?}");
+        assert!(allocs.len() > 1);
+        assert_eq!(allocs, delta_pages(&delta), "one page per new partition");
+        assert_eq!(delta.tiers(), vec![(0, allocs.len())]);
+
+        // Retire one partition of the level-0 tier before it merges.
+        let victim = delta_pages(&delta)[0];
+        let ids: Vec<u64> = LivePage::read(&pool, victim, None)
+            .unwrap()
+            .hits()
+            .map(|hit| hit.id)
+            .collect();
+        delta.delete_batch(&mut pool, &ids).unwrap();
+        let merged = delta_pages(&delta);
+        assert!(!merged.contains(&victim));
+
+        // The next batch merges that tier: it frees exactly the tier's
+        // live pages and allocates exactly the new tiling's pages.
+        pool.reset_stats();
+        let (allocs, frees) = insert_recorded(&mut pool, &mut delta, fresh(800, 74, 2_000_000));
+        assert_eq!(
+            frees, merged,
+            "the merge frees the merged tier's live pages"
+        );
+        assert_eq!(
+            allocs,
+            delta_pages(&delta),
+            "and allocates the new tiling's"
+        );
+        let stats = pool.stats();
+        assert_eq!(stats.kind(PageKind::ObjectPage).writes, allocs.len() as u64);
+        assert_eq!(stats.kind(PageKind::SeedLeaf).writes, 0);
+        assert_eq!(delta.tiers(), vec![(1, allocs.len())]);
+
+        // A third batch sits on a level-1 tier and merges nothing.
+        let below = delta_pages(&delta);
+        let (allocs, frees) = insert_recorded(&mut pool, &mut delta, fresh(300, 75, 3_000_000));
+        assert!(frees.is_empty(), "a level-0 batch freed {frees:?}");
+        assert_eq!(
+            delta_pages(&delta),
+            [below.clone(), allocs.clone()].concat()
+        );
+        assert_eq!(delta.tiers(), vec![(1, below.len()), (0, allocs.len())]);
+        check(&pool, &delta);
+    }
+
+    #[test]
+    fn the_tier_levels_are_the_binary_digits_of_the_batch_count() {
+        let (mut pool, mut delta, _) = build_delta(2_000, 76);
+        let mut one_batch = 0;
+        for n in 1..=16u64 {
+            let batch = fresh(150, 76 + n, n * 1_000_000);
+            delta.insert_batch(&mut pool, batch).unwrap();
+            let levels: Vec<u32> = delta.tiers().iter().map(|&(level, _)| level).collect();
+            let digits: Vec<u32> = (0..64).rev().filter(|bit| n >> bit & 1 == 1).collect();
+            assert_eq!(levels, digits, "after {n} batches");
+            if n == 1 {
+                one_batch = delta.num_delta_partitions();
+            }
+            check(&pool, &delta);
         }
+        // Sixteen batches are one tier, tiled as one: fewer partitions
+        // than sixteen tilings of one batch each.
+        assert_eq!(delta.tiers().len(), 1);
+        assert!(delta.num_delta_partitions() < 16 * one_batch);
+        delta.compact(&mut pool).unwrap();
+        assert!(delta.tiers().is_empty(), "compaction empties the stack");
         check(&pool, &delta);
     }
 

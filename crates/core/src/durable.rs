@@ -6,8 +6,8 @@
 //! checkpoint snapshot is the resident state recovery cannot rebuild from
 //! the pages alone: the index descriptor (layout, seed root and height,
 //! four counters — what turns the pages back into a [`FlatIndex`]) plus
-//! the delta layer's list of live delta object pages and its tombstone
-//! set. The snapshot is
+//! the delta layer's list of live delta object pages, the tier stack over
+//! that list and the tombstone set. The snapshot is
 //! the only place the descriptor is written, so a database file is the
 //! logged layout and nothing else.
 //!
@@ -141,14 +141,24 @@ const SNAPSHOT_MAGIC: u64 = 0x464C_4154_534E_5031;
 /// dead record keeps its links, and the delta list names the live delta
 /// object pages, not metadata pages (a version-2 file's dead records have
 /// no links, and its retirement cliques are links the bulkload never
-/// made).
-const SNAPSHOT_VERSION: u16 = 3;
+/// made). Version 4: the delta residency records the tier stack over the
+/// delta page list (a version-3 file has no stack, so its delta pages
+/// would merge as no live database would have merged them).
+const SNAPSHOT_VERSION: u16 = 4;
 /// Encoding of `FlatIndex::seed_root == None`.
 const NO_ROOT: u64 = u64::MAX;
 
-/// Delta-layer residency captured in a snapshot: the object pages of the
-/// live delta partitions in table order plus the tombstone set.
-pub(crate) type DeltaResidency = (Vec<PageId>, Vec<(u64, u16)>);
+/// Delta-layer residency captured in a snapshot.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct DeltaResidency {
+    /// The object pages of the live delta partitions, in table order.
+    pub pages: Vec<PageId>,
+    /// The tier stack over `pages`, bottom first: each tier's level and
+    /// how many of the pages are its.
+    pub tiers: Vec<(u32, u64)>,
+    /// The tombstone set as sorted `(object page, slot)` pairs.
+    pub tombstones: Vec<(u64, u16)>,
+}
 
 /// The checkpoint snapshot: everything [`crate::FlatDb::open_durable`]
 /// needs besides the recovered pages themselves.
@@ -161,8 +171,7 @@ pub(crate) struct DbSnapshot {
     pub built: bool,
     /// The index descriptor at checkpoint time.
     pub index: FlatIndex,
-    /// Delta-layer residency, if a writer had adopted the index: the live
-    /// delta object pages in table order and the tombstone set.
+    /// Delta-layer residency, if a writer had adopted the index.
     pub delta: Option<DeltaResidency>,
 }
 
@@ -176,14 +185,19 @@ impl DbSnapshot {
         encode_descriptor(&self.index, &mut out);
         match &self.delta {
             None => out.push(0),
-            Some((delta_pages, tombstones)) => {
+            Some(residency) => {
                 out.push(1);
-                out.extend_from_slice(&(delta_pages.len() as u64).to_le_bytes());
-                for p in delta_pages {
+                out.extend_from_slice(&(residency.pages.len() as u64).to_le_bytes());
+                for p in &residency.pages {
                     out.extend_from_slice(&p.0.to_le_bytes());
                 }
-                out.extend_from_slice(&(tombstones.len() as u64).to_le_bytes());
-                for &(page, slot) in tombstones {
+                out.extend_from_slice(&(residency.tiers.len() as u64).to_le_bytes());
+                for &(level, pages) in &residency.tiers {
+                    out.extend_from_slice(&level.to_le_bytes());
+                    out.extend_from_slice(&pages.to_le_bytes());
+                }
+                out.extend_from_slice(&(residency.tombstones.len() as u64).to_le_bytes());
+                for &(page, slot) in &residency.tombstones {
                     out.extend_from_slice(&page.to_le_bytes());
                     out.extend_from_slice(&slot.to_le_bytes());
                 }
@@ -211,11 +225,11 @@ impl DbSnapshot {
         let index = decode_descriptor(&mut r)?;
         let delta = match r.u8()? {
             0 => None,
-            1 => {
-                let delta_pages = r.list("delta page count", |r| r.u64().map(PageId))?;
-                let tombstones = r.list("tombstone count", |r| Ok((r.u64()?, r.u16()?)))?;
-                Some((delta_pages, tombstones))
-            }
+            1 => Some(DeltaResidency {
+                pages: r.list("delta page count", |r| r.u64().map(PageId))?,
+                tiers: r.list("delta tier count", |r| Ok((r.u32()?, r.u64()?)))?,
+                tombstones: r.list("tombstone count", |r| Ok((r.u64()?, r.u16()?)))?,
+            }),
             t => {
                 return Err(StorageError::Corrupt(format!(
                     "unknown snapshot state tag {t}"
@@ -422,10 +436,11 @@ mod tests {
                 num_meta_pages: 4,
                 num_seed_inner_pages: 2,
             },
-            delta: Some((
-                vec![PageId(3), PageId(4), PageId(99)],
-                vec![(7, 0), (7, 3), (31, 12)],
-            )),
+            delta: Some(DeltaResidency {
+                pages: vec![PageId(3), PageId(4), PageId(99)],
+                tiers: vec![(1, 2), (0, 1)],
+                tombstones: vec![(7, 0), (7, 3), (31, 12)],
+            }),
         };
         assert_eq!(DbSnapshot::decode(&base.encode()).unwrap(), base);
 
@@ -452,7 +467,11 @@ mod tests {
                 num_meta_pages: 4,
                 num_seed_inner_pages: 2,
             },
-            delta: Some((vec![PageId(99)], vec![(7, 3)])),
+            delta: Some(DeltaResidency {
+                pages: vec![PageId(99)],
+                tiers: vec![(2, 1)],
+                tombstones: vec![(7, 3)],
+            }),
         };
         let mut expected = Vec::new();
         expected.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
@@ -466,9 +485,14 @@ mod tests {
         for count in [900u64, 30, 4, 2] {
             expected.extend_from_slice(&count.to_le_bytes());
         }
-        // Delta residency: tag, delta object pages, tombstones.
+        // Delta residency: tag, delta object pages, the tier stack as
+        // (level u32, page count u64) pairs, tombstones.
         expected.push(1);
-        for word in [1u64, 99, 1, 7] {
+        for word in [1u64, 99, 1] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        expected.extend_from_slice(&2u32.to_le_bytes());
+        for word in [1u64, 1, 7] {
             expected.extend_from_slice(&word.to_le_bytes());
         }
         expected.extend_from_slice(&3u16.to_le_bytes());
@@ -497,9 +521,30 @@ mod tests {
         bad_version[8] = 99;
         let err = DbSnapshot::decode(&bad_version).unwrap_err().to_string();
         assert!(
-            err.contains("version 99") && err.contains("reads version 3"),
+            err.contains("version 99") && err.contains("reads version 4"),
             "{err}"
         );
+    }
+
+    /// The error a snapshot stamped with format `version` is refused with.
+    fn refusal_of_version(version: u16) -> String {
+        let snap = DbSnapshot {
+            last_seq: 3,
+            built: true,
+            index: FlatIndex::empty(LeafLayout::WithIds),
+            delta: Some(DeltaResidency {
+                pages: vec![PageId(5)],
+                tiers: vec![(0, 1)],
+                tombstones: Vec::new(),
+            }),
+        };
+        let mut old = snap.encode();
+        old[8..10].copy_from_slice(&version.to_le_bytes());
+        let err = DbSnapshot::decode(&old).unwrap_err();
+        let StorageError::Corrupt(msg) = err else {
+            panic!("expected a corrupt-snapshot error, got {err}");
+        };
+        msg
     }
 
     #[test]
@@ -508,20 +553,20 @@ mod tests {
         // clique links among its neighbors, and listed metadata pages; the
         // read path now crosses dead records through the links they keep,
         // and reopen reads the list as delta object pages.
-        let snap = DbSnapshot {
-            last_seq: 3,
-            built: true,
-            index: FlatIndex::empty(LeafLayout::WithIds),
-            delta: Some((vec![PageId(5)], Vec::new())),
-        };
-        let mut old = snap.encode();
-        old[8..10].copy_from_slice(&2u16.to_le_bytes());
-        let err = DbSnapshot::decode(&old).unwrap_err();
-        let StorageError::Corrupt(msg) = &err else {
-            panic!("expected a corrupt-snapshot error, got {err}");
-        };
+        let msg = refusal_of_version(2);
         assert!(
-            msg.contains("version 2;") && msg.contains("reads version 3"),
+            msg.contains("version 2;") && msg.contains("reads version 4"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_version_3_snapshot_is_refused_naming_both_versions() {
+        // Version 3 recorded no tier stack: every insert batch was its own
+        // tiling, so reopen could not know which delta pages merge next.
+        let msg = refusal_of_version(3);
+        assert!(
+            msg.contains("version 3;") && msg.contains("reads version 4"),
             "{msg}"
         );
     }

@@ -39,6 +39,13 @@
 //! truncates the log at the last intact record instead of replaying
 //! garbage.
 
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use crate::{Page, PageId, PageStore, StorageError, PAGE_SIZE};
 
 /// Magic tag identifying a head slot page.
@@ -145,9 +152,10 @@ impl WalRecord {
     fn decode(payload: &[u8]) -> Result<WalRecord, StorageError> {
         fn u64_at(b: &[u8], at: usize) -> Result<u64, StorageError> {
             let s = b
-                .get(at..at + 8)
+                .get(at..)
+                .and_then(<[u8]>::first_chunk)
                 .ok_or_else(|| StorageError::Corrupt("truncated WAL record body".into()))?;
-            Ok(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
+            Ok(u64::from_le_bytes(*s))
         }
         let (&tag, body) = payload
             .split_first()
@@ -527,18 +535,21 @@ fn parse_stream(stream: &[u8]) -> (Vec<WalRecord>, u64, bool) {
     let mut pos = 0usize;
     let mut records = Vec::new();
     loop {
-        if pos + 8 > stream.len() {
+        // A frame header is `[len u32][crc u32]`; fewer than 8 bytes left
+        // is the end of the stream.
+        let Some((&[l0, l1, l2, l3, c0, c1, c2, c3], rest)) =
+            stream.get(pos..).and_then(<[u8]>::split_first_chunk::<8>)
+        else {
             return (records, pos as u64, false);
-        }
-        let len = u32::from_le_bytes(stream[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        };
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         if len == 0 {
             return (records, pos as u64, false);
         }
-        if pos + 8 + len > stream.len() {
+        let Some(payload) = rest.get(..len) else {
             return (records, pos as u64, true);
-        }
-        let crc = u32::from_le_bytes(stream[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let payload = &stream[pos + 8..pos + 8 + len];
+        };
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if crc32(payload) != crc {
             return (records, pos as u64, true);
         }
@@ -551,6 +562,12 @@ fn parse_stream(stream: &[u8]) -> (Vec<WalRecord>, u64, bool) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::{FaultStore, MemStore};

@@ -425,10 +425,12 @@ fn assert_every_record_is_the_bulkloads(pool: &ConcurrentBufferPool<MemStore>, b
 }
 
 /// The byte reference of the update path: two insert batches over a
-/// bulkload, which write their object pages and nothing else, then
-/// deletes that retire partitions, which set dead flags in place and free
-/// object pages. Recorded at the change that left the link graph and the
-/// metadata pages to the bulkload.
+/// bulkload, which write object pages and nothing else — the second
+/// merges the first's level-0 tier, freeing its pages and tiling both
+/// batches as one level-1 tier over them — then deletes that retire
+/// partitions, which set dead flags in place and free object pages.
+/// Recorded at the change that made delta tiers merge like a binary
+/// counter.
 #[test]
 fn updates_write_the_recorded_pages() {
     let options = FlatOptions {
@@ -466,9 +468,14 @@ fn updates_write_the_recorded_pages() {
         .unwrap();
     let (pages, live) = (pool.store().num_pages(), delta.num_live_partitions());
     assert_eq!(
+        delta.tiers(),
+        vec![(1, live - base_live)],
+        "the second batch merges the first into one tier"
+    );
+    assert_eq!(
         pages - base_pages,
         (live - base_live) as u64,
-        "an insert batch allocates its object pages alone"
+        "the merge reuses the pages it freed, and allocates object pages alone"
     );
 
     let doomed: Vec<u64> = cloud(6_000, 41)
@@ -497,7 +504,7 @@ fn updates_write_the_recorded_pages() {
     assert_every_record_is_the_bulkloads(&pool, base_objects);
     assert_eq!(
         store_digest(&*pool.store()),
-        0xcd55_aa5c_831f_8c8a,
+        0x18d9_87c3_c7f9_ae42,
         "updates wrote {:#018x}",
         store_digest(&*pool.store())
     );

@@ -465,6 +465,21 @@ pub fn survivors_after(initial: &[Entry], ops: &[Op], prefix: usize) -> HashMap<
     survivors
 }
 
+/// The delta tier stack `db` last published (empty until a writer
+/// adopts the index): each tier's level and live delta partitions.
+pub fn tier_stack<S: PageStore>(db: &FlatDb<S>) -> Vec<(u32, usize)> {
+    db.delta().map_or_else(Vec::new, |delta| delta.tiers())
+}
+
+/// A crash drill: the bulkload, the writer batches after it and the
+/// durable options of every session that runs them.
+#[derive(Clone, Copy)]
+pub struct CrashScript<'a> {
+    pub initial: &'a [Entry],
+    pub ops: &'a [Op],
+    pub options: &'a DbOptions,
+}
+
 /// What one (possibly killed) durable session managed to do.
 pub struct SessionOutcome {
     /// `create_durable` returned — the initial checkpoint committed.
@@ -475,6 +490,9 @@ pub struct SessionOutcome {
     pub acked: usize,
     /// Page writes that (fully or partially) reached the platter.
     pub writes: u64,
+    /// The delta tier stack the session published after its build
+    /// (`stacks[0]`) and after each acknowledged batch.
+    pub stacks: Vec<Vec<(u32, usize)>>,
 }
 
 /// Runs create → build → script against `disk`, with an optional
@@ -484,9 +502,7 @@ pub struct SessionOutcome {
 pub fn run_crash_session(
     disk: &SharedStore,
     kill: Option<(u64, CrashStyle)>,
-    initial: &[Entry],
-    ops: &[Op],
-    options: &DbOptions,
+    script: CrashScript<'_>,
 ) -> SessionOutcome {
     let store = match kill {
         Some((writes, style)) => FaultStore::crash_after_with(disk.clone(), writes, style),
@@ -497,17 +513,19 @@ pub fn run_crash_session(
         built: false,
         acked: 0,
         writes: 0,
+        stacks: Vec::new(),
     };
-    let mut db = match FlatDb::create_durable(store, *options) {
+    let mut db = match FlatDb::create_durable(store, *script.options) {
         Ok(db) => db,
         // The store went down with the failed create; the disk handle
         // survives for the recovery attempt.
         Err(_) => return outcome,
     };
     outcome.created = true;
-    if db.build_from(initial.to_vec()).is_ok() {
+    if db.build_from(script.initial.to_vec()).is_ok() {
         outcome.built = true;
-        for op in ops {
+        outcome.stacks.push(tier_stack(&db));
+        for op in script.ops {
             let Ok(mut writer) = db.writer() else { break };
             let acked = match op {
                 Op::Insert(entries) => writer.insert(entries.clone()).is_ok(),
@@ -518,6 +536,7 @@ pub fn run_crash_session(
                 break;
             }
             outcome.acked += 1;
+            outcome.stacks.push(tier_stack(&db));
         }
     }
     outcome.writes = db.into_store().writes_done();
@@ -526,17 +545,24 @@ pub fn run_crash_session(
 
 /// Reopens the disk a killed session left behind and checks the recovery
 /// contract: the recovered database holds exactly some committed prefix,
-/// no shorter than what the session saw acknowledged — then answers
-/// queries identically to the brute-force oracle over that prefix.
+/// no shorter than what the session saw acknowledged, with the delta tier
+/// stack that `baseline` (the script's crash-free session) published after
+/// that prefix — so it merges its next insert batch exactly as the crashed
+/// session would have — then answers queries identically to the
+/// brute-force oracle over that prefix.
 pub fn verify_crash_recovery(
     label: &str,
     disk: &SharedStore,
     outcome: &SessionOutcome,
-    initial: &[Entry],
-    ops: &[Op],
-    options: &DbOptions,
+    baseline: &SessionOutcome,
+    script: CrashScript<'_>,
     torn_allowed: bool,
 ) {
+    let CrashScript {
+        initial,
+        ops,
+        options,
+    } = script;
     let domain = options.index.domain.expect("crash drills fix the domain");
     match FlatDb::open_durable(disk.clone(), *options) {
         Err(e) => {
@@ -567,6 +593,11 @@ pub fn verify_crash_recovery(
                 );
             }
             if db.is_built() {
+                assert_eq!(
+                    tier_stack(&db),
+                    baseline.stacks[committed],
+                    "{label}: the recovered tier stack is not the one after {committed} batches"
+                );
                 let survivors = survivors_after(initial, ops, committed);
                 assert_matches_ground_truth(&db, &survivors, &domain, 0xBEEF ^ committed as u64);
             } else {

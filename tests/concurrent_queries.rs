@@ -992,3 +992,113 @@ fn a_pinned_snapshot_survives_a_checkpoint_write_back() {
         "the checkpoint wrote everything back"
     );
 }
+
+#[test]
+fn a_snapshot_pinned_before_a_merging_commit_answers_from_the_pre_merge_tiers() {
+    // The second insert batch merges the first's level-0 delta tier: it
+    // frees that tier's object pages and writes both batches as one
+    // level-1 tiling, reusing the freed pages. A snapshot pinned before
+    // that commit still reads the old tier's pages through their older
+    // versions — from readers racing the commit and its checkpoint
+    // write-back, and after both.
+    let (entries, domain) = neuron_dataset();
+    let mut options = DbOptions::updatable(domain)
+        .with_durability(Durability::WalCheckpoint { every_batches: 1 });
+    options.pool_pages = 64;
+    let mut db = FlatDb::create_durable(MemStore::new(), options).expect("create durable db");
+    db.build_from(entries.clone()).expect("build");
+    let batch = |first_id: u64, seed: u64| -> Vec<Entry> {
+        uniform_entries(&UniformConfig {
+            count: 1_500,
+            domain,
+            element_volume: domain.volume() * 2e-6,
+            length_range: (1.0, 2.0),
+            seed,
+        })
+        .into_iter()
+        .map(|e| Entry::new(e.id + first_id, e.mbr))
+        .collect()
+    };
+    let (first, second) = (batch(1_000_000, 93), batch(2_000_000, 94));
+    db.writer()
+        .expect("writer")
+        .insert(first.clone())
+        .expect("first batch");
+    let tiers = |db: &FlatDb<MemStore>| db.delta().expect("adopted").tiers();
+    let pinned_tiers = tiers(&db);
+    assert_eq!(pinned_tiers.len(), 1);
+    assert_eq!(pinned_tiers[0].0, 0, "one level-0 tier");
+
+    let probes = queries(&domain);
+    type Answers = (Vec<Vec<[u64; 7]>>, Vec<u64>, Vec<Vec<(u64, u64)>>);
+    let answers = |s: &Snapshot<'_, MemStore>| -> Answers {
+        let ranges = probes.iter().map(|q| keys(&s.range(q).unwrap()));
+        let counts = probes.iter().map(|q| s.aggregate_count(q).unwrap());
+        let knns = probes.iter().map(|q| {
+            let hits = s.knn(q.center(), 40).unwrap();
+            hits.iter()
+                .map(|n| (n.hit.id, n.dist_sq.to_bits()))
+                .collect()
+        });
+        (ranges.collect(), counts.collect(), knns.collect())
+    };
+    let snapshot = db.reader();
+    let pinned = answers(&snapshot);
+    let live: Vec<Entry> = entries.iter().chain(&first).copied().collect();
+    for (q, range) in probes.iter().zip(&pinned.0) {
+        let expected = live.iter().filter(|e| q.intersects(&e.mbr)).count();
+        assert_eq!(range.len(), expected, "the pinned answers are exact");
+    }
+
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    for _ in 0..4 {
+                        assert!(answers(&snapshot) == pinned, "pinned answers moved");
+                    }
+                })
+            })
+            .collect();
+        db.writer()
+            .expect("writer")
+            .insert(second.clone())
+            .expect("the merging batch, then its checkpoint");
+        for reader in readers {
+            reader.join().expect("pinned reader");
+        }
+    });
+    let merged = tiers(&db);
+    assert_eq!(merged.len(), 1);
+    assert_eq!(merged[0].0, 1, "the second batch merged the first's tier");
+    assert!(
+        db.version_stats().retained_versions > 0,
+        "the snapshot holds the merged tier's versions"
+    );
+    db.clear_cache();
+    assert!(
+        answers(&snapshot) == pinned,
+        "pinned answers after the merge"
+    );
+
+    let fresh = db.reader();
+    let live: Vec<Entry> = live.into_iter().chain(second).collect();
+    for (q, range) in probes.iter().zip(answers(&fresh).0) {
+        let mut expected: Vec<Hit> = Vec::new();
+        for e in live.iter().filter(|e| q.intersects(&e.mbr)) {
+            expected.push(Hit {
+                mbr: e.mbr,
+                id: e.id,
+                page: PageId(0),
+                slot: 0,
+            });
+        }
+        assert_eq!(range, keys(&expected), "the merged tier answers exactly");
+    }
+    drop((snapshot, fresh));
+    assert_eq!(
+        db.version_stats().retained_versions,
+        0,
+        "the checkpoint wrote everything back"
+    );
+}

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 mod common;
 use common::{
     apply_op, assert_matches_ground_truth, fresh_entries, run_crash_session, survivors_after,
-    verify_crash_recovery, Op, SharedStore,
+    tier_stack, verify_crash_recovery, CrashScript, Op, SharedStore,
 };
 
 /// Matrix thinning for local runs; CI keeps the default of 1.
@@ -44,8 +44,9 @@ fn durable_options() -> DbOptions {
 }
 
 /// The scripted churn workload: 22 batches mixing id-spread deletes,
-/// fresh inserts across generations, spatial-stripe deletes (which
-/// retire whole partitions), and compactions. Built against a tracked
+/// fresh inserts across generations (every second insert after a
+/// compaction merges the first's delta tier), spatial-stripe deletes
+/// (which retire whole partitions), and compactions. Built against a tracked
 /// survivor map so every delete list is concrete and non-empty.
 fn build_script(initial: &[Entry]) -> Vec<Op> {
     let domain = domain();
@@ -148,8 +149,30 @@ fn build_script(initial: &[Entry]) -> Vec<Op> {
     );
     push(&mut live, Op::Compact);
     assert!(ops.len() >= 20, "the acceptance matrix wants >= 20 ops");
+    assert!(
+        merging_inserts(&ops) >= 3,
+        "the matrix wants insert batches that merge a tier"
+    );
     assert!(!live.is_empty());
     ops
+}
+
+/// How many insert batches of `ops` merge a delta tier: those that land
+/// on a stack whose top tier has level 0, i.e. after an odd number of
+/// inserts since the last compaction.
+fn merging_inserts(ops: &[Op]) -> usize {
+    let (mut since_compact, mut merging) = (0, 0);
+    for op in ops {
+        match op {
+            Op::Insert(_) => {
+                merging += since_compact % 2;
+                since_compact += 1;
+            }
+            Op::Compact => since_compact = 0,
+            Op::Delete(_) => {}
+        }
+    }
+    merging
 }
 
 /// The tentpole: page-atomic power cuts at **every** write index of the
@@ -159,26 +182,24 @@ fn build_script(initial: &[Entry]) -> Vec<Op> {
 fn kill_point_matrix_recovers_exactly_the_committed_prefix() {
     let initial = fresh_entries(700, 0, &domain(), 41);
     let ops = build_script(&initial);
+    let options = durable_options();
+    let script = CrashScript {
+        initial: &initial,
+        ops: &ops,
+        options: &options,
+    };
 
     // Baseline: the same session with no fault, to size the matrix and
     // pin the clean-path behavior.
     let disk = SharedStore::new();
-    let baseline = run_crash_session(&disk, None, &initial, &ops, &durable_options());
+    let baseline = run_crash_session(&disk, None, script);
     assert!(baseline.created && baseline.built);
     assert_eq!(
         baseline.acked,
         ops.len(),
         "clean session must ack everything"
     );
-    verify_crash_recovery(
-        "clean",
-        &disk,
-        &baseline,
-        &initial,
-        &ops,
-        &durable_options(),
-        false,
-    );
+    verify_crash_recovery("clean", &disk, &baseline, &baseline, script, false);
     assert!(
         baseline.writes > 100,
         "expected a substantial write trace, got {}",
@@ -189,13 +210,7 @@ fn kill_point_matrix_recovers_exactly_the_committed_prefix() {
     let mut unrecoverable = 0u64;
     for k in (0..baseline.writes).step_by(stride()) {
         let disk = SharedStore::new();
-        let outcome = run_crash_session(
-            &disk,
-            Some((k, CrashStyle::Clean)),
-            &initial,
-            &ops,
-            &durable_options(),
-        );
+        let outcome = run_crash_session(&disk, Some((k, CrashStyle::Clean)), script);
         if !outcome.created {
             unrecoverable += 1;
         }
@@ -203,9 +218,8 @@ fn kill_point_matrix_recovers_exactly_the_committed_prefix() {
             &format!("kill {k}"),
             &disk,
             &outcome,
-            &initial,
-            &ops,
-            &durable_options(),
+            &baseline,
+            script,
             false,
         );
         kills += 1;
@@ -226,8 +240,14 @@ fn kill_point_matrix_recovers_exactly_the_committed_prefix() {
 fn torn_final_write_matrix_never_replays_the_torn_record() {
     let initial = fresh_entries(700, 0, &domain(), 41);
     let ops = build_script(&initial);
+    let options = durable_options();
+    let script = CrashScript {
+        initial: &initial,
+        ops: &ops,
+        options: &options,
+    };
     let disk = SharedStore::new();
-    let baseline = run_crash_session(&disk, None, &initial, &ops, &durable_options());
+    let baseline = run_crash_session(&disk, None, script);
     assert_eq!(baseline.acked, ops.len());
 
     // Tear at an awkward offset (mid-record-header, mid-payload) rather
@@ -235,20 +255,13 @@ fn torn_final_write_matrix_never_replays_the_torn_record() {
     for (style_id, prefix) in [(0usize, 37usize), (1, 1500)] {
         for k in (1..baseline.writes).step_by(stride()) {
             let disk = SharedStore::new();
-            let outcome = run_crash_session(
-                &disk,
-                Some((k, CrashStyle::Torn { prefix })),
-                &initial,
-                &ops,
-                &durable_options(),
-            );
+            let outcome = run_crash_session(&disk, Some((k, CrashStyle::Torn { prefix })), script);
             verify_crash_recovery(
                 &format!("torn({prefix}) kill {k} [{style_id}]"),
                 &disk,
                 &outcome,
-                &initial,
-                &ops,
-                &durable_options(),
+                &baseline,
+                script,
                 true,
             );
         }
@@ -262,19 +275,19 @@ fn torn_final_write_matrix_never_replays_the_torn_record() {
 fn recovered_database_stays_writable_and_durable() {
     let initial = fresh_entries(700, 0, &domain(), 41);
     let ops = build_script(&initial);
+    let options = durable_options();
+    let script = CrashScript {
+        initial: &initial,
+        ops: &ops,
+        options: &options,
+    };
     let disk = SharedStore::new();
-    let baseline = run_crash_session(&disk, None, &initial, &ops, &durable_options());
+    let baseline = run_crash_session(&disk, None, script);
 
     // Kill mid-script (around 60% of the write trace).
     let kill = baseline.writes * 6 / 10;
     let disk = SharedStore::new();
-    let outcome = run_crash_session(
-        &disk,
-        Some((kill, CrashStyle::Clean)),
-        &initial,
-        &ops,
-        &durable_options(),
-    );
+    let outcome = run_crash_session(&disk, Some((kill, CrashStyle::Clean)), script);
     assert!(outcome.created && outcome.built, "pick a later kill point");
     assert!(
         outcome.acked < ops.len(),
@@ -355,6 +368,11 @@ fn crash_recover_checkpoint_cycles_leak_no_page() {
             in_use(&crashed),
             in_use(&clean),
             "pages in use after crash cycle {cycles}"
+        );
+        assert_eq!(
+            tier_stack(&crashed),
+            tier_stack(&clean),
+            "tier stack after crash cycle {cycles}"
         );
         cycles += 1;
     }

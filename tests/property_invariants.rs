@@ -23,7 +23,8 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 use common::{
-    fresh_entries, run_crash_session, verify_crash_recovery, Op, SessionOutcome, SharedStore,
+    fresh_entries, run_crash_session, verify_crash_recovery, CrashScript, Op, SessionOutcome,
+    SharedStore,
 };
 use flat_repro::storage::CrashStyle;
 
@@ -779,17 +780,21 @@ fn random_kill_points_recover_exactly_a_committed_prefix() {
         }
 
         // Clean baseline sizes the kill range and pins the no-fault path.
+        let script = CrashScript {
+            initial: &initial,
+            ops: &ops,
+            options: &options,
+        };
         let disk = SharedStore::new();
-        let baseline: SessionOutcome = run_crash_session(&disk, None, &initial, &ops, &options);
+        let baseline: SessionOutcome = run_crash_session(&disk, None, script);
         assert!(baseline.created && baseline.built, "case {case_seed}");
         assert_eq!(baseline.acked, ops.len(), "case {case_seed}");
         verify_crash_recovery(
             &format!("case {case_seed} clean"),
             &disk,
             &baseline,
-            &initial,
-            &ops,
-            &options,
+            &baseline,
+            script,
             false,
         );
 
@@ -807,14 +812,13 @@ fn random_kill_points_recover_exactly_a_committed_prefix() {
                 (CrashStyle::Clean, false)
             };
             let disk = SharedStore::new();
-            let outcome = run_crash_session(&disk, Some((k, style)), &initial, &ops, &options);
+            let outcome = run_crash_session(&disk, Some((k, style)), script);
             verify_crash_recovery(
                 &format!("case {case_seed} probe {probe} kill {k} ({style:?})"),
                 &disk,
                 &outcome,
-                &initial,
-                &ops,
-                &options,
+                &baseline,
+                script,
                 torn,
             );
         }

@@ -178,29 +178,15 @@ fn a_cold_range_query_reads_the_pristine_pages_plus_the_delta_partitions_it_meet
     harness.assert_equivalent(1406);
 }
 
-/// Range, aggregate, kNN and the join in both orientations stay exact on
-/// an index whose bulkload has retired completely: the seed tree offers no
-/// live entry point, so every answer comes from the delta partitions the
-/// resident table lists.
-#[test]
-fn every_verb_is_exact_once_every_base_partition_has_retired() {
-    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(100.0));
-    let base = fresh_entries(3_000, 0, &domain, 1411);
-    let mut harness = Harness::new(base.clone(), domain);
-    harness.apply(&Op::Insert(fresh_entries(900, 1_000_000, &domain, 1412)));
-    harness.apply(&Op::Insert(fresh_entries(500, 2_000_000, &domain, 1413)));
-    harness.apply(&Op::Delete(base.iter().map(|e| e.id).collect()));
-    let delta = &harness.delta;
-    assert!(delta.num_delta_partitions() > 0);
-    assert_eq!(
-        delta.num_live_partitions(),
-        delta.num_delta_partitions(),
-        "a base partition is still live"
-    );
+/// Range, aggregate, kNN and the join in both orientations over the
+/// harness's delta index answer exactly what brute force over its
+/// survivors answers. `seed` seeds the range queries, `seed + 1` the kNN
+/// probes and `seed + 2` the other side of the join.
+fn assert_every_verb_matches_brute_force(harness: &Harness, seed: u64) {
+    let (delta, pool, domain) = (&harness.delta, &harness.pool, harness.domain);
     let survivors: Vec<Entry> = harness.survivors.values().copied().collect();
-    let pool = &harness.pool;
 
-    for (i, query) in recovery_queries(&domain, 12, 1414).iter().enumerate() {
+    for (i, query) in recovery_queries(&domain, 12, seed).iter().enumerate() {
         let expected: Vec<Hit> = survivors
             .iter()
             .filter(|e| query.intersects(&e.mbr))
@@ -220,7 +206,7 @@ fn every_verb_is_exact_once_every_base_partition_has_retired() {
         );
     }
 
-    for (i, (point, k)) in knn_probes(&domain, 1415).into_iter().enumerate() {
+    for (i, (point, k)) in knn_probes(&domain, seed + 1).into_iter().enumerate() {
         let got: Vec<f64> = delta
             .knn_query(pool, point, k)
             .unwrap()
@@ -236,7 +222,7 @@ fn every_verb_is_exact_once_every_base_partition_has_retired() {
         assert_eq!(got, expected, "kNN probe {i}, k {k}");
     }
 
-    let other = fresh_entries(1_500, 5_000_000, &domain, 1416);
+    let other = fresh_entries(1_500, 5_000_000, &domain, seed + 2);
     let mut other_pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
     let (other_index, _) =
         FlatIndex::build(&mut other_pool, other.clone(), common::options(domain)).unwrap();
@@ -270,7 +256,75 @@ fn every_verb_is_exact_once_every_base_partition_has_retired() {
         );
         assert!(!outer.pairs.is_empty() || eps == 0.0);
     }
+}
+
+/// Range, aggregate, kNN and the join in both orientations stay exact on
+/// an index whose bulkload has retired completely: the seed tree offers no
+/// live entry point, so every answer comes from the delta partitions the
+/// resident table lists.
+#[test]
+fn every_verb_is_exact_once_every_base_partition_has_retired() {
+    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(100.0));
+    let base = fresh_entries(3_000, 0, &domain, 1411);
+    let mut harness = Harness::new(base.clone(), domain);
+    harness.apply(&Op::Insert(fresh_entries(900, 1_000_000, &domain, 1412)));
+    harness.apply(&Op::Insert(fresh_entries(500, 2_000_000, &domain, 1413)));
+    harness.apply(&Op::Delete(base.iter().map(|e| e.id).collect()));
+    let delta = &harness.delta;
+    assert!(delta.num_delta_partitions() > 0);
+    assert_eq!(
+        delta.num_live_partitions(),
+        delta.num_delta_partitions(),
+        "a base partition is still live"
+    );
+    assert_every_verb_matches_brute_force(&harness, 1414);
     harness.assert_equivalent(1417);
+}
+
+/// Insert batches merge like a binary counter: after n batches the tier
+/// stack's levels are the binary digits of n. Range, aggregate, kNN and
+/// the join in both orientations stay exact after 1, 3, 4, 7 and 16
+/// batches, with deletes in between — among them deletes that retire
+/// partitions of a level-0 tier before the next batch merges it — and a
+/// full compaction still writes the pages of a fresh build.
+#[test]
+fn every_verb_is_exact_at_every_height_of_the_tier_stack() {
+    let domain = Aabb::new(Point3::splat(0.0), Point3::splat(100.0));
+    let mut harness = Harness::new(fresh_entries(3_000, 0, &domain, 1431), domain);
+    let mut retired_before_a_merge = 0;
+    for n in 1..=16u64 {
+        let batch = fresh_entries(250, n * 1_000_000, &domain, 1431 + n);
+        harness.apply(&Op::Insert(batch.clone()));
+        let levels: Vec<u32> = harness.delta.tiers().iter().map(|t| t.0).collect();
+        let digits: Vec<u32> = (0..64).rev().filter(|bit| n >> bit & 1 == 1).collect();
+        assert_eq!(levels, digits, "tier levels after {n} batches");
+
+        // A spread of ids across the base and every earlier batch.
+        let spread = harness.survivors.keys().copied().filter(|i| i % 29 == n);
+        harness.apply(&Op::Delete(spread.collect()));
+        if n % 2 == 1 {
+            // The batch is the level-0 tier the next batch merges: empty
+            // the left half of its tiling, so whole partitions retire.
+            let live = harness.delta.num_delta_partitions();
+            let left = batch.iter().filter(|e| e.mbr.center().x < 60.0);
+            harness.apply(&Op::Delete(left.map(|e| e.id).collect()));
+            let retired = live - harness.delta.num_delta_partitions();
+            assert!(retired > 0, "batch {n}: no delta partition retired");
+            retired_before_a_merge += retired;
+        }
+        harness
+            .delta
+            .check_invariants(&harness.pool, &harness.pool.store().free_pages())
+            .unwrap_or_else(|e| panic!("invariants violated after {n} batches: {e}"));
+        if [1, 3, 4, 7, 16].contains(&n) {
+            assert_every_verb_matches_brute_force(&harness, 1450 + 3 * n);
+            harness.assert_equivalent(1500 + n);
+        }
+    }
+    assert!(retired_before_a_merge >= 8, "{retired_before_a_merge}");
+    harness.apply(&Op::Compact);
+    assert!(harness.delta.tiers().is_empty());
+    harness.assert_equivalent(1517);
 }
 
 /// Retiring every bulkload partition of a middle x-slab leaves a wall of
