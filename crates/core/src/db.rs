@@ -79,6 +79,13 @@
 //! assert_eq!(outcome.results[0], hits);
 //! ```
 
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use crate::aggregate::{density, AggregateStats};
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta};
@@ -546,7 +553,8 @@ impl<S: PageStore> FlatDb<S> {
     }
 
     /// Installs a freshly built index as truth, publishes it, and (in
-    /// durable mode) rebases the log onto the built pages.
+    /// durable mode) checkpoints it: the build wrote its pages in place,
+    /// so the checkpoint logs no image.
     fn adopt_built(&mut self, index: FlatIndex) -> Result<(), FlatError> {
         {
             let index = DeltaIndex::pristine(index, self.options.index);
@@ -555,27 +563,10 @@ impl<S: PageStore> FlatDb<S> {
             truth.built = true;
         }
         self.publish_current();
-        self.rebase_after_build()
-    }
-
-    /// Durable mode: folds the freshly built pages onto the backing store
-    /// and starts a new log generation. A build only ever runs over the
-    /// initial (empty) checkpoint — `check_buildable` refuses anything
-    /// else — so the previous durable snapshot references none of the
-    /// pages being written back, which is exactly the precondition of the
-    /// cheap rebase checkpoint (no page images ahead of the write-back).
-    fn rebase_after_build(&mut self) -> Result<(), FlatError> {
         if self.options.durability == Durability::Off {
             return Ok(());
         }
-        let snapshot = Self::snapshot_bytes(self.truth_mut());
-        let result = self.pool.checkpoint_rebase(&snapshot);
-        if let Err(e) = result {
-            self.truth_mut().poisoned = true;
-            return Err(e.into());
-        }
-        self.truth_mut().batches_since_ckpt = 0;
-        Ok(())
+        self.checkpoint_locked(&mut lock_unpoisoned(&self.truth))
     }
 
     /// A read handle for serial queries, pinned to the current epoch:
@@ -682,12 +673,14 @@ impl<S: PageStore> FlatDb<S> {
         Ok(Writer { db: self, truth })
     }
 
-    /// Checkpoints the write-ahead log: an image of every dirty page and
+    /// Checkpoints the write-ahead log: the pages written in place since
+    /// the last checkpoint are synced, an image of every dirty page and
     /// the checkpoint record go to the log as one group (its last page
     /// write is the commit), the pages are written back to the backing
-    /// store and the log is truncated to a fresh generation. Recovery
-    /// cost drops to zero replayed batches; [`Durability::WalCheckpoint`]
-    /// runs this automatically.
+    /// store and the log is truncated to a fresh generation, whose switch
+    /// is the commit when no page is dirty. Recovery cost drops to zero
+    /// replayed batches; [`Durability::WalCheckpoint`] runs this
+    /// automatically.
     ///
     /// Errors with [`FlatError::Update`] when the database is not
     /// durable.
@@ -839,10 +832,12 @@ impl<S: PageStore> FlatDb<S> {
 
     /// The backing page store. Without durability it holds every
     /// published page (older bytes that pinned snapshots still read stay
-    /// in the pool). A durable database's store holds the last checkpoint
-    /// plus the log, **not** the writes committed since. Returns a read
-    /// guard that dereferences to the store; the pool's write-backs
-    /// briefly block on it.
+    /// in the pool). A durable database's store holds the last checkpoint,
+    /// the log, and the pages written since onto pages that checkpoint
+    /// holds free (new tiles); a rewrite of a page the checkpoint names
+    /// stays in the pool until the next one. Returns a read guard that
+    /// dereferences to the store; the pool's write-backs briefly block on
+    /// it.
     pub fn store(&self) -> StoreRef<'_, S> {
         self.pool.store_guard()
     }
@@ -851,8 +846,9 @@ impl<S: PageStore> FlatDb<S> {
     /// every page version is written back first. A durable database drops
     /// the versions committed since the last checkpoint — deliberately
     /// the state a crash would leave, which the fault-injection tests
-    /// lean on (the log replays them on open); call
-    /// [`FlatDb::checkpoint`] first to fold them into the store.
+    /// lean on (the log replays them on open, and recovery frees the
+    /// pages written in place since); call [`FlatDb::checkpoint`] first
+    /// to fold them into the store.
     pub fn into_store(self) -> S {
         self.pool.into_store()
     }
@@ -1250,7 +1246,7 @@ impl<S: PageStore> Writer<'_, S> {
     /// invisible to concurrent snapshots until its atomic publish.
     pub fn compact(&mut self) -> Result<BuildStats, FlatError> {
         let (_, stats) = self.commit(vec![WriteOp::Compact])?;
-        Ok(stats.expect("a committed compaction reports its rebuild"))
+        stats.ok_or_else(|| FlatError::Update("the compaction reported no rebuild".into()))
     }
 
     /// The commit path shared by every mutation: validate → log (group
@@ -1371,6 +1367,12 @@ fn validate_ops(delta: &DeltaIndex, ops: &[WriteOp]) -> Result<(), FlatError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
@@ -1509,7 +1511,10 @@ mod tests {
         // live on the backing store; the page versions die with the RAM.
         let store = db.into_store();
         let (recovered, report) = FlatDb::open_durable(store, options).unwrap();
-        assert_eq!(report.replayed, 2, "insert + delete past the rebase");
+        assert_eq!(
+            report.replayed, 2,
+            "insert + delete past the build's checkpoint"
+        );
         assert_eq!(report.last_committed_seq, 2);
         assert!(!report.torn_tail_truncated);
         assert_eq!(recovered.num_live_elements(), reference.num_live_elements());

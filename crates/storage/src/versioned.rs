@@ -8,24 +8,31 @@
 //! a free. The store holds the bytes in force before a page's oldest
 //! version; the cache holds store bytes only.
 //!
-//! * **Write.** A [`BatchWriter`] writes at the pending epoch
-//!   `E = current + 1`, replacing a version already at `E` or adding one.
-//!   It touches neither store nor cache, and reads back what it wrote.
+//! * **Write.** One rule. A page the map does not hold and nothing can
+//!   read is written once, in place: store and cache, no version. Nothing
+//!   can read it if the pool is held `&mut` without a log, or if `alloc`
+//!   took it from the store (free list or end) since the later of the
+//!   open batch's start and the last checkpoint. Any other write is a
+//!   version at the batch's pending epoch `E = current + 1` (an exclusive
+//!   write's: the current one), replacing one already at `E` or adding
+//!   one, and touches neither store nor cache. A batch reads back both.
 //! * **Read.** An [`EpochPin`] at `P` takes a page's newest version at or
 //!   before `P`; without one it reads the cache, then looks again (a
 //!   checkpoint may have saved the page's base bytes meanwhile). The batch
 //!   and the unpinned [`PageRead`] take the newest version. A free reads
 //!   as [`StorageError::Corrupt`]. An empty map costs one atomic load.
-//! * **Write-back** is the only way bytes reach the store, then the
-//!   cache (`install_cached` / `drop_cached` keep its fetches coherent).
-//!   A page a reader may still read *below* its oldest version first gets
-//!   the store's bytes as an epoch-0 version. Without a log a batch
-//!   writes back right before its publish, so a device error fails it
-//!   while still invisible. With one, the dirty versions wait for a
-//!   checkpoint: one [`Wal::append`] group of their images and the
-//!   checkpoint record (the commit point), then the write-back and the
-//!   log's generation switch. A free a pinned reader can still see waits
-//!   for a later checkpoint.
+//! * **Write-back** takes versions to the store, then the cache
+//!   (`install_cached` / `drop_cached` keep its fetches coherent). A page
+//!   a reader may still read *below* its oldest version first gets the
+//!   store's bytes as an epoch-0 version. Without a log a batch writes
+//!   back right before its publish, so a device error fails it while
+//!   still invisible. With one, the dirty versions wait for a checkpoint:
+//!   a sync of the in-place writes, one [`Wal::append`] group of the
+//!   dirty versions' images and the checkpoint record (the commit point),
+//!   then the write-back and the log's generation switch. With nothing
+//!   dirty there is no group: the switch is the commit point, and the
+//!   frees follow it. A free a pinned reader can still see waits for a
+//!   later checkpoint.
 //! * **Reclaim**, after every publish and unpin: with `m` the oldest
 //!   pinned epoch (the current one if none), each page given a version at
 //!   or before `m` keeps only the newest of those, and a page down to one
@@ -33,13 +40,19 @@
 //! * **Alloc** hands out the lowest id of the store's free list and the
 //!   pages whose newest version is a free no pinned reader can see, or
 //!   that the open batch made — so a compaction lays pages out exactly as
-//!   a plain store would.
+//!   a plain store would. A page the map holds gets a zeroed version.
 //!
 //! A durable pool ([`VersionedPool::create_durable`] /
-//! [`VersionedPool::open_durable`]) also keeps exclusive writes
-//! ([`PageWrite`] on the pool: replay, builds) in the map, as the
-//! checkpointed store must not change before the next checkpoint. A crash
-//! loses the map, the RAM a redo-only log expects to lose.
+//! [`VersionedPool::open_durable`]) writes in place only pages its last
+//! checkpoint holds free, which recovery frees again. A crash loses the
+//! map, the RAM a redo-only log expects to lose.
+
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 
 use crate::durable::{create_log, recover, RecoveredLog};
 use crate::sync_util::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
@@ -47,11 +60,11 @@ use crate::wal::{Wal, WalRecord};
 use crate::{
     ConcurrentBufferPool, Page, PageId, PageKind, PageRead, PageStore, PageWrite, StorageError,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
-/// One page's versions, oldest first.
+/// One page's versions, oldest first; never empty.
 struct Chain {
     versions: Vec<(u64, Option<Page>)>,
     /// Kind of the latest write, for the cache install at write-back.
@@ -61,13 +74,14 @@ struct Chain {
 }
 
 impl Chain {
-    fn newest(&self) -> &(u64, Option<Page>) {
-        self.versions.last().expect("a chain holds a version")
+    /// The newest version is a free.
+    fn freed(&self) -> bool {
+        matches!(self.versions.last(), Some((_, None)))
     }
 
     /// A free that is not on the store yet.
     fn pending_free(&self) -> bool {
-        !self.clean && self.newest().1.is_none()
+        !self.clean && self.freed()
     }
 }
 
@@ -83,6 +97,10 @@ struct Versions {
     touched: BTreeMap<u64, Vec<u64>>,
     /// Ids `alloc` may hand out (see the module docs).
     free: BTreeSet<u64>,
+    /// Pages `alloc` took from the store since the later of the open
+    /// batch's start and the last checkpoint: no pin and no durable state
+    /// can read them.
+    fresh: HashSet<u64>,
 }
 
 /// The pin registry: the current epoch and a refcount per pinned epoch.
@@ -162,8 +180,8 @@ impl<S: PageStore> VersionedPool<S> {
         snapshot: &[u8],
     ) -> Result<VersionedPool<S>, StorageError> {
         let wal = create_log(&mut *cache.write_store())?;
-        let mut pool = VersionedPool::assemble(cache, Some(wal));
-        pool.checkpoint_rebase(snapshot)?;
+        let pool = VersionedPool::assemble(cache, Some(wal));
+        pool.checkpoint(snapshot)?;
         Ok(pool)
     }
 
@@ -225,7 +243,7 @@ impl<S: PageStore> VersionedPool<S> {
         for chain in versions.chains.values() {
             batches.extend(chain.versions.iter().map(|v| v.0).filter(|&e| e > oldest));
             if !chain.clean {
-                batches.insert(chain.newest().0);
+                batches.extend(chain.versions.last().map(|v| v.0));
             }
             deferred_frees += usize::from(chain.pending_free());
         }
@@ -243,10 +261,7 @@ impl<S: PageStore> VersionedPool<S> {
     /// every page whose newest version is a free.
     pub fn free_pages(&self) -> Vec<PageId> {
         let versions = read_unpoisoned(&self.versions);
-        let freed = versions
-            .chains
-            .iter()
-            .filter(|(_, c)| c.newest().1.is_none());
+        let freed = versions.chains.iter().filter(|(_, c)| c.freed());
         let mut free: BTreeSet<PageId> = freed.map(|(&id, _)| PageId(id)).collect();
         free.extend(self.cache.store().free_pages());
         free.into_iter().collect()
@@ -268,6 +283,7 @@ impl<S: PageStore> VersionedPool<S> {
     /// ends). Readers are *not* blocked — that is the point.
     pub fn begin_batch(&self) -> BatchWriter<'_, S> {
         let guard = lock_unpoisoned(&self.writer);
+        write_unpoisoned(&self.versions).fresh.clear();
         let epoch = self.epoch();
         BatchWriter {
             pool: self,
@@ -276,24 +292,14 @@ impl<S: PageStore> VersionedPool<S> {
         }
     }
 
-    /// Settles every version as if nothing were pinned — which the
-    /// exclusive borrow proves. Without a log the store then holds every
-    /// page's newest bytes and the map is empty; a durable pool keeps its
-    /// dirty versions for the next checkpoint.
-    fn reclaim_all(&mut self) {
+    /// Tears the pool down, returning the backing store. Without a log
+    /// every version is written back first (a failed write-back loses
+    /// them); a durable pool's map is dropped like the RAM it models,
+    /// leaving the last checkpoint, the log and the in-place writes since.
+    pub fn into_store(self) -> S {
         if self.log.is_none() {
-            // A failed write-back leaves its versions in the map, served.
             let _ = self.dirty_heads(false).and_then(|h| self.write_heads(&h));
         }
-        self.reclaim(u64::MAX);
-    }
-
-    /// Tears the pool down, returning the backing store. Without a log
-    /// every version is written back first; a durable pool's map is
-    /// dropped like the RAM it models, leaving the last checkpoint plus
-    /// the log.
-    pub fn into_store(mut self) -> S {
-        self.reclaim_all();
         self.cache.into_store()
     }
 
@@ -308,23 +314,6 @@ impl<S: PageStore> VersionedPool<S> {
         let _writer = lock_unpoisoned(&self.writer);
         let mut wal = self.wal()?;
         self.log_group(&mut wal, payloads.into_iter().map(WalRecord::Logical))
-    }
-
-    /// Checkpoints a durable pool: commits every dirty version plus the
-    /// caller's `snapshot` as the new durable baseline, writes the
-    /// versions back and truncates the log (see the module docs). Safe
-    /// with readers pinned. After a failure, drop the pool and reopen.
-    pub fn checkpoint(&self, snapshot: &[u8]) -> Result<(), StorageError> {
-        self.commit_checkpoint(snapshot, true)
-    }
-
-    /// Checkpoints **without** logging page images first: the versions go
-    /// straight to the store, then the new baseline commits. Only safe
-    /// when the *previous* durable snapshot references none of the pages
-    /// the map holds (the first bulk build of a fresh store): without
-    /// images the redo cannot restore a page a torn write-back hit.
-    pub fn checkpoint_rebase(&mut self, snapshot: &[u8]) -> Result<(), StorageError> {
-        self.commit_checkpoint(snapshot, false)
     }
 
     fn wal(&self) -> Result<MutexGuard<'_, Wal>, StorageError> {
@@ -353,8 +342,11 @@ impl<S: PageStore> VersionedPool<S> {
         result
     }
 
-    /// The checkpoint body; `images` is off only for the rebase.
-    fn commit_checkpoint(&self, snapshot: &[u8], images: bool) -> Result<(), StorageError> {
+    /// Checkpoints a durable pool: commits every dirty version plus the
+    /// caller's `snapshot` as the new durable baseline, writes the
+    /// versions back and truncates the log (see the module docs). Safe
+    /// with readers pinned. After a failure, drop the pool and reopen.
+    pub fn checkpoint(&self, snapshot: &[u8]) -> Result<(), StorageError> {
         let _writer = lock_unpoisoned(&self.writer);
         let mut wal = self.wal()?;
         let heads = self.dirty_heads(false)?;
@@ -374,18 +366,26 @@ impl<S: PageStore> VersionedPool<S> {
             free,
             snapshot: snapshot.to_vec(),
         };
-        if images {
-            // One group: an image of every dirty page, then the checkpoint
-            // record — the commit point of this durable state.
-            let images = heads.iter().filter_map(|(page, bytes, _)| {
+        let mut images = heads
+            .iter()
+            .filter_map(|(page, bytes, _)| {
                 let bytes = bytes.clone()?;
                 Some(WalRecord::PageImage { page: *page, bytes })
-            });
+            })
+            .peekable();
+        let imaged = images.peek().is_some();
+        if imaged {
+            // The pages written in place since the last checkpoint reach
+            // the device first, as the record names them. Then one group:
+            // an image of every dirty page and the checkpoint record — the
+            // commit point of this durable state — and the write-back.
+            self.cache.store().sync()?;
             self.log_group(&mut wal, images.chain([ckpt.clone()]))?;
+            self.write_heads(&heads)?;
         }
-        self.write_heads(&heads)?;
         // The atomic switch to a fresh generation headed by the
-        // checkpoint; the old log's pages are dead after it.
+        // checkpoint (the commit point when nothing was imaged); the old
+        // log's pages are dead after it.
         let old = {
             let mut store = self.cache.write_store();
             store.sync()?;
@@ -396,12 +396,18 @@ impl<S: PageStore> VersionedPool<S> {
             }
             old
         };
+        if !imaged {
+            // Only frees are left, and the checkpoint lists them: a crash
+            // after its commit point redoes them.
+            self.write_heads(&heads)?;
+        }
         let mut versions = write_unpoisoned(&self.versions);
         // The new log chain may have taken any of the store's free pages.
         versions.free.extend(old.iter().map(|p| p.0));
         for page in wal.chain() {
             versions.free.remove(&page.0);
         }
+        versions.fresh.clear();
         drop(versions);
         self.reclaim(lock_unpoisoned(&self.registry).oldest());
         Ok(())
@@ -423,7 +429,9 @@ impl<S: PageStore> VersionedPool<S> {
         drop(reg);
         let mut heads = Vec::new();
         for (&id, chain) in versions.chains.iter_mut() {
-            let (epoch, newest) = chain.newest().clone();
+            let Some((epoch, newest)) = chain.versions.last().cloned() else {
+                continue;
+            };
             let held = self.log.is_some() && newest.is_none() && epoch > oldest;
             if chain.clean || held {
                 continue;
@@ -439,8 +447,8 @@ impl<S: PageStore> VersionedPool<S> {
     }
 
     /// The write-back: `heads` to the store (pages, then frees) and the
-    /// cache; then they are clean, their frees allocatable, and reclaim
-    /// visits them.
+    /// cache; then their frees are allocatable, and those the map holds
+    /// are clean and visited by reclaim.
     fn write_heads(&self, heads: &[Head]) -> Result<(), StorageError> {
         {
             let mut store = self.cache.write_store();
@@ -468,8 +476,8 @@ impl<S: PageStore> VersionedPool<S> {
             }
             if let Some(chain) = v.chains.get_mut(id) {
                 chain.clean = true;
+                v.touched.entry(epoch).or_default().push(*id);
             }
-            v.touched.entry(epoch).or_default().push(*id);
         }
         Ok(())
     }
@@ -486,11 +494,9 @@ impl<S: PageStore> VersionedPool<S> {
         Some(page.clone().ok_or_else(freed))
     }
 
-    /// Hands out the lowest allocatable id for a write at `epoch`. A
-    /// reused free gets a zeroed version, and so does every page a batch
-    /// allocates — above a free at epoch 0 if the map had none, since no
-    /// older reader reads that page and a write-back needs no base for it.
-    fn alloc_at(&self, epoch: u64, batch: bool) -> Result<PageId, StorageError> {
+    /// Hands out the lowest allocatable id for a write at `epoch`. A page
+    /// the map holds gets a zeroed version; any other joins `fresh`.
+    fn alloc_at(&self, epoch: u64) -> Result<PageId, StorageError> {
         let mut versions = write_unpoisoned(&self.versions);
         let v = &mut *versions;
         let lowest = v.free.first().copied();
@@ -500,23 +506,26 @@ impl<S: PageStore> VersionedPool<S> {
             None => self.cache.write_store().alloc()?,
         };
         v.free.remove(&id.0);
-        if batch && !v.chains.contains_key(&id.0) {
-            self.stage(v, 0, id.0, None, PageKind::Other);
-        }
-        if batch || v.chains.contains_key(&id.0) {
+        if v.chains.contains_key(&id.0) {
             self.stage(v, epoch, id.0, Some(Page::new()), PageKind::Other);
+        } else {
+            v.fresh.insert(id.0);
         }
         Ok(id)
     }
 
-    /// Gives `id` the version `page` at `epoch` (see `stage`), refusing a
-    /// page that is out of range or free. Returns whether it added one.
+    /// Writes `page` (`None`: a free) to `id`, refusing a page that is out
+    /// of range or free. A page the map does not hold goes straight to the
+    /// store and the cache if it is `fresh`, or if `unseen` (no reader and
+    /// no log exist); any other write is a version at `epoch` (see
+    /// `stage`). Returns whether it added one.
     fn put(
         &self,
         epoch: u64,
         id: PageId,
         page: Option<Page>,
         kind: PageKind,
+        unseen: bool,
     ) -> Result<bool, StorageError> {
         let allocated = self.cache.store().num_pages();
         if id.0 >= allocated {
@@ -527,13 +536,18 @@ impl<S: PageStore> VersionedPool<S> {
         }
         let mut versions = write_unpoisoned(&self.versions);
         let v = &mut *versions;
-        if v.free.contains(&id.0) || v.chains.get(&id.0).is_some_and(|c| c.newest().1.is_none()) {
+        if v.free.contains(&id.0) || v.chains.get(&id.0).is_some_and(Chain::freed) {
             return Err(StorageError::Corrupt(format!("access to freed {id}")));
         }
-        if page.is_none() {
-            v.free.insert(id.0);
+        if v.chains.contains_key(&id.0) || !(unseen || v.fresh.contains(&id.0)) {
+            if page.is_none() {
+                v.free.insert(id.0);
+            }
+            return Ok(self.stage(v, epoch, id.0, page, kind));
         }
-        Ok(self.stage(v, epoch, id.0, page, kind))
+        drop(versions);
+        self.write_heads(&[(id.0, page, kind)])?;
+        Ok(false)
     }
 
     /// Settles every page given a version at or before `oldest`, the
@@ -621,21 +635,16 @@ impl<S: PageStore> VersionedPool<S> {
         }
     }
 
-    /// An exclusive write: without a log it reaches the store at once
-    /// (nothing is pinned to need the old bytes).
+    /// An exclusive write at the current epoch: the `&mut` borrow proves
+    /// no reader is pinned, so without a log none can read any page.
     fn put_exclusive(
         &mut self,
         id: PageId,
         page: Option<Page>,
         kind: PageKind,
     ) -> Result<(), StorageError> {
-        let epoch = self.epoch();
-        self.put(epoch, id, page, kind)?;
-        if self.log.is_none() {
-            self.write_heads(&self.dirty_heads(false)?)?;
-            self.reclaim(epoch);
-        }
-        Ok(())
+        let unseen = self.log.is_none();
+        self.put(self.epoch(), id, page, kind, unseen).map(drop)
     }
 }
 
@@ -658,7 +667,7 @@ impl<S: PageStore> PageRead for VersionedPool<S> {
 /// at the current epoch.
 impl<S: PageStore> PageWrite for VersionedPool<S> {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
-        self.alloc_at(self.epoch(), false)
+        self.alloc_at(self.epoch())
     }
 
     fn write(&mut self, id: PageId, page: &Page, kind: PageKind) -> Result<(), StorageError> {
@@ -788,6 +797,7 @@ impl<S: PageStore> BatchWriter<'_, S> {
         let _ = self.write_back();
         let pool = self.pool;
         let mut versions = write_unpoisoned(&pool.versions);
+        versions.fresh.clear();
         let mut reg = lock_unpoisoned(&pool.registry);
         reg.epoch += 1;
         let (epoch, oldest) = (reg.epoch, reg.oldest());
@@ -797,7 +807,7 @@ impl<S: PageStore> BatchWriter<'_, S> {
             // is not allocatable until they leave.
             let v = &mut *versions;
             for id in v.touched.get(&epoch).into_iter().flatten() {
-                if v.chains.get(id).is_some_and(|c| c.newest().1.is_none()) {
+                if v.chains.get(id).is_some_and(Chain::freed) {
                     v.free.remove(id);
                 }
             }
@@ -808,7 +818,7 @@ impl<S: PageStore> BatchWriter<'_, S> {
     }
 
     fn put(&mut self, id: PageId, page: Option<Page>, kind: PageKind) -> Result<(), StorageError> {
-        if self.pool.put(self.epoch + 1, id, page, kind)? {
+        if self.pool.put(self.epoch + 1, id, page, kind, false)? {
             self.pool.cow_pages.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
@@ -823,7 +833,7 @@ impl<S: PageStore> PageRead for BatchWriter<'_, S> {
 
 impl<S: PageStore> PageWrite for BatchWriter<'_, S> {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
-        self.pool.alloc_at(self.epoch + 1, true)
+        self.pool.alloc_at(self.epoch + 1)
     }
 
     fn write(&mut self, id: PageId, page: &Page, kind: PageKind) -> Result<(), StorageError> {
@@ -842,6 +852,12 @@ impl<S: PageStore> std::fmt::Debug for BatchWriter<'_, S> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::{FaultStore, MemStore, SchedulerConfig, ThrottledStore, PAGE_SIZE};
@@ -1306,22 +1322,26 @@ mod tests {
         drop(pin);
         assert_drained(&pool, &[(0, Some(13)), (1, None), (2, Some(23))]);
 
-        // With a log: dirty versions stay until a checkpoint writes them
-        // back, pinned or not.
+        // With a log: the pages a batch allocates are written in place,
+        // and a rewrite of a checkpointed page stays dirty until a
+        // checkpoint writes it back, pinned or not.
         let pool = durable_pool(MemStore::new());
         let ids = write_pages(&pool, &[1, 2, 3]);
+        assert_eq!(pool.version_stats().retained_versions, 0, "in place");
+        pool.checkpoint(b"one").unwrap();
+        write_marked(&pool, ids[2], 4);
         assert_eq!(
             pool.version_stats().retained_versions,
             1,
             "dirty until checkpoint"
         );
-        pool.checkpoint(b"one").unwrap();
+        pool.checkpoint(b"one'").unwrap();
         assert_drained(
             &pool,
             &[
                 (ids[0].0, Some(1)),
                 (ids[1].0, Some(2)),
-                (ids[2].0, Some(3)),
+                (ids[2].0, Some(4)),
             ],
         );
         let pin = pool.pin();
@@ -1344,7 +1364,7 @@ mod tests {
         pool.checkpoint(b"three").unwrap();
         assert_drained(
             &pool,
-            &[(ids[0].0, Some(13)), (ids[1].0, None), (ids[2].0, Some(3))],
+            &[(ids[0].0, Some(13)), (ids[1].0, None), (ids[2].0, Some(4))],
         );
     }
 
@@ -1525,13 +1545,18 @@ mod tests {
 
     #[test]
     fn kill_points_across_a_checkpoint_never_lose_the_commit() {
-        // Baseline run: count the writes a full create→ops→checkpoint→ops
-        // session issues, then kill at every write index and reopen.
-        let total = {
+        // Baseline run: count the writes a full session issues, then kill
+        // at every write index and reopen. The session's first checkpoint
+        // images nothing (its batch wrote its page in place), so the
+        // generation switch commits it; the second first syncs a page
+        // written in place, then logs the image of a rewritten one; the
+        // third holds only a free, which must wait for the switch.
+        let (total, [a, b]) = {
             let pool = durable_pool(FaultStore::new(MemStore::new()));
-            committed_session(&pool, &mut Vec::new()).unwrap();
-            pool.into_store().writes_done()
+            let pages = committed_session(&pool, &mut Vec::new()).unwrap();
+            (pool.into_store().writes_done(), pages)
         };
+        let is_checkpoint = |name: &[u8]| name.is_empty() || name.starts_with(b"ckpt");
         for kill in 0..=total {
             let cache =
                 ConcurrentBufferPool::new(FaultStore::crash_after(MemStore::new(), kill), 64);
@@ -1539,44 +1564,177 @@ mod tests {
                 Ok(pool) => pool,
                 Err(_) => continue, // killed inside create: nothing durable yet
             };
-            let mut committed: Vec<&[u8]> = vec![];
-            committed_session(&pool, &mut committed).ok();
+            // What the session acknowledged, in order: log records and
+            // checkpoints (by snapshot; `create_durable` committed "").
+            let mut acked: Vec<&[u8]> = vec![b""];
+            committed_session(&pool, &mut acked).ok();
             let frozen = pool.into_store().into_inner();
-            match VersionedPool::open_durable(ConcurrentBufferPool::new(frozen, 64)) {
-                Ok((_, log)) => {
-                    // Every op acked before the kill must be in the log.
-                    let got: Vec<&[u8]> = log.logical.iter().map(|v| v.as_slice()).collect();
-                    for want in &committed {
-                        if log.snapshot == b"mid" {
-                            // ops before the mid checkpoint were folded in
-                            if *want == b"before".as_slice() {
-                                continue;
-                            }
-                            assert!(got.contains(want), "kill={kill}: lost committed {want:?}");
-                        } else {
-                            assert_eq!(log.snapshot, b"");
-                        }
-                    }
+            let (pool, log) = VersionedPool::open_durable(ConcurrentBufferPool::new(frozen, 64))
+                .unwrap_or_else(|e| panic!("kill={kill}: a created store must recover, got {e:?}"));
+            // The recovered checkpoint is the last one acknowledged, or a
+            // later one whose commit landed before the kill; every record
+            // acknowledged after it replays.
+            let since = acked
+                .iter()
+                .position(|&name| name == log.snapshot.as_slice())
+                .map_or(acked.len(), |i| i + 1);
+            for &want in &acked[since..] {
+                assert!(
+                    !is_checkpoint(want),
+                    "kill={kill}: lost checkpoint {want:?}"
+                );
+                assert!(
+                    log.logical.iter().any(|got| got == want),
+                    "kill={kill}: lost committed {want:?}"
+                );
+            }
+            // Its pages read as it committed them, and a page written in
+            // place since is free again.
+            match log.snapshot.as_slice() {
+                b"" => {}
+                b"ckpt-placed" => {
+                    assert_eq!(read_marker(&pool, a), 0xBEEF, "kill={kill}");
+                    assert!(
+                        b.0 >= pool.store_guard().num_pages() || pool.free_pages().contains(&b)
+                    );
                 }
-                Err(e) => panic!("kill={kill}: a created store must recover, got {e:?}"),
+                b"ckpt-mid" => {
+                    assert_eq!(read_marker(&pool, a), 0xCAFE, "kill={kill}");
+                    assert_eq!(read_marker(&pool, b), 0xF00D, "kill={kill}");
+                }
+                b"ckpt-freed" => {
+                    assert_eq!(read_marker(&pool, a), 0xCAFE, "kill={kill}");
+                    assert!(pool.free_pages().contains(&b), "kill={kill}");
+                }
+                other => panic!("kill={kill}: unknown snapshot {other:?}"),
             }
         }
 
         fn committed_session(
             pool: &VersionedPool<FaultStore<MemStore>>,
-            committed: &mut Vec<&'static [u8]>,
-        ) -> Result<(), StorageError> {
+            acked: &mut Vec<&'static [u8]>,
+        ) -> Result<[PageId; 2], StorageError> {
             let mut batch = pool.begin_batch();
             let a = batch.alloc()?;
             batch.write(a, &stamped(0xBEEF), PageKind::Other)?;
             batch.publish();
             pool.append_records(record(b"before"))?;
-            committed.push(b"before");
-            pool.checkpoint(b"mid")?;
+            acked.push(b"before");
+            pool.checkpoint(b"ckpt-placed")?;
+            acked.push(b"ckpt-placed");
+            let mut batch = pool.begin_batch();
+            batch.write(a, &stamped(0xCAFE), PageKind::Other)?;
+            let b = batch.alloc()?;
+            batch.write(b, &stamped(0xF00D), PageKind::Other)?;
+            batch.publish();
             pool.append_records(record(b"after"))?;
-            committed.push(b"after");
-            Ok(())
+            acked.push(b"after");
+            pool.checkpoint(b"ckpt-mid")?;
+            acked.push(b"ckpt-mid");
+            pool.append_records(record(b"late"))?;
+            acked.push(b"late");
+            let mut batch = pool.begin_batch();
+            PageWrite::free(&mut batch, b)?;
+            batch.publish();
+            pool.checkpoint(b"ckpt-freed")?;
+            acked.push(b"ckpt-freed");
+            Ok([a, b])
         }
+    }
+
+    #[test]
+    fn a_page_a_batch_takes_from_the_store_is_written_in_place() {
+        for durable in [false, true] {
+            let pool = match durable {
+                false => VersionedPool::new(MemStore::new(), 64),
+                true => durable_pool(MemStore::new()),
+            };
+            let pin = pool.pin();
+            let mut batch = pool.begin_batch();
+            let id = batch.alloc().unwrap();
+            batch.write(id, &stamped(5), PageKind::Other).unwrap();
+            {
+                let v = read_unpoisoned(&pool.versions);
+                assert!(v.chains.is_empty(), "durable {durable}: no version");
+                assert!(v.touched.is_empty(), "durable {durable}: no touched entry");
+            }
+            let mut page = Page::new();
+            pool.store_guard().read_page(id, &mut page).unwrap();
+            assert_eq!(page, stamped(5), "durable {durable}: on the store");
+            assert_eq!(batch.read_page(id, PageKind::Other).unwrap(), stamped(5));
+            batch.publish();
+            drop(pin);
+            let stats = pool.version_stats();
+            assert_eq!((stats.cow_pages, stats.retained_versions), (0, 0));
+            // Published, the page is readable: a rewrite is a version.
+            let pin = pool.pin();
+            write_marked(&pool, id, 6);
+            assert_eq!(pool.version_stats().cow_pages, 1, "durable {durable}");
+            assert_eq!(read_marker(&pool, id), 6);
+            assert_eq!(pin.read_page(id, PageKind::Other).unwrap(), stamped(5));
+        }
+    }
+
+    #[test]
+    fn a_page_reused_from_a_pending_free_is_versioned_for_older_pins() {
+        for durable in [false, true] {
+            let pool = match durable {
+                false => VersionedPool::new(MemStore::new(), 64),
+                true => durable_pool(MemStore::new()),
+            };
+            let ids = write_pages(&pool, &[1, 2]);
+            if durable {
+                pool.checkpoint(b"placed").unwrap();
+            }
+            let pin = pool.pin();
+            let mut batch = pool.begin_batch();
+            PageWrite::free(&mut batch, ids[0]).unwrap();
+            assert_eq!(batch.alloc().unwrap(), ids[0], "the free is reused first");
+            batch.write(ids[0], &stamped(10), PageKind::Other).unwrap();
+            let versioned = read_unpoisoned(&pool.versions)
+                .chains
+                .contains_key(&ids[0].0);
+            assert!(versioned, "durable {durable}: the reuse is a version");
+            let pinned = |stage: &str| {
+                let page = pin.read_page(ids[0], PageKind::Other).unwrap();
+                assert_eq!(page.get_u64(0), 1, "durable {durable}: {stage}");
+            };
+            pinned("in the batch");
+            batch.publish();
+            pinned("after publish");
+            if durable {
+                pool.checkpoint(b"reused").unwrap();
+            }
+            pool.cache().clear_cache();
+            pinned("after the write-back");
+            assert_eq!(read_marker(&pool, ids[0]), 10);
+            drop(pin);
+            assert_eq!(read_marker(&pool, ids[0]), 10);
+            assert!(
+                read_unpoisoned(&pool.versions).chains.is_empty(),
+                "reclaimed"
+            );
+        }
+    }
+
+    #[test]
+    fn an_exclusive_build_without_a_log_leaves_the_map_empty() {
+        let mut pool = VersionedPool::new(MemStore::new(), 8);
+        let ids: Vec<PageId> = (0..16u64)
+            .map(|i| {
+                let id = pool.alloc().unwrap();
+                pool.write(id, &stamped(i), PageKind::Other).unwrap();
+                id
+            })
+            .collect();
+        pool.write(ids[3], &stamped(33), PageKind::Other).unwrap();
+        PageWrite::free(&mut pool, ids[5]).unwrap();
+        assert_eq!(pool.alloc().unwrap(), ids[5], "the free is reused first");
+        pool.write(ids[5], &stamped(55), PageKind::Other).unwrap();
+        let v = read_unpoisoned(&pool.versions);
+        assert!(v.chains.is_empty() && v.touched.is_empty());
+        drop(v);
+        assert_drained(&pool, &[(3, Some(33)), (5, Some(55)), (15, Some(15))]);
     }
 
     #[test]
@@ -1617,7 +1775,14 @@ mod tests {
         const N: usize = 96;
         let pool = durable_pool(FaultStore::new(MemStore::new()));
         let stamps: Vec<u64> = (3..3 + N as u64).collect();
-        write_pages(&pool, &stamps);
+        let ids = write_pages(&pool, &stamps);
+        pool.checkpoint(b"placed").unwrap();
+        // Rewritten after a checkpoint, every page is a dirty version.
+        let mut batch = pool.begin_batch();
+        for (&id, &stamp) in ids.iter().zip(&stamps) {
+            batch.write(id, &stamped(stamp), PageKind::Other).unwrap();
+        }
+        batch.publish();
         let before = pool.store_guard().writes_done();
         pool.checkpoint(b"images").unwrap();
         let writes = (pool.store_guard().writes_done() - before) as usize;

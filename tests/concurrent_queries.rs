@@ -717,7 +717,9 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
     // commit cycle (log append, batch, checkpoint) the event trace must
     // show the WAL append (the commit record, and the page images it
     // covers) reaching the store strictly before any covered data page
-    // or free does — the write-ahead invariant itself.
+    // or free does — the write-ahead invariant itself — and the pages
+    // the batch took from the store, written in place, synced before the
+    // checkpoint's log names them.
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -725,6 +727,7 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
     enum Ev {
         Write(u64),
         Free(u64),
+        Sync,
     }
 
     /// A [`PageStore`] that journals every write and free it services.
@@ -753,6 +756,10 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
         }
         fn num_pages(&self) -> u64 {
             self.inner.num_pages()
+        }
+        fn sync(&self) -> Result<(), StorageError> {
+            self.log.lock().unwrap().push(Ev::Sync);
+            self.inner.sync()
         }
     }
 
@@ -816,6 +823,25 @@ fn wal_commit_reaches_the_store_before_the_pages_it_covers() {
                 _ => {}
             }
         }
+        // The pages the round's batch took from the store are written in
+        // place, and a sync puts them on the device before the
+        // checkpoint's next log write names them.
+        let fresh: HashSet<u64> = written[written.len() - 3..]
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
+        let last_in_place = events
+            .iter()
+            .rposition(|e| matches!(e, Ev::Write(id) if fresh.contains(id)))
+            .expect("the round writes its new pages");
+        let named = events[last_in_place..]
+            .iter()
+            .position(|e| matches!(e, Ev::Write(id) if !data.contains(id)))
+            .expect("the checkpoint writes the log");
+        assert!(
+            events[last_in_place..last_in_place + named].contains(&Ev::Sync),
+            "round {round}: a page written in place was not synced before the log named it"
+        );
 
         // Concurrent readers through the cache observe the
         // checkpointed values bit-for-bit.
@@ -929,13 +955,24 @@ fn a_pinned_snapshot_survives_a_checkpoint_write_back() {
     drop(pin);
     assert_eq!(pool.version_stats().retained_versions, 0, "the map drains");
 
-    // The same through a durable FlatDb whose second commit checkpoints.
+    // The same through a durable FlatDb whose third commit checkpoints.
+    // The first inserts a delta tier before the snapshot pins, so the
+    // third, which merges that tier, rewrites pages the snapshot reads.
     let (entries, domain) = neuron_dataset();
     let mut options = DbOptions::updatable(domain)
-        .with_durability(Durability::WalCheckpoint { every_batches: 2 });
+        .with_durability(Durability::WalCheckpoint { every_batches: 3 });
     options.pool_pages = 64;
     let mut db = FlatDb::create_durable(MemStore::new(), options).expect("create durable db");
     db.build_from(entries.clone()).expect("build");
+    let tier: Vec<Entry> = entries
+        .iter()
+        .step_by(7)
+        .map(|e| Entry::new(e.id + 1_000_000, e.mbr))
+        .collect();
+    db.writer()
+        .expect("writer")
+        .insert(tier)
+        .expect("the tier the third commit merges");
     let snapshot = db.reader();
     let probes = queries(&domain);
     let ranges: Vec<_> = probes

@@ -39,7 +39,7 @@ fn durable_tiny(name: &str) -> (std::path::PathBuf, Vec<Entry>, Aabb) {
 /// descriptor) changes it: bump `SNAPSHOT_VERSION`
 /// (`crates/core/src/durable.rs`) or `HEADER_VERSION`
 /// (`crates/storage/src/durable.rs`) and pin the new value here.
-const GOLDEN_FILE_DIGEST: u64 = 0x3ba4_d588_297e_1d1c;
+const GOLDEN_FILE_DIGEST: u64 = 0x7772_8c2e_d147_6f43;
 
 #[test]
 fn persisted_file_matches_its_golden_digest() {
@@ -53,6 +53,60 @@ fn persisted_file_matches_its_golden_digest() {
          {GOLDEN_FILE_DIGEST:#018x}",
         bytes.len() / PAGE_SIZE
     );
+}
+
+/// The number or hex digest that follows `marker` in `text`, read with
+/// every run of whitespace as one space (so a rewrapped paragraph still
+/// matches).
+fn value_after(text: &str, marker: &str) -> u64 {
+    let text = text.split_whitespace().collect::<Vec<_>>().join(" ");
+    let start = text
+        .find(marker)
+        .unwrap_or_else(|| panic!("{marker:?} is not in the text"))
+        + marker.len();
+    let token: String = text[start..]
+        .chars()
+        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+        .filter(|&c| c != '_')
+        .collect();
+    match token.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => token.parse(),
+    }
+    .unwrap_or_else(|e| panic!("{marker:?} is followed by {token:?}: {e}"))
+}
+
+#[test]
+fn the_architecture_doc_quotes_the_current_format_constants() {
+    let doc = include_str!("../docs/ARCHITECTURE.md");
+    let storage = include_str!("../crates/storage/src/durable.rs");
+    let core = include_str!("../crates/core/src/durable.rs");
+    let quotes = [
+        (
+            "HEADER_VERSION",
+            value_after(
+                doc,
+                "`HEADER_VERSION` (`crates/storage/src/durable.rs`, now ",
+            ),
+            value_after(storage, "const HEADER_VERSION: u64 = "),
+        ),
+        (
+            "SNAPSHOT_VERSION",
+            value_after(doc, "`SNAPSHOT_VERSION` (now "),
+            value_after(core, "const SNAPSHOT_VERSION: u16 = "),
+        ),
+        (
+            "GOLDEN_FILE_DIGEST",
+            value_after(doc, "digest of a tiny durable file (`"),
+            GOLDEN_FILE_DIGEST,
+        ),
+    ];
+    for (name, quoted, actual) in quotes {
+        assert_eq!(
+            quoted, actual,
+            "docs/ARCHITECTURE.md quotes {name} as {quoted:#x}, the code has {actual:#x}"
+        );
+    }
 }
 
 #[test]
