@@ -5,15 +5,16 @@
 //! range crawl would — same seed, same kernel (`IndexRef::crawl_step`),
 //! same expansion rule, same resident list of delta partitions — but its
 //! [`CrawlVisitor`] materializes no hits. Its payoff is the
-//! **containment early-exit**: when a record's page MBR is fully contained
-//! in the query region, every element on the page matches (the build
-//! guarantees element MBR ⊆ page MBR), so the per-element intersection
-//! tests are skipped. The delta layer goes one step further: its resident
-//! summary table already knows each partition's live count, so a contained
-//! partition contributes without its object page being wanted at all — it
-//! is neither announced nor read, and for large query regions most of the
-//! result is counted from memory while only the query's *boundary* pages
-//! are read.
+//! **containment early-exit**: when a partition's page MBR is fully
+//! contained in the query region, every live element on the page matches
+//! (the build guarantees element MBR ⊆ page MBR), so the partition adds
+//! its live count — which the kernel hands every visitor — without its
+//! object page being wanted at all: it is neither announced nor read. The
+//! count is the element count a bulkload record carries, or the delta
+//! layer's resident count, which leaves tombstones out. For large query
+//! regions most of the result is counted from the records while only the
+//! query's *boundary* pages are read (the page-count argument behind
+//! aggregate R-trees, Papadias et al., SSTD 2001).
 
 #![deny(
     clippy::panic,
@@ -27,7 +28,7 @@ use crate::index::FlatIndex;
 use crate::meta::{MetaRecordId, MetaView};
 use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
 use flat_geom::Aabb;
-use flat_storage::{PageId, PageRead, StorageError};
+use flat_storage::{PageRead, StorageError};
 
 /// Per-aggregate counters: the crawl side plus the early-exit bookkeeping
 /// (how much work the containment rule saved).
@@ -38,10 +39,13 @@ pub struct AggregateStats {
     /// Object pages read.
     pub object_pages_read: u64,
     /// Partitions whose page MBR was fully contained in the query — their
-    /// elements were counted without per-element intersection tests.
+    /// live elements were counted from the live count the crawl knows
+    /// without reading the page (a record's element count, or the delta
+    /// layer's resident count).
     pub contained_partitions: u64,
-    /// Contained partitions counted from the resident summary table
-    /// without reading the object page at all (delta layer only).
+    /// Object pages the containment early-exit left unread. Every
+    /// contained partition is counted without its page, on every index
+    /// view, so this equals `contained_partitions`.
     pub pages_skipped: u64,
     /// MBR–query tests performed.
     pub mbr_tests: u64,
@@ -50,7 +54,6 @@ pub struct AggregateStats {
 /// The aggregate's visitor: a range crawl with hit materialization
 /// replaced by counting and the containment early-exit.
 struct CountVisit<'q> {
-    index: IndexRef<'q>,
     query: &'q Aabb,
     stats: &'q mut AggregateStats,
     count: u64,
@@ -61,7 +64,7 @@ impl CrawlVisitor for CountVisit<'_> {
         self.stats.records_processed += 1;
     }
 
-    fn wants_object(&mut self, object_page: PageId, page_mbr: &Aabb) -> bool {
+    fn wants_object(&mut self, page_mbr: &Aabb, live: u64) -> bool {
         self.stats.mbr_tests += 1;
         if !page_mbr.intersects(self.query) {
             return false;
@@ -69,28 +72,22 @@ impl CrawlVisitor for CountVisit<'_> {
         self.stats.mbr_tests += 1;
         if self.query.contains(page_mbr) {
             // Containment early-exit: every live element on the page
-            // matches (element ⊆ page MBR ⊆ query).
+            // matches (element ⊆ page MBR ⊆ query), and the crawl already
+            // knows how many there are — no I/O for this partition.
             self.stats.contained_partitions += 1;
-            if let Some(live) = self.index.live_count(object_page) {
-                // The resident summary already excludes tombstones: no
-                // I/O at all for this partition.
-                self.stats.pages_skipped += 1;
-                self.count += live;
-                return false;
-            }
+            self.stats.pages_skipped += 1;
+            self.count += live;
+            return false;
         }
         true
     }
 
-    fn scan(&mut self, page_mbr: &Aabb, page: &LivePage<'_>) {
+    /// Scans a boundary page: only partitions the query cuts are read.
+    fn scan(&mut self, page: &LivePage<'_>) {
         self.stats.object_pages_read += 1;
-        if self.query.contains(page_mbr) {
-            self.count += page.hits().count() as u64;
-        } else {
-            self.stats.mbr_tests += page.slots() as u64;
-            let query = self.query;
-            self.count += page.hits().filter(|h| query.intersects(&h.mbr)).count() as u64;
-        }
+        self.stats.mbr_tests += page.slots() as u64;
+        let query = self.query;
+        self.count += page.hits().filter(|h| query.intersects(&h.mbr)).count() as u64;
     }
 
     fn expands(&mut self, _addr: MetaRecordId, record: &MetaView) -> bool {
@@ -127,7 +124,6 @@ impl IndexRef<'_> {
             state.enqueue(seed);
         }
         let mut visit = CountVisit {
-            index: self,
             query,
             stats,
             count: 0,
@@ -140,9 +136,10 @@ impl IndexRef<'_> {
 
 impl FlatIndex {
     /// Counts the elements intersecting `query` — the same answer as
-    /// `range_query(..).len()`, without materializing the hits and with
-    /// per-element tests skipped for partitions fully contained in the
-    /// query (the containment early-exit).
+    /// `range_query(..).len()`, without materializing the hits, and
+    /// counting the partitions fully contained in the query from their
+    /// records' element counts without reading their pages (the
+    /// containment early-exit).
     pub fn aggregate_count(&self, pool: &impl PageRead, query: &Aabb) -> Result<u64, StorageError> {
         self.aggregate_count_with_stats(pool, query, &mut AggregateStats::default())
     }
@@ -171,8 +168,8 @@ impl FlatIndex {
 impl DeltaIndex {
     /// Counts the live elements intersecting `query`, exactly as a fresh
     /// rebuild over the survivors would. Partitions fully contained in
-    /// the query are counted from the resident summary table without any
-    /// object-page I/O.
+    /// the query are counted from the resident summary table's live
+    /// counts without any object-page I/O.
     pub fn aggregate_count(&self, pool: &impl PageRead, query: &Aabb) -> Result<u64, StorageError> {
         self.aggregate_count_with_stats(pool, query, &mut AggregateStats::default())
     }
@@ -245,6 +242,11 @@ mod tests {
             stats.contained_partitions > 0,
             "whole-domain query contained no partition: {stats:?}"
         );
+        // Every page lies inside the query, the seed's included: the
+        // records' element counts answer it without one object read.
+        assert_eq!(stats.pages_skipped, stats.contained_partitions);
+        assert_eq!(stats.contained_partitions, index.num_object_pages());
+        assert_eq!(stats.object_pages_read, 0);
     }
 
     #[test]

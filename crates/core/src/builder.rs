@@ -39,6 +39,13 @@
 //! (`tests/build_streaming.rs` holds each budget to recorded page
 //! digests; `exp_build_scale` re-verifies per run and reports the peaks).
 
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
+
 use crate::index::{seal, BuildStats, FlatIndex, FlatOptions, MetaOrder};
 use crate::meta::{write_runs, Run};
 use crate::neighbors::NeighborSweep;
@@ -130,16 +137,35 @@ fn put_aabb(out: &mut Vec<u8>, b: &Aabb) {
     }
 }
 
-fn get_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("bounds checked"))
+/// The `N` bytes of a spilled record at `at`; a record too short to hold
+/// them is [`StorageError::Corrupt`].
+fn bytes_at<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], StorageError> {
+    buf.get(at..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .ok_or_else(|| {
+            StorageError::Corrupt(format!(
+                "spilled record of {} bytes ends before byte {}",
+                buf.len(),
+                at + N
+            ))
+        })
 }
 
-fn get_aabb(buf: &[u8], at: usize) -> Aabb {
-    let f = |i: usize| f64::from_bits(get_u64(buf, at + 8 * i));
-    Aabb {
-        min: Point3::new(f(0), f(1), f(2)),
-        max: Point3::new(f(3), f(4), f(5)),
-    }
+fn get_u32(buf: &[u8], at: usize) -> Result<u32, StorageError> {
+    bytes_at(buf, at).map(u32::from_le_bytes)
+}
+
+fn get_u64(buf: &[u8], at: usize) -> Result<u64, StorageError> {
+    bytes_at(buf, at).map(u64::from_le_bytes)
+}
+
+fn get_aabb(buf: &[u8], at: usize) -> Result<Aabb, StorageError> {
+    let f = |i: usize| get_u64(buf, at + 8 * i).map(f64::from_bits);
+    Ok(Aabb {
+        min: Point3::new(f(0)?, f(1)?, f(2)?),
+        max: Point3::new(f(3)?, f(4)?, f(5)?),
+    })
 }
 
 fn check_len(buf: &[u8], want: usize, what: &str) -> Result<(), StorageError> {
@@ -163,9 +189,9 @@ impl SpillRecord for EntryRec {
     fn decode(buf: &[u8]) -> Result<Self, StorageError> {
         check_len(buf, 72, "entry")?;
         Ok(EntryRec {
-            key: get_u64(buf, 0),
-            seq: get_u64(buf, 8),
-            entry: Entry::new(get_u64(buf, 16), get_aabb(buf, 24)),
+            key: get_u64(buf, 0)?,
+            seq: get_u64(buf, 8)?,
+            entry: Entry::new(get_u64(buf, 16)?, get_aabb(buf, 24)?),
         })
     }
 }
@@ -207,10 +233,10 @@ impl SpillRecord for SummaryRec {
     fn decode(buf: &[u8]) -> Result<Self, StorageError> {
         check_len(buf, 108, "summary")?;
         Ok(SummaryRec {
-            key: get_u64(buf, 0),
-            index: u32::from_le_bytes(buf[8..12].try_into().expect("bounds checked")),
-            page_mbr: get_aabb(buf, 12),
-            partition_mbr: get_aabb(buf, 60),
+            key: get_u64(buf, 0)?,
+            index: get_u32(buf, 8)?,
+            page_mbr: get_aabb(buf, 12)?,
+            partition_mbr: get_aabb(buf, 60)?,
         })
     }
 }
@@ -262,19 +288,16 @@ impl SpillRecord for MetaRec {
                 buf.len()
             )));
         }
-        let count = u32::from_le_bytes(buf[108..112].try_into().expect("bounds checked")) as usize;
+        let count = get_u32(buf, 108)? as usize;
         check_len(buf, 112 + count * 4, "meta")?;
         let neighbors = (0..count)
-            .map(|i| {
-                let at = 112 + 4 * i;
-                u32::from_le_bytes(buf[at..at + 4].try_into().expect("bounds checked"))
-            })
-            .collect();
+            .map(|i| get_u32(buf, 112 + 4 * i))
+            .collect::<Result<_, _>>()?;
         Ok(MetaRec {
-            key: get_u64(buf, 0),
-            index: u32::from_le_bytes(buf[8..12].try_into().expect("bounds checked")),
-            page_mbr: get_aabb(buf, 12),
-            partition_mbr: get_aabb(buf, 60),
+            key: get_u64(buf, 0)?,
+            index: get_u32(buf, 8)?,
+            page_mbr: get_aabb(buf, 12)?,
+            partition_mbr: get_aabb(buf, 60)?,
             neighbors,
         })
     }
@@ -385,12 +408,14 @@ impl FlatIndexBuilder {
         let mut parts: Vec<Partition> = Vec::new();
         let mut consumed = 0u64;
         let mut page = Page::new();
-        // Actual object-page ids in partition order: stores may hand out
-        // non-contiguous ids (a durable store's log pages interleave with
-        // reusable frees), so phase 4 maps partition index -> id through
-        // this table instead of assuming a dense range. 8 bytes per
-        // partition, same order as the phase-3 planning directory.
-        let mut object_ids: Vec<PageId> = Vec::new();
+        // Actual object-page ids in partition order, each with the page's
+        // element count (its metadata record carries both): stores may
+        // hand out non-contiguous ids (a durable store's log pages
+        // interleave with reusable frees), so phase 4 maps partition index
+        // -> id through this table instead of assuming a dense range. 16
+        // bytes per partition, same order as the phase-3 planning
+        // directory.
+        let mut objects: Vec<(PageId, u16)> = Vec::new();
         let mut num_partitions = 0u32;
         let mut pmbr_union = Aabb::empty();
         let mut volume_sum = 0.0f64;
@@ -403,9 +428,9 @@ impl FlatIndexBuilder {
                     None => break,
                 }
             }
-            if slab.is_empty() {
+            let Some(last_x) = slab.last().map(|e| e.mbr.center().x) else {
                 break;
-            }
+            };
             // Resident entries right now: the current slab, one merge head
             // per spilled run, and — when nothing spilled — whatever part
             // of the fully-buffered sort output is still unconsumed.
@@ -422,10 +447,7 @@ impl FlatIndexBuilder {
             // the adjacent centers, as `partition_slab` cuts y and z; the
             // last slab's tile ends at the domain edge.
             let hi_x = match merged.peek() {
-                Some(next) => {
-                    let last = slab.last().expect("slab is non-empty").mbr.center().x;
-                    (last + next.entry.mbr.center().x) / 2.0
-                }
+                Some(next) => (last_x + next.entry.mbr.center().x) / 2.0,
                 None => bounds.max.coord(Axis::X),
             };
             let x_tile = axis_tile(&bounds, Axis::X, lo_x, hi_x);
@@ -443,7 +465,8 @@ impl FlatIndexBuilder {
                 encode_leaf(&p.elements, options.layout, &mut page);
                 let id = pool.alloc()?;
                 pool.write(id, &page, PageKind::ObjectPage)?;
-                object_ids.push(id);
+                // A page holds at most `capacity` (≤ 85) elements.
+                objects.push((id, p.elements.len() as u16));
                 pmbr_union = pmbr_union.union(&p.partition_mbr);
                 volume_sum += p.partition_mbr.volume();
                 summary_sorter.push(SummaryRec {
@@ -455,7 +478,7 @@ impl FlatIndexBuilder {
                 num_partitions += 1;
             }
         }
-        assert!(!object_ids.is_empty(), "n > 0 produces partitions");
+        assert!(!objects.is_empty(), "n > 0 produces partitions");
         let partition_time = t0.elapsed();
 
         // Phase 3: plane-sweep neighbor computation over the summaries,
@@ -518,7 +541,7 @@ impl FlatIndexBuilder {
             .zip(&directory)
             .map(|(pos, &(_, index, count))| {
                 position[index as usize] = pos;
-                (object_ids[index as usize], count as usize)
+                (objects[index as usize].0, count as usize)
             })
             .collect();
         let mut meta_stream = meta_sorter.finish()?;
@@ -528,7 +551,8 @@ impl FlatIndexBuilder {
                 r.map(|m| Run {
                     page_mbr: m.page_mbr,
                     partition_mbr: m.partition_mbr,
-                    object_page: object_ids[m.index as usize],
+                    object_page: objects[m.index as usize].0,
+                    elements: objects[m.index as usize].1,
                     neighbors: m
                         .neighbors
                         .iter()
@@ -560,6 +584,12 @@ impl FlatIndexBuilder {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::unreachable
+)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;

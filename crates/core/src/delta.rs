@@ -105,7 +105,7 @@ pub(crate) struct PartState {
     /// never shrink, so they still contain every live element).
     pub(crate) page_mbr: Aabb,
     /// Elements on the object page that are not tombstoned.
-    live: u32,
+    pub(crate) live: u32,
     /// `true` once retired (object page freed, a base record flagged dead).
     pub(crate) dead: bool,
 }
@@ -411,8 +411,8 @@ impl DeltaIndex {
     }
 
     /// The read view: the bulkload alone until adoption — no tombstone
-    /// probe, and join summaries and aggregate counts read from pages —
-    /// and the delta layer after it.
+    /// probe, join summaries read from the metadata pages and live counts
+    /// from the records — and the delta layer after it.
     pub(crate) fn view(&self) -> IndexRef<'_> {
         if self.is_adopted() {
             IndexRef::Delta(self)
@@ -426,14 +426,14 @@ impl DeltaIndex {
         &self.tombstones
     }
 
-    /// Resident live-element count of the live partition whose object
-    /// page is `page` (`None` when no live partition holds it). The
-    /// aggregate crawl's containment early-exit reads this instead of the
-    /// object page.
-    pub(crate) fn live_count(&self, page: PageId) -> Option<u64> {
+    /// Resident live-element count of the partition whose object page is
+    /// `page` (0 when no live partition holds it): what the crawl kernel
+    /// hands its visitor for a live bulkload record on this view
+    /// ([`IndexRef::live_count`]).
+    pub(crate) fn live_count(&self, page: PageId) -> u64 {
         self.by_page
             .get(&page)
-            .map(|&idx| self.parts[idx as usize].live as u64)
+            .map_or(0, |&idx| self.parts[idx as usize].live.into())
     }
 
     /// Every partition ever adopted or inserted, retired ones included,
@@ -809,7 +809,8 @@ impl DeltaIndex {
     ///    duplicated and never point at a delta partition, which has no
     ///    record at all;
     /// 2. a retired bulkload partition's record is flagged dead and a live
-    ///    one's is not, and the resident row agrees with the record;
+    ///    one's is not, the resident row agrees with the record, and a
+    ///    live record's element count is its object page's slot count;
     /// 3. every live partition's page MBR contains its live elements, and
     ///    a record's partition MBR contains its page MBR;
     /// 4. no page on `free_pages` is reachable from any crawl (live object
@@ -890,6 +891,17 @@ impl DeltaIndex {
                         return Err(format!(
                             "partition {i}: resident row disagrees with its record"
                         ));
+                    }
+                    if !part.dead {
+                        let slots = LivePage::read(pool, part.object_page, None)
+                            .map_err(|e| format!("partition {i} object page: {e}"))?
+                            .slots();
+                        if usize::from(record.elements) != slots {
+                            return Err(format!(
+                                "partition {i}: record counts {} elements, its page holds {slots}",
+                                record.elements
+                            ));
+                        }
                     }
                     if !record.partition_mbr.contains(&record.page_mbr) {
                         return Err(format!("partition {i}: partition MBR lost the page MBR"));
@@ -1083,6 +1095,35 @@ mod tests {
             err.to_string().contains("slot address space"),
             "unexpected error: {err}"
         );
+    }
+
+    #[test]
+    fn a_contained_seed_is_taken_unread_only_while_it_holds_a_live_element() {
+        let (pool, mut delta, _) = build_delta(2_000, 67);
+        let whole = Aabb::cube(Point3::splat(50.0), 300.0);
+        // Every page MBR lies inside the query: the first live record the
+        // descent meets is the entry point, found without an object read.
+        let mut stats = QueryStats::default();
+        let seed = IndexRef::Delta(&delta).seed(&pool, &whole, &mut stats);
+        assert!(seed.unwrap().is_some_and(|s| delta.records.contains(&s)));
+        assert_eq!(stats.object_pages_read, 0);
+        // A live row with no live element — the state a delete batch passes
+        // through between a partition's last tombstone and its retirement —
+        // proves nothing by containment: each candidate is probed, and none
+        // holds an element.
+        for idx in 0..delta.records.len() {
+            let page = delta.parts[idx].object_page;
+            let slots = LivePage::read(&pool, page, None).unwrap().slots();
+            delta
+                .tombstones
+                .extend((0..slots as u16).map(|slot| (page, slot)));
+            delta.parts[idx].live = 0;
+        }
+        let mut stats = QueryStats::default();
+        let seed = IndexRef::Delta(&delta).seed(&pool, &whole, &mut stats);
+        assert_eq!(seed.unwrap(), None);
+        assert_eq!(stats.object_pages_read, delta.records.len() as u64);
+        assert_eq!(delta.aggregate_count(&pool, &whole).unwrap(), 0);
     }
 
     #[test]

@@ -143,8 +143,11 @@ const SNAPSHOT_MAGIC: u64 = 0x464C_4154_534E_5031;
 /// no links, and its retirement cliques are links the bulkload never
 /// made). Version 4: the delta residency records the tier stack over the
 /// delta page list (a version-3 file has no stack, so its delta pages
-/// would merge as no live database would have merged them).
-const SNAPSHOT_VERSION: u16 = 4;
+/// would merge as no live database would have merged them). Version 5:
+/// every metadata record carries its object page's element count in the
+/// high 16 bits of the object-page word (a version-4 record reads a count
+/// of 0, which no live record may hold).
+const SNAPSHOT_VERSION: u16 = 5;
 /// Encoding of `FlatIndex::seed_root == None`.
 const NO_ROOT: u64 = u64::MAX;
 
@@ -521,7 +524,7 @@ mod tests {
         bad_version[8] = 99;
         let err = DbSnapshot::decode(&bad_version).unwrap_err().to_string();
         assert!(
-            err.contains("version 99") && err.contains("reads version 4"),
+            err.contains("version 99") && err.contains("reads version 5"),
             "{err}"
         );
     }
@@ -555,7 +558,7 @@ mod tests {
         // and reopen reads the list as delta object pages.
         let msg = refusal_of_version(2);
         assert!(
-            msg.contains("version 2;") && msg.contains("reads version 4"),
+            msg.contains("version 2;") && msg.contains("reads version 5"),
             "{msg}"
         );
     }
@@ -566,7 +569,18 @@ mod tests {
         // tiling, so reopen could not know which delta pages merge next.
         let msg = refusal_of_version(3);
         assert!(
-            msg.contains("version 3;") && msg.contains("reads version 4"),
+            msg.contains("version 3;") && msg.contains("reads version 5"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_version_4_snapshot_is_refused_naming_both_versions() {
+        // Version 4 records carried no element count: read today, every
+        // live record would claim an empty object page.
+        let msg = refusal_of_version(4);
+        assert!(
+            msg.contains("version 4;") && msg.contains("reads version 5"),
             "{msg}"
         );
     }

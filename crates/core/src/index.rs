@@ -233,13 +233,6 @@ impl FlatIndex {
         self.seed_height
     }
 
-    /// Root page of the seed tree (`None` for an empty index) — with
-    /// [`FlatIndex::seed_height`], all an external walker of the page
-    /// graph needs to start from.
-    pub fn seed_root(&self) -> Option<PageId> {
-        self.seed_root
-    }
-
     /// Number of object pages (= partitions).
     pub fn num_object_pages(&self) -> u64 {
         self.num_object_pages

@@ -26,7 +26,7 @@ use crate::error::FlatError;
 use crate::meta::{MetaRecordId, MetaView};
 use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
 use flat_geom::Aabb;
-use flat_storage::{PageId, PageRead, StorageError};
+use flat_storage::{PageRead, StorageError};
 
 /// One side of a distance join: any index the read path understands.
 pub type JoinInput<'a> = IndexRef<'a>;
@@ -97,11 +97,11 @@ impl CrawlVisitor for PartnerVisit<'_> {
         self.stats.crawl_records += 1;
     }
 
-    fn wants_object(&mut self, _object_page: PageId, page_mbr: &Aabb) -> bool {
+    fn wants_object(&mut self, page_mbr: &Aabb, _live: u64) -> bool {
         page_mbr.intersects(&self.query) && self.outer_mbr.distance_sq(page_mbr) <= self.eps2
     }
 
-    fn scan(&mut self, _page_mbr: &Aabb, page: &LivePage<'_>) {
+    fn scan(&mut self, page: &LivePage<'_>) {
         self.stats.object_pages_read += 1;
         let (outer_mbr, eps2) = (self.outer_mbr, self.eps2);
         let near = page

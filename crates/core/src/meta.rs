@@ -1,11 +1,12 @@
 //! Metadata records and their on-page packing (§V-B.2).
 //!
 //! FLAT stores one metadata record per object page: the page MBR, the
-//! partition MBR, a pointer to the object page, and pointers to the
-//! records of all neighboring pages. Records are variable-size (the
-//! neighbor count varies — which is exactly why the paper stores them
-//! separately from the elements) and are packed into the **leaves of the
-//! seed tree** so that spatially close records share a page.
+//! partition MBR, a pointer to the object page with the page's element
+//! count, and pointers to the records of all neighboring pages. Records
+//! are variable-size (the neighbor count varies — which is exactly why the
+//! paper stores them separately from the elements) and are packed into the
+//! **leaves of the seed tree** so that spatially close records share a
+//! page.
 //!
 //! # Page layout (kind [`flat_storage::PageKind::SeedLeaf`])
 //!
@@ -17,11 +18,19 @@
 //! directory end …   records, back to back:
 //!     page MBR      6 × f64   (48 bytes)
 //!     partition MBR 6 × f64   (48 bytes)
-//!     object page   u64
+//!     object page   u64  (bits 0–47 = page id, bits 48–63 = element count)
 //!     neighbor n    u16  (bit 15 = continuation flag, bit 14 = dead flag)
 //!     continuation  u64 page + u16 slot   (page = u64::MAX ⇒ none)
 //!     neighbors     n × (u64 page, u16 slot)   (10 bytes each)
 //! ```
+//!
+//! The element count is the number of slots the bulkload wrote on the
+//! object page (at most 85, the `MbrOnly` capacity). It shares the object
+//! page's word, so the record is no larger than one without it: page ids
+//! stay far below 2⁴⁸. With it a query knows what a page holds without
+//! reading it — an aggregate counts a partition whose page MBR lies inside
+//! the query from the record alone, and the seed phase takes such a record
+//! as an entry point without probing its page.
 //!
 //! # Dead records
 //!
@@ -77,6 +86,7 @@
 
 use flat_geom::{Aabb, Point3};
 use flat_rtree::node::ChildRef;
+use flat_rtree::{leaf_capacity, LeafLayout};
 use flat_storage::{Page, PageId, PageKind, PageMut, PageRead, PageWrite, StorageError, PAGE_SIZE};
 use std::ops::Range;
 
@@ -84,13 +94,16 @@ use std::ops::Range;
 const TAG_META_LEAF: u16 = 3;
 /// Fixed page header size.
 const HEADER_SIZE: usize = 8;
-/// Fixed portion of one serialized record (MBRs, object page, neighbor
-/// count, continuation pointer).
+/// Fixed portion of one serialized record (MBRs, object page and element
+/// count, neighbor count, continuation pointer).
 const RECORD_FIXED: usize = 48 + 48 + 8 + 2 + 10;
 /// One serialized neighbor pointer.
 const NEIGHBOR_SIZE: usize = 10;
 /// Slot-directory cost of one record.
 const DIR_ENTRY: usize = 2;
+/// Bits of the object-page word that hold the page id; the 16 above them
+/// hold the page's element count.
+const PAGE_BITS: u32 = 48;
 /// Sentinel for "no continuation".
 const NO_CONTINUATION: u64 = u64::MAX;
 /// Count-word flag: this record is a continuation chunk.
@@ -123,6 +136,9 @@ pub struct MetaRecord {
     pub partition_mbr: Aabb,
     /// The object page the record describes.
     pub object_page: PageId,
+    /// Elements the bulkload wrote on the object page: its slot count.
+    /// A continuation chunk repeats its primary's.
+    pub elements: u16,
     /// Addresses of the neighboring partitions' records (this chunk).
     pub neighbors: Vec<MetaRecordId>,
     /// Next chunk of the neighbor list, if it didn't fit in one record.
@@ -145,6 +161,12 @@ fn record_size(neighbor_count: usize) -> usize {
 /// Usable bytes for records + directory on one metadata page.
 fn meta_page_budget() -> usize {
     PAGE_SIZE - HEADER_SIZE
+}
+
+/// The most elements any leaf layout puts on one object page: the largest
+/// element count a record may carry.
+fn max_elements() -> usize {
+    leaf_capacity(LeafLayout::MbrOnly).max(leaf_capacity(LeafLayout::WithIds))
 }
 
 /// The most neighbor pointers a single record can carry on an otherwise
@@ -191,12 +213,14 @@ fn assign_slots(neighbor_counts: &[usize]) -> Vec<(usize, u16)> {
 }
 
 /// One record chain for [`write_runs`]: a partition's two MBRs, object
-/// page and neighbor list.
+/// page, element count and neighbor list.
 #[derive(Debug, Clone)]
 pub(crate) struct Run {
     pub(crate) page_mbr: Aabb,
     pub(crate) partition_mbr: Aabb,
     pub(crate) object_page: PageId,
+    /// Elements written on the object page.
+    pub(crate) elements: u16,
     /// The neighboring partitions, each named by its run's position in
     /// the layout: its primary record's address is known once the layout
     /// is planned.
@@ -224,7 +248,9 @@ impl Run {
 /// them out of its metadata sort, so only the planning tables are
 /// resident) and encoded page by page. A stream that ends early, runs
 /// long or yields a run other than the one its shape names is
-/// [`StorageError::Corrupt`].
+/// [`StorageError::Corrupt`], and so is a run the record format cannot
+/// hold: an object page id of 2⁴⁸ or more, or an element count of zero or
+/// above any layout's page capacity.
 pub(crate) fn write_runs(
     pool: &mut impl PageWrite,
     shapes: &[(PageId, usize)],
@@ -263,6 +289,15 @@ pub(crate) fn write_runs(
                 run.shape()
             )));
         }
+        if run.object_page.0 >> PAGE_BITS != 0
+            || run.elements == 0
+            || usize::from(run.elements) > max_elements()
+        {
+            return Err(corrupt(format!(
+                "run {j}: {} with {} elements does not fit a record",
+                run.object_page, run.elements
+            )));
+        }
         for chunk in chunks(shape.1) {
             let neighbors = run.neighbors[chunk.clone()]
                 .iter()
@@ -277,6 +312,7 @@ pub(crate) fn write_runs(
                 page_mbr: run.page_mbr,
                 partition_mbr: run.partition_mbr,
                 object_page: run.object_page,
+                elements: run.elements,
                 neighbors,
                 continuation: (chunk.end < shape.1).then(|| address(r + 1)),
                 is_continuation: chunk.start > 0,
@@ -373,7 +409,10 @@ fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) -> Result<(), Stora
         page.put_u16(HEADER_SIZE + slot * DIR_ENTRY, offset as u16);
         put_mbr(&mut page, offset, &record.page_mbr);
         put_mbr(&mut page, offset + 48, &record.partition_mbr);
-        page.put_u64(offset + 96, record.object_page.0);
+        page.put_u64(
+            offset + 96,
+            record.object_page.0 | u64::from(record.elements) << PAGE_BITS,
+        );
         let mut flags = 0u16;
         if record.is_continuation {
             flags |= FLAG_CONTINUATION;
@@ -429,6 +468,9 @@ pub(crate) struct MetaView {
     pub(crate) partition_mbr: Aabb,
     /// The object page the record describes.
     pub(crate) object_page: PageId,
+    /// Elements the bulkload wrote on the object page (see
+    /// [`MetaRecord::elements`]).
+    pub(crate) elements: u16,
     /// Next chunk of the neighbor list, if it didn't fit in one record.
     pub(crate) continuation: Option<MetaRecordId>,
     /// `true` for continuation chunks (see [`MetaRecord::is_continuation`]).
@@ -447,7 +489,9 @@ impl MetaView {
     /// Views the record in `slot` of metadata page `page`. Every offset
     /// the page claims — slot directory entry, record, neighbor list — is
     /// checked here, so a corrupt page is a [`StorageError::Corrupt`] and
-    /// nothing read later can run off the page.
+    /// nothing read later can run off the page. So is an element count no
+    /// object page can hold: zero on a live primary record, or above any
+    /// layout's page capacity.
     pub(crate) fn new(page: Page, slot: u16) -> Result<MetaView, StorageError> {
         let count = meta_leaf_len(&page)?;
         let dir = HEADER_SIZE + slot as usize * DIR_ENTRY;
@@ -473,10 +517,21 @@ impl MetaView {
                 "record with {n} neighbors out of page"
             )));
         }
+        let is_continuation = count_word & FLAG_CONTINUATION != 0;
+        let is_dead = count_word & FLAG_DEAD != 0;
+        let page_word = u64_at(96);
+        let elements = (page_word >> PAGE_BITS) as u16;
+        let live_primary = !is_continuation && !is_dead;
+        if (live_primary && elements == 0) || usize::from(elements) > max_elements() {
+            return Err(StorageError::Corrupt(format!(
+                "record of an object page with {elements} elements"
+            )));
+        }
         Ok(MetaView {
             page_mbr: mbr_at(&fixed[..48]),
             partition_mbr: mbr_at(&fixed[48..96]),
-            object_page: PageId(u64_at(96)),
+            object_page: PageId(page_word & ((1 << PAGE_BITS) - 1)),
+            elements,
             continuation: match u64_at(106) {
                 NO_CONTINUATION => None,
                 p => Some(MetaRecordId {
@@ -484,8 +539,8 @@ impl MetaView {
                     slot: u16_at(114),
                 }),
             },
-            is_continuation: count_word & FLAG_CONTINUATION != 0,
-            is_dead: count_word & FLAG_DEAD != 0,
+            is_continuation,
+            is_dead,
             page,
             neighbors_start,
             neighbors_end,
@@ -509,6 +564,7 @@ impl MetaView {
             page_mbr: self.page_mbr,
             partition_mbr: self.partition_mbr,
             object_page: self.object_page,
+            elements: self.elements,
             neighbors: self.neighbors().collect(),
             continuation: self.continuation,
             is_continuation: self.is_continuation,
@@ -548,6 +604,7 @@ mod tests {
             page_mbr: Aabb::cube(Point3::splat(base), 1.0),
             partition_mbr: Aabb::cube(Point3::splat(base), 2.0),
             object_page: PageId(seed * 3),
+            elements: 1 + (seed % 85) as u16,
             neighbors: (0..neighbors)
                 .map(|i| MetaRecordId {
                     page: PageId(seed + i as u64),
@@ -723,6 +780,7 @@ mod tests {
             page_mbr: Aabb::cube(Point3::splat(base), 1.0),
             partition_mbr: Aabb::cube(Point3::splat(base), 2.0),
             object_page: PageId(object_page),
+            elements: 1 + (object_page % 85) as u16,
             neighbors,
         }
     }
@@ -902,6 +960,7 @@ mod tests {
         assert_eq!(view.page_mbr, expected.page_mbr);
         assert_eq!(view.partition_mbr, expected.partition_mbr);
         assert_eq!(view.object_page, expected.object_page);
+        assert_eq!(view.elements, expected.elements);
         assert_eq!(view.continuation, expected.continuation);
         assert_eq!(view.is_continuation, expected.is_continuation);
         assert_eq!(view.is_dead, expected.is_dead);
@@ -999,6 +1058,62 @@ mod tests {
             );
             assert!(is_corrupt(decode_meta_record(&page, 0)), "{count_word:#x}");
         }
+    }
+
+    #[test]
+    fn the_element_count_shares_the_object_page_word() {
+        let mut record = sample_record(6, 4);
+        record.object_page = PageId((1 << PAGE_BITS) - 1);
+        record.elements = max_elements() as u16;
+        let mut page = Page::new();
+        encode_meta_leaf(std::slice::from_ref(&record), &mut page).unwrap();
+        assert_view_matches(&page, 0, &record);
+        // The record is no larger for it: a page packs as many pointers.
+        assert_eq!(max_neighbors_per_record(), 397);
+    }
+
+    #[test]
+    fn an_element_count_no_page_holds_is_corrupt() {
+        let (mut page, offset) = one_record_page(3);
+        let page_id = page.get_u64(offset + 96) & ((1 << PAGE_BITS) - 1);
+        let set_elements = |page: &mut Page, elements: u64| {
+            page.put_u64(offset + 96, page_id | elements << PAGE_BITS);
+        };
+        // Zero on a live primary, or more than any layout holds.
+        for elements in [0, max_elements() as u64 + 1, u16::MAX as u64] {
+            set_elements(&mut page, elements);
+            assert!(is_corrupt(MetaView::new(page.clone(), 0)), "{elements}");
+        }
+        // A dead record or a continuation chunk may read zero (only a live
+        // primary names a page a query reads); never more than a page holds.
+        for flag in [FLAG_DEAD, FLAG_CONTINUATION] {
+            let count_word = page.get_u16(offset + 104);
+            page.put_u16(offset + 104, count_word | flag);
+            set_elements(&mut page, 0);
+            assert_eq!(MetaView::new(page.clone(), 0).unwrap().elements, 0);
+            set_elements(&mut page, max_elements() as u64 + 1);
+            assert!(is_corrupt(MetaView::new(page.clone(), 0)));
+            page.put_u16(offset + 104, count_word);
+        }
+    }
+
+    #[test]
+    fn the_writer_refuses_a_run_no_record_can_hold() {
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
+        let mut far = run(1, Vec::new());
+        far.object_page = PageId(1 << PAGE_BITS);
+        let mut empty = run(2, Vec::new());
+        empty.elements = 0;
+        let mut over = run(3, Vec::new());
+        over.elements = max_elements() as u16 + 1;
+        for bad in [far, empty, over] {
+            assert!(is_corrupt(write(&mut pool, vec![bad])));
+        }
+        let mut full = run(4, Vec::new());
+        full.elements = max_elements() as u16;
+        let leaves = write(&mut pool, vec![full]).unwrap();
+        let addr = heads(&pool, &leaves)[0];
+        assert_eq!(read(&pool, addr).elements as usize, max_elements());
     }
 
     #[test]

@@ -83,8 +83,9 @@ pub(crate) type Tombstones = AddrSet<(PageId, u16)>;
 /// partitions that sit outside both the seed tree and the graph, listed in
 /// its resident table. The two kinds differ only in what this type's
 /// accessors answer: which elements are tombstoned, which partitions every
-/// verb takes from the resident table beside its crawl, and whether live
-/// counts are resident.
+/// verb takes from the resident table beside its crawl, and where a
+/// partition's live count comes from: the element count its metadata
+/// record carries, or the delta layer's resident count.
 ///
 /// As a join side ([`crate::JoinInput`]) both sides may be the same index:
 /// a self-join reports self-pairs `(x, x)` and both orientations of every
@@ -254,15 +255,16 @@ pub(crate) trait CrawlVisitor {
     /// A record left the queue, which held `queue_len` records counting it.
     fn dequeued(&mut self, queue_len: usize);
 
-    /// Will `object_page`, the object page of a live partition whose page
-    /// MBR is `page_mbr`, be scanned? Asked once per partition, for a
-    /// whole wave before any of its object pages is read, so the answers
-    /// can be announced to the pool together.
-    fn wants_object(&mut self, object_page: PageId, page_mbr: &Aabb) -> bool;
+    /// Will the object page of a live partition whose page MBR is
+    /// `page_mbr` and which holds `live` live elements be scanned? Asked
+    /// once per partition, for a whole wave before any of its object
+    /// pages is read, so the answers can be announced to the pool
+    /// together.
+    fn wants_object(&mut self, page_mbr: &Aabb, live: u64) -> bool;
 
-    /// Scans an object page that was wanted (its partition's page MBR is
-    /// `page_mbr`), in the order the pages were wanted.
-    fn scan(&mut self, page_mbr: &Aabb, page: &LivePage<'_>);
+    /// Scans an object page that was wanted, in the order the pages were
+    /// wanted.
+    fn scan(&mut self, page: &LivePage<'_>);
 
     /// Will this record's neighbor links be followed? Asked right after
     /// `wants_object`, before any object page of the wave is read.
@@ -285,12 +287,12 @@ impl CrawlVisitor for RangeVisit<'_> {
 
     /// "the object page is only read from disk if M's page MBR intersects
     /// with the query" (§VI).
-    fn wants_object(&mut self, _object_page: PageId, page_mbr: &Aabb) -> bool {
+    fn wants_object(&mut self, page_mbr: &Aabb, _live: u64) -> bool {
         self.stats.mbr_tests += 1;
         page_mbr.intersects(self.query)
     }
 
-    fn scan(&mut self, _page_mbr: &Aabb, page: &LivePage<'_>) {
+    fn scan(&mut self, page: &LivePage<'_>) {
         self.stats.object_pages_read += 1;
         self.stats.mbr_tests += page.slots() as u64;
         let query = self.query;
@@ -351,18 +353,22 @@ impl<'a> IndexRef<'a> {
     ) {
         for part in self.delta_parts() {
             if part.page_mbr.intersects(query)
-                && visitor.wants_object(part.object_page, &part.page_mbr)
+                && visitor.wants_object(&part.page_mbr, part.live.into())
             {
-                state.scans.push((part.object_page, part.page_mbr));
+                state.scans.push(part.object_page);
             }
         }
     }
 
-    /// Resident live-element count of the live partition whose object
-    /// page is `object_page`, when the index keeps one (the delta layer):
-    /// the aggregate's containment early-exit reads it instead of the page.
-    pub(crate) fn live_count(self, object_page: PageId) -> Option<u64> {
-        self.delta()?.live_count(object_page)
+    /// Live elements of the live bulkload partition `record` describes,
+    /// known without reading its object page: the delta layer's resident
+    /// count, which leaves tombstones out, or on a pristine bulkload the
+    /// element count its record carries.
+    pub(crate) fn live_count(self, record: &MetaView) -> u64 {
+        match self {
+            IndexRef::Flat(_) => record.elements.into(),
+            IndexRef::Delta(delta) => delta.live_count(record.object_page),
+        }
     }
 
     /// Live (non-deleted) elements.
@@ -421,8 +427,8 @@ impl<'a> IndexRef<'a> {
         };
         self.offer_delta(query, &mut state, &mut visit);
         self.crawl(pool, &mut state, &mut visit)?;
-        stats.records_seen = state.records_seen();
-        stats.result_count = hits.len() as u64;
+        stats.records_seen += state.records_seen();
+        stats.result_count += hits.len() as u64;
         Ok(hits)
     }
 
@@ -433,6 +439,12 @@ impl<'a> IndexRef<'a> {
     /// delta partitions are no part of it. Tombstoned elements do not
     /// count, and retired (dead) records are never entry points — their
     /// object pages are freed — though the crawl passes through them.
+    ///
+    /// A candidate whose page MBR lies inside the query and that holds a
+    /// live element ([`IndexRef::live_count`]) is taken without reading
+    /// its page: every element lies in the page MBR, so that element
+    /// intersects the query, and the probe would have found it. The entry
+    /// point is the one the probe would pick; only the read goes.
     pub(crate) fn seed(
         self,
         pool: &impl PageRead,
@@ -468,7 +480,13 @@ impl<'a> IndexRef<'a> {
                         continue;
                     }
                     stats.mbr_tests += 1;
-                    if record.page_mbr.intersects(query) && probe(record.object_page, stats)? {
+                    if !record.page_mbr.intersects(query) {
+                        continue;
+                    }
+                    stats.mbr_tests += 1;
+                    let contained =
+                        query.contains(&record.page_mbr) && self.live_count(&record) > 0;
+                    if contained || probe(record.object_page, stats)? {
                         return Ok(Some(MetaRecordId {
                             page: page_id,
                             slot,
@@ -561,7 +579,7 @@ impl<'a> IndexRef<'a> {
             wants,
         } = state;
         wants.clear();
-        wants.extend(scans.iter().map(|&(page, _)| (page, PageKind::ObjectPage)));
+        wants.extend(scans.iter().map(|&page| (page, PageKind::ObjectPage)));
         for _ in 0..queue.len().min(WAVE) {
             let Some(addr) = queue.pop_front() else { break };
             visitor.dequeued(queue.len() + 1);
@@ -570,7 +588,7 @@ impl<'a> IndexRef<'a> {
             // partition MBR, so the crawl crosses it as it crossed the live
             // partition; only its object page, freed, is never wanted.
             let wanted =
-                !record.is_dead && visitor.wants_object(record.object_page, &record.page_mbr);
+                !record.is_dead && visitor.wants_object(&record.page_mbr, self.live_count(&record));
             if visitor.expands(addr, &record) {
                 walk_links(pool, &record, |chunk| {
                     for neighbor in chunk.neighbors() {
@@ -583,7 +601,7 @@ impl<'a> IndexRef<'a> {
             }
             if wanted {
                 wants.push((record.object_page, PageKind::ObjectPage));
-                scans.push((record.object_page, record.page_mbr));
+                scans.push(record.object_page);
             }
         }
         let next_wave = queue.iter().take(WAVE).map(|addr| addr.page);
@@ -591,8 +609,8 @@ impl<'a> IndexRef<'a> {
         pool.want_pages(wants);
 
         let tombstones = self.tombstones();
-        for (page, page_mbr) in scans.drain(..) {
-            visitor.scan(&page_mbr, &LivePage::read(pool, page, tombstones)?);
+        for page in scans.drain(..) {
+            visitor.scan(&LivePage::read(pool, page, tombstones)?);
         }
         Ok(())
     }
@@ -666,10 +684,9 @@ pub(crate) struct CrawlState {
     queue: VecDeque<MetaRecordId>,
     seen: AddrSet<MetaRecordId>,
     // Scratch of the wave in progress, kept here so a crawl allocates it
-    // once: the object pages (with their page MBRs) to scan — between
-    // waves, those of the offered delta partitions — and the page list
-    // being announced.
-    scans: Vec<(PageId, Aabb)>,
+    // once: the object pages to scan — between waves, those of the
+    // offered delta partitions — and the page list being announced.
+    scans: Vec<PageId>,
     wants: Vec<(PageId, PageKind)>,
 }
 
@@ -864,6 +881,34 @@ mod tests {
         assert!(stats.max_queue_len > 0);
         assert!(stats.mbr_tests > stats.records_processed);
         assert!(stats.bookkeeping_bytes() > 0);
+    }
+
+    #[test]
+    fn stats_accumulate_across_queries() {
+        let (pool, index, _) = build(20_000, 113, FlatOptions::default());
+        let a = Aabb::cube(Point3::splat(30.0), 12.0);
+        let b = Aabb::cube(Point3::splat(70.0), 25.0);
+        let run = |queries: &[&Aabb]| {
+            let mut stats = QueryStats::default();
+            for q in queries {
+                index.range_query_with_stats(&pool, q, &mut stats).unwrap();
+            }
+            stats
+        };
+        let (one, other) = (run(&[&a]), run(&[&b]));
+        assert!(one.result_count > 0 && other.result_count > 0);
+        assert_eq!(
+            run(&[&a, &b]),
+            QueryStats {
+                result_count: one.result_count + other.result_count,
+                records_processed: one.records_processed + other.records_processed,
+                object_pages_read: one.object_pages_read + other.object_pages_read,
+                seed_probe_pages: one.seed_probe_pages + other.seed_probe_pages,
+                max_queue_len: one.max_queue_len.max(other.max_queue_len),
+                records_seen: one.records_seen + other.records_seen,
+                mbr_tests: one.mbr_tests + other.mbr_tests,
+            }
+        );
     }
 
     #[test]

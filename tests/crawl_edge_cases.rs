@@ -615,24 +615,47 @@ const WAVE: u64 = 64;
 /// constant private).
 const KNN_WAVE: u64 = 4;
 
+/// A bulkload as an external walker of its page graph sees it: the
+/// descriptor, and the root of its seed tree.
+#[derive(Clone, Copy)]
+struct Bulkload<'a> {
+    index: &'a FlatIndex,
+    root: Option<PageId>,
+}
+
+/// The seed-tree root of `index`, just bulkloaded into `pool`: a bulkload
+/// writes the root last, so it is the last page the pool handed out
+/// (`None` for an empty index).
+fn last_root(pool: &ConcurrentBufferPool<MemStore>, index: &FlatIndex) -> Option<PageId> {
+    if index.seed_height() == 0 {
+        return None;
+    }
+    let root = PageId(pool.store().num_pages() - 1);
+    let page = pool.read_page(root, PageKind::SeedInner).expect("read");
+    match index.seed_height() {
+        1 => assert!(meta_leaf_len(&page).is_ok(), "{root} is no metadata leaf"),
+        _ => assert!(decode_inner(&page).is_ok(), "{root} is no directory page"),
+    }
+    Some(root)
+}
+
 /// The seed descent (§V-B.1) written against the public page decoders
 /// only: the first primary record of the seed tree whose object page holds
-/// a live element intersecting `query`, and what finding it cost. `live`
-/// hides deleted application ids (the delta layer's tombstones, seen from
-/// outside).
+/// a live element intersecting `query`, and what finding it cost. A record
+/// whose page MBR lies inside `query` and whose page holds a live element
+/// is taken without its page being counted as read: that element matches.
+/// `live` hides deleted application ids (the delta layer's tombstones,
+/// seen from outside).
 fn reference_seed(
     pool: &impl PageRead,
-    index: &FlatIndex,
+    bulk: Bulkload<'_>,
     query: &Aabb,
     live: &dyn Fn(u64) -> bool,
 ) -> (Option<MetaRecordId>, QueryStats) {
     let read = |id: PageId, kind: PageKind| pool.read_page(id, kind).expect("read");
     let mut stats = QueryStats::default();
-    let mut stack: Vec<(PageId, u32)> = index
-        .seed_root()
-        .map(|root| (root, index.seed_height()))
-        .into_iter()
-        .collect();
+    let height = bulk.index.seed_height();
+    let mut stack: Vec<(PageId, u32)> = bulk.root.map(|root| (root, height)).into_iter().collect();
     while let Some((page_id, level)) = stack.pop() {
         if level > 1 {
             for child in decode_inner(&read(page_id, PageKind::SeedInner)).expect("inner") {
@@ -653,18 +676,24 @@ fn reference_seed(
             if !record.page_mbr.intersects(query) {
                 continue;
             }
-            stats.object_pages_read += 1;
+            // The reference peeks at the page either way; only the reads
+            // the seed phase is entitled to are counted.
             let (_, entries) =
                 decode_leaf(&read(record.object_page, PageKind::ObjectPage)).expect("leaf");
+            let seed = MetaRecordId {
+                page: page_id,
+                slot,
+            };
+            stats.mbr_tests += 1;
+            if query.contains(&record.page_mbr) && entries.iter().any(|e| live(e.id)) {
+                return (Some(seed), stats);
+            }
+            stats.object_pages_read += 1;
             stats.mbr_tests += entries.len() as u64;
             if entries
                 .iter()
                 .any(|e| live(e.id) && query.intersects(&e.mbr))
             {
-                let seed = MetaRecordId {
-                    page: page_id,
-                    slot,
-                };
                 return (Some(seed), stats);
             }
             stats.seed_probe_pages += 1;
@@ -678,12 +707,12 @@ fn reference_seed(
 /// counters, and how many continuation chunks the crawl followed.
 fn reference_range(
     pool: &impl PageRead,
-    index: &FlatIndex,
+    bulk: Bulkload<'_>,
     query: &Aabb,
     live: &dyn Fn(u64) -> bool,
 ) -> (Vec<Hit>, QueryStats, u64) {
     let read = |id: PageId, kind: PageKind| pool.read_page(id, kind).expect("read");
-    let (seed, mut stats) = reference_seed(pool, index, query, live);
+    let (seed, mut stats) = reference_seed(pool, bulk, query, live);
 
     let mut hits = Vec::new();
     let mut chain_reads = 0;
@@ -744,19 +773,17 @@ fn reference_range(
 }
 
 /// The aggregate count as a record-at-a-time crawl: the range crawl with
-/// counting in place of hits and the containment early-exit. `resident`
-/// says the index keeps live counts in memory (a delta layer): a contained
-/// partition is then counted without its object page being read.
+/// counting in place of hits and the containment early-exit — a contained
+/// partition is counted without its object page being read.
 fn reference_aggregate(
     pool: &impl PageRead,
-    index: &FlatIndex,
+    bulk: Bulkload<'_>,
     query: &Aabb,
     live: &dyn Fn(u64) -> bool,
-    resident: bool,
 ) -> (u64, AggregateStats) {
     let read = |id: PageId, kind: PageKind| pool.read_page(id, kind).expect("read");
     let mut stats = AggregateStats::default();
-    let (Some(seed), seed_stats) = reference_seed(pool, index, query, live) else {
+    let (Some(seed), seed_stats) = reference_seed(pool, bulk, query, live) else {
         return (0, stats);
     };
     stats.object_pages_read = seed_stats.object_pages_read;
@@ -782,11 +809,7 @@ fn reference_aggregate(
             stats.mbr_tests += 1;
             if query.contains(&record.page_mbr) {
                 stats.contained_partitions += 1;
-                if resident {
-                    stats.pages_skipped += 1;
-                } else {
-                    stats.object_pages_read += 1;
-                }
+                stats.pages_skipped += 1;
                 count += alive.count() as u64;
             } else {
                 stats.object_pages_read += 1;
@@ -887,16 +910,16 @@ macro_rules! on_each_pool {
 /// and chain reads.
 fn assert_range_matches_reference(
     pool: &impl PageRead,
-    index: &FlatIndex,
+    bulk: Bulkload<'_>,
     delta: Option<&DeltaIndex>,
     query: &Aabb,
     live: &dyn Fn(u64) -> bool,
 ) -> (QueryStats, u64) {
-    let (expect_hits, expect_stats, chain_reads) = reference_range(pool, index, query, live);
+    let (expect_hits, expect_stats, chain_reads) = reference_range(pool, bulk, query, live);
     let mut stats = QueryStats::default();
     let hits = match delta {
         Some(delta) => delta.range_query_with_stats(pool, query, &mut stats),
-        None => index.range_query_with_stats(pool, query, &mut stats),
+        None => bulk.index.range_query_with_stats(pool, query, &mut stats),
     }
     .expect("range query");
     assert_eq!(
@@ -911,17 +934,18 @@ fn assert_range_matches_reference(
 /// early-exit included. Returns the counters.
 fn assert_aggregate_matches_reference(
     pool: &impl PageRead,
-    index: &FlatIndex,
+    bulk: Bulkload<'_>,
     delta: Option<&DeltaIndex>,
     query: &Aabb,
     live: &dyn Fn(u64) -> bool,
 ) -> AggregateStats {
-    let (expect_count, expect_stats) =
-        reference_aggregate(pool, index, query, live, delta.is_some());
+    let (expect_count, expect_stats) = reference_aggregate(pool, bulk, query, live);
     let mut stats = AggregateStats::default();
     let count = match delta {
         Some(delta) => delta.aggregate_count_with_stats(pool, query, &mut stats),
-        None => index.aggregate_count_with_stats(pool, query, &mut stats),
+        None => bulk
+            .index
+            .aggregate_count_with_stats(pool, query, &mut stats),
     }
     .expect("aggregate");
     assert_eq!(count, expect_count, "count diverged for {query:?}");
@@ -933,6 +957,10 @@ fn assert_aggregate_matches_reference(
 fn waves_are_invisible_at_every_crawl_size() {
     let entries = random_entries(40_000, 901);
     let (pool, index) = build(entries);
+    let bulk = Bulkload {
+        root: last_root(&pool, &index),
+        index: &index,
+    };
     let everything = |_: u64| true;
 
     // Sweep query sizes around a few centers on the in-memory pool,
@@ -948,13 +976,12 @@ fn waves_are_invisible_at_every_crawl_size() {
         );
         for step in 1..=220 {
             let query = Aabb::cube(center, 0.1 * step as f64);
-            let (stats, _) =
-                assert_range_matches_reference(&pool, &index, None, &query, &everything);
+            let (stats, _) = assert_range_matches_reference(&pool, bulk, None, &query, &everything);
             by_size.entry(stats.records_processed).or_insert(query);
         }
     }
     let whole = Aabb::cube(Point3::splat(50.0), 250.0);
-    let (stats, _) = assert_range_matches_reference(&pool, &index, None, &whole, &everything);
+    let (stats, _) = assert_range_matches_reference(&pool, bulk, None, &whole, &everything);
     assert!(stats.records_processed > 4 * WAVE, "dataset too small");
 
     // One crawl of each size around the one- and two-wave boundaries,
@@ -982,7 +1009,7 @@ fn waves_are_invisible_at_every_crawl_size() {
     for query in &queries {
         let stats = on_each_pool!(pools, |p| assert_range_matches_reference(
             p,
-            &index,
+            bulk,
             None,
             query,
             &everything
@@ -991,17 +1018,16 @@ fn waves_are_invisible_at_every_crawl_size() {
         // The aggregate crosses the same kernel: same records, same waves.
         let counted = on_each_pool!(pools, |p| assert_aggregate_matches_reference(
             p,
-            &index,
+            bulk,
             None,
             query,
             &everything
         ));
         assert_eq!(counted[0], counted[1]);
         assert_eq!(counted[0].records_processed, stats[0].0.records_processed);
-        assert_eq!(
-            counted[0].pages_skipped, 0,
-            "a pristine index keeps no counts"
-        );
+        // A record carries its page's element count, so a pristine index
+        // counts every contained partition without reading its page.
+        assert_eq!(counted[0].pages_skipped, counted[0].contained_partitions);
     }
     // The whole-domain query contains partitions: their elements are
     // counted without being tested.
@@ -1020,10 +1046,14 @@ fn waves_are_invisible_at_every_crawl_size() {
 fn a_one_record_crawl_is_a_one_record_wave() {
     // A single partition: the seed is the whole crawl.
     let (pool, index) = build(random_entries(30, 907));
+    let bulk = Bulkload {
+        root: last_root(&pool, &index),
+        index: &index,
+    };
     let pools = Pools::over(pool);
     let query = Aabb::cube(Point3::splat(50.0), 250.0);
     let stats = on_each_pool!(pools, |p| {
-        assert_range_matches_reference(p, &index, None, &query, &|_| true).0
+        assert_range_matches_reference(p, bulk, None, &query, &|_| true).0
     });
     for stats in stats {
         assert_eq!(stats.records_processed, 1);
@@ -1044,12 +1074,16 @@ fn waves_are_invisible_across_continuation_chains() {
         entries.push(Entry::new(70_000 + i, Aabb::from_corners(lo, hi)));
     }
     let (pool, index) = build(entries);
+    let bulk = Bulkload {
+        root: last_root(&pool, &index),
+        index: &index,
+    };
     let pools = Pools::over(pool);
     let everything = |_: u64| true;
     for (c, side) in [(50.0, 10.0), (20.0, 30.0), (50.0, 250.0)] {
         let query = Aabb::cube(Point3::splat(c), side);
         let [(stats, chain_reads), ..] = on_each_pool!(pools, |p| {
-            assert_range_matches_reference(p, &index, None, &query, &everything)
+            assert_range_matches_reference(p, bulk, None, &query, &everything)
         });
         assert!(stats.records_processed > WAVE);
         assert!(chain_reads > 0, "no continuation chunk was followed");
@@ -1060,6 +1094,7 @@ fn waves_are_invisible_across_continuation_chains() {
 fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
     let entries = random_entries(20_000, 904);
     let (mut pool, mut delta) = build_delta(entries.clone());
+    let root = last_root(&pool, delta.base());
     // ≈ 8 % tombstones, spread over every partition.
     let deleted: HashSet<u64> = entries
         .iter()
@@ -1079,6 +1114,10 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
         .collect();
     let live = |id: u64| !deleted.contains(&id);
     let pools = Pools::over(pool);
+    let bulk = Bulkload {
+        index: delta.base(),
+        root,
+    };
 
     let mut rng = StdRng::seed_from_u64(905);
     for round in 0..10 {
@@ -1094,7 +1133,7 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
         };
         let query = Aabb::cube(center, side);
         let stats = on_each_pool!(pools, |p| {
-            assert_range_matches_reference(p, delta.base(), Some(&delta), &query, &live).0
+            assert_range_matches_reference(p, bulk, Some(&delta), &query, &live).0
         });
         assert_eq!(stats[0], stats[1]);
         assert_eq!(
@@ -1106,7 +1145,7 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
         // resident live counts (tombstones excluded), so their object
         // pages are neither announced nor read.
         let counted = on_each_pool!(pools, |p| {
-            assert_aggregate_matches_reference(p, delta.base(), Some(&delta), &query, &live)
+            assert_aggregate_matches_reference(p, bulk, Some(&delta), &query, &live)
         });
         assert_eq!(counted[0], counted[1]);
         assert_eq!(counted[0].pages_skipped, counted[0].contained_partitions);
@@ -1148,7 +1187,7 @@ fn waves_are_invisible_over_a_tombstoned_delta_and_in_knn() {
 /// and the records expanded.
 fn reference_knn(
     pool: &impl PageRead,
-    index: &FlatIndex,
+    bulk: Bulkload<'_>,
     point: Point3,
     k: usize,
     live: &dyn Fn(u64) -> bool,
@@ -1163,11 +1202,8 @@ fn reference_knn(
 
     // (key, is a record, page, level of a node or slot of a record).
     let mut heap: BinaryHeap<Reverse<(u64, bool, PageId, u32)>> = BinaryHeap::new();
-    heap.extend(
-        index
-            .seed_root()
-            .map(|root| Reverse((0, false, root, index.seed_height()))),
-    );
+    let height = bulk.index.seed_height();
+    heap.extend(bulk.root.map(|root| Reverse((0, false, root, height))));
     let seed = loop {
         let Some(Reverse((_, is_record, page, n))) = heap.pop() else {
             break None;
@@ -1268,18 +1304,20 @@ fn reference_knn(
 /// object pages each crawl wave announced.
 fn assert_knn_matches_reference(
     pool: &impl PageRead,
-    index: &FlatIndex,
+    bulk: Bulkload<'_>,
     delta: Option<&DeltaIndex>,
     point: Point3,
     k: usize,
     live: &dyn Fn(u64) -> bool,
 ) -> Vec<Vec<PageId>> {
-    let (expect, seed, reference) = reference_knn(pool, index, point, k, live);
+    let (expect, seed, reference) = reference_knn(pool, bulk, point, k, live);
     let device = IdealDevice::cold(pool);
     let mut stats = KnnStats::default();
     let got = match delta {
         Some(delta) => delta.knn_query_with_stats(&device, point, k, &mut stats),
-        None => index.knn_query_with_stats(&device, point, k, &mut stats),
+        None => bulk
+            .index
+            .knn_query_with_stats(&device, point, k, &mut stats),
     }
     .expect("kNN");
     let at = format!("k={k} at {point}");
@@ -1311,11 +1349,15 @@ fn knn_waves_match_a_one_record_reference() {
     let entries = random_entries(20_000, 911);
     let center = Point3::splat(50.0);
     let (pool, index) = build(entries.clone());
+    let bulk = Bulkload {
+        root: last_root(&pool, &index),
+        index: &index,
+    };
     let pools = Pools::over(pool);
     let everything = |_: u64| true;
 
     // k = one page's element count: the page of the nearest partition.
-    let (_, seed, _) = reference_knn(&pools.inline, &index, center, 1, &everything);
+    let (_, seed, _) = reference_knn(&pools.inline, bulk, center, 1, &everything);
     let seed = seed.expect("seed");
     let record = pools.inline.read_page(seed.page, PageKind::SeedLeaf);
     let seed_page = decode_meta_record(&record.expect("read"), seed.slot)
@@ -1340,7 +1382,7 @@ fn knn_waves_match_a_one_record_reference() {
     for &(point, k) in &probes {
         on_each_pool!(pools, |p| assert_knn_matches_reference(
             p,
-            &index,
+            bulk,
             None,
             point,
             k,
@@ -1351,6 +1393,7 @@ fn knn_waves_match_a_one_record_reference() {
     // A delta with ≈ 8 % tombstones: the tombstoned elements are neither
     // answers nor counted toward the page.
     let (mut pool, mut delta) = build_delta(entries.clone());
+    let root = last_root(&pool, delta.base());
     let doomed: Vec<u64> = entries
         .iter()
         .map(|e| e.id)
@@ -1363,11 +1406,15 @@ fn knn_waves_match_a_one_record_reference() {
     let deleted: HashSet<u64> = doomed.into_iter().collect();
     let live = |id: u64| !deleted.contains(&id);
     let pools = Pools::over(pool);
+    let bulk = Bulkload {
+        index: delta.base(),
+        root,
+    };
     probes[2].1 = entries.len() - deleted.len() + 1;
     for &(point, k) in &probes {
         on_each_pool!(pools, |p| assert_knn_matches_reference(
             p,
-            delta.base(),
+            bulk,
             Some(&delta),
             point,
             k,
@@ -1387,18 +1434,22 @@ fn knn_waves_match_a_one_record_reference() {
         grid.push(Entry::new(i, Aabb::cube(center, 0.5)));
     }
     let (pool, index) = build(grid);
+    let bulk = Bulkload {
+        root: last_root(&pool, &index),
+        index: &index,
+    };
     let pools = Pools::over(pool);
     let mut split_ties = 0;
     for i in 0..256 {
         let (x, y) = (i % 16 + 2, i / 16 + 2);
         let vertex = Point3::new(x as f64, y as f64, ((x + 3 * y) % 16 + 2) as f64);
-        let (wider, _, _) = reference_knn(&pools.inline, &index, vertex, 8, &everything);
+        let (wider, _, _) = reference_knn(&pools.inline, bulk, vertex, 8, &everything);
         let tied: HashSet<PageId> = wider.iter().map(|n| n.hit.page).collect();
         assert_eq!(wider.len(), 8);
         assert!(wider.iter().all(|n| n.dist_sq == wider[0].dist_sq));
         let [waves, _] = on_each_pool!(pools, |p| assert_knn_matches_reference(
             p,
-            &index,
+            bulk,
             None,
             vertex,
             4,
@@ -1559,6 +1610,10 @@ fn joins_are_pool_independent_for_every_kind_of_side() {
     let outer_index = build_into(&mut pool, &outer);
     let inner_index = build_into(&mut pool, &inner);
     let chained_index = build_into(&mut pool, &chained);
+    let chained_bulk = Bulkload {
+        root: last_root(&pool, &chained_index),
+        index: &chained_index,
+    };
     let few_index = build_into(&mut pool, &few);
     // The outer side again, as a delta layer at ≈ 8 % tombstones.
     let churned = build_into(&mut pool, &outer);
@@ -1617,7 +1672,7 @@ fn joins_are_pool_independent_for_every_kind_of_side() {
     // of the stretched partitions walks its chain.
     let eps = 1.0;
     let probe = few[0].mbr.inflate(eps);
-    let (_, _, chain_reads) = reference_range(&pools.inline, &chained_index, &probe, &|_| true);
+    let (_, _, chain_reads) = reference_range(&pools.inline, chained_bulk, &probe, &|_| true);
     assert!(chain_reads > 0, "no continuation chunk in reach");
     let stats = join_on_each_pool(
         &pools,

@@ -39,7 +39,7 @@ fn durable_tiny(name: &str) -> (std::path::PathBuf, Vec<Entry>, Aabb) {
 /// descriptor) changes it: bump `SNAPSHOT_VERSION`
 /// (`crates/core/src/durable.rs`) or `HEADER_VERSION`
 /// (`crates/storage/src/durable.rs`) and pin the new value here.
-const GOLDEN_FILE_DIGEST: u64 = 0x7772_8c2e_d147_6f43;
+const GOLDEN_FILE_DIGEST: u64 = 0xce39_2c83_df88_7b0b;
 
 #[test]
 fn persisted_file_matches_its_golden_digest() {
@@ -79,33 +79,63 @@ fn value_after(text: &str, marker: &str) -> u64 {
 #[test]
 fn the_architecture_doc_quotes_the_current_format_constants() {
     let doc = include_str!("../docs/ARCHITECTURE.md");
+    let readme = include_str!("../README.md");
     let storage = include_str!("../crates/storage/src/durable.rs");
     let core = include_str!("../crates/core/src/durable.rs");
+    let header = value_after(storage, "const HEADER_VERSION: u64 = ");
+    let snapshot = value_after(core, "const SNAPSHOT_VERSION: u16 = ");
     let quotes = [
         (
-            "HEADER_VERSION",
-            value_after(
-                doc,
-                "`HEADER_VERSION` (`crates/storage/src/durable.rs`, now ",
-            ),
-            value_after(storage, "const HEADER_VERSION: u64 = "),
+            "docs/ARCHITECTURE.md",
+            [
+                (
+                    "HEADER_VERSION",
+                    value_after(
+                        doc,
+                        "`HEADER_VERSION` (`crates/storage/src/durable.rs`, now ",
+                    ),
+                    header,
+                ),
+                (
+                    "SNAPSHOT_VERSION",
+                    value_after(doc, "`SNAPSHOT_VERSION` (now "),
+                    snapshot,
+                ),
+                (
+                    "GOLDEN_FILE_DIGEST",
+                    value_after(doc, "digest of a tiny durable file (`"),
+                    GOLDEN_FILE_DIGEST,
+                ),
+            ],
         ),
         (
-            "SNAPSHOT_VERSION",
-            value_after(doc, "`SNAPSHOT_VERSION` (now "),
-            value_after(core, "const SNAPSHOT_VERSION: u16 = "),
-        ),
-        (
-            "GOLDEN_FILE_DIGEST",
-            value_after(doc, "digest of a tiny durable file (`"),
-            GOLDEN_FILE_DIGEST,
+            "README.md",
+            [
+                (
+                    "HEADER_VERSION",
+                    value_after(readme, "the header's ("),
+                    header,
+                ),
+                (
+                    "SNAPSHOT_VERSION",
+                    value_after(readme, "the snapshot's ("),
+                    snapshot,
+                ),
+                (
+                    "GOLDEN_FILE_DIGEST",
+                    value_after(readme, "digest of a tiny durable file (`"),
+                    GOLDEN_FILE_DIGEST,
+                ),
+            ],
         ),
     ];
-    for (name, quoted, actual) in quotes {
-        assert_eq!(
-            quoted, actual,
-            "docs/ARCHITECTURE.md quotes {name} as {quoted:#x}, the code has {actual:#x}"
-        );
+    for (file, quoted_in_file) in quotes {
+        for (name, quoted, actual) in quoted_in_file {
+            assert_eq!(
+                quoted, actual,
+                "{file} quotes {name} as {quoted:#x}, the code has {actual:#x}"
+            );
+        }
     }
 }
 
