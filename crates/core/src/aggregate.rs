@@ -2,7 +2,7 @@
 //! `aggregate_density` (extension).
 //!
 //! An aggregate crawl visits exactly the records and delta partitions a
-//! range crawl would — same seed, same kernel (`IndexRef::crawl_step`),
+//! range crawl would — same seed, same kernel (`DeltaIndex::crawl_step`),
 //! same expansion rule, same resident list of delta partitions — but its
 //! [`CrawlVisitor`] materializes no hits. Its payoff is the
 //! **containment early-exit**: when a partition's page MBR is fully
@@ -16,17 +16,10 @@
 //! query's *boundary* pages are read (the page-count argument behind
 //! aggregate R-trees, Papadias et al., SSTD 2001).
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::delta::DeltaIndex;
 use crate::index::FlatIndex;
 use crate::meta::{MetaRecordId, MetaView};
-use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
+use crate::query::{CrawlState, CrawlVisitor, LivePage, QueryStats};
 use flat_geom::Aabb;
 use flat_storage::{PageRead, StorageError};
 
@@ -44,8 +37,9 @@ pub struct AggregateStats {
     /// layer's resident count).
     pub contained_partitions: u64,
     /// Object pages the containment early-exit left unread. Every
-    /// contained partition is counted without its page, on every index
-    /// view, so this equals `contained_partitions`.
+    /// contained partition is counted without its page, whether or not a
+    /// writer has adopted the index, so this equals
+    /// `contained_partitions`.
     pub pages_skipped: u64,
     /// MBR–query tests performed.
     pub mbr_tests: u64,
@@ -107,33 +101,6 @@ pub(crate) fn density(count: u64, query: &Aabb) -> f64 {
     }
 }
 
-impl IndexRef<'_> {
-    /// Counts the live elements intersecting `query`, accumulating
-    /// counters into `stats`.
-    pub(crate) fn aggregate_count_with_stats(
-        self,
-        pool: &impl PageRead,
-        query: &Aabb,
-        stats: &mut AggregateStats,
-    ) -> Result<u64, StorageError> {
-        let mut seed_stats = QueryStats::default();
-        let mut state = CrawlState::default();
-        if let Some(seed) = self.seed(pool, query, &mut seed_stats)? {
-            stats.object_pages_read += seed_stats.object_pages_read;
-            stats.mbr_tests += seed_stats.mbr_tests;
-            state.enqueue(seed);
-        }
-        let mut visit = CountVisit {
-            query,
-            stats,
-            count: 0,
-        };
-        self.offer_delta(query, &mut state, &mut visit);
-        self.crawl(pool, &mut state, &mut visit)?;
-        Ok(visit.count)
-    }
-}
-
 impl FlatIndex {
     /// Counts the elements intersecting `query` — the same answer as
     /// `range_query(..).len()`, without materializing the hits, and
@@ -151,7 +118,8 @@ impl FlatIndex {
         query: &Aabb,
         stats: &mut AggregateStats,
     ) -> Result<u64, StorageError> {
-        IndexRef::Flat(self).aggregate_count_with_stats(pool, query, stats)
+        self.pristine()
+            .aggregate_count_with_stats(pool, query, stats)
     }
 
     /// Elements per unit volume inside `query` (zero for degenerate
@@ -168,20 +136,38 @@ impl FlatIndex {
 impl DeltaIndex {
     /// Counts the live elements intersecting `query`, exactly as a fresh
     /// rebuild over the survivors would. Partitions fully contained in
-    /// the query are counted from the resident summary table's live
-    /// counts without any object-page I/O.
+    /// the query are counted from their live counts (the resident table's,
+    /// or a record's element count before adoption) without any
+    /// object-page I/O.
     pub fn aggregate_count(&self, pool: &impl PageRead, query: &Aabb) -> Result<u64, StorageError> {
         self.aggregate_count_with_stats(pool, query, &mut AggregateStats::default())
     }
 
-    /// Like [`DeltaIndex::aggregate_count`], accumulating counters.
+    /// Like [`DeltaIndex::aggregate_count`], accumulating counters: the
+    /// seed phase's probes are counted whether or not the descent finds a
+    /// seed.
     pub fn aggregate_count_with_stats(
         &self,
         pool: &impl PageRead,
         query: &Aabb,
         stats: &mut AggregateStats,
     ) -> Result<u64, StorageError> {
-        IndexRef::Delta(self).aggregate_count_with_stats(pool, query, stats)
+        let mut seed_stats = QueryStats::default();
+        let mut state = CrawlState::default();
+        let seed = self.seed(pool, query, &mut seed_stats)?;
+        stats.object_pages_read += seed_stats.object_pages_read;
+        stats.mbr_tests += seed_stats.mbr_tests;
+        if let Some(seed) = seed {
+            state.enqueue(seed);
+        }
+        let mut visit = CountVisit {
+            query,
+            stats,
+            count: 0,
+        };
+        self.offer_delta(query, &mut state, &mut visit);
+        self.crawl(pool, &mut state, &mut visit)?;
+        Ok(visit.count)
     }
 
     /// Live elements per unit volume inside `query` (zero for degenerate
@@ -196,12 +182,6 @@ impl DeltaIndex {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;

@@ -39,13 +39,6 @@
 //! (`tests/build_streaming.rs` holds each budget to recorded page
 //! digests; `exp_build_scale` re-verifies per run and reports the peaks).
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::index::{seal, BuildStats, FlatIndex, FlatOptions, MetaOrder};
 use crate::meta::{write_runs, Run};
 use crate::neighbors::NeighborSweep;
@@ -584,12 +577,6 @@ impl FlatIndexBuilder {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;

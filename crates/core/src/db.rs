@@ -79,13 +79,6 @@
 //! assert_eq!(outcome.results[0], hits);
 //! ```
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::aggregate::{density, AggregateStats};
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta};
@@ -94,7 +87,7 @@ use crate::durable::{decode_logical, encode_logical, DbSnapshot};
 pub use crate::durable::{Durability, RecoveryReport};
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
-use crate::join::{JoinEngine, JoinResult};
+use crate::join::{JoinEngine, JoinInput, JoinResult};
 use crate::knn::{KnnStats, Neighbor};
 use crate::query::QueryStats;
 use flat_geom::{Aabb, Point3};
@@ -304,7 +297,7 @@ impl<S: PageStore> std::fmt::Debug for FlatDb<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let index = read_unpoisoned(&self.published).clone();
         f.debug_struct("FlatDb")
-            .field("live_elements", &index.view().num_live_elements())
+            .field("live_elements", &index.num_live_elements())
             .field("delta", &index.is_adopted())
             .field("versions", &self.pool.version_stats())
             .finish()
@@ -420,10 +413,7 @@ impl<S: PageStore> FlatDb<S> {
         let (pool, log) = VersionedPool::open_durable(cache)?;
         let snapshot = DbSnapshot::decode(&log.snapshot)?;
         options.index.layout = snapshot.index.layout();
-        let index = match snapshot.delta {
-            None => DeltaIndex::pristine(snapshot.index, options.index),
-            Some(residency) => DeltaIndex::reopen(&pool, snapshot.index, options.index, residency)?,
-        };
+        let index = DeltaIndex::reopen(&pool, snapshot.index, options.index, snapshot.delta)?;
         let mut db = Self::assemble(pool, index, options, snapshot.built, snapshot.last_seq + 1);
         // Replay the committed batches past the checkpoint — applying
         // them directly, *without* re-logging: the records are already
@@ -716,7 +706,7 @@ impl<S: PageStore> FlatDb<S> {
             last_seq: truth.next_seq - 1,
             built: truth.built,
             index: index.base().clone(),
-            delta: index.is_adopted().then(|| index.residency()),
+            delta: index.residency(),
         }
         .encode()
     }
@@ -781,6 +771,12 @@ impl<S: PageStore> FlatDb<S> {
     }
 
     /// The published delta layer, once a writer has adopted the index.
+    ///
+    /// `None` before that, though the index is a [`DeltaIndex`] all
+    /// along: an unadopted one answers every query verb right, but its
+    /// write-side accessors (`contains_id`, `num_live_partitions`, …)
+    /// read tables that adoption has not filled yet, so it never leaves
+    /// the database.
     pub fn delta(&self) -> Option<Arc<DeltaIndex>> {
         let index = read_unpoisoned(&self.published);
         index.is_adopted().then(|| Arc::clone(&index))
@@ -788,7 +784,7 @@ impl<S: PageStore> FlatDb<S> {
 
     /// Live (non-deleted) elements, as currently published.
     pub fn num_live_elements(&self) -> u64 {
-        read_unpoisoned(&self.published).view().num_live_elements()
+        read_unpoisoned(&self.published).num_live_elements()
     }
 
     /// `true` once the database holds an index (built, opened, or written
@@ -890,8 +886,9 @@ pub type StoreRef<'a, S> = RwLockReadGuard<'a, S>;
 /// Results are identical to calling the underlying index directly —
 /// [`FlatIndex::range_query`], or [`DeltaIndex::range_query`] once a
 /// writer exists, and the matching `knn_query` / `aggregate_count`:
-/// those and every method here run the same code over the same
-/// [`IndexRef`](crate::IndexRef) view.
+/// every one of them, and every method here, is the one
+/// [`DeltaIndex`] implementation, which a bulkload no writer has adopted
+/// runs with empty tables.
 pub struct Snapshot<'db, S: PageStore> {
     db: &'db FlatDb<S>,
     resident: Arc<DeltaIndex>,
@@ -927,8 +924,9 @@ impl<S: PageStore> Snapshot<'_, S> {
         query: &Aabb,
         stats: &mut QueryStats,
     ) -> Result<Vec<Hit>, FlatError> {
-        let view = self.resident.view();
-        Ok(view.range_query_with_stats(&self.pin, query, stats)?)
+        Ok(self
+            .resident
+            .range_query_with_stats(&self.pin, query, stats)?)
     }
 
     /// The `k` live elements nearest to `point`, ascending, exact.
@@ -944,7 +942,9 @@ impl<S: PageStore> Snapshot<'_, S> {
         k: usize,
         stats: &mut KnnStats,
     ) -> Result<Vec<Neighbor>, FlatError> {
-        Ok(self.resident.view().knn(&self.pin, point, k, stats)?)
+        Ok(self
+            .resident
+            .knn_query_with_stats(&self.pin, point, k, stats)?)
     }
 
     /// Cumulative I/O statistics of the database's pool.
@@ -960,7 +960,7 @@ impl<S: PageStore> Snapshot<'_, S> {
 
     /// Live elements visible to this snapshot.
     pub fn num_live_elements(&self) -> u64 {
-        self.resident.view().num_live_elements()
+        self.resident.num_live_elements()
     }
 
     /// Counts the live elements intersecting `query` without
@@ -977,8 +977,9 @@ impl<S: PageStore> Snapshot<'_, S> {
         query: &Aabb,
         stats: &mut AggregateStats,
     ) -> Result<u64, FlatError> {
-        let view = self.resident.view();
-        Ok(view.aggregate_count_with_stats(&self.pin, query, stats)?)
+        Ok(self
+            .resident
+            .aggregate_count_with_stats(&self.pin, query, stats)?)
     }
 
     /// Live elements intersecting `query` per unit volume (0.0 for a
@@ -998,7 +999,10 @@ impl<S: PageStore> Snapshot<'_, S> {
         other: &Snapshot<'_, S2>,
         eps: f64,
     ) -> Result<JoinResult, FlatError> {
-        let (outer, inner) = (self.resident.view(), other.resident.view());
+        let (outer, inner) = (
+            JoinInput::Delta(&self.resident),
+            JoinInput::Delta(&other.resident),
+        );
         Ok(JoinEngine::checked(eps)?.join(&self.pin, outer, &other.pin, inner)?)
     }
 }
@@ -1210,8 +1214,9 @@ pub struct Writer<'db, S: PageStore> {
 impl<S: PageStore> Writer<'_, S> {
     /// Inserts a batch of new elements (see [`DeltaIndex::insert_batch`]).
     ///
-    /// Unlike the low-level call, colliding application ids are reported
-    /// as a [`FlatError::Update`] instead of a panic.
+    /// An id that is already live, or repeated in `entries`, is a
+    /// [`FlatError::Update`], checked before the commit point (the
+    /// low-level call reports it as invalid input).
     pub fn insert(&mut self, entries: Vec<Entry>) -> Result<(), FlatError> {
         self.commit(vec![WriteOp::Insert(entries)]).map(|_| ())
     }
@@ -1367,16 +1372,10 @@ fn validate_ops(delta: &DeltaIndex, ops: &[WriteOp]) -> Result<(), FlatError> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
-    use flat_storage::{Page, PageId};
+    use flat_storage::{Page, PageId, PageKind};
 
     fn updatable_options() -> DbOptions {
         DbOptions::updatable(Aabb::cube(Point3::splat(50.0), 110.0))
@@ -2019,6 +2018,38 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
         assert!(differ.is_empty(), "index pages {differ:?} differ");
+    }
+
+    #[test]
+    fn reopening_reads_each_live_object_page_once() {
+        let options = updatable_options().with_durability(Durability::Wal);
+        let mut db = FlatDb::create_durable(flat_storage::MemStore::new(), options).unwrap();
+        db.build_from(random_entries(3_000, 42)).unwrap();
+        {
+            let mut writer = db.writer().unwrap();
+            for batch in 0..3u64 {
+                let fresh = random_entries(300, 43 + batch)
+                    .into_iter()
+                    .map(|e| Entry::new(e.id + 1_000_000 * (batch + 1), e.mbr));
+                writer.insert(fresh.collect()).unwrap();
+            }
+            let doomed: Vec<u64> = (0..3_000).step_by(5).collect();
+            writer.delete(&doomed).unwrap();
+        }
+        db.checkpoint().unwrap();
+        let delta = db.delta().unwrap();
+        assert_eq!(delta.tiers().len(), 2, "a stack of two tiers");
+        let live_pages = delta.num_live_partitions() as u64;
+
+        // The residency scan reads every live object page, base and delta,
+        // exactly once: one read gives a delta page's MBR, live count and
+        // locator entries.
+        let (db, report) = FlatDb::open_durable(db.into_store(), options).unwrap();
+        assert_eq!(report.replayed, 0, "the checkpoint truncated the log");
+        let reads = db.io_stats().kind(PageKind::ObjectPage).logical_reads;
+        assert_eq!(reads, live_pages);
+        assert_eq!(db.delta().unwrap().num_live_partitions() as u64, live_pages);
+        db.check_invariants().unwrap();
     }
 
     /// Checkpoints a durable database and unwraps its store: every page

@@ -24,10 +24,10 @@
 //!   bulkload's. A delta partition is its object page plus one row of the
 //!   resident summary table: it has no metadata record and is in neither
 //!   the seed tree nor the link graph. Every read verb takes the delta
-//!   partitions from the table ([`crate::IndexRef`]): range, aggregate
-//!   and join scan the live ones whose page MBR meets the query box beside
-//!   the crawl, and kNN merges them, keyed by page-MBR distance, into its
-//!   best-first frontier. A crawl reads the pages it read on the pristine
+//!   partitions from the table: range, aggregate and join scan the live
+//!   ones whose page MBR meets the query box beside the crawl, and kNN
+//!   merges them, keyed by page-MBR distance, into its best-first
+//!   frontier. A crawl reads the pages it read on the pristine
 //!   index plus one object page per delta partition that meets the box —
 //!   about one per live tier, not one per batch. The price is a resident
 //!   scan of the delta list per query, linear in the number of live delta
@@ -62,37 +62,35 @@
 //! table is how readers find the delta partitions; `compact` drops all of
 //! it. The tables fill once, at *adoption*: [`DeltaIndex::new`] adopts at
 //! once, while a [`crate::FlatDb`] wraps its bulkload unfilled and adopts
-//! it at the first writer — until then every query reads the bulkload
-//! alone, and a session that never writes never holds a table. Updates
-//! require exclusive access (`&mut` pool — [`flat_storage::PageWrite`] is
-//! also implemented by [`flat_storage::ConcurrentBufferPool`], so an
-//! updater can alternate with shared readers under an `RwLock`
-//! discipline: readers see pre- or post-batch pages, never a torn mix).
+//! it at the first writer, so a session that never writes never holds a
+//! table. The read verbs never ask which state an index is in: empty
+//! tables hold no tombstone and no delta partition, and a partition with
+//! no resident row takes its live count from its metadata record, so an
+//! unadopted index reads exactly as the bulkload alone. Only the join's
+//! outer sweep ([`DeltaIndex::summaries`]) finds its rows in a different
+//! place in each state, and [`FlatIndex::pristine`] runs a bulkload's own
+//! verbs on such an empty copy. Updates require exclusive access (`&mut`
+//! pool — [`flat_storage::PageWrite`] is also implemented by
+//! [`flat_storage::ConcurrentBufferPool`], so an updater can alternate
+//! with shared readers under an `RwLock` discipline: readers see pre- or
+//! post-batch pages, never a torn mix).
 //!
 //! Requirements: the base index must use [`LeafLayout::WithIds`] (deletes
 //! address elements by application id) and a fixed explicit domain
 //! ([`FlatOptions::domain`]), so that every insert batch tiles the same
 //! space as the base build.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::builder::FlatIndexBuilder;
 use crate::durable::DeltaResidency;
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions, SeedTreePages};
-use crate::knn::{KnnStats, Neighbor};
 use crate::meta::{meta_leaf_len, set_dead, MetaRecordId, MetaView};
 use crate::neighbors::NeighborSweep;
 use crate::partition::partition;
-use crate::query::{read_record, AddrMap, IndexRef, LivePage, QueryStats, Tombstones};
-use flat_geom::{Aabb, Point3};
+use crate::query::{read_record, AddrMap, LivePage, Tombstones};
+use flat_geom::Aabb;
 use flat_rtree::node::{decode_leaf, encode_leaf};
-use flat_rtree::{leaf_capacity, Entry, Hit, LeafLayout};
+use flat_rtree::{leaf_capacity, Entry, LeafLayout};
 use flat_storage::{Page, PageId, PageKind, PageRead, PageStore, PageWrite, StorageError};
 use std::collections::{HashMap, HashSet};
 
@@ -118,6 +116,16 @@ pub(crate) struct PartState {
 struct Tier {
     level: u32,
     first: usize,
+}
+
+/// Resident summary of one live partition: what the join's outer sweep
+/// needs without touching the metadata pages again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PartSummary {
+    /// The partition's object page.
+    pub(crate) object_page: PageId,
+    /// Tight MBR of the partition's own elements.
+    pub(crate) page_mbr: Aabb,
 }
 
 /// What [`DeltaIndex::check_invariants`] verified, for reporting.
@@ -208,6 +216,17 @@ fn update_domain(layout: LeafLayout, options: &FlatOptions) -> Result<Aabb, Flat
     })
 }
 
+impl FlatIndex {
+    /// This bulkload as the read path takes it: a [`DeltaIndex`] no writer
+    /// has adopted, a copy of the descriptor with empty tables. Built on
+    /// the stack without an allocation, so each of the bulkload's verbs
+    /// runs the one implementation on it. Never adopted, so its options
+    /// are never read.
+    pub(crate) fn pristine(&self) -> DeltaIndex {
+        DeltaIndex::pristine(self.clone(), FlatOptions::default())
+    }
+}
+
 impl DeltaIndex {
     /// Adopts a pristine (freshly built or freshly compacted) index.
     ///
@@ -229,11 +248,12 @@ impl DeltaIndex {
     }
 
     /// Wraps a bulkload without reading a page: the tables stay empty
-    /// and every query runs on `base` ([`DeltaIndex::view`]) until
-    /// [`DeltaIndex::adopt`] fills them. `options` are checked only then,
-    /// so a read-only session may pass any.
+    /// until [`DeltaIndex::adopt`] fills them, and every query reads the
+    /// bulkload alone. `options` are checked only at adoption, so a
+    /// read-only session may pass any. Allocates nothing.
     pub(crate) fn pristine(base: FlatIndex, options: FlatOptions) -> DeltaIndex {
         DeltaIndex {
+            live_elements: base.num_elements(),
             base,
             options,
             domain: None,
@@ -243,7 +263,6 @@ impl DeltaIndex {
             by_page: AddrMap::default(),
             locator: HashMap::new(),
             tombstones: Tombstones::default(),
-            live_elements: 0,
         }
     }
 
@@ -263,14 +282,18 @@ impl DeltaIndex {
     /// `residency` is what [`DeltaIndex::residency`] recorded in the
     /// checkpoint snapshot; the rebuilt tier stack is the recorded one, so
     /// the recovered index merges exactly as the recorded one would have.
+    /// With none recorded (no writer had adopted the index) the index
+    /// stays unadopted, and no page is read.
     pub(crate) fn reopen(
         pool: &impl PageRead,
         base: FlatIndex,
         options: FlatOptions,
-        residency: DeltaResidency,
+        residency: Option<DeltaResidency>,
     ) -> Result<DeltaIndex, FlatError> {
         let mut delta = Self::pristine(base, options);
-        delta.adopt_pages(pool, Some(residency))?;
+        if residency.is_some() {
+            delta.adopt_pages(pool, residency)?;
+        }
         Ok(delta)
     }
 
@@ -293,11 +316,11 @@ impl DeltaIndex {
     /// seed tree's leaves, which are exactly its metadata pages, in
     /// creation order: every primary record, dead ones included, becomes a
     /// row. The live delta partitions come from the recovered list (none
-    /// for a pristine index), grouped into the recorded tiers: reading
-    /// each object page gives its page MBR — the union of all its slots,
-    /// tombstoned ones included, which is what the insert computed,
-    /// exactly, as a union of boxes is exact in f64 — and the object-page
-    /// scan below gives its live count and locator entries. A recorded
+    /// for a pristine index), grouped into the recorded tiers. Then one
+    /// read of each live object page gives its live count and locator
+    /// entries and, for a delta partition, its page MBR: the union of all
+    /// its slots, tombstoned ones included, which is what the insert
+    /// computed, exactly, as a union of boxes is exact in f64. A recorded
     /// stack whose levels do not decrease, or that does not cover the
     /// list exactly, is [`StorageError::Corrupt`].
     fn adopt_pages(
@@ -332,6 +355,7 @@ impl DeltaIndex {
                 .into_iter()
                 .map(|(page, slot)| (PageId(page), slot))
                 .collect(),
+            live_elements: 0,
             ..Self::pristine(self.base.clone(), self.options)
         };
 
@@ -356,19 +380,18 @@ impl DeltaIndex {
             delta.tiers.push(Tier { level, first });
             first += pages as usize;
         }
-        for object_page in delta_pages {
-            let page = LivePage::read(pool, object_page, None)?;
-            delta.parts.push(PartState {
+        delta
+            .parts
+            .extend(delta_pages.into_iter().map(|object_page| PartState {
                 object_page,
-                page_mbr: Aabb::union_all(page.hits().map(|hit| hit.mbr)),
+                page_mbr: Aabb::empty(),
                 live: 0,
                 dead: false,
-            });
-        }
+            }));
 
         // Object-page scan over the live partitions: live counts, the id
         // locator and the object-page map, with the tombstones filtered
-        // out.
+        // out, and the page MBRs of the delta partitions.
         for idx in 0..delta.parts.len() {
             let part = &delta.parts[idx];
             if part.dead {
@@ -381,9 +404,16 @@ impl DeltaIndex {
                 ))
                 .into());
             }
-            let page = LivePage::read(pool, part.object_page, Some(&delta.tombstones))?;
+            let page = LivePage::read(pool, part.object_page, None)?;
+            if idx >= delta.records.len() {
+                delta.parts[idx].page_mbr = Aabb::union_all(page.hits().map(|hit| hit.mbr));
+            }
             let mut live = 0u32;
-            for hit in page.hits() {
+            let tombstones = &delta.tombstones;
+            for hit in page
+                .hits()
+                .filter(|hit| !tombstones.contains(&(hit.page, hit.slot)))
+            {
                 live += 1;
                 if delta.locator.insert(hit.id, idx as u32).is_some() {
                     return Err(StorageError::Corrupt(format!(
@@ -410,64 +440,86 @@ impl DeltaIndex {
         self.domain.is_some()
     }
 
-    /// The read view: the bulkload alone until adoption — no tombstone
-    /// probe, join summaries read from the metadata pages and live counts
-    /// from the records — and the delta layer after it.
-    pub(crate) fn view(&self) -> IndexRef<'_> {
-        if self.is_adopted() {
-            IndexRef::Delta(self)
-        } else {
-            IndexRef::Flat(&self.base)
-        }
+    /// The deleted-element set every scan filters by; `None` while it is
+    /// empty — always before adoption — so such a scan probes no slot.
+    pub(crate) fn tombstones(&self) -> Option<&Tombstones> {
+        (!self.tombstones.is_empty()).then_some(&self.tombstones)
     }
 
-    /// The deleted-element set, for the crawl's scan filter.
-    pub(crate) fn tombstones(&self) -> &Tombstones {
-        &self.tombstones
-    }
-
-    /// Resident live-element count of the partition whose object page is
-    /// `page` (0 when no live partition holds it): what the crawl kernel
-    /// hands its visitor for a live bulkload record on this view
-    /// ([`IndexRef::live_count`]).
-    pub(crate) fn live_count(&self, page: PageId) -> u64 {
+    /// Live elements of the live bulkload partition `record` describes,
+    /// known without reading its object page: the resident row's count,
+    /// which leaves tombstones out, or, for a page with no row (no writer
+    /// has adopted the index), the element count the record carries.
+    pub(crate) fn live_count(&self, record: &MetaView) -> u64 {
         self.by_page
-            .get(&page)
-            .map_or(0, |&idx| self.parts[idx as usize].live.into())
+            .get(&record.object_page)
+            .map_or(record.elements.into(), |&idx| {
+                self.parts[idx as usize].live.into()
+            })
     }
 
-    /// Every partition ever adopted or inserted, retired ones included,
-    /// in creation order.
-    pub(crate) fn parts(&self) -> &[PartState] {
-        &self.parts
+    /// The live partitions inserted since the bulkload: in neither the
+    /// seed tree nor the link graph, so no crawl reaches them. Every read
+    /// verb takes them from here instead: kNN keys all of them by page-MBR
+    /// distance, the crawling verbs through [`DeltaIndex::offer_delta`].
+    pub(crate) fn delta_parts(&self) -> impl Iterator<Item = &PartState> {
+        self.parts[self.records.len()..]
+            .iter()
+            .filter(|part| !part.dead)
     }
 
-    /// The partitions inserted since the bulkload: in neither the seed
-    /// tree nor the link graph, so every read verb lists them from here.
-    pub(crate) fn delta_parts(&self) -> &[PartState] {
-        &self.parts[self.records.len()..]
+    /// Live-partition summaries in storage order, for the join's outer
+    /// sweep: the bulkload's partitions in the order of its metadata pages
+    /// — for an STR bulkload the tiling's creation order, the spatial
+    /// coherence the sweep's frontier reuse depends on — then the delta
+    /// partitions. The one read that asks whether the index is adopted:
+    /// after adoption the resident rows hold them, before it the metadata
+    /// pages do, in the same order.
+    pub(crate) fn summaries(&self, pool: &impl PageRead) -> Result<Vec<PartSummary>, StorageError> {
+        let summary = |object_page, page_mbr| PartSummary {
+            object_page,
+            page_mbr,
+        };
+        if self.is_adopted() {
+            let live = self.parts.iter().filter(|part| !part.dead);
+            return Ok(live.map(|p| summary(p.object_page, p.page_mbr)).collect());
+        }
+        let mut out = Vec::new();
+        for leaf in self.base.seed_tree_pages(pool)?.leaves {
+            let page = pool.read_page(leaf, PageKind::SeedLeaf)?;
+            for slot in 0..meta_leaf_len(&page)? as u16 {
+                let record = MetaView::new(page.clone(), slot)?;
+                if !record.is_continuation && !record.is_dead {
+                    out.push(summary(record.object_page, record.page_mbr));
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// What a checkpoint snapshot records for [`DeltaIndex::reopen`]: the
     /// object pages of the live delta partitions in table order, the tier
-    /// stack over them and the sorted tombstones.
-    pub(crate) fn residency(&self) -> DeltaResidency {
-        let live = self.delta_parts().iter().filter(|part| !part.dead);
+    /// stack over them and the sorted tombstones — `None` until a writer
+    /// adopts the index.
+    pub(crate) fn residency(&self) -> Option<DeltaResidency> {
+        if !self.is_adopted() {
+            return None;
+        }
         let mut tombstones: Vec<(u64, u16)> = self
             .tombstones
             .iter()
             .map(|&(page, slot)| (page.0, slot))
             .collect();
         tombstones.sort_unstable();
-        DeltaResidency {
-            pages: live.map(|part| part.object_page).collect(),
+        Some(DeltaResidency {
+            pages: self.delta_parts().map(|part| part.object_page).collect(),
             tiers: self
                 .tiers()
                 .into_iter()
                 .map(|(level, pages)| (level, pages as u64))
                 .collect(),
             tombstones,
-        }
+        })
     }
 
     /// The delta tier stack, bottom first: each tier's level and its live
@@ -503,7 +555,7 @@ impl DeltaIndex {
 
     /// Live partitions inserted since the last bulkload/compaction.
     pub fn num_delta_partitions(&self) -> usize {
-        self.delta_parts().iter().filter(|p| !p.dead).count()
+        self.delta_parts().count()
     }
 
     /// All live partitions (base + delta).
@@ -746,52 +798,6 @@ impl DeltaIndex {
         *self = DeltaIndex::pristine(index, self.options);
         self.adopt_to_write(&*pool)?;
         Ok(stats)
-    }
-
-    // ------------------------------------------------------------------
-    // Queries
-    // ------------------------------------------------------------------
-
-    /// Evaluates a range query over the live elements — exactly the set a
-    /// fresh rebuild over the survivors would return.
-    pub fn range_query(
-        &self,
-        pool: &impl PageRead,
-        query: &Aabb,
-    ) -> Result<Vec<Hit>, StorageError> {
-        self.range_query_with_stats(pool, query, &mut QueryStats::default())
-    }
-
-    /// Like [`DeltaIndex::range_query`], accumulating counters.
-    pub fn range_query_with_stats(
-        &self,
-        pool: &impl PageRead,
-        query: &Aabb,
-        stats: &mut QueryStats,
-    ) -> Result<Vec<Hit>, StorageError> {
-        IndexRef::Delta(self).range_query_with_stats(pool, query, stats)
-    }
-
-    /// Returns the `k` live elements nearest to `point`, exactly as a
-    /// fresh rebuild over the survivors would.
-    pub fn knn_query(
-        &self,
-        pool: &impl PageRead,
-        point: Point3,
-        k: usize,
-    ) -> Result<Vec<Neighbor>, StorageError> {
-        self.knn_query_with_stats(pool, point, k, &mut KnnStats::default())
-    }
-
-    /// Like [`DeltaIndex::knn_query`], accumulating counters.
-    pub fn knn_query_with_stats(
-        &self,
-        pool: &impl PageRead,
-        point: Point3,
-        k: usize,
-        stats: &mut KnnStats,
-    ) -> Result<Vec<Neighbor>, StorageError> {
-        IndexRef::Delta(self).knn(pool, point, k, stats)
     }
 
     // ------------------------------------------------------------------
@@ -1045,15 +1051,11 @@ pub fn verify_compacted_store(
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
+    use crate::query::QueryStats;
+    use flat_geom::Point3;
     use flat_storage::{ConcurrentBufferPool, MemStore, PageStore};
 
     fn options() -> FlatOptions {
@@ -1104,7 +1106,7 @@ mod tests {
         // Every page MBR lies inside the query: the first live record the
         // descent meets is the entry point, found without an object read.
         let mut stats = QueryStats::default();
-        let seed = IndexRef::Delta(&delta).seed(&pool, &whole, &mut stats);
+        let seed = delta.seed(&pool, &whole, &mut stats);
         assert!(seed.unwrap().is_some_and(|s| delta.records.contains(&s)));
         assert_eq!(stats.object_pages_read, 0);
         // A live row with no live element — the state a delete batch passes
@@ -1120,7 +1122,7 @@ mod tests {
             delta.parts[idx].live = 0;
         }
         let mut stats = QueryStats::default();
-        let seed = IndexRef::Delta(&delta).seed(&pool, &whole, &mut stats);
+        let seed = delta.seed(&pool, &whole, &mut stats);
         assert_eq!(seed.unwrap(), None);
         assert_eq!(stats.object_pages_read, delta.records.len() as u64);
         assert_eq!(delta.aggregate_count(&pool, &whole).unwrap(), 0);
@@ -1239,8 +1241,7 @@ mod tests {
 
     /// The object pages of the live delta partitions, in table order.
     fn delta_pages(delta: &DeltaIndex) -> Vec<PageId> {
-        let live = delta.delta_parts().iter().filter(|p| !p.dead);
-        live.map(|p| p.object_page).collect()
+        delta.delta_parts().map(|p| p.object_page).collect()
     }
 
     #[test]

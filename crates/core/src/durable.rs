@@ -17,13 +17,6 @@
 //! logical records past its sequence number without re-logging them, so a
 //! crash during recovery just recovers again.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::db::WriteOp;
 use crate::index::FlatIndex;
 use flat_geom::{Aabb, Point3};
@@ -365,12 +358,6 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
 

@@ -6,7 +6,7 @@
 //! lists its bulkload's partitions first, then its inserted ones), and for
 //! each outer partition crawls the inner dataset's link graph with the
 //! query box `page_mbr.inflate(ε)` — the same kernel as a range query
-//! (`IndexRef::crawl_step`), under a [`CrawlVisitor`] that collects
+//! (`DeltaIndex::crawl_step`), under a [`CrawlVisitor`] that collects
 //! candidates instead of hits — and scans the inner delta partitions that
 //! meet the box, which the graph does not hold. Correctness leans on the same
 //! exhaustiveness guarantee as range queries: if two elements are within
@@ -22,14 +22,49 @@
 //! records — and most steps never touch the inner seed tree at all
 //! ([`JoinStats::frontier_reuses`] vs [`JoinStats::seed_descents`]).
 
+use crate::delta::DeltaIndex;
 use crate::error::FlatError;
+use crate::index::FlatIndex;
 use crate::meta::{MetaRecordId, MetaView};
-use crate::query::{CrawlState, CrawlVisitor, IndexRef, LivePage, QueryStats};
+use crate::query::{CrawlState, CrawlVisitor, LivePage, QueryStats};
 use flat_geom::Aabb;
 use flat_storage::{PageRead, StorageError};
+use std::borrow::Cow;
 
-/// One side of a distance join: any index the read path understands.
-pub type JoinInput<'a> = IndexRef<'a>;
+/// One side of a distance join. Both sides may be the same index: a
+/// self-join reports self-pairs `(x, x)` and both orientations of every
+/// other pair.
+#[derive(Clone, Copy)]
+pub enum JoinInput<'a> {
+    /// A bulkloaded, immutable index.
+    Flat(&'a FlatIndex),
+    /// An updatable index; tombstoned elements and retired partitions
+    /// are invisible to the join.
+    Delta(&'a DeltaIndex),
+}
+
+impl<'a> From<&'a FlatIndex> for JoinInput<'a> {
+    fn from(index: &'a FlatIndex) -> Self {
+        JoinInput::Flat(index)
+    }
+}
+
+impl<'a> From<&'a DeltaIndex> for JoinInput<'a> {
+    fn from(delta: &'a DeltaIndex) -> Self {
+        JoinInput::Delta(delta)
+    }
+}
+
+impl<'a> JoinInput<'a> {
+    /// The side as the read path takes it: a bulkload becomes its
+    /// unadopted [`DeltaIndex`] ([`FlatIndex::pristine`]).
+    fn index(self) -> Cow<'a, DeltaIndex> {
+        match self {
+            JoinInput::Flat(index) => Cow::Owned(index.pristine()),
+            JoinInput::Delta(delta) => Cow::Borrowed(delta),
+        }
+    }
+}
 
 /// Counters for one join run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,6 +167,10 @@ impl JoinEngine {
     ///
     /// # Panics
     /// If `eps` is negative or not finite.
+    // A documented panic, kept because `crates/benchmark` calls this
+    // constructor; it becomes a `Result` (and `checked` goes) with the
+    // next edit of that harness.
+    #[allow(clippy::panic)]
     pub fn new(eps: f64) -> JoinEngine {
         Self::checked(eps).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -163,6 +202,7 @@ impl JoinEngine {
         inner_pool: &impl PageRead,
         inner: JoinInput<'_>,
     ) -> Result<JoinResult, StorageError> {
+        let (outer, inner) = (outer.index(), inner.index());
         let eps2 = self.eps * self.eps;
         let mut stats = JoinStats::default();
         let mut pairs: Vec<(u64, u64)> = Vec::new();

@@ -49,16 +49,10 @@
 //! marked seen, keyed and pushed depends only on what is read, so results
 //! and [`KnnStats`] do not depend on whether the pool listens.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
+use crate::delta::DeltaIndex;
 use crate::index::FlatIndex;
 use crate::meta::{meta_leaf_len, MetaRecordId, MetaView};
-use crate::query::{announce_meta_pages, read_record, walk_links, AddrSet, IndexRef, LivePage};
+use crate::query::{announce_meta_pages, read_record, walk_links, AddrSet, LivePage};
 use flat_geom::Point3;
 use flat_rtree::node::{decode_inner, decode_leaf};
 use flat_rtree::{Hit, LeafLayout, RTree};
@@ -271,7 +265,7 @@ impl FlatIndex {
         k: usize,
         stats: &mut KnnStats,
     ) -> Result<Vec<Neighbor>, StorageError> {
-        IndexRef::Flat(self).knn(pool, point, k, stats)
+        self.pristine().knn_query_with_stats(pool, point, k, stats)
     }
 }
 
@@ -284,10 +278,21 @@ impl FlatIndex {
 /// reads 0.4 % more pages at 4, 1.3 % at 8 and 3.4 % at 16.
 const KNN_WAVE: usize = 4;
 
-impl IndexRef<'_> {
-    /// The kNN evaluation every entry point shares.
-    pub(crate) fn knn(
-        self,
+impl DeltaIndex {
+    /// Returns the `k` live elements nearest to `point`, exactly as a
+    /// fresh rebuild over the survivors would.
+    pub fn knn_query(
+        &self,
+        pool: &impl PageRead,
+        point: Point3,
+        k: usize,
+    ) -> Result<Vec<Neighbor>, StorageError> {
+        self.knn_query_with_stats(pool, point, k, &mut KnnStats::default())
+    }
+
+    /// Like [`DeltaIndex::knn_query`], accumulating counters into `stats`.
+    pub fn knn_query_with_stats(
+        &self,
         pool: &impl PageRead,
         point: Point3,
         k: usize,
@@ -447,7 +452,7 @@ impl IndexRef<'_> {
     /// least in heap order whatever the round size: the seed is the one a
     /// node-at-a-time descent finds.
     fn knn_seed(
-        self,
+        &self,
         pool: &impl PageRead,
         point: Point3,
     ) -> Result<Option<MetaRecordId>, StorageError> {
@@ -511,12 +516,6 @@ impl IndexRef<'_> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;

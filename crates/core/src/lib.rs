@@ -33,8 +33,8 @@
 //! | [`meta`] | §V-B.2 | metadata records, seed-leaf page format |
 //! | `index` (re-exported) | §V-B | [`FlatIndex`], the built index's descriptor, and the metadata + seed-tree writer; [`FlatIndex::build`] is the bulkload with nothing spilled |
 //! | `builder` (re-exported) | §V-A, Alg. 1 | [`FlatIndexBuilder`]: the one bulkload, a streaming pipeline whose resident memory is bounded by its spill budget and whose pages do not depend on it |
-//! | `query` (re-exported) | §V-B.1, §VI, Alg. 2 | the read path: [`IndexRef`], the one view (bulkload, or bulkload + delta layer) every query verb is written against; the seed phase; the one BFS crawl kernel, specialised per workload by a visitor (range here) |
-//! | `knn` (re-exported) | extension | [`FlatIndex::knn_query`], best-first seed + crawl over the same view (its own traversal: a moving bound is not a FIFO); [`rtree_knn`], the R-tree baseline's best-first descent over the same top-k accumulator |
+//! | `query` (re-exported) | §V-B.1, §VI, Alg. 2 | the read path, written once as methods of [`DeltaIndex`] (a bulkload no writer has adopted is one with empty tables, and [`FlatIndex`]'s verbs run on such a copy): the seed phase; the one BFS crawl kernel, specialised per workload by a visitor (range here) |
+//! | `knn` (re-exported) | extension | [`DeltaIndex::knn_query`] (and [`FlatIndex::knn_query`] on it), best-first seed + crawl over the same index (its own traversal: a moving bound is not a FIFO); [`rtree_knn`], the R-tree baseline's best-first descent over the same top-k accumulator |
 //! | `delta` (re-exported) | extension | [`DeltaIndex`]: delta inserts/deletes with neighbor-link repair, tombstones, compaction back to a pristine (byte-identical) bulkload |
 //! | [`db`] | extension | [`FlatDb`]: the session façade — one handle over build / query / update / durability, over the one shared page cache (no I/O workers) behind epoch-versioned pages; a batch ([`QueryBuilder`]) is the query verbs fanned out over one [`Snapshot`] |
 //! | `durable` (via [`db`]) | extension | [`Durability`] modes, logical-record and checkpoint-snapshot formats (the snapshot holds the index descriptor); [`FlatDb::create_durable`] / [`FlatDb::open_durable`] commit every writer batch to a write-ahead log and recover exactly the committed prefix after a crash — a database file is this layout and nothing else |
@@ -97,5 +97,5 @@ pub use error::FlatError;
 pub use index::{BuildStats, FlatIndex, FlatOptions, MetaOrder};
 pub use join::{JoinEngine, JoinInput, JoinResult, JoinStats};
 pub use knn::{rtree_knn, KnnStats, Neighbor};
-pub use query::{IndexRef, QueryStats};
+pub use query::QueryStats;
 pub use shard::{ShardOptions, ShardedDb};

@@ -77,13 +77,6 @@
 //! [`decode_meta_record`] is a collect over the view, so there is one
 //! parser.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use flat_geom::{Aabb, Point3};
 use flat_rtree::node::ChildRef;
 use flat_rtree::{leaf_capacity, LeafLayout};
@@ -588,12 +581,6 @@ pub(crate) fn decode_meta_leaf(page: &Page) -> Result<Vec<MetaRecord>, StorageEr
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use flat_storage::{ConcurrentBufferPool, MemStore, PageStore};

@@ -14,13 +14,6 @@
 //!    tight bounding box of its elements (elements can straddle tile
 //!    boundaries because tiles cut by *centers*).
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use flat_geom::{Aabb, Axis};
 use flat_rtree::Entry;
 
@@ -297,12 +290,6 @@ pub fn verify_tiling(partitions: &[Partition], domain: &Aabb, steps: usize) -> R
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use flat_geom::Point3;

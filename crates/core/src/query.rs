@@ -1,15 +1,19 @@
-//! The read path: one index view ([`IndexRef`]), the seed phase and the
-//! breadth-first crawl kernel (§V-B.1 and §VI, Algorithm 2).
+//! The read path: the seed phase and the breadth-first crawl kernel
+//! (§V-B.1 and §VI, Algorithm 2), as methods of [`DeltaIndex`].
 //!
-//! Every query verb is written once against [`IndexRef`] — a pristine
-//! bulkload, or a bulkload plus its delta layer — and every traversal that
-//! drains a BFS queue is `IndexRef::crawl_step`, specialised by a
-//! [`CrawlVisitor`]: range queries materialise hits (here), aggregates
-//! count (`aggregate.rs`), joins collect ε-pruned candidates and the
-//! partner frontier (`join.rs`). kNN (`knn.rs`) is a best-first traversal
-//! with a moving bound — a different algorithm, not another copy — and
-//! shares the view, the link walker ([`walk_links`]) and the live-entry
-//! page scan ([`LivePage`]).
+//! There is one index type on the read path. A bulkload no writer has
+//! adopted is a [`DeltaIndex`] whose tables are empty: no tombstone, no
+//! delta partition, and each partition's live count is the element count
+//! its metadata record carries. So every query verb is written once, as a
+//! method of [`DeltaIndex`], and [`FlatIndex`]'s verbs run the same code on
+//! such an empty copy of themselves ([`FlatIndex::pristine`]). Every
+//! traversal that drains a BFS queue is `DeltaIndex::crawl_step`,
+//! specialised by a [`CrawlVisitor`]: range queries materialise hits
+//! (here), aggregates count (`aggregate.rs`), joins collect ε-pruned
+//! candidates and the partner frontier (`join.rs`). kNN (`knn.rs`) is a
+//! best-first traversal with a moving bound — a different algorithm, not
+//! another copy — and shares the index, the link walker ([`walk_links`])
+//! and the live-entry page scan ([`LivePage`]).
 //!
 //! Metadata records and object pages are read in place, never decoded
 //! into owned values: [`read_record`] hands out a view over the shared
@@ -20,14 +24,7 @@
 //! wave scratch, which grow geometrically with the crawl rather than once
 //! per record (`tests/alloc_free_crawl.rs` holds that to a budget).
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
-use crate::delta::{DeltaIndex, PartState};
+use crate::delta::DeltaIndex;
 use crate::index::FlatIndex;
 use crate::meta::{meta_leaf_len, MetaRecordId, MetaView};
 use flat_geom::Aabb;
@@ -76,50 +73,6 @@ pub(crate) type AddrMap<K, V> = HashMap<K, V, BuildHasherDefault<AddrHasher>>;
 /// `(object page, slot)` — the one identity that stays valid under both
 /// leaf layouts and across delete-then-reinsert of the same application id.
 pub(crate) type Tombstones = AddrSet<(PageId, u16)>;
-
-/// Any index the read path understands: the single view every query verb
-/// (range, kNN, aggregate, join) is written against. The link graph is
-/// the bulkload's alone, retired partitions included; a delta layer adds
-/// partitions that sit outside both the seed tree and the graph, listed in
-/// its resident table. The two kinds differ only in what this type's
-/// accessors answer: which elements are tombstoned, which partitions every
-/// verb takes from the resident table beside its crawl, and where a
-/// partition's live count comes from: the element count its metadata
-/// record carries, or the delta layer's resident count.
-///
-/// As a join side ([`crate::JoinInput`]) both sides may be the same index:
-/// a self-join reports self-pairs `(x, x)` and both orientations of every
-/// other pair.
-#[derive(Clone, Copy)]
-pub enum IndexRef<'a> {
-    /// A bulkloaded, immutable index.
-    Flat(&'a FlatIndex),
-    /// An updatable index; tombstoned elements and retired partitions
-    /// are invisible to every query.
-    Delta(&'a DeltaIndex),
-}
-
-impl<'a> From<&'a FlatIndex> for IndexRef<'a> {
-    fn from(index: &'a FlatIndex) -> Self {
-        IndexRef::Flat(index)
-    }
-}
-
-impl<'a> From<&'a DeltaIndex> for IndexRef<'a> {
-    fn from(delta: &'a DeltaIndex) -> Self {
-        IndexRef::Delta(delta)
-    }
-}
-
-/// Resident summary of one live partition: what the join's outer sweep
-/// needs without touching the metadata pages again.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PartSummary {
-    /// The partition's object page.
-    pub(crate) object_page: PageId,
-    /// Tight MBR of the partition's own elements.
-    pub(crate) page_mbr: Aabb,
-}
 
 /// Per-query counters (the CPU/bookkeeping side of §VII-E.2; the I/O side
 /// is in the pool's [`flat_storage::IoStats`]).
@@ -241,7 +194,7 @@ impl<'t> LivePage<'t> {
 }
 
 /// What one workload does at each record of a crawl. The kernel
-/// (`IndexRef::crawl_step`) owns the traversal — queue, seen-set, waves,
+/// (`DeltaIndex::crawl_step`) owns the traversal — queue, seen-set, waves,
 /// announcements, dead records, tombstones, continuation chains — and is
 /// monomorphised per visitor, so a visitor costs what writing its loop by
 /// hand would. Each record of a wave is shown to `dequeued`, then (if
@@ -249,7 +202,7 @@ impl<'t> LivePage<'t> {
 /// wanted object pages are handed to `scan`, in the same order. A dead
 /// record is never shown to `wants_object` — its object page is freed —
 /// but its links are followed like any other's. The delta partitions a
-/// crawl starts with ([`IndexRef::offer_delta`]) are shown to
+/// crawl starts with ([`DeltaIndex::offer_delta`]) are shown to
 /// `wants_object` alone, and scanned with the first wave.
 pub(crate) trait CrawlVisitor {
     /// A record left the queue, which held `queue_len` records counting it.
@@ -308,106 +261,23 @@ impl CrawlVisitor for RangeVisit<'_> {
     }
 }
 
-impl<'a> IndexRef<'a> {
-    /// The bulkload descriptor (the delta layer's base).
-    pub(crate) fn base(self) -> &'a FlatIndex {
-        match self {
-            IndexRef::Flat(index) => index,
-            IndexRef::Delta(delta) => delta.base(),
-        }
-    }
-
-    fn delta(self) -> Option<&'a DeltaIndex> {
-        match self {
-            IndexRef::Flat(_) => None,
-            IndexRef::Delta(delta) => Some(delta),
-        }
-    }
-
-    /// The deleted-element set every scan filters by (`None`: nothing is
-    /// deleted).
-    pub(crate) fn tombstones(self) -> Option<&'a Tombstones> {
-        self.delta().map(DeltaIndex::tombstones)
-    }
-
-    /// Live partitions inserted since the bulkload: in neither the seed
-    /// tree nor the link graph, so no crawl reaches them. Every verb takes
-    /// them from this resident list instead — kNN keys all of them by
-    /// page-MBR distance, the crawling verbs through
-    /// [`IndexRef::offer_delta`].
-    pub(crate) fn delta_parts(self) -> impl Iterator<Item = &'a PartState> {
-        let parts = self.delta().map_or(&[][..], DeltaIndex::delta_parts);
-        parts.iter().filter(|part| !part.dead)
-    }
-
-    /// Shows `visitor` every live delta partition whose page MBR meets
-    /// `query` ([`CrawlVisitor::wants_object`]); the object pages it wants
-    /// are announced and scanned with the next wave of `state`'s crawl —
-    /// the only wave of a crawl that has no seed. A resident scan, so a
-    /// partition costs one object read when wanted and none otherwise.
-    pub(crate) fn offer_delta(
-        self,
+impl DeltaIndex {
+    /// Evaluates a range query over the live elements — exactly the set a
+    /// fresh rebuild over the survivors would return.
+    pub fn range_query(
+        &self,
+        pool: &impl PageRead,
         query: &Aabb,
-        state: &mut CrawlState,
-        visitor: &mut impl CrawlVisitor,
-    ) {
-        for part in self.delta_parts() {
-            if part.page_mbr.intersects(query)
-                && visitor.wants_object(&part.page_mbr, part.live.into())
-            {
-                state.scans.push(part.object_page);
-            }
-        }
+    ) -> Result<Vec<Hit>, StorageError> {
+        self.range_query_with_stats(pool, query, &mut QueryStats::default())
     }
 
-    /// Live elements of the live bulkload partition `record` describes,
-    /// known without reading its object page: the delta layer's resident
-    /// count, which leaves tombstones out, or on a pristine bulkload the
-    /// element count its record carries.
-    pub(crate) fn live_count(self, record: &MetaView) -> u64 {
-        match self {
-            IndexRef::Flat(_) => record.elements.into(),
-            IndexRef::Delta(delta) => delta.live_count(record.object_page),
-        }
-    }
-
-    /// Live (non-deleted) elements.
-    pub(crate) fn num_live_elements(self) -> u64 {
-        self.delta()
-            .map_or(self.base().num_elements(), DeltaIndex::num_live_elements)
-    }
-
-    /// Live-partition summaries in storage order, for the join's outer
-    /// sweep. A pristine index reads them off its metadata pages in
-    /// page-id order — for an STR bulkload the tiling's creation order,
-    /// the spatial coherence the sweep's frontier reuse depends on.
-    pub(crate) fn summaries(self, pool: &impl PageRead) -> Result<Vec<PartSummary>, StorageError> {
-        let summary = |object_page, page_mbr| PartSummary {
-            object_page,
-            page_mbr,
-        };
-        if let Some(delta) = self.delta() {
-            let live = delta.parts().iter().filter(|part| !part.dead);
-            return Ok(live.map(|p| summary(p.object_page, p.page_mbr)).collect());
-        }
-        let mut out = Vec::new();
-        for leaf in self.base().seed_tree_pages(pool)?.leaves {
-            let page = pool.read_page(leaf, PageKind::SeedLeaf)?;
-            for slot in 0..meta_leaf_len(&page)? as u16 {
-                let record = MetaView::new(page.clone(), slot)?;
-                if !record.is_continuation && !record.is_dead {
-                    out.push(summary(record.object_page, record.page_mbr));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Evaluates a range query: seed phase, then the breadth-first crawl
-    /// of the bulkload's graph, with the delta partitions that meet the
-    /// box scanned beside its first wave.
-    pub(crate) fn range_query_with_stats(
-        self,
+    /// Like [`DeltaIndex::range_query`], accumulating counters into
+    /// `stats`: the seed phase, then the breadth-first crawl of the
+    /// bulkload's graph, with the delta partitions that meet the box
+    /// scanned beside its first wave.
+    pub fn range_query_with_stats(
+        &self,
         pool: &impl PageRead,
         query: &Aabb,
         stats: &mut QueryStats,
@@ -432,6 +302,26 @@ impl<'a> IndexRef<'a> {
         Ok(hits)
     }
 
+    /// Shows `visitor` every live delta partition whose page MBR meets
+    /// `query` ([`CrawlVisitor::wants_object`]); the object pages it wants
+    /// are announced and scanned with the next wave of `state`'s crawl —
+    /// the only wave of a crawl that has no seed. A resident scan, so a
+    /// partition costs one object read when wanted and none otherwise.
+    pub(crate) fn offer_delta(
+        &self,
+        query: &Aabb,
+        state: &mut CrawlState,
+        visitor: &mut impl CrawlVisitor,
+    ) {
+        for part in self.delta_parts() {
+            if part.page_mbr.intersects(query)
+                && visitor.wants_object(&part.page_mbr, part.live.into())
+            {
+                state.scans.push(part.object_page);
+            }
+        }
+    }
+
     /// The seed phase (§V-B.1): walk a single path of the seed tree
     /// (early-exit DFS), reading candidate object pages until one actually
     /// contains a live element intersecting the query. Only the bulkload's
@@ -441,12 +331,12 @@ impl<'a> IndexRef<'a> {
     /// object pages are freed — though the crawl passes through them.
     ///
     /// A candidate whose page MBR lies inside the query and that holds a
-    /// live element ([`IndexRef::live_count`]) is taken without reading
+    /// live element ([`DeltaIndex::live_count`]) is taken without reading
     /// its page: every element lies in the page MBR, so that element
     /// intersects the query, and the probe would have found it. The entry
     /// point is the one the probe would pick; only the read goes.
     pub(crate) fn seed(
-        self,
+        &self,
         pool: &impl PageRead,
         query: &Aabb,
         stats: &mut QueryStats,
@@ -509,7 +399,7 @@ impl<'a> IndexRef<'a> {
     /// Runs a crawl to completion: every queued record and every offered
     /// delta partition. A crawl with neither reads nothing.
     pub(crate) fn crawl(
-        self,
+        &self,
         pool: &impl PageRead,
         state: &mut CrawlState,
         visitor: &mut impl CrawlVisitor,
@@ -554,7 +444,7 @@ impl<'a> IndexRef<'a> {
     /// continuation chunks first, then object pages), which a small LRU
     /// cache may notice as a handful of physical reads either way.
     ///
-    /// Every caller loops this to completion ([`IndexRef::crawl`]). The
+    /// Every caller loops this to completion ([`DeltaIndex::crawl`]). The
     /// wanted object pages of offered delta partitions head the wave's
     /// announcement and its scans.
     ///
@@ -567,7 +457,7 @@ impl<'a> IndexRef<'a> {
     /// is processed at most once, every object page read at most once —
     /// and guarantees termination.
     fn crawl_step<V: CrawlVisitor>(
-        self,
+        &self,
         pool: &impl PageRead,
         state: &mut CrawlState,
         visitor: &mut V,
@@ -638,7 +528,7 @@ impl FlatIndex {
         query: &Aabb,
         stats: &mut QueryStats,
     ) -> Result<Vec<Hit>, StorageError> {
-        IndexRef::Flat(self).range_query_with_stats(pool, query, stats)
+        self.pristine().range_query_with_stats(pool, query, stats)
     }
 
     /// Runs only the seed phase, returning the address of the seed record
@@ -648,7 +538,9 @@ impl FlatIndex {
         pool: &impl PageRead,
         query: &Aabb,
     ) -> Result<Option<(PageId, u16)>, StorageError> {
-        let seed = IndexRef::Flat(self).seed(pool, query, &mut QueryStats::default())?;
+        let seed = self
+            .pristine()
+            .seed(pool, query, &mut QueryStats::default())?;
         Ok(seed.map(|r| (r.page, r.slot)))
     }
 }
@@ -677,8 +569,8 @@ const WAVE: usize = 64;
 
 /// The resumable state of one crawl: the BFS queue, the visited
 /// ("seen") set and the delta partitions waiting for their scan. Seeded
-/// through [`CrawlState::enqueue`] and [`IndexRef::offer_delta`] and
-/// advanced one wave at a time by `IndexRef::crawl_step`.
+/// through [`CrawlState::enqueue`] and [`DeltaIndex::offer_delta`] and
+/// advanced one wave at a time by `DeltaIndex::crawl_step`.
 #[derive(Debug, Default)]
 pub(crate) struct CrawlState {
     queue: VecDeque<MetaRecordId>,
@@ -718,12 +610,6 @@ impl CrawlState {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;

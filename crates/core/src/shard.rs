@@ -58,13 +58,6 @@
 //! writes new ones. Each shard publishes its batches atomically,
 //! so a snapshot is always element-consistent per shard.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::aggregate::density;
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta};
 use crate::db::{
@@ -642,12 +635,6 @@ impl<S: PageStore + Send + Sync + 'static> std::fmt::Debug for ShardedDb<S> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use flat_geom::Point3;

@@ -83,13 +83,6 @@
 //! scans then rule out, [`PageRead::want_pages`]), so nothing is ever
 //! dropped, reprioritized or accounted as waste.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::pool::{AtomicIoStats, CacheState};
 use crate::sync_util::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 use crate::{IoStats, Page, PageId, PageKind, PageRead, PageStore, PageWrite, StorageError};
@@ -783,12 +776,6 @@ impl<S: PageStore> std::fmt::Debug for ConcurrentBufferPool<S> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use crate::{KindStats, MemStore, ThrottledStore};

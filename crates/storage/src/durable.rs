@@ -11,13 +11,6 @@
 //! [`recover`] frees each of those pages, and each page at or past the
 //! count, that the surviving log does not own: a crash leaks no page.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::wal::{Wal, WalRecord};
 use crate::{Page, PageId, PageStore, StorageError};
 use std::collections::HashSet;

@@ -85,6 +85,14 @@ impl Page {
         }
     }
 
+    /// The `N` bytes at `offset`, which every scalar getter decodes.
+    #[inline]
+    fn get<const N: usize>(&self, offset: usize) -> [u8; N] {
+        let mut bytes = [0; N];
+        bytes.copy_from_slice(&self.data[offset..offset + N]);
+        bytes
+    }
+
     /// Writes a `u16` at `offset`.
     #[inline]
     pub fn put_u16(&mut self, offset: usize, v: u16) {
@@ -94,7 +102,7 @@ impl Page {
     /// Reads a `u16` from `offset`.
     #[inline]
     pub fn get_u16(&self, offset: usize) -> u16 {
-        u16::from_le_bytes(self.data[offset..offset + 2].try_into().unwrap())
+        u16::from_le_bytes(self.get(offset))
     }
 
     /// Writes a `u32` at `offset`.
@@ -106,7 +114,7 @@ impl Page {
     /// Reads a `u32` from `offset`.
     #[inline]
     pub fn get_u32(&self, offset: usize) -> u32 {
-        u32::from_le_bytes(self.data[offset..offset + 4].try_into().unwrap())
+        u32::from_le_bytes(self.get(offset))
     }
 
     /// Writes a `u64` at `offset`.
@@ -118,7 +126,7 @@ impl Page {
     /// Reads a `u64` from `offset`.
     #[inline]
     pub fn get_u64(&self, offset: usize) -> u64 {
-        u64::from_le_bytes(self.data[offset..offset + 8].try_into().unwrap())
+        u64::from_le_bytes(self.get(offset))
     }
 
     /// Writes an `f64` at `offset`.
@@ -130,7 +138,7 @@ impl Page {
     /// Reads an `f64` from `offset`.
     #[inline]
     pub fn get_f64(&self, offset: usize) -> f64 {
-        f64::from_le_bytes(self.data[offset..offset + 8].try_into().unwrap())
+        f64::from_le_bytes(self.get(offset))
     }
 }
 

@@ -12,13 +12,6 @@
 //! directory page it will read again. A shard that never fills evicts
 //! nothing, and the rule changes nothing there.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::{Page, PageId, PageKind, PAGE_SIZE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -47,13 +47,6 @@
 //! checkpoint holds free, which recovery frees again. A crash loses the
 //! map, the RAM a redo-only log expects to lose.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::durable::{create_log, recover, RecoveredLog};
 use crate::sync_util::{lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 use crate::wal::{Wal, WalRecord};
@@ -852,12 +845,6 @@ impl<S: PageStore> std::fmt::Debug for BatchWriter<'_, S> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use crate::{FaultStore, MemStore, SchedulerConfig, ThrottledStore, PAGE_SIZE};

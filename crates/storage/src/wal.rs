@@ -39,13 +39,6 @@
 //! truncates the log at the last intact record instead of replaying
 //! garbage.
 
-#![deny(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
-
 use crate::{Page, PageId, PageStore, StorageError, PAGE_SIZE};
 
 /// Magic tag identifying a head slot page.
@@ -562,12 +555,6 @@ fn parse_stream(stream: &[u8]) -> (Vec<WalRecord>, u64, bool) {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::panic,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::unreachable
-)]
 mod tests {
     use super::*;
     use crate::{FaultStore, MemStore};

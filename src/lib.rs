@@ -77,9 +77,9 @@ pub mod prelude {
     pub use flat_core::{
         AggregateStats, BatchOutcome, BuildReport, BuildStats, ContinuousQueryId, DbOptions,
         DeltaIndex, DeltaReport, Durability, FlatDb, FlatError, FlatIndex, FlatIndexBuilder,
-        FlatOptions, IndexRef, JoinEngine, JoinInput, JoinResult, JoinStats, KnnBatchOutcome,
-        KnnStats, Neighbor, QueryBuilder, QueryDelta, QueryStats, RecoveryReport, ShardOptions,
-        ShardedDb, Snapshot, StreamingStats, WriteOp, Writer,
+        FlatOptions, JoinEngine, JoinInput, JoinResult, JoinStats, KnnBatchOutcome, KnnStats,
+        Neighbor, QueryBuilder, QueryDelta, QueryStats, RecoveryReport, ShardOptions, ShardedDb,
+        Snapshot, StreamingStats, WriteOp, Writer,
     };
     pub use flat_data::continuous::{ContinuousConfig, ContinuousWorkload};
     pub use flat_data::join::{mesh_vs_nbody, JoinWorkload, JoinWorkloadConfig};

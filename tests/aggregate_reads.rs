@@ -8,7 +8,7 @@
 //! base pages hold tombstones, and on a durable index after reopen: every
 //! count equals the range query's and brute force's, and a cold aggregate,
 //! its reads recorded, reads no object page whose page MBR lies inside the
-//! query.
+//! query and counts every object page it reads.
 
 use flat_repro::prelude::*;
 use flat_repro::rtree::node::decode_leaf;
@@ -98,11 +98,19 @@ fn assert_exact_without_contained_reads<S: PageStore>(
         assert_eq!(count as usize, expected, "count, query {i}");
         assert_eq!(index.range_len(pool, q), expected, "range, query {i}");
 
-        let objects: HashSet<PageId> = trace
+        let object_reads: Vec<PageId> = trace
             .iter()
             .filter(|&&(_, kind)| kind == PageKind::ObjectPage)
             .map(|&(page, _)| page)
             .collect();
+        // Every object read is counted: a seed descent's probes too, even
+        // when the descent finds no seed.
+        assert_eq!(
+            stats.object_pages_read,
+            object_reads.len() as u64,
+            "object pages counted, query {i}"
+        );
+        let objects: HashSet<PageId> = object_reads.into_iter().collect();
         for &page in &objects {
             assert!(
                 !q.contains(&page_mbr(pool, page)),

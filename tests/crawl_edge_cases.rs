@@ -782,12 +782,16 @@ fn reference_aggregate(
     live: &dyn Fn(u64) -> bool,
 ) -> (u64, AggregateStats) {
     let read = |id: PageId, kind: PageKind| pool.read_page(id, kind).expect("read");
-    let mut stats = AggregateStats::default();
-    let (Some(seed), seed_stats) = reference_seed(pool, bulk, query, live) else {
+    let (seed, seed_stats) = reference_seed(pool, bulk, query, live);
+    // The seed phase's probes count whether or not it finds a seed.
+    let mut stats = AggregateStats {
+        object_pages_read: seed_stats.object_pages_read,
+        mbr_tests: seed_stats.mbr_tests,
+        ..AggregateStats::default()
+    };
+    let Some(seed) = seed else {
         return (0, stats);
     };
-    stats.object_pages_read = seed_stats.object_pages_read;
-    stats.mbr_tests = seed_stats.mbr_tests;
 
     let mut count = 0;
     let mut queue = VecDeque::from([seed]);

@@ -1,9 +1,16 @@
 //! Façade equivalence: every [`FlatDb`] path — build (spilling or not),
-//! range and kNN (serial and batched), insert/delete/compact —
-//! must produce results (and, where observable, pages) **bit-identical**
-//! to the pre-façade low-level calls it routes to.
+//! range, kNN, aggregate and join (serial and batched),
+//! insert/delete/compact — must produce results (and, where observable,
+//! pages and page reads) **bit-identical** to the low-level calls it
+//! routes to.
 
 use flat_repro::prelude::*;
+use flat_repro::storage::StorageError;
+use std::sync::Mutex;
+
+#[path = "common/cache_replay.rs"]
+mod cache_replay;
+use cache_replay::Recorder;
 
 fn dataset(n: usize, seed: u64) -> (Vec<Entry>, Aabb) {
     let config = UniformConfig::scaled_baseline(n, seed);
@@ -105,32 +112,237 @@ fn streaming_build_is_bit_identical_to_low_level() {
     assert_stores_identical(&*db.store(), &*pool.store(), "spilled build");
 }
 
+/// A store that logs the id of every page read it serves: under a cold
+/// cache, the order in which a query's misses reach the device.
+#[derive(Default)]
+struct LoggedStore {
+    inner: MemStore,
+    reads: Mutex<Vec<PageId>>,
+}
+
+impl LoggedStore {
+    /// The reads served since the last call.
+    fn take_reads(&self) -> Vec<PageId> {
+        std::mem::take(&mut *self.reads.lock().unwrap())
+    }
+}
+
+impl PageStore for LoggedStore {
+    fn alloc(&mut self) -> Result<PageId, StorageError> {
+        self.inner.alloc()
+    }
+
+    fn write_page(&mut self, id: PageId, page: &Page) -> Result<(), StorageError> {
+        self.inner.write_page(id, page)
+    }
+
+    fn read_page(&self, id: PageId, out: &mut Page) -> Result<(), StorageError> {
+        self.reads.lock().unwrap().push(id);
+        self.inner.read_page(id, out)
+    }
+
+    fn free_page(&mut self, id: PageId) -> Result<(), StorageError> {
+        self.inner.free_page(id)
+    }
+
+    fn free_pages(&self) -> Vec<PageId> {
+        self.inner.free_pages()
+    }
+
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+}
+
+/// What one cold query did: its answer and counters (debug-printed, so
+/// every verb's compare alike), every logical read in order, and the
+/// misses in the order they reached the store.
+#[derive(Debug, PartialEq)]
+struct Cold {
+    answer: String,
+    logical: Vec<(PageId, PageKind)>,
+    misses: Vec<PageId>,
+}
+
+/// Runs `query` cold through a [`Recorder`] over `pool`.
+fn cold_low_level(
+    pool: &ConcurrentBufferPool<LoggedStore>,
+    query: impl FnOnce(&Recorder<&ConcurrentBufferPool<LoggedStore>>) -> String,
+) -> Cold {
+    pool.clear_cache();
+    pool.store().take_reads();
+    let recorder = Recorder::new(pool);
+    let answer = query(&recorder);
+    Cold {
+        answer,
+        logical: recorder.into_trace(),
+        misses: pool.store().take_reads(),
+    }
+}
+
+/// Runs `query` cold on a snapshot of `db`. The snapshot reads through
+/// the database's own pool, so its logical reads are the pool's per-kind
+/// counters, checked against `like`'s recorded reads.
+fn cold_snapshot(
+    db: &FlatDb<LoggedStore>,
+    like: &Cold,
+    query: impl FnOnce(&Snapshot<'_, LoggedStore>) -> String,
+) -> Cold {
+    db.clear_cache();
+    db.reset_stats();
+    db.store().take_reads();
+    let answer = query(&db.reader());
+    let io = db.io_stats();
+    for kind in [
+        PageKind::SeedInner,
+        PageKind::SeedLeaf,
+        PageKind::ObjectPage,
+    ] {
+        let recorded = like.logical.iter().filter(|&&(_, k)| k == kind).count();
+        assert_eq!(
+            io.kind(kind).logical_reads,
+            recorded as u64,
+            "{kind:?} reads"
+        );
+    }
+    Cold {
+        answer,
+        logical: like.logical.clone(),
+        misses: db.store().take_reads(),
+    }
+}
+
+/// One read path: a bulkload's own verbs, a snapshot of a database no
+/// writer has touched, and (where the layout allows updates) a
+/// `DeltaIndex` adopted over the same bulkload return the same answers
+/// and counters, and read the same pages in the same order.
 #[test]
 fn serial_queries_match_low_level_bit_for_bit() {
     let (entries, domain) = dataset(20_000, 23);
-    let options = FlatOptions {
-        domain: Some(domain),
-        ..FlatOptions::default()
-    };
-    let mut db = FlatDb::create(MemStore::new(), DbOptions::default().with_index(options));
-    db.build_from(entries.clone()).unwrap();
-    let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 16);
-    let (index, _) = FlatIndex::build(&mut pool, entries, options).unwrap();
+    for layout in [LeafLayout::MbrOnly, LeafLayout::WithIds] {
+        let options = FlatOptions {
+            layout,
+            domain: Some(domain),
+            ..FlatOptions::default()
+        };
+        let db_options = DbOptions::default().with_index(options);
+        let mut db = FlatDb::create(LoggedStore::default(), db_options);
+        db.build_from(entries.clone()).unwrap();
+        let mut pool = ConcurrentBufferPool::new(LoggedStore::default(), db_options.pool_pages);
+        let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options).unwrap();
+        let delta = (layout == LeafLayout::WithIds)
+            .then(|| DeltaIndex::new(&pool, index.clone(), options).unwrap());
+        assert_eq!(db.num_live_elements(), index.num_elements());
+        assert_eq!(db.reader().num_live_elements(), index.num_elements());
+        if let Some(delta) = &delta {
+            assert_eq!(delta.num_live_elements(), index.num_elements());
+        }
 
-    for q in queries(&domain, 24) {
-        let mut db_stats = QueryStats::default();
-        let mut ll_stats = QueryStats::default();
-        let db_hits = db.reader().range_with_stats(&q, &mut db_stats).unwrap();
-        let ll_hits = index
-            .range_query_with_stats(&pool, &q, &mut ll_stats)
+        // Each verb cold three ways: the bulkload, then the adopted index
+        // and the snapshot against it.
+        let agree = |what: &str,
+                     flat: &dyn Fn(&Recorder<&ConcurrentBufferPool<LoggedStore>>) -> String,
+                     adopted: &dyn Fn(
+            &DeltaIndex,
+            &Recorder<&ConcurrentBufferPool<LoggedStore>>,
+        ) -> String,
+                     snapshot: &dyn Fn(&Snapshot<'_, LoggedStore>) -> String| {
+            let expect = cold_low_level(&pool, flat);
+            assert!(!expect.misses.is_empty(), "{layout:?} {what}: nothing read");
+            let snap = cold_snapshot(&db, &expect, snapshot);
+            assert_eq!(snap, expect, "{layout:?} {what}: snapshot");
+            if let Some(delta) = &delta {
+                let got = cold_low_level(&pool, |pool| adopted(delta, pool));
+                assert_eq!(got, expect, "{layout:?} {what}: adopted index");
+            }
+        };
+        for q in queries(&domain, 24) {
+            agree(
+                &format!("range {q}"),
+                &|pool| {
+                    let mut stats = QueryStats::default();
+                    let hits = index.range_query_with_stats(pool, &q, &mut stats);
+                    format!("{:?} {stats:?}", hits.unwrap())
+                },
+                &|delta, pool| {
+                    let mut stats = QueryStats::default();
+                    let hits = delta.range_query_with_stats(pool, &q, &mut stats);
+                    format!("{:?} {stats:?}", hits.unwrap())
+                },
+                &|snap| {
+                    let mut stats = QueryStats::default();
+                    let hits = snap.range_with_stats(&q, &mut stats);
+                    format!("{:?} {stats:?}", hits.unwrap())
+                },
+            );
+            let q = q.inflate(domain.extents().x * 0.1);
+            agree(
+                &format!("aggregate {q}"),
+                &|pool| {
+                    let mut stats = AggregateStats::default();
+                    let count = index.aggregate_count_with_stats(pool, &q, &mut stats);
+                    format!("{} {stats:?}", count.unwrap())
+                },
+                &|delta, pool| {
+                    let mut stats = AggregateStats::default();
+                    let count = delta.aggregate_count_with_stats(pool, &q, &mut stats);
+                    format!("{} {stats:?}", count.unwrap())
+                },
+                &|snap| {
+                    let mut stats = AggregateStats::default();
+                    let count = snap.aggregate_count_with_stats(&q, &mut stats);
+                    format!("{} {stats:?}", count.unwrap())
+                },
+            );
+        }
+        for (p, k) in knn_points(&domain, 25) {
+            agree(
+                &format!("kNN {p} k={k}"),
+                &|pool| {
+                    let mut stats = KnnStats::default();
+                    let knn = index.knn_query_with_stats(pool, p, k, &mut stats);
+                    format!("{:?} {stats:?}", knn.unwrap())
+                },
+                &|delta, pool| {
+                    let mut stats = KnnStats::default();
+                    let knn = delta.knn_query_with_stats(pool, p, k, &mut stats);
+                    format!("{:?} {stats:?}", knn.unwrap())
+                },
+                &|snap| {
+                    let mut stats = KnnStats::default();
+                    let knn = snap.knn_with_stats(p, k, &mut stats);
+                    format!("{:?} {stats:?}", knn.unwrap())
+                },
+            );
+        }
+
+        // A self-join: the bulkload, the adopted index and the snapshot
+        // as both sides give the same pairs and counters.
+        let eps = domain.extents().x * 2e-3;
+        let engine = JoinEngine::new(eps);
+        let flat = engine
+            .join(
+                &pool,
+                JoinInput::Flat(&index),
+                &pool,
+                JoinInput::Flat(&index),
+            )
             .unwrap();
-        assert_eq!(db_hits, ll_hits, "range results for {q}");
-        assert_eq!(db_stats, ll_stats, "range stats for {q}");
-    }
-    for (p, k) in knn_points(&domain, 25) {
-        let db_knn = db.reader().knn(p, k).unwrap();
-        let ll_knn = index.knn_query(&pool, p, k).unwrap();
-        assert_eq!(db_knn, ll_knn, "kNN results for {p} k={k}");
+        assert!(
+            flat.stats.pairs > index.num_elements(),
+            "{layout:?}: no pairs"
+        );
+        let reader = db.reader();
+        let snap = reader.join(&reader, eps).unwrap();
+        assert_eq!(snap.pairs, flat.pairs, "{layout:?}: snapshot join pairs");
+        assert_eq!(snap.stats, flat.stats, "{layout:?}: snapshot join stats");
+        if let Some(delta) = &delta {
+            let adopted = engine
+                .join(&pool, delta.into(), &pool, delta.into())
+                .unwrap();
+            assert_eq!(adopted.pairs, flat.pairs, "{layout:?}: adopted join pairs");
+            assert_eq!(adopted.stats, flat.stats, "{layout:?}: adopted join stats");
+        }
     }
 }
 
