@@ -43,11 +43,11 @@ use crate::index::{seal, BuildStats, FlatIndex, FlatOptions, MetaOrder};
 use crate::meta::{write_runs, Run};
 use crate::neighbors::NeighborSweep;
 use crate::partition::{axis_tile, partition_plan, partition_slab, Partition};
-use flat_geom::{Aabb, Axis, Point3};
+use flat_geom::{Aabb, Axis};
 use flat_rtree::node::encode_leaf;
 use flat_rtree::{leaf_capacity, Entry};
 use flat_storage::{
-    ExternalSorter, MemStore, Page, PageId, PageKind, PageWrite, SpillRecord, SpillStats,
+    ExternalSorter, MemStore, Page, PageId, PageKind, PageWrite, Reader, SpillRecord, SpillStats,
     StorageError,
 };
 use std::time::{Duration, Instant};
@@ -91,7 +91,7 @@ fn f64_key(v: f64) -> u64 {
     }
 }
 
-/// Spilled entry: STR x-sort key plus the entry itself. Ordered like
+/// Spilled entry: STR x-sort key plus the entry itself. Keyed like
 /// `partition_slab`'s y and z sorts — center.x (`total_cmp`), then id —
 /// and then by input position (`seq`), which makes the key unique and
 /// the order total.
@@ -101,96 +101,31 @@ struct EntryRec {
     entry: Entry,
 }
 
-impl EntryRec {
-    fn rank(&self) -> (u64, u64, u64) {
+impl SpillRecord for EntryRec {
+    type Key = (u64, u64, u64);
+
+    fn key(&self) -> Self::Key {
         (self.key, self.entry.id, self.seq)
     }
-}
 
-impl PartialEq for EntryRec {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank() == other.rank()
-    }
-}
-impl Eq for EntryRec {}
-impl PartialOrd for EntryRec {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EntryRec {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.rank().cmp(&other.rank())
-    }
-}
-
-fn put_aabb(out: &mut Vec<u8>, b: &Aabb) {
-    for v in [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// The `N` bytes of a spilled record at `at`; a record too short to hold
-/// them is [`StorageError::Corrupt`].
-fn bytes_at<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], StorageError> {
-    buf.get(at..)
-        .and_then(<[u8]>::first_chunk)
-        .copied()
-        .ok_or_else(|| {
-            StorageError::Corrupt(format!(
-                "spilled record of {} bytes ends before byte {}",
-                buf.len(),
-                at + N
-            ))
-        })
-}
-
-fn get_u32(buf: &[u8], at: usize) -> Result<u32, StorageError> {
-    bytes_at(buf, at).map(u32::from_le_bytes)
-}
-
-fn get_u64(buf: &[u8], at: usize) -> Result<u64, StorageError> {
-    bytes_at(buf, at).map(u64::from_le_bytes)
-}
-
-fn get_aabb(buf: &[u8], at: usize) -> Result<Aabb, StorageError> {
-    let f = |i: usize| get_u64(buf, at + 8 * i).map(f64::from_bits);
-    Ok(Aabb {
-        min: Point3::new(f(0)?, f(1)?, f(2)?),
-        max: Point3::new(f(3)?, f(4)?, f(5)?),
-    })
-}
-
-fn check_len(buf: &[u8], want: usize, what: &str) -> Result<(), StorageError> {
-    if buf.len() != want {
-        return Err(StorageError::Corrupt(format!(
-            "bad spilled {what} record: {} bytes, expected {want}",
-            buf.len()
-        )));
-    }
-    Ok(())
-}
-
-impl SpillRecord for EntryRec {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.key.to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.entry.id.to_le_bytes());
-        put_aabb(out, &self.entry.mbr);
+        self.entry.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<Self, StorageError> {
-        check_len(buf, 72, "entry")?;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError> {
         Ok(EntryRec {
-            key: get_u64(buf, 0)?,
-            seq: get_u64(buf, 8)?,
-            entry: Entry::new(get_u64(buf, 16)?, get_aabb(buf, 24)?),
+            key: r.u64()?,
+            seq: r.u64()?,
+            entry: Entry::decode(r)?,
         })
     }
 }
 
 /// Spilled partition summary: sweep key (`partition_mbr.min.x`) plus the
-/// two MBRs. No elements — those already live on the object page.
+/// two MBRs, keyed by the sweep key and then the partition index. No
+/// elements — those already live on the object page.
 struct SummaryRec {
     key: u64,
     index: u32,
@@ -198,38 +133,26 @@ struct SummaryRec {
     partition_mbr: Aabb,
 }
 
-impl PartialEq for SummaryRec {
-    fn eq(&self, other: &Self) -> bool {
-        (self.key, self.index) == (other.key, other.index)
-    }
-}
-impl Eq for SummaryRec {}
-impl PartialOrd for SummaryRec {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SummaryRec {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, self.index).cmp(&(other.key, other.index))
-    }
-}
-
 impl SpillRecord for SummaryRec {
+    type Key = (u64, u32);
+
+    fn key(&self) -> Self::Key {
+        (self.key, self.index)
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.key.to_le_bytes());
         out.extend_from_slice(&self.index.to_le_bytes());
-        put_aabb(out, &self.page_mbr);
-        put_aabb(out, &self.partition_mbr);
+        Entry::encode_mbr(&self.page_mbr, out);
+        Entry::encode_mbr(&self.partition_mbr, out);
     }
 
-    fn decode(buf: &[u8]) -> Result<Self, StorageError> {
-        check_len(buf, 108, "summary")?;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError> {
         Ok(SummaryRec {
-            key: get_u64(buf, 0)?,
-            index: get_u32(buf, 8)?,
-            page_mbr: get_aabb(buf, 12)?,
-            partition_mbr: get_aabb(buf, 60)?,
+            key: r.u64()?,
+            index: r.u32()?,
+            page_mbr: Entry::decode_mbr(r)?,
+            partition_mbr: Entry::decode_mbr(r)?,
         })
     }
 }
@@ -245,53 +168,35 @@ struct MetaRec {
     neighbors: Vec<u32>,
 }
 
-impl PartialEq for MetaRec {
-    fn eq(&self, other: &Self) -> bool {
-        (self.key, self.index) == (other.key, other.index)
-    }
-}
-impl Eq for MetaRec {}
-impl PartialOrd for MetaRec {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MetaRec {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, self.index).cmp(&(other.key, other.index))
-    }
-}
-
 impl SpillRecord for MetaRec {
+    type Key = (u64, u32);
+
+    fn key(&self) -> Self::Key {
+        (self.key, self.index)
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.key.to_le_bytes());
         out.extend_from_slice(&self.index.to_le_bytes());
-        put_aabb(out, &self.page_mbr);
-        put_aabb(out, &self.partition_mbr);
+        Entry::encode_mbr(&self.page_mbr, out);
+        Entry::encode_mbr(&self.partition_mbr, out);
         out.extend_from_slice(&(self.neighbors.len() as u32).to_le_bytes());
         for &n in &self.neighbors {
             out.extend_from_slice(&n.to_le_bytes());
         }
     }
 
-    fn decode(buf: &[u8]) -> Result<Self, StorageError> {
-        if buf.len() < 112 {
-            return Err(StorageError::Corrupt(format!(
-                "truncated spilled meta record: {} bytes",
-                buf.len()
-            )));
-        }
-        let count = get_u32(buf, 108)? as usize;
-        check_len(buf, 112 + count * 4, "meta")?;
-        let neighbors = (0..count)
-            .map(|i| get_u32(buf, 112 + 4 * i))
-            .collect::<Result<_, _>>()?;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError> {
+        let (key, index) = (r.u64()?, r.u32()?);
+        let (page_mbr, partition_mbr) = (Entry::decode_mbr(r)?, Entry::decode_mbr(r)?);
+        let count = r.u32()?;
+        let count = r.len(count.into(), "neighbor count")?;
         Ok(MetaRec {
-            key: get_u64(buf, 0)?,
-            index: get_u32(buf, 8)?,
-            page_mbr: get_aabb(buf, 12)?,
-            partition_mbr: get_aabb(buf, 60)?,
-            neighbors,
+            key,
+            index,
+            page_mbr,
+            partition_mbr,
+            neighbors: (0..count).map(|_| r.u32()).collect::<Result<_, _>>()?,
         })
     }
 }
@@ -336,20 +241,22 @@ impl FlatIndexBuilder {
     /// Streams `entries` into a new index, without ever holding the
     /// collection.
     ///
-    /// # Panics
-    /// Panics if the options' `partition_volume_scale` is below `1.0`
-    /// (inflation must not shrink partitions).
+    /// Options whose `partition_volume_scale` is below `1.0` or NaN
+    /// (inflation must not shrink partitions) are invalid input
+    /// ([`StorageError::Io`] of kind [`std::io::ErrorKind::InvalidInput`]),
+    /// refused before the first entry is pulled.
     pub fn build(
         &self,
         pool: &mut impl PageWrite,
         entries: impl IntoIterator<Item = Entry>,
     ) -> Result<(FlatIndex, BuildStats, StreamingStats), StorageError> {
         let options = self.options;
-        assert!(
-            options.partition_volume_scale >= 1.0,
-            "partition inflation must not shrink partitions (got {})",
-            options.partition_volume_scale
-        );
+        if let Some(msg) = options.inflation_error() {
+            return Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                msg,
+            )));
+        }
         let capacity = leaf_capacity(options.layout);
         let partition_budget = (self.spill_budget / capacity).max(1024);
         let mut streaming = StreamingStats::default();
@@ -580,6 +487,7 @@ impl FlatIndexBuilder {
 mod tests {
     use super::*;
     use crate::index::tests::random_entries;
+    use flat_geom::Point3;
     use flat_storage::{ConcurrentBufferPool, PageStore};
 
     fn pages_of(pool: &ConcurrentBufferPool<MemStore>) -> Vec<Vec<u8>> {
@@ -714,14 +622,101 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must not shrink")]
     fn shrinking_inflation_is_rejected() {
-        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
-        let _ = FlatIndexBuilder::new(FlatOptions {
-            partition_volume_scale: 0.5,
-            ..FlatOptions::default()
-        })
-        .build(&mut pool, random_entries(10, 1));
+        for scale in [0.5, f64::NAN] {
+            let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
+            let err = FlatIndexBuilder::new(FlatOptions {
+                partition_volume_scale: scale,
+                ..FlatOptions::default()
+            })
+            .build(&mut pool, random_entries(10, 1))
+            .map(drop)
+            .unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+                "{err}"
+            );
+            assert!(err.to_string().contains("must not shrink"), "{err}");
+            assert_eq!(
+                pool.store().num_pages(),
+                0,
+                "a refused build writes nothing"
+            );
+        }
+    }
+
+    /// Decodes `bytes` as one spilled `R`, as a spill run reads it back:
+    /// the record must use every byte.
+    fn decode_exact<R: SpillRecord>(bytes: &[u8]) -> Result<R, StorageError> {
+        let mut r = Reader::new(bytes, "spilled record");
+        let record = R::decode(&mut r)?;
+        r.finish()?;
+        Ok(record)
+    }
+
+    /// `record` round-trips, and its encoding one byte short or one byte
+    /// long is [`StorageError::Corrupt`].
+    fn assert_exact_codec<R: SpillRecord>(record: &R) -> R {
+        let mut bytes = Vec::new();
+        record.encode(&mut bytes);
+        let mut long = bytes.clone();
+        long.push(0);
+        for bad in [&bytes[..bytes.len() - 1], &long[..]] {
+            let err = decode_exact::<R>(bad).map(drop).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        }
+        decode_exact(&bytes).unwrap()
+    }
+
+    #[test]
+    fn spilled_records_decode_exactly_their_bytes() {
+        let mbr = Aabb::new(Point3::new(-1.0, 2.0, 3.5), Point3::new(4.0, 5.0, 6.25));
+        let wide = Aabb::new(Point3::splat(-9.0), Point3::splat(9.0));
+        let entry = EntryRec {
+            key: 11,
+            seq: 12,
+            entry: Entry::new(13, mbr),
+        };
+        let back = assert_exact_codec(&entry);
+        assert_eq!((back.key(), back.entry), (entry.key(), entry.entry));
+        let summary = SummaryRec {
+            key: 21,
+            index: 22,
+            page_mbr: mbr,
+            partition_mbr: wide,
+        };
+        let back = assert_exact_codec(&summary);
+        assert_eq!(back.key(), summary.key());
+        assert_eq!((back.page_mbr, back.partition_mbr), (mbr, wide));
+        for neighbors in [vec![], vec![3, 1, 4, 1, 5]] {
+            let meta = MetaRec {
+                key: 31,
+                index: 32,
+                page_mbr: mbr,
+                partition_mbr: wide,
+                neighbors,
+            };
+            let back = assert_exact_codec(&meta);
+            assert_eq!(back.key(), meta.key());
+            assert_eq!((back.page_mbr, back.partition_mbr), (mbr, wide));
+            assert_eq!(back.neighbors, meta.neighbors);
+        }
+        // A neighbor count past the record's end fails before the list.
+        let mut bytes = Vec::new();
+        MetaRec {
+            key: 0,
+            index: 0,
+            page_mbr: mbr,
+            partition_mbr: wide,
+            neighbors: vec![7],
+        }
+        .encode(&mut bytes);
+        bytes[108..112].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_exact::<MetaRec>(&bytes).map(drop).unwrap_err();
+        assert!(
+            err.to_string().contains("implausible neighbor count"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -532,14 +532,10 @@ impl<S: PageStore> FlatDb<S> {
                 "DbOptions::memory_budget must be positive".into(),
             ));
         }
-        let scale = self.options.index.partition_volume_scale;
-        if scale.is_nan() || scale < 1.0 {
-            return Err(FlatError::Build(format!(
-                "FlatOptions::partition_volume_scale must be at least 1.0 \
-                 (inflation must not shrink partitions), got {scale}"
-            )));
+        match self.options.index.inflation_error() {
+            Some(msg) => Err(FlatError::Build(msg)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Installs a freshly built index as truth, publishes it, and (in

@@ -190,8 +190,10 @@ fn validate_slot_capacity(capacity: usize) -> Result<(), StorageError> {
 /// The fixed tiling domain of an updatable index of `layout`, or the
 /// [`FlatError::Update`] saying why `options` cannot update it: they must
 /// name the index's layout, deletes address elements by application id
-/// ([`LeafLayout::WithIds`]), and every insert batch tiles the same fixed
-/// domain as the base. The one check behind every adoption.
+/// ([`LeafLayout::WithIds`]), every insert batch tiles the same fixed
+/// domain as the base, and a compaction rebuilds with the options' own
+/// inflation, which must not shrink partitions. The one check behind
+/// every adoption.
 fn update_domain(layout: LeafLayout, options: &FlatOptions) -> Result<Aabb, FlatError> {
     if layout != options.layout {
         return Err(FlatError::Update(format!(
@@ -207,6 +209,10 @@ fn update_domain(layout: LeafLayout, options: &FlatOptions) -> Result<Aabb, Flat
                 .into(),
         ));
     }
+    if let Some(msg) = options.inflation_error() {
+        return Err(FlatError::Update(msg));
+    }
+    validate_slot_capacity(leaf_capacity(options.layout))?;
     options.domain.ok_or_else(|| {
         FlatError::Update(
             "updates need a fixed tiling domain: set FlatOptions::domain \
@@ -271,7 +277,12 @@ impl DeltaIndex {
     /// the pages once. Later calls do nothing; on an error the index is
     /// unchanged. Returns the tiling domain.
     pub(crate) fn adopt(&mut self, pool: &impl PageRead) -> Result<Aabb, FlatError> {
-        self.adopt_pages(pool, None)
+        if let Some(domain) = self.domain {
+            return Ok(domain);
+        }
+        let domain = update_domain(self.base.layout(), &self.options)?;
+        self.scan(pool, domain, DeltaResidency::default())?;
+        Ok(domain)
     }
 
     /// Rebuilds a delta index from recovered pages: the crash-recovery
@@ -291,53 +302,52 @@ impl DeltaIndex {
         residency: Option<DeltaResidency>,
     ) -> Result<DeltaIndex, FlatError> {
         let mut delta = Self::pristine(base, options);
-        if residency.is_some() {
-            delta.adopt_pages(pool, residency)?;
+        if let Some(residency) = residency {
+            let domain = update_domain(delta.base.layout(), &options)?;
+            delta.scan(pool, domain, residency)?;
         }
         Ok(delta)
     }
 
-    /// [`DeltaIndex::adopt`] for the write methods, which run it first
-    /// so that none of them sees an unfilled table. Their error type is
-    /// [`StorageError`], so options that cannot update an index (only a
-    /// never-adopted index can carry them) come back as invalid input.
-    fn adopt_to_write(&mut self, pool: &impl PageRead) -> Result<Aabb, StorageError> {
-        self.adopt(pool).map_err(|e| match e {
-            FlatError::Storage(e) => e,
-            e => StorageError::Io(std::io::Error::new(
+    /// The tiling domain of an adopted index. Every write method checks
+    /// it first: an index no writer has adopted has empty tables, so a
+    /// write to it is refused as invalid input ([`StorageError::Io`] of
+    /// kind [`std::io::ErrorKind::InvalidInput`]) before any page is
+    /// written.
+    fn write_domain(&self) -> Result<Aabb, StorageError> {
+        self.domain.ok_or_else(|| {
+            StorageError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                e.to_string(),
-            )),
+                "a write needs an adopted index (DeltaIndex::new adopts one)",
+            ))
         })
     }
 
-    /// The one scan behind [`DeltaIndex::adopt`] and
-    /// [`DeltaIndex::reopen`]. The bulkload's partitions come from the
-    /// seed tree's leaves, which are exactly its metadata pages, in
-    /// creation order: every primary record, dead ones included, becomes a
-    /// row. The live delta partitions come from the recovered list (none
-    /// for a pristine index), grouped into the recorded tiers. Then one
-    /// read of each live object page gives its live count and locator
-    /// entries and, for a delta partition, its page MBR: the union of all
-    /// its slots, tombstoned ones included, which is what the insert
-    /// computed, exactly, as a union of boxes is exact in f64. A recorded
-    /// stack whose levels do not decrease, or that does not cover the
-    /// list exactly, is [`StorageError::Corrupt`].
-    fn adopt_pages(
+    /// The one page scan behind [`DeltaIndex::adopt`],
+    /// [`DeltaIndex::reopen`] and [`DeltaIndex::compact`], over options
+    /// already checked to tile `domain`. The bulkload's partitions come
+    /// from the seed tree's leaves, which are exactly its metadata pages,
+    /// in creation order: every primary record, dead ones included,
+    /// becomes a row. The live delta partitions come from the recovered
+    /// list (none for a pristine index), grouped into the recorded tiers.
+    /// Then one read of each live object page gives its live count and
+    /// locator entries and, for a delta partition, its page MBR: the union
+    /// of all its slots, tombstoned ones included, which is what the
+    /// insert computed, exactly, as a union of boxes is exact in f64. A
+    /// recorded stack whose levels do not decrease, or that does not cover
+    /// the list exactly, is [`StorageError::Corrupt`]. On an error the
+    /// index is unchanged.
+    fn scan(
         &mut self,
         pool: &impl PageRead,
-        recovered: Option<DeltaResidency>,
-    ) -> Result<Aabb, FlatError> {
-        if let Some(domain) = self.domain {
-            return Ok(domain);
-        }
-        let domain = update_domain(self.base.layout(), &self.options)?;
-        validate_slot_capacity(leaf_capacity(self.options.layout))?;
+        domain: Aabb,
+        recovered: DeltaResidency,
+    ) -> Result<(), StorageError> {
         let DeltaResidency {
             pages: delta_pages,
             tiers,
             tombstones,
-        } = recovered.unwrap_or_default();
+        } = recovered;
         let covered = tiers
             .iter()
             .try_fold(0u64, |sum, &(_, pages)| sum.checked_add(pages));
@@ -346,8 +356,7 @@ impl DeltaIndex {
                 "the delta tier stack {tiers:?} does not tile the {} delta pages \
                  with strictly decreasing levels",
                 delta_pages.len()
-            ))
-            .into());
+            )));
         }
         let mut delta = DeltaIndex {
             domain: Some(domain),
@@ -401,8 +410,7 @@ impl DeltaIndex {
                 return Err(StorageError::Corrupt(format!(
                     "{} holds two partitions",
                     part.object_page
-                ))
-                .into());
+                )));
             }
             let page = LivePage::read(pool, part.object_page, None)?;
             if idx >= delta.records.len() {
@@ -419,15 +427,14 @@ impl DeltaIndex {
                     return Err(StorageError::Corrupt(format!(
                         "index holds application id {} twice",
                         hit.id
-                    ))
-                    .into());
+                    )));
                 }
             }
             delta.parts[idx].live = live;
             delta.live_elements += live as u64;
         }
         *self = delta;
-        Ok(domain)
+        Ok(())
     }
 
     /// The base index descriptor (the crawl machinery runs on it).
@@ -602,7 +609,7 @@ impl DeltaIndex {
         if entries.is_empty() {
             return Ok(());
         }
-        let domain = self.adopt_to_write(pool)?;
+        let domain = self.write_domain()?;
         let capacity = leaf_capacity(self.options.layout);
         let mut batch_ids = HashSet::with_capacity(entries.len());
         if let Some(e) = entries
@@ -689,7 +696,7 @@ impl DeltaIndex {
         pool: &mut P,
         ids: &[u64],
     ) -> Result<usize, StorageError> {
-        self.adopt_to_write(pool)?;
+        self.write_domain()?;
         let mut by_part: HashMap<u32, Vec<u64>> = HashMap::new();
         for &id in ids {
             if let Some(idx) = self.locator.remove(&id) {
@@ -776,7 +783,7 @@ impl DeltaIndex {
         &mut self,
         pool: &mut P,
     ) -> Result<BuildStats, StorageError> {
-        self.adopt_to_write(pool)?;
+        let domain = self.write_domain()?;
         // 1. Surviving elements, partition by partition, and the seed
         //    tree's pages.
         let mut survivors: Vec<Entry> = Vec::with_capacity(self.live_elements as usize);
@@ -796,7 +803,7 @@ impl DeltaIndex {
         let (index, stats, _) = FlatIndexBuilder::new(self.options).build(pool, survivors)?;
         // 4. Re-adopt: the delta layer is empty again.
         *self = DeltaIndex::pristine(index, self.options);
-        self.adopt_to_write(&*pool)?;
+        self.scan(&*pool, domain, DeltaResidency::default())?;
         Ok(stats)
     }
 
@@ -1418,6 +1425,32 @@ mod tests {
         dists.sort_by(|a, b| a.total_cmp(b));
         let got: Vec<f64> = after.iter().map(|n| n.dist_sq).collect();
         assert_eq!(got, dists[..5].to_vec());
+    }
+
+    #[test]
+    fn a_write_to_an_unadopted_index_is_refused_and_writes_nothing() {
+        let entries = random_entries(500, 69);
+        let mut pool = ConcurrentBufferPool::new(MemStore::new(), 1 << 12);
+        let (index, _) = FlatIndex::build(&mut pool, entries.clone(), options()).unwrap();
+        let mut delta = DeltaIndex::pristine(index, options());
+        let pages = pool.store().num_pages();
+        let fresh = vec![Entry::new(1_000_000, Aabb::cube(Point3::splat(2.0), 1.0))];
+        let errors = [
+            delta.insert_batch(&mut pool, fresh).unwrap_err(),
+            delta.delete_batch(&mut pool, &[entries[0].id]).unwrap_err(),
+            delta.compact(&mut pool).map(drop).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput)
+                    && err.to_string().contains("adopted index"),
+                "unexpected error: {err}"
+            );
+        }
+        assert!(!delta.is_adopted(), "a refused write adopts nothing");
+        assert_eq!(pool.store().num_pages(), pages, "no page is allocated");
+        assert!(pool.store().free_pages().is_empty(), "no page is freed");
+        assert_eq!(delta.num_live_elements(), entries.len() as u64);
     }
 
     #[test]

@@ -19,9 +19,8 @@
 
 use crate::db::WriteOp;
 use crate::index::FlatIndex;
-use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, LeafLayout};
-use flat_storage::{PageId, StorageError};
+use flat_storage::{PageId, Reader, StorageError};
 
 /// How a [`crate::FlatDb`] persists committed writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,11 +73,7 @@ pub(crate) fn encode_logical(seq: u64, op: &WriteOp) -> Vec<u8> {
             out.push(OP_INSERT);
             out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
             for e in entries {
-                out.extend_from_slice(&e.id.to_le_bytes());
-                let (lo, hi) = (e.mbr.min, e.mbr.max);
-                for v in [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                e.encode(&mut out);
             }
         }
         WriteOp::Delete(ids) => {
@@ -95,18 +90,10 @@ pub(crate) fn encode_logical(seq: u64, op: &WriteOp) -> Vec<u8> {
 
 /// Decodes a record produced by [`encode_logical`].
 pub(crate) fn decode_logical(bytes: &[u8]) -> Result<(u64, WriteOp), StorageError> {
-    let mut r = Reader::new(bytes);
+    let mut r = Reader::new(bytes, "logical record");
     let seq = r.u64()?;
     let op = match r.u8()? {
-        OP_INSERT => WriteOp::Insert(r.list("entry count", |r| {
-            let id = r.u64()?;
-            let mut v = [0f64; 6];
-            for slot in &mut v {
-                *slot = r.f64()?;
-            }
-            let (lo, hi) = (Point3::new(v[0], v[1], v[2]), Point3::new(v[3], v[4], v[5]));
-            Ok(Entry::new(id, Aabb::new(lo, hi)))
-        })?),
+        OP_INSERT => WriteOp::Insert(r.list("entry count", Entry::decode)?),
         OP_DELETE => WriteOp::Delete(r.list("id count", Reader::u64)?),
         OP_COMPACT => WriteOp::Compact,
         t => {
@@ -203,7 +190,7 @@ impl DbSnapshot {
     }
 
     pub(crate) fn decode(bytes: &[u8]) -> Result<DbSnapshot, StorageError> {
-        let mut r = Reader::new(bytes);
+        let mut r = Reader::new(bytes, "checkpoint snapshot");
         if r.u64()? != SNAPSHOT_MAGIC {
             return Err(StorageError::Corrupt(
                 "checkpoint snapshot has a bad magic number".into(),
@@ -282,84 +269,10 @@ fn decode_descriptor(r: &mut Reader<'_>) -> Result<FlatIndex, StorageError> {
     })
 }
 
-/// A bounds-checked little-endian byte reader over a record payload.
-struct Reader<'a> {
-    /// The bytes not read yet.
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes }
-    }
-
-    /// The next `N` bytes.
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], StorageError> {
-        let Some((head, rest)) = self.bytes.split_first_chunk::<N>() else {
-            return Err(StorageError::Corrupt("truncated durable record".into()));
-        };
-        self.bytes = rest;
-        Ok(*head)
-    }
-
-    fn u8(&mut self) -> Result<u8, StorageError> {
-        self.take().map(u8::from_le_bytes)
-    }
-
-    fn u16(&mut self) -> Result<u16, StorageError> {
-        self.take().map(u16::from_le_bytes)
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        self.take().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        self.take().map(u64::from_le_bytes)
-    }
-
-    fn f64(&mut self) -> Result<f64, StorageError> {
-        self.take().map(f64::from_le_bytes)
-    }
-
-    /// A `u64` count that must also fit the remaining bytes (each counted
-    /// item is at least one byte), so corrupt lengths fail before any
-    /// giant allocation.
-    fn len(&mut self, what: &str) -> Result<usize, StorageError> {
-        let n = self.u64()?;
-        if n > self.bytes.len() as u64 {
-            return Err(StorageError::Corrupt(format!(
-                "implausible {what} {n} with {} bytes left in the record",
-                self.bytes.len()
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    /// A [`Reader::len`] count, then that many items.
-    fn list<T>(
-        &mut self,
-        what: &str,
-        mut item: impl FnMut(&mut Self) -> Result<T, StorageError>,
-    ) -> Result<Vec<T>, StorageError> {
-        let n = self.len(what)?;
-        (0..n).map(|_| item(self)).collect()
-    }
-
-    fn finish(self) -> Result<(), StorageError> {
-        if !self.bytes.is_empty() {
-            return Err(StorageError::Corrupt(format!(
-                "durable record has {} trailing bytes",
-                self.bytes.len()
-            )));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flat_geom::{Aabb, Point3};
 
     fn entry(id: u64) -> Entry {
         Entry::new(
@@ -514,6 +427,52 @@ mod tests {
             err.contains("version 99") && err.contains("reads version 5"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn every_record_kind_one_byte_short_or_long_is_corrupt() {
+        let unadopted = DbSnapshot {
+            last_seq: 2,
+            built: true,
+            index: FlatIndex::empty(LeafLayout::WithIds),
+            delta: None,
+        };
+        let adopted = DbSnapshot {
+            delta: Some(DeltaResidency {
+                pages: vec![PageId(5), PageId(8)],
+                tiers: vec![(1, 2)],
+                tombstones: vec![(5, 3)],
+            }),
+            ..unadopted.clone()
+        };
+        type Decode = fn(&[u8]) -> Result<(), StorageError>;
+        let snapshot: Decode = |b| DbSnapshot::decode(b).map(drop);
+        let logical: Decode = |b| decode_logical(b).map(drop);
+        let records = [unadopted, adopted]
+            .map(|snap| (snap.encode(), snapshot))
+            .into_iter()
+            .chain(
+                [
+                    WriteOp::Insert(vec![entry(4)]),
+                    WriteOp::Delete(vec![6, 7]),
+                    WriteOp::Compact,
+                ]
+                .map(|op| (encode_logical(3, &op), logical)),
+            );
+        for (bytes, decode) in records {
+            decode(&bytes).unwrap();
+            let mut long = bytes.clone();
+            long.push(0);
+            for bad in [&bytes[..bytes.len() - 1], &long[..]] {
+                let result = decode(bad);
+                assert!(
+                    matches!(result, Err(StorageError::Corrupt(_))),
+                    "{} of {} bytes: {result:?}",
+                    bad.len(),
+                    bytes.len()
+                );
+            }
+        }
     }
 
     /// The error a snapshot stamped with format `version` is refused with.

@@ -45,6 +45,22 @@ pub struct FlatOptions {
     pub meta_order: MetaOrder,
 }
 
+impl FlatOptions {
+    /// Why these options cannot tile an index, if they cannot: a
+    /// `partition_volume_scale` below `1.0`, or NaN, would shrink the
+    /// partitions and break the no-empty-space invariant. The one check
+    /// behind the build, the façade's build and every adoption.
+    pub(crate) fn inflation_error(&self) -> Option<String> {
+        let scale = self.partition_volume_scale;
+        (scale.is_nan() || scale < 1.0).then(|| {
+            format!(
+                "FlatOptions::partition_volume_scale must be at least 1.0 \
+                 (inflation must not shrink partitions), got {scale}"
+            )
+        })
+    }
+}
+
 impl Default for FlatOptions {
     fn default() -> Self {
         FlatOptions {
@@ -167,8 +183,7 @@ impl FlatIndex {
     /// structure construction of §V-B): [`FlatIndexBuilder`] with a spill
     /// budget no input reaches, so everything stays resident.
     ///
-    /// # Panics
-    /// Panics if `options.partition_volume_scale` is below `1.0`.
+    /// Options are refused as [`FlatIndexBuilder::build`] refuses them.
     pub fn build(
         pool: &mut impl PageWrite,
         entries: Vec<Entry>,
@@ -390,16 +405,26 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must not shrink")]
     fn shrinking_inflation_is_rejected() {
         let mut pool = ConcurrentBufferPool::new(MemStore::new(), 16);
-        let _ = FlatIndex::build(
+        let err = FlatIndex::build(
             &mut pool,
             random_entries(10, 1),
             FlatOptions {
                 partition_volume_scale: 0.5,
                 ..FlatOptions::default()
             },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+            "{err}"
+        );
+        assert!(err.to_string().contains("must not shrink"), "{err}");
+        assert_eq!(
+            pool.store().num_pages(),
+            0,
+            "a refused build writes nothing"
         );
     }
 

@@ -8,34 +8,24 @@
 //! 2. sorts each slab by y and cuts it into `s` *runs* of `s·c`,
 //! 3. sorts each run by z and chops it into pages of `c`.
 //!
-//! This is exactly the partitioning loop of the paper's Algorithm 1 —
-//! FLAT's partitioning reuses this module through the same code path.
+//! FLAT's Algorithm 1 sorts and cuts along the same three axes, but it
+//! does not run through this module: `flat_core::partition` tiles it. Its
+//! slabs hold `⌈n/pn⌉` elements for `pn = ⌈P^(1/3)⌉` and its runs
+//! `⌈slab/pn⌉`, where STR fills slabs of `s²·c` and runs of `s·c` and
+//! leaves the last of each short. It also cuts a plane midway between
+//! the adjacent centers at every boundary, so its tiles cover the whole
+//! domain — the "no empty space" invariant the crawl needs, which the
+//! node MBRs of an STR R-tree do not have.
 
 use super::div_ceil;
 use crate::Entry;
 use flat_geom::Axis;
 
-/// Packs `items` into runs of at most `cap` (callers guarantee
-/// `items.len() > cap > 0`).
-pub(super) fn pack(items: Vec<Entry>, cap: usize) -> Vec<Vec<Entry>> {
-    let mut out = Vec::with_capacity(div_ceil(items.len(), cap));
-    pack_into(items, cap, &mut out);
-    out
-}
-
-/// STR packing that appends the runs (tiles, in x→y→z traversal order) to
-/// `out`. Exposed crate-wide so FLAT's Algorithm 1 can reuse the identical
-/// tiling.
-pub(crate) fn pack_into(mut items: Vec<Entry>, cap: usize, out: &mut Vec<Vec<Entry>>) {
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    if n <= cap {
-        out.push(items);
-        return;
-    }
-    let pages = div_ceil(n, cap);
+/// Packs `items` into runs of at most `cap` — tiles, in x→y→z traversal
+/// order (callers guarantee `items.len() > cap > 0`).
+pub(super) fn pack(mut items: Vec<Entry>, cap: usize) -> Vec<Vec<Entry>> {
+    let pages = div_ceil(items.len(), cap);
+    let mut out = Vec::with_capacity(pages);
     let s = (pages as f64).cbrt().ceil() as usize;
     let slab_size = s * s * cap; // elements per x-slab
     let run_size = s * cap; // elements per y-run
@@ -47,11 +37,10 @@ pub(crate) fn pack_into(mut items: Vec<Entry>, cap: usize, out: &mut Vec<Vec<Ent
         for run in take_chunks(slab, run_size) {
             let mut run = run;
             sort_by_center(&mut run, Axis::Z);
-            for page in take_chunks(run, cap) {
-                out.push(page);
-            }
+            out.extend(take_chunks(run, cap));
         }
     }
+    out
 }
 
 /// Sorts by the MBR center along `axis`. Ties are broken by id so packing

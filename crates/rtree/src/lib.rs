@@ -57,7 +57,8 @@ pub use bulk::BulkLoad;
 pub use node::{inner_capacity, leaf_capacity, LeafLayout};
 pub use tree::{build_inner_levels, Hit, RTree, RTreeConfig, TraversalStats};
 
-use flat_geom::Aabb;
+use flat_geom::{Aabb, Point3};
+use flat_storage::{Reader, StorageError};
 
 /// An element to index: its MBR plus an application-level id.
 ///
@@ -76,6 +77,37 @@ impl Entry {
     /// Creates an entry.
     pub fn new(id: u64, mbr: Aabb) -> Entry {
         Entry { id, mbr }
+    }
+
+    /// Appends the entry as a record: the id as a little-endian `u64`,
+    /// then the MBR as [`Entry::encode_mbr`] writes it.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.id.to_le_bytes());
+        Entry::encode_mbr(&self.mbr, out);
+    }
+
+    /// Reads an entry written by [`Entry::encode`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<Entry, StorageError> {
+        Ok(Entry::new(r.u64()?, Entry::decode_mbr(r)?))
+    }
+
+    /// Appends `mbr` as six little-endian `f64`s, the minimum corner's x,
+    /// y and z, then the maximum corner's: an entry's MBR, also written
+    /// alone by records that carry a box and no id.
+    pub fn encode_mbr(mbr: &Aabb, out: &mut Vec<u8>) {
+        let (lo, hi) = (mbr.min, mbr.max);
+        for v in [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Reads an MBR written by [`Entry::encode_mbr`], as stored: the
+    /// corners are not checked, so any bytes decode without a panic.
+    pub fn decode_mbr(r: &mut Reader<'_>) -> Result<Aabb, StorageError> {
+        Ok(Aabb {
+            min: Point3::new(r.f64()?, r.f64()?, r.f64()?),
+            max: Point3::new(r.f64()?, r.f64()?, r.f64()?),
+        })
     }
 }
 

@@ -38,6 +38,9 @@
 //! * [`spill`] — spill runs and external sorting over store pages: the
 //!   substrate of the streaming (out-of-core) index build, which must
 //!   order datasets bigger than main memory by their STR sort keys.
+//! * [`Reader`] — the one decoder of records stored as bytes (spill
+//!   records, log records, the layer above's logical records and
+//!   snapshots): bounds-checked reads, checked counts, no trailing bytes.
 //! * [`Wal`] — the durability layer: an append-only checksummed record
 //!   log in store pages (torn tails detected and truncated on open). A
 //!   durable [`VersionedPool`] owns one, logs page versions ahead of
@@ -61,6 +64,7 @@ mod error;
 mod fault;
 mod page;
 mod pool;
+mod reader;
 pub mod spill;
 mod store;
 mod sync_util;
@@ -75,6 +79,7 @@ pub use error::StorageError;
 pub use fault::{CrashStyle, FaultStore};
 pub use page::{Page, PageMut, PAGE_SIZE};
 pub use pool::{IoStats, KindStats};
+pub use reader::Reader;
 pub use spill::{ExternalSorter, SortedStream, SpillRecord, SpillStats};
 pub use store::{FileStore, MemStore, PageStore, ThrottledStore};
 pub use versioned::{BatchWriter, EpochPin, VersionStats, VersionedPool};

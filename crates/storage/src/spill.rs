@@ -18,28 +18,38 @@
 //!   `exp_build_scale` benchmark reports to verify the build's memory
 //!   bounds.
 //!
-//! Determinism: merge order is defined entirely by `Ord` on the record
-//! type. Callers that need a *stable* external sort (the FLAT build does —
-//! its in-memory twin uses stable sorts) embed an input sequence number in
-//! the record and include it in `Ord`, making every key unique and the
-//! sort order total. With unique keys, buffer sorting may be unstable and
-//! run boundaries cannot affect the merged order, so the external sort is
-//! bit-compatible with an in-memory stable sort.
+//! Determinism: sort and merge order is defined entirely by the record's
+//! key ([`SpillRecord::key`]). Callers that need a *stable* external sort
+//! (the FLAT build does — its in-memory twin uses stable sorts) embed an
+//! input sequence number in the record and include it in the key, making
+//! every key unique and the sort order total. With unique keys, buffer
+//! sorting may be unstable and run boundaries cannot affect the merged
+//! order, so the external sort is bit-compatible with an in-memory stable
+//! sort.
 
-use crate::{Page, PageId, PageStore, StorageError, PAGE_SIZE};
+use crate::{Page, PageId, PageStore, Reader, StorageError, PAGE_SIZE};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A record that can be spilled to scratch pages and merged back in order.
+/// A record that can be spilled to scratch pages and merged back in order
+/// of its key.
 ///
-/// `Ord` must be a *total* order that matches the desired sort order;
+/// The key order must be *total* and match the desired sort order;
 /// include a unique tiebreaker (record id or input sequence number) so
 /// that external and in-memory sorts agree bit-for-bit.
-pub trait SpillRecord: Sized + Ord {
+pub trait SpillRecord: Sized {
+    /// What the record sorts by.
+    type Key: Ord;
+
+    /// The record's sort key.
+    fn key(&self) -> Self::Key;
+
     /// Appends the serialized record to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
-    /// Decodes one record from exactly the bytes `encode` produced.
-    fn decode(buf: &[u8]) -> Result<Self, StorageError>;
+    /// Decodes one record from the bytes `encode` produced; the caller
+    /// rejects any bytes the decoder leaves ([`Reader::finish`]).
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError>;
 }
 
 /// Aggregate spill accounting for one [`ExternalSorter`] (or several,
@@ -212,19 +222,25 @@ impl RunCursor {
         }
         let mut prefix = [0u8; 4];
         self.read_bytes(store, &mut prefix)?;
-        let len = u32::from_le_bytes(prefix) as usize;
-        self.scratch.resize(len, 0);
+        let len = u64::from(u32::from_le_bytes(prefix));
+        if len > self.run.bytes.saturating_sub(self.consumed) {
+            return Err(StorageError::Corrupt(format!(
+                "spill record of {len} bytes overruns its run"
+            )));
+        }
+        self.scratch.resize(len as usize, 0);
         let mut payload = std::mem::take(&mut self.scratch);
         self.read_bytes(store, &mut payload)?;
-        let record = R::decode(&payload)?;
+        let mut r = Reader::new(&payload, std::any::type_name::<R>());
+        let record = R::decode(&mut r).and_then(|record| r.finish().map(|()| record));
         self.scratch = payload;
-        Ok(Some(record))
+        record.map(Some)
     }
 }
 
 /// Buffers records in memory and spills sorted runs once the buffer
 /// exceeds its budget; [`ExternalSorter::finish`] merges everything back
-/// in `Ord` order.
+/// in key order.
 ///
 /// The sorter owns its scratch store — spill pages never mix with index
 /// pages, so a build that spills produces exactly the same index pages as
@@ -286,7 +302,7 @@ impl<R: SpillRecord, S: PageStore> ExternalSorter<R, S> {
     fn spill_run(&mut self) -> Result<(), StorageError> {
         // Unique keys (callers embed a sequence number) make unstable
         // sorting deterministic.
-        self.buffer.sort_unstable();
+        self.buffer.sort_unstable_by_key(R::key);
         let mut writer = RunWriter::new(&mut self.store);
         for record in &self.buffer {
             writer.push(record)?;
@@ -311,11 +327,11 @@ impl<R: SpillRecord, S: PageStore> ExternalSorter<R, S> {
     pub fn finish(mut self) -> Result<SortedStream<R, S>, StorageError> {
         if self.runs.is_empty() {
             // Fast path: everything fit in memory; no scratch I/O at all.
-            self.buffer.sort_unstable();
+            self.buffer.sort_unstable_by_key(R::key);
             return Ok(SortedStream {
                 store: self.store,
                 in_memory: self.buffer.into_iter(),
-                readers: Vec::new(),
+                runs: Vec::new(),
                 heap: BinaryHeap::new(),
                 stats: self.stats,
             });
@@ -324,50 +340,23 @@ impl<R: SpillRecord, S: PageStore> ExternalSorter<R, S> {
             self.spill_run()?;
         }
         let store = self.store;
-        let runs = self.runs;
-        let mut readers: Vec<RunCursor> = runs.into_iter().map(RunCursor::new).collect();
-        let mut heap = BinaryHeap::with_capacity(readers.len());
-        for (i, reader) in readers.iter_mut().enumerate() {
-            if let Some(record) = reader.next_record(&store)? {
-                heap.push(HeapEntry { record, run: i });
+        let mut runs = Vec::with_capacity(self.runs.len());
+        let mut heap = BinaryHeap::with_capacity(self.runs.len());
+        for (i, run) in self.runs.into_iter().enumerate() {
+            let mut cursor = RunCursor::new(run);
+            let head: Option<R> = cursor.next_record(&store)?;
+            if let Some(record) = &head {
+                heap.push(Reverse((record.key(), i)));
             }
+            runs.push((cursor, head));
         }
         Ok(SortedStream {
             store,
             in_memory: Vec::new().into_iter(),
-            readers,
+            runs,
             heap,
             stats: self.stats,
         })
-    }
-}
-
-/// Heap entry for the k-way merge: min-record first (reversed `Ord`),
-/// run index as a tiebreaker so the merge is deterministic even if a
-/// caller's `Ord` is not total across runs.
-struct HeapEntry<R> {
-    record: R,
-    run: usize,
-}
-
-impl<R: Ord> PartialEq for HeapEntry<R> {
-    fn eq(&self, other: &Self) -> bool {
-        self.record == other.record && self.run == other.run
-    }
-}
-impl<R: Ord> Eq for HeapEntry<R> {}
-impl<R: Ord> PartialOrd for HeapEntry<R> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<R: Ord> Ord for HeapEntry<R> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse for ascending output.
-        other
-            .record
-            .cmp(&self.record)
-            .then_with(|| other.run.cmp(&self.run))
     }
 }
 
@@ -376,37 +365,42 @@ impl<R: Ord> Ord for HeapEntry<R> {
 pub struct SortedStream<R: SpillRecord, S: PageStore> {
     store: S,
     in_memory: std::vec::IntoIter<R>,
-    readers: Vec<RunCursor>,
-    heap: BinaryHeap<HeapEntry<R>>,
+    /// Each spilled run's cursor and its head record (`None` once the run
+    /// is spent).
+    runs: Vec<(RunCursor, Option<R>)>,
+    /// The heads' keys, least first, each with its run's index: the index
+    /// breaks ties, so the merge is deterministic even where a key is not
+    /// unique across runs.
+    heap: BinaryHeap<Reverse<(R::Key, usize)>>,
     stats: SpillStats,
 }
 
 impl<R: SpillRecord, S: PageStore> SortedStream<R, S> {
     /// The next record in sort order, without consuming it.
     pub fn peek(&self) -> Option<&R> {
-        if self.readers.is_empty() {
+        if self.runs.is_empty() {
             self.in_memory.as_slice().first()
         } else {
-            self.heap.peek().map(|e| &e.record)
+            let Reverse((_, run)) = self.heap.peek()?;
+            self.runs[*run].1.as_ref()
         }
     }
 
     /// Consumes and returns the next record in sort order.
     #[allow(clippy::should_implement_trait)] // fallible next; Iterator via map elsewhere
     pub fn next(&mut self) -> Result<Option<R>, StorageError> {
-        if self.readers.is_empty() {
+        if self.runs.is_empty() {
             return Ok(self.in_memory.next());
         }
-        let Some(top) = self.heap.pop() else {
+        let Some(Reverse((_, run))) = self.heap.pop() else {
             return Ok(None);
         };
-        if let Some(record) = self.readers[top.run].next_record(&self.store)? {
-            self.heap.push(HeapEntry {
-                record,
-                run: top.run,
-            });
+        let (cursor, head) = &mut self.runs[run];
+        let next: Option<R> = cursor.next_record(&self.store)?;
+        if let Some(record) = &next {
+            self.heap.push(Reverse((record.key(), run)));
         }
-        Ok(Some(top.record))
+        Ok(std::mem::replace(head, next))
     }
 
     /// Final spill accounting for the sort.
@@ -421,47 +415,49 @@ mod tests {
     use crate::MemStore;
 
     /// A small fixed-size test record: sort key plus payload.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     struct Rec {
         key: u64,
         payload: u64,
     }
 
     impl SpillRecord for Rec {
+        type Key = (u64, u64);
+        fn key(&self) -> (u64, u64) {
+            (self.key, self.payload)
+        }
         fn encode(&self, out: &mut Vec<u8>) {
             out.extend_from_slice(&self.key.to_le_bytes());
             out.extend_from_slice(&self.payload.to_le_bytes());
         }
-        fn decode(buf: &[u8]) -> Result<Self, StorageError> {
-            if buf.len() != 16 {
-                return Err(StorageError::Corrupt(format!(
-                    "bad Rec length {}",
-                    buf.len()
-                )));
-            }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError> {
             Ok(Rec {
-                key: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
-                payload: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
+                key: r.u64()?,
+                payload: r.u64()?,
             })
         }
     }
 
     /// Variable-length record exercising page-spanning payloads.
-    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+    #[derive(Debug, Clone, PartialEq)]
     struct VarRec {
         key: u64,
         data: Vec<u8>,
     }
 
     impl SpillRecord for VarRec {
+        type Key = u64;
+        fn key(&self) -> u64 {
+            self.key
+        }
         fn encode(&self, out: &mut Vec<u8>) {
             out.extend_from_slice(&self.key.to_le_bytes());
             out.extend_from_slice(&self.data);
         }
-        fn decode(buf: &[u8]) -> Result<Self, StorageError> {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError> {
             Ok(VarRec {
-                key: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
-                data: buf[8..].to_vec(),
+                key: r.u64()?,
+                data: r.rest().to_vec(),
             })
         }
     }
@@ -504,6 +500,58 @@ mod tests {
             back.push(r);
         }
         assert_eq!(back, records);
+    }
+
+    /// A run holding `bytes` as its one record, written the way
+    /// [`RunWriter`] frames records.
+    fn run_of(store: &mut MemStore, bytes: &[u8]) -> RunCursor {
+        let mut page = Page::new();
+        page.bytes_mut()[..4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
+        page.bytes_mut()[4..4 + bytes.len()].copy_from_slice(bytes);
+        let id = store.alloc().unwrap();
+        store.write_page(id, &page).unwrap();
+        RunCursor::new(RunHandle {
+            pages: vec![id],
+            bytes: 4 + bytes.len() as u64,
+            records: 1,
+        })
+    }
+
+    #[test]
+    fn a_record_one_byte_short_or_long_is_corrupt() {
+        let mut store = MemStore::new();
+        let mut good = Vec::new();
+        Rec { key: 1, payload: 2 }.encode(&mut good);
+        let mut cursor = run_of(&mut store, &good);
+        assert_eq!(
+            cursor.next_record::<Rec, _>(&store).unwrap(),
+            Some(Rec { key: 1, payload: 2 })
+        );
+        let mut long = good.clone();
+        long.push(0);
+        for bad in [&good[..good.len() - 1], &long[..]] {
+            let mut cursor = run_of(&mut store, bad);
+            let err = cursor.next_record::<Rec, _>(&store).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corrupt(msg) if msg.contains("Rec")),
+                "{} bytes: {err}",
+                bad.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_past_the_run_is_corrupt_before_allocating() {
+        let mut store = MemStore::new();
+        let mut cursor = run_of(&mut store, &[0; 16]);
+        // Rewrite the prefix to claim u32::MAX payload bytes.
+        let mut page = Page::new();
+        store.read_page(cursor.run.pages[0], &mut page).unwrap();
+        page.bytes_mut()[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        store.write_page(cursor.run.pages[0], &page).unwrap();
+        let err = cursor.next_record::<Rec, _>(&store).unwrap_err();
+        assert!(err.to_string().contains("overruns its run"), "{err}");
+        assert!(cursor.scratch.capacity() < 1 << 20);
     }
 
     #[test]

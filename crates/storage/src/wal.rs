@@ -39,7 +39,7 @@
 //! truncates the log at the last intact record instead of replaying
 //! garbage.
 
-use crate::{Page, PageId, PageStore, StorageError, PAGE_SIZE};
+use crate::{Page, PageId, PageStore, Reader, StorageError, PAGE_SIZE};
 
 /// Magic tag identifying a head slot page.
 const WAL_MAGIC: u64 = 0x464C_4154_5741_4C31; // "FLATWAL1"
@@ -143,49 +143,30 @@ impl WalRecord {
 
     /// Parses a payload produced by [`WalRecord::encode_into`].
     fn decode(payload: &[u8]) -> Result<WalRecord, StorageError> {
-        fn u64_at(b: &[u8], at: usize) -> Result<u64, StorageError> {
-            let s = b
-                .get(at..)
-                .and_then(<[u8]>::first_chunk)
-                .ok_or_else(|| StorageError::Corrupt("truncated WAL record body".into()))?;
-            Ok(u64::from_le_bytes(*s))
-        }
-        let (&tag, body) = payload
-            .split_first()
-            .ok_or_else(|| StorageError::Corrupt("empty WAL record payload".into()))?;
-        match tag {
-            TAG_LOGICAL => Ok(WalRecord::Logical(body.to_vec())),
+        let mut r = Reader::new(payload, "WAL record");
+        let record = match r.u8()? {
+            TAG_LOGICAL => WalRecord::Logical(r.rest().to_vec()),
             TAG_IMAGE => {
-                let page = u64_at(body, 0)?;
-                let image = body
-                    .get(8..8 + PAGE_SIZE)
-                    .ok_or_else(|| StorageError::Corrupt("truncated WAL page image".into()))?;
+                let page = r.u64()?;
                 let mut bytes = Page::new();
-                bytes.bytes_mut().copy_from_slice(image);
-                Ok(WalRecord::PageImage { page, bytes })
+                bytes.bytes_mut().copy_from_slice(r.bytes(PAGE_SIZE)?);
+                WalRecord::PageImage { page, bytes }
             }
             TAG_CHECKPOINT => {
-                let pages = u64_at(body, 0)?;
-                let count = u64_at(body, 8)? as usize;
-                let mut free = Vec::with_capacity(count.min(1 << 20));
-                let mut at = 16;
-                for _ in 0..count {
-                    free.push(u64_at(body, at)?);
-                    at += 8;
-                }
-                let snap_len = u64_at(body, at)? as usize;
-                at += 8;
-                let snapshot = body
-                    .get(at..at + snap_len)
-                    .ok_or_else(|| StorageError::Corrupt("truncated WAL snapshot".into()))?;
-                Ok(WalRecord::Checkpoint {
+                let pages = r.u64()?;
+                let free = r.list("free page count", Reader::u64)?;
+                let snap_len = r.u64()?;
+                let snap_len = r.len(snap_len, "snapshot length")?;
+                WalRecord::Checkpoint {
                     pages,
                     free,
-                    snapshot: snapshot.to_vec(),
-                })
+                    snapshot: r.bytes(snap_len)?.to_vec(),
+                }
             }
-            t => Err(StorageError::Corrupt(format!("unknown WAL record tag {t}"))),
-        }
+            t => return Err(StorageError::Corrupt(format!("unknown WAL record tag {t}"))),
+        };
+        r.finish()?;
+        Ok(record)
     }
 
     /// Frames the record for the log stream into `out`, replacing its
@@ -529,20 +510,18 @@ fn parse_stream(stream: &[u8]) -> (Vec<WalRecord>, u64, bool) {
     let mut records = Vec::new();
     loop {
         // A frame header is `[len u32][crc u32]`; fewer than 8 bytes left
-        // is the end of the stream.
-        let Some((&[l0, l1, l2, l3, c0, c1, c2, c3], rest)) =
-            stream.get(pos..).and_then(<[u8]>::split_first_chunk::<8>)
-        else {
+        // is the end of the stream, and so is a zero length.
+        let mut frame = Reader::new(stream.get(pos..).unwrap_or_default(), "WAL frame");
+        let (Ok(len), Ok(crc)) = (frame.u32(), frame.u32()) else {
             return (records, pos as u64, false);
         };
-        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let len = len as usize;
         if len == 0 {
             return (records, pos as u64, false);
         }
-        let Some(payload) = rest.get(..len) else {
+        let Ok(payload) = frame.bytes(len) else {
             return (records, pos as u64, true);
         };
-        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if crc32(payload) != crc {
             return (records, pos as u64, true);
         }
@@ -801,6 +780,70 @@ mod tests {
         let end = wal3.len_bytes();
         wal3.append(&mut store, []).unwrap();
         assert_eq!(wal3.len_bytes(), end);
+    }
+
+    /// `payload` framed as the log frames it: `[len][crc][payload]`.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn an_impossible_snapshot_length_is_a_torn_tail_not_an_overflow() {
+        let mut stream = Vec::new();
+        ckpt(b"base").frame_into(&mut stream);
+        let intact = stream.len() as u64;
+        // A checkpoint whose checksum is valid but whose snapshot length
+        // is u64::MAX: the decoder must refuse it without arithmetic on
+        // the length.
+        let mut payload = vec![TAG_CHECKPOINT];
+        payload.extend_from_slice(&7u64.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(&u64::MAX.to_le_bytes());
+        payload.extend_from_slice(b"snap");
+        stream.extend_from_slice(&frame(&payload));
+        let (records, end, torn) = parse_stream(&stream);
+        assert!(torn, "the impossible record must truncate the log");
+        assert_eq!(records, vec![ckpt(b"base")]);
+        assert_eq!(end, intact);
+    }
+
+    #[test]
+    fn records_one_byte_short_or_long_are_corrupt() {
+        let mut image = Page::new();
+        image.bytes_mut()[5] = 3;
+        for record in [
+            WalRecord::PageImage {
+                page: 4,
+                bytes: image,
+            },
+            WalRecord::Checkpoint {
+                pages: 12,
+                free: vec![3, 8],
+                snapshot: b"snapshot".to_vec(),
+            },
+        ] {
+            let mut payload = Vec::new();
+            record.encode_into(&mut payload);
+            assert_eq!(WalRecord::decode(&payload).unwrap(), record);
+            let short = &payload[..payload.len() - 1];
+            let mut long = payload.clone();
+            long.push(0);
+            for bad in [short, &long[..]] {
+                assert!(
+                    matches!(WalRecord::decode(bad), Err(StorageError::Corrupt(_))),
+                    "{} bytes of a {}-byte record decoded",
+                    bad.len(),
+                    payload.len()
+                );
+            }
+        }
+        assert!(matches!(
+            WalRecord::decode(&[]),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -688,3 +688,64 @@ fn bad_build_options_are_typed_errors_not_panics() {
     assert!(before[1].is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_shrinking_scale_is_refused_before_any_commit() {
+    let (entries, domain) = dataset(500, 808);
+    let everything = Aabb::cube(domain.center(), 1e6);
+    let options = |scale| {
+        DbOptions::default().with_index(FlatOptions {
+            partition_volume_scale: scale,
+            ..updatable(domain)
+        })
+    };
+    // An updatable database with no bulkload: a compaction would rebuild
+    // with the shrinking scale, so the first writer's adoption refuses
+    // it, and the insert + compact path is an error, never a panic
+    // inside a commit. Asking again gives the same answer.
+    for scale in [0.5, f64::NAN] {
+        let db = FlatDb::create_in_memory(options(scale));
+        for _ in 0..2 {
+            let err = db
+                .writer()
+                .and_then(|mut writer| {
+                    writer.insert(entries.clone())?;
+                    writer.compact().map(drop)
+                })
+                .unwrap_err();
+            assert!(
+                matches!(err, FlatError::Update(_)) && err.to_string().contains("must not shrink"),
+                "scale {scale}: {err}"
+            );
+        }
+        assert!(db.reader().range(&everything).unwrap().is_empty());
+    }
+
+    // On a durable database the refusal logs nothing: the file reopens
+    // with nothing to replay, and under a scale that can update it the
+    // same insert and compaction commit.
+    let dir = std::env::temp_dir().join("flat-repro-db-api-shrinking-scale");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db");
+    let wal = |scale| options(scale).with_durability(Durability::Wal);
+    let db = FlatDb::create_durable(FileStore::create(&path).unwrap(), wal(0.5)).unwrap();
+    assert!(matches!(db.writer().map(drop), Err(FlatError::Update(_))));
+    drop(db);
+    for scale in [0.5, 1.0] {
+        let (db, report) =
+            FlatDb::open_durable(FileStore::open(&path).unwrap(), wal(scale)).unwrap();
+        assert_eq!(
+            report.replayed, 0,
+            "scale {scale}: a refused write was logged"
+        );
+        let Ok(mut writer) = db.writer() else {
+            assert_eq!(scale, 0.5, "a sound scale must be writable");
+            continue;
+        };
+        writer.insert(entries.clone()).unwrap();
+        writer.compact().unwrap();
+        drop(writer);
+        assert_eq!(db.reader().range(&everything).unwrap().len(), entries.len());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
